@@ -29,6 +29,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -218,10 +219,34 @@ func (k CommunityKey) Value() uint32 { return k.val }
 // String renders "α:β" or "α:fn:value"; ParseCommunityKey is its
 // exact inverse.
 func (k CommunityKey) String() string {
+	var buf [32]byte // three 10-digit words and two colons
+	return string(k.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String rendering to dst and returns the
+// extended slice, for callers that render many keys into one buffer.
+func (k CommunityKey) AppendTo(dst []byte) []byte {
+	dst = strconv.AppendUint(dst, uint64(k.asn), 10)
 	if k.kind == KindLarge {
-		return fmt.Sprintf("%d:%d:%d", k.asn, k.fn, k.val)
+		dst = append(dst, ':')
+		dst = strconv.AppendUint(dst, uint64(k.fn), 10)
 	}
-	return fmt.Sprintf("%d:%d", k.asn, k.val)
+	dst = append(dst, ':')
+	return strconv.AppendUint(dst, uint64(k.val), 10)
+}
+
+// MarshalText renders the key as String does, so a CommunityKey inside
+// a JSON document is the string "α:β" or "α:fn:value".
+func (k CommunityKey) MarshalText() ([]byte, error) { return k.AppendTo(nil), nil }
+
+// UnmarshalText parses what MarshalText renders.
+func (k *CommunityKey) UnmarshalText(text []byte) error {
+	parsed, err := ParseCommunityKey(string(text))
+	if err != nil {
+		return err
+	}
+	*k = parsed
+	return nil
 }
 
 // wireLarge converts a large key to its wire form; only valid when

@@ -106,30 +106,39 @@ func ParseCommunity(s string) (Community, error) {
 // large communities; each form round-trips exactly through its
 // String rendering. An empty string parses to empty sets.
 func ParseCommunities(s string) (Communities, LargeCommunities, error) {
-	fields := strings.FieldsFunc(s, func(r rune) bool {
-		return r == ' ' || r == ',' || r == '\t'
-	})
-	if len(fields) == 0 {
-		return nil, nil, nil
+	out, lout, err := AppendCommunities(nil, nil, s)
+	if err != nil {
+		return nil, nil, err
 	}
-	var (
-		out Communities
-		lout LargeCommunities
-	)
-	for _, f := range fields {
-		if strings.Count(f, ":") == 2 {
+	return out, lout, nil
+}
+
+// AppendCommunities is ParseCommunities appending to dst and ldst, for
+// callers that reuse their slices; on error both come back unextended.
+func AppendCommunities(dst Communities, ldst LargeCommunities, s string) (Communities, LargeCommunities, error) {
+	out, lout := dst, ldst
+	for len(s) > 0 {
+		end := strings.IndexAny(s, " ,\t")
+		if end < 0 {
+			end = len(s)
+		}
+		f := s[:end]
+		s = s[min(end+1, len(s)):]
+		switch {
+		case f == "":
+		case strings.Count(f, ":") == 2:
 			lc, err := ParseLargeCommunity(f)
 			if err != nil {
-				return nil, nil, err
+				return dst, ldst, err
 			}
 			lout = append(lout, lc)
-			continue
+		default:
+			c, err := ParseCommunity(f)
+			if err != nil {
+				return dst, ldst, err
+			}
+			out = append(out, c)
 		}
-		c, err := ParseCommunity(f)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, c)
 	}
 	return out, lout, nil
 }
@@ -257,12 +266,14 @@ func (lc LargeCommunity) IsPrivateASN() bool {
 // ParseLargeCommunity parses canonical α:β:γ notation, e.g.
 // "57866:100:1".
 func ParseLargeCommunity(s string) (LargeCommunity, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return LargeCommunity{}, fmt.Errorf("bgp: large community %q: want 3 parts, have %d", s, len(parts))
+	if n := strings.Count(s, ":") + 1; n != 3 {
+		return LargeCommunity{}, fmt.Errorf("bgp: large community %q: want 3 parts, have %d", s, n)
 	}
 	var vals [3]uint32
-	for i, p := range parts {
+	rest := s
+	for i := range vals {
+		var p string
+		p, rest, _ = strings.Cut(rest, ":")
 		v, err := strconv.ParseUint(p, 10, 32)
 		if err != nil {
 			return LargeCommunity{}, fmt.Errorf("bgp: large community %q: part %d: %v", s, i+1, err)

@@ -170,7 +170,7 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 	snap := s.Snapshot()
 	stamp := snap.Gen<<32 ^ s.anoms.Stamp()
 	key := r.URL.Path + "?" + r.URL.RawQuery
-	s.serveCachedIn(w, s.anomCache, stamp, key, func() any {
+	s.serveCachedIn(w, s.anomCache, stamp, key, func(b []byte) ([]byte, error) {
 		rep := s.anoms.Query(q)
 		resp := anomaliesResponse{
 			Generation:          snap.Gen,
@@ -186,7 +186,7 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 		for _, f := range rep.Findings {
 			resp.Findings = append(resp.Findings, findingJSON(f))
 		}
-		return resp
+		return encodeJSONBody(b, resp)
 	})
 }
 

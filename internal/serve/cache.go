@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"hash/maphash"
 	"net/http"
+	"strconv"
 	"sync"
+
+	"bgpintent/internal/bgp"
 )
 
 // responseCache memoizes pre-encoded JSON response bodies per snapshot
@@ -91,57 +94,106 @@ func (c *responseCache) len() int {
 	return n
 }
 
-// encBufPool recycles the JSON encode buffers of cache-miss (and
-// uncached POST) responses, so sustained load stops allocating a fresh
-// buffer per request.
-var encBufPool = sync.Pool{
-	New: func() any { return new(bytes.Buffer) },
+// scratch is the per-request working set of the JSON endpoints: the
+// rendered body and, for POST /v1/annotate, the slabs its response is
+// assembled in. It cycles through scratchPool, so sustained load
+// allocates none of it per request; nothing in it may be referenced
+// once release has been called.
+type scratch struct {
+	out []byte // rendered response body
+
+	tuples   []annotateTupleResponse
+	anns     []Annotation  // every Annotations slice of a response is a window of this
+	clusters []ClusterJSON // anns[i].Cluster, when set, is &clusters[i]
+	comms    bgp.Communities
+	lcomms   bgp.LargeCommunities
 }
 
-// encodeJSONBody renders v exactly as writeJSON does (two-space
-// indent, trailing newline) into a pooled buffer, returning an
-// unshared copy of the bytes.
-func encodeJSONBody(v any) ([]byte, error) {
-	buf := encBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		buf.Reset()
-		encBufPool.Put(buf)
-	}()
+const (
+	// maxPooledBytes and maxPooledItems bound what a scratch may keep
+	// when it goes back to the pool (64 KiB of body, and about as much
+	// of slabs): one huge request must not pin its working set for the
+	// life of the process.
+	maxPooledBytes = 64 << 10
+	maxPooledItems = 512
+)
+
+var scratchPool = sync.Pool{
+	New: func() any { return new(scratch) },
+}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// release hands the scratch back for reuse, or to the garbage
+// collector when a request grew it past the retention bounds.
+func (sc *scratch) release() {
+	if cap(sc.out) > maxPooledBytes ||
+		cap(sc.tuples)+cap(sc.anns)+cap(sc.comms)+cap(sc.lcomms) > maxPooledItems {
+		return
+	}
+	// The slabs hold pointers (echoed path strings, large-cluster fn);
+	// clear them so an idle pooled scratch keeps no request alive.
+	clear(sc.tuples)
+	clear(sc.anns)
+	clear(sc.clusters)
+	sc.tuples, sc.anns, sc.clusters = sc.tuples[:0], sc.anns[:0], sc.clusters[:0]
+	scratchPool.Put(sc)
+}
+
+// encodeJSONBody appends v rendered by encoding/json (two-space
+// indent, trailing newline) to b: the encoder of every body the
+// verdict response writer (encode.go) does not render.
+func encodeJSONBody(b []byte, v any) ([]byte, error) {
+	buf := bytes.NewBuffer(b)
 	enc := json.NewEncoder(buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		return nil, err
+		return b, err
 	}
-	return append([]byte(nil), buf.Bytes()...), nil
+	return buf.Bytes(), nil
+}
+
+// sendJSON writes a complete, already rendered body. The explicit
+// Content-Length keeps net/http from chunking replies larger than its
+// 2 KiB sniff buffer.
+func sendJSON(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body) //nolint:errcheck // the connection is gone; nothing to do
 }
 
 // serveCached answers a GET endpoint from the response cache when the
 // body for this path was already rendered at the current generation,
-// and renders-and-caches it otherwise. build must produce the full
-// response value for a cache miss.
-func (s *Server) serveCached(w http.ResponseWriter, snap *Snapshot, key string, build func() any) {
-	s.serveCachedIn(w, s.cache, snap.Gen, key, build)
+// and renders-and-caches it otherwise. render must append the full
+// response body for a cache miss.
+func (s *Server) serveCached(w http.ResponseWriter, snap *Snapshot, key string, render func(b []byte) ([]byte, error)) {
+	s.serveCachedIn(w, s.cache, snap.Gen, key, render)
 }
 
 // serveCachedIn is serveCached generalized over the cache instance and
 // the invalidation stamp: snapshot-derived bodies stamp with the
 // snapshot generation, anomaly bodies with (generation, engine stamp).
-func (s *Server) serveCachedIn(w http.ResponseWriter, cache *responseCache, stamp uint64, key string, build func() any) {
+func (s *Server) serveCachedIn(w http.ResponseWriter, cache *responseCache, stamp uint64, key string, render func(b []byte) ([]byte, error)) {
 	if body, ok := cache.get(stamp, key); ok {
 		s.metrics.cacheHits.Add(1)
+		// Not sendJSON: the hit path spends no allocation on a length
+		// net/http works out itself for any body under 2 KiB.
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		w.Write(body) //nolint:errcheck // the connection is gone; nothing to do
 		return
 	}
 	s.metrics.cacheMisses.Add(1)
-	body, err := encodeJSONBody(build())
-	if err != nil {
+	sc := getScratch()
+	defer sc.release()
+	var err error
+	if sc.out, err = render(sc.out[:0]); err != nil {
 		writeError(w, http.StatusInternalServerError, "encode response: %v", err)
 		return
 	}
+	body := bytes.Clone(sc.out) // the cache keeps an unshared copy
 	cache.put(stamp, key, body)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(body) //nolint:errcheck // the connection is gone; nothing to do
+	sendJSON(w, http.StatusOK, body)
 }

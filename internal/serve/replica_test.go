@@ -18,7 +18,7 @@ import (
 // writeSnapFile serializes res as a flat (v2/v3) snapshot file and
 // returns its path — what an origin intentd would publish at
 // /v1/snapshot.
-func writeSnapFile(t *testing.T, dir, name string, w *testWorld, res *bgpintent.Result) string {
+func writeSnapFile(t testing.TB, dir, name string, w *testWorld, res *bgpintent.Result) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
 	f, err := os.Create(path)

@@ -183,9 +183,12 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	em := s.metrics.endpoint(name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		cw := &countingWriter{ResponseWriter: w}
+		cw := countingWriterPool.Get().(*countingWriter)
+		cw.ResponseWriter, cw.status = w, 0
 		h(cw, r)
 		em.observe(time.Since(start), cw.status >= 400)
+		cw.ResponseWriter = nil
+		countingWriterPool.Put(cw)
 	}
 }
 
@@ -195,17 +198,41 @@ type countingWriter struct {
 	status int
 }
 
+var countingWriterPool = sync.Pool{
+	New: func() any { return new(countingWriter) },
+}
+
 func (c *countingWriter) WriteHeader(status int) {
 	c.status = status
 	c.ResponseWriter.WriteHeader(status)
 }
 
+// Unwrap lets http.ResponseController reach the connection's Flush and
+// deadline methods through the wrapper.
+func (c *countingWriter) Unwrap() http.ResponseWriter { return c.ResponseWriter }
+
+// ReadFrom passes io.Copy through to the connection's own ReadFrom, so
+// http.ServeContent on GET /v1/snapshot still reaches sendfile.
+func (c *countingWriter) ReadFrom(r io.Reader) (int64, error) {
+	if rf, ok := c.ResponseWriter.(io.ReaderFrom); ok {
+		return rf.ReadFrom(r)
+	}
+	return io.Copy(c.ResponseWriter, r)
+}
+
+// writeJSON renders v with encoding/json and sends it: the reply path
+// of every endpoint outside the verdict response writer (encode.go).
+// The body is complete before the status goes out, so a value that
+// cannot be encoded is answered with a 500, not an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the connection is gone; nothing to do
+	sc := getScratch()
+	defer sc.release()
+	var err error
+	if sc.out, err = encodeJSONBody(sc.out[:0], v); err != nil {
+		writeError(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
+	}
+	sendJSON(w, status, sc.out)
 }
 
 // errorResponse is the JSON body of every non-2xx response.
@@ -235,60 +262,53 @@ type ClusterJSON struct {
 	Fn          *uint32 `json:"fn,omitempty"`
 }
 
-func clusterJSON(cl *bgpintent.Cluster) *ClusterJSON {
-	if cl == nil {
-		return nil
-	}
-	return &ClusterJSON{
+func clusterJSON(cl *bgpintent.Cluster) ClusterJSON {
+	return ClusterJSON{
 		ASN: uint32(cl.ASN), Lo: uint32(cl.Lo), Hi: uint32(cl.Hi), Category: cl.Category.String(),
 		Size: cl.Size, OnPath: cl.OnPath, OffPath: cl.OffPath,
 		PureOnPath: cl.PureOnPath, PureOffPath: cl.PureOffPath, Ratio: cl.Ratio,
 	}
 }
 
-func largeClusterJSON(cl *bgpintent.LargeCluster) *ClusterJSON {
-	if cl == nil {
-		return nil
-	}
-	fn := cl.Fn
-	return &ClusterJSON{
+// largeClusterJSON renders a large cluster; Fn points into cl.
+func largeClusterJSON(cl *bgpintent.LargeCluster) ClusterJSON {
+	return ClusterJSON{
 		ASN: cl.ASN, Lo: cl.Lo, Hi: cl.Hi, Category: cl.Category.String(),
 		Size: cl.Size, OnPath: cl.OnPath, OffPath: cl.OffPath,
 		PureOnPath: cl.PureOnPath, PureOffPath: cl.PureOffPath, Ratio: cl.Ratio,
-		Fn: &fn,
+		Fn: &cl.Fn,
 	}
 }
 
 // Annotation is one community verdict as rendered in responses.
 type Annotation struct {
-	Community string `json:"community"`
+	// Community renders as "α:β" or "α:fn:value".
+	Community bgpintent.CommunityKey `json:"community"`
 	// Kind is "classic" for α:β communities, "large" for RFC 8092
 	// α:fn:value ones.
-	Kind      string       `json:"kind"`
-	Observed  bool         `json:"observed"`
-	Category  string       `json:"category"`
-	OnPath    int          `json:"on_path"`
-	OffPath   int          `json:"off_path"`
-	Reason    string       `json:"exclude_reason,omitempty"`
-	Cluster   *ClusterJSON `json:"cluster,omitempty"`
+	Kind     string       `json:"kind"`
+	Observed bool         `json:"observed"`
+	Category string       `json:"category"`
+	OnPath   int          `json:"on_path"`
+	OffPath  int          `json:"off_path"`
+	Reason   string       `json:"exclude_reason,omitempty"`
+	Cluster  *ClusterJSON `json:"cluster,omitempty"`
 	// OnThisPath reports whether the community's α appears in the AS
 	// path supplied with a tuple annotation; null for bare communities.
 	OnThisPath *bool `json:"on_this_path,omitempty"`
 }
 
-func annotate(snap *Snapshot, c bgp.Community) Annotation {
-	return annotateKey(snap, bgpintent.ClassicKey(c.ASN(), c.Value()))
-}
+// onThisPath are the two values Annotation.OnThisPath points at.
+var onThisPath = [2]bool{false, true}
 
-func annotateLarge(snap *Snapshot, lc bgp.LargeCommunity) Annotation {
-	return annotateKey(snap, bgpintent.LargeKey(lc.GlobalAdmin, lc.LocalData1, lc.LocalData2))
-}
-
-// annotateKey answers one verdict for a community of either kind.
-func annotateKey(snap *Snapshot, k bgpintent.CommunityKey) Annotation {
+// annotateKey answers one verdict for a community of either kind. The
+// deciding cluster, if any, is rendered into *cl, which the Annotation
+// then points at: the caller owns that storage, so a verdict costs no
+// allocation here.
+func annotateKey(snap *Snapshot, k bgpintent.CommunityKey, cl *ClusterJSON) Annotation {
 	l := snap.LookupKey(k)
 	a := Annotation{
-		Community: l.Key.String(),
+		Community: l.Key,
 		Kind:      l.Key.Kind().String(),
 		Observed:  l.Observed,
 		Category:  l.Category.String(),
@@ -297,9 +317,11 @@ func annotateKey(snap *Snapshot, k bgpintent.CommunityKey) Annotation {
 		Reason:    string(l.Reason),
 	}
 	if l.Cluster != nil {
-		a.Cluster = clusterJSON(l.Cluster)
+		*cl = clusterJSON(l.Cluster)
+		a.Cluster = cl
 	} else if l.LargeCluster != nil {
-		a.Cluster = largeClusterJSON(l.LargeCluster)
+		*cl = largeClusterJSON(l.LargeCluster)
+		a.Cluster = cl
 	}
 	return a
 }
@@ -320,11 +342,12 @@ func (s *Server) handleCommunity(w http.ResponseWriter, r *http.Request) {
 	// response is internally consistent even mid-reload. Hot keys come
 	// straight out of the generation-keyed body cache.
 	snap := s.Snapshot()
-	s.serveCached(w, snap, r.URL.Path, func() any {
-		return communityResponse{
-			Annotation: annotateKey(snap, k),
+	s.serveCached(w, snap, r.URL.Path, func(b []byte) ([]byte, error) {
+		var cl ClusterJSON
+		return appendCommunityResponse(b, &communityResponse{
+			Annotation: annotateKey(snap, k, &cl),
 			Generation: snap.Gen,
-		}
+		})
 	})
 }
 
@@ -361,8 +384,12 @@ type annotateResponse struct {
 
 func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	var req annotateRequest
-	body := io.LimitReader(r.Body, maxAnnotateBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAnnotateBody)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -372,11 +399,24 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	snap := s.Snapshot()
-	resp := annotateResponse{Generation: snap.Gen}
+	sc := getScratch()
+	defer sc.release()
+	// annotate appends one verdict to the slabs; budget refuses the
+	// request once it asks for more than maxAnnotateItems of them.
+	annotate := func(k bgpintent.CommunityKey, on *bool) {
+		sc.clusters = append(sc.clusters, ClusterJSON{})
+		a := annotateKey(snap, k, &sc.clusters[len(sc.clusters)-1])
+		a.OnThisPath = on
+		sc.anns = append(sc.anns, a)
+	}
 	items := 0
 	budget := func(n int) bool {
 		items += n
-		return items <= maxAnnotateItems
+		if items > maxAnnotateItems {
+			writeError(w, http.StatusRequestEntityTooLarge, "more than %d communities in one request", maxAnnotateItems)
+			return false
+		}
+		return true
 	}
 
 	for i, cs := range req.Communities {
@@ -386,23 +426,22 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if !budget(1) {
-			writeError(w, http.StatusRequestEntityTooLarge, "more than %d communities in one request", maxAnnotateItems)
 			return
 		}
-		resp.Annotations = append(resp.Annotations, annotateKey(snap, k))
+		annotate(k, nil)
 	}
+	resp := annotateResponse{Generation: snap.Gen, Annotations: sc.anns}
 
 	for i, tup := range req.Tuples {
-		comms, lcomms, err := bgp.ParseCommunities(tup.Communities)
+		var err error
+		sc.comms, sc.lcomms, err = bgp.AppendCommunities(sc.comms[:0], sc.lcomms[:0], tup.Communities)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "tuples[%d].communities: %v", i, err)
 			return
 		}
-		if !budget(len(comms) + len(lcomms)) {
-			writeError(w, http.StatusRequestEntityTooLarge, "more than %d communities in one request", maxAnnotateItems)
+		if !budget(len(sc.comms) + len(sc.lcomms)) {
 			return
 		}
-		tr := annotateTupleResponse{Path: tup.Path}
 		var path bgp.ASPath
 		havePath := tup.Path != ""
 		if havePath {
@@ -411,25 +450,36 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		for _, c := range comms {
-			a := annotate(snap, c)
-			if havePath {
-				on := path.Contains(uint32(c.ASN()))
-				a.OnThisPath = &on
+		onPath := func(asn uint32) *bool {
+			if !havePath {
+				return nil
 			}
-			tr.Annotations = append(tr.Annotations, a)
-		}
-		for _, lc := range lcomms {
-			a := annotateLarge(snap, lc)
-			if havePath {
-				on := path.Contains(lc.GlobalAdmin)
-				a.OnThisPath = &on
+			if path.Contains(asn) {
+				return &onThisPath[1]
 			}
-			tr.Annotations = append(tr.Annotations, a)
+			return &onThisPath[0]
 		}
-		resp.Tuples = append(resp.Tuples, tr)
+		first := len(sc.anns)
+		for _, c := range sc.comms {
+			annotate(bgpintent.ClassicKey(c.ASN(), c.Value()), onPath(uint32(c.ASN())))
+		}
+		for _, lc := range sc.lcomms {
+			annotate(bgpintent.LargeKey(lc.GlobalAdmin, lc.LocalData1, lc.LocalData2), onPath(lc.GlobalAdmin))
+		}
+		tr := annotateTupleResponse{Path: tup.Path}
+		if len(sc.anns) > first { // a tuple without communities answers null, not []
+			tr.Annotations = sc.anns[first:]
+		}
+		sc.tuples = append(sc.tuples, tr)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	resp.Tuples = sc.tuples
+
+	var err error
+	if sc.out, err = appendAnnotateResponse(sc.out[:0], &resp); err != nil {
+		writeError(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
+	}
+	sendJSON(w, http.StatusOK, sc.out)
 }
 
 // asResponse is the GET /v1/as/{asn} body.
@@ -446,12 +496,13 @@ func (s *Server) handleAS(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.Snapshot()
-	s.serveCached(w, snap, r.URL.Path, func() any {
-		resp := asResponse{ASN: uint16(asn64), Generation: snap.Gen, Clusters: []ClusterJSON{}}
-		for _, cl := range snap.ClustersFor(uint16(asn64)) {
-			resp.Clusters = append(resp.Clusters, *clusterJSON(&cl))
+	s.serveCached(w, snap, r.URL.Path, func(b []byte) ([]byte, error) {
+		cls := snap.ClustersFor(uint16(asn64))
+		resp := asResponse{ASN: uint16(asn64), Generation: snap.Gen, Clusters: make([]ClusterJSON, 0, len(cls))}
+		for i := range cls {
+			resp.Clusters = append(resp.Clusters, clusterJSON(&cls[i]))
 		}
-		return resp
+		return appendASResponse(b, &resp)
 	})
 }
 
@@ -477,7 +528,9 @@ type statsResponse struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap := s.Snapshot()
-	s.serveCached(w, snap, r.URL.Path, func() any { return s.statsFor(snap) })
+	s.serveCached(w, snap, r.URL.Path, func(b []byte) ([]byte, error) {
+		return encodeJSONBody(b, s.statsFor(snap))
+	})
 }
 
 func (s *Server) statsFor(snap *Snapshot) statsResponse {

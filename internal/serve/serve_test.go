@@ -35,7 +35,7 @@ var (
 	world     *testWorld
 )
 
-func getWorld(t *testing.T) *testWorld {
+func getWorld(t testing.TB) *testWorld {
 	t.Helper()
 	worldOnce.Do(func() {
 		c, err := bgpintent.NewSyntheticCorpus(bgpintent.CorpusOptions{Small: true, Seed: 7})
@@ -90,7 +90,7 @@ func staticBuilder(w *testWorld, res *bgpintent.Result, source string) Builder {
 	}
 }
 
-func newTestServer(t *testing.T, b Builder) *Server {
+func newTestServer(t testing.TB, b Builder) *Server {
 	t.Helper()
 	s, err := New(context.Background(), b, t.Logf)
 	if err != nil {
