@@ -12,6 +12,11 @@ package bgpintent
 //     matrix) corpus vs the classic-only number from the same run —
 //     fails above 1.5×, which would mean keying large communities into
 //     the store stopped being allocation-free;
+//   - bytes allocated by one Observe, per tuple — fails above 16 B,
+//     which would mean the evidence builder buffers (community, path)
+//     pairs again — and by two SnapshotInfo calls, per distinct
+//     community and vantage point — fails above 64 B, which would mean
+//     counting copies or sorts the payload again, or is not cached;
 //   - classify speedup at workers=4 vs workers=1 — fails below 1.0×,
 //     which would mean parallel classification went back to being
 //     slower than sequential (the pre-CSR pathology was 0.72×);
@@ -30,6 +35,8 @@ import (
 	"os"
 	"runtime"
 	"testing"
+
+	"bgpintent/internal/core"
 )
 
 const (
@@ -58,6 +65,15 @@ const (
 	// quietly re-serializing (a global lock on the hot path, the split
 	// pipeline failing to activate, or a stitch that re-copies data).
 	guardMinLoadSpeedup = 1.5
+	// guardObserveBytesPerTuple bounds what one Observe may allocate,
+	// per tuple of the corpus (measured 2.2 B on the stitched guard
+	// corpus; grouping an insertion-order store adds one int32 per tuple
+	// and per path).
+	guardObserveBytesPerTuple = 16
+	// guardSnapshotInfoBytesPerKey bounds SnapshotInfo's allocation per
+	// distinct community or vantage point: 8-byte slots at >= 3/8 load,
+	// doubled for the tables outgrown on the way (~43 B).
+	guardSnapshotInfoBytesPerKey = 64
 )
 
 func TestBenchGuard(t *testing.T) {
@@ -148,6 +164,37 @@ func TestBenchGuard(t *testing.T) {
 			mixedAllocsPerTuple, guardMixedAllocFactor, allocsPerTuple)
 	}
 
+	// Observe's transient memory: the path-grouped walk keeps one small
+	// table per worker (and one int32 per tuple when the store is not
+	// already path-grouped) — never a buffer of (community, path) pairs,
+	// which cost 16 B per pair before the merge copies and the index.
+	observeOpts := core.DefaultOptions()
+	observeOpts.Workers = 1
+	observeBytes := bytesAllocated(func() { core.Observe(warm.store, observeOpts) })
+	observeBytesPerTuple := float64(observeBytes) / float64(warm.Tuples())
+	t.Logf("observe transient bytes/tuple: got %.2f, limit %d", observeBytesPerTuple, guardObserveBytesPerTuple)
+	if observeBytesPerTuple > guardObserveBytesPerTuple {
+		t.Errorf("Observe allocated %.2f B per tuple, want <= %d — a per-pair buffer is back in the evidence builder",
+			observeBytesPerTuple, guardObserveBytesPerTuple)
+	}
+
+	// SnapshotInfo counts distinct communities and vantage points by
+	// hash-set dedup, once per corpus: two calls together allocate in
+	// proportion to the distinct keys, not to the payload they dedup.
+	var info SnapshotInfo
+	first := bytesAllocated(func() { info = warm.SnapshotInfo("guard") })
+	second := bytesAllocated(func() { info = warm.SnapshotInfo("guard") })
+	infoLimit := uint64(guardSnapshotInfoBytesPerKey*(info.Communities+info.VantagePoints) + 4096)
+	t.Logf("SnapshotInfo bytes: first %d, second %d, limit %d (%d communities, %d vantage points)",
+		first, second, infoLimit, info.Communities, info.VantagePoints)
+	if first+second > infoLimit {
+		t.Errorf("two SnapshotInfo calls allocated %d B, want <= %d — counting is copying or sorting payload again",
+			first+second, infoLimit)
+	}
+	if second > 1024 {
+		t.Errorf("second SnapshotInfo call allocated %d B — the corpus counters are not cached", second)
+	}
+
 	// Parallel scaling: best-of-3 at each worker count. On a
 	// single-core host a workers=4 run measures scheduler overhead, not
 	// parallelism, so the checks would reject healthy code — skip them.
@@ -203,6 +250,15 @@ func TestBenchGuard(t *testing.T) {
 		t.Errorf("load_mrt speedup at workers=4 is %.3fx, want >= %.2fx — the parallel load path has re-serialized",
 			loadSpeedup, guardMinLoadSpeedup)
 	}
+}
+
+// bytesAllocated returns the heap bytes fn allocates.
+func bytesAllocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func findBenchResult(r *pipelineBenchReport, name string, workers int) *pipelineBenchResult {

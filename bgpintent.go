@@ -325,6 +325,12 @@ type Corpus struct {
 
 	// synthetic extras (nil for MRT-loaded corpora)
 	syn *corpus.Corpus
+
+	// The corpus is immutable once built, so SnapshotInfo counts its
+	// distinct communities and vantage points once.
+	distinctOnce  sync.Once
+	distinctComms int
+	distinctVPs   int
 }
 
 // NewSyntheticCorpus generates the paper-substitute corpus: a synthetic
@@ -1061,13 +1067,16 @@ type SnapshotInfo struct {
 // SnapshotInfo captures the corpus counters for a snapshot written now
 // from this corpus.
 func (c *Corpus) SnapshotInfo(source string) SnapshotInfo {
+	c.distinctOnce.Do(func() {
+		c.distinctComms, c.distinctVPs = c.store.DistinctCounts()
+	})
 	return SnapshotInfo{
 		Created:          time.Now(),
 		Source:           source,
 		Tuples:           c.Tuples(),
 		Paths:            c.Paths(),
-		VantagePoints:    len(c.VantagePoints()),
-		Communities:      len(c.Communities()),
+		VantagePoints:    c.distinctVPs,
+		Communities:      c.distinctComms,
 		LargeCommunities: c.LargeCommunities(),
 	}
 }

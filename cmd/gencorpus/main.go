@@ -32,10 +32,10 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("gencorpus", flag.ContinueOnError)
 	var (
-		out    = fs.String("out", "corpus", "output directory")
-		scale  = fs.String("scale", "default", "corpus scale: tiny, default or large")
-		seed   = fs.Int64("seed", 1, "generation seed")
-		days   = fs.Int("days", 7, "days of data to emit")
+		out     = fs.String("out", "corpus", "output directory")
+		scale   = fs.String("scale", "default", "corpus scale: tiny, default or large")
+		seed    = fs.Int64("seed", 1, "generation seed")
+		days    = fs.Int("days", 7, "days of data to emit")
 		matrix  = fs.Bool("large-matrix", false, "mirror every origin-attached community as a large community (arouteserver-style std/lrg matrix ground truth)")
 		noLarge = fs.Bool("no-large", false, "emit a classic-only corpus: no large-community mirroring at all")
 	)

@@ -250,142 +250,15 @@ func (os *ObservationSet) AlphaOnPath(alpha uint32) bool {
 // sequential; tiny inputs are not worth goroutine startup.
 const minParallelTuples = 4096
 
-// commIndex is a CSR (compressed-sparse-row) community→path index:
-// row r covers community comms[r], whose sorted unique path IDs are
-// paths[start[r]:start[r+1]].
-type commIndex struct {
-	comms []bgp.Community
-	start []int32
-	paths []int32
-}
-
 // cancelCheckStride is how many loop iterations the classifier's inner
 // loops run between cancellation probes: frequent enough that an abort
 // is noticed within microseconds, rare enough to cost nothing.
 const cancelCheckStride = 4096
 
-// buildCommIndex scans the tuples (honoring the VP filter) and returns
-// the CSR community→path index plus a bitset of the path IDs observed.
-// Each worker emits (community, pathID) pairs encoded as uint64 into a
-// private flat buffer and sorts it; the sorted runs are merged (with
-// deduplication) into one run that becomes the CSR rows. No maps, no
-// per-community slices — allocation is O(workers + rows), not O(pairs).
-// When done closes mid-build, workers stop early and the (partial)
-// result must be discarded by the caller.
-//
-// A non-nil dirty set restricts the index to communities whose α is in
-// it (the ClassifyDelta path); the observed-path bitset always covers
-// every tuple, because on-path exclusion evidence is global.
-func buildCommIndex(ts *TupleStore, opts Options, workers int, done <-chan struct{}, dirty map[uint16]bool) (commIndex, bitset) {
-	tuples := ts.Tuples()
-	pathSeen := newBitset(ts.PathCount())
-	pairParts := make([][]uint64, workers)
-	seenParts := make([]bitset, workers)
-	parallelRanges(workers, len(tuples), func(w, lo, hi int) {
-		pairs := make([]uint64, 0, 2*(hi-lo))
-		seen := newBitset(ts.PathCount())
-		for i := lo; i < hi; i++ {
-			if (i-lo)%cancelCheckStride == 0 && chClosed(done) {
-				break
-			}
-			t := &tuples[i]
-			if opts.VPFilter != nil && !anyVP(ts.TupleVPs(t), opts.VPFilter) {
-				continue
-			}
-			pid := uint32(t.PathID)
-			seen.set(pid)
-			for _, c := range ts.TupleComms(t) {
-				if dirty != nil && !dirty[c.ASN()] {
-					continue
-				}
-				pairs = append(pairs, uint64(c)<<32|uint64(pid))
-			}
-		}
-		slices.Sort(pairs)
-		pairParts[w] = slices.Compact(pairs)
-		seenParts[w] = seen
-	})
-	for _, p := range seenParts {
-		pathSeen.union(p)
-	}
-	merged := mergeSortedRuns(pairParts, workers)
-
-	var idx commIndex
-	idx.start = append(idx.start, 0)
-	for i, pair := range merged {
-		c := bgp.Community(pair >> 32)
-		if i == 0 || c != idx.comms[len(idx.comms)-1] {
-			idx.comms = append(idx.comms, c)
-			idx.start = append(idx.start, int32(len(idx.paths)))
-		}
-		idx.paths = append(idx.paths, int32(uint32(pair)))
-		idx.start[len(idx.start)-1] = int32(len(idx.paths))
-	}
-	return idx, pathSeen
-}
-
-// mergeSortedRuns merges sorted, deduplicated uint64 runs into one,
-// pairwise (so log₂(k) passes over the data, each pass merging pairs
-// concurrently on at most workers goroutines).
-func mergeSortedRuns(runs [][]uint64, workers int) []uint64 {
-	for len(runs) > 1 {
-		next := make([][]uint64, (len(runs)+1)/2)
-		ParallelFor(workers, len(next), func(i int) {
-			if 2*i+1 < len(runs) {
-				next[i] = mergeDedup(runs[2*i], runs[2*i+1])
-			} else {
-				next[i] = runs[2*i]
-			}
-		})
-		runs = next
-	}
-	if len(runs) == 0 {
-		return nil
-	}
-	return runs[0]
-}
-
-// mergeDedup merges two sorted deduplicated runs into one.
-func mergeDedup(a, b []uint64) []uint64 {
-	out := make([]uint64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// bitset is a fixed-size bitmap over dense IDs (path IDs here).
-type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-func (b bitset) set(i uint32)      { b[i/64] |= 1 << (i % 64) }
-func (b bitset) get(i uint32) bool { return b[i/64]>>(i%64)&1 != 0 }
-
-func (b bitset) union(o bitset) {
-	for i := range b {
-		b[i] |= o[i]
-	}
-}
-
 // Observe computes per-community on/off-path statistics over unique AS
 // paths, honoring the VP filter and sibling awareness in opts. With
-// opts.Workers != 1 the two passes — tuple scanning and per-community
-// path counting — are partitioned across a worker pool; results are
-// identical to the sequential computation for every worker count.
+// opts.Workers != 1 the path-grouped walk is partitioned across a
+// worker pool; results are identical for every worker count.
 func Observe(ts *TupleStore, opts Options) *ObservationSet {
 	os, _ := ObserveContext(context.Background(), ts, opts)
 	return os
@@ -397,111 +270,30 @@ func Observe(ts *TupleStore, opts Options) *ObservationSet {
 // goroutine leaks — every worker is joined before return). On
 // cancellation the returned set is nil and the error is ctx.Err().
 func ObserveContext(ctx context.Context, ts *TupleStore, opts Options) (*ObservationSet, error) {
+	return observe(ctx, ts, opts, nil)
+}
+
+// observe is the single evidence builder — batch, dirty-α delta (a
+// non-nil dirty set) and large communities — run under the StageObserve
+// span on the worker count opts resolve to.
+func observe(ctx context.Context, ts *TupleStore, opts Options, dirty map[uint16]bool) (*ObservationSet, error) {
+	workers := ResolveWorkers(opts.Workers)
+	if ts.Len() < minParallelTuples {
+		workers = 1
+	}
 	var os *ObservationSet
 	err := opts.Tracer.Stage(ctx, obs.StageObserve, "", func(s *obs.Span) {
-		s.Tuples = int64(len(ts.Tuples()))
+		s.Tuples = int64(ts.Len())
 		if os != nil {
 			s.Records = int64(len(os.Stats))
 		}
 	}, func(ctx context.Context) error {
 		var err error
-		os, err = observe(ctx, ts, opts, nil)
+		os, err = observeWith(ctx, ts, opts, dirty, workers)
 		return err
 	})
 	if err != nil {
 		return nil, err
-	}
-	return os, nil
-}
-
-// observe computes the observation set; a non-nil dirty set restricts
-// the per-community stats to αs in it while keeping the global on-path
-// ASN/org evidence complete (see ClassifyDelta).
-func observe(ctx context.Context, ts *TupleStore, opts Options, dirty map[uint16]bool) (*ObservationSet, error) {
-	os := &ObservationSet{
-		asnOnPath: make(map[uint32]bool),
-		orgOnPath: make(map[string]bool),
-		orgs:      opts.Orgs,
-	}
-	done := ctx.Done()
-
-	workers := ResolveWorkers(opts.Workers)
-	if len(ts.Tuples()) < minParallelTuples {
-		workers = 1
-	}
-
-	// Pass 1: build the CSR community→path index and the observed-path
-	// bitset, then derive the on-path ASN/org sets from the distinct
-	// observed paths (each path visited exactly once).
-	idx, pathSeen := buildCommIndex(ts, opts, workers, done, dirty)
-	if chClosed(done) {
-		return nil, ctx.Err()
-	}
-	for pid := 0; pid < ts.PathCount(); pid++ {
-		if pid%cancelCheckStride == 0 && chClosed(done) {
-			return nil, ctx.Err()
-		}
-		if !pathSeen.get(uint32(pid)) {
-			continue
-		}
-		info := ts.Path(int32(pid))
-		for _, asn := range info.ASNs {
-			os.asnOnPath[asn] = true
-		}
-		for _, org := range info.Orgs {
-			os.orgOnPath[org] = true
-		}
-	}
-
-	// Pass 2: count unique on/off-path appearances per community. CSR
-	// rows are already sorted and deduplicated, so each worker walks its
-	// contiguous row range writing into a disjoint slice region — no
-	// per-community sorting and no map merging.
-	statsArr := make([]CommunityStats, len(idx.comms))
-	parallelRanges(workers, len(idx.comms), func(w, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			if (r-lo)%cancelCheckStride == 0 && chClosed(done) {
-				return
-			}
-			c := idx.comms[r]
-			alpha := uint32(c.ASN())
-			var alphaOrg string
-			var haveOrg bool
-			if opts.Orgs != nil {
-				alphaOrg, haveOrg = opts.Orgs.Org(alpha)
-			}
-			st := CommunityStats{Comm: c}
-			for _, id := range idx.paths[idx.start[r]:idx.start[r+1]] {
-				info := ts.Path(id)
-				on := containsASN(info.ASNs, alpha)
-				if !on && haveOrg {
-					on = containsOrg(info.Orgs, alphaOrg)
-				}
-				if on {
-					st.OnPath++
-				} else {
-					st.OffPath++
-				}
-			}
-			statsArr[r] = st
-		}
-	})
-	if chClosed(done) {
-		return nil, ctx.Err()
-	}
-	os.Stats = make(map[bgp.Community]*CommunityStats, len(idx.comms))
-	for r := range idx.comms {
-		os.Stats[idx.comms[r]] = &statsArr[r]
-	}
-
-	// Pass 3 (large communities): only when some tuple carries them,
-	// and never on the delta path — large dirty tracking does not exist,
-	// so ClassifyDelta falls back to a full classification instead.
-	if dirty == nil && ts.hasLargeTuples() {
-		observeLarges(ts, opts, os, workers, done)
-		if chClosed(done) {
-			return nil, ctx.Err()
-		}
 	}
 	return os, nil
 }

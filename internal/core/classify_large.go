@@ -10,7 +10,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 
 	"bgpintent/internal/bgp"
@@ -216,90 +215,6 @@ func (ts *TupleStore) hasLargeTuples() bool {
 		return ts.shared.larges.table.Load() != nil
 	}
 	return len(ts.largeArena) > 0
-}
-
-// largePair is one (large community, path ID) observation; the large
-// triple does not pack into a uint64, so the large index sorts structs
-// instead of packed integers. Large volume is a fraction of classic
-// volume in every corpus we load, so the extra comparator cost is
-// negligible.
-type largePair struct {
-	lc  bgp.LargeCommunity
-	pid int32
-}
-
-func compareLargePair(a, b largePair) int {
-	if c := a.lc.Compare(b.lc); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.pid, b.pid)
-}
-
-// observeLarges computes per-large-community on/off-path statistics
-// over unique AS paths into os.LargeStats, honoring the VP filter and
-// sibling awareness. Deterministic for every worker count: workers
-// collect (large, path) pairs over disjoint tuple ranges; the merged
-// pair set is order-independent after the global sort.
-func observeLarges(ts *TupleStore, opts Options, os *ObservationSet, workers int, done <-chan struct{}) {
-	tuples := ts.Tuples()
-	parts := make([][]largePair, workers)
-	parallelRanges(workers, len(tuples), func(w, lo, hi int) {
-		var pairs []largePair
-		for i := lo; i < hi; i++ {
-			if (i-lo)%cancelCheckStride == 0 && chClosed(done) {
-				break
-			}
-			t := &tuples[i]
-			larges := ts.TupleLarges(t)
-			if len(larges) == 0 {
-				continue
-			}
-			if opts.VPFilter != nil && !anyVP(ts.TupleVPs(t), opts.VPFilter) {
-				continue
-			}
-			for _, lc := range larges {
-				pairs = append(pairs, largePair{lc: lc, pid: t.PathID})
-			}
-		}
-		parts[w] = pairs
-	})
-	if chClosed(done) {
-		return
-	}
-	var all []largePair
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	slices.SortFunc(all, compareLargePair)
-	all = slices.Compact(all)
-
-	os.LargeStats = make(map[bgp.LargeCommunity]*LargeStats)
-	for i := 0; i < len(all); {
-		if chClosed(done) {
-			return
-		}
-		lc := all[i].lc
-		alpha := lc.GlobalAdmin
-		var alphaOrg string
-		var haveOrg bool
-		if opts.Orgs != nil {
-			alphaOrg, haveOrg = opts.Orgs.Org(alpha)
-		}
-		st := &LargeStats{Comm: lc}
-		for ; i < len(all) && all[i].lc == lc; i++ {
-			info := ts.Path(all[i].pid)
-			on := containsASN(info.ASNs, alpha)
-			if !on && haveOrg {
-				on = containsOrg(info.Orgs, alphaOrg)
-			}
-			if on {
-				st.OnPath++
-			} else {
-				st.OffPath++
-			}
-		}
-		os.LargeStats[lc] = st
-	}
 }
 
 // excludedLarge is one large exclusion decision with the stats that

@@ -12,7 +12,6 @@ import (
 
 	"bgpintent/internal/bgp"
 	"bgpintent/internal/dict"
-	"bgpintent/internal/obs"
 )
 
 // deltaCompatible reports whether two option sets classify under the
@@ -50,19 +49,9 @@ func ClassifyDelta(ctx context.Context, ts *TupleStore, opts Options, prev *Infe
 		return prev, nil
 	}
 
-	// Observe only the dirty αs' communities (the CSR build skips clean
-	// pairs before the sort/merge); on-path evidence stays global.
-	var os *ObservationSet
-	err := opts.Tracer.Stage(ctx, obs.StageObserve, "", func(s *obs.Span) {
-		s.Tuples = int64(len(ts.Tuples()))
-		if os != nil {
-			s.Records = int64(len(os.Stats))
-		}
-	}, func(ctx context.Context) error {
-		var err error
-		os, err = observe(ctx, ts, opts, dirty)
-		return err
-	})
+	// Observe only the dirty αs' communities; on-path evidence stays
+	// global.
+	os, err := observe(ctx, ts, opts, dirty)
 	if err != nil {
 		return nil, err
 	}

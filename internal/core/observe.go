@@ -1,0 +1,309 @@
+// Evidence building (§5.2 step 3): for each community, count the unique
+// AS paths on which its α appears (on-path) versus not (off-path). One
+// path-grouped walk serves the batch classifier, the dirty-α delta and
+// the large-community pass: tuples are visited with every path's tuples
+// adjacent, so "have I already counted this community on this path?" is
+// one compare against the path the community was last counted on — no
+// (community, path) pair is materialized, sorted or merged.
+package core
+
+import (
+	"context"
+
+	"bgpintent/internal/bgp"
+)
+
+// probeTable is an open-addressed hash table (linear probing,
+// power-of-two capacity, grown at 3/4 load) for small fixed-size keys.
+// Callers pass each key's 64-bit hash; the table keeps its top 32 bits
+// (low bit forced to one) as the slot's tag, so occupancy is tag != 0 —
+// never a reserved key value: 0:0, 65535:65535 and ASN 0xFFFFFFFF are
+// all legal keys — and growth re-places entries without rehashing.
+type probeTable[K comparable, V any] struct {
+	slots []probeSlot[K, V]
+	n     int
+	shift uint // 32 - log2(len(slots)): the tag's top bits index the table
+}
+
+type probeSlot[K comparable, V any] struct {
+	key K
+	tag uint32
+	val V
+}
+
+func newProbeTable[K comparable, V any]() probeTable[K, V] {
+	const bits = 6
+	return probeTable[K, V]{slots: make([]probeSlot[K, V], 1<<bits), shift: 32 - bits}
+}
+
+// at returns the value of key k (whose hash is h), inserting the zero
+// value when k is new (fresh). The pointer is valid until the next at
+// call.
+func (t *probeTable[K, V]) at(k K, h uint64) (v *V, fresh bool) {
+	tag := uint32(h>>32) | 1
+	mask := uint32(len(t.slots) - 1)
+	for i := tag >> t.shift; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.tag == tag && s.key == k {
+			return &s.val, false
+		}
+		if s.tag == 0 {
+			if (t.n+1)*4 > len(t.slots)*3 {
+				t.grow()
+				return t.at(k, h)
+			}
+			s.key, s.tag = k, tag
+			t.n++
+			return &s.val, true
+		}
+	}
+}
+
+func (t *probeTable[K, V]) grow() {
+	old := *t
+	*t = probeTable[K, V]{slots: make([]probeSlot[K, V], 2*len(old.slots)), shift: old.shift - 1}
+	old.each(func(k K, h uint64, v *V) {
+		moved, _ := t.at(k, h)
+		*moved = *v
+	})
+}
+
+// each visits every entry; h serves as the key's hash in any table's at.
+func (t *probeTable[K, V]) each(fn func(k K, h uint64, v *V)) {
+	for i := range t.slots {
+		if s := &t.slots[i]; s.tag != 0 {
+			fn(s.key, uint64(s.tag)<<32, &s.val)
+		}
+	}
+}
+
+// hashU32 is Fibonacci hashing: the product's top bits are well mixed.
+func hashU32(x uint32) uint64 { return uint64(x) * 0x9E3779B97F4A7C15 }
+
+func hashLargeCommunity(lc bgp.LargeCommunity) uint64 {
+	return splitmix64(uint64(lc.GlobalAdmin)<<32|uint64(lc.LocalData1)) ^ splitmix64(uint64(lc.LocalData2))
+}
+
+// evidence is one community's running unique-path counts inside one
+// worker's table.
+type evidence struct {
+	on, off uint32
+	last    int32 // path the community was last counted on; -1 before the first
+	hasOrg  bool
+	org     string // α's organization, resolved once per table entry
+}
+
+// alphaBits is a bitmap over the 16-bit α space (the dirty-α filter).
+type alphaBits [1 << 16 / 64]uint64
+
+func (b *alphaBits) has(a uint16) bool { return b[a/64]>>(a%64)&1 != 0 }
+
+// observer is one worker's private state for the walk. Workers own whole
+// path groups, so a (community, path) pair is counted by exactly one of
+// them and the per-worker counts simply add up — no merge order.
+type observer struct {
+	ts         *TupleStore
+	opts       *Options   // VPFilter and Orgs
+	dirty      *alphaBits // nil: every α
+	withLarges bool
+
+	comms  probeTable[bgp.Community, evidence]
+	larges probeTable[bgp.LargeCommunity, evidence]
+	// ASNs and organizations of the paths this worker saw, each path
+	// visited once.
+	asns probeTable[uint32, struct{}]
+	orgs map[string]bool
+
+	pid  int32 // current path group; -1 before the first
+	path PathInfo
+}
+
+// walk visits the tuples at positions [lo, hi) of the grouped order
+// (order == nil means the tuple slice itself is grouped).
+func (o *observer) walk(order []int32, lo, hi int, done <-chan struct{}) {
+	tuples := o.ts.Tuples()
+	o.pid = -1
+	for i := lo; i < hi; i++ {
+		if (i-lo)%cancelCheckStride == 0 && chClosed(done) {
+			return
+		}
+		t := &tuples[i]
+		if order != nil {
+			t = &tuples[order[i]]
+		}
+		if o.opts.VPFilter != nil && !anyVP(o.ts.TupleVPs(t), o.opts.VPFilter) {
+			continue
+		}
+		if t.PathID != o.pid {
+			o.pid = t.PathID
+			o.path = o.ts.Path(t.PathID)
+			for _, asn := range o.path.ASNs {
+				o.asns.at(asn, hashU32(asn))
+			}
+			for _, org := range o.path.Orgs {
+				o.orgs[org] = true
+			}
+		}
+		for _, c := range o.ts.TupleComms(t) {
+			if o.dirty != nil && !o.dirty.has(c.ASN()) {
+				continue
+			}
+			countOnce(o, &o.comms, c, hashU32(uint32(c)), uint32(c.ASN()))
+		}
+		if o.withLarges {
+			for _, lc := range o.ts.TupleLarges(t) {
+				countOnce(o, &o.larges, lc, hashLargeCommunity(lc), lc.GlobalAdmin)
+			}
+		}
+	}
+}
+
+// countOnce counts key k (with hash h and α alpha) on the current path
+// unless it already was.
+func countOnce[K comparable](o *observer, tab *probeTable[K, evidence], k K, h uint64, alpha uint32) {
+	ev, fresh := tab.at(k, h)
+	if fresh {
+		ev.last = -1
+		if o.opts.Orgs != nil {
+			ev.org, ev.hasOrg = o.opts.Orgs.Org(alpha)
+		}
+	}
+	if ev.last == o.pid {
+		return
+	}
+	ev.last = o.pid
+	if containsASN(o.path.ASNs, alpha) || ev.hasOrg && containsOrg(o.path.Orgs, ev.org) {
+		ev.on++
+	} else {
+		ev.off++
+	}
+}
+
+// groupByPath returns the order in which to visit tuples so that every
+// path's tuples are adjacent: nil when the slice already is (a stitched
+// store's tuples are non-decreasing in PathID), otherwise the tuple
+// indexes counting-sorted by PathID.
+func groupByPath(tuples []Tuple, paths int) []int32 {
+	for i := 1; i < len(tuples); i++ {
+		if tuples[i].PathID < tuples[i-1].PathID {
+			order, _ := countingSort(len(tuples), paths, func(i int) int32 { return tuples[i].PathID })
+			return order
+		}
+	}
+	return nil
+}
+
+// countingSort stably orders the indexes [0, n) by key(i) in [0, keys),
+// in O(n + keys); end[k] is where key k's run of the order ends.
+func countingSort(n, keys int, key func(i int) int32) (order, end []int32) {
+	end = make([]int32, keys+1)
+	for i := 0; i < n; i++ {
+		end[key(i)+1]++
+	}
+	for k := 0; k < keys; k++ {
+		end[k+1] += end[k]
+	}
+	order = make([]int32, n)
+	for i := 0; i < n; i++ {
+		k := key(i)
+		order[end[k]] = int32(i)
+		end[k]++
+	}
+	return order, end[:keys]
+}
+
+// observeWith computes the observation set on exactly the given number
+// of workers; a non-nil dirty set restricts the per-community stats to
+// αs in it while keeping the global on-path ASN/org evidence complete
+// (see ClassifyDelta). Results are identical for every worker count.
+func observeWith(ctx context.Context, ts *TupleStore, opts Options, dirty map[uint16]bool, workers int) (*ObservationSet, error) {
+	done := ctx.Done()
+	tuples := ts.Tuples()
+	var dirtyBits *alphaBits
+	if dirty != nil {
+		dirtyBits = new(alphaBits)
+		for a, on := range dirty {
+			if on {
+				dirtyBits[a/64] |= 1 << (a % 64)
+			}
+		}
+	}
+	// Large communities are never observed on the delta path: large dirty
+	// tracking does not exist, so ClassifyDelta falls back to a full
+	// classification instead.
+	withLarges := dirty == nil && ts.hasLargeTuples()
+
+	order := groupByPath(tuples, ts.PathCount())
+	pathAt := func(i int) int32 {
+		if order != nil {
+			i = int(order[i])
+		}
+		return tuples[i].PathID
+	}
+	// snap moves a range bound forward to the next path-group boundary.
+	snap := func(b int) int {
+		for 0 < b && b < len(tuples) && pathAt(b) == pathAt(b-1) {
+			b++
+		}
+		return b
+	}
+	obsv := make([]observer, workers)
+	parallelRanges(workers, len(tuples), func(w, lo, hi int) {
+		obsv[w] = observer{
+			ts: ts, opts: &opts, dirty: dirtyBits, withLarges: withLarges,
+			comms:  newProbeTable[bgp.Community, evidence](),
+			larges: newProbeTable[bgp.LargeCommunity, evidence](),
+			asns:   newProbeTable[uint32, struct{}](),
+			orgs:   make(map[string]bool),
+		}
+		obsv[w].walk(order, snap(lo), snap(hi), done)
+	})
+	if chClosed(done) {
+		return nil, ctx.Err()
+	}
+
+	// Worker 0's tables and org set absorb the others'.
+	sum := &obsv[0]
+	os := &ObservationSet{asnOnPath: make(map[uint32]bool, sum.asns.n), orgOnPath: sum.orgs, orgs: opts.Orgs}
+	for w := range obsv {
+		o := &obsv[w]
+		o.asns.each(func(asn uint32, _ uint64, _ *struct{}) { os.asnOnPath[asn] = true })
+		if w > 0 {
+			for org := range o.orgs {
+				os.orgOnPath[org] = true
+			}
+			addEvidence(&sum.comms, &o.comms)
+			addEvidence(&sum.larges, &o.larges)
+		}
+	}
+	os.Stats = statsFromEvidence(&sum.comms, func(c bgp.Community, on, off int) CommunityStats {
+		return CommunityStats{Comm: c, OnPath: on, OffPath: off}
+	})
+	if withLarges {
+		os.LargeStats = statsFromEvidence(&sum.larges, func(lc bgp.LargeCommunity, on, off int) LargeStats {
+			return LargeStats{Comm: lc, OnPath: on, OffPath: off}
+		})
+	}
+	return os, nil
+}
+
+// addEvidence sums src's counts into dst.
+func addEvidence[K comparable](dst, src *probeTable[K, evidence]) {
+	src.each(func(k K, h uint64, ev *evidence) {
+		total, _ := dst.at(k, h)
+		total.on += ev.on
+		total.off += ev.off
+	})
+}
+
+// statsFromEvidence renders a table as the map the classifier consumes;
+// the stats structs share one backing array.
+func statsFromEvidence[K comparable, S any](tab *probeTable[K, evidence], mk func(k K, on, off int) S) map[K]*S {
+	arr := make([]S, 0, tab.n)
+	out := make(map[K]*S, tab.n)
+	tab.each(func(k K, _ uint64, ev *evidence) {
+		arr = append(arr, mk(k, int(ev.on), int(ev.off)))
+		out[k] = &arr[len(arr)-1]
+	})
+	return out
+}

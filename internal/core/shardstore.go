@@ -119,8 +119,7 @@ func (s *ShardedTupleStore) AddViewASPathLarge(vp uint32, path bgp.ASPath, comms
 // NoteLarge records large communities; safe for concurrent use.
 func (s *ShardedTupleStore) NoteLarge(ls bgp.LargeCommunities) {
 	for _, lc := range ls {
-		h := splitmix64(uint64(lc.GlobalAdmin)<<32|uint64(lc.LocalData1)) ^ splitmix64(uint64(lc.LocalData2))
-		sh := &s.shards[h&s.mask]
+		sh := &s.shards[hashLargeCommunity(lc)&s.mask]
 		sh.mu.Lock()
 		sh.ts.large[lc] = struct{}{}
 		sh.mu.Unlock()
@@ -143,10 +142,12 @@ func (s *ShardedTupleStore) Len() int {
 // Stitch collapses the shards into one canonical TupleStore without
 // moving any community or ASN payload: every shard span already points
 // into the shared cross-shard storage, so stitching is index work —
-// sort each shard's tuples into (path key, communities) order, renumber
-// its paths into a contiguous global range, and copy the tuple records,
-// path metas, and VP lists into disjoint pre-sized regions of the
-// output. Shards are laid out in index order, and each is sorted by
+// renumber each shard's paths, in key order, into a contiguous global
+// range, lay its tuples out in (path key, communities, larges) order,
+// and copy the tuple records, path metas, and VP lists into disjoint
+// pre-sized regions of the output. Stitched tuples are therefore
+// non-decreasing in PathID, which lets Observe walk them as they lie.
+// Shards are laid out in index order, and each is sorted by
 // content, so the result is deterministic — the same input views
 // produce a byte-identical store regardless of worker count or
 // goroutine scheduling (shard routing is content-hashed, so shard
@@ -189,23 +190,7 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	}
 	ParallelFor(workers, n, func(i int) {
 		ts := s.shards[i].ts
-		order := make([]int32, len(ts.tuples))
-		for j := range order {
-			order[j] = int32(j)
-		}
-		slices.SortFunc(order, func(a, b int32) int {
-			ta, tb := &ts.tuples[a], &ts.tuples[b]
-			if c := strings.Compare(ts.pathKeys[ta.PathID], ts.pathKeys[tb.PathID]); c != 0 {
-				return c
-			}
-			if c := compareComms(ts.TupleComms(ta), ts.TupleComms(tb)); c != 0 {
-				return c
-			}
-			return compareLarges(ts.TupleLarges(ta), ts.TupleLarges(tb))
-		})
-		// Paths get their global IDs in ascending path-key order — the
-		// same first-appearance order the sorted tuple emission implies,
-		// matching what the old full merge produced.
+		// Paths get their global IDs in ascending path-key order.
 		porder := make([]int32, len(ts.paths))
 		for j := range porder {
 			porder[j] = int32(j)
@@ -213,12 +198,29 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 		slices.SortFunc(porder, func(a, b int32) int {
 			return strings.Compare(ts.pathKeys[a], ts.pathKeys[b])
 		})
-		remap := make([]int32, len(ts.paths))
-		for rank, old := range porder {
-			id := int32(pathOff[i] + rank)
-			remap[old] = id
+		rank := make([]int32, len(ts.paths))
+		for r, old := range porder {
+			id := pathOff[i] + r
+			rank[old] = int32(r)
 			out.paths[id] = ts.paths[old]
 			out.pathKeys[id] = ts.pathKeys[old]
+		}
+		// Tuples follow their path's rank, so only the few tuples of one
+		// path are left to order among themselves.
+		order, end := countingSort(len(ts.tuples), len(ts.paths), func(j int) int32 {
+			return rank[ts.tuples[j].PathID]
+		})
+		byPayload := func(a, b int32) int {
+			ta, tb := &ts.tuples[a], &ts.tuples[b]
+			if c := slices.Compare(ts.TupleComms(ta), ts.TupleComms(tb)); c != 0 {
+				return c
+			}
+			return slices.CompareFunc(ts.TupleLarges(ta), ts.TupleLarges(tb), bgp.LargeCommunity.Compare)
+		}
+		lo := int32(0)
+		for _, hi := range end {
+			slices.SortFunc(order[lo:hi], byPayload)
+			lo = hi
 		}
 		vpCur := uint32(vpOff[i])
 		for j, ti := range order {
@@ -226,7 +228,7 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 			vps := ts.TupleVPs(t)
 			copy(out.vpArena[vpCur:], vps)
 			out.tuples[tupleOff[i]+j] = Tuple{
-				PathID: remap[t.PathID],
+				PathID: int32(pathOff[i]) + rank[t.PathID],
 				comms:  t.comms,
 				lcomms: t.lcomms,
 				vpOff:  vpCur, vpLen: uint32(len(vps)), vpCap: uint32(len(vps)),
@@ -243,32 +245,6 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 // delegates to Stitch with default (GOMAXPROCS) parallelism.
 func (s *ShardedTupleStore) Merge() *TupleStore {
 	return s.Stitch(0)
-}
-
-// compareComms orders canonical community lists lexicographically.
-func compareComms(a, b bgp.Communities) int {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return len(a) - len(b)
-}
-
-// compareLarges orders canonical large-community lists
-// lexicographically by element Compare order.
-func compareLarges(a, b bgp.LargeCommunities) int {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		if c := a[i].Compare(b[i]); c != 0 {
-			return c
-		}
-	}
-	return len(a) - len(b)
 }
 
 // splitmix64 is the splitmix64 finalizer, used to spread large-community

@@ -19,9 +19,9 @@ func buildTestInferences(t *testing.T) (*TupleStore, *Inferences) {
 	// action community far away (gap > MinGap splits them).
 	ts.AddView(900, []uint32{900, 100, 200}, []bgp.Community{bgp.NewCommunity(100, 10)})
 	ts.AddView(901, []uint32{901, 300, 400}, []bgp.Community{
-		bgp.NewCommunity(100, 9000),    // off-path for AS 100 -> action
-		bgp.NewCommunity(64512, 77),    // private ASN -> excluded
-		bgp.NewCommunity(500, 1),       // AS 500 never on any path -> excluded
+		bgp.NewCommunity(100, 9000), // off-path for AS 100 -> action
+		bgp.NewCommunity(64512, 77), // private ASN -> excluded
+		bgp.NewCommunity(500, 1),    // AS 500 never on any path -> excluded
 	})
 	inf := Classify(ts, Options{MinGap: 140, RatioThreshold: 160})
 	return ts, inf

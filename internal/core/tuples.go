@@ -539,6 +539,24 @@ func (ts *TupleStore) Communities() []bgp.Community {
 	return slices.Compact(out)
 }
 
+// DistinctCounts returns how many distinct communities and vantage
+// points the tuples carry, counted through hash sets: unlike Communities
+// and VPSet, no payload copy, no sort, O(distinct) memory.
+func (ts *TupleStore) DistinctCounts() (communities, vantagePoints int) {
+	comms := newProbeTable[bgp.Community, struct{}]()
+	vps := newProbeTable[uint32, struct{}]()
+	for i := range ts.tuples {
+		t := &ts.tuples[i]
+		for _, c := range ts.TupleComms(t) {
+			comms.at(c, hashU32(uint32(c)))
+		}
+		for _, vp := range ts.TupleVPs(t) {
+			vps.at(vp, hashU32(vp))
+		}
+	}
+	return comms.n, vps.n
+}
+
 // AllPaths returns every interned path's distinct-ASN sequence (views
 // into shared storage; do not mutate). Suitable input for
 // AS-relationship inference.

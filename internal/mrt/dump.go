@@ -103,7 +103,7 @@ type TableDumpScanner struct {
 	r       *Reader
 	opts    ScanOptions
 	table   *PeerIndexTable
-	rib     RIB  // reusable decode target; current points here once filled
+	rib     RIB // reusable decode target; current points here once filled
 	current *RIB
 	view    RIBView // reusable return value
 	curOff  int64

@@ -30,7 +30,7 @@ type family struct {
 	order  []string // series keys in first-use order
 	series map[string]*Metric
 
-	fn    func() float64           // GaugeFunc families compute at scrape time
+	fn    func() float64            // GaugeFunc families compute at scrape time
 	fnVec func() map[string]float64 // GaugeFuncVec: label value -> sample
 }
 

@@ -116,8 +116,8 @@ func TestIngestorFaultConvergence(t *testing.T) {
 	})
 	rec := &snapshotRecorder{}
 	in, err := Start(context.Background(), Config{
-		Source:           fs,
-		Classify:         core.DefaultOptions(),
+		Source:   fs,
+		Classify: core.DefaultOptions(),
 		// Tight on purpose: a clean read off the cached feed is
 		// microseconds, and a spuriously tripped deadline only costs a
 		// reconnect, which the test is about anyway.
