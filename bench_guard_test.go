@@ -17,6 +17,9 @@ package bgpintent
 //     pairs again — and by two SnapshotInfo calls, per distinct
 //     community and vantage point — fails above 64 B, which would mean
 //     counting copies or sorts the payload again, or is not cached;
+//   - heap held by a stitched 1 000-tuple sharded load — fails above
+//     1 MB, which would mean the shared arenas are back to reserving
+//     full chunks whatever the corpus size;
 //   - classify speedup at workers=4 vs workers=1 — fails below 1.0×,
 //     which would mean parallel classification went back to being
 //     slower than sequential (the pre-CSR pathology was 0.72×);
@@ -36,6 +39,7 @@ import (
 	"runtime"
 	"testing"
 
+	"bgpintent/internal/bgp"
 	"bgpintent/internal/core"
 )
 
@@ -74,6 +78,12 @@ const (
 	// distinct community or vantage point: 8-byte slots at >= 3/8 load,
 	// doubled for the tables outgrown on the way (~43 B).
 	guardSnapshotInfoBytesPerKey = 64
+	// guardSmallLoadBytes bounds the heap a stitched load of
+	// guardSmallLoadTuples tuples keeps alive (measured ~130 KB: the
+	// shared arenas' first chunks and the intern table; three full arena
+	// chunks used to pin 20 MB whatever the corpus size).
+	guardSmallLoadTuples = 1000
+	guardSmallLoadBytes  = 1 << 20
 )
 
 func TestBenchGuard(t *testing.T) {
@@ -194,6 +204,34 @@ func TestBenchGuard(t *testing.T) {
 	if second > 1024 {
 		t.Errorf("second SnapshotInfo call allocated %d B — the corpus counters are not cached", second)
 	}
+
+	// Residency floor: what a small sharded load keeps alive after the
+	// stitch is in proportion to its tuples, not a fixed reservation.
+	heapLive := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heapLive()
+	sts := core.NewShardedTupleStore(64)
+	for i := 0; i < guardSmallLoadTuples; i++ {
+		path := []uint32{uint32(65000 + i%50), 7018, uint32(1000 + i)}
+		comms := bgp.Communities{bgp.NewCommunity(7018, uint16(i)), bgp.NewCommunity(1299, uint16(i%100))}
+		sts.AddView(uint32(1+i%20), path, comms)
+	}
+	small := sts.Stitch(1)
+	sts = nil
+	held := int64(heapLive()) - int64(before)
+	t.Logf("heap held by a stitched %d-tuple load: %d B, limit %d", small.Len(), held, guardSmallLoadBytes)
+	if small.Len() != guardSmallLoadTuples {
+		t.Fatalf("small load holds %d tuples, want %d", small.Len(), guardSmallLoadTuples)
+	}
+	if held > guardSmallLoadBytes {
+		t.Errorf("a stitched %d-tuple load holds %d B, want <= %d — the shared arenas reserve full chunks again",
+			small.Len(), held, guardSmallLoadBytes)
+	}
+	runtime.KeepAlive(small)
 
 	// Parallel scaling: best-of-3 at each worker count. On a
 	// single-core host a workers=4 run measures scheduler overhead, not

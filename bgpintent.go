@@ -510,8 +510,8 @@ func LoadMRT(ctx context.Context, src Sources, opts LoadOptions) (*Corpus, LoadS
 		return nil
 	}
 	updFn := func(v *mrt.UpdateView) error {
-		if len(v.Update.NLRI) == 0 {
-			return nil // pure withdrawals carry no tuple
+		if len(v.Update.NLRI) == 0 && !v.Update.Attrs.MPReach {
+			return nil // announces nothing, classic or multiprotocol: no tuple
 		}
 		sts.AddViewASPathLarge(v.PeerAS, v.Update.Attrs.ASPath, v.Update.Attrs.Communities, v.Update.Attrs.LargeCommunities)
 		return nil

@@ -211,9 +211,12 @@ func summarizeBGP(wire []byte) string {
 	if len(upd.Withdrawn) > 0 {
 		out += fmt.Sprintf("withdraw=%v ", upd.Withdrawn)
 	}
-	if len(upd.NLRI) > 0 {
-		out += fmt.Sprintf("announce=%v path=[%s] comms=[%s]",
-			upd.NLRI, upd.Attrs.ASPath, upd.Attrs.Communities)
+	if len(upd.NLRI) > 0 || upd.Attrs.MPReach {
+		out += fmt.Sprintf("announce=%v ", upd.NLRI)
+		if upd.Attrs.MPReach {
+			out += "mp_reach "
+		}
+		out += fmt.Sprintf("path=[%s] comms=[%s]", upd.Attrs.ASPath, upd.Attrs.Communities)
 	}
 	return out
 }

@@ -57,17 +57,11 @@ func decodePrefix(buf []byte, addrLen int) (Prefix, int, error) {
 	if len(buf) < 1+n {
 		return Prefix{}, 0, fmt.Errorf("bgp: truncated NLRI: want %d address octets, have %d", n, len(buf)-1)
 	}
-	raw := make([]byte, addrLen)
-	copy(raw, buf[1:1+n])
-	var addr netip.Addr
-	var ok bool
+	var raw [16]byte
+	copy(raw[:], buf[1:1+n])
+	addr := netip.AddrFrom16(raw)
 	if addrLen == 4 {
-		addr, ok = netip.AddrFromSlice(raw[:4])
-	} else {
-		addr, ok = netip.AddrFromSlice(raw[:16])
-	}
-	if !ok {
-		return Prefix{}, 0, fmt.Errorf("bgp: bad NLRI address bytes")
+		addr = netip.AddrFrom4([4]byte(raw[:4]))
 	}
 	return PrefixFrom(addr, bits), 1 + n, nil
 }

@@ -24,6 +24,7 @@ const (
 	AttrAtomicAggregate  uint8 = 6
 	AttrAggregator       uint8 = 7
 	AttrCommunities      uint8 = 8
+	AttrMPReachNLRI      uint8 = 14
 	AttrExtCommunities   uint8 = 16
 	AttrAS4Path          uint8 = 17
 	AttrLargeCommunities uint8 = 32
@@ -76,6 +77,14 @@ type PathAttributes struct {
 	Communities      Communities
 	ExtCommunities   []ExtendedCommunity
 	LargeCommunities LargeCommunities
+
+	// MPReach reports that an UPDATE carried an MP_REACH_NLRI attribute
+	// (RFC 4760) with a non-empty NLRI field: the message announces
+	// multiprotocol routes — every IPv6 announcement does it this way —
+	// even when its classic NLRI is empty. The prefixes themselves are
+	// not decoded. Never set for a RIB entry, whose MP_REACH_NLRI is the
+	// abbreviated next-hop-only form of RFC 6396 §4.3.4.
+	MPReach bool
 }
 
 // UpdateMessage is a BGP UPDATE: withdrawn prefixes, path attributes, and
@@ -186,7 +195,7 @@ func (a *PathAttributes) EncodeAttrs() []byte {
 // (calling ResetForReuse between records) runs allocation-free at
 // steady state.
 func DecodeAttrs(buf []byte, a *PathAttributes) error {
-	return decodeAttrsSized(buf, a, 4)
+	return decodeAttrsSized(buf, a, 4, false)
 }
 
 // ResetForReuse clears a for decoding a fresh attribute block while
@@ -209,8 +218,10 @@ func (a *PathAttributes) ResetForReuse() {
 // decodeAttrsSized parses attributes with the given AS_PATH ASN width
 // (2 for pre-RFC 6793 speakers, 4 otherwise). In 2-octet mode an
 // AS4_PATH attribute, if present, is merged into the AS_PATH per
-// RFC 6793 §4.2.3.
-func decodeAttrsSized(buf []byte, a *PathAttributes, asnBytes int) error {
+// RFC 6793 §4.2.3. inUpdate says the block comes from an UPDATE message,
+// where MP_REACH_NLRI has its full RFC 4760 framing; elsewhere (RIB
+// entries) the attribute is skipped like any unmodelled one.
+func decodeAttrsSized(buf []byte, a *PathAttributes, asnBytes int, inUpdate bool) error {
 	var as4Path *ASPath
 	for len(buf) > 0 {
 		if len(buf) < 3 {
@@ -287,6 +298,20 @@ func decodeAttrsSized(buf []byte, a *PathAttributes, asnBytes int) error {
 				cs = append(cs, Community(binary.BigEndian.Uint32(payload[i:i+4])))
 			}
 			a.Communities = cs
+		case AttrMPReachNLRI:
+			if !inUpdate {
+				continue
+			}
+			// AFI (2), SAFI (1), next-hop length (1), next hop, one
+			// reserved octet, then the NLRI.
+			if alen < 5 {
+				return fmt.Errorf("bgp: MP_REACH_NLRI: truncated header (%d bytes)", alen)
+			}
+			nlriOff := 4 + int(payload[3]) + 1
+			if alen < nlriOff {
+				return fmt.Errorf("bgp: MP_REACH_NLRI: next hop length %d overruns the %d-byte attribute", payload[3], alen)
+			}
+			a.MPReach = alen > nlriOff
 		case AttrExtCommunities:
 			if alen%8 != 0 {
 				return fmt.Errorf("bgp: EXTENDED COMMUNITIES: length %d not a multiple of 8", alen)
@@ -538,7 +563,7 @@ func DecodeUpdateSizedInto(buf []byte, asnBytes int, m *UpdateMessage) error {
 	if len(body) < alen {
 		return fmt.Errorf("bgp: path attributes: want %d bytes, have %d", alen, len(body))
 	}
-	if err := decodeAttrsSized(body[:alen], &m.Attrs, asnBytes); err != nil {
+	if err := decodeAttrsSized(body[:alen], &m.Attrs, asnBytes, true); err != nil {
 		return err
 	}
 	body = body[alen:]

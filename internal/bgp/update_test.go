@@ -243,6 +243,42 @@ func TestDecodeAttrsSkipsUnknown(t *testing.T) {
 	}
 }
 
+// TestDecodeMPReach: in an UPDATE's attribute block MP_REACH_NLRI is
+// framed per RFC 4760 and only its "announces something" bit is kept;
+// in a RIB entry's block (DecodeAttrs) the attribute is the abbreviated
+// RFC 6396 form and is skipped, however short.
+func TestDecodeMPReach(t *testing.T) {
+	reach := []byte{0x80, AttrMPReachNLRI, 11, 0, 2, 1, 4, 10, 0, 0, 1, 0, 8, 10} // 4-octet next hop, NLRI 10/8
+	for name, tc := range map[string]struct {
+		attr    []byte
+		want    bool
+		wantErr bool
+	}{
+		"announces":         {attr: reach, want: true},
+		"empty NLRI":        {attr: []byte{0x80, AttrMPReachNLRI, 9, 0, 2, 1, 4, 10, 0, 0, 1, 0}},
+		"truncated header":  {attr: []byte{0x80, AttrMPReachNLRI, 3, 0, 2, 1}, wantErr: true},
+		"next hop overruns": {attr: []byte{0x80, AttrMPReachNLRI, 6, 0, 2, 1, 16, 10, 0}, wantErr: true},
+	} {
+		var a PathAttributes
+		err := decodeAttrsSized(tc.attr, &a, 4, true)
+		if (err != nil) != tc.wantErr || a.MPReach != tc.want {
+			t.Errorf("%s: MPReach=%v err=%v, want %v (error: %v)", name, a.MPReach, err, tc.want, tc.wantErr)
+		}
+		a = PathAttributes{}
+		if err := DecodeAttrs(tc.attr, &a); err != nil || a.MPReach {
+			t.Errorf("%s as a RIB entry attribute: MPReach=%v err=%v, want skipped", name, a.MPReach, err)
+		}
+	}
+	var a PathAttributes
+	if err := decodeAttrsSized(reach, &a, 4, true); err != nil {
+		t.Fatal(err)
+	}
+	a.ResetForReuse()
+	if a.MPReach {
+		t.Error("ResetForReuse kept MPReach from the previous record")
+	}
+}
+
 func TestASPathWireSegmentSplit(t *testing.T) {
 	// Paths longer than 255 ASNs must be split into multiple wire segments
 	// and merge back into one on decode.

@@ -1,20 +1,53 @@
 package core
 
-import "bgpintent/internal/bgp"
+import (
+	"encoding/binary"
 
-// FNV-1a constants, shared by the path-key hash (which routes paths to
-// shards) and the community-list hash (which feeds tupleKey.commsHash).
+	"bgpintent/internal/bgp"
+)
+
+// FNV-1a constants of the community-list hashes (plain-store tupleKey,
+// intern tables).
 const (
 	fnvOffset64 uint64 = 14695981039346656037
 	fnvPrime64  uint64 = 1099511628211
 )
 
-// hashKey is FNV-1a over a binary key; it routes paths to shards.
-func hashKey(b []byte) uint64 {
-	h := fnvOffset64
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
+// mixWord folds one 32-bit word into a 64-bit hash state: the multiply
+// spreads the word upward, the shift folds the well-mixed top half back
+// down for the next multiply. The shared-mode view hash is built from it
+// (storeShared.prepare); it only has to spread — content decides identity.
+func mixWord(h uint64, v uint32) uint64 {
+	h = (h ^ uint64(v)) * 0x9E3779B97F4A7C15
+	return h ^ h>>32
+}
+
+// hashPathKey hashes a binary path key (little-endian ASN words) twice in
+// one pass: route from a fixed state — shard routing must be a pure
+// function of the path key, or the stitched layout would differ between
+// runs — and h from seed, which tags the shard's tables.
+func hashPathKey(key []byte, seed uint64) (route, h uint64) {
+	route, h = fnvOffset64, seed
+	for ; len(key) >= 4; key = key[4:] {
+		asn := binary.LittleEndian.Uint32(key)
+		route = mixWord(route, asn)
+		h = mixWord(h, asn)
+	}
+	return route, h
+}
+
+// hashLists continues a path hash over the canonical lists, giving the
+// hash of a whole view identity; each list is preceded by its length.
+func hashLists(h uint64, comms bgp.Communities, larges bgp.LargeCommunities) uint64 {
+	h = mixWord(h, uint32(len(comms)))
+	for _, c := range comms {
+		h = mixWord(h, uint32(c))
+	}
+	h = mixWord(h, uint32(len(larges)))
+	for _, lc := range larges {
+		h = mixWord(h, lc.GlobalAdmin)
+		h = mixWord(h, lc.LocalData1)
+		h = mixWord(h, lc.LocalData2)
 	}
 	return h
 }
@@ -42,8 +75,7 @@ func hashComms(comms bgp.Communities) uint64 {
 }
 
 // hashLarges is FNV-1a over canonical large communities. The empty
-// list hashes to 0, matching the zero intern ref, so classic-only
-// tuples carry a zero large key either way.
+// list hashes to 0, so classic-only tuples carry a zero large key.
 func hashLarges(ls bgp.LargeCommunities) uint64 {
 	if len(ls) == 0 {
 		return 0

@@ -11,7 +11,9 @@ package core
 //     tuple's comms span is already global and Stitch moves no
 //     community data. Reads are lock-free (atomic table pointer,
 //     CAS-free probing of atomically published slots); inserts take one
-//     mutex but are rare once the distinct lists have been seen.
+//     mutex. A shard asks it for a ref only when it inserts a new tuple
+//     — duplicates are recognized by the shard's own table first (see
+//     addViewShared).
 //   - a shared ASN arena (sharedArena[uint32]): each shard appends its
 //     new paths' distinct-ASN sequences into globally addressed chunks,
 //     so path spans are global too and Stitch moves no ASN data either.
@@ -28,21 +30,26 @@ package core
 // miss (stale table or empty slot) fall back to the mutex and re-probe.
 
 import (
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"bgpintent/internal/bgp"
 )
 
-// Arena chunks hold 1<<20 elements each; a span's 32-bit offset packs
-// the chunk index above the in-chunk position, so the global capacity
-// stays the 4G entries the span layout already assumed. Lists never
-// span chunks (BGP attribute lengths cap lists far below a chunk).
+// Arena chunks hold up to 1<<20 elements each; a span's 32-bit offset
+// packs the chunk index above the in-chunk position, so the global
+// capacity stays the 4G entries the span layout already assumed. Lists
+// never span chunks (BGP attribute lengths cap lists far below a chunk).
+// The newest chunk starts at arenaMinChunk elements and doubles up to
+// the full size, so a small corpus does not pay for full chunks.
 const (
 	internChunkShift = 20
 	internChunkSize  = 1 << internChunkShift
 	internChunkMask  = internChunkSize - 1
 	internMaxChunks  = 1 << (32 - internChunkShift)
+	arenaMinChunk    = 1 << 12
 )
 
 // sharedArena is a concurrently appendable, globally addressed arena:
@@ -59,39 +66,54 @@ type sharedArena[T any] struct {
 // the offset through a properly published location (see the package
 // comment); callers that hand the offset to another goroutine through
 // a mutex or channel are covered by those primitives instead.
+//
+// The chunk list is copy-on-write: adding a chunk and growing the
+// newest one both publish a fresh list before any value lands in the
+// new storage. A grown chunk starts as a copy of its predecessor, which
+// is never written again, so a reader holding the old list resolves
+// every offset it can know to the same values.
 func (a *sharedArena[T]) append(vals []T) uint32 {
 	n := len(vals)
 	if n > internChunkSize {
 		panic("core: arena list exceeds chunk size")
 	}
 	a.mu.Lock()
-	chunks := a.chunks.Load()
-	var cur []T
-	nc := 0
-	if chunks != nil {
-		nc = len(*chunks)
+	var chunks [][]T
+	if p := a.chunks.Load(); p != nil {
+		chunks = *p
 	}
-	if nc > 0 && a.fill+n <= internChunkSize {
-		cur = (*chunks)[nc-1]
-	} else {
+	nc := len(chunks)
+	switch {
+	case nc == 0 || a.fill+n > internChunkSize:
 		if nc >= internMaxChunks {
 			panic("core: shared arena full")
 		}
-		cur = make([]T, internChunkSize)
-		next := make([][]T, nc+1)
-		if chunks != nil {
-			copy(next, *chunks)
-		}
-		next[nc] = cur
-		a.chunks.Store(&next)
+		chunks = append(chunks[:nc:nc], make([]T, arenaChunkLen(n)))
 		nc++
 		a.fill = 0
+		a.publish(chunks)
+	case a.fill+n > len(chunks[nc-1]):
+		grown := make([]T, arenaChunkLen(a.fill+n))
+		copy(grown, chunks[nc-1][:a.fill])
+		chunks = slices.Clone(chunks)
+		chunks[nc-1] = grown
+		a.publish(chunks)
 	}
 	off := uint32(nc-1)<<internChunkShift | uint32(a.fill)
-	copy(cur[a.fill:], vals)
+	copy(chunks[nc-1][a.fill:], vals)
 	a.fill += n
 	a.mu.Unlock()
 	return off
+}
+
+// publish makes a new chunk list the one readers see (its own method,
+// so only a list being published is moved to the heap).
+func (a *sharedArena[T]) publish(chunks [][]T) { a.chunks.Store(&chunks) }
+
+// arenaChunkLen is the smallest doubling of arenaMinChunk that holds
+// need elements.
+func arenaChunkLen(need int) int {
+	return arenaMinChunk << bits.Len(uint(max(need, 1)-1)/arenaMinChunk)
 }
 
 // view resolves a span into the arena. Zero-length spans return nil.
@@ -149,12 +171,11 @@ func (t *commTable) insert(h uint64, ref uint64) {
 
 // commIntern globally deduplicates canonical community lists across all
 // shards of a ShardedTupleStore. The returned refs are exact identities
-// — two AddViews with the same canonical list always get the same ref —
-// so shard-level tuple dedup needs no content hashing or collision
-// overflow. Ref values depend on arrival order and are NOT stable
-// across runs; everything derived from them must go through the list
-// content (and does: Stitch orders by content, snapshots and TSV render
-// content).
+// — the same canonical list always gets the same ref — and double as
+// the tuple's globally addressed comms span. Ref values depend on
+// arrival order and are NOT stable across runs; everything derived from
+// them must go through the list content (and does: shards compare
+// content, Stitch orders by content, snapshots and TSV render content).
 type commIntern struct {
 	arena sharedArena[bgp.Community]
 	table atomic.Pointer[commTable]
@@ -262,9 +283,8 @@ func (t *largeTable) insert(h uint64, ref uint64) {
 
 // largeIntern globally deduplicates canonical large-community lists,
 // giving the RFC 8092 community key the same exact interned identity
-// the classic key has: two AddViews with the same canonical large list
-// always get the same ref, so shard-level tuple dedup needs no content
-// hashing. Refs depend on arrival order and are NOT stable across
+// the classic key has: the same canonical large list always gets the
+// same ref. Refs depend on arrival order and are NOT stable across
 // runs; everything derived from them goes through the list content.
 type largeIntern struct {
 	arena sharedArena[bgp.LargeCommunity]
@@ -337,4 +357,27 @@ type storeShared struct {
 	comms  commIntern
 	larges largeIntern
 	asns   sharedArena[uint32]
+
+	// seed starts every table hash (never the routing hash), so which
+	// views share a probe chain cannot be computed from outside the
+	// process — the protection Go's seeded maps used to give.
+	seed uint64
+	// collide zeroes every table hash, so all views share one probe
+	// chain: tests set it to show content, not the hash, decides identity.
+	collide bool
+}
+
+// prepare readies one view, whose path key is already rendered into
+// sc.key, for a shard: it canonicalizes both lists into sc and hashes
+// the identity. route picks the shard, hp tags the path in the shard's
+// path table, h tags the whole identity in its tuple table.
+func (sh *storeShared) prepare(sc *addScratch, comms bgp.Communities, larges bgp.LargeCommunities) (route, hp, h uint64) {
+	sc.comms = canonicalInto(sc.comms, comms)
+	sc.larges = canonicalLargeInto(sc.larges, larges)
+	route, hp = hashPathKey(sc.key, sh.seed)
+	h = hashLists(hp, sc.comms, sc.larges)
+	if sh.collide {
+		hp, h = 0, 0
+	}
+	return route, hp, h
 }

@@ -20,11 +20,15 @@ func TestCommInternConcurrent(t *testing.T) {
 		lists      = 3000 // overlapping across goroutines; forces several grows
 		rounds     = 3
 	)
+	// Six communities a list: together the lists outgrow the arena's
+	// first chunk three times over, so lock-free readers keep resolving
+	// refs while the newest chunk is copied and republished under them.
 	mk := func(i int) bgp.Communities {
-		return bgp.Communities{
-			bgp.NewCommunity(uint16(i%500), uint16(i)),
-			bgp.NewCommunity(uint16(i%500)+1, uint16(i/2)),
-		}.Canonical()
+		cs := make(bgp.Communities, 6)
+		for k := range cs {
+			cs[k] = bgp.NewCommunity(uint16(i%500+k), uint16(i>>(k%2)))
+		}
+		return cs.Canonical()
 	}
 	var ci commIntern
 	refs := make([][]uint64, goroutines)
@@ -68,6 +72,9 @@ func TestCommInternConcurrent(t *testing.T) {
 			t.Fatalf("list %d: view %v, want %v", i, got, want)
 		}
 	}
+	if got := len((*ci.arena.chunks.Load())[0]); got < arenaMinChunk<<3 {
+		t.Fatalf("arena chunk grew to %d elements; the test must cross three doublings of %d", got, arenaMinChunk)
+	}
 }
 
 // TestCommInternEmptyList pins the empty-list convention: ref 0, never
@@ -109,8 +116,8 @@ func TestCommInternDupZeroAlloc(t *testing.T) {
 // TestShardedAddViewDupZeroAlloc is the sharded-store counterpart of
 // TestAddViewDuplicateHitZeroAlloc: with the shared intern table and
 // ASN arena in the path, a duplicate observation must still be
-// allocation-free end to end (path-key render, shard routing, intern
-// probe, VP binary search).
+// allocation-free end to end (path-key render, canonicalization, view
+// hash, table probe, content compare, VP binary search).
 func TestShardedAddViewDupZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops items; alloc counts are noise")
@@ -139,9 +146,12 @@ func TestShardedAddViewDupZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSharedArenaOffsets exercises chunk-boundary placement: lists that
-// do not fit in the current chunk's tail start a fresh chunk, and every
-// returned span resolves to the exact values appended.
+// TestSharedArenaOffsets exercises placement across growth and chunk
+// boundaries: the first chunk doubles from arenaMinChunk up to the full
+// chunk size under small appends, a list longer than the current chunk
+// grows it straight to fit, lists that do not fit in a full chunk's
+// tail start a fresh chunk, and after all of it every returned span
+// still resolves to the exact values appended.
 func TestSharedArenaOffsets(t *testing.T) {
 	var a sharedArena[uint32]
 	type appended struct {
@@ -149,16 +159,48 @@ func TestSharedArenaOffsets(t *testing.T) {
 		vals []uint32
 	}
 	var all []appended
-	// Large appends force chunk turnover quickly (chunk = 1<<20 elems).
-	big := make([]uint32, internChunkSize/2+1)
-	for round := 0; round < 5; round++ {
-		for i := range big {
-			big[i] = uint32(round*len(big) + i)
+	next := uint32(0)
+	add := func(n int) {
+		vals := make([]uint32, n)
+		for i := range vals {
+			vals[i] = next
+			next++
 		}
-		vals := append([]uint32(nil), big...)
 		all = append(all, appended{off: a.append(vals), vals: vals})
-		small := []uint32{uint32(round), uint32(round + 1)}
-		all = append(all, appended{off: a.append(small), vals: small})
+	}
+	chunkLens := func() []int {
+		var lens []int
+		for _, c := range *a.chunks.Load() {
+			lens = append(lens, len(c))
+		}
+		return lens
+	}
+	// Small appends walk the first chunk through two doublings.
+	for next < 3*arenaMinChunk {
+		add(3)
+	}
+	if got := chunkLens(); len(got) != 1 || got[0] != arenaMinChunk<<2 {
+		t.Fatalf("after %d elements: chunk lengths %v, want one chunk of %d", next, got, arenaMinChunk<<2)
+	}
+	// One list far longer than what is left grows the chunk to fit it.
+	add(internChunkSize / 4)
+	if got := chunkLens(); len(got) != 1 || got[0] < int(next) || got[0] > internChunkSize {
+		t.Fatalf("after a %d-element list: chunk lengths %v", internChunkSize/4, got)
+	}
+	// Large appends force chunk turnover: a list that does not fit the
+	// newest chunk's tail starts a fresh chunk sized for it.
+	for round := 0; round < 5; round++ {
+		add(internChunkSize/2 + 1)
+		add(2)
+	}
+	// A small list that does not fit starts a small chunk, which then
+	// grows like the first one did.
+	add(internChunkSize/2 - 8)
+	for i := 0; i < arenaMinChunk; i++ {
+		add(2)
+	}
+	if got := chunkLens(); len(got) != 6 || got[4] != internChunkSize || got[5] != arenaMinChunk<<1 {
+		t.Fatalf("chunk lengths %v, want five full chunks and one of %d", got, arenaMinChunk<<1)
 	}
 	for i, ap := range all {
 		got := a.view(ap.off, uint32(len(ap.vals)))
@@ -174,8 +216,8 @@ func TestSharedArenaOffsets(t *testing.T) {
 }
 
 // TestStitchStoreStillAcceptsViews pins the lazy reindex: a stitched
-// store can keep ingesting (the live window path appends to a merged
-// store), deduplicating against the stitched contents.
+// store can keep ingesting, deduplicating against the stitched contents
+// through tables it builds on the first AddView.
 func TestStitchStoreStillAcceptsViews(t *testing.T) {
 	sts := NewShardedTupleStore(4)
 	for i := 0; i < 50; i++ {

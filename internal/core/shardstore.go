@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+	"math/rand/v2"
 	"slices"
 	"strings"
 	"sync"
@@ -27,9 +29,13 @@ import (
 // every span a shard writes is already valid in the stitched store and
 // Stitch moves only index-sized data (tuple records, path metas, VP
 // lists) — never community or ASN payloads.
+//
+// A view is hashed once, outside the shard lock (storeShared.prepare);
+// the hash leads straight to its tuple (addViewShared), so a duplicate
+// costs one probe, a content compare and a VP binary search.
 type ShardedTupleStore struct {
 	shards []tupleShard
-	mask   uint64
+	shift  uint // 64 - log2(len(shards)): the route hash's top bits pick the shard
 	shared *storeShared
 }
 
@@ -51,13 +57,11 @@ func NewShardedTupleStore(n int) *ShardedTupleStore {
 	}
 	s := &ShardedTupleStore{
 		shards: make([]tupleShard, size),
-		mask:   uint64(size - 1),
-		shared: &storeShared{},
+		shift:  uint(64 - bits.TrailingZeros(uint(size))),
+		shared: &storeShared{seed: rand.Uint64()},
 	}
 	for i := range s.shards {
-		ts := NewTupleStore()
-		ts.shared = s.shared
-		s.shards[i].ts = ts
+		s.shards[i].ts = &TupleStore{shared: s.shared, large: make(map[bgp.LargeCommunity]struct{})}
 	}
 	return s
 }
@@ -73,19 +77,15 @@ func (s *ShardedTupleStore) AddView(vp uint32, path []uint32, comms bgp.Communit
 
 // AddViewLarge records one vantage-point observation; safe for
 // concurrent use. Semantics match TupleStore.AddViewLarge: the larges
-// are noted into the distinct-large statistics even when the path is
+// count toward the distinct-large statistics even when the path is
 // empty and no tuple results.
 func (s *ShardedTupleStore) AddViewLarge(vp uint32, path []uint32, comms bgp.Communities, larges bgp.LargeCommunities) {
-	s.NoteLarge(larges)
 	if len(path) == 0 {
+		s.NoteLarge(larges)
 		return
 	}
 	sc := addScratchPool.Get().(*addScratch)
-	sc.key = appendPathKey(sc.key[:0], path)
-	sh := &s.shards[hashKey(sc.key)&s.mask]
-	sh.mu.Lock()
-	sh.ts.addViewKeyed(vp, sc.key, path, comms, larges, sc)
-	sh.mu.Unlock()
+	s.add(vp, path, comms, larges, sc)
 	addScratchPool.Put(sc)
 }
 
@@ -97,32 +97,178 @@ func (s *ShardedTupleStore) AddViewASPath(vp uint32, path bgp.ASPath, comms bgp.
 // AddViewASPathLarge is AddViewLarge taking the path as an
 // un-flattened bgp.ASPath: the flattening happens into pooled scratch,
 // so callers feeding decoded MRT attributes avoid the per-view
-// []uint32 allocation of ASPath.Flatten. Larges are noted before the
-// empty-path early return, so the distinct-large count matches the
-// sequential loader's.
+// []uint32 allocation of ASPath.Flatten.
 func (s *ShardedTupleStore) AddViewASPathLarge(vp uint32, path bgp.ASPath, comms bgp.Communities, larges bgp.LargeCommunities) {
-	s.NoteLarge(larges)
 	sc := addScratchPool.Get().(*addScratch)
 	sc.flat = path.AppendFlatten(sc.flat[:0])
 	if len(sc.flat) == 0 {
-		addScratchPool.Put(sc)
-		return
+		s.NoteLarge(larges)
+	} else {
+		s.add(vp, sc.flat, comms, larges, sc)
 	}
-	sc.key = appendPathKey(sc.key[:0], sc.flat)
-	sh := &s.shards[hashKey(sc.key)&s.mask]
-	sh.mu.Lock()
-	sh.ts.addViewKeyed(vp, sc.key, sc.flat, comms, larges, sc)
-	sh.mu.Unlock()
 	addScratchPool.Put(sc)
 }
 
-// NoteLarge records large communities; safe for concurrent use.
+// add records one view with a non-empty path. Everything that depends
+// only on the view — key render, canonicalization, hashing — happens
+// before the shard lock is taken.
+func (s *ShardedTupleStore) add(vp uint32, path []uint32, comms bgp.Communities, larges bgp.LargeCommunities, sc *addScratch) {
+	sc.key = appendPathKey(sc.key[:0], path)
+	route, hp, h := s.shared.prepare(sc, comms, larges)
+	sh := &s.shards[route>>s.shift]
+	sh.mu.Lock()
+	sh.ts.addViewShared(vp, hp, h, path, sc)
+	sh.mu.Unlock()
+}
+
+// NoteLarge records large communities that attach to no tuple (the
+// view's path was empty); safe for concurrent use. Larges that do
+// attach are recorded by the shard when their tuple is first inserted.
 func (s *ShardedTupleStore) NoteLarge(ls bgp.LargeCommunities) {
 	for _, lc := range ls {
-		sh := &s.shards[hashLargeCommunity(lc)&s.mask]
+		sh := &s.shards[hashLargeCommunity(lc)>>s.shift]
 		sh.mu.Lock()
 		sh.ts.large[lc] = struct{}{}
 		sh.mu.Unlock()
+	}
+}
+
+// flatTable is the index shape of a shared-mode store: an open-addressed
+// table (linear probing, power-of-two capacity, grown at 3/4 load) of
+// uint64 slots, tag<<32 | index+1, zero meaning empty. The tag is the
+// top half of the entry's seeded hash and its top bits are the home
+// slot, so growth re-places entries from the slots alone. The table
+// holds no keys: whoever probes it confirms each candidate index against
+// the content it stands for.
+type flatTable struct {
+	slots []uint64
+	n     int
+	shift uint // 32 - log2(len(slots))
+}
+
+// newFlatTable returns a table that holds n entries without growing.
+func newFlatTable(n int) flatTable {
+	b := uint(6)
+	for 3<<b < 4*n { // insert grows past 3/4 load
+		b++
+	}
+	return flatTable{slots: make([]uint64, 1<<b), shift: 32 - b}
+}
+
+// insert adds an entry; the caller has established it is absent.
+func (t *flatTable) insert(h uint64, idx int) {
+	if (t.n+1)*4 > len(t.slots)*3 {
+		old := t.slots
+		t.slots, t.shift = make([]uint64, 2*len(old)), t.shift-1
+		for _, s := range old {
+			if s != 0 {
+				t.place(s)
+			}
+		}
+	}
+	t.place(h>>32<<32 | uint64(idx+1))
+	t.n++
+}
+
+func (t *flatTable) place(s uint64) {
+	mask := uint32(len(t.slots) - 1)
+	for i := uint32(s>>32) >> t.shift; ; i = (i + 1) & mask {
+		if t.slots[i] == 0 {
+			t.slots[i] = s
+			return
+		}
+	}
+}
+
+// addViewShared is the shared-mode write path for one prepared view:
+// hashes hp (path) and h (identity), path key in sc.key, canonical lists
+// in sc.comms and sc.larges. One probe of the tuple table finds the
+// view's tuple if it exists, confirmed by comparing the path key and
+// both lists — identity is exact whatever the hash does. Only a miss
+// goes on to the path table, the global intern tables (whose refs are
+// the spans Stitch carries over) and the appends; that is also the one
+// moment the tuple's larges enter the distinct-large set.
+func (ts *TupleStore) addViewShared(vp uint32, hp, h uint64, path []uint32, sc *addScratch) {
+	if ts.tupleTab.slots == nil {
+		ts.reindexShared()
+	}
+	tab := &ts.tupleTab
+	tag, mask := uint32(h>>32), uint32(len(tab.slots)-1)
+	for i := tag >> tab.shift; tab.slots[i] != 0; i = (i + 1) & mask {
+		s := tab.slots[i]
+		if uint32(s>>32) != tag {
+			continue
+		}
+		ti := int32(uint32(s) - 1)
+		t := &ts.tuples[ti]
+		if ts.pathKeys[t.PathID] == string(sc.key) &&
+			commsEqual(ts.TupleComms(t), sc.comms) &&
+			largesEqual(ts.TupleLarges(t), sc.larges) {
+			ts.addVP(ti, vp)
+			return
+		}
+	}
+	id := ts.internPathShared(hp, path, sc)
+	off, n := unpackRef(ts.shared.comms.intern(sc.comms))
+	loff, ln := unpackRef(ts.shared.larges.intern(sc.larges))
+	for _, lc := range sc.larges {
+		ts.large[lc] = struct{}{}
+	}
+	tab.insert(h, len(ts.tuples))
+	vpOff := uint32(len(ts.vpArena))
+	ts.vpArena = append(ts.vpArena, vp)
+	ts.tuples = append(ts.tuples, Tuple{
+		PathID: id,
+		comms:  span{off: off, n: n},
+		lcomms: span{off: loff, n: ln},
+		vpOff:  vpOff, vpLen: 1, vpCap: 1,
+	})
+}
+
+// internPathShared returns the ID of the path with key sc.key and hash
+// hp, creating the entry if new: the distinct-ASN sequence goes through
+// pooled scratch into the cross-shard arena, so its span is global.
+func (ts *TupleStore) internPathShared(hp uint64, path []uint32, sc *addScratch) int32 {
+	tab := &ts.pathTab
+	tag, mask := uint32(hp>>32), uint32(len(tab.slots)-1)
+	for i := tag >> tab.shift; tab.slots[i] != 0; i = (i + 1) & mask {
+		s := tab.slots[i]
+		if id := int32(uint32(s) - 1); uint32(s>>32) == tag && ts.pathKeys[id] == string(sc.key) {
+			return id
+		}
+	}
+	buf := sc.asns[:0]
+	for _, asn := range path {
+		if !containsASN(buf, asn) {
+			buf = append(buf, asn)
+		}
+	}
+	sc.asns = buf
+	id := len(ts.paths)
+	tab.insert(hp, id)
+	ts.paths = append(ts.paths, pathMeta{asns: span{off: ts.shared.asns.append(buf), n: uint32(len(buf))}})
+	ts.pathKeys = append(ts.pathKeys, string(sc.key))
+	return int32(id)
+}
+
+// reindexShared builds both tables from the columnar data. A stitched
+// store arrives without them — readers never need them, and building
+// them eagerly would put a serial pass back into the load path — so the
+// first post-stitch AddView pays for them; so does a fresh shard's.
+func (ts *TupleStore) reindexShared() {
+	ts.pathTab = newFlatTable(len(ts.paths))
+	ts.tupleTab = newFlatTable(len(ts.tuples))
+	sc := new(addScratch)
+	for i, key := range ts.pathKeys {
+		sc.key = append(sc.key[:0], key...)
+		_, hp, _ := ts.shared.prepare(sc, nil, nil)
+		ts.pathTab.insert(hp, i)
+	}
+	for i := range ts.tuples {
+		t := &ts.tuples[i]
+		sc.key = append(sc.key[:0], ts.pathKeys[t.PathID]...)
+		_, _, h := ts.shared.prepare(sc, ts.TupleComms(t), ts.TupleLarges(t))
+		ts.tupleTab.insert(h, i)
 	}
 }
 

@@ -96,13 +96,17 @@ type TupleStore struct {
 
 	// tupleIdx maps a dedup key to its first tuple; tupleDup holds the
 	// (vanishingly rare) extra tuples whose communities collide on the
-	// hash, so the common case costs one map entry and zero slices. In
-	// shared mode the key's commsHash field carries the exact intern ref
-	// instead of a content hash, so collisions cannot happen and
-	// tupleDup stays empty. A stitched store leaves both nil; the first
-	// AddView rebuilds them (see reindex).
+	// hash, so the common case costs one map entry and zero slices.
+	// Like pathIDs, plain store only: a shared-mode store indexes through
+	// tupleTab and pathTab instead (see addViewShared).
 	tupleIdx map[tupleKey]int32
 	tupleDup map[tupleKey][]int32
+
+	// tupleTab and pathTab are the shared-mode indexes: view identity ->
+	// tuple and path key -> path ID, candidates confirmed by content. A
+	// stitched store leaves both empty until its first AddView.
+	tupleTab flatTable
+	pathTab  flatTable
 
 	// large tracks the distinct large (96-bit) communities seen, for the
 	// corpus statistics. The paper records their prevalence (11,524 vs
@@ -230,37 +234,23 @@ func largesEqual(a, b bgp.LargeCommunities) bool {
 	return true
 }
 
-// internPathKey returns the path ID for a path whose binary key has
-// already been rendered, creating the entry if new. The key bytes are
-// only copied to a string on insertion; lookups are allocation-free.
-// The distinct-ASN sequence is appended to the store's ASN arena (AS
-// paths are short, so the dedup scan beats a map); in shared mode it
-// goes through pooled scratch into the cross-shard arena, so the
-// resulting span is globally addressed.
-func (ts *TupleStore) internPathKey(key []byte, path []uint32, sc *addScratch) int32 {
+// internPathKey returns the plain store's path ID for a path whose
+// binary key has already been rendered, creating the entry if new. The
+// key bytes are only copied to a string on insertion; lookups are
+// allocation-free. The distinct-ASN sequence is appended to the store's
+// ASN arena (AS paths are short, so the dedup scan beats a map).
+func (ts *TupleStore) internPathKey(key []byte, path []uint32) int32 {
 	if id, ok := ts.pathIDs[string(key)]; ok {
 		return id
 	}
 	id := int32(len(ts.paths))
-	var asns span
-	if ts.shared != nil {
-		buf := sc.asns[:0]
-		for _, asn := range path {
-			if !containsASN(buf, asn) {
-				buf = append(buf, asn)
-			}
+	off := uint32(len(ts.asnArena))
+	for _, asn := range path {
+		if !containsASN(ts.asnArena[off:], asn) {
+			ts.asnArena = append(ts.asnArena, asn)
 		}
-		sc.asns = buf
-		asns = span{off: ts.shared.asns.append(buf), n: uint32(len(buf))}
-	} else {
-		off := uint32(len(ts.asnArena))
-		for _, asn := range path {
-			if !containsASN(ts.asnArena[off:], asn) {
-				ts.asnArena = append(ts.asnArena, asn)
-			}
-		}
-		asns = span{off: off, n: uint32(len(ts.asnArena)) - off}
 	}
+	asns := span{off: off, n: uint32(len(ts.asnArena)) - off}
 	skey := string(key)
 	ts.paths = append(ts.paths, pathMeta{asns: asns})
 	ts.pathIDs[skey] = id
@@ -295,41 +285,20 @@ func (ts *TupleStore) AddViewLarge(vp uint32, path []uint32, comms bgp.Communiti
 }
 
 // addViewKeyed is AddViewLarge with the path key pre-rendered into
-// sc.key; sc also carries the canonicalization scratch. Shared by the
-// plain and sharded stores. Callers are responsible for noting larges
-// in ts.large.
+// sc.key; sc also carries the canonicalization scratch. Callers are
+// responsible for noting larges in ts.large. A shared-mode store (one
+// that came out of Stitch) hands over to addViewShared.
 func (ts *TupleStore) addViewKeyed(vp uint32, key []byte, path []uint32, comms bgp.Communities, larges bgp.LargeCommunities, sc *addScratch) {
-	if ts.tupleIdx == nil {
-		ts.reindex()
+	if ts.shared != nil {
+		_, hp, h := ts.shared.prepare(sc, comms, larges)
+		ts.addViewShared(vp, hp, h, path, sc)
+		return
 	}
-	id := ts.internPathKey(key, path, sc)
+	id := ts.internPathKey(key, path)
 	sc.comms = canonicalInto(sc.comms, comms)
 	canon := sc.comms
 	sc.larges = canonicalLargeInto(sc.larges, larges)
 	canonLarge := sc.larges
-	if ts.shared != nil {
-		// The intern refs are exact identities for the canonical lists, so
-		// the dedup key needs no content comparison and cannot collide.
-		ref := ts.shared.comms.intern(canon)
-		lref := ts.shared.larges.intern(canonLarge)
-		tk := tupleKey{pathID: id, commsHash: ref, largeHash: lref}
-		if ti, ok := ts.tupleIdx[tk]; ok {
-			ts.addVP(ti, vp)
-			return
-		}
-		ts.tupleIdx[tk] = int32(len(ts.tuples))
-		off, n := unpackRef(ref)
-		loff, ln := unpackRef(lref)
-		vpOff := uint32(len(ts.vpArena))
-		ts.vpArena = append(ts.vpArena, vp)
-		ts.tuples = append(ts.tuples, Tuple{
-			PathID: id,
-			comms:  span{off: off, n: n},
-			lcomms: span{off: loff, n: ln},
-			vpOff:  vpOff, vpLen: 1, vpCap: 1,
-		})
-		return
-	}
 	tk := tupleKey{pathID: id, commsHash: hashComms(canon), largeHash: hashLarges(canonLarge)}
 	if ti, ok := ts.tupleIdx[tk]; ok {
 		if ts.addVPIfMatch(ti, canon, canonLarge, vp) {
@@ -360,46 +329,6 @@ func (ts *TupleStore) addViewKeyed(vp uint32, key []byte, path []uint32, comms b
 		lcomms: span{off: largeOff, n: uint32(len(canonLarge))},
 		vpOff:  vpOff, vpLen: 1, vpCap: 1,
 	})
-}
-
-// reindex rebuilds the lookup maps from the columnar data. A stitched
-// store arrives with nil maps — readers never need them, and building
-// them eagerly would put a serial map-construction pass back into the
-// load path — so the first post-stitch AddView pays for them lazily.
-func (ts *TupleStore) reindex() {
-	ts.pathIDs = make(map[string]int32, len(ts.pathKeys))
-	for i, key := range ts.pathKeys {
-		ts.pathIDs[key] = int32(i)
-	}
-	ts.tupleIdx = make(map[tupleKey]int32, len(ts.tuples))
-	for i := range ts.tuples {
-		t := &ts.tuples[i]
-		var tk tupleKey
-		if ts.shared != nil {
-			tk = tupleKey{
-				pathID:    t.PathID,
-				commsHash: packRef(t.comms.off, t.comms.n),
-				largeHash: packRef(t.lcomms.off, t.lcomms.n),
-			}
-		} else {
-			tk = tupleKey{
-				pathID:    t.PathID,
-				commsHash: hashComms(ts.TupleComms(t)),
-				largeHash: hashLarges(ts.TupleLarges(t)),
-			}
-		}
-		if _, dup := ts.tupleIdx[tk]; dup {
-			if ts.tupleDup == nil {
-				ts.tupleDup = make(map[tupleKey][]int32)
-			}
-			ts.tupleDup[tk] = append(ts.tupleDup[tk], int32(i))
-		} else {
-			ts.tupleIdx[tk] = int32(i)
-		}
-	}
-	if ts.large == nil {
-		ts.large = make(map[bgp.LargeCommunity]struct{})
-	}
 }
 
 // addVPIfMatch merges vp into tuple ti if both of its community lists

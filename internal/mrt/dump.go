@@ -367,23 +367,18 @@ func DecodeUpdateRecord(rec *Record, upd *bgp.UpdateMessage, view *UpdateView, s
 		}
 		body = body[4:]
 	}
-	var (
-		m    *BGP4MPMessage
-		perr error
-		asn  = 4
-	)
+	asn := 4
 	switch rec.Subtype {
 	case SubtypeBGP4MPMessageAS4:
-		m, perr = ParseBGP4MP(body)
 	case SubtypeBGP4MPMessage:
-		m, perr = ParseBGP4MPLegacy(body)
 		asn = 2
 	default:
 		stats.noteUnknown(rec.Type, rec.Subtype)
 		return false, nil
 	}
-	if perr != nil {
-		return false, perr
+	var m BGP4MPMessage
+	if err := m.parse(body, asn); err != nil {
+		return false, err
 	}
 	if len(m.Message) >= 19 && m.Message[18] != bgp.MsgTypeUpdate {
 		return false, nil // keepalive/open/notification

@@ -331,9 +331,9 @@ func (r *Reader) next() (*Record, error) {
 			}
 			continue
 		}
-		rec := &Record{}
-		if r.reuse {
-			rec = &r.rec
+		rec := &r.rec
+		if !r.reuse {
+			rec = &Record{}
 		}
 		if cap(rec.Body) < int(n) {
 			rec.Body = make([]byte, n)
@@ -783,29 +783,11 @@ func (m *BGP4MPMessage) Encode() []byte {
 
 // ParseBGP4MP decodes a BGP4MP_MESSAGE_AS4 record body.
 func ParseBGP4MP(body []byte) (*BGP4MPMessage, error) {
-	if len(body) < 12 {
-		return nil, fmt.Errorf("mrt: BGP4MP: short body")
+	m := new(BGP4MPMessage)
+	if err := m.parse(body, 4); err != nil {
+		return nil, err
 	}
-	var m BGP4MPMessage
-	m.PeerAS = binary.BigEndian.Uint32(body[0:4])
-	m.LocalAS = binary.BigEndian.Uint32(body[4:8])
-	m.IfIndex = binary.BigEndian.Uint16(body[8:10])
-	afi := binary.BigEndian.Uint16(body[10:12])
-	body = body[12:]
-	alen := 4
-	if afi == AFIIPv6 {
-		alen = 16
-	} else if afi != AFIIPv4 {
-		return nil, fmt.Errorf("mrt: BGP4MP: unsupported AFI %d", afi)
-	}
-	if len(body) < 2*alen {
-		return nil, fmt.Errorf("mrt: BGP4MP: truncated addresses")
-	}
-	peer, _ := netip.AddrFromSlice(body[:alen])
-	local, _ := netip.AddrFromSlice(body[alen : 2*alen])
-	m.PeerAddr, m.LocalAddr = peer, local
-	m.Message = body[2*alen:]
-	return &m, nil
+	return m, nil
 }
 
 // ParseBGP4MPLegacy decodes a plain BGP4MP_MESSAGE record body, whose
@@ -813,27 +795,46 @@ func ParseBGP4MP(body []byte) (*BGP4MPMessage, error) {
 // The contained BGP message also uses 2-octet AS_PATH encoding; decode
 // it with bgp.DecodeUpdateSized(msg, 2).
 func ParseBGP4MPLegacy(body []byte) (*BGP4MPMessage, error) {
-	if len(body) < 8 {
-		return nil, fmt.Errorf("mrt: BGP4MP legacy: short body")
+	m := new(BGP4MPMessage)
+	if err := m.parse(body, 2); err != nil {
+		return nil, err
 	}
-	var m BGP4MPMessage
-	m.PeerAS = uint32(binary.BigEndian.Uint16(body[0:2]))
-	m.LocalAS = uint32(binary.BigEndian.Uint16(body[2:4]))
-	m.IfIndex = binary.BigEndian.Uint16(body[4:6])
-	afi := binary.BigEndian.Uint16(body[6:8])
-	body = body[8:]
+	return m, nil
+}
+
+// parse fills m from a BGP4MP_MESSAGE_AS4 (asn 4) or BGP4MP_MESSAGE
+// (asn 2) record body. m.Message aliases body. The per-record decode
+// loop parses into a message on its own stack, so it allocates nothing.
+func (m *BGP4MPMessage) parse(body []byte, asn int) error {
+	kind := "BGP4MP"
+	if asn == 2 {
+		kind = "BGP4MP legacy"
+	}
+	if len(body) < 2*asn+4 {
+		return fmt.Errorf("mrt: %s: short body", kind)
+	}
+	if asn == 2 {
+		m.PeerAS = uint32(binary.BigEndian.Uint16(body[0:2]))
+		m.LocalAS = uint32(binary.BigEndian.Uint16(body[2:4]))
+	} else {
+		m.PeerAS = binary.BigEndian.Uint32(body[0:4])
+		m.LocalAS = binary.BigEndian.Uint32(body[4:8])
+	}
+	body = body[2*asn:]
+	m.IfIndex = binary.BigEndian.Uint16(body[0:2])
+	afi := binary.BigEndian.Uint16(body[2:4])
+	body = body[4:]
 	alen := 4
 	if afi == AFIIPv6 {
 		alen = 16
 	} else if afi != AFIIPv4 {
-		return nil, fmt.Errorf("mrt: BGP4MP legacy: unsupported AFI %d", afi)
+		return fmt.Errorf("mrt: %s: unsupported AFI %d", kind, afi)
 	}
 	if len(body) < 2*alen {
-		return nil, fmt.Errorf("mrt: BGP4MP legacy: truncated addresses")
+		return fmt.Errorf("mrt: %s: truncated addresses", kind)
 	}
-	peer, _ := netip.AddrFromSlice(body[:alen])
-	local, _ := netip.AddrFromSlice(body[alen : 2*alen])
-	m.PeerAddr, m.LocalAddr = peer, local
+	m.PeerAddr, _ = netip.AddrFromSlice(body[:alen])
+	m.LocalAddr, _ = netip.AddrFromSlice(body[alen : 2*alen])
 	m.Message = body[2*alen:]
-	return &m, nil
+	return nil
 }
