@@ -14,6 +14,7 @@ package bgpintent
 // in the working directory.
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"runtime"
@@ -148,7 +149,7 @@ func TestEmitPipelineBench(t *testing.T) {
 
 	// One warm load to size the fixture for the report and to feed the
 	// classify benchmarks.
-	warm, _, err := LoadMRTCorpusOptions(ribs, nil, "", LoadOptions{Parallelism: 1})
+	warm, _, err := LoadMRT(context.Background(), Sources{RIBs: ribs}, LoadOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestEmitPipelineBench(t *testing.T) {
 
 	mustLoad := func(workers int, o LoadOptions) *Corpus {
 		o.Parallelism = workers
-		c, _, err := LoadMRTCorpusOptions(ribs, nil, "", o)
+		c, _, err := LoadMRT(context.Background(), Sources{RIBs: ribs}, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,16 +233,16 @@ func TestEmitPipelineBench(t *testing.T) {
 		func(workers int) any { return mustLoad(workers, LoadOptions{}) },
 		loadStages)
 	record("classify",
-		func(workers int) { warm.Classify(Params{Parallelism: workers}) },
-		func(workers int) any { return warm.Classify(Params{Parallelism: workers}) },
+		func(workers int) { classify(t, warm, Params{Parallelism: workers}) },
+		func(workers int) any { return classify(t, warm, Params{Parallelism: workers}) },
 		nil)
 	record("pipeline",
 		func(workers int) {
-			mustLoad(workers, LoadOptions{}).Classify(Params{Parallelism: workers})
+			classify(t, mustLoad(workers, LoadOptions{}), Params{Parallelism: workers})
 		},
 		func(workers int) any {
 			c := mustLoad(workers, LoadOptions{})
-			return []any{c, c.Classify(Params{Parallelism: workers})}
+			return []any{c, classify(t, c, Params{Parallelism: workers})}
 		},
 		nil)
 

@@ -9,6 +9,7 @@ package bgpintent
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -331,7 +332,7 @@ func BenchmarkLoadMRTParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c, _, err := LoadMRTCorpusOptions(ribs, nil, "",
+				c, _, err := LoadMRT(context.Background(), Sources{RIBs: ribs},
 					LoadOptions{Parallelism: workers})
 				if err != nil {
 					b.Fatal(err)

@@ -14,7 +14,8 @@
 //
 //	c, err := bgpintent.NewSyntheticCorpus(bgpintent.CorpusOptions{})
 //	if err != nil { ... }
-//	res := c.Classify(bgpintent.DefaultParams())
+//	res, err := c.ClassifyContext(ctx, bgpintent.DefaultParams())
+//	if err != nil { ... }
 //	cat := res.Category(bgpintent.Comm(1299, 2569)) // Action
 //
 // Real MRT archives (TABLE_DUMP_V2 RIBs and BGP4MP updates) load with
@@ -446,27 +447,6 @@ func loadStats(ist *ingest.Stats) LoadStats {
 	}
 }
 
-// LoadMRTCorpus reads TABLE_DUMP_V2 RIB files and BGP4MP updates files
-// plus an optional as2org file and builds the tuple corpus with the
-// default (lenient) options.
-//
-// Deprecated: use LoadMRT, which adds cancellation, observability, and
-// load statistics.
-func LoadMRTCorpus(ribPaths, updatePaths []string, orgPath string) (*Corpus, error) {
-	c, _, err := LoadMRT(context.Background(),
-		Sources{RIBs: ribPaths, Updates: updatePaths, OrgPath: orgPath}, LoadOptions{})
-	return c, err
-}
-
-// LoadMRTCorpusOptions is LoadMRTCorpus with explicit fault-tolerance
-// options, also returning ingestion statistics.
-//
-// Deprecated: use LoadMRT, which takes the same options plus a context.
-func LoadMRTCorpusOptions(ribPaths, updatePaths []string, orgPath string, opts LoadOptions) (*Corpus, LoadStats, error) {
-	return LoadMRT(context.Background(),
-		Sources{RIBs: ribPaths, Updates: updatePaths, OrgPath: orgPath}, opts)
-}
-
 // LoadMRT reads the named TABLE_DUMP_V2 RIB and BGP4MP updates files
 // (the RouteViews/RIS archive formats; .gz and .bz2 are decompressed
 // transparently) plus an optional as2org file, and builds the tuple
@@ -576,7 +556,7 @@ func (c *Corpus) Paths() int { return c.store.PathCount() }
 // LargeCommunities returns the number of distinct large (96-bit)
 // communities observed. Large communities are full inference subjects:
 // they are keyed into tuples alongside regular communities and
-// clustered per (administrator, function) group by Classify.
+// clustered per (administrator, function) group by ClassifyContext.
 func (c *Corpus) LargeCommunities() int { return c.store.LargeCommunityCount() }
 
 // Communities returns the distinct observed communities.
@@ -591,19 +571,6 @@ func (c *Corpus) Communities() []Community {
 
 // VantagePoints returns the distinct vantage-point ASNs in the corpus.
 func (c *Corpus) VantagePoints() []uint32 { return c.store.VPSet() }
-
-// Classify runs the paper's inference pipeline over the corpus.
-//
-// Deprecated: use ClassifyContext, which adds cancellation, parameter
-// validation and observability. Classify panics on parameters that
-// ClassifyContext would reject (no in-tree caller passes any).
-func (c *Corpus) Classify(p Params) *Result {
-	r, err := c.ClassifyContext(context.Background(), p)
-	if err != nil {
-		panic(err) // Background never cancels, so this is Validate
-	}
-	return r
-}
 
 // ClassifyContext runs the paper's inference pipeline over the corpus.
 // Invalid parameters are rejected up front (see Params.Validate);
@@ -641,8 +608,9 @@ const (
 )
 
 // Result holds the inferences for one corpus. It may be heap-resident
-// (classifier output, v1 snapshot) or a zero-copy view over an
-// mmap-ed v2 snapshot file — queries behave identically either way.
+// (classifier output, ReadSnapshot) or a zero-copy view over an mmap-ed
+// snapshot file (OpenSnapshotFile) — queries behave identically either
+// way.
 type Result struct {
 	src core.InferenceSource
 
@@ -1105,39 +1073,17 @@ func snapshotInfo(m core.SnapshotMeta) SnapshotInfo {
 	}
 }
 
-// WriteSnapshot serializes the result into the v1 gob snapshot format
-// (see internal/core). The round trip ReadSnapshot(WriteSnapshot(r))
-// preserves every label, cluster, exclusion, and Lookup verdict.
-func (r *Result) WriteSnapshot(w io.Writer, info SnapshotInfo) error {
-	return core.WriteSnapshot(w, r.inferences(), info.meta())
-}
-
-// WriteSnapshotV2 serializes the result into the flat, mmap-able v2
-// snapshot layout that OpenSnapshotFile serves zero-copy. Verdicts are
-// identical across formats; v2 additionally gives replicas O(1) cold
-// start and shared page cache. v2 cannot represent large-community
-// inferences: writing a result that has any fails with an error — use
-// WriteSnapshotV3 or WriteSnapshotFlat for those.
-func (r *Result) WriteSnapshotV2(w io.Writer, info SnapshotInfo) error {
-	return core.WriteSnapshotV2(w, r.inferences(), info.meta())
-}
-
-// WriteSnapshotV3 serializes the result into the v3 flat layout: the
-// v2 container plus the large-community sections. Valid for any
-// result; classic-only results just carry empty large sections.
-func (r *Result) WriteSnapshotV3(w io.Writer, info SnapshotInfo) error {
-	return core.WriteSnapshotV3(w, r.inferences(), info.meta())
-}
-
-// WriteSnapshotFlat picks the cheapest flat layout that can represent
-// the result: v2 for classic-only inferences (byte-identical to
-// WriteSnapshotV2) and v3 when large inferences are present.
+// WriteSnapshotFlat serializes the result into the snapshot format
+// (see internal/core/snapv2.go): the flat, mmap-able layout that
+// OpenSnapshotFile serves zero-copy and ReadSnapshot decodes onto the
+// heap. Output is deterministic; the large-community sections are
+// written only when the result has large inferences.
 func (r *Result) WriteSnapshotFlat(w io.Writer, info SnapshotInfo) error {
 	return core.WriteSnapshotFlat(w, r.inferences(), info.meta())
 }
 
-// ReadSnapshot loads a Result back from a snapshot of either format
-// version, rebuilding the heap query index.
+// ReadSnapshot loads a Result back from a snapshot stream, verifying
+// every section checksum and rebuilding the heap query index.
 func ReadSnapshot(rd io.Reader) (*Result, SnapshotInfo, error) {
 	inf, meta, err := core.ReadSnapshot(rd)
 	if err != nil {
@@ -1146,34 +1092,27 @@ func ReadSnapshot(rd io.Reader) (*Result, SnapshotInfo, error) {
 	return newResult(inf), snapshotInfo(meta), nil
 }
 
-// OpenSnapshotFile opens the snapshot at path in the cheapest mode its
-// format allows: v2/v3 snapshots are memory-mapped and served zero-copy
-// (O(1) cold start, page cache shared between replicas), v1 snapshots
-// are decoded onto the heap. Close the Result to release a mapping.
+// OpenSnapshotFile memory-maps the snapshot at path and serves it
+// zero-copy: O(1) cold start, page cache shared between replicas. Only
+// the header and section table are validated (see Verify). Close the
+// Result to release the mapping.
 func OpenSnapshotFile(path string) (*Result, SnapshotInfo, error) {
-	f, err := os.Open(path)
+	m, err := core.OpenSnapshotMmap(path)
 	if err != nil {
 		return nil, SnapshotInfo{}, err
 	}
-	var magic [10]byte
-	_, rerr := io.ReadFull(f, magic[:])
-	f.Close()
-	if rerr != nil {
-		return nil, SnapshotInfo{}, fmt.Errorf("snapshot: short header: %w", rerr)
+	return newMappedResult(m), snapshotInfo(m.Meta()), nil
+}
+
+// Verify runs the deep integrity pass OpenSnapshotFile skips to stay
+// O(1) — section checksums, sort order, index ranges — over a mapped
+// result's file. A heap-resident result has no file and verifies
+// trivially.
+func (r *Result) Verify() error {
+	if r.mapped == nil {
+		return nil
 	}
-	if magic[9] == core.SnapshotVersionV2 || magic[9] == core.SnapshotVersionV3 {
-		m, err := core.OpenSnapshotMmap(path)
-		if err != nil {
-			return nil, SnapshotInfo{}, err
-		}
-		return newMappedResult(m), snapshotInfo(m.Meta()), nil
-	}
-	f, err = os.Open(path)
-	if err != nil {
-		return nil, SnapshotInfo{}, err
-	}
-	defer f.Close()
-	return ReadSnapshot(f)
+	return r.mapped.Verify()
 }
 
 // ReadSnapshotInfo reads only a snapshot's provenance/counter header,

@@ -3,8 +3,8 @@
 // systems (location filters, anomaly detectors, looking glasses) can
 // ask "what is 2914:3075?" without re-running the pipeline.
 //
-// It loads a precomputed snapshot (intentinfer -format snapshot; v2
-// snapshots are memory-mapped for O(1) cold start), raw MRT archives
+// It loads a precomputed snapshot (intentinfer -format snapshot;
+// memory-mapped for O(1) cold start), raw MRT archives
 // (classified on startup), a polled snapshot URL (-replica, for
 // horizontally scaled fleets), or — with -live — consumes a simulated
 // streaming feed through the fault-tolerant Ingestor, and serves:
@@ -224,8 +224,8 @@ func parseFlags(args []string) (*config, error) {
 func builder(cfg *config) serve.Builder {
 	if cfg.snapshot != "" {
 		return func(context.Context) (*bgpintent.Result, bgpintent.SnapshotInfo, string, error) {
-			// v2 snapshots are memory-mapped and served zero-copy; v1
-			// falls back to the heap decode path.
+			// Memory-mapped and served zero-copy; only header and section
+			// table are checked, so every reload stays O(1).
 			res, info, err := bgpintent.OpenSnapshotFile(cfg.snapshot)
 			if err != nil {
 				return nil, bgpintent.SnapshotInfo{}, "", err

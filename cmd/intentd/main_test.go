@@ -103,13 +103,16 @@ func writeTestSnapshot(t *testing.T) (path string, action, info int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := c.Classify(bgpintent.DefaultParams())
+	res, err := c.ClassifyContext(context.Background(), bgpintent.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 	path = filepath.Join(t.TempDir(), "test.snap")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.WriteSnapshot(f, c.SnapshotInfo("test")); err != nil {
+	if err := res.WriteSnapshotFlat(f, c.SnapshotInfo("test")); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -67,7 +67,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		ratio   = fs.Float64("ratio", 160, "on-path:off-path ratio threshold")
 		outPath = fs.String("o", "", "write inferences to this file")
 		format  = fs.String("format", "tsv", "output format: tsv, json, or snapshot (the binary artifact intentd -snapshot serves from)")
-		snapVer = fs.Int("snap-version", 0, "snapshot format version: 0 (auto: 2 for classic-only, 3 with large communities), 3, 2, or 1 (legacy gob)")
 		strict  = fs.Bool("strict", false, "fail on the first malformed MRT record instead of skipping it")
 		maxErr  = fs.Float64("max-error-rate", bgpintent.DefaultMaxErrorRate,
 			"abort when a file's corruption rate exceeds this fraction (negative disables)")
@@ -84,9 +83,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	case "tsv", "json", "snapshot":
 	default:
 		return fmt.Errorf("unknown -format %q (want tsv, json or snapshot)", *format)
-	}
-	if *snapVer < 0 || *snapVer > 3 {
-		return fmt.Errorf("unknown -snap-version %d (want 0, 1, 2 or 3)", *snapVer)
 	}
 	// Reject bad -gap/-ratio before the (potentially long) load.
 	if err := (bgpintent.Params{MinGap: *gap, RatioThreshold: *ratio}).Validate(); err != nil {
@@ -177,16 +173,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			fill = res.WriteJSON
 		case "snapshot":
 			info := c.SnapshotInfo(sourceLabel(*ribGlob, *updGlob))
-			switch *snapVer {
-			case 1:
-				fill = func(w io.Writer) error { return res.WriteSnapshot(w, info) }
-			case 2:
-				fill = func(w io.Writer) error { return res.WriteSnapshotV2(w, info) }
-			case 3:
-				fill = func(w io.Writer) error { return res.WriteSnapshotV3(w, info) }
-			default:
-				fill = func(w io.Writer) error { return res.WriteSnapshotFlat(w, info) }
-			}
+			fill = func(w io.Writer) error { return res.WriteSnapshotFlat(w, info) }
 		}
 		err := obs.Time(ctx, observer, obs.StageSnapshotWrite, *outPath, nil, func(context.Context) error {
 			return writeAtomic(*outPath, fill)

@@ -2,6 +2,7 @@ package bgpintent
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,11 +13,11 @@ import (
 // the classification as TSV — the byte-identity oracle.
 func loadClassifyTSV(t *testing.T, ribs, updates []string, orgPath string, opts LoadOptions) ([]byte, LoadStats) {
 	t.Helper()
-	c, stats, err := LoadMRTCorpusOptions(ribs, updates, orgPath, opts)
+	c, stats, err := LoadMRT(context.Background(), Sources{RIBs: ribs, Updates: updates, OrgPath: orgPath}, opts)
 	if err != nil {
 		t.Fatalf("load (parallelism=%d, split=%v): %v", opts.Parallelism, opts.ForceFrameSplit, err)
 	}
-	res := c.Classify(Params{Parallelism: opts.Parallelism})
+	res := classify(t, c, Params{Parallelism: opts.Parallelism})
 	var buf bytes.Buffer
 	if err := res.WriteTSV(&buf); err != nil {
 		t.Fatal(err)

@@ -1,87 +1,36 @@
 package bgpintent
 
 import (
-	"bytes"
+	"crypto/sha256"
 	"os"
 	"testing"
-	"time"
 )
 
-// TestGenGoldens regenerates the seed-equivalence goldens; run manually
-// with BGPINTENT_GEN_GOLDENS=1.
+// TestGenGoldens regenerates the goldens TestGoldenEquivalence and
+// TestGoldenClassicEquivalence pin; run manually with
+// BGPINTENT_GEN_GOLDENS=1, and copy the logged JSON hash into
+// goldenSyntheticJSONSHA256.
 func TestGenGoldens(t *testing.T) {
 	if os.Getenv("BGPINTENT_GEN_GOLDENS") != "1" {
 		t.Skip("set BGPINTENT_GEN_GOLDENS=1")
 	}
-	c, err := NewSyntheticCorpus(CorpusOptions{Small: true})
-	if err != nil {
-		t.Fatal(err)
+	write := func(name string, data []byte) {
+		if err := os.WriteFile("testdata/"+name, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	res := c.Classify(Params{Parallelism: 1})
-	var tsv bytes.Buffer
-	if err := res.WriteTSV(&tsv); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("testdata/golden_synthetic.tsv", tsv.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var snap bytes.Buffer
-	info := SnapshotInfo{Created: time.Unix(1714521600, 0).UTC(), Source: "golden",
-		Tuples: c.Tuples(), Paths: c.Paths(), VantagePoints: len(c.VantagePoints()),
-		Communities: len(c.Communities()), LargeCommunities: c.LargeCommunities()}
-	if err := res.WriteSnapshot(&snap, info); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("testdata/golden_synthetic.snap", snap.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("goldens: %d tsv bytes, %d snap bytes", tsv.Len(), snap.Len())
-}
+	tsv, json, flat := goldenRun(t, false, 1)
+	write("golden_synthetic.tsv", tsv)
+	write("golden_synthetic.flatsnap", flat)
+	t.Logf("mixed goldens: %d tsv, %d flatsnap bytes; json sha256 %x (%d bytes)",
+		len(tsv), len(flat), sha256.Sum256(json), len(json))
 
-// TestGenClassicGoldens regenerates the classic-only goldens — the
-// pre-large-community output contract (TSV, JSON, v1 and v2 snapshot
-// bytes) that a corpus without any large communities must reproduce
-// forever. Run manually with BGPINTENT_GEN_GOLDENS=1.
-func TestGenClassicGoldens(t *testing.T) {
-	if os.Getenv("BGPINTENT_GEN_GOLDENS") != "1" {
-		t.Skip("set BGPINTENT_GEN_GOLDENS=1")
-	}
-	c, err := NewSyntheticCorpus(CorpusOptions{Small: true, DisableLargeCommunities: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := c.Classify(Params{Parallelism: 1})
-	var tsv bytes.Buffer
-	if err := res.WriteTSV(&tsv); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("testdata/golden_classic.tsv", tsv.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var jsonBuf bytes.Buffer
-	if err := res.WriteJSON(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("testdata/golden_classic.json", jsonBuf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	info := SnapshotInfo{Created: time.Unix(1714521600, 0).UTC(), Source: "golden",
-		Tuples: c.Tuples(), Paths: c.Paths(), VantagePoints: len(c.VantagePoints()),
-		Communities: len(c.Communities()), LargeCommunities: c.LargeCommunities()}
-	var snap bytes.Buffer
-	if err := res.WriteSnapshot(&snap, info); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("testdata/golden_classic.snap", snap.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if err := res.WriteSnapshotV2(&v2, info); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("testdata/golden_classic.v2snap", v2.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("classic goldens: %d tsv, %d json, %d snap, %d v2snap bytes",
-		tsv.Len(), jsonBuf.Len(), snap.Len(), v2.Len())
+	// The classic-only goldens are the pre-large-community output
+	// contract that a corpus without any large communities must
+	// reproduce forever.
+	tsv, json, flat = goldenRun(t, true, 1)
+	write("golden_classic.tsv", tsv)
+	write("golden_classic.json", json)
+	write("golden_classic.v2snap", flat)
+	t.Logf("classic goldens: %d tsv, %d json, %d v2snap bytes", len(tsv), len(json), len(flat))
 }

@@ -2,42 +2,32 @@ package bgpintent
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
 
 // TestGoldenV2Equivalence proves the flat mmap path is
-// indistinguishable from the v1 heap path over the seed corpus: the
-// committed v1 golden snapshot (a mixed corpus with classic and large
-// inferences), converted to the flat layout — v3, since large
-// inferences are present — and served through the zero-copy mapping,
-// must produce byte-identical TSV/JSON renderings and identical
-// verdicts for every community — classified, excluded, and unobserved,
-// classic and large.
+// indistinguishable from the heap path over the golden corpus (mixed:
+// classic and large inferences): the classifier's result, written as a
+// snapshot and served through the zero-copy mapping, must produce
+// byte-identical TSV/JSON renderings and identical verdicts for every
+// community — classified, excluded, and unobserved, classic and large.
 func TestGoldenV2Equivalence(t *testing.T) {
-	f, err := os.Open("testdata/golden_synthetic.snap")
+	c, err := NewSyntheticCorpus(CorpusOptions{Small: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap, info, err := ReadSnapshot(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	heap := classify(t, c, Params{Parallelism: 1})
+	info := c.SnapshotInfo("golden")
+	info.Created = time.Unix(1714521600, 0).UTC()
 	if heap.LargeObservedCount() == 0 {
-		t.Fatal("mixed golden carries no large communities; v3 path untested")
+		t.Fatal("mixed golden corpus carries no large communities; large sections untested")
 	}
 
-	// Convert to the flat layout and serve it through the mmap open
-	// path. The golden has large inferences, so v2 must refuse and the
-	// auto-select writer must pick v3.
-	if err := heap.WriteSnapshotV2(io.Discard, info); err == nil {
-		t.Fatal("WriteSnapshotV2 accepted a result with large inferences")
-	}
-	v2Path := filepath.Join(t.TempDir(), "golden.v3.snap")
+	v2Path := filepath.Join(t.TempDir(), "golden.snap")
 	out, err := os.Create(v2Path)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +131,7 @@ func TestGoldenV2Equivalence(t *testing.T) {
 	}
 
 	// Large-community parity: labels, clusters, per-key verdicts, and
-	// counters must survive the v3 round trip exactly.
+	// counters must survive the round trip exactly.
 	heapLarge := heap.LabeledLarge()
 	mappedLarge := mapped.LabeledLarge()
 	if len(heapLarge) == 0 {
@@ -189,48 +179,24 @@ func TestGoldenV2Equivalence(t *testing.T) {
 	}
 }
 
-// TestOpenSnapshotFileV1Fallback: the opener serves v1 files through
-// the heap path, transparently.
-func TestOpenSnapshotFileV1Fallback(t *testing.T) {
-	res, err := openGoldenCopy(t)
-	if err != nil {
+// TestVersion1SnapshotRejected: a file from the retired gob writer
+// fails through both facade ways in with the one error that names the
+// version and the way to regenerate. (The reload leg — old generation
+// keeps serving — is the version-1 case of internal/serve's
+// TestReloadCorruptSnapshotKeepsServing.)
+func TestVersion1SnapshotRejected(t *testing.T) {
+	v1 := append([]byte("BGPINTSNP\x01"), bytes.Repeat([]byte{0x2a}, 200)...)
+	path := filepath.Join(t.TempDir(), "v1.snap")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer res.Close()
-	if res.Mmapped() {
-		t.Fatal("v1 snapshot claims to be mmapped")
+	_, _, readErr := ReadSnapshot(bytes.NewReader(v1))
+	_, infoErr := ReadSnapshotInfo(bytes.NewReader(v1))
+	_, _, openErr := OpenSnapshotFile(path)
+	for name, err := range map[string]error{"ReadSnapshot": readErr, "ReadSnapshotInfo": infoErr, "OpenSnapshotFile": openErr} {
+		if err == nil || !strings.Contains(err.Error(), "unsupported format version 1 ") ||
+			!strings.Contains(err.Error(), "intentinfer -format snapshot") {
+			t.Errorf("%s: err = %v, want one naming version 1 and `intentinfer -format snapshot`", name, err)
+		}
 	}
-	var tsv bytes.Buffer
-	if err := res.WriteTSV(&tsv); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile("testdata/golden_synthetic.tsv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(tsv.Bytes(), want) {
-		t.Fatal("v1 OpenSnapshotFile TSV differs from golden")
-	}
-}
-
-// openGoldenCopy opens a copy of the v1 golden via OpenSnapshotFile
-// (copied so a future regeneration cannot race the mmap).
-func openGoldenCopy(t *testing.T) (*Result, error) {
-	t.Helper()
-	data, err := os.ReadFile("testdata/golden_synthetic.snap")
-	if err != nil {
-		return nil, err
-	}
-	path := filepath.Join(t.TempDir(), "golden.v1.snap")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return nil, err
-	}
-	res, info, err := OpenSnapshotFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if info.Created.After(time.Now()) {
-		t.Fatalf("golden created in the future: %v", info.Created)
-	}
-	return res, nil
 }

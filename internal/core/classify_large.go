@@ -17,9 +17,9 @@ import (
 )
 
 // LargeStats holds a large community's unique-path observation counts.
-// It is the RFC 8092 counterpart of CommunityStats (a separate type:
-// CommunityStats is wired into the gob'd v1 snapshot body and must not
-// change shape).
+// It is the RFC 8092 counterpart of CommunityStats, a separate type
+// only until the one-key-path collapse (ROADMAP): neither is a wire
+// type any more.
 type LargeStats struct {
 	Comm    bgp.LargeCommunity
 	OnPath  int // unique AS paths containing the global admin (or a sibling)

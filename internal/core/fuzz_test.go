@@ -8,58 +8,45 @@ import (
 	"bgpintent/internal/bgp"
 )
 
-// fuzzSeeds builds the corpus the fuzzer mutates from: a valid v1
-// snapshot, a valid v2 snapshot, a v2 with a corrupted section table,
-// and a v2 with a truncated arena — the failure classes the replica
-// path must survive when an origin serves torn or damaged bytes.
+// fuzzSeeds builds the corpus the fuzzer mutates from: a valid
+// classic-only snapshot, a valid mixed one (large sections, version
+// byte 3), one with a corrupted section table, one with a truncated
+// arena — the failure classes the replica path must survive when an
+// origin serves torn or damaged bytes — and the header of a file from
+// the retired version-1 writer.
 func fuzzSeeds(f *testing.F) {
-	ts := NewTupleStore()
-	ts.AddView(900, []uint32{900, 100, 200}, []bgp.Community{bgp.NewCommunity(100, 10)})
-	ts.AddView(901, []uint32{901, 300, 400}, []bgp.Community{
-		bgp.NewCommunity(100, 9000),
-		bgp.NewCommunity(64512, 77),
-		bgp.NewCommunity(500, 1),
-	})
-	inf := Classify(ts, Options{MinGap: 140, RatioThreshold: 160})
+	_, inf := buildTestInferences(f)
 	meta := SnapshotMeta{CreatedUnix: 1714521600, Source: "fuzz"}
-
-	var v1 bytes.Buffer
-	if err := WriteSnapshot(&v1, inf, meta); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v1.Bytes())
-
-	var v2 bytes.Buffer
-	if err := WriteSnapshotV2(&v2, inf, meta); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2.Bytes())
+	v2 := writeFlat(f, inf, meta)
+	f.Add(v2)
+	f.Add(writeFlat(f, buildMixedInferences(f), meta))
 
 	// Corrupt section table: flip an entry's offset field.
-	corrupt := append([]byte(nil), v2.Bytes()...)
+	corrupt := append([]byte(nil), v2...)
 	if len(corrupt) > v2HeaderLen+16 {
 		corrupt[v2HeaderLen+8] ^= 0xff
 	}
 	f.Add(corrupt)
 
 	// Truncated arena: file size claims more than is present.
-	truncated := append([]byte(nil), v2.Bytes()...)
+	truncated := append([]byte(nil), v2...)
 	truncated = truncated[:len(truncated)-v2LookupRecLen]
 	f.Add(truncated)
 
 	// Inflated section count with a plausible header.
-	inflated := append([]byte(nil), v2.Bytes()...)
+	inflated := append([]byte(nil), v2...)
 	binary.LittleEndian.PutUint32(inflated[24:], v2MaxSections)
 	f.Add(inflated)
 
 	f.Add([]byte("BGPINTSNP"))
 	f.Add([]byte{})
+	f.Add([]byte("BGPINTSNP\x01\x2a\x00\x00\x00"))
 }
 
 // FuzzReadSnapshot asserts the snapshot readers never panic on
 // arbitrary input: they either return an error or a usable result. The
-// accessors of an accepted v2 payload are exercised too, since the
-// mmap path defers payload validation to access time.
+// accessors of an accepted payload are exercised too, since the mmap
+// path defers payload validation to access time.
 func FuzzReadSnapshot(f *testing.F) {
 	fuzzSeeds(f)
 	probes := []bgp.Community{
@@ -68,7 +55,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		bgp.NewCommunity(4242, 4242),
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Streaming reader (both format versions).
+		// Streaming reader.
 		if inf, _, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
 			for _, c := range probes {
 				_ = inf.Verdict(c)
@@ -83,9 +70,10 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
+		m := &Mapped{s: s}
 		for _, c := range probes {
-			v := mappedVerdict(s, c)
-			_ = v
+			_ = m.Verdict(c)
+			_ = m.VerdictLarge(bgp.LargeCommunity{GlobalAdmin: uint32(c.ASN()), LocalData1: 1, LocalData2: uint32(c.Value())})
 		}
 		n := s.clusterCount()
 		for i := -1; i <= n; i++ {
@@ -101,11 +89,4 @@ func FuzzReadSnapshot(f *testing.F) {
 		_ = s.options()
 		_ = s.materialize()
 	})
-}
-
-// mappedVerdict drives the same lookup logic Mapped.Verdict uses,
-// against a parsed (not necessarily mapped) payload.
-func mappedVerdict(s *snapV2, c bgp.Community) Verdict {
-	m := &Mapped{s: s}
-	return m.Verdict(c)
 }

@@ -1,5 +1,5 @@
 // Mapped is the mmap-backed InferenceSource: a read-only view over a
-// v2 or v3 snapshot file whose query structures live in the kernel page
+// snapshot file whose query structures live in the kernel page
 // cache, not this process's heap. Opening one is O(1) in corpus size;
 // N replicas mapping the same file share one physical copy of the
 // data; and Verdict reads decode fixed-width records straight off the
@@ -24,7 +24,7 @@ import (
 )
 
 // Mapped is an immutable inference set served directly from a mapped
-// v2 or v3 snapshot file. Safe for unsynchronized concurrent readers.
+// snapshot file. Safe for unsynchronized concurrent readers.
 type Mapped struct {
 	s       *snapV2
 	mmapped bool // true when backed by a real mmap, false for the heap fallback
@@ -33,7 +33,7 @@ type Mapped struct {
 	closed  atomic.Bool
 }
 
-// OpenSnapshotMmap maps the v2/v3 snapshot at path and returns a queryable
+// OpenSnapshotMmap maps the snapshot at path and returns a queryable
 // view. The work done is O(1) in corpus size: the file is mapped (or,
 // on platforms without mmap support, read whole), the header and
 // section table are validated, and the tiny meta/stats sections are
@@ -217,8 +217,8 @@ func (m *Mapped) EachLabeled(fn func(c bgp.Community, cat dict.Category) bool) {
 }
 
 // VerdictLarge answers one large-community query by binary-searching
-// the mapped large lookup section (v3 snapshots; on a v2 file every
-// large community is unobserved). Zero-alloc like Verdict.
+// the mapped large lookup section (on a file without large sections
+// every large community is unobserved). Zero-alloc like Verdict.
 func (m *Mapped) VerdictLarge(lc bgp.LargeCommunity) LargeVerdict {
 	i, ok := m.s.findLargeLookup(lc)
 	if !ok {
@@ -247,7 +247,7 @@ func (m *Mapped) VerdictLarge(lc bgp.LargeCommunity) LargeVerdict {
 }
 
 // LargeObserved is the number of distinct large communities in the
-// snapshot (0 on v2 files).
+// snapshot (0 on a file without large sections).
 func (m *Mapped) LargeObserved() int { return m.s.largeObserved }
 
 // LargeCounts returns the large action/information label totals,
@@ -285,9 +285,9 @@ func (m *Mapped) Options() Options { return m.s.options() }
 
 // Materialize reconstructs a fully heap-resident *Inferences — every
 // byte copied out of the mapping — for callers that need the mutable
-// form (delta reclassification, TSV export over the legacy path).
+// form (delta reclassification, re-serialization).
 func (m *Mapped) Materialize() *Inferences { return m.s.materialize() }
 
 // Verify runs the full integrity pass (section CRCs, sort invariants,
 // index ranges) against the mapped bytes.
-func (m *Mapped) Verify() error { return VerifySnapshotV2(m.s.data) }
+func (m *Mapped) Verify() error { return m.s.verify() }

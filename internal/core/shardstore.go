@@ -385,14 +385,6 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	return out
 }
 
-// Merge collapses the shards into one canonical TupleStore.
-//
-// Deprecated: Merge is the old name for the stitch phase; it now
-// delegates to Stitch with default (GOMAXPROCS) parallelism.
-func (s *ShardedTupleStore) Merge() *TupleStore {
-	return s.Stitch(0)
-}
-
 // splitmix64 is the splitmix64 finalizer, used to spread large-community
 // values across shards.
 func splitmix64(x uint64) uint64 {

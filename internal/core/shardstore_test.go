@@ -116,12 +116,11 @@ func TestShardedMergeMatchesSequential(t *testing.T) {
 		if got, want := sts.Len(), seq.Len(); got != want {
 			t.Fatalf("shards=%d: Len=%d, want %d", shards, got, want)
 		}
-		// Odd shard counts exercise the deprecated Merge wrapper; the
-		// rest call Stitch directly with a worker count that differs
-		// from the shard count.
+		// Odd shard counts stitch at the default (GOMAXPROCS) worker
+		// count; the rest at one that differs from the shard count.
 		var merged *TupleStore
 		if shards%2 == 1 {
-			merged = sts.Merge()
+			merged = sts.Stitch(0)
 		} else {
 			merged = sts.Stitch(3)
 		}

@@ -1,48 +1,21 @@
-// Snapshot (de)serialization: a compact, versioned on-disk form of the
-// classifier output, so a serving process can cold-start from an
-// intentinfer run in milliseconds instead of re-ingesting MRT.
-//
-// Layout (all integers little-endian):
-//
-//	[10]byte  magic "BGPINTSNP" + format version byte
-//	uint32    metaLen
-//	[metaLen] gob(SnapshotMeta)   — counters, provenance; readable alone
-//	uint64    bodyLen
-//	[bodyLen] gob(snapshotBody)   — clusters, exclusions, options
-//	uint32    IEEE CRC-32 of the body section
-//	(optional, only when large-community inferences exist:)
-//	uint64    largeLen
-//	[largeLen] gob(snapshotLargeBody) — large clusters + exclusions
-//	uint32    IEEE CRC-32 of the large section
-//
-// The header carries section lengths, so a reader can fetch the meta
-// block (ReadSnapshotMeta) without touching the — much larger — body,
-// and tools can seek past sections they do not care about. The large
-// section trails the body CRC so that (a) classic-only snapshots stay
-// byte-identical to what pre-large writers produced and (b) readers
-// unaware of large communities stop cleanly at the CRC, ignoring the
-// trailer. snapshotBody itself must never change shape: gob encodes
-// struct fields even when zero, so adding a field there would silently
-// change every classic snapshot's bytes.
+// Snapshot (de)serialization: a compact on-disk form of the classifier
+// output, so a serving process can cold-start from an intentinfer run in
+// milliseconds instead of re-ingesting MRT. There is one format — the
+// flat, mmap-able layout documented at the top of snapv2.go — and this
+// file holds what every way into it shares: the magic and version check,
+// the provenance block, and the streamed (io.Reader) readers.
 package core
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"slices"
-
-	"bgpintent/internal/bgp"
-	"bgpintent/internal/dict"
 )
 
-// snapshotMagic identifies the file format; the trailing byte is the
-// version and bumps on any incompatible layout change.
-var snapshotMagic = [10]byte{'B', 'G', 'P', 'I', 'N', 'T', 'S', 'N', 'P', 1}
+// snapshotMagic identifies the file format; the byte that follows it in
+// a file is the version (see checkSnapshotMagic).
+var snapshotMagic = [9]byte{'B', 'G', 'P', 'I', 'N', 'T', 'S', 'N', 'P'}
 
 // maxSnapshotSection bounds a section length read from a header before
 // allocation, so a corrupt or hostile file cannot demand gigabytes.
@@ -65,184 +38,46 @@ type SnapshotMeta struct {
 	LargeCommunities int
 }
 
-// snapshotOpts is the serializable subset of Options (function-valued
-// and map-valued fields — Orgs, VPFilter — shape the observations, not
-// the queries, and are not persisted).
-type snapshotOpts struct {
-	MinGap            int
-	RatioThreshold    float64
-	DisableExclusions bool
-	PooledRatio       bool
-}
-
-// snapshotExcluded is one excluded community with the evidence Lookup
-// reports for it.
-type snapshotExcluded struct {
-	Comm    bgp.Community
-	Reason  ExcludeReason
-	OnPath  int
-	OffPath int
-}
-
-// snapshotBody is the gob payload of the body section. Do not add
-// fields: see the layout comment.
-type snapshotBody struct {
-	Opts     snapshotOpts
-	Clusters []Cluster
-	Excluded []snapshotExcluded
-}
-
-// snapshotLargeExcluded is one excluded large community with its
-// evidence.
-type snapshotLargeExcluded struct {
-	Comm    bgp.LargeCommunity
-	Reason  ExcludeReason
-	OnPath  int
-	OffPath int
-}
-
-// snapshotLargeBody is the gob payload of the optional trailing large
-// section.
-type snapshotLargeBody struct {
-	Clusters []LargeCluster
-	Excluded []snapshotLargeExcluded
-}
-
 // hasLargeInferences reports whether the inferences carry any
 // large-community result worth persisting.
 func hasLargeInferences(inf *Inferences) bool {
 	return len(inf.LargeClusters) > 0 || len(inf.LargeExcluded) > 0
 }
 
-// WriteSnapshot serializes the inferences and meta into w.
-func WriteSnapshot(w io.Writer, inf *Inferences, meta SnapshotMeta) error {
-	var metaBuf bytes.Buffer
-	if err := gob.NewEncoder(&metaBuf).Encode(&meta); err != nil {
-		return fmt.Errorf("snapshot: encode meta: %w", err)
+// checkSnapshotMagic validates the first 10 bytes of a snapshot: the
+// magic and a version byte this reader serves. Every way in — streamed,
+// mmap-ed, verifier — fails here with the same error, so a file from
+// the retired version-1 (gob) writer is named as such wherever it
+// turns up.
+func checkSnapshotMagic(hdr []byte) error {
+	if !bytes.Equal(hdr[:9], snapshotMagic[:]) {
+		return fmt.Errorf("snapshot: bad magic %q", hdr[:9])
 	}
-
-	body := snapshotBody{
-		Opts: snapshotOpts{
-			MinGap:            inf.Opts.MinGap,
-			RatioThreshold:    inf.Opts.RatioThreshold,
-			DisableExclusions: inf.Opts.DisableExclusions,
-			PooledRatio:       inf.Opts.PooledRatio,
-		},
-		Clusters: inf.Clusters,
-		Excluded: make([]snapshotExcluded, 0, len(inf.Excluded)),
+	if v := hdr[9]; v != snapshotVersionClassic && v != snapshotVersionLarge {
+		return fmt.Errorf("snapshot: unsupported format version %d (this build reads versions %d and %d; regenerate the file with `intentinfer -format snapshot`)",
+			v, snapshotVersionClassic, snapshotVersionLarge)
 	}
-	for c, reason := range inf.Excluded {
-		e := snapshotExcluded{Comm: c, Reason: reason}
-		if l := inf.Lookup(c); l.Observed {
-			e.OnPath, e.OffPath = l.Stats.OnPath, l.Stats.OffPath
-		}
-		body.Excluded = append(body.Excluded, e)
-	}
-	// Deterministic bytes for identical inferences, regardless of map
-	// iteration order.
-	slices.SortFunc(body.Excluded, func(a, b snapshotExcluded) int {
-		return cmp.Compare(a.Comm, b.Comm)
-	})
-	var bodyBuf bytes.Buffer
-	if err := gob.NewEncoder(&bodyBuf).Encode(&body); err != nil {
-		return fmt.Errorf("snapshot: encode body: %w", err)
-	}
-
-	if _, err := w.Write(snapshotMagic[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(metaBuf.Len())); err != nil {
-		return err
-	}
-	if _, err := w.Write(metaBuf.Bytes()); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(bodyBuf.Len())); err != nil {
-		return err
-	}
-	crc := crc32.ChecksumIEEE(bodyBuf.Bytes())
-	if _, err := w.Write(bodyBuf.Bytes()); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, crc); err != nil {
-		return err
-	}
-	if !hasLargeInferences(inf) {
-		return nil
-	}
-
-	large := snapshotLargeBody{
-		Clusters: inf.LargeClusters,
-		Excluded: make([]snapshotLargeExcluded, 0, len(inf.LargeExcluded)),
-	}
-	for lc, reason := range inf.LargeExcluded {
-		e := snapshotLargeExcluded{Comm: lc, Reason: reason}
-		if l := inf.LookupLarge(lc); l.Observed {
-			e.OnPath, e.OffPath = l.Stats.OnPath, l.Stats.OffPath
-		}
-		large.Excluded = append(large.Excluded, e)
-	}
-	slices.SortFunc(large.Excluded, func(a, b snapshotLargeExcluded) int {
-		return a.Comm.Compare(b.Comm)
-	})
-	var largeBuf bytes.Buffer
-	if err := gob.NewEncoder(&largeBuf).Encode(&large); err != nil {
-		return fmt.Errorf("snapshot: encode large section: %w", err)
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(largeBuf.Len())); err != nil {
-		return err
-	}
-	if _, err := w.Write(largeBuf.Bytes()); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, crc32.ChecksumIEEE(largeBuf.Bytes()))
+	return nil
 }
 
-// readSnapshotMagic consumes the 10-byte magic block and returns the
-// format version byte. Callers dispatch on it: 1 is the gob layout
-// above, SnapshotVersionV2 the flat mmap-able layout (snapv2.go).
-func readSnapshotMagic(r io.Reader) (byte, error) {
-	var magic [10]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return 0, fmt.Errorf("snapshot: short header: %w", err)
-	}
-	if !bytes.Equal(magic[:9], snapshotMagic[:9]) {
-		return 0, fmt.Errorf("snapshot: bad magic %q", magic[:9])
-	}
-	return magic[9], nil
-}
-
-// readSnapshotHeaderV1 reads the v1 meta-section length that follows
-// the magic.
-func readSnapshotHeaderV1(r io.Reader) (int, error) {
-	var metaLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &metaLen); err != nil {
-		return 0, fmt.Errorf("snapshot: short header: %w", err)
-	}
-	if metaLen > maxSnapshotSection {
-		return 0, fmt.Errorf("snapshot: implausible meta length %d", metaLen)
-	}
-	return int(metaLen), nil
-}
-
-// readAllV2 reads the remainder of a v2/v3 snapshot from r (the
-// 10-byte magic already consumed; its version byte passed in) into
-// memory and parses it. The streamed path exists for format
-// compatibility — replicas use OpenSnapshotMmap.
-func readAllV2(r io.Reader, version byte) (*snapV2, error) {
+// readAll reads one whole snapshot from r into memory and parses it.
+// The magic is checked before the header's size field is believed. The
+// streamed path serves tools and tests — replicas use OpenSnapshotMmap.
+func readAll(r io.Reader) (*snapV2, error) {
 	data := make([]byte, v2HeaderLen)
-	copy(data[:9], snapshotMagic[:9])
-	data[9] = version
-	if _, err := io.ReadFull(r, data[10:]); err != nil {
-		return nil, fmt.Errorf("snapshot: short v2 header: %w", err)
+	if _, err := io.ReadFull(r, data); err != nil {
+		return nil, fmt.Errorf("snapshot: short header: %w", err)
+	}
+	if err := checkSnapshotMagic(data); err != nil {
+		return nil, err
 	}
 	size := binary.LittleEndian.Uint64(data[16:])
 	if size < v2HeaderLen || size > maxSnapshotSection {
-		return nil, fmt.Errorf("snapshot: implausible v2 file size %d", size)
+		return nil, fmt.Errorf("snapshot: implausible file size %d", size)
 	}
 	rest, err := readExact(r, size-v2HeaderLen)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: short v2 body: %w", err)
+		return nil, fmt.Errorf("snapshot: short body: %w", err)
 	}
 	return parseSnapshotV2(append(data, rest...))
 }
@@ -265,189 +100,28 @@ func readExact(r io.Reader, n uint64) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// ReadSnapshotMeta decodes only the meta section — both layouts place
-// it so the (much larger) inference payload is never deserialized.
+// ReadSnapshotMeta returns only the provenance block; the (much larger)
+// record sections are read but never decoded.
 func ReadSnapshotMeta(r io.Reader) (SnapshotMeta, error) {
-	var meta SnapshotMeta
-	version, err := readSnapshotMagic(r)
+	s, err := readAll(r)
 	if err != nil {
-		return meta, err
+		return SnapshotMeta{}, err
 	}
-	switch version {
-	case 1:
-		metaLen, err := readSnapshotHeaderV1(r)
-		if err != nil {
-			return meta, err
-		}
-		if err := gob.NewDecoder(io.LimitReader(r, int64(metaLen))).Decode(&meta); err != nil {
-			return meta, fmt.Errorf("snapshot: decode meta: %w", err)
-		}
-		return meta, nil
-	case SnapshotVersionV2, SnapshotVersionV3:
-		s, err := readAllV2(r, version)
-		if err != nil {
-			return meta, err
-		}
-		return s.meta, nil
-	default:
-		return meta, fmt.Errorf("snapshot: unsupported format version %d", version)
-	}
+	return s.meta, nil
 }
 
-// ReadSnapshot decodes a snapshot of either format version, rebuilding
-// the full heap query index (Labels, Excluded, Lookup).
+// ReadSnapshot decodes a snapshot stream, rebuilding the full heap
+// query index (Labels, Excluded, Lookup).
 func ReadSnapshot(r io.Reader) (*Inferences, SnapshotMeta, error) {
-	var meta SnapshotMeta
-	version, err := readSnapshotMagic(r)
+	s, err := readAll(r)
 	if err != nil {
-		return nil, meta, err
+		return nil, SnapshotMeta{}, err
 	}
-	switch version {
-	case 1:
-		return readSnapshotV1(r)
-	case SnapshotVersionV2, SnapshotVersionV3:
-		s, err := readAllV2(r, version)
-		if err != nil {
-			return nil, meta, err
-		}
-		// The streamed read already holds every byte, so deep-verify the
-		// section checksums — matching the v1 path's whole-body CRC.
-		// (OpenSnapshotMmap intentionally skips this to stay O(1).)
-		if err := VerifySnapshotV2(s.data); err != nil {
-			return nil, meta, err
-		}
-		return s.materialize(), s.meta, nil
-	default:
-		return nil, meta, fmt.Errorf("snapshot: unsupported format version %d", version)
+	// The streamed read already holds every byte, so deep-verify the
+	// section checksums. (OpenSnapshotMmap intentionally skips this to
+	// stay O(1).)
+	if err := s.verify(); err != nil {
+		return nil, SnapshotMeta{}, err
 	}
-}
-
-// readSnapshotV1 decodes the gob layout, magic already consumed.
-func readSnapshotV1(r io.Reader) (*Inferences, SnapshotMeta, error) {
-	var meta SnapshotMeta
-	metaLen, err := readSnapshotHeaderV1(r)
-	if err != nil {
-		return nil, meta, err
-	}
-	metaRaw, err := readExact(r, uint64(metaLen))
-	if err != nil {
-		return nil, meta, fmt.Errorf("snapshot: short meta: %w", err)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(metaRaw)).Decode(&meta); err != nil {
-		return nil, meta, fmt.Errorf("snapshot: decode meta: %w", err)
-	}
-
-	var bodyLen uint64
-	if err := binary.Read(r, binary.LittleEndian, &bodyLen); err != nil {
-		return nil, meta, fmt.Errorf("snapshot: short body header: %w", err)
-	}
-	if bodyLen > maxSnapshotSection {
-		return nil, meta, fmt.Errorf("snapshot: implausible body length %d", bodyLen)
-	}
-	bodyRaw, err := readExact(r, bodyLen)
-	if err != nil {
-		return nil, meta, fmt.Errorf("snapshot: short body: %w", err)
-	}
-	var wantCRC uint32
-	if err := binary.Read(r, binary.LittleEndian, &wantCRC); err != nil {
-		return nil, meta, fmt.Errorf("snapshot: missing checksum: %w", err)
-	}
-	if got := crc32.ChecksumIEEE(bodyRaw); got != wantCRC {
-		return nil, meta, fmt.Errorf("snapshot: body checksum mismatch (corrupt file): got %08x want %08x", got, wantCRC)
-	}
-	var body snapshotBody
-	if err := gob.NewDecoder(bytes.NewReader(bodyRaw)).Decode(&body); err != nil {
-		return nil, meta, fmt.Errorf("snapshot: decode body: %w", err)
-	}
-
-	inf := &Inferences{
-		Labels:   make(map[bgp.Community]dict.Category),
-		Clusters: body.Clusters,
-		Excluded: make(map[bgp.Community]ExcludeReason, len(body.Excluded)),
-		Opts: Options{
-			MinGap:            body.Opts.MinGap,
-			RatioThreshold:    body.Opts.RatioThreshold,
-			DisableExclusions: body.Opts.DisableExclusions,
-			PooledRatio:       body.Opts.PooledRatio,
-		},
-	}
-	excludedStats := make(map[bgp.Community]CommunityStats, len(body.Excluded))
-	for _, cl := range inf.Clusters {
-		for _, m := range cl.Members {
-			inf.Labels[m.Comm] = cl.Label
-		}
-	}
-	for _, e := range body.Excluded {
-		inf.Excluded[e.Comm] = e.Reason
-		excludedStats[e.Comm] = CommunityStats{Comm: e.Comm, OnPath: e.OnPath, OffPath: e.OffPath}
-	}
-	inf.buildIndex(excludedStats)
-	if err := readSnapshotV1Large(r, inf); err != nil {
-		return nil, meta, err
-	}
-	return inf, meta, nil
-}
-
-// readSnapshotV1Large consumes the optional trailing large section; a
-// clean EOF at the section boundary means a classic-only snapshot.
-func readSnapshotV1Large(r io.Reader, inf *Inferences) error {
-	var largeLen uint64
-	if err := binary.Read(r, binary.LittleEndian, &largeLen); err != nil {
-		if err == io.EOF {
-			return nil
-		}
-		return fmt.Errorf("snapshot: short large section header: %w", err)
-	}
-	if largeLen > maxSnapshotSection {
-		return fmt.Errorf("snapshot: implausible large section length %d", largeLen)
-	}
-	largeRaw, err := readExact(r, largeLen)
-	if err != nil {
-		return fmt.Errorf("snapshot: short large section: %w", err)
-	}
-	var wantCRC uint32
-	if err := binary.Read(r, binary.LittleEndian, &wantCRC); err != nil {
-		return fmt.Errorf("snapshot: missing large section checksum: %w", err)
-	}
-	if got := crc32.ChecksumIEEE(largeRaw); got != wantCRC {
-		return fmt.Errorf("snapshot: large section checksum mismatch (corrupt file): got %08x want %08x", got, wantCRC)
-	}
-	var large snapshotLargeBody
-	if err := gob.NewDecoder(bytes.NewReader(largeRaw)).Decode(&large); err != nil {
-		return fmt.Errorf("snapshot: decode large section: %w", err)
-	}
-	inf.LargeClusters = large.Clusters
-	if len(inf.LargeClusters) > 0 {
-		inf.LargeLabels = make(map[bgp.LargeCommunity]dict.Category)
-		for i := range inf.LargeClusters {
-			cl := &inf.LargeClusters[i]
-			for _, m := range cl.Members {
-				inf.LargeLabels[m.Comm] = cl.Label
-			}
-		}
-	}
-	largeExclStats := make(map[bgp.LargeCommunity]LargeStats, len(large.Excluded))
-	if len(large.Excluded) > 0 {
-		inf.LargeExcluded = make(map[bgp.LargeCommunity]ExcludeReason, len(large.Excluded))
-		for _, e := range large.Excluded {
-			inf.LargeExcluded[e.Comm] = e.Reason
-			largeExclStats[e.Comm] = LargeStats{Comm: e.Comm, OnPath: e.OnPath, OffPath: e.OffPath}
-		}
-	}
-	inf.buildLargeIndex(largeExclStats)
-	return nil
-}
-
-// VerifySnapshot fully validates a snapshot of either format version:
-// v1 is decoded end to end (which checks its body CRC), v2 gets the
-// deep section-CRC and invariant pass of VerifySnapshotV2.
-func VerifySnapshot(data []byte) error {
-	if len(data) < 10 {
-		return fmt.Errorf("snapshot: short header (%d bytes)", len(data))
-	}
-	if (data[9] == SnapshotVersionV2 || data[9] == SnapshotVersionV3) && bytes.Equal(data[:9], snapshotMagic[:9]) {
-		return VerifySnapshotV2(data)
-	}
-	_, _, err := ReadSnapshot(bytes.NewReader(data))
-	return err
+	return s.materialize(), s.meta, nil
 }

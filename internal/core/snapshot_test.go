@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bgpintent/internal/bgp"
@@ -12,7 +13,7 @@ import (
 // buildTestInferences classifies a small hand-built store exercising
 // all verdicts: classified clusters, a private-ASN exclusion, and a
 // never-on-path exclusion.
-func buildTestInferences(t *testing.T) (*TupleStore, *Inferences) {
+func buildTestInferences(t testing.TB) (*TupleStore, *Inferences) {
 	t.Helper()
 	ts := NewTupleStore()
 	// AS 100 on-path with an information community, plus an off-path
@@ -72,97 +73,156 @@ func TestLookupVerdicts(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	_, inf := buildTestInferences(t)
-	meta := SnapshotMeta{
-		CreatedUnix: 1714521600, Source: "test",
-		Tuples: 2, Paths: 2, VantagePoints: 2, Communities: 4, LargeCommunities: 0,
+// buildMixedInferences is buildTestInferences with RFC 8092 large
+// communities riding on the same views, so the result carries large
+// clusters and a large exclusion — the inputs that make the writer emit
+// the four large sections.
+func buildMixedInferences(t testing.TB) *Inferences {
+	t.Helper()
+	ts := NewTupleStore()
+	ts.AddViewLarge(900, []uint32{900, 100, 200},
+		[]bgp.Community{bgp.NewCommunity(100, 10)},
+		[]bgp.LargeCommunity{{GlobalAdmin: 100, LocalData1: 1, LocalData2: 10}})
+	ts.AddViewLarge(901, []uint32{901, 300, 400},
+		[]bgp.Community{bgp.NewCommunity(100, 9000), bgp.NewCommunity(64512, 77), bgp.NewCommunity(500, 1)},
+		[]bgp.LargeCommunity{
+			{GlobalAdmin: 100, LocalData1: 1, LocalData2: 9000}, // off-path for AS 100 -> action
+			{GlobalAdmin: 500, LocalData1: 1, LocalData2: 1},    // never on any path -> excluded
+		})
+	inf := Classify(ts, Options{MinGap: 140, RatioThreshold: 160})
+	if len(inf.LargeClusters) == 0 || len(inf.LargeExcluded) == 0 {
+		t.Fatalf("mixed fixture has %d large clusters, %d large exclusions; want both",
+			len(inf.LargeClusters), len(inf.LargeExcluded))
 	}
+	return inf
+}
 
+// writeFlat serializes inf into snapshot bytes.
+func writeFlat(t testing.TB, inf *Inferences, meta SnapshotMeta) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, inf, meta); err != nil {
+	if err := WriteSnapshotFlat(&buf, inf, meta); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
 
-	// Meta is readable without the body.
-	gotMeta, err := ReadSnapshotMeta(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotMeta != meta {
-		t.Fatalf("meta = %+v, want %+v", gotMeta, meta)
-	}
-
-	got, gotMeta2, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotMeta2 != meta {
-		t.Fatalf("meta via ReadSnapshot = %+v, want %+v", gotMeta2, meta)
-	}
-	if !reflect.DeepEqual(got.Labels, inf.Labels) {
-		t.Fatalf("labels differ: got %v want %v", got.Labels, inf.Labels)
-	}
-	if !reflect.DeepEqual(got.Excluded, inf.Excluded) {
-		t.Fatalf("exclusions differ: got %v want %v", got.Excluded, inf.Excluded)
-	}
-	if !reflect.DeepEqual(got.Clusters, inf.Clusters) {
-		t.Fatalf("clusters differ")
-	}
-	// Lookup is fully rebuilt, including excluded-community evidence.
-	for _, c := range []bgp.Community{
-		bgp.NewCommunity(100, 10), bgp.NewCommunity(100, 9000),
-		bgp.NewCommunity(64512, 77), bgp.NewCommunity(500, 1),
-		bgp.NewCommunity(4242, 4242),
+// TestSnapshotRoundTrip: write → streamed read gives back the same
+// inferences and meta, for a classic-only set (version byte 2) and a
+// mixed one (version byte 3, large sections present).
+func TestSnapshotRoundTrip(t *testing.T) {
+	_, classic := buildTestInferences(t)
+	for _, tc := range []struct {
+		name    string
+		inf     *Inferences
+		version byte
+	}{
+		{"classic", classic, snapshotVersionClassic},
+		{"mixed", buildMixedInferences(t), snapshotVersionLarge},
 	} {
-		a, b := inf.Lookup(c), got.Lookup(c)
-		a.Cluster, b.Cluster = nil, nil // compared separately above
-		if a != b {
-			t.Fatalf("Lookup(%v) differs after round trip: %+v vs %+v", c, a, b)
-		}
-	}
+		t.Run(tc.name, func(t *testing.T) {
+			inf := tc.inf
+			meta := SnapshotMeta{
+				CreatedUnix: 1714521600, Source: "test",
+				Tuples: 2, Paths: 2, VantagePoints: 2, Communities: 4, LargeCommunities: inf.LargeObserved(),
+			}
+			raw := writeFlat(t, inf, meta)
+			if raw[9] != tc.version {
+				t.Fatalf("version byte = %d, want %d", raw[9], tc.version)
+			}
 
-	// Identical inferences serialize to identical bytes.
-	var buf2 bytes.Buffer
-	if err := WriteSnapshot(&buf2, inf, meta); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("snapshot bytes are not deterministic")
+			gotMeta, err := ReadSnapshotMeta(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotMeta != meta {
+				t.Fatalf("meta = %+v, want %+v", gotMeta, meta)
+			}
+
+			got, gotMeta2, err := ReadSnapshot(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotMeta2 != meta {
+				t.Fatalf("meta via ReadSnapshot = %+v, want %+v", gotMeta2, meta)
+			}
+			if !reflect.DeepEqual(got.Labels, inf.Labels) {
+				t.Fatalf("labels differ: got %v want %v", got.Labels, inf.Labels)
+			}
+			if !reflect.DeepEqual(got.Excluded, inf.Excluded) {
+				t.Fatalf("exclusions differ: got %v want %v", got.Excluded, inf.Excluded)
+			}
+			if !reflect.DeepEqual(got.Clusters, inf.Clusters) {
+				t.Fatalf("clusters differ")
+			}
+			if !reflect.DeepEqual(got.LargeLabels, inf.LargeLabels) ||
+				!reflect.DeepEqual(got.LargeExcluded, inf.LargeExcluded) ||
+				!reflect.DeepEqual(got.LargeClusters, inf.LargeClusters) {
+				t.Fatalf("large inferences differ after round trip")
+			}
+			// Lookup is fully rebuilt, including excluded-community evidence.
+			for _, c := range []bgp.Community{
+				bgp.NewCommunity(100, 10), bgp.NewCommunity(100, 9000),
+				bgp.NewCommunity(64512, 77), bgp.NewCommunity(500, 1),
+				bgp.NewCommunity(4242, 4242),
+			} {
+				a, b := inf.Lookup(c), got.Lookup(c)
+				a.Cluster, b.Cluster = nil, nil // compared separately above
+				if a != b {
+					t.Fatalf("Lookup(%v) differs after round trip: %+v vs %+v", c, a, b)
+				}
+			}
+			for _, lc := range []bgp.LargeCommunity{
+				{GlobalAdmin: 100, LocalData1: 1, LocalData2: 10}, {GlobalAdmin: 100, LocalData1: 1, LocalData2: 9000},
+				{GlobalAdmin: 500, LocalData1: 1, LocalData2: 1}, {GlobalAdmin: 4242, LocalData1: 1, LocalData2: 4242},
+			} {
+				if a, b := inf.VerdictLarge(lc), got.VerdictLarge(lc); a != b {
+					t.Fatalf("VerdictLarge(%v) differs after round trip: %+v vs %+v", lc, a, b)
+				}
+			}
+
+			// Identical inferences serialize to identical bytes, and the
+			// materialized copy writes the file it was read from.
+			if !bytes.Equal(raw, writeFlat(t, inf, meta)) {
+				t.Fatal("snapshot bytes are not deterministic")
+			}
+			if !bytes.Equal(raw, writeFlat(t, got, meta)) {
+				t.Fatal("re-serializing the materialized inferences moved bytes")
+			}
+		})
 	}
 }
 
+// TestSnapshotCorruptionDetected: the streamed readers reject every
+// kind of damage — header, framing, payload — and name a file from the
+// retired version-1 (gob) writer as such, with the way to regenerate it.
 func TestSnapshotCorruptionDetected(t *testing.T) {
 	_, inf := buildTestInferences(t)
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, inf, SnapshotMeta{}); err != nil {
-		t.Fatal(err)
+	raw := writeFlat(t, inf, SnapshotMeta{})
+	mutate := func(f func(b []byte)) []byte {
+		b := append([]byte(nil), raw...)
+		f(b)
+		return b
 	}
-	raw := buf.Bytes()
-
-	// Flip a byte in the body (past header+meta): checksum must catch it.
-	corrupt := append([]byte(nil), raw...)
-	corrupt[len(corrupt)-10] ^= 0xff
-	if _, _, err := ReadSnapshot(bytes.NewReader(corrupt)); err == nil {
-		t.Fatal("corrupt body accepted")
-	}
-
-	// Bad magic.
-	corrupt = append([]byte(nil), raw...)
-	corrupt[0] = 'X'
-	if _, _, err := ReadSnapshot(bytes.NewReader(corrupt)); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-
-	// Unsupported version.
-	corrupt = append([]byte(nil), raw...)
-	corrupt[9] = 99
-	if _, _, err := ReadSnapshot(bytes.NewReader(corrupt)); err == nil {
-		t.Fatal("future version accepted")
-	}
-
-	// Truncation.
-	if _, _, err := ReadSnapshot(bytes.NewReader(raw[:len(raw)/2])); err == nil {
-		t.Fatal("truncated snapshot accepted")
+	for _, tc := range []struct {
+		name, wantErr string
+		data          []byte
+		metaReadable  bool
+	}{
+		// The last section is the lookup array: only its CRC catches
+		// this, so the meta-only reader (which does not hash) still works.
+		{name: "body flip", wantErr: "checksum mismatch", data: mutate(func(b []byte) { b[len(b)-10] ^= 0xff }), metaReadable: true},
+		{name: "bad magic", wantErr: "bad magic", data: mutate(func(b []byte) { b[0] = 'X' })},
+		{name: "future version", wantErr: "version 99 (this build reads versions 2 and 3; regenerate the file with `intentinfer -format snapshot`)", data: mutate(func(b []byte) { b[9] = 99 })},
+		{name: "version 1", wantErr: "version 1 (this build reads versions 2 and 3; regenerate the file with `intentinfer -format snapshot`)", data: append([]byte("BGPINTSNP\x01"), make([]byte, 64)...)},
+		{name: "truncated", wantErr: "short body", data: raw[:len(raw)/2]},
+	} {
+		_, _, err := ReadSnapshot(bytes.NewReader(tc.data))
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: ReadSnapshot err = %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
+		if _, err := ReadSnapshotMeta(bytes.NewReader(tc.data)); (err == nil) != tc.metaReadable {
+			t.Errorf("%s: ReadSnapshotMeta err = %v, want readable=%v", tc.name, err, tc.metaReadable)
+		}
 	}
 }

@@ -1,11 +1,10 @@
-// Snapshot format version 2: a flat, pointer-free, 8-byte-aligned
-// layout designed to be mmap-ed and queried in place. Where v1 gob-
-// encodes the inference set (so a reader must deserialize the whole
-// body into the heap), v2 writes the query indexes out verbatim as
-// fixed-width little-endian record arrays behind a section table:
+// The snapshot format: a flat, pointer-free, 8-byte-aligned layout
+// designed to be mmap-ed and queried in place. The query indexes are
+// written out verbatim as fixed-width little-endian record arrays
+// behind a section table:
 //
 //	[9]byte  magic "BGPINTSNP"
-//	byte     version = 2
+//	byte     version: 3 iff the four large sections are present, else 2
 //	[6]byte  zero padding
 //	uint64   total file size (self-check against truncation)
 //	uint32   section count
@@ -16,7 +15,8 @@
 //	           uint32 IEEE CRC-32 of the section bytes, uint32 pad
 //	...      sections, each starting on an 8-byte boundary
 //
-// Sections (offsets from file start, every record little-endian):
+// Five sections are always present (offsets from file start, every
+// record little-endian):
 //
 //	meta (1)     gob(SnapshotMeta) — provenance, readable alone
 //	stats (2)    64 bytes: classifier options + precomputed counters,
@@ -31,9 +31,9 @@
 //	             u32 comm, i32 cluster (≥0: cluster index;
 //	             <0: negated ExcludeReason), i64 onPath, i64 offPath
 //
-// Version 3 is the same container with four more sections carrying the
-// RFC 8092 large-community inferences (the wider keys do not fit the
-// v2 record shapes):
+// Four more carry the RFC 8092 large-community inferences (the wider
+// keys do not fit the classic record shapes). The writer emits them
+// only when large inferences exist; a reader requires all four or none:
 //
 //	lstats (6)    32 bytes: i64 action, i64 information, i64 observed,
 //	              u64 reserved
@@ -48,17 +48,20 @@
 //	              u32 ga, u32 ld1, u32 ld2, i32 cluster (encoded as in
 //	              lookup), i64 onPath, i64 offPath
 //
-// Classic-only inference sets are always written as v2 — byte-identical
-// to a larges-unaware writer — and v2 files remain readable forever;
-// the version bump exists so a v2-era reader fails loudly on a file
-// whose large sections it would otherwise silently ignore.
+// The version byte restates whether the large sections are there, so a
+// reader that predates them fails loudly instead of silently ignoring
+// them; the two must agree or the file is rejected. Classic-only
+// inference sets therefore keep the exact bytes a larges-unaware writer
+// produced. (Identifiers prefixed v2/v3 below name record shapes after
+// the version byte that introduced them.)
 //
-// Opening a v2/v3 snapshot is O(sections): validate the header and
-// table, decode the tiny meta/stats sections, and point slices at the
-// record arrays. Lookups binary-search the lookup section directly
-// against the mapped pages — no deserialization, no per-corpus heap,
-// and cold start independent of corpus size. Section CRCs are verified
-// by VerifySnapshotV2 (tools, fuzzing), not on open, to keep open O(1).
+// Opening a snapshot is O(sections): validate the header and table,
+// decode the tiny meta/stats sections, and point slices at the record
+// arrays. Lookups binary-search the lookup section directly against
+// the mapped pages — no deserialization, no per-corpus heap, and cold
+// start independent of corpus size. Section CRCs are verified by
+// VerifySnapshot (streamed reads, replica fetches, tools, fuzzing),
+// not on open, to keep open O(1).
 package core
 
 import (
@@ -76,27 +79,28 @@ import (
 	"bgpintent/internal/dict"
 )
 
-// SnapshotVersionV2 is the format version byte of the mmap-able layout.
-const SnapshotVersionV2 = 2
+// The version byte: snapshotVersionLarge iff the four large sections
+// are present.
+const (
+	snapshotVersionClassic = 2
+	snapshotVersionLarge   = 3
+)
 
-// SnapshotVersionV3 is v2 plus the large-community sections.
-const SnapshotVersionV3 = 3
-
-// v2/v3 section kinds.
+// Section kinds.
 const (
 	secMeta     = 1
 	secStats    = 2
 	secClusters = 3
 	secMembers  = 4
 	secLookup   = 5
-	// v3-only sections.
+	// Large sections: all four present, or none.
 	secLargeStats    = 6
 	secLargeClusters = 7
 	secLargeMembers  = 8
 	secLargeLookup   = 9
 )
 
-// v2/v3 fixed sizes.
+// Fixed sizes.
 const (
 	v2HeaderLen     = 32
 	v2SectionLen    = 32 // one section-table entry
@@ -137,37 +141,12 @@ type v2LookupEntry struct {
 	on, off int64
 }
 
-// WriteSnapshotV2 serializes the inferences in the flat v2 layout.
-// The output is deterministic: identical inferences produce identical
-// bytes regardless of map iteration order. Errors (rather than
-// silently dropping data) when the inferences carry large-community
-// results, which the v2 record shapes cannot hold; use
-// WriteSnapshotV3 or the auto-selecting WriteSnapshotFlat.
-func WriteSnapshotV2(w io.Writer, inf *Inferences, meta SnapshotMeta) error {
-	if hasLargeInferences(inf) {
-		return fmt.Errorf("snapshot: inferences contain %d large clusters and %d large exclusions, which the v2 format cannot represent; write v3",
-			len(inf.LargeClusters), len(inf.LargeExcluded))
-	}
-	return writeFlatSnapshot(w, inf, meta, SnapshotVersionV2)
-}
-
-// WriteSnapshotV3 serializes the inferences in the flat v3 layout
-// (v2 plus the large-community sections, present even when empty).
-func WriteSnapshotV3(w io.Writer, inf *Inferences, meta SnapshotMeta) error {
-	return writeFlatSnapshot(w, inf, meta, SnapshotVersionV3)
-}
-
-// WriteSnapshotFlat writes the newest flat layout the inferences need:
-// v2 for classic-only sets (byte-identical to a larges-unaware
-// writer), v3 when large-community inferences are present.
+// WriteSnapshotFlat serializes the inferences and meta into w. The
+// output is deterministic: identical inferences produce identical bytes
+// regardless of map iteration order. The large sections (and version
+// byte 3) are written iff large-community inferences are present, so
+// classic-only sets keep the bytes a larges-unaware writer produced.
 func WriteSnapshotFlat(w io.Writer, inf *Inferences, meta SnapshotMeta) error {
-	if hasLargeInferences(inf) {
-		return writeFlatSnapshot(w, inf, meta, SnapshotVersionV3)
-	}
-	return writeFlatSnapshot(w, inf, meta, SnapshotVersionV2)
-}
-
-func writeFlatSnapshot(w io.Writer, inf *Inferences, meta SnapshotMeta, version byte) error {
 	var metaBuf bytes.Buffer
 	if err := gob.NewEncoder(&metaBuf).Encode(&meta); err != nil {
 		return fmt.Errorf("snapshot: encode meta: %w", err)
@@ -282,7 +261,9 @@ func writeFlatSnapshot(w io.Writer, inf *Inferences, meta SnapshotMeta, version 
 		{secMembers, memberBuf},
 		{secLookup, lookupBuf},
 	}
-	if version >= SnapshotVersionV3 {
+	version := byte(snapshotVersionClassic)
+	if hasLargeInferences(inf) {
+		version = snapshotVersionLarge
 		ls, lc, lm, ll := encodeLargeSections(inf)
 		sections = append(sections,
 			section{secLargeStats, ls},
@@ -309,7 +290,7 @@ func writeFlatSnapshot(w io.Writer, inf *Inferences, meta SnapshotMeta, version 
 	}
 
 	var hdr [v2HeaderLen]byte
-	copy(hdr[:9], snapshotMagic[:9])
+	copy(hdr[:9], snapshotMagic[:])
 	hdr[9] = version
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(totalSize))
 	binary.LittleEndian.PutUint32(hdr[24:], uint32(len(sections)))
@@ -346,7 +327,7 @@ type v3LargeLookupEntry struct {
 	on, off int64
 }
 
-// encodeLargeSections renders the four v3 large sections. Output is
+// encodeLargeSections renders the four large sections. Output is
 // deterministic for identical inferences.
 func encodeLargeSections(inf *Inferences) (statsSec, clusterSec, memberSec, lookupSec []byte) {
 	order := make([]int, len(inf.LargeClusters))
@@ -441,8 +422,8 @@ func encodeLargeSections(inf *Inferences) (statsSec, clusterSec, memberSec, look
 	return statsSec, clusterSec, memberSec, lookupSec
 }
 
-// snapV2 is a parsed view over a v2 or v3 snapshot's bytes — either an
-// mmap-ed region or a heap buffer. It holds only slice views into data
+// snapV2 is a parsed view over a snapshot's bytes — either an mmap-ed
+// region or a heap buffer. It holds only slice views into data
 // plus the decoded tiny sections; nothing per-record is materialized.
 type snapV2 struct {
 	data []byte
@@ -461,8 +442,8 @@ type snapV2 struct {
 	members  []byte // whole members section; len % v2MemberRecLen == 0
 	lookup   []byte // whole lookup section; len % v2LookupRecLen == 0
 
-	// v3 large sections; nil on v2 files, in which case the large
-	// accessors report an empty large inference set.
+	// Large sections; nil when the file has none, in which case the
+	// large accessors report an empty large inference set.
 	largeAction      int
 	largeInformation int
 	largeObserved    int
@@ -474,18 +455,14 @@ type snapV2 struct {
 // parseSnapshotV2 validates the header and section table and builds
 // the section views. The work is O(section count) plus decoding the
 // small meta gob — independent of corpus size. Section payload CRCs
-// are NOT verified here (see VerifySnapshotV2); record accessors are
+// are NOT verified here (see VerifySnapshot); record accessors are
 // bounds-checked so a corrupt body yields wrong answers, not panics.
 func parseSnapshotV2(data []byte) (*snapV2, error) {
 	if len(data) < v2HeaderLen {
-		return nil, fmt.Errorf("snapshot: short v2 header (%d bytes)", len(data))
+		return nil, fmt.Errorf("snapshot: short header (%d bytes)", len(data))
 	}
-	if !bytes.Equal(data[:9], snapshotMagic[:9]) {
-		return nil, fmt.Errorf("snapshot: bad magic %q", data[:9])
-	}
-	version := data[9]
-	if version != SnapshotVersionV2 && version != SnapshotVersionV3 {
-		return nil, fmt.Errorf("snapshot: not a v2/v3 snapshot (version %d)", version)
+	if err := checkSnapshotMagic(data); err != nil {
+		return nil, err
 	}
 	if size := binary.LittleEndian.Uint64(data[16:]); size != uint64(len(data)) {
 		return nil, fmt.Errorf("snapshot: file size %d does not match header %d (truncated?)",
@@ -568,10 +545,20 @@ func parseSnapshotV2(data []byte) (*snapV2, error) {
 	if metaRaw == nil || statsRaw == nil || s.clusters == nil || s.members == nil || s.lookup == nil {
 		return nil, fmt.Errorf("snapshot: missing required section (meta/stats/clusters/members/lookup)")
 	}
-	if version >= SnapshotVersionV3 {
-		if largeStatsRaw == nil || s.largeClusters == nil || s.largeMembers == nil || s.largeLookup == nil {
-			return nil, fmt.Errorf("snapshot: v3 snapshot missing large section (lstats/lclusters/lmembers/llookup)")
+	nLarge := 0
+	for kind := uint32(secLargeStats); kind <= secLargeLookup; kind++ {
+		if seen[kind] {
+			nLarge++
 		}
+	}
+	if nLarge != 0 && nLarge != 4 {
+		return nil, fmt.Errorf("snapshot: %d of the 4 large sections present (lstats/lclusters/lmembers/llookup go together)", nLarge)
+	}
+	if version := data[9]; (version == snapshotVersionLarge) != (nLarge == 4) {
+		return nil, fmt.Errorf("snapshot: version byte %d with %d large sections (version is %d iff they are present)",
+			version, nLarge, snapshotVersionLarge)
+	}
+	if nLarge == 4 {
 		if len(largeStatsRaw) != v3LargeStatsLen {
 			return nil, fmt.Errorf("snapshot: large stats section is %d bytes, want %d", len(largeStatsRaw), v3LargeStatsLen)
 		}
@@ -835,8 +822,9 @@ func (s *snapV2) options() Options {
 	}
 }
 
-// materialize rebuilds a heap *Inferences equivalent to what the v1
-// round trip of the same inferences would produce.
+// materialize rebuilds the heap *Inferences the snapshot was written
+// from: for a file WriteSnapshotFlat wrote, writing the result again
+// reproduces its bytes.
 func (s *snapV2) materialize() *Inferences {
 	inf := &Inferences{
 		Labels:   make(map[bgp.Community]dict.Category),
@@ -915,15 +903,22 @@ func (s *snapV2) materialize() *Inferences {
 	return inf
 }
 
-// VerifySnapshotV2 runs the full integrity pass a plain open skips for
+// VerifySnapshot runs the full integrity pass a plain open skips for
 // O(1) cold start: per-section CRCs, lookup-section sort order, and
-// cluster member/index ranges. Tools (snapconvert -verify) and tests
-// use it; serving replicas trust the writer plus the table checksum.
-func VerifySnapshotV2(data []byte) error {
+// cluster member/index ranges. The streamed reader, a replica about to
+// install a network-fetched file, and snapverify run it; a local
+// OpenSnapshotMmap trusts the writer plus the table checksum.
+func VerifySnapshot(data []byte) error {
 	s, err := parseSnapshotV2(data)
 	if err != nil {
 		return err
 	}
+	return s.verify()
+}
+
+// verify is VerifySnapshot over an already parsed view.
+func (s *snapV2) verify() error {
+	data := s.data
 	nsec := int(binary.LittleEndian.Uint32(data[24:]))
 	table := data[v2HeaderLen : v2HeaderLen+nsec*v2SectionLen]
 	for i := 0; i < nsec; i++ {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,16 +15,6 @@ import (
 	"bgpintent/internal/simulate"
 	"bgpintent/internal/topology"
 )
-
-// writeV2 serializes inf into the flat v2 layout.
-func writeV2(t *testing.T, inf *Inferences, meta SnapshotMeta) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteSnapshotV2(&buf, inf, meta); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // openMapped writes data to a temp file and memory-maps it.
 func openMapped(t *testing.T, data []byte) *Mapped {
@@ -61,7 +53,7 @@ func TestSnapshotV2VerdictEquivalence(t *testing.T) {
 	check := func(t *testing.T, ts *TupleStore, inf *Inferences) {
 		t.Helper()
 		meta := SnapshotMeta{CreatedUnix: 1714521600, Source: "v2-test"}
-		m := openMapped(t, writeV2(t, inf, meta))
+		m := openMapped(t, writeFlat(t, inf, meta))
 		if m.Meta() != meta {
 			t.Fatalf("meta = %+v, want %+v", m.Meta(), meta)
 		}
@@ -125,12 +117,12 @@ func TestSnapshotV2VerdictEquivalence(t *testing.T) {
 	})
 }
 
-// TestSnapshotV2Materialize round-trips a v2 stream back onto the heap
-// through the version-dispatching ReadSnapshot.
+// TestSnapshotV2Materialize round-trips a simulated day's snapshot
+// back onto the heap through the streamed ReadSnapshot.
 func TestSnapshotV2Materialize(t *testing.T) {
 	_, inf := simInferences(t)
 	meta := SnapshotMeta{CreatedUnix: 1714521600, Source: "v2-test", Communities: 4}
-	data := writeV2(t, inf, meta)
+	data := writeFlat(t, inf, meta)
 
 	gotMeta, err := ReadSnapshotMeta(bytes.NewReader(data))
 	if err != nil {
@@ -148,13 +140,13 @@ func TestSnapshotV2Materialize(t *testing.T) {
 		t.Fatalf("ReadSnapshot meta = %+v, want %+v", gotMeta2, meta)
 	}
 	if !reflect.DeepEqual(got.Labels, inf.Labels) {
-		t.Fatal("labels differ after v2 materialize")
+		t.Fatal("labels differ after materialize")
 	}
 	if !reflect.DeepEqual(got.Clusters, inf.Clusters) {
-		t.Fatal("clusters differ after v2 materialize")
+		t.Fatal("clusters differ after materialize")
 	}
 	if !reflect.DeepEqual(got.Excluded, inf.Excluded) {
-		t.Fatalf("exclusions differ after v2 materialize: got %v want %v", got.Excluded, inf.Excluded)
+		t.Fatalf("exclusions differ after materialize: got %v want %v", got.Excluded, inf.Excluded)
 	}
 	// Rebuilt index answers the full verdict, evidence included.
 	for c := range inf.Labels {
@@ -169,10 +161,10 @@ func TestSnapshotV2Materialize(t *testing.T) {
 func TestSnapshotV2Deterministic(t *testing.T) {
 	_, inf := simInferences(t)
 	meta := SnapshotMeta{CreatedUnix: 1714521600, Source: "det"}
-	a := writeV2(t, inf, meta)
-	b := writeV2(t, inf, meta)
+	a := writeFlat(t, inf, meta)
+	b := writeFlat(t, inf, meta)
 	if !bytes.Equal(a, b) {
-		t.Fatal("v2 snapshot bytes are not deterministic")
+		t.Fatal("snapshot bytes are not deterministic")
 	}
 }
 
@@ -181,8 +173,8 @@ func TestSnapshotV2Deterministic(t *testing.T) {
 // cheap by design and does not hash every arena).
 func TestSnapshotV2CorruptionDetected(t *testing.T) {
 	_, inf := buildTestInferences(t)
-	good := writeV2(t, inf, SnapshotMeta{Source: "corrupt-test"})
-	if err := VerifySnapshotV2(good); err != nil {
+	good := writeFlat(t, inf, SnapshotMeta{Source: "corrupt-test"})
+	if err := VerifySnapshot(good); err != nil {
 		t.Fatalf("pristine snapshot fails verify: %v", err)
 	}
 
@@ -213,13 +205,86 @@ func TestSnapshotV2CorruptionDetected(t *testing.T) {
 	// Flip a byte in the last arena: open may accept it (deferred
 	// hashing), but the deep verifier must not.
 	payload := mutate(func(b []byte) { b[len(b)-4] ^= 0xff })
-	if err := VerifySnapshotV2(payload); err == nil {
+	if err := VerifySnapshot(payload); err == nil {
 		t.Fatal("corrupt arena passed deep verification")
 	}
 	// And the streaming reader (which verifies) must reject it too.
 	if _, _, err := ReadSnapshot(bytes.NewReader(payload)); err == nil {
 		t.Fatal("corrupt arena accepted by ReadSnapshot")
 	}
+
+	// Version byte and large sections must agree: the four large
+	// sections are all present or all absent, and the version is 3 iff
+	// they are present. Each case is a well-formed container (sizes,
+	// alignment, table CRC all valid) assembled from a mixed snapshot's
+	// sections, so only the consistency rule can reject it.
+	mixed := writeFlat(t, buildMixedInferences(t), SnapshotMeta{Source: "corrupt-test"})
+	// kinds lists the five classic sections plus the given large ones.
+	kinds := func(large ...uint32) []uint32 {
+		return append([]uint32{secMeta, secStats, secClusters, secMembers, secLookup}, large...)
+	}
+	for _, tc := range []struct {
+		name    string
+		version byte
+		kinds   []uint32
+		ok      bool
+	}{
+		{"v3 + all four", snapshotVersionLarge, kinds(secLargeStats, secLargeClusters, secLargeMembers, secLargeLookup), true},
+		{"v2 + none", snapshotVersionClassic, kinds(), true},
+		{"v2 + llookup", snapshotVersionClassic, kinds(secLargeLookup), false},
+		{"v2 + all four", snapshotVersionClassic, kinds(secLargeStats, secLargeClusters, secLargeMembers, secLargeLookup), false},
+		{"v3 missing lmembers", snapshotVersionLarge, kinds(secLargeStats, secLargeClusters, secLargeLookup), false},
+		{"v3 + none", snapshotVersionLarge, kinds(), false},
+	} {
+		data := assembleSnapshot(t, mixed, tc.version, tc.kinds)
+		s, err := parseSnapshotV2(data)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: parse err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if verr := VerifySnapshot(data); (verr == nil) != tc.ok {
+			t.Errorf("%s: verify err = %v, want ok=%v", tc.name, verr, tc.ok)
+		}
+		// What an accepted file answers and what it counts must agree.
+		if err == nil {
+			m := &Mapped{s: s}
+			lc := bgp.LargeCommunity{GlobalAdmin: 100, LocalData1: 1, LocalData2: 10}
+			if got, want := m.VerdictLarge(lc).Observed, m.LargeObserved() > 0; got != want {
+				t.Errorf("%s: VerdictLarge(%v).Observed = %v with LargeObserved() = %d", tc.name, lc, got, m.LargeObserved())
+			}
+		}
+	}
+}
+
+// assembleSnapshot builds a well-formed container holding the named
+// sections of src (in the given order) under the given version byte.
+func assembleSnapshot(t *testing.T, src []byte, version byte, kinds []uint32) []byte {
+	t.Helper()
+	bodies := map[uint32][]byte{}
+	for i, n := 0, int(binary.LittleEndian.Uint32(src[24:])); i < n; i++ {
+		ent := src[v2HeaderLen+i*v2SectionLen:]
+		off, length := binary.LittleEndian.Uint64(ent[8:]), binary.LittleEndian.Uint64(ent[16:])
+		bodies[binary.LittleEndian.Uint32(ent[0:])] = src[off : off+length]
+	}
+	out := make([]byte, v2HeaderLen+len(kinds)*v2SectionLen)
+	for i, kind := range kinds {
+		body, ok := bodies[kind]
+		if !ok {
+			t.Fatalf("source snapshot has no section kind %d", kind)
+		}
+		out = append(out, make([]byte, align8(len(out))-len(out))...)
+		ent := out[v2HeaderLen+i*v2SectionLen:]
+		binary.LittleEndian.PutUint32(ent[0:], kind)
+		binary.LittleEndian.PutUint64(ent[8:], uint64(len(out)))
+		binary.LittleEndian.PutUint64(ent[16:], uint64(len(body)))
+		binary.LittleEndian.PutUint32(ent[24:], crc32.ChecksumIEEE(body))
+		out = append(out, body...)
+	}
+	copy(out, snapshotMagic[:])
+	out[9] = version
+	binary.LittleEndian.PutUint64(out[16:], uint64(len(out)))
+	binary.LittleEndian.PutUint32(out[24:], uint32(len(kinds)))
+	binary.LittleEndian.PutUint32(out[28:], crc32.ChecksumIEEE(out[v2HeaderLen:v2HeaderLen+len(kinds)*v2SectionLen]))
+	return out
 }
 
 // TestOpenSnapshotMmapFast: opening is O(1) in corpus size — the whole
@@ -228,11 +293,7 @@ func TestSnapshotV2CorruptionDetected(t *testing.T) {
 func TestOpenSnapshotMmapFast(t *testing.T) {
 	_, inf := simInferences(t)
 	path := filepath.Join(t.TempDir(), "fast.snap")
-	var buf bytes.Buffer
-	if err := WriteSnapshotV2(&buf, inf, SnapshotMeta{Source: "fast"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, writeFlat(t, inf, SnapshotMeta{Source: "fast"}), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	best := time.Duration(1 << 62)
@@ -256,7 +317,7 @@ func TestOpenSnapshotMmapFast(t *testing.T) {
 // lookup straight off the mapped pages must not allocate.
 func TestMappedVerdictZeroAlloc(t *testing.T) {
 	ts, inf := simInferences(t)
-	m := openMapped(t, writeV2(t, inf, SnapshotMeta{}))
+	m := openMapped(t, writeFlat(t, inf, SnapshotMeta{}))
 	comms := ts.Communities()
 	if len(comms) == 0 {
 		t.Fatal("no communities")
@@ -278,7 +339,7 @@ func TestMappedVerdictZeroAlloc(t *testing.T) {
 // ClustersFor and member listing use.
 func TestMappedClusterQueries(t *testing.T) {
 	_, inf := simInferences(t)
-	m := openMapped(t, writeV2(t, inf, SnapshotMeta{}))
+	m := openMapped(t, writeFlat(t, inf, SnapshotMeta{}))
 
 	// Group heap clusters by alpha for comparison.
 	byAlpha := map[uint16][]ClusterSummary{}

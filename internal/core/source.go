@@ -1,6 +1,6 @@
 // InferenceSource abstracts "a queryable set of inferences" over its
 // two implementations: the heap-resident *Inferences the classifier
-// produces, and the mmap-backed *Mapped view over a v2 snapshot file.
+// produces, and the mmap-backed *Mapped view over a snapshot file.
 // The serving layer programs against this interface so a replica can
 // swap between heap and mapped generations without caring which it got.
 package core
@@ -75,8 +75,8 @@ type InferenceSource interface {
 	Options() Options
 	// Materialize returns the inferences as a heap *Inferences —
 	// the implementation itself when already heap-resident, otherwise a
-	// full reconstruction. The result must round-trip through the v1
-	// snapshot format identically to the original classifier output.
+	// full reconstruction. WriteSnapshotFlat of the result writes the
+	// same flat bytes as the original classifier output.
 	Materialize() *Inferences
 
 	// Large-community (RFC 8092) counterparts. Sources built from

@@ -95,7 +95,7 @@ type snapshotProvenanceJSON struct {
 	// Source is "local" (built in this process: classifier, snapshot
 	// file, live feed) or "replica-url" (polled from an origin).
 	Source string `json:"source"`
-	// Mode is "mmap" (zero-copy mapped v2 snapshot) or "heap".
+	// Mode is "mmap" (zero-copy mapped snapshot file) or "heap".
 	Mode       string `json:"mode"`
 	Generation uint64 `json:"generation"`
 

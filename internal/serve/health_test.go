@@ -114,77 +114,101 @@ func TestDisableReload(t *testing.T) {
 }
 
 // TestReloadCorruptSnapshotKeepsServing is the regression test for the
-// robustness bug class: a reload pointed at a truncated or
-// CRC-corrupted snapshot file must fail with a structured error and
-// keep serving the old generation.
+// robustness bug class: a reload pointed at a truncated, damaged or
+// retired-format snapshot file must fail with a structured error and
+// keep serving the old generation — through the streamed reader and
+// through OpenSnapshotFile, the way `intentd -snapshot` really opens.
 func TestReloadCorruptSnapshotKeepsServing(t *testing.T) {
 	w := getWorld(t)
-	path := filepath.Join(t.TempDir(), "snap.bin")
-
 	var buf bytes.Buffer
-	if err := w.resA.WriteSnapshot(&buf, w.corpus.SnapshotInfo("file-test")); err != nil {
+	if err := w.resA.WriteSnapshotFlat(&buf, w.corpus.SnapshotInfo("file-test")); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
-	if err := os.WriteFile(path, good, 0o644); err != nil {
-		t.Fatal(err)
+	flip := func(at int) []byte {
+		bad := bytes.Clone(good)
+		bad[at] ^= 0xFF
+		return bad
 	}
+	v1 := append([]byte("BGPINTSNP\x01"), good[10:]...)
 
-	fileBuilder := func(ctx context.Context) (*bgpintent.Result, bgpintent.SnapshotInfo, string, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, bgpintent.SnapshotInfo{}, "", err
-		}
-		defer f.Close()
-		res, info, err := bgpintent.ReadSnapshot(f)
-		return res, info, path, err
+	type corruption struct {
+		name    string
+		data    []byte
+		wantErr string // substring of the structured error
 	}
-	s := newTestServer(t, fileBuilder)
-
-	var healthy communityResponse
-	do(t, s, "GET", "/v1/community/"+w.probe.String(), "", &healthy)
-	if healthy.Generation != 1 {
-		t.Fatalf("initial load: %+v", healthy)
-	}
-
-	corruptions := map[string]func() []byte{
-		"truncated": func() []byte { return good[:len(good)/2] },
-		"bit-flipped": func() []byte {
-			bad := bytes.Clone(good)
-			bad[len(bad)-9] ^= 0xFF // inside the CRC-protected body
-			return bad
-		},
-		"empty": func() []byte { return nil },
-	}
-	for name, corrupt := range corruptions {
-		t.Run(name, func(t *testing.T) {
-			if err := os.WriteFile(path, corrupt(), 0o644); err != nil {
+	run := func(t *testing.T, open func(path string) (*bgpintent.Result, bgpintent.SnapshotInfo, error), cases []corruption) {
+		path := filepath.Join(t.TempDir(), "snap.bin")
+		// Replace by rename, as intentinfer does: the serving generation
+		// may be a mapping of the old inode, which must stay whole.
+		put := func(data []byte) {
+			t.Helper()
+			if err := os.WriteFile(path+".tmp", data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			var errResp errorResponse
-			if code := do(t, s, "POST", "/v1/admin/reload", "", &errResp); code != 500 {
-				t.Fatalf("reload of %s file: status %d, want 500", name, code)
+			if err := os.Rename(path+".tmp", path); err != nil {
+				t.Fatal(err)
 			}
-			if errResp.Error == "" {
-				t.Fatal("no structured error in reload failure body")
-			}
-			// Old generation still serves, fully intact.
-			var resp communityResponse
-			do(t, s, "GET", "/v1/community/"+w.probe.String(), "", &resp)
-			if resp.Generation != 1 || resp.Category != w.catA.String() {
-				t.Fatalf("corrupt reload disturbed serving: %+v", resp)
-			}
+		}
+		put(good)
+		s := newTestServer(t, func(context.Context) (*bgpintent.Result, bgpintent.SnapshotInfo, string, error) {
+			res, info, err := open(path)
+			return res, info, path, err
 		})
+		var healthy communityResponse
+		do(t, s, "GET", "/v1/community/"+w.probe.String(), "", &healthy)
+		if healthy.Generation != 1 {
+			t.Fatalf("initial load: %+v", healthy)
+		}
+		for _, c := range cases {
+			t.Run(c.name, func(t *testing.T) {
+				put(c.data)
+				var errResp errorResponse
+				if code := do(t, s, "POST", "/v1/admin/reload", "", &errResp); code != 500 {
+					t.Fatalf("reload of %s file: status %d, want 500", c.name, code)
+				}
+				if errResp.Error == "" || !strings.Contains(errResp.Error, c.wantErr) {
+					t.Fatalf("reload failure body %q, want a structured error containing %q", errResp.Error, c.wantErr)
+				}
+				// Old generation still serves, fully intact.
+				var resp communityResponse
+				do(t, s, "GET", "/v1/community/"+w.probe.String(), "", &resp)
+				if resp.Generation != 1 || resp.Category != w.catA.String() {
+					t.Fatalf("corrupt reload disturbed serving: %+v", resp)
+				}
+			})
+		}
+		// Restoring the file makes reload work again — no sticky failure.
+		put(good)
+		var ok reloadResponse
+		if code := do(t, s, "POST", "/v1/admin/reload", "", &ok); code != 200 || ok.Generation != 2 {
+			t.Fatalf("recovery reload: code %d resp %+v", code, ok)
+		}
 	}
 
-	// Restoring the file makes reload work again — no sticky failure.
-	if err := os.WriteFile(path, good, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var ok reloadResponse
-	if code := do(t, s, "POST", "/v1/admin/reload", "", &ok); code != 200 || ok.Generation != 2 {
-		t.Fatalf("recovery reload: code %d resp %+v", code, ok)
-	}
+	// Streamed: ReadSnapshot deep-verifies, so a payload bit-flip fails.
+	run(t, func(path string) (*bgpintent.Result, bgpintent.SnapshotInfo, error) {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, bgpintent.SnapshotInfo{}, err
+		}
+		defer f.Close()
+		return bgpintent.ReadSnapshot(f)
+	}, []corruption{
+		{"truncated", good[:len(good)/2], "short body"},
+		{"bit-flipped", flip(len(good) - 9), "checksum mismatch"}, // inside the last section's payload
+		{"empty", nil, "short header"},
+		{"version-1", v1, "unsupported format version 1 "},
+	})
+	// Mapped: the O(1) open checks header, size and section table.
+	t.Run("mmap", func(t *testing.T) {
+		run(t, bgpintent.OpenSnapshotFile, []corruption{
+			{"truncated", good[:len(good)/2], "truncated"},
+			{"empty", nil, "short header"},
+			{"table-flip", flip(32 + 8), "section table checksum mismatch"}, // first entry's offset field
+			{"version-1", v1, "unsupported format version 1 "},
+		})
+	})
 }
 
 func TestServeConfigTimeouts(t *testing.T) {

@@ -3,8 +3,8 @@
 // serves the file) instead of building one itself. Polls are gated by
 // ETag when the origin provides one and by content hash otherwise, so
 // an unchanged snapshot costs a 304 (or a hash compare) and no swap.
-// A fetched generation is written to the cache directory, opened with
-// OpenSnapshotFile (mmap for v2), and atomically installed; the
+// A fetched generation is written to the cache directory, mmap-ed with
+// OpenSnapshotFile, deep-verified, and atomically installed; the
 // previous generation keeps serving every in-flight request that
 // already loaded it and is unmapped only after the garbage collector
 // proves no reference remains — the same drain discipline as reloads.
@@ -183,6 +183,13 @@ func (r *Replica) fetch(ctx context.Context) (bool, error) {
 	if err != nil {
 		os.Remove(tmp)
 		return false, fmt.Errorf("open fetched snapshot: %w", err)
+	}
+	// The open validates only header and table; these bytes crossed a
+	// network, so hash every section once before serving from them.
+	if err := res.Verify(); err != nil {
+		res.Close()
+		os.Remove(tmp)
+		return false, fmt.Errorf("verify fetched snapshot: %w", err)
 	}
 	snap := r.srv.Install(res, info, "replica-url:"+r.cfg.URL, time.Since(start))
 	r.swaps.Add(1)

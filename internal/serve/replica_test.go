@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,8 +18,8 @@ import (
 	"bgpintent"
 )
 
-// writeSnapFile serializes res as a flat (v2/v3) snapshot file and
-// returns its path — what an origin intentd would publish at
+// writeSnapFile serializes res as a snapshot file and returns its
+// path — what an origin intentd would publish at
 // /v1/snapshot.
 func writeSnapFile(t testing.TB, dir, name string, w *testWorld, res *bgpintent.Result) string {
 	t.Helper()
@@ -286,5 +289,87 @@ func TestReplicaUpstreamDeath(t *testing.T) {
 	}
 	if h := rep2.Health(); h.Status != "degraded" {
 		t.Fatalf("never-fetched health = %+v, want degraded", h)
+	}
+}
+
+// TestReplicaCorruptFetchKeepsServing: a snapshot whose body was
+// damaged in transit passes the O(1) open (header and section table are
+// intact) and would serve wrong verdicts; the replica must deep-verify
+// the fetched bytes, count a poll error, and keep the old generation.
+func TestReplicaCorruptFetchKeepsServing(t *testing.T) {
+	w := getWorld(t)
+	dir := t.TempDir()
+	origin := &snapOrigin{}
+	origin.set(writeSnapFile(t, dir, "a.snap", w, w.resA))
+	ts := httptest.NewServer(origin)
+	defer ts.Close()
+
+	s := newTestServer(t, emptyBuilder)
+	cache := t.TempDir()
+	rep := NewReplica(s, ReplicaConfig{URL: ts.URL, CacheDir: cache})
+	if swapped, err := rep.Poll(context.Background()); err != nil || !swapped {
+		t.Fatalf("first poll: swapped=%v err=%v", swapped, err)
+	}
+
+	// Flip one byte inside the members section (kind 4) of resB's file.
+	// Section table entries are 32 bytes from offset 32: u32 kind at +0,
+	// u64 offset at +8.
+	good, err := os.ReadFile(writeSnapFile(t, dir, "b.snap", w, w.resB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Clone(good)
+	flipped := false
+	for i, n := 0, int(binary.LittleEndian.Uint32(bad[24:])); i < n; i++ {
+		ent := bad[32+i*32:]
+		if binary.LittleEndian.Uint32(ent) == 4 {
+			bad[binary.LittleEndian.Uint64(ent[8:])+8] ^= 0x01 // first member's on-path count
+			flipped = true
+		}
+	}
+	if !flipped {
+		t.Fatal("no members section in snapshot")
+	}
+	badPath := filepath.Join(dir, "b-corrupt.snap")
+	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res, _, err := bgpintent.OpenSnapshotFile(badPath); err != nil {
+		t.Fatalf("fixture must pass the O(1) open to prove anything: %v", err)
+	} else {
+		res.Close()
+	}
+
+	origin.set(badPath)
+	if swapped, err := rep.Poll(context.Background()); err == nil || swapped {
+		t.Fatalf("corrupt fetch: swapped=%v err=%v, want a poll error and no swap", swapped, err)
+	}
+	var resp communityResponse
+	do(t, s, "GET", "/v1/community/"+w.probe.String(), "", &resp)
+	if resp.Generation != 2 || resp.Category != w.catA.String() {
+		t.Fatalf("corrupt fetch disturbed serving: %+v", resp)
+	}
+	var hr struct {
+		Snapshot struct {
+			PollErrors uint64 `json:"poll_errors"`
+			LastError  string `json:"last_error"`
+		} `json:"snapshot"`
+	}
+	do(t, s, "GET", "/v1/health", "", &hr)
+	if hr.Snapshot.PollErrors != 1 || !strings.Contains(hr.Snapshot.LastError, "checksum mismatch") {
+		t.Fatalf("/v1/health hides the rejected fetch: %+v", hr)
+	}
+	// The rejected download is not left behind in the cache directory.
+	if files, _ := os.ReadDir(cache); len(files) != 1 {
+		t.Fatalf("cache dir holds %d files after a rejected fetch, want only the serving generation", len(files))
+	}
+
+	// Origin serves the intact body: the next poll swaps.
+	origin.set(filepath.Join(dir, "b.snap"))
+	if swapped, err := rep.Poll(context.Background()); err != nil || !swapped {
+		t.Fatalf("recovery poll: swapped=%v err=%v", swapped, err)
+	}
+	if got := s.Snapshot().res.Category(w.probe); got != w.catB {
+		t.Fatalf("probe category after recovery = %v, want %v (resB)", got, w.catB)
 	}
 }

@@ -42,11 +42,14 @@ func getWorld(t testing.TB) *testWorld {
 		if err != nil {
 			panic(err)
 		}
-		w := &testWorld{
-			corpus: c,
-			resA:   c.Classify(bgpintent.Params{MinGap: 140, RatioThreshold: 1}),
-			resB:   c.Classify(bgpintent.Params{MinGap: 140, RatioThreshold: 1e9}),
+		classify := func(ratio float64) *bgpintent.Result {
+			res, err := c.ClassifyContext(context.Background(), bgpintent.Params{MinGap: 140, RatioThreshold: ratio})
+			if err != nil {
+				panic(err)
+			}
+			return res
 		}
+		w := &testWorld{corpus: c, resA: classify(1), resB: classify(1e9)}
 		for _, lc := range w.resA.Labeled() {
 			if w.resB.Category(lc.Community) != lc.Category {
 				w.probe = lc.Community

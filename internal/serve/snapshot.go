@@ -40,7 +40,7 @@ type Snapshot struct {
 	Info bgpintent.SnapshotInfo
 
 	// Mode says how the result is held: "mmap" when served zero-copy
-	// from a mapped v2 snapshot file, "heap" otherwise.
+	// from a mapped snapshot file, "heap" otherwise.
 	Mode string
 
 	res *bgpintent.Result

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,7 +76,7 @@ func TestObservedLoadAndClassifyIdentical(t *testing.T) {
 	info := SnapshotInfo{Created: time.Unix(1714521600, 0).UTC(), Source: "obs-test",
 		Tuples: base.Tuples(), Paths: base.Paths()}
 	var baseSnap bytes.Buffer
-	if err := baseRes.WriteSnapshot(&baseSnap, info); err != nil {
+	if err := baseRes.WriteSnapshotFlat(&baseSnap, info); err != nil {
 		t.Fatal(err)
 	}
 
@@ -104,7 +103,7 @@ func TestObservedLoadAndClassifyIdentical(t *testing.T) {
 			t.Errorf("workers=%d: observed TSV differs from unobserved baseline", workers)
 		}
 		var snap bytes.Buffer
-		if err := res.WriteSnapshot(&snap, info); err != nil {
+		if err := res.WriteSnapshotFlat(&snap, info); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(snap.Bytes(), baseSnap.Bytes()) {
@@ -231,54 +230,4 @@ func TestClassifyContextCancellation(t *testing.T) {
 		t.Errorf("mid-run cancel = %v, want context.Canceled", err)
 	}
 	settleGoroutines(t, baseline)
-}
-
-// TestDeprecatedWrappersStillWork pins the compatibility contract: the
-// pre-context entry points keep working and agree with the new API.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	ribs, updates, orgPath := writeParallelFixture(t)
-
-	c1, err := LoadMRTCorpus(ribs, updates, orgPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, stats, err := LoadMRT(context.Background(),
-		Sources{RIBs: ribs, Updates: updates, OrgPath: orgPath}, LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Files == 0 {
-		t.Error("LoadMRT reported no files")
-	}
-	if c1.Tuples() != c2.Tuples() || c1.Paths() != c2.Paths() {
-		t.Errorf("wrapper corpus (%d tuples, %d paths) != LoadMRT corpus (%d tuples, %d paths)",
-			c1.Tuples(), c1.Paths(), c2.Tuples(), c2.Paths())
-	}
-
-	var tsv1, tsv2 bytes.Buffer
-	if err := c1.Classify(DefaultParams()).WriteTSV(&tsv1); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := c2.ClassifyContext(context.Background(), DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res2.WriteTSV(&tsv2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(tsv1.Bytes(), tsv2.Bytes()) {
-		t.Error("Classify and ClassifyContext disagree")
-	}
-
-	// The deprecated Classify panics on parameters ClassifyContext
-	// rejects — documented, so pin it.
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Error("Classify did not panic on invalid params")
-		} else if msg, ok := r.(error); !ok || !strings.Contains(msg.Error(), "RatioThreshold") {
-			t.Errorf("Classify panic = %v", r)
-		}
-	}()
-	c1.Classify(Params{RatioThreshold: 0.5})
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Serve-bench smoke, run by CI and usable locally: build the tools,
-# write a v2 (mmap-able) snapshot for a tiny corpus, exercise
-# snapconvert both directions, boot intentd from the v2 snapshot, run
+# write a snapshot for a tiny corpus, deep-verify it with snapverify,
+# boot intentd from it (mmap), run
 # the intentload closed-loop harness against it, and validate the
 # BENCH_serve.json it emits. Also boots a replica polling the origin's
 # /v1/snapshot endpoint and proves the poll/swap/degrade loop works
@@ -31,19 +31,15 @@ fail() {
 }
 
 echo "== build"
-go build -o "$bin/" ./cmd/gencorpus ./cmd/intentinfer ./cmd/intentd ./cmd/intentload ./cmd/snapconvert
+go build -o "$bin/" ./cmd/gencorpus ./cmd/intentinfer ./cmd/intentd ./cmd/intentload ./cmd/snapverify
 
-echo "== generate tiny corpus + v2 snapshot"
+echo "== generate tiny corpus + snapshot"
 "$bin/gencorpus" -out "$work/corpus" -scale tiny -days 1 >/dev/null
 "$bin/intentinfer" -rib "$work/corpus/*.rib.mrt" -updates "$work/corpus/*.updates.mrt" \
     -as2org "$work/corpus/as2org.txt" -format snapshot -o "$work/intent.snap" >/dev/null
-head -c 10 "$work/intent.snap" | od -An -tu1 | grep ' 2$' >/dev/null || fail "intentinfer default is not a v2 snapshot"
 
-echo "== snapconvert round trip (v2 -> v1 -> v2) preserves verdicts"
-"$bin/snapconvert" -verify "$work/intent.snap" >/dev/null || fail "v2 snapshot fails verification"
-"$bin/snapconvert" -in "$work/intent.snap" -out "$work/intent.v1.snap" -to 1 >/dev/null
-"$bin/snapconvert" -in "$work/intent.v1.snap" -out "$work/intent.rt.snap" -to 2 >/dev/null
-cmp -s "$work/intent.snap" "$work/intent.rt.snap" || fail "v2->v1->v2 round trip is not byte-identical"
+echo "== deep-verify the written snapshot"
+"$bin/snapverify" -verify "$work/intent.snap" >/dev/null || fail "snapshot fails verification"
 
 start_intentd() {
     : > "$log"
@@ -71,7 +67,7 @@ stop_pid() {
 
 curl_ok() { curl -sf --max-time 10 "$@" || fail "curl $* failed"; }
 
-echo "== boot origin intentd from the v2 snapshot"
+echo "== boot origin intentd from the snapshot"
 start_intentd -snapshot "$work/intent.snap"
 origin_addr=$addr
 curl_ok "http://$origin_addr/v1/health" | grep '"mode": "mmap"' >/dev/null || fail "origin is not serving the mmap path"
