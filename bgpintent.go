@@ -250,8 +250,12 @@ func (k *CommunityKey) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// wireLarge converts a large key to its wire form; only valid when
-// Kind() == KindLarge.
+// wireClassic and wireLarge convert a key to its wire form; each is only
+// valid for keys of its Kind.
+func (k CommunityKey) wireClassic() bgp.Community {
+	return bgp.NewCommunity(uint16(k.asn), uint16(k.val))
+}
+
 func (k CommunityKey) wireLarge() bgp.LargeCommunity {
 	return bgp.LargeCommunity{GlobalAdmin: k.asn, LocalData1: k.fn, LocalData2: k.val}
 }
@@ -710,11 +714,13 @@ type LabeledCommunity struct {
 }
 
 // Cluster is one inferred community cluster: the contiguous value range
-// one AS devotes to a single purpose, with the evidence behind its
-// label.
+// one AS — for large communities one (administrator, function) pair —
+// devotes to a single purpose, with the evidence behind its label.
 type Cluster struct {
-	ASN      uint16
-	Lo, Hi   uint16
+	Kind     CommunityKind
+	ASN      uint32 // α: the AS (global administrator) defining the meaning
+	Fn       uint32 // function selector (LocalData1); 0 for classic clusters
+	Lo, Hi   uint32 // β bounds (LocalData2 for large clusters)
 	Category Category
 	Size     int // observed member communities
 	// OnPath/OffPath are the summed unique-path counts of the members.
@@ -726,9 +732,11 @@ type Cluster struct {
 	Ratio       float64
 }
 
-func clusterFromSummary(cs core.ClusterSummary) Cluster {
+func clusterFromSummary(kind CommunityKind, cs core.ClusterSummary) Cluster {
 	return Cluster{
+		Kind:        kind,
 		ASN:         cs.Alpha,
+		Fn:          cs.Fn,
 		Lo:          cs.Lo,
 		Hi:          cs.Hi,
 		Category:    fromDictCategory(cs.Label),
@@ -741,45 +749,60 @@ func clusterFromSummary(cs core.ClusterSummary) Cluster {
 	}
 }
 
-// Clusters returns every inferred cluster, sorted by (ASN, Lo) — the
-// coarse community dictionary structure the paper's Figure 4 shows.
-func (r *Result) Clusters() []Cluster {
-	n := r.src.ClusterCount()
+// clusterLister is the part of a core.KindSource that lists clusters,
+// whatever the kind of key.
+type clusterLister interface {
+	ClusterCount() int
+	ClusterSummaryAt(i int) core.ClusterSummary
+}
+
+// clustersOf returns every cluster of one kind, sorted by (ASN, Fn, Lo).
+func clustersOf(kind CommunityKind, src clusterLister) []Cluster {
+	n := src.ClusterCount()
 	out := make([]Cluster, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, clusterFromSummary(r.src.ClusterSummaryAt(i)))
+		out = append(out, clusterFromSummary(kind, src.ClusterSummaryAt(i)))
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].ASN != out[j].ASN {
-			return out[i].ASN < out[j].ASN
+		a, b := &out[i], &out[j]
+		if a.ASN != b.ASN {
+			return a.ASN < b.ASN
 		}
-		return out[i].Lo < out[j].Lo
+		if a.Fn != b.Fn {
+			return a.Fn < b.Fn
+		}
+		return a.Lo < b.Lo
 	})
 	return out
 }
 
-// ClusterCount returns the number of inferred clusters.
+// Clusters returns every inferred classic cluster, sorted by (ASN, Lo) —
+// the coarse community dictionary structure the paper's Figure 4 shows.
+func (r *Result) Clusters() []Cluster { return clustersOf(KindClassic, r.src) }
+
+// ClusterCount returns the number of inferred classic clusters.
 func (r *Result) ClusterCount() int { return r.src.ClusterCount() }
 
-// ClustersFor returns the clusters of one signaling AS, in ascending
-// Lo order. Mapped results binary-search the snapshot's (ASN, Lo)-
-// sorted cluster section; heap results consult a lazily built index.
+// ClustersFor returns the classic clusters of one signaling AS, in
+// ascending Lo order. Mapped results binary-search the snapshot's
+// (ASN, Lo)-sorted cluster section; heap results consult a lazily built
+// index.
 func (r *Result) ClustersFor(asn uint16) []Cluster {
 	if r.mapped != nil {
-		lo, hi := r.mapped.AlphaClusters(asn)
+		lo, hi := r.mapped.AlphaClusters(uint32(asn))
 		if lo == hi {
 			return nil
 		}
 		out := make([]Cluster, 0, hi-lo)
 		for i := lo; i < hi; i++ {
-			out = append(out, clusterFromSummary(r.mapped.ClusterSummaryAt(i)))
+			out = append(out, clusterFromSummary(KindClassic, r.mapped.ClusterSummaryAt(i)))
 		}
 		return out
 	}
 	r.asnOnce.Do(func() {
 		r.asnIdx = make(map[uint16][]Cluster)
 		for _, cl := range r.Clusters() {
-			r.asnIdx[cl.ASN] = append(r.asnIdx[cl.ASN], cl)
+			r.asnIdx[uint16(cl.ASN)] = append(r.asnIdx[uint16(cl.ASN)], cl)
 		}
 	})
 	return r.asnIdx[asn]
@@ -791,7 +814,7 @@ func (r *Result) ClustersFor(asn uint16) []Cluster {
 // (classic|large) and the large inferences follow the classic ones;
 // classic-only results keep the two-column shape byte for byte.
 func (r *Result) WriteTSV(w io.Writer) error {
-	if r.src.LargeObserved() == 0 {
+	if r.src.Large().Observed() == 0 {
 		for _, lc := range r.Labeled() {
 			if _, err := fmt.Fprintf(w, "%s\t%s\n", lc.Community, lc.Category); err != nil {
 				return err
@@ -831,55 +854,15 @@ type Lookup struct {
 
 // Lookup explains a community's verdict.
 func (r *Result) Lookup(c Community) Lookup {
-	v := r.src.Verdict(c.wire())
-	out := Lookup{
+	l := r.LookupKey(c.Key())
+	return Lookup{
 		Community: c,
-		Observed:  v.Observed,
-		Category:  fromDictCategory(v.Category),
-		OnPath:    v.Stats.OnPath,
-		OffPath:   v.Stats.OffPath,
-	}
-	if v.Reason != core.ExcludeNone {
-		out.Reason = ExcludeReason(v.Reason.String())
-	}
-	if v.HasCluster {
-		cl := clusterFromSummary(v.Cluster)
-		out.Cluster = &cl
-	}
-	return out
-}
-
-// LargeCluster is one inferred large-community cluster: the contiguous
-// LocalData2 range one (administrator, function) pair devotes to a
-// single purpose, with the evidence behind its label.
-type LargeCluster struct {
-	ASN      uint32 // global administrator (α)
-	Fn       uint32 // function selector (LocalData1)
-	Lo, Hi   uint32 // LocalData2 bounds
-	Category Category
-	Size     int // observed member communities
-	// OnPath/OffPath are the summed unique-path counts of the members.
-	OnPath, OffPath int
-	// PureOnPath/PureOffPath mark clusters never observed off-path /
-	// on-path; Ratio is the decision ratio of mixed clusters.
-	PureOnPath  bool
-	PureOffPath bool
-	Ratio       float64
-}
-
-func largeClusterFromSummary(cs core.LargeClusterSummary) LargeCluster {
-	return LargeCluster{
-		ASN:         cs.Alpha,
-		Fn:          cs.Fn,
-		Lo:          cs.Lo,
-		Hi:          cs.Hi,
-		Category:    fromDictCategory(cs.Label),
-		Size:        cs.Size,
-		OnPath:      int(cs.OnPath),
-		OffPath:     int(cs.OffPath),
-		PureOnPath:  cs.PureOnPath,
-		PureOffPath: cs.PureOffPath,
-		Ratio:       cs.Ratio,
+		Observed:  l.Observed,
+		Category:  l.Category,
+		OnPath:    l.OnPath,
+		OffPath:   l.OffPath,
+		Reason:    l.Reason,
+		Cluster:   l.Cluster,
 	}
 }
 
@@ -895,98 +878,66 @@ type KeyLookup struct {
 	OnPath, OffPath int
 	// Reason is empty for classified communities.
 	Reason ExcludeReason
-	// Cluster is the deciding classic cluster; nil for large keys and
-	// for excluded/unobserved communities.
+	// Cluster is the deciding cluster, of the key's kind; nil for
+	// excluded/unobserved communities.
 	Cluster *Cluster
-	// LargeCluster is the deciding large cluster; nil for classic keys
-	// and for excluded/unobserved communities.
-	LargeCluster *LargeCluster
 }
 
 // LookupKey explains the verdict for a community of either kind.
 func (r *Result) LookupKey(k CommunityKey) KeyLookup {
-	if k.Kind() == KindLarge {
-		v := r.src.VerdictLarge(k.wireLarge())
-		out := KeyLookup{
-			Key:      k,
-			Observed: v.Observed,
-			Category: fromDictCategory(v.Category),
-			OnPath:   v.Stats.OnPath,
-			OffPath:  v.Stats.OffPath,
-		}
-		if v.Reason != core.ExcludeNone {
-			out.Reason = ExcludeReason(v.Reason.String())
-		}
-		if v.HasCluster {
-			cl := largeClusterFromSummary(v.Cluster)
-			out.LargeCluster = &cl
-		}
-		return out
+	if k.kind == KindLarge {
+		return keyLookup(k, r.src.Large().Verdict(k.wireLarge()))
 	}
-	l := r.Lookup(Community{ASN: uint16(k.asn), Value: uint16(k.val)})
-	return KeyLookup{
+	return keyLookup(k, r.src.Verdict(k.wireClassic()))
+}
+
+func keyLookup[K core.Key[K]](k CommunityKey, v core.KeyVerdict[K]) KeyLookup {
+	out := KeyLookup{
 		Key:      k,
-		Observed: l.Observed,
-		Category: l.Category,
-		OnPath:   l.OnPath,
-		OffPath:  l.OffPath,
-		Reason:   l.Reason,
-		Cluster:  l.Cluster,
+		Observed: v.Observed,
+		Category: fromDictCategory(v.Category),
+		OnPath:   v.Stats.OnPath,
+		OffPath:  v.Stats.OffPath,
 	}
+	if v.Reason != core.ExcludeNone {
+		out.Reason = ExcludeReason(v.Reason.String())
+	}
+	if v.HasCluster {
+		cl := clusterFromSummary(k.kind, v.Cluster)
+		out.Cluster = &cl
+	}
+	return out
 }
 
 // CategoryKey returns the inferred label for a community of either
 // kind (CatUnknown when excluded or unobserved).
 func (r *Result) CategoryKey(k CommunityKey) Category {
-	if k.Kind() == KindLarge {
-		v := r.src.VerdictLarge(k.wireLarge())
-		if !v.HasCluster {
-			return fromDictCategory(dict.CatUnknown)
-		}
-		return fromDictCategory(v.Category)
+	if k.kind == KindLarge {
+		return fromDictCategory(r.src.Large().Category(k.wireLarge()))
 	}
-	return r.Category(Community{ASN: uint16(k.asn), Value: uint16(k.val)})
+	return fromDictCategory(r.src.Category(k.wireClassic()))
 }
 
 // LargeCounts returns the number of action and information inferences
 // over large communities.
 func (r *Result) LargeCounts() (action, information int) {
-	return r.src.LargeCounts()
+	return r.src.Large().Counts()
 }
 
 // LargeObservedCount returns how many distinct large communities the
 // result covers (classified plus excluded).
-func (r *Result) LargeObservedCount() int { return r.src.LargeObserved() }
+func (r *Result) LargeObservedCount() int { return r.src.Large().Observed() }
 
 // LargeExcludedCount returns how many observed large communities were
 // deliberately left unclassified.
-func (r *Result) LargeExcludedCount() int {
-	action, information := r.src.LargeCounts()
-	return r.src.LargeObserved() - action - information
-}
+func (r *Result) LargeExcludedCount() int { return r.src.Large().ExcludedCount() }
 
 // LargeClusterCount returns the number of inferred large clusters.
-func (r *Result) LargeClusterCount() int { return r.src.LargeClusterCount() }
+func (r *Result) LargeClusterCount() int { return r.src.Large().ClusterCount() }
 
 // LargeClusters returns every inferred large cluster, sorted by
 // (ASN, Fn, Lo).
-func (r *Result) LargeClusters() []LargeCluster {
-	n := r.src.LargeClusterCount()
-	out := make([]LargeCluster, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, largeClusterFromSummary(r.src.LargeClusterSummaryAt(i)))
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ASN != out[j].ASN {
-			return out[i].ASN < out[j].ASN
-		}
-		if out[i].Fn != out[j].Fn {
-			return out[i].Fn < out[j].Fn
-		}
-		return out[i].Lo < out[j].Lo
-	})
-	return out
-}
+func (r *Result) LargeClusters() []Cluster { return clustersOf(KindLarge, r.src.Large()) }
 
 // LabeledKey pairs a generalized community key with its inferred
 // category.
@@ -998,9 +949,10 @@ type LabeledKey struct {
 // LabeledLarge returns every classified large community with its
 // label, sorted by (ASN, Fn, Value).
 func (r *Result) LabeledLarge() []LabeledKey {
-	action, information := r.src.LargeCounts()
+	large := r.src.Large()
+	action, information := large.Counts()
 	out := make([]LabeledKey, 0, action+information)
-	r.src.EachLargeLabeled(func(lc bgp.LargeCommunity, cat dict.Category) bool {
+	large.EachLabeled(func(lc bgp.LargeCommunity, cat dict.Category) bool {
 		out = append(out, LabeledKey{
 			Key:      LargeKey(lc.GlobalAdmin, lc.LocalData1, lc.LocalData2),
 			Category: fromDictCategory(cat),
@@ -1161,8 +1113,8 @@ type jsonCluster struct {
 // identical to the historical output.
 func (r *Result) WriteJSON(w io.Writer) error {
 	action, info := r.Counts()
-	largeAction, largeInfo := r.src.LargeCounts()
-	withKinds := r.src.LargeObserved() > 0
+	largeAction, largeInfo := r.LargeCounts()
+	withKinds := r.LargeObservedCount() > 0
 	doc := struct {
 		Action           int             `json:"action"`
 		Information      int             `json:"information"`
@@ -1180,7 +1132,7 @@ func (r *Result) WriteJSON(w io.Writer) error {
 		LargeInformation: largeInfo,
 		LargeExcluded:    r.LargeExcludedCount(),
 		Inferences:       make([]jsonInference, 0, action+info+largeAction+largeInfo),
-		Clusters:         make([]jsonCluster, 0, r.src.ClusterCount()+r.src.LargeClusterCount()),
+		Clusters:         make([]jsonCluster, 0, r.ClusterCount()+r.LargeClusterCount()),
 	}
 	kindOf := func(k CommunityKind) string {
 		if !withKinds {
@@ -1198,23 +1150,18 @@ func (r *Result) WriteJSON(w io.Writer) error {
 			Community: lk.Key.String(), Category: lk.Category.String(),
 			Kind: kindOf(KindLarge)})
 	}
-	for _, cl := range r.Clusters() {
-		doc.Clusters = append(doc.Clusters, jsonCluster{
-			ASN: uint32(cl.ASN), Lo: uint32(cl.Lo), Hi: uint32(cl.Hi),
-			Category: cl.Category.String(),
-			Size:     cl.Size, OnPath: cl.OnPath, OffPath: cl.OffPath,
-			PureOnPath: cl.PureOnPath, PureOffPath: cl.PureOffPath, Ratio: cl.Ratio,
-			Kind: kindOf(KindClassic),
-		})
-	}
-	for _, cl := range r.LargeClusters() {
-		fn := cl.Fn
-		doc.Clusters = append(doc.Clusters, jsonCluster{
+	for _, cl := range append(r.Clusters(), r.LargeClusters()...) {
+		jc := jsonCluster{
 			ASN: cl.ASN, Lo: cl.Lo, Hi: cl.Hi, Category: cl.Category.String(),
 			Size: cl.Size, OnPath: cl.OnPath, OffPath: cl.OffPath,
 			PureOnPath: cl.PureOnPath, PureOffPath: cl.PureOffPath, Ratio: cl.Ratio,
-			Fn: &fn, Kind: kindOf(KindLarge),
-		})
+			Kind: kindOf(cl.Kind),
+		}
+		if cl.Kind == KindLarge {
+			fn := cl.Fn
+			jc.Fn = &fn
+		}
+		doc.Clusters = append(doc.Clusters, jc)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -109,7 +109,7 @@ func TestGoldenV2Equivalence(t *testing.T) {
 		if heapClusters[i] != mappedClusters[i] {
 			t.Fatalf("cluster[%d]: %+v vs %+v", i, heapClusters[i], mappedClusters[i])
 		}
-		for _, cl := range [][]Cluster{heap.ClustersFor(heapClusters[i].ASN), mapped.ClustersFor(heapClusters[i].ASN)} {
+		for _, cl := range [][]Cluster{heap.ClustersFor(uint16(heapClusters[i].ASN)), mapped.ClustersFor(uint16(heapClusters[i].ASN))} {
 			if len(cl) == 0 {
 				t.Fatalf("ClustersFor(%d) empty for a known cluster ASN", heapClusters[i].ASN)
 			}
@@ -145,8 +145,8 @@ func TestGoldenV2Equivalence(t *testing.T) {
 			t.Fatalf("labeled large[%d]: %+v vs %+v", i, heapLarge[i], mappedLarge[i])
 		}
 		a, b := heap.LookupKey(heapLarge[i].Key), mapped.LookupKey(heapLarge[i].Key)
-		ac, bc := a.LargeCluster, b.LargeCluster
-		a.LargeCluster, b.LargeCluster = nil, nil
+		ac, bc := a.Cluster, b.Cluster
+		a.Cluster, b.Cluster = nil, nil
 		if a != b {
 			t.Fatalf("LookupKey(%v) differs: %+v vs %+v", heapLarge[i].Key, a, b)
 		}

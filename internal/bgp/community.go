@@ -7,6 +7,7 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strconv"
@@ -30,6 +31,26 @@ func (c Community) ASN() uint16 { return uint16(c >> 16) }
 
 // Value returns the β half: the 16-bit operator-assigned value.
 func (c Community) Value() uint16 { return uint16(c & 0xffff) }
+
+// Admin, Fn, Local and Compare are the kind-independent view of a
+// community that the inference pipeline is generic over: the
+// administrator α, the function selector that with α names a clustering
+// group (classic communities have none and report 0), the 32-bit value
+// the group's clusters range over, and the (Admin, Fn, Local) order.
+// LargeCommunity answers the same four.
+
+// Admin returns α widened to 32 bits.
+func (c Community) Admin() uint32 { return uint32(c >> 16) }
+
+// Fn is always 0: a classic community has no function selector.
+func (c Community) Fn() uint32 { return 0 }
+
+// Local returns β widened to 32 bits.
+func (c Community) Local() uint32 { return uint32(c & 0xffff) }
+
+// Compare orders communities numerically (by α, then β): negative, zero
+// or positive as c sorts before, equal to, or after o.
+func (c Community) Compare(o Community) int { return cmp.Compare(c, o) }
 
 // String renders the community in canonical α:β notation.
 func (c Community) String() string {
@@ -216,6 +237,15 @@ type LargeCommunity struct {
 func (lc LargeCommunity) String() string {
 	return fmt.Sprintf("%d:%d:%d", lc.GlobalAdmin, lc.LocalData1, lc.LocalData2)
 }
+
+// Admin returns the global administrator α.
+func (lc LargeCommunity) Admin() uint32 { return lc.GlobalAdmin }
+
+// Fn returns the function selector, LocalData1.
+func (lc LargeCommunity) Fn() uint32 { return lc.LocalData1 }
+
+// Local returns the operator-assigned value, LocalData2.
+func (lc LargeCommunity) Local() uint32 { return lc.LocalData2 }
 
 // Compare orders large communities numerically by (GlobalAdmin,
 // LocalData1, LocalData2): negative, zero or positive as lc sorts

@@ -1,11 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"bgpintent/internal/bgp"
-	"bgpintent/internal/simulate"
-	"bgpintent/internal/topology"
 )
 
 // TestAddViewDuplicateHitZeroAlloc guards the arena layout's core
@@ -43,32 +42,58 @@ func TestAddViewDuplicateHitZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLookupZeroAlloc guards the serving hot path: Inferences.Lookup is
-// called per query by intentd and must stay allocation-free.
+// TestLookupZeroAlloc guards the serving hot path: Lookup and Verdict
+// are called per query by intentd and must stay allocation-free, for
+// classic and large keys alike.
 func TestLookupZeroAlloc(t *testing.T) {
-	topo, err := topology.Generate(topology.TinyConfig())
-	if err != nil {
-		t.Fatal(err)
+	_, inf := simMixedInferences(t)
+	t.Run("classic", func(t *testing.T) { lookupZeroAlloc(t, &inf.KindSet, bgp.NewCommunity(64999, 64999)) })
+	t.Run("large", func(t *testing.T) {
+		lookupZeroAlloc(t, &inf.Larges, bgp.LargeCommunity{GlobalAdmin: 64999, LocalData1: 1, LocalData2: 64999})
+	})
+}
+
+func lookupZeroAlloc[K Key[K]](t *testing.T, ks *KindSet[K], unobserved K) {
+	keys := observedKeys(ks)
+	if len(keys) == 0 {
+		t.Fatal("no communities of this kind in corpus")
 	}
-	sim := simulate.New(topo, simulate.TinyConfig())
-	ts := NewTupleStore()
-	for _, v := range sim.RunDay(0).Views {
-		ts.AddView(v.VP, v.Path, v.Comms)
-	}
-	inf := Classify(ts, DefaultOptions())
-	comms := ts.Communities()
-	if len(comms) == 0 {
-		t.Fatal("no communities in corpus")
-	}
-	unobserved := bgp.NewCommunity(64999, 64999)
-	var sink Lookup
+	var sink Lookup[K]
 	if avg := testing.AllocsPerRun(200, func() {
-		for _, c := range comms {
-			sink = inf.Lookup(c)
+		for _, k := range keys {
+			sink = ks.Lookup(k)
 		}
-		sink = inf.Lookup(unobserved)
+		sink = ks.Lookup(unobserved)
 	}); avg != 0 {
 		t.Errorf("Lookup allocates %.2f per run, want 0", avg)
 	}
 	_ = sink
+	verdictZeroAlloc[K](t, ks, keys, unobserved)
+}
+
+// verdictZeroAlloc pins Verdict through the KindSource interface — the
+// way the serving layer calls it — at zero allocations.
+func verdictZeroAlloc[K Key[K]](t *testing.T, src KindSource[K], keys []K, unobserved K) {
+	t.Helper()
+	var sink KeyVerdict[K]
+	if avg := testing.AllocsPerRun(200, func() {
+		for _, k := range keys {
+			sink = src.Verdict(k)
+		}
+		sink = src.Verdict(unobserved)
+	}); avg != 0 {
+		t.Errorf("%T.Verdict allocates %.2f per run, want 0", src, avg)
+	}
+	_ = sink
+}
+
+// observedKeys lists every key the set covers (classified or excluded),
+// sorted.
+func observedKeys[K Key[K]](ks *KindSet[K]) []K {
+	keys := make([]K, 0, len(ks.index))
+	for k := range ks.index {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, K.Compare)
+	return keys
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"slices"
 
@@ -59,13 +60,13 @@ type ExcludeReason int8
 const (
 	// ExcludeNone: the community was not excluded.
 	ExcludeNone ExcludeReason = iota
-	// ExcludePrivateASN: the α half is in the private/reserved 16-bit
-	// ASN range, so no public AS can be identified.
+	// ExcludePrivateASN: α is in a private-use or reserved ASN range, so
+	// no public AS can be identified.
 	ExcludePrivateASN
 	// ExcludeNeverOnPath: neither α nor any sibling appears in any AS
 	// path (IXP route servers and other transparent taggers).
 	ExcludeNeverOnPath
-	// ExcludeUnobserved is never stored in Inferences.Excluded: Lookup
+	// ExcludeUnobserved is never stored in KindSet.Excluded: Lookup
 	// reports it for communities absent from the corpus.
 	ExcludeUnobserved
 )
@@ -84,9 +85,33 @@ func (r ExcludeReason) String() string {
 	}
 }
 
-// CommunityStats holds a community's unique-path observation counts.
-type CommunityStats struct {
-	Comm    bgp.Community
+// Key is the community-key contract: what the cluster → label → index →
+// snapshot → verdict path needs from a community, and all it needs. The
+// §5 method is one rule over one kind of key — group by signalling AS,
+// split at value gaps, label by on-path:off-path ratio — so every step
+// is written once, generic over K; bgp.Community (RFC 1997) and
+// bgp.LargeCommunity (RFC 8092) both satisfy it.
+type Key[K any] interface {
+	comparable
+	// Admin is α, the AS that assigns the community its meaning: the one
+	// looked for on AS paths, and the subject of both exclusions.
+	Admin() uint32
+	// Fn selects, together with α, the clustering group: the gap rule
+	// only ever runs over the values of one (α, fn). Classic communities
+	// have no selector and report 0.
+	Fn() uint32
+	// Local is the 32-bit value clusters are ranges of.
+	Local() uint32
+	// IsPrivateASN reports an α that identifies no network (§5.2).
+	IsPrivateASN() bool
+	// Compare orders keys by (Admin, Fn, Local): the order of the
+	// snapshot's lookup records.
+	Compare(K) int
+}
+
+// Stats holds a community's unique-path observation counts.
+type Stats[K Key[K]] struct {
+	Comm    K
 	OnPath  int // unique AS paths containing α (or a sibling)
 	OffPath int // unique AS paths not containing it
 }
@@ -94,20 +119,16 @@ type CommunityStats struct {
 // Ratio is the on-path:off-path ratio; with no off-path observations the
 // denominator is clamped to one so the ratio stays finite (the paper
 // handles never-off-path clusters by rule before ratios are consulted).
-func (cs CommunityStats) Ratio() float64 {
-	off := cs.OffPath
-	if off == 0 {
-		off = 1
-	}
-	return float64(cs.OnPath) / float64(off)
+func (s Stats[K]) Ratio() float64 {
+	return float64(s.OnPath) / float64(max(s.OffPath, 1))
 }
 
-// Cluster is a contiguous range of one AS's β values with its inferred
-// label.
-type Cluster struct {
-	Alpha   uint16
-	Lo, Hi  uint16
-	Members []CommunityStats
+// Cluster is a contiguous range of one (α, fn) group's values with its
+// inferred label; Fn is 0 for classic clusters.
+type Cluster[K Key[K]] struct {
+	Alpha, Fn uint32
+	Lo, Hi    uint32
+	Members   []Stats[K]
 
 	// PureOnPath / PureOffPath mark clusters never observed off-path /
 	// on-path; Ratio is meaningful for mixed clusters.
@@ -118,96 +139,108 @@ type Cluster struct {
 	Label dict.Category
 }
 
-// Inferences is the classifier output.
-type Inferences struct {
-	Labels   map[bgp.Community]dict.Category
-	Clusters []Cluster
-	Excluded map[bgp.Community]ExcludeReason
-	Opts     Options
-
-	// The large-community (RFC 8092) counterparts; empty for
-	// classic-only corpora, in which case snapshots and reports are
-	// byte-identical to a larges-unaware build.
-	LargeLabels   map[bgp.LargeCommunity]dict.Category
-	LargeClusters []LargeCluster
-	LargeExcluded map[bgp.LargeCommunity]ExcludeReason
+// KindSet is the classifier output for one kind of community key.
+type KindSet[K Key[K]] struct {
+	Labels   map[K]dict.Category
+	Clusters []Cluster[K]
+	Excluded map[K]ExcludeReason
 
 	// index maps every observed community — classified or excluded —
 	// to its stats and (for classified ones) its cluster, backing
-	// Lookup. Built by ClassifyObserved and ReadSnapshot; the structure
-	// is immutable once built, so lookups need no locking. largeIndex
-	// is its large-community sibling (nil when no larges were seen).
-	index      map[bgp.Community]lookupEntry
-	largeIndex map[bgp.LargeCommunity]largeLookupEntry
+	// Lookup and Verdict. Built by ClassifyObserved and ReadSnapshot; the
+	// structure is immutable once built, so lookups need no locking.
+	index map[K]indexEntry[K]
 }
 
-// lookupEntry is one observed community in the query index.
-type lookupEntry struct {
-	stats   CommunityStats
+// indexEntry is one observed community in the query index.
+type indexEntry[K Key[K]] struct {
+	stats   Stats[K]
 	cluster int32 // index into Clusters; -1 for excluded communities
 }
 
+// Inferences is the classifier output: the classic (RFC 1997) set,
+// embedded so its fields and methods are the Inferences' own, and the
+// large (RFC 8092) one, which is empty for classic-only corpora — in
+// which case snapshots and reports are byte-identical to a
+// larges-unaware build.
+type Inferences struct {
+	KindSet[bgp.Community]
+	Larges KindSet[bgp.LargeCommunity]
+	Opts   Options
+}
+
+// Large returns the large-community inferences.
+func (inf *Inferences) Large() KindSource[bgp.LargeCommunity] { return &inf.Larges }
+
 // Category returns the inferred label of a community (CatUnknown when
 // excluded or unobserved).
-func (inf *Inferences) Category(c bgp.Community) dict.Category {
-	return inf.Labels[c]
-}
+func (ks *KindSet[K]) Category(k K) dict.Category { return ks.Labels[k] }
 
 // Lookup is the full verdict for one community: not just the label but
 // the evidence behind it and, when unclassified, the reason why.
-type Lookup struct {
-	Comm     bgp.Community
+type Lookup[K Key[K]] struct {
+	Comm     K
 	Observed bool          // the community appeared in the corpus
 	Category dict.Category // CatUnknown when excluded or unobserved
-	Stats    CommunityStats
+	Stats    Stats[K]
 	Reason   ExcludeReason // ExcludeNone for classified communities
-	Cluster  *Cluster      // nil when excluded or unobserved
+	Cluster  *Cluster[K]   // nil when excluded or unobserved
 }
 
 // Lookup explains a community's verdict: its on/off-path evidence, the
 // cluster that labeled it, or the exclusion reason (private-ASN α,
 // never-on-path α, or simply unobserved). The returned Cluster aliases
-// the Inferences and must not be mutated.
-func (inf *Inferences) Lookup(c bgp.Community) Lookup {
-	e, ok := inf.index[c]
+// the set and must not be mutated.
+func (ks *KindSet[K]) Lookup(k K) Lookup[K] {
+	e, ok := ks.index[k]
 	if !ok {
-		return Lookup{Comm: c, Reason: ExcludeUnobserved}
+		return Lookup[K]{Comm: k, Reason: ExcludeUnobserved}
 	}
-	l := Lookup{Comm: c, Observed: true, Stats: e.stats}
+	l := Lookup[K]{Comm: k, Observed: true, Stats: e.stats}
 	if e.cluster >= 0 {
-		l.Cluster = &inf.Clusters[e.cluster]
+		l.Cluster = &ks.Clusters[e.cluster]
 		l.Category = l.Cluster.Label
 	} else {
-		l.Reason = inf.Excluded[c]
+		l.Reason = ks.Excluded[k]
 	}
 	return l
 }
 
 // Observed returns how many communities the index covers (classified
 // plus excluded).
-func (inf *Inferences) Observed() int { return len(inf.index) }
+func (ks *KindSet[K]) Observed() int { return len(ks.index) }
 
-// buildIndex (re)derives the Lookup index from Clusters and the
-// supplied per-community stats of excluded communities.
-func (inf *Inferences) buildIndex(excludedStats map[bgp.Community]CommunityStats) {
-	inf.index = make(map[bgp.Community]lookupEntry,
-		len(inf.Labels)+len(inf.Excluded))
-	for i := range inf.Clusters {
-		for _, m := range inf.Clusters[i].Members {
-			inf.index[m.Comm] = lookupEntry{stats: m, cluster: int32(i)}
+// buildIndex (re)derives Labels and the query index from Clusters,
+// Excluded and the per-community stats of the excluded communities. A
+// closed done channel abandons the work; the caller reports ctx.Err().
+func (ks *KindSet[K]) buildIndex(excludedStats map[K]Stats[K], done <-chan struct{}) {
+	n := len(ks.Excluded)
+	for i := range ks.Clusters {
+		n += len(ks.Clusters[i].Members)
+	}
+	ks.Labels = make(map[K]dict.Category, n-len(ks.Excluded))
+	ks.index = make(map[K]indexEntry[K], n)
+	for i := range ks.Clusters {
+		if i%cancelCheckStride == 0 && chClosed(done) {
+			return
+		}
+		cl := &ks.Clusters[i]
+		for _, m := range cl.Members {
+			ks.Labels[m.Comm] = cl.Label
+			ks.index[m.Comm] = indexEntry[K]{stats: m, cluster: int32(i)}
 		}
 	}
-	for c := range inf.Excluded {
-		st := excludedStats[c]
-		st.Comm = c
-		inf.index[c] = lookupEntry{stats: st, cluster: -1}
+	for k := range ks.Excluded {
+		st := excludedStats[k]
+		st.Comm = k
+		ks.index[k] = indexEntry[K]{stats: st, cluster: -1}
 	}
 }
 
 // Counts returns how many communities were inferred action and
 // information.
-func (inf *Inferences) Counts() (action, info int) {
-	for _, cat := range inf.Labels {
+func (ks *KindSet[K]) Counts() (action, info int) {
+	for _, cat := range ks.Labels {
 		switch cat {
 		case dict.CatAction:
 			action++
@@ -221,11 +254,11 @@ func (inf *Inferences) Counts() (action, info int) {
 // ObservationSet is the per-community measurement the classifier (and
 // the evaluation's baseline-cluster analyses) build on.
 type ObservationSet struct {
-	Stats map[bgp.Community]*CommunityStats
+	Stats map[bgp.Community]*Stats[bgp.Community]
 
-	// LargeStats is the large-community counterpart; nil when the
-	// corpus carries no large communities on any tuple.
-	LargeStats map[bgp.LargeCommunity]*LargeStats
+	// Larges is the large-community counterpart; nil when the corpus
+	// carries no large communities on any tuple.
+	Larges map[bgp.LargeCommunity]*Stats[bgp.LargeCommunity]
 
 	asnOnPath map[uint32]bool
 	orgOnPath map[string]bool
@@ -285,7 +318,7 @@ func observe(ctx context.Context, ts *TupleStore, opts Options, dirty map[uint16
 	err := opts.Tracer.Stage(ctx, obs.StageObserve, "", func(s *obs.Span) {
 		s.Tuples = int64(ts.Len())
 		if os != nil {
-			s.Records = int64(len(os.Stats))
+			s.Records = int64(len(os.Stats) + len(os.Larges))
 		}
 	}, func(ctx context.Context) error {
 		var err error
@@ -329,186 +362,187 @@ func ClassifyObserved(os *ObservationSet, opts Options) *Inferences {
 
 // ClassifyObservedContext is ClassifyObserved with cancellation and
 // per-stage telemetry. The three stages match the paper's structure:
-// cluster (group each α's βs by the gap rule, applying exclusions),
-// ratio (purity/ratio evidence labels each cluster), classify (apply
-// labels to members and build the lookup index). Output is identical to
-// ClassifyObserved for every worker count.
+// cluster (group each (α, fn)'s values by the gap rule, applying
+// exclusions), ratio (purity/ratio evidence labels each cluster),
+// classify (apply labels to members and build the lookup index). Each
+// stage runs both kinds of key through the same code on the same worker
+// pool. Output is identical to ClassifyObserved for every worker count.
 func ClassifyObservedContext(ctx context.Context, os *ObservationSet, opts Options) (*Inferences, error) {
-	inf := &Inferences{
-		Labels:   make(map[bgp.Community]dict.Category),
-		Excluded: make(map[bgp.Community]ExcludeReason),
-		Opts:     opts,
+	inf := &Inferences{Opts: opts}
+	kinds := []kindStages{
+		newKindPass(&inf.KindSet, os.Stats, os, opts),
+		newKindPass(&inf.Larges, os.Larges, os, opts),
 	}
-	done := ctx.Done()
-	tr := opts.Tracer
-
-	workers := ResolveWorkers(opts.Workers)
-
-	// Stage: cluster. Group observed β values by α; each α clusters
-	// independently. Workers take contiguous ranges of the sorted α list
-	// and emit unlabeled clusters/exclusions in α order within their
-	// range; concatenating the per-worker parts in worker order
-	// reproduces the sequential output exactly.
-	type alphaPart struct {
-		clusters []Cluster
-		excluded []excludedComm
-	}
-	var parts []alphaPart
-	var largeExcl []excludedLarge
-	err := tr.Stage(ctx, obs.StageCluster, "", func(s *obs.Span) {
-		s.Records = int64(len(os.Stats) + len(os.LargeStats))
-	}, func(ctx context.Context) error {
-		if len(os.LargeStats) > 0 {
-			inf.LargeClusters, largeExcl = clusterLarges(os, opts)
-		}
-		byAlpha := make(map[uint16][]uint16)
-		for c := range os.Stats {
-			byAlpha[c.ASN()] = append(byAlpha[c.ASN()], c.Value())
-		}
-		alphas := make([]uint16, 0, len(byAlpha))
-		for a := range byAlpha {
-			alphas = append(alphas, a)
-		}
-		slices.Sort(alphas)
-
-		w := workers
-		if len(alphas) < minParallelAlphas {
-			w = 1
-		}
-		parts = make([]alphaPart, w)
-		parallelRanges(w, len(alphas), func(w, lo, hi int) {
-			var p alphaPart
-			for n, alpha := range alphas[lo:hi] {
-				if n%cancelCheckStride == 0 && chClosed(done) {
-					return
-				}
-				betas := byAlpha[alpha]
-				slices.Sort(betas)
-
-				if !opts.DisableExclusions {
-					var reason ExcludeReason
-					switch {
-					case bgp.NewCommunity(alpha, 0).IsPrivateASN():
-						reason = ExcludePrivateASN
-					case !os.AlphaOnPath(uint32(alpha)):
-						reason = ExcludeNeverOnPath
-					}
-					if reason != 0 {
-						for _, b := range betas {
-							c := bgp.NewCommunity(alpha, b)
-							p.excluded = append(p.excluded, excludedComm{c, reason, *os.Stats[c]})
-						}
-						continue
-					}
-				}
-
-				for _, idx := range clusterIndexes(betas, opts.MinGap) {
-					members := make([]CommunityStats, 0, idx[1]-idx[0])
-					for _, b := range betas[idx[0]:idx[1]] {
-						members = append(members, *os.Stats[bgp.NewCommunity(alpha, b)])
-					}
-					p.clusters = append(p.clusters, Cluster{
-						Alpha:   alpha,
-						Lo:      members[0].Comm.Value(),
-						Hi:      members[len(members)-1].Comm.Value(),
-						Members: members,
-					})
-				}
+	for _, st := range []struct {
+		stage obs.Stage
+		run   func(kindStages, context.Context) (records int)
+	}{
+		{obs.StageCluster, kindStages.cluster},
+		{obs.StageRatio, kindStages.ratio},
+		{obs.StageClassify, kindStages.classify},
+	} {
+		var records int
+		err := opts.Tracer.Stage(ctx, st.stage, "", func(s *obs.Span) {
+			s.Records = int64(records)
+		}, func(ctx context.Context) error {
+			for _, k := range kinds {
+				records += st.run(k, ctx)
 			}
-			parts[w] = p
+			return ctx.Err()
 		})
-		return ctx.Err()
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage: ratio. Label every cluster from its members' evidence —
-	// a pure per-cluster function, so clusters are labeled in place on
-	// the worker pool with no ordering concerns.
-	excludedStats := make(map[bgp.Community]CommunityStats)
-	largeExclStats := make(map[bgp.LargeCommunity]LargeStats)
-	err = tr.Stage(ctx, obs.StageRatio, "", func(s *obs.Span) {
-		s.Records = int64(len(inf.Clusters) + len(inf.LargeClusters))
-	}, func(ctx context.Context) error {
-		for _, p := range parts {
-			for _, e := range p.excluded {
-				inf.Excluded[e.comm] = e.reason
-				excludedStats[e.comm] = e.stats
-			}
-			inf.Clusters = append(inf.Clusters, p.clusters...)
+		if err != nil {
+			return nil, err
 		}
-		if len(largeExcl) > 0 {
-			inf.LargeExcluded = make(map[bgp.LargeCommunity]ExcludeReason, len(largeExcl))
-			for _, e := range largeExcl {
-				inf.LargeExcluded[e.comm] = e.reason
-				largeExclStats[e.comm] = e.stats
-			}
-		}
-		if err := ParallelForContext(ctx, workers, len(inf.Clusters), func(i int) {
-			labelCluster(&inf.Clusters[i], opts)
-		}); err != nil {
-			return err
-		}
-		return ParallelForContext(ctx, workers, len(inf.LargeClusters), func(i int) {
-			labelLargeCluster(&inf.LargeClusters[i], opts)
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage: classify. Apply cluster labels to member communities and
-	// build the lookup index.
-	err = tr.Stage(ctx, obs.StageClassify, "", func(s *obs.Span) {
-		s.Records = int64(len(inf.Labels))
-	}, func(ctx context.Context) error {
-		for i := range inf.Clusters {
-			if i%cancelCheckStride == 0 && chClosed(done) {
-				return ctx.Err()
-			}
-			cl := &inf.Clusters[i]
-			for _, m := range cl.Members {
-				inf.Labels[m.Comm] = cl.Label
-			}
-		}
-		if len(inf.LargeClusters) > 0 {
-			inf.LargeLabels = make(map[bgp.LargeCommunity]dict.Category)
-			for i := range inf.LargeClusters {
-				cl := &inf.LargeClusters[i]
-				for _, m := range cl.Members {
-					inf.LargeLabels[m.Comm] = cl.Label
-				}
-			}
-		}
-		inf.buildIndex(excludedStats)
-		inf.buildLargeIndex(largeExclStats)
-		return ctx.Err()
-	})
-	if err != nil {
-		return nil, err
 	}
 	return inf, nil
 }
 
-// minParallelAlphas is the α count below which ClassifyObserved stays
-// sequential.
+// kindStages is one kind of key's way through the three stages. Each
+// returns its record count for the stage span (communities grouped,
+// clusters labeled, communities classified) and gives up early when ctx
+// is canceled, which the stage then reports.
+type kindStages interface {
+	cluster(ctx context.Context) int
+	ratio(ctx context.Context) int
+	classify(ctx context.Context) int
+}
+
+// kindPass is the kindStages of one key type: the set being built, the
+// evidence it is built from, and what one stage hands the next.
+type kindPass[K Key[K]] struct {
+	set     *KindSet[K]
+	stats   map[K]*Stats[K]
+	os      *ObservationSet
+	opts    Options
+	workers int
+
+	parts []groupPart[K]
+	// excludedStats backs Lookup's explanation of an exclusion.
+	excludedStats map[K]Stats[K]
+}
+
+func newKindPass[K Key[K]](set *KindSet[K], stats map[K]*Stats[K], os *ObservationSet, opts Options) *kindPass[K] {
+	return &kindPass[K]{set: set, stats: stats, os: os, opts: opts, workers: ResolveWorkers(opts.Workers)}
+}
+
+// groupPart is what one cluster-stage worker emits for its range of
+// groups: unlabeled clusters and exclusion decisions, in group order.
+type groupPart[K Key[K]] struct {
+	clusters []Cluster[K]
+	excluded []excludedKey[K]
+}
+
+// excludedKey is one exclusion decision with the evidence behind it.
+type excludedKey[K Key[K]] struct {
+	stats  Stats[K]
+	reason ExcludeReason
+}
+
+// minParallelAlphas is the group count below which the cluster stage
+// stays sequential.
 const minParallelAlphas = 64
 
-// excludedComm is one exclusion decision carried from a classify worker
-// to the merge, with the stats that back Lookup's explanation.
-type excludedComm struct {
-	comm   bgp.Community
-	reason ExcludeReason
-	stats  CommunityStats
+// cluster groups the observed communities by (α, fn); each group
+// clusters independently. Workers take contiguous ranges of the sorted
+// group list and emit in group order within their range, so
+// concatenating the per-worker parts in worker order (ratio does)
+// reproduces the sequential output exactly.
+func (p *kindPass[K]) cluster(ctx context.Context) int {
+	done := ctx.Done()
+	byGroup := make(map[uint64][]*Stats[K])
+	for k, st := range p.stats {
+		g := uint64(k.Admin())<<32 | uint64(k.Fn())
+		byGroup[g] = append(byGroup[g], st)
+	}
+	groups := make([]uint64, 0, len(byGroup))
+	for g := range byGroup {
+		groups = append(groups, g)
+	}
+	slices.Sort(groups)
+
+	workers := p.workers
+	if len(groups) < minParallelAlphas {
+		workers = 1
+	}
+	p.parts = make([]groupPart[K], workers)
+	parallelRanges(workers, len(groups), func(w, lo, hi int) {
+		var part groupPart[K]
+		var values []uint32
+		for n, g := range groups[lo:hi] {
+			if n%cancelCheckStride == 0 && chClosed(done) {
+				return
+			}
+			members := byGroup[g]
+			slices.SortFunc(members, func(a, b *Stats[K]) int { return cmp.Compare(a.Comm.Local(), b.Comm.Local()) })
+			alpha, fn := uint32(g>>32), uint32(g)
+
+			if !p.opts.DisableExclusions {
+				var reason ExcludeReason
+				switch {
+				case members[0].Comm.IsPrivateASN():
+					reason = ExcludePrivateASN
+				case !p.os.AlphaOnPath(alpha):
+					reason = ExcludeNeverOnPath
+				}
+				if reason != 0 {
+					for _, m := range members {
+						part.excluded = append(part.excluded, excludedKey[K]{*m, reason})
+					}
+					continue
+				}
+			}
+
+			values = values[:0]
+			for _, m := range members {
+				values = append(values, m.Comm.Local())
+			}
+			for _, idx := range clusterIndexes(values, p.opts.MinGap) {
+				cl := Cluster[K]{
+					Alpha: alpha, Fn: fn, Lo: values[idx[0]], Hi: values[idx[1]-1],
+					Members: make([]Stats[K], 0, idx[1]-idx[0]),
+				}
+				for _, m := range members[idx[0]:idx[1]] {
+					cl.Members = append(cl.Members, *m)
+				}
+				part.clusters = append(part.clusters, cl)
+			}
+		}
+		p.parts[w] = part
+	})
+	return len(p.stats)
+}
+
+// ratio labels every cluster from its members' evidence — a pure
+// per-cluster function, so clusters are labeled in place on the worker
+// pool with no ordering concerns.
+func (p *kindPass[K]) ratio(ctx context.Context) int {
+	p.set.Excluded = make(map[K]ExcludeReason)
+	p.excludedStats = make(map[K]Stats[K])
+	for _, part := range p.parts {
+		for _, e := range part.excluded {
+			p.set.Excluded[e.stats.Comm] = e.reason
+			p.excludedStats[e.stats.Comm] = e.stats
+		}
+		p.set.Clusters = append(p.set.Clusters, part.clusters...)
+	}
+	// A canceled run leaves clusters unlabeled; the stage reports ctx.Err().
+	_ = ParallelForContext(ctx, p.workers, len(p.set.Clusters), func(i int) {
+		labelCluster(&p.set.Clusters[i], p.opts)
+	})
+	return len(p.set.Clusters)
+}
+
+// classify applies the cluster labels to the member communities and
+// builds the lookup index.
+func (p *kindPass[K]) classify(ctx context.Context) int {
+	p.set.buildIndex(p.excludedStats, ctx.Done())
+	return len(p.set.Labels)
 }
 
 // clusterIndexes splits a sorted value list into [start, end) cluster
-// index pairs using the minimum-gap rule. Generic over the value
-// width: classic clustering runs over 16-bit β values, large-community
-// clustering over the 32-bit LocalData2 space, with identical gap
-// semantics (so a classic corpus mirrored into α:fn:β clusters the
-// same way).
+// index pairs using the minimum-gap rule. The gap semantics are the
+// same at every width, so a classic corpus mirrored into α:fn:β
+// clusters the same way.
 func clusterIndexes[T uint16 | uint32](vals []T, minGap int) [][2]int {
 	var out [][2]int
 	start := 0
@@ -521,47 +555,34 @@ func clusterIndexes[T uint16 | uint32](vals []T, minGap int) [][2]int {
 	return out
 }
 
-// decideLabel is the §5.2 decision rule shared by the classic and
-// large labelers: never off-path or ratio at/above threshold ->
-// information; always off-path or ratio below -> action. The
-// mixed-cluster ratio is the mean of the member ratios (or the pooled
-// ratio under the ablation option).
-func decideLabel(onTotal, offTotal int, ratioSum float64, members int, opts Options) (pureOn, pureOff bool, ratio float64, label dict.Category) {
-	pureOn = offTotal == 0
-	pureOff = onTotal == 0
-	if opts.PooledRatio {
-		off := offTotal
-		if off == 0 {
-			off = 1
-		}
-		ratio = float64(onTotal) / float64(off)
-	} else {
-		ratio = ratioSum / float64(members)
-	}
-	switch {
-	case pureOn:
-		label = dict.CatInformation
-	case pureOff:
-		label = dict.CatAction
-	case ratio >= opts.RatioThreshold:
-		label = dict.CatInformation
-	default:
-		label = dict.CatAction
-	}
-	return pureOn, pureOff, ratio, label
-}
-
-// labelCluster applies the decision rule to a classic cluster in place.
-func labelCluster(cl *Cluster, opts Options) {
-	onTotal, offTotal := 0, 0
+// labelCluster applies the §5.2 decision rule to a cluster in place:
+// never off-path or ratio at/above threshold -> information; always
+// off-path or ratio below -> action. The mixed-cluster ratio is the mean
+// of the member ratios (or the pooled ratio under the ablation option).
+func labelCluster[K Key[K]](cl *Cluster[K], opts Options) {
+	var on, off int
 	ratioSum := 0.0
 	for _, m := range cl.Members {
-		onTotal += m.OnPath
-		offTotal += m.OffPath
+		on += m.OnPath
+		off += m.OffPath
 		ratioSum += m.Ratio()
 	}
-	cl.PureOnPath, cl.PureOffPath, cl.Ratio, cl.Label =
-		decideLabel(onTotal, offTotal, ratioSum, len(cl.Members), opts)
+	cl.PureOnPath, cl.PureOffPath = off == 0, on == 0
+	if opts.PooledRatio {
+		cl.Ratio = float64(on) / float64(max(off, 1))
+	} else {
+		cl.Ratio = ratioSum / float64(len(cl.Members))
+	}
+	switch {
+	case cl.PureOnPath:
+		cl.Label = dict.CatInformation
+	case cl.PureOffPath:
+		cl.Label = dict.CatAction
+	case cl.Ratio >= opts.RatioThreshold:
+		cl.Label = dict.CatInformation
+	default:
+		cl.Label = dict.CatAction
+	}
 }
 
 func anyVP(vps []uint32, filter map[uint32]bool) bool {

@@ -11,7 +11,6 @@ import (
 	"slices"
 
 	"bgpintent/internal/bgp"
-	"bgpintent/internal/dict"
 )
 
 // deltaCompatible reports whether two option sets classify under the
@@ -42,7 +41,7 @@ func deltaCompatible(a, b Options) bool {
 // returned as-is.
 func ClassifyDelta(ctx context.Context, ts *TupleStore, opts Options, prev *Inferences, dirty map[uint16]bool) (*Inferences, error) {
 	if prev == nil || opts.Orgs != nil || !deltaCompatible(opts, prev.Opts) ||
-		ts.hasLargeTuples() || len(prev.LargeClusters) > 0 || len(prev.LargeExcluded) > 0 {
+		ts.hasLargeTuples() || hasLargeInferences(prev) {
 		return ClassifyContext(ctx, ts, opts)
 	}
 	if len(dirty) == 0 {
@@ -64,34 +63,22 @@ func ClassifyDelta(ctx context.Context, ts *TupleStore, opts Options, prev *Infe
 
 	// Merge: clean αs keep their previous clusters and exclusions
 	// (shared, immutable), dirty αs take the fresh ones.
-	merged := &Inferences{
-		Labels:   make(map[bgp.Community]dict.Category, len(prev.Labels)),
-		Excluded: make(map[bgp.Community]ExcludeReason, len(prev.Excluded)),
-		Opts:     opts,
-	}
-	merged.Clusters = make([]Cluster, 0, len(prev.Clusters)+len(sub.Clusters))
+	merged := &Inferences{Opts: opts}
+	merged.Excluded = make(map[bgp.Community]ExcludeReason, len(prev.Excluded))
+	merged.Clusters = make([]Cluster[bgp.Community], 0, len(prev.Clusters)+len(sub.Clusters))
 	for i := range prev.Clusters {
-		if !dirty[prev.Clusters[i].Alpha] {
+		if !dirty[uint16(prev.Clusters[i].Alpha)] {
 			merged.Clusters = append(merged.Clusters, prev.Clusters[i])
 		}
 	}
 	merged.Clusters = append(merged.Clusters, sub.Clusters...)
 	// ClassifyContext emits clusters in (α, Lo) order; restore it so a
 	// delta-maintained result is byte-identical to a batch one.
-	slices.SortFunc(merged.Clusters, func(a, b Cluster) int {
-		if a.Alpha != b.Alpha {
-			return cmp.Compare(a.Alpha, b.Alpha)
-		}
-		return cmp.Compare(a.Lo, b.Lo)
+	slices.SortFunc(merged.Clusters, func(a, b Cluster[bgp.Community]) int {
+		return cmp.Or(cmp.Compare(a.Alpha, b.Alpha), cmp.Compare(a.Lo, b.Lo))
 	})
-	for i := range merged.Clusters {
-		cl := &merged.Clusters[i]
-		for _, m := range cl.Members {
-			merged.Labels[m.Comm] = cl.Label
-		}
-	}
 
-	excludedStats := make(map[bgp.Community]CommunityStats, len(prev.Excluded))
+	excludedStats := make(map[bgp.Community]Stats[bgp.Community], len(prev.Excluded))
 	for c, reason := range prev.Excluded {
 		if dirty[c.ASN()] {
 			continue
@@ -103,6 +90,6 @@ func ClassifyDelta(ctx context.Context, ts *TupleStore, opts Options, prev *Infe
 		merged.Excluded[c] = reason
 		excludedStats[c] = sub.index[c].stats
 	}
-	merged.buildIndex(excludedStats)
+	merged.buildIndex(excludedStats, nil)
 	return merged, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bgpintent/internal/bgp"
+	"bgpintent/internal/dict"
 )
 
 // fuzzSeeds builds the corpus the fuzzer mutates from: a valid
@@ -30,7 +31,7 @@ func fuzzSeeds(f *testing.F) {
 
 	// Truncated arena: file size claims more than is present.
 	truncated := append([]byte(nil), v2...)
-	truncated = truncated[:len(truncated)-v2LookupRecLen]
+	truncated = truncated[:len(truncated)-classicLayout.recLen]
 	f.Add(truncated)
 
 	// Inflated section count with a plausible header.
@@ -70,23 +71,30 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		m := &Mapped{s: s}
 		for _, c := range probes {
-			_ = m.Verdict(c)
-			_ = m.VerdictLarge(bgp.LargeCommunity{GlobalAdmin: uint32(c.ASN()), LocalData1: 1, LocalData2: uint32(c.Value())})
+			_ = s.Verdict(c)
+			_ = s.Large().Verdict(bgp.LargeCommunity{GlobalAdmin: uint32(c.ASN()), LocalData1: 1, LocalData2: uint32(c.Value())})
 		}
-		n := s.clusterCount()
-		for i := -1; i <= n; i++ {
-			_, _ = s.clusterSummaryAt(i)
-			start, count := s.clusterMemberRange(i)
-			for j := 0; j < count; j++ {
-				_ = s.memberAt(start + j)
-			}
-		}
-		for i := 0; i < s.lookupCount(); i++ {
-			_, _, _, _ = s.lookupAt(i)
-		}
-		_ = s.options()
-		_ = s.materialize()
+		exerciseKindView(&s.kindView)
+		exerciseKindView(&s.large)
+		_ = s.Options()
+		_ = s.Materialize()
 	})
+}
+
+// exerciseKindView walks every record accessor of one kind's sections,
+// one index past each end included.
+func exerciseKindView[K Key[K]](v *kindView[K]) {
+	n := v.clusterCount()
+	for i := -1; i <= n; i++ {
+		_ = v.ClusterSummaryAt(i)
+		_ = v.clusterLabel(i)
+		_ = v.ClusterMembers(i)
+	}
+	for i := 0; i < v.lookupCount(); i++ {
+		rec, _ := v.lookupRec(i)
+		_ = v.lay.stats(rec)
+	}
+	_, _ = v.AlphaClusters(100)
+	v.EachLabeled(func(K, dict.Category) bool { return true })
 }

@@ -7,16 +7,17 @@
 //
 // Safety model: no unsafe pointer casts — records are decoded with
 // encoding/binary accessors (which compile to plain loads), and every
-// public method that returns reference types (Materialize) copies out
-// of the mapping, so no caller-held slice can alias pages that a later
-// Close unmaps. Value results (Verdict, ClusterSummary) are copies by
-// construction.
+// public method that returns reference types (Materialize,
+// ClusterMembers) copies out of the mapping, so no caller-held slice can
+// alias pages that a later Close unmaps. Value results (Verdict,
+// ClusterSummary) are copies by construction.
 package core
 
 import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"sync/atomic"
 
 	"bgpintent/internal/bgp"
@@ -24,9 +25,12 @@ import (
 )
 
 // Mapped is an immutable inference set served directly from a mapped
-// snapshot file. Safe for unsynchronized concurrent readers.
+// snapshot file. Safe for unsynchronized concurrent readers. The
+// embedded parsed view is the InferenceSource: the classic KindSource
+// methods, Large, Options, Materialize — and Verify, the full integrity
+// pass (section CRCs, sort invariants, index ranges) an open skips.
 type Mapped struct {
-	s       *snapV2
+	*snapV2
 	mmapped bool // true when backed by a real mmap, false for the heap fallback
 	path    string
 	size    int64
@@ -64,7 +68,7 @@ func OpenSnapshotMmap(path string) (*Mapped, error) {
 		}
 		return nil, fmt.Errorf("snapshot: %s: %w", path, err)
 	}
-	m := &Mapped{s: s, mmapped: mmapped, path: path, size: st.Size()}
+	m := &Mapped{snapV2: s, mmapped: mmapped, path: path, size: st.Size()}
 	if mmapped {
 		// Belt and braces: unmap when the GC proves no reference —
 		// including any in-flight request's — can still reach the pages.
@@ -83,7 +87,7 @@ func (m *Mapped) Close() error {
 	}
 	runtime.SetFinalizer(m, nil)
 	if m.mmapped {
-		return munmapFile(m.s.data)
+		return munmapFile(m.data)
 	}
 	return nil
 }
@@ -99,195 +103,100 @@ func (m *Mapped) SizeBytes() int64 { return m.size }
 func (m *Mapped) Mmapped() bool { return m.mmapped }
 
 // Meta returns the snapshot's provenance block.
-func (m *Mapped) Meta() SnapshotMeta { return m.s.meta }
+func (m *Mapped) Meta() SnapshotMeta { return m.meta }
+
+// Large returns the large-community inferences (an empty set on a file
+// without large sections).
+func (s *snapV2) Large() KindSource[bgp.LargeCommunity] { return &s.large }
 
 // Verdict answers one community query by binary-searching the mapped
 // lookup section. Zero-alloc: everything returned is a value decoded
 // from the pages.
-func (m *Mapped) Verdict(c bgp.Community) Verdict {
-	i, ok := m.s.findLookup(uint32(c))
+func (v *kindView[K]) Verdict(k K) KeyVerdict[K] {
+	i, ok := v.findLookup(k)
 	if !ok {
-		return Verdict{Comm: c, Reason: ExcludeUnobserved}
+		return KeyVerdict[K]{Comm: k, Reason: ExcludeUnobserved}
 	}
-	_, cluster, on, off := m.s.lookupAt(i)
-	v := Verdict{
-		Comm:     c,
-		Observed: true,
-		Stats:    CommunityStats{Comm: c, OnPath: int(on), OffPath: int(off)},
+	rec, cluster := v.lookupRec(i)
+	out := KeyVerdict[K]{Comm: k, Observed: true, Stats: Stats[K]{Comm: k}}
+	out.Stats.OnPath, out.Stats.OffPath = v.lay.counts(rec)
+	if cluster < 0 {
+		out.Reason = excludeReason(cluster)
+	} else if v.clusterSummary(int(cluster), &out.Cluster) {
+		out.HasCluster = true
+		out.Category = out.Cluster.Label
 	}
-	if cluster >= 0 {
-		if cs, ok := m.s.clusterSummaryAt(int(cluster)); ok {
-			v.HasCluster = true
-			v.Cluster = cs
-			v.Category = cs.Label
-		}
-		return v
-	}
-	reason := -cluster
-	if reason > int32(ExcludeNeverOnPath) {
-		reason = int32(ExcludeUnobserved)
-	}
-	v.Reason = ExcludeReason(reason)
-	return v
+	return out
 }
 
 // Category returns the community's label, CatUnknown when excluded or
 // unobserved.
-func (m *Mapped) Category(c bgp.Community) dict.Category {
-	i, ok := m.s.findLookup(uint32(c))
+func (v *kindView[K]) Category(k K) dict.Category {
+	i, ok := v.findLookup(k)
 	if !ok {
 		return dict.CatUnknown
 	}
-	_, cluster, _, _ := m.s.lookupAt(i)
-	if cluster < 0 {
-		return dict.CatUnknown
-	}
-	return m.s.clusterLabel(int(cluster))
+	_, cluster := v.lookupRec(i)
+	return v.clusterLabel(int(cluster)) // CatUnknown for an exclusion's negative index
 }
 
 // Observed is the number of distinct communities in the snapshot.
-func (m *Mapped) Observed() int { return m.s.observed }
+func (v *kindView[K]) Observed() int { return v.observed }
 
 // Counts returns the action/information label totals, precomputed at
 // write time (stats section), so this is O(1) on a mapped view.
-func (m *Mapped) Counts() (action, information int) {
-	return m.s.action, m.s.information
-}
+func (v *kindView[K]) Counts() (action, information int) { return v.action, v.information }
 
 // ExcludedCount is observed minus classified — both O(1) section
 // record counts.
-func (m *Mapped) ExcludedCount() int {
-	return m.s.lookupCount() - m.s.memberCount()
-}
+func (v *kindView[K]) ExcludedCount() int { return v.lookupCount() - v.memberCount() }
 
 // ClusterCount is the number of clusters in the snapshot.
-func (m *Mapped) ClusterCount() int { return m.s.clusterCount() }
+func (v *kindView[K]) ClusterCount() int { return v.clusterCount() }
 
 // ClusterSummaryAt decodes the i-th cluster record (sorted by
-// (alpha, lo)); i must be in [0, ClusterCount()).
-func (m *Mapped) ClusterSummaryAt(i int) ClusterSummary {
-	cs, _ := m.s.clusterSummaryAt(i)
+// (alpha, fn, lo)); i must be in [0, ClusterCount()).
+func (v *kindView[K]) ClusterSummaryAt(i int) (cs ClusterSummary) {
+	v.clusterSummary(i, &cs)
 	return cs
 }
 
 // ClusterMembers copies the i-th cluster's member stats out of the
 // mapping. The returned slice is heap-owned and remains valid after
 // Close.
-func (m *Mapped) ClusterMembers(i int) []CommunityStats {
-	start, count := m.s.clusterMemberRange(i)
+func (v *kindView[K]) ClusterMembers(i int) []Stats[K] {
+	start, count := v.clusterMemberRange(i)
 	if count == 0 {
 		return nil
 	}
-	out := make([]CommunityStats, count)
-	for j := 0; j < count; j++ {
-		out[j] = m.s.memberAt(start + j)
+	out := make([]Stats[K], count)
+	for j := range out {
+		out[j] = v.memberAt(start + j)
 	}
 	return out
 }
 
 // AlphaClusters returns the index range [lo, hi) of clusters whose
-// Alpha equals alpha, by binary search over the (alpha, lo)-sorted
+// Alpha equals alpha, by binary search over the (alpha, fn, lo)-sorted
 // cluster section.
-func (m *Mapped) AlphaClusters(alpha uint16) (lo, hi int) {
-	n := m.s.clusterCount()
-	lo = m.s.searchAlpha(alpha, n)
-	hi = lo
-	for hi < n {
-		cs, _ := m.s.clusterSummaryAt(hi)
-		if cs.Alpha != alpha {
-			break
-		}
-		hi++
+func (v *kindView[K]) AlphaClusters(alpha uint32) (lo, hi int) {
+	n := v.clusterCount()
+	alphaAt := func(i int) uint32 {
+		a, _, _, _ := v.lay.bounds(v.clusters[i*v.lay.clusterLen:])
+		return a
 	}
+	lo = sort.Search(n, func(i int) bool { return alphaAt(i) >= alpha })
+	hi = lo + sort.Search(n-lo, func(i int) bool { return alphaAt(lo+i) > alpha })
 	return lo, hi
 }
 
-// EachLabeled visits every classified community in ascending community
-// order (the lookup section's order).
-func (m *Mapped) EachLabeled(fn func(c bgp.Community, cat dict.Category) bool) {
-	for i, n := 0, m.s.lookupCount(); i < n; i++ {
-		comm, cluster, _, _ := m.s.lookupAt(i)
-		if cluster < 0 {
-			continue
-		}
-		if !fn(bgp.Community(comm), m.s.clusterLabel(int(cluster))) {
+// EachLabeled visits every classified community in ascending key order
+// (the lookup section's order).
+func (v *kindView[K]) EachLabeled(fn func(k K, cat dict.Category) bool) {
+	for i, n := 0, v.lookupCount(); i < n; i++ {
+		rec, cluster := v.lookupRec(i)
+		if cluster >= 0 && !fn(v.lay.stats(rec).Comm, v.clusterLabel(int(cluster))) {
 			return
 		}
 	}
 }
-
-// VerdictLarge answers one large-community query by binary-searching
-// the mapped large lookup section (on a file without large sections
-// every large community is unobserved). Zero-alloc like Verdict.
-func (m *Mapped) VerdictLarge(lc bgp.LargeCommunity) LargeVerdict {
-	i, ok := m.s.findLargeLookup(lc)
-	if !ok {
-		return LargeVerdict{Comm: lc, Reason: ExcludeUnobserved}
-	}
-	_, cluster, on, off := m.s.largeLookupAt(i)
-	v := LargeVerdict{
-		Comm:     lc,
-		Observed: true,
-		Stats:    LargeStats{Comm: lc, OnPath: int(on), OffPath: int(off)},
-	}
-	if cluster >= 0 {
-		if cs, ok := m.s.largeClusterSummaryAt(int(cluster)); ok {
-			v.HasCluster = true
-			v.Cluster = cs
-			v.Category = cs.Label
-		}
-		return v
-	}
-	reason := -cluster
-	if reason > int32(ExcludeNeverOnPath) {
-		reason = int32(ExcludeUnobserved)
-	}
-	v.Reason = ExcludeReason(reason)
-	return v
-}
-
-// LargeObserved is the number of distinct large communities in the
-// snapshot (0 on a file without large sections).
-func (m *Mapped) LargeObserved() int { return m.s.largeObserved }
-
-// LargeCounts returns the large action/information label totals,
-// precomputed at write time.
-func (m *Mapped) LargeCounts() (action, information int) {
-	return m.s.largeAction, m.s.largeInformation
-}
-
-// LargeClusterCount is the number of large clusters in the snapshot.
-func (m *Mapped) LargeClusterCount() int { return m.s.largeClusterCount() }
-
-// LargeClusterSummaryAt decodes the i-th large cluster record (sorted
-// by (alpha, fn, lo)); i must be in [0, LargeClusterCount()).
-func (m *Mapped) LargeClusterSummaryAt(i int) LargeClusterSummary {
-	cs, _ := m.s.largeClusterSummaryAt(i)
-	return cs
-}
-
-// EachLargeLabeled visits every classified large community in
-// ascending (ga, ld1, ld2) order.
-func (m *Mapped) EachLargeLabeled(fn func(lc bgp.LargeCommunity, cat dict.Category) bool) {
-	for i, n := 0, m.s.largeLookupCount(); i < n; i++ {
-		lc, cluster, _, _ := m.s.largeLookupAt(i)
-		if cluster < 0 {
-			continue
-		}
-		if !fn(lc, m.s.largeClusterLabel(int(cluster))) {
-			return
-		}
-	}
-}
-
-// Options returns the classifier options recorded in the snapshot.
-func (m *Mapped) Options() Options { return m.s.options() }
-
-// Materialize reconstructs a fully heap-resident *Inferences — every
-// byte copied out of the mapping — for callers that need the mutable
-// form (delta reclassification, re-serialization).
-func (m *Mapped) Materialize() *Inferences { return m.s.materialize() }
-
-// Verify runs the full integrity pass (section CRCs, sort invariants,
-// index ranges) against the mapped bytes.
-func (m *Mapped) Verify() error { return m.s.verify() }

@@ -276,13 +276,9 @@ func observeWith(ctx context.Context, ts *TupleStore, opts Options, dirty map[ui
 			addEvidence(&sum.larges, &o.larges)
 		}
 	}
-	os.Stats = statsFromEvidence(&sum.comms, func(c bgp.Community, on, off int) CommunityStats {
-		return CommunityStats{Comm: c, OnPath: on, OffPath: off}
-	})
+	os.Stats = statsFromEvidence(&sum.comms)
 	if withLarges {
-		os.LargeStats = statsFromEvidence(&sum.larges, func(lc bgp.LargeCommunity, on, off int) LargeStats {
-			return LargeStats{Comm: lc, OnPath: on, OffPath: off}
-		})
+		os.Larges = statsFromEvidence(&sum.larges)
 	}
 	return os, nil
 }
@@ -298,11 +294,11 @@ func addEvidence[K comparable](dst, src *probeTable[K, evidence]) {
 
 // statsFromEvidence renders a table as the map the classifier consumes;
 // the stats structs share one backing array.
-func statsFromEvidence[K comparable, S any](tab *probeTable[K, evidence], mk func(k K, on, off int) S) map[K]*S {
-	arr := make([]S, 0, tab.n)
-	out := make(map[K]*S, tab.n)
+func statsFromEvidence[K Key[K]](tab *probeTable[K, evidence]) map[K]*Stats[K] {
+	arr := make([]Stats[K], 0, tab.n)
+	out := make(map[K]*Stats[K], tab.n)
 	tab.each(func(k K, _ uint64, ev *evidence) {
-		arr = append(arr, mk(k, int(ev.on), int(ev.off)))
+		arr = append(arr, Stats[K]{Comm: k, OnPath: int(ev.on), OffPath: int(ev.off)})
 		out[k] = &arr[len(arr)-1]
 	})
 	return out

@@ -223,8 +223,8 @@ func countOracleTuples(o *oracleStore) int {
 // monotone in OnPath.
 func TestCommunityStatsRatioQuick(t *testing.T) {
 	f := func(on, off uint16) bool {
-		a := CommunityStats{OnPath: int(on), OffPath: int(off)}
-		b := CommunityStats{OnPath: int(on) + 1, OffPath: int(off)}
+		a := Stats[bgp.Community]{OnPath: int(on), OffPath: int(off)}
+		b := Stats[bgp.Community]{OnPath: int(on) + 1, OffPath: int(off)}
 		if a.Ratio() < 0 {
 			return false
 		}
@@ -273,10 +273,10 @@ func TestClusterMembersMatchLabels(t *testing.T) {
 			t.Fatalf("inverted cluster %+v", cl)
 		}
 		for _, m := range cl.Members {
-			if m.Comm.ASN() != cl.Alpha {
+			if m.Comm.Admin() != cl.Alpha {
 				t.Fatalf("cluster %d has member %v", cl.Alpha, m.Comm)
 			}
-			if v := m.Comm.Value(); v < cl.Lo || v > cl.Hi {
+			if v := m.Comm.Local(); v < cl.Lo || v > cl.Hi {
 				t.Fatalf("member %v outside cluster [%d,%d]", m.Comm, cl.Lo, cl.Hi)
 			}
 			if inf.Labels[m.Comm] != cl.Label {

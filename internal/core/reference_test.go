@@ -3,10 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"bgpintent/internal/bgp"
+	"bgpintent/internal/dict"
 )
 
 // refView is one raw observation: what a collector saw, before any
@@ -262,11 +266,11 @@ func checkAgainstReference(t *testing.T, label string, got *ObservationSet, want
 			t.Fatalf("%s: stats[%v] = %+v, reference %+v", label, c, g, w)
 		}
 	}
-	if len(got.LargeStats) != len(want.large) {
-		t.Fatalf("%s: %d large communities, reference has %d", label, len(got.LargeStats), len(want.large))
+	if len(got.Larges) != len(want.large) {
+		t.Fatalf("%s: %d large communities, reference has %d", label, len(got.Larges), len(want.large))
 	}
 	for lc, w := range want.large {
-		g := got.LargeStats[lc]
+		g := got.Larges[lc]
 		if g == nil || g.Comm != lc || g.OnPath != w.on || g.OffPath != w.off {
 			t.Fatalf("%s: large stats[%v] = %+v, reference %+v", label, lc, g, w)
 		}
@@ -279,6 +283,230 @@ func checkAgainstReference(t *testing.T, label string, got *ObservationSet, want
 	for _, alpha := range u.asns {
 		if g, w := got.AlphaOnPath(alpha), want.alphaOnPath(alpha); g != w {
 			t.Fatalf("%s: AlphaOnPath(%d) = %v, reference %v", label, alpha, g, w)
+		}
+	}
+}
+
+// refKey is a community of either kind reduced to what §5.2 steps 2, 4
+// and 5 look at: the signalling AS, the function selector (0 for classic
+// communities) and the value.
+type refKey struct{ alpha, fn, val uint32 }
+
+type refCluster struct {
+	lo, hi  refKey // first and last member
+	members int
+	label   dict.Category
+}
+
+// refInference is the naive §5.2 steps 2, 4 and 5 over reference
+// evidence: sort the keys, cut a group where (α, fn) changes, drop the
+// groups of a private or never-on-path α, cut a cluster where the value
+// gap exceeds MinGap, and label each cluster by the decision rule. It
+// shares no code with the classifier.
+type refInference struct {
+	clusters []refCluster
+	labels   map[refKey]dict.Category
+	excluded map[refKey]ExcludeReason
+}
+
+func referenceClassify(counts map[refKey]refCounts, private, onPath func(alpha uint32) bool, opts Options) refInference {
+	keys := make([]refKey, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.alpha != b.alpha {
+			return a.alpha < b.alpha
+		}
+		if a.fn != b.fn {
+			return a.fn < b.fn
+		}
+		return a.val < b.val
+	})
+	inf := refInference{labels: map[refKey]dict.Category{}, excluded: map[refKey]ExcludeReason{}}
+	label := func(members []refKey) dict.Category {
+		var on, off int
+		var ratios float64
+		for _, k := range members {
+			c := counts[k]
+			on, off = on+c.on, off+c.off
+			ratios += float64(c.on) / math.Max(float64(c.off), 1)
+		}
+		ratio := ratios / float64(len(members))
+		if opts.PooledRatio {
+			ratio = float64(on) / math.Max(float64(off), 1)
+		}
+		if off == 0 || on != 0 && ratio >= opts.RatioThreshold {
+			return dict.CatInformation
+		}
+		return dict.CatAction
+	}
+	for start := 0; start < len(keys); {
+		end := start + 1
+		for end < len(keys) && keys[end].alpha == keys[start].alpha && keys[end].fn == keys[start].fn &&
+			int64(keys[end].val)-int64(keys[end-1].val) <= int64(opts.MinGap) {
+			end++
+		}
+		members := keys[start:end]
+		start = end
+		var reason ExcludeReason
+		if alpha := members[0].alpha; opts.DisableExclusions {
+		} else if private(alpha) {
+			reason = ExcludePrivateASN
+		} else if !onPath(alpha) {
+			reason = ExcludeNeverOnPath
+		}
+		if reason != ExcludeNone {
+			for _, k := range members {
+				inf.excluded[k] = reason
+			}
+			continue
+		}
+		cl := refCluster{lo: members[0], hi: members[len(members)-1], members: len(members), label: label(members)}
+		inf.clusters = append(inf.clusters, cl)
+		for _, k := range members {
+			inf.labels[k] = cl.label
+		}
+	}
+	return inf
+}
+
+// checkClassified compares one kind's classifier output with the
+// reference, cluster for cluster.
+func checkClassified[K Key[K]](t *testing.T, label string, got *KindSet[K], want refInference) {
+	t.Helper()
+	ref := func(k K) refKey { return refKey{k.Admin(), k.Fn(), k.Local()} }
+	if len(got.Clusters) != len(want.clusters) {
+		t.Fatalf("%s: %d clusters, reference has %d", label, len(got.Clusters), len(want.clusters))
+	}
+	for i, w := range want.clusters {
+		g := &got.Clusters[i]
+		if (refKey{g.Alpha, g.Fn, g.Lo}) != w.lo || (refKey{g.Alpha, g.Fn, g.Hi}) != w.hi ||
+			len(g.Members) != w.members || g.Label != w.label ||
+			ref(g.Members[0].Comm) != w.lo || ref(g.Members[len(g.Members)-1].Comm) != w.hi {
+			t.Fatalf("%s: cluster %d = %+v, reference %+v", label, i, *g, w)
+		}
+	}
+	if len(got.Labels) != len(want.labels) || len(got.Excluded) != len(want.excluded) || got.Observed() != len(want.labels)+len(want.excluded) {
+		t.Fatalf("%s: %d labels, %d exclusions, %d observed; reference has %d and %d",
+			label, len(got.Labels), len(got.Excluded), got.Observed(), len(want.labels), len(want.excluded))
+	}
+	for k, cat := range got.Labels {
+		if w, ok := want.labels[ref(k)]; !ok || w != cat {
+			t.Fatalf("%s: label[%v] = %v, reference %v (present=%v)", label, k, cat, w, ok)
+		}
+	}
+	for k, reason := range got.Excluded {
+		if w, ok := want.excluded[ref(k)]; !ok || w != reason {
+			t.Fatalf("%s: excluded[%v] = %v, reference %v (present=%v)", label, k, reason, w, ok)
+		}
+	}
+}
+
+// TestClassifyMatchesReference: clustering, exclusion and labelling of
+// both kinds of key equal the naive reference over random corpora wide
+// enough (more than minParallelAlphas groups) to take the parallel
+// cluster path, at every worker count, across gap and threshold settings
+// and both ablations.
+func TestClassifyMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		u := newRefUniverse(rng)
+		for i := 0; i < 150; i++ { // many more signalling ASes, mostly off every path
+			alpha := uint32(1 + rng.Intn(120))
+			u.comms = append(u.comms, bgp.NewCommunity(uint16(alpha), uint16(rng.Intn(8)*70)))
+			u.larges = append(u.larges, bgp.LargeCommunity{GlobalAdmin: alpha, LocalData1: uint32(rng.Intn(3)), LocalData2: uint32(rng.Intn(8) * 70)})
+		}
+		u.larges = append(u.larges, bgp.LargeCommunity{GlobalAdmin: 4200000001, LocalData1: 1, LocalData2: 1})
+		views := u.views(rng, 200+rng.Intn(600), true)
+		ts := NewTupleStore()
+		for _, v := range views {
+			ts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
+		}
+		ev := referenceObserve(views, nil, nil, nil)
+		classic, large := map[refKey]refCounts{}, map[refKey]refCounts{}
+		for c, rc := range ev.classic {
+			classic[refKey{uint32(c.ASN()), 0, uint32(c.Value())}] = rc
+		}
+		for lc, rc := range ev.large {
+			large[refKey{lc.GlobalAdmin, lc.LocalData1, lc.LocalData2}] = rc
+		}
+		private16 := func(alpha uint32) bool { return alpha >= 64512 }
+		private32 := func(alpha uint32) bool { return alpha >= 64512 && alpha <= 65535 || alpha >= 4200000000 }
+
+		os := Observe(ts, Options{Workers: 1})
+		for _, opts := range []Options{
+			{MinGap: 140, RatioThreshold: 160},
+			{MinGap: 0, RatioThreshold: 1.5},
+			{MinGap: 69, RatioThreshold: 2},
+			{MinGap: 70, RatioThreshold: 2, PooledRatio: true},
+			{MinGap: 1000, RatioThreshold: 1, DisableExclusions: true},
+		} {
+			wantClassic := referenceClassify(classic, private16, ev.alphaOnPath, opts)
+			wantLarge := referenceClassify(large, private32, ev.alphaOnPath, opts)
+			for _, workers := range []int{1, 2, 8} {
+				opts.Workers = workers
+				inf := ClassifyObserved(os, opts)
+				label := fmt.Sprintf("seed %d %+v", seed, opts)
+				checkClassified(t, label+" classic", &inf.KindSet, wantClassic)
+				checkClassified(t, label+" large", &inf.Larges, wantLarge)
+			}
+		}
+	}
+}
+
+// TestMirroredCorpusClassifiesAlike is the metamorphic property the one
+// key path promises: mirror every classic α:β as the large α:7:β on the
+// same views and the large clusters, labels and exclusions are the
+// classic ones, cluster for cluster.
+func TestMirroredCorpusClassifiesAlike(t *testing.T) {
+	mirror := func(c bgp.Community) bgp.LargeCommunity {
+		return bgp.LargeCommunity{GlobalAdmin: uint32(c.ASN()), LocalData1: 7, LocalData2: uint32(c.Value())}
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		u := newRefUniverse(rng)
+		ts := NewTupleStore()
+		for _, v := range u.views(rng, 1+rng.Intn(400), false) {
+			var larges bgp.LargeCommunities
+			for _, c := range v.comms {
+				larges = append(larges, mirror(c))
+			}
+			ts.AddViewLarge(v.vp, v.path, v.comms, larges)
+		}
+		inf := Classify(ts, Options{MinGap: 140, RatioThreshold: 2, Workers: 1 + int(seed%3)})
+		if len(inf.Larges.Clusters) != len(inf.Clusters) || len(inf.Larges.Labels) != len(inf.Labels) ||
+			len(inf.Larges.Excluded) != len(inf.Excluded) {
+			t.Fatalf("seed %d: large %d clusters/%d labels/%d exclusions, classic %d/%d/%d", seed,
+				len(inf.Larges.Clusters), len(inf.Larges.Labels), len(inf.Larges.Excluded),
+				len(inf.Clusters), len(inf.Labels), len(inf.Excluded))
+		}
+		for i := range inf.Clusters {
+			c, l := inf.Clusters[i], inf.Larges.Clusters[i]
+			want := Cluster[bgp.LargeCommunity]{
+				Alpha: c.Alpha, Fn: 7, Lo: c.Lo, Hi: c.Hi, Label: c.Label,
+				PureOnPath: c.PureOnPath, PureOffPath: c.PureOffPath, Ratio: c.Ratio,
+			}
+			for _, m := range c.Members {
+				want.Members = append(want.Members, Stats[bgp.LargeCommunity]{Comm: mirror(m.Comm), OnPath: m.OnPath, OffPath: m.OffPath})
+			}
+			if !reflect.DeepEqual(l, want) {
+				t.Fatalf("seed %d: large cluster %d = %+v, classic mirrored %+v", seed, i, l, want)
+			}
+		}
+		for c, cat := range inf.Labels {
+			if got := inf.Larges.Labels[mirror(c)]; got != cat {
+				t.Fatalf("seed %d: %v labeled %v, its mirror %v", seed, c, cat, got)
+			}
+		}
+		for c, reason := range inf.Excluded {
+			if got := inf.Larges.Excluded[mirror(c)]; got != reason {
+				t.Fatalf("seed %d: %v excluded %v, its mirror %v", seed, c, reason, got)
+			}
+			if a, b := inf.Verdict(c), inf.Larges.Verdict(mirror(c)); a.Stats.OnPath != b.Stats.OnPath || a.Stats.OffPath != b.Stats.OffPath {
+				t.Fatalf("seed %d: excluded %v evidence %+v, its mirror %+v", seed, c, a.Stats, b.Stats)
+			}
 		}
 	}
 }

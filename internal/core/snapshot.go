@@ -41,7 +41,7 @@ type SnapshotMeta struct {
 // hasLargeInferences reports whether the inferences carry any
 // large-community result worth persisting.
 func hasLargeInferences(inf *Inferences) bool {
-	return len(inf.LargeClusters) > 0 || len(inf.LargeExcluded) > 0
+	return len(inf.Larges.Clusters) > 0 || len(inf.Larges.Excluded) > 0
 }
 
 // checkSnapshotMagic validates the first 10 bytes of a snapshot: the
@@ -120,8 +120,8 @@ func ReadSnapshot(r io.Reader) (*Inferences, SnapshotMeta, error) {
 	// The streamed read already holds every byte, so deep-verify the
 	// section checksums. (OpenSnapshotMmap intentionally skips this to
 	// stay O(1).)
-	if err := s.verify(); err != nil {
+	if err := s.Verify(); err != nil {
 		return nil, SnapshotMeta{}, err
 	}
-	return s.materialize(), s.meta, nil
+	return s.Materialize(), s.meta, nil
 }

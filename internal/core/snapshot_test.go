@@ -90,9 +90,9 @@ func buildMixedInferences(t testing.TB) *Inferences {
 			{GlobalAdmin: 500, LocalData1: 1, LocalData2: 1},    // never on any path -> excluded
 		})
 	inf := Classify(ts, Options{MinGap: 140, RatioThreshold: 160})
-	if len(inf.LargeClusters) == 0 || len(inf.LargeExcluded) == 0 {
+	if len(inf.Larges.Clusters) == 0 || len(inf.Larges.Excluded) == 0 {
 		t.Fatalf("mixed fixture has %d large clusters, %d large exclusions; want both",
-			len(inf.LargeClusters), len(inf.LargeExcluded))
+			len(inf.Larges.Clusters), len(inf.Larges.Excluded))
 	}
 	return inf
 }
@@ -124,7 +124,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			inf := tc.inf
 			meta := SnapshotMeta{
 				CreatedUnix: 1714521600, Source: "test",
-				Tuples: 2, Paths: 2, VantagePoints: 2, Communities: 4, LargeCommunities: inf.LargeObserved(),
+				Tuples: 2, Paths: 2, VantagePoints: 2, Communities: 4, LargeCommunities: inf.Larges.Observed(),
 			}
 			raw := writeFlat(t, inf, meta)
 			if raw[9] != tc.version {
@@ -155,9 +155,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(got.Clusters, inf.Clusters) {
 				t.Fatalf("clusters differ")
 			}
-			if !reflect.DeepEqual(got.LargeLabels, inf.LargeLabels) ||
-				!reflect.DeepEqual(got.LargeExcluded, inf.LargeExcluded) ||
-				!reflect.DeepEqual(got.LargeClusters, inf.LargeClusters) {
+			if !reflect.DeepEqual(got.Larges.Labels, inf.Larges.Labels) ||
+				!reflect.DeepEqual(got.Larges.Excluded, inf.Larges.Excluded) ||
+				!reflect.DeepEqual(got.Larges.Clusters, inf.Larges.Clusters) {
 				t.Fatalf("large inferences differ after round trip")
 			}
 			// Lookup is fully rebuilt, including excluded-community evidence.
@@ -176,8 +176,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				{GlobalAdmin: 100, LocalData1: 1, LocalData2: 10}, {GlobalAdmin: 100, LocalData1: 1, LocalData2: 9000},
 				{GlobalAdmin: 500, LocalData1: 1, LocalData2: 1}, {GlobalAdmin: 4242, LocalData1: 1, LocalData2: 4242},
 			} {
-				if a, b := inf.VerdictLarge(lc), got.VerdictLarge(lc); a != b {
-					t.Fatalf("VerdictLarge(%v) differs after round trip: %+v vs %+v", lc, a, b)
+				if a, b := inf.Larges.Verdict(lc), got.Larges.Verdict(lc); a != b {
+					t.Fatalf("large Verdict(%v) differs after round trip: %+v vs %+v", lc, a, b)
 				}
 			}
 

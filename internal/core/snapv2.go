@@ -15,45 +15,45 @@
 //	           uint32 IEEE CRC-32 of the section bytes, uint32 pad
 //	...      sections, each starting on an 8-byte boundary
 //
-// Five sections are always present (offsets from file start, every
-// record little-endian):
+// Besides the meta section (1: gob(SnapshotMeta) — provenance, readable
+// alone) every section belongs to one kind of community key, and each
+// kind has the same four, differing only in the widths kindLayout
+// records (offsets from record start, every field little-endian):
 //
-//	meta (1)     gob(SnapshotMeta) — provenance, readable alone
-//	stats (2)    64 bytes: classifier options + precomputed counters,
-//	             so Counts/ExcludedCount are O(1) on a mapped snapshot
-//	clusters (3) n × 48-byte records sorted by (alpha, lo):
-//	             u16 alpha, u16 lo, u16 hi, u8 label, u8 flags,
-//	             u32 memberStart, u32 memberCount, f64 ratio,
-//	             i64 onPathSum, i64 offPathSum, u64 reserved
-//	members (4)  n × 24-byte CommunityStats records grouped by cluster:
-//	             u32 comm, u32 pad, i64 onPath, i64 offPath
-//	lookup (5)   n × 24-byte records sorted by community:
-//	             u32 comm, i32 cluster (≥0: cluster index;
-//	             <0: negated ExcludeReason), i64 onPath, i64 offPath
+//	                 classic (RFC 1997)        large (RFC 8092)
+//	stats            kind 2, 64 bytes          kind 6, 32 bytes
+//	  i64 action, i64 information, i64 observed at
+//	                 24                        0
+//	  (classic only: i64 minGap, f64 ratioThreshold, u64 option flags
+//	  at 0 — the classifier options of the whole file)
+//	clusters         kind 3, 48-byte records   kind 7, 56-byte records
+//	  bounds at 0    u16 alpha, lo, hi         u32 alpha, fn, lo, hi
+//	  u8 label, u8 flags at
+//	                 6                         16
+//	  u32 memberStart, u32 memberCount at
+//	                 8                         20
+//	  f64 ratio, i64 onPathSum, i64 offPathSum at
+//	                 16                        32
+//	members, lookup  kinds 4, 5, 24 bytes      kinds 8, 9, 32 bytes
+//	  key at 0       u32 comm                  u32 ga, ld1, ld2
+//	  i64 onPath, i64 offPath at
+//	                 8                         16
+//	  lookup only: i32 cluster in the four bytes before them (≥0:
+//	  cluster index; <0: negated ExcludeReason)
 //
-// Four more carry the RFC 8092 large-community inferences (the wider
-// keys do not fit the classic record shapes). The writer emits them
-// only when large inferences exist; a reader requires all four or none:
+// Clusters are sorted by (alpha, fn, lo), members grouped by cluster,
+// lookup records sorted by key; bytes not named above are zero. So O(1)
+// counters, per-α cluster ranges and per-key verdicts are all reads or
+// binary searches of the mapped pages.
 //
-//	lstats (6)    32 bytes: i64 action, i64 information, i64 observed,
-//	              u64 reserved
-//	lclusters (7) n × 56-byte records sorted by (alpha, fn, lo):
-//	              u32 alpha, u32 fn, u32 lo, u32 hi, u8 label, u8 flags,
-//	              u16 pad, u32 memberStart, u32 memberCount, u32 pad,
-//	              f64 ratio, i64 onPathSum, i64 offPathSum
-//	lmembers (8)  n × 32-byte LargeStats records grouped by cluster:
-//	              u32 ga, u32 ld1, u32 ld2, u32 pad, i64 onPath,
-//	              i64 offPath
-//	llookup (9)   n × 32-byte records sorted by (ga, ld1, ld2):
-//	              u32 ga, u32 ld1, u32 ld2, i32 cluster (encoded as in
-//	              lookup), i64 onPath, i64 offPath
-//
-// The version byte restates whether the large sections are there, so a
-// reader that predates them fails loudly instead of silently ignoring
-// them; the two must agree or the file is rejected. Classic-only
-// inference sets therefore keep the exact bytes a larges-unaware writer
-// produced. (Identifiers prefixed v2/v3 below name record shapes after
-// the version byte that introduced them.)
+// The classic sections are always present. The writer emits the large
+// ones only when large inferences exist; a reader requires all four or
+// none. The version byte restates whether the large sections are there,
+// so a reader that predates them fails loudly instead of silently
+// ignoring them; the two must agree or the file is rejected.
+// Classic-only inference sets therefore keep the exact bytes a
+// larges-unaware writer produced. (Identifiers prefixed v2 below are
+// named after the version byte that introduced the container.)
 //
 // Opening a snapshot is O(sections): validate the header and table,
 // decode the tiny meta/stats sections, and point slices at the record
@@ -102,17 +102,8 @@ const (
 
 // Fixed sizes.
 const (
-	v2HeaderLen     = 32
-	v2SectionLen    = 32 // one section-table entry
-	v2StatsLen      = 64
-	v2ClusterRecLen = 48
-	v2MemberRecLen  = 24
-	v2LookupRecLen  = 24
-
-	v3LargeStatsLen      = 32
-	v3LargeClusterRecLen = 56
-	v3LargeMemberRecLen  = 32
-	v3LargeLookupRecLen  = 32
+	v2HeaderLen  = 32
+	v2SectionLen = 32 // one section-table entry
 
 	// v2MaxSections bounds the section count a header may claim, so a
 	// corrupt table cannot demand absurd allocations.
@@ -131,14 +122,181 @@ const (
 	v2ClusterPureOffPath = 1 << 1
 )
 
+var le = binary.LittleEndian
+
+// kindLayout is the record-layout descriptor of one kind of community
+// key: the row of the table above. The writer, the accessors, materialize
+// and verify are written once against it. A further kind of key costs
+// its Key methods, one kindLayout value and four section kinds.
+type kindLayout[K Key[K]] struct {
+	name string // prefixes "clusters section", "lookup record" … in errors
+
+	secStats, secClusters, secMembers, secLookup uint32
+
+	statsLen   int // stats section length
+	countersAt int // i64 action, information, observed
+
+	clusterLen int // cluster record length; bounds at 0
+	labelAt    int // u8 label, u8 flags
+	membersAt  int // u32 memberStart, u32 memberCount
+	ratioAt    int // f64 ratio, i64 onPathSum, i64 offPathSum
+
+	recLen   int // member and lookup record length; key at 0
+	countsAt int // i64 onPath, i64 offPath; a lookup's i32 cluster is at countsAt-4
+
+	// The key codec. A record's key is its first keyWords (at most
+	// three) u32 words, most significant first, so comparing records word
+	// by word is Key.Compare: binary searches never decode a key. (Three
+	// results, not an array: they come back in registers on the verdict
+	// hot path.)
+	keyWords int
+	words    func(k K) (w0, w1, w2 uint32)
+	key      func(w0, w1, w2 uint32) K
+
+	putBounds func(b []byte, alpha, fn, lo, hi uint32)
+	bounds    func(b []byte) (alpha, fn, lo, hi uint32)
+}
+
+// keyWordsOf returns a key's words as an array.
+func (l *kindLayout[K]) keyWordsOf(k K) (w [3]uint32) {
+	w[0], w[1], w[2] = l.words(k)
+	return w
+}
+
+var classicLayout = kindLayout[bgp.Community]{
+	secStats: secStats, secClusters: secClusters, secMembers: secMembers, secLookup: secLookup,
+	statsLen: 64, countersAt: 24,
+	clusterLen: 48, labelAt: 6, membersAt: 8, ratioAt: 16,
+	recLen: 24, countsAt: 8,
+	keyWords: 1,
+	words:    func(c bgp.Community) (w0, w1, w2 uint32) { return uint32(c), 0, 0 },
+	key:      func(w0, _, _ uint32) bgp.Community { return bgp.Community(w0) },
+	putBounds: func(b []byte, alpha, _, lo, hi uint32) {
+		le.PutUint16(b[0:], uint16(alpha))
+		le.PutUint16(b[2:], uint16(lo))
+		le.PutUint16(b[4:], uint16(hi))
+	},
+	bounds: func(b []byte) (alpha, fn, lo, hi uint32) {
+		return uint32(le.Uint16(b[0:])), 0, uint32(le.Uint16(b[2:])), uint32(le.Uint16(b[4:]))
+	},
+}
+
+var largeLayout = kindLayout[bgp.LargeCommunity]{
+	name:     "large ",
+	secStats: secLargeStats, secClusters: secLargeClusters, secMembers: secLargeMembers, secLookup: secLargeLookup,
+	statsLen: 32, countersAt: 0,
+	clusterLen: 56, labelAt: 16, membersAt: 20, ratioAt: 32,
+	recLen: 32, countsAt: 16,
+	keyWords: 3,
+	words: func(lc bgp.LargeCommunity) (w0, w1, w2 uint32) {
+		return lc.GlobalAdmin, lc.LocalData1, lc.LocalData2
+	},
+	key: func(w0, w1, w2 uint32) bgp.LargeCommunity {
+		return bgp.LargeCommunity{GlobalAdmin: w0, LocalData1: w1, LocalData2: w2}
+	},
+	putBounds: func(b []byte, alpha, fn, lo, hi uint32) {
+		le.PutUint32(b[0:], alpha)
+		le.PutUint32(b[4:], fn)
+		le.PutUint32(b[8:], lo)
+		le.PutUint32(b[12:], hi)
+	},
+	bounds: func(b []byte) (alpha, fn, lo, hi uint32) {
+		return le.Uint32(b[0:]), le.Uint32(b[4:]), le.Uint32(b[8:]), le.Uint32(b[12:])
+	},
+}
+
 // align8 rounds n up to the next multiple of 8.
 func align8(n int) int { return (n + 7) &^ 7 }
 
-// v2LookupEntry is the writer-side shape of one lookup record.
-type v2LookupEntry struct {
-	comm    uint32
-	cluster int32
-	on, off int64
+// section is one entry of the table being written.
+type section struct {
+	kind uint32
+	body []byte
+}
+
+// encode renders one kind's four sections: stats (counters only),
+// clusters, members, lookup. Output is deterministic for identical
+// inferences.
+func (l *kindLayout[K]) encode(ks *KindSet[K]) []section {
+	// Clusters in canonical (alpha, fn, lo, hi) order; the classifier
+	// already emits them sorted, but the format guarantees it so mapped
+	// readers can binary-search per-α cluster ranges.
+	order := make([]int, len(ks.Clusters))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		ca, cb := &ks.Clusters[a], &ks.Clusters[b]
+		return cmp.Or(cmp.Compare(ca.Alpha, cb.Alpha), cmp.Compare(ca.Fn, cb.Fn),
+			cmp.Compare(ca.Lo, cb.Lo), cmp.Compare(ca.Hi, cb.Hi))
+	})
+
+	type lookupEntry struct {
+		stats   Stats[K]
+		cluster int32
+	}
+	total := 0
+	for i := range ks.Clusters {
+		total += len(ks.Clusters[i].Members)
+	}
+	lookups := make([]lookupEntry, 0, total+len(ks.Excluded))
+	clusters := make([]byte, len(order)*l.clusterLen)
+	members := make([]byte, total*l.recLen)
+	putStats := func(rec []byte, st *Stats[K]) {
+		w := l.keyWordsOf(st.Comm)
+		for i := 0; i < l.keyWords; i++ {
+			le.PutUint32(rec[4*i:], w[i])
+		}
+		le.PutUint64(rec[l.countsAt:], uint64(int64(st.OnPath)))
+		le.PutUint64(rec[l.countsAt+8:], uint64(int64(st.OffPath)))
+	}
+	for newIdx, oi := range order {
+		cl := &ks.Clusters[oi]
+		rec := clusters[newIdx*l.clusterLen:][:l.clusterLen]
+		l.putBounds(rec, cl.Alpha, cl.Fn, cl.Lo, cl.Hi)
+		rec[l.labelAt] = byte(cl.Label)
+		if cl.PureOnPath {
+			rec[l.labelAt+1] |= v2ClusterPureOnPath
+		}
+		if cl.PureOffPath {
+			rec[l.labelAt+1] |= v2ClusterPureOffPath
+		}
+		// lookups holds one entry per member written so far, so its
+		// length is the index of this cluster's first member record.
+		le.PutUint32(rec[l.membersAt:], uint32(len(lookups)))
+		le.PutUint32(rec[l.membersAt+4:], uint32(len(cl.Members)))
+		var onSum, offSum int64
+		for i := range cl.Members {
+			m := &cl.Members[i]
+			putStats(members[len(lookups)*l.recLen:][:l.recLen], m)
+			onSum += int64(m.OnPath)
+			offSum += int64(m.OffPath)
+			lookups = append(lookups, lookupEntry{*m, int32(newIdx)})
+		}
+		le.PutUint64(rec[l.ratioAt:], math.Float64bits(cl.Ratio))
+		le.PutUint64(rec[l.ratioAt+8:], uint64(onSum))
+		le.PutUint64(rec[l.ratioAt+16:], uint64(offSum))
+	}
+
+	for k, reason := range ks.Excluded {
+		st := ks.index[k].stats
+		st.Comm = k
+		lookups = append(lookups, lookupEntry{st, -int32(reason)})
+	}
+	slices.SortFunc(lookups, func(a, b lookupEntry) int { return a.stats.Comm.Compare(b.stats.Comm) })
+	lookup := make([]byte, len(lookups)*l.recLen)
+	for i := range lookups {
+		rec := lookup[i*l.recLen:][:l.recLen]
+		putStats(rec, &lookups[i].stats)
+		le.PutUint32(rec[l.countsAt-4:], uint32(lookups[i].cluster))
+	}
+
+	action, information := ks.Counts()
+	stats := make([]byte, l.statsLen)
+	le.PutUint64(stats[l.countersAt:], uint64(int64(action)))
+	le.PutUint64(stats[l.countersAt+8:], uint64(int64(information)))
+	le.PutUint64(stats[l.countersAt+16:], uint64(int64(len(lookups))))
+	return []section{{l.secStats, stats}, {l.secClusters, clusters}, {l.secMembers, members}, {l.secLookup, lookup}}
 }
 
 // WriteSnapshotFlat serializes the inferences and meta into w. The
@@ -151,92 +309,11 @@ func WriteSnapshotFlat(w io.Writer, inf *Inferences, meta SnapshotMeta) error {
 	if err := gob.NewEncoder(&metaBuf).Encode(&meta); err != nil {
 		return fmt.Errorf("snapshot: encode meta: %w", err)
 	}
-
-	// Clusters in canonical (alpha, lo, hi) order; the classifier
-	// already emits them sorted, but the format guarantees it so mapped
-	// readers can binary-search per-α cluster ranges.
-	order := make([]int, len(inf.Clusters))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		ca, cb := &inf.Clusters[a], &inf.Clusters[b]
-		if c := cmp.Compare(ca.Alpha, cb.Alpha); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(ca.Lo, cb.Lo); c != 0 {
-			return c
-		}
-		return cmp.Compare(ca.Hi, cb.Hi)
-	})
-
-	clusterBuf := make([]byte, 0, len(order)*v2ClusterRecLen)
-	var memberBuf []byte
-	lookups := make([]v2LookupEntry, 0, len(inf.Labels)+len(inf.Excluded))
-	var rec [v2ClusterRecLen]byte
-	for newIdx, oi := range order {
-		cl := &inf.Clusters[oi]
-		memberStart := len(memberBuf) / v2MemberRecLen
-		var onSum, offSum int64
-		for i := range cl.Members {
-			m := &cl.Members[i]
-			var mr [v2MemberRecLen]byte
-			binary.LittleEndian.PutUint32(mr[0:], uint32(m.Comm))
-			binary.LittleEndian.PutUint64(mr[8:], uint64(int64(m.OnPath)))
-			binary.LittleEndian.PutUint64(mr[16:], uint64(int64(m.OffPath)))
-			memberBuf = append(memberBuf, mr[:]...)
-			onSum += int64(m.OnPath)
-			offSum += int64(m.OffPath)
-			lookups = append(lookups, v2LookupEntry{
-				comm: uint32(m.Comm), cluster: int32(newIdx),
-				on: int64(m.OnPath), off: int64(m.OffPath),
-			})
-		}
-		rec = [v2ClusterRecLen]byte{}
-		binary.LittleEndian.PutUint16(rec[0:], cl.Alpha)
-		binary.LittleEndian.PutUint16(rec[2:], cl.Lo)
-		binary.LittleEndian.PutUint16(rec[4:], cl.Hi)
-		rec[6] = byte(cl.Label)
-		var flags byte
-		if cl.PureOnPath {
-			flags |= v2ClusterPureOnPath
-		}
-		if cl.PureOffPath {
-			flags |= v2ClusterPureOffPath
-		}
-		rec[7] = flags
-		binary.LittleEndian.PutUint32(rec[8:], uint32(memberStart))
-		binary.LittleEndian.PutUint32(rec[12:], uint32(len(cl.Members)))
-		binary.LittleEndian.PutUint64(rec[16:], math.Float64bits(cl.Ratio))
-		binary.LittleEndian.PutUint64(rec[24:], uint64(onSum))
-		binary.LittleEndian.PutUint64(rec[32:], uint64(offSum))
-		clusterBuf = append(clusterBuf, rec[:]...)
-	}
-
-	for c, reason := range inf.Excluded {
-		l := inf.Lookup(c)
-		lookups = append(lookups, v2LookupEntry{
-			comm: uint32(c), cluster: -int32(reason),
-			on: int64(l.Stats.OnPath), off: int64(l.Stats.OffPath),
-		})
-	}
-	slices.SortFunc(lookups, func(a, b v2LookupEntry) int {
-		return cmp.Compare(a.comm, b.comm)
-	})
-	lookupBuf := make([]byte, 0, len(lookups)*v2LookupRecLen)
-	for _, e := range lookups {
-		var lr [v2LookupRecLen]byte
-		binary.LittleEndian.PutUint32(lr[0:], e.comm)
-		binary.LittleEndian.PutUint32(lr[4:], uint32(e.cluster))
-		binary.LittleEndian.PutUint64(lr[8:], uint64(e.on))
-		binary.LittleEndian.PutUint64(lr[16:], uint64(e.off))
-		lookupBuf = append(lookupBuf, lr[:]...)
-	}
-
-	action, information := inf.Counts()
-	var statsBuf [v2StatsLen]byte
-	binary.LittleEndian.PutUint64(statsBuf[0:], uint64(int64(inf.Opts.MinGap)))
-	binary.LittleEndian.PutUint64(statsBuf[8:], math.Float64bits(inf.Opts.RatioThreshold))
+	sections := append([]section{{secMeta, metaBuf.Bytes()}}, classicLayout.encode(&inf.KindSet)...)
+	// The classic stats section opens with the classifier options.
+	optStats := sections[1].body
+	le.PutUint64(optStats[0:], uint64(int64(inf.Opts.MinGap)))
+	le.PutUint64(optStats[8:], math.Float64bits(inf.Opts.RatioThreshold))
 	var oflags uint64
 	if inf.Opts.DisableExclusions {
 		oflags |= v2FlagDisableExclusions
@@ -244,57 +321,36 @@ func WriteSnapshotFlat(w io.Writer, inf *Inferences, meta SnapshotMeta) error {
 	if inf.Opts.PooledRatio {
 		oflags |= v2FlagPooledRatio
 	}
-	binary.LittleEndian.PutUint64(statsBuf[16:], oflags)
-	binary.LittleEndian.PutUint64(statsBuf[24:], uint64(int64(action)))
-	binary.LittleEndian.PutUint64(statsBuf[32:], uint64(int64(information)))
-	binary.LittleEndian.PutUint64(statsBuf[40:], uint64(int64(len(lookups))))
-
-	// Assemble the section table; every section starts 8-byte aligned.
-	type section struct {
-		kind uint32
-		body []byte
-	}
-	sections := []section{
-		{secMeta, metaBuf.Bytes()},
-		{secStats, statsBuf[:]},
-		{secClusters, clusterBuf},
-		{secMembers, memberBuf},
-		{secLookup, lookupBuf},
-	}
+	le.PutUint64(optStats[16:], oflags)
 	version := byte(snapshotVersionClassic)
 	if hasLargeInferences(inf) {
 		version = snapshotVersionLarge
-		ls, lc, lm, ll := encodeLargeSections(inf)
-		sections = append(sections,
-			section{secLargeStats, ls},
-			section{secLargeClusters, lc},
-			section{secLargeMembers, lm},
-			section{secLargeLookup, ll},
-		)
+		sections = append(sections, largeLayout.encode(&inf.Larges)...)
 	}
+
+	// Assemble the section table; every section starts 8-byte aligned.
 	tableLen := len(sections) * v2SectionLen
-	off := v2HeaderLen + tableLen
 	table := make([]byte, 0, tableLen)
-	totalSize := off
+	totalSize := v2HeaderLen + tableLen
 	offsets := make([]int, len(sections))
 	for i, s := range sections {
 		totalSize = align8(totalSize)
 		offsets[i] = totalSize
 		totalSize += len(s.body)
 		var ent [v2SectionLen]byte
-		binary.LittleEndian.PutUint32(ent[0:], s.kind)
-		binary.LittleEndian.PutUint64(ent[8:], uint64(offsets[i]))
-		binary.LittleEndian.PutUint64(ent[16:], uint64(len(s.body)))
-		binary.LittleEndian.PutUint32(ent[24:], crc32.ChecksumIEEE(s.body))
+		le.PutUint32(ent[0:], s.kind)
+		le.PutUint64(ent[8:], uint64(offsets[i]))
+		le.PutUint64(ent[16:], uint64(len(s.body)))
+		le.PutUint32(ent[24:], crc32.ChecksumIEEE(s.body))
 		table = append(table, ent[:]...)
 	}
 
 	var hdr [v2HeaderLen]byte
 	copy(hdr[:9], snapshotMagic[:])
 	hdr[9] = version
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(totalSize))
-	binary.LittleEndian.PutUint32(hdr[24:], uint32(len(sections)))
-	binary.LittleEndian.PutUint32(hdr[28:], crc32.ChecksumIEEE(table))
+	le.PutUint64(hdr[16:], uint64(totalSize))
+	le.PutUint32(hdr[24:], uint32(len(sections)))
+	le.PutUint32(hdr[28:], crc32.ChecksumIEEE(table))
 
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
@@ -319,137 +375,78 @@ func WriteSnapshotFlat(w io.Writer, inf *Inferences, meta SnapshotMeta) error {
 	return nil
 }
 
-// v3LargeLookupEntry is the writer-side shape of one large lookup
-// record.
-type v3LargeLookupEntry struct {
-	comm    bgp.LargeCommunity
-	cluster int32
-	on, off int64
-}
+// kindView is one kind's sections of a parsed snapshot, and the
+// KindSource over them: slice views into the file's bytes plus the
+// decoded counters; nothing per-record is materialized. The zero view
+// (of a file without the kind's sections) is an empty inference set.
+type kindView[K Key[K]] struct {
+	lay *kindLayout[K]
 
-// encodeLargeSections renders the four large sections. Output is
-// deterministic for identical inferences.
-func encodeLargeSections(inf *Inferences) (statsSec, clusterSec, memberSec, lookupSec []byte) {
-	order := make([]int, len(inf.LargeClusters))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		ca, cb := &inf.LargeClusters[a], &inf.LargeClusters[b]
-		if c := cmp.Compare(ca.Alpha, cb.Alpha); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(ca.Fn, cb.Fn); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(ca.Lo, cb.Lo); c != 0 {
-			return c
-		}
-		return cmp.Compare(ca.Hi, cb.Hi)
-	})
+	action, information, observed int
 
-	clusterSec = make([]byte, 0, len(order)*v3LargeClusterRecLen)
-	lookups := make([]v3LargeLookupEntry, 0, len(inf.LargeLabels)+len(inf.LargeExcluded))
-	for newIdx, oi := range order {
-		cl := &inf.LargeClusters[oi]
-		memberStart := len(memberSec) / v3LargeMemberRecLen
-		var onSum, offSum int64
-		for i := range cl.Members {
-			m := &cl.Members[i]
-			var mr [v3LargeMemberRecLen]byte
-			binary.LittleEndian.PutUint32(mr[0:], m.Comm.GlobalAdmin)
-			binary.LittleEndian.PutUint32(mr[4:], m.Comm.LocalData1)
-			binary.LittleEndian.PutUint32(mr[8:], m.Comm.LocalData2)
-			binary.LittleEndian.PutUint64(mr[16:], uint64(int64(m.OnPath)))
-			binary.LittleEndian.PutUint64(mr[24:], uint64(int64(m.OffPath)))
-			memberSec = append(memberSec, mr[:]...)
-			onSum += int64(m.OnPath)
-			offSum += int64(m.OffPath)
-			lookups = append(lookups, v3LargeLookupEntry{
-				comm: m.Comm, cluster: int32(newIdx),
-				on: int64(m.OnPath), off: int64(m.OffPath),
-			})
-		}
-		var rec [v3LargeClusterRecLen]byte
-		binary.LittleEndian.PutUint32(rec[0:], cl.Alpha)
-		binary.LittleEndian.PutUint32(rec[4:], cl.Fn)
-		binary.LittleEndian.PutUint32(rec[8:], cl.Lo)
-		binary.LittleEndian.PutUint32(rec[12:], cl.Hi)
-		rec[16] = byte(cl.Label)
-		var flags byte
-		if cl.PureOnPath {
-			flags |= v2ClusterPureOnPath
-		}
-		if cl.PureOffPath {
-			flags |= v2ClusterPureOffPath
-		}
-		rec[17] = flags
-		binary.LittleEndian.PutUint32(rec[20:], uint32(memberStart))
-		binary.LittleEndian.PutUint32(rec[24:], uint32(len(cl.Members)))
-		binary.LittleEndian.PutUint64(rec[32:], math.Float64bits(cl.Ratio))
-		binary.LittleEndian.PutUint64(rec[40:], uint64(onSum))
-		binary.LittleEndian.PutUint64(rec[48:], uint64(offSum))
-		clusterSec = append(clusterSec, rec[:]...)
-	}
-
-	for lc, reason := range inf.LargeExcluded {
-		l := inf.LookupLarge(lc)
-		lookups = append(lookups, v3LargeLookupEntry{
-			comm: lc, cluster: -int32(reason),
-			on: int64(l.Stats.OnPath), off: int64(l.Stats.OffPath),
-		})
-	}
-	slices.SortFunc(lookups, func(a, b v3LargeLookupEntry) int {
-		return a.comm.Compare(b.comm)
-	})
-	lookupSec = make([]byte, 0, len(lookups)*v3LargeLookupRecLen)
-	for _, e := range lookups {
-		var lr [v3LargeLookupRecLen]byte
-		binary.LittleEndian.PutUint32(lr[0:], e.comm.GlobalAdmin)
-		binary.LittleEndian.PutUint32(lr[4:], e.comm.LocalData1)
-		binary.LittleEndian.PutUint32(lr[8:], e.comm.LocalData2)
-		binary.LittleEndian.PutUint32(lr[12:], uint32(e.cluster))
-		binary.LittleEndian.PutUint64(lr[16:], uint64(e.on))
-		binary.LittleEndian.PutUint64(lr[24:], uint64(e.off))
-		lookupSec = append(lookupSec, lr[:]...)
-	}
-
-	action, information := inf.LargeCounts()
-	statsSec = make([]byte, v3LargeStatsLen)
-	binary.LittleEndian.PutUint64(statsSec[0:], uint64(int64(action)))
-	binary.LittleEndian.PutUint64(statsSec[8:], uint64(int64(information)))
-	binary.LittleEndian.PutUint64(statsSec[16:], uint64(int64(len(lookups))))
-	return statsSec, clusterSec, memberSec, lookupSec
+	clusters []byte // whole clusters section; len % lay.clusterLen == 0
+	members  []byte // whole members section; len % lay.recLen == 0
+	lookup   []byte // whole lookup section; len % lay.recLen == 0
 }
 
 // snapV2 is a parsed view over a snapshot's bytes — either an mmap-ed
-// region or a heap buffer. It holds only slice views into data
-// plus the decoded tiny sections; nothing per-record is materialized.
+// region or a heap buffer: the classic sections (embedded, so their
+// accessors are the view's own), the large ones, and the decoded tiny
+// sections.
 type snapV2 struct {
 	data []byte
 	meta SnapshotMeta
+	opts Options // the serializable classifier options
 
-	// decoded stats section
-	minGap            int
-	ratioThreshold    float64
-	disableExclusions bool
-	pooledRatio       bool
-	action            int
-	information       int
-	observed          int
+	kindView[bgp.Community]
+	large kindView[bgp.LargeCommunity]
+}
 
-	clusters []byte // whole clusters section; len % v2ClusterRecLen == 0
-	members  []byte // whole members section; len % v2MemberRecLen == 0
-	lookup   []byte // whole lookup section; len % v2LookupRecLen == 0
-
-	// Large sections; nil when the file has none, in which case the
-	// large accessors report an empty large inference set.
-	largeAction      int
-	largeInformation int
-	largeObserved    int
-	largeClusters    []byte
-	largeMembers     []byte
-	largeLookup      []byte
+// attach points the view at its kind's sections among bodies (by
+// section kind) and decodes the counters; present reports how many of
+// the four are there. Nothing is attached unless all are.
+func (v *kindView[K]) attach(l *kindLayout[K], bodies map[uint32][]byte) (present int, err error) {
+	v.lay = l
+	for _, kind := range []uint32{l.secStats, l.secClusters, l.secMembers, l.secLookup} {
+		if _, ok := bodies[kind]; ok {
+			present++
+		}
+	}
+	if present != 4 {
+		return present, nil
+	}
+	stats := bodies[l.secStats]
+	if len(stats) != l.statsLen {
+		return present, fmt.Errorf("snapshot: %sstats section is %d bytes, want %d", l.name, len(stats), l.statsLen)
+	}
+	for _, sec := range []struct {
+		name   string
+		view   *[]byte
+		kind   uint32
+		recLen int
+	}{
+		{"clusters", &v.clusters, l.secClusters, l.clusterLen},
+		{"members", &v.members, l.secMembers, l.recLen},
+		{"lookup", &v.lookup, l.secLookup, l.recLen},
+	} {
+		body := bodies[sec.kind]
+		if len(body)%sec.recLen != 0 {
+			return present, fmt.Errorf("snapshot: %s%s section length %d not a multiple of %d", l.name, sec.name, len(body), sec.recLen)
+		}
+		*sec.view = body
+	}
+	v.action = int(int64(le.Uint64(stats[l.countersAt:])))
+	v.information = int(int64(le.Uint64(stats[l.countersAt+8:])))
+	v.observed = int(int64(le.Uint64(stats[l.countersAt+16:])))
+	if v.observed != v.lookupCount() {
+		return present, fmt.Errorf("snapshot: stats claim %d observed %scommunities, lookup section holds %d",
+			v.observed, l.name, v.lookupCount())
+	}
+	if v.action < 0 || v.information < 0 || v.action+v.information > v.observed {
+		return present, fmt.Errorf("snapshot: implausible %scounters (action %d, information %d, observed %d)",
+			l.name, v.action, v.information, v.observed)
+	}
+	return present, nil
 }
 
 // parseSnapshotV2 validates the header and section table and builds
@@ -464,11 +461,11 @@ func parseSnapshotV2(data []byte) (*snapV2, error) {
 	if err := checkSnapshotMagic(data); err != nil {
 		return nil, err
 	}
-	if size := binary.LittleEndian.Uint64(data[16:]); size != uint64(len(data)) {
+	if size := le.Uint64(data[16:]); size != uint64(len(data)) {
 		return nil, fmt.Errorf("snapshot: file size %d does not match header %d (truncated?)",
 			len(data), size)
 	}
-	nsec := int(binary.LittleEndian.Uint32(data[24:]))
+	nsec := int(le.Uint32(data[24:]))
 	if nsec <= 0 || nsec > v2MaxSections {
 		return nil, fmt.Errorf("snapshot: implausible section count %d", nsec)
 	}
@@ -477,79 +474,42 @@ func parseSnapshotV2(data []byte) (*snapV2, error) {
 		return nil, fmt.Errorf("snapshot: section table extends past file end")
 	}
 	table := data[v2HeaderLen:tableEnd]
-	if got, want := crc32.ChecksumIEEE(table), binary.LittleEndian.Uint32(data[28:]); got != want {
+	if got, want := crc32.ChecksumIEEE(table), le.Uint32(data[28:]); got != want {
 		return nil, fmt.Errorf("snapshot: section table checksum mismatch (corrupt file): got %08x want %08x", got, want)
 	}
 
-	s := &snapV2{data: data}
-	var metaRaw, statsRaw, largeStatsRaw []byte
-	seen := make(map[uint32]bool, nsec)
+	// Sections of unknown kind are carried but never read: future writers
+	// may append kinds old readers do not understand.
+	bodies := make(map[uint32][]byte, nsec)
 	for i := 0; i < nsec; i++ {
 		ent := table[i*v2SectionLen:]
-		kind := binary.LittleEndian.Uint32(ent[0:])
-		off := binary.LittleEndian.Uint64(ent[8:])
-		length := binary.LittleEndian.Uint64(ent[16:])
+		kind := le.Uint32(ent[0:])
+		off := le.Uint64(ent[8:])
+		length := le.Uint64(ent[16:])
 		if off%8 != 0 {
 			return nil, fmt.Errorf("snapshot: section %d (kind %d) misaligned at offset %d", i, kind, off)
 		}
 		if off > uint64(len(data)) || length > uint64(len(data))-off {
 			return nil, fmt.Errorf("snapshot: section %d (kind %d) [%d,+%d) extends past file end", i, kind, off, length)
 		}
-		if seen[kind] {
+		if _, dup := bodies[kind]; dup {
 			return nil, fmt.Errorf("snapshot: duplicate section kind %d", kind)
 		}
-		seen[kind] = true
-		body := data[off : off+length]
-		switch kind {
-		case secMeta:
-			metaRaw = body
-		case secStats:
-			statsRaw = body
-		case secClusters:
-			if length%v2ClusterRecLen != 0 {
-				return nil, fmt.Errorf("snapshot: clusters section length %d not a multiple of %d", length, v2ClusterRecLen)
-			}
-			s.clusters = body
-		case secMembers:
-			if length%v2MemberRecLen != 0 {
-				return nil, fmt.Errorf("snapshot: members section length %d not a multiple of %d", length, v2MemberRecLen)
-			}
-			s.members = body
-		case secLookup:
-			if length%v2LookupRecLen != 0 {
-				return nil, fmt.Errorf("snapshot: lookup section length %d not a multiple of %d", length, v2LookupRecLen)
-			}
-			s.lookup = body
-		case secLargeStats:
-			largeStatsRaw = body
-		case secLargeClusters:
-			if length%v3LargeClusterRecLen != 0 {
-				return nil, fmt.Errorf("snapshot: large clusters section length %d not a multiple of %d", length, v3LargeClusterRecLen)
-			}
-			s.largeClusters = body
-		case secLargeMembers:
-			if length%v3LargeMemberRecLen != 0 {
-				return nil, fmt.Errorf("snapshot: large members section length %d not a multiple of %d", length, v3LargeMemberRecLen)
-			}
-			s.largeMembers = body
-		case secLargeLookup:
-			if length%v3LargeLookupRecLen != 0 {
-				return nil, fmt.Errorf("snapshot: large lookup section length %d not a multiple of %d", length, v3LargeLookupRecLen)
-			}
-			s.largeLookup = body
-		default:
-			// Unknown sections are skipped: future writers may append
-			// kinds old readers do not understand.
-		}
+		bodies[kind] = data[off : off+length]
 	}
-	if metaRaw == nil || statsRaw == nil || s.clusters == nil || s.members == nil || s.lookup == nil {
+
+	s := &snapV2{data: data}
+	nClassic, err := s.attach(&classicLayout, bodies)
+	if err != nil {
+		return nil, err
+	}
+	metaRaw, haveMeta := bodies[secMeta]
+	if !haveMeta || nClassic != 4 {
 		return nil, fmt.Errorf("snapshot: missing required section (meta/stats/clusters/members/lookup)")
 	}
-	nLarge := 0
-	for kind := uint32(secLargeStats); kind <= secLargeLookup; kind++ {
-		if seen[kind] {
-			nLarge++
-		}
+	nLarge, err := s.large.attach(&largeLayout, bodies)
+	if err != nil {
+		return nil, err
 	}
 	if nLarge != 0 && nLarge != 4 {
 		return nil, fmt.Errorf("snapshot: %d of the 4 large sections present (lstats/lclusters/lmembers/llookup go together)", nLarge)
@@ -558,77 +518,65 @@ func parseSnapshotV2(data []byte) (*snapV2, error) {
 		return nil, fmt.Errorf("snapshot: version byte %d with %d large sections (version is %d iff they are present)",
 			version, nLarge, snapshotVersionLarge)
 	}
-	if nLarge == 4 {
-		if len(largeStatsRaw) != v3LargeStatsLen {
-			return nil, fmt.Errorf("snapshot: large stats section is %d bytes, want %d", len(largeStatsRaw), v3LargeStatsLen)
-		}
-		s.largeAction = int(int64(binary.LittleEndian.Uint64(largeStatsRaw[0:])))
-		s.largeInformation = int(int64(binary.LittleEndian.Uint64(largeStatsRaw[8:])))
-		s.largeObserved = int(int64(binary.LittleEndian.Uint64(largeStatsRaw[16:])))
-		if s.largeObserved != s.largeLookupCount() {
-			return nil, fmt.Errorf("snapshot: stats claim %d observed large communities, large lookup section holds %d",
-				s.largeObserved, s.largeLookupCount())
-		}
-		if s.largeAction < 0 || s.largeInformation < 0 || s.largeAction+s.largeInformation > s.largeObserved {
-			return nil, fmt.Errorf("snapshot: implausible large counters (action %d, information %d, observed %d)",
-				s.largeAction, s.largeInformation, s.largeObserved)
-		}
-	}
-	if len(statsRaw) != v2StatsLen {
-		return nil, fmt.Errorf("snapshot: stats section is %d bytes, want %d", len(statsRaw), v2StatsLen)
-	}
 	if err := gob.NewDecoder(bytes.NewReader(metaRaw)).Decode(&s.meta); err != nil {
 		return nil, fmt.Errorf("snapshot: decode meta: %w", err)
 	}
 
-	s.minGap = int(int64(binary.LittleEndian.Uint64(statsRaw[0:])))
-	s.ratioThreshold = math.Float64frombits(binary.LittleEndian.Uint64(statsRaw[8:]))
-	oflags := binary.LittleEndian.Uint64(statsRaw[16:])
-	s.disableExclusions = oflags&v2FlagDisableExclusions != 0
-	s.pooledRatio = oflags&v2FlagPooledRatio != 0
-	s.action = int(int64(binary.LittleEndian.Uint64(statsRaw[24:])))
-	s.information = int(int64(binary.LittleEndian.Uint64(statsRaw[32:])))
-	s.observed = int(int64(binary.LittleEndian.Uint64(statsRaw[40:])))
-	if s.observed != s.lookupCount() {
-		return nil, fmt.Errorf("snapshot: stats claim %d observed communities, lookup section holds %d",
-			s.observed, s.lookupCount())
-	}
-	if s.action < 0 || s.information < 0 || s.action+s.information > s.observed {
-		return nil, fmt.Errorf("snapshot: implausible counters (action %d, information %d, observed %d)",
-			s.action, s.information, s.observed)
+	optStats := bodies[secStats]
+	oflags := le.Uint64(optStats[16:])
+	s.opts = Options{
+		MinGap:            int(int64(le.Uint64(optStats[0:]))),
+		RatioThreshold:    math.Float64frombits(le.Uint64(optStats[8:])),
+		DisableExclusions: oflags&v2FlagDisableExclusions != 0,
+		PooledRatio:       oflags&v2FlagPooledRatio != 0,
 	}
 	return s, nil
 }
 
-func (s *snapV2) clusterCount() int { return len(s.clusters) / v2ClusterRecLen }
-func (s *snapV2) lookupCount() int  { return len(s.lookup) / v2LookupRecLen }
-func (s *snapV2) memberCount() int  { return len(s.members) / v2MemberRecLen }
+func (v *kindView[K]) clusterCount() int { return len(v.clusters) / v.lay.clusterLen }
+func (v *kindView[K]) lookupCount() int  { return len(v.lookup) / v.lay.recLen }
+func (v *kindView[K]) memberCount() int  { return len(v.members) / v.lay.recLen }
 
-func (s *snapV2) largeClusterCount() int { return len(s.largeClusters) / v3LargeClusterRecLen }
-func (s *snapV2) largeLookupCount() int  { return len(s.largeLookup) / v3LargeLookupRecLen }
-func (s *snapV2) largeMemberCount() int  { return len(s.largeMembers) / v3LargeMemberRecLen }
-
-// lookupAt decodes the i-th lookup record straight from the backing
-// pages. i must be in [0, lookupCount()).
-func (s *snapV2) lookupAt(i int) (comm uint32, cluster int32, on, off int64) {
-	b := s.lookup[i*v2LookupRecLen : i*v2LookupRecLen+v2LookupRecLen]
-	comm = binary.LittleEndian.Uint32(b[0:])
-	cluster = int32(binary.LittleEndian.Uint32(b[4:]))
-	on = int64(binary.LittleEndian.Uint64(b[8:]))
-	off = int64(binary.LittleEndian.Uint64(b[16:]))
-	return
+// counts decodes the unique-path counts of a member or lookup record.
+func (l *kindLayout[K]) counts(rec []byte) (on, off int) {
+	return int(int64(le.Uint64(rec[l.countsAt:]))), int(int64(le.Uint64(rec[l.countsAt+8:])))
 }
 
-// findLookup binary-searches the comm-sorted lookup section.
-func (s *snapV2) findLookup(comm uint32) (int, bool) {
-	lo, hi := 0, s.lookupCount()
+// stats decodes a member or lookup record: its key and counts.
+func (l *kindLayout[K]) stats(rec []byte) (st Stats[K]) {
+	var w [3]uint32
+	for i := 0; i < l.keyWords; i++ {
+		w[i] = le.Uint32(rec[4*i:])
+	}
+	st.Comm = l.key(w[0], w[1], w[2])
+	st.OnPath, st.OffPath = l.counts(rec)
+	return st
+}
+
+// lookupRec returns the i-th lookup record and its cluster field (≥0:
+// cluster index; <0: negated ExcludeReason) straight from the backing
+// pages. i must be in [0, lookupCount()).
+func (v *kindView[K]) lookupRec(i int) (rec []byte, cluster int32) {
+	rec = v.lookup[i*v.lay.recLen:][:v.lay.recLen]
+	return rec, int32(le.Uint32(rec[v.lay.countsAt-4:]))
+}
+
+// findLookup binary-searches the key-sorted lookup section.
+func (v *kindView[K]) findLookup(k K) (int, bool) {
+	l := v.lay
+	want, n, recLen := l.keyWordsOf(k), l.keyWords, l.recLen
+	lo, hi := 0, v.lookupCount()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		c := binary.LittleEndian.Uint32(s.lookup[mid*v2LookupRecLen:])
+		rec := v.lookup[mid*recLen:]
+		a, b := le.Uint32(rec), want[0]
+		for i := 1; a == b && i < n; i++ {
+			a, b = le.Uint32(rec[4*i:]), want[i]
+		}
 		switch {
-		case c < comm:
+		case a < b:
 			lo = mid + 1
-		case c > comm:
+		case a > b:
 			hi = mid
 		default:
 			return mid, true
@@ -637,346 +585,187 @@ func (s *snapV2) findLookup(comm uint32) (int, bool) {
 	return lo, false
 }
 
-// clusterSummaryAt decodes the i-th cluster record into its flat
-// summary. ok is false when i is out of range (possible with a corrupt
-// lookup section pointing past the cluster array).
-func (s *snapV2) clusterSummaryAt(i int) (cs ClusterSummary, ok bool) {
-	if i < 0 || i >= s.clusterCount() {
-		return cs, false
+// clusterRec returns the i-th cluster record, nil when i is out of range
+// (possible with a corrupt lookup section pointing past the cluster
+// array).
+func (v *kindView[K]) clusterRec(i int) []byte {
+	if i < 0 || i >= v.clusterCount() {
+		return nil
 	}
-	b := s.clusters[i*v2ClusterRecLen : i*v2ClusterRecLen+v2ClusterRecLen]
-	cs.Alpha = binary.LittleEndian.Uint16(b[0:])
-	cs.Lo = binary.LittleEndian.Uint16(b[2:])
-	cs.Hi = binary.LittleEndian.Uint16(b[4:])
-	cs.Label = dict.Category(int8(b[6]))
-	cs.PureOnPath = b[7]&v2ClusterPureOnPath != 0
-	cs.PureOffPath = b[7]&v2ClusterPureOffPath != 0
-	cs.Size = int(binary.LittleEndian.Uint32(b[12:]))
-	cs.Ratio = math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))
-	cs.OnPath = int64(binary.LittleEndian.Uint64(b[24:]))
-	cs.OffPath = int64(binary.LittleEndian.Uint64(b[32:]))
-	return cs, true
+	return v.clusters[i*v.lay.clusterLen:][:v.lay.clusterLen]
+}
+
+// clusterSummary decodes the i-th cluster record into *cs, in place so
+// that a verdict is filled without copying the summary around; it
+// reports false, leaving *cs alone, when i is out of range.
+func (v *kindView[K]) clusterSummary(i int, cs *ClusterSummary) bool {
+	b, l := v.clusterRec(i), v.lay
+	if b == nil {
+		return false
+	}
+	cs.Alpha, cs.Fn, cs.Lo, cs.Hi = l.bounds(b)
+	cs.Label = dict.Category(int8(b[l.labelAt]))
+	cs.PureOnPath = b[l.labelAt+1]&v2ClusterPureOnPath != 0
+	cs.PureOffPath = b[l.labelAt+1]&v2ClusterPureOffPath != 0
+	cs.Size = int(le.Uint32(b[l.membersAt+4:]))
+	cs.Ratio = math.Float64frombits(le.Uint64(b[l.ratioAt:]))
+	cs.OnPath = int64(le.Uint64(b[l.ratioAt+8:]))
+	cs.OffPath = int64(le.Uint64(b[l.ratioAt+16:]))
+	return true
 }
 
 // clusterLabel reads just the i-th cluster's label byte.
-func (s *snapV2) clusterLabel(i int) dict.Category {
-	if i < 0 || i >= s.clusterCount() {
+func (v *kindView[K]) clusterLabel(i int) dict.Category {
+	b := v.clusterRec(i)
+	if b == nil {
 		return dict.CatUnknown
 	}
-	return dict.Category(int8(s.clusters[i*v2ClusterRecLen+6]))
-}
-
-// searchAlpha returns the index of the first cluster record with
-// Alpha >= alpha, using the (alpha, lo) sort order.
-func (s *snapV2) searchAlpha(alpha uint16, n int) int {
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		a := binary.LittleEndian.Uint16(s.clusters[mid*v2ClusterRecLen:])
-		if a < alpha {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return dict.Category(int8(b[v.lay.labelAt]))
 }
 
 // clusterMemberRange returns the i-th cluster's member index range,
 // clamped to the members section so corrupt records cannot walk out of
 // bounds.
-func (s *snapV2) clusterMemberRange(i int) (start, count int) {
-	if i < 0 || i >= s.clusterCount() {
+func (v *kindView[K]) clusterMemberRange(i int) (start, count int) {
+	b := v.clusterRec(i)
+	if b == nil {
 		return 0, 0
 	}
-	b := s.clusters[i*v2ClusterRecLen:]
-	start = int(binary.LittleEndian.Uint32(b[8:]))
-	count = int(binary.LittleEndian.Uint32(b[12:]))
-	total := s.memberCount()
+	start = int(le.Uint32(b[v.lay.membersAt:]))
+	count = int(le.Uint32(b[v.lay.membersAt+4:]))
+	total := v.memberCount()
 	if start > total {
 		return 0, 0
 	}
-	if count > total-start {
-		count = total - start
-	}
-	return start, count
+	return start, min(count, total-start)
 }
 
 // memberAt decodes one member record. i must be in [0, memberCount()).
-func (s *snapV2) memberAt(i int) CommunityStats {
-	b := s.members[i*v2MemberRecLen : i*v2MemberRecLen+v2MemberRecLen]
-	return CommunityStats{
-		Comm:    bgp.Community(binary.LittleEndian.Uint32(b[0:])),
-		OnPath:  int(int64(binary.LittleEndian.Uint64(b[8:]))),
-		OffPath: int(int64(binary.LittleEndian.Uint64(b[16:]))),
-	}
+func (v *kindView[K]) memberAt(i int) Stats[K] {
+	return v.lay.stats(v.members[i*v.lay.recLen:][:v.lay.recLen])
 }
 
-// largeLookupAt decodes the i-th large lookup record.
-func (s *snapV2) largeLookupAt(i int) (comm bgp.LargeCommunity, cluster int32, on, off int64) {
-	b := s.largeLookup[i*v3LargeLookupRecLen : i*v3LargeLookupRecLen+v3LargeLookupRecLen]
-	comm = bgp.LargeCommunity{
-		GlobalAdmin: binary.LittleEndian.Uint32(b[0:]),
-		LocalData1:  binary.LittleEndian.Uint32(b[4:]),
-		LocalData2:  binary.LittleEndian.Uint32(b[8:]),
+// materialize rebuilds the heap set the kind's sections were written
+// from.
+func (v *kindView[K]) materialize() (ks KindSet[K]) {
+	if nc := v.clusterCount(); nc > 0 { // none stays nil, as the classifier leaves it
+		ks.Clusters = make([]Cluster[K], nc)
 	}
-	cluster = int32(binary.LittleEndian.Uint32(b[12:]))
-	on = int64(binary.LittleEndian.Uint64(b[16:]))
-	off = int64(binary.LittleEndian.Uint64(b[24:]))
-	return
-}
-
-// findLargeLookup binary-searches the (ga, ld1, ld2)-sorted large
-// lookup section.
-func (s *snapV2) findLargeLookup(lc bgp.LargeCommunity) (int, bool) {
-	lo, hi := 0, s.largeLookupCount()
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		b := s.largeLookup[mid*v3LargeLookupRecLen:]
-		rec := bgp.LargeCommunity{
-			GlobalAdmin: binary.LittleEndian.Uint32(b[0:]),
-			LocalData1:  binary.LittleEndian.Uint32(b[4:]),
-			LocalData2:  binary.LittleEndian.Uint32(b[8:]),
-		}
-		switch c := rec.Compare(lc); {
-		case c < 0:
-			lo = mid + 1
-		case c > 0:
-			hi = mid
-		default:
-			return mid, true
-		}
-	}
-	return lo, false
-}
-
-// largeClusterSummaryAt decodes the i-th large cluster record; ok is
-// false when i is out of range.
-func (s *snapV2) largeClusterSummaryAt(i int) (cs LargeClusterSummary, ok bool) {
-	if i < 0 || i >= s.largeClusterCount() {
-		return cs, false
-	}
-	b := s.largeClusters[i*v3LargeClusterRecLen : i*v3LargeClusterRecLen+v3LargeClusterRecLen]
-	cs.Alpha = binary.LittleEndian.Uint32(b[0:])
-	cs.Fn = binary.LittleEndian.Uint32(b[4:])
-	cs.Lo = binary.LittleEndian.Uint32(b[8:])
-	cs.Hi = binary.LittleEndian.Uint32(b[12:])
-	cs.Label = dict.Category(int8(b[16]))
-	cs.PureOnPath = b[17]&v2ClusterPureOnPath != 0
-	cs.PureOffPath = b[17]&v2ClusterPureOffPath != 0
-	cs.Size = int(binary.LittleEndian.Uint32(b[24:]))
-	cs.Ratio = math.Float64frombits(binary.LittleEndian.Uint64(b[32:]))
-	cs.OnPath = int64(binary.LittleEndian.Uint64(b[40:]))
-	cs.OffPath = int64(binary.LittleEndian.Uint64(b[48:]))
-	return cs, true
-}
-
-// largeClusterLabel reads just the i-th large cluster's label byte.
-func (s *snapV2) largeClusterLabel(i int) dict.Category {
-	if i < 0 || i >= s.largeClusterCount() {
-		return dict.CatUnknown
-	}
-	return dict.Category(int8(s.largeClusters[i*v3LargeClusterRecLen+16]))
-}
-
-// largeClusterMemberRange returns the i-th large cluster's member
-// index range, clamped to the members section.
-func (s *snapV2) largeClusterMemberRange(i int) (start, count int) {
-	if i < 0 || i >= s.largeClusterCount() {
-		return 0, 0
-	}
-	b := s.largeClusters[i*v3LargeClusterRecLen:]
-	start = int(binary.LittleEndian.Uint32(b[20:]))
-	count = int(binary.LittleEndian.Uint32(b[24:]))
-	total := s.largeMemberCount()
-	if start > total {
-		return 0, 0
-	}
-	if count > total-start {
-		count = total - start
-	}
-	return start, count
-}
-
-// largeMemberAt decodes one large member record.
-func (s *snapV2) largeMemberAt(i int) LargeStats {
-	b := s.largeMembers[i*v3LargeMemberRecLen : i*v3LargeMemberRecLen+v3LargeMemberRecLen]
-	return LargeStats{
-		Comm: bgp.LargeCommunity{
-			GlobalAdmin: binary.LittleEndian.Uint32(b[0:]),
-			LocalData1:  binary.LittleEndian.Uint32(b[4:]),
-			LocalData2:  binary.LittleEndian.Uint32(b[8:]),
-		},
-		OnPath:  int(int64(binary.LittleEndian.Uint64(b[16:]))),
-		OffPath: int(int64(binary.LittleEndian.Uint64(b[24:]))),
-	}
-}
-
-// options reconstructs the serializable classifier options.
-func (s *snapV2) options() Options {
-	return Options{
-		MinGap:            s.minGap,
-		RatioThreshold:    s.ratioThreshold,
-		DisableExclusions: s.disableExclusions,
-		PooledRatio:       s.pooledRatio,
-	}
-}
-
-// materialize rebuilds the heap *Inferences the snapshot was written
-// from: for a file WriteSnapshotFlat wrote, writing the result again
-// reproduces its bytes.
-func (s *snapV2) materialize() *Inferences {
-	inf := &Inferences{
-		Labels:   make(map[bgp.Community]dict.Category),
-		Excluded: make(map[bgp.Community]ExcludeReason),
-		Opts:     s.options(),
-	}
-	nc := s.clusterCount()
-	inf.Clusters = make([]Cluster, 0, nc)
-	for i := 0; i < nc; i++ {
-		cs, _ := s.clusterSummaryAt(i)
-		start, count := s.clusterMemberRange(i)
-		cl := Cluster{
-			Alpha: cs.Alpha, Lo: cs.Lo, Hi: cs.Hi, Label: cs.Label,
+	for i := range ks.Clusters {
+		cs := v.ClusterSummaryAt(i)
+		start, count := v.clusterMemberRange(i)
+		cl := &ks.Clusters[i]
+		*cl = Cluster[K]{
+			Alpha: cs.Alpha, Fn: cs.Fn, Lo: cs.Lo, Hi: cs.Hi, Label: cs.Label,
 			PureOnPath: cs.PureOnPath, PureOffPath: cs.PureOffPath,
 			Ratio:   cs.Ratio,
-			Members: make([]CommunityStats, count),
+			Members: make([]Stats[K], count),
 		}
-		for j := 0; j < count; j++ {
-			cl.Members[j] = s.memberAt(start + j)
-		}
-		inf.Clusters = append(inf.Clusters, cl)
-		for _, m := range cl.Members {
-			inf.Labels[m.Comm] = cl.Label
+		for j := range cl.Members {
+			cl.Members[j] = v.memberAt(start + j)
 		}
 	}
-	excludedStats := make(map[bgp.Community]CommunityStats)
-	for i, n := 0, s.lookupCount(); i < n; i++ {
-		comm, cluster, on, off := s.lookupAt(i)
-		if cluster >= 0 {
-			continue
+	ks.Excluded = make(map[K]ExcludeReason)
+	excludedStats := make(map[K]Stats[K])
+	for i, n := 0, v.lookupCount(); i < n; i++ {
+		if rec, cluster := v.lookupRec(i); cluster < 0 {
+			st := v.lay.stats(rec)
+			ks.Excluded[st.Comm] = excludeReason(cluster)
+			excludedStats[st.Comm] = st
 		}
-		c := bgp.Community(comm)
-		reason := ExcludeReason(min(-int64(cluster), int64(ExcludeUnobserved)))
-		inf.Excluded[c] = reason
-		excludedStats[c] = CommunityStats{Comm: c, OnPath: int(on), OffPath: int(off)}
 	}
-	inf.buildIndex(excludedStats)
+	ks.buildIndex(excludedStats, nil)
+	return ks
+}
 
-	if nlc := s.largeClusterCount(); nlc > 0 || s.largeLookupCount() > 0 {
-		inf.LargeClusters = make([]LargeCluster, 0, nlc)
-		if nlc > 0 {
-			inf.LargeLabels = make(map[bgp.LargeCommunity]dict.Category)
-		}
-		for i := 0; i < nlc; i++ {
-			cs, _ := s.largeClusterSummaryAt(i)
-			start, count := s.largeClusterMemberRange(i)
-			cl := LargeCluster{
-				Alpha: cs.Alpha, Fn: cs.Fn, Lo: cs.Lo, Hi: cs.Hi, Label: cs.Label,
-				PureOnPath: cs.PureOnPath, PureOffPath: cs.PureOffPath,
-				Ratio:   cs.Ratio,
-				Members: make([]LargeStats, count),
-			}
-			for j := 0; j < count; j++ {
-				cl.Members[j] = s.largeMemberAt(start + j)
-			}
-			inf.LargeClusters = append(inf.LargeClusters, cl)
-			for _, m := range cl.Members {
-				inf.LargeLabels[m.Comm] = cl.Label
-			}
-		}
-		largeExclStats := make(map[bgp.LargeCommunity]LargeStats)
-		for i, n := 0, s.largeLookupCount(); i < n; i++ {
-			lc, cluster, on, off := s.largeLookupAt(i)
-			if cluster >= 0 {
-				continue
-			}
-			if inf.LargeExcluded == nil {
-				inf.LargeExcluded = make(map[bgp.LargeCommunity]ExcludeReason)
-			}
-			reason := ExcludeReason(min(-int64(cluster), int64(ExcludeUnobserved)))
-			inf.LargeExcluded[lc] = reason
-			largeExclStats[lc] = LargeStats{Comm: lc, OnPath: int(on), OffPath: int(off)}
-		}
-		inf.buildLargeIndex(largeExclStats)
-	}
-	return inf
+// excludeReason decodes a lookup record's negative cluster field,
+// clamping values no writer produces to ExcludeUnobserved.
+func excludeReason(cluster int32) ExcludeReason {
+	return ExcludeReason(min(-int64(cluster), int64(ExcludeUnobserved)))
+}
+
+// Options returns the classifier options recorded in the snapshot.
+func (s *snapV2) Options() Options { return s.opts }
+
+// Materialize reconstructs a fully heap-resident *Inferences — every
+// byte copied out of the backing pages — for callers that need the
+// mutable form (delta reclassification, re-serialization). For a file
+// WriteSnapshotFlat wrote, writing the result again reproduces its
+// bytes.
+func (s *snapV2) Materialize() *Inferences {
+	return &Inferences{KindSet: s.materialize(), Larges: s.large.materialize(), Opts: s.opts}
 }
 
 // VerifySnapshot runs the full integrity pass a plain open skips for
-// O(1) cold start: per-section CRCs, lookup-section sort order, and
-// cluster member/index ranges. The streamed reader, a replica about to
-// install a network-fetched file, and snapverify run it; a local
-// OpenSnapshotMmap trusts the writer plus the table checksum.
+// O(1) cold start: per-section CRCs, cluster- and lookup-section sort
+// order, and cluster member/index ranges. The streamed reader, a replica
+// about to install a network-fetched file, and snapverify run it; a
+// local OpenSnapshotMmap trusts the writer plus the table checksum.
 func VerifySnapshot(data []byte) error {
 	s, err := parseSnapshotV2(data)
 	if err != nil {
 		return err
 	}
-	return s.verify()
+	return s.Verify()
 }
 
-// verify is VerifySnapshot over an already parsed view.
-func (s *snapV2) verify() error {
+// Verify is VerifySnapshot over an already parsed view.
+func (s *snapV2) Verify() error {
 	data := s.data
-	nsec := int(binary.LittleEndian.Uint32(data[24:]))
+	nsec := int(le.Uint32(data[24:]))
 	table := data[v2HeaderLen : v2HeaderLen+nsec*v2SectionLen]
 	for i := 0; i < nsec; i++ {
 		ent := table[i*v2SectionLen:]
-		kind := binary.LittleEndian.Uint32(ent[0:])
-		off := binary.LittleEndian.Uint64(ent[8:])
-		length := binary.LittleEndian.Uint64(ent[16:])
-		want := binary.LittleEndian.Uint32(ent[24:])
+		kind := le.Uint32(ent[0:])
+		off := le.Uint64(ent[8:])
+		length := le.Uint64(ent[16:])
+		want := le.Uint32(ent[24:])
 		if got := crc32.ChecksumIEEE(data[off : off+length]); got != want {
 			return fmt.Errorf("snapshot: section kind %d checksum mismatch (corrupt file): got %08x want %08x", kind, got, want)
 		}
 	}
-	var prev uint32
-	for i, n := 0, s.lookupCount(); i < n; i++ {
-		comm, cluster, _, _ := s.lookupAt(i)
-		if i > 0 && comm <= prev {
-			return fmt.Errorf("snapshot: lookup section not strictly sorted at record %d", i)
+	if err := s.verify(); err != nil {
+		return err
+	}
+	return s.large.verify()
+}
+
+// verify checks the invariants the accessors' binary searches and index
+// arithmetic rely on: lookup records strictly sorted by key and pointing
+// at real clusters or known exclusion reasons, cluster records strictly
+// sorted by (alpha, fn, lo) with member ranges inside the members
+// section.
+func (v *kindView[K]) verify() error {
+	name := v.lay.name
+	var prev K
+	for i, n := 0, v.lookupCount(); i < n; i++ {
+		rec, cluster := v.lookupRec(i)
+		k := v.lay.stats(rec).Comm
+		if i > 0 && k.Compare(prev) <= 0 {
+			return fmt.Errorf("snapshot: %slookup section not strictly sorted at record %d", name, i)
 		}
-		prev = comm
+		prev = k
 		if cluster >= 0 {
-			if int(cluster) >= s.clusterCount() {
-				return fmt.Errorf("snapshot: lookup record %d references cluster %d of %d", i, cluster, s.clusterCount())
+			if int(cluster) >= v.clusterCount() {
+				return fmt.Errorf("snapshot: %slookup record %d references cluster %d of %d", name, i, cluster, v.clusterCount())
 			}
 		} else if -cluster > int32(ExcludeNeverOnPath) {
-			return fmt.Errorf("snapshot: lookup record %d has unknown exclusion reason %d", i, -cluster)
+			return fmt.Errorf("snapshot: %slookup record %d has unknown exclusion reason %d", name, i, -cluster)
 		}
 	}
-	for i, n := 0, s.clusterCount(); i < n; i++ {
-		b := s.clusters[i*v2ClusterRecLen:]
-		start := int(binary.LittleEndian.Uint32(b[8:]))
-		count := int(binary.LittleEndian.Uint32(b[12:]))
-		if start > s.memberCount() || count > s.memberCount()-start {
-			return fmt.Errorf("snapshot: cluster %d members [%d,+%d) exceed member section (%d records)",
-				i, start, count, s.memberCount())
+	var prevCluster ClusterSummary
+	for i, n := 0, v.clusterCount(); i < n; i++ {
+		cs := v.ClusterSummaryAt(i)
+		if i > 0 && cmp.Or(cmp.Compare(cs.Alpha, prevCluster.Alpha), cmp.Compare(cs.Fn, prevCluster.Fn),
+			cmp.Compare(cs.Lo, prevCluster.Lo)) <= 0 {
+			return fmt.Errorf("snapshot: %sclusters section not strictly sorted by (alpha, fn, lo) at record %d", name, i)
 		}
-	}
-	var prevLarge bgp.LargeCommunity
-	for i, n := 0, s.largeLookupCount(); i < n; i++ {
-		lc, cluster, _, _ := s.largeLookupAt(i)
-		if i > 0 && lc.Compare(prevLarge) <= 0 {
-			return fmt.Errorf("snapshot: large lookup section not strictly sorted at record %d", i)
-		}
-		prevLarge = lc
-		if cluster >= 0 {
-			if int(cluster) >= s.largeClusterCount() {
-				return fmt.Errorf("snapshot: large lookup record %d references cluster %d of %d", i, cluster, s.largeClusterCount())
-			}
-		} else if -cluster > int32(ExcludeNeverOnPath) {
-			return fmt.Errorf("snapshot: large lookup record %d has unknown exclusion reason %d", i, -cluster)
-		}
-	}
-	for i, n := 0, s.largeClusterCount(); i < n; i++ {
-		b := s.largeClusters[i*v3LargeClusterRecLen:]
-		start := int(binary.LittleEndian.Uint32(b[20:]))
-		count := int(binary.LittleEndian.Uint32(b[24:]))
-		if start > s.largeMemberCount() || count > s.largeMemberCount()-start {
-			return fmt.Errorf("snapshot: large cluster %d members [%d,+%d) exceed member section (%d records)",
-				i, start, count, s.largeMemberCount())
+		prevCluster = cs
+		b := v.clusterRec(i)
+		start, count := int(le.Uint32(b[v.lay.membersAt:])), int(le.Uint32(b[v.lay.membersAt+4:]))
+		if start > v.memberCount() || count > v.memberCount()-start {
+			return fmt.Errorf("snapshot: %scluster %d members [%d,+%d) exceed member section (%d records)",
+				name, i, start, count, v.memberCount())
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,6 +35,20 @@ func openMapped(t *testing.T, data []byte) *Mapped {
 // simInferences classifies a full synthetic day — a corpus large
 // enough to exercise multi-cluster ASes and every exclusion kind.
 func simInferences(t testing.TB) (*TupleStore, *Inferences) {
+	return simDay(t, false)
+}
+
+// simMixedInferences is simInferences with the day's large communities
+// riding on the same views: the mixed synthetic corpus.
+func simMixedInferences(t testing.TB) (*TupleStore, *Inferences) {
+	ts, inf := simDay(t, true)
+	if len(inf.Larges.Clusters) == 0 {
+		t.Fatal("mixed synthetic corpus has no large clusters")
+	}
+	return ts, inf
+}
+
+func simDay(t testing.TB, withLarges bool) (*TupleStore, *Inferences) {
 	topo, err := topology.Generate(topology.TinyConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -41,80 +56,101 @@ func simInferences(t testing.TB) (*TupleStore, *Inferences) {
 	sim := simulate.New(topo, simulate.TinyConfig())
 	ts := NewTupleStore()
 	for _, v := range sim.RunDay(0).Views {
-		ts.AddView(v.VP, v.Path, v.Comms)
+		if withLarges {
+			ts.AddViewLarge(v.VP, v.Path, v.Comms, v.LargeComms)
+		} else {
+			ts.AddView(v.VP, v.Path, v.Comms)
+		}
 	}
 	return ts, Classify(ts, DefaultOptions())
 }
 
 // TestSnapshotV2VerdictEquivalence is the byte-level contract: every
 // community's verdict through the mmap path must equal the heap
-// path's, on both the hand-built and the simulated corpus.
+// path's — classic and large, every observed key and an unobserved one
+// — on both the hand-built and the simulated corpus, classic-only
+// (version byte 2) and mixed (version byte 3).
 func TestSnapshotV2VerdictEquivalence(t *testing.T) {
-	check := func(t *testing.T, ts *TupleStore, inf *Inferences) {
+	check := func(t *testing.T, inf *Inferences) {
 		t.Helper()
 		meta := SnapshotMeta{CreatedUnix: 1714521600, Source: "v2-test"}
 		m := openMapped(t, writeFlat(t, inf, meta))
 		if m.Meta() != meta {
 			t.Fatalf("meta = %+v, want %+v", m.Meta(), meta)
 		}
-		probes := append([]bgp.Community{}, ts.Communities()...)
-		probes = append(probes, bgp.NewCommunity(4242, 4242)) // unobserved
-		for _, c := range probes {
-			if hv, mv := inf.Verdict(c), m.Verdict(c); hv != mv {
-				t.Fatalf("Verdict(%v): heap %+v, mmap %+v", c, hv, mv)
-			}
-			if hc, mc := inf.Category(c), m.Category(c); hc != mc {
-				t.Fatalf("Category(%v): heap %v, mmap %v", c, hc, mc)
-			}
-		}
-		if h, mm := inf.Observed(), m.Observed(); h != mm {
-			t.Fatalf("Observed: heap %d, mmap %d", h, mm)
-		}
-		ha, hi := inf.Counts()
-		ma, mi := m.Counts()
-		if ha != ma || hi != mi {
-			t.Fatalf("Counts: heap (%d,%d), mmap (%d,%d)", ha, hi, ma, mi)
-		}
-		if h, mm := inf.ExcludedCount(), m.ExcludedCount(); h != mm {
-			t.Fatalf("ExcludedCount: heap %d, mmap %d", h, mm)
-		}
-		if h, mm := inf.ClusterCount(), m.ClusterCount(); h != mm {
-			t.Fatalf("ClusterCount: heap %d, mmap %d", h, mm)
-		}
 		if h, mm := inf.Options(), m.Options(); h.MinGap != mm.MinGap ||
 			h.RatioThreshold != mm.RatioThreshold || h.DisableExclusions != mm.DisableExclusions {
 			t.Fatalf("Options: heap %+v, mmap %+v", h, mm)
 		}
-		// Labeled sets match (heap iterates a map, so compare as sets).
-		hl := map[bgp.Community]dict.Category{}
-		inf.EachLabeled(func(c bgp.Community, cat dict.Category) bool { hl[c] = cat; return true })
-		n := 0
-		m.EachLabeled(func(c bgp.Community, cat dict.Category) bool {
-			n++
-			if got, ok := hl[c]; !ok || got != cat {
-				t.Fatalf("EachLabeled(%v)=%d, heap has %d (present=%v)", c, cat, got, ok)
-			}
-			return true
+		checkKindEquivalence[bgp.Community](t, inf, m,
+			append(observedKeys(&inf.KindSet), bgp.NewCommunity(4242, 4242)))
+		checkKindEquivalence(t, inf.Large(), m.Large(),
+			append(observedKeys(&inf.Larges), bgp.LargeCommunity{GlobalAdmin: 4242, LocalData1: 7, LocalData2: 4242}))
+	}
+	_, handBuilt := buildTestInferences(t)
+	_, sim := simInferences(t)
+	_, simMixed := simMixedInferences(t)
+	for _, corpus := range []struct {
+		name           string
+		classic, mixed *Inferences
+	}{
+		{"hand-built", handBuilt, buildMixedInferences(t)},
+		{"simulated", sim, simMixed},
+	} {
+		t.Run(corpus.name, func(t *testing.T) {
+			t.Run("classic", func(t *testing.T) { check(t, corpus.classic) })
+			t.Run("mixed", func(t *testing.T) { check(t, corpus.mixed) })
 		})
-		if n != len(hl) {
-			t.Fatalf("EachLabeled yielded %d communities, heap has %d", n, len(hl))
+	}
+}
+
+// checkKindEquivalence compares one kind's heap and mapped sources over
+// the probes and every aggregate.
+func checkKindEquivalence[K Key[K]](t *testing.T, heap, mapped KindSource[K], probes []K) {
+	t.Helper()
+	for _, k := range probes {
+		if hv, mv := heap.Verdict(k), mapped.Verdict(k); hv != mv {
+			t.Fatalf("Verdict(%v): heap %+v, mmap %+v", k, hv, mv)
 		}
-		// Cluster summaries match index-for-index: both sides sort by
-		// (alpha, lo).
-		for i := 0; i < inf.ClusterCount(); i++ {
-			if h, mm := inf.ClusterSummaryAt(i), m.ClusterSummaryAt(i); h != mm {
-				t.Fatalf("ClusterSummaryAt(%d): heap %+v, mmap %+v", i, h, mm)
-			}
+		if hc, mc := heap.Category(k), mapped.Category(k); hc != mc {
+			t.Fatalf("Category(%v): heap %v, mmap %v", k, hc, mc)
 		}
 	}
-	t.Run("hand-built", func(t *testing.T) {
-		ts, inf := buildTestInferences(t)
-		check(t, ts, inf)
+	if h, m := heap.Observed(), mapped.Observed(); h != m || h != len(probes)-1 {
+		t.Fatalf("Observed: heap %d, mmap %d, probes %d + 1 unobserved", h, m, len(probes)-1)
+	}
+	ha, hi := heap.Counts()
+	ma, mi := mapped.Counts()
+	if ha != ma || hi != mi {
+		t.Fatalf("Counts: heap (%d,%d), mmap (%d,%d)", ha, hi, ma, mi)
+	}
+	if h, m := heap.ExcludedCount(), mapped.ExcludedCount(); h != m {
+		t.Fatalf("ExcludedCount: heap %d, mmap %d", h, m)
+	}
+	if h, m := heap.ClusterCount(), mapped.ClusterCount(); h != m {
+		t.Fatalf("ClusterCount: heap %d, mmap %d", h, m)
+	}
+	// Labeled sets match (heap iterates a map, so compare as sets).
+	hl := map[K]dict.Category{}
+	heap.EachLabeled(func(k K, cat dict.Category) bool { hl[k] = cat; return true })
+	n := 0
+	mapped.EachLabeled(func(k K, cat dict.Category) bool {
+		n++
+		if got, ok := hl[k]; !ok || got != cat {
+			t.Fatalf("EachLabeled(%v)=%d, heap has %d (present=%v)", k, cat, got, ok)
+		}
+		return true
 	})
-	t.Run("simulated", func(t *testing.T) {
-		ts, inf := simInferences(t)
-		check(t, ts, inf)
-	})
+	if n != len(hl) {
+		t.Fatalf("EachLabeled yielded %d communities, heap has %d", n, len(hl))
+	}
+	// Cluster summaries match index-for-index: both sides sort by
+	// (alpha, fn, lo).
+	for i := 0; i < heap.ClusterCount(); i++ {
+		if h, m := heap.ClusterSummaryAt(i), mapped.ClusterSummaryAt(i); h != m {
+			t.Fatalf("ClusterSummaryAt(%d): heap %+v, mmap %+v", i, h, m)
+		}
+	}
 }
 
 // TestSnapshotV2Materialize round-trips a simulated day's snapshot
@@ -246,12 +282,65 @@ func TestSnapshotV2CorruptionDetected(t *testing.T) {
 		}
 		// What an accepted file answers and what it counts must agree.
 		if err == nil {
-			m := &Mapped{s: s}
 			lc := bgp.LargeCommunity{GlobalAdmin: 100, LocalData1: 1, LocalData2: 10}
-			if got, want := m.VerdictLarge(lc).Observed, m.LargeObserved() > 0; got != want {
-				t.Errorf("%s: VerdictLarge(%v).Observed = %v with LargeObserved() = %d", tc.name, lc, got, m.LargeObserved())
+			if got, want := s.Large().Verdict(lc).Observed, s.Large().Observed() > 0; got != want {
+				t.Errorf("%s: large Verdict(%v).Observed = %v with Observed() = %d", tc.name, lc, got, s.Large().Observed())
 			}
 		}
+	}
+}
+
+// TestVerifyRejectsUnsortedClusters: AlphaClusters binary-searches the
+// cluster section, so a file whose cluster records are out of (alpha,
+// fn, lo) order — every CRC valid, every index in range, so a plain
+// open accepts it — must fail the deep verifier, for either kind.
+func TestVerifyRejectsUnsortedClusters(t *testing.T) {
+	good := writeFlat(t, buildMixedInferences(t), SnapshotMeta{Source: "unsorted-test"})
+	for _, tc := range []struct {
+		name   string
+		kind   uint32
+		recLen int
+	}{
+		{"classic", secClusters, classicLayout.clusterLen},
+		{"large", secLargeClusters, largeLayout.clusterLen},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := append([]byte(nil), good...)
+			nsec := int(binary.LittleEndian.Uint32(data[24:]))
+			table := data[v2HeaderLen : v2HeaderLen+nsec*v2SectionLen]
+			swapped := false
+			for i := 0; i < nsec; i++ {
+				ent := table[i*v2SectionLen:]
+				if binary.LittleEndian.Uint32(ent[0:]) != tc.kind {
+					continue
+				}
+				off, length := binary.LittleEndian.Uint64(ent[8:]), binary.LittleEndian.Uint64(ent[16:])
+				body := data[off : off+length]
+				if len(body) < 2*tc.recLen {
+					t.Fatalf("fixture has %d cluster records, need two to swap", len(body)/tc.recLen)
+				}
+				first := append([]byte(nil), body[:tc.recLen]...)
+				copy(body, body[tc.recLen:2*tc.recLen])
+				copy(body[tc.recLen:], first)
+				binary.LittleEndian.PutUint32(ent[24:], crc32.ChecksumIEEE(body))
+				swapped = true
+			}
+			if !swapped {
+				t.Fatalf("no section of kind %d", tc.kind)
+			}
+			binary.LittleEndian.PutUint32(data[28:], crc32.ChecksumIEEE(table))
+
+			if _, err := parseSnapshotV2(data); err != nil {
+				t.Fatalf("plain open rejects the file (%v); the test wants damage only the verifier sees", err)
+			}
+			err := VerifySnapshot(data)
+			if err == nil || !strings.Contains(err.Error(), "clusters section not strictly sorted") {
+				t.Fatalf("VerifySnapshot = %v, want a clusters-section order error", err)
+			}
+			if _, _, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
+				t.Fatal("ReadSnapshot accepted a snapshot with unsorted clusters")
+			}
+		})
 	}
 }
 
@@ -314,25 +403,18 @@ func TestOpenSnapshotMmapFast(t *testing.T) {
 }
 
 // TestMappedVerdictZeroAlloc guards the replica hot path: answering a
-// lookup straight off the mapped pages must not allocate.
+// lookup of either kind straight off the mapped pages must not
+// allocate.
 func TestMappedVerdictZeroAlloc(t *testing.T) {
-	ts, inf := simInferences(t)
+	_, inf := simMixedInferences(t)
 	m := openMapped(t, writeFlat(t, inf, SnapshotMeta{}))
-	comms := ts.Communities()
-	if len(comms) == 0 {
-		t.Fatal("no communities")
-	}
-	unobserved := bgp.NewCommunity(64999, 64999)
-	var sink Verdict
-	if avg := testing.AllocsPerRun(200, func() {
-		for _, c := range comms {
-			sink = m.Verdict(c)
-		}
-		sink = m.Verdict(unobserved)
-	}); avg != 0 {
-		t.Errorf("Mapped.Verdict allocates %.2f per run, want 0", avg)
-	}
-	_ = sink
+	t.Run("classic", func(t *testing.T) {
+		verdictZeroAlloc[bgp.Community](t, m, observedKeys(&inf.KindSet), bgp.NewCommunity(64999, 64999))
+	})
+	t.Run("large", func(t *testing.T) {
+		verdictZeroAlloc(t, m.Large(), observedKeys(&inf.Larges),
+			bgp.LargeCommunity{GlobalAdmin: 64999, LocalData1: 1, LocalData2: 64999})
+	})
 }
 
 // TestMappedClusterQueries covers the navigation the facade's
@@ -342,7 +424,7 @@ func TestMappedClusterQueries(t *testing.T) {
 	m := openMapped(t, writeFlat(t, inf, SnapshotMeta{}))
 
 	// Group heap clusters by alpha for comparison.
-	byAlpha := map[uint16][]ClusterSummary{}
+	byAlpha := map[uint32][]ClusterSummary{}
 	for i := 0; i < inf.ClusterCount(); i++ {
 		cs := inf.ClusterSummaryAt(i)
 		byAlpha[cs.Alpha] = append(byAlpha[cs.Alpha], cs)
@@ -363,7 +445,7 @@ func TestMappedClusterQueries(t *testing.T) {
 				t.Fatalf("cluster %d: %d members, want %d", i, len(members), cs.Size)
 			}
 			for _, mc := range members {
-				if mc.Comm.ASN() != alpha || mc.Comm.Value() < cs.Lo || mc.Comm.Value() > cs.Hi {
+				if mc.Comm.Admin() != alpha || mc.Comm.Local() < cs.Lo || mc.Comm.Local() > cs.Hi {
 					t.Fatalf("member %v outside cluster [%d, %d:%d]", mc.Comm, alpha, cs.Lo, cs.Hi)
 				}
 			}

@@ -10,14 +10,15 @@ import (
 	"bgpintent/internal/dict"
 )
 
-// ClusterSummary is the flat, pointer-free description of one cluster:
-// everything a query response renders, with the per-member evidence
-// pre-aggregated. Unlike Cluster it holds no slices, so producing one
-// never allocates — the serving hot path returns these by value.
+// ClusterSummary is the flat, pointer-free description of one cluster of
+// either kind: everything a query response renders, with the per-member
+// evidence pre-aggregated. Unlike Cluster it holds no slices, so
+// producing one never allocates — the serving hot path returns these by
+// value. Fn is 0 for classic clusters.
 type ClusterSummary struct {
-	Alpha  uint16
-	Lo, Hi uint16
-	Label  dict.Category
+	Alpha, Fn uint32
+	Lo, Hi    uint32
+	Label     dict.Category
 	// Size is the observed member-community count.
 	Size int
 	// OnPath/OffPath are the members' unique-path counts, summed.
@@ -27,16 +28,16 @@ type ClusterSummary struct {
 	Ratio           float64
 }
 
-// Verdict is the flat counterpart of Lookup: the full answer for one
+// KeyVerdict is the flat counterpart of Lookup: the full answer for one
 // community with the deciding cluster embedded by value instead of by
-// pointer. It is the allocation-free serving primitive — a Verdict can
+// pointer. It is the allocation-free serving primitive — a verdict can
 // be produced straight from mapped snapshot pages without touching the
 // heap.
-type Verdict struct {
-	Comm     bgp.Community
+type KeyVerdict[K Key[K]] struct {
+	Comm     K
 	Observed bool
 	Category dict.Category
-	Stats    CommunityStats
+	Stats    Stats[K]
 	Reason   ExcludeReason
 	// HasCluster reports whether Cluster is meaningful (false for
 	// excluded and unobserved communities).
@@ -44,14 +45,16 @@ type Verdict struct {
 	Cluster    ClusterSummary
 }
 
-// InferenceSource is a read-only set of community-intent inferences.
-// Implementations are immutable after construction and safe for
-// unsynchronized concurrent readers.
-type InferenceSource interface {
+// Verdict is the classic-community verdict.
+type Verdict = KeyVerdict[bgp.Community]
+
+// KindSource is a read-only set of intent inferences over one kind of
+// community key.
+type KindSource[K Key[K]] interface {
 	// Verdict answers one community query without allocating.
-	Verdict(c bgp.Community) Verdict
+	Verdict(k K) KeyVerdict[K]
 	// Category returns the label (CatUnknown when excluded/unobserved).
-	Category(c bgp.Community) dict.Category
+	Category(k K) dict.Category
 	// Observed is the number of distinct communities covered
 	// (classified plus excluded).
 	Observed() int
@@ -62,14 +65,26 @@ type InferenceSource interface {
 	// left unclassified.
 	ExcludedCount() int
 	// ClusterCount is the number of inferred clusters; summaries are
-	// addressed by index in (Alpha, Lo) order.
+	// addressed by index in (Alpha, Fn, Lo) order.
 	ClusterCount() int
 	// ClusterSummaryAt returns the i-th cluster's summary; i must be in
 	// [0, ClusterCount()).
 	ClusterSummaryAt(i int) ClusterSummary
 	// EachLabeled visits every classified community. Order is
 	// implementation-defined; callers needing determinism must sort.
-	EachLabeled(fn func(c bgp.Community, cat dict.Category) bool)
+	EachLabeled(fn func(k K, cat dict.Category) bool)
+}
+
+// InferenceSource is a read-only set of community-intent inferences:
+// itself the source of the classic (RFC 1997) ones, with the large
+// (RFC 8092) ones behind Large. Implementations are immutable after
+// construction and safe for unsynchronized concurrent readers.
+type InferenceSource interface {
+	KindSource[bgp.Community]
+	// Large returns the large-community inferences. Sources built from
+	// classic-only corpora report zero large clusters and answer every
+	// large query as unobserved.
+	Large() KindSource[bgp.LargeCommunity]
 	// Options returns the classifier options the inferences were
 	// produced with (query-shaping fields only).
 	Options() Options
@@ -78,28 +93,6 @@ type InferenceSource interface {
 	// full reconstruction. WriteSnapshotFlat of the result writes the
 	// same flat bytes as the original classifier output.
 	Materialize() *Inferences
-
-	// Large-community (RFC 8092) counterparts. Sources built from
-	// classic-only corpora report zero large clusters and answer every
-	// large query as unobserved.
-
-	// VerdictLarge answers one large-community query without
-	// allocating.
-	VerdictLarge(lc bgp.LargeCommunity) LargeVerdict
-	// LargeObserved is the number of distinct large communities covered
-	// (classified plus excluded).
-	LargeObserved() int
-	// LargeCounts returns how many large communities were labeled
-	// action and information.
-	LargeCounts() (action, information int)
-	// LargeClusterCount is the number of inferred large clusters;
-	// summaries are addressed by index in (Alpha, Fn, Lo) order.
-	LargeClusterCount() int
-	// LargeClusterSummaryAt returns the i-th large cluster's summary.
-	LargeClusterSummaryAt(i int) LargeClusterSummary
-	// EachLargeLabeled visits every classified large community; order
-	// is implementation-defined.
-	EachLargeLabeled(fn func(lc bgp.LargeCommunity, cat dict.Category) bool)
 }
 
 // Compile-time interface checks for both implementations.
@@ -108,39 +101,21 @@ var (
 	_ InferenceSource = (*Mapped)(nil)
 )
 
-// NoLargeInferences provides the large-community half of
-// InferenceSource with the classic-only answers: zero large clusters,
-// every large query unobserved. Embed it in adapters and test fakes
-// that only model classic communities.
+// NoLargeInferences provides InferenceSource's Large with the
+// classic-only answer: zero large clusters, every large query
+// unobserved. Embed it in adapters and test fakes that only model
+// classic communities.
 type NoLargeInferences struct{}
 
-// VerdictLarge reports every large community as unobserved.
-func (NoLargeInferences) VerdictLarge(lc bgp.LargeCommunity) LargeVerdict {
-	return LargeVerdict{Comm: lc, Reason: ExcludeUnobserved}
+// Large returns an empty set.
+func (NoLargeInferences) Large() KindSource[bgp.LargeCommunity] {
+	return new(KindSet[bgp.LargeCommunity])
 }
-
-// LargeObserved is always zero.
-func (NoLargeInferences) LargeObserved() int { return 0 }
-
-// LargeCounts is always zero.
-func (NoLargeInferences) LargeCounts() (action, information int) { return 0, 0 }
-
-// LargeClusterCount is always zero.
-func (NoLargeInferences) LargeClusterCount() int { return 0 }
-
-// LargeClusterSummaryAt never has a valid index; it returns the zero
-// summary.
-func (NoLargeInferences) LargeClusterSummaryAt(int) LargeClusterSummary {
-	return LargeClusterSummary{}
-}
-
-// EachLargeLabeled visits nothing.
-func (NoLargeInferences) EachLargeLabeled(func(lc bgp.LargeCommunity, cat dict.Category) bool) {}
 
 // summarize aggregates one heap cluster into its flat summary.
-func summarize(cl *Cluster) ClusterSummary {
+func summarize[K Key[K]](cl *Cluster[K]) ClusterSummary {
 	s := ClusterSummary{
-		Alpha: cl.Alpha, Lo: cl.Lo, Hi: cl.Hi, Label: cl.Label,
+		Alpha: cl.Alpha, Fn: cl.Fn, Lo: cl.Lo, Hi: cl.Hi, Label: cl.Label,
 		Size:       len(cl.Members),
 		PureOnPath: cl.PureOnPath, PureOffPath: cl.PureOffPath,
 		Ratio: cl.Ratio,
@@ -155,38 +130,38 @@ func summarize(cl *Cluster) ClusterSummary {
 // Verdict answers one community query from the heap index without
 // allocating (the cluster summary is aggregated on the fly; member
 // counts are small by construction).
-func (inf *Inferences) Verdict(c bgp.Community) Verdict {
-	e, ok := inf.index[c]
+func (ks *KindSet[K]) Verdict(k K) KeyVerdict[K] {
+	e, ok := ks.index[k]
 	if !ok {
-		return Verdict{Comm: c, Reason: ExcludeUnobserved}
+		return KeyVerdict[K]{Comm: k, Reason: ExcludeUnobserved}
 	}
-	v := Verdict{Comm: c, Observed: true, Stats: e.stats}
+	v := KeyVerdict[K]{Comm: k, Observed: true, Stats: e.stats}
 	if e.cluster >= 0 {
 		v.HasCluster = true
-		v.Cluster = summarize(&inf.Clusters[e.cluster])
+		v.Cluster = summarize(&ks.Clusters[e.cluster])
 		v.Category = v.Cluster.Label
 	} else {
-		v.Reason = inf.Excluded[c]
+		v.Reason = ks.Excluded[k]
 	}
 	return v
 }
 
 // ExcludedCount is how many observed communities were left
 // unclassified.
-func (inf *Inferences) ExcludedCount() int { return len(inf.Excluded) }
+func (ks *KindSet[K]) ExcludedCount() int { return len(ks.Excluded) }
 
 // ClusterCount returns the number of inferred clusters.
-func (inf *Inferences) ClusterCount() int { return len(inf.Clusters) }
+func (ks *KindSet[K]) ClusterCount() int { return len(ks.Clusters) }
 
 // ClusterSummaryAt summarizes the i-th cluster.
-func (inf *Inferences) ClusterSummaryAt(i int) ClusterSummary {
-	return summarize(&inf.Clusters[i])
+func (ks *KindSet[K]) ClusterSummaryAt(i int) ClusterSummary {
+	return summarize(&ks.Clusters[i])
 }
 
 // EachLabeled visits every classified community in map order.
-func (inf *Inferences) EachLabeled(fn func(c bgp.Community, cat dict.Category) bool) {
-	for c, cat := range inf.Labels {
-		if !fn(c, cat) {
+func (ks *KindSet[K]) EachLabeled(fn func(k K, cat dict.Category) bool) {
+	for k, cat := range ks.Labels {
+		if !fn(k, cat) {
 			return
 		}
 	}

@@ -140,6 +140,16 @@ func (ts *TupleStore) NoteLarge(ls bgp.LargeCommunities) {
 // noted.
 func (ts *TupleStore) LargeCommunityCount() int { return len(ts.large) }
 
+// hasLargeTuples reports (in O(1)) whether any tuple in the store
+// carries large communities, so classic-only loads skip the large
+// observation pass entirely.
+func (ts *TupleStore) hasLargeTuples() bool {
+	if ts.shared != nil {
+		return ts.shared.larges.table.Load() != nil
+	}
+	return len(ts.largeArena) > 0
+}
+
 // appendPathKey renders a path (with prepending collapsed) to a compact
 // binary key, appending to dst.
 func appendPathKey(dst []byte, path []uint32) []byte {

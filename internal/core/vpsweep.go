@@ -118,7 +118,7 @@ func (s *VPSweep) Run(subset []uint32) *ObservationSet {
 	}
 
 	os := &ObservationSet{
-		Stats:     make(map[bgp.Community]*CommunityStats),
+		Stats:     make(map[bgp.Community]*Stats[bgp.Community]),
 		asnOnPath: make(map[uint32]bool),
 		orgOnPath: make(map[string]bool),
 		orgs:      s.orgs,
@@ -148,7 +148,7 @@ func (s *VPSweep) Run(subset []uint32) *ObservationSet {
 	i := 0
 	for i < len(s.recs) {
 		comm := s.recs[i].comm
-		var st *CommunityStats
+		var st *Stats[bgp.Community]
 		for i < len(s.recs) && s.recs[i].comm == comm {
 			path := s.recs[i].path
 			onPath := s.recs[i].onPath
@@ -161,7 +161,7 @@ func (s *VPSweep) Run(subset []uint32) *ObservationSet {
 			}
 			if counted {
 				if st == nil {
-					st = &CommunityStats{Comm: comm}
+					st = &Stats[bgp.Community]{Comm: comm}
 					os.Stats[comm] = st
 				}
 				if onPath {

@@ -27,16 +27,16 @@ func TestLargeMatrixGroundTruth(t *testing.T) {
 	}
 	inf := core.Classify(c.Store, c.Options())
 
-	if n := inf.LargeObserved(); n == 0 {
+	if n := inf.Larges.Observed(); n == 0 {
 		t.Fatal("no large communities observed by the classifier")
 	}
-	if n := len(inf.LargeClusters); n == 0 {
+	if n := len(inf.Larges.Clusters); n == 0 {
 		t.Fatal("no large clusters inferred")
 	}
 
 	// Every labeled large community must be a matrix mirror: function
 	// field 1, both halves within the classic 16-bit space.
-	for lc := range inf.LargeLabels {
+	for lc := range inf.Larges.Labels {
 		if lc.LocalData1 != 1 || lc.GlobalAdmin > 0xFFFF || lc.LocalData2 > 0xFFFF {
 			t.Fatalf("labeled large community %v is not a matrix mirror", lc)
 		}
@@ -53,7 +53,7 @@ func TestLargeMatrixGroundTruth(t *testing.T) {
 			c.TruthCategory(lc.GlobalAdmin, uint16(lc.LocalData2)) != dict.CatUnknown
 	}
 	recalled := 0
-	for lc, reason := range inf.LargeExcluded {
+	for lc, reason := range inf.Larges.Excluded {
 		if !covered(lc) {
 			continue
 		}
@@ -67,7 +67,7 @@ func TestLargeMatrixGroundTruth(t *testing.T) {
 	// paper reports 96%/91% per-category accuracy on real data), but
 	// the mirrored plan must be broadly recovered.
 	agree, disagree := 0, 0
-	for lc, cat := range inf.LargeLabels {
+	for lc, cat := range inf.Larges.Labels {
 		if !covered(lc) {
 			continue
 		}
@@ -89,7 +89,7 @@ func TestLargeMatrixGroundTruth(t *testing.T) {
 	// origin — dictionary action communities — the two inference spaces
 	// see the same routes, so verdicts must coincide exactly.
 	compared := 0
-	for lc, cat := range inf.LargeLabels {
+	for lc, cat := range inf.Larges.Labels {
 		truth := c.TruthCategory(lc.GlobalAdmin, uint16(lc.LocalData2))
 		if truth != dict.CatAction {
 			continue

@@ -15,7 +15,7 @@ import (
 type BaselineCluster struct {
 	ASN     uint32
 	Entry   *dict.Entry
-	Members []core.CommunityStats
+	Members []core.Stats[bgp.Community]
 
 	PureOnPath  bool
 	PureOffPath bool

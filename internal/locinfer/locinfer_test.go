@@ -112,10 +112,10 @@ func TestInferNeedsGeoFootprint(t *testing.T) {
 
 func TestFilterWithIntent(t *testing.T) {
 	locs := []Inference{{Comm: c(100, 20)}, {Comm: c(100, 500)}}
-	intent := &core.Inferences{Labels: map[bgp.Community]dict.Category{
+	intent := &core.Inferences{KindSet: core.KindSet[bgp.Community]{Labels: map[bgp.Community]dict.Category{
 		c(100, 20):  dict.CatInformation,
 		c(100, 500): dict.CatAction,
-	}}
+	}}}
 	kept, dropped := FilterWithIntent(locs, intent)
 	if len(kept) != 1 || kept[0].Comm != c(100, 20) {
 		t.Errorf("kept = %v", kept)

@@ -262,22 +262,17 @@ type ClusterJSON struct {
 	Fn          *uint32 `json:"fn,omitempty"`
 }
 
+// clusterJSON renders a cluster; a large one's Fn points into cl.
 func clusterJSON(cl *bgpintent.Cluster) ClusterJSON {
-	return ClusterJSON{
-		ASN: uint32(cl.ASN), Lo: uint32(cl.Lo), Hi: uint32(cl.Hi), Category: cl.Category.String(),
-		Size: cl.Size, OnPath: cl.OnPath, OffPath: cl.OffPath,
-		PureOnPath: cl.PureOnPath, PureOffPath: cl.PureOffPath, Ratio: cl.Ratio,
-	}
-}
-
-// largeClusterJSON renders a large cluster; Fn points into cl.
-func largeClusterJSON(cl *bgpintent.LargeCluster) ClusterJSON {
-	return ClusterJSON{
+	out := ClusterJSON{
 		ASN: cl.ASN, Lo: cl.Lo, Hi: cl.Hi, Category: cl.Category.String(),
 		Size: cl.Size, OnPath: cl.OnPath, OffPath: cl.OffPath,
 		PureOnPath: cl.PureOnPath, PureOffPath: cl.PureOffPath, Ratio: cl.Ratio,
-		Fn: &cl.Fn,
 	}
+	if cl.Kind == bgpintent.KindLarge {
+		out.Fn = &cl.Fn
+	}
+	return out
 }
 
 // Annotation is one community verdict as rendered in responses.
@@ -318,9 +313,6 @@ func annotateKey(snap *Snapshot, k bgpintent.CommunityKey, cl *ClusterJSON) Anno
 	}
 	if l.Cluster != nil {
 		*cl = clusterJSON(l.Cluster)
-		a.Cluster = cl
-	} else if l.LargeCluster != nil {
-		*cl = largeClusterJSON(l.LargeCluster)
 		a.Cluster = cl
 	}
 	return a

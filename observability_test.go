@@ -215,19 +215,63 @@ func TestClassifyContextCancellation(t *testing.T) {
 		settleGoroutines(t, baseline)
 	}
 
-	// Cancel mid-run, from the observe-stage start hook.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	hook := obs.Funcs{
-		OnStageStart: func(stage Stage, label string) {
-			if stage == StageObserve {
-				cancel()
+	// Cancel mid-run, from each classification stage's start hook: every
+	// stage, with both kinds of key in flight, notices and gives up.
+	for _, at := range []Stage{StageObserve, StageCluster, StageRatio, StageClassify} {
+		ctx, cancel := context.WithCancel(context.Background())
+		hook := obs.Funcs{
+			OnStageStart: func(stage Stage, label string) {
+				if stage == at {
+					cancel()
+				}
+			},
+		}
+		_, err = c.ClassifyContext(ctx, Params{Parallelism: 4, Observer: hook})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancel at %s start = %v, want context.Canceled", at, err)
+		}
+		cancel()
+		settleGoroutines(t, baseline)
+	}
+}
+
+// TestClassifyStageSpansCountBothKinds: on the mixed synthetic corpus
+// the four classification spans report classic and large communities
+// together — communities observed, communities grouped, clusters
+// labeled, communities classified — at every worker count.
+func TestClassifyStageSpansCountBothKinds(t *testing.T) {
+	c, err := NewSyntheticCorpus(CorpusOptions{Small: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		col := &obs.Collector{}
+		res, err := c.ClassifyContext(context.Background(), Params{Parallelism: workers, Observer: col})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.LargeObservedCount() == 0 || res.LargeClusterCount() == 0 {
+			t.Fatal("mixed synthetic corpus carries no large inferences")
+		}
+		action, info := res.Counts()
+		largeAction, largeInfo := res.LargeCounts()
+		observed := int64(res.ObservedCount() + res.LargeObservedCount())
+		want := map[Stage]int64{
+			StageObserve:  observed,
+			StageCluster:  observed,
+			StageRatio:    int64(res.ClusterCount() + res.LargeClusterCount()),
+			StageClassify: int64(action + info + largeAction + largeInfo),
+		}
+		for _, s := range col.Spans() {
+			if n, ok := want[s.Stage]; ok {
+				if s.Records != n {
+					t.Errorf("workers=%d: %s span reports %d records, want %d (both kinds)", workers, s.Stage, s.Records, n)
+				}
+				delete(want, s.Stage)
 			}
-		},
+		}
+		for stage := range want {
+			t.Errorf("workers=%d: no span for stage %q", workers, stage)
+		}
 	}
-	_, err = c.ClassifyContext(ctx, Params{Parallelism: 4, Observer: hook})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("mid-run cancel = %v, want context.Canceled", err)
-	}
-	settleGoroutines(t, baseline)
 }
