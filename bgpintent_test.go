@@ -22,7 +22,7 @@ func smallCorpus(t *testing.T) *Corpus {
 }
 
 // classify runs the inference pipeline, failing the test on error.
-func classify(t testing.TB, c *Corpus, p Params) *Result {
+func classify(t *testing.T, c *Corpus, p Params) *Result {
 	t.Helper()
 	res, err := c.ClassifyContext(context.Background(), p)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -49,11 +50,12 @@ func TestParseFlags(t *testing.T) {
 }
 
 // startDaemon launches run() with the given flags and returns the base
-// URL once the daemon is listening, plus the cancel and exit channel.
+// URL once the daemon is listening, plus the cancel and exit channel
+// (run's error, then closed). A test that fails before stopping its
+// daemon still has it stopped and joined at cleanup.
 func startDaemon(t *testing.T, args ...string) (base string, cancel context.CancelFunc, done chan error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
 
 	pr, pw, err := os.Pipe()
 	if err != nil {
@@ -73,7 +75,12 @@ func startDaemon(t *testing.T, args ...string) (base string, cancel context.Canc
 		err := run(ctx, args, pw)
 		pw.Close()
 		done <- err
+		close(done)
 	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
 
 	deadline := time.After(30 * time.Second)
 	for {
@@ -92,6 +99,21 @@ func startDaemon(t *testing.T, args ...string) (base string, cancel context.Canc
 		case <-deadline:
 			t.Fatal("timed out waiting for listen line")
 		}
+	}
+}
+
+// stopDaemon cancels the daemon's context (what SIGTERM triggers) and
+// waits for run to return cleanly.
+func stopDaemon(t *testing.T, cancel context.CancelFunc, done chan error) {
+	t.Helper()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("intentd did not shut down within the drain timeout")
 	}
 }
 
@@ -155,16 +177,7 @@ func TestServeFromSnapshot(t *testing.T) {
 		t.Fatalf("post-reload stats %+v", stats)
 	}
 
-	// Graceful shutdown via context cancel (what SIGTERM triggers).
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("intentd did not shut down within the drain timeout")
-	}
+	stopDaemon(t, cancel, done)
 }
 
 func TestRunBadSnapshot(t *testing.T) {
@@ -183,7 +196,11 @@ type healthBody struct {
 	Status     string `json:"status"`
 	Mode       string `json:"mode"`
 	Generation uint64 `json:"generation"`
-	Feed       *struct {
+	Snapshot   *struct {
+		Source string `json:"source"`
+		Mode   string `json:"mode"`
+	} `json:"snapshot"`
+	Feed *struct {
 		State      string `json:"state"`
 		LastSeq    uint64 `json:"last_seq"`
 		Updates    uint64 `json:"updates"`
@@ -244,28 +261,85 @@ func TestServeLiveMode(t *testing.T) {
 		t.Fatalf("reload in live mode: status %d, want 409", resp.StatusCode)
 	}
 
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("intentd did not shut down")
-	}
+	stopDaemon(t, cancel, done)
 }
 
-func getJSON(t *testing.T, url string, out any) {
+// TestServeReplicaMode drives the binary's replica wiring (-replica,
+// -snapshot-url, -poll-interval, -snapshot-cache) end to end, both
+// daemons in-process: an origin serving a snapshot file zero-copy, a
+// replica that polls it and converges on the same counts, and the
+// replica degrading — not dying — once the origin is gone.
+func TestServeReplicaMode(t *testing.T) {
+	snapPath, wantAction, wantInfo := writeTestSnapshot(t)
+	origin, stopOrigin, originDone := startDaemon(t,
+		"-snapshot", snapPath, "-addr", "127.0.0.1:0", "-drain-timeout", "5s")
+	var h healthBody
+	getJSON(t, origin+"/v1/health", &h)
+	if h.Snapshot == nil || h.Snapshot.Mode != "mmap" {
+		t.Fatalf("origin health = %+v, want an mmap-served snapshot", h)
+	}
+	if m := getText(t, origin+"/metrics"); !strings.Contains(m, "\nintentd_snapshot_mmap 1\n") {
+		t.Fatal("origin /metrics does not report intentd_snapshot_mmap 1")
+	}
+
+	replica, stopReplica, replicaDone := startDaemon(t,
+		"-replica", "-snapshot-url", origin+"/v1/snapshot", "-poll-interval", "50ms",
+		"-snapshot-cache", filepath.Join(t.TempDir(), "cache"),
+		"-addr", "127.0.0.1:0", "-drain-timeout", "5s")
+
+	// The synchronous first poll installs the origin's snapshot before
+	// the replica starts listening.
+	getJSON(t, replica+"/v1/health", &h)
+	if h.Status != "healthy" || h.Mode != "replica" || h.Snapshot == nil || h.Snapshot.Source != "replica-url" {
+		t.Fatalf("replica health = %+v (snapshot %+v), want healthy replica fed from replica-url", h, h.Snapshot)
+	}
+	var stats struct {
+		Action      int `json:"action"`
+		Information int `json:"information"`
+	}
+	getJSON(t, replica+"/v1/stats", &stats)
+	if stats.Action != wantAction || stats.Information != wantInfo {
+		t.Fatalf("replica stats = %+v, want the origin's action=%d information=%d", stats, wantAction, wantInfo)
+	}
+
+	stopDaemon(t, stopOrigin, originDone)
+	pollErrors := regexp.MustCompile(`(?m)^intentd_replica_poll_errors_total [1-9]`)
+	deadline := time.Now().Add(10 * time.Second)
+	for !pollErrors.MatchString(getText(t, replica+"/metrics")) {
+		if time.Now().After(deadline) {
+			t.Fatal("replica counted no poll error after the origin went away")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	getJSON(t, replica+"/v1/stats", &stats)
+	if stats.Action != wantAction || stats.Information != wantInfo {
+		t.Fatalf("replica stats after origin death = %+v, want the last good snapshot's counts", stats)
+	}
+	getJSON(t, replica+"/v1/health", &h)
+	if h.Status != "stale" && h.Status != "healthy" {
+		t.Fatalf("replica status after origin death = %q, want stale or healthy", h.Status)
+	}
+	stopDaemon(t, stopReplica, replicaDone)
+}
+
+// getText returns the body of a 200 reply.
+func getText(t *testing.T, url string) string {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("GET %s: status %d, read error %v", url, resp.StatusCode, err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	return string(body)
+}
+
+func getJSON(t *testing.T, url string, out any) {
+	t.Helper()
+	if err := json.Unmarshal([]byte(getText(t, url)), out); err != nil {
 		t.Fatalf("GET %s: %v", url, err)
 	}
 }

@@ -128,17 +128,3 @@ func TestResolveWorkers(t *testing.T) {
 		t.Errorf("ResolveWorkers(-2) = %d", got)
 	}
 }
-
-// BenchmarkAddViewDup measures the hot dedup path: every view after the
-// first hits an existing tuple, so a lean AddView allocates nothing.
-func BenchmarkAddViewDup(b *testing.B) {
-	ts := NewTupleStore()
-	path := []uint32{65269, 3356, 64496}
-	cs := genViews(11, 1)[0].comms
-	ts.AddView(1, path, cs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ts.AddView(1, path, cs)
-	}
-}

@@ -346,7 +346,7 @@ func (d *discardResponse) WriteHeader(status int)      { d.status = status }
 // annotateFixture is a 16-community tuple with a path over a mapped
 // snapshot: observed classic and large keys plus two unobserved ones,
 // the mix bgpbench's serve-annotate workload sends.
-func annotateFixture(t testing.TB) (*Server, []byte) {
+func annotateFixture(t *testing.T) (*Server, []byte) {
 	s, res := mappedServer(t, nil)
 	classic, large := res.Labeled(), res.LabeledLarge()
 	var comms []string
@@ -436,23 +436,6 @@ func TestAnnotateHandlerAllocs(t *testing.T) {
 	})
 	if avg > 48 {
 		t.Errorf("annotate handler allocates %.1f per 16-community request, want <= 48", avg)
-	}
-}
-
-func BenchmarkAnnotateHandler(b *testing.B) {
-	s, body := annotateFixture(b)
-	req := httptest.NewRequest("POST", "/v1/annotate", nil)
-	rd := bytes.NewReader(body)
-	req.Body = io.NopCloser(rd)
-	w := &discardResponse{header: http.Header{}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd.Reset(body)
-		s.ServeHTTP(w, req)
-	}
-	if w.status != http.StatusOK {
-		b.Fatalf("status %d", w.status)
 	}
 }
 
