@@ -563,6 +563,19 @@ func (c *Corpus) Paths() int { return c.store.PathCount() }
 // clustered per (administrator, function) group by ClassifyContext.
 func (c *Corpus) LargeCommunities() int { return c.store.LargeCommunityCount() }
 
+// Footprint is a corpus's memory by component (tuple records, path
+// metas, the VP, community, large-community and ASN arenas, intern and
+// index tables, org lists, the looped-path side index): bytes used and
+// bytes reserved, read off lengths and capacities.
+type (
+	Footprint    = core.Footprint
+	FootprintRow = core.FootprintRow
+)
+
+// Footprint returns what the corpus's tuple store holds, by component.
+// The as2org map beside it is not part of the store and not counted.
+func (c *Corpus) Footprint() Footprint { return c.store.Footprint() }
+
 // Communities returns the distinct observed communities.
 func (c *Corpus) Communities() []Community {
 	raw := c.store.Communities()

@@ -254,6 +254,7 @@ func builder(cfg *config) serve.Builder {
 			return nil, bgpintent.SnapshotInfo{}, "", err
 		}
 		log.Printf("ingest: %s", stats.Summary())
+		log.Printf("corpus: %s", c.Footprint())
 		res, err := c.ClassifyContext(ctx,
 			bgpintent.Params{MinGap: cfg.gap, RatioThreshold: cfg.ratio, Parallelism: cfg.par})
 		if err != nil {

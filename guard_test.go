@@ -5,7 +5,7 @@ package bgpintent
 // tier-1 tests with constant ceilings: what they pin is behaviour (the
 // hot paths stay allocation-light), not speed — speed is bgpbench's job
 // (bash bench/run.sh). Each ceiling sits next to the value measured on
-// 2026-10-03 (go1.24.0, 2 vCPU; 272 806 tuples).
+// 2026-10-05 (go1.24.0, 2 vCPU; 272 806 tuples, 154 420 paths).
 
 import (
 	"context"
@@ -22,12 +22,13 @@ import (
 
 const (
 	// One sequential LoadMRT, heap allocations per unique tuple.
-	// Measured 0.61; more means a per-view allocation is back on the
-	// columnar store's write path.
-	guardLoadAllocsPerTuple = 0.87
+	// Measured 0.045 (0.61 while every new path allocated its key
+	// string, 0.57 per tuple); more means a per-path or per-view
+	// allocation is back on the columnar store's write path.
+	guardLoadAllocsPerTuple = 0.063
 	// The same load with every origin-attached community mirrored as a
 	// large community, relative to the classic number from the same run.
-	// Measured 1.01x; more means keying large communities into the store
+	// Measured 1.14x; more means keying large communities into the store
 	// left the allocation-free path (per-view boxing, a map per tuple).
 	guardMixedAllocFactor = 1.5
 	// Bytes one Observe allocates, per tuple. Measured 2.2; a buffer of
@@ -41,6 +42,15 @@ const (
 	// Bytes the second SnapshotInfo call may allocate. Measured 0: the
 	// counts are cached per Corpus.
 	guardSnapshotInfoRepeatBytes = 1024
+	// Live heap a loaded Corpus and its Result hold, per tuple. Measured
+	// 76.9 (113.8 while the stitched store kept a key string per path,
+	// the intern hash table and the arenas' doubling slack); more means
+	// load-only state outlives Stitch again.
+	guardHeldBytesPerTuple = 85
+	// How far Corpus.Footprint's reserved total may sit from the heap
+	// the Corpus is measured to hold. Measured 0.1 % under (the headers
+	// of the slices and chunk lists it does not count).
+	guardFootprintTolerance = 0.05
 )
 
 // writeGuardRIBs writes day 0 of the default-scale corpus as one RIB
@@ -146,5 +156,68 @@ func TestAllocationGuards(t *testing.T) {
 	if second > guardSnapshotInfoRepeatBytes {
 		t.Errorf("a repeated SnapshotInfo call allocates %d B, want <= %d (the counts are cached)",
 			second, guardSnapshotInfoRepeatBytes)
+	}
+}
+
+// heapLive is the live heap once garbage is collected; the second
+// collection empties the sync.Pool victim caches the first one filled.
+func heapLive() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestFootprintExplainsHeldHeap loads the guard corpus, classic and
+// mirrored, and holds the byte accounting to the heap: what the Corpus
+// keeps alive is what Footprint says it reserves (the byte analogue of
+// bgpbench's trace.explained_fraction), and Corpus plus Result stay
+// under the per-tuple ceiling. The table it logs is the per-component
+// decomposition of bgpbench's heap_bytes_per_tuple.
+func TestFootprintExplainsHeldHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two default-scale corpora")
+	}
+	if raceEnabled {
+		t.Skip("the race detector pads allocations; heap sizes are noise")
+	}
+	topo, err := topology.Generate(topology.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, matrix := range []bool{false, true} {
+		ribs := writeGuardRIBs(t, topo, matrix)
+		before := heapLive()
+		c, _, err := LoadMRT(context.Background(), Sources{RIBs: ribs}, LoadOptions{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus := heapLive() - before
+		res, err := c.ClassifyContext(context.Background(), DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := heapLive() - before
+		tuples := float64(c.Tuples())
+
+		fp := c.Footprint()
+		used, reserved := fp.Total()
+		t.Logf("matrix=%v: %d tuples, %d paths; corpus holds %d B (%.1f B/tuple), corpus + result %d B (%.1f B/tuple)",
+			matrix, c.Tuples(), c.Paths(), corpus, float64(corpus)/tuples, held, float64(held)/tuples)
+		for _, r := range fp {
+			t.Logf("  %-14s %10d B used %10d B reserved %7.2f B/tuple", r.Name, r.Used, r.Reserved, float64(r.Reserved)/tuples)
+		}
+		t.Logf("  %-14s %10d B used %10d B reserved %7.2f B/tuple", "total", used, reserved, float64(reserved)/tuples)
+
+		if off := float64(reserved)/float64(corpus) - 1; off > guardFootprintTolerance || off < -guardFootprintTolerance {
+			t.Errorf("matrix=%v: Footprint reserves %d B, the corpus holds %d B: %.1f%% apart, want within %.0f%%",
+				matrix, reserved, corpus, off*100, guardFootprintTolerance*100)
+		}
+		if perTuple := float64(held) / tuples; !matrix && perTuple > guardHeldBytesPerTuple {
+			t.Errorf("Corpus + Result hold %.1f B per tuple, want <= %d", perTuple, guardHeldBytesPerTuple)
+		}
+		runtime.KeepAlive(c)
+		runtime.KeepAlive(res)
 	}
 }

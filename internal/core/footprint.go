@@ -1,0 +1,130 @@
+package core
+
+import (
+	"fmt"
+	"math/bits"
+	"strings"
+	"unsafe"
+
+	"bgpintent/internal/bgp"
+)
+
+// FootprintRow is one component of a store's memory: Used bytes hold
+// data, Reserved bytes are what the allocations behind them occupy
+// (growth slack, unfilled table slots). Reserved >= Used.
+type FootprintRow struct {
+	Name     string
+	Used     int64
+	Reserved int64
+}
+
+// Footprint is a store's memory by component, the byte-side
+// decomposition of "bytes per unique tuple": each row is computed from
+// the lengths and capacities of the slices behind it, so taking one
+// walks no tuple. The Go maps of a plain store (and the distinct-large
+// set) have no capacity to read; their rows are estimates at slot size
+// x table size.
+type Footprint []FootprintRow
+
+// Total sums the rows.
+func (f Footprint) Total() (used, reserved int64) {
+	for _, r := range f {
+		used += r.Used
+		reserved += r.Reserved
+	}
+	return used, reserved
+}
+
+// String renders the non-empty rows on one line, reserved bytes each.
+func (f Footprint) String() string {
+	var rows []string
+	for _, r := range f {
+		if r.Reserved != 0 {
+			rows = append(rows, fmt.Sprintf("%s %d", r.Name, r.Reserved))
+		}
+	}
+	_, reserved := f.Total()
+	return fmt.Sprintf("%d B reserved (%s)", reserved, strings.Join(rows, ", "))
+}
+
+// add folds other rows into r.
+func (r *FootprintRow) add(others ...FootprintRow) {
+	for _, o := range others {
+		r.Used += o.Used
+		r.Reserved += o.Reserved
+	}
+}
+
+// sliceRow measures a slice by its length and capacity.
+func sliceRow[T any](name string, s []T) FootprintRow {
+	var zero T
+	size := int64(unsafe.Sizeof(zero))
+	return FootprintRow{Name: name, Used: int64(len(s)) * size, Reserved: int64(cap(s)) * size}
+}
+
+// arenaRow measures a shared arena by its chunks' fills and capacities.
+func arenaRow[T any](name string, a *sharedArena[T]) FootprintRow {
+	var zero T
+	size := int64(unsafe.Sizeof(zero))
+	r := FootprintRow{Name: name}
+	for _, c := range a.filled() {
+		r.Used += int64(len(c)) * size
+		r.Reserved += int64(cap(c)) * size
+	}
+	return r
+}
+
+// mapRow estimates a Go map of n entries at slot bytes each: a table
+// of power-of-two size kept at most 7/8 full, one control byte a slot.
+func mapRow(name string, n, slot int) FootprintRow {
+	if n == 0 {
+		return FootprintRow{Name: name}
+	}
+	slots := int64(1) << bits.Len(uint(n*8/7))
+	return FootprintRow{Name: name, Used: int64(n * slot), Reserved: slots * int64(slot+1)}
+}
+
+// Footprint returns the store's memory by component. A shared-mode
+// store reports the cross-shard storage it refers to, which is its own
+// once stitched. The organization names the org row's string headers
+// point at belong to the OrgMapper and are not counted.
+func (ts *TupleStore) Footprint() Footprint {
+	f := Footprint{
+		sliceRow("tuples", ts.tuples),
+		sliceRow("paths", ts.paths),
+		sliceRow("vp_arena", ts.vpArena),
+	}
+	intern := FootprintRow{Name: "intern_tables"}
+	index := FootprintRow{Name: "index_tables"}
+	if sh := ts.shared; sh != nil {
+		f = append(f,
+			arenaRow("comm_arena", &sh.comms.arena),
+			arenaRow("large_arena", &sh.larges.arena),
+			arenaRow("asn_arena", &sh.asns))
+		cn, cslots := sh.comms.tableSize()
+		ln, lslots := sh.larges.tableSize()
+		intern.Used, intern.Reserved = 8*int64(cn+ln), 8*int64(cslots+lslots)
+		index.Used = 8 * int64(ts.tupleTab.n+ts.pathTab.n)
+		index.Reserved = 8 * int64(cap(ts.tupleTab.slots)+cap(ts.pathTab.slots))
+	} else {
+		f = append(f,
+			sliceRow("comm_arena", ts.commArena),
+			sliceRow("large_arena", ts.largeArena),
+			sliceRow("asn_arena", ts.asnArena))
+		// pathIDs and pathKeys share each key's bytes and keep a string
+		// header apiece.
+		keyBytes := 0
+		for _, k := range ts.pathKeys {
+			keyBytes += len(k)
+		}
+		index.add(
+			FootprintRow{Used: int64(keyBytes), Reserved: int64(keyBytes)},
+			sliceRow("", ts.pathKeys),
+			mapRow("", len(ts.pathIDs), int(unsafe.Sizeof(""))+4),
+			mapRow("", len(ts.tupleIdx), int(unsafe.Sizeof(tupleKey{}))+4))
+	}
+	return append(f, intern, index,
+		sliceRow("orgs", ts.orgArena),
+		sliceRow("looped_paths", ts.loops),
+		mapRow("large_set", len(ts.large), int(unsafe.Sizeof(bgp.LargeCommunity{}))))
+}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"encoding/binary"
-
-	"bgpintent/internal/bgp"
-)
+import "bgpintent/internal/bgp"
 
 // FNV-1a constants of the community-list hashes (plain-store tupleKey,
 // intern tables).
@@ -22,14 +18,13 @@ func mixWord(h uint64, v uint32) uint64 {
 	return h ^ h>>32
 }
 
-// hashPathKey hashes a binary path key (little-endian ASN words) twice in
-// one pass: route from a fixed state — shard routing must be a pure
-// function of the path key, or the stitched layout would differ between
-// runs — and h from seed, which tags the shard's tables.
-func hashPathKey(key []byte, seed uint64) (route, h uint64) {
+// hashPathKey hashes a shared-mode path key (its ASN words) twice in one
+// pass: route from a fixed state — shard routing must be a pure function
+// of the path key, or the stitched layout would differ between runs —
+// and h from seed, which tags the shard's tables.
+func hashPathKey(key []uint32, seed uint64) (route, h uint64) {
 	route, h = fnvOffset64, seed
-	for ; len(key) >= 4; key = key[4:] {
-		asn := binary.LittleEndian.Uint32(key)
+	for _, asn := range key {
 		route = mixWord(route, asn)
 		h = mixWord(h, asn)
 	}

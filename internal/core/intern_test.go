@@ -30,7 +30,7 @@ func TestCommInternConcurrent(t *testing.T) {
 		}
 		return cs.Canonical()
 	}
-	var ci commIntern
+	ci := commIntern{hash: hashComms}
 	refs := make([][]uint64, goroutines)
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
@@ -80,7 +80,7 @@ func TestCommInternConcurrent(t *testing.T) {
 // TestCommInternEmptyList pins the empty-list convention: ref 0, never
 // stored, resolving to an empty view.
 func TestCommInternEmptyList(t *testing.T) {
-	var ci commIntern
+	ci := commIntern{hash: hashComms}
 	if ref := ci.intern(nil); ref != 0 {
 		t.Fatalf("intern(nil) = %#x, want 0", ref)
 	}
@@ -99,7 +99,7 @@ func TestCommInternDupZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops items; alloc counts are noise")
 	}
-	var ci commIntern
+	ci := commIntern{hash: hashComms}
 	canon := bgp.Communities{bgp.NewCommunity(1299, 100), bgp.NewCommunity(1299, 2569)}
 	want := ci.intern(canon)
 	var ref uint64
@@ -168,10 +168,12 @@ func TestSharedArenaOffsets(t *testing.T) {
 		}
 		all = append(all, appended{off: a.append(vals), vals: vals})
 	}
+	// A chunk's reservation is its capacity: once succeeded, its length
+	// is clipped to its fill.
 	chunkLens := func() []int {
 		var lens []int
 		for _, c := range *a.chunks.Load() {
-			lens = append(lens, len(c))
+			lens = append(lens, cap(c))
 		}
 		return lens
 	}
@@ -202,53 +204,162 @@ func TestSharedArenaOffsets(t *testing.T) {
 	if got := chunkLens(); len(got) != 6 || got[4] != internChunkSize || got[5] != arenaMinChunk<<1 {
 		t.Fatalf("chunk lengths %v, want five full chunks and one of %d", got, arenaMinChunk<<1)
 	}
-	for i, ap := range all {
-		got := a.view(ap.off, uint32(len(ap.vals)))
-		if len(got) != len(ap.vals) {
-			t.Fatalf("append %d: view length %d, want %d", i, len(got), len(ap.vals))
-		}
-		for j := range got {
-			if got[j] != ap.vals[j] {
-				t.Fatalf("append %d: view[%d] = %d, want %d", i, j, got[j], ap.vals[j])
+	check := func() {
+		t.Helper()
+		for i, ap := range all {
+			got := a.view(ap.off, uint32(len(ap.vals)))
+			if len(got) != len(ap.vals) {
+				t.Fatalf("append %d: view length %d, want %d", i, len(got), len(ap.vals))
+			}
+			for j := range got {
+				if got[j] != ap.vals[j] {
+					t.Fatalf("append %d: view[%d] = %d, want %d", i, j, got[j], ap.vals[j])
+				}
 			}
 		}
+		// The filled prefixes are every value appended, once, in order —
+		// no chunk's unused tail among them.
+		want := uint32(0)
+		for _, c := range a.filled() {
+			for _, v := range c {
+				if v != want {
+					t.Fatalf("filled prefixes: value %d where %d belongs", v, want)
+				}
+				want++
+			}
+		}
+		if want != next {
+			t.Fatalf("filled prefixes hold %d values, %d were appended", want, next)
+		}
 	}
+	check()
+	// Trimming leaves no slack behind the newest chunk and moves nothing;
+	// the next append re-grows it.
+	a.trim()
+	if got := chunkLens(); got[5] != a.fill {
+		t.Fatalf("trimmed chunk reserves %d elements for a fill of %d", got[5], a.fill)
+	}
+	check()
+	add(2)
+	if got := chunkLens(); len(got) != 6 || got[5] != arenaMinChunk<<1 {
+		t.Fatalf("chunk lengths %v after appending to a trimmed chunk, want the sixth re-grown to %d", got, arenaMinChunk<<1)
+	}
+	check()
 }
 
 // TestStitchStoreStillAcceptsViews pins the lazy reindex: a stitched
 // store can keep ingesting, deduplicating against the stitched contents
-// through tables it builds on the first AddView.
+// through tables it builds on the first AddView — the intern tables
+// Stitch released among them.
 func TestStitchStoreStillAcceptsViews(t *testing.T) {
-	sts := NewShardedTupleStore(4)
+	type view struct {
+		vp    uint32
+		path  []uint32
+		comms bgp.Communities
+	}
+	var views []view
 	for i := 0; i < 50; i++ {
-		path := []uint32{uint32(100 + i%7), 7018, uint32(200 + i)}
-		comms := bgp.Communities{bgp.NewCommunity(uint16(100+i%7), uint16(i))}
-		sts.AddView(uint32(1+i%3), path, comms)
+		views = append(views, view{
+			vp:    uint32(1 + i%3),
+			path:  []uint32{uint32(100 + i%7), 7018, uint32(200 + i)},
+			comms: bgp.Communities{bgp.NewCommunity(uint16(100+i%7), uint16(i))},
+		})
+	}
+	sts := NewShardedTupleStore(4)
+	for _, v := range views {
+		sts.AddView(v.vp, v.path, v.comms)
 	}
 	ts := sts.Stitch(2)
 	nTuples, nPaths := ts.Len(), ts.PathCount()
+	if live, slots := ts.shared.comms.tableSize(); live != 0 || slots != 0 {
+		t.Fatalf("stitched store still holds an intern table: %d entries in %d slots", live, slots)
+	}
+	commFill := func() int64 { return arenaRow("", &ts.shared.comms.arena).Used }
+	asnFill := func() int64 { return arenaRow("", &ts.shared.asns).Used }
+	comms0, asns0 := commFill(), asnFill()
 
 	// Exact duplicate of an existing observation: nothing may grow.
 	dupPath := []uint32{uint32(100), 7018, uint32(200)}
 	dupComms := bgp.Communities{bgp.NewCommunity(100, 0)}
+	before := dumpStore(ts)
 	ts.AddView(1, dupPath, dupComms)
-	if ts.Len() != nTuples || ts.PathCount() != nPaths {
-		t.Fatalf("duplicate AddView grew stitched store: %d/%d -> %d/%d",
-			nTuples, nPaths, ts.Len(), ts.PathCount())
+	equalDumps(t, dumpStore(ts), before, "after an exact duplicate")
+	if live, _ := ts.shared.comms.tableSize(); live != len(views) {
+		t.Fatalf("rebuilt intern table holds %d lists, the tuples refer to %d", live, len(views))
 	}
-	// New vantage point on the same tuple: tuple count stable.
-	ts.AddView(99, dupPath, dupComms)
-	if ts.Len() != nTuples {
-		t.Fatalf("new-VP AddView grew tuple count: %d -> %d", nTuples, ts.Len())
+	// Every original view again, from new vantage points: only VP sets
+	// change, so the store equals one built from the doubled input,
+	// layout included.
+	doubled := NewShardedTupleStore(4)
+	for _, v := range views {
+		ts.AddView(v.vp+100, v.path, v.comms)
+		doubled.AddView(v.vp, v.path, v.comms)
+		doubled.AddView(v.vp+100, v.path, v.comms)
 	}
-	// Genuinely new tuple and path.
-	ts.AddView(1, []uint32{9999, 8888}, bgp.Communities{bgp.NewCommunity(9999, 1)})
+	equalDumps(t, dumpStore(ts), dumpStore(doubled.Stitch(1)), "re-fed vs doubled input")
+	if commFill() != comms0 || asnFill() != asns0 {
+		t.Fatalf("re-feeding known views grew the arenas: communities %d -> %d B, ASNs %d -> %d B",
+			comms0, commFill(), asns0, asnFill())
+	}
+	// A new path under a known community list: the list resolves to the
+	// ref its tuples already carry, so only the ASN arena grows.
+	ts.AddView(1, []uint32{9999, 8888}, dupComms)
 	if ts.Len() != nTuples+1 || ts.PathCount() != nPaths+1 {
 		t.Fatalf("new tuple not appended: %d/%d, want %d/%d",
 			ts.Len(), ts.PathCount(), nTuples+1, nPaths+1)
 	}
+	if last := &ts.tuples[nTuples]; !commsEqual(ts.TupleComms(last), dupComms) {
+		t.Fatalf("new tuple carries %v, want %v", ts.TupleComms(last), dupComms)
+	}
+	if commFill() != comms0 || asnFill() != asns0+8 {
+		t.Fatalf("a new path under a known list: community arena %d -> %d B (want unchanged), ASN arena %d -> %d B (want +8)",
+			comms0, commFill(), asns0, asnFill())
+	}
+	// Genuinely new tuple, path and list.
+	ts.AddView(1, []uint32{9999, 7777}, bgp.Communities{bgp.NewCommunity(9999, 1)})
+	if ts.Len() != nTuples+2 || ts.PathCount() != nPaths+2 || commFill() != comms0+4 {
+		t.Fatalf("new tuple not appended: %d/%d with %d B of communities, want %d/%d with %d B",
+			ts.Len(), ts.PathCount(), commFill(), nTuples+2, nPaths+2, comms0+4)
+	}
 	if got := ts.LargeCommunityCount(); got != 0 {
 		t.Fatalf("unexpected large communities: %d", got)
+	}
+}
+
+// TestStitchedStoreKnowsItsLarges: whether a store's tuples carry large
+// communities — what switches the large observation pass on — is read
+// off the large arena, so it survives Stitch releasing the intern table
+// and a post-stitch AddView rebuilding it.
+func TestStitchedStoreKnowsItsLarges(t *testing.T) {
+	path, comms := []uint32{64500, 64501}, bgp.Communities{bgp.NewCommunity(64500, 1)}
+	larges := bgp.LargeCommunities{{GlobalAdmin: 64500, LocalData1: 1, LocalData2: 1}}
+
+	mixed := NewShardedTupleStore(4)
+	mixed.AddView(1, path, comms)
+	mixed.AddViewLarge(2, path, comms, larges)
+	ts := mixed.Stitch(1)
+	if !ts.hasLargeTuples() {
+		t.Fatal("stitched mixed store reports no large tuples")
+	}
+	ts.AddView(3, path, comms)
+	if !ts.hasLargeTuples() {
+		t.Fatal("mixed store reports no large tuples after a post-stitch AddView")
+	}
+	if got := len(Classify(ts, DefaultOptions()).Larges.index); got != 1 {
+		t.Fatalf("classifying the stitched mixed store observed %d large communities, want 1", got)
+	}
+
+	classic := NewShardedTupleStore(4)
+	classic.AddView(1, path, comms)
+	// Larges that attach to no tuple count toward the statistics only.
+	classic.AddViewLarge(1, nil, nil, larges)
+	ts = classic.Stitch(1)
+	if ts.hasLargeTuples() {
+		t.Fatal("stitched classic-only store reports large tuples")
+	}
+	ts.AddViewLarge(2, path, comms, larges)
+	if !ts.hasLargeTuples() {
+		t.Fatal("store reports no large tuples after its first one arrived post-stitch")
 	}
 }
 

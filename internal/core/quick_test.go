@@ -185,7 +185,7 @@ func TestColumnarMatchesOracleQuick(t *testing.T) {
 		tuples := ts.Tuples()
 		for i := range tuples {
 			tu := &tuples[i]
-			key := ts.pathKeys[tu.PathID]
+			key := string(pathKeyBytes(ts, tu.PathID))
 			if !slices.Equal(ts.Path(tu.PathID).ASNs, oracle.paths[key]) {
 				return false
 			}

@@ -1,10 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
-	"math/rand/v2"
 	"slices"
-	"strings"
 	"sync"
 
 	"bgpintent/internal/bgp"
@@ -58,7 +57,7 @@ func NewShardedTupleStore(n int) *ShardedTupleStore {
 	s := &ShardedTupleStore{
 		shards: make([]tupleShard, size),
 		shift:  uint(64 - bits.TrailingZeros(uint(size))),
-		shared: &storeShared{seed: rand.Uint64()},
+		shared: newStoreShared(),
 	}
 	for i := range s.shards {
 		s.shards[i].ts = &TupleStore{shared: s.shared, large: make(map[bgp.LargeCommunity]struct{})}
@@ -110,14 +109,14 @@ func (s *ShardedTupleStore) AddViewASPathLarge(vp uint32, path bgp.ASPath, comms
 }
 
 // add records one view with a non-empty path. Everything that depends
-// only on the view — key render, canonicalization, hashing — happens
+// only on the view — key collapse, canonicalization, hashing — happens
 // before the shard lock is taken.
 func (s *ShardedTupleStore) add(vp uint32, path []uint32, comms bgp.Communities, larges bgp.LargeCommunities, sc *addScratch) {
-	sc.key = appendPathKey(sc.key[:0], path)
+	sc.words = collapsePath(sc.words[:0], path)
 	route, hp, h := s.shared.prepare(sc, comms, larges)
 	sh := &s.shards[route>>s.shift]
 	sh.mu.Lock()
-	sh.ts.addViewShared(vp, hp, h, path, sc)
+	sh.ts.addViewShared(vp, hp, h, sc)
 	sh.mu.Unlock()
 }
 
@@ -180,15 +179,51 @@ func (t *flatTable) place(s uint64) {
 	}
 }
 
+// loopedKey locates, in the shared ASN arena, the key words of one path
+// that repeats an AS.
+type loopedKey struct {
+	id  int32
+	key span
+}
+
+// pathKey returns a shared-mode path's key: its ASN words with prepending
+// collapsed, which identify the path and order it in the stitched layout.
+// For a loop-free path — every path BGP loop prevention lets through —
+// that is the distinct-ASN sequence the path stores anyway, so the key
+// costs nothing. Only a path that repeats an AS apart (AS_SET flattening,
+// poisoning: A B A, whose distinct ASNs are those of A B) keeps its key
+// words in the arena as well, found through ts.loops.
+func (ts *TupleStore) pathKey(id int32) []uint32 {
+	if len(ts.loops) != 0 {
+		i, ok := slices.BinarySearchFunc(ts.loops, id, func(l loopedKey, id int32) int { return cmp.Compare(l.id, id) })
+		if ok {
+			k := ts.loops[i].key
+			return ts.shared.asns.view(k.off, k.n)
+		}
+	}
+	return ts.pathASNs(&ts.paths[id])
+}
+
+// comparePathKeys orders path keys as their little-endian byte rendering
+// compares: the order Stitch has always laid paths out in.
+func comparePathKeys(a, b []uint32) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return cmp.Compare(bits.ReverseBytes32(a[i]), bits.ReverseBytes32(b[i]))
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
 // addViewShared is the shared-mode write path for one prepared view:
-// hashes hp (path) and h (identity), path key in sc.key, canonical lists
-// in sc.comms and sc.larges. One probe of the tuple table finds the
+// hashes hp (path) and h (identity), path key in sc.words, canonical
+// lists in sc.comms and sc.larges. One probe of the tuple table finds the
 // view's tuple if it exists, confirmed by comparing the path key and
 // both lists — identity is exact whatever the hash does. Only a miss
 // goes on to the path table, the global intern tables (whose refs are
 // the spans Stitch carries over) and the appends; that is also the one
 // moment the tuple's larges enter the distinct-large set.
-func (ts *TupleStore) addViewShared(vp uint32, hp, h uint64, path []uint32, sc *addScratch) {
+func (ts *TupleStore) addViewShared(vp uint32, hp, h uint64, sc *addScratch) {
 	if ts.tupleTab.slots == nil {
 		ts.reindexShared()
 	}
@@ -201,14 +236,14 @@ func (ts *TupleStore) addViewShared(vp uint32, hp, h uint64, path []uint32, sc *
 		}
 		ti := int32(uint32(s) - 1)
 		t := &ts.tuples[ti]
-		if ts.pathKeys[t.PathID] == string(sc.key) &&
+		if slices.Equal(ts.pathKey(t.PathID), sc.words) &&
 			commsEqual(ts.TupleComms(t), sc.comms) &&
 			largesEqual(ts.TupleLarges(t), sc.larges) {
 			ts.addVP(ti, vp)
 			return
 		}
 	}
-	id := ts.internPathShared(hp, path, sc)
+	id := ts.internPathShared(hp, sc)
 	off, n := unpackRef(ts.shared.comms.intern(sc.comms))
 	loff, ln := unpackRef(ts.shared.larges.intern(sc.larges))
 	for _, lc := range sc.larges {
@@ -225,50 +260,62 @@ func (ts *TupleStore) addViewShared(vp uint32, hp, h uint64, path []uint32, sc *
 	})
 }
 
-// internPathShared returns the ID of the path with key sc.key and hash
+// internPathShared returns the ID of the path with key sc.words and hash
 // hp, creating the entry if new: the distinct-ASN sequence goes through
-// pooled scratch into the cross-shard arena, so its span is global.
-func (ts *TupleStore) internPathShared(hp uint64, path []uint32, sc *addScratch) int32 {
+// pooled scratch into the cross-shard arena, so its span is global. The
+// key words follow it there only when they are not that same sequence.
+func (ts *TupleStore) internPathShared(hp uint64, sc *addScratch) int32 {
 	tab := &ts.pathTab
 	tag, mask := uint32(hp>>32), uint32(len(tab.slots)-1)
 	for i := tag >> tab.shift; tab.slots[i] != 0; i = (i + 1) & mask {
 		s := tab.slots[i]
-		if id := int32(uint32(s) - 1); uint32(s>>32) == tag && ts.pathKeys[id] == string(sc.key) {
+		if id := int32(uint32(s) - 1); uint32(s>>32) == tag && slices.Equal(ts.pathKey(id), sc.words) {
 			return id
 		}
 	}
 	buf := sc.asns[:0]
-	for _, asn := range path {
+	for _, asn := range sc.words {
 		if !containsASN(buf, asn) {
 			buf = append(buf, asn)
 		}
 	}
+	distinct, key := uint32(len(buf)), uint32(len(sc.words))
+	if distinct != key {
+		buf = append(buf, sc.words...)
+	}
 	sc.asns = buf
-	id := len(ts.paths)
-	tab.insert(hp, id)
-	ts.paths = append(ts.paths, pathMeta{asns: span{off: ts.shared.asns.append(buf), n: uint32(len(buf))}})
-	ts.pathKeys = append(ts.pathKeys, string(sc.key))
-	return int32(id)
+	id := int32(len(ts.paths))
+	off := ts.shared.asns.append(buf)
+	tab.insert(hp, int(id))
+	ts.paths = append(ts.paths, pathMeta{asns: span{off: off, n: distinct}})
+	if distinct != key {
+		ts.loops = append(ts.loops, loopedKey{id: id, key: span{off: off + distinct, n: key}})
+	}
+	return id
 }
 
-// reindexShared builds both tables from the columnar data. A stitched
+// reindexShared builds the tables from the columnar data. A stitched
 // store arrives without them — readers never need them, and building
 // them eagerly would put a serial pass back into the load path — so the
-// first post-stitch AddView pays for them; so does a fresh shard's.
+// first post-stitch AddView pays for them; so does a fresh shard's. That
+// includes the intern tables Stitch released: every list a tuple refers
+// to re-enters under the ref the tuple carries.
 func (ts *TupleStore) reindexShared() {
 	ts.pathTab = newFlatTable(len(ts.paths))
 	ts.tupleTab = newFlatTable(len(ts.tuples))
 	sc := new(addScratch)
-	for i, key := range ts.pathKeys {
-		sc.key = append(sc.key[:0], key...)
+	for i := range ts.paths {
+		sc.words = ts.pathKey(int32(i))
 		_, hp, _ := ts.shared.prepare(sc, nil, nil)
 		ts.pathTab.insert(hp, i)
 	}
 	for i := range ts.tuples {
 		t := &ts.tuples[i]
-		sc.key = append(sc.key[:0], ts.pathKeys[t.PathID]...)
+		sc.words = ts.pathKey(t.PathID)
 		_, _, h := ts.shared.prepare(sc, ts.TupleComms(t), ts.TupleLarges(t))
 		ts.tupleTab.insert(h, i)
+		ts.shared.comms.adopt(t.comms.off, t.comms.n)
+		ts.shared.larges.adopt(t.lcomms.off, t.lcomms.n)
 	}
 }
 
@@ -302,16 +349,20 @@ func (s *ShardedTupleStore) Len() int {
 // regions are disjoint, so the phase parallelizes without locks.
 //
 // The stitched store takes ownership of the shard contents and the
-// shared storage; the sharded store must not be used afterwards. Its
-// lookup maps are left nil and rebuilt lazily on the first AddView —
-// pure readers (Observe, snapshot write) never pay for them. VP lists
-// are copied compacted (capacity == length), so the stitched store
-// carries none of the shards' growth slack.
+// shared storage; the sharded store must not be used afterwards. It
+// holds what readers read and nothing else: the shards' lookup tables
+// die with the shards, the intern hash tables — which only an insert
+// probes — are released, and all of them are rebuilt lazily on the
+// first AddView (reindexShared), so pure readers (Observe, snapshot
+// write) never pay for them. Nothing carries growth slack: VP lists are
+// copied compacted (capacity == length) and the newest chunk of each
+// shared arena is trimmed to its fill, to be re-grown if views arrive.
 func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	n := len(s.shards)
 	tupleOff := make([]int, n+1)
 	pathOff := make([]int, n+1)
 	vpOff := make([]int, n+1)
+	loopOff := make([]int, n+1)
 	large := make(map[bgp.LargeCommunity]struct{})
 	for i := range s.shards {
 		ts := s.shards[i].ts
@@ -322,35 +373,41 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 		tupleOff[i+1] = tupleOff[i] + len(ts.tuples)
 		pathOff[i+1] = pathOff[i] + len(ts.paths)
 		vpOff[i+1] = vpOff[i] + nVPs
+		loopOff[i+1] = loopOff[i] + len(ts.loops)
 		for lc := range ts.large {
 			large[lc] = struct{}{}
 		}
 	}
 	out := &TupleStore{
-		shared:   s.shared,
-		tuples:   make([]Tuple, tupleOff[n]),
-		paths:    make([]pathMeta, pathOff[n]),
-		pathKeys: make([]string, pathOff[n]),
-		vpArena:  make([]uint32, vpOff[n]),
-		large:    large,
+		shared:  s.shared,
+		tuples:  make([]Tuple, tupleOff[n]),
+		paths:   make([]pathMeta, pathOff[n]),
+		vpArena: make([]uint32, vpOff[n]),
+		loops:   make([]loopedKey, loopOff[n]),
+		large:   large,
 	}
 	ParallelFor(workers, n, func(i int) {
 		ts := s.shards[i].ts
 		// Paths get their global IDs in ascending path-key order.
 		porder := make([]int32, len(ts.paths))
+		keys := make([][]uint32, len(ts.paths))
 		for j := range porder {
 			porder[j] = int32(j)
+			keys[j] = ts.pathKey(int32(j))
 		}
 		slices.SortFunc(porder, func(a, b int32) int {
-			return strings.Compare(ts.pathKeys[a], ts.pathKeys[b])
+			return comparePathKeys(keys[a], keys[b])
 		})
 		rank := make([]int32, len(ts.paths))
 		for r, old := range porder {
-			id := pathOff[i] + r
 			rank[old] = int32(r)
-			out.paths[id] = ts.paths[old]
-			out.pathKeys[id] = ts.pathKeys[old]
+			out.paths[pathOff[i]+r] = ts.paths[old]
 		}
+		loops := out.loops[loopOff[i]:loopOff[i+1]]
+		for j, l := range ts.loops {
+			loops[j] = loopedKey{id: int32(pathOff[i]) + rank[l.id], key: l.key}
+		}
+		slices.SortFunc(loops, func(a, b loopedKey) int { return cmp.Compare(a.id, b.id) })
 		// Tuples follow their path's rank, so only the few tuples of one
 		// path are left to order among themselves.
 		order, end := countingSort(len(ts.tuples), len(ts.paths), func(j int) int32 {
@@ -382,6 +439,13 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 			vpCur += uint32(len(vps))
 		}
 	})
+	sh := s.shared
+	sh.stitched = out
+	sh.comms.release()
+	sh.larges.release()
+	sh.comms.arena.trim()
+	sh.larges.arena.trim()
+	sh.asns.trim()
 	return out
 }
 

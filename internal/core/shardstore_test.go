@@ -51,6 +51,16 @@ func genViews(seed int64, n int) []synthView {
 	return views
 }
 
+// pathKeyBytes renders a path's key as the little-endian bytes the plain
+// store keys its map with, whichever way the store holds it: a plain
+// store keeps that string, a shared-mode one the words (TupleStore.pathKey).
+func pathKeyBytes(ts *TupleStore, id int32) []byte {
+	if ts.shared == nil {
+		return []byte(ts.pathKeys[id])
+	}
+	return appendPathKey(nil, ts.pathKey(id))
+}
+
 // dumpStore renders a store's full logical content in canonical order:
 // one line per tuple with the path key, the communities and the VPs,
 // plus the large-community set.
@@ -58,7 +68,7 @@ func dumpStore(ts *TupleStore) []string {
 	lines := make([]string, 0, len(ts.tuples)+len(ts.large))
 	for i := range ts.tuples {
 		t := &ts.tuples[i]
-		lines = append(lines, fmt.Sprintf("t %x %v %v %v", ts.pathKeys[t.PathID], ts.Path(t.PathID).ASNs, ts.TupleComms(t), ts.TupleVPs(t)))
+		lines = append(lines, fmt.Sprintf("t %x %v %v %v", pathKeyBytes(ts, t.PathID), ts.Path(t.PathID).ASNs, ts.TupleComms(t), ts.TupleVPs(t)))
 	}
 	larges := make([]string, 0, len(ts.large))
 	for lc := range ts.large {
@@ -207,6 +217,73 @@ func TestShardCountsRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{{-1, 1}, {0, 1}, {1, 1}, {3, 4}, {8, 8}, {9, 16}} {
 		if got := NewShardedTupleStore(tc.in).Shards(); got != tc.want {
 			t.Errorf("NewShardedTupleStore(%d).Shards() = %d, want %d", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestLoopedPathIdentity: a path's identity is its key — the ASN
+// sequence with prepending collapsed — although a shared-mode store
+// stores that key only for a path that repeats an AS apart. A B A is not
+// A B (same distinct ASNs), A A B is (prepending), and an AS_SET
+// flattened behind its sequence is the path those words spell. The plain
+// store, which keys paths by the rendered bytes, is the reference: the
+// sharded store must agree with it through the shards, Stitch and
+// post-stitch AddViews, with every table hash forced to collide as well.
+func TestLoopedPathIdentity(t *testing.T) {
+	const A, B, C = 64500, 64501, 64502
+	comms := bgp.Communities{bgp.NewCommunity(100, 1)}
+	aggregated := bgp.ASPath{Segments: []bgp.PathSegment{
+		{Type: bgp.SegmentTypeASSequence, ASNs: []uint32{A, B}},
+		{Type: bgp.SegmentTypeASSet, ASNs: []uint32{C, A}},
+	}}
+	paths := [][]uint32{
+		{A, B, A},    // poisoned: a path of its own
+		{A, B},       // the loop-free path with the same distinct ASNs
+		{A, A, B},    // A B prepended
+		{A, B, C, A}, // what aggregated flattens to
+		{A, B, C},    // the loop-free path with those distinct ASNs
+		{B, A, B, A}, // two repeats
+	}
+	later := [][]uint32{{A, B, A}, {B, A, B}, {A, B, B, A}, {A, C}}
+
+	for _, collide := range []bool{false, true} {
+		for _, shards := range []int{1, 64} {
+			label := fmt.Sprintf("collide=%v shards=%d", collide, shards)
+			plain := NewTupleStore()
+			sts := NewShardedTupleStore(shards)
+			sts.shared.collide = collide
+			for i, p := range paths {
+				plain.AddView(uint32(i), p, comms)
+				sts.AddView(uint32(i), p, comms)
+			}
+			plain.AddView(9, aggregated.Flatten(), comms)
+			sts.AddViewASPath(9, aggregated, comms)
+			if sts.Len() != 5 {
+				t.Fatalf("%s: %d tuples in the shards, want 5", label, sts.Len())
+			}
+
+			ts := sts.Stitch(2)
+			equalDumps(t, sortedDump(ts), sortedDump(plain), label+" stitched vs plain")
+			if ts.PathCount() != 5 || len(ts.loops) != 3 {
+				t.Fatalf("%s: %d paths, %d of them with stored keys; want 5 and 3", label, ts.PathCount(), len(ts.loops))
+			}
+			for i := 1; i < len(ts.loops); i++ {
+				if ts.loops[i-1].id >= ts.loops[i].id {
+					t.Fatalf("%s: looped-path index out of order: %v", label, ts.loops)
+				}
+			}
+
+			// Known views add vantage points only; of the later paths one is
+			// known, one new and looped, one known under prepending, one new.
+			for i, p := range append(paths, later...) {
+				plain.AddView(uint32(20+i), p, comms)
+				ts.AddView(uint32(20+i), p, comms)
+			}
+			equalDumps(t, sortedDump(ts), sortedDump(plain), label+" re-fed vs plain")
+			if ts.PathCount() != 7 || ts.Len() != 7 || len(ts.loops) != 4 {
+				t.Fatalf("%s: after the later views %d paths, %d tuples, %d stored keys; want 7, 7 and 4",
+					label, ts.PathCount(), ts.Len(), len(ts.loops))
+			}
 		}
 	}
 }

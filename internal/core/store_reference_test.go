@@ -103,10 +103,10 @@ func reduceStore(t *testing.T, label string, ts *TupleStore) refReduction {
 	t.Helper()
 	r := newRefReduction()
 	pathOf := func(id int32) []uint32 {
-		key := ts.pathKeys[id]
+		key := pathKeyBytes(ts, id)
 		path := make([]uint32, len(key)/4)
 		for i := range path {
-			path[i] = binary.LittleEndian.Uint32([]byte(key[4*i:]))
+			path[i] = binary.LittleEndian.Uint32(key[4*i:])
 		}
 		return path
 	}

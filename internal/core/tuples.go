@@ -87,7 +87,10 @@ type TupleStore struct {
 	asnArena []uint32 // all interned path ASN sequences (nil in shared mode)
 	orgArena []string // all path org lists (filled by AnnotateOrgs)
 	pathIDs  map[string]int32
-	pathKeys []string // path ID -> binary path key (shares pathIDs' key storage)
+	pathKeys []string // path ID -> binary path key (shares pathIDs' key storage; plain store only)
+	// loops is the shared-mode side index of the paths that repeat an AS
+	// (see pathKey), ascending by path ID.
+	loops []loopedKey
 
 	tuples     []Tuple
 	commArena  []bgp.Community      // all tuple community lists (append-only; nil in shared mode)
@@ -145,13 +148,15 @@ func (ts *TupleStore) LargeCommunityCount() int { return len(ts.large) }
 // observation pass entirely.
 func (ts *TupleStore) hasLargeTuples() bool {
 	if ts.shared != nil {
-		return ts.shared.larges.table.Load() != nil
+		// The large arena holds exactly the lists interned for tuples; the
+		// intern table beside it is load-only state and may be gone.
+		return !ts.shared.larges.arena.empty()
 	}
 	return len(ts.largeArena) > 0
 }
 
-// appendPathKey renders a path (with prepending collapsed) to a compact
-// binary key, appending to dst.
+// appendPathKey renders a path (with prepending collapsed) to the plain
+// store's compact binary key, appending to dst.
 func appendPathKey(dst []byte, path []uint32) []byte {
 	var prev uint32
 	for i, asn := range path {
@@ -164,14 +169,26 @@ func appendPathKey(dst []byte, path []uint32) []byte {
 	return dst
 }
 
+// collapsePath appends path with prepending (adjacent repeats) collapsed:
+// the shared-mode path key, the same words appendPathKey renders to bytes.
+func collapsePath(dst, path []uint32) []uint32 {
+	for i, asn := range path {
+		if i == 0 || asn != path[i-1] {
+			dst = append(dst, asn)
+		}
+	}
+	return dst
+}
+
 // addScratch holds the per-AddView working buffers; pooled so the hot
 // path allocates nothing when it hits existing paths and tuples.
 type addScratch struct {
-	key    []byte
+	key    []byte   // plain-store path key
+	words  []uint32 // shared-mode path key
 	comms  bgp.Communities
 	larges bgp.LargeCommunities // large-community canonicalization buffer
 	flat   []uint32             // AS-path flattening buffer for AddViewASPath
-	asns   []uint32             // distinct-ASN buffer for shared-mode path interning
+	asns   []uint32             // shared-mode path interning: distinct ASNs, then the key if it differs
 }
 
 var addScratchPool = sync.Pool{New: func() any { return new(addScratch) }}
@@ -289,21 +306,21 @@ func (ts *TupleStore) AddViewLarge(vp uint32, path []uint32, comms bgp.Communiti
 		return
 	}
 	sc := addScratchPool.Get().(*addScratch)
-	sc.key = appendPathKey(sc.key[:0], path)
-	ts.addViewKeyed(vp, sc.key, path, comms, larges, sc)
+	if ts.shared != nil { // a store that came out of Stitch
+		sc.words = collapsePath(sc.words[:0], path)
+		_, hp, h := ts.shared.prepare(sc, comms, larges)
+		ts.addViewShared(vp, hp, h, sc)
+	} else {
+		sc.key = appendPathKey(sc.key[:0], path)
+		ts.addViewKeyed(vp, sc.key, path, comms, larges, sc)
+	}
 	addScratchPool.Put(sc)
 }
 
-// addViewKeyed is AddViewLarge with the path key pre-rendered into
-// sc.key; sc also carries the canonicalization scratch. Callers are
-// responsible for noting larges in ts.large. A shared-mode store (one
-// that came out of Stitch) hands over to addViewShared.
+// addViewKeyed is the plain store's AddViewLarge with the path key
+// pre-rendered into sc.key; sc also carries the canonicalization
+// scratch. Callers are responsible for noting larges in ts.large.
 func (ts *TupleStore) addViewKeyed(vp uint32, key []byte, path []uint32, comms bgp.Communities, larges bgp.LargeCommunities, sc *addScratch) {
-	if ts.shared != nil {
-		_, hp, h := ts.shared.prepare(sc, comms, larges)
-		ts.addViewShared(vp, hp, h, path, sc)
-		return
-	}
 	id := ts.internPathKey(key, path)
 	sc.comms = canonicalInto(sc.comms, comms)
 	canon := sc.comms
@@ -480,14 +497,26 @@ func (ts *TupleStore) Communities() []bgp.Community {
 
 // DistinctCounts returns how many distinct communities and vantage
 // points the tuples carry, counted through hash sets: unlike Communities
-// and VPSet, no payload copy, no sort, O(distinct) memory.
+// and VPSet, no payload copy, no sort, O(distinct) memory. A stitched
+// store counts communities over the intern arena, where every distinct
+// list lies once, instead of once per tuple that refers to it.
 func (ts *TupleStore) DistinctCounts() (communities, vantagePoints int) {
 	comms := newProbeTable[bgp.Community, struct{}]()
 	vps := newProbeTable[uint32, struct{}]()
+	interned := ts.shared != nil && ts.shared.stitched == ts
+	if interned {
+		for _, chunk := range ts.shared.comms.arena.filled() {
+			for _, c := range chunk {
+				comms.at(c, hashU32(uint32(c)))
+			}
+		}
+	}
 	for i := range ts.tuples {
 		t := &ts.tuples[i]
-		for _, c := range ts.TupleComms(t) {
-			comms.at(c, hashU32(uint32(c)))
+		if !interned {
+			for _, c := range ts.TupleComms(t) {
+				comms.at(c, hashU32(uint32(c)))
+			}
 		}
 		for _, vp := range ts.TupleVPs(t) {
 			vps.at(vp, hashU32(vp))
