@@ -65,15 +65,11 @@ type (
 // spans emitted concurrently by ingestion workers; the rest are
 // sequential top-level stages.
 const (
-	StageOpen     = obs.StageOpen
-	StageDecode   = obs.StageDecode
-	StageFrame    = obs.StageFrame
-	StageStoreAdd = obs.StageStoreAdd
-	StageStitch   = obs.StageStitch
-	// StageShardMerge is the pre-stitch name of the shard-collapse
-	// phase; loads no longer emit it. Kept so existing trace consumers
-	// keep building.
-	StageShardMerge    = obs.StageShardMerge
+	StageOpen          = obs.StageOpen
+	StageDecode        = obs.StageDecode
+	StageFrame         = obs.StageFrame
+	StageStoreAdd      = obs.StageStoreAdd
+	StageStitch        = obs.StageStitch
 	StageObserve       = obs.StageObserve
 	StageCluster       = obs.StageCluster
 	StageRatio         = obs.StageRatio
@@ -382,10 +378,6 @@ type LoadOptions struct {
 	// files across workers (frame/decode pipeline). Any setting
 	// produces an identical corpus and identical LoadStats.
 	Parallelism int
-	// ForceFrameSplit makes ingestion split every file across the
-	// decode workers even when file-level parallelism would cover them.
-	// For tests and experiments; output is identical either way.
-	ForceFrameSplit bool
 	// Observer, when non-nil, receives per-file open/decode spans, the
 	// frame, store-add and stitch stage spans, and progress events. It
 	// does not change results: an observed load produces a corpus
@@ -466,10 +458,9 @@ func LoadMRT(ctx context.Context, src Sources, opts LoadOptions) (*Corpus, LoadS
 
 	c := &Corpus{orgs: asrel.NewOrgMap()}
 	iopts := ingest.Options{
-		Strict:          opts.Strict,
-		MaxErrorRate:    opts.MaxErrorRate,
-		Tracer:          tr,
-		ForceFrameSplit: opts.ForceFrameSplit,
+		Strict:       opts.Strict,
+		MaxErrorRate: opts.MaxErrorRate,
+		Tracer:       tr,
 	}
 	ist := &ingest.Stats{}
 
@@ -633,11 +624,6 @@ type Result struct {
 
 	// mapped is non-nil when src serves straight from a snapshot file.
 	mapped *core.Mapped
-
-	// Lazily built ASN → clusters index for heap-backed results (mapped
-	// ones binary-search the snapshot's sorted cluster section instead).
-	asnOnce sync.Once
-	asnIdx  map[uint16][]Cluster
 }
 
 func newResult(inf *core.Inferences) *Result { return &Result{src: inf} }
@@ -797,28 +783,18 @@ func (r *Result) Clusters() []Cluster { return clustersOf(KindClassic, r.src) }
 func (r *Result) ClusterCount() int { return r.src.ClusterCount() }
 
 // ClustersFor returns the classic clusters of one signaling AS, in
-// ascending Lo order. Mapped results binary-search the snapshot's
-// (ASN, Lo)-sorted cluster section; heap results consult a lazily built
-// index.
+// ascending Lo order, by binary search over the source's (ASN, Lo)-sorted
+// cluster list.
 func (r *Result) ClustersFor(asn uint16) []Cluster {
-	if r.mapped != nil {
-		lo, hi := r.mapped.AlphaClusters(uint32(asn))
-		if lo == hi {
-			return nil
-		}
-		out := make([]Cluster, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, clusterFromSummary(KindClassic, r.mapped.ClusterSummaryAt(i)))
-		}
-		return out
+	lo, hi := core.AlphaClusters(r.src, uint32(asn))
+	if lo == hi {
+		return nil
 	}
-	r.asnOnce.Do(func() {
-		r.asnIdx = make(map[uint16][]Cluster)
-		for _, cl := range r.Clusters() {
-			r.asnIdx[uint16(cl.ASN)] = append(r.asnIdx[uint16(cl.ASN)], cl)
-		}
-	})
-	return r.asnIdx[asn]
+	out := make([]Cluster, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, clusterFromSummary(KindClassic, r.src.ClusterSummaryAt(i)))
+	}
+	return out
 }
 
 // WriteTSV emits the inferences as "community<TAB>category" lines, the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -109,10 +110,28 @@ func TestGoldenV2Equivalence(t *testing.T) {
 		if heapClusters[i] != mappedClusters[i] {
 			t.Fatalf("cluster[%d]: %+v vs %+v", i, heapClusters[i], mappedClusters[i])
 		}
-		for _, cl := range [][]Cluster{heap.ClustersFor(uint16(heapClusters[i].ASN)), mapped.ClustersFor(uint16(heapClusters[i].ASN))} {
-			if len(cl) == 0 {
-				t.Fatalf("ClustersFor(%d) empty for a known cluster ASN", heapClusters[i].ASN)
+	}
+	// ClustersFor, for every α: heap and mapped both return exactly that
+	// α's run of the sorted listing.
+	both := map[string]*Result{"heap": heap, "mapped": mapped}
+	for i := 0; i < len(heapClusters); {
+		asn := heapClusters[i].ASN
+		j := i
+		for j < len(heapClusters) && heapClusters[j].ASN == asn {
+			j++
+		}
+		for name, r := range both {
+			if got := r.ClustersFor(uint16(asn)); !reflect.DeepEqual(got, heapClusters[i:j]) {
+				t.Fatalf("%s ClustersFor(%d) = %+v, want %+v", name, asn, got, heapClusters[i:j])
 			}
+		}
+		i = j
+	}
+	// 65535 is reserved (RFC 7300): no topology assigns it, so no cluster
+	// carries it.
+	for name, r := range both {
+		if got := r.ClustersFor(65535); got != nil {
+			t.Fatalf("%s ClustersFor(65535) = %+v for an ASN with no clusters", name, got)
 		}
 	}
 	ha, hi := heap.Counts()

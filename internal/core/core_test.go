@@ -323,64 +323,3 @@ func TestClassifyAccuracyOnSimulatedCorpus(t *testing.T) {
 		t.Errorf("only %d communities scored; corpus too sparse", n)
 	}
 }
-
-func TestVPSweepMatchesObserve(t *testing.T) {
-	topo, err := topology.Generate(topology.TinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := simulate.New(topo, simulate.TinyConfig())
-	ts := NewTupleStore()
-	day := sim.RunDay(0)
-	for _, v := range day.Views {
-		ts.AddView(v.VP, v.Path, v.Comms)
-	}
-	orgs := asrel.NewOrgMap()
-	for orgID, members := range topo.Orgs {
-		for _, m := range members {
-			orgs.Set(m, fmt.Sprintf("org-%d", orgID))
-		}
-	}
-	ts.AnnotateOrgs(orgs)
-	opts := DefaultOptions()
-	opts.Orgs = orgs
-
-	sweep := NewVPSweep(ts, opts)
-	all := sweep.VPs()
-	subsets := [][]uint32{
-		all,     // everything
-		all[:1], // single VP
-		all[:len(all)/2],
-		all[len(all)/2:],
-	}
-	for si, subset := range subsets {
-		fast := sweep.Run(subset)
-		filter := make(map[uint32]bool, len(subset))
-		for _, vp := range subset {
-			filter[vp] = true
-		}
-		slowOpts := opts
-		slowOpts.VPFilter = filter
-		slow := Observe(ts, slowOpts)
-		if len(fast.Stats) != len(slow.Stats) {
-			t.Fatalf("subset %d: %d fast stats vs %d slow", si, len(fast.Stats), len(slow.Stats))
-		}
-		for comm, want := range slow.Stats {
-			got := fast.Stats[comm]
-			if got == nil || got.OnPath != want.OnPath || got.OffPath != want.OffPath {
-				t.Fatalf("subset %d: %v fast=%+v slow=%+v", si, comm, got, want)
-			}
-		}
-		// Classification must agree too.
-		fastInf := ClassifyObserved(fast, opts)
-		slowInf := ClassifyObserved(slow, slowOpts)
-		if len(fastInf.Labels) != len(slowInf.Labels) {
-			t.Fatalf("subset %d: label counts differ: %d vs %d", si, len(fastInf.Labels), len(slowInf.Labels))
-		}
-		for comm, want := range slowInf.Labels {
-			if fastInf.Labels[comm] != want {
-				t.Fatalf("subset %d: %v label %v vs %v", si, comm, fastInf.Labels[comm], want)
-			}
-		}
-	}
-}

@@ -95,6 +95,6 @@ func exerciseKindView[K Key[K]](v *kindView[K]) {
 		rec, _ := v.lookupRec(i)
 		_ = v.lay.stats(rec)
 	}
-	_, _ = v.AlphaClusters(100)
+	_, _ = AlphaClusters(v, 100)
 	v.EachLabeled(func(K, dict.Category) bool { return true })
 }

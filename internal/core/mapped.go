@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"sync/atomic"
 
 	"bgpintent/internal/bgp"
@@ -174,20 +173,6 @@ func (v *kindView[K]) ClusterMembers(i int) []Stats[K] {
 		out[j] = v.memberAt(start + j)
 	}
 	return out
-}
-
-// AlphaClusters returns the index range [lo, hi) of clusters whose
-// Alpha equals alpha, by binary search over the (alpha, fn, lo)-sorted
-// cluster section.
-func (v *kindView[K]) AlphaClusters(alpha uint32) (lo, hi int) {
-	n := v.clusterCount()
-	alphaAt := func(i int) uint32 {
-		a, _, _, _ := v.lay.bounds(v.clusters[i*v.lay.clusterLen:])
-		return a
-	}
-	lo = sort.Search(n, func(i int) bool { return alphaAt(i) >= alpha })
-	hi = lo + sort.Search(n-lo, func(i int) bool { return alphaAt(lo+i) > alpha })
-	return lo, hi
 }
 
 // EachLabeled visits every classified community in ascending key order

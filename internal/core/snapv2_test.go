@@ -431,7 +431,7 @@ func TestMappedClusterQueries(t *testing.T) {
 	}
 	seen := 0
 	for alpha, want := range byAlpha {
-		lo, hi := m.AlphaClusters(alpha)
+		lo, hi := AlphaClusters(m, alpha)
 		if hi-lo != len(want) {
 			t.Fatalf("AlphaClusters(%d) spans %d clusters, want %d", alpha, hi-lo, len(want))
 		}
@@ -456,7 +456,7 @@ func TestMappedClusterQueries(t *testing.T) {
 		t.Fatalf("alpha sweep visited %d clusters, index has %d", seen, m.ClusterCount())
 	}
 	// An alpha with no clusters yields an empty range.
-	if lo, hi := m.AlphaClusters(64999); lo != hi {
+	if lo, hi := AlphaClusters(m, 64999); lo != hi {
 		t.Fatalf("AlphaClusters(64999) = [%d,%d), want empty", lo, hi)
 	}
 }

@@ -6,6 +6,8 @@
 package core
 
 import (
+	"sort"
+
 	"bgpintent/internal/bgp"
 	"bgpintent/internal/dict"
 )
@@ -73,6 +75,16 @@ type KindSource[K Key[K]] interface {
 	// EachLabeled visits every classified community. Order is
 	// implementation-defined; callers needing determinism must sort.
 	EachLabeled(fn func(k K, cat dict.Category) bool)
+}
+
+// AlphaClusters returns the index range [lo, hi) of src's clusters whose
+// Alpha equals alpha, by binary search over the (Alpha, Fn, Lo) order
+// every KindSource lists its clusters in.
+func AlphaClusters[K Key[K]](src KindSource[K], alpha uint32) (lo, hi int) {
+	n := src.ClusterCount()
+	lo = sort.Search(n, func(i int) bool { return src.ClusterSummaryAt(i).Alpha >= alpha })
+	hi = lo + sort.Search(n-lo, func(i int) bool { return src.ClusterSummaryAt(lo+i).Alpha > alpha })
+	return lo, hi
 }
 
 // InferenceSource is a read-only set of community-intent inferences:

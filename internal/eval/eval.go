@@ -154,10 +154,3 @@ func (r *Report) Render() string {
 	}
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -228,14 +228,13 @@ func Fig10(c *corpus.Corpus, counts []int, trials int, seed int64) *Report {
 	r := newReport("fig10", "Accuracy/coverage vs number of vantage points",
 		"median accuracy stabilizes above 93% by ~20 VPs, covering ~76.5% of communities")
 	opts := c.Options()
-	sweep := core.NewVPSweep(c.Store, opts)
-	all := sweep.VPs()
+	all := c.Store.VPSet()
 	if len(counts) == 0 {
 		counts = []int{1, 2, 3, 5, 8, 12, 16, 20, 25, 30, 40, 60, 90, 130, len(all)}
 	}
 
 	// Full-data reference for coverage.
-	fullInf := core.ClassifyObserved(sweep.Run(all), opts)
+	fullInf := core.ClassifyObserved(core.Observe(c.Store, opts), opts)
 	fullClassified := len(fullInf.Labels)
 	r.addf("total VPs=%d, classified with all=%d", len(all), fullClassified)
 
@@ -264,7 +263,12 @@ func Fig10(c *corpus.Corpus, counts []int, trials int, seed int64) *Report {
 		}
 		results := make([]trialResult, trials)
 		core.ParallelFor(opts.Workers, trials, func(trial int) {
-			inf := core.ClassifyObserved(sweep.Run(subsets[trial]), topts)
+			o := topts
+			o.VPFilter = make(map[uint32]bool, n)
+			for _, vp := range subsets[trial] {
+				o.VPFilter[vp] = true
+			}
+			inf := core.ClassifyObserved(core.Observe(c.Store, o), o)
 			conf := AgainstDictionary(inf, c.Dict)
 			res := trialResult{cov: float64(len(inf.Labels)) / float64(max(fullClassified, 1))}
 			if conf.Total() > 0 {

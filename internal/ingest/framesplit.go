@@ -1,7 +1,7 @@
 // Frame/decode split: one file scanned by one framing goroutine feeding
 // decode workers, so a single large MRT file spreads across cores
 // instead of pinning one. Activated by ScanParallelContext when there
-// are more workers than files (or forced by Options.ForceFrameSplit).
+// are more workers than files.
 //
 // The framer runs the same fault-tolerant mrt.Reader the sequential
 // scanners use and copies record bodies into reusable FrameBatches; the
@@ -14,7 +14,8 @@
 // record that framed but failed to decode, where the sequential scanner
 // rejects the record's bytes back into the stream and rescans inside
 // them — triggers a full-file fallback instead: the split attempt's
-// statistics are discarded and the file is rescanned sequentially.
+// statistics and telemetry are discarded and the file is rescanned
+// sequentially.
 // Re-feeding views already delivered is safe because every store
 // callback is idempotent (tuple dedup, sorted-set VP insertion,
 // large-community set), so the fallback keeps both the corpus and the
@@ -71,10 +72,102 @@ func (st *splitState) aborted() bool {
 	return st.failed.Load() || chClosed(st.done)
 }
 
+// recordDecoder is one worker's per-record decode step for one kind of
+// file: it parses rec, notes what it decoded or skipped against stats
+// and feeds the views to the kind's callback. A non-empty skip marks err
+// as rec failing to parse (skip is the reason a lenient scan notes); any
+// other error is terminal as it stands.
+type recordDecoder func(rec *mrt.Record, table *mrt.PeerIndexTable, stats *mrt.Stats) (skip string, err error)
+
+// ribDecoder decodes TABLE_DUMP_V2 RIB records against the peer table in
+// force when they were framed. Peer index tables never reach workers
+// (framing barrier); foreign types and other subtypes are skipped like
+// the sequential scanner skips them.
+func ribDecoder(strict bool, fn func(*mrt.RIBView) error) recordDecoder {
+	var (
+		rib  mrt.RIB
+		view mrt.RIBView
+	)
+	return func(rec *mrt.Record, table *mrt.PeerIndexTable, stats *mrt.Stats) (string, error) {
+		if rec.Type != mrt.TypeTableDumpV2 ||
+			(rec.Subtype != mrt.SubtypeRIBIPv4Unicast && rec.Subtype != mrt.SubtypeRIBIPv6Unicast) {
+			stats.NoteUnknown(rec.Type, rec.Subtype)
+			return "", nil
+		}
+		if err := mrt.ParseRIBInto(rec.Subtype, rec.Body, &rib); err != nil {
+			return "rib", err
+		}
+		stats.NoteDecoded()
+		for _, e := range rib.Entries {
+			if table == nil || int(e.PeerIndex) >= len(table.Peers) {
+				if strict {
+					return "", fmt.Errorf("mrt: RIB record at offset %d: entry references peer index %d outside table", rec.Offset, e.PeerIndex)
+				}
+				stats.NoteSkip("peer-index-out-of-range")
+				continue
+			}
+			view = mrt.RIBView{Peer: table.Peers[e.PeerIndex], Prefix: rib.Prefix, Entry: e}
+			if err := fn(&view); err != nil {
+				return "", err
+			}
+		}
+		return "", nil
+	}
+}
+
+// updateDecoder decodes BGP4MP records.
+func updateDecoder(fn func(*mrt.UpdateView) error) recordDecoder {
+	var (
+		upd  bgp.UpdateMessage
+		view mrt.UpdateView
+	)
+	return func(rec *mrt.Record, _ *mrt.PeerIndexTable, stats *mrt.Stats) (string, error) {
+		ok, err := mrt.DecodeUpdateRecord(rec, &upd, &view, stats)
+		if err != nil {
+			return "bgp4mp", err
+		}
+		if !ok {
+			return "", nil
+		}
+		stats.NoteDecoded()
+		return "", fn(&view)
+	}
+}
+
+// decodeBatches is one worker's loop over a file's frame jobs. All
+// reusable decode state (the record view here, the rest inside decode)
+// is worker-local; per-batch counters land in the job's result slot.
+func decodeBatches(jobs <-chan frameJob, free chan<- *mrt.FrameBatch, st *splitState, strict bool, decode recordDecoder) {
+	var rec mrt.Record
+	for job := range jobs {
+		for i, n := 0, job.batch.Len(); i < n && !st.aborted(); i++ {
+			job.batch.Rec(i, &rec)
+			skip, err := decode(&rec, job.table, &job.res.stats)
+			if err == nil {
+				continue
+			}
+			switch {
+			case skip == "":
+				job.res.err = err
+			case strict:
+				job.res.err = fmt.Errorf("mrt: record at offset %d: %w", rec.Offset, err)
+			default:
+				// The sequential scanner would Reject the record's bytes
+				// and rescan inside them; that recovery is inherently
+				// stream-ordered, so redo the whole file sequentially.
+				job.res.stats.NoteSkip(skip)
+				st.fallback.Store(true)
+			}
+			st.failed.Store(true)
+		}
+		free <- job.batch
+	}
+}
+
 // scanFileSplit scans one file with a framer goroutine plus workers
-// decode goroutines. Statistics and error semantics match the
-// sequential Scan{RIBs,Updates}Context (see the package comment of this
-// file for the fallback that guarantees it).
+// decode goroutines. Statistics, telemetry and error semantics match
+// the sequential scanFile (see the comment at the top of this file for
+// the fallback that guarantees it).
 func scanFileSplit(ctx context.Context, f InputFile, opts Options, workers int, stats *Stats,
 	ribFn func(*mrt.RIBView) error, updFn func(*mrt.UpdateView) error) error {
 	rc, err := openTimed(f.Path, opts.Tracer)
@@ -83,23 +176,24 @@ func scanFileSplit(ctx context.Context, f InputFile, opts Options, workers int, 
 	}
 	defer rc.Close()
 
-	fs := &mrt.Stats{}
-	tr := opts.Tracer
-	if tr.Active() {
-		tr.StageStartOnly(obs.StageDecode, f.Path)
-		start := time.Now()
-		defer func() {
-			tr.EmitSpan(obs.StageDecode, f.Path, start, time.Since(start), func(s *obs.Span) {
-				s.Records = int64(fs.Records)
-				s.Bytes = fs.BytesRead
-			})
-			tr.AddBytes(fs.BytesRead)
-		}()
-	}
-
+	s := beginScan(f.Path, opts)
+	fs, tr := &s.fs, opts.Tracer
 	so := scanOptions(f.Path, opts, fs)
 	r := so.Reader(rc)
 	st := &splitState{done: ctx.Done()}
+
+	// RIB files interleave PEER_INDEX_TABLE records with the RIB records
+	// that reference them, so table records are a framing barrier: the
+	// framer parses them in stream order and stamps each batch with the
+	// table in force when it was framed.
+	newDecoder := func() recordDecoder { return ribDecoder(opts.Strict, ribFn) }
+	barrier := func(typ, subtype uint16) bool {
+		return typ == mrt.TypeTableDumpV2 && subtype == mrt.SubtypePeerIndexTable
+	}
+	if f.Updates {
+		newDecoder = func() recordDecoder { return updateDecoder(updFn) }
+		barrier = nil
+	}
 
 	nBatches := 2 * workers
 	free := make(chan *mrt.FrameBatch, nBatches)
@@ -112,40 +206,16 @@ func scanFileSplit(ctx context.Context, f InputFile, opts Options, workers int, 
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			if f.Updates {
-				decodeUpdateBatches(jobs, free, st, opts, tr, updFn)
-			} else {
-				decodeRIBBatches(jobs, free, st, opts, tr, ribFn)
-			}
+			decodeBatches(jobs, free, st, opts.Strict, newDecoder())
 		}()
-	}
-
-	// RIB files interleave PEER_INDEX_TABLE records with the RIB records
-	// that reference them, so table records are a framing barrier: the
-	// framer parses them in stream order and stamps each batch with the
-	// table in force when it was framed.
-	var barrier func(typ, subtype uint16) bool
-	if !f.Updates {
-		barrier = func(typ, subtype uint16) bool {
-			return typ == mrt.TypeTableDumpV2 && subtype == mrt.SubtypePeerIndexTable
-		}
 	}
 
 	var (
 		table    *mrt.PeerIndexTable
 		ordered  []*batchResult
 		framerFn error // framer-side terminal error (budget, reader, strict table)
-		canceled bool
 	)
-frame:
-	for {
-		if st.failed.Load() {
-			break
-		}
-		if chClosed(st.done) {
-			canceled = true
-			break
-		}
+	for !st.aborted() {
 		batch := <-free
 		var frameStart time.Time
 		if tr.Active() {
@@ -155,12 +225,12 @@ frame:
 		if tr.Active() {
 			tr.AddStageTime(obs.StageFrame, time.Since(frameStart), int64(batch.Len()))
 		}
+		s.tick()
 		if err != nil {
 			free <- batch
-			if err == io.EOF {
-				break
+			if err != io.EOF {
+				framerFn = err
 			}
-			framerFn = err
 			break
 		}
 		if batch.Len() > 0 {
@@ -193,30 +263,27 @@ frame:
 			// applies per record).
 			if cerr := so.Check(fs); cerr != nil {
 				framerFn = cerr
-				break frame
+				break
 			}
 		}
 	}
 	close(jobs)
 	wg.Wait()
 
-	if canceled || chClosed(st.done) {
-		stats.add(f.Path, fs)
-		return ctx.Err()
+	if chClosed(st.done) {
+		return s.end(stats, ctx.Err())
 	}
 	if st.fallback.Load() {
-		// Discard the split attempt entirely and rescan sequentially;
-		// idempotent callbacks make the re-feed invisible (see the file
-		// comment).
-		if f.Updates {
-			return ScanUpdatesContext(ctx, f.Path, opts, stats, updFn)
-		}
-		return ScanRIBsContext(ctx, f.Path, opts, stats, ribFn)
+		// Discard the split attempt entirely — statistics, decode span,
+		// the records it counted — and rescan sequentially; idempotent
+		// callbacks make the re-feed invisible (see the file comment).
+		tr.AddRecords(-int64(s.counted))
+		return scanFile(ctx, f, opts, stats, ribFn, updFn)
 	}
 	// Merge batch outcomes in frame order: the earliest batch error wins,
 	// with the stats of everything before it, matching the point a
 	// sequential scan would have stopped at.
-	var werr error
+	werr := framerFn
 	for _, res := range ordered {
 		fs.Merge(&res.stats)
 		if res.err != nil {
@@ -224,147 +291,8 @@ frame:
 			break
 		}
 	}
-	if werr == nil {
-		werr = framerFn
-	}
 	if werr != nil {
-		stats.add(f.Path, fs)
-		if _, ok := werr.(*BudgetError); ok {
-			return werr
-		}
-		return fmt.Errorf("ingest: %s: %w", f.Path, werr)
+		werr = fileErr(f.Path, werr)
 	}
-	tr.FileDone()
-	return finish(f.Path, opts, stats, fs)
-}
-
-// decodeRIBBatches is one worker's loop over a RIB file's frame jobs.
-// All reusable decode state (record view, RIB, RIBView) is worker-local;
-// per-batch counters land in the job's result slot.
-func decodeRIBBatches(jobs <-chan frameJob, free chan<- *mrt.FrameBatch, st *splitState,
-	opts Options, tr *obs.Tracer, fn func(*mrt.RIBView) error) {
-	var (
-		rec  mrt.Record
-		rib  mrt.RIB
-		view mrt.RIBView
-	)
-	for job := range jobs {
-		if st.aborted() {
-			free <- job.batch
-			continue
-		}
-		n := job.batch.Len()
-		for i := 0; i < n && !st.aborted(); i++ {
-			job.batch.Rec(i, &rec)
-			if rec.Type != mrt.TypeTableDumpV2 {
-				job.res.stats.NoteUnknown(rec.Type, rec.Subtype)
-				continue
-			}
-			switch rec.Subtype {
-			case mrt.SubtypeRIBIPv4Unicast, mrt.SubtypeRIBIPv6Unicast:
-				if perr := mrt.ParseRIBInto(rec.Subtype, rec.Body, &rib); perr != nil {
-					if opts.Strict {
-						job.res.err = fmt.Errorf("mrt: record at offset %d: %w", rec.Offset, perr)
-						st.failed.Store(true)
-					} else {
-						// The sequential scanner would Reject the record's
-						// bytes and rescan inside them; that recovery is
-						// inherently stream-ordered, so redo the whole file
-						// sequentially instead.
-						job.res.stats.NoteSkip("rib")
-						st.fallback.Store(true)
-						st.failed.Store(true)
-					}
-					break
-				}
-				job.res.stats.NoteDecoded()
-				for _, e := range rib.Entries {
-					if job.table == nil || int(e.PeerIndex) >= len(job.table.Peers) {
-						if opts.Strict {
-							job.res.err = fmt.Errorf("mrt: RIB record at offset %d: entry references peer index %d outside table", rec.Offset, e.PeerIndex)
-							st.failed.Store(true)
-							break
-						}
-						job.res.stats.NoteSkip("peer-index-out-of-range")
-						continue
-					}
-					view = mrt.RIBView{Peer: job.table.Peers[e.PeerIndex], Prefix: rib.Prefix, Entry: e}
-					if err := fn(&view); err != nil {
-						job.res.err = err
-						st.failed.Store(true)
-						break
-					}
-				}
-			default:
-				// Peer index tables never reach workers (framing barrier);
-				// other TABLE_DUMP_V2 subtypes are skipped like the
-				// sequential scanner skips them.
-				job.res.stats.NoteUnknown(rec.Type, rec.Subtype)
-			}
-		}
-		tr.AddRecords(int64(n))
-		free <- job.batch
-	}
-}
-
-// decodeUpdateBatches is one worker's loop over an updates file's frame
-// jobs.
-func decodeUpdateBatches(jobs <-chan frameJob, free chan<- *mrt.FrameBatch, st *splitState,
-	opts Options, tr *obs.Tracer, fn func(*mrt.UpdateView) error) {
-	var (
-		rec  mrt.Record
-		upd  bgp.UpdateMessage
-		view mrt.UpdateView
-	)
-	for job := range jobs {
-		if st.aborted() {
-			free <- job.batch
-			continue
-		}
-		n := job.batch.Len()
-		for i := 0; i < n && !st.aborted(); i++ {
-			job.batch.Rec(i, &rec)
-			ok, perr := mrt.DecodeUpdateRecord(&rec, &upd, &view, &job.res.stats)
-			if perr != nil {
-				if opts.Strict {
-					job.res.err = fmt.Errorf("mrt: record at offset %d: %w", rec.Offset, perr)
-					st.failed.Store(true)
-				} else {
-					job.res.stats.NoteSkip("bgp4mp")
-					st.fallback.Store(true)
-					st.failed.Store(true)
-				}
-				break
-			}
-			if !ok {
-				continue
-			}
-			job.res.stats.NoteDecoded()
-			if err := fn(&view); err != nil {
-				job.res.err = err
-				st.failed.Store(true)
-				break
-			}
-		}
-		tr.AddRecords(int64(n))
-		free <- job.batch
-	}
-}
-
-// scanSplitFiles runs the frame/decode split over every input file, one
-// file at a time in input order — cross-file parallelism would not add
-// throughput (the workers already cover the cores) and processing files
-// in order keeps statistics assembly and earliest-error semantics
-// identical to the sequential path for free.
-func scanSplitFiles(ctx context.Context, files []InputFile, opts Options, workers int, stats *Stats,
-	ribFn func(*mrt.RIBView) error, updFn func(*mrt.UpdateView) error) error {
-	for _, f := range files {
-		if chClosed(ctx.Done()) {
-			return ctx.Err()
-		}
-		if err := scanFileSplit(ctx, f, opts, workers, stats, ribFn, updFn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.end(stats, werr)
 }

@@ -43,13 +43,6 @@ type Options struct {
 	// Tracer receives per-file open/decode spans and live
 	// record/byte/file counters; nil disables ingestion telemetry.
 	Tracer *obs.Tracer
-	// ForceFrameSplit makes ScanParallelContext use the frame/decode
-	// split pipeline (see framesplit.go) even when there are enough
-	// input files to keep every worker on its own file. Normally the
-	// split activates only when workers outnumber files; forcing it is
-	// for tests and experiments. Output and statistics are identical
-	// either way.
-	ForceFrameSplit bool
 }
 
 func (o Options) limit() float64 {
@@ -183,18 +176,6 @@ func scanOptions(name string, opts Options, fs *mrt.Stats) mrt.ScanOptions {
 	return so
 }
 
-// finish records the file's stats and applies the final (no minimum
-// sample) budget check.
-func finish(name string, opts Options, stats *Stats, fs *mrt.Stats) error {
-	stats.add(name, fs)
-	if limit := opts.limit(); !opts.Strict && limit >= 0 {
-		if rate := fs.ErrorRate(); rate > limit {
-			return &BudgetError{Path: name, Rate: rate, Limit: limit}
-		}
-	}
-	return nil
-}
-
 // openTimed is Open plus an obs.StageOpen span when a tracer is
 // attached.
 func openTimed(path string, tr *obs.Tracer) (io.ReadCloser, error) {
@@ -207,131 +188,119 @@ func openTimed(path string, tr *obs.Tracer) (io.ReadCloser, error) {
 	return rc, err
 }
 
-// ScanRIBs streams every RIBView of a TABLE_DUMP_V2 file into fn.
-func ScanRIBs(path string, opts Options, stats *Stats, fn func(*mrt.RIBView) error) error {
-	return ScanRIBsContext(context.Background(), path, opts, stats, fn)
+// viewScanner is the one method a scan loop needs of
+// mrt.TableDumpScanner and mrt.UpdateScanner.
+type viewScanner[V any] interface{ Next() (V, error) }
+
+// fileScan is one file's scan in flight: its decode statistics plus the
+// telemetry both schedules (sequential drain, frame/decode split)
+// report the same way — one decode span per file, the live record
+// counter advanced by MRT records framed, the byte counter by bytes
+// read.
+type fileScan struct {
+	name    string
+	opts    Options
+	fs      mrt.Stats
+	start   time.Time
+	counted int // fs.Records already added to the live record counter
 }
 
-// ScanRIBsContext is ScanRIBs with cancellation: a canceled ctx aborts
-// the scan between records with ctx.Err().
-func ScanRIBsContext(ctx context.Context, path string, opts Options, stats *Stats, fn func(*mrt.RIBView) error) error {
-	rc, err := openTimed(path, opts.Tracer)
+func beginScan(name string, opts Options) *fileScan {
+	s := &fileScan{name: name, opts: opts}
+	if tr := opts.Tracer; tr.Active() {
+		tr.StageStartOnly(obs.StageDecode, name)
+		s.start = time.Now()
+	}
+	return s
+}
+
+// tick advances the live record counter to the records framed so far.
+// Only the goroutine that drives the file's mrt.Reader calls it.
+func (s *fileScan) tick() {
+	if n := s.fs.Records - s.counted; n != 0 {
+		s.opts.Tracer.AddRecords(int64(n))
+		s.counted = s.fs.Records
+	}
+}
+
+// end closes the scan: it emits the decode span, records the file's
+// stats and, when the scan ran to a clean end of file (err == nil),
+// applies the final (no minimum sample) budget check.
+func (s *fileScan) end(stats *Stats, err error) error {
+	if tr := s.opts.Tracer; tr.Active() {
+		tr.EmitSpan(obs.StageDecode, s.name, s.start, time.Since(s.start), func(sp *obs.Span) {
+			sp.Records = int64(s.fs.Records)
+			sp.Bytes = s.fs.BytesRead
+		})
+		tr.AddBytes(s.fs.BytesRead)
+	}
+	stats.add(s.name, &s.fs)
 	if err != nil {
 		return err
 	}
-	defer rc.Close()
-	return scanRIBsFrom(ctx, rc, path, opts, stats, fn)
+	s.opts.Tracer.FileDone()
+	if limit := s.opts.limit(); !s.opts.Strict && limit >= 0 {
+		if rate := s.fs.ErrorRate(); rate > limit {
+			return &BudgetError{Path: s.name, Rate: rate, Limit: limit}
+		}
+	}
+	return nil
 }
 
-// ScanRIBsFrom is ScanRIBs over an already-open stream; name labels the
-// stream in errors and statistics.
+// fileErr labels a framing or decode error with its file; a BudgetError
+// already names it.
+func fileErr(name string, err error) error {
+	if _, ok := err.(*BudgetError); ok {
+		return err
+	}
+	return fmt.Errorf("ingest: %s: %w", name, err)
+}
+
+// drain is the sequential scan loop for either kind of file: it streams
+// every view newScanner's scanner yields from r into fn, checking ctx
+// between views. name labels the stream in errors and statistics.
+func drain[V any, S viewScanner[V]](ctx context.Context, r io.Reader, name string, opts Options, stats *Stats,
+	newScanner func(io.Reader, mrt.ScanOptions) S, fn func(V) error) error {
+	s := beginScan(name, opts)
+	sc := newScanner(r, scanOptions(name, opts, &s.fs))
+	done := ctx.Done()
+	for {
+		if chClosed(done) {
+			return s.end(stats, ctx.Err())
+		}
+		v, err := sc.Next()
+		s.tick()
+		if err == io.EOF {
+			return s.end(stats, nil)
+		}
+		if err != nil {
+			return s.end(stats, fileErr(name, err))
+		}
+		if err := fn(v); err != nil {
+			return s.end(stats, err)
+		}
+	}
+}
+
+// ScanRIBsFrom streams every RIBView of an already-open TABLE_DUMP_V2
+// stream into fn; name labels the stream in errors and statistics.
 func ScanRIBsFrom(r io.Reader, name string, opts Options, stats *Stats, fn func(*mrt.RIBView) error) error {
-	return scanRIBsFrom(context.Background(), r, name, opts, stats, fn)
+	return drain(context.Background(), r, name, opts, stats, mrt.NewTableDumpScannerOptions, fn)
 }
 
-func scanRIBsFrom(ctx context.Context, r io.Reader, name string, opts Options, stats *Stats, fn func(*mrt.RIBView) error) error {
-	fs := &mrt.Stats{}
-	tr := opts.Tracer
-	if tr.Active() {
-		tr.StageStartOnly(obs.StageDecode, name)
-		start := time.Now()
-		defer func() {
-			tr.EmitSpan(obs.StageDecode, name, start, time.Since(start), func(s *obs.Span) {
-				s.Records = int64(fs.Records)
-				s.Bytes = fs.BytesRead
-			})
-			tr.AddBytes(fs.BytesRead)
-		}()
-	}
-	done := ctx.Done()
-	sc := mrt.NewTableDumpScannerOptions(r, scanOptions(name, opts, fs))
-	for {
-		if chClosed(done) {
-			stats.add(name, fs)
-			return ctx.Err()
-		}
-		v, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			stats.add(name, fs)
-			if _, ok := err.(*BudgetError); ok {
-				return err
-			}
-			return fmt.Errorf("ingest: %s: %w", name, err)
-		}
-		tr.AddRecords(1)
-		if err := fn(v); err != nil {
-			stats.add(name, fs)
-			return err
-		}
-	}
-	tr.FileDone()
-	return finish(name, opts, stats, fs)
-}
-
-// ScanUpdates streams every decoded UpdateView of a BGP4MP file into fn.
-func ScanUpdates(path string, opts Options, stats *Stats, fn func(*mrt.UpdateView) error) error {
-	return ScanUpdatesContext(context.Background(), path, opts, stats, fn)
-}
-
-// ScanUpdatesContext is ScanUpdates with cancellation: a canceled ctx
-// aborts the scan between records with ctx.Err().
-func ScanUpdatesContext(ctx context.Context, path string, opts Options, stats *Stats, fn func(*mrt.UpdateView) error) error {
-	rc, err := openTimed(path, opts.Tracer)
+// scanFile opens f and drains it into the callback of its kind; a
+// canceled ctx aborts the scan between views with ctx.Err().
+func scanFile(ctx context.Context, f InputFile, opts Options, stats *Stats,
+	ribFn func(*mrt.RIBView) error, updFn func(*mrt.UpdateView) error) error {
+	rc, err := openTimed(f.Path, opts.Tracer)
 	if err != nil {
 		return err
 	}
 	defer rc.Close()
-	return scanUpdatesFrom(ctx, rc, path, opts, stats, fn)
-}
-
-// ScanUpdatesFrom is ScanUpdates over an already-open stream.
-func ScanUpdatesFrom(r io.Reader, name string, opts Options, stats *Stats, fn func(*mrt.UpdateView) error) error {
-	return scanUpdatesFrom(context.Background(), r, name, opts, stats, fn)
-}
-
-func scanUpdatesFrom(ctx context.Context, r io.Reader, name string, opts Options, stats *Stats, fn func(*mrt.UpdateView) error) error {
-	fs := &mrt.Stats{}
-	tr := opts.Tracer
-	if tr.Active() {
-		tr.StageStartOnly(obs.StageDecode, name)
-		start := time.Now()
-		defer func() {
-			tr.EmitSpan(obs.StageDecode, name, start, time.Since(start), func(s *obs.Span) {
-				s.Records = int64(fs.Records)
-				s.Bytes = fs.BytesRead
-			})
-			tr.AddBytes(fs.BytesRead)
-		}()
+	if f.Updates {
+		return drain(ctx, rc, f.Path, opts, stats, mrt.NewUpdateScannerOptions, updFn)
 	}
-	done := ctx.Done()
-	sc := mrt.NewUpdateScannerOptions(r, scanOptions(name, opts, fs))
-	for {
-		if chClosed(done) {
-			stats.add(name, fs)
-			return ctx.Err()
-		}
-		v, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			stats.add(name, fs)
-			if _, ok := err.(*BudgetError); ok {
-				return err
-			}
-			return fmt.Errorf("ingest: %s: %w", name, err)
-		}
-		tr.AddRecords(1)
-		if err := fn(v); err != nil {
-			stats.add(name, fs)
-			return err
-		}
-	}
-	tr.FileDone()
-	return finish(name, opts, stats, fs)
+	return drain(ctx, rc, f.Path, opts, stats, mrt.NewTableDumpScannerOptions, ribFn)
 }
 
 // chClosed is a non-blocking closed-channel probe; nil reads as open.

@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"errors"
 	"io"
 	"net/netip"
@@ -224,7 +225,9 @@ func TestScanRIBsFromFile(t *testing.T) {
 	}
 	st := &Stats{}
 	views := 0
-	if err := ScanRIBs(path, Options{}, st, func(*mrt.RIBView) error { views++; return nil }); err != nil {
+	err := ScanParallelContext(context.Background(), []InputFile{{Path: path}}, Options{}, 1, st,
+		func(*mrt.RIBView) error { views++; return nil }, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if views != 5 {

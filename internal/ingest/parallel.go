@@ -19,11 +19,13 @@ type InputFile struct {
 	Updates bool
 }
 
-// ScanParallel ingests the given files concurrently, at most workers
-// files in flight (workers <= 0 means GOMAXPROCS; 1 degenerates to the
-// sequential scan order). ribFn and updFn receive the decoded views and
-// MAY BE CALLED CONCURRENTLY from multiple goroutines — the callee must
-// be safe for concurrent use (e.g. feed a core.ShardedTupleStore).
+// ScanParallelContext ingests the given files concurrently, at most
+// workers files in flight (workers <= 0 means GOMAXPROCS; 1 scans them
+// one after another in input order). With more workers than files each
+// file is instead split across the workers by the frame/decode pipeline
+// (see framesplit.go). ribFn and updFn receive the decoded views and MAY
+// BE CALLED CONCURRENTLY from multiple goroutines — the callee must be
+// safe for concurrent use (e.g. feed a core.ShardedTupleStore).
 //
 // Statistics are assembled into stats in input-file order once all
 // workers finish, so an N-worker load reports the same Stats as a
@@ -31,43 +33,27 @@ type InputFile struct {
 // input order, among those processed before the abort) is returned, and
 // stats covers the files up to and including it; files queued behind a
 // failure are not started.
-func ScanParallel(files []InputFile, opts Options, workers int, stats *Stats,
-	ribFn func(*mrt.RIBView) error, updFn func(*mrt.UpdateView) error) error {
-	return ScanParallelContext(context.Background(), files, opts, workers, stats, ribFn, updFn)
-}
-
-// ScanParallelContext is ScanParallel with cancellation: a canceled ctx
-// stops workers from starting new files, aborts in-flight scans between
-// records, and returns ctx.Err() once every worker has been joined — no
-// goroutine outlives the call. If a file failed on its own before the
-// cancellation, that error wins (input order), matching ScanParallel.
+//
+// A canceled ctx stops workers from starting new files, aborts
+// in-flight scans between records, and returns ctx.Err() once every
+// worker has been joined — no goroutine outlives the call. If a file
+// failed on its own before the cancellation, that error wins.
 func ScanParallelContext(ctx context.Context, files []InputFile, opts Options, workers int, stats *Stats,
 	ribFn func(*mrt.RIBView) error, updFn func(*mrt.UpdateView) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// With more workers than files (or when forced), file-level
-	// parallelism cannot use the machine: split each file across the
-	// workers with the frame/decode pipeline instead.
-	if workers > 1 && len(files) > 0 && (opts.ForceFrameSplit || workers > len(files)) {
-		return scanSplitFiles(ctx, files, opts, workers, stats, ribFn, updFn)
-	}
-	if workers > len(files) {
-		workers = len(files)
-	}
 	done := ctx.Done()
-	if workers <= 1 {
+	if workers > len(files) {
+		// File-level parallelism cannot use the machine: split each file
+		// across the workers instead, one file at a time in input order
+		// — the workers already cover the cores, and in-order files keep
+		// statistics assembly and earliest-error semantics for free.
 		for _, f := range files {
 			if chClosed(done) {
 				return ctx.Err()
 			}
-			var err error
-			if f.Updates {
-				err = ScanUpdatesContext(ctx, f.Path, opts, stats, updFn)
-			} else {
-				err = ScanRIBsContext(ctx, f.Path, opts, stats, ribFn)
-			}
-			if err != nil {
+			if err := scanFileSplit(ctx, f, opts, workers, stats, ribFn, updFn); err != nil {
 				return err
 			}
 		}
@@ -91,14 +77,8 @@ func ScanParallelContext(ctx context.Context, files []InputFile, opts Options, w
 				if failed.Load() || chClosed(done) {
 					continue
 				}
-				f := files[i]
 				var st Stats
-				var err error
-				if f.Updates {
-					err = ScanUpdatesContext(ctx, f.Path, opts, &st, updFn)
-				} else {
-					err = ScanRIBsContext(ctx, f.Path, opts, &st, ribFn)
-				}
+				err := scanFile(ctx, files[i], opts, &st, ribFn, updFn)
 				results[i] = fileResult{stats: st, err: err, done: true}
 				if err != nil {
 					failed.Store(true)

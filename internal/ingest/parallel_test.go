@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -34,7 +35,7 @@ func TestScanParallelMatchesSequential(t *testing.T) {
 	run := func(workers int) (int64, *Stats, error) {
 		var views atomic.Int64
 		st := &Stats{}
-		err := ScanParallel(files, Options{}, workers, st,
+		err := ScanParallelContext(context.Background(), files, Options{}, workers, st,
 			func(*mrt.RIBView) error { views.Add(1); return nil }, nil)
 		return views.Load(), st, err
 	}
@@ -69,7 +70,7 @@ func TestScanParallelError(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := &Stats{}
-	err := ScanParallel(files, Options{Strict: true}, 4, st,
+	err := ScanParallelContext(context.Background(), files, Options{Strict: true}, 4, st,
 		func(*mrt.RIBView) error { return nil }, nil)
 	if err == nil {
 		t.Fatal("corrupt file accepted")
@@ -86,7 +87,7 @@ func TestScanParallelUpdatesRouting(t *testing.T) {
 	dir := t.TempDir()
 	files := writeRIBFiles(t, dir, 2)
 	var ribs atomic.Int64
-	err := ScanParallel(files, Options{}, 2, nil,
+	err := ScanParallelContext(context.Background(), files, Options{}, 2, nil,
 		func(*mrt.RIBView) error { ribs.Add(1); return nil },
 		func(*mrt.UpdateView) error { t.Error("updates callback hit for RIB file"); return nil })
 	if err != nil {

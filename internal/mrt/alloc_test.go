@@ -37,7 +37,7 @@ func TestUpdateScannerNextZeroAlloc(t *testing.T) {
 	if err := uw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	s := NewUpdateScanner(bytes.NewReader(buf.Bytes()))
+	s := NewUpdateScannerOptions(bytes.NewReader(buf.Bytes()), ScanOptions{})
 	// The first records size the reused buffers; the rest are metered.
 	next := func() {
 		if _, err := s.Next(); err != nil {
@@ -76,7 +76,7 @@ func TestTableDumpScannerNextZeroAlloc(t *testing.T) {
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	s := NewTableDumpScanner(bytes.NewReader(buf.Bytes()))
+	s := NewTableDumpScannerOptions(bytes.NewReader(buf.Bytes()), ScanOptions{})
 	next := func() {
 		if _, err := s.Next(); err != nil {
 			t.Fatal(err)

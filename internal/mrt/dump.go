@@ -111,11 +111,6 @@ type TableDumpScanner struct {
 	err     error
 }
 
-// NewTableDumpScanner wraps an MRT stream with strict decoding.
-func NewTableDumpScanner(r io.Reader) *TableDumpScanner {
-	return NewTableDumpScannerOptions(r, ScanOptions{})
-}
-
 // NewTableDumpScannerOptions wraps an MRT stream with the given fault
 // tolerance.
 func NewTableDumpScannerOptions(r io.Reader, opts ScanOptions) *TableDumpScanner {
@@ -269,11 +264,6 @@ type UpdateScanner struct {
 	upd  bgp.UpdateMessage // reusable decode target
 	view UpdateView        // reusable return value
 	err  error
-}
-
-// NewUpdateScanner wraps an MRT stream with strict decoding.
-func NewUpdateScanner(r io.Reader) *UpdateScanner {
-	return NewUpdateScannerOptions(r, ScanOptions{})
 }
 
 // NewUpdateScannerOptions wraps an MRT stream with the given fault

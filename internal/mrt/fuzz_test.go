@@ -52,13 +52,13 @@ func buildValidStream(t *testing.T) []byte {
 }
 
 func drainScanners(data []byte) {
-	ts := NewTableDumpScanner(bytes.NewReader(data))
+	ts := NewTableDumpScannerOptions(bytes.NewReader(data), ScanOptions{})
 	for {
 		if _, err := ts.Next(); err != nil {
 			break
 		}
 	}
-	us := NewUpdateScanner(bytes.NewReader(data))
+	us := NewUpdateScannerOptions(bytes.NewReader(data), ScanOptions{})
 	for {
 		if _, err := us.Next(); err != nil {
 			break

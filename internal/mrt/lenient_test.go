@@ -222,7 +222,7 @@ func TestLenientScannerSkipsBadRecord(t *testing.T) {
 		t.Errorf("no skip recorded for the undecodable RIB record: %+v", st)
 	}
 
-	strict := NewTableDumpScanner(bytes.NewReader(buf))
+	strict := NewTableDumpScannerOptions(bytes.NewReader(buf), ScanOptions{})
 	var err error
 	for err == nil {
 		_, err = strict.Next()

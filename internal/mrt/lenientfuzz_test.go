@@ -167,7 +167,7 @@ func FuzzLenientScanners(f *testing.F) {
 			}
 		}
 		if !rst.Clean() {
-			strict := mrt.NewTableDumpScanner(bytes.NewReader(data))
+			strict := mrt.NewTableDumpScannerOptions(bytes.NewReader(data), mrt.ScanOptions{})
 			var err error
 			for err == nil {
 				_, err = strict.Next()
@@ -192,7 +192,7 @@ func FuzzLenientScanners(f *testing.F) {
 			}
 		}
 		if !ust.Clean() {
-			strict := mrt.NewUpdateScanner(bytes.NewReader(data))
+			strict := mrt.NewUpdateScannerOptions(bytes.NewReader(data), mrt.ScanOptions{})
 			var err error
 			for err == nil {
 				_, err = strict.Next()

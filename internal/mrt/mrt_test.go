@@ -263,7 +263,7 @@ func TestTableDumpWriterScannerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := NewTableDumpScanner(&buf)
+	s := NewTableDumpScannerOptions(&buf, ScanOptions{})
 	// Views are only valid until the next Next call, so retain copies.
 	var views []RIBView
 	for {
@@ -303,7 +303,7 @@ func TestTableDumpScannerBadPeerIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	tw.Flush()
-	s := NewTableDumpScanner(&buf)
+	s := NewTableDumpScannerOptions(&buf, ScanOptions{})
 	if _, err := s.Next(); err == nil {
 		t.Error("peer index out of range: want error")
 	}
@@ -329,7 +329,7 @@ func TestUpdateWriterScannerEndToEnd(t *testing.T) {
 	}
 	uw.Flush()
 
-	s := NewUpdateScanner(&buf)
+	s := NewUpdateScannerOptions(&buf, ScanOptions{})
 	count := 0
 	for {
 		v, err := s.Next()
@@ -371,7 +371,7 @@ func TestUpdateScannerSkipsForeignRecords(t *testing.T) {
 	uw.WriteUpdate(3, 1, 2, netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2"), msg)
 	uw.Flush()
 
-	s := NewUpdateScanner(&buf)
+	s := NewUpdateScannerOptions(&buf, ScanOptions{})
 	v, err := s.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -418,7 +418,7 @@ func TestUpdateScannerLegacyRecords(t *testing.T) {
 	}
 	w.Flush()
 
-	s := NewUpdateScanner(&buf)
+	s := NewUpdateScannerOptions(&buf, ScanOptions{})
 	v, err := s.Next()
 	if err != nil {
 		t.Fatal(err)

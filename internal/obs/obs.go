@@ -43,10 +43,6 @@ const (
 	// tuple store: index concatenation and ordering only, since shard
 	// payloads live in storage shared with the stitched store.
 	StageStitch Stage = "stitch"
-	// StageShardMerge is the pre-stitch name of that phase, when it
-	// copied every arena through one goroutine. No longer emitted; kept
-	// so trace consumers compiled against it keep building.
-	StageShardMerge Stage = "shard-merge"
 	// StageObserve is the CSR community→path index build plus on/off-path
 	// counting.
 	StageObserve Stage = "observe"
@@ -96,7 +92,12 @@ type ProgressEvent struct {
 	Stage Stage
 	// FilesDone / Files track input-file completion (MRT loads only).
 	FilesDone, Files int64
-	// Live throughput counters.
+	// Live throughput counters. Records is MRT records framed and Bytes
+	// is bytes read, on every ingest schedule: the final event's values
+	// equal LoadStats.Records and LoadStats.BytesRead. Records is
+	// advanced as a file is read and steps back by a frame-split
+	// attempt's count when that attempt is discarded and the file
+	// rescanned; Bytes is added once per finished file.
 	Records int64
 	Tuples  int64
 	Bytes   int64

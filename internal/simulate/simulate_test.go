@@ -330,7 +330,7 @@ func TestMRTRIBRoundTrip(t *testing.T) {
 		if err := sim.WriteRIB(&buf, 1714500000, c, day); err != nil {
 			t.Fatal(err)
 		}
-		sc := mrt.NewTableDumpScanner(&buf)
+		sc := mrt.NewTableDumpScannerOptions(&buf, mrt.ScanOptions{})
 		for {
 			v, err := sc.Next()
 			if err == io.EOF {
@@ -387,7 +387,7 @@ func TestMRTUpdatesRoundTrip(t *testing.T) {
 	if err := sim.WriteUpdates(&buf, 1714500000, 0, day, 0.3); err != nil {
 		t.Fatal(err)
 	}
-	sc := mrt.NewUpdateScanner(&buf)
+	sc := mrt.NewUpdateScannerOptions(&buf, mrt.ScanOptions{})
 	count := 0
 	for {
 		v, err := sc.Next()

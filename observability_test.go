@@ -80,7 +80,9 @@ func TestObservedLoadAndClassifyIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{1, 2, 4, 8} {
+	// 16 workers over the fixture's 8 files selects the frame/decode
+	// split; the smaller counts run the file pool.
+	for _, workers := range []int{1, 2, 4, 8, 16} {
 		col := &obs.Collector{}
 		c, stats, err := LoadMRT(context.Background(), src, LoadOptions{
 			Parallelism: workers, Observer: col, ProgressInterval: time.Millisecond,
@@ -135,6 +137,11 @@ func TestObservedLoadAndClassifyIdentical(t *testing.T) {
 		if final.Records == 0 || final.Tuples == 0 {
 			t.Errorf("workers=%d: final progress carries no throughput (records=%d tuples=%d)",
 				workers, final.Records, final.Tuples)
+		}
+		// The heartbeat counts what LoadStats counts, on every schedule.
+		if final.Records != int64(stats.Records) || final.Bytes != stats.BytesRead {
+			t.Errorf("workers=%d: final progress records=%d bytes=%d, LoadStats records=%d bytes=%d",
+				workers, final.Records, final.Bytes, stats.Records, stats.BytesRead)
 		}
 	}
 }
