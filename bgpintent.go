@@ -639,15 +639,6 @@ func (r *Result) inferences() *core.Inferences { return r.src.Materialize() }
 // platforms where mapping fell back to a heap read).
 func (r *Result) Mmapped() bool { return r.mapped != nil && r.mapped.Mmapped() }
 
-// SnapshotPath returns the backing snapshot file for a result opened
-// with OpenSnapshotFile, "" otherwise.
-func (r *Result) SnapshotPath() string {
-	if r.mapped == nil {
-		return ""
-	}
-	return r.mapped.Path()
-}
-
 // Close releases the snapshot mapping, if any. Queries must not race
 // with or follow Close; heap-backed results ignore it.
 func (r *Result) Close() error {
@@ -896,15 +887,6 @@ func keyLookup[K core.Key[K]](k CommunityKey, v core.KeyVerdict[K]) KeyLookup {
 		out.Cluster = &cl
 	}
 	return out
-}
-
-// CategoryKey returns the inferred label for a community of either
-// kind (CatUnknown when excluded or unobserved).
-func (r *Result) CategoryKey(k CommunityKey) Category {
-	if k.kind == KindLarge {
-		return fromDictCategory(r.src.Large().Category(k.wireLarge()))
-	}
-	return fromDictCategory(r.src.Category(k.wireClassic()))
 }
 
 // LargeCounts returns the number of action and information inferences

@@ -359,24 +359,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	})
 }
 
-// feedAdapter bridges the facade's live-feed health into the serving
-// layer's structural type (the fields match one-to-one by design).
-type feedAdapter struct{ live *bgpintent.Live }
-
-func (f feedAdapter) FeedHealth() serve.FeedHealth {
-	h := f.live.Health()
-	return serve.FeedHealth{
-		Status:     h.Status,
-		State:      h.State,
-		LastSeq:    h.LastSeq,
-		LastUpdate: h.LastUpdate,
-		Staleness:  h.Staleness,
-		Updates:    h.Updates,
-		Reconnects: h.Reconnects,
-		Snapshots:  h.Snapshots,
-	}
-}
-
 // startLive attaches the streaming feed to the server: snapshots from
 // the Ingestor swap in through the zero-downtime install path, reload
 // is disabled (the feed owns the snapshot), and /v1/health plus the
@@ -422,7 +404,7 @@ func startLive(ctx context.Context, cfg *config, srv *serve.Server) error {
 	if err != nil {
 		return err
 	}
-	srv.SetFeed(feedAdapter{live})
+	srv.SetFeed(live)
 	if w := live.Anomalies(); w != nil {
 		// GET /v1/anomalies, the health anomalies block and the
 		// intentd_anomaly_* gauges all read from this watcher.

@@ -121,13 +121,14 @@ type Query struct {
 }
 
 // Report is a query answer plus the engine provenance a caller needs to
-// interpret (and cache) it.
+// interpret it.
 type Report struct {
 	Findings []Finding
 	// Generation is the semantics generation detectors currently use.
 	Generation uint64
 	// Stamp increments on every observable change (finding, bucket
-	// close, semantics swap) — the response-cache invalidation key.
+	// close, semantics swap): clients compare two answers' stamps to
+	// tell whether anything moved between them.
 	Stamp uint64
 	// LastBucket is the start of the newest closed bucket; zero before
 	// the first close.
@@ -160,8 +161,6 @@ type HealthInfo struct {
 	// detector lag: how stale detection is relative to now, regardless
 	// of feed-time compression. Zero before the first close.
 	Lag time.Duration
-	// Stamp mirrors Report.Stamp for cheap cache probes.
-	Stamp uint64
 }
 
 // series is one community's bucketed activity ring.
@@ -490,7 +489,6 @@ func (e *Engine) Health() HealthInfo {
 		Buckets:    e.buckets,
 		Findings:   e.total,
 		Generation: e.semGen,
-		Stamp:      e.stamp,
 	}
 	if e.buckets > 0 {
 		h.LastBucket = e.cur.Add(-e.opt.BucketSpan)
@@ -504,13 +502,6 @@ func (e *Engine) Health() HealthInfo {
 		h.ByDetector[name] = n
 	}
 	return h
-}
-
-// Stamp is the engine's monotone change counter (cache invalidation).
-func (e *Engine) Stamp() uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.stamp
 }
 
 // medianMAD computes the median and the median absolute deviation of

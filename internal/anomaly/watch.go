@@ -77,9 +77,6 @@ func (w *Watcher) SetSemantics(src core.InferenceSource) { w.eng.SetSemantics(sr
 // Query answers a windowed finding query.
 func (w *Watcher) Query(q Query) Report { return w.eng.Query(q) }
 
-// Stamp is the engine's monotone change counter (cache invalidation).
-func (w *Watcher) Stamp() uint64 { return w.eng.Stamp() }
-
 // Health reports the engine's provenance plus the watcher's dropped
 // count.
 func (w *Watcher) Health() WatchHealth {

@@ -171,10 +171,6 @@ func (p ASPath) Len() int {
 	return n
 }
 
-// HasLoop reports whether asn already appears in the path, the check a
-// router performs before accepting a route from an eBGP neighbor.
-func (p ASPath) HasLoop(asn uint32) bool { return p.Contains(asn) }
-
 // Equal reports whether two paths have identical segment structure.
 func (p ASPath) Equal(q ASPath) bool {
 	if len(p.Segments) != len(q.Segments) {

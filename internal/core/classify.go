@@ -365,8 +365,8 @@ func ClassifyObserved(os *ObservationSet, opts Options) *Inferences {
 // cluster (group each (α, fn)'s values by the gap rule, applying
 // exclusions), ratio (purity/ratio evidence labels each cluster),
 // classify (apply labels to members and build the lookup index). Each
-// stage runs both kinds of key through the same code on the same worker
-// pool. Output is identical to ClassifyObserved for every worker count.
+// stage runs both kinds of key through the same code, on the calling
+// goroutine: together they are under a millisecond of a classification.
 func ClassifyObservedContext(ctx context.Context, os *ObservationSet, opts Options) (*Inferences, error) {
 	inf := &Inferences{Opts: opts}
 	kinds := []kindStages{
@@ -410,43 +410,22 @@ type kindStages interface {
 // kindPass is the kindStages of one key type: the set being built, the
 // evidence it is built from, and what one stage hands the next.
 type kindPass[K Key[K]] struct {
-	set     *KindSet[K]
-	stats   map[K]*Stats[K]
-	os      *ObservationSet
-	opts    Options
-	workers int
+	set   *KindSet[K]
+	stats map[K]*Stats[K]
+	os    *ObservationSet
+	opts  Options
 
-	parts []groupPart[K]
 	// excludedStats backs Lookup's explanation of an exclusion.
 	excludedStats map[K]Stats[K]
 }
 
 func newKindPass[K Key[K]](set *KindSet[K], stats map[K]*Stats[K], os *ObservationSet, opts Options) *kindPass[K] {
-	return &kindPass[K]{set: set, stats: stats, os: os, opts: opts, workers: ResolveWorkers(opts.Workers)}
+	return &kindPass[K]{set: set, stats: stats, os: os, opts: opts}
 }
-
-// groupPart is what one cluster-stage worker emits for its range of
-// groups: unlabeled clusters and exclusion decisions, in group order.
-type groupPart[K Key[K]] struct {
-	clusters []Cluster[K]
-	excluded []excludedKey[K]
-}
-
-// excludedKey is one exclusion decision with the evidence behind it.
-type excludedKey[K Key[K]] struct {
-	stats  Stats[K]
-	reason ExcludeReason
-}
-
-// minParallelAlphas is the group count below which the cluster stage
-// stays sequential.
-const minParallelAlphas = 64
 
 // cluster groups the observed communities by (α, fn); each group
-// clusters independently. Workers take contiguous ranges of the sorted
-// group list and emit in group order within their range, so
-// concatenating the per-worker parts in worker order (ratio does)
-// reproduces the sequential output exactly.
+// clusters independently, and the sorted group order is the order of
+// set.Clusters.
 func (p *kindPass[K]) cluster(ctx context.Context) int {
 	done := ctx.Done()
 	byGroup := make(map[uint64][]*Stats[K])
@@ -460,75 +439,62 @@ func (p *kindPass[K]) cluster(ctx context.Context) int {
 	}
 	slices.Sort(groups)
 
-	workers := p.workers
-	if len(groups) < minParallelAlphas {
-		workers = 1
-	}
-	p.parts = make([]groupPart[K], workers)
-	parallelRanges(workers, len(groups), func(w, lo, hi int) {
-		var part groupPart[K]
-		var values []uint32
-		for n, g := range groups[lo:hi] {
-			if n%cancelCheckStride == 0 && chClosed(done) {
-				return
-			}
-			members := byGroup[g]
-			slices.SortFunc(members, func(a, b *Stats[K]) int { return cmp.Compare(a.Comm.Local(), b.Comm.Local()) })
-			alpha, fn := uint32(g>>32), uint32(g)
+	p.set.Excluded = make(map[K]ExcludeReason)
+	p.excludedStats = make(map[K]Stats[K])
+	var values []uint32
+	for n, g := range groups {
+		if n%cancelCheckStride == 0 && chClosed(done) {
+			break
+		}
+		members := byGroup[g]
+		slices.SortFunc(members, func(a, b *Stats[K]) int { return cmp.Compare(a.Comm.Local(), b.Comm.Local()) })
+		alpha, fn := uint32(g>>32), uint32(g)
 
-			if !p.opts.DisableExclusions {
-				var reason ExcludeReason
-				switch {
-				case members[0].Comm.IsPrivateASN():
-					reason = ExcludePrivateASN
-				case !p.os.AlphaOnPath(alpha):
-					reason = ExcludeNeverOnPath
-				}
-				if reason != 0 {
-					for _, m := range members {
-						part.excluded = append(part.excluded, excludedKey[K]{*m, reason})
-					}
-					continue
-				}
+		if !p.opts.DisableExclusions {
+			var reason ExcludeReason
+			switch {
+			case members[0].Comm.IsPrivateASN():
+				reason = ExcludePrivateASN
+			case !p.os.AlphaOnPath(alpha):
+				reason = ExcludeNeverOnPath
 			}
-
-			values = values[:0]
-			for _, m := range members {
-				values = append(values, m.Comm.Local())
-			}
-			for _, idx := range clusterIndexes(values, p.opts.MinGap) {
-				cl := Cluster[K]{
-					Alpha: alpha, Fn: fn, Lo: values[idx[0]], Hi: values[idx[1]-1],
-					Members: make([]Stats[K], 0, idx[1]-idx[0]),
+			if reason != 0 {
+				for _, m := range members {
+					p.set.Excluded[m.Comm] = reason
+					p.excludedStats[m.Comm] = *m
 				}
-				for _, m := range members[idx[0]:idx[1]] {
-					cl.Members = append(cl.Members, *m)
-				}
-				part.clusters = append(part.clusters, cl)
+				continue
 			}
 		}
-		p.parts[w] = part
-	})
+
+		values = values[:0]
+		for _, m := range members {
+			values = append(values, m.Comm.Local())
+		}
+		for _, idx := range clusterIndexes(values, p.opts.MinGap) {
+			cl := Cluster[K]{
+				Alpha: alpha, Fn: fn, Lo: values[idx[0]], Hi: values[idx[1]-1],
+				Members: make([]Stats[K], 0, idx[1]-idx[0]),
+			}
+			for _, m := range members[idx[0]:idx[1]] {
+				cl.Members = append(cl.Members, *m)
+			}
+			p.set.Clusters = append(p.set.Clusters, cl)
+		}
+	}
 	return len(p.stats)
 }
 
-// ratio labels every cluster from its members' evidence — a pure
-// per-cluster function, so clusters are labeled in place on the worker
-// pool with no ordering concerns.
+// ratio labels every cluster in place from its members' evidence. A
+// canceled run leaves clusters unlabeled; the stage reports ctx.Err().
 func (p *kindPass[K]) ratio(ctx context.Context) int {
-	p.set.Excluded = make(map[K]ExcludeReason)
-	p.excludedStats = make(map[K]Stats[K])
-	for _, part := range p.parts {
-		for _, e := range part.excluded {
-			p.set.Excluded[e.stats.Comm] = e.reason
-			p.excludedStats[e.stats.Comm] = e.stats
+	done := ctx.Done()
+	for i := range p.set.Clusters {
+		if i%cancelCheckStride == 0 && chClosed(done) {
+			break
 		}
-		p.set.Clusters = append(p.set.Clusters, part.clusters...)
-	}
-	// A canceled run leaves clusters unlabeled; the stage reports ctx.Err().
-	_ = ParallelForContext(ctx, p.workers, len(p.set.Clusters), func(i int) {
 		labelCluster(&p.set.Clusters[i], p.opts)
-	})
+	}
 	return len(p.set.Clusters)
 }
 

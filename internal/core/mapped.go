@@ -31,8 +31,6 @@ import (
 type Mapped struct {
 	*snapV2
 	mmapped bool // true when backed by a real mmap, false for the heap fallback
-	path    string
-	size    int64
 	closed  atomic.Bool
 }
 
@@ -67,7 +65,7 @@ func OpenSnapshotMmap(path string) (*Mapped, error) {
 		}
 		return nil, fmt.Errorf("snapshot: %s: %w", path, err)
 	}
-	m := &Mapped{snapV2: s, mmapped: mmapped, path: path, size: st.Size()}
+	m := &Mapped{snapV2: s, mmapped: mmapped}
 	if mmapped {
 		// Belt and braces: unmap when the GC proves no reference —
 		// including any in-flight request's — can still reach the pages.
@@ -90,12 +88,6 @@ func (m *Mapped) Close() error {
 	}
 	return nil
 }
-
-// Path returns the snapshot file this view is mapped from.
-func (m *Mapped) Path() string { return m.path }
-
-// SizeBytes is the mapped file's size.
-func (m *Mapped) SizeBytes() int64 { return m.size }
 
 // Mmapped reports whether the view is backed by a real memory mapping
 // (false on platforms where the fallback read the file into the heap).

@@ -6,9 +6,8 @@ import (
 	"testing"
 )
 
-// buildParallelStore loads enough synthetic views that both Observe's
-// and ClassifyObserved's parallel paths engage (>= minParallelTuples
-// tuples, >= minParallelAlphas alphas).
+// buildParallelStore loads enough synthetic views that Observe's
+// parallel path engages (>= minParallelTuples tuples).
 func buildParallelStore(t *testing.T) *TupleStore {
 	t.Helper()
 	views := genViews(7, 40000)

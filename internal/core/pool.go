@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -24,28 +23,15 @@ func ResolveWorkers(n int) int {
 // in order). workers <= 0 means GOMAXPROCS; with one worker (or n <= 1)
 // fn runs inline on the calling goroutine.
 func ParallelFor(workers, n int, fn func(i int)) {
-	ParallelForContext(context.Background(), workers, n, fn) //nolint:errcheck // Background never cancels
-}
-
-// ParallelForContext is ParallelFor with cancellation: every worker
-// checks ctx before claiming the next index, so an abort is noticed
-// within one fn call per worker — bounded latency, and wg.Wait
-// guarantees no goroutine outlives the call. Returns ctx.Err() when the
-// context was canceled (some indexes may not have run), nil otherwise.
-func ParallelForContext(ctx context.Context, workers, n int, fn func(i int)) error {
 	workers = ResolveWorkers(workers)
 	if workers > n {
 		workers = n
 	}
-	done := ctx.Done()
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if chClosed(done) {
-				return ctx.Err()
-			}
 			fn(i)
 		}
-		return nil
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -53,7 +39,7 @@ func ParallelForContext(ctx context.Context, workers, n int, fn func(i int)) err
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for !chClosed(done) {
+			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
@@ -63,7 +49,6 @@ func ParallelForContext(ctx context.Context, workers, n int, fn func(i int)) err
 		}()
 	}
 	wg.Wait()
-	return ctx.Err()
 }
 
 // chClosed is a non-blocking closed-channel probe; a nil channel (no

@@ -405,10 +405,9 @@ func checkClassified[K Key[K]](t *testing.T, label string, got *KindSet[K], want
 }
 
 // TestClassifyMatchesReference: clustering, exclusion and labelling of
-// both kinds of key equal the naive reference over random corpora wide
-// enough (more than minParallelAlphas groups) to take the parallel
-// cluster path, at every worker count, across gap and threshold settings
-// and both ablations.
+// both kinds of key equal the naive reference over random corpora with
+// many (α, fn) groups, at every worker count, across gap and threshold
+// settings and both ablations.
 func TestClassifyMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -10,12 +10,10 @@ import (
 
 // AnomalySource is the serving view of the CommunityWatch engine: the
 // live pipeline hands the server its anomaly.Watcher via SetAnomalies
-// and the server only ever reads. Stamp is the cheap cache probe — it
-// moves on every finding, bucket close and semantics swap.
+// and the server only ever reads.
 type AnomalySource interface {
 	Query(q anomaly.Query) anomaly.Report
 	Health() anomaly.WatchHealth
-	Stamp() uint64
 }
 
 // SetAnomalies attaches the anomaly engine: GET /v1/anomalies starts
@@ -163,31 +161,22 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 		q.Limit = n
 	}
 
-	// Anomaly bodies are cached like snapshot-derived ones, but in their
-	// own cache keyed by (snapshot generation, engine stamp): the engine
-	// moves much faster than the snapshot, and sharing shards would let
-	// each bucket close evict unrelated community entries.
-	snap := s.Snapshot()
-	stamp := snap.Gen<<32 ^ s.anoms.Stamp()
-	key := r.URL.Path + "?" + r.URL.RawQuery
-	s.serveCachedIn(w, s.anomCache, stamp, key, func(b []byte) ([]byte, error) {
-		rep := s.anoms.Query(q)
-		resp := anomaliesResponse{
-			Generation:          snap.Gen,
-			SemanticsGeneration: rep.Generation,
-			Stamp:               rep.Stamp,
-			Buckets:             rep.Buckets,
-			Total:               rep.Total,
-			Findings:            make([]FindingJSON, 0, len(rep.Findings)),
-		}
-		if !rep.LastBucket.IsZero() {
-			resp.LastBucket = rep.LastBucket.UTC().Format(time.RFC3339)
-		}
-		for _, f := range rep.Findings {
-			resp.Findings = append(resp.Findings, findingJSON(f))
-		}
-		return encodeJSONBody(b, resp)
-	})
+	rep := s.anoms.Query(q)
+	resp := anomaliesResponse{
+		Generation:          s.Snapshot().Gen,
+		SemanticsGeneration: rep.Generation,
+		Stamp:               rep.Stamp,
+		Buckets:             rep.Buckets,
+		Total:               rep.Total,
+		Findings:            make([]FindingJSON, 0, len(rep.Findings)),
+	}
+	if !rep.LastBucket.IsZero() {
+		resp.LastBucket = rep.LastBucket.UTC().Format(time.RFC3339)
+	}
+	for _, f := range rep.Findings {
+		resp.Findings = append(resp.Findings, findingJSON(f))
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // anomalyHealthJSON is the anomalies block of /v1/health: detection

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -436,6 +437,47 @@ func TestAnnotateHandlerAllocs(t *testing.T) {
 	})
 	if avg > 48 {
 		t.Errorf("annotate handler allocates %.1f per 16-community request, want <= 48", avg)
+	}
+}
+
+// TestRepeatedGETCarriesContentLength: over a real connection every
+// answer to the same GET carries its Content-Length and none is
+// chunked — the first as much as the third, and for a body past the
+// 2 KiB below which net/http would work the length out by itself.
+func TestRepeatedGETCarriesContentLength(t *testing.T) {
+	w := getWorld(t)
+	// Gap 1 splits every AS's values into many small clusters, which the
+	// paper's gap on this corpus does not (8 clusters, 2 006 B at most).
+	res, err := w.corpus.ClassifyContext(context.Background(), bgpintent.Params{MinGap: 1, RatioThreshold: 160})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perAS := make(map[uint32]int)
+	var asn uint32
+	for _, cl := range res.Clusters() {
+		if perAS[cl.ASN]++; perAS[cl.ASN] > perAS[asn] {
+			asn = cl.ASN
+		}
+	}
+	srv := httptest.NewServer(newTestServer(t, staticBuilder(w, res, "gap-1")))
+	defer srv.Close()
+	for i := 1; i <= 3; i++ {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/as/%d", srv.URL, asn))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %d: status %d, read error %v", i, resp.StatusCode, err)
+		}
+		if len(body) <= 2048 {
+			t.Fatalf("AS%d renders %d bytes (%d clusters): too small to show chunking", asn, len(body), perAS[asn])
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("GET %d of a %d-byte body: Content-Length %d, Transfer-Encoding %v",
+				i, len(body), resp.ContentLength, resp.TransferEncoding)
+		}
 	}
 }
 

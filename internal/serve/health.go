@@ -3,33 +3,17 @@ package serve
 import (
 	"net/http"
 	"time"
+
+	"bgpintent"
 )
 
-// FeedHealth is a live feed's degradation-aware health report, rendered
-// at GET /v1/health and exported as Prometheus gauges. The serving
-// layer never interprets it beyond display: a stale or degraded feed
-// still serves the last good snapshot.
-type FeedHealth struct {
-	// Status is "healthy", "stale" (no fresh update within the staleness
-	// budget) or "degraded" (feed abandoned; serving the last snapshot).
-	Status string
-	// State is the feed connection state: connecting, live, down, ended.
-	State string
-	// LastSeq and LastUpdate identify the freshest applied feed update.
-	LastSeq    uint64
-	LastUpdate time.Time
-	// Staleness is the wall-clock age of LastUpdate.
-	Staleness time.Duration
-	// Updates, Reconnects, Snapshots are lifetime counters.
-	Updates    uint64
-	Reconnects uint64
-	Snapshots  uint64
-}
-
-// HealthSource reports live-feed health. A server without one is in
-// batch mode and always reports healthy.
+// HealthSource reports live-feed health — a *bgpintent.Live is one —
+// for GET /v1/health and the intentd_feed_* gauges. The serving layer
+// never interprets it beyond display: a stale or degraded feed still
+// serves the last good snapshot. A server without one is in batch mode
+// and always reports healthy.
 type HealthSource interface {
-	FeedHealth() FeedHealth
+	Health() bgpintent.LiveHealth
 }
 
 // SetFeed attaches a live-feed health source: /v1/health switches from
@@ -37,11 +21,11 @@ type HealthSource interface {
 // Call at most once, before serving traffic.
 func (s *Server) SetFeed(hs HealthSource) {
 	s.feed = hs
-	s.metrics.registerFeed(hs.FeedHealth)
+	s.metrics.registerFeed(hs.Health)
 }
 
 // registerFeed exports the live-feed gauges; scrapes read through fn.
-func (m *Metrics) registerFeed(fn func() FeedHealth) {
+func (m *Metrics) registerFeed(fn func() bgpintent.LiveHealth) {
 	m.reg.GaugeFunc("intentd_feed_healthy",
 		"1 while the live feed is healthy, 0 when stale or degraded.", func() float64 {
 			if fn().Status == "healthy" {
@@ -78,7 +62,7 @@ func (m *Metrics) registerFeed(fn func() FeedHealth) {
 		})
 }
 
-// feedJSON renders FeedHealth in /v1/health.
+// feedJSON renders the feed's health in /v1/health.
 type feedJSON struct {
 	State            string  `json:"state"`
 	LastSeq          uint64  `json:"last_seq"`
@@ -154,7 +138,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		resp.Snapshot.LastError = rh.LastError
 	}
 	if s.feed != nil {
-		fh := s.feed.FeedHealth()
+		fh := s.feed.Health()
 		resp.Status = fh.Status
 		resp.Mode = "live"
 		resp.Feed = &feedJSON{

@@ -14,9 +14,9 @@ import (
 )
 
 // fakeFeed is a scriptable HealthSource.
-type fakeFeed struct{ fh FeedHealth }
+type fakeFeed struct{ fh bgpintent.LiveHealth }
 
-func (f *fakeFeed) FeedHealth() FeedHealth { return f.fh }
+func (f *fakeFeed) Health() bgpintent.LiveHealth { return f.fh }
 
 func TestHealthBatchMode(t *testing.T) {
 	w := getWorld(t)
@@ -37,7 +37,7 @@ func TestHealthBatchMode(t *testing.T) {
 func TestHealthLiveMode(t *testing.T) {
 	w := getWorld(t)
 	s := newTestServer(t, staticBuilder(w, w.resA, "static"))
-	feed := &fakeFeed{fh: FeedHealth{
+	feed := &fakeFeed{fh: bgpintent.LiveHealth{
 		Status: "stale", State: "connecting", LastSeq: 42,
 		LastUpdate: time.Now().Add(-time.Minute), Staleness: time.Minute,
 		Updates: 42, Reconnects: 3, Snapshots: 2,

@@ -45,9 +45,6 @@ type Metrics struct {
 	reloads      *obs.Metric
 	reloadErrors *obs.Metric
 
-	cacheHits   *obs.Metric
-	cacheMisses *obs.Metric
-
 	snapGeneration   *obs.Metric
 	snapBuildSeconds *obs.Metric
 	snapTuples       *obs.Metric
@@ -90,10 +87,6 @@ func newMetrics(endpoints []string) *Metrics {
 			"Inferred clusters in the currently-served snapshot."),
 		snapMmap: reg.Gauge("intentd_snapshot_mmap",
 			"1 while the served snapshot is a zero-copy mmap view, 0 when heap-resident."),
-		cacheHits: reg.Counter("intentd_response_cache_hits_total",
-			"Responses answered from the pre-encoded body cache."),
-		cacheMisses: reg.Counter("intentd_response_cache_misses_total",
-			"Cacheable responses that had to be rendered."),
 	}
 	reg.GaugeFunc("intentd_uptime_seconds",
 		"Seconds since the server started.", func() float64 {
@@ -130,15 +123,6 @@ func (m *Metrics) setSnapshot(snap *Snapshot) {
 	}
 }
 
-// registerCache exports the response-cache occupancy gauge; scrapes
-// read through fn.
-func (m *Metrics) registerCache(fn func() int) {
-	m.reg.GaugeFunc("intentd_response_cache_entries",
-		"Pre-encoded response bodies currently cached.", func() float64 {
-			return float64(fn())
-		})
-}
-
 // MetricsSnapshot is the scrape-time view served at /v1/metrics — a
 // JSON rendering of the same registry /metrics exposes.
 type MetricsSnapshot struct {
@@ -146,8 +130,6 @@ type MetricsSnapshot struct {
 	Generation    uint64                   `json:"generation"`
 	Reloads       int64                    `json:"reloads"`
 	ReloadErrors  int64                    `json:"reload_errors"`
-	CacheHits     int64                    `json:"cache_hits"`
-	CacheMisses   int64                    `json:"cache_misses"`
 	Endpoints     map[string]EndpointStats `json:"endpoints"`
 }
 
@@ -158,8 +140,6 @@ func (m *Metrics) snapshot(gen uint64) MetricsSnapshot {
 		Generation:    gen,
 		Reloads:       int64(m.reloads.Value()),
 		ReloadErrors:  int64(m.reloadErrors.Value()),
-		CacheHits:     int64(m.cacheHits.Value()),
-		CacheMisses:   int64(m.cacheMisses.Value()),
 		Endpoints:     make(map[string]EndpointStats, len(m.endpoints)),
 	}
 	names := make([]string, 0, len(m.endpoints))

@@ -45,7 +45,6 @@ type Server struct {
 	gen     atomic.Uint64
 	builder Builder
 	metrics *Metrics
-	cache   *responseCache
 	logf    func(format string, args ...any)
 	mux     *http.ServeMux
 
@@ -54,10 +53,8 @@ type Server struct {
 	feed HealthSource
 
 	// anoms, when set, enables GET /v1/anomalies and the anomaly health
-	// block; set once via SetAnomalies before serving. anomCache holds
-	// its rendered bodies, separate from the snapshot-keyed cache.
-	anoms     AnomalySource
-	anomCache *responseCache
+	// block; set once via SetAnomalies before serving.
+	anoms AnomalySource
 
 	// replica, when set, adds poll provenance to /v1/health and
 	// /metrics; set once via SetReplica before serving.
@@ -99,13 +96,10 @@ func New(ctx context.Context, builder Builder, logf func(string, ...any)) (*Serv
 		logf = log.Printf
 	}
 	s := &Server{
-		builder:   builder,
-		metrics:   newMetrics(endpointNames),
-		cache:     newResponseCache(),
-		anomCache: newResponseCache(),
-		logf:      logf,
+		builder: builder,
+		metrics: newMetrics(endpointNames),
+		logf:    logf,
 	}
-	s.metrics.registerCache(func() int { return s.cache.len() + s.anomCache.len() })
 	if _, err := s.Reload(ctx); err != nil {
 		return nil, err
 	}
@@ -222,17 +216,8 @@ func (c *countingWriter) ReadFrom(r io.Reader) (int64, error) {
 
 // writeJSON renders v with encoding/json and sends it: the reply path
 // of every endpoint outside the verdict response writer (encode.go).
-// The body is complete before the status goes out, so a value that
-// cannot be encoded is answered with a 500, not an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	sc := getScratch()
-	defer sc.release()
-	var err error
-	if sc.out, err = encodeJSONBody(sc.out[:0], v); err != nil {
-		writeError(w, http.StatusInternalServerError, "encode response: %v", err)
-		return
-	}
-	sendJSON(w, status, sc.out)
+	sendRendered(w, status, func(b []byte) ([]byte, error) { return encodeJSONBody(b, v) })
 }
 
 // errorResponse is the JSON body of every non-2xx response.
@@ -331,10 +316,9 @@ func (s *Server) handleCommunity(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// One snapshot load; everything below answers from it, so the
-	// response is internally consistent even mid-reload. Hot keys come
-	// straight out of the generation-keyed body cache.
+	// response is internally consistent even mid-reload.
 	snap := s.Snapshot()
-	s.serveCached(w, snap, r.URL.Path, func(b []byte) ([]byte, error) {
+	sendRendered(w, http.StatusOK, func(b []byte) ([]byte, error) {
 		var cl ClusterJSON
 		return appendCommunityResponse(b, &communityResponse{
 			Annotation: annotateKey(snap, k, &cl),
@@ -488,7 +472,7 @@ func (s *Server) handleAS(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.Snapshot()
-	s.serveCached(w, snap, r.URL.Path, func(b []byte) ([]byte, error) {
+	sendRendered(w, http.StatusOK, func(b []byte) ([]byte, error) {
 		cls := snap.ClustersFor(uint16(asn64))
 		resp := asResponse{ASN: uint16(asn64), Generation: snap.Gen, Clusters: make([]ClusterJSON, 0, len(cls))}
 		for i := range cls {
@@ -519,10 +503,7 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	snap := s.Snapshot()
-	s.serveCached(w, snap, r.URL.Path, func(b []byte) ([]byte, error) {
-		return encodeJSONBody(b, s.statsFor(snap))
-	})
+	writeJSON(w, http.StatusOK, s.statsFor(s.Snapshot()))
 }
 
 func (s *Server) statsFor(snap *Snapshot) statsResponse {

@@ -92,21 +92,6 @@ func (a *AS) Alpha() uint32 {
 	return a.ASN
 }
 
-// Neighbors returns all neighbor ASNs (providers, customers, bilateral
-// and IXP peers) in deterministic order.
-func (a *AS) Neighbors() []uint32 {
-	out := make([]uint32, 0, len(a.Providers)+len(a.Customers)+len(a.Peers)+len(a.IXPPeers))
-	out = append(out, a.Providers...)
-	out = append(out, a.Customers...)
-	out = append(out, a.Peers...)
-	ixp := make([]uint32, 0, len(a.IXPPeers))
-	for n := range a.IXPPeers {
-		ixp = append(ixp, n)
-	}
-	sort.Slice(ixp, func(i, j int) bool { return ixp[i] < ixp[j] })
-	return append(out, ixp...)
-}
-
 // RelWith returns the relationship of the route source asn from this AS's
 // perspective (RelCustomer if asn is a customer, etc.), and whether asn
 // is a neighbor at all. IXP peers report RelPeer.

@@ -97,14 +97,18 @@ type LiveOptions struct {
 
 // LiveHealth is the degradation-aware health verdict of a live feed.
 type LiveHealth struct {
-	// Status is "healthy", "stale", or "degraded"; a stale or degraded
-	// feed still serves its last good snapshot.
+	// Status is "healthy", "stale" (no fresh update within the staleness
+	// budget) or "degraded" (feed abandoned); a stale or degraded feed
+	// still serves its last good snapshot.
 	Status string
 	// State is the connection state: connecting, live, down, or ended.
-	State      string
+	State string
+	// LastSeq and LastUpdate identify the freshest applied feed update;
+	// Staleness is the wall-clock age of LastUpdate.
 	LastSeq    uint64
 	LastUpdate time.Time
 	Staleness  time.Duration
+	// Updates, Reconnects and Snapshots are lifetime counters.
 	Updates    uint64
 	Reconnects uint64
 	Snapshots  uint64
