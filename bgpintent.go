@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -77,44 +76,22 @@ const (
 	StageSnapshotWrite = obs.StageSnapshotWrite
 )
 
-// Category is the inferred coarse-grained intent of a community.
-type Category int8
+// Category is the inferred coarse-grained intent of a community; its
+// String is "unknown", "action" or "information".
+type Category = dict.Category
 
 const (
 	// Unknown: unobserved, or excluded from classification (private-ASN
 	// α, or an α that never appears in AS paths, such as IXP route
 	// servers).
-	Unknown Category = iota
+	Unknown = dict.CatUnknown
 	// Action communities are set by neighbors to influence routing in
 	// the AS identified by the community's first half.
-	Action
+	Action = dict.CatAction
 	// Information communities are set by that AS itself to record route
 	// metadata (ingress location, neighbor relationship, ROV status...).
-	Information
+	Information = dict.CatInformation
 )
-
-// String returns "unknown", "action" or "information".
-func (c Category) String() string {
-	switch c {
-	case Action:
-		return "action"
-	case Information:
-		return "information"
-	default:
-		return "unknown"
-	}
-}
-
-func fromDictCategory(c dict.Category) Category {
-	switch c {
-	case dict.CatAction:
-		return Action
-	case dict.CatInformation:
-		return Information
-	default:
-		return Unknown
-	}
-}
 
 // Community is a regular 32-bit BGP community α:β.
 //
@@ -260,10 +237,11 @@ func (k CommunityKey) wireLarge() bgp.LargeCommunity {
 // operating point.
 type Params struct {
 	// MinGap is the maximum distance between adjacent β values within one
-	// cluster (paper: 140; 0 disables clustering).
+	// cluster (paper: 140). 0 beside a set RatioThreshold disables
+	// clustering; in the zero Params it means 140.
 	MinGap int
 	// RatioThreshold is the on-path:off-path ratio at or above which a
-	// mixed cluster is information (paper: 160).
+	// mixed cluster is information (paper: 160, which 0 also means).
 	RatioThreshold float64
 	// Parallelism bounds the classifier's worker pool: 0 means one
 	// worker per CPU (GOMAXPROCS), 1 forces sequential execution.
@@ -278,9 +256,23 @@ type Params struct {
 // DefaultParams returns the paper's parameters (gap 140, ratio 160:1).
 func DefaultParams() Params { return Params{MinGap: 140, RatioThreshold: 160} }
 
-// Validate rejects nonsensical classifier parameters. The zero value of
-// each field means "use the paper default" and is always valid; set
-// fields must make sense: MinGap cannot be negative, and a set
+// coreOptions maps the parameters onto the classifier's options, with
+// the zero-value rules the field docs state.
+func (p Params) coreOptions() core.Options {
+	opts := core.DefaultOptions()
+	if p.MinGap > 0 || p.RatioThreshold > 0 {
+		opts.MinGap = p.MinGap
+	}
+	if p.RatioThreshold > 0 {
+		opts.RatioThreshold = p.RatioThreshold
+	}
+	opts.Workers = p.Parallelism
+	return opts
+}
+
+// Validate rejects nonsensical classifier parameters. The zero Params
+// and a zero RatioThreshold mean "use the paper default" and are always
+// valid; set fields must make sense: MinGap cannot be negative, and a set
 // RatioThreshold must be at least 1 (the ratio compares on-path to
 // off-path evidence, so values in (0,1) would label clusters dominated
 // by off-path observations as information).
@@ -588,12 +580,7 @@ func (c *Corpus) ClassifyContext(ctx context.Context, p Params) (*Result, error)
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	opts := core.DefaultOptions()
-	if p.MinGap > 0 || p.RatioThreshold > 0 {
-		opts.MinGap = p.MinGap
-		opts.RatioThreshold = p.RatioThreshold
-	}
-	opts.Workers = p.Parallelism
+	opts := p.coreOptions()
 	opts.Orgs = c.orgs
 	opts.Tracer = obs.NewTracer(p.Observer, 0)
 	inf, err := core.ClassifyContext(ctx, c.store, opts)
@@ -610,8 +597,8 @@ type ExcludeReason string
 const (
 	ExcludedPrivateASN  ExcludeReason = "private-asn"
 	ExcludedNeverOnPath ExcludeReason = "never-on-path"
-	// ExcludedUnobserved is reported by Lookup for communities that do
-	// not appear in the corpus at all.
+	// ExcludedUnobserved is reported by LookupKey for communities that
+	// do not appear in the corpus at all.
 	ExcludedUnobserved ExcludeReason = "unobserved"
 )
 
@@ -650,7 +637,7 @@ func (r *Result) Close() error {
 
 // Category returns the inferred label for a community.
 func (r *Result) Category(c Community) Category {
-	return fromDictCategory(r.src.Category(c.wire()))
+	return r.src.Category(c.wire())
 }
 
 // Excluded returns the exclusion reason, if the community was seen but
@@ -676,23 +663,14 @@ func (r *Result) ExcludedCount() int { return r.src.ExcludedCount() }
 // (classified plus excluded).
 func (r *Result) ObservedCount() int { return r.src.Observed() }
 
-// Labeled returns every classified community with its label, sorted.
+// Labeled returns every classified community with its label, in
+// ascending (ASN, Value) order — the order every source lists them in.
 func (r *Result) Labeled() []LabeledCommunity {
 	action, information := r.src.Counts()
 	out := make([]LabeledCommunity, 0, action+information)
-	r.src.EachLabeled(func(comm bgp.Community, cat dict.Category) bool {
-		out = append(out, LabeledCommunity{
-			Community: Community{ASN: comm.ASN(), Value: comm.Value()},
-			Category:  fromDictCategory(cat),
-		})
+	r.src.EachLabeled(func(comm bgp.Community, cat Category) bool {
+		out = append(out, LabeledCommunity{Community: Community{ASN: comm.ASN(), Value: comm.Value()}, Category: cat})
 		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Community, out[j].Community
-		if a.ASN != b.ASN {
-			return a.ASN < b.ASN
-		}
-		return a.Value < b.Value
 	})
 	return out
 }
@@ -729,7 +707,7 @@ func clusterFromSummary(kind CommunityKind, cs core.ClusterSummary) Cluster {
 		Fn:          cs.Fn,
 		Lo:          cs.Lo,
 		Hi:          cs.Hi,
-		Category:    fromDictCategory(cs.Label),
+		Category:    cs.Label,
 		Size:        cs.Size,
 		OnPath:      int(cs.OnPath),
 		OffPath:     int(cs.OffPath),
@@ -746,23 +724,14 @@ type clusterLister interface {
 	ClusterSummaryAt(i int) core.ClusterSummary
 }
 
-// clustersOf returns every cluster of one kind, sorted by (ASN, Fn, Lo).
+// clustersOf returns every cluster of one kind, in the (ASN, Fn, Lo)
+// order the source lists them in.
 func clustersOf(kind CommunityKind, src clusterLister) []Cluster {
 	n := src.ClusterCount()
 	out := make([]Cluster, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, clusterFromSummary(kind, src.ClusterSummaryAt(i)))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := &out[i], &out[j]
-		if a.ASN != b.ASN {
-			return a.ASN < b.ASN
-		}
-		if a.Fn != b.Fn {
-			return a.Fn < b.Fn
-		}
-		return a.Lo < b.Lo
-	})
 	return out
 }
 
@@ -815,39 +784,10 @@ func (r *Result) WriteTSV(w io.Writer) error {
 	return nil
 }
 
-// Lookup is the full verdict for one community: the label, the
-// per-community evidence, the cluster that decided it, and — when
-// unclassified — the reason why (private-ASN α, never-on-path α, or
+// KeyLookup is the full verdict for one classic or large community: the
+// label, the per-community evidence, the cluster that decided it, and —
+// when unclassified — the reason why (private-ASN α, never-on-path α, or
 // simply unobserved).
-type Lookup struct {
-	Community Community
-	Observed  bool
-	Category  Category
-	// OnPath/OffPath count the unique AS paths the community was
-	// observed on with/without α (or a sibling) in the path.
-	OnPath, OffPath int
-	// Reason is empty for classified communities.
-	Reason ExcludeReason
-	// Cluster is the deciding cluster; nil when excluded or unobserved.
-	Cluster *Cluster
-}
-
-// Lookup explains a community's verdict.
-func (r *Result) Lookup(c Community) Lookup {
-	l := r.LookupKey(c.Key())
-	return Lookup{
-		Community: c,
-		Observed:  l.Observed,
-		Category:  l.Category,
-		OnPath:    l.OnPath,
-		OffPath:   l.OffPath,
-		Reason:    l.Reason,
-		Cluster:   l.Cluster,
-	}
-}
-
-// KeyLookup is the kind-aware counterpart of Lookup: the full verdict
-// for a classic or large community named by its CommunityKey.
 type KeyLookup struct {
 	Key      CommunityKey
 	Observed bool
@@ -858,12 +798,15 @@ type KeyLookup struct {
 	OnPath, OffPath int
 	// Reason is empty for classified communities.
 	Reason ExcludeReason
-	// Cluster is the deciding cluster, of the key's kind; nil for
-	// excluded/unobserved communities.
-	Cluster *Cluster
+	// HasCluster reports whether Cluster is meaningful (false for
+	// excluded and unobserved communities).
+	HasCluster bool
+	// Cluster is the deciding cluster, of the key's kind.
+	Cluster Cluster
 }
 
-// LookupKey explains the verdict for a community of either kind.
+// LookupKey explains the verdict for a community of either kind, without
+// allocating.
 func (r *Result) LookupKey(k CommunityKey) KeyLookup {
 	if k.kind == KindLarge {
 		return keyLookup(k, r.src.Large().Verdict(k.wireLarge()))
@@ -873,18 +816,18 @@ func (r *Result) LookupKey(k CommunityKey) KeyLookup {
 
 func keyLookup[K core.Key[K]](k CommunityKey, v core.KeyVerdict[K]) KeyLookup {
 	out := KeyLookup{
-		Key:      k,
-		Observed: v.Observed,
-		Category: fromDictCategory(v.Category),
-		OnPath:   v.Stats.OnPath,
-		OffPath:  v.Stats.OffPath,
+		Key:        k,
+		Observed:   v.Observed,
+		Category:   v.Category,
+		OnPath:     v.Stats.OnPath,
+		OffPath:    v.Stats.OffPath,
+		HasCluster: v.HasCluster,
 	}
 	if v.Reason != core.ExcludeNone {
 		out.Reason = ExcludeReason(v.Reason.String())
 	}
 	if v.HasCluster {
-		cl := clusterFromSummary(k.kind, v.Cluster)
-		out.Cluster = &cl
+		out.Cluster = clusterFromSummary(k.kind, v.Cluster)
 	}
 	return out
 }
@@ -918,27 +861,14 @@ type LabeledKey struct {
 }
 
 // LabeledLarge returns every classified large community with its
-// label, sorted by (ASN, Fn, Value).
+// label, in ascending (ASN, Fn, Value) order.
 func (r *Result) LabeledLarge() []LabeledKey {
 	large := r.src.Large()
 	action, information := large.Counts()
 	out := make([]LabeledKey, 0, action+information)
-	large.EachLabeled(func(lc bgp.LargeCommunity, cat dict.Category) bool {
-		out = append(out, LabeledKey{
-			Key:      LargeKey(lc.GlobalAdmin, lc.LocalData1, lc.LocalData2),
-			Category: fromDictCategory(cat),
-		})
+	large.EachLabeled(func(lc bgp.LargeCommunity, cat Category) bool {
+		out = append(out, LabeledKey{Key: LargeKey(lc.GlobalAdmin, lc.LocalData1, lc.LocalData2), Category: cat})
 		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Key, out[j].Key
-		if a.asn != b.asn {
-			return a.asn < b.asn
-		}
-		if a.fn != b.fn {
-			return a.fn < b.fn
-		}
-		return a.val < b.val
 	})
 	return out
 }

@@ -353,13 +353,30 @@ func TestClassifyCustomParams(t *testing.T) {
 	if a, i := res.Counts(); a+i == 0 {
 		t.Fatal("nothing classified with custom params")
 	}
-	// Zero params fall back to the paper defaults.
-	def := classify(t, c, Params{})
-	ref := classify(t, c, DefaultParams())
-	a1, i1 := def.Counts()
-	a2, i2 := ref.Counts()
-	if a1 != a2 || i1 != i2 {
-		t.Errorf("zero params (%d/%d) differ from defaults (%d/%d)", a1, i1, a2, i2)
+	// A zero RatioThreshold is the paper's 160 whatever MinGap says; a zero
+	// MinGap is the paper's 140 only in the zero Params, and literal (no
+	// clustering) beside a set threshold.
+	tsv := func(p Params) string {
+		var buf bytes.Buffer
+		if err := classify(t, c, p).WriteTSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for _, tc := range []struct{ got, want Params }{
+		{Params{}, DefaultParams()},
+		{Params{MinGap: 140}, DefaultParams()},
+		{Params{MinGap: 60}, Params{MinGap: 60, RatioThreshold: 160}},
+		{Params{MinGap: 140, RatioThreshold: 160, Parallelism: 1}, DefaultParams()},
+	} {
+		if tsv(tc.got) != tsv(tc.want) {
+			ga, gi := classify(t, c, tc.got).Counts()
+			wa, wi := classify(t, c, tc.want).Counts()
+			t.Errorf("%+v classifies %d action / %d information, %+v %d / %d", tc.got, ga, gi, tc.want, wa, wi)
+		}
+	}
+	if ungapped := (Params{RatioThreshold: 160}); tsv(ungapped) == tsv(DefaultParams()) {
+		t.Errorf("%+v clusters like the paper's gap of 140; a zero MinGap beside a set threshold disables clustering", ungapped)
 	}
 }
 

@@ -91,14 +91,9 @@ func TestGoldenV2Equivalence(t *testing.T) {
 		if heapLabeled[i] != mappedLabeled[i] {
 			t.Fatalf("labeled[%d]: %+v vs %+v", i, heapLabeled[i], mappedLabeled[i])
 		}
-		a, b := heap.Lookup(heapLabeled[i].Community), mapped.Lookup(heapLabeled[i].Community)
-		ac, bc := a.Cluster, b.Cluster
-		a.Cluster, b.Cluster = nil, nil
-		if a != b {
-			t.Fatalf("Lookup(%v) differs: %+v vs %+v", heapLabeled[i].Community, a, b)
-		}
-		if (ac == nil) != (bc == nil) || (ac != nil && *ac != *bc) {
-			t.Fatalf("Lookup(%v) cluster differs: %+v vs %+v", heapLabeled[i].Community, ac, bc)
+		k := heapLabeled[i].Community.Key()
+		if a, b := heap.LookupKey(k), mapped.LookupKey(k); a != b || !a.HasCluster {
+			t.Fatalf("LookupKey(%v) differs or has no cluster: %+v vs %+v", k, a, b)
 		}
 	}
 	heapClusters := heap.Clusters()
@@ -144,9 +139,9 @@ func TestGoldenV2Equivalence(t *testing.T) {
 	}
 
 	// Unobserved verdict parity.
-	ghost := Comm(4242, 4242)
-	if a, b := heap.Lookup(ghost), mapped.Lookup(ghost); a != b {
-		t.Fatalf("unobserved Lookup differs: %+v vs %+v", a, b)
+	ghost := ClassicKey(4242, 4242)
+	if a, b := heap.LookupKey(ghost), mapped.LookupKey(ghost); a != b || a.Observed {
+		t.Fatalf("unobserved LookupKey differs: %+v vs %+v", a, b)
 	}
 
 	// Large-community parity: labels, clusters, per-key verdicts, and
@@ -163,14 +158,8 @@ func TestGoldenV2Equivalence(t *testing.T) {
 		if heapLarge[i] != mappedLarge[i] {
 			t.Fatalf("labeled large[%d]: %+v vs %+v", i, heapLarge[i], mappedLarge[i])
 		}
-		a, b := heap.LookupKey(heapLarge[i].Key), mapped.LookupKey(heapLarge[i].Key)
-		ac, bc := a.Cluster, b.Cluster
-		a.Cluster, b.Cluster = nil, nil
-		if a != b {
-			t.Fatalf("LookupKey(%v) differs: %+v vs %+v", heapLarge[i].Key, a, b)
-		}
-		if (ac == nil) != (bc == nil) || (ac != nil && *ac != *bc) {
-			t.Fatalf("LookupKey(%v) cluster differs: %+v vs %+v", heapLarge[i].Key, ac, bc)
+		if a, b := heap.LookupKey(heapLarge[i].Key), mapped.LookupKey(heapLarge[i].Key); a != b || !a.HasCluster {
+			t.Fatalf("LookupKey(%v) differs or has no cluster: %+v vs %+v", heapLarge[i].Key, a, b)
 		}
 	}
 	heapLC := heap.LargeClusters()

@@ -157,7 +157,26 @@ func TestAllocationGuards(t *testing.T) {
 		t.Errorf("a repeated SnapshotInfo call allocates %d B, want <= %d (the counts are cached)",
 			second, guardSnapshotInfoRepeatBytes)
 	}
+
+	// A verdict crosses the facade by value: the deciding cluster of a
+	// clustered key, classic or large, costs no allocation.
+	res, err := mc.ClassifyContext(context.Background(), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []CommunityKey{res.Labeled()[0].Community.Key(), res.LabeledLarge()[0].Key} {
+		if l := res.LookupKey(k); !l.HasCluster || l.Cluster.Size == 0 {
+			t.Fatalf("LookupKey(%v) = %+v, want the deciding cluster", k, l)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { guardLookup = res.LookupKey(k) }); allocs != 0 {
+			t.Errorf("LookupKey(%v) allocates %.1f times, want 0", k, allocs)
+		}
+	}
 }
+
+// guardLookup keeps the measured LookupKey calls from being optimised
+// away.
+var guardLookup KeyLookup
 
 // heapLive is the live heap once garbage is collected; the second
 // collection empties the sync.Pool victim caches the first one filled.

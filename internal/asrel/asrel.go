@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Rel is an inferred relationship between two adjacent ASes, following
@@ -269,41 +267,4 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return written, bw.Flush()
-}
-
-// ReadGraph parses the WriteTo format. Lines beginning with '#' are
-// ignored.
-func ReadGraph(r io.Reader) (*Graph, error) {
-	g := NewGraph()
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		parts := strings.Split(line, "|")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("asrel: line %d: want 3 fields", lineNo)
-		}
-		a, err1 := strconv.ParseUint(parts[0], 10, 32)
-		b, err2 := strconv.ParseUint(parts[1], 10, 32)
-		rel, err3 := strconv.ParseInt(parts[2], 10, 8)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("asrel: line %d: bad numbers", lineNo)
-		}
-		switch Rel(rel) {
-		case RelP2C:
-			g.SetP2C(uint32(a), uint32(b))
-		case RelP2P:
-			g.SetP2P(uint32(a), uint32(b))
-		default:
-			return nil, fmt.Errorf("asrel: line %d: unknown relationship %d", lineNo, rel)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return g, nil
 }

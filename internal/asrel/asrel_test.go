@@ -165,6 +165,8 @@ func TestInferOnSimulatedCorpus(t *testing.T) {
 	t.Logf("gao accuracy on simulated corpus: %.3f (%d pairs)", acc, total)
 }
 
+// TestGraphIORoundTrip pins the as-rel text WriteTo renders, the file
+// gencorpus ships.
 func TestGraphIORoundTrip(t *testing.T) {
 	g := NewGraph()
 	g.SetP2C(1299, 64496)
@@ -175,31 +177,10 @@ func TestGraphIORoundTrip(t *testing.T) {
 	if _, err := g.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadGraph(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 3 {
-		t.Fatalf("Len = %d", got.Len())
-	}
-	if !got.IsCustomerOf(64496, 1299) || !got.IsCustomerOf(64501, 64500) || !got.IsPeer(1299, 3356) {
-		t.Error("round trip lost relationships")
-	}
-}
-
-func TestReadGraphErrors(t *testing.T) {
-	for name, in := range map[string]string{
-		"fields":  "1|2\n",
-		"numbers": "a|2|-1\n",
-		"rel":     "1|2|7\n",
-	} {
-		if _, err := ReadGraph(bytes.NewBufferString(in)); err == nil {
-			t.Errorf("%s: want error", name)
-		}
-	}
-	g, err := ReadGraph(bytes.NewBufferString("# comment\n\n1|2|-1\n"))
-	if err != nil || g.Len() != 1 {
-		t.Errorf("comment handling: %v", err)
+	// The CAIDA AS-relationship lines, sorted by the pair's smaller ASN.
+	want := "1299|3356|0\n1299|64496|-1\n64500|64501|-1\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteTo wrote %q, want %q", got, want)
 	}
 }
 

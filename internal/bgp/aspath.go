@@ -10,6 +10,11 @@ import (
 const (
 	SegmentTypeASSet      uint8 = 1 // unordered set of ASes a route has traversed
 	SegmentTypeASSequence uint8 = 2 // ordered sequence of ASes a route has traversed
+
+	// RFC 5065 §3: member ASes inside a confederation; the decoder skips
+	// both.
+	segmentTypeConfedSequence uint8 = 3
+	segmentTypeConfedSet      uint8 = 4
 )
 
 // PathSegment is one AS_PATH segment: an ordered AS_SEQUENCE or an
@@ -80,21 +85,6 @@ func (p ASPath) AppendFlatten(dst []uint32) []uint32 {
 	return dst
 }
 
-// Unique returns the distinct ASNs in the path, in first-appearance order.
-func (p ASPath) Unique() []uint32 {
-	seen := make(map[uint32]struct{})
-	var out []uint32
-	for _, seg := range p.Segments {
-		for _, asn := range seg.ASNs {
-			if _, ok := seen[asn]; !ok {
-				seen[asn] = struct{}{}
-				out = append(out, asn)
-			}
-		}
-	}
-	return out
-}
-
 // Contains reports whether asn appears anywhere in the path.
 func (p ASPath) Contains(asn uint32) bool {
 	for _, seg := range p.Segments {
@@ -121,17 +111,6 @@ func (p ASPath) Origin() (uint32, bool) {
 			return seg.ASNs[0], true
 		}
 		return seg.ASNs[len(seg.ASNs)-1], true
-	}
-	return 0, false
-}
-
-// First returns the nearest ASN (the collector-facing end) and true, or
-// 0 and false for an empty path.
-func (p ASPath) First() (uint32, bool) {
-	for _, seg := range p.Segments {
-		if len(seg.ASNs) > 0 {
-			return seg.ASNs[0], true
-		}
 	}
 	return 0, false
 }

@@ -15,9 +15,6 @@ func TestNewASPathBasics(t *testing.T) {
 	if got := p.Len(); got != 4 {
 		t.Errorf("Len() = %d, want 4", got)
 	}
-	if first, ok := p.First(); !ok || first != 65269 {
-		t.Errorf("First() = %d,%v", first, ok)
-	}
 	if origin, ok := p.Origin(); !ok || origin != 64496 {
 		t.Errorf("Origin() = %d,%v", origin, ok)
 	}
@@ -36,9 +33,6 @@ func TestEmptyASPath(t *testing.T) {
 	}
 	if _, ok := p.Origin(); ok {
 		t.Error("Origin of empty path ok")
-	}
-	if _, ok := p.First(); ok {
-		t.Error("First of empty path ok")
 	}
 	if p.Len() != 0 {
 		t.Error("Len of empty path != 0")
@@ -101,13 +95,6 @@ func TestASPathSetHandling(t *testing.T) {
 	}
 	if !p.Contains(400) {
 		t.Error("Contains(400) = false")
-	}
-}
-
-func TestASPathUnique(t *testing.T) {
-	p := NewASPath(1299, 1299, 1299, 3356, 64496, 3356)
-	if got := p.Unique(); !reflect.DeepEqual(got, []uint32{1299, 3356, 64496}) {
-		t.Errorf("Unique() = %v", got)
 	}
 }
 

@@ -417,12 +417,19 @@ func decodeASPathInto(buf []byte, asnBytes int, p *ASPath) error {
 			return fmt.Errorf("bgp: truncated AS_PATH segment header")
 		}
 		segType, count := buf[0], int(buf[1])
-		if segType != SegmentTypeASSet && segType != SegmentTypeASSequence {
+		confed := segType == segmentTypeConfedSequence || segType == segmentTypeConfedSet
+		if !confed && segType != SegmentTypeASSet && segType != SegmentTypeASSequence {
 			return fmt.Errorf("bgp: AS_PATH: bad segment type %d", segType)
 		}
 		need := 2 + asnBytes*count
 		if len(buf) < need {
 			return fmt.Errorf("bgp: AS_PATH segment: want %d bytes, have %d", need, len(buf))
+		}
+		if confed {
+			// A confederation's member ASes are not path hops: a leaked
+			// segment is dropped, as RFC 5065 §4.1 has a non-member do.
+			buf = buf[need:]
+			continue
 		}
 		// Merge wire-split sequences back together so Key() is canonical.
 		merge := len(segs) > 0 && segType == SegmentTypeASSequence && segs[len(segs)-1].Type == SegmentTypeASSequence

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -458,5 +459,71 @@ func TestMergeAS4PathWithSets(t *testing.T) {
 	}
 	if !got.Contains(20) || !got.Contains(30) {
 		t.Errorf("set lost in merge: %v", got)
+	}
+}
+
+// TestDecodeASPathConfedSegments: a leaked confederation path decodes
+// to its real hops. The vectors are typed from RFC 5065 §3 (segment type
+// 3 AS_CONFED_SEQUENCE, 4 AS_CONFED_SET, one length octet counting ASes)
+// and RFC 4271 §4.3, never through this package's encoder: both
+// confederation segment types are bounds-checked and dropped, as §4.1 has
+// an AS outside the confederation do, and every other unknown type is
+// still an error.
+func TestDecodeASPathConfedSegments(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		asnBytes int
+		wire     []byte
+		want     ASPath
+		wantErr  string
+	}{
+		{name: "confed-sequence + sequence, 4-octet", asnBytes: 4, wire: []byte{
+			3, 2, 0, 0, 0xfd, 0xe9, 0, 0, 0xfd, 0xea, // AS_CONFED_SEQUENCE 65001 65002
+			2, 2, 0, 0, 0x1b, 0x6a, 0, 0, 0xfb, 0xf0, // AS_SEQUENCE 7018 64496
+		}, want: NewASPath(7018, 64496)},
+		{name: "confed-sequence + sequence, 2-octet", asnBytes: 2, wire: []byte{
+			3, 2, 0xfd, 0xe9, 0xfd, 0xea,
+			2, 2, 0x1b, 0x6a, 0xfb, 0xf0,
+		}, want: NewASPath(7018, 64496)},
+		{name: "confed-set between two sequences", asnBytes: 4, wire: []byte{
+			2, 1, 0, 0, 0xfe, 0xf5, // AS_SEQUENCE 65269
+			4, 1, 0, 0, 0xfd, 0xe9, // AS_CONFED_SET {65001}
+			2, 1, 0, 0, 0x1b, 0x6a, // AS_SEQUENCE 7018
+		}, want: NewASPath(65269, 7018)},
+		{name: "confed segments only", asnBytes: 4, wire: []byte{3, 1, 0, 0, 0xfd, 0xe9}, want: ASPath{}},
+		{name: "truncated confed-sequence", asnBytes: 4, wire: []byte{
+			3, 2, 0, 0, 0xfd, 0xe9, // announces two ASes, carries one
+		}, wantErr: "want 10 bytes, have 6"},
+		{name: "truncated confed-set, 2-octet", asnBytes: 2, wire: []byte{4, 3, 0xfd, 0xe9}, wantErr: "want 8 bytes, have 4"},
+		{name: "unassigned type 5", asnBytes: 4, wire: []byte{5, 0}, wantErr: "bad segment type 5"},
+		{name: "type 0", asnBytes: 4, wire: []byte{0, 1, 0, 0, 0x1b, 0x6a}, wantErr: "bad segment type 0"},
+	} {
+		got, err := decodeASPath(tc.wire, tc.asnBytes)
+		switch {
+		case tc.wantErr != "":
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case !got.Equal(tc.want):
+			t.Errorf("%s: path = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+
+	// The same path inside an attribute block: the route keeps its
+	// communities instead of failing the record.
+	attrs := []byte{
+		0x40, 2, 20, // AS_PATH, well-known transitive, 20 octets
+		3, 2, 0, 0, 0xfd, 0xe9, 0, 0, 0xfd, 0xea,
+		2, 2, 0, 0, 0x1b, 0x6a, 0, 0, 0xfb, 0xf0,
+		0xc0, 8, 4, 0x1b, 0x6a, 0x13, 0x88, // COMMUNITIES 7018:5000
+	}
+	var a PathAttributes
+	if err := DecodeAttrs(attrs, &a); err != nil {
+		t.Fatal(err)
+	}
+	if !a.ASPath.Equal(NewASPath(7018, 64496)) || len(a.Communities) != 1 || a.Communities[0] != NewCommunity(7018, 5000) {
+		t.Errorf("attrs = path %v communities %v, want 7018 64496 and 7018:5000", a.ASPath, a.Communities)
 	}
 }

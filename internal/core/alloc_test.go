@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bgpintent/internal/bgp"
+	"bgpintent/internal/dict"
 )
 
 // TestAddViewDuplicateHitZeroAlloc guards the arena layout's core
@@ -80,7 +81,7 @@ func TestStitchedLoadResidency(t *testing.T) {
 	runtime.KeepAlive(ts)
 }
 
-// TestLookupZeroAlloc guards the serving hot path: Lookup and Verdict
+// TestLookupZeroAlloc guards the serving hot path: Verdict and Category
 // are called per query by intentd and must stay allocation-free, for
 // classic and large keys alike.
 func TestLookupZeroAlloc(t *testing.T) {
@@ -96,16 +97,17 @@ func lookupZeroAlloc[K Key[K]](t *testing.T, ks *KindSet[K], unobserved K) {
 	if len(keys) == 0 {
 		t.Fatal("no communities of this kind in corpus")
 	}
-	var sink Lookup[K]
+	var sink KeyVerdict[K]
+	var cat dict.Category
 	if avg := testing.AllocsPerRun(200, func() {
 		for _, k := range keys {
-			sink = ks.Lookup(k)
+			sink, cat = ks.Verdict(k), ks.Category(k)
 		}
-		sink = ks.Lookup(unobserved)
+		sink, cat = ks.Verdict(unobserved), ks.Category(unobserved)
 	}); avg != 0 {
-		t.Errorf("Lookup allocates %.2f per run, want 0", avg)
+		t.Errorf("heap Verdict + Category allocate %.2f per run, want 0", avg)
 	}
-	_ = sink
+	_, _ = sink, cat
 	verdictZeroAlloc[K](t, ks, keys, unobserved)
 }
 

@@ -66,8 +66,8 @@ const (
 	// ExcludeNeverOnPath: neither α nor any sibling appears in any AS
 	// path (IXP route servers and other transparent taggers).
 	ExcludeNeverOnPath
-	// ExcludeUnobserved is never stored in KindSet.Excluded: Lookup
-	// reports it for communities absent from the corpus.
+	// ExcludeUnobserved is never stored in a KindSet: Verdict reports it
+	// for communities absent from the corpus.
 	ExcludeUnobserved
 )
 
@@ -124,38 +124,30 @@ func (s Stats[K]) Ratio() float64 {
 }
 
 // Cluster is a contiguous range of one (α, fn) group's values with its
-// inferred label; Fn is 0 for classic clusters.
+// inferred label — the summary every query renders — and the members
+// behind it, in ascending value order. Size is len(Members); Size and
+// the summed OnPath/OffPath are filled when the cluster is labeled.
 type Cluster[K Key[K]] struct {
-	Alpha, Fn uint32
-	Lo, Hi    uint32
-	Members   []Stats[K]
-
-	// PureOnPath / PureOffPath mark clusters never observed off-path /
-	// on-path; Ratio is meaningful for mixed clusters.
-	PureOnPath  bool
-	PureOffPath bool
-	Ratio       float64
-
-	Label dict.Category
+	ClusterSummary
+	Members []Stats[K]
 }
 
-// KindSet is the classifier output for one kind of community key.
+// KindSet is the classifier output for one kind of community key, in the
+// snapshot's shape: the clusters in (Alpha, Fn, Lo) order and one index
+// over every observed community. It is immutable once built, so queries
+// need no locking.
 type KindSet[K Key[K]] struct {
-	Labels   map[K]dict.Category
 	Clusters []Cluster[K]
-	Excluded map[K]ExcludeReason
 
-	// index maps every observed community — classified or excluded —
-	// to its stats and (for classified ones) its cluster, backing
-	// Lookup and Verdict. Built by ClassifyObserved and ReadSnapshot; the
-	// structure is immutable once built, so lookups need no locking.
 	index map[K]indexEntry[K]
 }
 
-// indexEntry is one observed community in the query index.
+// indexEntry is one observed community: its evidence and, as in a
+// snapshot's lookup record, the index of its cluster (≥ 0) or its negated
+// ExcludeReason (< 0).
 type indexEntry[K Key[K]] struct {
 	stats   Stats[K]
-	cluster int32 // index into Clusters; -1 for excluded communities
+	cluster int32
 }
 
 // Inferences is the classifier output: the classic (RFC 1997) set,
@@ -174,78 +166,47 @@ func (inf *Inferences) Large() KindSource[bgp.LargeCommunity] { return &inf.Larg
 
 // Category returns the inferred label of a community (CatUnknown when
 // excluded or unobserved).
-func (ks *KindSet[K]) Category(k K) dict.Category { return ks.Labels[k] }
-
-// Lookup is the full verdict for one community: not just the label but
-// the evidence behind it and, when unclassified, the reason why.
-type Lookup[K Key[K]] struct {
-	Comm     K
-	Observed bool          // the community appeared in the corpus
-	Category dict.Category // CatUnknown when excluded or unobserved
-	Stats    Stats[K]
-	Reason   ExcludeReason // ExcludeNone for classified communities
-	Cluster  *Cluster[K]   // nil when excluded or unobserved
-}
-
-// Lookup explains a community's verdict: its on/off-path evidence, the
-// cluster that labeled it, or the exclusion reason (private-ASN α,
-// never-on-path α, or simply unobserved). The returned Cluster aliases
-// the set and must not be mutated.
-func (ks *KindSet[K]) Lookup(k K) Lookup[K] {
-	e, ok := ks.index[k]
-	if !ok {
-		return Lookup[K]{Comm: k, Reason: ExcludeUnobserved}
+func (ks *KindSet[K]) Category(k K) dict.Category {
+	if e, ok := ks.index[k]; ok && e.cluster >= 0 {
+		return ks.Clusters[e.cluster].Label
 	}
-	l := Lookup[K]{Comm: k, Observed: true, Stats: e.stats}
-	if e.cluster >= 0 {
-		l.Cluster = &ks.Clusters[e.cluster]
-		l.Category = l.Cluster.Label
-	} else {
-		l.Reason = ks.Excluded[k]
-	}
-	return l
+	return dict.CatUnknown
 }
 
 // Observed returns how many communities the index covers (classified
 // plus excluded).
 func (ks *KindSet[K]) Observed() int { return len(ks.index) }
 
-// buildIndex (re)derives Labels and the query index from Clusters,
-// Excluded and the per-community stats of the excluded communities. A
-// closed done channel abandons the work; the caller reports ctx.Err().
-func (ks *KindSet[K]) buildIndex(excludedStats map[K]Stats[K], done <-chan struct{}) {
-	n := len(ks.Excluded)
-	for i := range ks.Clusters {
-		n += len(ks.Clusters[i].Members)
-	}
-	ks.Labels = make(map[K]dict.Category, n-len(ks.Excluded))
-	ks.index = make(map[K]indexEntry[K], n)
+// exclude records an observed community left unclassified.
+func (ks *KindSet[K]) exclude(st Stats[K], reason ExcludeReason) {
+	ks.index[st.Comm] = indexEntry[K]{stats: st, cluster: -int32(reason)}
+}
+
+// buildIndex adds every cluster member to the index, beside the
+// exclusions already in it, and returns how many it added. A closed done
+// channel abandons the work; the caller reports ctx.Err().
+func (ks *KindSet[K]) buildIndex(done <-chan struct{}) (classified int) {
 	for i := range ks.Clusters {
 		if i%cancelCheckStride == 0 && chClosed(done) {
-			return
+			break
 		}
-		cl := &ks.Clusters[i]
-		for _, m := range cl.Members {
-			ks.Labels[m.Comm] = cl.Label
+		for _, m := range ks.Clusters[i].Members {
 			ks.index[m.Comm] = indexEntry[K]{stats: m, cluster: int32(i)}
 		}
+		classified += len(ks.Clusters[i].Members)
 	}
-	for k := range ks.Excluded {
-		st := excludedStats[k]
-		st.Comm = k
-		ks.index[k] = indexEntry[K]{stats: st, cluster: -1}
-	}
+	return classified
 }
 
 // Counts returns how many communities were inferred action and
 // information.
 func (ks *KindSet[K]) Counts() (action, info int) {
-	for _, cat := range ks.Labels {
-		switch cat {
+	for i := range ks.Clusters {
+		switch cl := &ks.Clusters[i]; cl.Label {
 		case dict.CatAction:
-			action++
+			action += cl.Size
 		case dict.CatInformation:
-			info++
+			info += cl.Size
 		}
 	}
 	return action, info
@@ -414,9 +375,6 @@ type kindPass[K Key[K]] struct {
 	stats map[K]*Stats[K]
 	os    *ObservationSet
 	opts  Options
-
-	// excludedStats backs Lookup's explanation of an exclusion.
-	excludedStats map[K]Stats[K]
 }
 
 func newKindPass[K Key[K]](set *KindSet[K], stats map[K]*Stats[K], os *ObservationSet, opts Options) *kindPass[K] {
@@ -439,8 +397,7 @@ func (p *kindPass[K]) cluster(ctx context.Context) int {
 	}
 	slices.Sort(groups)
 
-	p.set.Excluded = make(map[K]ExcludeReason)
-	p.excludedStats = make(map[K]Stats[K])
+	p.set.index = make(map[K]indexEntry[K], len(p.stats))
 	var values []uint32
 	for n, g := range groups {
 		if n%cancelCheckStride == 0 && chClosed(done) {
@@ -460,8 +417,7 @@ func (p *kindPass[K]) cluster(ctx context.Context) int {
 			}
 			if reason != 0 {
 				for _, m := range members {
-					p.set.Excluded[m.Comm] = reason
-					p.excludedStats[m.Comm] = *m
+					p.set.exclude(*m, reason)
 				}
 				continue
 			}
@@ -473,8 +429,8 @@ func (p *kindPass[K]) cluster(ctx context.Context) int {
 		}
 		for _, idx := range clusterIndexes(values, p.opts.MinGap) {
 			cl := Cluster[K]{
-				Alpha: alpha, Fn: fn, Lo: values[idx[0]], Hi: values[idx[1]-1],
-				Members: make([]Stats[K], 0, idx[1]-idx[0]),
+				ClusterSummary: ClusterSummary{Alpha: alpha, Fn: fn, Lo: values[idx[0]], Hi: values[idx[1]-1]},
+				Members:        make([]Stats[K], 0, idx[1]-idx[0]),
 			}
 			for _, m := range members[idx[0]:idx[1]] {
 				cl.Members = append(cl.Members, *m)
@@ -501,8 +457,7 @@ func (p *kindPass[K]) ratio(ctx context.Context) int {
 // classify applies the cluster labels to the member communities and
 // builds the lookup index.
 func (p *kindPass[K]) classify(ctx context.Context) int {
-	p.set.buildIndex(p.excludedStats, ctx.Done())
-	return len(p.set.Labels)
+	return p.set.buildIndex(ctx.Done())
 }
 
 // clusterIndexes splits a sorted value list into [start, end) cluster
@@ -525,6 +480,8 @@ func clusterIndexes[T uint16 | uint32](vals []T, minGap int) [][2]int {
 // never off-path or ratio at/above threshold -> information; always
 // off-path or ratio below -> action. The mixed-cluster ratio is the mean
 // of the member ratios (or the pooled ratio under the ablation option).
+// The one walk over the members also leaves the summary's Size and
+// summed evidence behind, so no query adds them up again.
 func labelCluster[K Key[K]](cl *Cluster[K], opts Options) {
 	var on, off int
 	ratioSum := 0.0
@@ -533,6 +490,7 @@ func labelCluster[K Key[K]](cl *Cluster[K], opts Options) {
 		off += m.OffPath
 		ratioSum += m.Ratio()
 	}
+	cl.Size, cl.OnPath, cl.OffPath = len(cl.Members), int64(on), int64(off)
 	cl.PureOnPath, cl.PureOffPath = off == 0, on == 0
 	if opts.PooledRatio {
 		cl.Ratio = float64(on) / float64(max(off, 1))

@@ -130,10 +130,10 @@ func TestClassifySynthetic(t *testing.T) {
 			t.Errorf("100:%d = %v, want action", v, got)
 		}
 	}
-	if got := inf.Excluded[c(65001, 7)]; got != ExcludePrivateASN {
+	if got := inf.Verdict(c(65001, 7)).Reason; got != ExcludePrivateASN {
 		t.Errorf("65001:7 excluded = %v, want private-asn", got)
 	}
-	if got := inf.Excluded[c(900, 5)]; got != ExcludeNeverOnPath {
+	if got := inf.Verdict(c(900, 5)).Reason; got != ExcludeNeverOnPath {
 		t.Errorf("900:5 excluded = %v, want never-on-path", got)
 	}
 	if got := inf.Category(c(65001, 7)); got != dict.CatUnknown {
@@ -160,8 +160,8 @@ func TestClassifyDisableExclusions(t *testing.T) {
 	opts := DefaultOptions()
 	opts.DisableExclusions = true
 	inf := Classify(ts, opts)
-	if len(inf.Excluded) != 0 {
-		t.Errorf("exclusions applied despite ablation: %v", inf.Excluded)
+	if inf.ExcludedCount() != 0 {
+		t.Errorf("exclusions applied despite ablation: %v", excludedOf(&inf.KindSet))
 	}
 	// 900:5 never on-path -> pure off-path -> action (wrong for an RS
 	// info community, which is the point of the exclusion rule).
@@ -183,7 +183,7 @@ func TestClassifySiblingAware(t *testing.T) {
 
 	// Without sibling awareness: α=100 never on-path -> excluded.
 	inf := Classify(ts, DefaultOptions())
-	if got := inf.Excluded[c(100, 42)]; got != ExcludeNeverOnPath {
+	if got := inf.Verdict(c(100, 42)).Reason; got != ExcludeNeverOnPath {
 		t.Fatalf("without orgs: excluded = %v, want never-on-path", got)
 	}
 
@@ -206,7 +206,7 @@ func TestClassifyVPFilter(t *testing.T) {
 	if got := inf.Category(c(100, 10)); got != dict.CatInformation {
 		t.Errorf("100:10 = %v", got)
 	}
-	if _, seen := inf.Labels[c(100, 500)]; seen {
+	if _, seen := labelsOf(&inf.KindSet)[c(100, 500)]; seen {
 		t.Error("filtered-out community still classified")
 	}
 }
@@ -292,7 +292,7 @@ func corpusAccuracy(t *testing.T, days int) (acc float64, classified int) {
 	inf := Classify(ts, opts)
 
 	correct, wrong := 0, 0
-	for comm, got := range inf.Labels {
+	for comm, got := range labelsOf(&inf.KindSet) {
 		a := topo.ASes[uint32(comm.ASN())]
 		if a == nil || a.Plan == nil {
 			continue

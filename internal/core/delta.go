@@ -64,7 +64,6 @@ func ClassifyDelta(ctx context.Context, ts *TupleStore, opts Options, prev *Infe
 	// Merge: clean αs keep their previous clusters and exclusions
 	// (shared, immutable), dirty αs take the fresh ones.
 	merged := &Inferences{Opts: opts}
-	merged.Excluded = make(map[bgp.Community]ExcludeReason, len(prev.Excluded))
 	merged.Clusters = make([]Cluster[bgp.Community], 0, len(prev.Clusters)+len(sub.Clusters))
 	for i := range prev.Clusters {
 		if !dirty[uint16(prev.Clusters[i].Alpha)] {
@@ -78,18 +77,24 @@ func ClassifyDelta(ctx context.Context, ts *TupleStore, opts Options, prev *Infe
 		return cmp.Or(cmp.Compare(a.Alpha, b.Alpha), cmp.Compare(a.Lo, b.Lo))
 	})
 
-	excludedStats := make(map[bgp.Community]Stats[bgp.Community], len(prev.Excluded))
-	for c, reason := range prev.Excluded {
-		if dirty[c.ASN()] {
-			continue
+	// Sized to what it will hold, give or take the dirty αs' former
+	// exclusions: a generous hint would double the bucket array every
+	// generation keeps.
+	n := prev.ExcludedCount() + sub.ExcludedCount()
+	for i := range merged.Clusters {
+		n += merged.Clusters[i].Size
+	}
+	merged.index = make(map[bgp.Community]indexEntry[bgp.Community], n)
+	for c, e := range prev.index {
+		if e.cluster < 0 && !dirty[c.ASN()] {
+			merged.index[c] = e
 		}
-		merged.Excluded[c] = reason
-		excludedStats[c] = prev.index[c].stats
 	}
-	for c, reason := range sub.Excluded {
-		merged.Excluded[c] = reason
-		excludedStats[c] = sub.index[c].stats
+	for c, e := range sub.index {
+		if e.cluster < 0 {
+			merged.index[c] = e
+		}
 	}
-	merged.buildIndex(excludedStats, nil)
+	merged.buildIndex(nil)
 	return merged, nil
 }

@@ -112,20 +112,18 @@ func dirtyBetween(old, new []deltaView) map[uint16]bool {
 // index and the stats carried for excluded communities).
 func sameInf(t *testing.T, ts *TupleStore, got, want *Inferences) {
 	t.Helper()
-	if !reflect.DeepEqual(got.Labels, want.Labels) {
-		t.Fatalf("labels diverged: %d vs %d", len(got.Labels), len(want.Labels))
+	if g, w := labelsOf(&got.KindSet), labelsOf(&want.KindSet); !reflect.DeepEqual(g, w) {
+		t.Fatalf("labels diverged: %d vs %d", len(g), len(w))
 	}
-	if !reflect.DeepEqual(got.Excluded, want.Excluded) {
-		t.Fatalf("exclusions diverged: %d vs %d", len(got.Excluded), len(want.Excluded))
+	if g, w := excludedOf(&got.KindSet), excludedOf(&want.KindSet); !reflect.DeepEqual(g, w) {
+		t.Fatalf("exclusions diverged: %d vs %d", len(g), len(w))
 	}
 	if !reflect.DeepEqual(got.Clusters, want.Clusters) {
 		t.Fatalf("clusters diverged: %d vs %d", len(got.Clusters), len(want.Clusters))
 	}
 	for _, comm := range ts.Communities() {
-		g, w := got.Lookup(comm), want.Lookup(comm)
-		if g.Observed != w.Observed || g.Category != w.Category ||
-			g.Reason != w.Reason || g.Stats != w.Stats {
-			t.Fatalf("lookup(%v) diverged: %+v vs %+v", comm, g, w)
+		if g, w := got.Verdict(comm), want.Verdict(comm); g != w {
+			t.Fatalf("Verdict(%v) diverged: %+v vs %+v", comm, g, w)
 		}
 	}
 }

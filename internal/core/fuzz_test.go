@@ -89,7 +89,9 @@ func exerciseKindView[K Key[K]](v *kindView[K]) {
 	for i := -1; i <= n; i++ {
 		_ = v.ClusterSummaryAt(i)
 		_ = v.clusterLabel(i)
-		_ = v.ClusterMembers(i)
+		for start, count := v.clusterMemberRange(i); count > 0; count-- {
+			_ = v.memberAt(start + count - 1)
+		}
 	}
 	for i := 0; i < v.lookupCount(); i++ {
 		rec, _ := v.lookupRec(i)

@@ -1,0 +1,209 @@
+package core
+
+import (
+	"bytes"
+	"cmp"
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"bgpintent/internal/bgp"
+	"bgpintent/internal/dict"
+)
+
+// labelsOf and excludedOf spell a heap set out as the two maps a
+// whole-set comparison wants: every classified community with its label,
+// every excluded one with its reason.
+func labelsOf[K Key[K]](ks *KindSet[K]) map[K]dict.Category {
+	out := make(map[K]dict.Category)
+	ks.EachLabeled(func(k K, cat dict.Category) bool {
+		out[k] = cat
+		return true
+	})
+	return out
+}
+
+func excludedOf[K Key[K]](ks *KindSet[K]) map[K]ExcludeReason {
+	out := make(map[K]ExcludeReason)
+	for k, e := range ks.index {
+		if e.cluster < 0 {
+			out[k] = ExcludeReason(-e.cluster)
+		}
+	}
+	return out
+}
+
+// checkKindSource holds one source to the KindSource contract; members
+// lists the i-th cluster's member evidence.
+func checkKindSource[K Key[K]](t *testing.T, label string, src KindSource[K], members func(i int) []Stats[K]) {
+	t.Helper()
+	var prev K
+	labeled, tally := 0, map[dict.Category]int{}
+	src.EachLabeled(func(k K, cat dict.Category) bool {
+		if labeled > 0 && prev.Compare(k) >= 0 {
+			t.Fatalf("%s: EachLabeled visits %v after %v", label, k, prev)
+		}
+		if got := src.Category(k); got != cat {
+			t.Fatalf("%s: EachLabeled says %v is %v, Category %v", label, k, cat, got)
+		}
+		prev = k
+		labeled++
+		tally[cat]++
+		return true
+	})
+	action, information := src.Counts()
+	if action != tally[dict.CatAction] || information != tally[dict.CatInformation] || labeled != action+information {
+		t.Fatalf("%s: Counts = %d action, %d information; EachLabeled visited %v", label, action, information, tally)
+	}
+	if got, want := src.Observed(), action+information+src.ExcludedCount(); got != want {
+		t.Fatalf("%s: Observed = %d, action + information + ExcludedCount = %d", label, got, want)
+	}
+
+	var before ClusterSummary
+	inClusters := 0
+	for i, n := 0, src.ClusterCount(); i < n; i++ {
+		cs := src.ClusterSummaryAt(i)
+		if i > 0 && cmp.Or(cmp.Compare(before.Alpha, cs.Alpha), cmp.Compare(before.Fn, cs.Fn), cmp.Compare(before.Lo, cs.Lo)) >= 0 {
+			t.Fatalf("%s: cluster %d %+v listed after %+v", label, i, cs, before)
+		}
+		before = cs
+		var on, off int64
+		ms := members(i)
+		for _, m := range ms {
+			on, off = on+int64(m.OnPath), off+int64(m.OffPath)
+		}
+		if cs.Size != len(ms) || cs.OnPath != on || cs.OffPath != off {
+			t.Fatalf("%s: cluster %d summary %+v; its %d members sum to on=%d off=%d", label, i, cs, len(ms), on, off)
+		}
+		inClusters += cs.Size
+	}
+	if inClusters != labeled {
+		t.Fatalf("%s: clusters hold %d members, EachLabeled visited %d", label, inClusters, labeled)
+	}
+	for at, n := 0, src.ClusterCount(); at < n; {
+		alpha := src.ClusterSummaryAt(at).Alpha
+		lo, hi := AlphaClusters(src, alpha)
+		if lo != at || hi <= lo || hi > n {
+			t.Fatalf("%s: AlphaClusters(%d) = [%d,%d), want a range starting at %d", label, alpha, lo, hi, at)
+		}
+		at = hi
+	}
+}
+
+// checkSameVerdicts requires every source to answer every key alike, and
+// each one's Verdict to agree with its Category.
+func checkSameVerdicts[K Key[K]](t *testing.T, label string, keys []K, names []string, srcs []KindSource[K]) (excluded int) {
+	t.Helper()
+	for _, k := range keys {
+		want := srcs[0].Verdict(k)
+		if want.Observed && !want.HasCluster {
+			excluded++
+		}
+		for i, src := range srcs {
+			v := src.Verdict(k)
+			if v != want {
+				t.Fatalf("%s: Verdict(%v): %s %+v, %s %+v", label, k, names[i], v, names[0], want)
+			}
+			if got := src.Category(k); got != v.Category {
+				t.Fatalf("%s: %s Verdict(%v).Category = %v, Category %v", label, names[i], k, v.Category, got)
+			}
+		}
+	}
+	return excluded
+}
+
+// TestKindSourceContract: the classifier's output, a delta-maintained
+// generation, the heap set materialized from the written snapshot and
+// the mapped view over it all keep the KindSource contract — key order,
+// counters, cluster sums, per-α ranges — and answer every key, observed,
+// excluded or absent, with the same verdict. Odd seeds are classic-only,
+// so their delta generation is a real merge and not the fallback.
+func TestKindSourceContract(t *testing.T) {
+	ctx := context.Background()
+	var excludedClassic, excludedLarge, merged int
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		u := newRefUniverse(rng)
+		views := u.views(rng, 50+rng.Intn(400), seed%2 == 0)
+		// The window slides: the first views are evicted, the last added.
+		evict, add := rng.Intn(len(views)/4), rng.Intn(len(views)/4)
+		old, cur := views[:len(views)-add], views[evict:]
+		store := func(views []refView) *TupleStore {
+			ts := NewTupleStore()
+			for _, v := range views {
+				ts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
+			}
+			return ts
+		}
+		pathASNs := func(views []refView) map[uint32]bool {
+			m := make(map[uint32]bool)
+			for _, v := range views {
+				for _, asn := range v.path {
+					m[asn] = true
+				}
+			}
+			return m
+		}
+		dirty := make(map[uint16]bool)
+		for _, v := range append(append([]refView(nil), views[:evict]...), views[len(views)-add:]...) {
+			for _, c := range v.comms {
+				dirty[c.ASN()] = true
+			}
+		}
+		was, is := pathASNs(old), pathASNs(cur)
+		for asn := uint32(0); asn <= 0xFFFF; asn++ {
+			if was[asn] != is[asn] {
+				dirty[uint16(asn)] = true
+			}
+		}
+
+		opts := Options{MinGap: []int{0, 140, 1000}[seed%3], RatioThreshold: 2, Workers: 1}
+		full := Classify(store(cur), opts)
+		delta, err := ClassifyDelta(ctx, store(cur), opts, Classify(store(old), opts), dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dirty) > 0 && !store(cur).hasLargeTuples() {
+			merged++
+		}
+		data := writeFlat(t, full, SnapshotMeta{Source: "contract"})
+		heap, _, err := ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped := openMapped(t, data)
+
+		names := []string{"classifier", "delta", "materialized", "mapped"}
+		label := fmt.Sprintf("seed %d", seed)
+		for i, inf := range []*Inferences{full, delta, heap} {
+			checkKindSource(t, label+" "+names[i]+" classic", inf, func(i int) []Stats[bgp.Community] { return inf.Clusters[i].Members })
+			checkKindSource(t, label+" "+names[i]+" large", inf.Large(), func(i int) []Stats[bgp.LargeCommunity] { return inf.Larges.Clusters[i].Members })
+		}
+		checkKindSource(t, label+" mapped classic", mapped, mappedMembers(&mapped.kindView))
+		checkKindSource(t, label+" mapped large", mapped.Large(), mappedMembers(&mapped.large))
+
+		excludedClassic += checkSameVerdicts(t, label+" classic",
+			append(observedKeys(&full.KindSet), bgp.NewCommunity(64999, 64999)), names,
+			[]KindSource[bgp.Community]{full, delta, heap, mapped})
+		excludedLarge += checkSameVerdicts(t, label+" large",
+			append(observedKeys(&full.Larges), bgp.LargeCommunity{GlobalAdmin: 64999, LocalData1: 1, LocalData2: 64999}), names,
+			[]KindSource[bgp.LargeCommunity]{full.Large(), delta.Large(), heap.Large(), mapped.Large()})
+	}
+	if excludedClassic == 0 || excludedLarge == 0 || merged == 0 {
+		t.Fatalf("universes exercised %d classic and %d large exclusions and %d delta merges; want some of each",
+			excludedClassic, excludedLarge, merged)
+	}
+}
+
+// mappedMembers lists a mapped cluster's member records.
+func mappedMembers[K Key[K]](v *kindView[K]) func(i int) []Stats[K] {
+	return func(i int) []Stats[K] {
+		start, count := v.clusterMemberRange(i)
+		out := make([]Stats[K], count)
+		for j := range out {
+			out[j] = v.memberAt(start + j)
+		}
+		return out
+	}
+}

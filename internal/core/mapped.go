@@ -6,11 +6,11 @@
 // mapped pages without allocating.
 //
 // Safety model: no unsafe pointer casts — records are decoded with
-// encoding/binary accessors (which compile to plain loads), and every
-// public method that returns reference types (Materialize,
-// ClusterMembers) copies out of the mapping, so no caller-held slice can
-// alias pages that a later Close unmaps. Value results (Verdict,
-// ClusterSummary) are copies by construction.
+// encoding/binary accessors (which compile to plain loads), and the one
+// public method that returns reference types (Materialize) copies out of
+// the mapping, so no caller-held slice can alias pages that a later
+// Close unmaps. Value results (Verdict, ClusterSummary) are copies by
+// construction.
 package core
 
 import (
@@ -150,21 +150,6 @@ func (v *kindView[K]) ClusterCount() int { return v.clusterCount() }
 func (v *kindView[K]) ClusterSummaryAt(i int) (cs ClusterSummary) {
 	v.clusterSummary(i, &cs)
 	return cs
-}
-
-// ClusterMembers copies the i-th cluster's member stats out of the
-// mapping. The returned slice is heap-owned and remains valid after
-// Close.
-func (v *kindView[K]) ClusterMembers(i int) []Stats[K] {
-	start, count := v.clusterMemberRange(i)
-	if count == 0 {
-		return nil
-	}
-	out := make([]Stats[K], count)
-	for j := range out {
-		out[j] = v.memberAt(start + j)
-	}
-	return out
 }
 
 // EachLabeled visits every classified community in ascending key order

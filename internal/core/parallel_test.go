@@ -58,10 +58,10 @@ func TestClassifyParallelEquivalence(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		opts.Workers = workers
 		got := Classify(ts, opts)
-		if !reflect.DeepEqual(got.Labels, ref.Labels) {
+		if !reflect.DeepEqual(labelsOf(&got.KindSet), labelsOf(&ref.KindSet)) {
 			t.Fatalf("workers=%d: labels differ", workers)
 		}
-		if !reflect.DeepEqual(got.Excluded, ref.Excluded) {
+		if !reflect.DeepEqual(excludedOf(&got.KindSet), excludedOf(&ref.KindSet)) {
 			t.Fatalf("workers=%d: exclusions differ", workers)
 		}
 		if len(got.Clusters) != len(ref.Clusters) {

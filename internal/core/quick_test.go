@@ -244,22 +244,23 @@ func TestClassifyLabelsSubsetOfObserved(t *testing.T) {
 	for _, c := range ts.Communities() {
 		observed[c] = true
 	}
-	for c := range inf.Labels {
+	labels, excluded := labelsOf(&inf.KindSet), excludedOf(&inf.KindSet)
+	for c := range labels {
 		if !observed[c] {
 			t.Fatalf("label for unobserved community %v", c)
 		}
-		if _, dual := inf.Excluded[c]; dual {
+		if _, dual := excluded[c]; dual {
 			t.Fatalf("%v both labeled and excluded", c)
 		}
 	}
-	for c := range inf.Excluded {
+	for c := range excluded {
 		if !observed[c] {
 			t.Fatalf("exclusion for unobserved community %v", c)
 		}
 	}
-	if len(inf.Labels)+len(inf.Excluded) != len(observed) {
+	if len(labels)+len(excluded) != len(observed) {
 		t.Fatalf("labels(%d)+excluded(%d) != observed(%d)",
-			len(inf.Labels), len(inf.Excluded), len(observed))
+			len(labels), len(excluded), len(observed))
 	}
 }
 
@@ -279,8 +280,8 @@ func TestClusterMembersMatchLabels(t *testing.T) {
 			if v := m.Comm.Local(); v < cl.Lo || v > cl.Hi {
 				t.Fatalf("member %v outside cluster [%d,%d]", m.Comm, cl.Lo, cl.Hi)
 			}
-			if inf.Labels[m.Comm] != cl.Label {
-				t.Fatalf("member %v label %v != cluster label %v", m.Comm, inf.Labels[m.Comm], cl.Label)
+			if inf.Category(m.Comm) != cl.Label {
+				t.Fatalf("member %v label %v != cluster label %v", m.Comm, inf.Category(m.Comm), cl.Label)
 			}
 		}
 	}

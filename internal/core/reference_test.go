@@ -388,16 +388,17 @@ func checkClassified[K Key[K]](t *testing.T, label string, got *KindSet[K], want
 			t.Fatalf("%s: cluster %d = %+v, reference %+v", label, i, *g, w)
 		}
 	}
-	if len(got.Labels) != len(want.labels) || len(got.Excluded) != len(want.excluded) || got.Observed() != len(want.labels)+len(want.excluded) {
+	labels, excluded := labelsOf(got), excludedOf(got)
+	if len(labels) != len(want.labels) || len(excluded) != len(want.excluded) || got.Observed() != len(want.labels)+len(want.excluded) {
 		t.Fatalf("%s: %d labels, %d exclusions, %d observed; reference has %d and %d",
-			label, len(got.Labels), len(got.Excluded), got.Observed(), len(want.labels), len(want.excluded))
+			label, len(labels), len(excluded), got.Observed(), len(want.labels), len(want.excluded))
 	}
-	for k, cat := range got.Labels {
+	for k, cat := range labels {
 		if w, ok := want.labels[ref(k)]; !ok || w != cat {
 			t.Fatalf("%s: label[%v] = %v, reference %v (present=%v)", label, k, cat, w, ok)
 		}
 	}
-	for k, reason := range got.Excluded {
+	for k, reason := range excluded {
 		if w, ok := want.excluded[ref(k)]; !ok || w != reason {
 			t.Fatalf("%s: excluded[%v] = %v, reference %v (present=%v)", label, k, reason, w, ok)
 		}
@@ -475,18 +476,18 @@ func TestMirroredCorpusClassifiesAlike(t *testing.T) {
 			ts.AddViewLarge(v.vp, v.path, v.comms, larges)
 		}
 		inf := Classify(ts, Options{MinGap: 140, RatioThreshold: 2, Workers: 1 + int(seed%3)})
-		if len(inf.Larges.Clusters) != len(inf.Clusters) || len(inf.Larges.Labels) != len(inf.Labels) ||
-			len(inf.Larges.Excluded) != len(inf.Excluded) {
+		labels, excluded := labelsOf(&inf.KindSet), excludedOf(&inf.KindSet)
+		largeLabels, largeExcluded := labelsOf(&inf.Larges), excludedOf(&inf.Larges)
+		if len(inf.Larges.Clusters) != len(inf.Clusters) || len(largeLabels) != len(labels) ||
+			len(largeExcluded) != len(excluded) {
 			t.Fatalf("seed %d: large %d clusters/%d labels/%d exclusions, classic %d/%d/%d", seed,
-				len(inf.Larges.Clusters), len(inf.Larges.Labels), len(inf.Larges.Excluded),
-				len(inf.Clusters), len(inf.Labels), len(inf.Excluded))
+				len(inf.Larges.Clusters), len(largeLabels), len(largeExcluded),
+				len(inf.Clusters), len(labels), len(excluded))
 		}
 		for i := range inf.Clusters {
 			c, l := inf.Clusters[i], inf.Larges.Clusters[i]
-			want := Cluster[bgp.LargeCommunity]{
-				Alpha: c.Alpha, Fn: 7, Lo: c.Lo, Hi: c.Hi, Label: c.Label,
-				PureOnPath: c.PureOnPath, PureOffPath: c.PureOffPath, Ratio: c.Ratio,
-			}
+			want := Cluster[bgp.LargeCommunity]{ClusterSummary: c.ClusterSummary}
+			want.Fn = 7
 			for _, m := range c.Members {
 				want.Members = append(want.Members, Stats[bgp.LargeCommunity]{Comm: mirror(m.Comm), OnPath: m.OnPath, OffPath: m.OffPath})
 			}
@@ -494,13 +495,13 @@ func TestMirroredCorpusClassifiesAlike(t *testing.T) {
 				t.Fatalf("seed %d: large cluster %d = %+v, classic mirrored %+v", seed, i, l, want)
 			}
 		}
-		for c, cat := range inf.Labels {
-			if got := inf.Larges.Labels[mirror(c)]; got != cat {
+		for c, cat := range labels {
+			if got := largeLabels[mirror(c)]; got != cat {
 				t.Fatalf("seed %d: %v labeled %v, its mirror %v", seed, c, cat, got)
 			}
 		}
-		for c, reason := range inf.Excluded {
-			if got := inf.Larges.Excluded[mirror(c)]; got != reason {
+		for c, reason := range excluded {
+			if got := largeExcluded[mirror(c)]; got != reason {
 				t.Fatalf("seed %d: %v excluded %v, its mirror %v", seed, c, reason, got)
 			}
 			if a, b := inf.Verdict(c), inf.Larges.Verdict(mirror(c)); a.Stats.OnPath != b.Stats.OnPath || a.Stats.OffPath != b.Stats.OffPath {

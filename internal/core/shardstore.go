@@ -65,9 +65,6 @@ func NewShardedTupleStore(n int) *ShardedTupleStore {
 	return s
 }
 
-// Shards returns the shard count.
-func (s *ShardedTupleStore) Shards() int { return len(s.shards) }
-
 // AddView records one vantage-point observation without large
 // communities; safe for concurrent use. See AddViewLarge.
 func (s *ShardedTupleStore) AddView(vp uint32, path []uint32, comms bgp.Communities) {

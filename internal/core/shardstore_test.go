@@ -215,7 +215,7 @@ func TestShardedStoreRace(t *testing.T) {
 // degenerate inputs still work.
 func TestShardCountsRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{{-1, 1}, {0, 1}, {1, 1}, {3, 4}, {8, 8}, {9, 16}} {
-		if got := NewShardedTupleStore(tc.in).Shards(); got != tc.want {
+		if got := len(NewShardedTupleStore(tc.in).shards); got != tc.want {
 			t.Errorf("NewShardedTupleStore(%d).Shards() = %d, want %d", tc.in, got, tc.want)
 		}
 	}

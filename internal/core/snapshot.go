@@ -41,7 +41,7 @@ type SnapshotMeta struct {
 // hasLargeInferences reports whether the inferences carry any
 // large-community result worth persisting.
 func hasLargeInferences(inf *Inferences) bool {
-	return len(inf.Larges.Clusters) > 0 || len(inf.Larges.Excluded) > 0
+	return inf.Larges.Observed() > 0
 }
 
 // checkSnapshotMagic validates the first 10 bytes of a snapshot: the
@@ -110,8 +110,8 @@ func ReadSnapshotMeta(r io.Reader) (SnapshotMeta, error) {
 	return s.meta, nil
 }
 
-// ReadSnapshot decodes a snapshot stream, rebuilding the full heap
-// query index (Labels, Excluded, Lookup).
+// ReadSnapshot decodes a snapshot stream, rebuilding the heap clusters
+// and query index.
 func ReadSnapshot(r io.Reader) (*Inferences, SnapshotMeta, error) {
 	s, err := readAll(r)
 	if err != nil {

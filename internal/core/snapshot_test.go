@@ -31,39 +31,39 @@ func buildTestInferences(t testing.TB) (*TupleStore, *Inferences) {
 func TestLookupVerdicts(t *testing.T) {
 	_, inf := buildTestInferences(t)
 
-	info := inf.Lookup(bgp.NewCommunity(100, 10))
+	info := inf.Verdict(bgp.NewCommunity(100, 10))
 	if !info.Observed || info.Category != dict.CatInformation || info.Reason != ExcludeNone {
 		t.Fatalf("100:10 = %+v, want observed information", info)
 	}
-	if info.Cluster == nil || info.Cluster.Alpha != 100 || info.Cluster.Lo != 10 || info.Cluster.Hi != 10 {
+	if !info.HasCluster || info.Cluster.Alpha != 100 || info.Cluster.Lo != 10 || info.Cluster.Hi != 10 {
 		t.Fatalf("100:10 cluster = %+v", info.Cluster)
 	}
 	if info.Stats.OnPath != 1 || info.Stats.OffPath != 0 {
 		t.Fatalf("100:10 stats = %+v, want on=1 off=0", info.Stats)
 	}
 
-	act := inf.Lookup(bgp.NewCommunity(100, 9000))
-	if act.Category != dict.CatAction || act.Cluster == nil {
+	act := inf.Verdict(bgp.NewCommunity(100, 9000))
+	if act.Category != dict.CatAction || !act.HasCluster {
 		t.Fatalf("100:9000 = %+v, want action with cluster", act)
 	}
 	if act.Stats.OnPath != 0 || act.Stats.OffPath != 1 {
 		t.Fatalf("100:9000 stats = %+v, want on=0 off=1", act.Stats)
 	}
 
-	priv := inf.Lookup(bgp.NewCommunity(64512, 77))
-	if !priv.Observed || priv.Reason != ExcludePrivateASN || priv.Cluster != nil {
+	priv := inf.Verdict(bgp.NewCommunity(64512, 77))
+	if !priv.Observed || priv.Reason != ExcludePrivateASN || priv.HasCluster {
 		t.Fatalf("64512:77 = %+v, want observed private-asn exclusion", priv)
 	}
 	if priv.Stats.OffPath != 1 {
 		t.Fatalf("64512:77 stats = %+v, want the observation evidence", priv.Stats)
 	}
 
-	nop := inf.Lookup(bgp.NewCommunity(500, 1))
+	nop := inf.Verdict(bgp.NewCommunity(500, 1))
 	if !nop.Observed || nop.Reason != ExcludeNeverOnPath {
 		t.Fatalf("500:1 = %+v, want never-on-path exclusion", nop)
 	}
 
-	ghost := inf.Lookup(bgp.NewCommunity(4242, 4242))
+	ghost := inf.Verdict(bgp.NewCommunity(4242, 4242))
 	if ghost.Observed || ghost.Reason != ExcludeUnobserved || ghost.Category != dict.CatUnknown {
 		t.Fatalf("4242:4242 = %+v, want unobserved", ghost)
 	}
@@ -90,9 +90,9 @@ func buildMixedInferences(t testing.TB) *Inferences {
 			{GlobalAdmin: 500, LocalData1: 1, LocalData2: 1},    // never on any path -> excluded
 		})
 	inf := Classify(ts, Options{MinGap: 140, RatioThreshold: 160})
-	if len(inf.Larges.Clusters) == 0 || len(inf.Larges.Excluded) == 0 {
+	if len(inf.Larges.Clusters) == 0 || inf.Larges.ExcludedCount() == 0 {
 		t.Fatalf("mixed fixture has %d large clusters, %d large exclusions; want both",
-			len(inf.Larges.Clusters), len(inf.Larges.Excluded))
+			len(inf.Larges.Clusters), inf.Larges.ExcludedCount())
 	}
 	return inf
 }
@@ -146,30 +146,29 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if gotMeta2 != meta {
 				t.Fatalf("meta via ReadSnapshot = %+v, want %+v", gotMeta2, meta)
 			}
-			if !reflect.DeepEqual(got.Labels, inf.Labels) {
-				t.Fatalf("labels differ: got %v want %v", got.Labels, inf.Labels)
+			if g, w := labelsOf(&got.KindSet), labelsOf(&inf.KindSet); !reflect.DeepEqual(g, w) {
+				t.Fatalf("labels differ: got %v want %v", g, w)
 			}
-			if !reflect.DeepEqual(got.Excluded, inf.Excluded) {
-				t.Fatalf("exclusions differ: got %v want %v", got.Excluded, inf.Excluded)
+			if g, w := excludedOf(&got.KindSet), excludedOf(&inf.KindSet); !reflect.DeepEqual(g, w) {
+				t.Fatalf("exclusions differ: got %v want %v", g, w)
 			}
 			if !reflect.DeepEqual(got.Clusters, inf.Clusters) {
 				t.Fatalf("clusters differ")
 			}
-			if !reflect.DeepEqual(got.Larges.Labels, inf.Larges.Labels) ||
-				!reflect.DeepEqual(got.Larges.Excluded, inf.Larges.Excluded) ||
+			if !reflect.DeepEqual(labelsOf(&got.Larges), labelsOf(&inf.Larges)) ||
+				!reflect.DeepEqual(excludedOf(&got.Larges), excludedOf(&inf.Larges)) ||
 				!reflect.DeepEqual(got.Larges.Clusters, inf.Larges.Clusters) {
 				t.Fatalf("large inferences differ after round trip")
 			}
-			// Lookup is fully rebuilt, including excluded-community evidence.
+			// The index is fully rebuilt, including excluded-community evidence
+			// and the deciding cluster's summary.
 			for _, c := range []bgp.Community{
 				bgp.NewCommunity(100, 10), bgp.NewCommunity(100, 9000),
 				bgp.NewCommunity(64512, 77), bgp.NewCommunity(500, 1),
 				bgp.NewCommunity(4242, 4242),
 			} {
-				a, b := inf.Lookup(c), got.Lookup(c)
-				a.Cluster, b.Cluster = nil, nil // compared separately above
-				if a != b {
-					t.Fatalf("Lookup(%v) differs after round trip: %+v vs %+v", c, a, b)
+				if a, b := inf.Verdict(c), got.Verdict(c); a != b {
+					t.Fatalf("Verdict(%v) differs after round trip: %+v vs %+v", c, a, b)
 				}
 			}
 			for _, lc := range []bgp.LargeCommunity{

@@ -231,15 +231,11 @@ func (l *kindLayout[K]) encode(ks *KindSet[K]) []section {
 			cmp.Compare(ca.Lo, cb.Lo), cmp.Compare(ca.Hi, cb.Hi))
 	})
 
-	type lookupEntry struct {
-		stats   Stats[K]
-		cluster int32
-	}
 	total := 0
 	for i := range ks.Clusters {
 		total += len(ks.Clusters[i].Members)
 	}
-	lookups := make([]lookupEntry, 0, total+len(ks.Excluded))
+	lookups := make([]indexEntry[K], 0, len(ks.index)) // cluster members first, then exclusions
 	clusters := make([]byte, len(order)*l.clusterLen)
 	members := make([]byte, total*l.recLen)
 	putStats := func(rec []byte, st *Stats[K]) {
@@ -265,25 +261,22 @@ func (l *kindLayout[K]) encode(ks *KindSet[K]) []section {
 		// length is the index of this cluster's first member record.
 		le.PutUint32(rec[l.membersAt:], uint32(len(lookups)))
 		le.PutUint32(rec[l.membersAt+4:], uint32(len(cl.Members)))
-		var onSum, offSum int64
 		for i := range cl.Members {
 			m := &cl.Members[i]
 			putStats(members[len(lookups)*l.recLen:][:l.recLen], m)
-			onSum += int64(m.OnPath)
-			offSum += int64(m.OffPath)
-			lookups = append(lookups, lookupEntry{*m, int32(newIdx)})
+			lookups = append(lookups, indexEntry[K]{*m, int32(newIdx)})
 		}
 		le.PutUint64(rec[l.ratioAt:], math.Float64bits(cl.Ratio))
-		le.PutUint64(rec[l.ratioAt+8:], uint64(onSum))
-		le.PutUint64(rec[l.ratioAt+16:], uint64(offSum))
+		le.PutUint64(rec[l.ratioAt+8:], uint64(cl.OnPath))
+		le.PutUint64(rec[l.ratioAt+16:], uint64(cl.OffPath))
 	}
 
-	for k, reason := range ks.Excluded {
-		st := ks.index[k].stats
-		st.Comm = k
-		lookups = append(lookups, lookupEntry{st, -int32(reason)})
+	for _, e := range ks.index {
+		if e.cluster < 0 {
+			lookups = append(lookups, e)
+		}
 	}
-	slices.SortFunc(lookups, func(a, b lookupEntry) int { return a.stats.Comm.Compare(b.stats.Comm) })
+	slices.SortFunc(lookups, func(a, b indexEntry[K]) int { return a.stats.Comm.Compare(b.stats.Comm) })
 	lookup := make([]byte, len(lookups)*l.recLen)
 	for i := range lookups {
 		rec := lookup[i*l.recLen:][:l.recLen]
@@ -655,26 +648,18 @@ func (v *kindView[K]) materialize() (ks KindSet[K]) {
 		cs := v.ClusterSummaryAt(i)
 		start, count := v.clusterMemberRange(i)
 		cl := &ks.Clusters[i]
-		*cl = Cluster[K]{
-			Alpha: cs.Alpha, Fn: cs.Fn, Lo: cs.Lo, Hi: cs.Hi, Label: cs.Label,
-			PureOnPath: cs.PureOnPath, PureOffPath: cs.PureOffPath,
-			Ratio:   cs.Ratio,
-			Members: make([]Stats[K], count),
-		}
+		cl.ClusterSummary, cl.Members = cs, make([]Stats[K], count)
 		for j := range cl.Members {
 			cl.Members[j] = v.memberAt(start + j)
 		}
 	}
-	ks.Excluded = make(map[K]ExcludeReason)
-	excludedStats := make(map[K]Stats[K])
+	ks.index = make(map[K]indexEntry[K], v.lookupCount())
 	for i, n := 0, v.lookupCount(); i < n; i++ {
 		if rec, cluster := v.lookupRec(i); cluster < 0 {
-			st := v.lay.stats(rec)
-			ks.Excluded[st.Comm] = excludeReason(cluster)
-			excludedStats[st.Comm] = st
+			ks.exclude(v.lay.stats(rec), excludeReason(cluster))
 		}
 	}
-	ks.buildIndex(excludedStats, nil)
+	ks.buildIndex(nil)
 	return ks
 }
 

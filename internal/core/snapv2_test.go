@@ -175,17 +175,17 @@ func TestSnapshotV2Materialize(t *testing.T) {
 	if gotMeta2 != meta {
 		t.Fatalf("ReadSnapshot meta = %+v, want %+v", gotMeta2, meta)
 	}
-	if !reflect.DeepEqual(got.Labels, inf.Labels) {
+	if !reflect.DeepEqual(labelsOf(&got.KindSet), labelsOf(&inf.KindSet)) {
 		t.Fatal("labels differ after materialize")
 	}
 	if !reflect.DeepEqual(got.Clusters, inf.Clusters) {
 		t.Fatal("clusters differ after materialize")
 	}
-	if !reflect.DeepEqual(got.Excluded, inf.Excluded) {
-		t.Fatalf("exclusions differ after materialize: got %v want %v", got.Excluded, inf.Excluded)
+	if g, w := excludedOf(&got.KindSet), excludedOf(&inf.KindSet); !reflect.DeepEqual(g, w) {
+		t.Fatalf("exclusions differ after materialize: got %v want %v", g, w)
 	}
 	// Rebuilt index answers the full verdict, evidence included.
-	for c := range inf.Labels {
+	for c := range labelsOf(&inf.KindSet) {
 		if a, b := inf.Verdict(c), got.Verdict(c); a != b {
 			t.Fatalf("Verdict(%v) differs after materialize: %+v vs %+v", c, a, b)
 		}
@@ -440,12 +440,12 @@ func TestMappedClusterQueries(t *testing.T) {
 			if cs.Alpha != alpha {
 				t.Fatalf("cluster %d has alpha %d, want %d", i, cs.Alpha, alpha)
 			}
-			members := m.ClusterMembers(i)
-			if len(members) != cs.Size {
-				t.Fatalf("cluster %d: %d members, want %d", i, len(members), cs.Size)
+			start, count := m.clusterMemberRange(i)
+			if count != cs.Size {
+				t.Fatalf("cluster %d: %d members, want %d", i, count, cs.Size)
 			}
-			for _, mc := range members {
-				if mc.Comm.Admin() != alpha || mc.Comm.Local() < cs.Lo || mc.Comm.Local() > cs.Hi {
+			for j := start; j < start+count; j++ {
+				if mc := m.memberAt(j); mc.Comm.Admin() != alpha || mc.Comm.Local() < cs.Lo || mc.Comm.Local() > cs.Hi {
 					t.Fatalf("member %v outside cluster [%d, %d:%d]", mc.Comm, alpha, cs.Lo, cs.Hi)
 				}
 			}

@@ -14,9 +14,9 @@ import (
 
 // ClusterSummary is the flat, pointer-free description of one cluster of
 // either kind: everything a query response renders, with the per-member
-// evidence pre-aggregated. Unlike Cluster it holds no slices, so
-// producing one never allocates — the serving hot path returns these by
-// value. Fn is 0 for classic clusters.
+// evidence pre-aggregated — a snapshot's cluster record, and the head of
+// a heap Cluster. It holds no slices, so the serving hot path returns
+// these by value. Fn is 0 for classic clusters.
 type ClusterSummary struct {
 	Alpha, Fn uint32
 	Lo, Hi    uint32
@@ -30,11 +30,11 @@ type ClusterSummary struct {
 	Ratio           float64
 }
 
-// KeyVerdict is the flat counterpart of Lookup: the full answer for one
-// community with the deciding cluster embedded by value instead of by
-// pointer. It is the allocation-free serving primitive — a verdict can
-// be produced straight from mapped snapshot pages without touching the
-// heap.
+// KeyVerdict is the full answer for one community: the label, the
+// evidence behind it and the deciding cluster by value or, when
+// unclassified, the reason why. It is the allocation-free serving
+// primitive — a verdict is a copy of one heap index entry or of one
+// lookup record of the mapped snapshot pages.
 type KeyVerdict[K Key[K]] struct {
 	Comm     K
 	Observed bool
@@ -51,7 +51,10 @@ type KeyVerdict[K Key[K]] struct {
 type Verdict = KeyVerdict[bgp.Community]
 
 // KindSource is a read-only set of intent inferences over one kind of
-// community key.
+// community key. Both implementations list in key order: clusters by
+// (Alpha, Fn, Lo) with members by value, so walking them visits the
+// classified communities in ascending Compare order — the order of a
+// snapshot's lookup section.
 type KindSource[K Key[K]] interface {
 	// Verdict answers one community query without allocating.
 	Verdict(k K) KeyVerdict[K]
@@ -72,8 +75,8 @@ type KindSource[K Key[K]] interface {
 	// ClusterSummaryAt returns the i-th cluster's summary; i must be in
 	// [0, ClusterCount()).
 	ClusterSummaryAt(i int) ClusterSummary
-	// EachLabeled visits every classified community. Order is
-	// implementation-defined; callers needing determinism must sort.
+	// EachLabeled visits every classified community in ascending
+	// Compare order until fn returns false.
 	EachLabeled(fn func(k K, cat dict.Category) bool)
 }
 
@@ -124,24 +127,8 @@ func (NoLargeInferences) Large() KindSource[bgp.LargeCommunity] {
 	return new(KindSet[bgp.LargeCommunity])
 }
 
-// summarize aggregates one heap cluster into its flat summary.
-func summarize[K Key[K]](cl *Cluster[K]) ClusterSummary {
-	s := ClusterSummary{
-		Alpha: cl.Alpha, Fn: cl.Fn, Lo: cl.Lo, Hi: cl.Hi, Label: cl.Label,
-		Size:       len(cl.Members),
-		PureOnPath: cl.PureOnPath, PureOffPath: cl.PureOffPath,
-		Ratio: cl.Ratio,
-	}
-	for i := range cl.Members {
-		s.OnPath += int64(cl.Members[i].OnPath)
-		s.OffPath += int64(cl.Members[i].OffPath)
-	}
-	return s
-}
-
 // Verdict answers one community query from the heap index without
-// allocating (the cluster summary is aggregated on the fly; member
-// counts are small by construction).
+// allocating.
 func (ks *KindSet[K]) Verdict(k K) KeyVerdict[K] {
 	e, ok := ks.index[k]
 	if !ok {
@@ -150,31 +137,40 @@ func (ks *KindSet[K]) Verdict(k K) KeyVerdict[K] {
 	v := KeyVerdict[K]{Comm: k, Observed: true, Stats: e.stats}
 	if e.cluster >= 0 {
 		v.HasCluster = true
-		v.Cluster = summarize(&ks.Clusters[e.cluster])
+		v.Cluster = ks.Clusters[e.cluster].ClusterSummary
 		v.Category = v.Cluster.Label
 	} else {
-		v.Reason = ks.Excluded[k]
+		v.Reason = ExcludeReason(-e.cluster)
 	}
 	return v
 }
 
 // ExcludedCount is how many observed communities were left
-// unclassified.
-func (ks *KindSet[K]) ExcludedCount() int { return len(ks.Excluded) }
+// unclassified: those the index holds beyond the cluster members.
+func (ks *KindSet[K]) ExcludedCount() int {
+	n := len(ks.index)
+	for i := range ks.Clusters {
+		n -= ks.Clusters[i].Size
+	}
+	return n
+}
 
 // ClusterCount returns the number of inferred clusters.
 func (ks *KindSet[K]) ClusterCount() int { return len(ks.Clusters) }
 
-// ClusterSummaryAt summarizes the i-th cluster.
+// ClusterSummaryAt returns the i-th cluster's summary.
 func (ks *KindSet[K]) ClusterSummaryAt(i int) ClusterSummary {
-	return summarize(&ks.Clusters[i])
+	return ks.Clusters[i].ClusterSummary
 }
 
-// EachLabeled visits every classified community in map order.
+// EachLabeled visits every classified community, cluster by cluster.
 func (ks *KindSet[K]) EachLabeled(fn func(k K, cat dict.Category) bool) {
-	for k, cat := range ks.Labels {
-		if !fn(k, cat) {
-			return
+	for i := range ks.Clusters {
+		cl := &ks.Clusters[i]
+		for j := range cl.Members {
+			if !fn(cl.Members[j].Comm, cl.Label) {
+				return
+			}
 		}
 	}
 }

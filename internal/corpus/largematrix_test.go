@@ -25,7 +25,8 @@ func TestLargeMatrixGroundTruth(t *testing.T) {
 	if c.Store.LargeCommunityCount() == 0 {
 		t.Fatal("matrix corpus has no large communities; mirroring inert")
 	}
-	inf := core.Classify(c.Store, c.Options())
+	observed := core.Observe(c.Store, c.Options())
+	inf := core.ClassifyObserved(observed, c.Options())
 
 	if n := inf.Larges.Observed(); n == 0 {
 		t.Fatal("no large communities observed by the classifier")
@@ -36,11 +37,14 @@ func TestLargeMatrixGroundTruth(t *testing.T) {
 
 	// Every labeled large community must be a matrix mirror: function
 	// field 1, both halves within the classic 16-bit space.
-	for lc := range inf.Larges.Labels {
+	largeLabels := make(map[bgp.LargeCommunity]dict.Category)
+	inf.Larges.EachLabeled(func(lc bgp.LargeCommunity, cat dict.Category) bool {
 		if lc.LocalData1 != 1 || lc.GlobalAdmin > 0xFFFF || lc.LocalData2 > 0xFFFF {
 			t.Fatalf("labeled large community %v is not a matrix mirror", lc)
 		}
-	}
+		largeLabels[lc] = cat
+		return true
+	})
 
 	// Full recall over the mirrored plan: every observed large
 	// community whose (α, β) the ground-truth dictionary defines must
@@ -53,21 +57,22 @@ func TestLargeMatrixGroundTruth(t *testing.T) {
 			c.TruthCategory(lc.GlobalAdmin, uint16(lc.LocalData2)) != dict.CatUnknown
 	}
 	recalled := 0
-	for lc, reason := range inf.Larges.Excluded {
-		if !covered(lc) {
+	for lc := range observed.Larges {
+		mirror := inf.Larges.Verdict(lc)
+		if mirror.HasCluster || !covered(lc) {
 			continue
 		}
 		orig := bgp.NewCommunity(uint16(lc.GlobalAdmin), uint16(lc.LocalData2))
-		if classicReason, ok := inf.Excluded[orig]; !ok || classicReason != reason {
+		if classic := inf.Verdict(orig); !classic.Observed || classic.HasCluster || classic.Reason != mirror.Reason {
 			t.Errorf("dictionary-covered mirror %v excluded (%v) but classic twin is not (reason %v, excluded=%v)",
-				lc, reason, classicReason, ok)
+				lc, mirror.Reason, classic.Reason, classic.Observed && !classic.HasCluster)
 		}
 	}
 	// Accuracy against the plan: the classifier is not perfect (the
 	// paper reports 96%/91% per-category accuracy on real data), but
 	// the mirrored plan must be broadly recovered.
 	agree, disagree := 0, 0
-	for lc, cat := range inf.Larges.Labels {
+	for lc, cat := range largeLabels {
 		if !covered(lc) {
 			continue
 		}
@@ -89,13 +94,13 @@ func TestLargeMatrixGroundTruth(t *testing.T) {
 	// origin — dictionary action communities — the two inference spaces
 	// see the same routes, so verdicts must coincide exactly.
 	compared := 0
-	for lc, cat := range inf.Larges.Labels {
+	for lc, cat := range largeLabels {
 		truth := c.TruthCategory(lc.GlobalAdmin, uint16(lc.LocalData2))
 		if truth != dict.CatAction {
 			continue
 		}
 		orig := bgp.NewCommunity(uint16(lc.GlobalAdmin), uint16(lc.LocalData2))
-		if classic, ok := inf.Labels[orig]; ok {
+		if classic := inf.Category(orig); classic != dict.CatUnknown {
 			compared++
 			if classic != cat {
 				t.Errorf("action mirror %v labeled %v, classic twin labeled %v", lc, cat, classic)

@@ -9,14 +9,10 @@ import (
 )
 
 func TestCategoryStrings(t *testing.T) {
-	for _, c := range []Category{CatUnknown, CatAction, CatInformation} {
-		got, ok := ParseCategory(c.String())
-		if !ok || got != c {
-			t.Errorf("ParseCategory(%q) = %v,%v", c.String(), got, ok)
+	for c, want := range map[Category]string{CatUnknown: "unknown", CatAction: "action", CatInformation: "information", 9: "unknown"} {
+		if got := c.String(); got != want {
+			t.Errorf("Category(%d).String() = %q, want %q", c, got, want)
 		}
-	}
-	if _, ok := ParseCategory("bogus"); ok {
-		t.Error("ParseCategory(bogus) ok")
 	}
 }
 
@@ -84,12 +80,6 @@ func TestPlanAddAndBlocks(t *testing.T) {
 	}
 	if got := p.Values(); len(got) != 8 || got[0] != 50 || got[7] != 2569 {
 		t.Errorf("Values() = %v", got)
-	}
-	if got := p.ValuesOf(CatAction); len(got) != 6 {
-		t.Errorf("ValuesOf(action) = %v", got)
-	}
-	if got := p.BlocksOf(CatInformation); len(got) != 1 || got[0].Lo != 430 {
-		t.Errorf("BlocksOf(info) = %v", got)
 	}
 }
 
@@ -209,15 +199,8 @@ func TestDictionaryLookup(t *testing.T) {
 	if got := d.Category(7018, 100); got != CatUnknown {
 		t.Errorf("7018:100 = %v", got)
 	}
-	if !d.HasASN(3356) || d.HasASN(7018) {
-		t.Error("HasASN wrong")
-	}
 	if d.ASNs() != 2 || d.Len() != 3 {
 		t.Errorf("ASNs=%d Len=%d", d.ASNs(), d.Len())
-	}
-	counts := d.CountByCategory()
-	if counts[CatAction] != 1 || counts[CatInformation] != 2 {
-		t.Errorf("counts = %v", counts)
 	}
 }
 

@@ -124,28 +124,3 @@ func (p *Plan) Values() []uint16 {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// ValuesOf returns every defined β with the given coarse category, in
-// ascending order.
-func (p *Plan) ValuesOf(cat Category) []uint16 {
-	var out []uint16
-	for v, d := range p.Defs {
-		if d.Category() == cat {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// BlocksOf returns the blocks with the given coarse category, in β order.
-func (p *Plan) BlocksOf(cat Category) []Block {
-	var out []Block
-	for _, b := range p.Blocks {
-		if b.Category() == cat {
-			out = append(out, b)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Lo < out[j].Lo })
-	return out
-}

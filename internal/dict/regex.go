@@ -196,9 +196,6 @@ func (d *Dictionary) Category(asn uint32, beta uint16) Category {
 // ASNs returns the number of ASes with at least one entry.
 func (d *Dictionary) ASNs() int { return len(d.byASN) }
 
-// HasASN reports whether the dictionary documents any communities for asn.
-func (d *Dictionary) HasASN(asn uint32) bool { return len(d.byASN[asn]) > 0 }
-
 // Entries returns all entries for an AS (nil if none).
 func (d *Dictionary) Entries(asn uint32) []*Entry { return d.byASN[asn] }
 
@@ -209,17 +206,6 @@ func (d *Dictionary) Len() int {
 		n += len(es)
 	}
 	return n
-}
-
-// CountByCategory returns the number of entries per coarse category.
-func (d *Dictionary) CountByCategory() map[Category]int {
-	out := make(map[Category]int)
-	for _, es := range d.byASN {
-		for _, e := range es {
-			out[e.Category()]++
-		}
-	}
-	return out
 }
 
 // BuildFromPlan appends one regex entry per plan block, the automated

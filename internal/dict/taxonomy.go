@@ -33,19 +33,6 @@ func (c Category) String() string {
 	}
 }
 
-// ParseCategory parses the String form.
-func ParseCategory(s string) (Category, bool) {
-	switch s {
-	case "action":
-		return CatAction, true
-	case "information":
-		return CatInformation, true
-	case "unknown":
-		return CatUnknown, true
-	}
-	return CatUnknown, false
-}
-
 // SubCategory refines the coarse category along the taxonomy of Figure 2.
 type SubCategory int8
 

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"bgpintent/internal/bgp"
 	"bgpintent/internal/core"
 	"bgpintent/internal/dict"
 )
@@ -57,13 +58,12 @@ func (c *Confusion) Add(truth, inferred dict.Category) {
 // communities, 96.5% accuracy).
 func AgainstDictionary(inf *core.Inferences, d *dict.Dictionary) Confusion {
 	var c Confusion
-	for comm, got := range inf.Labels {
-		truth := d.Category(uint32(comm.ASN()), comm.Value())
-		if truth == dict.CatUnknown {
-			continue
+	inf.EachLabeled(func(comm bgp.Community, got dict.Category) bool {
+		if truth := d.Category(uint32(comm.ASN()), comm.Value()); truth != dict.CatUnknown {
+			c.Add(truth, got)
 		}
-		c.Add(truth, got)
-	}
+		return true
+	})
 	return c
 }
 
@@ -109,21 +109,6 @@ func (c *CDF) FractionBelow(x float64) float64 {
 	c.sort()
 	i := sort.SearchFloat64s(c.values, x)
 	return float64(i) / float64(len(c.values))
-}
-
-// Points samples the CDF at n evenly spaced sample indexes, returning
-// (value, cumulative fraction) pairs — the series a plot would draw.
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.values) == 0 || n <= 0 {
-		return nil
-	}
-	c.sort()
-	out := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(c.values) - 1) / max(n-1, 1)
-		out = append(out, [2]float64{c.values[idx], float64(idx+1) / float64(len(c.values))})
-	}
-	return out
 }
 
 // Report is one regenerated table or figure.

@@ -58,10 +58,6 @@ func TestCDF(t *testing.T) {
 	if got := cdf.FractionBelow(100); got != 1 {
 		t.Errorf("FractionBelow(100) = %v", got)
 	}
-	pts := cdf.Points(5)
-	if len(pts) != 5 || pts[0][0] != 1 || pts[4][0] != 5 {
-		t.Errorf("Points = %v", pts)
-	}
 	var empty CDF
 	if !math.IsNaN(empty.Quantile(0.5)) {
 		t.Error("empty quantile not NaN")

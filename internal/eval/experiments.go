@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"bgpintent/internal/asrel"
+	"bgpintent/internal/bgp"
 	"bgpintent/internal/core"
 	"bgpintent/internal/corpus"
 	"bgpintent/internal/dict"
@@ -28,14 +29,14 @@ func Headline(c *corpus.Corpus) *Report {
 	observed := len(c.Store.Communities())
 	r.addf("tuples=%d unique-paths=%d observed-communities=%d (regular) + %d large",
 		c.Store.Len(), c.Store.PathCount(), observed, c.Store.LargeCommunityCount())
-	r.addf("classified=%d (action=%d information=%d) excluded=%d", action+info, action, info, len(inf.Excluded))
+	r.addf("classified=%d (action=%d information=%d) excluded=%d", action+info, action, info, inf.ExcludedCount())
 	r.addf("dictionary: ases=%d entries=%d covered-communities=%d", c.Dict.ASNs(), c.Dict.Len(), conf.Total())
 	r.addf("accuracy=%.3f (info->info=%d info->action=%d action->action=%d action->info=%d)",
 		conf.Accuracy(), conf.InfoAsInfo, conf.InfoAsAction, conf.ActionAsAction, conf.ActionAsInfo)
 	r.Metrics["accuracy"] = conf.Accuracy()
 	r.Metrics["action"] = float64(action)
 	r.Metrics["information"] = float64(info)
-	r.Metrics["excluded"] = float64(len(inf.Excluded))
+	r.Metrics["excluded"] = float64(inf.ExcludedCount())
 	r.Metrics["observed"] = float64(observed)
 	r.Metrics["covered"] = float64(conf.Total())
 	return r
@@ -235,7 +236,7 @@ func Fig10(c *corpus.Corpus, counts []int, trials int, seed int64) *Report {
 
 	// Full-data reference for coverage.
 	fullInf := core.ClassifyObserved(core.Observe(c.Store, opts), opts)
-	fullClassified := len(fullInf.Labels)
+	fullClassified := fullInf.Observed() - fullInf.ExcludedCount()
 	r.addf("total VPs=%d, classified with all=%d", len(all), fullClassified)
 
 	// Trials are independent given their sampled subsets, so each VP
@@ -270,7 +271,7 @@ func Fig10(c *corpus.Corpus, counts []int, trials int, seed int64) *Report {
 			}
 			inf := core.ClassifyObserved(core.Observe(c.Store, o), o)
 			conf := AgainstDictionary(inf, c.Dict)
-			res := trialResult{cov: float64(len(inf.Labels)) / float64(max(fullClassified, 1))}
+			res := trialResult{cov: float64(inf.Observed()-inf.ExcludedCount()) / float64(max(fullClassified, 1))}
 			if conf.Total() > 0 {
 				res.acc = conf.Accuracy()
 				res.hasAcc = true
@@ -310,7 +311,7 @@ func DaysSweep(cfg corpus.Config, maxDays int) (*Report, error) {
 		}
 		inf := core.Classify(c.Store, c.Options())
 		conf := AgainstDictionary(inf, c.Dict)
-		r.addf("days=%d tuples=%-8d accuracy=%.3f classified=%d", day, c.Store.Len(), conf.Accuracy(), len(inf.Labels))
+		r.addf("days=%d tuples=%-8d accuracy=%.3f classified=%d", day, c.Store.Len(), conf.Accuracy(), inf.Observed()-inf.ExcludedCount())
 		if day == 1 {
 			r.Metrics["accuracy_day1"] = conf.Accuracy()
 		}
@@ -439,7 +440,7 @@ func Ablations(c *corpus.Corpus) *Report {
 		inf := core.Classify(c.Store, opts)
 		conf := againstTruth(inf, c)
 		r.addf("%-22s accuracy=%.3f scored=%d classified=%d excluded=%d",
-			v.name, conf.Accuracy(), conf.Total(), len(inf.Labels), len(inf.Excluded))
+			v.name, conf.Accuracy(), conf.Total(), inf.Observed()-inf.ExcludedCount(), inf.ExcludedCount())
 		r.Metrics[v.key] = conf.Accuracy()
 	}
 	return r
@@ -450,13 +451,12 @@ func Ablations(c *corpus.Corpus) *Report {
 // subset.
 func againstTruth(inf *core.Inferences, c *corpus.Corpus) Confusion {
 	var conf Confusion
-	for comm, got := range inf.Labels {
-		truth := c.TruthCategory(uint32(comm.ASN()), comm.Value())
-		if truth == dict.CatUnknown {
-			continue
+	inf.EachLabeled(func(comm bgp.Community, got dict.Category) bool {
+		if truth := c.TruthCategory(uint32(comm.ASN()), comm.Value()); truth != dict.CatUnknown {
+			conf.Add(truth, got)
 		}
-		conf.Add(truth, got)
-	}
+		return true
+	})
 	return conf
 }
 

@@ -97,7 +97,7 @@ func FaultTolerance(cfg corpus.Config, rates []float64) (*Report, error) {
 		}
 		t := &st.Total
 		r.addf("rate=%.3f injected=%-4d salvaged-tuples=%5.1f%% accuracy=%.3f classified=%-5d skipped=%-4d resyncs=%-4d truncated=%d",
-			rate, injected.Faults, 100*salvage, conf.Accuracy(), len(inf.Labels), t.Skipped, t.Resyncs, t.Truncated)
+			rate, injected.Faults, 100*salvage, conf.Accuracy(), inf.Observed()-inf.ExcludedCount(), t.Skipped, t.Resyncs, t.Truncated)
 		switch rate {
 		case 0:
 			r.Metrics["accuracy_clean"] = conf.Accuracy()

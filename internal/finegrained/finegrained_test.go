@@ -121,9 +121,9 @@ func TestROVDetectorSynthetic(t *testing.T) {
 		nbr := uint32(500 + i%4)
 		ts.AddView(vp, []uint32{vp, 100, nbr, origin}, bgp.Communities{bgp.NewCommunity(100, 7)})
 	}
-	intent := &core.Inferences{KindSet: core.KindSet[bgp.Community]{Labels: map[bgp.Community]dict.Category{
+	intent := intentOf(map[bgp.Community]dict.Category{
 		bgp.NewCommunity(100, 7): dict.CatInformation,
-	}}}
+	})
 	rels := asrel.NewGraph() // no relationship evidence
 	res := Classify(ts, intent, nullGeo{}, ROVFunc(simulate.ROVState), rels, DefaultConfig())
 	if k, ok := res.Kind(bgp.NewCommunity(100, 7)); !ok || k != KindROV {
@@ -144,9 +144,9 @@ func TestRelationshipDetectorSynthetic(t *testing.T) {
 		g.SetP2C(100, cust)
 		ts.AddView(vp, []uint32{vp, 100, cust, origin}, bgp.Communities{bgp.NewCommunity(100, 9)})
 	}
-	intent := &core.Inferences{KindSet: core.KindSet[bgp.Community]{Labels: map[bgp.Community]dict.Category{
+	intent := intentOf(map[bgp.Community]dict.Category{
 		bgp.NewCommunity(100, 9): dict.CatInformation,
-	}}}
+	})
 	res := Classify(ts, intent, nullGeo{}, nil, g, DefaultConfig())
 	if k, ok := res.Kind(bgp.NewCommunity(100, 9)); !ok || k != KindRelationship {
 		t.Errorf("kind = %v, %v; want relationship", k, ok)
@@ -160,9 +160,9 @@ func TestActionCommunitiesIgnored(t *testing.T) {
 		vp := uint32(1000 + i)
 		ts.AddView(vp, []uint32{vp, 100, uint32(7000 + i)}, bgp.Communities{bgp.NewCommunity(100, 5)})
 	}
-	intent := &core.Inferences{KindSet: core.KindSet[bgp.Community]{Labels: map[bgp.Community]dict.Category{
+	intent := intentOf(map[bgp.Community]dict.Category{
 		bgp.NewCommunity(100, 5): dict.CatAction,
-	}}}
+	})
 	res := Classify(ts, intent, nullGeo{}, nil, asrel.NewGraph(), DefaultConfig())
 	if len(res.Kinds) != 0 {
 		t.Errorf("action community classified fine-grained: %v", res.Kinds)
@@ -174,3 +174,18 @@ type nullGeo struct{}
 
 func (nullGeo) SessionCity(a, b uint32) (int, bool) { return 0, false }
 func (nullGeo) Region(city int) int                 { return 0 }
+
+// intentOf builds the inferences labelling each community as given: a
+// community seen only off-path is an action, one seen only on-path an
+// information community.
+func intentOf(labels map[bgp.Community]dict.Category) *core.Inferences {
+	os := &core.ObservationSet{Stats: make(map[bgp.Community]*core.Stats[bgp.Community])}
+	for c, cat := range labels {
+		st := &core.Stats[bgp.Community]{Comm: c, OffPath: 1}
+		if cat == dict.CatInformation {
+			st.OnPath, st.OffPath = 1, 0
+		}
+		os.Stats[c] = st
+	}
+	return core.ClassifyObserved(os, core.Options{DisableExclusions: true})
+}

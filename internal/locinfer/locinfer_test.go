@@ -112,10 +112,10 @@ func TestInferNeedsGeoFootprint(t *testing.T) {
 
 func TestFilterWithIntent(t *testing.T) {
 	locs := []Inference{{Comm: c(100, 20)}, {Comm: c(100, 500)}}
-	intent := &core.Inferences{KindSet: core.KindSet[bgp.Community]{Labels: map[bgp.Community]dict.Category{
+	intent := intentOf(map[bgp.Community]dict.Category{
 		c(100, 20):  dict.CatInformation,
 		c(100, 500): dict.CatAction,
-	}}}
+	})
 	kept, dropped := FilterWithIntent(locs, intent)
 	if len(kept) != 1 || kept[0].Comm != c(100, 20) {
 		t.Errorf("kept = %v", kept)
@@ -207,4 +207,19 @@ func TestTable1ShapeOnCorpus(t *testing.T) {
 	if precA <= precB {
 		t.Errorf("precision did not improve: %.3f -> %.3f", precB, precA)
 	}
+}
+
+// intentOf builds the inferences labelling each community as given: a
+// community seen only off-path is an action, one seen only on-path an
+// information community.
+func intentOf(labels map[bgp.Community]dict.Category) *core.Inferences {
+	os := &core.ObservationSet{Stats: make(map[bgp.Community]*core.Stats[bgp.Community])}
+	for c, cat := range labels {
+		st := &core.Stats[bgp.Community]{Comm: c, OffPath: 1}
+		if cat == dict.CatInformation {
+			st.OnPath, st.OffPath = 1, 0
+		}
+		os.Stats[c] = st
+	}
+	return core.ClassifyObserved(os, core.Options{DisableExclusions: true})
 }

@@ -120,9 +120,6 @@ func NewTableDumpScannerOptions(r io.Reader, opts ScanOptions) *TableDumpScanner
 	return &TableDumpScanner{r: opts.reader(r), opts: opts}
 }
 
-// PeerTable returns the peer index table, once one has been read.
-func (s *TableDumpScanner) PeerTable() *PeerIndexTable { return s.table }
-
 // Stats returns the scanner's statistics collector (nil unless one was
 // configured).
 func (s *TableDumpScanner) Stats() *Stats { return s.opts.Stats }

@@ -790,18 +790,6 @@ func ParseBGP4MP(body []byte) (*BGP4MPMessage, error) {
 	return m, nil
 }
 
-// ParseBGP4MPLegacy decodes a plain BGP4MP_MESSAGE record body, whose
-// session header carries 2-octet AS numbers (pre-RFC 6793 sessions).
-// The contained BGP message also uses 2-octet AS_PATH encoding; decode
-// it with bgp.DecodeUpdateSized(msg, 2).
-func ParseBGP4MPLegacy(body []byte) (*BGP4MPMessage, error) {
-	m := new(BGP4MPMessage)
-	if err := m.parse(body, 2); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // parse fills m from a BGP4MP_MESSAGE_AS4 (asn 4) or BGP4MP_MESSAGE
 // (asn 2) record body. m.Message aliases body. The per-record decode
 // loop parses into a message on its own stack, so it allocates nothing.

@@ -288,7 +288,7 @@ func TestTableDumpWriterScannerEndToEnd(t *testing.T) {
 	if views[2].Prefix != p2 || views[2].Peer.ASN != 4200000001 {
 		t.Errorf("view 2 = %+v", views[2])
 	}
-	if got := s.PeerTable().ViewName; got != "rc1" {
+	if got := s.table.ViewName; got != "rc1" {
 		t.Errorf("view name = %q", got)
 	}
 }
@@ -436,15 +436,15 @@ func TestUpdateScannerLegacyRecords(t *testing.T) {
 }
 
 func TestParseBGP4MPLegacyErrors(t *testing.T) {
-	if _, err := ParseBGP4MPLegacy([]byte{1, 2}); err == nil {
+	if err := new(BGP4MPMessage).parse([]byte{1, 2}, 2); err == nil {
 		t.Error("short body accepted")
 	}
 	bad := []byte{0, 1, 0, 2, 0, 0, 0, 9} // AFI 9
-	if _, err := ParseBGP4MPLegacy(bad); err == nil {
+	if err := new(BGP4MPMessage).parse(bad, 2); err == nil {
 		t.Error("bad AFI accepted")
 	}
 	short := []byte{0, 1, 0, 2, 0, 0, 0, 1, 10, 0} // truncated addresses
-	if _, err := ParseBGP4MPLegacy(short); err == nil {
+	if err := new(BGP4MPMessage).parse(short, 2); err == nil {
 		t.Error("truncated addresses accepted")
 	}
 }

@@ -117,35 +117,6 @@ type Observer interface {
 	Progress(ev ProgressEvent)
 }
 
-// Funcs adapts optional callbacks to the Observer interface; nil fields
-// are skipped.
-type Funcs struct {
-	OnStageStart func(stage Stage, label string)
-	OnStageEnd   func(span Span)
-	OnProgress   func(ev ProgressEvent)
-}
-
-// StageStart implements Observer.
-func (f Funcs) StageStart(stage Stage, label string) {
-	if f.OnStageStart != nil {
-		f.OnStageStart(stage, label)
-	}
-}
-
-// StageEnd implements Observer.
-func (f Funcs) StageEnd(span Span) {
-	if f.OnStageEnd != nil {
-		f.OnStageEnd(span)
-	}
-}
-
-// Progress implements Observer.
-func (f Funcs) Progress(ev ProgressEvent) {
-	if f.OnProgress != nil {
-		f.OnProgress(ev)
-	}
-}
-
 // multi fans telemetry out to several observers in order.
 type multi []Observer
 

@@ -247,7 +247,9 @@ type ClusterJSON struct {
 	Fn          *uint32 `json:"fn,omitempty"`
 }
 
-// clusterJSON renders a cluster; a large one's Fn points into cl.
+// clusterJSON renders a cluster, which it only reads: a large one's Fn
+// gets storage of its own, so a verdict's cluster can stay on the
+// caller's stack.
 func clusterJSON(cl *bgpintent.Cluster) ClusterJSON {
 	out := ClusterJSON{
 		ASN: cl.ASN, Lo: cl.Lo, Hi: cl.Hi, Category: cl.Category.String(),
@@ -255,7 +257,8 @@ func clusterJSON(cl *bgpintent.Cluster) ClusterJSON {
 		PureOnPath: cl.PureOnPath, PureOffPath: cl.PureOffPath, Ratio: cl.Ratio,
 	}
 	if cl.Kind == bgpintent.KindLarge {
-		out.Fn = &cl.Fn
+		fn := cl.Fn
+		out.Fn = &fn
 	}
 	return out
 }
@@ -296,8 +299,8 @@ func annotateKey(snap *Snapshot, k bgpintent.CommunityKey, cl *ClusterJSON) Anno
 		OffPath:   l.OffPath,
 		Reason:    string(l.Reason),
 	}
-	if l.Cluster != nil {
-		*cl = clusterJSON(l.Cluster)
+	if l.HasCluster {
+		*cl = clusterJSON(&l.Cluster)
 		a.Cluster = cl
 	}
 	return a

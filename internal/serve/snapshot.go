@@ -75,13 +75,8 @@ func NewSnapshot(gen uint64, res *bgpintent.Result, info bgpintent.SnapshotInfo,
 	return s
 }
 
-// Lookup answers one community query from this snapshot.
-func (s *Snapshot) Lookup(c bgpintent.Community) bgpintent.Lookup {
-	return s.res.Lookup(c)
-}
-
-// LookupKey answers one kind-aware community query (classic or large)
-// from this snapshot.
+// LookupKey answers one community query (classic or large) from this
+// snapshot.
 func (s *Snapshot) LookupKey(k bgpintent.CommunityKey) bgpintent.KeyLookup {
 	return s.res.LookupKey(k)
 }

@@ -10,17 +10,6 @@ import (
 	"bgpintent/internal/mrt"
 )
 
-// CollectorOf returns the collector index a vantage point feeds
-// (round-robin assignment), or -1 for non-VP ASNs.
-func (s *Simulator) CollectorOf(vp uint32) int {
-	for i, v := range s.vps {
-		if v == vp {
-			return i % s.cfg.Collectors
-		}
-	}
-	return -1
-}
-
 // CollectorVPs returns the vantage points feeding one collector.
 func (s *Simulator) CollectorVPs(collector int) []uint32 {
 	var out []uint32

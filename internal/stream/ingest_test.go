@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -24,20 +25,25 @@ func classifyBatch(t *testing.T, ups []Update) *core.Inferences {
 }
 
 // sameInferences fails unless two classifications agree on every label,
-// cluster, and exclusion.
+// cluster, and exclusion: on their clusters, and on the snapshot bytes
+// that carry the exclusions and every community's evidence beside them.
 func sameInferences(t *testing.T, got, want *core.Inferences) {
 	t.Helper()
 	if got == nil {
 		t.Fatal("no classification produced")
 	}
-	if !reflect.DeepEqual(got.Labels, want.Labels) {
-		t.Fatalf("labels diverged: %d vs %d entries", len(got.Labels), len(want.Labels))
-	}
-	if !reflect.DeepEqual(got.Excluded, want.Excluded) {
-		t.Fatalf("exclusions diverged: %d vs %d entries", len(got.Excluded), len(want.Excluded))
-	}
 	if !reflect.DeepEqual(got.Clusters, want.Clusters) {
 		t.Fatalf("clusters diverged: %d vs %d", len(got.Clusters), len(want.Clusters))
+	}
+	if got.ExcludedCount() != want.ExcludedCount() {
+		t.Fatalf("exclusions diverged: %d vs %d entries", got.ExcludedCount(), want.ExcludedCount())
+	}
+	var g, w bytes.Buffer
+	if err := errors.Join(core.WriteSnapshotFlat(&g, got, core.SnapshotMeta{}), core.WriteSnapshotFlat(&w, want, core.SnapshotMeta{})); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g.Bytes(), w.Bytes()) {
+		t.Fatal("labels, exclusions or evidence diverged: the two classifications serialize differently")
 	}
 }
 

@@ -13,7 +13,6 @@ package topology
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 
 	"bgpintent/internal/bgp"
 	"bgpintent/internal/dict"
@@ -160,9 +159,6 @@ func (t *Topology) Region(city int) int {
 func (t *Topology) CityID(region, k int) int {
 	return (region-1)*t.CitiesPerRegion + k + 1
 }
-
-// NumCities returns the total number of cities.
-func (t *Topology) NumCities() int { return t.NumRegions * t.CitiesPerRegion }
 
 // Siblings returns the other ASNs in asn's organization (empty for
 // singleton orgs or unknown ASNs).
@@ -355,24 +351,6 @@ func (t *Topology) Validate() error {
 		}
 	}
 	return nil
-}
-
-// VantagePointCandidates returns ASNs suitable as full-feed vantage
-// points, transit-heavy first (the RouteViews/RIS peer population skews
-// toward transit networks), in deterministic order.
-func (t *Topology) VantagePointCandidates() []uint32 {
-	var out []uint32
-	for asn := range t.ASes {
-		out = append(out, asn)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := t.ASes[out[i]], t.ASes[out[j]]
-		if a.Tier != b.Tier {
-			return a.Tier < b.Tier
-		}
-		return a.ASN < b.ASN
-	})
-	return out
 }
 
 // prefixFromIndex deterministically assigns the idx-th /24 out of a

@@ -196,12 +196,7 @@ func StartLive(ctx context.Context, opts LiveOptions) (*Live, error) {
 		src = faults
 	}
 
-	copts := core.DefaultOptions()
-	if opts.Params.MinGap > 0 || opts.Params.RatioThreshold > 0 {
-		copts.MinGap = opts.Params.MinGap
-		copts.RatioThreshold = opts.Params.RatioThreshold
-	}
-	copts.Workers = opts.Params.Parallelism
+	copts := opts.Params.coreOptions()
 
 	var watch *anomaly.Watcher
 	var onUpdate func(u stream.Update)

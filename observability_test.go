@@ -166,6 +166,13 @@ func settleGoroutines(t *testing.T, baseline int) {
 	}
 }
 
+// stageStartHook is an Observer that only watches stages begin.
+type stageStartHook func(stage Stage, label string)
+
+func (h stageStartHook) StageStart(stage Stage, label string) { h(stage, label) }
+func (stageStartHook) StageEnd(Span)                          {}
+func (stageStartHook) Progress(ProgressEvent)                 {}
+
 // TestLoadMRTCancellation cancels a load mid-decode (from an observer
 // hook, so cancellation strikes while workers are busy) and checks the
 // error and that no worker goroutine leaks.
@@ -177,14 +184,12 @@ func TestLoadMRTCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var once atomic.Bool
-		hook := obs.Funcs{
-			OnStageStart: func(stage Stage, label string) {
-				// First decode start: workers are mid-flight. Cancel.
-				if stage == StageDecode && once.CompareAndSwap(false, true) {
-					cancel()
-				}
-			},
-		}
+		hook := stageStartHook(func(stage Stage, label string) {
+			// First decode start: workers are mid-flight. Cancel.
+			if stage == StageDecode && once.CompareAndSwap(false, true) {
+				cancel()
+			}
+		})
 		_, _, err := LoadMRT(ctx, src, LoadOptions{Parallelism: workers, Observer: hook})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: LoadMRT after cancel = %v, want context.Canceled", workers, err)
@@ -226,13 +231,11 @@ func TestClassifyContextCancellation(t *testing.T) {
 	// stage, with both kinds of key in flight, notices and gives up.
 	for _, at := range []Stage{StageObserve, StageCluster, StageRatio, StageClassify} {
 		ctx, cancel := context.WithCancel(context.Background())
-		hook := obs.Funcs{
-			OnStageStart: func(stage Stage, label string) {
-				if stage == at {
-					cancel()
-				}
-			},
-		}
+		hook := stageStartHook(func(stage Stage, label string) {
+			if stage == at {
+				cancel()
+			}
+		})
 		_, err = c.ClassifyContext(ctx, Params{Parallelism: 4, Observer: hook})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("cancel at %s start = %v, want context.Canceled", at, err)

@@ -98,7 +98,7 @@ func (c *Corpus) GroundTruth(comm Community) (Category, error) {
 	if c.syn == nil {
 		return Unknown, ErrNotSynthetic
 	}
-	return fromDictCategory(c.syn.TruthCategory(uint32(comm.ASN), comm.Value)), nil
+	return c.syn.TruthCategory(uint32(comm.ASN), comm.Value), nil
 }
 
 // GroundTruthSub returns the generator's fine-grained label (e.g.
