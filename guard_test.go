@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"bgpintent/internal/core"
 	"bgpintent/internal/simulate"
@@ -43,10 +44,12 @@ const (
 	// counts are cached per Corpus.
 	guardSnapshotInfoRepeatBytes = 1024
 	// Live heap a loaded Corpus and its Result hold, per tuple. Measured
-	// 76.9 (113.8 while the stitched store kept a key string per path,
-	// the intern hash table and the arenas' doubling slack); more means
-	// load-only state outlives Stitch again.
-	guardHeldBytesPerTuple = 85
+	// 59.9 on 2026-10-15 with the 16-byte tuple record (76.9 with the
+	// 32-byte one, whose ceiling was 85; 113.8 while the stitched store
+	// kept a key string per path, the intern hash table and the arenas'
+	// doubling slack); more means load-only state outlives Stitch again,
+	// or the tuple record grew back.
+	guardHeldBytesPerTuple = 66
 	// How far Corpus.Footprint's reserved total may sit from the heap
 	// the Corpus is measured to hold. Measured 0.1 % under (the headers
 	// of the slices and chunk lists it does not count).
@@ -171,6 +174,15 @@ func TestAllocationGuards(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { guardLookup = res.LookupKey(k) }); allocs != 0 {
 			t.Errorf("LookupKey(%v) allocates %.1f times, want 0", k, allocs)
 		}
+	}
+}
+
+// TestTupleIsSixteenBytes pins the tuple record — the largest row of a
+// loaded corpus — at a path ID, a community-set reference and an inline
+// vantage point with its count.
+func TestTupleIsSixteenBytes(t *testing.T) {
+	if size := unsafe.Sizeof(core.Tuple{}); size != 16 {
+		t.Fatalf("core.Tuple is %d bytes, want 16", size)
 	}
 }
 

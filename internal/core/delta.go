@@ -41,7 +41,7 @@ func deltaCompatible(a, b Options) bool {
 // returned as-is.
 func ClassifyDelta(ctx context.Context, ts *TupleStore, opts Options, prev *Inferences, dirty map[uint16]bool) (*Inferences, error) {
 	if prev == nil || opts.Orgs != nil || !deltaCompatible(opts, prev.Opts) ||
-		ts.hasLargeTuples() || hasLargeInferences(prev) {
+		ts.largeTuples || hasLargeInferences(prev) {
 		return ClassifyContext(ctx, ts, opts)
 	}
 	if len(dirty) == 0 {

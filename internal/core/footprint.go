@@ -98,18 +98,15 @@ func (ts *TupleStore) Footprint() Footprint {
 	index := FootprintRow{Name: "index_tables"}
 	if sh := ts.shared; sh != nil {
 		f = append(f,
-			arenaRow("comm_arena", &sh.comms.arena),
-			arenaRow("large_arena", &sh.larges.arena),
+			arenaRow("set_arena", &sh.sets.arena),
 			arenaRow("asn_arena", &sh.asns))
-		cn, cslots := sh.comms.tableSize()
-		ln, lslots := sh.larges.tableSize()
-		intern.Used, intern.Reserved = 8*int64(cn+ln), 8*int64(cslots+lslots)
+		live, slots := sh.sets.tableSize()
+		intern.Used, intern.Reserved = 8*int64(live), 8*int64(slots)
 		index.Used = 8 * int64(ts.tupleTab.n+ts.pathTab.n)
 		index.Reserved = 8 * int64(cap(ts.tupleTab.slots)+cap(ts.pathTab.slots))
 	} else {
 		f = append(f,
-			sliceRow("comm_arena", ts.commArena),
-			sliceRow("large_arena", ts.largeArena),
+			sliceRow("set_arena", ts.setArena),
 			sliceRow("asn_arena", ts.asnArena))
 		// pathIDs and pathKeys share each key's bytes and keep a string
 		// header apiece.

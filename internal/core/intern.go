@@ -6,14 +6,14 @@ package core
 // one goroutine — the serialization that made parallel loads slower
 // than sequential. Instead the shards now share two global structures:
 //
-//   - an intern table per community kind (listIntern): canonical lists
-//     are deduplicated globally and stored once in a chunked arena, so a
-//     tuple's comms span is already global and Stitch moves no
-//     community data. Reads are lock-free (atomic table pointer,
-//     CAS-free probing of atomically published slots); inserts take one
-//     mutex. A shard asks it for a ref only when it inserts a new tuple
-//     — duplicates are recognized by the shard's own table first (see
-//     addViewShared).
+//   - one community-set intern (listIntern): each distinct set record —
+//     classic and large communities together, see appendSet — is stored
+//     once in a chunked arena, so a tuple's set ref is already global and
+//     Stitch moves no community data. Reads are lock-free (atomic table
+//     pointer, CAS-free probing of atomically published slots); inserts
+//     take one mutex. A shard asks it for a ref only when it inserts a
+//     new tuple — duplicates are recognized by the shard's own table
+//     first (see addViewShared).
 //   - a shared ASN arena (sharedArena[uint32]): each shard appends its
 //     new paths' distinct-ASN sequences (and, for the rare path that
 //     repeats an AS, its key words) into globally addressed chunks, so
@@ -24,7 +24,7 @@ package core
 //
 // Memory-model argument for the lock-free read path: an inserter, while
 // holding the intern mutex, (1) publishes any new arena chunk through
-// an atomic pointer, (2) writes the list values into the chunk, and
+// an atomic pointer, (2) writes the set's words into the chunk, and
 // (3) atomically stores the packed slot last. A reader that observes
 // the slot value (atomic load) therefore observes the chunk pointer and
 // the values written before it, per the Go memory model. Readers that
@@ -114,9 +114,6 @@ func (a *sharedArena[T]) append(vals []T) uint32 {
 	return off
 }
 
-// empty reports whether nothing was ever appended.
-func (a *sharedArena[T]) empty() bool { return a.chunks.Load() == nil }
-
 // trim reallocates the newest chunk at exactly its fill, releasing the
 // doubling slack behind it: what Stitch calls once the load is over. A
 // later append finds the chunk full and takes the grow path above.
@@ -158,6 +155,13 @@ func arenaChunkLen(need int) int {
 	return arenaMinChunk << bits.Len(uint(max(need, 1)-1)/arenaMinChunk)
 }
 
+// from returns the arena from off to the end of its chunk: what a
+// record that carries its own length (a set record) is resolved from.
+func (a *sharedArena[T]) from(off uint32) []T {
+	c := (*a.chunks.Load())[off>>internChunkShift]
+	return c[off&internChunkMask:]
+}
+
 // view resolves a span into the arena. Zero-length spans return nil.
 func (a *sharedArena[T]) view(off, n uint32) []T {
 	if n == 0 {
@@ -169,60 +173,50 @@ func (a *sharedArena[T]) view(off, n uint32) []T {
 	return c[i : i+n : i+n]
 }
 
-// internTable is one generation of an intern hash table: open-addressed,
-// linear probing, power-of-two sized. A slot holds the packed span of
-// one interned list plus one (so zero means empty); slots are written
+// internTable is one generation of the set intern's hash table:
+// open-addressed, linear probing from the hash's low bits, power-of-two
+// sized. A slot holds tag<<32 | offset — the hash's top half beside the
+// arena offset of one interned set record — and zero means empty (offset
+// 0 is the empty set, which is never entered); slots are written
 // atomically exactly once.
 type internTable struct {
 	mask  uint64
 	slots []atomic.Uint64
 }
 
-// packRef packs an arena span into the intern reference: offset in the
-// high 32 bits, length in the low 32. The empty list is ref 0.
-func packRef(off, n uint32) uint64 { return uint64(off)<<32 | uint64(n) }
-
-func unpackRef(ref uint64) (off, n uint32) { return uint32(ref >> 32), uint32(ref) }
-
-// insert publishes ref into the first empty slot of its probe chain.
-// Callers hold the intern mutex.
-func (t *internTable) insert(h uint64, ref uint64) {
+// insert publishes the set at off into the first empty slot of its probe
+// chain. Callers hold the intern mutex.
+func (t *internTable) insert(h uint64, off uint32) {
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		if t.slots[i].Load() == 0 {
-			t.slots[i].Store(ref + 1)
+			t.slots[i].Store(h>>32<<32 | uint64(off))
 			return
 		}
 	}
 }
 
-// listIntern globally deduplicates the canonical lists of one community
-// kind across all shards of a ShardedTupleStore: bgp.Communities (RFC
-// 1997) and bgp.LargeCommunities (RFC 8092) each get one. The returned
-// refs are exact identities — the same canonical list always gets the
-// same ref — and double as the tuple's globally addressed span. Ref
-// values depend on arrival order and are NOT stable across runs;
-// everything derived from them must go through the list content (and
-// does: shards compare content, Stitch orders by content, snapshots and
-// TSV render content).
+// listIntern globally deduplicates community-set records (see appendSet)
+// across all shards of a ShardedTupleStore. The returned refs are exact
+// identities — the same set always gets the same ref — and are the
+// record's global arena offset, which is what a tuple carries. Ref values
+// depend on arrival order and are NOT stable across runs; everything
+// derived from them must go through the set content (and does: shards
+// compare content, Stitch orders by content, snapshots and TSV render
+// content). The empty set is seeded at offset 0, so it is ref 0.
 //
 // Only the arena outlives the load: the hash table serves intern alone,
 // so Stitch releases it and adopt rebuilds it if views arrive later.
-type listIntern[L ~[]T, T comparable] struct {
-	arena sharedArena[T]
+type listIntern struct {
+	arena sharedArena[bgp.Community]
 	table atomic.Pointer[internTable]
 	mu    sync.Mutex
-	count int            // live entries (guarded by mu)
-	hash  func(L) uint64 // of a canonical list; fixed at construction
+	count int                          // live entries (guarded by mu)
+	hash  func([]bgp.Community) uint64 // of a set record; fixed at construction
 }
 
-type (
-	commIntern  = listIntern[bgp.Communities, bgp.Community]
-	largeIntern = listIntern[bgp.LargeCommunities, bgp.LargeCommunity]
-)
-
-// lookup probes t for a list with the given hash and content, returning
+// lookup probes t for the set with the given hash and content, returning
 // its ref. Lock-free; may miss entries inserted into a newer table.
-func (li *listIntern[L, T]) lookup(t *internTable, h uint64, canon L) (uint64, bool) {
+func (li *listIntern) lookup(t *internTable, h uint64, set []bgp.Community) (uint32, bool) {
 	if t == nil {
 		return 0, false
 	}
@@ -231,57 +225,55 @@ func (li *listIntern[L, T]) lookup(t *internTable, h uint64, canon L) (uint64, b
 		if s == 0 {
 			return 0, false
 		}
-		ref := s - 1
-		off, n := unpackRef(ref)
-		if int(n) == len(canon) && slices.Equal(li.arena.view(off, n), canon) {
-			return ref, true
+		if s>>32 == h>>32 && slices.Equal(li.view(uint32(s)), set) {
+			return uint32(s), true
 		}
 	}
 }
 
-// intern returns the ref of canon, inserting it on first sight. The hit
-// path is lock-free and allocation-free; canon may be reused by the
-// caller (the arena keeps its own copy).
-func (li *listIntern[L, T]) intern(canon L) uint64 {
-	if len(canon) == 0 {
+// intern returns the ref of set, inserting it on first sight. The hit
+// path is lock-free and allocation-free; set may be reused by the caller
+// (the arena keeps its own copy).
+func (li *listIntern) intern(set []bgp.Community) uint32 {
+	if set[0] == 0 {
 		return 0
 	}
-	h := li.hash(canon)
-	if ref, ok := li.lookup(li.table.Load(), h, canon); ok {
+	h := li.hash(set)
+	if ref, ok := li.lookup(li.table.Load(), h, set); ok {
 		return ref
 	}
 	li.mu.Lock()
 	defer li.mu.Unlock()
 	// Re-probe the latest table: another shard may have inserted the
-	// list between our lock-free miss and taking the mutex.
-	if ref, ok := li.lookup(li.table.Load(), h, canon); ok {
+	// set between our lock-free miss and taking the mutex.
+	if ref, ok := li.lookup(li.table.Load(), h, set); ok {
 		return ref
 	}
-	ref := packRef(li.arena.append(canon), uint32(len(canon)))
+	ref := li.arena.append(set)
 	li.insertLocked(h, ref)
 	return ref
 }
 
-// adopt re-enters a list the arena already holds at (off, n), unless the
-// table knows its content: how reindexShared rebuilds a released table
-// from the tuples' spans, so a known list keeps resolving to the ref its
-// tuples carry and the arena does not grow for it.
-func (li *listIntern[L, T]) adopt(off, n uint32) {
-	if n == 0 {
+// adopt re-enters a set the arena already holds at ref, unless the table
+// knows its content: how reindexShared rebuilds a released table from the
+// tuples' refs, so a known set keeps resolving to the ref its tuples
+// carry and the arena does not grow for it.
+func (li *listIntern) adopt(ref uint32) {
+	if ref == 0 {
 		return
 	}
-	list := li.view(off, n)
-	h := li.hash(list)
+	set := li.view(ref)
+	h := li.hash(set)
 	li.mu.Lock()
 	defer li.mu.Unlock()
-	if _, ok := li.lookup(li.table.Load(), h, list); !ok {
-		li.insertLocked(h, packRef(off, n))
+	if _, ok := li.lookup(li.table.Load(), h, set); !ok {
+		li.insertLocked(h, ref)
 	}
 }
 
 // insertLocked enters a ref established absent, growing the table past
 // 3/4 load. Callers hold the mutex.
-func (li *listIntern[L, T]) insertLocked(h, ref uint64) {
+func (li *listIntern) insertLocked(h uint64, ref uint32) {
 	t := li.table.Load()
 	if t == nil || uint64(li.count+1)*4 > 3*(t.mask+1) {
 		t = li.grow(t)
@@ -292,9 +284,9 @@ func (li *listIntern[L, T]) insertLocked(h, ref uint64) {
 
 // release drops the hash table, which only intern reads; every ref
 // handed out stays valid, because refs address the arena. Before the
-// next intern, adopt must have re-entered every list still referred to,
-// or a known list would be stored again under a second ref.
-func (li *listIntern[L, T]) release() {
+// next intern, adopt must have re-entered every set still referred to,
+// or a known set would be stored again under a second ref.
+func (li *listIntern) release() {
 	li.mu.Lock()
 	li.table.Store(nil)
 	li.count = 0
@@ -302,7 +294,7 @@ func (li *listIntern[L, T]) release() {
 }
 
 // tableSize returns the hash table's live entries and slots.
-func (li *listIntern[L, T]) tableSize() (live, slots int) {
+func (li *listIntern) tableSize() (live, slots int) {
 	li.mu.Lock()
 	defer li.mu.Unlock()
 	if t := li.table.Load(); t != nil {
@@ -311,16 +303,17 @@ func (li *listIntern[L, T]) tableSize() (live, slots int) {
 	return li.count, slots
 }
 
-// view resolves a ref back to its list (shared storage; do not mutate).
-func (li *listIntern[L, T]) view(off, n uint32) L {
-	return li.arena.view(off, n)
+// view resolves a ref back to its set record (shared storage; do not
+// mutate).
+func (li *listIntern) view(ref uint32) []bgp.Community {
+	return setAt(li.arena.from(ref))
 }
 
 // grow publishes a table of at least double the capacity with every
 // existing entry rehashed into it. Holding the mutex keeps insertions
 // out; lock-free readers keep probing the old table (every entry they
 // could have seen is in both) until the pointer swap lands.
-func (li *listIntern[L, T]) grow(old *internTable) *internTable {
+func (li *listIntern) grow(old *internTable) *internTable {
 	size := uint64(1024)
 	if old != nil {
 		size = 2 * (old.mask + 1)
@@ -328,12 +321,9 @@ func (li *listIntern[L, T]) grow(old *internTable) *internTable {
 	nt := &internTable{mask: size - 1, slots: make([]atomic.Uint64, size)}
 	if old != nil {
 		for i := range old.slots {
-			s := old.slots[i].Load()
-			if s == 0 {
-				continue
+			if s := old.slots[i].Load(); s != 0 {
+				nt.insert(li.hash(li.view(uint32(s))), uint32(s))
 			}
-			off, n := unpackRef(s - 1)
-			nt.insert(li.hash(li.view(off, n)), s-1)
 		}
 	}
 	li.table.Store(nt)
@@ -343,9 +333,8 @@ func (li *listIntern[L, T]) grow(old *internTable) *internTable {
 // storeShared bundles the cross-shard structures one ShardedTupleStore
 // hands to all its shard TupleStores (and to the stitched output).
 type storeShared struct {
-	comms  commIntern
-	larges largeIntern
-	asns   sharedArena[uint32]
+	sets listIntern
+	asns sharedArena[uint32]
 
 	// stitched is the store Stitch handed all of the above to; nil while
 	// the shards are still writing. Every value in the arenas belongs to
@@ -362,22 +351,34 @@ type storeShared struct {
 }
 
 func newStoreShared() *storeShared {
-	return &storeShared{
-		comms:  commIntern{hash: hashComms},
-		larges: largeIntern{hash: hashLarges},
-		seed:   rand.Uint64(),
+	sh := &storeShared{seed: rand.Uint64()}
+	sh.sets.hash = sh.setHash
+	sh.sets.arena.append(emptySet[:])
+	return sh
+}
+
+// setHash is the set intern's table hash.
+func (sh *storeShared) setHash(set []bgp.Community) uint64 {
+	if sh.collide {
+		return 0
 	}
+	return hashSet(sh.seed, set)
 }
 
 // prepare readies one view, whose path key is already collapsed into
-// sc.words, for a shard: it canonicalizes both lists into sc and hashes
-// the identity. route picks the shard, hp tags the path in the shard's
-// path table, h tags the whole identity in its tuple table.
+// sc.words, for a shard: it renders the canonical set record into sc and
+// hashes the identity (see hashView).
 func (sh *storeShared) prepare(sc *addScratch, comms bgp.Communities, larges bgp.LargeCommunities) (route, hp, h uint64) {
-	sc.comms = canonicalInto(sc.comms, comms)
-	sc.larges = canonicalLargeInto(sc.larges, larges)
+	sc.canonicalSet(comms, larges)
+	return sh.hashView(sc)
+}
+
+// hashView hashes the view in sc (path key in sc.words, set record in
+// sc.set): route picks the shard, hp tags the path in the shard's path
+// table, h tags the whole identity in its tuple table.
+func (sh *storeShared) hashView(sc *addScratch) (route, hp, h uint64) {
 	route, hp = hashPathKey(sc.words, sh.seed)
-	h = hashLists(hp, sc.comms, sc.larges)
+	h = hashSet(hp, sc.set)
 	if sh.collide {
 		hp, h = 0, 0
 	}

@@ -23,21 +23,21 @@ func TestCommInternConcurrent(t *testing.T) {
 	// Six communities a list: together the lists outgrow the arena's
 	// first chunk three times over, so lock-free readers keep resolving
 	// refs while the newest chunk is copied and republished under them.
-	mk := func(i int) bgp.Communities {
+	mk := func(i int) []bgp.Community {
 		cs := make(bgp.Communities, 6)
 		for k := range cs {
 			cs[k] = bgp.NewCommunity(uint16(i%500+k), uint16(i>>(k%2)))
 		}
-		return cs.Canonical()
+		return appendSet(nil, cs.Canonical(), nil)
 	}
-	ci := commIntern{hash: hashComms}
-	refs := make([][]uint64, goroutines)
+	ci := &newStoreShared().sets
+	refs := make([][]uint32, goroutines)
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
 	for g := 0; g < goroutines; g++ {
 		go func(g int) {
 			defer wg.Done()
-			got := make([]uint64, lists)
+			got := make([]uint32, lists)
 			for r := 0; r < rounds; r++ {
 				for i := 0; i < lists; i++ {
 					// Each goroutine starts at its own position so inserts
@@ -67,8 +67,7 @@ func TestCommInternConcurrent(t *testing.T) {
 		}
 	}
 	for i := 0; i < lists; i++ {
-		off, n := unpackRef(refs[0][i])
-		if got, want := ci.view(off, n), mk(i); !commsEqual(got, want) {
+		if got, want := ci.view(refs[0][i]), mk(i); !slices.Equal(got, want) {
 			t.Fatalf("list %d: view %v, want %v", i, got, want)
 		}
 	}
@@ -77,18 +76,24 @@ func TestCommInternConcurrent(t *testing.T) {
 	}
 }
 
-// TestCommInternEmptyList pins the empty-list convention: ref 0, never
-// stored, resolving to an empty view.
+// TestCommInternEmptyList pins the empty-set convention: ref 0, seeded
+// at the head of the arena and never entered in the table, resolving to
+// a set with no communities of either kind.
 func TestCommInternEmptyList(t *testing.T) {
-	ci := commIntern{hash: hashComms}
-	if ref := ci.intern(nil); ref != 0 {
-		t.Fatalf("intern(nil) = %#x, want 0", ref)
-	}
-	if ref := ci.intern(bgp.Communities{}); ref != 0 {
+	sh := newStoreShared()
+	ci := &sh.sets
+	if ref := ci.intern(appendSet(nil, nil, nil)); ref != 0 {
 		t.Fatalf("intern(empty) = %#x, want 0", ref)
 	}
-	if v := ci.view(0, 0); len(v) != 0 {
-		t.Fatalf("view of ref 0 = %v, want empty", v)
+	if live, _ := ci.tableSize(); live != 0 {
+		t.Fatalf("the empty set entered the table: %d entries", live)
+	}
+	if v := ci.view(0); !slices.Equal(v, emptySet[:]) {
+		t.Fatalf("view of ref 0 = %v, want the empty set", v)
+	}
+	ts := &TupleStore{shared: sh}
+	if c, l := ts.TupleComms(&Tuple{}), ts.TupleLarges(nil, &Tuple{}); len(c) != 0 || len(l) != 0 {
+		t.Fatalf("a tuple on ref 0 carries %v and %v", c, l)
 	}
 }
 
@@ -99,10 +104,11 @@ func TestCommInternDupZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops items; alloc counts are noise")
 	}
-	ci := commIntern{hash: hashComms}
-	canon := bgp.Communities{bgp.NewCommunity(1299, 100), bgp.NewCommunity(1299, 2569)}
+	ci := &newStoreShared().sets
+	canon := appendSet(nil, bgp.Communities{bgp.NewCommunity(1299, 100), bgp.NewCommunity(1299, 2569)},
+		bgp.LargeCommunities{{GlobalAdmin: 1299, LocalData1: 1, LocalData2: 100}})
 	want := ci.intern(canon)
-	var ref uint64
+	var ref uint32
 	if avg := testing.AllocsPerRun(200, func() {
 		ref = ci.intern(canon)
 	}); avg != 0 {
@@ -110,6 +116,39 @@ func TestCommInternDupZeroAlloc(t *testing.T) {
 	}
 	if ref != want {
 		t.Fatalf("duplicate intern returned %#x, want %#x", ref, want)
+	}
+}
+
+// TestSetInternSeeded: the set intern hashes from its store's seed, so
+// which sets share a probe chain cannot be computed from outside the
+// process. Two stores with different seeds place the same sixteen sets
+// at (nearly) all different slots; an unseeded hash would place every
+// one of them alike.
+func TestSetInternSeeded(t *testing.T) {
+	slots := func(seed uint64) []int {
+		sh := newStoreShared()
+		sh.seed = seed
+		var at []int
+		for i := 0; i < 16; i++ {
+			ref := sh.sets.intern(appendSet(nil, bgp.Communities{bgp.NewCommunity(1299, uint16(i))}, nil))
+			tab := sh.sets.table.Load()
+			for j := range tab.slots {
+				if s := tab.slots[j].Load(); s != 0 && uint32(s) == ref {
+					at = append(at, j)
+				}
+			}
+		}
+		return at
+	}
+	a, b := slots(1), slots(2)
+	same := 0
+	for i := range a {
+		if a[i] == b[i] {
+			same++
+		}
+	}
+	if len(a) != 16 || len(b) != 16 || same > 2 {
+		t.Fatalf("seeds 1 and 2 place %d of 16 sets in the same slot (%v vs %v)", same, a, b)
 	}
 }
 
@@ -271,10 +310,10 @@ func TestStitchStoreStillAcceptsViews(t *testing.T) {
 	}
 	ts := sts.Stitch(2)
 	nTuples, nPaths := ts.Len(), ts.PathCount()
-	if live, slots := ts.shared.comms.tableSize(); live != 0 || slots != 0 {
+	if live, slots := ts.shared.sets.tableSize(); live != 0 || slots != 0 {
 		t.Fatalf("stitched store still holds an intern table: %d entries in %d slots", live, slots)
 	}
-	commFill := func() int64 { return arenaRow("", &ts.shared.comms.arena).Used }
+	commFill := func() int64 { return arenaRow("", &ts.shared.sets.arena).Used }
 	asnFill := func() int64 { return arenaRow("", &ts.shared.asns).Used }
 	comms0, asns0 := commFill(), asnFill()
 
@@ -284,7 +323,7 @@ func TestStitchStoreStillAcceptsViews(t *testing.T) {
 	before := dumpStore(ts)
 	ts.AddView(1, dupPath, dupComms)
 	equalDumps(t, dumpStore(ts), before, "after an exact duplicate")
-	if live, _ := ts.shared.comms.tableSize(); live != len(views) {
+	if live, _ := ts.shared.sets.tableSize(); live != len(views) {
 		t.Fatalf("rebuilt intern table holds %d lists, the tuples refer to %d", live, len(views))
 	}
 	// Every original view again, from new vantage points: only VP sets
@@ -308,7 +347,7 @@ func TestStitchStoreStillAcceptsViews(t *testing.T) {
 		t.Fatalf("new tuple not appended: %d/%d, want %d/%d",
 			ts.Len(), ts.PathCount(), nTuples+1, nPaths+1)
 	}
-	if last := &ts.tuples[nTuples]; !commsEqual(ts.TupleComms(last), dupComms) {
+	if last := &ts.tuples[nTuples]; !slices.Equal(ts.TupleComms(last), dupComms) {
 		t.Fatalf("new tuple carries %v, want %v", ts.TupleComms(last), dupComms)
 	}
 	if commFill() != comms0 || asnFill() != asns0+8 {
@@ -317,7 +356,7 @@ func TestStitchStoreStillAcceptsViews(t *testing.T) {
 	}
 	// Genuinely new tuple, path and list.
 	ts.AddView(1, []uint32{9999, 7777}, bgp.Communities{bgp.NewCommunity(9999, 1)})
-	if ts.Len() != nTuples+2 || ts.PathCount() != nPaths+2 || commFill() != comms0+4 {
+	if ts.Len() != nTuples+2 || ts.PathCount() != nPaths+2 || commFill() != comms0+8 {
 		t.Fatalf("new tuple not appended: %d/%d with %d B of communities, want %d/%d with %d B",
 			ts.Len(), ts.PathCount(), commFill(), nTuples+2, nPaths+2, comms0+4)
 	}
@@ -327,9 +366,9 @@ func TestStitchStoreStillAcceptsViews(t *testing.T) {
 }
 
 // TestStitchedStoreKnowsItsLarges: whether a store's tuples carry large
-// communities — what switches the large observation pass on — is read
-// off the large arena, so it survives Stitch releasing the intern table
-// and a post-stitch AddView rebuilding it.
+// communities — what switches the large observation pass on — survives
+// Stitch releasing the intern table and a post-stitch AddView rebuilding
+// it, and larges that attach to no tuple do not set it.
 func TestStitchedStoreKnowsItsLarges(t *testing.T) {
 	path, comms := []uint32{64500, 64501}, bgp.Communities{bgp.NewCommunity(64500, 1)}
 	larges := bgp.LargeCommunities{{GlobalAdmin: 64500, LocalData1: 1, LocalData2: 1}}
@@ -338,11 +377,11 @@ func TestStitchedStoreKnowsItsLarges(t *testing.T) {
 	mixed.AddView(1, path, comms)
 	mixed.AddViewLarge(2, path, comms, larges)
 	ts := mixed.Stitch(1)
-	if !ts.hasLargeTuples() {
+	if !ts.largeTuples {
 		t.Fatal("stitched mixed store reports no large tuples")
 	}
 	ts.AddView(3, path, comms)
-	if !ts.hasLargeTuples() {
+	if !ts.largeTuples {
 		t.Fatal("mixed store reports no large tuples after a post-stitch AddView")
 	}
 	if got := len(Classify(ts, DefaultOptions()).Larges.index); got != 1 {
@@ -354,11 +393,11 @@ func TestStitchedStoreKnowsItsLarges(t *testing.T) {
 	// Larges that attach to no tuple count toward the statistics only.
 	classic.AddViewLarge(1, nil, nil, larges)
 	ts = classic.Stitch(1)
-	if ts.hasLargeTuples() {
+	if ts.largeTuples {
 		t.Fatal("stitched classic-only store reports large tuples")
 	}
 	ts.AddViewLarge(2, path, comms, larges)
-	if !ts.hasLargeTuples() {
+	if !ts.largeTuples {
 		t.Fatal("store reports no large tuples after its first one arrived post-stitch")
 	}
 }

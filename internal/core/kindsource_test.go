@@ -164,7 +164,7 @@ func TestKindSourceContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(dirty) > 0 && !store(cur).hasLargeTuples() {
+		if len(dirty) > 0 && !store(cur).largeTuples {
 			merged++
 		}
 		data := writeFlat(t, full, SnapshotMeta{Source: "contract"})

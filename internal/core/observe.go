@@ -109,6 +109,7 @@ type observer struct {
 
 	comms  probeTable[bgp.Community, evidence]
 	larges probeTable[bgp.LargeCommunity, evidence]
+	lbuf   bgp.LargeCommunities // the current tuple's larges
 	// ASNs and organizations of the paths this worker saw, each path
 	// visited once.
 	asns probeTable[uint32, struct{}]
@@ -151,7 +152,8 @@ func (o *observer) walk(order []int32, lo, hi int, done <-chan struct{}) {
 			countOnce(o, &o.comms, c, hashU32(uint32(c)), uint32(c.ASN()))
 		}
 		if o.withLarges {
-			for _, lc := range o.ts.TupleLarges(t) {
+			o.lbuf = o.ts.TupleLarges(o.lbuf[:0], t)
+			for _, lc := range o.lbuf {
 				countOnce(o, &o.larges, lc, hashLargeCommunity(lc), lc.GlobalAdmin)
 			}
 		}
@@ -231,7 +233,7 @@ func observeWith(ctx context.Context, ts *TupleStore, opts Options, dirty map[ui
 	// Large communities are never observed on the delta path: large dirty
 	// tracking does not exist, so ClassifyDelta falls back to a full
 	// classification instead.
-	withLarges := dirty == nil && ts.hasLargeTuples()
+	withLarges := dirty == nil && ts.largeTuples
 
 	order := groupByPath(tuples, ts.PathCount())
 	pathAt := func(i int) int32 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -106,9 +107,9 @@ func TestTupleStoreQuick(t *testing.T) {
 
 // oracleStore is a deliberately naive map-based tuple store — the shape
 // the columnar TupleStore replaced — retained as a reference model:
-// path key -> canonical comms key -> VP set.
+// path key -> canonical set key -> VP set.
 type oracleStore struct {
-	tuples map[string]map[string]map[uint32]bool // pathKey -> commsKey -> VPs
+	tuples map[string]map[string]map[uint32]bool // pathKey -> setKey -> VPs
 	paths  map[string][]uint32                   // pathKey -> distinct ASNs
 }
 
@@ -119,7 +120,7 @@ func newOracleStore() *oracleStore {
 	}
 }
 
-func (o *oracleStore) addView(vp uint32, path []uint32, comms bgp.Communities) {
+func (o *oracleStore) addView(vp uint32, path []uint32, comms bgp.Communities, larges bgp.LargeCommunities) {
 	if len(path) == 0 {
 		return
 	}
@@ -133,7 +134,7 @@ func (o *oracleStore) addView(vp uint32, path []uint32, comms bgp.Communities) {
 		}
 		o.paths[key] = distinct
 	}
-	ck := string(appendCommsKey(nil, canonicalInto(nil, comms)))
+	ck := setKey(comms.Canonical(), larges.Canonical())
 	byComms := o.tuples[key]
 	if byComms == nil {
 		byComms = make(map[string]map[uint32]bool)
@@ -147,39 +148,52 @@ func (o *oracleStore) addView(vp uint32, path []uint32, comms bgp.Communities) {
 	vps[vp] = true
 }
 
-func appendCommsKey(dst []byte, comms bgp.Communities) []byte {
-	for _, c := range comms {
-		dst = append(dst, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-	}
-	return dst
+// setKey renders canonical communities and large communities as one
+// string, sharing no code with the store's set records.
+func setKey(comms bgp.Communities, larges bgp.LargeCommunities) string {
+	return fmt.Sprint([]bgp.Community(comms), "|", []bgp.LargeCommunity(larges))
 }
 
-// TestColumnarMatchesOracleQuick: on random corpora the columnar store
-// holds exactly the oracle's logical content — same tuple set, same
-// per-tuple VP sets, same interned paths. This pins the arena/span
-// bookkeeping (VP growth, hash-collision overflow, path interning) to a
+// quickViews derives a small view stream from quick's seeds: overlapping
+// paths and sets so dedup, VP merge and canonicalization all fire;
+// prepended paths; classic-only, large-only, mixed and empty sets; a
+// vantage point that is the path's first AS or not; and one in three
+// seeds seen again from 2–9 further vantage points.
+func quickViews(seeds []uint32) []refView {
+	var views []refView
+	for _, s := range seeds {
+		vp := 1 + s%5
+		v := refView{vp: vp, path: []uint32{vp, 100 + s%3, 100 + s%3, 200 + s%7}} // prepend collapses
+		if s%7 == 0 {
+			v.path[0] = 50
+		}
+		for i := uint32(0); i < s%4 && s%4 != 1; i++ {
+			v.comms = append(v.comms, bgp.NewCommunity(uint16(100+s%3), uint16((s+i)%9)))
+		}
+		if s%4 == 1 || s%4 == 3 {
+			v.larges = bgp.LargeCommunities{{GlobalAdmin: 100 + s%3, LocalData1: s % 2, LocalData2: s % 5}}
+		}
+		views = append(views, v)
+		if s%3 == 0 {
+			for k := 2 + s%8; k > 0; k-- {
+				v.vp = 300 + k
+				views = append(views, v)
+			}
+		}
+	}
+	return views
+}
+
+// TestColumnarMatchesOracleQuick: on random corpora the plain store and
+// a stitched sharded store hold exactly the oracle's logical content —
+// same tuple set, same per-tuple VP sets, same interned paths — before
+// and after a post-stitch AddView takes a multi-VP list past a power of
+// two. This pins the arena bookkeeping (inline and arena VP lists, VP
+// growth, set records, hash-collision overflow, path interning) to a
 // model too simple to share its bugs.
 func TestColumnarMatchesOracleQuick(t *testing.T) {
-	f := func(seeds []uint32) bool {
-		ts := NewTupleStore()
-		oracle := newOracleStore()
-		for _, s := range seeds {
-			// Derive a small view from the seed: overlapping paths and
-			// community lists so dedup, VP merge, and canonicalization
-			// all fire; occasional empty comms and prepended paths.
-			vp := 1 + s%5
-			path := []uint32{vp, 100 + s%3, 100 + s%3, 200 + s%7} // prepend collapses
-			var comms bgp.Communities
-			for i := uint32(0); i < s%4; i++ {
-				comms = append(comms, bgp.NewCommunity(uint16(100+s%3), uint16((s+i)%9)))
-			}
-			ts.AddView(vp, path, comms)
-			oracle.addView(vp, path, comms)
-		}
-		if ts.Len() != countOracleTuples(oracle) {
-			return false
-		}
-		if ts.PathCount() != len(oracle.paths) {
+	matches := func(ts *TupleStore, oracle *oracleStore) bool {
+		if ts.Len() != countOracleTuples(oracle) || ts.PathCount() != len(oracle.paths) {
 			return false
 		}
 		tuples := ts.Tuples()
@@ -189,10 +203,9 @@ func TestColumnarMatchesOracleQuick(t *testing.T) {
 			if !slices.Equal(ts.Path(tu.PathID).ASNs, oracle.paths[key]) {
 				return false
 			}
-			ck := string(appendCommsKey(nil, ts.TupleComms(tu)))
-			wantVPs := oracle.tuples[key][ck]
+			wantVPs := oracle.tuples[key][setKey(ts.TupleComms(tu), ts.TupleLarges(nil, tu))]
 			gotVPs := ts.TupleVPs(tu)
-			if len(gotVPs) != len(wantVPs) {
+			if len(gotVPs) != len(wantVPs) || !slices.IsSorted(gotVPs) {
 				return false
 			}
 			for _, vp := range gotVPs {
@@ -200,11 +213,31 @@ func TestColumnarMatchesOracleQuick(t *testing.T) {
 					return false
 				}
 			}
-			if !slices.IsSorted(gotVPs) {
-				return false
-			}
 		}
 		return true
+	}
+	f := func(seeds []uint32, collide bool) bool {
+		views := quickViews(seeds)
+		later := growVPs(views)
+		plain := NewTupleStore()
+		sts := NewShardedTupleStore(4)
+		sts.shared.collide = collide
+		oracle := newOracleStore()
+		for _, v := range views {
+			plain.AddViewLarge(v.vp, v.path, v.comms, v.larges)
+			sts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
+			oracle.addView(v.vp, v.path, v.comms, v.larges)
+		}
+		stitched := sts.Stitch(2)
+		if !matches(plain, oracle) || !matches(stitched, oracle) {
+			return false
+		}
+		for _, v := range later {
+			plain.AddViewLarge(v.vp, v.path, v.comms, v.larges)
+			stitched.AddViewLarge(v.vp, v.path, v.comms, v.larges)
+			oracle.addView(v.vp, v.path, v.comms, v.larges)
+		}
+		return matches(plain, oracle) && matches(stitched, oracle)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

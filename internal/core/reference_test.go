@@ -166,9 +166,12 @@ func newRefUniverse(rng *rand.Rand) refUniverse {
 	return u
 }
 
+// views draws n views; one in eight arrives again from 2–9 vantage
+// points, the first of them the path's own first AS (an eBGP peer), the
+// rest mostly not.
 func (u refUniverse) views(rng *rand.Rand, n int, withLarges bool) []refView {
-	views := make([]refView, n)
-	for i := range views {
+	views := make([]refView, 0, n)
+	for len(views) < n {
 		v := refView{vp: u.asns[rng.Intn(len(u.asns))]}
 		if rng.Intn(50) > 0 { // the rare view has no usable path
 			v.path = u.paths[rng.Intn(len(u.paths))]
@@ -181,21 +184,59 @@ func (u refUniverse) views(rng *rand.Rand, n int, withLarges bool) []refView {
 				v.larges = append(v.larges, u.larges[rng.Intn(len(u.larges))])
 			}
 		}
-		views[i] = v
+		views = append(views, v)
+		if rng.Intn(8) == 0 && len(v.path) > 0 {
+			v.vp = v.path[0]
+			views = append(views, v)
+			for k := rng.Intn(8); k > 0; k-- {
+				v.vp = u.asns[rng.Intn(len(u.asns))]
+				views = append(views, v)
+			}
+		}
 	}
-	return views
+	return views[:n]
+}
+
+// growVPs returns views that add nine new vantage points to the first
+// identity in views seen from several: enough to take its VP list past
+// the next power of two whatever its length (2–9) was.
+func growVPs(views []refView) []refView {
+	vps := make(map[string]map[uint32]bool)
+	for _, v := range views {
+		if len(v.path) == 0 {
+			continue
+		}
+		id := fmt.Sprint(v.path, v.comms, v.larges)
+		if vps[id] == nil {
+			vps[id] = make(map[uint32]bool)
+		}
+		vps[id][v.vp] = true
+		if len(vps[id]) < 2 {
+			continue
+		}
+		later := make([]refView, 9)
+		for i := range later {
+			later[i] = v
+			later[i].vp = 0xFFFF0000 + uint32(i)
+		}
+		return later
+	}
+	return nil
 }
 
 // TestObserveMatchesReference: the observe walk equals the naive
 // reference over random small corpora, for a plain insertion-order store
-// (grouped by counting sort) and stitched stores (grouped as laid out)
-// at every worker count, with and without a VP filter, sibling orgs and
-// a dirty-α restriction.
+// (grouped by counting sort) and stitched stores (grouped as laid out,
+// every other seed with their table hashes forced to collide) at every
+// worker count, with and without a VP filter, sibling orgs and a
+// dirty-α restriction. Some identities arrive from several vantage
+// points, and one of them gains nine more after the stitch.
 func TestObserveMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		u := newRefUniverse(rng)
 		views := u.views(rng, 1+rng.Intn(400), seed%3 != 0)
+		later := growVPs(views)
 
 		orgs := testOrgs{}
 		for _, asn := range u.asns {
@@ -217,16 +258,22 @@ func TestObserveMatchesReference(t *testing.T) {
 		}
 
 		stores := map[string]*TupleStore{"plain": NewTupleStore()}
-		for _, v := range views {
+		for _, v := range append(views, later...) {
 			stores["plain"].AddViewLarge(v.vp, v.path, v.comms, v.larges)
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
 			sts := NewShardedTupleStore(1 << rng.Intn(7))
+			sts.shared.collide = seed%2 == 0
 			for _, v := range views {
 				sts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
 			}
-			stores[fmt.Sprintf("stitched/%d", workers)] = sts.Stitch(workers)
+			ts := sts.Stitch(workers)
+			for _, v := range later {
+				ts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
+			}
+			stores[fmt.Sprintf("stitched/%d", workers)] = ts
 		}
+		views = append(views, later...)
 
 		for name, ts := range stores {
 			ts.AnnotateOrgs(orgs)

@@ -23,9 +23,9 @@ import (
 // is needed at stitch time.
 //
 // All shards run their TupleStores in shared-storage mode against one
-// storeShared: community lists intern into one lock-free global table
+// storeShared: community sets intern into one lock-free global table
 // and path ASN sequences land in one globally addressed arena, so
-// every span a shard writes is already valid in the stitched store and
+// every ref a shard writes is already valid in the stitched store and
 // Stitch moves only index-sized data (tuple records, path metas, VP
 // lists) — never community or ASN payloads.
 //
@@ -213,13 +213,13 @@ func comparePathKeys(a, b []uint32) int {
 }
 
 // addViewShared is the shared-mode write path for one prepared view:
-// hashes hp (path) and h (identity), path key in sc.words, canonical
-// lists in sc.comms and sc.larges. One probe of the tuple table finds the
-// view's tuple if it exists, confirmed by comparing the path key and
-// both lists — identity is exact whatever the hash does. Only a miss
-// goes on to the path table, the global intern tables (whose refs are
-// the spans Stitch carries over) and the appends; that is also the one
-// moment the tuple's larges enter the distinct-large set.
+// hashes hp (path) and h (identity), path key in sc.words, set record in
+// sc.set (and its larges in sc.larges). One probe of the tuple table
+// finds the view's tuple if it exists, confirmed by comparing the path
+// key and the set record — identity is exact whatever the hash does.
+// Only a miss goes on to the path table, the global set intern (whose
+// refs Stitch carries over) and the appends; that is also the one moment
+// the tuple's larges enter the distinct-large set.
 func (ts *TupleStore) addViewShared(vp uint32, hp, h uint64, sc *addScratch) {
 	if ts.tupleTab.slots == nil {
 		ts.reindexShared()
@@ -233,28 +233,19 @@ func (ts *TupleStore) addViewShared(vp uint32, hp, h uint64, sc *addScratch) {
 		}
 		ti := int32(uint32(s) - 1)
 		t := &ts.tuples[ti]
-		if slices.Equal(ts.pathKey(t.PathID), sc.words) &&
-			commsEqual(ts.TupleComms(t), sc.comms) &&
-			largesEqual(ts.TupleLarges(t), sc.larges) {
+		if slices.Equal(ts.pathKey(t.PathID), sc.words) && slices.Equal(ts.tupleSet(t), sc.set) {
 			ts.addVP(ti, vp)
 			return
 		}
 	}
 	id := ts.internPathShared(hp, sc)
-	off, n := unpackRef(ts.shared.comms.intern(sc.comms))
-	loff, ln := unpackRef(ts.shared.larges.intern(sc.larges))
+	set := ts.shared.sets.intern(sc.set)
 	for _, lc := range sc.larges {
 		ts.large[lc] = struct{}{}
+		ts.largeTuples = true
 	}
 	tab.insert(h, len(ts.tuples))
-	vpOff := uint32(len(ts.vpArena))
-	ts.vpArena = append(ts.vpArena, vp)
-	ts.tuples = append(ts.tuples, Tuple{
-		PathID: id,
-		comms:  span{off: off, n: n},
-		lcomms: span{off: loff, n: ln},
-		vpOff:  vpOff, vpLen: 1, vpCap: 1,
-	})
+	ts.tuples = append(ts.tuples, Tuple{PathID: id, set: set, vp: [1]uint32{vp}, nVP: 1})
 }
 
 // internPathShared returns the ID of the path with key sc.words and hash
@@ -295,24 +286,23 @@ func (ts *TupleStore) internPathShared(hp uint64, sc *addScratch) int32 {
 // store arrives without them — readers never need them, and building
 // them eagerly would put a serial pass back into the load path — so the
 // first post-stitch AddView pays for them; so does a fresh shard's. That
-// includes the intern tables Stitch released: every list a tuple refers
-// to re-enters under the ref the tuple carries.
+// includes the intern table Stitch released: every set a tuple refers to
+// re-enters under the ref the tuple carries.
 func (ts *TupleStore) reindexShared() {
 	ts.pathTab = newFlatTable(len(ts.paths))
 	ts.tupleTab = newFlatTable(len(ts.tuples))
 	sc := new(addScratch)
 	for i := range ts.paths {
 		sc.words = ts.pathKey(int32(i))
-		_, hp, _ := ts.shared.prepare(sc, nil, nil)
+		_, hp, _ := ts.shared.hashView(sc)
 		ts.pathTab.insert(hp, i)
 	}
 	for i := range ts.tuples {
 		t := &ts.tuples[i]
-		sc.words = ts.pathKey(t.PathID)
-		_, _, h := ts.shared.prepare(sc, ts.TupleComms(t), ts.TupleLarges(t))
+		sc.words, sc.set = ts.pathKey(t.PathID), ts.tupleSet(t)
+		_, _, h := ts.shared.hashView(sc)
 		ts.tupleTab.insert(h, i)
-		ts.shared.comms.adopt(t.comms.off, t.comms.n)
-		ts.shared.larges.adopt(t.lcomms.off, t.lcomms.n)
+		ts.shared.sets.adopt(t.set)
 	}
 }
 
@@ -334,9 +324,10 @@ func (s *ShardedTupleStore) Len() int {
 // into the shared cross-shard storage, so stitching is index work —
 // renumber each shard's paths, in key order, into a contiguous global
 // range, lay its tuples out in (path key, communities, larges) order,
-// and copy the tuple records, path metas, and VP lists into disjoint
-// pre-sized regions of the output. Stitched tuples are therefore
-// non-decreasing in PathID, which lets Observe walk them as they lie.
+// and copy the tuple records, path metas, and VP lists of more than one
+// into disjoint pre-sized regions of the output. Stitched tuples are
+// therefore non-decreasing in PathID, which lets Observe walk them as
+// they lie.
 // Shards are laid out in index order, and each is sorted by
 // content, so the result is deterministic — the same input views
 // produce a byte-identical store regardless of worker count or
@@ -351,9 +342,11 @@ func (s *ShardedTupleStore) Len() int {
 // die with the shards, the intern hash tables — which only an insert
 // probes — are released, and all of them are rebuilt lazily on the
 // first AddView (reindexShared), so pure readers (Observe, snapshot
-// write) never pay for them. Nothing carries growth slack: VP lists are
-// copied compacted (capacity == length) and the newest chunk of each
-// shared arena is trimmed to its fill, to be re-grown if views arrive.
+// write) never pay for them. Nothing carries growth slack beyond the one
+// rule: a VP list of more than one keeps its capacity nextPow2(length),
+// so post-stitch AddViews grow it as any other, and the newest chunk of
+// each shared arena is trimmed to its fill, to be re-grown if views
+// arrive.
 func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	n := len(s.shards)
 	tupleOff := make([]int, n+1)
@@ -361,12 +354,16 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	vpOff := make([]int, n+1)
 	loopOff := make([]int, n+1)
 	large := make(map[bgp.LargeCommunity]struct{})
+	largeTuples := false
 	for i := range s.shards {
 		ts := s.shards[i].ts
 		nVPs := 0
 		for j := range ts.tuples {
-			nVPs += int(ts.tuples[j].vpLen)
+			if n := ts.tuples[j].nVP; n > 1 {
+				nVPs += int(nextPow2(n))
+			}
 		}
+		largeTuples = largeTuples || ts.largeTuples
 		tupleOff[i+1] = tupleOff[i] + len(ts.tuples)
 		pathOff[i+1] = pathOff[i] + len(ts.paths)
 		vpOff[i+1] = vpOff[i] + nVPs
@@ -376,12 +373,13 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 		}
 	}
 	out := &TupleStore{
-		shared:  s.shared,
-		tuples:  make([]Tuple, tupleOff[n]),
-		paths:   make([]pathMeta, pathOff[n]),
-		vpArena: make([]uint32, vpOff[n]),
-		loops:   make([]loopedKey, loopOff[n]),
-		large:   large,
+		shared:      s.shared,
+		tuples:      make([]Tuple, tupleOff[n]),
+		paths:       make([]pathMeta, pathOff[n]),
+		vpArena:     make([]uint32, vpOff[n]),
+		loops:       make([]loopedKey, loopOff[n]),
+		large:       large,
+		largeTuples: largeTuples,
 	}
 	ParallelFor(workers, n, func(i int) {
 		ts := s.shards[i].ts
@@ -410,12 +408,15 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 		order, end := countingSort(len(ts.tuples), len(ts.paths), func(j int) int32 {
 			return rank[ts.tuples[j].PathID]
 		})
+		// Communities, then larges: comparing the larges' words in order is
+		// comparing the larges field by field.
 		byPayload := func(a, b int32) int {
-			ta, tb := &ts.tuples[a], &ts.tuples[b]
-			if c := slices.Compare(ts.TupleComms(ta), ts.TupleComms(tb)); c != 0 {
+			ca, la := splitSet(ts.tupleSet(&ts.tuples[a]))
+			cb, lb := splitSet(ts.tupleSet(&ts.tuples[b]))
+			if c := slices.Compare(ca, cb); c != 0 {
 				return c
 			}
-			return slices.CompareFunc(ts.TupleLarges(ta), ts.TupleLarges(tb), bgp.LargeCommunity.Compare)
+			return slices.Compare(la, lb)
 		}
 		lo := int32(0)
 		for _, hi := range end {
@@ -424,24 +425,20 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 		}
 		vpCur := uint32(vpOff[i])
 		for j, ti := range order {
-			t := &ts.tuples[ti]
-			vps := ts.TupleVPs(t)
-			copy(out.vpArena[vpCur:], vps)
-			out.tuples[tupleOff[i]+j] = Tuple{
-				PathID: int32(pathOff[i]) + rank[t.PathID],
-				comms:  t.comms,
-				lcomms: t.lcomms,
-				vpOff:  vpCur, vpLen: uint32(len(vps)), vpCap: uint32(len(vps)),
+			t := ts.tuples[ti]
+			if t.nVP > 1 {
+				copy(out.vpArena[vpCur:], ts.TupleVPs(&ts.tuples[ti]))
+				t.vp[0] = vpCur
+				vpCur += nextPow2(t.nVP)
 			}
-			vpCur += uint32(len(vps))
+			t.PathID = int32(pathOff[i]) + rank[t.PathID]
+			out.tuples[tupleOff[i]+j] = t
 		}
 	})
 	sh := s.shared
 	sh.stitched = out
-	sh.comms.release()
-	sh.larges.release()
-	sh.comms.arena.trim()
-	sh.larges.arena.trim()
+	sh.sets.release()
+	sh.sets.arena.trim()
 	sh.asns.trim()
 	return out
 }

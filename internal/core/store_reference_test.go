@@ -119,7 +119,7 @@ func reduceStore(t *testing.T, label string, ts *TupleStore) refReduction {
 	}
 	for i := range ts.tuples {
 		tu := &ts.tuples[i]
-		id := refIdentity(pathOf(tu.PathID), ts.TupleComms(tu), ts.TupleLarges(tu))
+		id := refIdentity(pathOf(tu.PathID), ts.TupleComms(tu), ts.TupleLarges(nil, tu))
 		if r.vps[id] != nil {
 			t.Fatalf("%s: identity %s held by two tuples", label, id)
 		}
@@ -173,16 +173,23 @@ func checkReduction(t *testing.T, label string, ts *TupleStore, want refReductio
 }
 
 // storeViews builds one random view stream out of a refUniverse (which
-// brings prepended paths, 0:0, 65535:65535 and VP/ASN 0 and 0xFFFFFFFF)
-// and adds what the reduction must see through: the same set in another
-// order and with repeats, and near-twins that differ from a view in
-// exactly one of path, communities and larges. Every fourth seed also
-// carries a community list longer than the intern arena's first chunk.
+// brings prepended paths, 0:0, 65535:65535, VP/ASN 0 and 0xFFFFFFFF, and
+// identities seen from several vantage points) and adds what the
+// reduction must see through: the same set in another order and with
+// repeats, near-twins that differ from a view in exactly one of path,
+// communities and larges, and one path under a classic-only, a
+// large-only, a mixed and an empty set. Every fourth seed also carries a
+// community list longer than the intern arena's first chunk.
 func storeViews(seed int64) []refView {
 	rng := rand.New(rand.NewSource(seed))
 	u := newRefUniverse(rng)
 	base := u.views(rng, 1+rng.Intn(300), seed%3 != 0)
-	views := make([]refView, 0, 2*len(base))
+	views := make([]refView, 0, 2*len(base)+4)
+	classic, large := u.comms[:1+rng.Intn(len(u.comms))], u.larges[:1+rng.Intn(len(u.larges))]
+	for _, v := range []refView{{comms: classic}, {larges: large}, {comms: classic, larges: large}, {}} {
+		v.vp, v.path = u.asns[rng.Intn(len(u.asns))], u.paths[0]
+		views = append(views, v)
+	}
 	for _, v := range base {
 		views = append(views, v)
 		w := v
@@ -224,22 +231,30 @@ func storeViews(seed int64) []refView {
 // vantage-point sets, paths and distinct large communities, for every
 // combination of concurrent writers, shard count and Stitch workers —
 // and a stitched store fed the whole stream again (through its lazily
-// rebuilt tables) does not change. The second round makes every view
-// hash alike, so each shard's tables degenerate into one probe chain:
-// the results must be the same, because the content comparison, not the
-// tag, decides identity. (Dropping the path, community or large compare
-// from addViewShared fails this round.)
+// rebuilt tables) does not change, while one fed nine new vantage points
+// for a multi-VP tuple grows that list past a power of two. The second
+// round makes every view hash alike, so each shard's tables and the set
+// intern degenerate into one probe chain apiece: the results must be the
+// same, because the content comparison, not the tag, decides identity.
+// (Dropping the path or set compare from addViewShared, or the content
+// compare from the intern's lookup, fails this round.)
 func TestStoreMatchesReference(t *testing.T) {
 	for _, collide := range []bool{false, true} {
 		for seed := int64(1); seed <= 12; seed++ {
 			views := storeViews(seed)
+			later := growVPs(views)
 			want := referenceReduce(views)
+			wantLater := referenceReduce(append(views, later...))
 
 			plain := NewTupleStore()
 			for _, v := range views {
 				plain.AddViewLarge(v.vp, v.path, v.comms, v.larges)
 			}
 			checkReduction(t, fmt.Sprintf("seed %d plain", seed), plain, want)
+			for _, v := range later {
+				plain.AddViewLarge(v.vp, v.path, v.comms, v.larges)
+			}
+			checkReduction(t, fmt.Sprintf("seed %d plain grown", seed), plain, wantLater)
 
 			for _, writers := range []int{1, 2, 8} {
 				for _, shards := range []int{1, 7, 64} {
@@ -266,6 +281,9 @@ func TestStoreMatchesReference(t *testing.T) {
 						if sts.Len() != len(want.vps) {
 							t.Fatalf("%s: sharded Len %d, reference has %d", label, sts.Len(), len(want.vps))
 						}
+						if collide {
+							checkOneChain(t, label, &sts.shared.sets)
+						}
 						ts := sts.Stitch(workers)
 						checkReduction(t, label, ts, want)
 						if writers == 1 {
@@ -274,9 +292,29 @@ func TestStoreMatchesReference(t *testing.T) {
 							}
 							checkReduction(t, label+" refed", ts, want)
 						}
+						for _, v := range later {
+							ts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
+						}
+						checkReduction(t, label+" grown", ts, wantLater)
 					}
 				}
 			}
+		}
+	}
+}
+
+// checkOneChain asserts that a set intern whose hash is forced to zero
+// holds its entries as one probe chain: slots [0, live) all filled.
+func checkOneChain(t *testing.T, label string, li *listIntern) {
+	t.Helper()
+	live, _ := li.tableSize()
+	tab := li.table.Load()
+	if live == 0 {
+		return
+	}
+	for i := 0; i < len(tab.slots); i++ {
+		if filled := tab.slots[i].Load() != 0; filled != (i < live) {
+			t.Fatalf("%s: intern slot %d filled=%v with %d entries: not one chain", label, i, filled, live)
 		}
 	}
 }

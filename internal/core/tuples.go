@@ -7,6 +7,7 @@ package core
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -34,36 +35,75 @@ type pathMeta struct {
 	orgs span
 }
 
-// Tuple is one unique (AS path, communities) observation. The
-// communities and vantage points live in the store's shared arenas;
-// read them through TupleStore.TupleComms and TupleStore.TupleVPs.
+// Tuple is one unique (AS path, communities) observation, 16 bytes.
+// Read its communities through TupleStore.TupleComms and
+// TupleStore.TupleLarges, its vantage points through TupleStore.TupleVPs.
 // Tuples are plain values in one flat slice — no per-tuple pointers,
 // no per-tuple slice headers.
 type Tuple struct {
 	PathID int32
-	comms  span
-	// lcomms locates the tuple's canonical large-community list (RFC
-	// 8092); the zero span means none. Large communities are part of
-	// tuple identity: observations that differ only in their large
-	// communities are distinct tuples.
-	lcomms span
-	// The VP list is the one per-tuple field that grows after creation,
-	// so it carries a capacity: when full it relocates to the arena
-	// tail with doubled capacity (amortized O(1), bounded dead space).
-	vpOff, vpLen, vpCap uint32
+	// set is the arena offset of the tuple's community-set record (see
+	// appendSet): its classic and large communities (RFC 8092) together.
+	// Large communities are part of tuple identity: observations that
+	// differ only in their large communities are distinct tuples.
+	set uint32
+	// With nVP == 1, vp holds the tuple's one vantage point — nearly every
+	// tuple has exactly one, because an eBGP peer puts its own ASN first
+	// on the path. With nVP > 1 it is the offset of the sorted list in the
+	// VP arena, whose capacity is nextPow2(nVP): a full list relocates to
+	// the arena tail with doubled capacity (amortized O(1), bounded dead
+	// space).
+	vp  [1]uint32
+	nVP uint32
 }
 
-// tupleKey is the fixed-size dedup key of one (path, communities,
-// large communities) tuple: the interned path ID plus a 64-bit hash of
-// each canonical community list. Tuples whose lists collide on the
-// hashes are disambiguated by comparing the lists themselves (a rare
-// overflow list holds the extra candidates), so the key is compact
-// without being lossy. Classic-only tuples carry largeHash 0, so their
-// keys are exactly the pre-large ones.
+// nextPow2 is the capacity of a VP list of n > 1 entries.
+func nextPow2(n uint32) uint32 { return 1 << bits.Len32(n-1) }
+
+// emptySet is the record of the set with no communities of either kind.
+var emptySet = [1]bgp.Community{0}
+
+// appendSet renders a canonical community set as one record of words
+// and appends it to dst: a header, len(comms) | len(larges)<<16, then the
+// communities, then each large community as GlobalAdmin, LocalData1,
+// LocalData2. Equal sets are equal words, so a record is compared,
+// hashed and interned as one word slice. The words are typed
+// bgp.Community so that TupleComms is a view into the record. A decoded
+// attribute carries at most 16383 communities, far under the header's
+// 65535 per kind.
+func appendSet(dst []bgp.Community, comms bgp.Communities, larges bgp.LargeCommunities) []bgp.Community {
+	if len(comms) > 0xFFFF || len(larges) > 0xFFFF {
+		panic("core: more than 65535 communities of one kind in a set")
+	}
+	dst = append(dst, bgp.Community(len(comms)|len(larges)<<16))
+	dst = append(dst, comms...)
+	for _, lc := range larges {
+		dst = append(dst, bgp.Community(lc.GlobalAdmin), bgp.Community(lc.LocalData1), bgp.Community(lc.LocalData2))
+	}
+	return dst
+}
+
+// setAt returns the set record at the start of words.
+func setAt(words []bgp.Community) []bgp.Community {
+	n := 1 + int(words[0]&0xFFFF) + 3*int(words[0]>>16)
+	return words[:n:n]
+}
+
+// splitSet splits a set record into its communities and its large
+// communities' words.
+func splitSet(set []bgp.Community) (comms bgp.Communities, larges []bgp.Community) {
+	n := 1 + int(set[0]&0xFFFF)
+	return set[1:n:n], set[n:]
+}
+
+// tupleKey is the plain store's fixed-size dedup key of one tuple: the
+// interned path ID plus a 64-bit hash of its set record. Tuples whose
+// sets collide on the hash are disambiguated by comparing the records
+// themselves (a rare overflow list holds the extra candidates), so the
+// key is compact without being lossy.
 type tupleKey struct {
-	pathID    int32
-	commsHash uint64
-	largeHash uint64
+	pathID  int32
+	setHash uint64
 }
 
 // TupleStore interns AS paths and deduplicates (path, communities)
@@ -71,13 +111,13 @@ type tupleKey struct {
 // from one week of RouteViews/RIS data).
 //
 // Storage is columnar (struct-of-arrays): tuples are one flat []Tuple,
-// and their variable-length payloads — community lists, VP lists, path
-// ASN sequences, path org lists — are offset+length views into four
-// append-only arenas. The hot ingest path therefore allocates only
-// when an arena or the flat slice grows, not per tuple.
+// and their variable-length payloads — community sets, VP lists of more
+// than one, path ASN sequences, path org lists — live in append-only
+// arenas. The hot ingest path therefore allocates only when an arena or
+// the flat slice grows, not per tuple.
 type TupleStore struct {
 	// shared, when non-nil, switches the store to shared-storage mode:
-	// community lists resolve through the cross-shard intern table and
+	// community sets resolve through the cross-shard set intern and
 	// path ASN sequences live in the cross-shard arena, so spans are
 	// global and a ShardedTupleStore.Stitch moves no payload data. A
 	// plain NewTupleStore leaves it nil and keeps the local arenas.
@@ -92,14 +132,16 @@ type TupleStore struct {
 	// (see pathKey), ascending by path ID.
 	loops []loopedKey
 
-	tuples     []Tuple
-	commArena  []bgp.Community      // all tuple community lists (append-only; nil in shared mode)
-	largeArena []bgp.LargeCommunity // all tuple large-community lists (append-only; nil in shared mode)
-	vpArena    []uint32             // all tuple VP lists (relocating; see Tuple)
+	tuples   []Tuple
+	setArena []bgp.Community // every tuple's set record (append-only; nil in shared mode)
+	vpArena  []uint32        // the VP lists of tuples with more than one (relocating; see Tuple)
+	// largeTuples records whether any tuple carries large communities, so
+	// classic-only loads skip the large observation pass entirely.
+	largeTuples bool
 
 	// tupleIdx maps a dedup key to its first tuple; tupleDup holds the
-	// (vanishingly rare) extra tuples whose communities collide on the
-	// hash, so the common case costs one map entry and zero slices.
+	// (vanishingly rare) extra tuples whose sets collide on the hash, so
+	// the common case costs one map entry and zero slices.
 	// Like pathIDs, plain store only: a shared-mode store indexes through
 	// tupleTab and pathTab instead (see addViewShared).
 	tupleIdx map[tupleKey]int32
@@ -143,18 +185,6 @@ func (ts *TupleStore) NoteLarge(ls bgp.LargeCommunities) {
 // noted.
 func (ts *TupleStore) LargeCommunityCount() int { return len(ts.large) }
 
-// hasLargeTuples reports (in O(1)) whether any tuple in the store
-// carries large communities, so classic-only loads skip the large
-// observation pass entirely.
-func (ts *TupleStore) hasLargeTuples() bool {
-	if ts.shared != nil {
-		// The large arena holds exactly the lists interned for tuples; the
-		// intern table beside it is load-only state and may be gone.
-		return !ts.shared.larges.arena.empty()
-	}
-	return len(ts.largeArena) > 0
-}
-
 // appendPathKey renders a path (with prepending collapsed) to the plain
 // store's compact binary key, appending to dst.
 func appendPathKey(dst []byte, path []uint32) []byte {
@@ -187,8 +217,17 @@ type addScratch struct {
 	words  []uint32 // shared-mode path key
 	comms  bgp.Communities
 	larges bgp.LargeCommunities // large-community canonicalization buffer
+	set    []bgp.Community      // the view's set record (see appendSet)
 	flat   []uint32             // AS-path flattening buffer for AddViewASPath
 	asns   []uint32             // shared-mode path interning: distinct ASNs, then the key if it differs
+}
+
+// canonicalSet canonicalizes both community lists and renders them as
+// one set record in sc.set.
+func (sc *addScratch) canonicalSet(comms bgp.Communities, larges bgp.LargeCommunities) {
+	sc.comms = canonicalInto(sc.comms, comms)
+	sc.larges = canonicalLargeInto(sc.larges, larges)
+	sc.set = appendSet(sc.set[:0], sc.comms, sc.larges)
 }
 
 var addScratchPool = sync.Pool{New: func() any { return new(addScratch) }}
@@ -214,19 +253,6 @@ func canonicalInto(dst, comms bgp.Communities) bgp.Communities {
 	return dst[:w]
 }
 
-// commsEqual reports whether two canonical community lists are equal.
-func commsEqual(a, b bgp.Communities) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // canonicalLargeInto writes the sorted, de-duplicated form of ls into
 // dst (reusing its capacity) and returns it — the large-community
 // sibling of canonicalInto.
@@ -245,20 +271,6 @@ func canonicalLargeInto(dst, ls bgp.LargeCommunities) bgp.LargeCommunities {
 		}
 	}
 	return dst[:w]
-}
-
-// largesEqual reports whether two canonical large-community lists are
-// equal.
-func largesEqual(a, b bgp.LargeCommunities) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // internPathKey returns the plain store's path ID for a path whose
@@ -322,21 +334,18 @@ func (ts *TupleStore) AddViewLarge(vp uint32, path []uint32, comms bgp.Communiti
 // scratch. Callers are responsible for noting larges in ts.large.
 func (ts *TupleStore) addViewKeyed(vp uint32, key []byte, path []uint32, comms bgp.Communities, larges bgp.LargeCommunities, sc *addScratch) {
 	id := ts.internPathKey(key, path)
-	sc.comms = canonicalInto(sc.comms, comms)
-	canon := sc.comms
-	sc.larges = canonicalLargeInto(sc.larges, larges)
-	canonLarge := sc.larges
-	tk := tupleKey{pathID: id, commsHash: hashComms(canon), largeHash: hashLarges(canonLarge)}
+	sc.canonicalSet(comms, larges)
+	tk := tupleKey{pathID: id, setHash: hashSet(0, sc.set)}
 	if ti, ok := ts.tupleIdx[tk]; ok {
-		if ts.addVPIfMatch(ti, canon, canonLarge, vp) {
+		if ts.addVPIfMatch(ti, sc.set, vp) {
 			return
 		}
 		for _, di := range ts.tupleDup[tk] {
-			if ts.addVPIfMatch(di, canon, canonLarge, vp) {
+			if ts.addVPIfMatch(di, sc.set, vp) {
 				return
 			}
 		}
-		// Hash collision: distinct community lists under the same key.
+		// Hash collision: distinct sets under the same key.
 		if ts.tupleDup == nil {
 			ts.tupleDup = make(map[tupleKey][]int32)
 		}
@@ -344,27 +353,18 @@ func (ts *TupleStore) addViewKeyed(vp uint32, key []byte, path []uint32, comms b
 	} else {
 		ts.tupleIdx[tk] = int32(len(ts.tuples))
 	}
-	commOff := uint32(len(ts.commArena))
-	ts.commArena = append(ts.commArena, canon...)
-	largeOff := uint32(len(ts.largeArena))
-	ts.largeArena = append(ts.largeArena, canonLarge...)
-	vpOff := uint32(len(ts.vpArena))
-	ts.vpArena = append(ts.vpArena, vp)
-	ts.tuples = append(ts.tuples, Tuple{
-		PathID: id,
-		comms:  span{off: commOff, n: uint32(len(canon))},
-		lcomms: span{off: largeOff, n: uint32(len(canonLarge))},
-		vpOff:  vpOff, vpLen: 1, vpCap: 1,
-	})
+	set := uint32(len(ts.setArena))
+	ts.setArena = append(ts.setArena, sc.set...)
+	if len(sc.larges) > 0 {
+		ts.largeTuples = true
+	}
+	ts.tuples = append(ts.tuples, Tuple{PathID: id, set: set, vp: [1]uint32{vp}, nVP: 1})
 }
 
-// addVPIfMatch merges vp into tuple ti if both of its community lists
-// equal the canonical candidates, reporting whether it did.
-func (ts *TupleStore) addVPIfMatch(ti int32, canon bgp.Communities, canonLarge bgp.LargeCommunities, vp uint32) bool {
-	if !commsEqual(ts.TupleComms(&ts.tuples[ti]), canon) {
-		return false
-	}
-	if !largesEqual(ts.TupleLarges(&ts.tuples[ti]), canonLarge) {
+// addVPIfMatch merges vp into tuple ti if its set record equals set,
+// reporting whether it did.
+func (ts *TupleStore) addVPIfMatch(ti int32, set []bgp.Community, vp uint32) bool {
+	if !slices.Equal(ts.tupleSet(&ts.tuples[ti]), set) {
 		return false
 	}
 	ts.addVP(ti, vp)
@@ -372,36 +372,43 @@ func (ts *TupleStore) addVPIfMatch(ti int32, canon bgp.Communities, canonLarge b
 }
 
 // addVP inserts vp into tuple ti's sorted VP list (no-op when present).
+// A second VP moves the list from the tuple into the VP arena.
 func (ts *TupleStore) addVP(ti int32, vp uint32) {
 	t := &ts.tuples[ti]
-	vps := ts.vpArena[t.vpOff : t.vpOff+t.vpLen]
+	if t.nVP == 1 {
+		if t.vp[0] != vp {
+			off := uint32(len(ts.vpArena))
+			ts.vpArena = append(ts.vpArena, min(t.vp[0], vp), max(t.vp[0], vp))
+			t.vp[0], t.nVP = off, 2
+		}
+		return
+	}
+	vps := ts.vpArena[t.vp[0] : t.vp[0]+t.nVP]
 	pos, found := slices.BinarySearch(vps, vp)
 	if found {
 		return
 	}
-	if t.vpLen == t.vpCap {
+	if t.nVP == nextPow2(t.nVP) {
 		ts.growVPs(t)
 	}
-	vps = ts.vpArena[t.vpOff : t.vpOff+t.vpLen+1]
+	vps = ts.vpArena[t.vp[0] : t.vp[0]+t.nVP+1]
 	copy(vps[pos+1:], vps[pos:])
 	vps[pos] = vp
-	t.vpLen++
+	t.nVP++
 }
 
-// growVPs doubles a tuple's VP capacity: in place when the tuple sits at
-// the arena tail, otherwise by relocating it there. Each relocation
+// growVPs doubles a full VP list's capacity: in place when the list sits
+// at the arena tail, otherwise by relocating it there. Each relocation
 // doubles the capacity, so the dead space left behind stays bounded by
 // the live data.
 func (ts *TupleStore) growVPs(t *Tuple) {
-	newCap := t.vpCap * 2
-	if int(t.vpOff+t.vpCap) != len(ts.vpArena) {
-		newOff := uint32(len(ts.vpArena))
-		ts.vpArena = append(ts.vpArena, ts.vpArena[t.vpOff:t.vpOff+t.vpLen]...)
-		t.vpOff = newOff
+	off, n := t.vp[0], t.nVP
+	if int(off+n) != len(ts.vpArena) {
+		t.vp[0] = uint32(len(ts.vpArena))
+		ts.vpArena = append(ts.vpArena, ts.vpArena[off:off+n]...)
 	}
-	need := int(t.vpOff) + int(newCap)
+	need := int(t.vp[0] + 2*n)
 	ts.vpArena = slices.Grow(ts.vpArena, need-len(ts.vpArena))[:need]
-	t.vpCap = newCap
 }
 
 // Len returns the number of unique tuples.
@@ -433,32 +440,42 @@ func (ts *TupleStore) pathASNs(p *pathMeta) []uint32 {
 // Iterate by index and resolve payloads through TupleComms/TupleVPs.
 func (ts *TupleStore) Tuples() []Tuple { return ts.tuples }
 
+// tupleSet returns a tuple's set record (a view into the set arena or
+// the shared intern arena; do not mutate).
+func (ts *TupleStore) tupleSet(t *Tuple) []bgp.Community {
+	if ts.shared != nil {
+		return ts.shared.sets.view(t.set)
+	}
+	return setAt(ts.setArena[t.set:])
+}
+
 // TupleComms returns a tuple's canonical community list (a view into
-// the community arena or the shared intern arena; do not mutate).
+// its set record; do not mutate).
 func (ts *TupleStore) TupleComms(t *Tuple) bgp.Communities {
-	if ts.shared != nil {
-		return ts.shared.comms.view(t.comms.off, t.comms.n)
-	}
-	return ts.commArena[t.comms.off : t.comms.off+t.comms.n]
+	comms, _ := splitSet(ts.tupleSet(t))
+	return comms
 }
 
-// TupleLarges returns a tuple's canonical large-community list (a view
-// into the large arena or the shared intern arena; do not mutate). Nil
-// for classic-only tuples.
-func (ts *TupleStore) TupleLarges(t *Tuple) bgp.LargeCommunities {
-	if t.lcomms.n == 0 {
-		return nil
+// TupleLarges appends a tuple's canonical large-community list to dst
+// and returns the extended slice: nothing is appended for a classic-only
+// tuple, and nothing allocates once dst has room.
+func (ts *TupleStore) TupleLarges(dst bgp.LargeCommunities, t *Tuple) bgp.LargeCommunities {
+	_, words := splitSet(ts.tupleSet(t))
+	for i := 0; i+2 < len(words); i += 3 {
+		dst = append(dst, bgp.LargeCommunity{
+			GlobalAdmin: uint32(words[i]), LocalData1: uint32(words[i+1]), LocalData2: uint32(words[i+2]),
+		})
 	}
-	if ts.shared != nil {
-		return ts.shared.larges.view(t.lcomms.off, t.lcomms.n)
-	}
-	return ts.largeArena[t.lcomms.off : t.lcomms.off+t.lcomms.n]
+	return dst
 }
 
-// TupleVPs returns a tuple's sorted distinct vantage points (a view
-// into the VP arena; do not mutate).
+// TupleVPs returns a tuple's sorted distinct vantage points (a view into
+// the tuple or the VP arena; do not mutate).
 func (ts *TupleStore) TupleVPs(t *Tuple) []uint32 {
-	return ts.vpArena[t.vpOff : t.vpOff+t.vpLen]
+	if t.nVP <= 1 {
+		return t.vp[:t.nVP]
+	}
+	return ts.vpArena[t.vp[0] : t.vp[0]+t.nVP]
 }
 
 // VPSet returns the distinct vantage points across all tuples.
@@ -471,54 +488,64 @@ func (ts *TupleStore) VPSet() []uint32 {
 	return slices.Compact(out)
 }
 
+// setRuns returns runs of back-to-back set records that together hold
+// every set the tuples refer to, each at least once. A plain store's
+// arena and a stitched store's intern arena hold exactly those records
+// (the latter each distinct set once); a shard, whose intern arena holds
+// its siblings' sets too, lists its tuples' records one by one.
+func (ts *TupleStore) setRuns() [][]bgp.Community {
+	switch {
+	case ts.shared == nil:
+		return [][]bgp.Community{ts.setArena}
+	case ts.shared.stitched == ts:
+		return ts.shared.sets.arena.filled()
+	}
+	runs := make([][]bgp.Community, len(ts.tuples))
+	for i := range ts.tuples {
+		runs[i] = ts.tupleSet(&ts.tuples[i])
+	}
+	return runs
+}
+
+// nextSet splits the first set record off a run: its communities, and
+// the rest of the run.
+func nextSet(run []bgp.Community) (comms bgp.Communities, rest []bgp.Community) {
+	set := setAt(run)
+	comms, _ = splitSet(set)
+	return comms, run[len(set):]
+}
+
 // Communities returns the distinct communities across all tuples, sorted.
 func (ts *TupleStore) Communities() []bgp.Community {
-	if ts.shared != nil {
-		// The shared intern arena holds every list seen by ANY store on
-		// the same storeShared, so walk this store's tuples instead.
-		n := 0
-		for i := range ts.tuples {
-			n += int(ts.tuples[i].comms.n)
+	out := make([]bgp.Community, 0, len(ts.setArena)) // a plain store's arena bounds the count
+	for _, run := range ts.setRuns() {
+		for len(run) > 0 {
+			var comms bgp.Communities
+			comms, run = nextSet(run)
+			out = append(out, comms...)
 		}
-		out := make([]bgp.Community, 0, n)
-		for i := range ts.tuples {
-			out = append(out, ts.TupleComms(&ts.tuples[i])...)
-		}
-		slices.Sort(out)
-		return slices.Compact(out)
 	}
-	// The community arena is append-only with no dead regions, so it is
-	// exactly the concatenation of every tuple's list.
-	out := make([]bgp.Community, len(ts.commArena))
-	copy(out, ts.commArena)
 	slices.Sort(out)
 	return slices.Compact(out)
 }
 
 // DistinctCounts returns how many distinct communities and vantage
 // points the tuples carry, counted through hash sets: unlike Communities
-// and VPSet, no payload copy, no sort, O(distinct) memory. A stitched
-// store counts communities over the intern arena, where every distinct
-// list lies once, instead of once per tuple that refers to it.
+// and VPSet, no payload copy, no sort, O(distinct) memory.
 func (ts *TupleStore) DistinctCounts() (communities, vantagePoints int) {
 	comms := newProbeTable[bgp.Community, struct{}]()
 	vps := newProbeTable[uint32, struct{}]()
-	interned := ts.shared != nil && ts.shared.stitched == ts
-	if interned {
-		for _, chunk := range ts.shared.comms.arena.filled() {
-			for _, c := range chunk {
+	for _, run := range ts.setRuns() {
+		for len(run) > 0 {
+			var cs bgp.Communities
+			cs, run = nextSet(run)
+			for _, c := range cs {
 				comms.at(c, hashU32(uint32(c)))
 			}
 		}
 	}
 	for i := range ts.tuples {
-		t := &ts.tuples[i]
-		if !interned {
-			for _, c := range ts.TupleComms(t) {
-				comms.at(c, hashU32(uint32(c)))
-			}
-		}
-		for _, vp := range ts.TupleVPs(t) {
+		for _, vp := range ts.TupleVPs(&ts.tuples[i]) {
 			vps.at(vp, hashU32(vp))
 		}
 	}

@@ -295,3 +295,89 @@ func TestStatsAccounting(t *testing.T) {
 		t.Error("empty stats have a nonzero error rate")
 	}
 }
+
+// TestResyncAnchorsOnAddPathRIB: a resync hunting past corrupt bytes
+// stops at the first plausible record header, and RFC 8050's ADD-PATH
+// RIB records (TABLE_DUMP_V2 subtypes 8–12) are plausible headers. Every
+// byte is assembled from the RFC text, not through Writer: a
+// PEER_INDEX_TABLE and a RIB_IPV4_UNICAST record (RFC 6396 §4.3.1,
+// §4.3.2, §4.3.4), 32 bytes of garbage framed as an unknown record whose
+// follow-on length is impossible, two RIB_IPV4_UNICAST_ADDPATH records
+// (RFC 8050 §4: a Path Identifier after the Originated Time), then a
+// second RIB_IPV4_UNICAST. Only the garbage may be skipped; the ADD-PATH
+// records frame and count as unknown subtypes, and both RIB views
+// survive.
+func TestResyncAnchorsOnAddPathRIB(t *testing.T) {
+	record := func(subtype byte, body ...byte) []byte {
+		n := len(body)
+		hdr := []byte{
+			0x66, 0x31, 0x8a, 0x00, // timestamp 1714521600
+			0x00, 0x0d, // type TABLE_DUMP_V2
+			0x00, subtype,
+			byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n),
+		}
+		return append(hdr, body...)
+	}
+	attrs := []byte{
+		0x40, 0x01, 0x01, 0x00, // ORIGIN IGP
+		0x40, 0x02, 0x0a, 0x02, 0x02, // AS_PATH: one AS_SEQUENCE of two 4-octet ASNs
+		0x00, 0x00, 0xfe, 0xf5, // 65269
+		0x00, 0x00, 0xfb, 0xf0, // 64496
+		0xc0, 0x08, 0x04, 0x05, 0x13, 0x00, 0x64, // COMMUNITIES 1299:100
+	}
+	entry := func(pathID ...byte) []byte {
+		e := []byte{0x00, 0x00, 0x66, 0x31, 0x8a, 0x00} // peer index 0, originated time
+		e = append(e, pathID...)
+		e = append(e, 0x00, byte(len(attrs)))
+		return append(e, attrs...)
+	}
+	rib := func(subtype, seq byte, pathID ...byte) []byte {
+		body := []byte{0x00, 0x00, 0x00, seq, 0x18, 0xc0, 0x00, 0x02, 0x00, 0x01} // 192.0.2.0/24, one entry
+		return record(subtype, append(body, entry(pathID...)...)...)
+	}
+	peerTable := record(1,
+		0x0a, 0x00, 0x00, 0x01, // collector BGP ID
+		0x00, 0x00, // no view name
+		0x00, 0x01, // one peer
+		0x02,                   // peer type: IPv4 address, 4-octet AS
+		0x0a, 0x01, 0x00, 0x01, // peer BGP ID
+		0xc6, 0x33, 0x64, 0x01, // 198.51.100.1
+		0x00, 0x00, 0xfe, 0xf5, // AS 65269
+	)
+	garbage := []byte{
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x08,
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+	}
+	var stream []byte
+	for _, part := range [][]byte{
+		peerTable, rib(2, 0), garbage,
+		rib(8, 1, 0x00, 0x00, 0x00, 0x01), rib(8, 2, 0x00, 0x00, 0x00, 0x02),
+		rib(2, 3),
+	} {
+		stream = append(stream, part...)
+	}
+
+	var st Stats
+	s := NewTableDumpScannerOptions(bytes.NewReader(stream), ScanOptions{Lenient: true, Stats: &st})
+	views := 0
+	for {
+		v, err := s.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("lenient scanner error: %v", err)
+		}
+		if v.Peer.ASN != 65269 || v.Entry.Attrs.Communities.String() != "1299:100" {
+			t.Fatalf("view %d: peer AS %d, communities %v", views, v.Peer.ASN, v.Entry.Attrs.Communities)
+		}
+		views++
+	}
+	if st.BytesSkipped != int64(len(garbage)) || st.Resyncs != 1 {
+		t.Errorf("skipped %d bytes in %d resyncs, want the %d garbage bytes in 1", st.BytesSkipped, st.Resyncs, len(garbage))
+	}
+	if st.UnknownTypes["13/8"] != 2 || views != 2 {
+		t.Errorf("%d ADD-PATH RIB records counted unknown and %d views, want 2 and 2 (stats %+v)", st.UnknownTypes["13/8"], views, st)
+	}
+}

@@ -484,8 +484,10 @@ func plausibleHeader(hdr []byte) bool {
 	}
 	switch typ {
 	case TypeTableDumpV2:
-		// Subtypes 1-6: peer index, RIB unicast/multicast v4/v6, generic.
-		return sub >= 1 && sub <= 6
+		// Subtypes 1-6: peer index, RIB unicast/multicast v4/v6, generic
+		// (RFC 6396); 7: GEO_PEER_TABLE (RFC 6397); 8-12: the ADD-PATH
+		// forms of the RIB subtypes (RFC 8050).
+		return sub >= 1 && sub <= 12
 	case TypeBGP4MP, TypeBGP4MPET:
 		// RFC 6396 + RFC 8050 define subtypes 0-11.
 		return sub <= 11
