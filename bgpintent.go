@@ -372,8 +372,8 @@ type LoadOptions struct {
 	Parallelism int
 	// Observer, when non-nil, receives per-file open/decode spans, the
 	// frame, store-add and stitch stage spans, and progress events. It
-	// does not change results: an observed load produces a corpus
-	// byte-identical to an unobserved one.
+	// does not change results: an observed load produces the same corpus
+	// as an unobserved one.
 	Observer Observer
 	// ProgressInterval is the heartbeat period for periodic
 	// ProgressEvents; 0 disables the ticker (a final event still fires
@@ -466,11 +466,9 @@ func LoadMRT(ctx context.Context, src Sources, opts LoadOptions) (*Corpus, LoadS
 	tr.SetFiles(int64(len(files)))
 	tr.StartProgress()
 
-	// Decode workers feed the sharded store; the deterministic stitch
-	// makes the corpus independent of scheduling. The shard count is
-	// fixed (not derived from Parallelism) so each shard's contents —
-	// and therefore the stitched layout — are identical at any worker
-	// count.
+	// Decode workers feed the sharded store. Its shards hold the same
+	// tuples at any worker count, so the stitched corpus does too; only
+	// its layout follows arrival order, and no output reads that.
 	sts := core.NewShardedTupleStore(64)
 	ribFn := func(v *mrt.RIBView) error {
 		sts.AddViewASPathLarge(v.Peer.ASN, v.Entry.Attrs.ASPath, v.Entry.Attrs.Communities, v.Entry.Attrs.LargeCommunities)

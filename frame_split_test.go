@@ -45,7 +45,7 @@ func spanCount(col *obs.Collector, stage Stage) int {
 // classification output and exactly equal LoadStats against the
 // sequential load. A frame span proves the split ran.
 func TestFrameSplitEquivalence(t *testing.T) {
-	ribs, updates, orgPath := writeParallelFixture(t)
+	ribs, updates, orgPath, _ := writeParallelFixture(t)
 	for _, tc := range []struct {
 		ribs, updates []string
 		workers       []int
@@ -85,7 +85,7 @@ func TestFrameSplitEquivalence(t *testing.T) {
 // the load once: one decode span per file, and a final heartbeat equal
 // to LoadStats on records and bytes.
 func TestFrameSplitFallbackEquivalence(t *testing.T) {
-	ribs, updates, orgPath := writeParallelFixture(t)
+	ribs, updates, orgPath, _ := writeParallelFixture(t)
 	dir := t.TempDir()
 	corrupt := func(path string, seed int64) string {
 		t.Helper()
@@ -160,7 +160,7 @@ func TestFrameSplitFallbackEquivalence(t *testing.T) {
 // mid-stream, exercising the framing barrier that keeps each batch
 // paired with the table in force when it was framed.
 func TestFrameSplitSingleLargeFile(t *testing.T) {
-	ribs, updates, orgPath := writeParallelFixture(t)
+	ribs, updates, orgPath, _ := writeParallelFixture(t)
 	big := filepath.Join(t.TempDir(), "all.rib.mrt")
 	out, err := os.Create(big)
 	if err != nil {

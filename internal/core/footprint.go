@@ -85,29 +85,20 @@ func mapRow(name string, n, slot int) FootprintRow {
 }
 
 // Footprint returns the store's memory by component. A shared-mode
-// store reports the cross-shard storage it refers to, which is its own
-// once stitched. The organization names the org row's string headers
+// store reports the cross-shard set intern it refers to, which is its
+// own once stitched. The organization names the org row's string headers
 // point at belong to the OrgMapper and are not counted.
 func (ts *TupleStore) Footprint() Footprint {
-	f := Footprint{
-		sliceRow("tuples", ts.tuples),
-		sliceRow("paths", ts.paths),
-		sliceRow("vp_arena", ts.vpArena),
-	}
+	set := sliceRow("set_arena", ts.setArena)
 	intern := FootprintRow{Name: "intern_tables"}
 	index := FootprintRow{Name: "index_tables"}
 	if sh := ts.shared; sh != nil {
-		f = append(f,
-			arenaRow("set_arena", &sh.sets.arena),
-			arenaRow("asn_arena", &sh.asns))
+		set = arenaRow("set_arena", &sh.sets.arena)
 		live, slots := sh.sets.tableSize()
 		intern.Used, intern.Reserved = 8*int64(live), 8*int64(slots)
 		index.Used = 8 * int64(ts.tupleTab.n+ts.pathTab.n)
 		index.Reserved = 8 * int64(cap(ts.tupleTab.slots)+cap(ts.pathTab.slots))
 	} else {
-		f = append(f,
-			sliceRow("set_arena", ts.setArena),
-			sliceRow("asn_arena", ts.asnArena))
 		// pathIDs and pathKeys share each key's bytes and keep a string
 		// header apiece.
 		keyBytes := 0
@@ -120,8 +111,15 @@ func (ts *TupleStore) Footprint() Footprint {
 			mapRow("", len(ts.pathIDs), int(unsafe.Sizeof(""))+4),
 			mapRow("", len(ts.tupleIdx), int(unsafe.Sizeof(tupleKey{}))+4))
 	}
-	return append(f, intern, index,
+	return Footprint{
+		sliceRow("tuples", ts.tuples),
+		sliceRow("paths", ts.paths),
+		sliceRow("vp_arena", ts.vpArena),
+		set,
+		sliceRow("asn_arena", ts.asnArena),
+		intern, index,
 		sliceRow("orgs", ts.orgArena),
 		sliceRow("looped_paths", ts.loops),
-		mapRow("large_set", len(ts.large), int(unsafe.Sizeof(bgp.LargeCommunity{}))))
+		mapRow("large_set", len(ts.large), int(unsafe.Sizeof(bgp.LargeCommunity{}))),
+	}
 }

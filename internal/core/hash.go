@@ -16,9 +16,10 @@ func mixWord(h uint64, v uint32) uint64 {
 }
 
 // hashPathKey hashes a shared-mode path key (its ASN words) twice in one
-// pass: route from a fixed state — shard routing must be a pure function
-// of the path key, or the stitched layout would differ between runs —
-// and h from seed, which tags the shard's tables.
+// pass: route from a fixed state — shard routing is a pure function of
+// the path key, so every observation of a path meets its earlier ones in
+// one shard, and a shard holds the same paths in every run — and h from
+// seed, which tags the shard's tables.
 func hashPathKey(key []uint32, seed uint64) (route, h uint64) {
 	route, h = fnvOffset64, seed
 	for _, asn := range key {

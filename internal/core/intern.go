@@ -1,26 +1,16 @@
 package core
 
-// Shared cross-shard storage for the parallel load path. A
-// ShardedTupleStore used to give every shard its own community and ASN
-// arenas, which forced Merge to copy and re-intern everything through
-// one goroutine — the serialization that made parallel loads slower
-// than sequential. Instead the shards now share two global structures:
-//
-//   - one community-set intern (listIntern): each distinct set record —
-//     classic and large communities together, see appendSet — is stored
-//     once in a chunked arena, so a tuple's set ref is already global and
-//     Stitch moves no community data. Reads are lock-free (atomic table
-//     pointer, CAS-free probing of atomically published slots); inserts
-//     take one mutex. A shard asks it for a ref only when it inserts a
-//     new tuple — duplicates are recognized by the shard's own table
-//     first (see addViewShared).
-//   - a shared ASN arena (sharedArena[uint32]): each shard appends its
-//     new paths' distinct-ASN sequences (and, for the rare path that
-//     repeats an AS, its key words) into globally addressed chunks, so
-//     path spans are global too and Stitch moves no ASN data either.
-//     (Paths shard by path key, so there is no cross-shard ASN-sequence
-//     duplication to dedup — sharing the arena is purely about making
-//     the spans stitchable.)
+// Shared cross-shard storage for the parallel load path: one
+// community-set intern (listIntern). Each distinct set record — classic
+// and large communities together, see appendSet — is stored once in a
+// chunked arena, so a tuple's set ref is already global and Stitch moves
+// no community data. Reads are lock-free (atomic table pointer, CAS-free
+// probing of atomically published slots); inserts take one mutex. A
+// shard asks it for a ref only when it inserts a new tuple — duplicates
+// are recognized by the shard's own table first (see addViewShared).
+// Path ASN words are not shared: paths shard by path key, so there is no
+// cross-shard duplication to dedup, and each shard appends them to its
+// own arena under the lock it already holds.
 //
 // Memory-model argument for the lock-free read path: an inserter, while
 // holding the intern mutex, (1) publishes any new arena chunk through
@@ -28,10 +18,10 @@ package core
 // (3) atomically stores the packed slot last. A reader that observes
 // the slot value (atomic load) therefore observes the chunk pointer and
 // the values written before it, per the Go memory model. Readers that
-// miss (stale table or empty slot) fall back to the mutex and re-probe.
+// miss (stale table or empty slot) take the mutex and resume the probe
+// (see intern).
 
 import (
-	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"sync"
@@ -40,12 +30,13 @@ import (
 	"bgpintent/internal/bgp"
 )
 
-// Arena chunks hold up to 1<<20 elements each; a span's 32-bit offset
-// packs the chunk index above the in-chunk position, so the global
-// capacity stays the 4G entries the span layout already assumed. Lists
-// never span chunks (BGP attribute lengths cap lists far below a chunk).
-// The newest chunk starts at arenaMinChunk elements and doubles up to
-// the full size, so a small corpus does not pay for full chunks.
+// Arena chunks hold up to 1<<20 elements each; a 32-bit offset packs the
+// chunk index above the in-chunk position, so the global capacity stays
+// near the 4G entries the span layout already assumed. Lists never span
+// chunks (BGP attribute lengths cap lists far below a chunk). The first
+// chunk holds arenaMinChunk elements and each next one twice its
+// predecessor, up to the full size, so a small corpus does not pay for
+// full chunks and growth never copies.
 const (
 	internChunkShift = 20
 	internChunkSize  = 1 << internChunkShift
@@ -54,15 +45,15 @@ const (
 	arenaMinChunk    = 1 << 12
 )
 
-// sharedArena is a concurrently appendable, globally addressed arena:
-// appends reserve a contiguous region under a mutex, reads resolve a
-// (offset, length) span lock-free at any time. A chunk that has been
-// succeeded is as long as its fill; the newest is as long as its
-// reservation, with fill saying how much of it is used.
+// sharedArena is a globally addressed arena that one writer at a time
+// appends to while readers resolve offsets lock-free: its one user, the
+// set intern, appends under its own mutex, and trim and filled run once
+// the writers are done. A chunk that has been succeeded is as long as its
+// fill; the newest is as long as its reservation, with fill saying how
+// much of it is used.
 type sharedArena[T any] struct {
 	chunks atomic.Pointer[[][]T]
-	mu     sync.Mutex
-	fill   int // elements used in the newest chunk (guarded by mu)
+	fill   int // elements used in the newest chunk (written by the one writer)
 }
 
 // append copies vals into the arena and returns the global offset of
@@ -71,55 +62,48 @@ type sharedArena[T any] struct {
 // comment); callers that hand the offset to another goroutine through
 // a mutex or channel are covered by those primitives instead.
 //
-// The chunk list is copy-on-write: adding a chunk and growing the
-// newest one both publish a fresh list before any value lands in the
-// new storage. A grown chunk starts as a copy of its predecessor, which
-// is never written again, so a reader holding the old list resolves
-// every offset it can know to the same values.
+// A list that does not fit in the newest chunk starts the next one. The
+// chunk list is copy-on-write: a fresh list is published before any value
+// lands in the new chunk, and a chunk once succeeded is never written
+// again, so a reader holding an old list resolves every offset it can
+// know to the same values.
 func (a *sharedArena[T]) append(vals []T) uint32 {
 	n := len(vals)
 	if n > internChunkSize {
 		panic("core: arena list exceeds chunk size")
 	}
-	a.mu.Lock()
 	var chunks [][]T
 	if p := a.chunks.Load(); p != nil {
 		chunks = *p
 	}
 	nc := len(chunks)
-	switch {
-	case nc == 0 || a.fill+n > internChunkSize:
+	if nc == 0 || a.fill+n > len(chunks[nc-1]) {
 		if nc >= internMaxChunks {
 			panic("core: shared arena full")
+		}
+		size := arenaMinChunk
+		if nc > 0 {
+			size = 2 * len(chunks[nc-1])
 		}
 		chunks = append(make([][]T, 0, nc+1), chunks...)
 		if nc > 0 {
 			chunks[nc-1] = chunks[nc-1][:a.fill]
 		}
-		chunks = append(chunks, make([]T, arenaChunkLen(n)))
+		chunks = append(chunks, make([]T, min(max(size, n), internChunkSize)))
 		nc++
 		a.fill = 0
-		a.publish(chunks)
-	case a.fill+n > len(chunks[nc-1]):
-		grown := make([]T, arenaChunkLen(a.fill+n))
-		copy(grown, chunks[nc-1][:a.fill])
-		chunks = slices.Clone(chunks)
-		chunks[nc-1] = grown
 		a.publish(chunks)
 	}
 	off := uint32(nc-1)<<internChunkShift | uint32(a.fill)
 	copy(chunks[nc-1][a.fill:], vals)
 	a.fill += n
-	a.mu.Unlock()
 	return off
 }
 
 // trim reallocates the newest chunk at exactly its fill, releasing the
-// doubling slack behind it: what Stitch calls once the load is over. A
-// later append finds the chunk full and takes the grow path above.
+// slack behind it: what Stitch calls once the load is over. A later
+// append finds the chunk full and starts the next one.
 func (a *sharedArena[T]) trim() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	p := a.chunks.Load()
 	if p == nil || len((*p)[len(*p)-1]) == a.fill {
 		return
@@ -134,8 +118,6 @@ func (a *sharedArena[T]) trim() {
 // filled returns the used prefix of every chunk, in offset order: all
 // values ever appended and nothing else.
 func (a *sharedArena[T]) filled() [][]T {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	p := a.chunks.Load()
 	if p == nil {
 		return nil
@@ -149,12 +131,6 @@ func (a *sharedArena[T]) filled() [][]T {
 // so only a list being published is moved to the heap).
 func (a *sharedArena[T]) publish(chunks [][]T) { a.chunks.Store(&chunks) }
 
-// arenaChunkLen is the smallest doubling of arenaMinChunk that holds
-// need elements.
-func arenaChunkLen(need int) int {
-	return arenaMinChunk << bits.Len(uint(max(need, 1)-1)/arenaMinChunk)
-}
-
 // from returns the arena from off to the end of its chunk: what a
 // record that carries its own length (a set record) is resolved from.
 func (a *sharedArena[T]) from(off uint32) []T {
@@ -162,34 +138,34 @@ func (a *sharedArena[T]) from(off uint32) []T {
 	return c[off&internChunkMask:]
 }
 
-// view resolves a span into the arena. Zero-length spans return nil.
-func (a *sharedArena[T]) view(off, n uint32) []T {
-	if n == 0 {
-		return nil
-	}
-	chunks := *a.chunks.Load()
-	c := chunks[off>>internChunkShift]
-	i := off & internChunkMask
-	return c[i : i+n : i+n]
-}
-
 // internTable is one generation of the set intern's hash table:
-// open-addressed, linear probing from the hash's low bits, power-of-two
-// sized. A slot holds tag<<32 | offset — the hash's top half beside the
-// arena offset of one interned set record — and zero means empty (offset
-// 0 is the empty set, which is never entered); slots are written
-// atomically exactly once.
+// open-addressed, linear probing, power-of-two sized. A slot holds
+// tag<<32 | offset — the hash's top half beside the arena offset of one
+// interned set record — and zero means empty (offset 0 is the empty set,
+// which is never entered); slots are written atomically exactly once.
+// As in flatTable, the home slot is the tag's top bits, so growth
+// re-places slots without reading a set or hashing one.
 type internTable struct {
-	mask  uint64
+	shift uint // 32 - log2(len(slots))
 	slots []atomic.Uint64
 }
 
-// insert publishes the set at off into the first empty slot of its probe
+// home returns the first slot of the probe chain for hash h (0 in the nil
+// table, which holds nothing).
+func (t *internTable) home(h uint64) uint32 {
+	if t == nil {
+		return 0
+	}
+	return uint32(h>>32) >> t.shift
+}
+
+// place publishes slot value s into the first empty slot of its probe
 // chain. Callers hold the intern mutex.
-func (t *internTable) insert(h uint64, off uint32) {
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
+func (t *internTable) place(s uint64) {
+	mask := uint32(len(t.slots) - 1)
+	for i := t.home(s); ; i = (i + 1) & mask {
 		if t.slots[i].Load() == 0 {
-			t.slots[i].Store(h>>32<<32 | uint64(off))
+			t.slots[i].Store(s)
 			return
 		}
 	}
@@ -201,8 +177,8 @@ func (t *internTable) insert(h uint64, off uint32) {
 // record's global arena offset, which is what a tuple carries. Ref values
 // depend on arrival order and are NOT stable across runs; everything
 // derived from them must go through the set content (and does: shards
-// compare content, Stitch orders by content, snapshots and TSV render
-// content). The empty set is seeded at offset 0, so it is ref 0.
+// compare content, snapshots and TSV render content). The empty set is
+// seeded at offset 0, so it is ref 0.
 //
 // Only the arena outlives the load: the hash table serves intern alone,
 // so Stitch releases it and adopt rebuilds it if views arrive later.
@@ -214,43 +190,51 @@ type listIntern struct {
 	hash  func([]bgp.Community) uint64 // of a set record; fixed at construction
 }
 
-// lookup probes t for the set with the given hash and content, returning
-// its ref. Lock-free; may miss entries inserted into a newer table.
-func (li *listIntern) lookup(t *internTable, h uint64, set []bgp.Community) (uint32, bool) {
+// probe walks t's chain for the set with hash h and the given content
+// from slot i, returning its ref, or the empty slot that ends the chain.
+// Lock-free; a nil table holds nothing.
+func (li *listIntern) probe(t *internTable, i uint32, h uint64, set []bgp.Community) (ref uint32, found bool, end uint32) {
 	if t == nil {
-		return 0, false
+		return 0, false, 0
 	}
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
+	for mask := uint32(len(t.slots) - 1); ; i = (i + 1) & mask {
 		s := t.slots[i].Load()
 		if s == 0 {
-			return 0, false
+			return 0, false, i
 		}
 		if s>>32 == h>>32 && slices.Equal(li.view(uint32(s)), set) {
-			return uint32(s), true
+			return uint32(s), true, i
 		}
 	}
 }
 
 // intern returns the ref of set, inserting it on first sight. The hit
 // path is lock-free and allocation-free; set may be reused by the caller
-// (the arena keeps its own copy).
+// (the arena keeps its own copy). A miss walks its chain once: slots are
+// only ever filled, so whatever another shard entered into the chain
+// between the lock-free miss and the mutex lies at or past the slot the
+// miss ended on, and the locked probe resumes there — in the same table;
+// in one published since, from the home slot.
 func (li *listIntern) intern(set []bgp.Community) uint32 {
 	if set[0] == 0 {
 		return 0
 	}
 	h := li.hash(set)
-	if ref, ok := li.lookup(li.table.Load(), h, set); ok {
+	t := li.table.Load()
+	ref, ok, end := li.probe(t, t.home(h), h, set)
+	if ok {
 		return ref
 	}
 	li.mu.Lock()
 	defer li.mu.Unlock()
-	// Re-probe the latest table: another shard may have inserted the
-	// set between our lock-free miss and taking the mutex.
-	if ref, ok := li.lookup(li.table.Load(), h, set); ok {
+	if latest := li.table.Load(); latest != t {
+		t, end = latest, latest.home(h)
+	}
+	if ref, ok, end = li.probe(t, end, h, set); ok {
 		return ref
 	}
-	ref := li.arena.append(set)
-	li.insertLocked(h, ref)
+	ref = li.arena.append(set)
+	li.insertAt(t, end, h, ref)
 	return ref
 }
 
@@ -266,19 +250,22 @@ func (li *listIntern) adopt(ref uint32) {
 	h := li.hash(set)
 	li.mu.Lock()
 	defer li.mu.Unlock()
-	if _, ok := li.lookup(li.table.Load(), h, set); !ok {
-		li.insertLocked(h, ref)
+	t := li.table.Load()
+	if _, ok, end := li.probe(t, t.home(h), h, set); !ok {
+		li.insertAt(t, end, h, ref)
 	}
 }
 
-// insertLocked enters a ref established absent, growing the table past
-// 3/4 load. Callers hold the mutex.
-func (li *listIntern) insertLocked(h uint64, ref uint32) {
-	t := li.table.Load()
-	if t == nil || uint64(li.count+1)*4 > 3*(t.mask+1) {
-		t = li.grow(t)
+// insertAt enters a ref established absent into t, the current table, at
+// end, the empty slot its chain ended on — unless the table must first
+// grow past 3/4 load. Callers hold the mutex.
+func (li *listIntern) insertAt(t *internTable, end uint32, h uint64, ref uint32) {
+	s := h>>32<<32 | uint64(ref)
+	if t == nil || (li.count+1)*4 > 3*len(t.slots) {
+		li.grow(t).place(s)
+	} else {
+		t.slots[end].Store(s)
 	}
-	t.insert(h, ref)
 	li.count++
 }
 
@@ -309,20 +296,21 @@ func (li *listIntern) view(ref uint32) []bgp.Community {
 	return setAt(li.arena.from(ref))
 }
 
-// grow publishes a table of at least double the capacity with every
-// existing entry rehashed into it. Holding the mutex keeps insertions
-// out; lock-free readers keep probing the old table (every entry they
-// could have seen is in both) until the pointer swap lands.
+// grow publishes a table of double the capacity (1024 slots the first
+// time) with every existing slot re-placed into it on its stored tag.
+// Holding the mutex keeps insertions out; lock-free readers keep probing
+// the old table (every entry they could have seen is in both) until the
+// pointer swap lands.
 func (li *listIntern) grow(old *internTable) *internTable {
-	size := uint64(1024)
+	size, shift := 1024, uint(32-10)
 	if old != nil {
-		size = 2 * (old.mask + 1)
+		size, shift = 2*len(old.slots), old.shift-1
 	}
-	nt := &internTable{mask: size - 1, slots: make([]atomic.Uint64, size)}
+	nt := &internTable{shift: shift, slots: make([]atomic.Uint64, size)}
 	if old != nil {
 		for i := range old.slots {
 			if s := old.slots[i].Load(); s != 0 {
-				nt.insert(li.hash(li.view(uint32(s))), uint32(s))
+				nt.place(s)
 			}
 		}
 	}
@@ -334,11 +322,10 @@ func (li *listIntern) grow(old *internTable) *internTable {
 // hands to all its shard TupleStores (and to the stitched output).
 type storeShared struct {
 	sets listIntern
-	asns sharedArena[uint32]
 
-	// stitched is the store Stitch handed all of the above to; nil while
-	// the shards are still writing. Every value in the arenas belongs to
-	// one of its tuples or paths.
+	// stitched is the store Stitch handed the set intern to; nil while the
+	// shards are still writing. Every set in the intern arena belongs to
+	// one of its tuples.
 	stitched *TupleStore
 
 	// seed starts every table hash (never the routing hash), so which

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -20,11 +21,11 @@ func TestCommInternConcurrent(t *testing.T) {
 		lists      = 3000 // overlapping across goroutines; forces several grows
 		rounds     = 3
 	)
-	// Six communities a list: together the lists outgrow the arena's
-	// first chunk three times over, so lock-free readers keep resolving
-	// refs while the newest chunk is copied and republished under them.
+	// Ten communities a list: together the lists outgrow the arena's
+	// first three chunks, so lock-free readers keep resolving refs while
+	// new chunks are published under them.
 	mk := func(i int) []bgp.Community {
-		cs := make(bgp.Communities, 6)
+		cs := make(bgp.Communities, 10)
 		for k := range cs {
 			cs[k] = bgp.NewCommunity(uint16(i%500+k), uint16(i>>(k%2)))
 		}
@@ -71,8 +72,8 @@ func TestCommInternConcurrent(t *testing.T) {
 			t.Fatalf("list %d: view %v, want %v", i, got, want)
 		}
 	}
-	if got := len((*ci.arena.chunks.Load())[0]); got < arenaMinChunk<<3 {
-		t.Fatalf("arena chunk grew to %d elements; the test must cross three doublings of %d", got, arenaMinChunk)
+	if got := len(*ci.arena.chunks.Load()); got < 4 {
+		t.Fatalf("the arena holds %d chunks; the test must outgrow three", got)
 	}
 }
 
@@ -123,8 +124,44 @@ func TestCommInternDupZeroAlloc(t *testing.T) {
 // which sets share a probe chain cannot be computed from outside the
 // process. Two stores with different seeds place the same sixteen sets
 // at (nearly) all different slots; an unseeded hash would place every
-// one of them alike.
+// one of them alike. Growth re-places slots on the tags they store, never
+// rehashing a set: across three table doublings, with and without
+// colliding hashes, every set keeps its ref and the table counts each
+// distinct set once.
 func TestSetInternSeeded(t *testing.T) {
+	for _, collide := range []bool{false, true} {
+		sh := newStoreShared()
+		sh.collide = collide
+		set := func(i int) []bgp.Community {
+			return appendSet(nil, bgp.Communities{bgp.NewCommunity(uint16(i>>8), uint16(i))}, nil)
+		}
+		// 1024 slots double at 769, 1537 and 3073 entries; every set is
+		// interned again, as a duplicate, half way through.
+		const n = 3200
+		refs := make([]uint32, n)
+		for i := range refs {
+			refs[i] = sh.sets.intern(set(i))
+			if ref := sh.sets.intern(set(i / 2)); ref != refs[i/2] {
+				t.Fatalf("collide=%v: set %d re-interned as %#x after %d inserts, was %#x", collide, i/2, ref, i+1, refs[i/2])
+			}
+		}
+		fill := arenaRow("", &sh.sets.arena).Used
+		for i, ref := range refs {
+			if got := sh.sets.intern(set(i)); got != ref || !slices.Equal(sh.sets.view(ref), set(i)) {
+				t.Fatalf("collide=%v: set %d resolves to %#x (%v) after growth, was %#x", collide, i, got, sh.sets.view(got), ref)
+			}
+		}
+		if live, slots := sh.sets.tableSize(); live != n || slots != 8192 {
+			t.Fatalf("collide=%v: table holds %d entries in %d slots, want %d in 8192", collide, live, slots, n)
+		}
+		if got := arenaRow("", &sh.sets.arena).Used; got != fill {
+			t.Fatalf("collide=%v: re-interning known sets grew the arena %d -> %d B", collide, fill, got)
+		}
+		if collide {
+			checkOneChain(t, "collide", &sh.sets)
+		}
+	}
+
 	slots := func(seed uint64) []int {
 		sh := newStoreShared()
 		sh.seed = seed
@@ -185,12 +222,12 @@ func TestShardedAddViewDupZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSharedArenaOffsets exercises placement across growth and chunk
-// boundaries: the first chunk doubles from arenaMinChunk up to the full
-// chunk size under small appends, a list longer than the current chunk
-// grows it straight to fit, lists that do not fit in a full chunk's
-// tail start a fresh chunk, and after all of it every returned span
-// still resolves to the exact values appended.
+// TestSharedArenaOffsets exercises placement across chunk boundaries:
+// the first chunk holds arenaMinChunk elements and each next one twice
+// its predecessor, up to the full chunk size; a list longer than that
+// gets a chunk of its own length; a list that does not fit the newest
+// chunk's tail starts the next chunk, copying nothing; and after all of
+// it every returned offset still resolves to the exact values appended.
 func TestSharedArenaOffsets(t *testing.T) {
 	var a sharedArena[uint32]
 	type appended struct {
@@ -216,37 +253,36 @@ func TestSharedArenaOffsets(t *testing.T) {
 		}
 		return lens
 	}
-	// Small appends walk the first chunk through two doublings.
+	// Small appends fill three chunks, each twice the one before.
 	for next < 3*arenaMinChunk {
 		add(3)
 	}
-	if got := chunkLens(); len(got) != 1 || got[0] != arenaMinChunk<<2 {
-		t.Fatalf("after %d elements: chunk lengths %v, want one chunk of %d", next, got, arenaMinChunk<<2)
+	if got := chunkLens(); !slices.Equal(got, []int{arenaMinChunk, arenaMinChunk << 1, arenaMinChunk << 2}) {
+		t.Fatalf("after %d elements: chunk lengths %v, want %d doubling twice", next, got, arenaMinChunk)
 	}
-	// One list far longer than what is left grows the chunk to fit it.
+	// A list longer than twice the newest chunk gets a chunk of its length.
 	add(internChunkSize / 4)
-	if got := chunkLens(); len(got) != 1 || got[0] < int(next) || got[0] > internChunkSize {
+	if got := chunkLens(); len(got) != 4 || got[3] != internChunkSize/4 {
 		t.Fatalf("after a %d-element list: chunk lengths %v", internChunkSize/4, got)
 	}
-	// Large appends force chunk turnover: a list that does not fit the
-	// newest chunk's tail starts a fresh chunk sized for it.
+	// Large appends turn chunks over; sizes double up to the full chunk.
 	for round := 0; round < 5; round++ {
 		add(internChunkSize/2 + 1)
 		add(2)
 	}
-	// A small list that does not fit starts a small chunk, which then
-	// grows like the first one did.
-	add(internChunkSize/2 - 8)
-	for i := 0; i < arenaMinChunk; i++ {
-		add(2)
+	got := chunkLens()
+	for i := 1; i < len(got); i++ {
+		if got[i] > internChunkSize || got[i] < min(2*got[i-1], internChunkSize) {
+			t.Fatalf("chunk lengths %v: chunk %d neither doubles its predecessor nor is full", got, i)
+		}
 	}
-	if got := chunkLens(); len(got) != 6 || got[4] != internChunkSize || got[5] != arenaMinChunk<<1 {
-		t.Fatalf("chunk lengths %v, want five full chunks and one of %d", got, arenaMinChunk<<1)
+	if got[len(got)-1] != internChunkSize {
+		t.Fatalf("chunk lengths %v never reach the full %d", got, internChunkSize)
 	}
 	check := func() {
 		t.Helper()
 		for i, ap := range all {
-			got := a.view(ap.off, uint32(len(ap.vals)))
+			got := a.from(ap.off)[:len(ap.vals)]
 			if len(got) != len(ap.vals) {
 				t.Fatalf("append %d: view length %d, want %d", i, len(got), len(ap.vals))
 			}
@@ -272,16 +308,18 @@ func TestSharedArenaOffsets(t *testing.T) {
 		}
 	}
 	check()
-	// Trimming leaves no slack behind the newest chunk and moves nothing;
-	// the next append re-grows it.
+	// Trimming leaves no slack behind the newest chunk and moves nothing
+	// else; the next append starts a chunk twice the trimmed one.
+	fill := a.fill
 	a.trim()
-	if got := chunkLens(); got[5] != a.fill {
-		t.Fatalf("trimmed chunk reserves %d elements for a fill of %d", got[5], a.fill)
+	got = chunkLens()
+	if last := got[len(got)-1]; last != fill {
+		t.Fatalf("trimmed chunk reserves %d elements for a fill of %d", last, fill)
 	}
 	check()
 	add(2)
-	if got := chunkLens(); len(got) != 6 || got[5] != arenaMinChunk<<1 {
-		t.Fatalf("chunk lengths %v after appending to a trimmed chunk, want the sixth re-grown to %d", got, arenaMinChunk<<1)
+	if after := chunkLens(); len(after) != len(got)+1 || after[len(got)] != min(2*fill, internChunkSize) {
+		t.Fatalf("chunk lengths %v after appending to a trimmed chunk of %d", after, fill)
 	}
 	check()
 }
@@ -308,13 +346,13 @@ func TestStitchStoreStillAcceptsViews(t *testing.T) {
 	for _, v := range views {
 		sts.AddView(v.vp, v.path, v.comms)
 	}
-	ts := sts.Stitch(2)
+	ts := stitchChecked(t, "stitched", sts, 2)
 	nTuples, nPaths := ts.Len(), ts.PathCount()
 	if live, slots := ts.shared.sets.tableSize(); live != 0 || slots != 0 {
 		t.Fatalf("stitched store still holds an intern table: %d entries in %d slots", live, slots)
 	}
 	commFill := func() int64 { return arenaRow("", &ts.shared.sets.arena).Used }
-	asnFill := func() int64 { return arenaRow("", &ts.shared.asns).Used }
+	asnFill := func() int64 { return sliceRow("", ts.asnArena).Used }
 	comms0, asns0 := commFill(), asnFill()
 
 	// Exact duplicate of an existing observation: nothing may grow.
@@ -335,7 +373,7 @@ func TestStitchStoreStillAcceptsViews(t *testing.T) {
 		doubled.AddView(v.vp, v.path, v.comms)
 		doubled.AddView(v.vp+100, v.path, v.comms)
 	}
-	equalDumps(t, dumpStore(ts), dumpStore(doubled.Stitch(1)), "re-fed vs doubled input")
+	equalDumps(t, dumpStore(ts), dumpStore(stitchChecked(t, "doubled", doubled, 1)), "re-fed vs doubled input")
 	if commFill() != comms0 || asnFill() != asns0 {
 		t.Fatalf("re-feeding known views grew the arenas: communities %d -> %d B, ASNs %d -> %d B",
 			comms0, commFill(), asns0, asnFill())
@@ -376,7 +414,7 @@ func TestStitchedStoreKnowsItsLarges(t *testing.T) {
 	mixed := NewShardedTupleStore(4)
 	mixed.AddView(1, path, comms)
 	mixed.AddViewLarge(2, path, comms, larges)
-	ts := mixed.Stitch(1)
+	ts := stitchChecked(t, "mixed", mixed, 1)
 	if !ts.largeTuples {
 		t.Fatal("stitched mixed store reports no large tuples")
 	}
@@ -392,7 +430,7 @@ func TestStitchedStoreKnowsItsLarges(t *testing.T) {
 	classic.AddView(1, path, comms)
 	// Larges that attach to no tuple count toward the statistics only.
 	classic.AddViewLarge(1, nil, nil, larges)
-	ts = classic.Stitch(1)
+	ts = stitchChecked(t, "classic", classic, 1)
 	if ts.largeTuples {
 		t.Fatal("stitched classic-only store reports large tuples")
 	}
@@ -404,7 +442,8 @@ func TestStitchedStoreKnowsItsLarges(t *testing.T) {
 
 // TestStitchWorkerCounts checks Stitch itself is deterministic in its
 // own parallelism knob (the shards are fixed work items; only their
-// processing interleaves).
+// processing interleaves): one writer fills the shards in the same order
+// every time, so even the layout must agree.
 func TestStitchWorkerCounts(t *testing.T) {
 	build := func() *ShardedTupleStore {
 		sts := NewShardedTupleStore(16)
@@ -418,9 +457,9 @@ func TestStitchWorkerCounts(t *testing.T) {
 		}
 		return sts
 	}
-	ref := dumpStore(build().Stitch(1))
+	ref := dumpStore(stitchChecked(t, "workers=1", build(), 1))
 	for _, workers := range []int{2, 4, 8} {
-		if got := dumpStore(build().Stitch(workers)); !slices.Equal(got, ref) {
+		if got := dumpStore(stitchChecked(t, fmt.Sprintf("workers=%d", workers), build(), workers)); !slices.Equal(got, ref) {
 			t.Fatalf("Stitch(%d) differs from Stitch(1)", workers)
 		}
 	}

@@ -228,7 +228,7 @@ func TestColumnarMatchesOracleQuick(t *testing.T) {
 			sts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
 			oracle.addView(v.vp, v.path, v.comms, v.larges)
 		}
-		stitched := sts.Stitch(2)
+		stitched := stitchChecked(t, "quick", sts, 2)
 		if !matches(plain, oracle) || !matches(stitched, oracle) {
 			return false
 		}

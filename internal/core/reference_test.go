@@ -267,7 +267,7 @@ func TestObserveMatchesReference(t *testing.T) {
 			for _, v := range views {
 				sts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
 			}
-			ts := sts.Stitch(workers)
+			ts := stitchChecked(t, fmt.Sprintf("seed %d stitch=%d", seed, workers), sts, workers)
 			for _, v := range later {
 				ts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
 			}

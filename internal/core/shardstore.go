@@ -13,9 +13,10 @@ import (
 // hashes the path key to one of N shards, each an independent
 // TupleStore behind its own mutex, so parallel MRT workers ingest
 // without contending on one lock. Stitch collapses the shards into a
-// single canonical TupleStore whose contents are deterministic — the
-// same input views produce a byte-identical store regardless of worker
-// count or goroutine scheduling.
+// single TupleStore whose contents — the set of tuples, paths, VP sets
+// and larges — are the same whatever the worker count or goroutine
+// scheduling; its layout (path IDs, tuple order) follows arrival order
+// within each shard and is not.
 //
 // Because shard routing is a pure function of the path key, every
 // observation of one path lands in the same shard, so per-shard
@@ -23,11 +24,11 @@ import (
 // is needed at stitch time.
 //
 // All shards run their TupleStores in shared-storage mode against one
-// storeShared: community sets intern into one lock-free global table
-// and path ASN sequences land in one globally addressed arena, so
-// every ref a shard writes is already valid in the stitched store and
-// Stitch moves only index-sized data (tuple records, path metas, VP
-// lists) — never community or ASN payloads.
+// storeShared: community sets intern into one lock-free global table,
+// so every set ref a shard writes is already valid in the stitched
+// store and Stitch never moves community payload. Path ASN words stay
+// in the shard's own asnArena, written under the shard lock; Stitch
+// copies them once into the stitched arena.
 //
 // A view is hashed once, outside the shard lock (storeShared.prepare);
 // the hash leads straight to its tuple (addViewShared), so a duplicate
@@ -176,40 +177,29 @@ func (t *flatTable) place(s uint64) {
 	}
 }
 
-// loopedKey locates, in the shared ASN arena, the key words of one path
-// that repeats an AS.
+// loopedKey locates, in the ASN arena, the key words of one path that
+// repeats an AS.
 type loopedKey struct {
 	id  int32
 	key span
 }
 
 // pathKey returns a shared-mode path's key: its ASN words with prepending
-// collapsed, which identify the path and order it in the stitched layout.
-// For a loop-free path — every path BGP loop prevention lets through —
-// that is the distinct-ASN sequence the path stores anyway, so the key
-// costs nothing. Only a path that repeats an AS apart (AS_SET flattening,
-// poisoning: A B A, whose distinct ASNs are those of A B) keeps its key
-// words in the arena as well, found through ts.loops.
+// collapsed, which identify the path. For a loop-free path — every path
+// BGP loop prevention lets through — that is the distinct-ASN sequence
+// the path stores anyway, so the key costs nothing. Only a path that
+// repeats an AS apart (AS_SET flattening, poisoning: A B A, whose
+// distinct ASNs are those of A B) keeps its key words in the arena as
+// well, found through ts.loops.
 func (ts *TupleStore) pathKey(id int32) []uint32 {
 	if len(ts.loops) != 0 {
 		i, ok := slices.BinarySearchFunc(ts.loops, id, func(l loopedKey, id int32) int { return cmp.Compare(l.id, id) })
 		if ok {
 			k := ts.loops[i].key
-			return ts.shared.asns.view(k.off, k.n)
+			return ts.asnArena[k.off : k.off+k.n]
 		}
 	}
 	return ts.pathASNs(&ts.paths[id])
-}
-
-// comparePathKeys orders path keys as their little-endian byte rendering
-// compares: the order Stitch has always laid paths out in.
-func comparePathKeys(a, b []uint32) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return cmp.Compare(bits.ReverseBytes32(a[i]), bits.ReverseBytes32(b[i]))
-		}
-	}
-	return cmp.Compare(len(a), len(b))
 }
 
 // addViewShared is the shared-mode write path for one prepared view:
@@ -249,9 +239,9 @@ func (ts *TupleStore) addViewShared(vp uint32, hp, h uint64, sc *addScratch) {
 }
 
 // internPathShared returns the ID of the path with key sc.words and hash
-// hp, creating the entry if new: the distinct-ASN sequence goes through
-// pooled scratch into the cross-shard arena, so its span is global. The
-// key words follow it there only when they are not that same sequence.
+// hp, creating the entry if new: IDs are handed out in arrival order, and
+// the distinct-ASN sequence goes into the store's own ASN arena. The key
+// words follow it there only when they are not that same sequence.
 func (ts *TupleStore) internPathShared(hp uint64, sc *addScratch) int32 {
 	tab := &ts.pathTab
 	tag, mask := uint32(hp>>32), uint32(len(tab.slots)-1)
@@ -261,23 +251,13 @@ func (ts *TupleStore) internPathShared(hp uint64, sc *addScratch) int32 {
 			return id
 		}
 	}
-	buf := sc.asns[:0]
-	for _, asn := range sc.words {
-		if !containsASN(buf, asn) {
-			buf = append(buf, asn)
-		}
-	}
-	distinct, key := uint32(len(buf)), uint32(len(sc.words))
-	if distinct != key {
-		buf = append(buf, sc.words...)
-	}
-	sc.asns = buf
 	id := int32(len(ts.paths))
-	off := ts.shared.asns.append(buf)
 	tab.insert(hp, int(id))
-	ts.paths = append(ts.paths, pathMeta{asns: span{off: off, n: distinct}})
-	if distinct != key {
-		ts.loops = append(ts.loops, loopedKey{id: id, key: span{off: off + distinct, n: key}})
+	asns := ts.appendPathASNs(sc.words)
+	ts.paths = append(ts.paths, pathMeta{asns: asns})
+	if key := uint32(len(sc.words)); asns.n != key {
+		ts.loops = append(ts.loops, loopedKey{id: id, key: span{off: uint32(len(ts.asnArena)), n: key}})
+		ts.asnArena = append(ts.asnArena, sc.words...)
 	}
 	return id
 }
@@ -319,40 +299,43 @@ func (s *ShardedTupleStore) Len() int {
 	return n
 }
 
-// Stitch collapses the shards into one canonical TupleStore without
-// moving any community or ASN payload: every shard span already points
-// into the shared cross-shard storage, so stitching is index work —
-// renumber each shard's paths, in key order, into a contiguous global
-// range, lay its tuples out in (path key, communities, larges) order,
-// and copy the tuple records, path metas, and VP lists of more than one
-// into disjoint pre-sized regions of the output. Stitched tuples are
-// therefore non-decreasing in PathID, which lets Observe walk them as
-// they lie.
-// Shards are laid out in index order, and each is sorted by
-// content, so the result is deterministic — the same input views
-// produce a byte-identical store regardless of worker count or
-// goroutine scheduling (shard routing is content-hashed, so shard
-// membership itself never depends on scheduling). The per-shard work
-// runs on up to workers goroutines (<= 0 means GOMAXPROCS): the
-// regions are disjoint, so the phase parallelizes without locks.
+// Stitch collapses the shards into one TupleStore in O(n) index work, no
+// comparison sort and no community payload moved: set refs already
+// address the shared intern arena. Per shard, into disjoint pre-sized
+// regions of the output:
+//   - a path's global ID is the shard's offset plus its arrival ID;
+//   - the shard's ASN words are copied at the shard's offset in one
+//     exactly sized arena, and path and looped-key spans rebased onto it;
+//   - tuples are counting-sorted by path ID, so stitched tuples are
+//     non-decreasing in PathID and Observe walks them as they lie;
+//   - VP lists of more than one are copied at capacity nextPow2(length).
+//
+// The per-shard work runs on up to workers goroutines (<= 0 means
+// GOMAXPROCS); the regions are disjoint, so it needs no locks, and the
+// layout is a function of the shards alone — what they hold and the
+// order it arrived in — not of workers. What they hold is the same for
+// any number of writers (routing is a pure function of the path key);
+// the arrival order, hence path IDs and tuple order, is not. No output
+// depends on that order: every reader sums, counts or sorts what it
+// reads.
 //
 // The stitched store takes ownership of the shard contents and the
 // shared storage; the sharded store must not be used afterwards. It
 // holds what readers read and nothing else: the shards' lookup tables
-// die with the shards, the intern hash tables — which only an insert
-// probes — are released, and all of them are rebuilt lazily on the
-// first AddView (reindexShared), so pure readers (Observe, snapshot
+// and ASN arenas die with the shards, the intern hash table — which only
+// an insert probes — is released, and all of them are rebuilt lazily on
+// the first AddView (reindexShared), so pure readers (Observe, snapshot
 // write) never pay for them. Nothing carries growth slack beyond the one
 // rule: a VP list of more than one keeps its capacity nextPow2(length),
-// so post-stitch AddViews grow it as any other, and the newest chunk of
-// each shared arena is trimmed to its fill, to be re-grown if views
-// arrive.
+// so post-stitch AddViews grow it as any other, and the set arena's
+// newest chunk is trimmed to its fill, to be re-grown if views arrive.
 func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	n := len(s.shards)
 	tupleOff := make([]int, n+1)
 	pathOff := make([]int, n+1)
 	vpOff := make([]int, n+1)
 	loopOff := make([]int, n+1)
+	asnOff := make([]int, n+1)
 	large := make(map[bgp.LargeCommunity]struct{})
 	largeTuples := false
 	for i := range s.shards {
@@ -368,6 +351,7 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 		pathOff[i+1] = pathOff[i] + len(ts.paths)
 		vpOff[i+1] = vpOff[i] + nVPs
 		loopOff[i+1] = loopOff[i] + len(ts.loops)
+		asnOff[i+1] = asnOff[i] + len(ts.asnArena)
 		for lc := range ts.large {
 			large[lc] = struct{}{}
 		}
@@ -376,6 +360,7 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 		shared:      s.shared,
 		tuples:      make([]Tuple, tupleOff[n]),
 		paths:       make([]pathMeta, pathOff[n]),
+		asnArena:    make([]uint32, asnOff[n]),
 		vpArena:     make([]uint32, vpOff[n]),
 		loops:       make([]loopedKey, loopOff[n]),
 		large:       large,
@@ -383,46 +368,20 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	}
 	ParallelFor(workers, n, func(i int) {
 		ts := s.shards[i].ts
-		// Paths get their global IDs in ascending path-key order.
-		porder := make([]int32, len(ts.paths))
-		keys := make([][]uint32, len(ts.paths))
-		for j := range porder {
-			porder[j] = int32(j)
-			keys[j] = ts.pathKey(int32(j))
+		idBase, asnBase := int32(pathOff[i]), uint32(asnOff[i])
+		copy(out.asnArena[asnBase:], ts.asnArena)
+		for j, p := range ts.paths {
+			p.asns.off += asnBase
+			out.paths[pathOff[i]+j] = p
 		}
-		slices.SortFunc(porder, func(a, b int32) int {
-			return comparePathKeys(keys[a], keys[b])
-		})
-		rank := make([]int32, len(ts.paths))
-		for r, old := range porder {
-			rank[old] = int32(r)
-			out.paths[pathOff[i]+r] = ts.paths[old]
-		}
-		loops := out.loops[loopOff[i]:loopOff[i+1]]
+		// A shard appends a looped key as it creates the path, so its loops
+		// are already ascending by ID.
 		for j, l := range ts.loops {
-			loops[j] = loopedKey{id: int32(pathOff[i]) + rank[l.id], key: l.key}
+			l.id += idBase
+			l.key.off += asnBase
+			out.loops[loopOff[i]+j] = l
 		}
-		slices.SortFunc(loops, func(a, b loopedKey) int { return cmp.Compare(a.id, b.id) })
-		// Tuples follow their path's rank, so only the few tuples of one
-		// path are left to order among themselves.
-		order, end := countingSort(len(ts.tuples), len(ts.paths), func(j int) int32 {
-			return rank[ts.tuples[j].PathID]
-		})
-		// Communities, then larges: comparing the larges' words in order is
-		// comparing the larges field by field.
-		byPayload := func(a, b int32) int {
-			ca, la := splitSet(ts.tupleSet(&ts.tuples[a]))
-			cb, lb := splitSet(ts.tupleSet(&ts.tuples[b]))
-			if c := slices.Compare(ca, cb); c != 0 {
-				return c
-			}
-			return slices.Compare(la, lb)
-		}
-		lo := int32(0)
-		for _, hi := range end {
-			slices.SortFunc(order[lo:hi], byPayload)
-			lo = hi
-		}
+		order, _ := countingSort(len(ts.tuples), len(ts.paths), func(j int) int32 { return ts.tuples[j].PathID })
 		vpCur := uint32(vpOff[i])
 		for j, ti := range order {
 			t := ts.tuples[ti]
@@ -431,7 +390,7 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 				t.vp[0] = vpCur
 				vpCur += nextPow2(t.nVP)
 			}
-			t.PathID = int32(pathOff[i]) + rank[t.PathID]
+			t.PathID += idBase
 			out.tuples[tupleOff[i]+j] = t
 		}
 	})
@@ -439,7 +398,6 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	sh.stitched = out
 	sh.sets.release()
 	sh.sets.arena.trim()
-	sh.asns.trim()
 	return out
 }
 

@@ -284,7 +284,7 @@ func TestStoreMatchesReference(t *testing.T) {
 						if collide {
 							checkOneChain(t, label, &sts.shared.sets)
 						}
-						ts := sts.Stitch(workers)
+						ts := stitchChecked(t, label, sts, workers)
 						checkReduction(t, label, ts, want)
 						if writers == 1 {
 							for _, v := range views {

@@ -117,14 +117,14 @@ type tupleKey struct {
 // the flat slice grows, not per tuple.
 type TupleStore struct {
 	// shared, when non-nil, switches the store to shared-storage mode:
-	// community sets resolve through the cross-shard set intern and
-	// path ASN sequences live in the cross-shard arena, so spans are
-	// global and a ShardedTupleStore.Stitch moves no payload data. A
-	// plain NewTupleStore leaves it nil and keeps the local arenas.
+	// community sets resolve through the cross-shard set intern, so set
+	// refs are global and a ShardedTupleStore.Stitch moves no community
+	// data. A plain NewTupleStore leaves it nil and keeps a local set
+	// arena.
 	shared *storeShared
 
 	paths    []pathMeta
-	asnArena []uint32 // all interned path ASN sequences (nil in shared mode)
+	asnArena []uint32 // all interned path ASN sequences, and the looped paths' keys
 	orgArena []string // all path org lists (filled by AnnotateOrgs)
 	pathIDs  map[string]int32
 	pathKeys []string // path ID -> binary path key (shares pathIDs' key storage; plain store only)
@@ -219,7 +219,6 @@ type addScratch struct {
 	larges bgp.LargeCommunities // large-community canonicalization buffer
 	set    []bgp.Community      // the view's set record (see appendSet)
 	flat   []uint32             // AS-path flattening buffer for AddViewASPath
-	asns   []uint32             // shared-mode path interning: distinct ASNs, then the key if it differs
 }
 
 // canonicalSet canonicalizes both community lists and renders them as
@@ -276,25 +275,30 @@ func canonicalLargeInto(dst, ls bgp.LargeCommunities) bgp.LargeCommunities {
 // internPathKey returns the plain store's path ID for a path whose
 // binary key has already been rendered, creating the entry if new. The
 // key bytes are only copied to a string on insertion; lookups are
-// allocation-free. The distinct-ASN sequence is appended to the store's
-// ASN arena (AS paths are short, so the dedup scan beats a map).
+// allocation-free.
 func (ts *TupleStore) internPathKey(key []byte, path []uint32) int32 {
 	if id, ok := ts.pathIDs[string(key)]; ok {
 		return id
 	}
 	id := int32(len(ts.paths))
+	skey := string(key)
+	ts.paths = append(ts.paths, pathMeta{asns: ts.appendPathASNs(path)})
+	ts.pathIDs[skey] = id
+	ts.pathKeys = append(ts.pathKeys, skey)
+	return id
+}
+
+// appendPathASNs appends a new path's distinct ASNs, in first-appearance
+// order, to the store's ASN arena and returns their span (AS paths are
+// short, so the dedup scan beats a map).
+func (ts *TupleStore) appendPathASNs(path []uint32) span {
 	off := uint32(len(ts.asnArena))
 	for _, asn := range path {
 		if !containsASN(ts.asnArena[off:], asn) {
 			ts.asnArena = append(ts.asnArena, asn)
 		}
 	}
-	asns := span{off: off, n: uint32(len(ts.asnArena)) - off}
-	skey := string(key)
-	ts.paths = append(ts.paths, pathMeta{asns: asns})
-	ts.pathIDs[skey] = id
-	ts.pathKeys = append(ts.pathKeys, skey)
-	return id
+	return span{off: off, n: uint32(len(ts.asnArena)) - off}
 }
 
 // AddView records one vantage-point observation without large
@@ -427,12 +431,8 @@ func (ts *TupleStore) Path(id int32) PathInfo {
 	}
 }
 
-// pathASNs resolves a path's distinct-ASN span against whichever arena
-// holds it (cross-shard in shared mode, local otherwise).
+// pathASNs resolves a path's distinct-ASN span in the ASN arena.
 func (ts *TupleStore) pathASNs(p *pathMeta) []uint32 {
-	if ts.shared != nil {
-		return ts.shared.asns.view(p.asns.off, p.asns.n)
-	}
 	return ts.asnArena[p.asns.off : p.asns.off+p.asns.n]
 }
 

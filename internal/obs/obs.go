@@ -39,9 +39,10 @@ const (
 	// StageStoreAdd is the aggregate time spent inserting decoded views
 	// into the (sharded) tuple store, summed across all decode workers.
 	StageStoreAdd Stage = "store-add"
-	// StageStitch is collapsing ingestion shards into the canonical
-	// tuple store: index concatenation and ordering only, since shard
-	// payloads live in storage shared with the stitched store.
+	// StageStitch is collapsing ingestion shards into one tuple store:
+	// index concatenation, a counting sort by path and one copy of the
+	// path ASN words, since community payloads live in storage shared
+	// with the stitched store.
 	StageStitch Stage = "stitch"
 	// StageObserve is the CSR community→path index build plus on/off-path
 	// counting.

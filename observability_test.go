@@ -58,7 +58,7 @@ func TestClassifyContextRejectsInvalidParams(t *testing.T) {
 // contract: attaching an Observer (at any worker count) changes no
 // byte of the pipeline's output.
 func TestObservedLoadAndClassifyIdentical(t *testing.T) {
-	ribs, updates, orgPath := writeParallelFixture(t)
+	ribs, updates, orgPath, _ := writeParallelFixture(t)
 	src := Sources{RIBs: ribs, Updates: updates, OrgPath: orgPath}
 
 	base, _, err := LoadMRT(context.Background(), src, LoadOptions{Parallelism: 1})
@@ -177,7 +177,7 @@ func (stageStartHook) Progress(ProgressEvent)                 {}
 // hook, so cancellation strikes while workers are busy) and checks the
 // error and that no worker goroutine leaks.
 func TestLoadMRTCancellation(t *testing.T) {
-	ribs, updates, orgPath := writeParallelFixture(t)
+	ribs, updates, orgPath, _ := writeParallelFixture(t)
 	src := Sources{RIBs: ribs, Updates: updates, OrgPath: orgPath}
 	baseline := runtime.NumGoroutine()
 

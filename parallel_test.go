@@ -10,12 +10,13 @@ import (
 	"testing"
 
 	"bgpintent/internal/corpus"
+	"bgpintent/internal/topology"
 )
 
 // writeParallelFixture emits a tiny-scale MRT corpus — RIB and updates
 // files per collector — plus the as2org file, and returns the globs'
-// expansions.
-func writeParallelFixture(t *testing.T) (ribs, updates []string, orgPath string) {
+// expansions and the topology the corpus was simulated on.
+func writeParallelFixture(t *testing.T) (ribs, updates []string, orgPath string, topo *topology.Topology) {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := corpus.TinyConfig()
@@ -60,7 +61,7 @@ func writeParallelFixture(t *testing.T) (ribs, updates []string, orgPath string)
 		t.Fatal(err)
 	}
 	f.Close()
-	return ribs, updates, orgPath
+	return ribs, updates, orgPath, c.Topo
 }
 
 // TestParallelLoadEquivalence is the PR's determinism acceptance test:
@@ -68,7 +69,7 @@ func writeParallelFixture(t *testing.T) (ribs, updates []string, orgPath string)
 // LoadStats, identical Labeled()/Clusters() output, and byte-identical
 // WriteTSV bytes.
 func TestParallelLoadEquivalence(t *testing.T) {
-	ribs, updates, orgPath := writeParallelFixture(t)
+	ribs, updates, orgPath, _ := writeParallelFixture(t)
 
 	type outcome struct {
 		stats    LoadStats
@@ -129,7 +130,7 @@ func TestParallelLoadEquivalence(t *testing.T) {
 // order or scrambled across workers — a guard against shard-routing
 // bugs that would split one tuple across shards.
 func TestParallelLoadMatchesSyntheticPath(t *testing.T) {
-	ribs, updates, orgPath := writeParallelFixture(t)
+	ribs, updates, orgPath, _ := writeParallelFixture(t)
 	seq, _, err := LoadMRT(context.Background(), Sources{RIBs: ribs, Updates: updates, OrgPath: orgPath}, LoadOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
