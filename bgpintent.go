@@ -516,7 +516,6 @@ func LoadMRT(ctx context.Context, src Sources, opts LoadOptions) (*Corpus, LoadS
 		}
 		c.orgs = m
 	}
-	c.store.AnnotateOrgs(c.orgs)
 	return c, loadStats(ist), nil
 }
 
@@ -545,8 +544,8 @@ func (c *Corpus) Paths() int { return c.store.PathCount() }
 func (c *Corpus) LargeCommunities() int { return c.store.LargeCommunityCount() }
 
 // Footprint is a corpus's memory by component (tuple records, path
-// metas, the VP, community, large-community and ASN arenas, intern and
-// index tables, org lists, the looped-path side index): bytes used and
+// metas, the VP, community-set and ASN arenas, intern and index tables,
+// the looped-path side index, the distinct-large set): bytes used and
 // bytes reserved, read off lengths and capacities.
 type (
 	Footprint    = core.Footprint

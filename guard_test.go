@@ -32,7 +32,8 @@ const (
 	// Measured 1.14x; more means keying large communities into the store
 	// left the allocation-free path (per-view boxing, a map per tuple).
 	guardMixedAllocFactor = 1.5
-	// Bytes one Observe allocates, per tuple. Measured 2.2; a buffer of
+	// Bytes one Observe allocates, per tuple. Measured 2.54 (2.23 before
+	// the ASN table carried each ASN's organization); a buffer of
 	// (community, path) pairs costs 16 B per pair before any merge.
 	guardObserveBytesPerTuple = 16
 	// Bytes two SnapshotInfo calls allocate, per distinct community or
@@ -44,12 +45,13 @@ const (
 	// counts are cached per Corpus.
 	guardSnapshotInfoRepeatBytes = 1024
 	// Live heap a loaded Corpus and its Result hold, per tuple. Measured
-	// 59.9 on 2026-10-15 with the 16-byte tuple record (76.9 with the
-	// 32-byte one, whose ceiling was 85; 113.8 while the stitched store
-	// kept a key string per path, the intern hash table and the arenas'
-	// doubling slack); more means load-only state outlives Stitch again,
-	// or the tuple record grew back.
-	guardHeldBytesPerTuple = 66
+	// 55.4 with the 8-byte path record (59.9 while each path also kept a
+	// span of organizations, whose ceiling was 66; 76.9 with the 32-byte
+	// tuple record; 113.8 while the stitched store kept a key string per
+	// path, the intern hash table and the arenas' doubling slack); more
+	// means load-only state outlives Stitch again, or the tuple or path
+	// record grew back.
+	guardHeldBytesPerTuple = 60
 	// How far Corpus.Footprint's reserved total may sit from the heap
 	// the Corpus is measured to hold. Measured 0.1 % under (the headers
 	// of the slices and chunk lists it does not count).

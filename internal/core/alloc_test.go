@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"bgpintent/internal/bgp"
 	"bgpintent/internal/dict"
@@ -138,4 +139,14 @@ func observedKeys[K Key[K]](ks *KindSet[K]) []K {
 	}
 	slices.SortFunc(keys, K.Compare)
 	return keys
+}
+
+// TestPathMetaIsEightBytes pins a path's record, the second-largest
+// per-tuple row after the 16-byte tuple (TestTupleIsSixteenBytes), at
+// one span into the ASN arena: sibling organizations are resolved from
+// Options.Orgs while evidence is counted, not stored per path.
+func TestPathMetaIsEightBytes(t *testing.T) {
+	if size := unsafe.Sizeof(pathMeta{}); size != 8 {
+		t.Fatalf("pathMeta is %d bytes, want 8", size)
+	}
 }

@@ -22,8 +22,10 @@ type Options struct {
 	// mixed cluster is labeled information.
 	RatioThreshold float64
 
-	// Orgs enables sibling-aware on-path matching (as2org); nil disables
-	// it.
+	// Orgs enables sibling-aware on-path matching (as2org): a path is
+	// on-path for α when α or an AS of α's organization is on it. It is
+	// the only sibling input — the evidence walk resolves each ASN's
+	// organization through it; nil disables sibling awareness.
 	Orgs OrgMapper
 
 	// VPFilter restricts the dataset to tuples observed by these vantage
@@ -264,13 +266,6 @@ func Observe(ts *TupleStore, opts Options) *ObservationSet {
 // goroutine leaks — every worker is joined before return). On
 // cancellation the returned set is nil and the error is ctx.Err().
 func ObserveContext(ctx context.Context, ts *TupleStore, opts Options) (*ObservationSet, error) {
-	return observe(ctx, ts, opts, nil)
-}
-
-// observe is the single evidence builder — batch, dirty-α delta (a
-// non-nil dirty set) and large communities — run under the StageObserve
-// span on the worker count opts resolve to.
-func observe(ctx context.Context, ts *TupleStore, opts Options, dirty map[uint16]bool) (*ObservationSet, error) {
 	workers := ResolveWorkers(opts.Workers)
 	if ts.Len() < minParallelTuples {
 		workers = 1
@@ -283,7 +278,7 @@ func observe(ctx context.Context, ts *TupleStore, opts Options, dirty map[uint16
 		}
 	}, func(ctx context.Context) error {
 		var err error
-		os, err = observeWith(ctx, ts, opts, dirty, workers)
+		os, err = observeWith(ctx, ts, opts, workers)
 		return err
 	})
 	if err != nil {
@@ -310,6 +305,13 @@ func ClassifyContext(ctx context.Context, ts *TupleStore, opts Options) (*Infere
 		return nil, err
 	}
 	return ClassifyObservedContext(ctx, os, opts)
+}
+
+// ClassifyDelta is ClassifyContext: prev and dirty are ignored. A full
+// pass measured the same as the dirty-α merge this name once ran, and
+// unlike it classifies with org siblings and large communities.
+func ClassifyDelta(ctx context.Context, ts *TupleStore, opts Options, prev *Inferences, dirty map[uint16]bool) (*Inferences, error) {
+	return ClassifyContext(ctx, ts, opts)
 }
 
 // ClassifyObserved runs the pipeline on precomputed observations, so

@@ -188,7 +188,6 @@ func TestClassifySiblingAware(t *testing.T) {
 	}
 
 	// With sibling awareness the observations become on-path -> info.
-	ts.AnnotateOrgs(orgs)
 	opts := DefaultOptions()
 	opts.Orgs = orgs
 	inf = Classify(ts, opts)
@@ -286,7 +285,6 @@ func corpusAccuracy(t *testing.T, days int) (acc float64, classified int) {
 			orgs.Set(m, fmt.Sprintf("org-%d", orgID))
 		}
 	}
-	ts.AnnotateOrgs(orgs)
 	opts := DefaultOptions()
 	opts.Orgs = orgs
 	inf := Classify(ts, opts)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,6 +17,46 @@ type testOrgs map[uint32]string
 func (m testOrgs) Org(asn uint32) (string, bool) {
 	o, ok := m[asn]
 	return o, ok
+}
+
+// TestClassifyDeltaIsClassifyContext: ClassifyDelta writes the same
+// snapshot bytes as ClassifyContext whatever prev and dirty say, with
+// sibling orgs and large communities in play — the configuration the
+// dirty-α merge it once ran could not classify.
+func TestClassifyDeltaIsClassifyContext(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		u := newRefUniverse(rng)
+		ts := NewTupleStore()
+		for _, v := range u.views(rng, 50+rng.Intn(300), seed%2 == 0) {
+			ts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
+		}
+		orgs := testOrgs{}
+		for _, asn := range u.asns {
+			if rng.Intn(2) == 0 {
+				orgs[asn] = fmt.Sprintf("org%d", rng.Intn(4))
+			}
+		}
+		opts := Options{MinGap: []int{0, 140, 1000}[seed%3], RatioThreshold: 2, Orgs: orgs, Workers: 1}
+		want, err := ClassifyContext(ctx, ts, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale := Classify(NewTupleStore(), DefaultOptions())
+		for _, prev := range []*Inferences{nil, stale, want} {
+			for _, dirty := range []map[uint16]bool{nil, {}, {1: true}} {
+				got, err := ClassifyDelta(ctx, ts, opts, prev, dirty)
+				if err != nil {
+					t.Fatal(err)
+				}
+				meta := SnapshotMeta{Source: "delta"}
+				if !bytes.Equal(writeFlat(t, got, meta), writeFlat(t, want, meta)) {
+					t.Fatalf("seed %d: ClassifyDelta(prev=%p, dirty=%v) writes other bytes than ClassifyContext", seed, prev, dirty)
+				}
+			}
+		}
+	}
 }
 
 // deltaView is one synthetic observation a test corpus is made of.
@@ -66,10 +108,10 @@ func storeOf(views []deltaView) *TupleStore {
 	return ts
 }
 
-// dirtyBetween computes the dirty-α set exactly the way stream.Window
-// does for a transition old → new: the α of every community on a view
-// present in one set but not the other, plus every 16-bit path ASN
-// whose presence in the path universe flipped.
+// dirtyBetween computes a dirty-α set for a transition old → new: the α
+// of every community on a view present in one set but not the other,
+// plus every 16-bit path ASN whose presence in the path universe
+// flipped. ClassifyDelta ignores it; the tests pass it to show that.
 func dirtyBetween(old, new []deltaView) map[uint16]bool {
 	pathASNs := func(views []deltaView) map[uint32]bool {
 		m := make(map[uint32]bool)
@@ -184,6 +226,11 @@ func TestClassifyDeltaEvictionsEqualFull(t *testing.T) {
 	}
 }
 
+// TestClassifyDeltaNoChangeReturnsPrev: with the store unchanged and an
+// empty dirty set, ClassifyDelta returns what prev holds. It returns a
+// fresh classification equal to prev rather than prev itself, because
+// callers no longer track a dirty set (stream.Window.TakeDirty is nil)
+// and an empty one says nothing about whether the store changed.
 func TestClassifyDeltaNoChangeReturnsPrev(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	views := genDeltaViews(rng, 100)
@@ -196,8 +243,10 @@ func TestClassifyDeltaNoChangeReturnsPrev(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != prev {
-		t.Fatal("empty dirty set should return prev verbatim")
+	sameInf(t, ts, got, prev)
+	meta := SnapshotMeta{Source: "delta"}
+	if !bytes.Equal(writeFlat(t, got, meta), writeFlat(t, prev, meta)) {
+		t.Fatal("empty dirty set on an unchanged store should reproduce prev")
 	}
 }
 
@@ -231,7 +280,7 @@ func TestClassifyDeltaFallsBackToFull(t *testing.T) {
 	sameInf(t, ts, got, want)
 
 	// Sibling-aware mode: org flips can dirty αs the window cannot see,
-	// so delta always falls back when Orgs is set.
+	// so the classification must follow Orgs, not prev.
 	orgOpts := opts
 	orgOpts.Orgs = testOrgs{100: "org-a", 200: "org-a"}
 	wantOrg, err := ClassifyContext(context.Background(), ts, orgOpts)

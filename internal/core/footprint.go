@@ -86,8 +86,7 @@ func mapRow(name string, n, slot int) FootprintRow {
 
 // Footprint returns the store's memory by component. A shared-mode
 // store reports the cross-shard set intern it refers to, which is its
-// own once stitched. The organization names the org row's string headers
-// point at belong to the OrgMapper and are not counted.
+// own once stitched.
 func (ts *TupleStore) Footprint() Footprint {
 	set := sliceRow("set_arena", ts.setArena)
 	intern := FootprintRow{Name: "intern_tables"}
@@ -118,7 +117,6 @@ func (ts *TupleStore) Footprint() Footprint {
 		set,
 		sliceRow("asn_arena", ts.asnArena),
 		intern, index,
-		sliceRow("orgs", ts.orgArena),
 		sliceRow("looped_paths", ts.loops),
 		mapRow("large_set", len(ts.large), int(unsafe.Sizeof(bgp.LargeCommunity{}))),
 	}

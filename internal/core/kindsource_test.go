@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"cmp"
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -113,60 +112,23 @@ func checkSameVerdicts[K Key[K]](t *testing.T, label string, keys []K, names []s
 	return excluded
 }
 
-// TestKindSourceContract: the classifier's output, a delta-maintained
-// generation, the heap set materialized from the written snapshot and
-// the mapped view over it all keep the KindSource contract — key order,
-// counters, cluster sums, per-α ranges — and answer every key, observed,
-// excluded or absent, with the same verdict. Odd seeds are classic-only,
-// so their delta generation is a real merge and not the fallback.
+// TestKindSourceContract: the classifier's output, the heap set
+// materialized from the written snapshot and the mapped view over it all
+// keep the KindSource contract — key order, counters, cluster sums, per-α
+// ranges — and answer every key, observed, excluded or absent, with the
+// same verdict. Odd seeds are classic-only.
 func TestKindSourceContract(t *testing.T) {
-	ctx := context.Background()
-	var excludedClassic, excludedLarge, merged int
+	var excludedClassic, excludedLarge int
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		u := newRefUniverse(rng)
-		views := u.views(rng, 50+rng.Intn(400), seed%2 == 0)
-		// The window slides: the first views are evicted, the last added.
-		evict, add := rng.Intn(len(views)/4), rng.Intn(len(views)/4)
-		old, cur := views[:len(views)-add], views[evict:]
-		store := func(views []refView) *TupleStore {
-			ts := NewTupleStore()
-			for _, v := range views {
-				ts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
-			}
-			return ts
-		}
-		pathASNs := func(views []refView) map[uint32]bool {
-			m := make(map[uint32]bool)
-			for _, v := range views {
-				for _, asn := range v.path {
-					m[asn] = true
-				}
-			}
-			return m
-		}
-		dirty := make(map[uint16]bool)
-		for _, v := range append(append([]refView(nil), views[:evict]...), views[len(views)-add:]...) {
-			for _, c := range v.comms {
-				dirty[c.ASN()] = true
-			}
-		}
-		was, is := pathASNs(old), pathASNs(cur)
-		for asn := uint32(0); asn <= 0xFFFF; asn++ {
-			if was[asn] != is[asn] {
-				dirty[uint16(asn)] = true
-			}
+		ts := NewTupleStore()
+		for _, v := range u.views(rng, 50+rng.Intn(400), seed%2 == 0) {
+			ts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
 		}
 
 		opts := Options{MinGap: []int{0, 140, 1000}[seed%3], RatioThreshold: 2, Workers: 1}
-		full := Classify(store(cur), opts)
-		delta, err := ClassifyDelta(ctx, store(cur), opts, Classify(store(old), opts), dirty)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(dirty) > 0 && !store(cur).largeTuples {
-			merged++
-		}
+		full := Classify(ts, opts)
 		data := writeFlat(t, full, SnapshotMeta{Source: "contract"})
 		heap, _, err := ReadSnapshot(bytes.NewReader(data))
 		if err != nil {
@@ -174,9 +136,9 @@ func TestKindSourceContract(t *testing.T) {
 		}
 		mapped := openMapped(t, data)
 
-		names := []string{"classifier", "delta", "materialized", "mapped"}
+		names := []string{"classifier", "materialized", "mapped"}
 		label := fmt.Sprintf("seed %d", seed)
-		for i, inf := range []*Inferences{full, delta, heap} {
+		for i, inf := range []*Inferences{full, heap} {
 			checkKindSource(t, label+" "+names[i]+" classic", inf, func(i int) []Stats[bgp.Community] { return inf.Clusters[i].Members })
 			checkKindSource(t, label+" "+names[i]+" large", inf.Large(), func(i int) []Stats[bgp.LargeCommunity] { return inf.Larges.Clusters[i].Members })
 		}
@@ -185,14 +147,14 @@ func TestKindSourceContract(t *testing.T) {
 
 		excludedClassic += checkSameVerdicts(t, label+" classic",
 			append(observedKeys(&full.KindSet), bgp.NewCommunity(64999, 64999)), names,
-			[]KindSource[bgp.Community]{full, delta, heap, mapped})
+			[]KindSource[bgp.Community]{full, heap, mapped})
 		excludedLarge += checkSameVerdicts(t, label+" large",
 			append(observedKeys(&full.Larges), bgp.LargeCommunity{GlobalAdmin: 64999, LocalData1: 1, LocalData2: 64999}), names,
-			[]KindSource[bgp.LargeCommunity]{full.Large(), delta.Large(), heap.Large(), mapped.Large()})
+			[]KindSource[bgp.LargeCommunity]{full.Large(), heap.Large(), mapped.Large()})
 	}
-	if excludedClassic == 0 || excludedLarge == 0 || merged == 0 {
-		t.Fatalf("universes exercised %d classic and %d large exclusions and %d delta merges; want some of each",
-			excludedClassic, excludedLarge, merged)
+	if excludedClassic == 0 || excludedLarge == 0 {
+		t.Fatalf("universes exercised %d classic and %d large exclusions; want some of each",
+			excludedClassic, excludedLarge)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Evidence building (§5.2 step 3): for each community, count the unique
-// AS paths on which its α appears (on-path) versus not (off-path). One
-// path-grouped walk serves the batch classifier, the dirty-α delta and
-// the large-community pass: tuples are visited with every path's tuples
+// AS paths on which its α or an org sibling of α appears (on-path) versus
+// not (off-path). One path-grouped walk serves classic and large
+// communities alike: tuples are visited with every path's tuples
 // adjacent, so "have I already counted this community on this path?" is
 // one compare against the path the community was last counted on — no
 // (community, path) pair is materialized, sorted or merged.
@@ -93,30 +93,29 @@ type evidence struct {
 	org     string // α's organization, resolved once per table entry
 }
 
-// alphaBits is a bitmap over the 16-bit α space (the dirty-α filter).
-type alphaBits [1 << 16 / 64]uint64
-
-func (b *alphaBits) has(a uint16) bool { return b[a/64]>>(a%64)&1 != 0 }
+// asnOrg is an ASN's organization under Options.Orgs, if it has one.
+type asnOrg struct {
+	org    string
+	hasOrg bool
+}
 
 // observer is one worker's private state for the walk. Workers own whole
 // path groups, so a (community, path) pair is counted by exactly one of
 // them and the per-worker counts simply add up — no merge order.
 type observer struct {
-	ts         *TupleStore
-	opts       *Options   // VPFilter and Orgs
-	dirty      *alphaBits // nil: every α
-	withLarges bool
+	ts   *TupleStore
+	opts *Options // VPFilter and Orgs
 
 	comms  probeTable[bgp.Community, evidence]
 	larges probeTable[bgp.LargeCommunity, evidence]
 	lbuf   bgp.LargeCommunities // the current tuple's larges
-	// ASNs and organizations of the paths this worker saw, each path
-	// visited once.
-	asns probeTable[uint32, struct{}]
-	orgs map[string]bool
+	// asns holds every ASN on the paths this worker saw, with its
+	// organization resolved through opts.Orgs once, on first sight.
+	asns probeTable[uint32, asnOrg]
 
-	pid  int32 // current path group; -1 before the first
-	path PathInfo
+	pid      int32    // current path group; -1 before the first
+	pathASNs []uint32 // the current path's distinct ASNs
+	pathOrgs []string // their distinct organizations (worker scratch)
 }
 
 // walk visits the tuples at positions [lo, hi) of the grouped order
@@ -136,26 +135,33 @@ func (o *observer) walk(order []int32, lo, hi int, done <-chan struct{}) {
 			continue
 		}
 		if t.PathID != o.pid {
-			o.pid = t.PathID
-			o.path = o.ts.Path(t.PathID)
-			for _, asn := range o.path.ASNs {
-				o.asns.at(asn, hashU32(asn))
-			}
-			for _, org := range o.path.Orgs {
-				o.orgs[org] = true
-			}
+			o.enterPath(t.PathID)
 		}
 		for _, c := range o.ts.TupleComms(t) {
-			if o.dirty != nil && !o.dirty.has(c.ASN()) {
-				continue
-			}
 			countOnce(o, &o.comms, c, hashU32(uint32(c)), uint32(c.ASN()))
 		}
-		if o.withLarges {
+		if o.ts.largeTuples {
 			o.lbuf = o.ts.TupleLarges(o.lbuf[:0], t)
 			for _, lc := range o.lbuf {
 				countOnce(o, &o.larges, lc, hashLargeCommunity(lc), lc.GlobalAdmin)
 			}
+		}
+	}
+}
+
+// enterPath makes path id the current one: its ASNs enter the worker's
+// table and its organization list is rebuilt from theirs.
+func (o *observer) enterPath(id int32) {
+	o.pid = id
+	o.pathASNs = o.ts.Path(id).ASNs
+	o.pathOrgs = o.pathOrgs[:0]
+	for _, asn := range o.pathASNs {
+		a, fresh := o.asns.at(asn, hashU32(asn))
+		if fresh && o.opts.Orgs != nil {
+			a.org, a.hasOrg = o.opts.Orgs.Org(asn)
+		}
+		if a.hasOrg && !containsOrg(o.pathOrgs, a.org) {
+			o.pathOrgs = append(o.pathOrgs, a.org)
 		}
 	}
 }
@@ -174,7 +180,7 @@ func countOnce[K comparable](o *observer, tab *probeTable[K, evidence], k K, h u
 		return
 	}
 	ev.last = o.pid
-	if containsASN(o.path.ASNs, alpha) || ev.hasOrg && containsOrg(o.path.Orgs, ev.org) {
+	if containsASN(o.pathASNs, alpha) || ev.hasOrg && containsOrg(o.pathOrgs, ev.org) {
 		ev.on++
 	} else {
 		ev.off++
@@ -215,26 +221,10 @@ func countingSort(n, keys int, key func(i int) int32) (order, end []int32) {
 }
 
 // observeWith computes the observation set on exactly the given number
-// of workers; a non-nil dirty set restricts the per-community stats to
-// αs in it while keeping the global on-path ASN/org evidence complete
-// (see ClassifyDelta). Results are identical for every worker count.
-func observeWith(ctx context.Context, ts *TupleStore, opts Options, dirty map[uint16]bool, workers int) (*ObservationSet, error) {
+// of workers. Results are identical for every worker count.
+func observeWith(ctx context.Context, ts *TupleStore, opts Options, workers int) (*ObservationSet, error) {
 	done := ctx.Done()
 	tuples := ts.Tuples()
-	var dirtyBits *alphaBits
-	if dirty != nil {
-		dirtyBits = new(alphaBits)
-		for a, on := range dirty {
-			if on {
-				dirtyBits[a/64] |= 1 << (a % 64)
-			}
-		}
-	}
-	// Large communities are never observed on the delta path: large dirty
-	// tracking does not exist, so ClassifyDelta falls back to a full
-	// classification instead.
-	withLarges := dirty == nil && ts.largeTuples
-
 	order := groupByPath(tuples, ts.PathCount())
 	pathAt := func(i int) int32 {
 		if order != nil {
@@ -252,11 +242,10 @@ func observeWith(ctx context.Context, ts *TupleStore, opts Options, dirty map[ui
 	obsv := make([]observer, workers)
 	parallelRanges(workers, len(tuples), func(w, lo, hi int) {
 		obsv[w] = observer{
-			ts: ts, opts: &opts, dirty: dirtyBits, withLarges: withLarges,
+			ts: ts, opts: &opts,
 			comms:  newProbeTable[bgp.Community, evidence](),
 			larges: newProbeTable[bgp.LargeCommunity, evidence](),
-			asns:   newProbeTable[uint32, struct{}](),
-			orgs:   make(map[string]bool),
+			asns:   newProbeTable[uint32, asnOrg](),
 		}
 		obsv[w].walk(order, snap(lo), snap(hi), done)
 	})
@@ -264,22 +253,24 @@ func observeWith(ctx context.Context, ts *TupleStore, opts Options, dirty map[ui
 		return nil, ctx.Err()
 	}
 
-	// Worker 0's tables and org set absorb the others'.
+	// Worker 0's tables absorb the others'.
 	sum := &obsv[0]
-	os := &ObservationSet{asnOnPath: make(map[uint32]bool, sum.asns.n), orgOnPath: sum.orgs, orgs: opts.Orgs}
+	os := &ObservationSet{asnOnPath: make(map[uint32]bool, sum.asns.n), orgOnPath: make(map[string]bool), orgs: opts.Orgs}
 	for w := range obsv {
 		o := &obsv[w]
-		o.asns.each(func(asn uint32, _ uint64, _ *struct{}) { os.asnOnPath[asn] = true })
-		if w > 0 {
-			for org := range o.orgs {
-				os.orgOnPath[org] = true
+		o.asns.each(func(asn uint32, _ uint64, a *asnOrg) {
+			os.asnOnPath[asn] = true
+			if a.hasOrg {
+				os.orgOnPath[a.org] = true
 			}
+		})
+		if w > 0 {
 			addEvidence(&sum.comms, &o.comms)
 			addEvidence(&sum.larges, &o.larges)
 		}
 	}
 	os.Stats = statsFromEvidence(&sum.comms)
-	if withLarges {
+	if ts.largeTuples {
 		os.Larges = statsFromEvidence(&sum.larges)
 	}
 	return os, nil

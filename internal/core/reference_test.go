@@ -34,7 +34,7 @@ type refEvidence struct {
 	orgs    OrgMapper
 }
 
-func referenceObserve(views []refView, vpFilter map[uint32]bool, orgs OrgMapper, dirty map[uint16]bool) refEvidence {
+func referenceObserve(views []refView, vpFilter map[uint32]bool, orgs OrgMapper) refEvidence {
 	paths := make(map[string][]uint32) // path key -> ASNs, prepending collapsed
 	classic := make(map[bgp.Community]map[string]bool)
 	large := make(map[bgp.LargeCommunity]map[string]bool)
@@ -58,9 +58,6 @@ func referenceObserve(views []refView, vpFilter map[uint32]bool, orgs OrgMapper,
 		key := fmt.Sprint(collapsed)
 		paths[key] = collapsed
 		for _, c := range v.comms {
-			if dirty != nil && !dirty[c.ASN()] {
-				continue
-			}
 			if classic[c] == nil {
 				classic[c] = make(map[string]bool)
 			}
@@ -86,10 +83,8 @@ func referenceObserve(views []refView, vpFilter map[uint32]bool, orgs OrgMapper,
 	for c, on := range classic {
 		ev.classic[c] = count(uint32(c.ASN()), on)
 	}
-	if dirty == nil { // the delta path does not observe larges
-		for lc, on := range large {
-			ev.large[lc] = count(lc.GlobalAdmin, on)
-		}
+	for lc, on := range large {
+		ev.large[lc] = count(lc.GlobalAdmin, on)
 	}
 	return ev
 }
@@ -228,9 +223,10 @@ func growVPs(views []refView) []refView {
 // reference over random small corpora, for a plain insertion-order store
 // (grouped by counting sort) and stitched stores (grouped as laid out,
 // every other seed with their table hashes forced to collide) at every
-// worker count, with and without a VP filter, sibling orgs and a
-// dirty-α restriction. Some identities arrive from several vantage
-// points, and one of them gains nine more after the stitch.
+// worker count, with and without a VP filter and sibling orgs. The orgs
+// reach the walk through Options.Orgs alone, the way every caller passes
+// them. Some identities arrive from several vantage points, and one of
+// them gains nine more after the stitch.
 func TestObserveMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -250,13 +246,6 @@ func TestObserveMatchesReference(t *testing.T) {
 				vpFilter[asn] = true
 			}
 		}
-		dirty := make(map[uint16]bool)
-		for _, c := range u.comms {
-			if rng.Intn(3) == 0 {
-				dirty[c.ASN()] = true
-			}
-		}
-
 		stores := map[string]*TupleStore{"plain": NewTupleStore()}
 		for _, v := range append(views, later...) {
 			stores["plain"].AddViewLarge(v.vp, v.path, v.comms, v.larges)
@@ -276,21 +265,18 @@ func TestObserveMatchesReference(t *testing.T) {
 		views = append(views, later...)
 
 		for name, ts := range stores {
-			ts.AnnotateOrgs(orgs)
 			for _, variant := range []struct {
-				name  string
-				opts  Options
-				dirty map[uint16]bool
+				name string
+				opts Options
 			}{
-				{"full", Options{}, nil},
-				{"vpfilter", Options{VPFilter: vpFilter}, nil},
-				{"orgs", Options{Orgs: orgs}, nil},
-				{"dirty", Options{}, dirty},
-				{"vpfilter+orgs+dirty", Options{VPFilter: vpFilter, Orgs: orgs}, dirty},
+				{"full", Options{}},
+				{"vpfilter", Options{VPFilter: vpFilter}},
+				{"orgs", Options{Orgs: orgs}},
+				{"vpfilter+orgs", Options{VPFilter: vpFilter, Orgs: orgs}},
 			} {
-				want := referenceObserve(views, variant.opts.VPFilter, variant.opts.Orgs, variant.dirty)
+				want := referenceObserve(views, variant.opts.VPFilter, variant.opts.Orgs)
 				for _, workers := range []int{1, 2, 4, 8} {
-					got, err := observeWith(context.Background(), ts, variant.opts, variant.dirty, workers)
+					got, err := observeWith(context.Background(), ts, variant.opts, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -471,7 +457,7 @@ func TestClassifyMatchesReference(t *testing.T) {
 		for _, v := range views {
 			ts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
 		}
-		ev := referenceObserve(views, nil, nil, nil)
+		ev := referenceObserve(views, nil, nil)
 		classic, large := map[refKey]refCounts{}, map[refKey]refCounts{}
 		for c, rc := range ev.classic {
 			classic[refKey{uint32(c.ASN()), 0, uint32(c.Value())}] = rc

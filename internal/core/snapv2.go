@@ -674,7 +674,7 @@ func (s *snapV2) Options() Options { return s.opts }
 
 // Materialize reconstructs a fully heap-resident *Inferences — every
 // byte copied out of the backing pages — for callers that need the
-// mutable form (delta reclassification, re-serialization). For a file
+// heap form (re-serialization). For a file
 // WriteSnapshotFlat wrote, writing the result again reproduces its
 // bytes.
 func (s *snapV2) Materialize() *Inferences {

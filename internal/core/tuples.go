@@ -22,17 +22,14 @@ type span struct {
 }
 
 // PathInfo is one interned AS path, viewed out of the store's arenas.
-// The slices alias shared storage and must not be mutated.
+// The slice aliases shared storage and must not be mutated.
 type PathInfo struct {
 	ASNs []uint32 // distinct ASNs on the path, in first-appearance order
-	Orgs []string // distinct organizations of those ASNs (when mapped)
 }
 
-// pathMeta locates one interned path's ASNs and organizations in the
-// store arenas.
+// pathMeta locates one interned path's ASNs in the ASN arena, 8 bytes.
 type pathMeta struct {
 	asns span
-	orgs span
 }
 
 // Tuple is one unique (AS path, communities) observation, 16 bytes.
@@ -112,7 +109,7 @@ type tupleKey struct {
 //
 // Storage is columnar (struct-of-arrays): tuples are one flat []Tuple,
 // and their variable-length payloads — community sets, VP lists of more
-// than one, path ASN sequences, path org lists — live in append-only
+// than one, path ASN sequences — live in append-only
 // arenas. The hot ingest path therefore allocates only when an arena or
 // the flat slice grows, not per tuple.
 type TupleStore struct {
@@ -125,7 +122,6 @@ type TupleStore struct {
 
 	paths    []pathMeta
 	asnArena []uint32 // all interned path ASN sequences, and the looped paths' keys
-	orgArena []string // all path org lists (filled by AnnotateOrgs)
 	pathIDs  map[string]int32
 	pathKeys []string // path ID -> binary path key (shares pathIDs' key storage; plain store only)
 	// loops is the shared-mode side index of the paths that repeat an AS
@@ -422,13 +418,9 @@ func (ts *TupleStore) Len() int { return len(ts.tuples) }
 func (ts *TupleStore) PathCount() int { return len(ts.paths) }
 
 // Path returns the interned path info for a tuple's PathID. The
-// returned views alias the store arenas; do not mutate them.
+// returned view aliases the ASN arena; do not mutate it.
 func (ts *TupleStore) Path(id int32) PathInfo {
-	p := &ts.paths[id]
-	return PathInfo{
-		ASNs: ts.pathASNs(p),
-		Orgs: ts.orgArena[p.orgs.off : p.orgs.off+p.orgs.n],
-	}
+	return PathInfo{ASNs: ts.pathASNs(&ts.paths[id])}
 }
 
 // pathASNs resolves a path's distinct-ASN span in the ASN arena.
@@ -569,21 +561,8 @@ type OrgMapper interface {
 	Org(asn uint32) (string, bool)
 }
 
-// AnnotateOrgs fills each interned path's organization list using the
-// mapper. Call once after loading all data and before classification
-// when sibling awareness is wanted.
-func (ts *TupleStore) AnnotateOrgs(orgs OrgMapper) {
-	ts.orgArena = ts.orgArena[:0]
-	for i := range ts.paths {
-		p := &ts.paths[i]
-		off := uint32(len(ts.orgArena))
-		for _, asn := range ts.pathASNs(p) {
-			if org, ok := orgs.Org(asn); ok {
-				if !containsOrg(ts.orgArena[off:], org) {
-					ts.orgArena = append(ts.orgArena, org)
-				}
-			}
-		}
-		p.orgs = span{off: off, n: uint32(len(ts.orgArena)) - off}
-	}
-}
+// AnnotateOrgs does nothing. Sibling awareness has one input,
+// Options.Orgs, which the evidence walk resolves per distinct ASN; the
+// method remains for callers written against the per-path org lists it
+// used to fill.
+func (ts *TupleStore) AnnotateOrgs(OrgMapper) {}

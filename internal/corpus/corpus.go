@@ -132,7 +132,6 @@ func Build(cfg Config) (*Corpus, error) {
 	for d := 0; d < cfg.Days; d++ {
 		c.LoadDay(d)
 	}
-	c.Store.AnnotateOrgs(c.Orgs)
 	if err := c.buildDictionary(cfg.DictASes); err != nil {
 		return nil, err
 	}
@@ -140,8 +139,6 @@ func Build(cfg Config) (*Corpus, error) {
 }
 
 // LoadDay simulates one more day and adds its views to the store.
-// Callers that load days incrementally should re-run AnnotateOrgs
-// afterwards.
 func (c *Corpus) LoadDay(day int) {
 	res := c.Sim.RunDay(day)
 	for i := range res.Views {

@@ -137,7 +137,6 @@ func TestLoadDayIncremental(t *testing.T) {
 	}
 	before := c.Store.Len()
 	c.LoadDay(1)
-	c.Store.AnnotateOrgs(c.Orgs)
 	if c.Store.Len() <= before {
 		t.Errorf("second day added no tuples: %d -> %d", before, c.Store.Len())
 	}

@@ -307,7 +307,6 @@ func DaysSweep(cfg corpus.Config, maxDays int) (*Report, error) {
 	for day := 1; day <= maxDays; day++ {
 		if day > 1 {
 			c.LoadDay(day - 1)
-			c.Store.AnnotateOrgs(c.Orgs)
 		}
 		inf := core.Classify(c.Store, c.Options())
 		conf := AgainstDictionary(inf, c.Dict)

@@ -58,7 +58,6 @@ func FaultTolerance(cfg corpus.Config, rates []float64) (*Report, error) {
 				return nil, st, err
 			}
 		}
-		store.AnnotateOrgs(c.Orgs)
 		return store, st, nil
 	}
 

@@ -148,8 +148,6 @@ func TestTable1ShapeOnCorpus(t *testing.T) {
 			orgs.Set(m, fmt.Sprintf("org-%d", orgID))
 		}
 	}
-	ts.AnnotateOrgs(orgs)
-
 	locs := Infer(ts, topo, DefaultConfig())
 	if len(locs) < 10 {
 		t.Fatalf("only %d location inferences; corpus too sparse", len(locs))

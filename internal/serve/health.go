@@ -57,7 +57,7 @@ func (m *Metrics) registerFeed(fn func() bgpintent.LiveHealth) {
 			return float64(fn().Reconnects)
 		})
 	m.reg.GaugeFunc("intentd_feed_snapshots_total",
-		"Delta snapshots installed from the feed since start.", func() float64 {
+		"Snapshots installed from the feed since start.", func() float64 {
 			return float64(fn().Snapshots)
 		})
 }

@@ -45,9 +45,10 @@ type Config struct {
 	Source Source
 	// Window configures the rolling window over the tuple store.
 	Window WindowConfig
-	// Classify are the classifier options for delta snapshots
-	// (Orgs must be nil for the delta path to engage; with Orgs set
-	// every snapshot is a full reclassification).
+	// Classify are the classifier options for every generation, used
+	// exactly as a batch classification uses them: Orgs (as2org) makes
+	// the on-path test sibling-aware, and the window's large communities
+	// are classified beside its classic ones.
 	Classify core.Options
 
 	// ReadTimeout bounds one Recv: a feed silent for longer is treated
@@ -67,7 +68,7 @@ type Config struct {
 	// this forces a resync reconnect. 0 means DefaultReorderWindow.
 	ReorderWindow int
 
-	// SnapshotEvery emits a delta snapshot after this many applied
+	// SnapshotEvery emits a snapshot after this many applied
 	// updates; SnapshotInterval after this much wall time (whichever
 	// comes first, and only when something changed). Zeros mean the
 	// defaults; negative disables that trigger.
@@ -78,7 +79,7 @@ type Config struct {
 	// replayable in tests.
 	Seed int64
 
-	// OnSnapshot receives every delta snapshot (including the final one
+	// OnSnapshot receives every snapshot (including the final one
 	// of a finite feed), called from the ingest goroutine: the callback
 	// must swap and return, not block.
 	OnSnapshot func(inf *core.Inferences, st WindowStats, lastSeq uint64)
@@ -129,8 +130,6 @@ type Health struct {
 type Ingestor struct {
 	cfg Config
 	win *Window
-
-	prev *core.Inferences // last published classification (goroutine-local)
 
 	state        atomic.Int32
 	lastSeq      atomic.Uint64
@@ -442,26 +441,23 @@ func (in *Ingestor) shouldSnapshot() bool {
 	return in.cfg.SnapshotInterval > 0 && time.Since(in.lastSnapAt) >= in.cfg.SnapshotInterval
 }
 
-// snapshot reclassifies the dirty αs and publishes the delta result.
-// Only a canceled context is an error; the previous snapshot stays
-// published on any failure.
+// snapshot classifies the window and publishes the result, when an
+// update was applied since the last generation (or none was ever
+// published). Only a canceled context is an error; the previous snapshot
+// stays published on any failure, and the next tick retries.
 func (in *Ingestor) snapshot(ctx context.Context) error {
-	dirty := in.win.TakeDirty()
-	if dirty == nil && in.prev != nil {
+	if in.sinceSnap == 0 && in.snapshots.Load() > 0 {
 		in.lastSnapAt = time.Now()
-		in.sinceSnap = 0
 		return nil // nothing changed
 	}
-	inf, err := core.ClassifyDelta(ctx, in.win.Store(), in.cfg.Classify, in.prev, dirty)
+	inf, err := core.ClassifyContext(ctx, in.win.Store(), in.cfg.Classify)
 	if err != nil {
-		in.win.RestoreDirty(dirty) // keep the αs dirty for the next tick
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		in.cfg.Logf("stream: delta classify failed (keeping previous snapshot): %v", err)
+		in.cfg.Logf("stream: classify failed (keeping previous snapshot): %v", err)
 		return nil
 	}
-	in.prev = inf
 	st := in.win.Stats()
 	in.winStats.Store(&st)
 	in.snapshots.Add(1)

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"bgpintent/internal/asrel"
 	"bgpintent/internal/core"
+	"bgpintent/internal/corpus"
+	"bgpintent/internal/simulate"
+	"bgpintent/internal/topology"
 )
 
 // classifyBatch is the oracle: a one-shot batch classification over the
@@ -75,7 +80,7 @@ func TestIngestorCleanConvergence(t *testing.T) {
 	in, err := Start(context.Background(), Config{
 		Source:           NewSimSource(newTestSim(t), SimConfig{Days: 2}),
 		Classify:         core.DefaultOptions(),
-		SnapshotEvery:    2000, // several ticks per run so the delta path really runs
+		SnapshotEvery:    2000, // several generations per run, not just the final one
 		SnapshotInterval: -1,
 		OnSnapshot:       rec.record,
 		Logf:             t.Logf,
@@ -99,7 +104,7 @@ func TestIngestorCleanConvergence(t *testing.T) {
 	}
 	inf, snaps := rec.latest()
 	if snaps < 2 {
-		t.Fatalf("only %d snapshots; the delta path was not exercised", snaps)
+		t.Fatalf("only %d snapshots; no generation before the final one", snaps)
 	}
 	sameInferences(t, inf, want)
 	if h := in.Health(); h.Status != "healthy" || h.State != StateEnded {
@@ -163,6 +168,98 @@ func TestIngestorFaultConvergence(t *testing.T) {
 
 	inf, _ := rec.latest()
 	sameInferences(t, inf, want)
+}
+
+// TestIngestorClassifiesLikeBatch: a live generation runs the paper's
+// whole method. Over a feed that carries large communities, with as2org
+// siblings in the options, the final generation writes the same snapshot
+// bytes as a batch ClassifyContext, under the same options, over a fresh
+// store holding the same updates — on a clean feed and under injected
+// faults. The tiny topology's as2org map (corpus.OrgMapOf) has two
+// multi-AS orgs, too few to move a label, so a dense map, under which
+// siblings change the batch answer, runs the clean feed too.
+func TestIngestorClassifiesLikeBatch(t *testing.T) {
+	ctx := context.Background()
+	topo, err := topology.Generate(topology.TinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := func() Source { return NewSimSource(simulate.New(topo, simulate.TinyConfig()), SimConfig{Days: 1}) }
+	ups := drain(t, feed(), 0, 0)
+	batch := core.NewTupleStore()
+	for _, u := range ups {
+		batch.AddViewLarge(u.VP, u.Path, u.Comms, u.LargeComms)
+	}
+	snapshot := func(opts core.Options) (*core.Inferences, []byte) {
+		t.Helper()
+		inf, err := core.ClassifyContext(ctx, batch, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := core.WriteSnapshotFlat(&buf, inf, core.SnapshotMeta{}); err != nil {
+			t.Fatal(err)
+		}
+		return inf, buf.Bytes()
+	}
+	_, blind := snapshot(core.DefaultOptions())
+
+	dense := asrel.NewOrgMap()
+	for asn := range topo.ASes {
+		dense.Set(asn, fmt.Sprintf("org-%d", asn%16))
+	}
+	for _, tc := range []struct {
+		name   string
+		orgs   core.OrgMapper
+		faulty []bool
+	}{
+		{"as2org", corpus.OrgMapOf(topo, 0.9), []bool{false, true}},
+		{"dense", dense, []bool{false}},
+	} {
+		opts := core.DefaultOptions()
+		opts.Orgs = tc.orgs
+		want, wantBytes := snapshot(opts)
+		if len(want.Larges.Clusters) == 0 {
+			t.Fatal("the feed's large communities form no cluster; the test cannot see them dropped")
+		}
+		if tc.name == "dense" && bytes.Equal(wantBytes, blind) {
+			t.Fatal("dense orgs: classifying with Options.Orgs changes no byte; sibling awareness is inert")
+		}
+		for _, faulty := range tc.faulty {
+			src := feed()
+			if faulty {
+				src = NewFaultSource(src, FaultConfig{Seed: 42, Rate: 0.05, StallFor: time.Millisecond})
+			}
+			rec := &snapshotRecorder{}
+			in, err := Start(ctx, Config{
+				Source:           src,
+				Classify:         opts,
+				SnapshotEvery:    2000,
+				SnapshotInterval: -1,
+				ReadTimeout:      200 * time.Millisecond,
+				BackoffBase:      time.Millisecond,
+				BackoffMax:       5 * time.Millisecond,
+				RetryBudget:      -1,
+				Seed:             1,
+				OnSnapshot:       rec.record,
+				Logf:             t.Logf,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := in.Wait(); err != nil {
+				t.Fatalf("%s faulty=%v: Wait: %v", tc.name, faulty, err)
+			}
+			if st := in.Stats(); st.Updates != uint64(len(ups)) {
+				t.Fatalf("%s faulty=%v: applied %d updates, feed carried %d", tc.name, faulty, st.Updates, len(ups))
+			}
+			inf, snaps := rec.latest()
+			if snaps < 2 {
+				t.Fatalf("%s faulty=%v: only %d generations", tc.name, faulty, snaps)
+			}
+			sameInferences(t, inf, want)
+		}
+	}
 }
 
 // failSource never connects.

@@ -2,11 +2,13 @@
 // one: a resumable live-feed abstraction (Source/Session), a
 // deterministic fault injector that breaks it the way real feeds break
 // (disconnects, stalls, corrupt frames, duplicate and reordered
-// deliveries), a rolling time window over the columnar tuple store
-// with dirty-α tracking, and an Ingestor that survives all of it —
-// reconnecting with jittered exponential backoff, resuming from the
-// last applied sequence number, and emitting periodic delta snapshots
-// for the serving layer to hot-swap.
+// deliveries), a rolling time window over the columnar tuple store,
+// and an Ingestor that survives all of it — reconnecting with jittered
+// exponential backoff, resuming from the last applied sequence number,
+// and publishing periodic generations for the serving layer to
+// hot-swap. Every generation runs the batch method (core.ClassifyContext)
+// over the window: the same tuples a batch load of the window's updates
+// would hold, large communities included, and the same options.
 //
 // The robustness contract the Ingestor provides: no update in the
 // feed is ever lost or double-applied (exactly-once application up to
@@ -40,10 +42,9 @@ type Update struct {
 	Path []uint32
 	// Comms is the attached community set.
 	Comms bgp.Communities
-	// LargeComms carries large communities. The streaming window
-	// deliberately tracks these as statistics only — keying them into
-	// window tuples would defeat dirty-α delta reclassification (see
-	// window.go); batch loads classify them fully.
+	// LargeComms carries large communities (RFC 8092). The window keys
+	// them into its tuples and every generation classifies them, as a
+	// batch load does.
 	LargeComms bgp.LargeCommunities
 }
 

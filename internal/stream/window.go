@@ -29,25 +29,20 @@ type WindowStats struct {
 	VantagePoints    int
 	Communities      int
 	LargeCommunities int
-	DirtyAlphas      int // αs awaiting reclassification
+	// DirtyAlphas is always 0: every generation is a full classification,
+	// so no α awaits one. The field remains for readers written against
+	// the incremental classifier.
+	DirtyAlphas int
 	// Oldest/Newest bound the live window in feed time; zero when empty.
 	Oldest, Newest time.Time
 }
 
 // Window is a rolling time window of updates feeding a columnar tuple
 // store incrementally. Adds go straight into the store (cheap,
-// allocation-light); when feed time advances past a bucket boundary,
-// whole buckets fall off the tail and the store is rebuilt from the
-// survivors — O(window), amortized once per bucket span.
-//
-// The window also tracks the dirty α set: every α whose classification
-// evidence may have changed since the last TakeDirty. That is (a) the
-// α of every community on an added or evicted update, and (b) every
-// 16-bit ASN whose presence in the observed path set flipped (first
-// live update containing it arrived, or last one left) — those flips
-// can change never-on-path exclusions for the α even when none of its
-// communities moved. Classification consumers re-run only the dirty
-// αs (core.ClassifyDelta) and reuse the previous result for the rest.
+// allocation-light), classic and large communities keyed alike, exactly
+// as a batch load keys them; when feed time advances past a bucket
+// boundary, whole buckets fall off the tail and the store is rebuilt
+// from the survivors — O(window), amortized once per bucket span.
 //
 // Window is not safe for concurrent use; the Ingestor owns it from a
 // single goroutine and publishes immutable classification results.
@@ -57,9 +52,6 @@ type Window struct {
 
 	buckets []windowBucket
 	base    time.Time // start of buckets[0]; zero until the first add
-
-	dirty    map[uint16]struct{}
-	pathRefs map[uint32]int // live-update refcount per path ASN (flip detection)
 
 	evicted  uint64
 	rebuilds uint64
@@ -75,12 +67,7 @@ func NewWindow(cfg WindowConfig) *Window {
 	if cfg.Span > 0 && cfg.Buckets < 2 {
 		cfg.Buckets = 2
 	}
-	return &Window{
-		cfg:      cfg,
-		store:    core.NewTupleStore(),
-		dirty:    make(map[uint16]struct{}),
-		pathRefs: make(map[uint32]int),
-	}
+	return &Window{cfg: cfg, store: core.NewTupleStore()}
 }
 
 // bucketSpan is the feed-time length of one bucket.
@@ -89,7 +76,7 @@ func (w *Window) bucketSpan() time.Duration {
 }
 
 // Add applies one update: rotates/evicts buckets if the update's feed
-// time crossed a boundary, then feeds the store and the dirty set.
+// time crossed a boundary, then feeds the store.
 // Updates are expected in roughly feed-time order (the sequence
 // protocol guarantees it); stragglers land in the newest bucket, which
 // only makes eviction conservative, never wrong.
@@ -101,25 +88,12 @@ func (w *Window) Add(u Update) {
 	}
 	b := &w.buckets[len(w.buckets)-1]
 	b.updates = append(b.updates, u)
-	w.apply(u)
+	w.apply(&u)
 }
 
-// apply feeds one update into the store and marks what it dirtied.
-// Large communities are deliberately counted (NoteLarge) rather than
-// tuple-keyed (AddViewLarge): the window relies on dirty-α delta
-// reclassification, which only tracks 16-bit α sets, and keyed larges
-// would force every tick onto the full-classify fallback.
-func (w *Window) apply(u Update) {
-	w.store.AddView(u.VP, u.Path, u.Comms)
-	w.store.NoteLarge(u.LargeComms)
-	for _, c := range u.Comms {
-		w.dirty[c.ASN()] = struct{}{}
-	}
-	for _, asn := range u.Path {
-		if w.pathRefs[asn]++; w.pathRefs[asn] == 1 && asn <= 0xFFFF {
-			w.dirty[uint16(asn)] = struct{}{} // newly on-path
-		}
-	}
+// apply feeds one update into the store.
+func (w *Window) apply(u *Update) {
+	w.store.AddViewLarge(u.VP, u.Path, u.Comms, u.LargeComms)
 }
 
 // rotate advances the bucket ring to cover feed time t, evicting
@@ -157,29 +131,13 @@ func (w *Window) rotate(t time.Time) {
 	evict := w.buckets[:len(w.buckets)-w.cfg.Buckets]
 	w.buckets = w.buckets[len(w.buckets)-w.cfg.Buckets:]
 	for _, b := range evict {
-		for i := range b.updates {
-			u := &b.updates[i]
-			w.evicted++
-			for _, c := range u.Comms {
-				w.dirty[c.ASN()] = struct{}{}
-			}
-			for _, asn := range u.Path {
-				if w.pathRefs[asn]--; w.pathRefs[asn] == 0 {
-					delete(w.pathRefs, asn)
-					if asn <= 0xFFFF {
-						w.dirty[uint16(asn)] = struct{}{} // no longer on-path
-					}
-				}
-			}
-		}
+		w.evicted += uint64(len(b.updates))
 	}
 	w.rebuilds++
 	w.store = core.NewTupleStore()
 	for bi := range w.buckets {
 		for i := range w.buckets[bi].updates {
-			u := &w.buckets[bi].updates[i]
-			w.store.AddView(u.VP, u.Path, u.Comms)
-			w.store.NoteLarge(u.LargeComms)
+			w.apply(&w.buckets[bi].updates[i])
 		}
 	}
 }
@@ -189,27 +147,11 @@ func (w *Window) rotate(t time.Time) {
 // eviction); classify from the Ingestor goroutine only.
 func (w *Window) Store() *core.TupleStore { return w.store }
 
-// TakeDirty returns the accumulated dirty α set and resets it. A nil
-// map means nothing changed since the last call.
-func (w *Window) TakeDirty() map[uint16]bool {
-	if len(w.dirty) == 0 {
-		return nil
-	}
-	out := make(map[uint16]bool, len(w.dirty))
-	for a := range w.dirty {
-		out[a] = true
-	}
-	clear(w.dirty)
-	return out
-}
-
-// RestoreDirty re-marks αs as dirty — the undo for a TakeDirty whose
-// reclassification failed, so the next snapshot tick retries them.
-func (w *Window) RestoreDirty(d map[uint16]bool) {
-	for a := range d {
-		w.dirty[a] = struct{}{}
-	}
-}
+// TakeDirty returns nil: the window tracks no dirty αs, because every
+// generation is a full classification (core.ClassifyDelta is
+// core.ClassifyContext). It remains for callers written against the
+// incremental classifier.
+func (w *Window) TakeDirty() map[uint16]bool { return nil }
 
 // Stats snapshots the window counters.
 func (w *Window) Stats() WindowStats {
@@ -221,7 +163,6 @@ func (w *Window) Stats() WindowStats {
 		VantagePoints:    len(w.store.VPSet()),
 		Communities:      len(w.store.Communities()),
 		LargeCommunities: w.store.LargeCommunityCount(),
-		DirtyAlphas:      len(w.dirty),
 	}
 	for bi := range w.buckets {
 		b := &w.buckets[bi]

@@ -19,13 +19,13 @@ func wu(seq uint64, at time.Time, path []uint32, comms ...uint32) Update {
 	return Update{Seq: seq, Time: at, VP: path[0], Path: path, Comms: cs}
 }
 
-// refStore rebuilds a tuple store from scratch out of updates — the
-// oracle an incrementally-maintained window store must match.
+// refStore rebuilds a tuple store from scratch out of updates, the way a
+// batch load keys them — the oracle an incrementally-maintained window
+// store must match.
 func refStore(ups []Update) *core.TupleStore {
 	ts := core.NewTupleStore()
 	for _, u := range ups {
-		ts.AddView(u.VP, u.Path, u.Comms)
-		ts.NoteLarge(u.LargeComms)
+		ts.AddViewLarge(u.VP, u.Path, u.Comms, u.LargeComms)
 	}
 	return ts
 }
@@ -124,65 +124,5 @@ func TestWindowStragglerStays(t *testing.T) {
 	w.Add(wu(2, epoch, []uint32{3, 4}, 20, 2)) // straggler, 2h behind
 	if st := w.Stats(); st.Updates != 2 || st.Evicted != 0 {
 		t.Fatalf("straggler handling: live=%d evicted=%d, want 2/0", st.Updates, st.Evicted)
-	}
-}
-
-func TestWindowDirtyTracking(t *testing.T) {
-	epoch := time.Unix(1_700_000_000, 0).UTC()
-	w := NewWindow(WindowConfig{Span: 2 * time.Hour, Buckets: 2})
-
-	// First add: comm α 300 dirty, path ASNs 100/200 newly on-path.
-	w.Add(wu(1, epoch, []uint32{100, 200}, 300, 10))
-	d := w.TakeDirty()
-	for _, a := range []uint16{300, 100, 200} {
-		if !d[a] {
-			t.Fatalf("α %d not dirty after first add (got %v)", a, d)
-		}
-	}
-
-	// TakeDirty cleared: nothing new means nil.
-	if d := w.TakeDirty(); d != nil {
-		t.Fatalf("TakeDirty after clear = %v, want nil", d)
-	}
-
-	// Same path again: refcount 1→2 flips nothing; only the comm's α
-	// (already ≠ path ASNs here) is dirty.
-	w.Add(wu(2, epoch.Add(30*time.Minute), []uint32{100, 200}, 301, 10))
-	d = w.TakeDirty()
-	if !d[301] {
-		t.Fatal("comm α 301 not dirty")
-	}
-	if d[100] || d[200] {
-		t.Fatalf("path refcount 1→2 wrongly dirtied path αs: %v", d)
-	}
-
-	// Advance feed time so the first two updates evict: their comm αs
-	// dirty again, and path ASNs 100/200 flip off-path.
-	w.Add(wu(3, epoch.Add(3*time.Hour), []uint32{150, 250}, 302, 10))
-	d = w.TakeDirty()
-	for _, a := range []uint16{300, 301, 100, 200, 302, 150, 250} {
-		if !d[a] {
-			t.Fatalf("α %d not dirty after eviction (got %v)", a, d)
-		}
-	}
-	if st := w.Stats(); st.Evicted != 2 {
-		t.Fatalf("Evicted = %d, want 2", st.Evicted)
-	}
-
-	// RestoreDirty undoes a TakeDirty whose classify failed.
-	w.RestoreDirty(map[uint16]bool{42: true})
-	if d := w.TakeDirty(); !d[42] {
-		t.Fatalf("RestoreDirty lost α 42: %v", d)
-	}
-}
-
-func TestWindowLargeASNPathRefs(t *testing.T) {
-	// 32-bit path ASNs above 0xFFFF cannot be community αs; their flips
-	// must not panic or dirty anything.
-	w := NewWindow(WindowConfig{})
-	w.Add(wu(1, time.Unix(0, 0), []uint32{400000, 500000}, 300, 10))
-	d := w.TakeDirty()
-	if !d[300] || len(d) != 1 {
-		t.Fatalf("dirty = %v, want only α 300", d)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"bgpintent/internal/anomaly"
 	"bgpintent/internal/core"
+	"bgpintent/internal/corpus"
 	"bgpintent/internal/simulate"
 	"bgpintent/internal/stream"
 	"bgpintent/internal/topology"
@@ -58,9 +59,10 @@ type LiveOptions struct {
 	FaultStall time.Duration
 
 	// Params are the classifier parameters for every published
-	// snapshot. Live mode classifies without sibling awareness (the
-	// simulated feed carries no as2org context), which also keeps the
-	// incremental dirty-α reclassification exact.
+	// snapshot. Each generation runs the batch method over the window:
+	// sibling-aware, with the as2org map the synthetic batch corpus and
+	// gencorpus's as2org file are built from, and classifying large
+	// communities beside classic ones.
 	Params Params
 
 	// WindowSpan bounds the rolling window in feed time (0 keeps
@@ -197,6 +199,7 @@ func StartLive(ctx context.Context, opts LiveOptions) (*Live, error) {
 	}
 
 	copts := opts.Params.coreOptions()
+	copts.Orgs = corpus.OrgMapOf(topo, corpus.DefaultConfig().OrgCoverage)
 
 	var watch *anomaly.Watcher
 	var onUpdate func(u stream.Update)
