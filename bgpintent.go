@@ -599,24 +599,20 @@ const (
 	ExcludedUnobserved ExcludeReason = "unobserved"
 )
 
-// Result holds the inferences for one corpus. It may be heap-resident
-// (classifier output, ReadSnapshot) or a zero-copy view over an mmap-ed
-// snapshot file (OpenSnapshotFile) — queries behave identically either
-// way.
+// Result holds the inferences for one corpus: the snapshot's sections,
+// on the heap (classifier output, ReadSnapshot) or as a zero-copy view
+// over an mmap-ed snapshot file (OpenSnapshotFile) — queries behave
+// identically either way.
 type Result struct {
-	src core.InferenceSource
+	inf *core.Inferences
 
-	// mapped is non-nil when src serves straight from a snapshot file.
+	// mapped is non-nil when inf serves straight from a snapshot file.
 	mapped *core.Mapped
 }
 
-func newResult(inf *core.Inferences) *Result { return &Result{src: inf} }
+func newResult(inf *core.Inferences) *Result { return &Result{inf: inf} }
 
-func newMappedResult(m *core.Mapped) *Result { return &Result{src: m, mapped: m} }
-
-// inferences returns the heap form of the result, materializing a
-// mapped one (full copy) on demand.
-func (r *Result) inferences() *core.Inferences { return r.src.Materialize() }
+func newMappedResult(m *core.Mapped) *Result { return &Result{inf: &m.Inferences, mapped: m} }
 
 // Mmapped reports whether the result serves directly from a memory-
 // mapped snapshot file (false for heap-resident results, and on
@@ -634,13 +630,13 @@ func (r *Result) Close() error {
 
 // Category returns the inferred label for a community.
 func (r *Result) Category(c Community) Category {
-	return r.src.Category(c.wire())
+	return r.inf.Category(c.wire())
 }
 
 // Excluded returns the exclusion reason, if the community was seen but
 // deliberately left unclassified.
 func (r *Result) Excluded(c Community) (ExcludeReason, bool) {
-	v := r.src.Verdict(c.wire())
+	v := r.inf.Verdict(c.wire())
 	if !v.Observed || v.Reason == core.ExcludeNone {
 		return "", false
 	}
@@ -649,23 +645,23 @@ func (r *Result) Excluded(c Community) (ExcludeReason, bool) {
 
 // Counts returns the number of action and information inferences.
 func (r *Result) Counts() (action, information int) {
-	return r.src.Counts()
+	return r.inf.Counts()
 }
 
 // ExcludedCount returns how many observed communities were deliberately
 // left unclassified.
-func (r *Result) ExcludedCount() int { return r.src.ExcludedCount() }
+func (r *Result) ExcludedCount() int { return r.inf.ExcludedCount() }
 
 // ObservedCount returns how many distinct communities the result covers
 // (classified plus excluded).
-func (r *Result) ObservedCount() int { return r.src.Observed() }
+func (r *Result) ObservedCount() int { return r.inf.Observed() }
 
 // Labeled returns every classified community with its label, in
 // ascending (ASN, Value) order — the order every source lists them in.
 func (r *Result) Labeled() []LabeledCommunity {
-	action, information := r.src.Counts()
+	action, information := r.inf.Counts()
 	out := make([]LabeledCommunity, 0, action+information)
-	r.src.EachLabeled(func(comm bgp.Community, cat Category) bool {
+	r.inf.EachLabeled(func(comm bgp.Community, cat Category) bool {
 		out = append(out, LabeledCommunity{Community: Community{ASN: comm.ASN(), Value: comm.Value()}, Category: cat})
 		return true
 	})
@@ -734,22 +730,22 @@ func clustersOf(kind CommunityKind, src clusterLister) []Cluster {
 
 // Clusters returns every inferred classic cluster, sorted by (ASN, Lo) —
 // the coarse community dictionary structure the paper's Figure 4 shows.
-func (r *Result) Clusters() []Cluster { return clustersOf(KindClassic, r.src) }
+func (r *Result) Clusters() []Cluster { return clustersOf(KindClassic, r.inf) }
 
 // ClusterCount returns the number of inferred classic clusters.
-func (r *Result) ClusterCount() int { return r.src.ClusterCount() }
+func (r *Result) ClusterCount() int { return r.inf.ClusterCount() }
 
 // ClustersFor returns the classic clusters of one signaling AS, in
 // ascending Lo order, by binary search over the source's (ASN, Lo)-sorted
 // cluster list.
 func (r *Result) ClustersFor(asn uint16) []Cluster {
-	lo, hi := core.AlphaClusters(r.src, uint32(asn))
+	lo, hi := core.AlphaClusters(r.inf, uint32(asn))
 	if lo == hi {
 		return nil
 	}
 	out := make([]Cluster, 0, hi-lo)
 	for i := lo; i < hi; i++ {
-		out = append(out, clusterFromSummary(KindClassic, r.src.ClusterSummaryAt(i)))
+		out = append(out, clusterFromSummary(KindClassic, r.inf.ClusterSummaryAt(i)))
 	}
 	return out
 }
@@ -760,7 +756,7 @@ func (r *Result) ClustersFor(asn uint16) []Cluster {
 // (classic|large) and the large inferences follow the classic ones;
 // classic-only results keep the two-column shape byte for byte.
 func (r *Result) WriteTSV(w io.Writer) error {
-	if r.src.Large().Observed() == 0 {
+	if r.inf.Large().Observed() == 0 {
 		for _, lc := range r.Labeled() {
 			if _, err := fmt.Fprintf(w, "%s\t%s\n", lc.Community, lc.Category); err != nil {
 				return err
@@ -806,9 +802,9 @@ type KeyLookup struct {
 // allocating.
 func (r *Result) LookupKey(k CommunityKey) KeyLookup {
 	if k.kind == KindLarge {
-		return keyLookup(k, r.src.Large().Verdict(k.wireLarge()))
+		return keyLookup(k, r.inf.Large().Verdict(k.wireLarge()))
 	}
-	return keyLookup(k, r.src.Verdict(k.wireClassic()))
+	return keyLookup(k, r.inf.Verdict(k.wireClassic()))
 }
 
 func keyLookup[K core.Key[K]](k CommunityKey, v core.KeyVerdict[K]) KeyLookup {
@@ -832,23 +828,23 @@ func keyLookup[K core.Key[K]](k CommunityKey, v core.KeyVerdict[K]) KeyLookup {
 // LargeCounts returns the number of action and information inferences
 // over large communities.
 func (r *Result) LargeCounts() (action, information int) {
-	return r.src.Large().Counts()
+	return r.inf.Large().Counts()
 }
 
 // LargeObservedCount returns how many distinct large communities the
 // result covers (classified plus excluded).
-func (r *Result) LargeObservedCount() int { return r.src.Large().Observed() }
+func (r *Result) LargeObservedCount() int { return r.inf.Large().Observed() }
 
 // LargeExcludedCount returns how many observed large communities were
 // deliberately left unclassified.
-func (r *Result) LargeExcludedCount() int { return r.src.Large().ExcludedCount() }
+func (r *Result) LargeExcludedCount() int { return r.inf.Large().ExcludedCount() }
 
 // LargeClusterCount returns the number of inferred large clusters.
-func (r *Result) LargeClusterCount() int { return r.src.Large().ClusterCount() }
+func (r *Result) LargeClusterCount() int { return r.inf.Large().ClusterCount() }
 
 // LargeClusters returns every inferred large cluster, sorted by
 // (ASN, Fn, Lo).
-func (r *Result) LargeClusters() []Cluster { return clustersOf(KindLarge, r.src.Large()) }
+func (r *Result) LargeClusters() []Cluster { return clustersOf(KindLarge, r.inf.Large()) }
 
 // LabeledKey pairs a generalized community key with its inferred
 // category.
@@ -860,7 +856,7 @@ type LabeledKey struct {
 // LabeledLarge returns every classified large community with its
 // label, in ascending (ASN, Fn, Value) order.
 func (r *Result) LabeledLarge() []LabeledKey {
-	large := r.src.Large()
+	large := r.inf.Large()
 	action, information := large.Counts()
 	out := make([]LabeledKey, 0, action+information)
 	large.EachLabeled(func(lc bgp.LargeCommunity, cat Category) bool {
@@ -925,15 +921,15 @@ func snapshotInfo(m core.SnapshotMeta) SnapshotInfo {
 
 // WriteSnapshotFlat serializes the result into the snapshot format
 // (see internal/core/snapv2.go): the flat, mmap-able layout that
-// OpenSnapshotFile serves zero-copy and ReadSnapshot decodes onto the
+// OpenSnapshotFile serves zero-copy and ReadSnapshot reads onto the
 // heap. Output is deterministic; the large-community sections are
 // written only when the result has large inferences.
 func (r *Result) WriteSnapshotFlat(w io.Writer, info SnapshotInfo) error {
-	return core.WriteSnapshotFlat(w, r.inferences(), info.meta())
+	return core.WriteSnapshotFlat(w, r.inf, info.meta())
 }
 
 // ReadSnapshot loads a Result back from a snapshot stream, verifying
-// every section checksum and rebuilding the heap query index.
+// every section checksum and serving from the bytes it read.
 func ReadSnapshot(rd io.Reader) (*Result, SnapshotInfo, error) {
 	inf, meta, err := core.ReadSnapshot(rd)
 	if err != nil {
@@ -1025,7 +1021,7 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	}{
 		Action:           action,
 		Information:      info,
-		Excluded:         r.src.ExcludedCount(),
+		Excluded:         r.inf.ExcludedCount(),
 		LargeAction:      largeAction,
 		LargeInformation: largeInfo,
 		LargeExcluded:    r.LargeExcludedCount(),

@@ -56,7 +56,7 @@ func TestLoadOutputsDeterministic(t *testing.T) {
 		rels := asrel.Infer(c.store.AllPaths())
 		render("asrel", func(b *bytes.Buffer) error { _, err := rels.WriteTo(b); return err })
 		out["locinfer"] = fmt.Sprintf("%+v", locinfer.Infer(c.store, topo, locinfer.DefaultConfig()))
-		fine := finegrained.Classify(c.store, res.inferences(), topo, finegrained.ROVFunc(simulate.ROVState), rels, finegrained.DefaultConfig())
+		fine := finegrained.Classify(c.store, res.inf, topo, finegrained.ROVFunc(simulate.ROVState), rels, finegrained.DefaultConfig())
 		out["finegrained"] = fmt.Sprint(fine.Kinds) // fmt prints maps in key order
 		var custPeer []core.CustPeerStats
 		for _, st := range core.CustomerPeer(c.store, core.DefaultOptions(), rels) {

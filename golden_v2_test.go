@@ -2,6 +2,8 @@ package bgpintent
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -206,5 +208,68 @@ func TestVersion1SnapshotRejected(t *testing.T) {
 			!strings.Contains(err.Error(), "intentinfer -format snapshot") {
 			t.Errorf("%s: err = %v, want one naming version 1 and `intentinfer -format snapshot`", name, err)
 		}
+	}
+}
+
+// TestSnapshotLyingCountersRefused: the facade's counters come from a
+// snapshot's stats section. Classic action and information counters of
+// 2^62 each, whose sum wraps negative, are refused by every way in — they
+// once opened, verified, and panicked Labeled's makeslice — and a count
+// that fits but contradicts the lookup records fails Verify and
+// ReadSnapshot.
+func TestSnapshotLyingCountersRefused(t *testing.T) {
+	c := smallCorpus(t)
+	var good bytes.Buffer
+	if err := classify(t, c, Params{Parallelism: 1}).WriteSnapshotFlat(&good, c.SnapshotInfo("counters")); err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	// patch rewrites the classic stats section's counters (section kind
+	// 2, i64 action, information, observed at offset 24), redoes the
+	// section and table checksums and writes the file.
+	patch := func(name string, f func(counters []byte)) (string, []byte) {
+		data := bytes.Clone(good.Bytes())
+		table := data[32 : 32+32*int(le.Uint32(data[24:]))]
+		for ent := table; len(ent) > 0; ent = ent[32:] {
+			if le.Uint32(ent) == 2 {
+				body := data[le.Uint64(ent[8:]):][:le.Uint64(ent[16:])]
+				f(body[24:48])
+				le.PutUint32(ent[24:], crc32.ChecksumIEEE(body))
+			}
+		}
+		le.PutUint32(data[28:], crc32.ChecksumIEEE(table))
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path, data
+	}
+
+	path, data := patch("wrapped.snap", func(counters []byte) {
+		le.PutUint64(counters, 1<<62)
+		le.PutUint64(counters[8:], 1<<62)
+	})
+	if res, _, err := OpenSnapshotFile(path); err == nil {
+		action, information := res.Counts()
+		res.Close()
+		t.Fatalf("OpenSnapshotFile accepted %d action + %d information counters", action, information)
+	}
+	if _, _, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
+		t.Fatal("ReadSnapshot accepted 2^62 + 2^62 counters")
+	}
+
+	path, data = patch("lying.snap", func(counters []byte) {
+		le.PutUint64(counters, le.Uint64(counters)+1)
+	})
+	res, _, err := OpenSnapshotFile(path)
+	if err != nil {
+		t.Fatalf("OpenSnapshotFile: %v; one action too many fits within observed, so only Verify should see it", err)
+	}
+	defer res.Close()
+	if err := res.Verify(); err == nil {
+		t.Fatal("Verify accepted an action count the lookup records contradict")
+	}
+	if _, _, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
+		t.Fatal("ReadSnapshot accepted an action count the lookup records contradict")
 	}
 }

@@ -36,8 +36,7 @@ func (f *fakeSem) EachLabeled(fn func(bgp.Community, dict.Category) bool) {
 		}
 	}
 }
-func (f *fakeSem) Options() core.Options         { return core.Options{} }
-func (f *fakeSem) Materialize() *core.Inferences { panic("not used") }
+func (f *fakeSem) Options() core.Options { return core.Options{} }
 
 // epoch is aligned to the bucket grid so each synthetic bucket in
 // feedBucket maps onto exactly one engine bucket.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"slices"
 	"testing"
 	"unsafe"
 
@@ -56,13 +55,6 @@ func TestAddViewDuplicateHitZeroAlloc(t *testing.T) {
 // chunks whole). The ceiling keeps the same 2x margin.
 func TestStitchedLoadResidency(t *testing.T) {
 	const tuples, ceiling = 1000, 116 << 10
-	heapLive := func() uint64 {
-		runtime.GC()
-		runtime.GC() // the second collection empties the sync.Pool victim caches
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
 	before := heapLive()
 	sts := NewShardedTupleStore(64)
 	for i := 0; i < tuples; i++ {
@@ -84,19 +76,53 @@ func TestStitchedLoadResidency(t *testing.T) {
 	runtime.KeepAlive(ts)
 }
 
+// heapLive returns the bytes of live heap objects.
+func heapLive() uint64 {
+	runtime.GC()
+	runtime.GC() // the second collection empties the sync.Pool victim caches
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestInferencesResidency: a classification is its snapshot sections —
+// no index map or heap cluster list beside them — so an *Inferences
+// holds the section bytes plus a constant: the struct and the rounding
+// of one buffer per kind of key to its allocation size.
+func TestInferencesResidency(t *testing.T) {
+	const slack = 16 << 10
+	ts, _ := simMixedInferences(t)
+	opts := DefaultOptions()
+	os := Observe(ts, opts)
+	before := heapLive()
+	inf := ClassifyObserved(os, opts)
+	held := int64(heapLive()) - int64(before)
+	sections := 0
+	for _, sec := range append(inf.sections(), inf.large.sections()...) {
+		sections += len(sec.body)
+	}
+	t.Logf("%d classic + %d large communities: the inferences hold %d B, their sections %d B",
+		inf.Observed(), inf.large.Observed(), held, sections)
+	if held > int64(sections+slack) {
+		t.Errorf("the inferences hold %d B, want <= %d B of sections + %d", held, sections, slack)
+	}
+	runtime.KeepAlive(os)
+	runtime.KeepAlive(inf)
+}
+
 // TestLookupZeroAlloc guards the serving hot path: Verdict and Category
 // are called per query by intentd and must stay allocation-free, for
 // classic and large keys alike.
 func TestLookupZeroAlloc(t *testing.T) {
 	_, inf := simMixedInferences(t)
-	t.Run("classic", func(t *testing.T) { lookupZeroAlloc(t, &inf.KindSet, bgp.NewCommunity(64999, 64999)) })
+	t.Run("classic", func(t *testing.T) { lookupZeroAlloc(t, &inf.kindView, bgp.NewCommunity(64999, 64999)) })
 	t.Run("large", func(t *testing.T) {
-		lookupZeroAlloc(t, &inf.Larges, bgp.LargeCommunity{GlobalAdmin: 64999, LocalData1: 1, LocalData2: 64999})
+		lookupZeroAlloc(t, &inf.large, bgp.LargeCommunity{GlobalAdmin: 64999, LocalData1: 1, LocalData2: 64999})
 	})
 }
 
-func lookupZeroAlloc[K Key[K]](t *testing.T, ks *KindSet[K], unobserved K) {
-	keys := observedKeys(ks)
+func lookupZeroAlloc[K Key[K]](t *testing.T, v *kindView[K], unobserved K) {
+	keys := observedKeys(v)
 	if len(keys) == 0 {
 		t.Fatal("no communities of this kind in corpus")
 	}
@@ -104,14 +130,14 @@ func lookupZeroAlloc[K Key[K]](t *testing.T, ks *KindSet[K], unobserved K) {
 	var cat dict.Category
 	if avg := testing.AllocsPerRun(200, func() {
 		for _, k := range keys {
-			sink, cat = ks.Verdict(k), ks.Category(k)
+			sink, cat = v.Verdict(k), v.Category(k)
 		}
-		sink, cat = ks.Verdict(unobserved), ks.Category(unobserved)
+		sink, cat = v.Verdict(unobserved), v.Category(unobserved)
 	}); avg != 0 {
-		t.Errorf("heap Verdict + Category allocate %.2f per run, want 0", avg)
+		t.Errorf("Verdict + Category allocate %.2f per run, want 0", avg)
 	}
 	_, _ = sink, cat
-	verdictZeroAlloc[K](t, ks, keys, unobserved)
+	verdictZeroAlloc[K](t, v, keys, unobserved)
 }
 
 // verdictZeroAlloc pins Verdict through the KindSource interface — the
@@ -128,17 +154,6 @@ func verdictZeroAlloc[K Key[K]](t *testing.T, src KindSource[K], keys []K, unobs
 		t.Errorf("%T.Verdict allocates %.2f per run, want 0", src, avg)
 	}
 	_ = sink
-}
-
-// observedKeys lists every key the set covers (classified or excluded),
-// sorted.
-func observedKeys[K Key[K]](ks *KindSet[K]) []K {
-	keys := make([]K, 0, len(ks.index))
-	for k := range ks.index {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, K.Compare)
-	return keys
 }
 
 // TestPathMetaIsEightBytes pins a path's record, the second-largest

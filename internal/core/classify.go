@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"slices"
 
@@ -68,8 +67,8 @@ const (
 	// ExcludeNeverOnPath: neither α nor any sibling appears in any AS
 	// path (IXP route servers and other transparent taggers).
 	ExcludeNeverOnPath
-	// ExcludeUnobserved is never stored in a KindSet: Verdict reports it
-	// for communities absent from the corpus.
+	// ExcludeUnobserved is never written to a lookup record: Verdict
+	// reports it for communities absent from the corpus.
 	ExcludeUnobserved
 )
 
@@ -123,95 +122,6 @@ type Stats[K Key[K]] struct {
 // handles never-off-path clusters by rule before ratios are consulted).
 func (s Stats[K]) Ratio() float64 {
 	return float64(s.OnPath) / float64(max(s.OffPath, 1))
-}
-
-// Cluster is a contiguous range of one (α, fn) group's values with its
-// inferred label — the summary every query renders — and the members
-// behind it, in ascending value order. Size is len(Members); Size and
-// the summed OnPath/OffPath are filled when the cluster is labeled.
-type Cluster[K Key[K]] struct {
-	ClusterSummary
-	Members []Stats[K]
-}
-
-// KindSet is the classifier output for one kind of community key, in the
-// snapshot's shape: the clusters in (Alpha, Fn, Lo) order and one index
-// over every observed community. It is immutable once built, so queries
-// need no locking.
-type KindSet[K Key[K]] struct {
-	Clusters []Cluster[K]
-
-	index map[K]indexEntry[K]
-}
-
-// indexEntry is one observed community: its evidence and, as in a
-// snapshot's lookup record, the index of its cluster (≥ 0) or its negated
-// ExcludeReason (< 0).
-type indexEntry[K Key[K]] struct {
-	stats   Stats[K]
-	cluster int32
-}
-
-// Inferences is the classifier output: the classic (RFC 1997) set,
-// embedded so its fields and methods are the Inferences' own, and the
-// large (RFC 8092) one, which is empty for classic-only corpora — in
-// which case snapshots and reports are byte-identical to a
-// larges-unaware build.
-type Inferences struct {
-	KindSet[bgp.Community]
-	Larges KindSet[bgp.LargeCommunity]
-	Opts   Options
-}
-
-// Large returns the large-community inferences.
-func (inf *Inferences) Large() KindSource[bgp.LargeCommunity] { return &inf.Larges }
-
-// Category returns the inferred label of a community (CatUnknown when
-// excluded or unobserved).
-func (ks *KindSet[K]) Category(k K) dict.Category {
-	if e, ok := ks.index[k]; ok && e.cluster >= 0 {
-		return ks.Clusters[e.cluster].Label
-	}
-	return dict.CatUnknown
-}
-
-// Observed returns how many communities the index covers (classified
-// plus excluded).
-func (ks *KindSet[K]) Observed() int { return len(ks.index) }
-
-// exclude records an observed community left unclassified.
-func (ks *KindSet[K]) exclude(st Stats[K], reason ExcludeReason) {
-	ks.index[st.Comm] = indexEntry[K]{stats: st, cluster: -int32(reason)}
-}
-
-// buildIndex adds every cluster member to the index, beside the
-// exclusions already in it, and returns how many it added. A closed done
-// channel abandons the work; the caller reports ctx.Err().
-func (ks *KindSet[K]) buildIndex(done <-chan struct{}) (classified int) {
-	for i := range ks.Clusters {
-		if i%cancelCheckStride == 0 && chClosed(done) {
-			break
-		}
-		for _, m := range ks.Clusters[i].Members {
-			ks.index[m.Comm] = indexEntry[K]{stats: m, cluster: int32(i)}
-		}
-		classified += len(ks.Clusters[i].Members)
-	}
-	return classified
-}
-
-// Counts returns how many communities were inferred action and
-// information.
-func (ks *KindSet[K]) Counts() (action, info int) {
-	for i := range ks.Clusters {
-		switch cl := &ks.Clusters[i]; cl.Label {
-		case dict.CatAction:
-			action += cl.Size
-		case dict.CatInformation:
-			info += cl.Size
-		}
-	}
-	return action, info
 }
 
 // ObservationSet is the per-community measurement the classifier (and
@@ -327,14 +237,15 @@ func ClassifyObserved(os *ObservationSet, opts Options) *Inferences {
 // per-stage telemetry. The three stages match the paper's structure:
 // cluster (group each (α, fn)'s values by the gap rule, applying
 // exclusions), ratio (purity/ratio evidence labels each cluster),
-// classify (apply labels to members and build the lookup index). Each
-// stage runs both kinds of key through the same code, on the calling
-// goroutine: together they are under a millisecond of a classification.
+// classify (apply labels to members, writing the snapshot sections the
+// inferences are). Each stage runs both kinds of key through the same
+// code, on the calling goroutine: together they are about a millisecond
+// of a classification.
 func ClassifyObservedContext(ctx context.Context, os *ObservationSet, opts Options) (*Inferences, error) {
-	inf := &Inferences{Opts: opts}
+	inf := &Inferences{kindView: kindView[bgp.Community]{lay: &classicLayout}, large: kindView[bgp.LargeCommunity]{lay: &largeLayout}}
 	kinds := []kindStages{
-		newKindPass(&inf.KindSet, os.Stats, os, opts),
-		newKindPass(&inf.Larges, os.Larges, os, opts),
+		&kindPass[bgp.Community]{out: &inf.kindView, stats: os.Stats, os: os, opts: opts},
+		&kindPass[bgp.LargeCommunity]{out: &inf.large, stats: os.Larges, os: os, opts: opts},
 	}
 	for _, st := range []struct {
 		stage obs.Stage
@@ -357,6 +268,7 @@ func ClassifyObservedContext(ctx context.Context, os *ObservationSet, opts Optio
 			return nil, err
 		}
 	}
+	putOptions(inf.stats, opts)
 	return inf, nil
 }
 
@@ -370,96 +282,155 @@ type kindStages interface {
 	classify(ctx context.Context) int
 }
 
-// kindPass is the kindStages of one key type: the set being built, the
-// evidence it is built from, and what one stage hands the next.
+// kindPass is the kindStages of one key type: the view being written,
+// the evidence it is written from, and what one stage hands the next —
+// every observed community in key order, cut into runs.
 type kindPass[K Key[K]] struct {
-	set   *KindSet[K]
+	out   *kindView[K]
 	stats map[K]*Stats[K]
 	os    *ObservationSet
 	opts  Options
+
+	sorted []*Stats[K]
+	runs   []run
 }
 
-func newKindPass[K Key[K]](set *KindSet[K], stats map[K]*Stats[K], os *ObservationSet, opts Options) *kindPass[K] {
-	return &kindPass[K]{set: set, stats: stats, os: os, opts: opts}
+// run is a stretch of a kindPass's sorted communities, ending before
+// sorted[end]: one cluster, or one (α, fn) group left unclassified.
+type run struct {
+	end    int
+	reason ExcludeReason // ExcludeNone for a cluster
+	ClusterSummary
 }
 
-// cluster groups the observed communities by (α, fn); each group
-// clusters independently, and the sorted group order is the order of
-// set.Clusters.
+// cluster sorts the observed communities into key order, which groups
+// them by (α, fn) with each group's values ascending, and cuts every
+// group into clusters by the gap rule — or into one excluded run.
 func (p *kindPass[K]) cluster(ctx context.Context) int {
 	done := ctx.Done()
-	byGroup := make(map[uint64][]*Stats[K])
-	for k, st := range p.stats {
-		g := uint64(k.Admin())<<32 | uint64(k.Fn())
-		byGroup[g] = append(byGroup[g], st)
+	p.sorted = make([]*Stats[K], 0, len(p.stats))
+	for _, st := range p.stats {
+		p.sorted = append(p.sorted, st)
 	}
-	groups := make([]uint64, 0, len(byGroup))
-	for g := range byGroup {
-		groups = append(groups, g)
-	}
-	slices.Sort(groups)
+	slices.SortFunc(p.sorted, func(a, b *Stats[K]) int { return a.Comm.Compare(b.Comm) })
 
-	p.set.index = make(map[K]indexEntry[K], len(p.stats))
 	var values []uint32
-	for n, g := range groups {
+	for start, n := 0, 0; start < len(p.sorted); n++ {
 		if n%cancelCheckStride == 0 && chClosed(done) {
 			break
 		}
-		members := byGroup[g]
-		slices.SortFunc(members, func(a, b *Stats[K]) int { return cmp.Compare(a.Comm.Local(), b.Comm.Local()) })
-		alpha, fn := uint32(g>>32), uint32(g)
-
+		first := p.sorted[start].Comm
+		alpha, fn := first.Admin(), first.Fn()
+		end := start + 1
+		for end < len(p.sorted) && p.sorted[end].Comm.Admin() == alpha && p.sorted[end].Comm.Fn() == fn {
+			end++
+		}
 		if !p.opts.DisableExclusions {
 			var reason ExcludeReason
 			switch {
-			case members[0].Comm.IsPrivateASN():
+			case first.IsPrivateASN():
 				reason = ExcludePrivateASN
 			case !p.os.AlphaOnPath(alpha):
 				reason = ExcludeNeverOnPath
 			}
-			if reason != 0 {
-				for _, m := range members {
-					p.set.exclude(*m, reason)
-				}
+			if reason != ExcludeNone {
+				p.runs = append(p.runs, run{end: end, reason: reason})
+				start = end
 				continue
 			}
 		}
 
 		values = values[:0]
-		for _, m := range members {
+		for _, m := range p.sorted[start:end] {
 			values = append(values, m.Comm.Local())
 		}
 		for _, idx := range clusterIndexes(values, p.opts.MinGap) {
-			cl := Cluster[K]{
-				ClusterSummary: ClusterSummary{Alpha: alpha, Fn: fn, Lo: values[idx[0]], Hi: values[idx[1]-1]},
-				Members:        make([]Stats[K], 0, idx[1]-idx[0]),
-			}
-			for _, m := range members[idx[0]:idx[1]] {
-				cl.Members = append(cl.Members, *m)
-			}
-			p.set.Clusters = append(p.set.Clusters, cl)
+			p.runs = append(p.runs, run{end: start + idx[1],
+				ClusterSummary: ClusterSummary{Alpha: alpha, Fn: fn, Lo: values[idx[0]], Hi: values[idx[1]-1]}})
 		}
+		start = end
 	}
 	return len(p.stats)
 }
 
-// ratio labels every cluster in place from its members' evidence. A
-// canceled run leaves clusters unlabeled; the stage reports ctx.Err().
-func (p *kindPass[K]) ratio(ctx context.Context) int {
+// ratio labels every cluster from its members' evidence. A canceled run
+// leaves clusters unlabeled; the stage reports ctx.Err().
+func (p *kindPass[K]) ratio(ctx context.Context) (clusters int) {
 	done := ctx.Done()
-	for i := range p.set.Clusters {
-		if i%cancelCheckStride == 0 && chClosed(done) {
-			break
+	start := 0
+	for i := range p.runs {
+		r := &p.runs[i]
+		if r.reason == ExcludeNone {
+			if clusters%cancelCheckStride == 0 && chClosed(done) {
+				break
+			}
+			labelCluster(&r.ClusterSummary, p.sorted[start:r.end], p.opts)
+			clusters++
 		}
-		labelCluster(&p.set.Clusters[i], p.opts)
+		start = r.end
 	}
-	return len(p.set.Clusters)
+	return clusters
 }
 
-// classify applies the cluster labels to the member communities and
-// builds the lookup index.
-func (p *kindPass[K]) classify(ctx context.Context) int {
-	return p.set.buildIndex(ctx.Done())
+// classify applies the cluster labels to the member communities: one
+// walk of the runs writes the kind's four sections — cluster records in
+// (α, fn, lo) order, their members, and one lookup record per observed
+// community, classified or excluded, already in key order — into one
+// buffer the view then reads.
+func (p *kindPass[K]) classify(ctx context.Context) (classified int) {
+	l, done := p.out.lay, ctx.Done()
+	nClusters, start := 0, 0
+	for _, r := range p.runs {
+		if r.reason == ExcludeNone {
+			nClusters++
+			classified += r.end - start
+		}
+		start = r.end
+	}
+	buf := make([]byte, l.statsLen+nClusters*l.clusterLen+(classified+len(p.sorted))*l.recLen)
+	cut := func(n int) []byte {
+		b := buf[:n:n]
+		buf = buf[n:]
+		return b
+	}
+	stats, clusters := cut(l.statsLen), cut(nClusters*l.clusterLen)
+	members, lookup := cut(classified*l.recLen), cut(len(p.sorted)*l.recLen)
+
+	var action, information, ci, mi int
+	start = 0
+	for n := range p.runs {
+		if n%cancelCheckStride == 0 && chClosed(done) {
+			break
+		}
+		r := &p.runs[n]
+		cluster := -int32(r.reason)
+		if r.reason == ExcludeNone {
+			cluster = int32(ci)
+			l.putCluster(clusters[ci*l.clusterLen:][:l.clusterLen], &r.ClusterSummary, mi)
+			for _, m := range p.sorted[start:r.end] {
+				l.putStats(members[mi*l.recLen:][:l.recLen], m)
+				mi++
+			}
+			switch r.Label {
+			case dict.CatAction:
+				action += r.Size
+			case dict.CatInformation:
+				information += r.Size
+			}
+			ci++
+		}
+		for i, m := range p.sorted[start:r.end] {
+			rec := lookup[(start+i)*l.recLen:][:l.recLen]
+			l.putStats(rec, m)
+			le.PutUint32(rec[l.countsAt-4:], uint32(cluster))
+		}
+		start = r.end
+	}
+	le.PutUint64(stats[l.countersAt:], uint64(action))
+	le.PutUint64(stats[l.countersAt+8:], uint64(information))
+	le.PutUint64(stats[l.countersAt+16:], uint64(len(p.sorted)))
+	p.out.stats, p.out.clusters, p.out.members, p.out.lookup = stats, clusters, members, lookup
+	return classified
 }
 
 // clusterIndexes splits a sorted value list into [start, end) cluster
@@ -478,26 +449,26 @@ func clusterIndexes[T uint16 | uint32](vals []T, minGap int) [][2]int {
 	return out
 }
 
-// labelCluster applies the §5.2 decision rule to a cluster in place:
+// labelCluster applies the §5.2 decision rule to a cluster of members:
 // never off-path or ratio at/above threshold -> information; always
 // off-path or ratio below -> action. The mixed-cluster ratio is the mean
 // of the member ratios (or the pooled ratio under the ablation option).
 // The one walk over the members also leaves the summary's Size and
 // summed evidence behind, so no query adds them up again.
-func labelCluster[K Key[K]](cl *Cluster[K], opts Options) {
+func labelCluster[K Key[K]](cl *ClusterSummary, members []*Stats[K], opts Options) {
 	var on, off int
 	ratioSum := 0.0
-	for _, m := range cl.Members {
+	for _, m := range members {
 		on += m.OnPath
 		off += m.OffPath
 		ratioSum += m.Ratio()
 	}
-	cl.Size, cl.OnPath, cl.OffPath = len(cl.Members), int64(on), int64(off)
+	cl.Size, cl.OnPath, cl.OffPath = len(members), int64(on), int64(off)
 	cl.PureOnPath, cl.PureOffPath = off == 0, on == 0
 	if opts.PooledRatio {
 		cl.Ratio = float64(on) / float64(max(off, 1))
 	} else {
-		cl.Ratio = ratioSum / float64(len(cl.Members))
+		cl.Ratio = ratioSum / float64(len(members))
 	}
 	switch {
 	case cl.PureOnPath:

@@ -145,7 +145,7 @@ func TestClassifySynthetic(t *testing.T) {
 	}
 	// The two AS100 clusters must be separate (gap 500-12 > 140).
 	var clusters100 int
-	for _, cl := range inf.Clusters {
+	for _, cl := range summaries(inf) {
 		if cl.Alpha == 100 {
 			clusters100++
 		}
@@ -161,7 +161,7 @@ func TestClassifyDisableExclusions(t *testing.T) {
 	opts.DisableExclusions = true
 	inf := Classify(ts, opts)
 	if inf.ExcludedCount() != 0 {
-		t.Errorf("exclusions applied despite ablation: %v", excludedOf(&inf.KindSet))
+		t.Errorf("exclusions applied despite ablation: %v", excludedOf(&inf.kindView))
 	}
 	// 900:5 never on-path -> pure off-path -> action (wrong for an RS
 	// info community, which is the point of the exclusion rule).
@@ -205,7 +205,7 @@ func TestClassifyVPFilter(t *testing.T) {
 	if got := inf.Category(c(100, 10)); got != dict.CatInformation {
 		t.Errorf("100:10 = %v", got)
 	}
-	if _, seen := labelsOf(&inf.KindSet)[c(100, 500)]; seen {
+	if _, seen := labelsOf(inf)[c(100, 500)]; seen {
 		t.Error("filtered-out community still classified")
 	}
 }
@@ -290,7 +290,7 @@ func corpusAccuracy(t *testing.T, days int) (acc float64, classified int) {
 	inf := Classify(ts, opts)
 
 	correct, wrong := 0, 0
-	for comm, got := range labelsOf(&inf.KindSet) {
+	for comm, got := range labelsOf(inf) {
 		a := topo.ASes[uint32(comm.ASN())]
 		if a == nil || a.Plan == nil {
 			continue

@@ -150,18 +150,18 @@ func dirtyBetween(old, new []deltaView) map[uint16]bool {
 }
 
 // sameInf fails unless two Inferences agree on labels, clusters,
-// exclusions, and per-community lookups (which exercises the rebuilt
-// index and the stats carried for excluded communities).
+// exclusions, and per-community lookups (which exercises the lookup
+// section and the stats carried for excluded communities).
 func sameInf(t *testing.T, ts *TupleStore, got, want *Inferences) {
 	t.Helper()
-	if g, w := labelsOf(&got.KindSet), labelsOf(&want.KindSet); !reflect.DeepEqual(g, w) {
+	if g, w := labelsOf(got), labelsOf(want); !reflect.DeepEqual(g, w) {
 		t.Fatalf("labels diverged: %d vs %d", len(g), len(w))
 	}
-	if g, w := excludedOf(&got.KindSet), excludedOf(&want.KindSet); !reflect.DeepEqual(g, w) {
+	if g, w := excludedOf(&got.kindView), excludedOf(&want.kindView); !reflect.DeepEqual(g, w) {
 		t.Fatalf("exclusions diverged: %d vs %d", len(g), len(w))
 	}
-	if !reflect.DeepEqual(got.Clusters, want.Clusters) {
-		t.Fatalf("clusters diverged: %d vs %d", len(got.Clusters), len(want.Clusters))
+	if g, w := summaries(got), summaries(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("clusters diverged: %d vs %d", len(g), len(w))
 	}
 	for _, comm := range ts.Communities() {
 		if g, w := got.Verdict(comm), want.Verdict(comm); g != w {

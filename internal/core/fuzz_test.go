@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
 
 	"bgpintent/internal/bgp"
@@ -78,7 +79,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		exerciseKindView(&s.kindView)
 		exerciseKindView(&s.large)
 		_ = s.Options()
-		_ = s.Materialize()
+		_ = WriteSnapshotFlat(io.Discard, s.Inferences.clone(), s.meta)
 	})
 }
 
@@ -97,6 +98,8 @@ func exerciseKindView[K Key[K]](v *kindView[K]) {
 		rec, _ := v.lookupRec(i)
 		_ = v.lay.stats(rec)
 	}
+	_, _ = v.Counts()
+	_, _ = v.Observed(), v.ExcludedCount()
 	_, _ = AlphaClusters(v, 100)
 	v.EachLabeled(func(K, dict.Category) bool { return true })
 }

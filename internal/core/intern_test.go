@@ -422,7 +422,7 @@ func TestStitchedStoreKnowsItsLarges(t *testing.T) {
 	if !ts.largeTuples {
 		t.Fatal("mixed store reports no large tuples after a post-stitch AddView")
 	}
-	if got := len(Classify(ts, DefaultOptions()).Larges.index); got != 1 {
+	if got := Classify(ts, DefaultOptions()).Large().Observed(); got != 1 {
 		t.Fatalf("classifying the stitched mixed store observed %d large communities, want 1", got)
 	}
 

@@ -11,24 +11,33 @@ import (
 	"bgpintent/internal/dict"
 )
 
-// labelsOf and excludedOf spell a heap set out as the two maps a
-// whole-set comparison wants: every classified community with its label,
-// every excluded one with its reason.
-func labelsOf[K Key[K]](ks *KindSet[K]) map[K]dict.Category {
+// labelsOf and excludedOf spell a set out as the two maps a whole-set
+// comparison wants: every classified community with its label, every
+// excluded one with its reason.
+func labelsOf[K Key[K]](src KindSource[K]) map[K]dict.Category {
 	out := make(map[K]dict.Category)
-	ks.EachLabeled(func(k K, cat dict.Category) bool {
+	src.EachLabeled(func(k K, cat dict.Category) bool {
 		out[k] = cat
 		return true
 	})
 	return out
 }
 
-func excludedOf[K Key[K]](ks *KindSet[K]) map[K]ExcludeReason {
+func excludedOf[K Key[K]](v *kindView[K]) map[K]ExcludeReason {
 	out := make(map[K]ExcludeReason)
-	for k, e := range ks.index {
-		if e.cluster < 0 {
-			out[k] = ExcludeReason(-e.cluster)
+	for i, n := 0, v.lookupCount(); i < n; i++ {
+		if rec, cluster := v.lookupRec(i); cluster < 0 {
+			out[v.lay.stats(rec).Comm] = excludeReason(cluster)
 		}
+	}
+	return out
+}
+
+// summaries lists every cluster summary of a source, in its order.
+func summaries[K Key[K]](src KindSource[K]) []ClusterSummary {
+	out := make([]ClusterSummary, src.ClusterCount())
+	for i := range out {
+		out[i] = src.ClusterSummaryAt(i)
 	}
 	return out
 }
@@ -112,11 +121,12 @@ func checkSameVerdicts[K Key[K]](t *testing.T, label string, keys []K, names []s
 	return excluded
 }
 
-// TestKindSourceContract: the classifier's output, the heap set
-// materialized from the written snapshot and the mapped view over it all
-// keep the KindSource contract — key order, counters, cluster sums, per-α
-// ranges — and answer every key, observed, excluded or absent, with the
-// same verdict. Odd seeds are classic-only.
+// TestKindSourceContract: the classifier's output, the streamed read of
+// the written snapshot and the mapped view over it all keep the
+// KindSource contract — key order, counters, cluster sums, per-α ranges
+// — and answer every key, observed, excluded or absent, with the same
+// verdict. The classifier's sections are the bytes the writer puts in
+// the file. Odd seeds are classic-only.
 func TestKindSourceContract(t *testing.T) {
 	var excludedClassic, excludedLarge int
 	for seed := int64(1); seed <= 40; seed++ {
@@ -130,27 +140,31 @@ func TestKindSourceContract(t *testing.T) {
 		opts := Options{MinGap: []int{0, 140, 1000}[seed%3], RatioThreshold: 2, Workers: 1}
 		full := Classify(ts, opts)
 		data := writeFlat(t, full, SnapshotMeta{Source: "contract"})
-		heap, _, err := ReadSnapshot(bytes.NewReader(data))
+		read, _, err := ReadSnapshot(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
 		mapped := openMapped(t, data)
 
-		names := []string{"classifier", "materialized", "mapped"}
+		names := []string{"classifier", "read", "mapped"}
 		label := fmt.Sprintf("seed %d", seed)
-		for i, inf := range []*Inferences{full, heap} {
-			checkKindSource(t, label+" "+names[i]+" classic", inf, func(i int) []Stats[bgp.Community] { return inf.Clusters[i].Members })
-			checkKindSource(t, label+" "+names[i]+" large", inf.Large(), func(i int) []Stats[bgp.LargeCommunity] { return inf.Larges.Clusters[i].Members })
+		sameSections(t, label+" classic", &full.kindView, &read.kindView)
+		if full.Large().Observed() > 0 {
+			sameSections(t, label+" large", &full.large, &read.large)
+		} else if read.large.stats != nil {
+			t.Fatalf("%s: no large inferences, yet the file holds large sections", label)
 		}
-		checkKindSource(t, label+" mapped classic", mapped, mappedMembers(&mapped.kindView))
-		checkKindSource(t, label+" mapped large", mapped.Large(), mappedMembers(&mapped.large))
+		for i, inf := range []*Inferences{full, read, &mapped.Inferences} {
+			checkKindSource(t, label+" "+names[i]+" classic", inf, mappedMembers(&inf.kindView))
+			checkKindSource(t, label+" "+names[i]+" large", inf.Large(), mappedMembers(&inf.large))
+		}
 
 		excludedClassic += checkSameVerdicts(t, label+" classic",
-			append(observedKeys(&full.KindSet), bgp.NewCommunity(64999, 64999)), names,
-			[]KindSource[bgp.Community]{full, heap, mapped})
+			append(observedKeys(&full.kindView), bgp.NewCommunity(64999, 64999)), names,
+			[]KindSource[bgp.Community]{full, read, mapped})
 		excludedLarge += checkSameVerdicts(t, label+" large",
-			append(observedKeys(&full.Larges), bgp.LargeCommunity{GlobalAdmin: 64999, LocalData1: 1, LocalData2: 64999}), names,
-			[]KindSource[bgp.LargeCommunity]{full.Large(), heap.Large(), mapped.Large()})
+			append(observedKeys(&full.large), bgp.LargeCommunity{GlobalAdmin: 64999, LocalData1: 1, LocalData2: 64999}), names,
+			[]KindSource[bgp.LargeCommunity]{full.Large(), read.Large(), mapped.Large()})
 	}
 	if excludedClassic == 0 || excludedLarge == 0 {
 		t.Fatalf("universes exercised %d classic and %d large exclusions; want some of each",
@@ -158,7 +172,29 @@ func TestKindSourceContract(t *testing.T) {
 	}
 }
 
-// mappedMembers lists a mapped cluster's member records.
+// sameSections requires two views to hold byte-equal sections.
+func sameSections[K Key[K]](t *testing.T, label string, a, b *kindView[K]) {
+	t.Helper()
+	for i, pair := range [][2][]byte{{a.stats, b.stats}, {a.clusters, b.clusters}, {a.members, b.members}, {a.lookup, b.lookup}} {
+		if !bytes.Equal(pair[0], pair[1]) {
+			t.Fatalf("%s: %s section differs: %d bytes against %d", label,
+				[]string{"stats", "clusters", "members", "lookup"}[i], len(pair[0]), len(pair[1]))
+		}
+	}
+}
+
+// observedKeys lists every key the view covers (classified or excluded),
+// in key order.
+func observedKeys[K Key[K]](v *kindView[K]) []K {
+	keys := make([]K, v.lookupCount())
+	for i := range keys {
+		rec, _ := v.lookupRec(i)
+		keys[i] = v.lay.stats(rec).Comm
+	}
+	return keys
+}
+
+// mappedMembers lists a cluster's member records.
 func mappedMembers[K Key[K]](v *kindView[K]) func(i int) []Stats[K] {
 	return func(i int) []Stats[K] {
 		start, count := v.clusterMemberRange(i)

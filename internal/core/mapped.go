@@ -1,4 +1,4 @@
-// Mapped is the mmap-backed InferenceSource: a read-only view over a
+// Mapped is the mmap-backed Inferences: a read-only view over a
 // snapshot file whose query structures live in the kernel page
 // cache, not this process's heap. Opening one is O(1) in corpus size;
 // N replicas mapping the same file share one physical copy of the
@@ -18,16 +18,14 @@ import (
 	"os"
 	"runtime"
 	"sync/atomic"
-
-	"bgpintent/internal/bgp"
-	"bgpintent/internal/dict"
 )
 
 // Mapped is an immutable inference set served directly from a mapped
 // snapshot file. Safe for unsynchronized concurrent readers. The
-// embedded parsed view is the InferenceSource: the classic KindSource
-// methods, Large, Options, Materialize — and Verify, the full integrity
-// pass (section CRCs, sort invariants, index ranges) an open skips.
+// embedded parsed file holds the Inferences over the mapped sections —
+// the classic KindSource methods, Large, Options — and Verify, the full
+// integrity pass (section CRCs, sort invariants, index ranges, counters)
+// an open skips.
 type Mapped struct {
 	*snapV2
 	mmapped bool // true when backed by a real mmap, false for the heap fallback
@@ -96,69 +94,7 @@ func (m *Mapped) Mmapped() bool { return m.mmapped }
 // Meta returns the snapshot's provenance block.
 func (m *Mapped) Meta() SnapshotMeta { return m.meta }
 
-// Large returns the large-community inferences (an empty set on a file
-// without large sections).
-func (s *snapV2) Large() KindSource[bgp.LargeCommunity] { return &s.large }
-
-// Verdict answers one community query by binary-searching the mapped
-// lookup section. Zero-alloc: everything returned is a value decoded
-// from the pages.
-func (v *kindView[K]) Verdict(k K) KeyVerdict[K] {
-	i, ok := v.findLookup(k)
-	if !ok {
-		return KeyVerdict[K]{Comm: k, Reason: ExcludeUnobserved}
-	}
-	rec, cluster := v.lookupRec(i)
-	out := KeyVerdict[K]{Comm: k, Observed: true, Stats: Stats[K]{Comm: k}}
-	out.Stats.OnPath, out.Stats.OffPath = v.lay.counts(rec)
-	if cluster < 0 {
-		out.Reason = excludeReason(cluster)
-	} else if v.clusterSummary(int(cluster), &out.Cluster) {
-		out.HasCluster = true
-		out.Category = out.Cluster.Label
-	}
-	return out
-}
-
-// Category returns the community's label, CatUnknown when excluded or
-// unobserved.
-func (v *kindView[K]) Category(k K) dict.Category {
-	i, ok := v.findLookup(k)
-	if !ok {
-		return dict.CatUnknown
-	}
-	_, cluster := v.lookupRec(i)
-	return v.clusterLabel(int(cluster)) // CatUnknown for an exclusion's negative index
-}
-
-// Observed is the number of distinct communities in the snapshot.
-func (v *kindView[K]) Observed() int { return v.observed }
-
-// Counts returns the action/information label totals, precomputed at
-// write time (stats section), so this is O(1) on a mapped view.
-func (v *kindView[K]) Counts() (action, information int) { return v.action, v.information }
-
-// ExcludedCount is observed minus classified — both O(1) section
-// record counts.
-func (v *kindView[K]) ExcludedCount() int { return v.lookupCount() - v.memberCount() }
-
-// ClusterCount is the number of clusters in the snapshot.
-func (v *kindView[K]) ClusterCount() int { return v.clusterCount() }
-
-// ClusterSummaryAt decodes the i-th cluster record (sorted by
-// (alpha, fn, lo)); i must be in [0, ClusterCount()).
-func (v *kindView[K]) ClusterSummaryAt(i int) (cs ClusterSummary) {
-	v.clusterSummary(i, &cs)
-	return cs
-}
-
-// EachLabeled visits every classified community in ascending key order
-// (the lookup section's order).
-func (v *kindView[K]) EachLabeled(fn func(k K, cat dict.Category) bool) {
-	for i, n := 0, v.lookupCount(); i < n; i++ {
-		rec, cluster := v.lookupRec(i)
-		if cluster >= 0 && !fn(v.lay.stats(rec).Comm, v.clusterLabel(int(cluster))) {
-			return
-		}
-	}
-}
+// Materialize returns the inferences copied onto the heap, every section
+// out of the mapped pages, so the copy outlives Close. WriteSnapshotFlat
+// of it writes the file's bytes again.
+func (m *Mapped) Materialize() *Inferences { return m.Inferences.clone() }

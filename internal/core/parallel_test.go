@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -58,19 +59,14 @@ func TestClassifyParallelEquivalence(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		opts.Workers = workers
 		got := Classify(ts, opts)
-		if !reflect.DeepEqual(labelsOf(&got.KindSet), labelsOf(&ref.KindSet)) {
+		if !reflect.DeepEqual(labelsOf(got), labelsOf(ref)) {
 			t.Fatalf("workers=%d: labels differ", workers)
 		}
-		if !reflect.DeepEqual(excludedOf(&got.KindSet), excludedOf(&ref.KindSet)) {
+		if !reflect.DeepEqual(excludedOf(&got.kindView), excludedOf(&ref.kindView)) {
 			t.Fatalf("workers=%d: exclusions differ", workers)
 		}
-		if len(got.Clusters) != len(ref.Clusters) {
-			t.Fatalf("workers=%d: %d clusters, want %d", workers, len(got.Clusters), len(ref.Clusters))
-		}
-		for i := range ref.Clusters {
-			if !reflect.DeepEqual(got.Clusters[i], ref.Clusters[i]) {
-				t.Fatalf("workers=%d: cluster %d = %+v, want %+v", workers, i, got.Clusters[i], ref.Clusters[i])
-			}
+		if !bytes.Equal(writeFlat(t, got, SnapshotMeta{}), writeFlat(t, ref, SnapshotMeta{})) {
+			t.Fatalf("workers=%d: clusters, members or lookup records differ", workers)
 		}
 	}
 }

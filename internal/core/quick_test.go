@@ -277,7 +277,7 @@ func TestClassifyLabelsSubsetOfObserved(t *testing.T) {
 	for _, c := range ts.Communities() {
 		observed[c] = true
 	}
-	labels, excluded := labelsOf(&inf.KindSet), excludedOf(&inf.KindSet)
+	labels, excluded := labelsOf(inf), excludedOf(&inf.kindView)
 	for c := range labels {
 		if !observed[c] {
 			t.Fatalf("label for unobserved community %v", c)
@@ -302,11 +302,12 @@ func TestClassifyLabelsSubsetOfObserved(t *testing.T) {
 func TestClusterMembersMatchLabels(t *testing.T) {
 	ts := buildSyntheticStore()
 	inf := Classify(ts, DefaultOptions())
-	for _, cl := range inf.Clusters {
+	members := mappedMembers(&inf.kindView)
+	for i, cl := range summaries(inf) {
 		if cl.Lo > cl.Hi {
 			t.Fatalf("inverted cluster %+v", cl)
 		}
-		for _, m := range cl.Members {
+		for _, m := range members(i) {
 			if m.Comm.Admin() != cl.Alpha {
 				t.Fatalf("cluster %d has member %v", cl.Alpha, m.Comm)
 			}

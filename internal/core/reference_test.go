@@ -407,18 +407,19 @@ func referenceClassify(counts map[refKey]refCounts, private, onPath func(alpha u
 
 // checkClassified compares one kind's classifier output with the
 // reference, cluster for cluster.
-func checkClassified[K Key[K]](t *testing.T, label string, got *KindSet[K], want refInference) {
+func checkClassified[K Key[K]](t *testing.T, label string, got *kindView[K], want refInference) {
 	t.Helper()
 	ref := func(k K) refKey { return refKey{k.Admin(), k.Fn(), k.Local()} }
-	if len(got.Clusters) != len(want.clusters) {
-		t.Fatalf("%s: %d clusters, reference has %d", label, len(got.Clusters), len(want.clusters))
+	if got.ClusterCount() != len(want.clusters) {
+		t.Fatalf("%s: %d clusters, reference has %d", label, got.ClusterCount(), len(want.clusters))
 	}
+	members := mappedMembers(got)
 	for i, w := range want.clusters {
-		g := &got.Clusters[i]
+		g, ms := got.ClusterSummaryAt(i), members(i)
 		if (refKey{g.Alpha, g.Fn, g.Lo}) != w.lo || (refKey{g.Alpha, g.Fn, g.Hi}) != w.hi ||
-			len(g.Members) != w.members || g.Label != w.label ||
-			ref(g.Members[0].Comm) != w.lo || ref(g.Members[len(g.Members)-1].Comm) != w.hi {
-			t.Fatalf("%s: cluster %d = %+v, reference %+v", label, i, *g, w)
+			g.Size != w.members || len(ms) != w.members || g.Label != w.label ||
+			ref(ms[0].Comm) != w.lo || ref(ms[len(ms)-1].Comm) != w.hi {
+			t.Fatalf("%s: cluster %d = %+v, reference %+v", label, i, g, w)
 		}
 	}
 	labels, excluded := labelsOf(got), excludedOf(got)
@@ -482,8 +483,8 @@ func TestClassifyMatchesReference(t *testing.T) {
 				opts.Workers = workers
 				inf := ClassifyObserved(os, opts)
 				label := fmt.Sprintf("seed %d %+v", seed, opts)
-				checkClassified(t, label+" classic", &inf.KindSet, wantClassic)
-				checkClassified(t, label+" large", &inf.Larges, wantLarge)
+				checkClassified(t, label+" classic", &inf.kindView, wantClassic)
+				checkClassified(t, label+" large", &inf.large, wantLarge)
 			}
 		}
 	}
@@ -509,23 +510,24 @@ func TestMirroredCorpusClassifiesAlike(t *testing.T) {
 			ts.AddViewLarge(v.vp, v.path, v.comms, larges)
 		}
 		inf := Classify(ts, Options{MinGap: 140, RatioThreshold: 2, Workers: 1 + int(seed%3)})
-		labels, excluded := labelsOf(&inf.KindSet), excludedOf(&inf.KindSet)
-		largeLabels, largeExcluded := labelsOf(&inf.Larges), excludedOf(&inf.Larges)
-		if len(inf.Larges.Clusters) != len(inf.Clusters) || len(largeLabels) != len(labels) ||
+		labels, excluded := labelsOf(inf), excludedOf(&inf.kindView)
+		largeLabels, largeExcluded := labelsOf(inf.Large()), excludedOf(&inf.large)
+		if inf.large.ClusterCount() != inf.ClusterCount() || len(largeLabels) != len(labels) ||
 			len(largeExcluded) != len(excluded) {
 			t.Fatalf("seed %d: large %d clusters/%d labels/%d exclusions, classic %d/%d/%d", seed,
-				len(inf.Larges.Clusters), len(largeLabels), len(largeExcluded),
-				len(inf.Clusters), len(labels), len(excluded))
+				inf.large.ClusterCount(), len(largeLabels), len(largeExcluded),
+				inf.ClusterCount(), len(labels), len(excluded))
 		}
-		for i := range inf.Clusters {
-			c, l := inf.Clusters[i], inf.Larges.Clusters[i]
-			want := Cluster[bgp.LargeCommunity]{ClusterSummary: c.ClusterSummary}
+		classicMembers, largeMembers := mappedMembers(&inf.kindView), mappedMembers(&inf.large)
+		for i := 0; i < inf.ClusterCount(); i++ {
+			want := inf.ClusterSummaryAt(i)
 			want.Fn = 7
-			for _, m := range c.Members {
-				want.Members = append(want.Members, Stats[bgp.LargeCommunity]{Comm: mirror(m.Comm), OnPath: m.OnPath, OffPath: m.OffPath})
+			var wantMembers []Stats[bgp.LargeCommunity]
+			for _, m := range classicMembers(i) {
+				wantMembers = append(wantMembers, Stats[bgp.LargeCommunity]{Comm: mirror(m.Comm), OnPath: m.OnPath, OffPath: m.OffPath})
 			}
-			if !reflect.DeepEqual(l, want) {
-				t.Fatalf("seed %d: large cluster %d = %+v, classic mirrored %+v", seed, i, l, want)
+			if l, lm := inf.large.ClusterSummaryAt(i), largeMembers(i); l != want || !reflect.DeepEqual(lm, wantMembers) {
+				t.Fatalf("seed %d: large cluster %d = %+v %v, classic mirrored %+v %v", seed, i, l, lm, want, wantMembers)
 			}
 		}
 		for c, cat := range labels {
@@ -537,7 +539,7 @@ func TestMirroredCorpusClassifiesAlike(t *testing.T) {
 			if got := largeExcluded[mirror(c)]; got != reason {
 				t.Fatalf("seed %d: %v excluded %v, its mirror %v", seed, c, reason, got)
 			}
-			if a, b := inf.Verdict(c), inf.Larges.Verdict(mirror(c)); a.Stats.OnPath != b.Stats.OnPath || a.Stats.OffPath != b.Stats.OffPath {
+			if a, b := inf.Verdict(c), inf.large.Verdict(mirror(c)); a.Stats.OnPath != b.Stats.OnPath || a.Stats.OffPath != b.Stats.OffPath {
 				t.Fatalf("seed %d: excluded %v evidence %+v, its mirror %+v", seed, c, a.Stats, b.Stats)
 			}
 		}

@@ -38,12 +38,6 @@ type SnapshotMeta struct {
 	LargeCommunities int
 }
 
-// hasLargeInferences reports whether the inferences carry any
-// large-community result worth persisting.
-func hasLargeInferences(inf *Inferences) bool {
-	return inf.Larges.Observed() > 0
-}
-
 // checkSnapshotMagic validates the first 10 bytes of a snapshot: the
 // magic and a version byte this reader serves. Every way in — streamed,
 // mmap-ed, verifier — fails here with the same error, so a file from
@@ -110,8 +104,8 @@ func ReadSnapshotMeta(r io.Reader) (SnapshotMeta, error) {
 	return s.meta, nil
 }
 
-// ReadSnapshot decodes a snapshot stream, rebuilding the heap clusters
-// and query index.
+// ReadSnapshot reads and verifies a snapshot stream, returning the
+// inferences over the bytes it read.
 func ReadSnapshot(r io.Reader) (*Inferences, SnapshotMeta, error) {
 	s, err := readAll(r)
 	if err != nil {
@@ -123,5 +117,5 @@ func ReadSnapshot(r io.Reader) (*Inferences, SnapshotMeta, error) {
 	if err := s.Verify(); err != nil {
 		return nil, SnapshotMeta{}, err
 	}
-	return s.Materialize(), s.meta, nil
+	return &s.Inferences, s.meta, nil
 }

@@ -90,9 +90,9 @@ func buildMixedInferences(t testing.TB) *Inferences {
 			{GlobalAdmin: 500, LocalData1: 1, LocalData2: 1},    // never on any path -> excluded
 		})
 	inf := Classify(ts, Options{MinGap: 140, RatioThreshold: 160})
-	if len(inf.Larges.Clusters) == 0 || inf.Larges.ExcludedCount() == 0 {
+	if inf.large.ClusterCount() == 0 || inf.large.ExcludedCount() == 0 {
 		t.Fatalf("mixed fixture has %d large clusters, %d large exclusions; want both",
-			len(inf.Larges.Clusters), inf.Larges.ExcludedCount())
+			inf.large.ClusterCount(), inf.large.ExcludedCount())
 	}
 	return inf
 }
@@ -124,7 +124,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			inf := tc.inf
 			meta := SnapshotMeta{
 				CreatedUnix: 1714521600, Source: "test",
-				Tuples: 2, Paths: 2, VantagePoints: 2, Communities: 4, LargeCommunities: inf.Larges.Observed(),
+				Tuples: 2, Paths: 2, VantagePoints: 2, Communities: 4, LargeCommunities: inf.large.Observed(),
 			}
 			raw := writeFlat(t, inf, meta)
 			if raw[9] != tc.version {
@@ -146,22 +146,22 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if gotMeta2 != meta {
 				t.Fatalf("meta via ReadSnapshot = %+v, want %+v", gotMeta2, meta)
 			}
-			if g, w := labelsOf(&got.KindSet), labelsOf(&inf.KindSet); !reflect.DeepEqual(g, w) {
+			if g, w := labelsOf(got), labelsOf(inf); !reflect.DeepEqual(g, w) {
 				t.Fatalf("labels differ: got %v want %v", g, w)
 			}
-			if g, w := excludedOf(&got.KindSet), excludedOf(&inf.KindSet); !reflect.DeepEqual(g, w) {
+			if g, w := excludedOf(&got.kindView), excludedOf(&inf.kindView); !reflect.DeepEqual(g, w) {
 				t.Fatalf("exclusions differ: got %v want %v", g, w)
 			}
-			if !reflect.DeepEqual(got.Clusters, inf.Clusters) {
+			if !reflect.DeepEqual(summaries(got), summaries(inf)) {
 				t.Fatalf("clusters differ")
 			}
-			if !reflect.DeepEqual(labelsOf(&got.Larges), labelsOf(&inf.Larges)) ||
-				!reflect.DeepEqual(excludedOf(&got.Larges), excludedOf(&inf.Larges)) ||
-				!reflect.DeepEqual(got.Larges.Clusters, inf.Larges.Clusters) {
+			if !reflect.DeepEqual(labelsOf(got.Large()), labelsOf(inf.Large())) ||
+				!reflect.DeepEqual(excludedOf(&got.large), excludedOf(&inf.large)) ||
+				!reflect.DeepEqual(summaries(got.Large()), summaries(inf.Large())) {
 				t.Fatalf("large inferences differ after round trip")
 			}
-			// The index is fully rebuilt, including excluded-community evidence
-			// and the deciding cluster's summary.
+			// Every verdict reads alike, including excluded-community
+			// evidence and the deciding cluster's summary.
 			for _, c := range []bgp.Community{
 				bgp.NewCommunity(100, 10), bgp.NewCommunity(100, 9000),
 				bgp.NewCommunity(64512, 77), bgp.NewCommunity(500, 1),
@@ -175,18 +175,18 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				{GlobalAdmin: 100, LocalData1: 1, LocalData2: 10}, {GlobalAdmin: 100, LocalData1: 1, LocalData2: 9000},
 				{GlobalAdmin: 500, LocalData1: 1, LocalData2: 1}, {GlobalAdmin: 4242, LocalData1: 1, LocalData2: 4242},
 			} {
-				if a, b := inf.Larges.Verdict(lc), got.Larges.Verdict(lc); a != b {
+				if a, b := inf.large.Verdict(lc), got.large.Verdict(lc); a != b {
 					t.Fatalf("large Verdict(%v) differs after round trip: %+v vs %+v", lc, a, b)
 				}
 			}
 
 			// Identical inferences serialize to identical bytes, and the
-			// materialized copy writes the file it was read from.
+			// inferences read back write the file they were read from.
 			if !bytes.Equal(raw, writeFlat(t, inf, meta)) {
 				t.Fatal("snapshot bytes are not deterministic")
 			}
 			if !bytes.Equal(raw, writeFlat(t, got, meta)) {
-				t.Fatal("re-serializing the materialized inferences moved bytes")
+				t.Fatal("re-serializing the inferences read back moved bytes")
 			}
 		})
 	}

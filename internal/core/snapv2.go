@@ -73,7 +73,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 
 	"bgpintent/internal/bgp"
 	"bgpintent/internal/dict"
@@ -125,9 +124,10 @@ const (
 var le = binary.LittleEndian
 
 // kindLayout is the record-layout descriptor of one kind of community
-// key: the row of the table above. The writer, the accessors, materialize
-// and verify are written once against it. A further kind of key costs
-// its Key methods, one kindLayout value and four section kinds.
+// key: the row of the table above. The classifier's section writer, the
+// accessors and verify are written once against it. A further kind of
+// key costs its Key methods, one kindLayout value and four section
+// kinds.
 type kindLayout[K Key[K]] struct {
 	name string // prefixes "clusters section", "lookup record" … in errors
 
@@ -214,111 +214,56 @@ type section struct {
 	body []byte
 }
 
-// encode renders one kind's four sections: stats (counters only),
-// clusters, members, lookup. Output is deterministic for identical
-// inferences.
-func (l *kindLayout[K]) encode(ks *KindSet[K]) []section {
-	// Clusters in canonical (alpha, fn, lo, hi) order; the classifier
-	// already emits them sorted, but the format guarantees it so mapped
-	// readers can binary-search per-α cluster ranges.
-	order := make([]int, len(ks.Clusters))
-	for i := range order {
-		order[i] = i
+// putStats writes a member or lookup record's key and counts.
+func (l *kindLayout[K]) putStats(rec []byte, st *Stats[K]) {
+	w := l.keyWordsOf(st.Comm)
+	for i := 0; i < l.keyWords; i++ {
+		le.PutUint32(rec[4*i:], w[i])
 	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		ca, cb := &ks.Clusters[a], &ks.Clusters[b]
-		return cmp.Or(cmp.Compare(ca.Alpha, cb.Alpha), cmp.Compare(ca.Fn, cb.Fn),
-			cmp.Compare(ca.Lo, cb.Lo), cmp.Compare(ca.Hi, cb.Hi))
-	})
-
-	total := 0
-	for i := range ks.Clusters {
-		total += len(ks.Clusters[i].Members)
-	}
-	lookups := make([]indexEntry[K], 0, len(ks.index)) // cluster members first, then exclusions
-	clusters := make([]byte, len(order)*l.clusterLen)
-	members := make([]byte, total*l.recLen)
-	putStats := func(rec []byte, st *Stats[K]) {
-		w := l.keyWordsOf(st.Comm)
-		for i := 0; i < l.keyWords; i++ {
-			le.PutUint32(rec[4*i:], w[i])
-		}
-		le.PutUint64(rec[l.countsAt:], uint64(int64(st.OnPath)))
-		le.PutUint64(rec[l.countsAt+8:], uint64(int64(st.OffPath)))
-	}
-	for newIdx, oi := range order {
-		cl := &ks.Clusters[oi]
-		rec := clusters[newIdx*l.clusterLen:][:l.clusterLen]
-		l.putBounds(rec, cl.Alpha, cl.Fn, cl.Lo, cl.Hi)
-		rec[l.labelAt] = byte(cl.Label)
-		if cl.PureOnPath {
-			rec[l.labelAt+1] |= v2ClusterPureOnPath
-		}
-		if cl.PureOffPath {
-			rec[l.labelAt+1] |= v2ClusterPureOffPath
-		}
-		// lookups holds one entry per member written so far, so its
-		// length is the index of this cluster's first member record.
-		le.PutUint32(rec[l.membersAt:], uint32(len(lookups)))
-		le.PutUint32(rec[l.membersAt+4:], uint32(len(cl.Members)))
-		for i := range cl.Members {
-			m := &cl.Members[i]
-			putStats(members[len(lookups)*l.recLen:][:l.recLen], m)
-			lookups = append(lookups, indexEntry[K]{*m, int32(newIdx)})
-		}
-		le.PutUint64(rec[l.ratioAt:], math.Float64bits(cl.Ratio))
-		le.PutUint64(rec[l.ratioAt+8:], uint64(cl.OnPath))
-		le.PutUint64(rec[l.ratioAt+16:], uint64(cl.OffPath))
-	}
-
-	for _, e := range ks.index {
-		if e.cluster < 0 {
-			lookups = append(lookups, e)
-		}
-	}
-	slices.SortFunc(lookups, func(a, b indexEntry[K]) int { return a.stats.Comm.Compare(b.stats.Comm) })
-	lookup := make([]byte, len(lookups)*l.recLen)
-	for i := range lookups {
-		rec := lookup[i*l.recLen:][:l.recLen]
-		putStats(rec, &lookups[i].stats)
-		le.PutUint32(rec[l.countsAt-4:], uint32(lookups[i].cluster))
-	}
-
-	action, information := ks.Counts()
-	stats := make([]byte, l.statsLen)
-	le.PutUint64(stats[l.countersAt:], uint64(int64(action)))
-	le.PutUint64(stats[l.countersAt+8:], uint64(int64(information)))
-	le.PutUint64(stats[l.countersAt+16:], uint64(int64(len(lookups))))
-	return []section{{l.secStats, stats}, {l.secClusters, clusters}, {l.secMembers, members}, {l.secLookup, lookup}}
+	le.PutUint64(rec[l.countsAt:], uint64(int64(st.OnPath)))
+	le.PutUint64(rec[l.countsAt+8:], uint64(int64(st.OffPath)))
 }
 
-// WriteSnapshotFlat serializes the inferences and meta into w. The
-// output is deterministic: identical inferences produce identical bytes
-// regardless of map iteration order. The large sections (and version
-// byte 3) are written iff large-community inferences are present, so
-// classic-only sets keep the bytes a larges-unaware writer produced.
+// putCluster writes a cluster record whose Size members start at member
+// record memberStart.
+func (l *kindLayout[K]) putCluster(rec []byte, cs *ClusterSummary, memberStart int) {
+	l.putBounds(rec, cs.Alpha, cs.Fn, cs.Lo, cs.Hi)
+	rec[l.labelAt] = byte(cs.Label)
+	if cs.PureOnPath {
+		rec[l.labelAt+1] |= v2ClusterPureOnPath
+	}
+	if cs.PureOffPath {
+		rec[l.labelAt+1] |= v2ClusterPureOffPath
+	}
+	le.PutUint32(rec[l.membersAt:], uint32(memberStart))
+	le.PutUint32(rec[l.membersAt+4:], uint32(cs.Size))
+	le.PutUint64(rec[l.ratioAt:], math.Float64bits(cs.Ratio))
+	le.PutUint64(rec[l.ratioAt+8:], uint64(cs.OnPath))
+	le.PutUint64(rec[l.ratioAt+16:], uint64(cs.OffPath))
+}
+
+// sections lists the view's four sections for the writer.
+func (v *kindView[K]) sections() []section {
+	l := v.lay
+	return []section{{l.secStats, v.stats}, {l.secClusters, v.clusters}, {l.secMembers, v.members}, {l.secLookup, v.lookup}}
+}
+
+// WriteSnapshotFlat serializes the inferences and meta into w: the meta
+// block, then the sections the inferences already are. The output is
+// deterministic: identical inferences produce identical bytes. The large
+// sections (and version byte 3) are written iff large-community
+// inferences are present, so classic-only sets keep the bytes a
+// larges-unaware writer produced.
 func WriteSnapshotFlat(w io.Writer, inf *Inferences, meta SnapshotMeta) error {
 	var metaBuf bytes.Buffer
 	if err := gob.NewEncoder(&metaBuf).Encode(&meta); err != nil {
 		return fmt.Errorf("snapshot: encode meta: %w", err)
 	}
-	sections := append([]section{{secMeta, metaBuf.Bytes()}}, classicLayout.encode(&inf.KindSet)...)
-	// The classic stats section opens with the classifier options.
-	optStats := sections[1].body
-	le.PutUint64(optStats[0:], uint64(int64(inf.Opts.MinGap)))
-	le.PutUint64(optStats[8:], math.Float64bits(inf.Opts.RatioThreshold))
-	var oflags uint64
-	if inf.Opts.DisableExclusions {
-		oflags |= v2FlagDisableExclusions
-	}
-	if inf.Opts.PooledRatio {
-		oflags |= v2FlagPooledRatio
-	}
-	le.PutUint64(optStats[16:], oflags)
+	sections := append([]section{{secMeta, metaBuf.Bytes()}}, inf.sections()...)
 	version := byte(snapshotVersionClassic)
-	if hasLargeInferences(inf) {
+	if inf.large.Observed() > 0 {
 		version = snapshotVersionLarge
-		sections = append(sections, largeLayout.encode(&inf.Larges)...)
+		sections = append(sections, inf.large.sections()...)
 	}
 
 	// Assemble the section table; every section starts 8-byte aligned.
@@ -368,36 +313,33 @@ func WriteSnapshotFlat(w io.Writer, inf *Inferences, meta SnapshotMeta) error {
 	return nil
 }
 
-// kindView is one kind's sections of a parsed snapshot, and the
-// KindSource over them: slice views into the file's bytes plus the
-// decoded counters; nothing per-record is materialized. The zero view
-// (of a file without the kind's sections) is an empty inference set.
+// kindView is one kind's four sections, and the KindSource over them:
+// slices of the classifier's buffer or of a snapshot file's bytes, read
+// in place; nothing per-record is decoded ahead of a query. A view with
+// no sections (a file without the kind's) is an empty inference set.
 type kindView[K Key[K]] struct {
 	lay *kindLayout[K]
 
-	action, information, observed int
-
+	stats    []byte // whole stats section; empty or lay.statsLen bytes
 	clusters []byte // whole clusters section; len % lay.clusterLen == 0
 	members  []byte // whole members section; len % lay.recLen == 0
 	lookup   []byte // whole lookup section; len % lay.recLen == 0
 }
 
-// snapV2 is a parsed view over a snapshot's bytes — either an mmap-ed
-// region or a heap buffer: the classic sections (embedded, so their
-// accessors are the view's own), the large ones, and the decoded tiny
-// sections.
+// snapV2 is a parsed snapshot file — an mmap-ed region or a heap buffer:
+// its bytes, its decoded provenance block, and the inferences its
+// sections are. (Named after the version byte that introduced the
+// container.)
 type snapV2 struct {
+	Inferences
 	data []byte
 	meta SnapshotMeta
-	opts Options // the serializable classifier options
-
-	kindView[bgp.Community]
-	large kindView[bgp.LargeCommunity]
 }
 
 // attach points the view at its kind's sections among bodies (by
-// section kind) and decodes the counters; present reports how many of
-// the four are there. Nothing is attached unless all are.
+// section kind) and checks the stats counters against them; present
+// reports how many of the four are there. Nothing is attached unless
+// all are.
 func (v *kindView[K]) attach(l *kindLayout[K], bodies map[uint32][]byte) (present int, err error) {
 	v.lay = l
 	for _, kind := range []uint32{l.secStats, l.secClusters, l.secMembers, l.secLookup} {
@@ -428,18 +370,36 @@ func (v *kindView[K]) attach(l *kindLayout[K], bodies map[uint32][]byte) (presen
 		}
 		*sec.view = body
 	}
-	v.action = int(int64(le.Uint64(stats[l.countersAt:])))
-	v.information = int(int64(le.Uint64(stats[l.countersAt+8:])))
-	v.observed = int(int64(le.Uint64(stats[l.countersAt+16:])))
-	if v.observed != v.lookupCount() {
+	v.stats = stats
+	action, information, observed := v.counter(0), v.counter(1), v.counter(2)
+	if observed != int64(v.lookupCount()) {
 		return present, fmt.Errorf("snapshot: stats claim %d observed %scommunities, lookup section holds %d",
-			v.observed, l.name, v.lookupCount())
+			observed, l.name, v.lookupCount())
 	}
-	if v.action < 0 || v.information < 0 || v.action+v.information > v.observed {
+	// Each counter is bounded by observed before they are added, so the
+	// sum cannot wrap.
+	if action < 0 || information < 0 || action > observed || information > observed || action+information > observed {
 		return present, fmt.Errorf("snapshot: implausible %scounters (action %d, information %d, observed %d)",
-			l.name, v.action, v.information, v.observed)
+			l.name, action, information, observed)
 	}
 	return present, nil
+}
+
+// counter decodes the stats section's i-th counter (action, information,
+// observed); a view without sections counts nothing.
+func (v *kindView[K]) counter(i int) int64 {
+	if len(v.stats) == 0 {
+		return 0
+	}
+	return int64(le.Uint64(v.stats[v.lay.countersAt+8*i:]))
+}
+
+// clone copies the view's sections out of their backing bytes.
+func (v kindView[K]) clone() kindView[K] {
+	for _, b := range []*[]byte{&v.stats, &v.clusters, &v.members, &v.lookup} {
+		*b = bytes.Clone(*b)
+	}
+	return v
 }
 
 // parseSnapshotV2 validates the header and section table and builds
@@ -492,7 +452,7 @@ func parseSnapshotV2(data []byte) (*snapV2, error) {
 	}
 
 	s := &snapV2{data: data}
-	nClassic, err := s.attach(&classicLayout, bodies)
+	nClassic, err := s.kindView.attach(&classicLayout, bodies)
 	if err != nil {
 		return nil, err
 	}
@@ -513,15 +473,6 @@ func parseSnapshotV2(data []byte) (*snapV2, error) {
 	}
 	if err := gob.NewDecoder(bytes.NewReader(metaRaw)).Decode(&s.meta); err != nil {
 		return nil, fmt.Errorf("snapshot: decode meta: %w", err)
-	}
-
-	optStats := bodies[secStats]
-	oflags := le.Uint64(optStats[16:])
-	s.opts = Options{
-		MinGap:            int(int64(le.Uint64(optStats[0:]))),
-		RatioThreshold:    math.Float64frombits(le.Uint64(optStats[8:])),
-		DisableExclusions: oflags&v2FlagDisableExclusions != 0,
-		PooledRatio:       oflags&v2FlagPooledRatio != 0,
 	}
 	return s, nil
 }
@@ -638,47 +589,10 @@ func (v *kindView[K]) memberAt(i int) Stats[K] {
 	return v.lay.stats(v.members[i*v.lay.recLen:][:v.lay.recLen])
 }
 
-// materialize rebuilds the heap set the kind's sections were written
-// from.
-func (v *kindView[K]) materialize() (ks KindSet[K]) {
-	if nc := v.clusterCount(); nc > 0 { // none stays nil, as the classifier leaves it
-		ks.Clusters = make([]Cluster[K], nc)
-	}
-	for i := range ks.Clusters {
-		cs := v.ClusterSummaryAt(i)
-		start, count := v.clusterMemberRange(i)
-		cl := &ks.Clusters[i]
-		cl.ClusterSummary, cl.Members = cs, make([]Stats[K], count)
-		for j := range cl.Members {
-			cl.Members[j] = v.memberAt(start + j)
-		}
-	}
-	ks.index = make(map[K]indexEntry[K], v.lookupCount())
-	for i, n := 0, v.lookupCount(); i < n; i++ {
-		if rec, cluster := v.lookupRec(i); cluster < 0 {
-			ks.exclude(v.lay.stats(rec), excludeReason(cluster))
-		}
-	}
-	ks.buildIndex(nil)
-	return ks
-}
-
 // excludeReason decodes a lookup record's negative cluster field,
 // clamping values no writer produces to ExcludeUnobserved.
 func excludeReason(cluster int32) ExcludeReason {
 	return ExcludeReason(min(-int64(cluster), int64(ExcludeUnobserved)))
-}
-
-// Options returns the classifier options recorded in the snapshot.
-func (s *snapV2) Options() Options { return s.opts }
-
-// Materialize reconstructs a fully heap-resident *Inferences — every
-// byte copied out of the backing pages — for callers that need the
-// heap form (re-serialization). For a file
-// WriteSnapshotFlat wrote, writing the result again reproduces its
-// bytes.
-func (s *snapV2) Materialize() *Inferences {
-	return &Inferences{KindSet: s.materialize(), Larges: s.large.materialize(), Opts: s.opts}
 }
 
 // VerifySnapshot runs the full integrity pass a plain open skips for
@@ -709,7 +623,7 @@ func (s *snapV2) Verify() error {
 			return fmt.Errorf("snapshot: section kind %d checksum mismatch (corrupt file): got %08x want %08x", kind, got, want)
 		}
 	}
-	if err := s.verify(); err != nil {
+	if err := s.kindView.verify(); err != nil {
 		return err
 	}
 	return s.large.verify()
@@ -719,10 +633,14 @@ func (s *snapV2) Verify() error {
 // arithmetic rely on: lookup records strictly sorted by key and pointing
 // at real clusters or known exclusion reasons, cluster records strictly
 // sorted by (alpha, fn, lo) with member ranges inside the members
-// section.
+// section — and the counters every query reads, which must be the lookup
+// section's tally: one member record per classified lookup record, and
+// the action and information labels among them.
 func (v *kindView[K]) verify() error {
 	name := v.lay.name
 	var prev K
+	var classified int
+	var labels [2]int64 // action, information
 	for i, n := 0, v.lookupCount(); i < n; i++ {
 		rec, cluster := v.lookupRec(i)
 		k := v.lay.stats(rec).Comm
@@ -734,9 +652,24 @@ func (v *kindView[K]) verify() error {
 			if int(cluster) >= v.clusterCount() {
 				return fmt.Errorf("snapshot: %slookup record %d references cluster %d of %d", name, i, cluster, v.clusterCount())
 			}
-		} else if -cluster > int32(ExcludeNeverOnPath) {
-			return fmt.Errorf("snapshot: %slookup record %d has unknown exclusion reason %d", name, i, -cluster)
+			classified++
+			switch v.clusterLabel(int(cluster)) {
+			case dict.CatAction:
+				labels[0]++
+			case dict.CatInformation:
+				labels[1]++
+			}
+		} else if -int64(cluster) > int64(ExcludeNeverOnPath) { // int64: -MinInt32 wraps in int32
+			return fmt.Errorf("snapshot: %slookup record %d has unknown exclusion reason %d", name, i, -int64(cluster))
 		}
+	}
+	if classified != v.memberCount() {
+		return fmt.Errorf("snapshot: %slookup section classifies %d communities, members section holds %d",
+			name, classified, v.memberCount())
+	}
+	if labels[0] != v.counter(0) || labels[1] != v.counter(1) {
+		return fmt.Errorf("snapshot: %sstats claim %d action and %d information communities, lookup section labels %d and %d",
+			name, v.counter(0), v.counter(1), labels[0], labels[1])
 	}
 	var prevCluster ClusterSummary
 	for i, n := 0, v.clusterCount(); i < n; i++ {

@@ -42,7 +42,7 @@ func simInferences(t testing.TB) (*TupleStore, *Inferences) {
 // riding on the same views: the mixed synthetic corpus.
 func simMixedInferences(t testing.TB) (*TupleStore, *Inferences) {
 	ts, inf := simDay(t, true)
-	if len(inf.Larges.Clusters) == 0 {
+	if inf.large.ClusterCount() == 0 {
 		t.Fatal("mixed synthetic corpus has no large clusters")
 	}
 	return ts, inf
@@ -83,9 +83,9 @@ func TestSnapshotV2VerdictEquivalence(t *testing.T) {
 			t.Fatalf("Options: heap %+v, mmap %+v", h, mm)
 		}
 		checkKindEquivalence[bgp.Community](t, inf, m,
-			append(observedKeys(&inf.KindSet), bgp.NewCommunity(4242, 4242)))
+			append(observedKeys(&inf.kindView), bgp.NewCommunity(4242, 4242)))
 		checkKindEquivalence(t, inf.Large(), m.Large(),
-			append(observedKeys(&inf.Larges), bgp.LargeCommunity{GlobalAdmin: 4242, LocalData1: 7, LocalData2: 4242}))
+			append(observedKeys(&inf.large), bgp.LargeCommunity{GlobalAdmin: 4242, LocalData1: 7, LocalData2: 4242}))
 	}
 	_, handBuilt := buildTestInferences(t)
 	_, sim := simInferences(t)
@@ -153,8 +153,9 @@ func checkKindEquivalence[K Key[K]](t *testing.T, heap, mapped KindSource[K], pr
 	}
 }
 
-// TestSnapshotV2Materialize round-trips a simulated day's snapshot
-// back onto the heap through the streamed ReadSnapshot.
+// TestSnapshotV2Materialize: Mapped.Materialize copies a simulated day's
+// snapshot onto the heap — a copy that outlives the mapping's Close,
+// answers every query alike and writes the file it was copied from.
 func TestSnapshotV2Materialize(t *testing.T) {
 	_, inf := simInferences(t)
 	meta := SnapshotMeta{CreatedUnix: 1714521600, Source: "v2-test", Communities: 4}
@@ -168,27 +169,27 @@ func TestSnapshotV2Materialize(t *testing.T) {
 		t.Fatalf("meta = %+v, want %+v", gotMeta, meta)
 	}
 
-	got, gotMeta2, err := ReadSnapshot(bytes.NewReader(data))
-	if err != nil {
+	m := openMapped(t, data)
+	got := m.Materialize()
+	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if gotMeta2 != meta {
-		t.Fatalf("ReadSnapshot meta = %+v, want %+v", gotMeta2, meta)
+	if !reflect.DeepEqual(labelsOf(got), labelsOf(inf)) {
+		t.Fatal("labels differ in the materialized copy")
 	}
-	if !reflect.DeepEqual(labelsOf(&got.KindSet), labelsOf(&inf.KindSet)) {
-		t.Fatal("labels differ after materialize")
+	if !reflect.DeepEqual(summaries(got), summaries(inf)) {
+		t.Fatal("clusters differ in the materialized copy")
 	}
-	if !reflect.DeepEqual(got.Clusters, inf.Clusters) {
-		t.Fatal("clusters differ after materialize")
+	if g, w := excludedOf(&got.kindView), excludedOf(&inf.kindView); !reflect.DeepEqual(g, w) {
+		t.Fatalf("exclusions differ in the materialized copy: got %v want %v", g, w)
 	}
-	if g, w := excludedOf(&got.KindSet), excludedOf(&inf.KindSet); !reflect.DeepEqual(g, w) {
-		t.Fatalf("exclusions differ after materialize: got %v want %v", g, w)
-	}
-	// Rebuilt index answers the full verdict, evidence included.
-	for c := range labelsOf(&inf.KindSet) {
+	for c := range labelsOf(inf) {
 		if a, b := inf.Verdict(c), got.Verdict(c); a != b {
-			t.Fatalf("Verdict(%v) differs after materialize: %+v vs %+v", c, a, b)
+			t.Fatalf("Verdict(%v) differs in the materialized copy: %+v vs %+v", c, a, b)
 		}
+	}
+	if !bytes.Equal(writeFlat(t, got, meta), data) {
+		t.Fatal("the materialized copy writes other bytes than the file it was copied from")
 	}
 }
 
@@ -305,31 +306,14 @@ func TestVerifyRejectsUnsortedClusters(t *testing.T) {
 		{"large", secLargeClusters, largeLayout.clusterLen},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			data := append([]byte(nil), good...)
-			nsec := int(binary.LittleEndian.Uint32(data[24:]))
-			table := data[v2HeaderLen : v2HeaderLen+nsec*v2SectionLen]
-			swapped := false
-			for i := 0; i < nsec; i++ {
-				ent := table[i*v2SectionLen:]
-				if binary.LittleEndian.Uint32(ent[0:]) != tc.kind {
-					continue
-				}
-				off, length := binary.LittleEndian.Uint64(ent[8:]), binary.LittleEndian.Uint64(ent[16:])
-				body := data[off : off+length]
+			data := patchSection(t, good, tc.kind, func(body []byte) {
 				if len(body) < 2*tc.recLen {
 					t.Fatalf("fixture has %d cluster records, need two to swap", len(body)/tc.recLen)
 				}
 				first := append([]byte(nil), body[:tc.recLen]...)
 				copy(body, body[tc.recLen:2*tc.recLen])
 				copy(body[tc.recLen:], first)
-				binary.LittleEndian.PutUint32(ent[24:], crc32.ChecksumIEEE(body))
-				swapped = true
-			}
-			if !swapped {
-				t.Fatalf("no section of kind %d", tc.kind)
-			}
-			binary.LittleEndian.PutUint32(data[28:], crc32.ChecksumIEEE(table))
-
+			})
 			if _, err := parseSnapshotV2(data); err != nil {
 				t.Fatalf("plain open rejects the file (%v); the test wants damage only the verifier sees", err)
 			}
@@ -339,6 +323,123 @@ func TestVerifyRejectsUnsortedClusters(t *testing.T) {
 			}
 			if _, _, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
 				t.Fatal("ReadSnapshot accepted a snapshot with unsorted clusters")
+			}
+		})
+	}
+}
+
+// patchSection returns a copy of src whose section of the given kind f
+// has rewritten in place, with the section and table checksums redone:
+// damage only the checks past the CRCs can see.
+func patchSection(t *testing.T, src []byte, kind uint32, f func(body []byte)) []byte {
+	t.Helper()
+	data := append([]byte(nil), src...)
+	nsec := int(binary.LittleEndian.Uint32(data[24:]))
+	table := data[v2HeaderLen : v2HeaderLen+nsec*v2SectionLen]
+	for i := 0; i < nsec; i++ {
+		ent := table[i*v2SectionLen:]
+		if binary.LittleEndian.Uint32(ent[0:]) != kind {
+			continue
+		}
+		off, length := binary.LittleEndian.Uint64(ent[8:]), binary.LittleEndian.Uint64(ent[16:])
+		body := data[off : off+length]
+		f(body)
+		binary.LittleEndian.PutUint32(ent[24:], crc32.ChecksumIEEE(body))
+		binary.LittleEndian.PutUint32(data[28:], crc32.ChecksumIEEE(table))
+		return data
+	}
+	t.Fatalf("no section of kind %d", kind)
+	return nil
+}
+
+// TestVerifyRejectsMinInt32Exclusion: a lookup record's cluster field
+// 0x80000000 is no exclusion reason — negating it in 32 bits gives it
+// back — so the verifier, which once let it through to read as an
+// observed community with reason "unobserved", must name it.
+func TestVerifyRejectsMinInt32Exclusion(t *testing.T) {
+	good := writeFlat(t, buildMixedInferences(t), SnapshotMeta{Source: "minint-test"})
+	s, err := parseSnapshotV2(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		kind     uint32
+		recLen   int
+		countsAt int
+		excluded func() int // index of an excluded lookup record
+	}{
+		{"classic", secLookup, classicLayout.recLen, classicLayout.countsAt, func() int { return firstExcluded(&s.kindView) }},
+		{"large", secLargeLookup, largeLayout.recLen, largeLayout.countsAt, func() int { return firstExcluded(&s.large) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			i := tc.excluded()
+			data := patchSection(t, good, tc.kind, func(body []byte) {
+				binary.LittleEndian.PutUint32(body[i*tc.recLen+tc.countsAt-4:], 0x80000000)
+			})
+			err := VerifySnapshot(data)
+			if err == nil || !strings.Contains(err.Error(), "unknown exclusion reason 2147483648") {
+				t.Fatalf("VerifySnapshot = %v, want an unknown-exclusion-reason error", err)
+			}
+			if _, _, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
+				t.Fatal("ReadSnapshot accepted a lookup record with cluster field 0x80000000")
+			}
+		})
+	}
+}
+
+// firstExcluded returns the index of the view's first excluded lookup
+// record.
+func firstExcluded[K Key[K]](v *kindView[K]) int {
+	for i, n := 0, v.lookupCount(); i < n; i++ {
+		if _, cluster := v.lookupRec(i); cluster < 0 {
+			return i
+		}
+	}
+	panic("fixture has no exclusion")
+}
+
+// TestSnapshotCountersMatchLookup: every query reads its counters from
+// the stats section, so a file may only pass when they are the lookup
+// section's tally. Counters whose sum wraps (2^62 + 2^62) must fail even
+// the O(1) open — they once verified and then sized a makeslice past
+// its cap — and a count that fits but lies must fail the verifier.
+func TestSnapshotCountersMatchLookup(t *testing.T) {
+	good := writeFlat(t, buildMixedInferences(t), SnapshotMeta{Source: "counters-test"})
+	for _, tc := range []struct {
+		name       string
+		kind       uint32
+		countersAt int
+	}{
+		{"classic", secStats, classicLayout.countersAt},
+		{"large", secLargeStats, largeLayout.countersAt},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wrapped := patchSection(t, good, tc.kind, func(body []byte) {
+				binary.LittleEndian.PutUint64(body[tc.countersAt:], 1<<62)
+				binary.LittleEndian.PutUint64(body[tc.countersAt+8:], 1<<62)
+			})
+			if _, err := parseSnapshotV2(wrapped); err == nil || !strings.Contains(err.Error(), "implausible") {
+				t.Fatalf("open of 2^62 + 2^62 counters = %v, want an implausible-counters error", err)
+			}
+			if err := VerifySnapshot(wrapped); err == nil {
+				t.Fatal("VerifySnapshot accepted 2^62 + 2^62 counters")
+			}
+
+			// One action more still fits within observed (the fixture
+			// excludes a community of each kind); only the tally shows it.
+			lying := patchSection(t, good, tc.kind, func(body []byte) {
+				a := body[tc.countersAt:]
+				binary.LittleEndian.PutUint64(a, binary.LittleEndian.Uint64(a)+1)
+			})
+			if _, err := parseSnapshotV2(lying); err != nil {
+				t.Fatalf("plain open rejects the counters (%v); the test wants damage only the verifier sees", err)
+			}
+			if err := VerifySnapshot(lying); err == nil || !strings.Contains(err.Error(), "lookup section labels") {
+				t.Fatalf("VerifySnapshot = %v, want a counter-tally error", err)
+			}
+			if _, _, err := ReadSnapshot(bytes.NewReader(lying)); err == nil {
+				t.Fatal("ReadSnapshot accepted counters the lookup section contradicts")
 			}
 		})
 	}
@@ -409,10 +510,10 @@ func TestMappedVerdictZeroAlloc(t *testing.T) {
 	_, inf := simMixedInferences(t)
 	m := openMapped(t, writeFlat(t, inf, SnapshotMeta{}))
 	t.Run("classic", func(t *testing.T) {
-		verdictZeroAlloc[bgp.Community](t, m, observedKeys(&inf.KindSet), bgp.NewCommunity(64999, 64999))
+		verdictZeroAlloc[bgp.Community](t, m, observedKeys(&inf.kindView), bgp.NewCommunity(64999, 64999))
 	})
 	t.Run("large", func(t *testing.T) {
-		verdictZeroAlloc(t, m.Large(), observedKeys(&inf.Larges),
+		verdictZeroAlloc(t, m.Large(), observedKeys(&inf.large),
 			bgp.LargeCommunity{GlobalAdmin: 64999, LocalData1: 1, LocalData2: 64999})
 	})
 }

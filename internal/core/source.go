@@ -1,11 +1,13 @@
-// InferenceSource abstracts "a queryable set of inferences" over its
-// two implementations: the heap-resident *Inferences the classifier
-// produces, and the mmap-backed *Mapped view over a snapshot file.
-// The serving layer programs against this interface so a replica can
-// swap between heap and mapped generations without caring which it got.
+// Inferences is the one representation of a classification: the
+// snapshot's sections of each kind of key, queried in place. The
+// classifier writes them into memory, ReadSnapshot keeps the bytes it
+// read and verified, and Mapped embeds the same view over mapped pages.
+// InferenceSource is what the serving and anomaly layers program against,
+// so tests can stand in a fake.
 package core
 
 import (
+	"math"
 	"sort"
 
 	"bgpintent/internal/bgp"
@@ -14,9 +16,9 @@ import (
 
 // ClusterSummary is the flat, pointer-free description of one cluster of
 // either kind: everything a query response renders, with the per-member
-// evidence pre-aggregated — a snapshot's cluster record, and the head of
-// a heap Cluster. It holds no slices, so the serving hot path returns
-// these by value. Fn is 0 for classic clusters.
+// evidence pre-aggregated — a snapshot's cluster record decoded. It holds
+// no slices, so the serving hot path returns these by value. Fn is 0 for
+// classic clusters.
 type ClusterSummary struct {
 	Alpha, Fn uint32
 	Lo, Hi    uint32
@@ -33,8 +35,8 @@ type ClusterSummary struct {
 // KeyVerdict is the full answer for one community: the label, the
 // evidence behind it and the deciding cluster by value or, when
 // unclassified, the reason why. It is the allocation-free serving
-// primitive — a verdict is a copy of one heap index entry or of one
-// lookup record of the mapped snapshot pages.
+// primitive — a verdict is one lookup record and its cluster record,
+// decoded.
 type KeyVerdict[K Key[K]] struct {
 	Comm     K
 	Observed bool
@@ -51,10 +53,9 @@ type KeyVerdict[K Key[K]] struct {
 type Verdict = KeyVerdict[bgp.Community]
 
 // KindSource is a read-only set of intent inferences over one kind of
-// community key. Both implementations list in key order: clusters by
-// (Alpha, Fn, Lo) with members by value, so walking them visits the
-// classified communities in ascending Compare order — the order of a
-// snapshot's lookup section.
+// community key. It lists in key order: clusters by (Alpha, Fn, Lo) with
+// members by value, so walking them visits the classified communities in
+// ascending Compare order — the order of a snapshot's lookup section.
 type KindSource[K Key[K]] interface {
 	// Verdict answers one community query without allocating.
 	Verdict(k K) KeyVerdict[K]
@@ -103,18 +104,61 @@ type InferenceSource interface {
 	// Options returns the classifier options the inferences were
 	// produced with (query-shaping fields only).
 	Options() Options
-	// Materialize returns the inferences as a heap *Inferences —
-	// the implementation itself when already heap-resident, otherwise a
-	// full reconstruction. WriteSnapshotFlat of the result writes the
-	// same flat bytes as the original classifier output.
-	Materialize() *Inferences
 }
 
-// Compile-time interface checks for both implementations.
+// Inferences is a classification in the snapshot's layout: each kind's
+// four sections (stats, clusters, members, lookup), with the classic view
+// embedded so its query methods are the Inferences' own. The large view
+// is empty for classic-only corpora — whose snapshots and reports are
+// then byte-identical to a larges-unaware build. Immutable once built,
+// so queries need no locking.
+type Inferences struct {
+	kindView[bgp.Community]
+	large kindView[bgp.LargeCommunity]
+}
+
+// Compile-time interface checks: the inferences, and the mapped file
+// that embeds them.
 var (
 	_ InferenceSource = (*Inferences)(nil)
 	_ InferenceSource = (*Mapped)(nil)
 )
+
+// Large returns the large-community inferences.
+func (inf *Inferences) Large() KindSource[bgp.LargeCommunity] { return &inf.large }
+
+// Options returns the classifier options the classic stats section
+// records.
+func (inf *Inferences) Options() Options {
+	b := inf.stats
+	flags := le.Uint64(b[16:])
+	return Options{
+		MinGap:            int(int64(le.Uint64(b[0:]))),
+		RatioThreshold:    math.Float64frombits(le.Uint64(b[8:])),
+		DisableExclusions: flags&v2FlagDisableExclusions != 0,
+		PooledRatio:       flags&v2FlagPooledRatio != 0,
+	}
+}
+
+// putOptions records opts' query-shaping fields at the head of a classic
+// stats section.
+func putOptions(b []byte, opts Options) {
+	le.PutUint64(b[0:], uint64(int64(opts.MinGap)))
+	le.PutUint64(b[8:], math.Float64bits(opts.RatioThreshold))
+	var flags uint64
+	if opts.DisableExclusions {
+		flags |= v2FlagDisableExclusions
+	}
+	if opts.PooledRatio {
+		flags |= v2FlagPooledRatio
+	}
+	le.PutUint64(b[16:], flags)
+}
+
+// clone copies every section out of the backing bytes.
+func (inf *Inferences) clone() *Inferences {
+	return &Inferences{kindView: inf.kindView.clone(), large: inf.large.clone()}
+}
 
 // NoLargeInferences provides InferenceSource's Large with the
 // classic-only answer: zero large clusters, every large query
@@ -122,61 +166,74 @@ var (
 // classic communities.
 type NoLargeInferences struct{}
 
-// Large returns an empty set.
-func (NoLargeInferences) Large() KindSource[bgp.LargeCommunity] {
-	return new(KindSet[bgp.LargeCommunity])
-}
+// noLarges is the empty large-community view.
+var noLarges = kindView[bgp.LargeCommunity]{lay: &largeLayout}
 
-// Verdict answers one community query from the heap index without
-// allocating.
-func (ks *KindSet[K]) Verdict(k K) KeyVerdict[K] {
-	e, ok := ks.index[k]
+// Large returns an empty set.
+func (NoLargeInferences) Large() KindSource[bgp.LargeCommunity] { return &noLarges }
+
+// Verdict answers one community query by binary-searching the lookup
+// section. Zero-alloc: everything returned is a value decoded from the
+// section bytes.
+func (v *kindView[K]) Verdict(k K) KeyVerdict[K] {
+	i, ok := v.findLookup(k)
 	if !ok {
 		return KeyVerdict[K]{Comm: k, Reason: ExcludeUnobserved}
 	}
-	v := KeyVerdict[K]{Comm: k, Observed: true, Stats: e.stats}
-	if e.cluster >= 0 {
-		v.HasCluster = true
-		v.Cluster = ks.Clusters[e.cluster].ClusterSummary
-		v.Category = v.Cluster.Label
-	} else {
-		v.Reason = ExcludeReason(-e.cluster)
+	rec, cluster := v.lookupRec(i)
+	out := KeyVerdict[K]{Comm: k, Observed: true, Stats: Stats[K]{Comm: k}}
+	out.Stats.OnPath, out.Stats.OffPath = v.lay.counts(rec)
+	if cluster < 0 {
+		out.Reason = excludeReason(cluster)
+	} else if v.clusterSummary(int(cluster), &out.Cluster) {
+		out.HasCluster = true
+		out.Category = out.Cluster.Label
 	}
-	return v
+	return out
 }
 
-// ExcludedCount is how many observed communities were left
-// unclassified: those the index holds beyond the cluster members.
-func (ks *KindSet[K]) ExcludedCount() int {
-	n := len(ks.index)
-	for i := range ks.Clusters {
-		n -= ks.Clusters[i].Size
+// Category returns the community's label, CatUnknown when excluded or
+// unobserved.
+func (v *kindView[K]) Category(k K) dict.Category {
+	i, ok := v.findLookup(k)
+	if !ok {
+		return dict.CatUnknown
 	}
-	return n
+	_, cluster := v.lookupRec(i)
+	return v.clusterLabel(int(cluster)) // CatUnknown for an exclusion's negative index
 }
 
-// ClusterCount returns the number of inferred clusters.
-func (ks *KindSet[K]) ClusterCount() int { return len(ks.Clusters) }
+// Observed is the number of distinct communities: one lookup record
+// each.
+func (v *kindView[K]) Observed() int { return v.lookupCount() }
 
-// ClusterSummaryAt returns the i-th cluster's summary.
-func (ks *KindSet[K]) ClusterSummaryAt(i int) ClusterSummary {
-	return ks.Clusters[i].ClusterSummary
+// Counts returns the action/information label totals the stats section
+// records, so this is O(1).
+func (v *kindView[K]) Counts() (action, information int) {
+	return int(v.counter(0)), int(v.counter(1))
 }
 
-// EachLabeled visits every classified community, cluster by cluster.
-func (ks *KindSet[K]) EachLabeled(fn func(k K, cat dict.Category) bool) {
-	for i := range ks.Clusters {
-		cl := &ks.Clusters[i]
-		for j := range cl.Members {
-			if !fn(cl.Members[j].Comm, cl.Label) {
-				return
-			}
+// ExcludedCount is observed minus classified — both O(1) section
+// record counts.
+func (v *kindView[K]) ExcludedCount() int { return v.lookupCount() - v.memberCount() }
+
+// ClusterCount is the number of cluster records.
+func (v *kindView[K]) ClusterCount() int { return v.clusterCount() }
+
+// ClusterSummaryAt decodes the i-th cluster record (sorted by
+// (alpha, fn, lo)); i must be in [0, ClusterCount()).
+func (v *kindView[K]) ClusterSummaryAt(i int) (cs ClusterSummary) {
+	v.clusterSummary(i, &cs)
+	return cs
+}
+
+// EachLabeled visits every classified community in ascending key order
+// (the lookup section's order).
+func (v *kindView[K]) EachLabeled(fn func(k K, cat dict.Category) bool) {
+	for i, n := 0, v.lookupCount(); i < n; i++ {
+		rec, cluster := v.lookupRec(i)
+		if cluster >= 0 && !fn(v.lay.stats(rec).Comm, v.clusterLabel(int(cluster))) {
+			return
 		}
 	}
 }
-
-// Options returns the classifier options behind these inferences.
-func (inf *Inferences) Options() Options { return inf.Opts }
-
-// Materialize returns the receiver: it is already heap-resident.
-func (inf *Inferences) Materialize() *Inferences { return inf }

@@ -28,17 +28,17 @@ func TestLargeMatrixGroundTruth(t *testing.T) {
 	observed := core.Observe(c.Store, c.Options())
 	inf := core.ClassifyObserved(observed, c.Options())
 
-	if n := inf.Larges.Observed(); n == 0 {
+	if n := inf.Large().Observed(); n == 0 {
 		t.Fatal("no large communities observed by the classifier")
 	}
-	if n := len(inf.Larges.Clusters); n == 0 {
+	if n := inf.Large().ClusterCount(); n == 0 {
 		t.Fatal("no large clusters inferred")
 	}
 
 	// Every labeled large community must be a matrix mirror: function
 	// field 1, both halves within the classic 16-bit space.
 	largeLabels := make(map[bgp.LargeCommunity]dict.Category)
-	inf.Larges.EachLabeled(func(lc bgp.LargeCommunity, cat dict.Category) bool {
+	inf.Large().EachLabeled(func(lc bgp.LargeCommunity, cat dict.Category) bool {
 		if lc.LocalData1 != 1 || lc.GlobalAdmin > 0xFFFF || lc.LocalData2 > 0xFFFF {
 			t.Fatalf("labeled large community %v is not a matrix mirror", lc)
 		}
@@ -58,7 +58,7 @@ func TestLargeMatrixGroundTruth(t *testing.T) {
 	}
 	recalled := 0
 	for lc := range observed.Larges {
-		mirror := inf.Larges.Verdict(lc)
+		mirror := inf.Large().Verdict(lc)
 		if mirror.HasCluster || !covered(lc) {
 			continue
 		}

@@ -91,8 +91,7 @@ func (s *staticSem) ClusterSummaryAt(int) core.ClusterSummary { panic("unused") 
 func (s *staticSem) EachLabeled(fn func(bgp.Community, dict.Category) bool) {
 	fn(s.c, s.cat)
 }
-func (s *staticSem) Options() core.Options         { return core.Options{} }
-func (s *staticSem) Materialize() *core.Inferences { panic("unused") }
+func (s *staticSem) Options() core.Options { return core.Options{} }
 
 func TestAnomaliesEndpointDisabled(t *testing.T) {
 	w := getWorld(t)

@@ -168,7 +168,7 @@ func (c *Corpus) RefineInformation(r *Result) ([]RefinedCommunity, error) {
 		return nil, ErrNotSynthetic
 	}
 	rels := asrel.Infer(c.store.AllPaths())
-	res := finegrained.Classify(c.store, r.inferences(), c.syn.Topo,
+	res := finegrained.Classify(c.store, r.inf, c.syn.Topo,
 		finegrained.ROVFunc(simulate.ROVState), rels, finegrained.DefaultConfig())
 	out := make([]RefinedCommunity, 0, len(res.Kinds))
 	for comm, kind := range res.Kinds {
