@@ -125,31 +125,30 @@ func (s Stats[K]) Ratio() float64 {
 }
 
 // ObservationSet is the per-community measurement the classifier (and
-// the evaluation's baseline-cluster analyses) build on.
+// the evaluation's baseline-cluster analyses) build on: one record per
+// observed community, strictly in Compare order, which ClassifyObserved
+// cuts into (α, fn) groups and clusters without sorting again.
 type ObservationSet struct {
-	Stats map[bgp.Community]*Stats[bgp.Community]
+	Stats []Stats[bgp.Community]
 
 	// Larges is the large-community counterpart; nil when the corpus
 	// carries no large communities on any tuple.
-	Larges map[bgp.LargeCommunity]*Stats[bgp.LargeCommunity]
+	Larges []Stats[bgp.LargeCommunity]
 
-	asnOnPath map[uint32]bool
-	orgOnPath map[string]bool
-	orgs      OrgMapper
+	seenASNs []uint32 // every ASN on an observed path, sorted
+	seenOrgs []string // their organizations under orgs, sorted
+	orgs     OrgMapper
 }
 
 // AlphaOnPath reports whether α (or an org sibling) appears in any AS
 // path of the observed dataset.
 func (os *ObservationSet) AlphaOnPath(alpha uint32) bool {
-	if os.asnOnPath[alpha] {
-		return true
+	if _, ok := slices.BinarySearch(os.seenASNs, alpha); ok || os.orgs == nil {
+		return ok
 	}
-	if os.orgs != nil {
-		if org, ok := os.orgs.Org(alpha); ok && os.orgOnPath[org] {
-			return true
-		}
-	}
-	return false
+	org, ok := os.orgs.Org(alpha)
+	_, on := slices.BinarySearch(os.seenOrgs, org)
+	return ok && on
 }
 
 // minParallelTuples is the tuple count below which Observe stays
@@ -244,8 +243,8 @@ func ClassifyObserved(os *ObservationSet, opts Options) *Inferences {
 func ClassifyObservedContext(ctx context.Context, os *ObservationSet, opts Options) (*Inferences, error) {
 	inf := &Inferences{kindView: kindView[bgp.Community]{lay: &classicLayout}, large: kindView[bgp.LargeCommunity]{lay: &largeLayout}}
 	kinds := []kindStages{
-		&kindPass[bgp.Community]{out: &inf.kindView, stats: os.Stats, os: os, opts: opts},
-		&kindPass[bgp.LargeCommunity]{out: &inf.large, stats: os.Larges, os: os, opts: opts},
+		&kindPass[bgp.Community]{out: &inf.kindView, sorted: os.Stats, os: os, opts: opts},
+		&kindPass[bgp.LargeCommunity]{out: &inf.large, sorted: os.Larges, os: os, opts: opts},
 	}
 	for _, st := range []struct {
 		stage obs.Stage
@@ -283,16 +282,15 @@ type kindStages interface {
 }
 
 // kindPass is the kindStages of one key type: the view being written,
-// the evidence it is written from, and what one stage hands the next —
-// every observed community in key order, cut into runs.
+// the evidence it is written from — every observed community in key
+// order — and the runs one stage cuts it into for the next.
 type kindPass[K Key[K]] struct {
-	out   *kindView[K]
-	stats map[K]*Stats[K]
-	os    *ObservationSet
-	opts  Options
+	out    *kindView[K]
+	sorted []Stats[K]
+	os     *ObservationSet
+	opts   Options
 
-	sorted []*Stats[K]
-	runs   []run
+	runs []run
 }
 
 // run is a stretch of a kindPass's sorted communities, ending before
@@ -303,17 +301,11 @@ type run struct {
 	ClusterSummary
 }
 
-// cluster sorts the observed communities into key order, which groups
-// them by (α, fn) with each group's values ascending, and cuts every
-// group into clusters by the gap rule — or into one excluded run.
+// cluster cuts the observed communities, whose key order groups them by
+// (α, fn) with each group's values ascending, into clusters by the gap
+// rule — every group, or into one excluded run.
 func (p *kindPass[K]) cluster(ctx context.Context) int {
 	done := ctx.Done()
-	p.sorted = make([]*Stats[K], 0, len(p.stats))
-	for _, st := range p.stats {
-		p.sorted = append(p.sorted, st)
-	}
-	slices.SortFunc(p.sorted, func(a, b *Stats[K]) int { return a.Comm.Compare(b.Comm) })
-
 	var values []uint32
 	for start, n := 0, 0; start < len(p.sorted); n++ {
 		if n%cancelCheckStride == 0 && chClosed(done) {
@@ -350,7 +342,7 @@ func (p *kindPass[K]) cluster(ctx context.Context) int {
 		}
 		start = end
 	}
-	return len(p.stats)
+	return len(p.sorted)
 }
 
 // ratio labels every cluster from its members' evidence. A canceled run
@@ -407,8 +399,8 @@ func (p *kindPass[K]) classify(ctx context.Context) (classified int) {
 		if r.reason == ExcludeNone {
 			cluster = int32(ci)
 			l.putCluster(clusters[ci*l.clusterLen:][:l.clusterLen], &r.ClusterSummary, mi)
-			for _, m := range p.sorted[start:r.end] {
-				l.putStats(members[mi*l.recLen:][:l.recLen], m)
+			for i := start; i < r.end; i++ {
+				l.putStats(members[mi*l.recLen:][:l.recLen], &p.sorted[i])
 				mi++
 			}
 			switch r.Label {
@@ -419,9 +411,9 @@ func (p *kindPass[K]) classify(ctx context.Context) (classified int) {
 			}
 			ci++
 		}
-		for i, m := range p.sorted[start:r.end] {
-			rec := lookup[(start+i)*l.recLen:][:l.recLen]
-			l.putStats(rec, m)
+		for i := start; i < r.end; i++ {
+			rec := lookup[i*l.recLen:][:l.recLen]
+			l.putStats(rec, &p.sorted[i])
 			le.PutUint32(rec[l.countsAt-4:], uint32(cluster))
 		}
 		start = r.end
@@ -455,7 +447,7 @@ func clusterIndexes[T uint16 | uint32](vals []T, minGap int) [][2]int {
 // of the member ratios (or the pooled ratio under the ablation option).
 // The one walk over the members also leaves the summary's Size and
 // summed evidence behind, so no query adds them up again.
-func labelCluster[K Key[K]](cl *ClusterSummary, members []*Stats[K], opts Options) {
+func labelCluster[K Key[K]](cl *ClusterSummary, members []Stats[K], opts Options) {
 	var on, off int
 	ratioSum := 0.0
 	for _, m := range members {

@@ -33,48 +33,30 @@ func (cp CustPeerStats) Ratio() float64 {
 }
 
 // CustomerPeer computes customer:peer statistics for every observed
-// community, using the same VP filtering as Observe.
+// community over the (community, path) pairs EachPathCommunity visits.
 func CustomerPeer(ts *TupleStore, opts Options, rels RelLookup) map[bgp.Community]*CustPeerStats {
 	out := make(map[bgp.Community]*CustPeerStats)
-	commPaths := make(map[bgp.Community][]int32)
-	tuples := ts.Tuples()
-	for i := range tuples {
-		t := &tuples[i]
-		if opts.VPFilter != nil && !anyVP(ts.TupleVPs(t), opts.VPFilter) {
-			continue
-		}
-		for _, c := range ts.TupleComms(t) {
-			commPaths[c] = append(commPaths[c], t.PathID)
-		}
-	}
-	for c, ids := range commPaths {
-		slices.Sort(ids)
+	EachPathCommunity(ts, opts, func(c bgp.Community, path []uint32) {
 		alpha := uint32(c.ASN())
-		st := &CustPeerStats{Comm: c}
-		var prev int32 = -1
-		for _, id := range ids {
-			if id == prev {
-				continue
-			}
-			prev = id
-			asns := ts.Path(id).ASNs
-			for i, asn := range asns {
-				if asn != alpha || i+1 >= len(asns) {
-					continue
-				}
-				next := asns[i+1]
-				switch {
-				case rels.IsCustomerOf(next, alpha):
-					st.Customer++
-				case rels.IsPeer(next, alpha):
-					st.Peer++
-				}
-				break
-			}
+		i := slices.Index(path, alpha)
+		if i < 0 || i+1 >= len(path) {
+			return
 		}
-		if st.Customer+st.Peer > 0 {
+		next := path[i+1]
+		customer := rels.IsCustomerOf(next, alpha)
+		if !customer && !rels.IsPeer(next, alpha) {
+			return
+		}
+		st := out[c]
+		if st == nil {
+			st = &CustPeerStats{Comm: c}
 			out[c] = st
 		}
-	}
+		if customer {
+			st.Customer++
+		} else {
+			st.Peer++
+		}
+	})
 	return out
 }

@@ -4,11 +4,13 @@
 // communities alike: tuples are visited with every path's tuples
 // adjacent, so "have I already counted this community on this path?" is
 // one compare against the path the community was last counted on — no
-// (community, path) pair is materialized, sorted or merged.
+// (community, path) pair is materialized, sorted or merged. The same walk
+// hands each unique classic pair to EachPathCommunity's callers.
 package core
 
 import (
 	"context"
+	"slices"
 
 	"bgpintent/internal/bgp"
 )
@@ -103,8 +105,9 @@ type asnOrg struct {
 // path groups, so a (community, path) pair is counted by exactly one of
 // them and the per-worker counts simply add up — no merge order.
 type observer struct {
-	ts   *TupleStore
-	opts *Options // VPFilter and Orgs
+	ts    *TupleStore
+	opts  *Options                             // VPFilter and Orgs
+	visit func(c bgp.Community, path []uint32) // EachPathCommunity's callback; nil for Observe
 
 	comms  probeTable[bgp.Community, evidence]
 	larges probeTable[bgp.LargeCommunity, evidence]
@@ -116,6 +119,15 @@ type observer struct {
 	pid      int32    // current path group; -1 before the first
 	pathASNs []uint32 // the current path's distinct ASNs
 	pathOrgs []string // their distinct organizations (worker scratch)
+}
+
+func newObserver(ts *TupleStore, opts *Options) observer {
+	return observer{
+		ts: ts, opts: opts,
+		comms:  newProbeTable[bgp.Community, evidence](),
+		larges: newProbeTable[bgp.LargeCommunity, evidence](),
+		asns:   newProbeTable[uint32, asnOrg](),
+	}
 }
 
 // walk visits the tuples at positions [lo, hi) of the grouped order
@@ -138,7 +150,9 @@ func (o *observer) walk(order []int32, lo, hi int, done <-chan struct{}) {
 			o.enterPath(t.PathID)
 		}
 		for _, c := range o.ts.TupleComms(t) {
-			countOnce(o, &o.comms, c, hashU32(uint32(c)), uint32(c.ASN()))
+			if countOnce(o, &o.comms, c, hashU32(uint32(c)), uint32(c.ASN())) && o.visit != nil {
+				o.visit(c, o.pathASNs)
+			}
 		}
 		if o.ts.largeTuples {
 			o.lbuf = o.ts.TupleLarges(o.lbuf[:0], t)
@@ -167,8 +181,8 @@ func (o *observer) enterPath(id int32) {
 }
 
 // countOnce counts key k (with hash h and α alpha) on the current path
-// unless it already was.
-func countOnce[K comparable](o *observer, tab *probeTable[K, evidence], k K, h uint64, alpha uint32) {
+// unless it already was, reporting whether it counted.
+func countOnce[K comparable](o *observer, tab *probeTable[K, evidence], k K, h uint64, alpha uint32) bool {
 	ev, fresh := tab.at(k, h)
 	if fresh {
 		ev.last = -1
@@ -177,7 +191,7 @@ func countOnce[K comparable](o *observer, tab *probeTable[K, evidence], k K, h u
 		}
 	}
 	if ev.last == o.pid {
-		return
+		return false
 	}
 	ev.last = o.pid
 	if containsASN(o.pathASNs, alpha) || ev.hasOrg && containsOrg(o.pathOrgs, ev.org) {
@@ -185,6 +199,18 @@ func countOnce[K comparable](o *observer, tab *probeTable[K, evidence], k K, h u
 	} else {
 		ev.off++
 	}
+	return true
+}
+
+// EachPathCommunity calls fn once per unique (classic community, AS path)
+// pair among the tuples opts.VPFilter admits — the pairs Observe counts —
+// on Observe's walk, one path's pairs after another. path is the path's
+// distinct ASNs in first-appearance order (PathInfo.ASNs); fn must not
+// keep or modify it.
+func EachPathCommunity(ts *TupleStore, opts Options, fn func(c bgp.Community, path []uint32)) {
+	o := newObserver(ts, &Options{VPFilter: opts.VPFilter})
+	o.visit = fn
+	o.walk(groupByPath(ts.Tuples(), ts.PathCount()), 0, ts.Len(), nil)
 }
 
 // groupByPath returns the order in which to visit tuples so that every
@@ -241,12 +267,7 @@ func observeWith(ctx context.Context, ts *TupleStore, opts Options, workers int)
 	}
 	obsv := make([]observer, workers)
 	parallelRanges(workers, len(tuples), func(w, lo, hi int) {
-		obsv[w] = observer{
-			ts: ts, opts: &opts,
-			comms:  newProbeTable[bgp.Community, evidence](),
-			larges: newProbeTable[bgp.LargeCommunity, evidence](),
-			asns:   newProbeTable[uint32, asnOrg](),
-		}
+		obsv[w] = newObserver(ts, &opts)
 		obsv[w].walk(order, snap(lo), snap(hi), done)
 	})
 	if chClosed(done) {
@@ -255,13 +276,13 @@ func observeWith(ctx context.Context, ts *TupleStore, opts Options, workers int)
 
 	// Worker 0's tables absorb the others'.
 	sum := &obsv[0]
-	os := &ObservationSet{asnOnPath: make(map[uint32]bool, sum.asns.n), orgOnPath: make(map[string]bool), orgs: opts.Orgs}
+	os := &ObservationSet{orgs: opts.Orgs}
 	for w := range obsv {
 		o := &obsv[w]
 		o.asns.each(func(asn uint32, _ uint64, a *asnOrg) {
-			os.asnOnPath[asn] = true
+			os.seenASNs = append(os.seenASNs, asn)
 			if a.hasOrg {
-				os.orgOnPath[a.org] = true
+				os.seenOrgs = append(os.seenOrgs, a.org)
 			}
 		})
 		if w > 0 {
@@ -269,9 +290,12 @@ func observeWith(ctx context.Context, ts *TupleStore, opts Options, workers int)
 			addEvidence(&sum.larges, &o.larges)
 		}
 	}
-	os.Stats = statsFromEvidence(&sum.comms)
+	slices.Sort(os.seenASNs)
+	slices.Sort(os.seenOrgs)
+	os.seenASNs, os.seenOrgs = slices.Compact(os.seenASNs), slices.Compact(os.seenOrgs)
+	os.Stats = sortedStats(&sum.comms)
 	if ts.largeTuples {
-		os.Larges = statsFromEvidence(&sum.larges)
+		os.Larges = sortedStats(&sum.larges)
 	}
 	return os, nil
 }
@@ -285,14 +309,13 @@ func addEvidence[K comparable](dst, src *probeTable[K, evidence]) {
 	})
 }
 
-// statsFromEvidence renders a table as the map the classifier consumes;
-// the stats structs share one backing array.
-func statsFromEvidence[K Key[K]](tab *probeTable[K, evidence]) map[K]*Stats[K] {
-	arr := make([]Stats[K], 0, tab.n)
-	out := make(map[K]*Stats[K], tab.n)
+// sortedStats renders a table as the records the classifier cuts, in key
+// order.
+func sortedStats[K Key[K]](tab *probeTable[K, evidence]) []Stats[K] {
+	out := make([]Stats[K], 0, tab.n)
 	tab.each(func(k K, _ uint64, ev *evidence) {
-		arr = append(arr, Stats[K]{Comm: k, OnPath: int(ev.on), OffPath: int(ev.off)})
-		out[k] = &arr[len(arr)-1]
+		out = append(out, Stats[K]{Comm: k, OnPath: int(ev.on), OffPath: int(ev.off)})
 	})
+	slices.SortFunc(out, func(a, b Stats[K]) int { return a.Comm.Compare(b.Comm) })
 	return out
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -32,19 +33,14 @@ func TestObserveParallelEquivalence(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		opts.Workers = workers
 		got := Observe(ts, opts)
-		if len(got.Stats) != len(ref.Stats) {
-			t.Fatalf("workers=%d: %d communities, want %d", workers, len(got.Stats), len(ref.Stats))
+		if !slices.Equal(got.Stats, ref.Stats) {
+			t.Fatalf("workers=%d: %d community records differ from the sequential %d", workers, len(got.Stats), len(ref.Stats))
 		}
-		for c, want := range ref.Stats {
-			if g := got.Stats[c]; g == nil || *g != *want {
-				t.Fatalf("workers=%d: stats[%v] = %+v, want %+v", workers, c, got.Stats[c], want)
-			}
+		if !slices.Equal(got.seenASNs, ref.seenASNs) {
+			t.Fatalf("workers=%d: on-path ASN sets differ", workers)
 		}
-		if !reflect.DeepEqual(got.asnOnPath, ref.asnOnPath) {
-			t.Fatalf("workers=%d: asnOnPath sets differ", workers)
-		}
-		if !reflect.DeepEqual(got.orgOnPath, ref.orgOnPath) {
-			t.Fatalf("workers=%d: orgOnPath sets differ", workers)
+		if !slices.Equal(got.seenOrgs, ref.seenOrgs) {
+			t.Fatalf("workers=%d: on-path org sets differ", workers)
 		}
 	}
 }

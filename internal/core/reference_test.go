@@ -6,9 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"bgpintent/internal/asrel"
 	"bgpintent/internal/bgp"
 	"bgpintent/internal/dict"
 )
@@ -32,6 +34,11 @@ type refEvidence struct {
 	large   map[bgp.LargeCommunity]refCounts
 	asnSeen map[uint32]bool
 	orgs    OrgMapper
+
+	// pairs holds, per classic community, the keys of the unique paths
+	// it was seen on; paths maps a key to its ASNs, prepending collapsed.
+	pairs map[bgp.Community]map[string]bool
+	paths map[string][]uint32
 }
 
 func referenceObserve(views []refView, vpFilter map[uint32]bool, orgs OrgMapper) refEvidence {
@@ -39,6 +46,8 @@ func referenceObserve(views []refView, vpFilter map[uint32]bool, orgs OrgMapper)
 	classic := make(map[bgp.Community]map[string]bool)
 	large := make(map[bgp.LargeCommunity]map[string]bool)
 	ev := refEvidence{
+		pairs:   classic,
+		paths:   paths,
 		classic: make(map[bgp.Community]refCounts),
 		large:   make(map[bgp.LargeCommunity]refCounts),
 		asnSeen: make(map[uint32]bool),
@@ -240,12 +249,7 @@ func TestObserveMatchesReference(t *testing.T) {
 				orgs[asn] = fmt.Sprintf("org%d", rng.Intn(4))
 			}
 		}
-		vpFilter := make(map[uint32]bool)
-		for _, asn := range u.asns {
-			if rng.Intn(2) == 0 {
-				vpFilter[asn] = true
-			}
-		}
+		vpFilter := refVPFilter(rng, u)
 		stores := map[string]*TupleStore{"plain": NewTupleStore()}
 		for _, v := range append(views, later...) {
 			stores["plain"].AddViewLarge(v.vp, v.path, v.comms, v.larges)
@@ -290,24 +294,8 @@ func TestObserveMatchesReference(t *testing.T) {
 
 func checkAgainstReference(t *testing.T, label string, got *ObservationSet, want refEvidence, u refUniverse) {
 	t.Helper()
-	if len(got.Stats) != len(want.classic) {
-		t.Fatalf("%s: %d communities, reference has %d", label, len(got.Stats), len(want.classic))
-	}
-	for c, w := range want.classic {
-		g := got.Stats[c]
-		if g == nil || g.Comm != c || g.OnPath != w.on || g.OffPath != w.off {
-			t.Fatalf("%s: stats[%v] = %+v, reference %+v", label, c, g, w)
-		}
-	}
-	if len(got.Larges) != len(want.large) {
-		t.Fatalf("%s: %d large communities, reference has %d", label, len(got.Larges), len(want.large))
-	}
-	for lc, w := range want.large {
-		g := got.Larges[lc]
-		if g == nil || g.Comm != lc || g.OnPath != w.on || g.OffPath != w.off {
-			t.Fatalf("%s: large stats[%v] = %+v, reference %+v", label, lc, g, w)
-		}
-	}
+	checkRecords(t, label, got.Stats, want.classic)
+	checkRecords(t, label+" large", got.Larges, want.large)
 	for alpha := uint32(0); alpha < 50; alpha++ {
 		if g, w := got.AlphaOnPath(alpha), want.alphaOnPath(alpha); g != w {
 			t.Fatalf("%s: AlphaOnPath(%d) = %v, reference %v", label, alpha, g, w)
@@ -316,6 +304,181 @@ func checkAgainstReference(t *testing.T, label string, got *ObservationSet, want
 	for _, alpha := range u.asns {
 		if g, w := got.AlphaOnPath(alpha), want.alphaOnPath(alpha); g != w {
 			t.Fatalf("%s: AlphaOnPath(%d) = %v, reference %v", label, alpha, g, w)
+		}
+	}
+}
+
+// checkRecords: the records are strictly in key order — the order
+// ClassifyObserved cuts without sorting — and carry exactly the
+// reference's communities and counts.
+func checkRecords[K Key[K]](t *testing.T, label string, got []Stats[K], want map[K]refCounts) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d communities, reference has %d", label, len(got), len(want))
+	}
+	for i, g := range got {
+		if i > 0 && got[i-1].Comm.Compare(g.Comm) >= 0 {
+			t.Fatalf("%s: record %d (%v) does not follow %v in key order", label, i, g.Comm, got[i-1].Comm)
+		}
+		if w, ok := want[g.Comm]; !ok || g.OnPath != w.on || g.OffPath != w.off {
+			t.Fatalf("%s: stats %+v, reference %+v (observed %v)", label, g, w, ok)
+		}
+	}
+}
+
+// distinctASNs is a path's ASNs with every revisit dropped, in
+// first-appearance order: the path a visitor of EachPathCommunity sees.
+func distinctASNs(path []uint32) []uint32 {
+	var out []uint32
+	for _, asn := range path {
+		if !slices.Contains(out, asn) {
+			out = append(out, asn)
+		}
+	}
+	return out
+}
+
+// refStores returns a plain insertion-order store and a stitched one
+// holding the same views.
+func refStores(t *testing.T, label string, views []refView) map[string]*TupleStore {
+	plain, sts := NewTupleStore(), NewShardedTupleStore(4)
+	for _, v := range views {
+		plain.AddViewLarge(v.vp, v.path, v.comms, v.larges)
+		sts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
+	}
+	return map[string]*TupleStore{"plain": plain, "stitched": stitchChecked(t, label, sts, 2)}
+}
+
+// refVPFilter admits about half the universe's ASNs as vantage points.
+func refVPFilter(rng *rand.Rand, u refUniverse) map[uint32]bool {
+	filter := make(map[uint32]bool)
+	for _, asn := range u.asns {
+		if rng.Intn(2) == 0 {
+			filter[asn] = true
+		}
+	}
+	return filter
+}
+
+// TestEachPathCommunityMatchesReference: the walk visits each unique
+// (classic community, path) pair of the naive reference exactly once, on
+// a plain and a stitched store, with and without a VP filter. Two
+// collapsed paths that differ only in where they revisit an AS share
+// their distinct-ASN list, so pairs are counted by that list.
+func TestEachPathCommunityMatchesReference(t *testing.T) {
+	type pair struct {
+		c    bgp.Community
+		path string
+	}
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		u := newRefUniverse(rng)
+		views := u.views(rng, 1+rng.Intn(400), seed%3 != 0)
+		label := fmt.Sprintf("seed %d", seed)
+		for _, filter := range []map[uint32]bool{nil, refVPFilter(rng, u)} {
+			ref := referenceObserve(views, filter, nil)
+			want := make(map[pair]int)
+			for c, keys := range ref.pairs {
+				for key := range keys {
+					want[pair{c, fmt.Sprint(distinctASNs(ref.paths[key]))}]++
+				}
+			}
+			for name, ts := range refStores(t, label, views) {
+				got := make(map[pair]int)
+				EachPathCommunity(ts, Options{VPFilter: filter}, func(c bgp.Community, path []uint32) {
+					got[pair{c, fmt.Sprint(path)}]++
+				})
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %s filter=%v: visited %v, reference %v", label, name, filter != nil, got, want)
+				}
+			}
+		}
+	}
+}
+
+// referenceCustomerPeer is the §5.1 customer:peer feature over raw
+// views: per community, each unique collapsed path on which α has a
+// neighbour — the next AS after α's first appearance that the path has
+// not visited before — counts once, as a customer or a peer of α.
+func referenceCustomerPeer(views []refView, vpFilter map[uint32]bool, rels RelLookup) map[bgp.Community]CustPeerStats {
+	pairs := make(map[bgp.Community]map[string][]uint32)
+	for _, v := range views {
+		if len(v.path) == 0 || vpFilter != nil && !vpFilter[v.vp] {
+			continue
+		}
+		var collapsed []uint32
+		for i, asn := range v.path {
+			if i == 0 || asn != v.path[i-1] {
+				collapsed = append(collapsed, asn)
+			}
+		}
+		for _, c := range v.comms {
+			if pairs[c] == nil {
+				pairs[c] = make(map[string][]uint32)
+			}
+			pairs[c][fmt.Sprint(collapsed)] = collapsed
+		}
+	}
+	out := make(map[bgp.Community]CustPeerStats)
+	for c, paths := range pairs {
+		alpha := uint32(c.ASN())
+		st := CustPeerStats{Comm: c}
+		for _, path := range paths {
+			i := slices.Index(path, alpha)
+			if i < 0 {
+				continue
+			}
+			for j := i + 1; j < len(path); j++ {
+				if next := path[j]; !slices.Contains(path[:j], next) {
+					if rels.IsCustomerOf(next, alpha) {
+						st.Customer++
+					} else if rels.IsPeer(next, alpha) {
+						st.Peer++
+					}
+					break
+				}
+			}
+		}
+		if st.Customer+st.Peer > 0 {
+			out[c] = st
+		}
+	}
+	return out
+}
+
+// TestCustomerPeerMatchesReference: CustomerPeer equals the naive
+// customer:peer count over random corpora and random relationship
+// graphs, on a plain and a stitched store, with and without a VP filter.
+func TestCustomerPeerMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		u := newRefUniverse(rng)
+		views := u.views(rng, 1+rng.Intn(400), seed%3 != 0)
+		rels := asrel.NewGraph()
+		for _, a := range u.asns {
+			for _, b := range u.asns {
+				switch rng.Intn(6) {
+				case 0:
+					rels.SetP2C(a, b)
+				case 1:
+					rels.SetP2P(a, b)
+				}
+			}
+		}
+		label := fmt.Sprintf("seed %d", seed)
+		for _, filter := range []map[uint32]bool{nil, refVPFilter(rng, u)} {
+			want := referenceCustomerPeer(views, filter, rels)
+			for name, ts := range refStores(t, label, views) {
+				got := CustomerPeer(ts, Options{VPFilter: filter}, rels)
+				if len(got) != len(want) {
+					t.Fatalf("%s %s filter=%v: %d communities, reference has %d", label, name, filter != nil, len(got), len(want))
+				}
+				for c, w := range want {
+					if g := got[c]; g == nil || *g != w {
+						t.Fatalf("%s %s filter=%v: %v = %+v, reference %+v", label, name, filter != nil, c, g, w)
+					}
+				}
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -384,6 +385,95 @@ func TestVerifyRejectsMinInt32Exclusion(t *testing.T) {
 			if _, _, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
 				t.Fatal("ReadSnapshot accepted a lookup record with cluster field 0x80000000")
 			}
+		})
+	}
+}
+
+// verifyFixture is one kind's part of the mixed fixture's snapshot: the
+// sections and record layout the verifier edge tests patch, and the
+// record counts the verifier bounds indexes by.
+type verifyFixture struct {
+	name                      string
+	lookup, clusters          uint32 // section kinds
+	recLen, countsAt, keyLen  int
+	clusterLen, membersAt     int
+	clusterCount, memberCount int
+}
+
+func verifyFixtures(t *testing.T) (good []byte, kinds []verifyFixture) {
+	good = writeFlat(t, buildMixedInferences(t), SnapshotMeta{Source: "verify-edges"})
+	s, err := parseSnapshotV2(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return good, []verifyFixture{fixtureOf("classic", &s.kindView), fixtureOf("large", &s.large)}
+}
+
+func fixtureOf[K Key[K]](name string, v *kindView[K]) verifyFixture {
+	l := v.lay
+	return verifyFixture{name, l.secLookup, l.secClusters, l.recLen, l.countsAt, 4 * l.keyWords,
+		l.clusterLen, l.membersAt, v.clusterCount(), v.memberCount()}
+}
+
+// expectVerifyError: the patched file still opens, and the deep
+// verifier — so the streamed reader too — rejects it with an error
+// containing want.
+func expectVerifyError(t *testing.T, data []byte, want string) {
+	t.Helper()
+	if _, err := parseSnapshotV2(data); err != nil {
+		t.Fatalf("plain open rejects the file (%v); the test wants damage only the verifier sees", err)
+	}
+	if err := VerifySnapshot(data); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("VerifySnapshot = %v, want an error containing %q", err, want)
+	}
+	if _, _, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
+		t.Fatal("ReadSnapshot accepted the file")
+	}
+}
+
+// TestVerifyRejectsDuplicateLookupKey: lookup records must be strictly
+// sorted. A record whose key equals the previous record's leaves
+// Verdict's binary search free to answer with either.
+func TestVerifyRejectsDuplicateLookupKey(t *testing.T) {
+	good, kinds := verifyFixtures(t)
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			data := patchSection(t, good, k.lookup, func(body []byte) {
+				copy(body[k.recLen:][:k.keyLen], body[:k.keyLen])
+			})
+			expectVerifyError(t, data, "lookup section not strictly sorted at record 1")
+		})
+	}
+}
+
+// TestVerifyRejectsClusterIndexAtCount: a lookup record's cluster field
+// must be below the cluster count. One equal to it names the record just
+// past the clusters section.
+func TestVerifyRejectsClusterIndexAtCount(t *testing.T) {
+	good, kinds := verifyFixtures(t)
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			data := patchSection(t, good, k.lookup, func(body []byte) {
+				binary.LittleEndian.PutUint32(body[k.countsAt-4:], uint32(k.clusterCount))
+			})
+			expectVerifyError(t, data, fmt.Sprintf("references cluster %d of %d", k.clusterCount, k.clusterCount))
+		})
+	}
+}
+
+// TestVerifyRejectsMembersPastSection: a cluster's member range must end
+// inside the members section. The last cluster's, grown by one record,
+// runs one past it.
+func TestVerifyRejectsMembersPastSection(t *testing.T) {
+	good, kinds := verifyFixtures(t)
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			data := patchSection(t, good, k.clusters, func(body []byte) {
+				rec := body[(k.clusterCount-1)*k.clusterLen:]
+				start := int(binary.LittleEndian.Uint32(rec[k.membersAt:]))
+				binary.LittleEndian.PutUint32(rec[k.membersAt+4:], uint32(k.memberCount-start+1))
+			})
+			expectVerifyError(t, data, "exceed member section")
 		})
 	}
 }

@@ -57,7 +57,8 @@ func TestLargeMatrixGroundTruth(t *testing.T) {
 			c.TruthCategory(lc.GlobalAdmin, uint16(lc.LocalData2)) != dict.CatUnknown
 	}
 	recalled := 0
-	for lc := range observed.Larges {
+	for _, st := range observed.Larges {
+		lc := st.Comm
 		mirror := inf.Large().Verdict(lc)
 		if mirror.HasCluster || !covered(lc) {
 			continue

@@ -1,8 +1,6 @@
 package eval
 
 import (
-	"sort"
-
 	"bgpintent/internal/bgp"
 	"bgpintent/internal/core"
 	"bgpintent/internal/dict"
@@ -32,27 +30,25 @@ func (b *BaselineCluster) Mixed() bool { return !b.PureOnPath && !b.PureOffPath 
 
 // BaselineClusters assigns each observed community covered by the
 // dictionary to its first matching entry and computes cluster ratios.
+// The observations' key order puts each cluster's members in ascending
+// order, and the clusters in (ASN, first member) order.
 func BaselineClusters(os *core.ObservationSet, d *dict.Dictionary) []*BaselineCluster {
 	byEntry := make(map[*dict.Entry]*BaselineCluster)
-	comms := make([]bgp.Community, 0, len(os.Stats))
-	for comm := range os.Stats {
-		comms = append(comms, comm)
-	}
-	sort.Slice(comms, func(i, j int) bool { return comms[i] < comms[j] })
-	for _, comm := range comms {
-		e, ok := d.Lookup(uint32(comm.ASN()), comm.Value())
+	var out []*BaselineCluster
+	for _, st := range os.Stats {
+		e, ok := d.Lookup(uint32(st.Comm.ASN()), st.Comm.Value())
 		if !ok {
 			continue
 		}
 		cl := byEntry[e]
 		if cl == nil {
-			cl = &BaselineCluster{ASN: uint32(comm.ASN()), Entry: e}
+			cl = &BaselineCluster{ASN: uint32(st.Comm.ASN()), Entry: e}
 			byEntry[e] = cl
+			out = append(out, cl)
 		}
-		cl.Members = append(cl.Members, *os.Stats[comm])
+		cl.Members = append(cl.Members, st)
 	}
-	out := make([]*BaselineCluster, 0, len(byEntry))
-	for _, cl := range byEntry {
+	for _, cl := range out {
 		onTotal, offTotal, ratioSum := 0, 0, 0.0
 		for _, m := range cl.Members {
 			onTotal += m.OnPath
@@ -62,14 +58,7 @@ func BaselineClusters(os *core.ObservationSet, d *dict.Dictionary) []*BaselineCl
 		cl.PureOnPath = offTotal == 0
 		cl.PureOffPath = onTotal == 0
 		cl.Ratio = ratioSum / float64(len(cl.Members))
-		out = append(out, cl)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ASN != out[j].ASN {
-			return out[i].ASN < out[j].ASN
-		}
-		return out[i].Members[0].Comm < out[j].Members[0].Comm
-	})
 	return out
 }
 

@@ -250,8 +250,8 @@ func TestBaselineClustersCoverObservedDictComms(t *testing.T) {
 	// Every observed dictionary-covered community is in exactly one
 	// cluster.
 	want := 0
-	for comm := range os.Stats {
-		if c.Dict.Category(uint32(comm.ASN()), comm.Value()) != dict.CatUnknown {
+	for _, st := range os.Stats {
+		if c.Dict.Category(uint32(st.Comm.ASN()), st.Comm.Value()) != dict.CatUnknown {
 			want++
 		}
 	}

@@ -3,7 +3,6 @@ package eval
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 
 	"bgpintent/internal/asrel"
@@ -49,9 +48,10 @@ func Fig4(c *corpus.Corpus) *Report {
 	r := newReport("fig4", "Dictionary ranges vs BGP-observed communities per AS",
 		"operators devote contiguous β ranges to one purpose; many observed values are undocumented")
 	os := core.Observe(c.Store, c.Options())
-	observedBy := make(map[uint32][]uint16)
-	for comm := range os.Stats {
-		observedBy[uint32(comm.ASN())] = append(observedBy[uint32(comm.ASN())], comm.Value())
+	observedBy := make(map[uint32][]uint16) // values ascending: the records' key order
+	for _, st := range os.Stats {
+		asn := uint32(st.Comm.ASN())
+		observedBy[asn] = append(observedBy[asn], st.Comm.Value())
 	}
 
 	shown := 0
@@ -71,7 +71,6 @@ func Fig4(c *corpus.Corpus) *Report {
 		}
 		plan := c.Topo.ASes[asn].Plan
 		betas := observedBy[asn]
-		sort.Slice(betas, func(i, j int) bool { return betas[i] < betas[j] })
 		var obsAction, obsInfo, obsUnknown int
 		for _, b := range betas {
 			switch c.Dict.Category(asn, b) {

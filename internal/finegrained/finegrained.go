@@ -19,7 +19,7 @@
 package finegrained
 
 import (
-	"sort"
+	"slices"
 
 	"bgpintent/internal/bgp"
 	"bgpintent/internal/core"
@@ -150,68 +150,40 @@ func Classify(ts *core.TupleStore, intent *core.Inferences, geo locinfer.Session
 
 	// Gather per-community evidence over unique on-path paths.
 	evs := make(map[bgp.Community]*evidence)
-	type commPath struct {
-		comm bgp.Community
-		path int32
-	}
-	seen := make(map[commPath]struct{})
-	tuples := ts.Tuples()
-	for i := range tuples {
-		t := &tuples[i]
-		asns := ts.Path(t.PathID).ASNs
-		for _, c := range ts.TupleComms(t) {
-			if intent.Category(c) != dict.CatInformation {
-				continue
-			}
-			cp := commPath{c, t.PathID}
-			if _, dup := seen[cp]; dup {
-				continue
-			}
-			seen[cp] = struct{}{}
-			alpha := uint32(c.ASN())
-			pos := -1
-			for i, a := range asns {
-				if a == alpha {
-					pos = i
-					break
-				}
-			}
-			if pos < 0 {
-				continue // off-path observation: no ingress context
-			}
-			ev := evs[c]
-			if ev == nil {
-				ev = &evidence{origins: make(map[uint32]int), neighbors: make(map[uint32]struct{})}
-				evs[c] = ev
-			}
-			ev.paths++
-			ev.origins[asns[len(asns)-1]]++
-			if pos+1 < len(asns) {
-				next := asns[pos+1]
-				ev.neighbors[next] = struct{}{}
-				switch {
-				case rels.IsCustomerOf(next, alpha):
-					ev.relCounts[0]++
-					ev.relKnown++
-				case rels.IsPeer(next, alpha):
-					ev.relCounts[1]++
-					ev.relKnown++
-				case rels.IsCustomerOf(alpha, next):
-					ev.relCounts[2]++
-					ev.relKnown++
-				}
+	core.EachPathCommunity(ts, core.Options{}, func(c bgp.Community, asns []uint32) {
+		if intent.Category(c) != dict.CatInformation {
+			return
+		}
+		alpha := uint32(c.ASN())
+		pos := slices.Index(asns, alpha)
+		if pos < 0 {
+			return // off-path observation: no ingress context
+		}
+		ev := evs[c]
+		if ev == nil {
+			ev = &evidence{origins: make(map[uint32]int), neighbors: make(map[uint32]struct{})}
+			evs[c] = ev
+		}
+		ev.paths++
+		ev.origins[asns[len(asns)-1]]++
+		if pos+1 < len(asns) {
+			next := asns[pos+1]
+			ev.neighbors[next] = struct{}{}
+			switch {
+			case rels.IsCustomerOf(next, alpha):
+				ev.relCounts[0]++
+				ev.relKnown++
+			case rels.IsPeer(next, alpha):
+				ev.relCounts[1]++
+				ev.relKnown++
+			case rels.IsCustomerOf(alpha, next):
+				ev.relCounts[2]++
+				ev.relKnown++
 			}
 		}
-	}
+	})
 
-	comms := make([]bgp.Community, 0, len(evs))
-	for c := range evs {
-		comms = append(comms, c)
-	}
-	sort.Slice(comms, func(i, j int) bool { return comms[i] < comms[j] })
-
-	for _, c := range comms {
-		ev := evs[c]
+	for c, ev := range evs {
 		if ev.paths < cfg.MinPaths {
 			continue
 		}

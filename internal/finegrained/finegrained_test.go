@@ -1,6 +1,7 @@
 package finegrained
 
 import (
+	"slices"
 	"testing"
 
 	"bgpintent/internal/asrel"
@@ -177,15 +178,16 @@ func (nullGeo) Region(city int) int                 { return 0 }
 
 // intentOf builds the inferences labelling each community as given: a
 // community seen only off-path is an action, one seen only on-path an
-// information community.
+// information community. The records go in key order, as Observe's do.
 func intentOf(labels map[bgp.Community]dict.Category) *core.Inferences {
-	os := &core.ObservationSet{Stats: make(map[bgp.Community]*core.Stats[bgp.Community])}
+	os := &core.ObservationSet{}
 	for c, cat := range labels {
-		st := &core.Stats[bgp.Community]{Comm: c, OffPath: 1}
+		st := core.Stats[bgp.Community]{Comm: c, OffPath: 1}
 		if cat == dict.CatInformation {
 			st.OnPath, st.OffPath = 1, 0
 		}
-		os.Stats[c] = st
+		os.Stats = append(os.Stats, st)
 	}
+	slices.SortFunc(os.Stats, func(a, b core.Stats[bgp.Community]) int { return a.Comm.Compare(b.Comm) })
 	return core.ClassifyObserved(os, core.Options{DisableExclusions: true})
 }

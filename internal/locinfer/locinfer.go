@@ -11,6 +11,7 @@
 package locinfer
 
 import (
+	"slices"
 	"sort"
 
 	"bgpintent/internal/bgp"
@@ -80,7 +81,7 @@ func Infer(ts *core.TupleStore, geo SessionGeo, cfg Config) []Inference {
 		cfg.MinAlphaCities = 2
 	}
 	type evidence struct {
-		paths       map[int32]struct{}
+		paths       int
 		origins     map[uint32]struct{}
 		cities      map[int]struct{}
 		regionPaths map[int]int
@@ -90,13 +91,9 @@ func Infer(ts *core.TupleStore, geo SessionGeo, cfg Config) []Inference {
 
 	// α's geographic footprint: cities of every (α, downstream) session
 	// on every unique path containing α, independent of communities.
-	pathSeen := make(map[int32]struct{})
-	for _, t := range ts.Tuples() {
-		if _, dup := pathSeen[t.PathID]; dup {
-			continue
-		}
-		pathSeen[t.PathID] = struct{}{}
-		asns := ts.Path(t.PathID).ASNs
+	// Every interned path carries at least one tuple.
+	for id := range ts.PathCount() {
+		asns := ts.Path(int32(id)).ASNs
 		for i := 0; i+1 < len(asns); i++ {
 			a := asns[i]
 			if a > 0xffff {
@@ -115,49 +112,35 @@ func Infer(ts *core.TupleStore, geo SessionGeo, cfg Config) []Inference {
 		}
 	}
 
-	tuples := ts.Tuples()
-	for i := range tuples {
-		t := &tuples[i]
-		asns := ts.Path(t.PathID).ASNs
-		for _, c := range ts.TupleComms(t) {
-			alpha := uint32(c.ASN())
-			// Find α and its downstream neighbor on this path.
-			pos := -1
-			for i, a := range asns {
-				if a == alpha {
-					pos = i
-					break
-				}
-			}
-			if pos < 0 || pos+1 >= len(asns) {
-				continue // off-path, or α is the origin: no ingress evidence
-			}
-			city, ok := geo.SessionCity(alpha, asns[pos+1])
-			if !ok {
-				continue
-			}
-			ev := perComm[c]
-			if ev == nil {
-				ev = &evidence{
-					paths:       make(map[int32]struct{}),
-					origins:     make(map[uint32]struct{}),
-					cities:      make(map[int]struct{}),
-					regionPaths: make(map[int]int),
-				}
-				perComm[c] = ev
-			}
-			if _, dup := ev.paths[t.PathID]; !dup {
-				ev.paths[t.PathID] = struct{}{}
-				ev.regionPaths[geo.Region(city)]++
-			}
-			ev.origins[asns[len(asns)-1]] = struct{}{}
-			ev.cities[city] = struct{}{}
+	core.EachPathCommunity(ts, core.Options{}, func(c bgp.Community, asns []uint32) {
+		// Find α and its downstream neighbor on this path.
+		alpha := uint32(c.ASN())
+		pos := slices.Index(asns, alpha)
+		if pos < 0 || pos+1 >= len(asns) {
+			return // off-path, or α is the origin: no ingress evidence
 		}
-	}
+		city, ok := geo.SessionCity(alpha, asns[pos+1])
+		if !ok {
+			return
+		}
+		ev := perComm[c]
+		if ev == nil {
+			ev = &evidence{
+				origins:     make(map[uint32]struct{}),
+				cities:      make(map[int]struct{}),
+				regionPaths: make(map[int]int),
+			}
+			perComm[c] = ev
+		}
+		ev.paths++
+		ev.regionPaths[geo.Region(city)]++
+		ev.origins[asns[len(asns)-1]] = struct{}{}
+		ev.cities[city] = struct{}{}
+	})
 
 	var out []Inference
 	for c, ev := range perComm {
-		if len(ev.paths) < cfg.MinPaths || len(ev.origins) < cfg.MinOrigins {
+		if ev.paths < cfg.MinPaths || len(ev.origins) < cfg.MinOrigins {
 			continue
 		}
 		total := len(alphaCities[c.ASN()])
@@ -177,12 +160,12 @@ func Infer(ts *core.TupleStore, geo SessionGeo, cfg Config) []Inference {
 				maxRegion = n
 			}
 		}
-		if float64(maxRegion) < cfg.MinRegionShare*float64(len(ev.paths)) {
+		if float64(maxRegion) < cfg.MinRegionShare*float64(ev.paths) {
 			continue
 		}
 		out = append(out, Inference{
 			Comm:      c,
-			Paths:     len(ev.paths),
+			Paths:     ev.paths,
 			Origins:   len(ev.origins),
 			Cities:    len(ev.cities),
 			CityShare: share,

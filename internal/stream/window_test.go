@@ -1,7 +1,10 @@
 package stream
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -124,5 +127,54 @@ func TestWindowStragglerStays(t *testing.T) {
 	w.Add(wu(2, epoch, []uint32{3, 4}, 20, 2)) // straggler, 2h behind
 	if st := w.Stats(); st.Updates != 2 || st.Evicted != 0 {
 		t.Fatalf("straggler handling: live=%d evicted=%d, want 2/0", st.Updates, st.Evicted)
+	}
+}
+
+// TestWindowMatchesOracle: over random schedules with non-decreasing feed
+// times — same-instant runs, steps inside a bucket, landings exactly on
+// a bucket boundary and jumps longer than the whole span — the window
+// holds, after every Add, exactly the updates at or after
+// Truncate(newest, bucket) − (Buckets−1)·bucket: its counters and bounds
+// say so, and its store is the size of one rebuilt from those updates.
+func TestWindowMatchesOracle(t *testing.T) {
+	epoch := time.Unix(1_700_000_000, 0).UTC()
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		buckets := 2 + rng.Intn(5)
+		bucket := time.Duration(1+rng.Intn(4)) * time.Minute
+		w := NewWindow(WindowConfig{Span: time.Duration(buckets) * bucket, Buckets: buckets})
+		now := epoch.Add(time.Duration(rng.Int63n(int64(time.Hour))))
+		var fed []Update
+		for i := 0; i < 200; i++ {
+			switch r := rng.Intn(10); {
+			case r < 3: // same instant
+			case r < 6:
+				now = now.Add(time.Duration(rng.Int63n(int64(bucket))))
+			case r < 9:
+				now = now.Truncate(bucket).Add(time.Duration(1+rng.Intn(buckets)) * bucket)
+			default:
+				now = now.Add(time.Duration(buckets+rng.Intn(3))*bucket + time.Duration(rng.Int63n(int64(bucket))))
+			}
+			u := wu(uint64(i+1), now, []uint32{uint32(1 + rng.Intn(4)), uint32(10 + rng.Intn(6))},
+				uint32(10+rng.Intn(6)), uint32(rng.Intn(3)), uint32(1+rng.Intn(4)), uint32(rng.Intn(3)))
+			w.Add(u)
+			fed = append(fed, u)
+
+			cutoff := now.Truncate(bucket).Add(-time.Duration(buckets-1) * bucket)
+			live := fed[sort.Search(len(fed), func(i int) bool { return !fed[i].Time.Before(cutoff) }):]
+			label := fmt.Sprintf("seed %d add %d (%d buckets of %v)", seed, i+1, buckets, bucket)
+			st := w.Stats()
+			if st.Updates != len(live) || st.Evicted != uint64(len(fed)-len(live)) {
+				t.Fatalf("%s: window holds %d and evicted %d, oracle %d and %d",
+					label, st.Updates, st.Evicted, len(live), len(fed)-len(live))
+			}
+			if !st.Oldest.Equal(live[0].Time) || !st.Newest.Equal(now) {
+				t.Fatalf("%s: window spans %v–%v, oracle %v–%v", label, st.Oldest, st.Newest, live[0].Time, now)
+			}
+			if got, ref := w.Store(), refStore(live); got.Len() != ref.Len() || got.PathCount() != ref.PathCount() {
+				t.Fatalf("%s: store holds %d tuples on %d paths, oracle's %d on %d",
+					label, got.Len(), got.PathCount(), ref.Len(), ref.PathCount())
+			}
+		}
 	}
 }
