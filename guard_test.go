@@ -45,13 +45,14 @@ const (
 	// counts are cached per Corpus.
 	guardSnapshotInfoRepeatBytes = 1024
 	// Live heap a loaded Corpus and its Result hold, per tuple. Measured
-	// 55.4 with the 8-byte path record (59.9 while each path also kept a
-	// span of organizations, whose ceiling was 66; 76.9 with the 32-byte
-	// tuple record; 113.8 while the stitched store kept a key string per
-	// path, the intern hash table and the arenas' doubling slack); more
-	// means load-only state outlives Stitch again, or the tuple or path
-	// record grew back.
-	guardHeldBytesPerTuple = 60
+	// 43.2 with community sets stored as per-α groups (54.6 with one flat
+	// record per distinct set, whose ceiling was 60; 59.9 while each path
+	// also kept a span of organizations, whose ceiling was 66; 76.9 with
+	// the 32-byte tuple record; 113.8 while the stitched store kept a key
+	// string per path, the intern hash table and the arenas' doubling
+	// slack); more means load-only state outlives Stitch again, sets are
+	// stored flat again, or the tuple or path record grew back.
+	guardHeldBytesPerTuple = 48
 	// How far Corpus.Footprint's reserved total may sit from the heap
 	// the Corpus is measured to hold. Measured 0.1 % under (the headers
 	// of the slices and chunk lists it does not count).

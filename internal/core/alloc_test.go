@@ -165,3 +165,15 @@ func TestPathMetaIsEightBytes(t *testing.T) {
 		t.Fatalf("pathMeta is %d bytes, want 8", size)
 	}
 }
+
+// TestEvidenceSlotBytes pins the evidence walk's table slots at key, tag
+// and three counters: 20 bytes for a classic key, 28 for a large one.
+// α's organization is resolved once per group from a per-worker α table,
+// not carried in every community's entry (40 and 48 bytes when it was).
+func TestEvidenceSlotBytes(t *testing.T) {
+	classic := unsafe.Sizeof(probeSlot[bgp.Community, evidence]{})
+	large := unsafe.Sizeof(probeSlot[bgp.LargeCommunity, evidence]{})
+	if classic != 20 || large != 28 {
+		t.Fatalf("evidence slots are %d and %d bytes, want 20 and 28", classic, large)
+	}
+}

@@ -84,17 +84,22 @@ func mapRow(name string, n, slot int) FootprintRow {
 	return FootprintRow{Name: name, Used: int64(n * slot), Reserved: slots * int64(slot+1)}
 }
 
+// tableRow measures an intern's hash table, which Stitch releases.
+func tableRow(name string, li *listIntern) FootprintRow {
+	live, slots := li.tableSize()
+	return FootprintRow{Name: name, Used: 8 * int64(live), Reserved: 8 * int64(slots)}
+}
+
 // Footprint returns the store's memory by component. A shared-mode
-// store reports the cross-shard set intern it refers to, which is its
-// own once stitched.
+// store reports the cross-shard interns it refers to, which are its own
+// once stitched.
 func (ts *TupleStore) Footprint() Footprint {
 	set := sliceRow("set_arena", ts.setArena)
 	intern := FootprintRow{Name: "intern_tables"}
 	index := FootprintRow{Name: "index_tables"}
 	if sh := ts.shared; sh != nil {
 		set = arenaRow("set_arena", &sh.sets.arena)
-		live, slots := sh.sets.tableSize()
-		intern.Used, intern.Reserved = 8*int64(live), 8*int64(slots)
+		intern = tableRow("intern_tables", &sh.sets)
 		index.Used = 8 * int64(ts.tupleTab.n+ts.pathTab.n)
 		index.Reserved = 8 * int64(cap(ts.tupleTab.slots)+cap(ts.pathTab.slots))
 	} else {
@@ -115,8 +120,11 @@ func (ts *TupleStore) Footprint() Footprint {
 		sliceRow("paths", ts.paths),
 		sliceRow("vp_arena", ts.vpArena),
 		set,
+		arenaRow("group_arena", &ts.groups.arena),
 		sliceRow("asn_arena", ts.asnArena),
-		intern, index,
+		intern,
+		tableRow("group_table", ts.groups),
+		index,
 		sliceRow("looped_paths", ts.loops),
 		mapRow("large_set", len(ts.large), int(unsafe.Sizeof(bgp.LargeCommunity{}))),
 	}

@@ -1,13 +1,15 @@
 package core
 
-// Shared cross-shard storage for the parallel load path: one
-// community-set intern (listIntern). Each distinct set record — classic
-// and large communities together, see appendSet — is stored once in a
-// chunked arena, so a tuple's set ref is already global and Stitch moves
+// Shared cross-shard storage for the parallel load path: two record
+// interns (listIntern). The group intern stores each distinct group —
+// one α's run of a set, see groupSet — once in a chunked arena; the set
+// intern stores each distinct set record, the refs of its groups, once in
+// another. A tuple's set ref is therefore already global and Stitch moves
 // no community data. Reads are lock-free (atomic table pointer, CAS-free
-// probing of atomically published slots); inserts take one mutex. A
-// shard asks it for a ref only when it inserts a new tuple — duplicates
-// are recognized by the shard's own table first (see addViewShared).
+// probing of atomically published slots); inserts take one mutex per
+// intern. A shard asks them for refs only when it inserts a new tuple —
+// duplicates are recognized by the shard's own table first (see
+// addViewShared).
 // Path ASN words are not shared: paths shard by path key, so there is no
 // cross-shard duplication to dedup, and each shard appends them to its
 // own arena under the lock it already holds.
@@ -46,9 +48,9 @@ const (
 )
 
 // sharedArena is a globally addressed arena that one writer at a time
-// appends to while readers resolve offsets lock-free: its one user, the
-// set intern, appends under its own mutex, and trim and filled run once
-// the writers are done. A chunk that has been succeeded is as long as its
+// appends to while readers resolve offsets lock-free: its users, the
+// record interns, append under their own mutexes, and trim and filled
+// run once the writers are done. A chunk that has been succeeded is as long as its
 // fill; the newest is as long as its reservation, with fill saying how
 // much of it is used.
 type sharedArena[T any] struct {
@@ -138,10 +140,10 @@ func (a *sharedArena[T]) from(off uint32) []T {
 	return c[off&internChunkMask:]
 }
 
-// internTable is one generation of the set intern's hash table:
+// internTable is one generation of a record intern's hash table:
 // open-addressed, linear probing, power-of-two sized. A slot holds
 // tag<<32 | offset — the hash's top half beside the arena offset of one
-// interned set record — and zero means empty (offset 0 is the empty set,
+// interned record — and zero means empty (offset 0 is the empty record,
 // which is never entered); slots are written atomically exactly once.
 // As in flatTable, the home slot is the tag's top bits, so growth
 // re-places slots without reading a set or hashing one.
@@ -171,14 +173,15 @@ func (t *internTable) place(s uint64) {
 	}
 }
 
-// listIntern globally deduplicates community-set records (see appendSet)
-// across all shards of a ShardedTupleStore. The returned refs are exact
-// identities — the same set always gets the same ref — and are the
-// record's global arena offset, which is what a tuple carries. Ref values
-// depend on arrival order and are NOT stable across runs; everything
-// derived from them must go through the set content (and does: shards
-// compare content, snapshots and TSV render content). The empty set is
-// seeded at offset 0, so it is ref 0.
+// listIntern deduplicates records (see recordAt) — groups, or set
+// records — across all shards of a ShardedTupleStore, or within one
+// plain store. The returned refs are exact identities — the same record
+// always gets the same ref — and are the record's arena offset, which is
+// what a set record or a tuple carries. Ref values depend on arrival
+// order and are NOT stable across runs; everything derived from them
+// must go through the content (and does: shards compare content,
+// snapshots and TSV render content). The empty record is seeded at
+// offset 0, so it is ref 0.
 //
 // Only the arena outlives the load: the hash table serves intern alone,
 // so Stitch releases it and adopt rebuilds it if views arrive later.
@@ -187,13 +190,20 @@ type listIntern struct {
 	table atomic.Pointer[internTable]
 	mu    sync.Mutex
 	count int                          // live entries (guarded by mu)
-	hash  func([]bgp.Community) uint64 // of a set record; fixed at construction
+	hash  func([]bgp.Community) uint64 // of a record; fixed at construction
 }
 
-// probe walks t's chain for the set with hash h and the given content
+// init readies an empty intern: hash is its table hash, and the empty
+// record is seeded at offset 0.
+func (li *listIntern) init(hash func([]bgp.Community) uint64) {
+	li.hash = hash
+	li.arena.append(emptySet[:])
+}
+
+// probe walks t's chain for the record with hash h and the given content
 // from slot i, returning its ref, or the empty slot that ends the chain.
 // Lock-free; a nil table holds nothing.
-func (li *listIntern) probe(t *internTable, i uint32, h uint64, set []bgp.Community) (ref uint32, found bool, end uint32) {
+func (li *listIntern) probe(t *internTable, i uint32, h uint64, rec []bgp.Community) (ref uint32, found bool, end uint32) {
 	if t == nil {
 		return 0, false, 0
 	}
@@ -202,26 +212,26 @@ func (li *listIntern) probe(t *internTable, i uint32, h uint64, set []bgp.Commun
 		if s == 0 {
 			return 0, false, i
 		}
-		if s>>32 == h>>32 && slices.Equal(li.view(uint32(s)), set) {
+		if s>>32 == h>>32 && slices.Equal(li.view(uint32(s)), rec) {
 			return uint32(s), true, i
 		}
 	}
 }
 
-// intern returns the ref of set, inserting it on first sight. The hit
-// path is lock-free and allocation-free; set may be reused by the caller
-// (the arena keeps its own copy). A miss walks its chain once: slots are
-// only ever filled, so whatever another shard entered into the chain
-// between the lock-free miss and the mutex lies at or past the slot the
-// miss ended on, and the locked probe resumes there — in the same table;
-// in one published since, from the home slot.
-func (li *listIntern) intern(set []bgp.Community) uint32 {
-	if set[0] == 0 {
+// intern returns the ref of record rec, inserting it on first sight. The
+// hit path is lock-free and allocation-free; rec may be reused by the
+// caller (the arena keeps its own copy). A miss walks its chain once:
+// slots are only ever filled, so whatever another shard entered into the
+// chain between the lock-free miss and the mutex lies at or past the slot
+// the miss ended on, and the locked probe resumes there — in the same
+// table; in one published since, from the home slot.
+func (li *listIntern) intern(rec []bgp.Community) uint32 {
+	if rec[0] == 0 {
 		return 0
 	}
-	h := li.hash(set)
+	h := li.hash(rec)
 	t := li.table.Load()
-	ref, ok, end := li.probe(t, t.home(h), h, set)
+	ref, ok, end := li.probe(t, t.home(h), h, rec)
 	if ok {
 		return ref
 	}
@@ -230,30 +240,33 @@ func (li *listIntern) intern(set []bgp.Community) uint32 {
 	if latest := li.table.Load(); latest != t {
 		t, end = latest, latest.home(h)
 	}
-	if ref, ok, end = li.probe(t, end, h, set); ok {
+	if ref, ok, end = li.probe(t, end, h, rec); ok {
 		return ref
 	}
-	ref = li.arena.append(set)
+	ref = li.arena.append(rec)
 	li.insertAt(t, end, h, ref)
 	return ref
 }
 
-// adopt re-enters a set the arena already holds at ref, unless the table
-// knows its content: how reindexShared rebuilds a released table from the
-// tuples' refs, so a known set keeps resolving to the ref its tuples
-// carry and the arena does not grow for it.
-func (li *listIntern) adopt(ref uint32) {
+// adopt re-enters a record the arena already holds at ref, unless the
+// table knows its content, reporting whether it did: how reindexShared
+// rebuilds a released table from the refs it finds, so a known record
+// keeps resolving to the ref already handed out and the arena does not
+// grow for it.
+func (li *listIntern) adopt(ref uint32) bool {
 	if ref == 0 {
-		return
+		return false
 	}
-	set := li.view(ref)
-	h := li.hash(set)
+	rec := li.view(ref)
+	h := li.hash(rec)
 	li.mu.Lock()
 	defer li.mu.Unlock()
 	t := li.table.Load()
-	if _, ok, end := li.probe(t, t.home(h), h, set); !ok {
+	_, ok, end := li.probe(t, t.home(h), h, rec)
+	if !ok {
 		li.insertAt(t, end, h, ref)
 	}
+	return !ok
 }
 
 // insertAt enters a ref established absent into t, the current table, at
@@ -271,8 +284,8 @@ func (li *listIntern) insertAt(t *internTable, end uint32, h uint64, ref uint32)
 
 // release drops the hash table, which only intern reads; every ref
 // handed out stays valid, because refs address the arena. Before the
-// next intern, adopt must have re-entered every set still referred to,
-// or a known set would be stored again under a second ref.
+// next intern, adopt must have re-entered every record still referred
+// to, or a known record would be stored again under a second ref.
 func (li *listIntern) release() {
 	li.mu.Lock()
 	li.table.Store(nil)
@@ -290,10 +303,10 @@ func (li *listIntern) tableSize() (live, slots int) {
 	return li.count, slots
 }
 
-// view resolves a ref back to its set record (shared storage; do not
+// view resolves a ref back to its record (shared storage; do not
 // mutate).
 func (li *listIntern) view(ref uint32) []bgp.Community {
-	return setAt(li.arena.from(ref))
+	return recordAt(li.arena.from(ref))
 }
 
 // grow publishes a table of double the capacity (1024 slots the first
@@ -321,11 +334,13 @@ func (li *listIntern) grow(old *internTable) *internTable {
 // storeShared bundles the cross-shard structures one ShardedTupleStore
 // hands to all its shard TupleStores (and to the stitched output).
 type storeShared struct {
-	sets listIntern
+	// sets interns set records, groups the groups they refer to; every
+	// shard's TupleStore.groups is &groups.
+	sets, groups listIntern
 
-	// stitched is the store Stitch handed the set intern to; nil while the
-	// shards are still writing. Every set in the intern arena belongs to
-	// one of its tuples.
+	// stitched is the store Stitch handed the interns to; nil while the
+	// shards are still writing. Every record in either intern arena
+	// belongs to one of its tuples.
 	stitched *TupleStore
 
 	// seed starts every table hash (never the routing hash), so which
@@ -339,12 +354,12 @@ type storeShared struct {
 
 func newStoreShared() *storeShared {
 	sh := &storeShared{seed: rand.Uint64()}
-	sh.sets.hash = sh.setHash
-	sh.sets.arena.append(emptySet[:])
+	sh.sets.init(sh.setHash)
+	sh.groups.init(sh.setHash)
 	return sh
 }
 
-// setHash is the set intern's table hash.
+// setHash is the record interns' table hash.
 func (sh *storeShared) setHash(set []bgp.Community) uint64 {
 	if sh.collide {
 		return 0
@@ -353,15 +368,15 @@ func (sh *storeShared) setHash(set []bgp.Community) uint64 {
 }
 
 // prepare readies one view, whose path key is already collapsed into
-// sc.words, for a shard: it renders the canonical set record into sc and
-// hashes the identity (see hashView).
+// sc.words, for a shard: it renders the canonical set into sc and hashes
+// the identity (see hashView).
 func (sh *storeShared) prepare(sc *addScratch, comms bgp.Communities, larges bgp.LargeCommunities) (route, hp, h uint64) {
 	sc.canonicalSet(comms, larges)
 	return sh.hashView(sc)
 }
 
-// hashView hashes the view in sc (path key in sc.words, set record in
-// sc.set): route picks the shard, hp tags the path in the shard's path
+// hashView hashes the view in sc (path key in sc.words, canonical set
+// in sc.set): route picks the shard, hp tags the path in the shard's path
 // table, h tags the whole identity in its tuple table.
 func (sh *storeShared) hashView(sc *addScratch) (route, hp, h uint64) {
 	route, hp = hashPathKey(sc.words, sh.seed)

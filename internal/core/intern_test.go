@@ -92,8 +92,8 @@ func TestCommInternEmptyList(t *testing.T) {
 	if v := ci.view(0); !slices.Equal(v, emptySet[:]) {
 		t.Fatalf("view of ref 0 = %v, want the empty set", v)
 	}
-	ts := &TupleStore{shared: sh}
-	if c, l := ts.TupleComms(&Tuple{}), ts.TupleLarges(nil, &Tuple{}); len(c) != 0 || len(l) != 0 {
+	ts := &TupleStore{shared: sh, groups: &sh.groups}
+	if c, l := tupleCommunities(ts, &Tuple{}); len(c) != 0 || len(l) != 0 {
 		t.Fatalf("a tuple on ref 0 carries %v and %v", c, l)
 	}
 }
@@ -348,10 +348,14 @@ func TestStitchStoreStillAcceptsViews(t *testing.T) {
 	}
 	ts := stitchChecked(t, "stitched", sts, 2)
 	nTuples, nPaths := ts.Len(), ts.PathCount()
-	if live, slots := ts.shared.sets.tableSize(); live != 0 || slots != 0 {
-		t.Fatalf("stitched store still holds an intern table: %d entries in %d slots", live, slots)
+	for _, li := range []*listIntern{&ts.shared.sets, &ts.shared.groups} {
+		if live, slots := li.tableSize(); live != 0 || slots != 0 {
+			t.Fatalf("stitched store still holds an intern table: %d entries in %d slots", live, slots)
+		}
 	}
 	commFill := func() int64 { return arenaRow("", &ts.shared.sets.arena).Used }
+	groupFill := func() int64 { return arenaRow("", &ts.shared.groups.arena).Used }
+	groups0 := groupFill()
 	asnFill := func() int64 { return sliceRow("", ts.asnArena).Used }
 	comms0, asns0 := commFill(), asnFill()
 
@@ -364,6 +368,9 @@ func TestStitchStoreStillAcceptsViews(t *testing.T) {
 	if live, _ := ts.shared.sets.tableSize(); live != len(views) {
 		t.Fatalf("rebuilt intern table holds %d lists, the tuples refer to %d", live, len(views))
 	}
+	if live, _ := ts.shared.groups.tableSize(); live != len(views) {
+		t.Fatalf("rebuilt group table holds %d groups, the sets refer to %d", live, len(views))
+	}
 	// Every original view again, from new vantage points: only VP sets
 	// change, so the store equals one built from the doubled input,
 	// layout included.
@@ -374,9 +381,9 @@ func TestStitchStoreStillAcceptsViews(t *testing.T) {
 		doubled.AddView(v.vp+100, v.path, v.comms)
 	}
 	equalDumps(t, dumpStore(ts), dumpStore(stitchChecked(t, "doubled", doubled, 1)), "re-fed vs doubled input")
-	if commFill() != comms0 || asnFill() != asns0 {
-		t.Fatalf("re-feeding known views grew the arenas: communities %d -> %d B, ASNs %d -> %d B",
-			comms0, commFill(), asns0, asnFill())
+	if commFill() != comms0 || groupFill() != groups0 || asnFill() != asns0 {
+		t.Fatalf("re-feeding known views grew the arenas: sets %d -> %d B, groups %d -> %d B, ASNs %d -> %d B",
+			comms0, commFill(), groups0, groupFill(), asns0, asnFill())
 	}
 	// A new path under a known community list: the list resolves to the
 	// ref its tuples already carry, so only the ASN arena grows.
@@ -385,8 +392,8 @@ func TestStitchStoreStillAcceptsViews(t *testing.T) {
 		t.Fatalf("new tuple not appended: %d/%d, want %d/%d",
 			ts.Len(), ts.PathCount(), nTuples+1, nPaths+1)
 	}
-	if last := &ts.tuples[nTuples]; !slices.Equal(ts.TupleComms(last), dupComms) {
-		t.Fatalf("new tuple carries %v, want %v", ts.TupleComms(last), dupComms)
+	if c, _ := tupleCommunities(ts, &ts.tuples[nTuples]); !slices.Equal(c, dupComms) {
+		t.Fatalf("new tuple carries %v, want %v", c, dupComms)
 	}
 	if commFill() != comms0 || asnFill() != asns0+8 {
 		t.Fatalf("a new path under a known list: community arena %d -> %d B (want unchanged), ASN arena %d -> %d B (want +8)",

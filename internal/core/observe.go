@@ -4,8 +4,10 @@
 // communities alike: tuples are visited with every path's tuples
 // adjacent, so "have I already counted this community on this path?" is
 // one compare against the path the community was last counted on — no
-// (community, path) pair is materialized, sorted or merged. The same walk
-// hands each unique classic pair to EachPathCommunity's callers.
+// (community, path) pair is materialized, sorted or merged. A tuple's
+// communities arrive group by group, one α each, so on-path is decided
+// once per group, not per community. The same walk hands each unique
+// classic pair to EachPathCommunity's callers.
 package core
 
 import (
@@ -91,8 +93,6 @@ func hashLargeCommunity(lc bgp.LargeCommunity) uint64 {
 type evidence struct {
 	on, off uint32
 	last    int32 // path the community was last counted on; -1 before the first
-	hasOrg  bool
-	org     string // α's organization, resolved once per table entry
 }
 
 // asnOrg is an ASN's organization under Options.Orgs, if it has one.
@@ -111,10 +111,13 @@ type observer struct {
 
 	comms  probeTable[bgp.Community, evidence]
 	larges probeTable[bgp.LargeCommunity, evidence]
-	lbuf   bgp.LargeCommunities // the current tuple's larges
 	// asns holds every ASN on the paths this worker saw, with its
 	// organization resolved through opts.Orgs once, on first sight.
 	asns probeTable[uint32, asnOrg]
+	// alphas holds the αs whose organization an on-path decision needed,
+	// resolved once each. It is not asns: an α that is on no path must
+	// not count as seen on one (ObservationSet.AlphaOnPath).
+	alphas probeTable[uint32, asnOrg]
 
 	pid      int32    // current path group; -1 before the first
 	pathASNs []uint32 // the current path's distinct ASNs
@@ -127,6 +130,7 @@ func newObserver(ts *TupleStore, opts *Options) observer {
 		comms:  newProbeTable[bgp.Community, evidence](),
 		larges: newProbeTable[bgp.LargeCommunity, evidence](),
 		asns:   newProbeTable[uint32, asnOrg](),
+		alphas: newProbeTable[uint32, asnOrg](),
 	}
 }
 
@@ -134,6 +138,7 @@ func newObserver(ts *TupleStore, opts *Options) observer {
 // (order == nil means the tuple slice itself is grouped).
 func (o *observer) walk(order []int32, lo, hi int, done <-chan struct{}) {
 	tuples := o.ts.Tuples()
+	count := o.countGroup
 	o.pid = -1
 	for i := lo; i < hi; i++ {
 		if (i-lo)%cancelCheckStride == 0 && chClosed(done) {
@@ -149,18 +154,42 @@ func (o *observer) walk(order []int32, lo, hi int, done <-chan struct{}) {
 		if t.PathID != o.pid {
 			o.enterPath(t.PathID)
 		}
-		for _, c := range o.ts.TupleComms(t) {
-			if countOnce(o, &o.comms, c, hashU32(uint32(c)), uint32(c.ASN())) && o.visit != nil {
+		o.ts.eachGroup(t, count)
+	}
+}
+
+// countGroup counts one group of the current tuple on the current path.
+func (o *observer) countGroup(comms bgp.Communities, larges []bgp.Community) {
+	if len(comms) > 0 {
+		on := o.onPath(uint32(comms[0].ASN()))
+		for _, c := range comms {
+			if countOnce(o, &o.comms, c, hashU32(uint32(c)), on) && o.visit != nil {
 				o.visit(c, o.pathASNs)
 			}
 		}
-		if o.ts.largeTuples {
-			o.lbuf = o.ts.TupleLarges(o.lbuf[:0], t)
-			for _, lc := range o.lbuf {
-				countOnce(o, &o.larges, lc, hashLargeCommunity(lc), lc.GlobalAdmin)
-			}
-		}
+		return
 	}
+	on := o.onPath(uint32(larges[0]))
+	for i := 0; i+2 < len(larges); i += 3 {
+		lc := bgp.LargeCommunity{GlobalAdmin: uint32(larges[i]), LocalData1: uint32(larges[i+1]), LocalData2: uint32(larges[i+2])}
+		countOnce(o, &o.larges, lc, hashLargeCommunity(lc), on)
+	}
+}
+
+// onPath reports whether α or an org sibling of it is on the current
+// path.
+func (o *observer) onPath(alpha uint32) bool {
+	if containsASN(o.pathASNs, alpha) {
+		return true
+	}
+	if len(o.pathOrgs) == 0 {
+		return false
+	}
+	a, fresh := o.alphas.at(alpha, hashU32(alpha))
+	if fresh {
+		a.org, a.hasOrg = o.opts.Orgs.Org(alpha)
+	}
+	return a.hasOrg && containsOrg(o.pathOrgs, a.org)
 }
 
 // enterPath makes path id the current one: its ASNs enter the worker's
@@ -180,21 +209,19 @@ func (o *observer) enterPath(id int32) {
 	}
 }
 
-// countOnce counts key k (with hash h and α alpha) on the current path
-// unless it already was, reporting whether it counted.
-func countOnce[K comparable](o *observer, tab *probeTable[K, evidence], k K, h uint64, alpha uint32) bool {
+// countOnce counts key k (with hash h) on the current path, on-path or
+// off-path as its group was decided, unless it already was counted
+// there, reporting whether it counted.
+func countOnce[K comparable](o *observer, tab *probeTable[K, evidence], k K, h uint64, on bool) bool {
 	ev, fresh := tab.at(k, h)
 	if fresh {
 		ev.last = -1
-		if o.opts.Orgs != nil {
-			ev.org, ev.hasOrg = o.opts.Orgs.Org(alpha)
-		}
 	}
 	if ev.last == o.pid {
 		return false
 	}
 	ev.last = o.pid
-	if containsASN(o.pathASNs, alpha) || ev.hasOrg && containsOrg(o.pathOrgs, ev.org) {
+	if on {
 		ev.on++
 	} else {
 		ev.off++

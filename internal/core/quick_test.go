@@ -203,7 +203,7 @@ func TestColumnarMatchesOracleQuick(t *testing.T) {
 			if !slices.Equal(ts.Path(tu.PathID).ASNs, oracle.paths[key]) {
 				return false
 			}
-			wantVPs := oracle.tuples[key][setKey(ts.TupleComms(tu), ts.TupleLarges(nil, tu))]
+			wantVPs := oracle.tuples[key][setKey(tupleCommunities(ts, tu))]
 			gotVPs := ts.TupleVPs(tu)
 			if len(gotVPs) != len(wantVPs) || !slices.IsSorted(gotVPs) {
 				return false

@@ -24,11 +24,11 @@ import (
 // is needed at stitch time.
 //
 // All shards run their TupleStores in shared-storage mode against one
-// storeShared: community sets intern into one lock-free global table,
-// so every set ref a shard writes is already valid in the stitched
-// store and Stitch never moves community payload. Path ASN words stay
-// in the shard's own asnArena, written under the shard lock; Stitch
-// copies them once into the stitched arena.
+// storeShared: groups and set records intern into lock-free global
+// tables, so every set ref a shard writes is already valid in the
+// stitched store and Stitch never moves community payload. Path ASN
+// words stay in the shard's own asnArena, written under the shard lock;
+// Stitch copies them once into the stitched arena.
 //
 // A view is hashed once, outside the shard lock (storeShared.prepare);
 // the hash leads straight to its tuple (addViewShared), so a duplicate
@@ -61,7 +61,7 @@ func NewShardedTupleStore(n int) *ShardedTupleStore {
 		shared: newStoreShared(),
 	}
 	for i := range s.shards {
-		s.shards[i].ts = &TupleStore{shared: s.shared, large: make(map[bgp.LargeCommunity]struct{})}
+		s.shards[i].ts = &TupleStore{shared: s.shared, groups: &s.shared.groups, large: make(map[bgp.LargeCommunity]struct{})}
 	}
 	return s
 }
@@ -203,13 +203,13 @@ func (ts *TupleStore) pathKey(id int32) []uint32 {
 }
 
 // addViewShared is the shared-mode write path for one prepared view:
-// hashes hp (path) and h (identity), path key in sc.words, set record in
-// sc.set (and its larges in sc.larges). One probe of the tuple table
-// finds the view's tuple if it exists, confirmed by comparing the path
-// key and the set record — identity is exact whatever the hash does.
-// Only a miss goes on to the path table, the global set intern (whose
-// refs Stitch carries over) and the appends; that is also the one moment
-// the tuple's larges enter the distinct-large set.
+// hashes hp (path) and h (identity), path key in sc.words, canonical set
+// in sc.set (and its lists in sc.comms and sc.larges). One probe of the
+// tuple table finds the view's tuple if it exists, confirmed by comparing
+// the path key and the set, group by group — identity is exact whatever
+// the hash does. Only a miss goes on to the path table, the global group
+// and set interns (whose refs Stitch carries over) and the appends; that
+// is also the one moment the tuple's larges enter the distinct-large set.
 func (ts *TupleStore) addViewShared(vp uint32, hp, h uint64, sc *addScratch) {
 	if ts.tupleTab.slots == nil {
 		ts.reindexShared()
@@ -223,13 +223,14 @@ func (ts *TupleStore) addViewShared(vp uint32, hp, h uint64, sc *addScratch) {
 		}
 		ti := int32(uint32(s) - 1)
 		t := &ts.tuples[ti]
-		if slices.Equal(ts.pathKey(t.PathID), sc.words) && slices.Equal(ts.tupleSet(t), sc.set) {
+		if slices.Equal(ts.pathKey(t.PathID), sc.words) && sameSet(ts.groups, ts.setRecord(t), sc.set) {
 			ts.addVP(ti, vp)
 			return
 		}
 	}
 	id := ts.internPathShared(hp, sc)
-	set := ts.shared.sets.intern(sc.set)
+	sc.groupSet(ts.groups)
+	set := ts.shared.sets.intern(sc.rec)
 	for _, lc := range sc.larges {
 		ts.large[lc] = struct{}{}
 		ts.largeTuples = true
@@ -266,8 +267,10 @@ func (ts *TupleStore) internPathShared(hp uint64, sc *addScratch) int32 {
 // store arrives without them — readers never need them, and building
 // them eagerly would put a serial pass back into the load path — so the
 // first post-stitch AddView pays for them; so does a fresh shard's. That
-// includes the intern table Stitch released: every set a tuple refers to
-// re-enters under the ref the tuple carries.
+// includes the intern tables Stitch released: every set record a tuple
+// refers to re-enters under the ref the tuple carries, and the groups of
+// each record that re-entered under the refs it carries. The tuple
+// table hashes the canonical set, so each record is expanded once.
 func (ts *TupleStore) reindexShared() {
 	ts.pathTab = newFlatTable(len(ts.paths))
 	ts.tupleTab = newFlatTable(len(ts.tuples))
@@ -279,10 +282,15 @@ func (ts *TupleStore) reindexShared() {
 	}
 	for i := range ts.tuples {
 		t := &ts.tuples[i]
-		sc.words, sc.set = ts.pathKey(t.PathID), ts.tupleSet(t)
+		rec := ts.setRecord(t)
+		sc.words, sc.set = ts.pathKey(t.PathID), appendExpanded(sc.set[:0], ts.groups, rec)
 		_, _, h := ts.shared.hashView(sc)
 		ts.tupleTab.insert(h, i)
-		ts.shared.sets.adopt(t.set)
+		if ts.shared.sets.adopt(t.set) {
+			for _, g := range rec[1:] {
+				ts.groups.adopt(uint32(g))
+			}
+		}
 	}
 }
 
@@ -301,8 +309,8 @@ func (s *ShardedTupleStore) Len() int {
 
 // Stitch collapses the shards into one TupleStore in O(n) index work, no
 // comparison sort and no community payload moved: set refs already
-// address the shared intern arena. Per shard, into disjoint pre-sized
-// regions of the output:
+// address the shared set intern's arena, and group refs the group
+// intern's. Per shard, into disjoint pre-sized regions of the output:
 //   - a path's global ID is the shard's offset plus its arrival ID;
 //   - the shard's ASN words are copied at the shard's offset in one
 //     exactly sized arena, and path and looped-key spans rebased onto it;
@@ -322,13 +330,14 @@ func (s *ShardedTupleStore) Len() int {
 // The stitched store takes ownership of the shard contents and the
 // shared storage; the sharded store must not be used afterwards. It
 // holds what readers read and nothing else: the shards' lookup tables
-// and ASN arenas die with the shards, the intern hash table — which only
-// an insert probes — is released, and all of them are rebuilt lazily on
-// the first AddView (reindexShared), so pure readers (Observe, snapshot
-// write) never pay for them. Nothing carries growth slack beyond the one
+// and ASN arenas die with the shards, the interns' hash tables — which
+// only an insert probes — are released, and all of them are rebuilt
+// lazily on the first AddView (reindexShared), so pure readers (Observe,
+// snapshot write) never pay for them. Nothing carries growth slack beyond the one
 // rule: a VP list of more than one keeps its capacity nextPow2(length),
-// so post-stitch AddViews grow it as any other, and the set arena's
-// newest chunk is trimmed to its fill, to be re-grown if views arrive.
+// so post-stitch AddViews grow it as any other, and the intern arenas'
+// newest chunks are trimmed to their fills, to be re-grown if views
+// arrive.
 func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	n := len(s.shards)
 	tupleOff := make([]int, n+1)
@@ -358,6 +367,7 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	}
 	out := &TupleStore{
 		shared:      s.shared,
+		groups:      &s.shared.groups,
 		tuples:      make([]Tuple, tupleOff[n]),
 		paths:       make([]pathMeta, pathOff[n]),
 		asnArena:    make([]uint32, asnOff[n]),
@@ -396,8 +406,10 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	})
 	sh := s.shared
 	sh.stitched = out
-	sh.sets.release()
-	sh.sets.arena.trim()
+	for _, li := range []*listIntern{&sh.sets, &sh.groups} {
+		li.release()
+		li.arena.trim()
+	}
 	return out
 }
 

@@ -61,14 +61,26 @@ func pathKeyBytes(ts *TupleStore, id int32) []byte {
 	return appendPathKey(nil, ts.pathKey(id))
 }
 
+// tupleCommunities reads a tuple's communities back through its groups.
+func tupleCommunities(ts *TupleStore, t *Tuple) (comms bgp.Communities, larges bgp.LargeCommunities) {
+	ts.eachGroup(t, func(cs bgp.Communities, ls []bgp.Community) {
+		comms = append(comms, cs...)
+		for i := 0; i+2 < len(ls); i += 3 {
+			larges = append(larges, bgp.LargeCommunity{GlobalAdmin: uint32(ls[i]), LocalData1: uint32(ls[i+1]), LocalData2: uint32(ls[i+2])})
+		}
+	})
+	return comms, larges
+}
+
 // dumpStore renders a store's full logical content in canonical order:
-// one line per tuple with the path key, the communities and the VPs,
-// plus the large-community set.
+// one line per tuple with the path key, the communities of both kinds and
+// the VPs, plus the large-community set.
 func dumpStore(ts *TupleStore) []string {
 	lines := make([]string, 0, len(ts.tuples)+len(ts.large))
 	for i := range ts.tuples {
 		t := &ts.tuples[i]
-		lines = append(lines, fmt.Sprintf("t %x %v %v %v", pathKeyBytes(ts, t.PathID), ts.Path(t.PathID).ASNs, ts.TupleComms(t), ts.TupleVPs(t)))
+		comms, larges := tupleCommunities(ts, t)
+		lines = append(lines, fmt.Sprintf("t %x %v %v %v %v", pathKeyBytes(ts, t.PathID), ts.Path(t.PathID).ASNs, comms, larges, ts.TupleVPs(t)))
 	}
 	larges := make([]string, 0, len(ts.large))
 	for lc := range ts.large {

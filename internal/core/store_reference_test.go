@@ -119,7 +119,8 @@ func reduceStore(t *testing.T, label string, ts *TupleStore) refReduction {
 	}
 	for i := range ts.tuples {
 		tu := &ts.tuples[i]
-		id := refIdentity(pathOf(tu.PathID), ts.TupleComms(tu), ts.TupleLarges(nil, tu))
+		comms, larges := tupleCommunities(ts, tu)
+		id := refIdentity(pathOf(tu.PathID), comms, larges)
 		if r.vps[id] != nil {
 			t.Fatalf("%s: identity %s held by two tuples", label, id)
 		}

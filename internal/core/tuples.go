@@ -8,6 +8,7 @@ package core
 import (
 	"encoding/binary"
 	"math/bits"
+	"math/rand/v2"
 	"slices"
 	"sync"
 
@@ -33,16 +34,17 @@ type pathMeta struct {
 }
 
 // Tuple is one unique (AS path, communities) observation, 16 bytes.
-// Read its communities through TupleStore.TupleComms and
-// TupleStore.TupleLarges, its vantage points through TupleStore.TupleVPs.
+// Its communities are read group by group (TupleStore.eachGroup), its
+// vantage points through TupleStore.TupleVPs.
 // Tuples are plain values in one flat slice — no per-tuple pointers,
 // no per-tuple slice headers.
 type Tuple struct {
 	PathID int32
-	// set is the arena offset of the tuple's community-set record (see
-	// appendSet): its classic and large communities (RFC 8092) together.
-	// Large communities are part of tuple identity: observations that
-	// differ only in their large communities are distinct tuples.
+	// set is the arena offset of the tuple's set record: the refs of the
+	// per-α groups its classic and large communities (RFC 8092) fall into
+	// (see groupSet). Large communities are part of tuple identity:
+	// observations that differ only in their large communities are
+	// distinct tuples.
 	set uint32
 	// With nVP == 1, vp holds the tuple's one vantage point — nearly every
 	// tuple has exactly one, because an eBGP peer puts its own ASN first
@@ -57,17 +59,29 @@ type Tuple struct {
 // nextPow2 is the capacity of a VP list of n > 1 entries.
 func nextPow2(n uint32) uint32 { return 1 << bits.Len32(n-1) }
 
-// emptySet is the record of the set with no communities of either kind.
+// A record is a header word — its count of one-word items | its count of
+// three-word items << 16 — and then the items. Three kinds share the
+// layout, so one recordAt reads them all:
+//   - a canonical set (appendSet): a view's classic communities, then its
+//     large communities' words;
+//   - a group: one α's run of a canonical set — its classic communities
+//     with one ASN, or its large communities with one Global
+//     Administrator — interned once per store (TupleStore.groups);
+//   - a set record, what a tuple refers to: the refs of its set's groups,
+//     in the set's order (groupSet).
+//
+// Equal sets are equal words and equal groups equal refs, so each kind is
+// compared, hashed and interned as one word slice. The words are typed
+// bgp.Community so that a group's classic items are its communities.
+
+// emptySet is the record with no items: the empty canonical set and the
+// set record of no groups.
 var emptySet = [1]bgp.Community{0}
 
-// appendSet renders a canonical community set as one record of words
-// and appends it to dst: a header, len(comms) | len(larges)<<16, then the
-// communities, then each large community as GlobalAdmin, LocalData1,
-// LocalData2. Equal sets are equal words, so a record is compared,
-// hashed and interned as one word slice. The words are typed
-// bgp.Community so that TupleComms is a view into the record. A decoded
-// attribute carries at most 16383 communities, far under the header's
-// 65535 per kind.
+// appendSet renders a canonical community set as one record and appends
+// it to dst: the communities, then each large community as GlobalAdmin,
+// LocalData1, LocalData2. A decoded attribute carries at most 16383
+// communities, far under the header's 65535 per kind.
 func appendSet(dst []bgp.Community, comms bgp.Communities, larges bgp.LargeCommunities) []bgp.Community {
 	if len(comms) > 0xFFFF || len(larges) > 0xFFFF {
 		panic("core: more than 65535 communities of one kind in a set")
@@ -80,22 +94,83 @@ func appendSet(dst []bgp.Community, comms bgp.Communities, larges bgp.LargeCommu
 	return dst
 }
 
-// setAt returns the set record at the start of words.
-func setAt(words []bgp.Community) []bgp.Community {
+// recordAt returns the record at the start of words.
+func recordAt(words []bgp.Community) []bgp.Community {
 	n := 1 + int(words[0]&0xFFFF) + 3*int(words[0]>>16)
 	return words[:n:n]
 }
 
-// splitSet splits a set record into its communities and its large
-// communities' words.
+// splitSet splits a canonical set or a group into its communities and
+// its large communities' words.
 func splitSet(set []bgp.Community) (comms bgp.Communities, larges []bgp.Community) {
 	n := 1 + int(set[0]&0xFFFF)
 	return set[1:n:n], set[n:]
 }
 
+// groupSet interns each group of the canonical set in sc (sc.comms,
+// sc.larges) into groups and renders the set record of their refs into
+// sc.rec. Both lists are sorted, so every α's run is contiguous.
+func (sc *addScratch) groupSet(groups *listIntern) {
+	sc.rec = append(sc.rec[:0], 0)
+	for cs := sc.comms; len(cs) > 0; {
+		n := 1
+		for n < len(cs) && cs[n].ASN() == cs[0].ASN() {
+			n++
+		}
+		sc.group = appendSet(sc.group[:0], cs[:n], nil)
+		sc.rec = append(sc.rec, bgp.Community(groups.intern(sc.group)))
+		cs = cs[n:]
+	}
+	for ls := sc.larges; len(ls) > 0; {
+		n := 1
+		for n < len(ls) && ls[n].GlobalAdmin == ls[0].GlobalAdmin {
+			n++
+		}
+		sc.group = appendSet(sc.group[:0], nil, ls[:n])
+		sc.rec = append(sc.rec, bgp.Community(groups.intern(sc.group)))
+		ls = ls[n:]
+	}
+	if len(sc.rec) > 0x10000 {
+		panic("core: more than 65535 groups in a set")
+	}
+	sc.rec[0] = bgp.Community(len(sc.rec) - 1)
+}
+
+// sameSet reports whether set record rec, its groups resolved through
+// groups, stands for the canonical set canon: one group read per group,
+// nothing expanded. Group headers sum to the set's, as each group counts
+// items of one kind only.
+func sameSet(groups *listIntern, rec, canon []bgp.Community) bool {
+	chunks := *groups.arena.chunks.Load()
+	var header bgp.Community
+	rest := canon[1:]
+	for _, ref := range rec[1:] {
+		g := recordAt(chunks[ref>>internChunkShift][ref&internChunkMask:])
+		if len(g)-1 > len(rest) || !slices.Equal(g[1:], rest[:len(g)-1]) {
+			return false
+		}
+		header += g[0]
+		rest = rest[len(g)-1:]
+	}
+	return header == canon[0] && len(rest) == 0
+}
+
+// appendExpanded appends the canonical set that set record rec stands
+// for, its groups resolved through groups.
+func appendExpanded(dst []bgp.Community, groups *listIntern, rec []bgp.Community) []bgp.Community {
+	at := len(dst)
+	dst = append(dst, 0)
+	for _, ref := range rec[1:] {
+		g := groups.view(uint32(ref))
+		dst[at] += g[0]
+		dst = append(dst, g[1:]...)
+	}
+	return dst
+}
+
 // tupleKey is the plain store's fixed-size dedup key of one tuple: the
-// interned path ID plus a 64-bit hash of its set record. Tuples whose
-// sets collide on the hash are disambiguated by comparing the records
+// interned path ID plus a 64-bit hash of its canonical set. Tuples whose
+// sets collide on the hash are disambiguated by comparing the sets
 // themselves (a rare overflow list holds the extra candidates), so the
 // key is compact without being lossy.
 type tupleKey struct {
@@ -108,17 +183,20 @@ type tupleKey struct {
 // from one week of RouteViews/RIS data).
 //
 // Storage is columnar (struct-of-arrays): tuples are one flat []Tuple,
-// and their variable-length payloads — community sets, VP lists of more
-// than one, path ASN sequences — live in append-only
-// arenas. The hot ingest path therefore allocates only when an arena or
-// the flat slice grows, not per tuple.
+// and their variable-length payloads — set records, the groups they
+// refer to, VP lists of more than one, path ASN sequences — live in
+// append-only arenas. The hot ingest path therefore allocates only when
+// an arena or the flat slice grows, not per tuple.
 type TupleStore struct {
 	// shared, when non-nil, switches the store to shared-storage mode:
-	// community sets resolve through the cross-shard set intern, so set
-	// refs are global and a ShardedTupleStore.Stitch moves no community
-	// data. A plain NewTupleStore leaves it nil and keeps a local set
-	// arena.
+	// set records and groups resolve through the cross-shard interns, so
+	// set refs are global and a ShardedTupleStore.Stitch moves no
+	// community data. A plain NewTupleStore leaves it nil and keeps a
+	// local set arena.
 	shared *storeShared
+	// groups interns every group the set records refer to, each once:
+	// a plain store's own, the shards' shared one in shared mode.
+	groups *listIntern
 
 	paths    []pathMeta
 	asnArena []uint32 // all interned path ASN sequences, and the looped paths' keys
@@ -129,10 +207,10 @@ type TupleStore struct {
 	loops []loopedKey
 
 	tuples   []Tuple
-	setArena []bgp.Community // every tuple's set record (append-only; nil in shared mode)
+	setArena []bgp.Community // every tuple's set record, one per tuple (append-only; nil in shared mode)
 	vpArena  []uint32        // the VP lists of tuples with more than one (relocating; see Tuple)
 	// largeTuples records whether any tuple carries large communities, so
-	// classic-only loads skip the large observation pass entirely.
+	// a classic-only load reports no large observations at all.
 	largeTuples bool
 
 	// tupleIdx maps a dedup key to its first tuple; tupleDup holds the
@@ -160,11 +238,15 @@ type TupleStore struct {
 
 // NewTupleStore returns an empty store.
 func NewTupleStore() *TupleStore {
-	return &TupleStore{
+	ts := &TupleStore{
+		groups:   new(listIntern),
 		pathIDs:  make(map[string]int32),
 		tupleIdx: make(map[tupleKey]int32),
 		large:    make(map[bgp.LargeCommunity]struct{}),
 	}
+	seed := rand.Uint64()
+	ts.groups.init(func(rec []bgp.Community) uint64 { return hashSet(seed, rec) })
+	return ts
 }
 
 // NoteLarge records large communities in the distinct-large statistics
@@ -213,12 +295,14 @@ type addScratch struct {
 	words  []uint32 // shared-mode path key
 	comms  bgp.Communities
 	larges bgp.LargeCommunities // large-community canonicalization buffer
-	set    []bgp.Community      // the view's set record (see appendSet)
+	set    []bgp.Community      // the view's canonical set (see appendSet)
+	group  []bgp.Community      // one group of it, rendered for the group intern
+	rec    []bgp.Community      // its set record (see groupSet)
 	flat   []uint32             // AS-path flattening buffer for AddViewASPath
 }
 
 // canonicalSet canonicalizes both community lists and renders them as
-// one set record in sc.set.
+// one canonical set in sc.set.
 func (sc *addScratch) canonicalSet(comms bgp.Communities, larges bgp.LargeCommunities) {
 	sc.comms = canonicalInto(sc.comms, comms)
 	sc.larges = canonicalLargeInto(sc.larges, larges)
@@ -354,17 +438,18 @@ func (ts *TupleStore) addViewKeyed(vp uint32, key []byte, path []uint32, comms b
 		ts.tupleIdx[tk] = int32(len(ts.tuples))
 	}
 	set := uint32(len(ts.setArena))
-	ts.setArena = append(ts.setArena, sc.set...)
+	sc.groupSet(ts.groups)
+	ts.setArena = append(ts.setArena, sc.rec...)
 	if len(sc.larges) > 0 {
 		ts.largeTuples = true
 	}
 	ts.tuples = append(ts.tuples, Tuple{PathID: id, set: set, vp: [1]uint32{vp}, nVP: 1})
 }
 
-// addVPIfMatch merges vp into tuple ti if its set record equals set,
-// reporting whether it did.
+// addVPIfMatch merges vp into tuple ti if its set is the canonical set
+// set, reporting whether it did.
 func (ts *TupleStore) addVPIfMatch(ti int32, set []bgp.Community, vp uint32) bool {
-	if !slices.Equal(ts.tupleSet(&ts.tuples[ti]), set) {
+	if !sameSet(ts.groups, ts.setRecord(&ts.tuples[ti]), set) {
 		return false
 	}
 	ts.addVP(ti, vp)
@@ -429,36 +514,28 @@ func (ts *TupleStore) pathASNs(p *pathMeta) []uint32 {
 }
 
 // Tuples returns the flat tuple slice (shared storage; do not mutate).
-// Iterate by index and resolve payloads through TupleComms/TupleVPs.
+// Iterate by index and resolve payloads through eachGroup/TupleVPs.
 func (ts *TupleStore) Tuples() []Tuple { return ts.tuples }
 
-// tupleSet returns a tuple's set record (a view into the set arena or
-// the shared intern arena; do not mutate).
-func (ts *TupleStore) tupleSet(t *Tuple) []bgp.Community {
+// setRecord returns a tuple's set record (a view into the set arena or
+// the shared set intern's arena; do not mutate).
+func (ts *TupleStore) setRecord(t *Tuple) []bgp.Community {
 	if ts.shared != nil {
 		return ts.shared.sets.view(t.set)
 	}
-	return setAt(ts.setArena[t.set:])
+	return recordAt(ts.setArena[t.set:])
 }
 
-// TupleComms returns a tuple's canonical community list (a view into
-// its set record; do not mutate).
-func (ts *TupleStore) TupleComms(t *Tuple) bgp.Communities {
-	comms, _ := splitSet(ts.tupleSet(t))
-	return comms
-}
-
-// TupleLarges appends a tuple's canonical large-community list to dst
-// and returns the extended slice: nothing is appended for a classic-only
-// tuple, and nothing allocates once dst has room.
-func (ts *TupleStore) TupleLarges(dst bgp.LargeCommunities, t *Tuple) bgp.LargeCommunities {
-	_, words := splitSet(ts.tupleSet(t))
-	for i := 0; i+2 < len(words); i += 3 {
-		dst = append(dst, bgp.LargeCommunity{
-			GlobalAdmin: uint32(words[i]), LocalData1: uint32(words[i+1]), LocalData2: uint32(words[i+2]),
-		})
+// eachGroup calls fn with each group of t's community set, in the set's
+// order — classic groups by ASN, then large groups by Global
+// Administrator: a classic group as its communities (larges empty), a
+// large group as its large communities' words, GlobalAdmin, LocalData1,
+// LocalData2 each (comms empty). Both alias shared storage; fn must not
+// keep or modify them.
+func (ts *TupleStore) eachGroup(t *Tuple, fn func(comms bgp.Communities, larges []bgp.Community)) {
+	for _, ref := range ts.setRecord(t)[1:] {
+		fn(splitSet(ts.groups.view(uint32(ref))))
 	}
-	return dst
 }
 
 // TupleVPs returns a tuple's sorted distinct vantage points (a view into
@@ -480,43 +557,33 @@ func (ts *TupleStore) VPSet() []uint32 {
 	return slices.Compact(out)
 }
 
-// setRuns returns runs of back-to-back set records that together hold
-// every set the tuples refer to, each at least once. A plain store's
-// arena and a stitched store's intern arena hold exactly those records
-// (the latter each distinct set once); a shard, whose intern arena holds
-// its siblings' sets too, lists its tuples' records one by one.
-func (ts *TupleStore) setRuns() [][]bgp.Community {
-	switch {
-	case ts.shared == nil:
-		return [][]bgp.Community{ts.setArena}
-	case ts.shared.stitched == ts:
-		return ts.shared.sets.arena.filled()
+// eachStoredGroup calls fn, as eachGroup does, with every group the
+// tuples refer to, each at least once. A plain store's group arena and a
+// stitched store's shared one hold exactly those groups, each once; a
+// shard, whose arena holds its siblings' groups too, visits its tuples'
+// groups one by one.
+func (ts *TupleStore) eachStoredGroup(fn func(comms bgp.Communities, larges []bgp.Community)) {
+	if ts.shared != nil && ts.shared.stitched != ts {
+		for i := range ts.tuples {
+			ts.eachGroup(&ts.tuples[i], fn)
+		}
+		return
 	}
-	runs := make([][]bgp.Community, len(ts.tuples))
-	for i := range ts.tuples {
-		runs[i] = ts.tupleSet(&ts.tuples[i])
+	for _, run := range ts.groups.arena.filled() {
+		for len(run) > 0 {
+			g := recordAt(run)
+			fn(splitSet(g))
+			run = run[len(g):]
+		}
 	}
-	return runs
-}
-
-// nextSet splits the first set record off a run: its communities, and
-// the rest of the run.
-func nextSet(run []bgp.Community) (comms bgp.Communities, rest []bgp.Community) {
-	set := setAt(run)
-	comms, _ = splitSet(set)
-	return comms, run[len(set):]
 }
 
 // Communities returns the distinct communities across all tuples, sorted.
 func (ts *TupleStore) Communities() []bgp.Community {
-	out := make([]bgp.Community, 0, len(ts.setArena)) // a plain store's arena bounds the count
-	for _, run := range ts.setRuns() {
-		for len(run) > 0 {
-			var comms bgp.Communities
-			comms, run = nextSet(run)
-			out = append(out, comms...)
-		}
-	}
+	var out []bgp.Community
+	ts.eachStoredGroup(func(comms bgp.Communities, _ []bgp.Community) {
+		out = append(out, comms...)
+	})
 	slices.Sort(out)
 	return slices.Compact(out)
 }
@@ -527,15 +594,11 @@ func (ts *TupleStore) Communities() []bgp.Community {
 func (ts *TupleStore) DistinctCounts() (communities, vantagePoints int) {
 	comms := newProbeTable[bgp.Community, struct{}]()
 	vps := newProbeTable[uint32, struct{}]()
-	for _, run := range ts.setRuns() {
-		for len(run) > 0 {
-			var cs bgp.Communities
-			cs, run = nextSet(run)
-			for _, c := range cs {
-				comms.at(c, hashU32(uint32(c)))
-			}
+	ts.eachStoredGroup(func(cs bgp.Communities, _ []bgp.Community) {
+		for _, c := range cs {
+			comms.at(c, hashU32(uint32(c)))
 		}
-	}
+	})
 	for i := range ts.tuples {
 		for _, vp := range ts.TupleVPs(&ts.tuples[i]) {
 			vps.at(vp, hashU32(vp))

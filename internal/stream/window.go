@@ -153,17 +153,18 @@ func (w *Window) Store() *core.TupleStore { return w.store }
 // incremental classifier.
 func (w *Window) TakeDirty() map[uint16]bool { return nil }
 
-// Stats snapshots the window counters.
+// Stats snapshots the window counters. It runs once per published
+// generation, so it counts distinct communities and vantage points
+// without copying or sorting them.
 func (w *Window) Stats() WindowStats {
 	st := WindowStats{
 		Evicted:          w.evicted,
 		Rebuilds:         w.rebuilds,
 		Tuples:           w.store.Len(),
 		Paths:            w.store.PathCount(),
-		VantagePoints:    len(w.store.VPSet()),
-		Communities:      len(w.store.Communities()),
 		LargeCommunities: w.store.LargeCommunityCount(),
 	}
+	st.Communities, st.VantagePoints = w.store.DistinctCounts()
 	for bi := range w.buckets {
 		b := &w.buckets[bi]
 		st.Updates += len(b.updates)

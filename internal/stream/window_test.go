@@ -135,7 +135,9 @@ func TestWindowStragglerStays(t *testing.T) {
 // a bucket boundary and jumps longer than the whole span — the window
 // holds, after every Add, exactly the updates at or after
 // Truncate(newest, bucket) − (Buckets−1)·bucket: its counters and bounds
-// say so, and its store is the size of one rebuilt from those updates.
+// say so, its distinct vantage points and communities are those of the
+// updates counted directly, and its store is the size of one rebuilt
+// from those updates.
 func TestWindowMatchesOracle(t *testing.T) {
 	epoch := time.Unix(1_700_000_000, 0).UTC()
 	for seed := int64(1); seed <= 30; seed++ {
@@ -174,6 +176,17 @@ func TestWindowMatchesOracle(t *testing.T) {
 			if got, ref := w.Store(), refStore(live); got.Len() != ref.Len() || got.PathCount() != ref.PathCount() {
 				t.Fatalf("%s: store holds %d tuples on %d paths, oracle's %d on %d",
 					label, got.Len(), got.PathCount(), ref.Len(), ref.PathCount())
+			}
+			vps, comms := map[uint32]bool{}, map[bgp.Community]bool{}
+			for _, u := range live {
+				vps[u.VP] = true
+				for _, c := range u.Comms {
+					comms[c] = true
+				}
+			}
+			if st.VantagePoints != len(vps) || st.Communities != len(comms) {
+				t.Fatalf("%s: window counts %d vantage points and %d communities, oracle %d and %d",
+					label, st.VantagePoints, st.Communities, len(vps), len(comms))
 			}
 		}
 	}
