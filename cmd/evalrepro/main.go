@@ -162,8 +162,9 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
+		comms, vps := c.Store.DistinctCounts()
 		fmt.Fprintf(stdout, "corpus: %d tuples, %d paths, %d communities, %d VPs\n\n",
-			c.Store.Len(), c.Store.PathCount(), len(c.Store.Communities()), len(c.Store.VPSet()))
+			c.Store.Len(), c.Store.PathCount(), comms, vps)
 	}
 
 	// Experiments over the shared corpus render synchronously.

@@ -255,3 +255,46 @@ func TestFootprintExplainsHeldHeap(t *testing.T) {
 		runtime.KeepAlive(res)
 	}
 }
+
+// TestWindowStoreFootprintExplainsHeldHeap holds the live window's store,
+// a core.NewTupleStore, to the same byte accounting: fed one
+// default-scale simulated day the way the window feeds it, it keeps
+// alive what its Footprint says it reserves, within
+// guardFootprintTolerance. The table it logs is the window store's bytes
+// per tuple by component, a figure bgpbench's live-window
+// heap_bytes_per_tuple does not read.
+func TestWindowStoreFootprintExplainsHeldHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a default-scale day")
+	}
+	if raceEnabled {
+		t.Skip("the race detector pads allocations; heap sizes are noise")
+	}
+	topo, err := topology.Generate(topology.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := simulate.New(topo, simulate.DefaultConfig()).RunDay(0).Views
+	before := heapLive()
+	ts := core.NewTupleStore()
+	for _, v := range views {
+		ts.AddViewLarge(v.VP, v.Path, v.Comms, v.LargeComms)
+	}
+	held := heapLive() - before
+	tuples := float64(ts.Len())
+
+	fp := ts.Footprint()
+	used, reserved := fp.Total()
+	t.Logf("%d views: %d tuples, %d paths; the store holds %d B (%.1f B/tuple)",
+		len(views), ts.Len(), ts.PathCount(), held, float64(held)/tuples)
+	for _, r := range fp {
+		t.Logf("  %-14s %10d B used %10d B reserved %7.2f B/tuple", r.Name, r.Used, r.Reserved, float64(r.Reserved)/tuples)
+	}
+	t.Logf("  %-14s %10d B used %10d B reserved %7.2f B/tuple", "total", used, reserved, float64(reserved)/tuples)
+	if off := float64(reserved)/float64(held) - 1; off > guardFootprintTolerance || off < -guardFootprintTolerance {
+		t.Errorf("Footprint reserves %d B, the store holds %d B: %.1f%% apart, want within %.0f%%",
+			reserved, held, off*100, guardFootprintTolerance*100)
+	}
+	runtime.KeepAlive(views)
+	runtime.KeepAlive(ts)
+}

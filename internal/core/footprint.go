@@ -21,9 +21,8 @@ type FootprintRow struct {
 // Footprint is a store's memory by component, the byte-side
 // decomposition of "bytes per unique tuple": each row is computed from
 // the lengths and capacities of the slices behind it, so taking one
-// walks no tuple. The Go maps of a plain store (and the distinct-large
-// set) have no capacity to read; their rows are estimates at slot size
-// x table size.
+// walks no tuple. The distinct-large set, a Go map, has no capacity to
+// read; its row is an estimate at slot size x table size.
 type Footprint []FootprintRow
 
 // Total sums the rows.
@@ -45,14 +44,6 @@ func (f Footprint) String() string {
 	}
 	_, reserved := f.Total()
 	return fmt.Sprintf("%d B reserved (%s)", reserved, strings.Join(rows, ", "))
-}
-
-// add folds other rows into r.
-func (r *FootprintRow) add(others ...FootprintRow) {
-	for _, o := range others {
-		r.Used += o.Used
-		r.Reserved += o.Reserved
-	}
 }
 
 // sliceRow measures a slice by its length and capacity.
@@ -90,41 +81,25 @@ func tableRow(name string, li *listIntern) FootprintRow {
 	return FootprintRow{Name: name, Used: 8 * int64(live), Reserved: 8 * int64(slots)}
 }
 
-// Footprint returns the store's memory by component. A shared-mode
-// store reports the cross-shard interns it refers to, which are its own
-// once stitched.
+// Footprint returns the store's memory by component. The set and group
+// rows are the interns the store refers to: its own, or, for a shard, the
+// ones it shares with its siblings, which become the stitched store's.
 func (ts *TupleStore) Footprint() Footprint {
-	set := sliceRow("set_arena", ts.setArena)
-	intern := FootprintRow{Name: "intern_tables"}
-	index := FootprintRow{Name: "index_tables"}
-	if sh := ts.shared; sh != nil {
-		set = arenaRow("set_arena", &sh.sets.arena)
-		intern = tableRow("intern_tables", &sh.sets)
-		index.Used = 8 * int64(ts.tupleTab.n+ts.pathTab.n)
-		index.Reserved = 8 * int64(cap(ts.tupleTab.slots)+cap(ts.pathTab.slots))
-	} else {
-		// pathIDs and pathKeys share each key's bytes and keep a string
-		// header apiece.
-		keyBytes := 0
-		for _, k := range ts.pathKeys {
-			keyBytes += len(k)
-		}
-		index.add(
-			FootprintRow{Used: int64(keyBytes), Reserved: int64(keyBytes)},
-			sliceRow("", ts.pathKeys),
-			mapRow("", len(ts.pathIDs), int(unsafe.Sizeof(""))+4),
-			mapRow("", len(ts.tupleIdx), int(unsafe.Sizeof(tupleKey{}))+4))
-	}
+	sh := ts.shared
 	return Footprint{
 		sliceRow("tuples", ts.tuples),
 		sliceRow("paths", ts.paths),
 		sliceRow("vp_arena", ts.vpArena),
-		set,
-		arenaRow("group_arena", &ts.groups.arena),
+		arenaRow("set_arena", &sh.sets.arena),
+		arenaRow("group_arena", &sh.groups.arena),
 		sliceRow("asn_arena", ts.asnArena),
-		intern,
-		tableRow("group_table", ts.groups),
-		index,
+		tableRow("intern_tables", &sh.sets),
+		tableRow("group_table", &sh.groups),
+		{
+			Name:     "index_tables",
+			Used:     8 * int64(ts.tupleTab.n+ts.pathTab.n),
+			Reserved: 8 * int64(cap(ts.tupleTab.slots)+cap(ts.pathTab.slots)),
+		},
 		sliceRow("looped_paths", ts.loops),
 		mapRow("large_set", len(ts.large), int(unsafe.Sizeof(bgp.LargeCommunity{}))),
 	}

@@ -58,10 +58,9 @@ func groupedViews(rng *rand.Rand, n int) []refView {
 }
 
 // identityOf renders a view's tuple identity from its raw input: the
-// collapsed path and the canonical lists, through no store code but the
-// path key.
+// collapsed path and the canonical lists, through no store code.
 func identityOf(path []uint32, comms bgp.Communities, larges bgp.LargeCommunities) string {
-	return fmt.Sprintf("%x %s", appendPathKey(nil, path), setKey(comms.Canonical(), larges.Canonical()))
+	return fmt.Sprintf("%v %s", refCollapse(path), setKey(comms.Canonical(), larges.Canonical()))
 }
 
 // groupedIdentities adds the identities of views to ids.
@@ -135,7 +134,7 @@ func checkGroupedTuples(t *testing.T, label string, ts *TupleStore, want map[str
 	for i := range ts.tuples {
 		tu := &ts.tuples[i]
 		cs, ls := tupleCommunities(ts, tu)
-		id := fmt.Sprintf("%x %s", pathKeyBytes(ts, tu.PathID), setKey(cs, ls))
+		id := fmt.Sprintf("%v %s", ts.pathKey(tu.PathID), setKey(cs, ls))
 		if !want[id] {
 			t.Fatalf("%s: tuple %d reads back as %s, which no view carried", label, i, id)
 		}
@@ -157,16 +156,17 @@ func checkGroupedTuples(t *testing.T, label string, ts *TupleStore, want map[str
 	return ids, refs
 }
 
-// checkGroupedStore checks a whole store — plain, stitched or stitched
-// and fed again: its tuples are exactly want, read through groups, and
-// its group arena holds exactly the groups they refer to, each once.
+// checkGroupedStore checks a whole store — a NewTupleStore, stitched or
+// stitched and fed again: its tuples are exactly want, read through
+// groups, its group arena holds exactly the groups they refer to, each
+// once, and its set arena no record twice.
 func checkGroupedStore(t *testing.T, label string, ts *TupleStore, want map[string]bool) {
 	t.Helper()
 	ids, refs := checkGroupedTuples(t, label, ts, want)
 	if len(ids) != len(want) {
 		t.Fatalf("%s: the store holds %d identities, the views %d", label, len(ids), len(want))
 	}
-	stored := checkGroups(t, label, ts.groups)
+	stored := checkGroups(t, label, &ts.shared.groups)
 	if len(stored) != len(refs) {
 		t.Fatalf("%s: the group arena holds %d groups, the set records refer to %d", label, len(stored), len(refs))
 	}
@@ -175,14 +175,12 @@ func checkGroupedStore(t *testing.T, label string, ts *TupleStore, want map[stri
 			t.Fatalf("%s: group %#x is stored but no set refers to it", label, ref)
 		}
 	}
-	if ts.shared != nil {
-		seen := make(map[string]bool)
-		for _, rec := range internedRecords(&ts.shared.sets) {
-			if key := fmt.Sprint(rec); seen[key] {
-				t.Fatalf("%s: set record %v stored twice", label, rec)
-			} else {
-				seen[key] = true
-			}
+	seen := make(map[string]bool)
+	for _, rec := range internedRecords(&ts.shared.sets) {
+		if key := fmt.Sprint(rec); seen[key] {
+			t.Fatalf("%s: set record %v stored twice", label, rec)
+		} else {
+			seen[key] = true
 		}
 	}
 }
@@ -190,8 +188,9 @@ func checkGroupedStore(t *testing.T, label string, ts *TupleStore, want map[stri
 // TestGroupedSetsMatchInput: over random views — empty, large-only,
 // many-α and mixed sets — a tuple's communities, read through its groups,
 // are the canonical input, and every distinct group is stored once: in a
-// plain store, in each shard of a sharded one, in the stitched store and
-// after post-Stitch AddViews, with seeded and with colliding hashes.
+// NewTupleStore, in each shard of a sharded one, in the stitched store
+// and after post-Stitch AddViews, with seeded and with colliding hashes
+// (the NewTupleStore's as well as the shards').
 func TestGroupedSetsMatchInput(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		for _, collide := range []bool{false, true} {
@@ -206,6 +205,7 @@ func TestGroupedSetsMatchInput(t *testing.T) {
 			label := fmt.Sprintf("seed %d collide=%v", seed, collide)
 
 			plain := NewTupleStore()
+			plain.shared.collide = collide
 			sts := NewShardedTupleStore(4)
 			sts.shared.collide = collide
 			for _, v := range views {
@@ -213,6 +213,9 @@ func TestGroupedSetsMatchInput(t *testing.T) {
 				sts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
 			}
 			checkGroupedStore(t, label+" plain", plain, want)
+			if collide {
+				checkOneChain(t, label+" plain", &plain.shared.sets)
+			}
 
 			union, refs := make(map[string]bool), make(map[uint32]bool)
 			for i := range sts.shards {

@@ -15,7 +15,7 @@ func mixWord(h uint64, v uint32) uint64 {
 	return h ^ h>>32
 }
 
-// hashPathKey hashes a shared-mode path key (its ASN words) twice in one
+// hashPathKey hashes a path key (its ASN words) twice in one
 // pass: route from a fixed state — shard routing is a pure function of
 // the path key, so every observation of a path meets its earlier ones in
 // one shard, and a shard holds the same paths in every run — and h from

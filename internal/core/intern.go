@@ -1,7 +1,7 @@
 package core
 
-// Shared cross-shard storage for the parallel load path: two record
-// interns (listIntern). The group intern stores each distinct group —
+// Every store's community storage, shared by all shards on the parallel
+// load path: two record interns (listIntern). The group intern stores each distinct group —
 // one α's run of a set, see groupSet — once in a chunked arena; the set
 // intern stores each distinct set record, the refs of its groups, once in
 // another. A tuple's set ref is therefore already global and Stitch moves
@@ -9,7 +9,7 @@ package core
 // probing of atomically published slots); inserts take one mutex per
 // intern. A shard asks them for refs only when it inserts a new tuple —
 // duplicates are recognized by the shard's own table first (see
-// addViewShared).
+// addView).
 // Path ASN words are not shared: paths shard by path key, so there is no
 // cross-shard duplication to dedup, and each shard appends them to its
 // own arena under the lock it already holds.
@@ -175,7 +175,7 @@ func (t *internTable) place(s uint64) {
 
 // listIntern deduplicates records (see recordAt) — groups, or set
 // records — across all shards of a ShardedTupleStore, or within one
-// plain store. The returned refs are exact identities — the same record
+// NewTupleStore. The returned refs are exact identities — the same record
 // always gets the same ref — and are the record's arena offset, which is
 // what a set record or a tuple carries. Ref values depend on arrival
 // order and are NOT stable across runs; everything derived from them
@@ -249,7 +249,7 @@ func (li *listIntern) intern(rec []bgp.Community) uint32 {
 }
 
 // adopt re-enters a record the arena already holds at ref, unless the
-// table knows its content, reporting whether it did: how reindexShared
+// table knows its content, reporting whether it did: how reindex
 // rebuilds a released table from the refs it finds, so a known record
 // keeps resolving to the ref already handed out and the arena does not
 // grow for it.
@@ -331,17 +331,17 @@ func (li *listIntern) grow(old *internTable) *internTable {
 	return nt
 }
 
-// storeShared bundles the cross-shard structures one ShardedTupleStore
+// storeInterns bundles the interns and hash seed a TupleStore's set refs
+// resolve through: a NewTupleStore's own, or the ones a ShardedTupleStore
 // hands to all its shard TupleStores (and to the stitched output).
-type storeShared struct {
-	// sets interns set records, groups the groups they refer to; every
-	// shard's TupleStore.groups is &groups.
+type storeInterns struct {
+	// sets interns set records, groups the groups they refer to.
 	sets, groups listIntern
 
-	// stitched is the store Stitch handed the interns to; nil while the
-	// shards are still writing. Every record in either intern arena
-	// belongs to one of its tuples.
-	stitched *TupleStore
+	// owner is the one store whose tuples every record in either intern
+	// arena belongs to: the NewTupleStore that made the interns, or the
+	// store Stitch handed them to. It is nil while shards are writing.
+	owner *TupleStore
 
 	// seed starts every table hash (never the routing hash), so which
 	// views share a probe chain cannot be computed from outside the
@@ -352,15 +352,15 @@ type storeShared struct {
 	collide bool
 }
 
-func newStoreShared() *storeShared {
-	sh := &storeShared{seed: rand.Uint64()}
+func newStoreInterns() *storeInterns {
+	sh := &storeInterns{seed: rand.Uint64()}
 	sh.sets.init(sh.setHash)
 	sh.groups.init(sh.setHash)
 	return sh
 }
 
 // setHash is the record interns' table hash.
-func (sh *storeShared) setHash(set []bgp.Community) uint64 {
+func (sh *storeInterns) setHash(set []bgp.Community) uint64 {
 	if sh.collide {
 		return 0
 	}
@@ -368,9 +368,9 @@ func (sh *storeShared) setHash(set []bgp.Community) uint64 {
 }
 
 // prepare readies one view, whose path key is already collapsed into
-// sc.words, for a shard: it renders the canonical set into sc and hashes
+// sc.words, for addView: it renders the canonical set into sc and hashes
 // the identity (see hashView).
-func (sh *storeShared) prepare(sc *addScratch, comms bgp.Communities, larges bgp.LargeCommunities) (route, hp, h uint64) {
+func (sh *storeInterns) prepare(sc *addScratch, comms bgp.Communities, larges bgp.LargeCommunities) (route, hp, h uint64) {
 	sc.canonicalSet(comms, larges)
 	return sh.hashView(sc)
 }
@@ -378,7 +378,7 @@ func (sh *storeShared) prepare(sc *addScratch, comms bgp.Communities, larges bgp
 // hashView hashes the view in sc (path key in sc.words, canonical set
 // in sc.set): route picks the shard, hp tags the path in the shard's path
 // table, h tags the whole identity in its tuple table.
-func (sh *storeShared) hashView(sc *addScratch) (route, hp, h uint64) {
+func (sh *storeInterns) hashView(sc *addScratch) (route, hp, h uint64) {
 	route, hp = hashPathKey(sc.words, sh.seed)
 	h = hashSet(hp, sc.set)
 	if sh.collide {

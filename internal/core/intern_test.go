@@ -31,7 +31,7 @@ func TestCommInternConcurrent(t *testing.T) {
 		}
 		return appendSet(nil, cs.Canonical(), nil)
 	}
-	ci := &newStoreShared().sets
+	ci := &newStoreInterns().sets
 	refs := make([][]uint32, goroutines)
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
@@ -81,7 +81,7 @@ func TestCommInternConcurrent(t *testing.T) {
 // at the head of the arena and never entered in the table, resolving to
 // a set with no communities of either kind.
 func TestCommInternEmptyList(t *testing.T) {
-	sh := newStoreShared()
+	sh := newStoreInterns()
 	ci := &sh.sets
 	if ref := ci.intern(appendSet(nil, nil, nil)); ref != 0 {
 		t.Fatalf("intern(empty) = %#x, want 0", ref)
@@ -92,7 +92,7 @@ func TestCommInternEmptyList(t *testing.T) {
 	if v := ci.view(0); !slices.Equal(v, emptySet[:]) {
 		t.Fatalf("view of ref 0 = %v, want the empty set", v)
 	}
-	ts := &TupleStore{shared: sh, groups: &sh.groups}
+	ts := &TupleStore{shared: sh}
 	if c, l := tupleCommunities(ts, &Tuple{}); len(c) != 0 || len(l) != 0 {
 		t.Fatalf("a tuple on ref 0 carries %v and %v", c, l)
 	}
@@ -105,7 +105,7 @@ func TestCommInternDupZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops items; alloc counts are noise")
 	}
-	ci := &newStoreShared().sets
+	ci := &newStoreInterns().sets
 	canon := appendSet(nil, bgp.Communities{bgp.NewCommunity(1299, 100), bgp.NewCommunity(1299, 2569)},
 		bgp.LargeCommunities{{GlobalAdmin: 1299, LocalData1: 1, LocalData2: 100}})
 	want := ci.intern(canon)
@@ -130,7 +130,7 @@ func TestCommInternDupZeroAlloc(t *testing.T) {
 // distinct set once.
 func TestSetInternSeeded(t *testing.T) {
 	for _, collide := range []bool{false, true} {
-		sh := newStoreShared()
+		sh := newStoreInterns()
 		sh.collide = collide
 		set := func(i int) []bgp.Community {
 			return appendSet(nil, bgp.Communities{bgp.NewCommunity(uint16(i>>8), uint16(i))}, nil)
@@ -163,7 +163,7 @@ func TestSetInternSeeded(t *testing.T) {
 	}
 
 	slots := func(seed uint64) []int {
-		sh := newStoreShared()
+		sh := newStoreInterns()
 		sh.seed = seed
 		var at []int
 		for i := 0; i < 16; i++ {

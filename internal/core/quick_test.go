@@ -124,7 +124,7 @@ func (o *oracleStore) addView(vp uint32, path []uint32, comms bgp.Communities, l
 	if len(path) == 0 {
 		return
 	}
-	key := string(appendPathKey(nil, path))
+	key := fmt.Sprint(refCollapse(path))
 	if _, ok := o.paths[key]; !ok {
 		var distinct []uint32
 		for _, asn := range path {
@@ -184,13 +184,13 @@ func quickViews(seeds []uint32) []refView {
 	return views
 }
 
-// TestColumnarMatchesOracleQuick: on random corpora the plain store and
-// a stitched sharded store hold exactly the oracle's logical content —
-// same tuple set, same per-tuple VP sets, same interned paths — before
-// and after a post-stitch AddView takes a multi-VP list past a power of
-// two. This pins the arena bookkeeping (inline and arena VP lists, VP
-// growth, set records, hash-collision overflow, path interning) to a
-// model too simple to share its bugs.
+// TestColumnarMatchesOracleQuick: on random corpora a NewTupleStore and
+// a stitched sharded store, both with seeded or with colliding hashes,
+// hold exactly the oracle's logical content — same tuple set, same
+// per-tuple VP sets, same interned paths — before and after a
+// post-stitch AddView takes a multi-VP list past a power of two. This
+// pins the arena bookkeeping (inline and arena VP lists, VP growth, set
+// records, path interning) to a model too simple to share its bugs.
 func TestColumnarMatchesOracleQuick(t *testing.T) {
 	matches := func(ts *TupleStore, oracle *oracleStore) bool {
 		if ts.Len() != countOracleTuples(oracle) || ts.PathCount() != len(oracle.paths) {
@@ -199,7 +199,7 @@ func TestColumnarMatchesOracleQuick(t *testing.T) {
 		tuples := ts.Tuples()
 		for i := range tuples {
 			tu := &tuples[i]
-			key := string(pathKeyBytes(ts, tu.PathID))
+			key := fmt.Sprint(ts.pathKey(tu.PathID))
 			if !slices.Equal(ts.Path(tu.PathID).ASNs, oracle.paths[key]) {
 				return false
 			}
@@ -220,6 +220,7 @@ func TestColumnarMatchesOracleQuick(t *testing.T) {
 		views := quickViews(seeds)
 		later := growVPs(views)
 		plain := NewTupleStore()
+		plain.shared.collide = collide
 		sts := NewShardedTupleStore(4)
 		sts.shared.collide = collide
 		oracle := newOracleStore()

@@ -23,20 +23,20 @@ import (
 // deduplication is global deduplication: no cross-shard reconciliation
 // is needed at stitch time.
 //
-// All shards run their TupleStores in shared-storage mode against one
-// storeShared: groups and set records intern into lock-free global
-// tables, so every set ref a shard writes is already valid in the
-// stitched store and Stitch never moves community payload. Path ASN
+// All shards' TupleStores share one storeInterns: groups and set records
+// intern into lock-free global tables, so every set ref a shard writes
+// is already valid in the stitched store and Stitch never moves
+// community payload. Path ASN
 // words stay in the shard's own asnArena, written under the shard lock;
 // Stitch copies them once into the stitched arena.
 //
-// A view is hashed once, outside the shard lock (storeShared.prepare);
-// the hash leads straight to its tuple (addViewShared), so a duplicate
+// A view is hashed once, outside the shard lock (storeInterns.prepare);
+// the hash leads straight to its tuple (addView), so a duplicate
 // costs one probe, a content compare and a VP binary search.
 type ShardedTupleStore struct {
 	shards []tupleShard
 	shift  uint // 64 - log2(len(shards)): the route hash's top bits pick the shard
-	shared *storeShared
+	shared *storeInterns
 }
 
 type tupleShard struct {
@@ -58,10 +58,10 @@ func NewShardedTupleStore(n int) *ShardedTupleStore {
 	s := &ShardedTupleStore{
 		shards: make([]tupleShard, size),
 		shift:  uint(64 - bits.TrailingZeros(uint(size))),
-		shared: newStoreShared(),
+		shared: newStoreInterns(),
 	}
 	for i := range s.shards {
-		s.shards[i].ts = &TupleStore{shared: s.shared, groups: &s.shared.groups, large: make(map[bgp.LargeCommunity]struct{})}
+		s.shards[i].ts = &TupleStore{shared: s.shared, large: make(map[bgp.LargeCommunity]struct{})}
 	}
 	return s
 }
@@ -114,7 +114,7 @@ func (s *ShardedTupleStore) add(vp uint32, path []uint32, comms bgp.Communities,
 	route, hp, h := s.shared.prepare(sc, comms, larges)
 	sh := &s.shards[route>>s.shift]
 	sh.mu.Lock()
-	sh.ts.addViewShared(vp, hp, h, sc)
+	sh.ts.addView(vp, hp, h, sc)
 	sh.mu.Unlock()
 }
 
@@ -130,7 +130,7 @@ func (s *ShardedTupleStore) NoteLarge(ls bgp.LargeCommunities) {
 	}
 }
 
-// flatTable is the index shape of a shared-mode store: an open-addressed
+// flatTable is the index shape of a TupleStore: an open-addressed
 // table (linear probing, power-of-two capacity, grown at 3/4 load) of
 // uint64 slots, tag<<32 | index+1, zero meaning empty. The tag is the
 // top half of the entry's seeded hash and its top bits are the home
@@ -184,7 +184,7 @@ type loopedKey struct {
 	key span
 }
 
-// pathKey returns a shared-mode path's key: its ASN words with prepending
+// pathKey returns a path's key: its ASN words with prepending
 // collapsed, which identify the path. For a loop-free path — every path
 // BGP loop prevention lets through — that is the distinct-ASN sequence
 // the path stores anyway, so the key costs nothing. Only a path that
@@ -202,7 +202,7 @@ func (ts *TupleStore) pathKey(id int32) []uint32 {
 	return ts.pathASNs(&ts.paths[id])
 }
 
-// addViewShared is the shared-mode write path for one prepared view:
+// addView is the write path for one prepared view:
 // hashes hp (path) and h (identity), path key in sc.words, canonical set
 // in sc.set (and its lists in sc.comms and sc.larges). One probe of the
 // tuple table finds the view's tuple if it exists, confirmed by comparing
@@ -210,9 +210,9 @@ func (ts *TupleStore) pathKey(id int32) []uint32 {
 // the hash does. Only a miss goes on to the path table, the global group
 // and set interns (whose refs Stitch carries over) and the appends; that
 // is also the one moment the tuple's larges enter the distinct-large set.
-func (ts *TupleStore) addViewShared(vp uint32, hp, h uint64, sc *addScratch) {
+func (ts *TupleStore) addView(vp uint32, hp, h uint64, sc *addScratch) {
 	if ts.tupleTab.slots == nil {
-		ts.reindexShared()
+		ts.reindex()
 	}
 	tab := &ts.tupleTab
 	tag, mask := uint32(h>>32), uint32(len(tab.slots)-1)
@@ -223,13 +223,13 @@ func (ts *TupleStore) addViewShared(vp uint32, hp, h uint64, sc *addScratch) {
 		}
 		ti := int32(uint32(s) - 1)
 		t := &ts.tuples[ti]
-		if slices.Equal(ts.pathKey(t.PathID), sc.words) && sameSet(ts.groups, ts.setRecord(t), sc.set) {
+		if slices.Equal(ts.pathKey(t.PathID), sc.words) && sameSet(&ts.shared.groups, ts.setRecord(t), sc.set) {
 			ts.addVP(ti, vp)
 			return
 		}
 	}
-	id := ts.internPathShared(hp, sc)
-	sc.groupSet(ts.groups)
+	id := ts.internPath(hp, sc)
+	sc.groupSet(&ts.shared.groups)
 	set := ts.shared.sets.intern(sc.rec)
 	for _, lc := range sc.larges {
 		ts.large[lc] = struct{}{}
@@ -239,11 +239,11 @@ func (ts *TupleStore) addViewShared(vp uint32, hp, h uint64, sc *addScratch) {
 	ts.tuples = append(ts.tuples, Tuple{PathID: id, set: set, vp: [1]uint32{vp}, nVP: 1})
 }
 
-// internPathShared returns the ID of the path with key sc.words and hash
+// internPath returns the ID of the path with key sc.words and hash
 // hp, creating the entry if new: IDs are handed out in arrival order, and
 // the distinct-ASN sequence goes into the store's own ASN arena. The key
 // words follow it there only when they are not that same sequence.
-func (ts *TupleStore) internPathShared(hp uint64, sc *addScratch) int32 {
+func (ts *TupleStore) internPath(hp uint64, sc *addScratch) int32 {
 	tab := &ts.pathTab
 	tag, mask := uint32(hp>>32), uint32(len(tab.slots)-1)
 	for i := tag >> tab.shift; tab.slots[i] != 0; i = (i + 1) & mask {
@@ -263,15 +263,15 @@ func (ts *TupleStore) internPathShared(hp uint64, sc *addScratch) int32 {
 	return id
 }
 
-// reindexShared builds the tables from the columnar data. A stitched
+// reindex builds the tables from the columnar data. A stitched
 // store arrives without them — readers never need them, and building
 // them eagerly would put a serial pass back into the load path — so the
-// first post-stitch AddView pays for them; so does a fresh shard's. That
+// first post-stitch AddView pays for them; so does a fresh store's. That
 // includes the intern tables Stitch released: every set record a tuple
 // refers to re-enters under the ref the tuple carries, and the groups of
 // each record that re-entered under the refs it carries. The tuple
 // table hashes the canonical set, so each record is expanded once.
-func (ts *TupleStore) reindexShared() {
+func (ts *TupleStore) reindex() {
 	ts.pathTab = newFlatTable(len(ts.paths))
 	ts.tupleTab = newFlatTable(len(ts.tuples))
 	sc := new(addScratch)
@@ -283,12 +283,12 @@ func (ts *TupleStore) reindexShared() {
 	for i := range ts.tuples {
 		t := &ts.tuples[i]
 		rec := ts.setRecord(t)
-		sc.words, sc.set = ts.pathKey(t.PathID), appendExpanded(sc.set[:0], ts.groups, rec)
+		sc.words, sc.set = ts.pathKey(t.PathID), appendExpanded(sc.set[:0], &ts.shared.groups, rec)
 		_, _, h := ts.shared.hashView(sc)
 		ts.tupleTab.insert(h, i)
 		if ts.shared.sets.adopt(t.set) {
 			for _, g := range rec[1:] {
-				ts.groups.adopt(uint32(g))
+				ts.shared.groups.adopt(uint32(g))
 			}
 		}
 	}
@@ -332,7 +332,7 @@ func (s *ShardedTupleStore) Len() int {
 // holds what readers read and nothing else: the shards' lookup tables
 // and ASN arenas die with the shards, the interns' hash tables — which
 // only an insert probes — are released, and all of them are rebuilt
-// lazily on the first AddView (reindexShared), so pure readers (Observe,
+// lazily on the first AddView (reindex), so pure readers (Observe,
 // snapshot write) never pay for them. Nothing carries growth slack beyond the one
 // rule: a VP list of more than one keeps its capacity nextPow2(length),
 // so post-stitch AddViews grow it as any other, and the intern arenas'
@@ -367,7 +367,6 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	}
 	out := &TupleStore{
 		shared:      s.shared,
-		groups:      &s.shared.groups,
 		tuples:      make([]Tuple, tupleOff[n]),
 		paths:       make([]pathMeta, pathOff[n]),
 		asnArena:    make([]uint32, asnOff[n]),
@@ -405,7 +404,7 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 		}
 	})
 	sh := s.shared
-	sh.stitched = out
+	sh.owner = out
 	for _, li := range []*listIntern{&sh.sets, &sh.groups} {
 		li.release()
 		li.arena.trim()

@@ -51,16 +51,6 @@ func genViews(seed int64, n int) []synthView {
 	return views
 }
 
-// pathKeyBytes renders a path's key as the little-endian bytes the plain
-// store keys its map with, whichever way the store holds it: a plain
-// store keeps that string, a shared-mode one the words (TupleStore.pathKey).
-func pathKeyBytes(ts *TupleStore, id int32) []byte {
-	if ts.shared == nil {
-		return []byte(ts.pathKeys[id])
-	}
-	return appendPathKey(nil, ts.pathKey(id))
-}
-
 // tupleCommunities reads a tuple's communities back through its groups.
 func tupleCommunities(ts *TupleStore, t *Tuple) (comms bgp.Communities, larges bgp.LargeCommunities) {
 	ts.eachGroup(t, func(cs bgp.Communities, ls []bgp.Community) {
@@ -80,7 +70,7 @@ func dumpStore(ts *TupleStore) []string {
 	for i := range ts.tuples {
 		t := &ts.tuples[i]
 		comms, larges := tupleCommunities(ts, t)
-		lines = append(lines, fmt.Sprintf("t %x %v %v %v %v", pathKeyBytes(ts, t.PathID), ts.Path(t.PathID).ASNs, comms, larges, ts.TupleVPs(t)))
+		lines = append(lines, fmt.Sprintf("t %v %v %v %v %v", ts.pathKey(t.PathID), ts.Path(t.PathID).ASNs, comms, larges, ts.TupleVPs(t)))
 	}
 	larges := make([]string, 0, len(ts.large))
 	for lc := range ts.large {
@@ -271,13 +261,15 @@ func TestShardCountsRounding(t *testing.T) {
 }
 
 // TestLoopedPathIdentity: a path's identity is its key — the ASN
-// sequence with prepending collapsed — although a shared-mode store
-// stores that key only for a path that repeats an AS apart. A B A is not
-// A B (same distinct ASNs), A A B is (prepending), and an AS_SET
-// flattened behind its sequence is the path those words spell. The plain
-// store, which keys paths by the rendered bytes, is the reference: the
-// sharded store must agree with it through the shards, Stitch and
-// post-stitch AddViews, with every table hash forced to collide as well.
+// sequence with prepending collapsed — although a store stores that key
+// only for a path that repeats an AS apart. A B A is not A B (same
+// distinct ASNs), A A B is (prepending), and an AS_SET flattened behind
+// its sequence is the path those words spell. The naive reduction is the
+// reference, distinct-ASN lists included: a NewTupleStore and the sharded
+// store must agree with it, and with each other dump for dump, through the
+// shards, Stitch (which rebases the ASN spans) and post-stitch AddViews
+// (which append to the exactly-sized ASN arena), with every table hash
+// forced to collide as well.
 func TestLoopedPathIdentity(t *testing.T) {
 	const A, B, C = 64500, 64501, 64502
 	comms := bgp.Communities{bgp.NewCommunity(100, 1)}
@@ -299,34 +291,49 @@ func TestLoopedPathIdentity(t *testing.T) {
 		for _, shards := range []int{1, 64} {
 			label := fmt.Sprintf("collide=%v shards=%d", collide, shards)
 			plain := NewTupleStore()
+			plain.shared.collide = collide
 			sts := NewShardedTupleStore(shards)
 			sts.shared.collide = collide
+			var views []refView
 			for i, p := range paths {
+				views = append(views, refView{vp: uint32(i), path: p, comms: comms})
 				plain.AddView(uint32(i), p, comms)
 				sts.AddView(uint32(i), p, comms)
 			}
+			views = append(views, refView{vp: 9, path: aggregated.Flatten(), comms: comms})
 			plain.AddView(9, aggregated.Flatten(), comms)
 			sts.AddViewASPath(9, aggregated, comms)
 			if sts.Len() != 5 {
 				t.Fatalf("%s: %d tuples in the shards, want 5", label, sts.Len())
 			}
 
+			want := referenceReduce(views)
 			ts := stitchChecked(t, label, sts, 2)
+			checkReduction(t, label+" plain", plain, want)
+			checkReduction(t, label+" stitched", ts, want)
 			equalDumps(t, sortedDump(ts), sortedDump(plain), label+" stitched vs plain")
-			if ts.PathCount() != 5 || len(ts.loops) != 3 {
-				t.Fatalf("%s: %d paths, %d of them with stored keys; want 5 and 3", label, ts.PathCount(), len(ts.loops))
+			for _, s := range []*TupleStore{plain, ts} {
+				if len(s.loops) != 3 {
+					t.Fatalf("%s: %d paths with stored keys, want 3", label, len(s.loops))
+				}
 			}
 
 			// Known views add vantage points only; of the later paths one is
 			// known, one new and looped, one known under prepending, one new.
 			for i, p := range append(paths, later...) {
+				views = append(views, refView{vp: uint32(20 + i), path: p, comms: comms})
 				plain.AddView(uint32(20+i), p, comms)
 				ts.AddView(uint32(20+i), p, comms)
 			}
+			want = referenceReduce(views)
+			checkReduction(t, label+" plain re-fed", plain, want)
+			checkReduction(t, label+" stitched re-fed", ts, want)
 			equalDumps(t, sortedDump(ts), sortedDump(plain), label+" re-fed vs plain")
-			if ts.PathCount() != 7 || ts.Len() != 7 || len(ts.loops) != 4 {
-				t.Fatalf("%s: after the later views %d paths, %d tuples, %d stored keys; want 7, 7 and 4",
-					label, ts.PathCount(), ts.Len(), len(ts.loops))
+			for _, s := range []*TupleStore{plain, ts} {
+				if s.PathCount() != 7 || s.Len() != 7 || len(s.loops) != 4 {
+					t.Fatalf("%s: after the later views %d paths, %d tuples, %d stored keys; want 7, 7 and 4",
+						label, s.PathCount(), s.Len(), len(s.loops))
+				}
 			}
 		}
 	}

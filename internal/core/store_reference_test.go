@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -59,6 +58,32 @@ func refSortedSet[T comparable](xs []T, less func(a, b T) bool) []T {
 	return out
 }
 
+// refCollapse returns path with prepending (adjacent repeats) collapsed:
+// the path's identity, computed without the store's collapsePath.
+func refCollapse(path []uint32) []uint32 {
+	var collapsed []uint32
+	for i, asn := range path {
+		if i == 0 || asn != path[i-1] {
+			collapsed = append(collapsed, asn)
+		}
+	}
+	return collapsed
+}
+
+// refDistinct returns path's distinct ASNs in first-appearance order: a
+// path's PathInfo.ASNs, computed without the store.
+func refDistinct(path []uint32) []uint32 {
+	var out []uint32
+	seen := make(map[uint32]bool, len(path))
+	for _, asn := range path {
+		if !seen[asn] {
+			seen[asn] = true
+			out = append(out, asn)
+		}
+	}
+	return out
+}
+
 // referenceReduce is the naive §4 reduction. It shares no code with
 // TupleStore or ShardedTupleStore.
 func referenceReduce(views []refView) refReduction {
@@ -70,12 +95,7 @@ func referenceReduce(views []refView) refReduction {
 		if len(v.path) == 0 {
 			continue
 		}
-		var collapsed []uint32
-		for i, asn := range v.path {
-			if i == 0 || asn != v.path[i-1] {
-				collapsed = append(collapsed, asn)
-			}
-		}
+		collapsed := refCollapse(v.path)
 		comms := refSortedSet(v.comms, func(a, b bgp.Community) bool { return a < b })
 		larges := refSortedSet(v.larges, func(a, b bgp.LargeCommunity) bool {
 			if a.GlobalAdmin != b.GlobalAdmin {
@@ -98,29 +118,26 @@ func referenceReduce(views []refView) refReduction {
 
 // reduceStore reads a store back into the reference's shape, failing on
 // anything a reduction must never hold: one identity in two tuples, a
-// repeated vantage point, one path under two IDs.
+// repeated vantage point, one path under two IDs, a path whose ASNs are
+// not its key's distinct ASNs.
 func reduceStore(t *testing.T, label string, ts *TupleStore) refReduction {
 	t.Helper()
 	r := newRefReduction()
-	pathOf := func(id int32) []uint32 {
-		key := pathKeyBytes(ts, id)
-		path := make([]uint32, len(key)/4)
-		for i := range path {
-			path[i] = binary.LittleEndian.Uint32(key[4*i:])
-		}
-		return path
-	}
 	for id := range ts.paths {
-		p := fmt.Sprint(pathOf(int32(id)))
+		key := ts.pathKey(int32(id))
+		p := fmt.Sprint(key)
 		if r.paths[p] {
 			t.Fatalf("%s: path %s interned twice", label, p)
 		}
 		r.paths[p] = true
+		if got, want := fmt.Sprint(ts.Path(int32(id)).ASNs), fmt.Sprint(refDistinct(key)); got != want {
+			t.Fatalf("%s: path %s has ASNs %s, want %s", label, p, got, want)
+		}
 	}
 	for i := range ts.tuples {
 		tu := &ts.tuples[i]
 		comms, larges := tupleCommunities(ts, tu)
-		id := refIdentity(pathOf(tu.PathID), comms, larges)
+		id := refIdentity(ts.pathKey(tu.PathID), comms, larges)
 		if r.vps[id] != nil {
 			t.Fatalf("%s: identity %s held by two tuples", label, id)
 		}
@@ -227,17 +244,18 @@ func storeViews(seed int64) []refView {
 	return views
 }
 
-// TestStoreMatchesReference: the naive reduction, the plain TupleStore
-// and the sharded store after Stitch hold exactly the same tuples,
-// vantage-point sets, paths and distinct large communities, for every
-// combination of concurrent writers, shard count and Stitch workers —
-// and a stitched store fed the whole stream again (through its lazily
-// rebuilt tables) does not change, while one fed nine new vantage points
-// for a multi-VP tuple grows that list past a power of two. The second
-// round makes every view hash alike, so each shard's tables and the set
+// TestStoreMatchesReference: the naive reduction, a NewTupleStore (the
+// live window's store) and the sharded store after Stitch hold exactly
+// the same tuples, vantage-point sets, paths and distinct large
+// communities, for every combination of concurrent writers, shard count
+// and Stitch workers — and a stitched store fed the whole stream again
+// (through its lazily rebuilt tables) does not change, while one fed
+// nine new vantage points for a multi-VP tuple grows that list past a
+// power of two. The second round makes every view hash alike, in the
+// NewTupleStore as in the shards, so each store's tables and the set
 // intern degenerate into one probe chain apiece: the results must be the
 // same, because the content comparison, not the tag, decides identity.
-// (Dropping the path or set compare from addViewShared, or the content
+// (Dropping the path or set compare from addView, or the content
 // compare from the intern's lookup, fails this round.)
 func TestStoreMatchesReference(t *testing.T) {
 	for _, collide := range []bool{false, true} {
@@ -248,14 +266,19 @@ func TestStoreMatchesReference(t *testing.T) {
 			wantLater := referenceReduce(append(views, later...))
 
 			plain := NewTupleStore()
+			plain.shared.collide = collide
+			plainLabel := fmt.Sprintf("seed %d collide=%v plain", seed, collide)
 			for _, v := range views {
 				plain.AddViewLarge(v.vp, v.path, v.comms, v.larges)
 			}
-			checkReduction(t, fmt.Sprintf("seed %d plain", seed), plain, want)
+			checkReduction(t, plainLabel, plain, want)
 			for _, v := range later {
 				plain.AddViewLarge(v.vp, v.path, v.comms, v.larges)
 			}
-			checkReduction(t, fmt.Sprintf("seed %d plain grown", seed), plain, wantLater)
+			checkReduction(t, plainLabel+" grown", plain, wantLater)
+			if collide {
+				checkOneChain(t, plainLabel, &plain.shared.sets)
+			}
 
 			for _, writers := range []int{1, 2, 8} {
 				for _, shards := range []int{1, 7, 64} {

@@ -6,9 +6,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"math/bits"
-	"math/rand/v2"
 	"slices"
 	"sync"
 
@@ -66,7 +64,7 @@ func nextPow2(n uint32) uint32 { return 1 << bits.Len32(n-1) }
 //     large communities' words;
 //   - a group: one α's run of a canonical set — its classic communities
 //     with one ASN, or its large communities with one Global
-//     Administrator — interned once per store (TupleStore.groups);
+//     Administrator — interned once per store (storeInterns.groups);
 //   - a set record, what a tuple refers to: the refs of its set's groups,
 //     in the set's order (groupSet).
 //
@@ -168,16 +166,6 @@ func appendExpanded(dst []bgp.Community, groups *listIntern, rec []bgp.Community
 	return dst
 }
 
-// tupleKey is the plain store's fixed-size dedup key of one tuple: the
-// interned path ID plus a 64-bit hash of its canonical set. Tuples whose
-// sets collide on the hash are disambiguated by comparing the sets
-// themselves (a rare overflow list holds the extra candidates), so the
-// key is compact without being lossy.
-type tupleKey struct {
-	pathID  int32
-	setHash uint64
-}
-
 // TupleStore interns AS paths and deduplicates (path, communities)
 // tuples, the §4 data reduction (the paper extracts ≈174M such tuples
 // from one week of RouteViews/RIS data).
@@ -188,42 +176,27 @@ type tupleKey struct {
 // append-only arenas. The hot ingest path therefore allocates only when
 // an arena or the flat slice grows, not per tuple.
 type TupleStore struct {
-	// shared, when non-nil, switches the store to shared-storage mode:
-	// set records and groups resolve through the cross-shard interns, so
-	// set refs are global and a ShardedTupleStore.Stitch moves no
-	// community data. A plain NewTupleStore leaves it nil and keeps a
-	// local set arena.
-	shared *storeShared
-	// groups interns every group the set records refer to, each once:
-	// a plain store's own, the shards' shared one in shared mode.
-	groups *listIntern
+	// shared holds the interns of set records and of the groups they
+	// refer to. A NewTupleStore owns its own; the shards of a
+	// ShardedTupleStore share one, so set refs are global and Stitch
+	// moves no community data.
+	shared *storeInterns
 
 	paths    []pathMeta
 	asnArena []uint32 // all interned path ASN sequences, and the looped paths' keys
-	pathIDs  map[string]int32
-	pathKeys []string // path ID -> binary path key (shares pathIDs' key storage; plain store only)
-	// loops is the shared-mode side index of the paths that repeat an AS
-	// (see pathKey), ascending by path ID.
+	// loops is the side index of the paths that repeat an AS (see
+	// pathKey), ascending by path ID.
 	loops []loopedKey
 
-	tuples   []Tuple
-	setArena []bgp.Community // every tuple's set record, one per tuple (append-only; nil in shared mode)
-	vpArena  []uint32        // the VP lists of tuples with more than one (relocating; see Tuple)
+	tuples  []Tuple
+	vpArena []uint32 // the VP lists of tuples with more than one (relocating; see Tuple)
 	// largeTuples records whether any tuple carries large communities, so
 	// a classic-only load reports no large observations at all.
 	largeTuples bool
 
-	// tupleIdx maps a dedup key to its first tuple; tupleDup holds the
-	// (vanishingly rare) extra tuples whose sets collide on the hash, so
-	// the common case costs one map entry and zero slices.
-	// Like pathIDs, plain store only: a shared-mode store indexes through
-	// tupleTab and pathTab instead (see addViewShared).
-	tupleIdx map[tupleKey]int32
-	tupleDup map[tupleKey][]int32
-
-	// tupleTab and pathTab are the shared-mode indexes: view identity ->
-	// tuple and path key -> path ID, candidates confirmed by content. A
-	// stitched store leaves both empty until its first AddView.
+	// tupleTab and pathTab are the indexes: view identity -> tuple and
+	// path key -> path ID, candidates confirmed by content. A stitched
+	// store leaves both empty until its first AddView.
 	tupleTab flatTable
 	pathTab  flatTable
 
@@ -238,14 +211,8 @@ type TupleStore struct {
 
 // NewTupleStore returns an empty store.
 func NewTupleStore() *TupleStore {
-	ts := &TupleStore{
-		groups:   new(listIntern),
-		pathIDs:  make(map[string]int32),
-		tupleIdx: make(map[tupleKey]int32),
-		large:    make(map[bgp.LargeCommunity]struct{}),
-	}
-	seed := rand.Uint64()
-	ts.groups.init(func(rec []bgp.Community) uint64 { return hashSet(seed, rec) })
+	ts := &TupleStore{shared: newStoreInterns(), large: make(map[bgp.LargeCommunity]struct{})}
+	ts.shared.owner = ts
 	return ts
 }
 
@@ -263,22 +230,8 @@ func (ts *TupleStore) NoteLarge(ls bgp.LargeCommunities) {
 // noted.
 func (ts *TupleStore) LargeCommunityCount() int { return len(ts.large) }
 
-// appendPathKey renders a path (with prepending collapsed) to the plain
-// store's compact binary key, appending to dst.
-func appendPathKey(dst []byte, path []uint32) []byte {
-	var prev uint32
-	for i, asn := range path {
-		if i > 0 && asn == prev {
-			continue
-		}
-		prev = asn
-		dst = binary.LittleEndian.AppendUint32(dst, asn)
-	}
-	return dst
-}
-
 // collapsePath appends path with prepending (adjacent repeats) collapsed:
-// the shared-mode path key, the same words appendPathKey renders to bytes.
+// the path key.
 func collapsePath(dst, path []uint32) []uint32 {
 	for i, asn := range path {
 		if i == 0 || asn != path[i-1] {
@@ -291,8 +244,7 @@ func collapsePath(dst, path []uint32) []uint32 {
 // addScratch holds the per-AddView working buffers; pooled so the hot
 // path allocates nothing when it hits existing paths and tuples.
 type addScratch struct {
-	key    []byte   // plain-store path key
-	words  []uint32 // shared-mode path key
+	words  []uint32 // path key
 	comms  bgp.Communities
 	larges bgp.LargeCommunities // large-community canonicalization buffer
 	set    []bgp.Community      // the view's canonical set (see appendSet)
@@ -352,22 +304,6 @@ func canonicalLargeInto(dst, ls bgp.LargeCommunities) bgp.LargeCommunities {
 	return dst[:w]
 }
 
-// internPathKey returns the plain store's path ID for a path whose
-// binary key has already been rendered, creating the entry if new. The
-// key bytes are only copied to a string on insertion; lookups are
-// allocation-free.
-func (ts *TupleStore) internPathKey(key []byte, path []uint32) int32 {
-	if id, ok := ts.pathIDs[string(key)]; ok {
-		return id
-	}
-	id := int32(len(ts.paths))
-	skey := string(key)
-	ts.paths = append(ts.paths, pathMeta{asns: ts.appendPathASNs(path)})
-	ts.pathIDs[skey] = id
-	ts.pathKeys = append(ts.pathKeys, skey)
-	return id
-}
-
 // appendPathASNs appends a new path's distinct ASNs, in first-appearance
 // order, to the store's ASN arena and returns their span (AS paths are
 // short, so the dedup scan beats a map).
@@ -395,65 +331,15 @@ func (ts *TupleStore) AddView(vp uint32, path []uint32, comms bgp.Communities) {
 // distinct-large statistics, even when the path is empty and no tuple
 // results.
 func (ts *TupleStore) AddViewLarge(vp uint32, path []uint32, comms bgp.Communities, larges bgp.LargeCommunities) {
-	for _, lc := range larges {
-		ts.large[lc] = struct{}{}
-	}
 	if len(path) == 0 {
+		ts.NoteLarge(larges)
 		return
 	}
 	sc := addScratchPool.Get().(*addScratch)
-	if ts.shared != nil { // a store that came out of Stitch
-		sc.words = collapsePath(sc.words[:0], path)
-		_, hp, h := ts.shared.prepare(sc, comms, larges)
-		ts.addViewShared(vp, hp, h, sc)
-	} else {
-		sc.key = appendPathKey(sc.key[:0], path)
-		ts.addViewKeyed(vp, sc.key, path, comms, larges, sc)
-	}
+	sc.words = collapsePath(sc.words[:0], path)
+	_, hp, h := ts.shared.prepare(sc, comms, larges)
+	ts.addView(vp, hp, h, sc)
 	addScratchPool.Put(sc)
-}
-
-// addViewKeyed is the plain store's AddViewLarge with the path key
-// pre-rendered into sc.key; sc also carries the canonicalization
-// scratch. Callers are responsible for noting larges in ts.large.
-func (ts *TupleStore) addViewKeyed(vp uint32, key []byte, path []uint32, comms bgp.Communities, larges bgp.LargeCommunities, sc *addScratch) {
-	id := ts.internPathKey(key, path)
-	sc.canonicalSet(comms, larges)
-	tk := tupleKey{pathID: id, setHash: hashSet(0, sc.set)}
-	if ti, ok := ts.tupleIdx[tk]; ok {
-		if ts.addVPIfMatch(ti, sc.set, vp) {
-			return
-		}
-		for _, di := range ts.tupleDup[tk] {
-			if ts.addVPIfMatch(di, sc.set, vp) {
-				return
-			}
-		}
-		// Hash collision: distinct sets under the same key.
-		if ts.tupleDup == nil {
-			ts.tupleDup = make(map[tupleKey][]int32)
-		}
-		ts.tupleDup[tk] = append(ts.tupleDup[tk], int32(len(ts.tuples)))
-	} else {
-		ts.tupleIdx[tk] = int32(len(ts.tuples))
-	}
-	set := uint32(len(ts.setArena))
-	sc.groupSet(ts.groups)
-	ts.setArena = append(ts.setArena, sc.rec...)
-	if len(sc.larges) > 0 {
-		ts.largeTuples = true
-	}
-	ts.tuples = append(ts.tuples, Tuple{PathID: id, set: set, vp: [1]uint32{vp}, nVP: 1})
-}
-
-// addVPIfMatch merges vp into tuple ti if its set is the canonical set
-// set, reporting whether it did.
-func (ts *TupleStore) addVPIfMatch(ti int32, set []bgp.Community, vp uint32) bool {
-	if !sameSet(ts.groups, ts.setRecord(&ts.tuples[ti]), set) {
-		return false
-	}
-	ts.addVP(ti, vp)
-	return true
 }
 
 // addVP inserts vp into tuple ti's sorted VP list (no-op when present).
@@ -517,13 +403,10 @@ func (ts *TupleStore) pathASNs(p *pathMeta) []uint32 {
 // Iterate by index and resolve payloads through eachGroup/TupleVPs.
 func (ts *TupleStore) Tuples() []Tuple { return ts.tuples }
 
-// setRecord returns a tuple's set record (a view into the set arena or
-// the shared set intern's arena; do not mutate).
+// setRecord returns a tuple's set record (a view into the set intern's
+// arena; do not mutate).
 func (ts *TupleStore) setRecord(t *Tuple) []bgp.Community {
-	if ts.shared != nil {
-		return ts.shared.sets.view(t.set)
-	}
-	return recordAt(ts.setArena[t.set:])
+	return ts.shared.sets.view(t.set)
 }
 
 // eachGroup calls fn with each group of t's community set, in the set's
@@ -534,7 +417,7 @@ func (ts *TupleStore) setRecord(t *Tuple) []bgp.Community {
 // keep or modify them.
 func (ts *TupleStore) eachGroup(t *Tuple, fn func(comms bgp.Communities, larges []bgp.Community)) {
 	for _, ref := range ts.setRecord(t)[1:] {
-		fn(splitSet(ts.groups.view(uint32(ref))))
+		fn(splitSet(ts.shared.groups.view(uint32(ref))))
 	}
 }
 
@@ -558,18 +441,18 @@ func (ts *TupleStore) VPSet() []uint32 {
 }
 
 // eachStoredGroup calls fn, as eachGroup does, with every group the
-// tuples refer to, each at least once. A plain store's group arena and a
-// stitched store's shared one hold exactly those groups, each once; a
+// tuples refer to, each at least once. The group arena of the interns'
+// owner (see storeInterns.owner) holds exactly those groups, each once; a
 // shard, whose arena holds its siblings' groups too, visits its tuples'
 // groups one by one.
 func (ts *TupleStore) eachStoredGroup(fn func(comms bgp.Communities, larges []bgp.Community)) {
-	if ts.shared != nil && ts.shared.stitched != ts {
+	if ts.shared.owner != ts {
 		for i := range ts.tuples {
 			ts.eachGroup(&ts.tuples[i], fn)
 		}
 		return
 	}
-	for _, run := range ts.groups.arena.filled() {
+	for _, run := range ts.shared.groups.arena.filled() {
 		for len(run) > 0 {
 			g := recordAt(run)
 			fn(splitSet(g))

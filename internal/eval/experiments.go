@@ -25,7 +25,7 @@ func Headline(c *corpus.Corpus) *Report {
 	action, info := inf.Counts()
 	conf := AgainstDictionary(inf, c.Dict)
 
-	observed := len(c.Store.Communities())
+	observed, _ := c.Store.DistinctCounts()
 	r.addf("tuples=%d unique-paths=%d observed-communities=%d (regular) + %d large",
 		c.Store.Len(), c.Store.PathCount(), observed, c.Store.LargeCommunityCount())
 	r.addf("classified=%d (action=%d information=%d) excluded=%d", action+info, action, info, inf.ExcludedCount())
