@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -466,29 +467,36 @@ func LoadMRT(ctx context.Context, src Sources, opts LoadOptions) (*Corpus, LoadS
 	tr.SetFiles(int64(len(files)))
 	tr.StartProgress()
 
-	// Decode workers feed the sharded store. Its shards hold the same
-	// tuples at any worker count, so the stitched corpus does too; only
-	// its layout follows arrival order, and no output reads that.
+	// Every scanning goroutine feeds the sharded store through a feeder
+	// of its own, which hands each prepared view to the one goroutine
+	// that writes its shard. The shards hold the same tuples at any
+	// worker count, so the stitched corpus does too; only its layout
+	// follows arrival order, and no output reads that.
+	workers := opts.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	sts := core.NewShardedTupleStore(64)
-	ribFn := func(v *mrt.RIBView) error {
-		sts.AddViewASPathLarge(v.Peer.ASN, v.Entry.Attrs.ASPath, v.Entry.Attrs.Communities, v.Entry.Attrs.LargeCommunities)
-		return nil
-	}
-	updFn := func(v *mrt.UpdateView) error {
-		if len(v.Update.NLRI) == 0 && !v.Update.Attrs.MPReach {
-			return nil // announces nothing, classic or multiprotocol: no tuple
+	load := sts.Load(workers, tr)
+	newSink := func() ingest.Sink {
+		f := load.Feeder()
+		return ingest.Sink{
+			RIB: func(v *mrt.RIBView) error {
+				f.AddViewASPathLarge(v.Peer.ASN, v.Entry.Attrs.ASPath, v.Entry.Attrs.Communities, v.Entry.Attrs.LargeCommunities)
+				return nil
+			},
+			Update: func(v *mrt.UpdateView) error {
+				if len(v.Update.NLRI) == 0 && !v.Update.Attrs.MPReach {
+					return nil // announces nothing, classic or multiprotocol: no tuple
+				}
+				f.AddViewASPathLarge(v.PeerAS, v.Update.Attrs.ASPath, v.Update.Attrs.Communities, v.Update.Attrs.LargeCommunities)
+				return nil
+			},
+			Done: f.Release,
 		}
-		sts.AddViewASPathLarge(v.PeerAS, v.Update.Attrs.ASPath, v.Update.Attrs.Communities, v.Update.Attrs.LargeCommunities)
-		return nil
 	}
-	if tr.Active() {
-		// Wrap the store feeds with per-tuple timing, accumulated into
-		// one aggregate store-add span (summed worker-seconds). Only
-		// when observed — the unobserved hot path stays untouched.
-		ribFn = timedStoreAdd(tr, ribFn)
-		updFn = timedStoreAdd(tr, updFn)
-	}
-	err := ingest.ScanParallelContext(ctx, files, iopts, opts.Parallelism, ist, ribFn, updFn)
+	err := ingest.Scan(ctx, files, iopts, workers, ist, newSink)
+	load.Close()
 	tr.FlushAggregates()
 	if err != nil {
 		return nil, loadStats(ist), err
@@ -517,18 +525,6 @@ func LoadMRT(ctx context.Context, src Sources, opts LoadOptions) (*Corpus, LoadS
 		c.orgs = m
 	}
 	return c, loadStats(ist), nil
-}
-
-// timedStoreAdd wraps one ingest callback with store-add accounting:
-// per-call time accumulates into the aggregate store-add span emitted
-// once ingestion completes.
-func timedStoreAdd[V any](tr *obs.Tracer, fn func(V) error) func(V) error {
-	return func(v V) error {
-		start := time.Now()
-		err := fn(v)
-		tr.AddStageTime(obs.StageStoreAdd, time.Since(start), 1)
-		return err
-	}
 }
 
 // Tuples returns the number of unique (AS path, communities) tuples.

@@ -222,6 +222,37 @@ func TestShardedAddViewDupZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFeederDupZeroAlloc is the feeder counterpart: once its outboxes
+// have cycled through the owners and back, feeding duplicate views —
+// prepared, appended to an outbox, handed over, applied — allocates
+// nothing. The views spread over every shard, so every owner is fed.
+func TestFeederDupZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops items; alloc counts are noise")
+	}
+	sts := NewShardedTupleStore(8)
+	load := sts.Load(2, nil)
+	defer load.Close()
+	f := load.Feeder()
+	defer f.Release()
+	comms := bgp.Communities{bgp.NewCommunity(1299, 2569), bgp.NewCommunity(1299, 100)}
+	paths := make([]bgp.ASPath, 64)
+	for i := range paths {
+		paths[i] = asPath([]uint32{65269, 7018, uint32(64496 + i)})
+	}
+	feed := func() {
+		for n := 0; n < 4*outboxViews; n++ {
+			f.AddViewASPathLarge(uint32(1+n%16), paths[n%len(paths)], comms, nil)
+		}
+	}
+	for i := 0; i < 16; i++ { // insert, grow the VP lists, cycle the outboxes
+		feed()
+	}
+	if avg := testing.AllocsPerRun(50, feed); avg != 0 {
+		t.Errorf("feeding %d duplicate views allocates %.1f per run, want 0", 4*outboxViews, avg)
+	}
+}
+
 // TestSharedArenaOffsets exercises placement across chunk boundaries:
 // the first chunk holds arenaMinChunk elements and each next one twice
 // its predecessor, up to the full chunk size; a list longer than that

@@ -11,12 +11,12 @@ import (
 
 // ShardedTupleStore is a concurrency-safe TupleStore front: AddView
 // hashes the path key to one of N shards, each an independent
-// TupleStore behind its own mutex, so parallel MRT workers ingest
-// without contending on one lock. Stitch collapses the shards into a
-// single TupleStore whose contents — the set of tuples, paths, VP sets
-// and larges — are the same whatever the worker count or goroutine
-// scheduling; its layout (path IDs, tuple order) follows arrival order
-// within each shard and is not.
+// TupleStore behind its own mutex. A parallel MRT load goes through Load
+// instead, which gives every shard one writing goroutine (see ShardLoad).
+// Stitch collapses the shards into a single TupleStore whose contents —
+// the set of tuples, paths, VP sets and larges — are the same whatever
+// the worker count or goroutine scheduling; its layout (path IDs, tuple
+// order) follows arrival order within each shard and is not.
 //
 // Because shard routing is a pure function of the path key, every
 // observation of one path lands in the same shard, so per-shard
@@ -30,9 +30,11 @@ import (
 // words stay in the shard's own asnArena, written under the shard lock;
 // Stitch copies them once into the stitched arena.
 //
-// A view is hashed once, outside the shard lock (storeInterns.prepare);
-// the hash leads straight to its tuple (addView), so a duplicate
-// costs one probe, a content compare and a VP binary search.
+// A view is hashed once, before its shard's writer sees it
+// (storeInterns.prepare): outside the shard lock here, on the scanning
+// goroutine's Feeder in a load. The hash leads straight to its tuple
+// (addView), so a duplicate costs one probe, a content compare and a VP
+// binary search.
 type ShardedTupleStore struct {
 	shards []tupleShard
 	shift  uint // 64 - log2(len(shards)): the route hash's top bits pick the shard
@@ -204,7 +206,7 @@ func (ts *TupleStore) pathKey(id int32) []uint32 {
 
 // addView is the write path for one prepared view:
 // hashes hp (path) and h (identity), path key in sc.words, canonical set
-// in sc.set (and its lists in sc.comms and sc.larges). One probe of the
+// in sc.set; addView reads nothing else of sc. One probe of the
 // tuple table finds the view's tuple if it exists, confirmed by comparing
 // the path key and the set, group by group — identity is exact whatever
 // the hash does. Only a miss goes on to the path table, the global group
@@ -231,8 +233,9 @@ func (ts *TupleStore) addView(vp uint32, hp, h uint64, sc *addScratch) {
 	id := ts.internPath(hp, sc)
 	sc.groupSet(&ts.shared.groups)
 	set := ts.shared.sets.intern(sc.rec)
-	for _, lc := range sc.larges {
-		ts.large[lc] = struct{}{}
+	_, larges := splitSet(sc.set)
+	for ls := larges; len(ls) > 0; ls = ls[3:] {
+		ts.large[bgp.LargeCommunity{GlobalAdmin: uint32(ls[0]), LocalData1: uint32(ls[1]), LocalData2: uint32(ls[2])}] = struct{}{}
 		ts.largeTuples = true
 	}
 	tab.insert(h, len(ts.tuples))

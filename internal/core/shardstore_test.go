@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -80,13 +82,7 @@ func dumpStore(ts *TupleStore) []string {
 	return append(lines, larges...)
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
+func sortStrings(s []string) { slices.Sort(s) }
 
 // sortedDump is dumpStore with the tuple lines also sorted, for
 // comparing stores that may order tuples differently (sequential
@@ -181,72 +177,163 @@ func TestShardedMergeMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardedMergeContentIndependentOfWriters: the merged store holds the
-// same tuples, paths, VP sets and larges no matter how many goroutines
-// fed it or in what order the views arrived. Its layout — path IDs and
-// tuple order — follows arrival order and is not compared: no output
-// depends on it (TestLoadOutputsDeterministic holds the outputs).
-func TestShardedMergeContentIndependentOfWriters(t *testing.T) {
-	views := genViews(2, 4000)
-	var reference []string
-	for _, writers := range []int{1, 2, 8} {
-		sts := NewShardedTupleStore(16)
-		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				// Stripe the views so each goroutine interleaves over the
-				// whole range, maximizing cross-shard contention.
-				for i := w; i < len(views); i += writers {
-					v := views[i]
-					sts.AddView(v.vp, v.path, v.comms)
-					sts.NoteLarge(v.large)
-				}
-			}(w)
-		}
-		wg.Wait()
-		// Stitch with as many workers as writers: the content must not
-		// depend on the feeding or the stitching parallelism.
-		dump := sortedDump(stitchChecked(t, fmt.Sprintf("writers=%d", writers), sts, writers))
-		if reference == nil {
-			reference = dump
-			continue
-		}
-		equalDumps(t, dump, reference, fmt.Sprintf("writers=%d vs writers=1", writers))
+// feedStriped feeds views into sts from writers goroutines, goroutine w
+// taking views w, w+writers, … so each interleaves over the whole range,
+// maximizing cross-shard contention. Views go in through the store's own
+// AddView or, with viaFeeders, through a Feeder per goroutine of a
+// ShardLoad with writers owners. Larges are noted apart, as
+// NoteLarge(v.large).
+func feedStriped(sts *ShardedTupleStore, views []synthView, writers int, viaFeeders bool) {
+	var load *ShardLoad
+	if viaFeeders {
+		load = sts.Load(writers, nil)
 	}
-}
-
-// TestShardedStoreRace hammers one store from many goroutines; run
-// under -race it proves the locking is sound.
-func TestShardedStoreRace(t *testing.T) {
-	views := genViews(3, 2000)
-	sts := NewShardedTupleStore(4)
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < len(views); i += 8 {
+			add := func(v synthView) { sts.AddView(v.vp, v.path, v.comms) }
+			if load != nil {
+				f := load.Feeder()
+				defer f.Release()
+				add = func(v synthView) { f.AddViewASPathLarge(v.vp, asPath(v.path), v.comms, nil) }
+			}
+			for i := w; i < len(views); i += writers {
 				v := views[i]
-				sts.AddView(v.vp, v.path, v.comms)
+				add(v)
 				sts.NoteLarge(v.large)
 			}
 		}(w)
 	}
-	// Concurrent readers of the aggregate length.
-	for r := 0; r < 2; r++ {
+	wg.Wait()
+	if load != nil {
+		load.Close()
+	}
+}
+
+// asPath is path as one AS_SEQUENCE.
+func asPath(path []uint32) bgp.ASPath {
+	return bgp.ASPath{Segments: []bgp.PathSegment{{Type: bgp.SegmentTypeASSequence, ASNs: path}}}
+}
+
+// TestShardedMergeContentIndependentOfWriters: the merged store holds the
+// same tuples, paths, VP sets and larges no matter how many goroutines
+// fed it, in what order the views arrived, or whether each view was
+// written by the goroutine that decoded it or handed to its shard's owner
+// by a Feeder. Its layout — path IDs and tuple order — follows arrival
+// order and is not compared: no output depends on it
+// (TestLoadOutputsDeterministic holds the outputs).
+func TestShardedMergeContentIndependentOfWriters(t *testing.T) {
+	views := genViews(2, 4000)
+	var reference []string
+	for _, viaFeeders := range []bool{false, true} {
+		for _, writers := range []int{1, 2, 8} {
+			label := fmt.Sprintf("feeders=%v writers=%d", viaFeeders, writers)
+			sts := NewShardedTupleStore(16)
+			feedStriped(sts, views, writers, viaFeeders)
+			// Stitch with as many workers as writers: the content must not
+			// depend on the feeding or the stitching parallelism.
+			dump := sortedDump(stitchChecked(t, label, sts, writers))
+			if reference == nil {
+				reference = dump
+				continue
+			}
+			equalDumps(t, dump, reference, label+" vs writers=1")
+		}
+	}
+}
+
+// TestShardedStoreRace hammers one store from many goroutines, directly
+// and through feeders at 1, 2 and 8 writers, with concurrent readers of
+// the aggregate length; run under -race it proves the locking and the
+// hand-over to shard owners are sound.
+func TestShardedStoreRace(t *testing.T) {
+	views := genViews(3, 2000)
+	for _, tc := range []struct {
+		writers    int
+		viaFeeders bool
+	}{{8, false}, {1, true}, {2, true}, {8, true}} {
+		sts := NewShardedTupleStore(4)
+		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				_ = sts.Len()
-			}
+			feedStriped(sts, views, tc.writers, tc.viaFeeders)
 		}()
+		// Concurrent readers of the aggregate length.
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					_ = sts.Len()
+				}
+			}()
+		}
+		wg.Wait()
+		if sts.Len() == 0 {
+			t.Fatalf("writers=%d feeders=%v: store empty after concurrent load", tc.writers, tc.viaFeeders)
+		}
 	}
-	wg.Wait()
-	if sts.Len() == 0 {
-		t.Fatal("store empty after concurrent load")
+}
+
+// TestFeederMatchesAddView: a store fed through a ShardLoad's feeders —
+// two goroutines, one to eight owners, outboxes handed over full and at
+// Close — holds exactly what the same views fed one by one through
+// AddViewLarge leave: tuples, paths, VPs, and the distinct larges, those
+// on an empty path included, with seeded and with colliding table hashes
+// (on a shorter stream: every colliding probe walks one chain). With one
+// owner no goroutine is started.
+func TestFeederMatchesAddView(t *testing.T) {
+	views := genViews(4, 7000)
+	for i := range views {
+		switch i % 50 {
+		case 0: // larges on an empty path: noted, no tuple
+			views[i].path = nil
+			views[i].large = bgp.LargeCommunities{{GlobalAdmin: 7, LocalData1: uint32(i), LocalData2: 1}}
+		case 1: // a path that repeats an AS apart
+			views[i].path = append(views[i].path, views[i].path[0])
+		}
+	}
+	for _, collide := range []bool{false, true} {
+		views := views
+		if collide {
+			views = views[:1500]
+		}
+		want := NewShardedTupleStore(16)
+		want.shared.collide = collide
+		for _, v := range views {
+			want.AddViewLarge(v.vp, v.path, v.comms, v.large)
+		}
+		wantDump := sortedDump(want.Stitch(1))
+		for _, owners := range []int{1, 2, 8} {
+			label := fmt.Sprintf("collide=%v owners=%d", collide, owners)
+			sts := NewShardedTupleStore(16)
+			sts.shared.collide = collide
+			before := runtime.NumGoroutine()
+			load := sts.Load(owners, nil)
+			if started := runtime.NumGoroutine() - before; owners == 1 && started != 0 {
+				t.Fatalf("%s: Load started %d goroutines", label, started)
+			}
+			const feeders = 2
+			var wg sync.WaitGroup
+			for g := 0; g < feeders; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					f := load.Feeder()
+					defer f.Release()
+					for i := g; i < len(views); i += feeders {
+						v := views[i]
+						f.AddViewASPathLarge(v.vp, asPath(v.path), v.comms, v.large)
+					}
+				}(g)
+			}
+			wg.Wait()
+			load.Close()
+			equalDumps(t, sortedDump(sts.Stitch(2)), wantDump, label+" vs AddViewLarge")
+		}
 	}
 }
 

@@ -105,12 +105,13 @@ func splitSet(set []bgp.Community) (comms bgp.Communities, larges []bgp.Communit
 	return set[1:n:n], set[n:]
 }
 
-// groupSet interns each group of the canonical set in sc (sc.comms,
-// sc.larges) into groups and renders the set record of their refs into
-// sc.rec. Both lists are sorted, so every α's run is contiguous.
+// groupSet interns each group of the canonical set sc.set into groups
+// and renders the set record of their refs into sc.rec. Both of the
+// set's lists are sorted, so every α's run is contiguous.
 func (sc *addScratch) groupSet(groups *listIntern) {
 	sc.rec = append(sc.rec[:0], 0)
-	for cs := sc.comms; len(cs) > 0; {
+	comms, larges := splitSet(sc.set)
+	for cs := comms; len(cs) > 0; {
 		n := 1
 		for n < len(cs) && cs[n].ASN() == cs[0].ASN() {
 			n++
@@ -119,12 +120,13 @@ func (sc *addScratch) groupSet(groups *listIntern) {
 		sc.rec = append(sc.rec, bgp.Community(groups.intern(sc.group)))
 		cs = cs[n:]
 	}
-	for ls := sc.larges; len(ls) > 0; {
-		n := 1
-		for n < len(ls) && ls[n].GlobalAdmin == ls[0].GlobalAdmin {
-			n++
+	for ls := larges; len(ls) > 0; {
+		n := 3
+		for n < len(ls) && ls[n] == ls[0] { // same Global Administrator
+			n += 3
 		}
-		sc.group = appendSet(sc.group[:0], nil, ls[:n])
+		// The group's header counts n/3 large communities and no classic one.
+		sc.group = append(append(sc.group[:0], bgp.Community(n/3<<16)), ls[:n]...)
 		sc.rec = append(sc.rec, bgp.Community(groups.intern(sc.group)))
 		ls = ls[n:]
 	}
@@ -244,9 +246,9 @@ func collapsePath(dst, path []uint32) []uint32 {
 // addScratch holds the per-AddView working buffers; pooled so the hot
 // path allocates nothing when it hits existing paths and tuples.
 type addScratch struct {
-	words  []uint32 // path key
-	comms  bgp.Communities
-	larges bgp.LargeCommunities // large-community canonicalization buffer
+	words  []uint32             // path key
+	comms  bgp.Communities      // canonicalization buffers for the two
+	larges bgp.LargeCommunities // community lists; sc.set renders them
 	set    []bgp.Community      // the view's canonical set (see appendSet)
 	group  []bgp.Community      // one group of it, rendered for the group intern
 	rec    []bgp.Community      // its set record (see groupSet)

@@ -1,12 +1,12 @@
 // Frame/decode split: one file scanned by one framing goroutine feeding
 // decode workers, so a single large MRT file spreads across cores
-// instead of pinning one. Activated by ScanParallelContext when there
-// are more workers than files.
+// instead of pinning one. Activated by Scan when there are more workers
+// than files.
 //
 // The framer runs the same fault-tolerant mrt.Reader the sequential
 // scanners use and copies record bodies into reusable FrameBatches; the
-// workers decode batches concurrently and feed views to the (shared,
-// concurrency-safe) store callbacks. Statistics stay exactly equal to a
+// workers decode batches concurrently, each feeding the views into a
+// sink of its own. Statistics stay exactly equal to a
 // sequential scan: the framer owns every framing counter (records,
 // resyncs, truncation, bytes) by construction, and the decode counters
 // the workers accumulate per batch are order-independent sums. The one
@@ -16,8 +16,8 @@
 // them — triggers a full-file fallback instead: the split attempt's
 // statistics and telemetry are discarded and the file is rescanned
 // sequentially.
-// Re-feeding views already delivered is safe because every store
-// callback is idempotent (tuple dedup, sorted-set VP insertion,
+// Re-feeding views already delivered is safe because feeding the store
+// is idempotent (tuple dedup, sorted-set VP insertion,
 // large-community set), so the fallback keeps both the corpus and the
 // final LoadStats byte-for-byte identical to a sequential load.
 package ingest
@@ -168,8 +168,7 @@ func decodeBatches(jobs <-chan frameJob, free chan<- *mrt.FrameBatch, st *splitS
 // decode goroutines. Statistics, telemetry and error semantics match
 // the sequential scanFile (see the comment at the top of this file for
 // the fallback that guarantees it).
-func scanFileSplit(ctx context.Context, f InputFile, opts Options, workers int, stats *Stats,
-	ribFn func(*mrt.RIBView) error, updFn func(*mrt.UpdateView) error) error {
+func scanFileSplit(ctx context.Context, f InputFile, opts Options, workers int, stats *Stats, newSink func() Sink) error {
 	rc, err := openTimed(f.Path, opts.Tracer)
 	if err != nil {
 		return err
@@ -186,12 +185,12 @@ func scanFileSplit(ctx context.Context, f InputFile, opts Options, workers int, 
 	// that reference them, so table records are a framing barrier: the
 	// framer parses them in stream order and stamps each batch with the
 	// table in force when it was framed.
-	newDecoder := func() recordDecoder { return ribDecoder(opts.Strict, ribFn) }
+	newDecoder := func(sink Sink) recordDecoder { return ribDecoder(opts.Strict, sink.RIB) }
 	barrier := func(typ, subtype uint16) bool {
 		return typ == mrt.TypeTableDumpV2 && subtype == mrt.SubtypePeerIndexTable
 	}
 	if f.Updates {
-		newDecoder = func() recordDecoder { return updateDecoder(updFn) }
+		newDecoder = func(sink Sink) recordDecoder { return updateDecoder(sink.Update) }
 		barrier = nil
 	}
 
@@ -206,7 +205,9 @@ func scanFileSplit(ctx context.Context, f InputFile, opts Options, workers int, 
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			decodeBatches(jobs, free, st, opts.Strict, newDecoder())
+			sink := newSink()
+			defer sink.done()
+			decodeBatches(jobs, free, st, opts.Strict, newDecoder(sink))
 		}()
 	}
 
@@ -278,7 +279,9 @@ func scanFileSplit(ctx context.Context, f InputFile, opts Options, workers int, 
 		// the records it counted — and rescan sequentially; idempotent
 		// callbacks make the re-feed invisible (see the file comment).
 		tr.AddRecords(-int64(s.counted))
-		return scanFile(ctx, f, opts, stats, ribFn, updFn)
+		sink := newSink()
+		defer sink.done()
+		return scanFile(ctx, f, opts, stats, sink)
 	}
 	// Merge batch outcomes in frame order: the earliest batch error wins,
 	// with the stats of everything before it, matching the point a

@@ -288,19 +288,18 @@ func ScanRIBsFrom(r io.Reader, name string, opts Options, stats *Stats, fn func(
 	return drain(context.Background(), r, name, opts, stats, mrt.NewTableDumpScannerOptions, fn)
 }
 
-// scanFile opens f and drains it into the callback of its kind; a
+// scanFile opens f and drains it into sink's callback of its kind; a
 // canceled ctx aborts the scan between views with ctx.Err().
-func scanFile(ctx context.Context, f InputFile, opts Options, stats *Stats,
-	ribFn func(*mrt.RIBView) error, updFn func(*mrt.UpdateView) error) error {
+func scanFile(ctx context.Context, f InputFile, opts Options, stats *Stats, sink Sink) error {
 	rc, err := openTimed(f.Path, opts.Tracer)
 	if err != nil {
 		return err
 	}
 	defer rc.Close()
 	if f.Updates {
-		return drain(ctx, rc, f.Path, opts, stats, mrt.NewUpdateScannerOptions, updFn)
+		return drain(ctx, rc, f.Path, opts, stats, mrt.NewUpdateScannerOptions, sink.Update)
 	}
-	return drain(ctx, rc, f.Path, opts, stats, mrt.NewTableDumpScannerOptions, ribFn)
+	return drain(ctx, rc, f.Path, opts, stats, mrt.NewTableDumpScannerOptions, sink.RIB)
 }
 
 // chClosed is a non-blocking closed-channel probe; nil reads as open.

@@ -19,13 +19,35 @@ type InputFile struct {
 	Updates bool
 }
 
-// ScanParallelContext ingests the given files concurrently, at most
-// workers files in flight (workers <= 0 means GOMAXPROCS; 1 scans them
-// one after another in input order). With more workers than files each
-// file is instead split across the workers by the frame/decode pipeline
-// (see framesplit.go). ribFn and updFn receive the decoded views and MAY
-// BE CALLED CONCURRENTLY from multiple goroutines — the callee must be
-// safe for concurrent use (e.g. feed a core.ShardedTupleStore).
+// Sink is what one scanning goroutine feeds the views it decodes into.
+// RIB and Update are only ever called from that goroutine, one view at a
+// time; Done, when set, runs on it once after its last view, whether the
+// scan ended cleanly or not.
+type Sink struct {
+	RIB    func(*mrt.RIBView) error
+	Update func(*mrt.UpdateView) error
+	Done   func()
+}
+
+// ScanParallelContext is Scan with one pair of callbacks shared by every
+// goroutine: ribFn and updFn MAY BE CALLED CONCURRENTLY and must be safe
+// for concurrent use.
+func ScanParallelContext(ctx context.Context, files []InputFile, opts Options, workers int, stats *Stats,
+	ribFn func(*mrt.RIBView) error, updFn func(*mrt.UpdateView) error) error {
+	sink := Sink{RIB: ribFn, Update: updFn}
+	return Scan(ctx, files, opts, workers, stats, func() Sink { return sink })
+}
+
+// Scan ingests the given files concurrently, at most workers files in
+// flight (workers <= 0 means GOMAXPROCS; 1 scans them one after another
+// in input order). With more workers than files each file is instead
+// split across the workers by the frame/decode pipeline (see
+// framesplit.go). Every goroutine that delivers views — a file worker, a
+// split file's decode worker, the sequential rescan of a split that fell
+// back — calls newSink once and feeds its views to that sink alone, so a
+// sink needs no locking of its own; newSink itself may be called from
+// several goroutines at once. Every sink's Done has run when Scan
+// returns.
 //
 // Statistics are assembled into stats in input-file order once all
 // workers finish, so an N-worker load reports the same Stats as a
@@ -38,8 +60,7 @@ type InputFile struct {
 // in-flight scans between records, and returns ctx.Err() once every
 // worker has been joined — no goroutine outlives the call. If a file
 // failed on its own before the cancellation, that error wins.
-func ScanParallelContext(ctx context.Context, files []InputFile, opts Options, workers int, stats *Stats,
-	ribFn func(*mrt.RIBView) error, updFn func(*mrt.UpdateView) error) error {
+func Scan(ctx context.Context, files []InputFile, opts Options, workers int, stats *Stats, newSink func() Sink) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -53,7 +74,7 @@ func ScanParallelContext(ctx context.Context, files []InputFile, opts Options, w
 			if chClosed(done) {
 				return ctx.Err()
 			}
-			if err := scanFileSplit(ctx, f, opts, workers, stats, ribFn, updFn); err != nil {
+			if err := scanFileSplit(ctx, f, opts, workers, stats, newSink); err != nil {
 				return err
 			}
 		}
@@ -73,12 +94,14 @@ func ScanParallelContext(ctx context.Context, files []InputFile, opts Options, w
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			sink := newSink()
+			defer sink.done()
 			for i := range jobs {
 				if failed.Load() || chClosed(done) {
 					continue
 				}
 				var st Stats
-				err := scanFile(ctx, files[i], opts, &st, ribFn, updFn)
+				err := scanFile(ctx, files[i], opts, &st, sink)
 				results[i] = fileResult{stats: st, err: err, done: true}
 				if err != nil {
 					failed.Store(true)
@@ -106,4 +129,10 @@ func ScanParallelContext(ctx context.Context, files []InputFile, opts Options, w
 		}
 	}
 	return ctx.Err()
+}
+
+func (s Sink) done() {
+	if s.Done != nil {
+		s.Done()
+	}
 }

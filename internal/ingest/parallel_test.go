@@ -97,3 +97,49 @@ func TestScanParallelUpdatesRouting(t *testing.T) {
 		t.Fatal("no RIB views")
 	}
 }
+
+// TestScanSinkPerGoroutine: Scan hands every goroutine that delivers
+// views a sink of its own — never called by two goroutines at once — and
+// runs each sink's Done exactly once before it returns, under the file
+// pool (workers <= files) and the frame/decode split (workers > files).
+// Together the sinks see every view a sequential scan sees.
+func TestScanSinkPerGoroutine(t *testing.T) {
+	files := writeRIBFiles(t, t.TempDir(), 4)
+	var want int64
+	if err := ScanParallelContext(context.Background(), files, Options{}, 1, nil,
+		func(*mrt.RIBView) error { want++; return nil }, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4, 7} {
+		var made, done, views atomic.Int64
+		newSink := func() Sink {
+			made.Add(1)
+			var busy, finished atomic.Bool
+			return Sink{
+				RIB: func(*mrt.RIBView) error {
+					if !busy.CompareAndSwap(false, true) || finished.Load() {
+						t.Errorf("workers=%d: a sink called concurrently or after Done", workers)
+					}
+					views.Add(1)
+					busy.Store(false)
+					return nil
+				},
+				Done: func() {
+					if finished.Swap(true) {
+						t.Errorf("workers=%d: a sink's Done ran twice", workers)
+					}
+					done.Add(1)
+				},
+			}
+		}
+		if err := Scan(context.Background(), files, Options{}, workers, nil, newSink); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if views.Load() != want {
+			t.Errorf("workers=%d: sinks saw %d views, want %d", workers, views.Load(), want)
+		}
+		if made.Load() == 0 || done.Load() != made.Load() {
+			t.Errorf("workers=%d: %d sinks made, %d Done calls", workers, made.Load(), done.Load())
+		}
+	}
+}

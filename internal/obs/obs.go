@@ -28,8 +28,9 @@ const (
 	// StageOpen is opening (and wiring decompression for) one input file.
 	StageOpen Stage = "open"
 	// StageDecode is framing + decoding one MRT file into views. The
-	// span's wall time includes the per-record store-add callbacks; the
-	// aggregate StageStoreAdd span reports that inner share.
+	// span's wall time includes preparing each view for the store; the
+	// aggregate StageStoreAdd span reports that share, and the shard
+	// owners' time applying the views besides.
 	StageDecode Stage = "decode"
 	// StageFrame is the aggregate time the frame/decode split pipeline
 	// spends framing records into batches (a share of StageDecode's wall
@@ -37,7 +38,8 @@ const (
 	// sequentially, where framing and decode are one loop.
 	StageFrame Stage = "frame"
 	// StageStoreAdd is the aggregate time spent inserting decoded views
-	// into the (sharded) tuple store, summed across all decode workers.
+	// into the (sharded) tuple store, summed across every goroutine that
+	// prepared or applied them; its Records are the views fed.
 	StageStoreAdd Stage = "store-add"
 	// StageStitch is collapsing ingestion shards into one tuple store:
 	// index concatenation, a counting sort by path and one copy of the

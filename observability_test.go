@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bgpintent/internal/ingest/faults"
 	"bgpintent/internal/obs"
 )
 
@@ -206,6 +210,56 @@ func TestLoadMRTCancellation(t *testing.T) {
 		t.Errorf("pre-canceled LoadMRT = %v, want context.Canceled", err)
 	}
 	settleGoroutines(t, baseline)
+}
+
+// TestLoadMRTJoinsShardOwners: a load that ends early — canceled
+// mid-scan, or failing one file in strict mode — has joined every
+// goroutine it started, scan workers and shard owners alike, by the time
+// it returns, under the file-level schedule and the frame/decode split.
+func TestLoadMRTJoinsShardOwners(t *testing.T) {
+	ribs, updates, orgPath, _ := writeParallelFixture(t)
+	dir := t.TempDir()
+	in, err := os.Open(ribs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "bad.rib.mrt")
+	out, err := os.Create(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := faults.Corrupt(out, in, faults.Config{Seed: 5, Rate: 0.05})
+	in.Close()
+	if err != nil || out.Close() != nil || res.Faults == 0 {
+		t.Fatalf("corrupting %s: %v, %d faults", ribs[1], err, res.Faults)
+	}
+	strictRibs := append([]string{ribs[0], bad}, ribs[2:]...)
+	files := len(ribs) + len(updates)
+	baseline := runtime.NumGoroutine()
+
+	for _, workers := range []int{2, files + 3} { // file pool, frame split
+		ctx, cancel := context.WithCancel(context.Background())
+		var once atomic.Bool
+		hook := stageStartHook(func(stage Stage, label string) {
+			if stage == StageDecode && once.CompareAndSwap(false, true) {
+				cancel()
+			}
+		})
+		_, _, err := LoadMRT(ctx, Sources{RIBs: ribs, Updates: updates, OrgPath: orgPath},
+			LoadOptions{Parallelism: workers, Observer: hook})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: canceled LoadMRT = %v, want context.Canceled", workers, err)
+		}
+		settleGoroutines(t, baseline)
+
+		_, _, err = LoadMRT(context.Background(), Sources{RIBs: strictRibs, Updates: updates, OrgPath: orgPath},
+			LoadOptions{Parallelism: workers, Strict: true})
+		if err == nil || !strings.Contains(err.Error(), "bad.rib.mrt") {
+			t.Errorf("workers=%d: strict LoadMRT over a corrupt file = %v, want its error", workers, err)
+		}
+		settleGoroutines(t, baseline)
+	}
 }
 
 // TestClassifyContextCancellation cancels classification and checks
