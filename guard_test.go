@@ -45,14 +45,16 @@ const (
 	// counts are cached per Corpus.
 	guardSnapshotInfoRepeatBytes = 1024
 	// Live heap a loaded Corpus and its Result hold, per tuple. Measured
-	// 43.2 with community sets stored as per-α groups (54.6 with one flat
-	// record per distinct set, whose ceiling was 60; 59.9 while each path
-	// also kept a span of organizations, whose ceiling was 66; 76.9 with
-	// the 32-byte tuple record; 113.8 while the stitched store kept a key
-	// string per path, the intern hash table and the arenas' doubling
+	// 34.7 with the 12-byte tuple, 4-byte path ends and headerless set
+	// records (43.2 with the 16-byte tuple, 8-byte path spans and a
+	// header word per set record, whose ceiling was 48; 54.6 with one
+	// flat record per distinct set, whose ceiling was 60; 59.9 while each
+	// path also kept a span of organizations, whose ceiling was 66; 76.9
+	// with the 32-byte tuple record; 113.8 while the stitched store kept a
+	// key string per path, the intern hash table and the arenas' doubling
 	// slack); more means load-only state outlives Stitch again, sets are
-	// stored flat again, or the tuple or path record grew back.
-	guardHeldBytesPerTuple = 48
+	// stored flat again, or the tuple, path or set record grew back.
+	guardHeldBytesPerTuple = 39
 	// How far Corpus.Footprint's reserved total may sit from the heap
 	// the Corpus is measured to hold. Measured 0.1 % under (the headers
 	// of the slices and chunk lists it does not count).
@@ -180,12 +182,13 @@ func TestAllocationGuards(t *testing.T) {
 	}
 }
 
-// TestTupleIsSixteenBytes pins the tuple record — the largest row of a
+// TestTupleIsTwelveBytes pins the tuple record — the largest row of a
 // loaded corpus — at a path ID, a community-set reference and an inline
-// vantage point with its count.
-func TestTupleIsSixteenBytes(t *testing.T) {
-	if size := unsafe.Sizeof(core.Tuple{}); size != 16 {
-		t.Fatalf("core.Tuple is %d bytes, want 16", size)
+// vantage point, with no count: the set reference's top bit says whether
+// the vantage point is a list in the VP arena instead.
+func TestTupleIsTwelveBytes(t *testing.T) {
+	if size := unsafe.Sizeof(core.Tuple{}); size != 12 {
+		t.Fatalf("core.Tuple is %d bytes, want 12", size)
 	}
 }
 

@@ -156,13 +156,15 @@ func verdictZeroAlloc[K Key[K]](t *testing.T, src KindSource[K], keys []K, unobs
 	_ = sink
 }
 
-// TestPathMetaIsEightBytes pins a path's record, the second-largest
-// per-tuple row after the 16-byte tuple (TestTupleIsSixteenBytes), at
-// one span into the ASN arena: sibling organizations are resolved from
-// Options.Orgs while evidence is counted, not stored per path.
-func TestPathMetaIsEightBytes(t *testing.T) {
-	if size := unsafe.Sizeof(pathMeta{}); size != 8 {
-		t.Fatalf("pathMeta is %d bytes, want 8", size)
+// TestPathEndIsFourBytes pins a path's record, a per-tuple row beside
+// the 12-byte tuple (TestTupleIsTwelveBytes), at one end offset into the
+// ASN arena: the runs lie back to back in ID order, so a path starts
+// where the one before it ends, and sibling organizations are resolved
+// from Options.Orgs while evidence is counted, not stored per path.
+func TestPathEndIsFourBytes(t *testing.T) {
+	var ts TupleStore
+	if size := unsafe.Sizeof(ts.pathEnd[0]); size != 4 {
+		t.Fatalf("a path end is %d bytes, want 4", size)
 	}
 }
 

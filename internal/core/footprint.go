@@ -88,7 +88,7 @@ func (ts *TupleStore) Footprint() Footprint {
 	sh := ts.shared
 	return Footprint{
 		sliceRow("tuples", ts.tuples),
-		sliceRow("paths", ts.paths),
+		sliceRow("paths", ts.pathEnd),
 		sliceRow("vp_arena", ts.vpArena),
 		arenaRow("set_arena", &sh.sets.arena),
 		arenaRow("group_arena", &sh.groups.arena),
@@ -101,6 +101,7 @@ func (ts *TupleStore) Footprint() Footprint {
 			Reserved: 8 * int64(cap(ts.tupleTab.slots)+cap(ts.pathTab.slots)),
 		},
 		sliceRow("looped_paths", ts.loops),
+		sliceRow("looped_keys", ts.loopWords),
 		mapRow("large_set", len(ts.large), int(unsafe.Sizeof(bgp.LargeCommunity{}))),
 	}
 }

@@ -72,15 +72,18 @@ func groupedIdentities(ids map[string]bool, views []refView) map[string]bool {
 }
 
 // internedRecords returns every record an intern's arena holds past the
-// seeded empty one, by ref.
+// seeded empty one, one word at offset 0, by ref, framed as the intern
+// frames them.
 func internedRecords(li *listIntern) map[uint32][]bgp.Community {
 	out := make(map[uint32][]bgp.Community)
 	for ci, run := range li.arena.filled() {
-		for pos := 0; pos < len(run); {
-			rec := recordAt(run[pos:])
-			if ref := uint32(ci)<<internChunkShift | uint32(pos); ref != 0 {
-				out[ref] = rec
-			}
+		pos := 0
+		if ci == 0 {
+			pos = len(emptySet)
+		}
+		for pos < len(run) {
+			rec := li.frame(run[pos:])
+			out[uint32(ci)<<internChunkShift|uint32(pos)] = rec
 			pos += len(rec)
 		}
 	}
@@ -142,8 +145,8 @@ func checkGroupedTuples(t *testing.T, label string, ts *TupleStore, want map[str
 			t.Fatalf("%s: identity %s held by two tuples", label, id)
 		}
 		ids[id] = true
-		for _, ref := range ts.setRecord(tu)[1:] {
-			refs[uint32(ref)] = true
+		for _, ref := range ts.setRecord(tu) {
+			refs[uint32(ref&^lastGroup)] = true
 		}
 		for _, c := range cs {
 			comms[c] = true

@@ -33,19 +33,24 @@ import (
 )
 
 // Arena chunks hold up to 1<<20 elements each; a 32-bit offset packs the
-// chunk index above the in-chunk position, so the global capacity stays
-// near the 4G entries the span layout already assumed. Lists never span
-// chunks (BGP attribute lengths cap lists far below a chunk). The first
-// chunk holds arenaMinChunk elements and each next one twice its
-// predecessor, up to the full size, so a small corpus does not pay for
-// full chunks and growth never copies.
+// chunk index above the in-chunk position. At most 2048 chunks keep every
+// offset below 1<<31 (2G entries an arena), so the top bit of a ref is
+// free for a flag: lastGroup on a set record's group refs, multiVP on a
+// tuple's set ref. Lists never span chunks (BGP attribute lengths cap
+// lists far below a chunk). The first chunk holds arenaMinChunk elements
+// and each next one twice its predecessor, up to the full size, so a
+// small corpus does not pay for full chunks and growth never copies.
 const (
 	internChunkShift = 20
 	internChunkSize  = 1 << internChunkShift
 	internChunkMask  = internChunkSize - 1
-	internMaxChunks  = 1 << (32 - internChunkShift)
+	internMaxChunks  = 1 << (31 - internChunkShift)
 	arenaMinChunk    = 1 << 12
 )
+
+// Every arena offset is below 1<<31: the constant index is out of range,
+// and the build fails, unless the chunks address exactly 1<<31 entries.
+var _ = [1]struct{}{}[internMaxChunks<<internChunkShift-1<<31]
 
 // sharedArena is a globally addressed arena that one writer at a time
 // appends to while readers resolve offsets lock-free: its users, the
@@ -134,7 +139,7 @@ func (a *sharedArena[T]) filled() [][]T {
 func (a *sharedArena[T]) publish(chunks [][]T) { a.chunks.Store(&chunks) }
 
 // from returns the arena from off to the end of its chunk: what a
-// record that carries its own length (a set record) is resolved from.
+// record that carries its own framing is resolved from.
 func (a *sharedArena[T]) from(off uint32) []T {
 	c := (*a.chunks.Load())[off>>internChunkShift]
 	return c[off&internChunkMask:]
@@ -173,8 +178,8 @@ func (t *internTable) place(s uint64) {
 	}
 }
 
-// listIntern deduplicates records (see recordAt) — groups, or set
-// records — across all shards of a ShardedTupleStore, or within one
+// listIntern deduplicates records — groups (recordAt), or set records
+// (setRecordAt) — across all shards of a ShardedTupleStore, or within one
 // NewTupleStore. The returned refs are exact identities — the same record
 // always gets the same ref — and are the record's arena offset, which is
 // what a set record or a tuple carries. Ref values depend on arrival
@@ -189,14 +194,15 @@ type listIntern struct {
 	arena sharedArena[bgp.Community]
 	table atomic.Pointer[internTable]
 	mu    sync.Mutex
-	count int                          // live entries (guarded by mu)
-	hash  func([]bgp.Community) uint64 // of a record; fixed at construction
+	count int                                   // live entries (guarded by mu)
+	hash  func([]bgp.Community) uint64          // of a record; fixed at construction
+	frame func([]bgp.Community) []bgp.Community // the record at the start of the words
 }
 
-// init readies an empty intern: hash is its table hash, and the empty
-// record is seeded at offset 0.
-func (li *listIntern) init(hash func([]bgp.Community) uint64) {
-	li.hash = hash
+// init readies an empty intern: hash is its table hash, frame its record
+// framing, and the empty record, one zero word, is seeded at offset 0.
+func (li *listIntern) init(hash func([]bgp.Community) uint64, frame func([]bgp.Community) []bgp.Community) {
+	li.hash, li.frame = hash, frame
 	li.arena.append(emptySet[:])
 }
 
@@ -226,7 +232,7 @@ func (li *listIntern) probe(t *internTable, i uint32, h uint64, rec []bgp.Commun
 // the miss ended on, and the locked probe resumes there — in the same
 // table; in one published since, from the home slot.
 func (li *listIntern) intern(rec []bgp.Community) uint32 {
-	if rec[0] == 0 {
+	if len(rec) == 0 || rec[0] == 0 { // the empty set record, or the empty group
 		return 0
 	}
 	h := li.hash(rec)
@@ -306,7 +312,7 @@ func (li *listIntern) tableSize() (live, slots int) {
 // view resolves a ref back to its record (shared storage; do not
 // mutate).
 func (li *listIntern) view(ref uint32) []bgp.Community {
-	return recordAt(li.arena.from(ref))
+	return li.frame(li.arena.from(ref))
 }
 
 // grow publishes a table of double the capacity (1024 slots the first
@@ -354,8 +360,8 @@ type storeInterns struct {
 
 func newStoreInterns() *storeInterns {
 	sh := &storeInterns{seed: rand.Uint64()}
-	sh.sets.init(sh.setHash)
-	sh.groups.init(sh.setHash)
+	sh.sets.init(sh.setHash, setRecordAt)
+	sh.groups.init(sh.setHash, recordAt)
 	return sh
 }
 

@@ -9,27 +9,41 @@ import (
 	"bgpintent/internal/bgp"
 )
 
+// setRecordOf renders group refs as a set record: the refs, the last
+// flagged lastGroup.
+func setRecordOf(refs ...uint32) []bgp.Community {
+	rec := make([]bgp.Community, len(refs))
+	for i, ref := range refs {
+		rec[i] = bgp.Community(ref)
+	}
+	if len(rec) > 0 {
+		rec[len(rec)-1] |= lastGroup
+	}
+	return rec
+}
+
 // TestCommInternConcurrent hammers one intern table from many
-// goroutines with overlapping community lists and verifies the exact-
-// identity contract: every interning of the same canonical list, from
-// any goroutine at any time, yields the same ref, and the ref resolves
-// to the list's contents. Run under -race this also exercises the
-// lock-free probe against concurrent inserts and table growth.
+// goroutines with overlapping set records and verifies the exact-
+// identity contract: every interning of the same record, from any
+// goroutine at any time, yields the same ref, and the ref resolves —
+// framed by its lastGroup flag — to the record's contents. Run under
+// -race this also exercises the lock-free probe against concurrent
+// inserts and table growth.
 func TestCommInternConcurrent(t *testing.T) {
 	const (
 		goroutines = 8
 		lists      = 3000 // overlapping across goroutines; forces several grows
 		rounds     = 3
 	)
-	// Ten communities a list: together the lists outgrow the arena's
+	// Ten group refs a record: together the records outgrow the arena's
 	// first three chunks, so lock-free readers keep resolving refs while
 	// new chunks are published under them.
 	mk := func(i int) []bgp.Community {
-		cs := make(bgp.Communities, 10)
-		for k := range cs {
-			cs[k] = bgp.NewCommunity(uint16(i%500+k), uint16(i>>(k%2)))
+		refs := make([]uint32, 10)
+		for k := range refs {
+			refs[k] = uint32(i%500+k+1)<<16 | uint32(i>>(k%2))
 		}
-		return appendSet(nil, cs.Canonical(), nil)
+		return setRecordOf(refs...)
 	}
 	ci := &newStoreInterns().sets
 	refs := make([][]uint32, goroutines)
@@ -79,18 +93,20 @@ func TestCommInternConcurrent(t *testing.T) {
 
 // TestCommInternEmptyList pins the empty-set convention: ref 0, seeded
 // at the head of the arena and never entered in the table, resolving to
-// a set with no communities of either kind.
+// a set record of no groups, hence no communities of either kind.
 func TestCommInternEmptyList(t *testing.T) {
 	sh := newStoreInterns()
 	ci := &sh.sets
-	if ref := ci.intern(appendSet(nil, nil, nil)); ref != 0 {
-		t.Fatalf("intern(empty) = %#x, want 0", ref)
+	sc := &addScratch{set: appendSet(nil, nil, nil)}
+	sc.groupSet(&sh.groups)
+	if ref := ci.intern(sc.rec); len(sc.rec) != 0 || ref != 0 {
+		t.Fatalf("intern(%v) = %#x, want the empty record at 0", sc.rec, ref)
 	}
 	if live, _ := ci.tableSize(); live != 0 {
 		t.Fatalf("the empty set entered the table: %d entries", live)
 	}
-	if v := ci.view(0); !slices.Equal(v, emptySet[:]) {
-		t.Fatalf("view of ref 0 = %v, want the empty set", v)
+	if v := ci.view(0); len(v) != 0 {
+		t.Fatalf("view of ref 0 = %v, want the empty set record", v)
 	}
 	ts := &TupleStore{shared: sh}
 	if c, l := tupleCommunities(ts, &Tuple{}); len(c) != 0 || len(l) != 0 {
@@ -105,9 +121,12 @@ func TestCommInternDupZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops items; alloc counts are noise")
 	}
-	ci := &newStoreInterns().sets
-	canon := appendSet(nil, bgp.Communities{bgp.NewCommunity(1299, 100), bgp.NewCommunity(1299, 2569)},
-		bgp.LargeCommunities{{GlobalAdmin: 1299, LocalData1: 1, LocalData2: 100}})
+	sh := newStoreInterns()
+	ci := &sh.sets
+	sc := &addScratch{set: appendSet(nil, bgp.Communities{bgp.NewCommunity(1299, 100), bgp.NewCommunity(1299, 2569)},
+		bgp.LargeCommunities{{GlobalAdmin: 1299, LocalData1: 1, LocalData2: 100}})}
+	sc.groupSet(&sh.groups)
+	canon := sc.rec
 	want := ci.intern(canon)
 	var ref uint32
 	if avg := testing.AllocsPerRun(200, func() {
@@ -133,7 +152,7 @@ func TestSetInternSeeded(t *testing.T) {
 		sh := newStoreInterns()
 		sh.collide = collide
 		set := func(i int) []bgp.Community {
-			return appendSet(nil, bgp.Communities{bgp.NewCommunity(uint16(i>>8), uint16(i))}, nil)
+			return setRecordOf(uint32(i+1), 1<<20|uint32(i))
 		}
 		// 1024 slots double at 769, 1537 and 3073 entries; every set is
 		// interned again, as a duplicate, half way through.
@@ -167,7 +186,7 @@ func TestSetInternSeeded(t *testing.T) {
 		sh.seed = seed
 		var at []int
 		for i := 0; i < 16; i++ {
-			ref := sh.sets.intern(appendSet(nil, bgp.Communities{bgp.NewCommunity(1299, uint16(i))}, nil))
+			ref := sh.sets.intern(setRecordOf(1299<<16 | uint32(i)))
 			tab := sh.sets.table.Load()
 			for j := range tab.slots {
 				if s := tab.slots[j].Load(); s != 0 && uint32(s) == ref {
@@ -430,9 +449,10 @@ func TestStitchStoreStillAcceptsViews(t *testing.T) {
 		t.Fatalf("a new path under a known list: community arena %d -> %d B (want unchanged), ASN arena %d -> %d B (want +8)",
 			comms0, commFill(), asns0, asnFill())
 	}
-	// Genuinely new tuple, path and list.
+	// Genuinely new tuple, path and list: its set record is one flagged
+	// group ref, one word.
 	ts.AddView(1, []uint32{9999, 7777}, bgp.Communities{bgp.NewCommunity(9999, 1)})
-	if ts.Len() != nTuples+2 || ts.PathCount() != nPaths+2 || commFill() != comms0+8 {
+	if ts.Len() != nTuples+2 || ts.PathCount() != nPaths+2 || commFill() != comms0+4 {
 		t.Fatalf("new tuple not appended: %d/%d with %d B of communities, want %d/%d with %d B",
 			ts.Len(), ts.PathCount(), commFill(), nTuples+2, nPaths+2, comms0+4)
 	}

@@ -179,8 +179,8 @@ func (t *flatTable) place(s uint64) {
 	}
 }
 
-// loopedKey locates, in the ASN arena, the key words of one path that
-// repeats an AS.
+// loopedKey locates, in the store's loopWords, the key words of one path
+// that repeats an AS.
 type loopedKey struct {
 	id  int32
 	key span
@@ -191,17 +191,17 @@ type loopedKey struct {
 // BGP loop prevention lets through — that is the distinct-ASN sequence
 // the path stores anyway, so the key costs nothing. Only a path that
 // repeats an AS apart (AS_SET flattening, poisoning: A B A, whose
-// distinct ASNs are those of A B) keeps its key words in the arena as
-// well, found through ts.loops.
+// distinct ASNs are those of A B) keeps its key words as well, in
+// loopWords, found through ts.loops.
 func (ts *TupleStore) pathKey(id int32) []uint32 {
 	if len(ts.loops) != 0 {
 		i, ok := slices.BinarySearchFunc(ts.loops, id, func(l loopedKey, id int32) int { return cmp.Compare(l.id, id) })
 		if ok {
 			k := ts.loops[i].key
-			return ts.asnArena[k.off : k.off+k.n]
+			return ts.loopWords[k.off : k.off+k.n]
 		}
 	}
-	return ts.pathASNs(&ts.paths[id])
+	return ts.pathASNs(id)
 }
 
 // addView is the write path for one prepared view:
@@ -239,13 +239,13 @@ func (ts *TupleStore) addView(vp uint32, hp, h uint64, sc *addScratch) {
 		ts.largeTuples = true
 	}
 	tab.insert(h, len(ts.tuples))
-	ts.tuples = append(ts.tuples, Tuple{PathID: id, set: set, vp: [1]uint32{vp}, nVP: 1})
+	ts.tuples = append(ts.tuples, Tuple{PathID: id, set: set, vp: [1]uint32{vp}})
 }
 
 // internPath returns the ID of the path with key sc.words and hash
 // hp, creating the entry if new: IDs are handed out in arrival order, and
 // the distinct-ASN sequence goes into the store's own ASN arena. The key
-// words follow it there only when they are not that same sequence.
+// words go to loopWords only when they are not that same sequence.
 func (ts *TupleStore) internPath(hp uint64, sc *addScratch) int32 {
 	tab := &ts.pathTab
 	tag, mask := uint32(hp>>32), uint32(len(tab.slots)-1)
@@ -255,13 +255,12 @@ func (ts *TupleStore) internPath(hp uint64, sc *addScratch) int32 {
 			return id
 		}
 	}
-	id := int32(len(ts.paths))
+	id := int32(len(ts.pathEnd))
 	tab.insert(hp, int(id))
-	asns := ts.appendPathASNs(sc.words)
-	ts.paths = append(ts.paths, pathMeta{asns: asns})
-	if key := uint32(len(sc.words)); asns.n != key {
-		ts.loops = append(ts.loops, loopedKey{id: id, key: span{off: uint32(len(ts.asnArena)), n: key}})
-		ts.asnArena = append(ts.asnArena, sc.words...)
+	ts.appendPath(sc.words)
+	if key := len(sc.words); len(ts.pathASNs(id)) != key {
+		ts.loops = append(ts.loops, loopedKey{id: id, key: span{off: uint32(len(ts.loopWords)), n: uint32(key)}})
+		ts.loopWords = append(ts.loopWords, sc.words...)
 	}
 	return id
 }
@@ -275,10 +274,10 @@ func (ts *TupleStore) internPath(hp uint64, sc *addScratch) int32 {
 // each record that re-entered under the refs it carries. The tuple
 // table hashes the canonical set, so each record is expanded once.
 func (ts *TupleStore) reindex() {
-	ts.pathTab = newFlatTable(len(ts.paths))
+	ts.pathTab = newFlatTable(len(ts.pathEnd))
 	ts.tupleTab = newFlatTable(len(ts.tuples))
 	sc := new(addScratch)
-	for i := range ts.paths {
+	for i := range ts.pathEnd {
 		sc.words = ts.pathKey(int32(i))
 		_, hp, _ := ts.shared.hashView(sc)
 		ts.pathTab.insert(hp, i)
@@ -289,9 +288,9 @@ func (ts *TupleStore) reindex() {
 		sc.words, sc.set = ts.pathKey(t.PathID), appendExpanded(sc.set[:0], &ts.shared.groups, rec)
 		_, _, h := ts.shared.hashView(sc)
 		ts.tupleTab.insert(h, i)
-		if ts.shared.sets.adopt(t.set) {
-			for _, g := range rec[1:] {
-				ts.shared.groups.adopt(uint32(g))
+		if ts.shared.sets.adopt(t.setRef()) {
+			for _, g := range rec {
+				ts.shared.groups.adopt(uint32(g &^ lastGroup))
 			}
 		}
 	}
@@ -316,10 +315,12 @@ func (s *ShardedTupleStore) Len() int {
 // intern's. Per shard, into disjoint pre-sized regions of the output:
 //   - a path's global ID is the shard's offset plus its arrival ID;
 //   - the shard's ASN words are copied at the shard's offset in one
-//     exactly sized arena, and path and looped-key spans rebased onto it;
+//     exactly sized arena, and its path ends rebased onto it; its looped
+//     keys likewise, at its offset in the looped-key words;
 //   - tuples are counting-sorted by path ID, so stitched tuples are
 //     non-decreasing in PathID and Observe walks them as they lie;
-//   - VP lists of more than one are copied at capacity nextPow2(length).
+//   - VP lists of more than one are copied, count word first, at capacity
+//     nextPow2(length).
 //
 // The per-shard work runs on up to workers goroutines (<= 0 means
 // GOMAXPROCS); the regions are disjoint, so it needs no locks, and the
@@ -347,6 +348,7 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	pathOff := make([]int, n+1)
 	vpOff := make([]int, n+1)
 	loopOff := make([]int, n+1)
+	loopWordOff := make([]int, n+1)
 	asnOff := make([]int, n+1)
 	large := make(map[bgp.LargeCommunity]struct{})
 	largeTuples := false
@@ -354,15 +356,16 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 		ts := s.shards[i].ts
 		nVPs := 0
 		for j := range ts.tuples {
-			if n := ts.tuples[j].nVP; n > 1 {
-				nVPs += int(nextPow2(n))
+			if t := &ts.tuples[j]; t.set&multiVP != 0 {
+				nVPs += 1 + int(nextPow2(ts.vpArena[t.vp[0]]))
 			}
 		}
 		largeTuples = largeTuples || ts.largeTuples
 		tupleOff[i+1] = tupleOff[i] + len(ts.tuples)
-		pathOff[i+1] = pathOff[i] + len(ts.paths)
+		pathOff[i+1] = pathOff[i] + len(ts.pathEnd)
 		vpOff[i+1] = vpOff[i] + nVPs
 		loopOff[i+1] = loopOff[i] + len(ts.loops)
+		loopWordOff[i+1] = loopWordOff[i] + len(ts.loopWords)
 		asnOff[i+1] = asnOff[i] + len(ts.asnArena)
 		for lc := range ts.large {
 			large[lc] = struct{}{}
@@ -371,36 +374,39 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	out := &TupleStore{
 		shared:      s.shared,
 		tuples:      make([]Tuple, tupleOff[n]),
-		paths:       make([]pathMeta, pathOff[n]),
+		pathEnd:     make([]uint32, pathOff[n]),
 		asnArena:    make([]uint32, asnOff[n]),
 		vpArena:     make([]uint32, vpOff[n]),
 		loops:       make([]loopedKey, loopOff[n]),
+		loopWords:   make([]uint32, loopWordOff[n]),
 		large:       large,
 		largeTuples: largeTuples,
 	}
 	ParallelFor(workers, n, func(i int) {
 		ts := s.shards[i].ts
-		idBase, asnBase := int32(pathOff[i]), uint32(asnOff[i])
+		idBase, asnBase, wordBase := int32(pathOff[i]), uint32(asnOff[i]), uint32(loopWordOff[i])
 		copy(out.asnArena[asnBase:], ts.asnArena)
-		for j, p := range ts.paths {
-			p.asns.off += asnBase
-			out.paths[pathOff[i]+j] = p
+		for j, end := range ts.pathEnd {
+			out.pathEnd[pathOff[i]+j] = end + asnBase
 		}
 		// A shard appends a looped key as it creates the path, so its loops
 		// are already ascending by ID.
+		copy(out.loopWords[wordBase:], ts.loopWords)
 		for j, l := range ts.loops {
 			l.id += idBase
-			l.key.off += asnBase
+			l.key.off += wordBase
 			out.loops[loopOff[i]+j] = l
 		}
-		order, _ := countingSort(len(ts.tuples), len(ts.paths), func(j int) int32 { return ts.tuples[j].PathID })
+		order, _ := countingSort(len(ts.tuples), len(ts.pathEnd), func(j int) int32 { return ts.tuples[j].PathID })
 		vpCur := uint32(vpOff[i])
 		for j, ti := range order {
 			t := ts.tuples[ti]
-			if t.nVP > 1 {
-				copy(out.vpArena[vpCur:], ts.TupleVPs(&ts.tuples[ti]))
+			if t.set&multiVP != 0 {
+				vps := ts.TupleVPs(&t)
+				out.vpArena[vpCur] = uint32(len(vps))
+				copy(out.vpArena[vpCur+1:], vps)
 				t.vp[0] = vpCur
-				vpCur += nextPow2(t.nVP)
+				vpCur += 1 + nextPow2(uint32(len(vps)))
 			}
 			t.PathID += idBase
 			out.tuples[tupleOff[i]+j] = t

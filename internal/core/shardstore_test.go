@@ -107,8 +107,9 @@ func equalDumps(t *testing.T, a, b []string, label string) {
 
 // stitchChecked stitches sts on the given number of workers and holds
 // the result to the stitched-store shape: PathID non-decreasing, so each
-// path's tuples are contiguous and Observe walks them as they lie; an
-// ASN arena without slack; the looped-path index ascending by ID; and a
+// path's tuples are contiguous and Observe walks them as they lie; ASN
+// and looped-key arenas without slack, the path ends tiling the ASN
+// arena; the looped-path index ascending by ID; and a
 // layout that depends on the shard contents alone — Stitch(1) and
 // Stitch(4) of the same shards dump alike. Stitch only reads the shards,
 // so the comparison stitches come first and the store returned is the
@@ -130,8 +131,21 @@ func stitchChecked(t *testing.T, label string, sts *ShardedTupleStore, workers i
 		}
 		seen[id] = true
 	}
-	if len(ts.asnArena) != cap(ts.asnArena) {
-		t.Fatalf("%s: stitched ASN arena holds %d words in %d", label, len(ts.asnArena), cap(ts.asnArena))
+	if len(ts.asnArena) != cap(ts.asnArena) || len(ts.loopWords) != cap(ts.loopWords) {
+		t.Fatalf("%s: stitched ASN arena holds %d words in %d, looped keys %d in %d",
+			label, len(ts.asnArena), cap(ts.asnArena), len(ts.loopWords), cap(ts.loopWords))
+	}
+	// The path ends tile the ASN arena: every path a non-empty run, the
+	// last one ending where the arena does.
+	var prev uint32
+	for id, end := range ts.pathEnd {
+		if end <= prev {
+			t.Fatalf("%s: path %d ends at %d, the one before it at %d", label, id, end, prev)
+		}
+		prev = end
+	}
+	if int(prev) != len(ts.asnArena) {
+		t.Fatalf("%s: the paths end at %d in an ASN arena of %d", label, prev, len(ts.asnArena))
 	}
 	for i := 1; i < len(ts.loops); i++ {
 		if ts.loops[i-1].id >= ts.loops[i].id {

@@ -123,7 +123,7 @@ func referenceReduce(views []refView) refReduction {
 func reduceStore(t *testing.T, label string, ts *TupleStore) refReduction {
 	t.Helper()
 	r := newRefReduction()
-	for id := range ts.paths {
+	for id := range ts.pathEnd {
 		key := ts.pathKey(int32(id))
 		p := fmt.Sprint(key)
 		if r.paths[p] {

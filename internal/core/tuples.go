@@ -26,12 +26,7 @@ type PathInfo struct {
 	ASNs []uint32 // distinct ASNs on the path, in first-appearance order
 }
 
-// pathMeta locates one interned path's ASNs in the ASN arena, 8 bytes.
-type pathMeta struct {
-	asns span
-}
-
-// Tuple is one unique (AS path, communities) observation, 16 bytes.
+// Tuple is one unique (AS path, communities) observation, 12 bytes.
 // Its communities are read group by group (TupleStore.eachGroup), its
 // vantage points through TupleStore.TupleVPs.
 // Tuples are plain values in one flat slice — no per-tuple pointers,
@@ -42,38 +37,53 @@ type Tuple struct {
 	// per-α groups its classic and large communities (RFC 8092) fall into
 	// (see groupSet). Large communities are part of tuple identity:
 	// observations that differ only in their large communities are
-	// distinct tuples.
+	// distinct tuples. Its top bit is multiVP; readers mask it off
+	// (setRef).
 	set uint32
-	// With nVP == 1, vp holds the tuple's one vantage point — nearly every
-	// tuple has exactly one, because an eBGP peer puts its own ASN first
-	// on the path. With nVP > 1 it is the offset of the sorted list in the
-	// VP arena, whose capacity is nextPow2(nVP): a full list relocates to
-	// the arena tail with doubled capacity (amortized O(1), bounded dead
-	// space).
-	vp  [1]uint32
-	nVP uint32
+	// Without multiVP, vp holds the tuple's one vantage point — nearly
+	// every tuple has exactly one, because an eBGP peer puts its own ASN
+	// first on the path. With it, vp is the offset of the tuple's list in
+	// the VP arena: a count word, then the sorted VPs in a capacity of
+	// nextPow2(count). A full list relocates to the arena tail with doubled
+	// capacity (amortized O(1), bounded dead space).
+	vp [1]uint32
 }
+
+// multiVP marks a tuple's set ref when its vantage points are a list in
+// the VP arena. Arena offsets stay below 1<<31 (internMaxChunks), so the
+// flag never aliases one.
+const multiVP = 1 << 31
+
+// setRef returns the tuple's set record ref, multiVP masked off.
+func (t *Tuple) setRef() uint32 { return t.set &^ multiVP }
 
 // nextPow2 is the capacity of a VP list of n > 1 entries.
 func nextPow2(n uint32) uint32 { return 1 << bits.Len32(n-1) }
 
 // A record is a header word — its count of one-word items | its count of
-// three-word items << 16 — and then the items. Three kinds share the
-// layout, so one recordAt reads them all:
+// three-word items << 16 — and then the items. Two kinds share the
+// layout, so one recordAt reads them both:
 //   - a canonical set (appendSet): a view's classic communities, then its
 //     large communities' words;
 //   - a group: one α's run of a canonical set — its classic communities
 //     with one ASN, or its large communities with one Global
-//     Administrator — interned once per store (storeInterns.groups);
-//   - a set record, what a tuple refers to: the refs of its set's groups,
-//     in the set's order (groupSet).
+//     Administrator — interned once per store (storeInterns.groups).
+//
+// A set record, what a tuple refers to, has no header: it is the refs of
+// its set's groups, in the set's order, with lastGroup set on the last
+// (groupSet, setRecordAt). Ref 0 is the empty set.
 //
 // Equal sets are equal words and equal groups equal refs, so each kind is
 // compared, hashed and interned as one word slice. The words are typed
 // bgp.Community so that a group's classic items are its communities.
 
-// emptySet is the record with no items: the empty canonical set and the
-// set record of no groups.
+// lastGroup marks the last group ref of a set record. Group refs are
+// arena offsets, below 1<<31 (internMaxChunks), so it aliases none.
+const lastGroup = 1 << 31
+
+// emptySet is the record with no items, the empty canonical set; one
+// zero word also seeds each intern's arena at offset 0, where a set
+// record reads as the empty set (setRecordAt).
 var emptySet = [1]bgp.Community{0}
 
 // appendSet renders a canonical community set as one record and appends
@@ -98,6 +108,20 @@ func recordAt(words []bgp.Community) []bgp.Community {
 	return words[:n:n]
 }
 
+// setRecordAt returns the set record at the start of words: its group
+// refs through the one flagged lastGroup. The zero word seeded at offset
+// 0, which no group ref is, reads as the empty set.
+func setRecordAt(words []bgp.Community) []bgp.Community {
+	if words[0] == 0 {
+		return words[:0:0]
+	}
+	n := 1
+	for words[n-1]&lastGroup == 0 {
+		n++
+	}
+	return words[:n:n]
+}
+
 // splitSet splits a canonical set or a group into its communities and
 // its large communities' words.
 func splitSet(set []bgp.Community) (comms bgp.Communities, larges []bgp.Community) {
@@ -109,7 +133,7 @@ func splitSet(set []bgp.Community) (comms bgp.Communities, larges []bgp.Communit
 // and renders the set record of their refs into sc.rec. Both of the
 // set's lists are sorted, so every α's run is contiguous.
 func (sc *addScratch) groupSet(groups *listIntern) {
-	sc.rec = append(sc.rec[:0], 0)
+	sc.rec = sc.rec[:0]
 	comms, larges := splitSet(sc.set)
 	for cs := comms; len(cs) > 0; {
 		n := 1
@@ -130,10 +154,9 @@ func (sc *addScratch) groupSet(groups *listIntern) {
 		sc.rec = append(sc.rec, bgp.Community(groups.intern(sc.group)))
 		ls = ls[n:]
 	}
-	if len(sc.rec) > 0x10000 {
-		panic("core: more than 65535 groups in a set")
+	if n := len(sc.rec); n > 0 {
+		sc.rec[n-1] |= lastGroup
 	}
-	sc.rec[0] = bgp.Community(len(sc.rec) - 1)
 }
 
 // sameSet reports whether set record rec, its groups resolved through
@@ -144,7 +167,8 @@ func sameSet(groups *listIntern, rec, canon []bgp.Community) bool {
 	chunks := *groups.arena.chunks.Load()
 	var header bgp.Community
 	rest := canon[1:]
-	for _, ref := range rec[1:] {
+	for _, ref := range rec {
+		ref &^= lastGroup
 		g := recordAt(chunks[ref>>internChunkShift][ref&internChunkMask:])
 		if len(g)-1 > len(rest) || !slices.Equal(g[1:], rest[:len(g)-1]) {
 			return false
@@ -160,8 +184,8 @@ func sameSet(groups *listIntern, rec, canon []bgp.Community) bool {
 func appendExpanded(dst []bgp.Community, groups *listIntern, rec []bgp.Community) []bgp.Community {
 	at := len(dst)
 	dst = append(dst, 0)
-	for _, ref := range rec[1:] {
-		g := groups.view(uint32(ref))
+	for _, ref := range rec {
+		g := groups.view(uint32(ref &^ lastGroup))
 		dst[at] += g[0]
 		dst = append(dst, g[1:]...)
 	}
@@ -172,11 +196,12 @@ func appendExpanded(dst []bgp.Community, groups *listIntern, rec []bgp.Community
 // tuples, the §4 data reduction (the paper extracts ≈174M such tuples
 // from one week of RouteViews/RIS data).
 //
-// Storage is columnar (struct-of-arrays): tuples are one flat []Tuple,
-// and their variable-length payloads — set records, the groups they
-// refer to, VP lists of more than one, path ASN sequences — live in
-// append-only arenas. The hot ingest path therefore allocates only when
-// an arena or the flat slice grows, not per tuple.
+// Storage is columnar (struct-of-arrays): tuples are one flat []Tuple of
+// 12-byte records and paths one flat []uint32 of end offsets, and their
+// variable-length payloads — set records, the groups they refer to, VP
+// lists of more than one, path ASN sequences — live in append-only
+// arenas. The hot ingest path therefore allocates only when an arena or
+// a flat slice grows, not per tuple.
 type TupleStore struct {
 	// shared holds the interns of set records and of the groups they
 	// refer to. A NewTupleStore owns its own; the shards of a
@@ -184,11 +209,15 @@ type TupleStore struct {
 	// moves no community data.
 	shared *storeInterns
 
-	paths    []pathMeta
-	asnArena []uint32 // all interned path ASN sequences, and the looped paths' keys
+	// pathEnd holds one end offset per path: path id's distinct ASNs are
+	// asnArena[pathEnd[id-1]:pathEnd[id]] (from 0 for path 0), so the
+	// arena holds the paths' ASN runs back to back in ID order.
+	pathEnd  []uint32
+	asnArena []uint32
 	// loops is the side index of the paths that repeat an AS (see
-	// pathKey), ascending by path ID.
-	loops []loopedKey
+	// pathKey), ascending by path ID; their key words lie in loopWords.
+	loops     []loopedKey
+	loopWords []uint32
 
 	tuples  []Tuple
 	vpArena []uint32 // the VP lists of tuples with more than one (relocating; see Tuple)
@@ -306,17 +335,17 @@ func canonicalLargeInto(dst, ls bgp.LargeCommunities) bgp.LargeCommunities {
 	return dst[:w]
 }
 
-// appendPathASNs appends a new path's distinct ASNs, in first-appearance
-// order, to the store's ASN arena and returns their span (AS paths are
-// short, so the dedup scan beats a map).
-func (ts *TupleStore) appendPathASNs(path []uint32) span {
-	off := uint32(len(ts.asnArena))
+// appendPath appends a new path's distinct ASNs, in first-appearance
+// order, to the store's ASN arena and records where they end (AS paths
+// are short, so the dedup scan beats a map).
+func (ts *TupleStore) appendPath(path []uint32) {
+	off := len(ts.asnArena)
 	for _, asn := range path {
 		if !containsASN(ts.asnArena[off:], asn) {
 			ts.asnArena = append(ts.asnArena, asn)
 		}
 	}
-	return span{off: off, n: uint32(len(ts.asnArena)) - off}
+	ts.pathEnd = append(ts.pathEnd, uint32(len(ts.asnArena)))
 }
 
 // AddView records one vantage-point observation without large
@@ -348,39 +377,40 @@ func (ts *TupleStore) AddViewLarge(vp uint32, path []uint32, comms bgp.Communiti
 // A second VP moves the list from the tuple into the VP arena.
 func (ts *TupleStore) addVP(ti int32, vp uint32) {
 	t := &ts.tuples[ti]
-	if t.nVP == 1 {
+	if t.set&multiVP == 0 {
 		if t.vp[0] != vp {
 			off := uint32(len(ts.vpArena))
-			ts.vpArena = append(ts.vpArena, min(t.vp[0], vp), max(t.vp[0], vp))
-			t.vp[0], t.nVP = off, 2
+			ts.vpArena = append(ts.vpArena, 2, min(t.vp[0], vp), max(t.vp[0], vp))
+			t.vp[0] = off
+			t.set |= multiVP
 		}
 		return
 	}
-	vps := ts.vpArena[t.vp[0] : t.vp[0]+t.nVP]
-	pos, found := slices.BinarySearch(vps, vp)
+	n := ts.vpArena[t.vp[0]]
+	pos, found := slices.BinarySearch(ts.TupleVPs(t), vp)
 	if found {
 		return
 	}
-	if t.nVP == nextPow2(t.nVP) {
-		ts.growVPs(t)
+	if n == nextPow2(n) {
+		ts.growVPs(t, n)
 	}
-	vps = ts.vpArena[t.vp[0] : t.vp[0]+t.nVP+1]
+	vps := ts.vpArena[t.vp[0]+1 : t.vp[0]+n+2]
 	copy(vps[pos+1:], vps[pos:])
 	vps[pos] = vp
-	t.nVP++
+	ts.vpArena[t.vp[0]] = n + 1
 }
 
-// growVPs doubles a full VP list's capacity: in place when the list sits
-// at the arena tail, otherwise by relocating it there. Each relocation
-// doubles the capacity, so the dead space left behind stays bounded by
-// the live data.
-func (ts *TupleStore) growVPs(t *Tuple) {
-	off, n := t.vp[0], t.nVP
-	if int(off+n) != len(ts.vpArena) {
+// growVPs doubles the capacity of t's full list of n VPs: in place when
+// the list sits at the arena tail, otherwise by relocating it, count word
+// and all, there. Each relocation doubles the capacity, so the dead space
+// left behind stays bounded by the live data.
+func (ts *TupleStore) growVPs(t *Tuple, n uint32) {
+	off := t.vp[0]
+	if end := off + 1 + n; int(end) != len(ts.vpArena) {
 		t.vp[0] = uint32(len(ts.vpArena))
-		ts.vpArena = append(ts.vpArena, ts.vpArena[off:off+n]...)
+		ts.vpArena = append(ts.vpArena, ts.vpArena[off:end]...)
 	}
-	need := int(t.vp[0] + 2*n)
+	need := int(t.vp[0] + 1 + 2*n)
 	ts.vpArena = slices.Grow(ts.vpArena, need-len(ts.vpArena))[:need]
 }
 
@@ -388,17 +418,21 @@ func (ts *TupleStore) growVPs(t *Tuple) {
 func (ts *TupleStore) Len() int { return len(ts.tuples) }
 
 // PathCount returns the number of interned unique paths.
-func (ts *TupleStore) PathCount() int { return len(ts.paths) }
+func (ts *TupleStore) PathCount() int { return len(ts.pathEnd) }
 
 // Path returns the interned path info for a tuple's PathID. The
 // returned view aliases the ASN arena; do not mutate it.
 func (ts *TupleStore) Path(id int32) PathInfo {
-	return PathInfo{ASNs: ts.pathASNs(&ts.paths[id])}
+	return PathInfo{ASNs: ts.pathASNs(id)}
 }
 
-// pathASNs resolves a path's distinct-ASN span in the ASN arena.
-func (ts *TupleStore) pathASNs(p *pathMeta) []uint32 {
-	return ts.asnArena[p.asns.off : p.asns.off+p.asns.n]
+// pathASNs returns path id's run of distinct ASNs in the ASN arena.
+func (ts *TupleStore) pathASNs(id int32) []uint32 {
+	var start uint32
+	if id > 0 {
+		start = ts.pathEnd[id-1]
+	}
+	return ts.asnArena[start:ts.pathEnd[id]]
 }
 
 // Tuples returns the flat tuple slice (shared storage; do not mutate).
@@ -408,7 +442,7 @@ func (ts *TupleStore) Tuples() []Tuple { return ts.tuples }
 // setRecord returns a tuple's set record (a view into the set intern's
 // arena; do not mutate).
 func (ts *TupleStore) setRecord(t *Tuple) []bgp.Community {
-	return ts.shared.sets.view(t.set)
+	return setRecordAt(ts.shared.sets.arena.from(t.setRef()))
 }
 
 // eachGroup calls fn with each group of t's community set, in the set's
@@ -418,18 +452,19 @@ func (ts *TupleStore) setRecord(t *Tuple) []bgp.Community {
 // LocalData2 each (comms empty). Both alias shared storage; fn must not
 // keep or modify them.
 func (ts *TupleStore) eachGroup(t *Tuple, fn func(comms bgp.Communities, larges []bgp.Community)) {
-	for _, ref := range ts.setRecord(t)[1:] {
-		fn(splitSet(ts.shared.groups.view(uint32(ref))))
+	for _, ref := range ts.setRecord(t) {
+		fn(splitSet(recordAt(ts.shared.groups.arena.from(uint32(ref &^ lastGroup)))))
 	}
 }
 
 // TupleVPs returns a tuple's sorted distinct vantage points (a view into
 // the tuple or the VP arena; do not mutate).
 func (ts *TupleStore) TupleVPs(t *Tuple) []uint32 {
-	if t.nVP <= 1 {
-		return t.vp[:t.nVP]
+	if t.set&multiVP == 0 {
+		return t.vp[:]
 	}
-	return ts.vpArena[t.vp[0] : t.vp[0]+t.nVP]
+	off := t.vp[0]
+	return ts.vpArena[off+1 : off+1+ts.vpArena[off]]
 }
 
 // VPSet returns the distinct vantage points across all tuples.
@@ -496,9 +531,9 @@ func (ts *TupleStore) DistinctCounts() (communities, vantagePoints int) {
 // into shared storage; do not mutate). Suitable input for
 // AS-relationship inference.
 func (ts *TupleStore) AllPaths() [][]uint32 {
-	out := make([][]uint32, len(ts.paths))
-	for i := range ts.paths {
-		out[i] = ts.pathASNs(&ts.paths[i])
+	out := make([][]uint32, len(ts.pathEnd))
+	for i := range out {
+		out[i] = ts.pathASNs(int32(i))
 	}
 	return out
 }
