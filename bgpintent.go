@@ -320,11 +320,12 @@ type Corpus struct {
 	// synthetic extras (nil for MRT-loaded corpora)
 	syn *corpus.Corpus
 
-	// The corpus is immutable once built, so SnapshotInfo counts its
-	// distinct communities and vantage points once.
-	distinctOnce  sync.Once
-	distinctComms int
-	distinctVPs   int
+	// The corpus is immutable once built, so its distinct communities,
+	// large communities and vantage points are counted once (counts).
+	distinctOnce   sync.Once
+	distinctComms  int
+	distinctLarges int
+	distinctVPs    int
 }
 
 // NewSyntheticCorpus generates the paper-substitute corpus: a synthetic
@@ -537,11 +538,23 @@ func (c *Corpus) Paths() int { return c.store.PathCount() }
 // communities observed. Large communities are full inference subjects:
 // they are keyed into tuples alongside regular communities and
 // clustered per (administrator, function) group by ClassifyContext.
-func (c *Corpus) LargeCommunities() int { return c.store.LargeCommunityCount() }
+func (c *Corpus) LargeCommunities() int {
+	c.counts()
+	return c.distinctLarges
+}
+
+// counts counts the corpus's distinct communities, large communities and
+// vantage points, once.
+func (c *Corpus) counts() {
+	c.distinctOnce.Do(func() {
+		c.distinctComms, c.distinctVPs = c.store.DistinctCounts()
+		c.distinctLarges = c.store.LargeCommunityCount()
+	})
+}
 
 // Footprint is a corpus's memory by component (tuple records, path
 // metas, the VP, community-set and ASN arenas, intern and index tables,
-// the looped-path side index, the distinct-large set): bytes used and
+// the looped-path side index, the noted larges): bytes used and
 // bytes reserved, read off lengths and capacities.
 type (
 	Footprint    = core.Footprint
@@ -877,9 +890,7 @@ type SnapshotInfo struct {
 // SnapshotInfo captures the corpus counters for a snapshot written now
 // from this corpus.
 func (c *Corpus) SnapshotInfo(source string) SnapshotInfo {
-	c.distinctOnce.Do(func() {
-		c.distinctComms, c.distinctVPs = c.store.DistinctCounts()
-	})
+	c.counts()
 	return SnapshotInfo{
 		Created:          time.Now(),
 		Source:           source,

@@ -210,7 +210,9 @@ func heapLive() int64 {
 // mirrored, and holds the byte accounting to the heap: what the Corpus
 // keeps alive is what Footprint says it reserves (the byte analogue of
 // bgpbench's trace.explained_fraction), and Corpus plus Result stay
-// under the per-tuple ceiling. The table it logs is the per-component
+// under the per-tuple ceiling. The classic corpus is loaded once more at
+// Parallelism 2, where two shard owners build it, and held to the same
+// tolerance and ceiling. The table it logs is the per-component
 // decomposition of bgpbench's heap_bytes_per_tuple.
 func TestFootprintExplainsHeldHeap(t *testing.T) {
 	if testing.Short() {
@@ -223,10 +225,17 @@ func TestFootprintExplainsHeldHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, matrix := range []bool{false, true} {
-		ribs := writeGuardRIBs(t, topo, matrix)
+	ribs := map[bool][]string{}
+	for _, leg := range []struct {
+		matrix      bool
+		parallelism int
+	}{{false, 1}, {true, 1}, {false, 2}} {
+		matrix := leg.matrix
+		if ribs[matrix] == nil {
+			ribs[matrix] = writeGuardRIBs(t, topo, matrix)
+		}
 		before := heapLive()
-		c, _, err := LoadMRT(context.Background(), Sources{RIBs: ribs}, LoadOptions{Parallelism: 1})
+		c, _, err := LoadMRT(context.Background(), Sources{RIBs: ribs[matrix]}, LoadOptions{Parallelism: leg.parallelism})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,19 +249,19 @@ func TestFootprintExplainsHeldHeap(t *testing.T) {
 
 		fp := c.Footprint()
 		used, reserved := fp.Total()
-		t.Logf("matrix=%v: %d tuples, %d paths; corpus holds %d B (%.1f B/tuple), corpus + result %d B (%.1f B/tuple)",
-			matrix, c.Tuples(), c.Paths(), corpus, float64(corpus)/tuples, held, float64(held)/tuples)
+		t.Logf("matrix=%v parallelism=%d: %d tuples, %d paths; corpus holds %d B (%.1f B/tuple), corpus + result %d B (%.1f B/tuple)",
+			matrix, leg.parallelism, c.Tuples(), c.Paths(), corpus, float64(corpus)/tuples, held, float64(held)/tuples)
 		for _, r := range fp {
 			t.Logf("  %-14s %10d B used %10d B reserved %7.2f B/tuple", r.Name, r.Used, r.Reserved, float64(r.Reserved)/tuples)
 		}
 		t.Logf("  %-14s %10d B used %10d B reserved %7.2f B/tuple", "total", used, reserved, float64(reserved)/tuples)
 
 		if off := float64(reserved)/float64(corpus) - 1; off > guardFootprintTolerance || off < -guardFootprintTolerance {
-			t.Errorf("matrix=%v: Footprint reserves %d B, the corpus holds %d B: %.1f%% apart, want within %.0f%%",
-				matrix, reserved, corpus, off*100, guardFootprintTolerance*100)
+			t.Errorf("matrix=%v parallelism=%d: Footprint reserves %d B, the corpus holds %d B: %.1f%% apart, want within %.0f%%",
+				matrix, leg.parallelism, reserved, corpus, off*100, guardFootprintTolerance*100)
 		}
 		if perTuple := float64(held) / tuples; !matrix && perTuple > guardHeldBytesPerTuple {
-			t.Errorf("Corpus + Result hold %.1f B per tuple, want <= %d", perTuple, guardHeldBytesPerTuple)
+			t.Errorf("parallelism=%d: Corpus + Result hold %.1f B per tuple, want <= %d", leg.parallelism, perTuple, guardHeldBytesPerTuple)
 		}
 		runtime.KeepAlive(c)
 		runtime.KeepAlive(res)

@@ -60,7 +60,7 @@ func TestStitchedLoadResidency(t *testing.T) {
 	for i := 0; i < tuples; i++ {
 		path := []uint32{uint32(65000 + i%50), 7018, uint32(1000 + i)}
 		comms := bgp.Communities{bgp.NewCommunity(7018, uint16(i)), bgp.NewCommunity(1299, uint16(i%100))}
-		sts.AddView(uint32(1+i%20), path, comms)
+		sts.AddViewASPathLarge(uint32(1+i%20), bgp.NewASPath(path...), comms, nil)
 	}
 	ts := sts.Stitch(1)
 	sts = nil

@@ -40,11 +40,11 @@ type outbox struct {
 // views of shards [w·N/W, (w+1)·N/W), so no two goroutines write, or
 // pull into their caches, the same shard. Owners still take the shard
 // mutex, uncontended, once per run of views for one shard: the store's
-// own AddView methods stay safe beside a load, and every view is applied
-// by the same addView.
+// own AddViewASPathLarge stays safe beside a load, and every view is
+// applied by the same addView.
 //
 // With one owner there are no owner goroutines: a feeder applies each
-// view as it prepares it, the path of ShardedTupleStore.AddViewLarge.
+// view as it prepares it, the path of ShardedTupleStore.AddViewASPathLarge.
 type ShardLoad struct {
 	s     *ShardedTupleStore
 	tr    *obs.Tracer
@@ -60,7 +60,7 @@ type ShardLoad struct {
 // (capped at the shard count; <= 1 means feeders apply their own views).
 // tr, when active, receives the load's store-add time: the feeders'
 // preparation and the owners' application, summed worker-seconds. s must
-// not be read (Len, Stitch) before Close.
+// not be stitched before Close.
 func (s *ShardedTupleStore) Load(owners int, tr *obs.Tracer) *ShardLoad {
 	l := &ShardLoad{s: s, tr: tr}
 	owners = min(owners, len(s.shards))

@@ -2,11 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 	"unsafe"
-
-	"bgpintent/internal/bgp"
 )
 
 // FootprintRow is one component of a store's memory: Used bytes hold
@@ -21,8 +18,7 @@ type FootprintRow struct {
 // Footprint is a store's memory by component, the byte-side
 // decomposition of "bytes per unique tuple": each row is computed from
 // the lengths and capacities of the slices behind it, so taking one
-// walks no tuple. The distinct-large set, a Go map, has no capacity to
-// read; its row is an estimate at slot size x table size.
+// walks no tuple.
 type Footprint []FootprintRow
 
 // Total sums the rows.
@@ -65,14 +61,10 @@ func arenaRow[T any](name string, a *sharedArena[T]) FootprintRow {
 	return r
 }
 
-// mapRow estimates a Go map of n entries at slot bytes each: a table
-// of power-of-two size kept at most 7/8 full, one control byte a slot.
-func mapRow(name string, n, slot int) FootprintRow {
-	if n == 0 {
-		return FootprintRow{Name: name}
-	}
-	slots := int64(1) << bits.Len(uint(n*8/7))
-	return FootprintRow{Name: name, Used: int64(n * slot), Reserved: slots * int64(slot+1)}
+// probeRow measures a probe table by its entries and slots.
+func probeRow[K comparable, V any](name string, t *probeTable[K, V]) FootprintRow {
+	size := int64(unsafe.Sizeof(probeSlot[K, V]{}))
+	return FootprintRow{Name: name, Used: int64(t.n) * size, Reserved: int64(len(t.slots)) * size}
 }
 
 // tableRow measures an intern's hash table, which Stitch releases.
@@ -83,7 +75,10 @@ func tableRow(name string, li *listIntern) FootprintRow {
 
 // Footprint returns the store's memory by component. The set and group
 // rows are the interns the store refers to: its own, or, for a shard, the
-// ones it shares with its siblings, which become the stitched store's.
+// ones it shares with its siblings, which become the stitched store's. A
+// stitched store's table rows are empty. noted_larges holds the larges
+// NoteLarge saw, which a sharded store keeps apart from its shards and
+// hands to Stitch.
 func (ts *TupleStore) Footprint() Footprint {
 	sh := ts.shared
 	return Footprint{
@@ -102,6 +97,6 @@ func (ts *TupleStore) Footprint() Footprint {
 		},
 		sliceRow("looped_paths", ts.loops),
 		sliceRow("looped_keys", ts.loopWords),
-		mapRow("large_set", len(ts.large), int(unsafe.Sizeof(bgp.LargeCommunity{}))),
+		probeRow("noted_larges", &ts.noted),
 	}
 }

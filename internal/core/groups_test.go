@@ -191,9 +191,10 @@ func checkGroupedStore(t *testing.T, label string, ts *TupleStore, want map[stri
 // TestGroupedSetsMatchInput: over random views — empty, large-only,
 // many-α and mixed sets — a tuple's communities, read through its groups,
 // are the canonical input, and every distinct group is stored once: in a
-// NewTupleStore, in each shard of a sharded one, in the stitched store
-// and after post-Stitch AddViews, with seeded and with colliding hashes
-// (the NewTupleStore's as well as the shards').
+// NewTupleStore, in each shard of a sharded one, and in the stitched
+// store, before and after more views arrive (in a stitched store, before
+// its Stitch), with seeded and with colliding hashes (the NewTupleStore's
+// as well as the shards').
 func TestGroupedSetsMatchInput(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		for _, collide := range []bool{false, true} {
@@ -209,11 +210,17 @@ func TestGroupedSetsMatchInput(t *testing.T) {
 
 			plain := NewTupleStore()
 			plain.shared.collide = collide
-			sts := NewShardedTupleStore(4)
-			sts.shared.collide = collide
+			sharded := func(views []refView) *ShardedTupleStore {
+				sts := NewShardedTupleStore(4)
+				sts.shared.collide = collide
+				for _, v := range views {
+					sts.AddViewASPathLarge(v.vp, bgp.NewASPath(v.path...), v.comms, v.larges)
+				}
+				return sts
+			}
+			sts := sharded(views)
 			for _, v := range views {
 				plain.AddViewLarge(v.vp, v.path, v.comms, v.larges)
-				sts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
 			}
 			checkGroupedStore(t, label+" plain", plain, want)
 			if collide {
@@ -242,10 +249,10 @@ func TestGroupedSetsMatchInput(t *testing.T) {
 			checkGroupedStore(t, label+" stitched", ts, want)
 			want = groupedIdentities(want, more)
 			for _, v := range more {
-				ts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
 				plain.AddViewLarge(v.vp, v.path, v.comms, v.larges)
 			}
-			checkGroupedStore(t, label+" stitched, then fed", ts, want)
+			ts = stitchChecked(t, label+" fed more", sharded(append(views, more...)), 2)
+			checkGroupedStore(t, label+" stitched, fed more", ts, want)
 			checkGroupedStore(t, label+" plain, fed more", plain, want)
 		}
 	}
@@ -263,7 +270,7 @@ func TestGroupedSetFootprint(t *testing.T) {
 	}
 	sts := NewShardedTupleStore(8)
 	for _, v := range simulate.New(topo, simulate.TinyConfig()).RunDay(0).Views {
-		sts.AddViewLarge(v.VP, v.Path, v.Comms, v.LargeComms)
+		sts.AddViewASPathLarge(v.VP, bgp.NewASPath(v.Path...), v.Comms, v.LargeComms)
 	}
 	row := func(fp Footprint, name string) FootprintRow {
 		for _, r := range fp {

@@ -38,3 +38,14 @@ func hashSet(h uint64, set []bgp.Community) uint64 {
 	}
 	return h
 }
+
+// splitmix64 is the splitmix64 finalizer, which spreads a large
+// community's 96 bits over its hash (hashLargeCommunity).
+func splitmix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}

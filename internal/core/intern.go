@@ -108,8 +108,7 @@ func (a *sharedArena[T]) append(vals []T) uint32 {
 }
 
 // trim reallocates the newest chunk at exactly its fill, releasing the
-// slack behind it: what Stitch calls once the load is over. A later
-// append finds the chunk full and starts the next one.
+// slack behind it: what Stitch calls once the load is over.
 func (a *sharedArena[T]) trim() {
 	p := a.chunks.Load()
 	if p == nil || len((*p)[len(*p)-1]) == a.fill {
@@ -189,7 +188,7 @@ func (t *internTable) place(s uint64) {
 // offset 0, so it is ref 0.
 //
 // Only the arena outlives the load: the hash table serves intern alone,
-// so Stitch releases it and adopt rebuilds it if views arrive later.
+// so Stitch, whose output is read-only, releases it.
 type listIntern struct {
 	arena sharedArena[bgp.Community]
 	table atomic.Pointer[internTable]
@@ -254,27 +253,6 @@ func (li *listIntern) intern(rec []bgp.Community) uint32 {
 	return ref
 }
 
-// adopt re-enters a record the arena already holds at ref, unless the
-// table knows its content, reporting whether it did: how reindex
-// rebuilds a released table from the refs it finds, so a known record
-// keeps resolving to the ref already handed out and the arena does not
-// grow for it.
-func (li *listIntern) adopt(ref uint32) bool {
-	if ref == 0 {
-		return false
-	}
-	rec := li.view(ref)
-	h := li.hash(rec)
-	li.mu.Lock()
-	defer li.mu.Unlock()
-	t := li.table.Load()
-	_, ok, end := li.probe(t, t.home(h), h, rec)
-	if !ok {
-		li.insertAt(t, end, h, ref)
-	}
-	return !ok
-}
-
 // insertAt enters a ref established absent into t, the current table, at
 // end, the empty slot its chain ended on — unless the table must first
 // grow past 3/4 load. Callers hold the mutex.
@@ -288,10 +266,9 @@ func (li *listIntern) insertAt(t *internTable, end uint32, h uint64, ref uint32)
 	li.count++
 }
 
-// release drops the hash table, which only intern reads; every ref
-// handed out stays valid, because refs address the arena. Before the
-// next intern, adopt must have re-entered every record still referred
-// to, or a known record would be stored again under a second ref.
+// release drops the hash table, which only intern reads, once no intern
+// will follow; every ref handed out stays valid, because refs address
+// the arena.
 func (li *listIntern) release() {
 	li.mu.Lock()
 	li.table.Store(nil)
@@ -374,17 +351,11 @@ func (sh *storeInterns) setHash(set []bgp.Community) uint64 {
 }
 
 // prepare readies one view, whose path key is already collapsed into
-// sc.words, for addView: it renders the canonical set into sc and hashes
-// the identity (see hashView).
+// sc.words, for addView: it renders the canonical set into sc.set and
+// hashes the view. route picks the shard, hp tags the path in the
+// shard's path table, h tags the whole identity in its tuple table.
 func (sh *storeInterns) prepare(sc *addScratch, comms bgp.Communities, larges bgp.LargeCommunities) (route, hp, h uint64) {
 	sc.canonicalSet(comms, larges)
-	return sh.hashView(sc)
-}
-
-// hashView hashes the view in sc (path key in sc.words, canonical set
-// in sc.set): route picks the shard, hp tags the path in the shard's path
-// table, h tags the whole identity in its tuple table.
-func (sh *storeInterns) hashView(sc *addScratch) (route, hp, h uint64) {
 	route, hp = hashPathKey(sc.words, sh.seed)
 	h = hashSet(hp, sc.set)
 	if sh.collide {

@@ -218,26 +218,26 @@ func TestShardedAddViewDupZeroAlloc(t *testing.T) {
 		t.Skip("race-mode sync.Pool drops items; alloc counts are noise")
 	}
 	sts := NewShardedTupleStore(8)
-	path := []uint32{65269, 7018, 1299, 64496}
+	path := asPath([]uint32{65269, 7018, 1299, 64496})
 	comms := bgp.Communities{bgp.NewCommunity(1299, 2569), bgp.NewCommunity(1299, 100)}
-	sts.AddView(65269, path, comms)
+	sts.AddViewASPathLarge(65269, path, comms, nil)
 	// Pre-grow the VP list past the guarded runs so growVPs relocation
 	// (amortized-free, not per-call-free) never fires under the meter.
 	for vp := uint32(1); vp <= 64; vp++ {
-		sts.AddView(vp, path, comms)
+		sts.AddViewASPathLarge(vp, path, comms, nil)
 	}
 
 	if avg := testing.AllocsPerRun(200, func() {
-		sts.AddView(65269, path, comms)
+		sts.AddViewASPathLarge(65269, path, comms, nil)
 	}); avg != 0 {
-		t.Errorf("sharded AddView duplicate hit allocates %.1f per run, want 0", avg)
+		t.Errorf("sharded AddViewASPathLarge duplicate hit allocates %.1f per run, want 0", avg)
 	}
 
 	messy := bgp.Communities{bgp.NewCommunity(1299, 100), bgp.NewCommunity(1299, 2569), bgp.NewCommunity(1299, 100)}
 	if avg := testing.AllocsPerRun(200, func() {
-		sts.AddView(65269, path, messy)
+		sts.AddViewASPathLarge(65269, path, messy, nil)
 	}); avg != 0 {
-		t.Errorf("sharded AddView with messy comms allocates %.1f per run, want 0", avg)
+		t.Errorf("sharded AddViewASPathLarge with messy comms allocates %.1f per run, want 0", avg)
 	}
 }
 
@@ -374,127 +374,54 @@ func TestSharedArenaOffsets(t *testing.T) {
 	check()
 }
 
-// TestStitchStoreStillAcceptsViews pins the lazy reindex: a stitched
-// store can keep ingesting, deduplicating against the stitched contents
-// through tables it builds on the first AddView — the intern tables
-// Stitch released among them.
-func TestStitchStoreStillAcceptsViews(t *testing.T) {
-	type view struct {
-		vp    uint32
-		path  []uint32
-		comms bgp.Communities
-	}
-	var views []view
-	for i := 0; i < 50; i++ {
-		views = append(views, view{
-			vp:    uint32(1 + i%3),
-			path:  []uint32{uint32(100 + i%7), 7018, uint32(200 + i)},
-			comms: bgp.Communities{bgp.NewCommunity(uint16(100+i%7), uint16(i))},
-		})
-	}
-	sts := NewShardedTupleStore(4)
-	for _, v := range views {
-		sts.AddView(v.vp, v.path, v.comms)
-	}
-	ts := stitchChecked(t, "stitched", sts, 2)
-	nTuples, nPaths := ts.Len(), ts.PathCount()
-	for _, li := range []*listIntern{&ts.shared.sets, &ts.shared.groups} {
-		if live, slots := li.tableSize(); live != 0 || slots != 0 {
-			t.Fatalf("stitched store still holds an intern table: %d entries in %d slots", live, slots)
-		}
-	}
-	commFill := func() int64 { return arenaRow("", &ts.shared.sets.arena).Used }
-	groupFill := func() int64 { return arenaRow("", &ts.shared.groups.arena).Used }
-	groups0 := groupFill()
-	asnFill := func() int64 { return sliceRow("", ts.asnArena).Used }
-	comms0, asns0 := commFill(), asnFill()
-
-	// Exact duplicate of an existing observation: nothing may grow.
-	dupPath := []uint32{uint32(100), 7018, uint32(200)}
-	dupComms := bgp.Communities{bgp.NewCommunity(100, 0)}
-	before := dumpStore(ts)
-	ts.AddView(1, dupPath, dupComms)
-	equalDumps(t, dumpStore(ts), before, "after an exact duplicate")
-	if live, _ := ts.shared.sets.tableSize(); live != len(views) {
-		t.Fatalf("rebuilt intern table holds %d lists, the tuples refer to %d", live, len(views))
-	}
-	if live, _ := ts.shared.groups.tableSize(); live != len(views) {
-		t.Fatalf("rebuilt group table holds %d groups, the sets refer to %d", live, len(views))
-	}
-	// Every original view again, from new vantage points: only VP sets
-	// change, so the store equals one built from the doubled input,
-	// layout included.
-	doubled := NewShardedTupleStore(4)
-	for _, v := range views {
-		ts.AddView(v.vp+100, v.path, v.comms)
-		doubled.AddView(v.vp, v.path, v.comms)
-		doubled.AddView(v.vp+100, v.path, v.comms)
-	}
-	equalDumps(t, dumpStore(ts), dumpStore(stitchChecked(t, "doubled", doubled, 1)), "re-fed vs doubled input")
-	if commFill() != comms0 || groupFill() != groups0 || asnFill() != asns0 {
-		t.Fatalf("re-feeding known views grew the arenas: sets %d -> %d B, groups %d -> %d B, ASNs %d -> %d B",
-			comms0, commFill(), groups0, groupFill(), asns0, asnFill())
-	}
-	// A new path under a known community list: the list resolves to the
-	// ref its tuples already carry, so only the ASN arena grows.
-	ts.AddView(1, []uint32{9999, 8888}, dupComms)
-	if ts.Len() != nTuples+1 || ts.PathCount() != nPaths+1 {
-		t.Fatalf("new tuple not appended: %d/%d, want %d/%d",
-			ts.Len(), ts.PathCount(), nTuples+1, nPaths+1)
-	}
-	if c, _ := tupleCommunities(ts, &ts.tuples[nTuples]); !slices.Equal(c, dupComms) {
-		t.Fatalf("new tuple carries %v, want %v", c, dupComms)
-	}
-	if commFill() != comms0 || asnFill() != asns0+8 {
-		t.Fatalf("a new path under a known list: community arena %d -> %d B (want unchanged), ASN arena %d -> %d B (want +8)",
-			comms0, commFill(), asns0, asnFill())
-	}
-	// Genuinely new tuple, path and list: its set record is one flagged
-	// group ref, one word.
-	ts.AddView(1, []uint32{9999, 7777}, bgp.Communities{bgp.NewCommunity(9999, 1)})
-	if ts.Len() != nTuples+2 || ts.PathCount() != nPaths+2 || commFill() != comms0+4 {
-		t.Fatalf("new tuple not appended: %d/%d with %d B of communities, want %d/%d with %d B",
-			ts.Len(), ts.PathCount(), commFill(), nTuples+2, nPaths+2, comms0+4)
-	}
-	if got := ts.LargeCommunityCount(); got != 0 {
-		t.Fatalf("unexpected large communities: %d", got)
-	}
-}
-
 // TestStitchedStoreKnowsItsLarges: whether a store's tuples carry large
 // communities — what switches the large observation pass on — survives
-// Stitch releasing the intern table and a post-stitch AddView rebuilding
-// it, and larges that attach to no tuple do not set it.
+// Stitch releasing the intern table, in a store whose large tuple arrived
+// first and in one whose large tuple arrived last, and larges that attach
+// to no tuple do not set it.
 func TestStitchedStoreKnowsItsLarges(t *testing.T) {
-	path, comms := []uint32{64500, 64501}, bgp.Communities{bgp.NewCommunity(64500, 1)}
+	path := asPath([]uint32{64500, 64501})
+	comms := bgp.Communities{bgp.NewCommunity(64500, 1)}
 	larges := bgp.LargeCommunities{{GlobalAdmin: 64500, LocalData1: 1, LocalData2: 1}}
 
-	mixed := NewShardedTupleStore(4)
-	mixed.AddView(1, path, comms)
-	mixed.AddViewLarge(2, path, comms, larges)
-	ts := stitchChecked(t, "mixed", mixed, 1)
+	mixed := func(later bool) *ShardedTupleStore {
+		sts := NewShardedTupleStore(4)
+		sts.AddViewASPathLarge(1, path, comms, nil)
+		sts.AddViewASPathLarge(2, path, comms, larges)
+		if later {
+			sts.AddViewASPathLarge(3, path, comms, nil)
+		}
+		return sts
+	}
+	ts := stitchChecked(t, "mixed", mixed(false), 1)
 	if !ts.largeTuples {
 		t.Fatal("stitched mixed store reports no large tuples")
 	}
-	ts.AddView(3, path, comms)
-	if !ts.largeTuples {
-		t.Fatal("mixed store reports no large tuples after a post-stitch AddView")
+	if ts = stitchChecked(t, "mixed, then classic", mixed(true), 1); !ts.largeTuples {
+		t.Fatal("mixed store reports no large tuples after a later classic view")
 	}
 	if got := Classify(ts, DefaultOptions()).Large().Observed(); got != 1 {
 		t.Fatalf("classifying the stitched mixed store observed %d large communities, want 1", got)
 	}
 
 	classic := NewShardedTupleStore(4)
-	classic.AddView(1, path, comms)
+	classic.AddViewASPathLarge(1, path, comms, nil)
 	// Larges that attach to no tuple count toward the statistics only.
-	classic.AddViewLarge(1, nil, nil, larges)
+	classic.AddViewASPathLarge(1, bgp.ASPath{}, nil, larges)
 	ts = stitchChecked(t, "classic", classic, 1)
 	if ts.largeTuples {
 		t.Fatal("stitched classic-only store reports large tuples")
 	}
-	ts.AddViewLarge(2, path, comms, larges)
-	if !ts.largeTuples {
-		t.Fatal("store reports no large tuples after its first one arrived post-stitch")
+	if got := ts.LargeCommunityCount(); got != 1 {
+		t.Fatalf("stitched classic-only store counts %d larges, want the 1 noted", got)
+	}
+
+	lateLarge := NewShardedTupleStore(4)
+	lateLarge.AddViewASPathLarge(1, path, comms, nil)
+	lateLarge.AddViewASPathLarge(1, bgp.ASPath{}, nil, larges)
+	lateLarge.AddViewASPathLarge(2, path, comms, larges)
+	if ts = stitchChecked(t, "large last", lateLarge, 1); !ts.largeTuples {
+		t.Fatal("store reports no large tuples when its first one arrived last")
 	}
 }
 
@@ -511,7 +438,7 @@ func TestStitchWorkerCounts(t *testing.T) {
 				bgp.NewCommunity(uint16(100+i%31), uint16(i%50)),
 				bgp.NewCommunity(uint16(1+i%13), uint16(i%20)),
 			}
-			sts.AddView(uint32(1+i%9), path, comms)
+			sts.AddViewASPathLarge(uint32(1+i%9), bgp.NewASPath(path...), comms, nil)
 		}
 		return sts
 	}

@@ -187,8 +187,9 @@ func quickViews(seeds []uint32) []refView {
 // TestColumnarMatchesOracleQuick: on random corpora a NewTupleStore and
 // a stitched sharded store, both with seeded or with colliding hashes,
 // hold exactly the oracle's logical content — same tuple set, same
-// per-tuple VP sets, same interned paths — before and after a
-// post-stitch AddView takes a multi-VP list past a power of two. This
+// per-tuple VP sets, same interned paths — before and after later views
+// (in a stitched store, before its Stitch) take a multi-VP list past a
+// power of two. This
 // pins the arena bookkeeping (inline and arena VP lists, VP growth, set
 // records, path interning) to a model too simple to share its bugs.
 func TestColumnarMatchesOracleQuick(t *testing.T) {
@@ -221,24 +222,27 @@ func TestColumnarMatchesOracleQuick(t *testing.T) {
 		later := growVPs(views)
 		plain := NewTupleStore()
 		plain.shared.collide = collide
-		sts := NewShardedTupleStore(4)
-		sts.shared.collide = collide
+		stitched := func(label string, views []refView) *TupleStore {
+			sts := NewShardedTupleStore(4)
+			sts.shared.collide = collide
+			for _, v := range views {
+				sts.AddViewASPathLarge(v.vp, bgp.NewASPath(v.path...), v.comms, v.larges)
+			}
+			return stitchChecked(t, label, sts, 2)
+		}
 		oracle := newOracleStore()
 		for _, v := range views {
 			plain.AddViewLarge(v.vp, v.path, v.comms, v.larges)
-			sts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
 			oracle.addView(v.vp, v.path, v.comms, v.larges)
 		}
-		stitched := stitchChecked(t, "quick", sts, 2)
-		if !matches(plain, oracle) || !matches(stitched, oracle) {
+		if !matches(plain, oracle) || !matches(stitched("quick", views), oracle) {
 			return false
 		}
 		for _, v := range later {
 			plain.AddViewLarge(v.vp, v.path, v.comms, v.larges)
-			stitched.AddViewLarge(v.vp, v.path, v.comms, v.larges)
 			oracle.addView(v.vp, v.path, v.comms, v.larges)
 		}
-		return matches(plain, oracle) && matches(stitched, oracle)
+		return matches(plain, oracle) && matches(stitched("quick grown", append(views, later...)), oracle)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -235,7 +235,7 @@ func growVPs(views []refView) []refView {
 // worker count, with and without a VP filter and sibling orgs. The orgs
 // reach the walk through Options.Orgs alone, the way every caller passes
 // them. Some identities arrive from several vantage points, and one of
-// them gains nine more after the stitch.
+// them gains nine more, its list grown past a power of two.
 func TestObserveMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -257,14 +257,10 @@ func TestObserveMatchesReference(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			sts := NewShardedTupleStore(1 << rng.Intn(7))
 			sts.shared.collide = seed%2 == 0
-			for _, v := range views {
-				sts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
+			for _, v := range append(views, later...) {
+				sts.AddViewASPathLarge(v.vp, bgp.NewASPath(v.path...), v.comms, v.larges)
 			}
-			ts := stitchChecked(t, fmt.Sprintf("seed %d stitch=%d", seed, workers), sts, workers)
-			for _, v := range later {
-				ts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
-			}
-			stores[fmt.Sprintf("stitched/%d", workers)] = ts
+			stores[fmt.Sprintf("stitched/%d", workers)] = stitchChecked(t, fmt.Sprintf("seed %d stitch=%d", seed, workers), sts, workers)
 		}
 		views = append(views, later...)
 
@@ -344,7 +340,7 @@ func refStores(t *testing.T, label string, views []refView) map[string]*TupleSto
 	plain, sts := NewTupleStore(), NewShardedTupleStore(4)
 	for _, v := range views {
 		plain.AddViewLarge(v.vp, v.path, v.comms, v.larges)
-		sts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
+		sts.AddViewASPathLarge(v.vp, bgp.NewASPath(v.path...), v.comms, v.larges)
 	}
 	return map[string]*TupleStore{"plain": plain, "stitched": stitchChecked(t, label, sts, 2)}
 }

@@ -9,14 +9,15 @@ import (
 	"bgpintent/internal/bgp"
 )
 
-// ShardedTupleStore is a concurrency-safe TupleStore front: AddView
-// hashes the path key to one of N shards, each an independent
-// TupleStore behind its own mutex. A parallel MRT load goes through Load
-// instead, which gives every shard one writing goroutine (see ShardLoad).
-// Stitch collapses the shards into a single TupleStore whose contents —
-// the set of tuples, paths, VP sets and larges — are the same whatever
-// the worker count or goroutine scheduling; its layout (path IDs, tuple
-// order) follows arrival order within each shard and is not.
+// ShardedTupleStore is the parallel load's TupleStore front:
+// AddViewASPathLarge hashes the path key to one of N shards, each an
+// independent TupleStore behind its own mutex, and a parallel MRT load
+// goes through Load, which gives every shard one writing goroutine (see
+// ShardLoad). Stitch collapses the shards into a single read-only
+// TupleStore whose contents — the set of tuples, paths, VP sets and
+// larges — are the same whatever the worker count or goroutine
+// scheduling; its layout (path IDs, tuple order) follows arrival order
+// within each shard and is not.
 //
 // Because shard routing is a pure function of the path key, every
 // observation of one path lands in the same shard, so per-shard
@@ -39,6 +40,11 @@ type ShardedTupleStore struct {
 	shards []tupleShard
 	shift  uint // 64 - log2(len(shards)): the route hash's top bits pick the shard
 	shared *storeInterns
+
+	// noted holds the larges of views with an empty path, which attach to
+	// no tuple and so to no shard; Stitch hands it to its output.
+	notedMu sync.Mutex
+	noted   probeTable[bgp.LargeCommunity, struct{}]
 }
 
 type tupleShard struct {
@@ -63,40 +69,16 @@ func NewShardedTupleStore(n int) *ShardedTupleStore {
 		shared: newStoreInterns(),
 	}
 	for i := range s.shards {
-		s.shards[i].ts = &TupleStore{shared: s.shared, large: make(map[bgp.LargeCommunity]struct{})}
+		s.shards[i].ts = newStore(s.shared)
 	}
 	return s
 }
 
-// AddView records one vantage-point observation without large
-// communities; safe for concurrent use. See AddViewLarge.
-func (s *ShardedTupleStore) AddView(vp uint32, path []uint32, comms bgp.Communities) {
-	s.AddViewLarge(vp, path, comms, nil)
-}
-
-// AddViewLarge records one vantage-point observation; safe for
-// concurrent use. Semantics match TupleStore.AddViewLarge: the larges
-// count toward the distinct-large statistics even when the path is
-// empty and no tuple results.
-func (s *ShardedTupleStore) AddViewLarge(vp uint32, path []uint32, comms bgp.Communities, larges bgp.LargeCommunities) {
-	if len(path) == 0 {
-		s.NoteLarge(larges)
-		return
-	}
-	sc := addScratchPool.Get().(*addScratch)
-	s.add(vp, path, comms, larges, sc)
-	addScratchPool.Put(sc)
-}
-
-// AddViewASPath is AddViewASPathLarge without large communities.
-func (s *ShardedTupleStore) AddViewASPath(vp uint32, path bgp.ASPath, comms bgp.Communities) {
-	s.AddViewASPathLarge(vp, path, comms, nil)
-}
-
-// AddViewASPathLarge is AddViewLarge taking the path as an
-// un-flattened bgp.ASPath: the flattening happens into pooled scratch,
-// so callers feeding decoded MRT attributes avoid the per-view
-// []uint32 allocation of ASPath.Flatten.
+// AddViewASPathLarge records one vantage-point observation; safe for
+// concurrent use. Semantics match TupleStore.AddViewLarge, larges on an
+// empty path included. The path is flattened into pooled scratch, so
+// callers feeding decoded MRT attributes avoid the per-view []uint32
+// allocation of ASPath.Flatten.
 func (s *ShardedTupleStore) AddViewASPathLarge(vp uint32, path bgp.ASPath, comms bgp.Communities, larges bgp.LargeCommunities) {
 	sc := addScratchPool.Get().(*addScratch)
 	sc.flat = path.AppendFlatten(sc.flat[:0])
@@ -121,15 +103,15 @@ func (s *ShardedTupleStore) add(vp uint32, path []uint32, comms bgp.Communities,
 }
 
 // NoteLarge records large communities that attach to no tuple (the
-// view's path was empty); safe for concurrent use. Larges that do
-// attach are recorded by the shard when their tuple is first inserted.
+// view's path was empty); safe for concurrent use. Larges that do attach
+// are counted from the stored groups (TupleStore.LargeCommunityCount).
 func (s *ShardedTupleStore) NoteLarge(ls bgp.LargeCommunities) {
-	for _, lc := range ls {
-		sh := &s.shards[hashLargeCommunity(lc)>>s.shift]
-		sh.mu.Lock()
-		sh.ts.large[lc] = struct{}{}
-		sh.mu.Unlock()
+	if len(ls) == 0 {
+		return
 	}
+	s.notedMu.Lock()
+	noteLarges(&s.noted, ls)
+	s.notedMu.Unlock()
 }
 
 // flatTable is the index shape of a TupleStore: an open-addressed
@@ -210,12 +192,8 @@ func (ts *TupleStore) pathKey(id int32) []uint32 {
 // tuple table finds the view's tuple if it exists, confirmed by comparing
 // the path key and the set, group by group — identity is exact whatever
 // the hash does. Only a miss goes on to the path table, the global group
-// and set interns (whose refs Stitch carries over) and the appends; that
-// is also the one moment the tuple's larges enter the distinct-large set.
+// and set interns (whose refs Stitch carries over) and the appends.
 func (ts *TupleStore) addView(vp uint32, hp, h uint64, sc *addScratch) {
-	if ts.tupleTab.slots == nil {
-		ts.reindex()
-	}
 	tab := &ts.tupleTab
 	tag, mask := uint32(h>>32), uint32(len(tab.slots)-1)
 	for i := tag >> tab.shift; tab.slots[i] != 0; i = (i + 1) & mask {
@@ -233,9 +211,7 @@ func (ts *TupleStore) addView(vp uint32, hp, h uint64, sc *addScratch) {
 	id := ts.internPath(hp, sc)
 	sc.groupSet(&ts.shared.groups)
 	set := ts.shared.sets.intern(sc.rec)
-	_, larges := splitSet(sc.set)
-	for ls := larges; len(ls) > 0; ls = ls[3:] {
-		ts.large[bgp.LargeCommunity{GlobalAdmin: uint32(ls[0]), LocalData1: uint32(ls[1]), LocalData2: uint32(ls[2])}] = struct{}{}
+	if sc.set[0]>>16 != 0 { // the set's header counts its larges
 		ts.largeTuples = true
 	}
 	tab.insert(h, len(ts.tuples))
@@ -265,62 +241,19 @@ func (ts *TupleStore) internPath(hp uint64, sc *addScratch) int32 {
 	return id
 }
 
-// reindex builds the tables from the columnar data. A stitched
-// store arrives without them — readers never need them, and building
-// them eagerly would put a serial pass back into the load path — so the
-// first post-stitch AddView pays for them; so does a fresh store's. That
-// includes the intern tables Stitch released: every set record a tuple
-// refers to re-enters under the ref the tuple carries, and the groups of
-// each record that re-entered under the refs it carries. The tuple
-// table hashes the canonical set, so each record is expanded once.
-func (ts *TupleStore) reindex() {
-	ts.pathTab = newFlatTable(len(ts.pathEnd))
-	ts.tupleTab = newFlatTable(len(ts.tuples))
-	sc := new(addScratch)
-	for i := range ts.pathEnd {
-		sc.words = ts.pathKey(int32(i))
-		_, hp, _ := ts.shared.hashView(sc)
-		ts.pathTab.insert(hp, i)
-	}
-	for i := range ts.tuples {
-		t := &ts.tuples[i]
-		rec := ts.setRecord(t)
-		sc.words, sc.set = ts.pathKey(t.PathID), appendExpanded(sc.set[:0], &ts.shared.groups, rec)
-		_, _, h := ts.shared.hashView(sc)
-		ts.tupleTab.insert(h, i)
-		if ts.shared.sets.adopt(t.setRef()) {
-			for _, g := range rec {
-				ts.shared.groups.adopt(uint32(g &^ lastGroup))
-			}
-		}
-	}
-}
-
-// Len returns the number of unique tuples across all shards; safe for
-// concurrent use.
-func (s *ShardedTupleStore) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.ts.Len()
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Stitch collapses the shards into one TupleStore in O(n) index work, no
-// comparison sort and no community payload moved: set refs already
-// address the shared set intern's arena, and group refs the group
-// intern's. Per shard, into disjoint pre-sized regions of the output:
+// Stitch collapses the shards into one read-only TupleStore in O(n)
+// index work, no comparison sort and no community payload moved: set
+// refs already address the shared set intern's arena, and group refs the
+// group intern's. Per shard, into disjoint pre-sized regions of the
+// output:
 //   - a path's global ID is the shard's offset plus its arrival ID;
 //   - the shard's ASN words are copied at the shard's offset in one
 //     exactly sized arena, and its path ends rebased onto it; its looped
 //     keys likewise, at its offset in the looped-key words;
 //   - tuples are counting-sorted by path ID, so stitched tuples are
 //     non-decreasing in PathID and Observe walks them as they lie;
-//   - VP lists of more than one are copied, count word first, at capacity
-//     nextPow2(length).
+//   - VP lists of more than one are copied as their count word and their
+//     VPs.
 //
 // The per-shard work runs on up to workers goroutines (<= 0 means
 // GOMAXPROCS); the regions are disjoint, so it needs no locks, and the
@@ -331,17 +264,13 @@ func (s *ShardedTupleStore) Len() int {
 // depends on that order: every reader sums, counts or sorts what it
 // reads.
 //
-// The stitched store takes ownership of the shard contents and the
-// shared storage; the sharded store must not be used afterwards. It
-// holds what readers read and nothing else: the shards' lookup tables
-// and ASN arenas die with the shards, the interns' hash tables — which
-// only an insert probes — are released, and all of them are rebuilt
-// lazily on the first AddView (reindex), so pure readers (Observe,
-// snapshot write) never pay for them. Nothing carries growth slack beyond the one
-// rule: a VP list of more than one keeps its capacity nextPow2(length),
-// so post-stitch AddViews grow it as any other, and the intern arenas'
-// newest chunks are trimmed to their fills, to be re-grown if views
-// arrive.
+// The stitched store takes ownership of the shard contents, the shared
+// storage and the noted larges; the sharded store must not be used
+// afterwards. It holds what readers read and nothing else, with no
+// growth slack: the shards' lookup tables and ASN arenas die with the
+// shards, the interns' hash tables, which only an insert probes, are
+// released, and the intern arenas' newest chunks are trimmed to their
+// fills. Without tables it takes no views (AddViewLarge panics).
 func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	n := len(s.shards)
 	tupleOff := make([]int, n+1)
@@ -350,14 +279,13 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	loopOff := make([]int, n+1)
 	loopWordOff := make([]int, n+1)
 	asnOff := make([]int, n+1)
-	large := make(map[bgp.LargeCommunity]struct{})
 	largeTuples := false
 	for i := range s.shards {
 		ts := s.shards[i].ts
 		nVPs := 0
 		for j := range ts.tuples {
 			if t := &ts.tuples[j]; t.set&multiVP != 0 {
-				nVPs += 1 + int(nextPow2(ts.vpArena[t.vp[0]]))
+				nVPs += 1 + int(ts.vpArena[t.vp[0]])
 			}
 		}
 		largeTuples = largeTuples || ts.largeTuples
@@ -367,9 +295,6 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 		loopOff[i+1] = loopOff[i] + len(ts.loops)
 		loopWordOff[i+1] = loopWordOff[i] + len(ts.loopWords)
 		asnOff[i+1] = asnOff[i] + len(ts.asnArena)
-		for lc := range ts.large {
-			large[lc] = struct{}{}
-		}
 	}
 	out := &TupleStore{
 		shared:      s.shared,
@@ -379,8 +304,8 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 		vpArena:     make([]uint32, vpOff[n]),
 		loops:       make([]loopedKey, loopOff[n]),
 		loopWords:   make([]uint32, loopWordOff[n]),
-		large:       large,
 		largeTuples: largeTuples,
+		noted:       s.noted,
 	}
 	ParallelFor(workers, n, func(i int) {
 		ts := s.shards[i].ts
@@ -406,7 +331,7 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 				out.vpArena[vpCur] = uint32(len(vps))
 				copy(out.vpArena[vpCur+1:], vps)
 				t.vp[0] = vpCur
-				vpCur += 1 + nextPow2(uint32(len(vps)))
+				vpCur += 1 + uint32(len(vps))
 			}
 			t.PathID += idBase
 			out.tuples[tupleOff[i]+j] = t
@@ -419,15 +344,4 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 		li.arena.trim()
 	}
 	return out
-}
-
-// splitmix64 is the splitmix64 finalizer, used to spread large-community
-// values across shards.
-func splitmix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

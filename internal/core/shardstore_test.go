@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -66,20 +67,37 @@ func tupleCommunities(ts *TupleStore, t *Tuple) (comms bgp.Communities, larges b
 
 // dumpStore renders a store's full logical content in canonical order:
 // one line per tuple with the path key, the communities of both kinds and
-// the VPs, plus the large-community set.
+// the VPs, plus the distinct larges, read off the tuples one by one and
+// off the noted set.
 func dumpStore(ts *TupleStore) []string {
-	lines := make([]string, 0, len(ts.tuples)+len(ts.large))
+	lines := make([]string, 0, len(ts.tuples))
+	distinct := storeLarges(ts)
 	for i := range ts.tuples {
 		t := &ts.tuples[i]
 		comms, larges := tupleCommunities(ts, t)
 		lines = append(lines, fmt.Sprintf("t %v %v %v %v %v", ts.pathKey(t.PathID), ts.Path(t.PathID).ASNs, comms, larges, ts.TupleVPs(t)))
 	}
-	larges := make([]string, 0, len(ts.large))
-	for lc := range ts.large {
+	larges := make([]string, 0, len(distinct))
+	for lc := range distinct {
 		larges = append(larges, "l "+lc.String())
 	}
 	sortStrings(larges)
 	return append(lines, larges...)
+}
+
+// storeLarges returns the distinct larges a store holds, read tuple by
+// tuple and off the noted set: not the stored-group walk that
+// LargeCommunityCount takes.
+func storeLarges(ts *TupleStore) map[bgp.LargeCommunity]bool {
+	out := make(map[bgp.LargeCommunity]bool)
+	for i := range ts.tuples {
+		_, larges := tupleCommunities(ts, &ts.tuples[i])
+		for _, lc := range larges {
+			out[lc] = true
+		}
+	}
+	ts.noted.each(func(lc bgp.LargeCommunity, _ uint64, _ *struct{}) { out[lc] = true })
+	return out
 }
 
 func sortStrings(s []string) { slices.Sort(s) }
@@ -107,9 +125,11 @@ func equalDumps(t *testing.T, a, b []string, label string) {
 
 // stitchChecked stitches sts on the given number of workers and holds
 // the result to the stitched-store shape: PathID non-decreasing, so each
-// path's tuples are contiguous and Observe walks them as they lie; ASN
-// and looped-key arenas without slack, the path ends tiling the ASN
-// arena; the looped-path index ascending by ID; and a
+// path's tuples are contiguous and Observe walks them as they lie; ASN,
+// looped-key and VP arenas without slack, the path ends tiling the ASN
+// arena and the multi-VP lists, count word and VPs, the VP arena; the
+// looped-path index ascending by ID; a large count that is the tuples'
+// and the noted larges; and a
 // layout that depends on the shard contents alone — Stitch(1) and
 // Stitch(4) of the same shards dump alike. Stitch only reads the shards,
 // so the comparison stitches come first and the store returned is the
@@ -152,6 +172,18 @@ func stitchChecked(t *testing.T, label string, sts *ShardedTupleStore, workers i
 			t.Fatalf("%s: looped-path index out of order: %v", label, ts.loops)
 		}
 	}
+	vpWords := 0
+	for i := range ts.tuples {
+		if tu := &ts.tuples[i]; tu.set&multiVP != 0 {
+			vpWords += 1 + len(ts.TupleVPs(tu))
+		}
+	}
+	if vpWords != len(ts.vpArena) || len(ts.vpArena) != cap(ts.vpArena) {
+		t.Fatalf("%s: the VP lists take %d words of a VP arena of %d in %d", label, vpWords, len(ts.vpArena), cap(ts.vpArena))
+	}
+	if got, want := ts.LargeCommunityCount(), len(storeLarges(ts)); got != want {
+		t.Fatalf("%s: LargeCommunityCount %d, the tuples and the noted set hold %d", label, got, want)
+	}
 	return ts
 }
 
@@ -168,11 +200,8 @@ func TestShardedMergeMatchesSequential(t *testing.T) {
 	for _, shards := range []int{1, 2, 7, 64} {
 		sts := NewShardedTupleStore(shards)
 		for _, v := range views {
-			sts.AddView(v.vp, v.path, v.comms)
+			sts.AddViewASPathLarge(v.vp, bgp.NewASPath(v.path...), v.comms, nil)
 			sts.NoteLarge(v.large)
-		}
-		if got, want := sts.Len(), seq.Len(); got != want {
-			t.Fatalf("shards=%d: Len=%d, want %d", shards, got, want)
 		}
 		// Odd shard counts stitch at the default (GOMAXPROCS) worker
 		// count; the rest at one that differs from the shard count.
@@ -181,6 +210,9 @@ func TestShardedMergeMatchesSequential(t *testing.T) {
 			workers = 0
 		}
 		merged := stitchChecked(t, fmt.Sprintf("shards=%d", shards), sts, workers)
+		if got, want := merged.Len(), seq.Len(); got != want {
+			t.Fatalf("shards=%d: Len=%d, want %d", shards, got, want)
+		}
 		if merged.PathCount() != seq.PathCount() {
 			t.Fatalf("shards=%d: PathCount=%d, want %d", shards, merged.PathCount(), seq.PathCount())
 		}
@@ -194,9 +226,9 @@ func TestShardedMergeMatchesSequential(t *testing.T) {
 // feedStriped feeds views into sts from writers goroutines, goroutine w
 // taking views w, w+writers, … so each interleaves over the whole range,
 // maximizing cross-shard contention. Views go in through the store's own
-// AddView or, with viaFeeders, through a Feeder per goroutine of a
-// ShardLoad with writers owners. Larges are noted apart, as
-// NoteLarge(v.large).
+// AddViewASPathLarge or, with viaFeeders, through a Feeder per goroutine
+// of a ShardLoad with writers owners. Larges are noted apart, as
+// NoteLarge(v.large), so every goroutine takes the noted set's lock.
 func feedStriped(sts *ShardedTupleStore, views []synthView, writers int, viaFeeders bool) {
 	var load *ShardLoad
 	if viaFeeders {
@@ -207,7 +239,7 @@ func feedStriped(sts *ShardedTupleStore, views []synthView, writers int, viaFeed
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			add := func(v synthView) { sts.AddView(v.vp, v.path, v.comms) }
+			add := func(v synthView) { sts.AddViewASPathLarge(v.vp, asPath(v.path), v.comms, nil) }
 			if load != nil {
 				f := load.Feeder()
 				defer f.Release()
@@ -259,8 +291,8 @@ func TestShardedMergeContentIndependentOfWriters(t *testing.T) {
 }
 
 // TestShardedStoreRace hammers one store from many goroutines, directly
-// and through feeders at 1, 2 and 8 writers, with concurrent readers of
-// the aggregate length; run under -race it proves the locking and the
+// and through feeders at 1, 2 and 8 writers, every goroutine noting
+// larges beside its views; run under -race it proves the locking and the
 // hand-over to shard owners are sound.
 func TestShardedStoreRace(t *testing.T) {
 	views := genViews(3, 2000)
@@ -269,25 +301,10 @@ func TestShardedStoreRace(t *testing.T) {
 		viaFeeders bool
 	}{{8, false}, {1, true}, {2, true}, {8, true}} {
 		sts := NewShardedTupleStore(4)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			feedStriped(sts, views, tc.writers, tc.viaFeeders)
-		}()
-		// Concurrent readers of the aggregate length.
-		for r := 0; r < 2; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 50; i++ {
-					_ = sts.Len()
-				}
-			}()
-		}
-		wg.Wait()
-		if sts.Len() == 0 {
-			t.Fatalf("writers=%d feeders=%v: store empty after concurrent load", tc.writers, tc.viaFeeders)
+		feedStriped(sts, views, tc.writers, tc.viaFeeders)
+		if ts := sts.Stitch(2); ts.Len() == 0 || ts.LargeCommunityCount() == 0 {
+			t.Fatalf("writers=%d feeders=%v: %d tuples and %d larges after concurrent load",
+				tc.writers, tc.viaFeeders, ts.Len(), ts.LargeCommunityCount())
 		}
 	}
 }
@@ -295,7 +312,7 @@ func TestShardedStoreRace(t *testing.T) {
 // TestFeederMatchesAddView: a store fed through a ShardLoad's feeders —
 // two goroutines, one to eight owners, outboxes handed over full and at
 // Close — holds exactly what the same views fed one by one through
-// AddViewLarge leave: tuples, paths, VPs, and the distinct larges, those
+// AddViewASPathLarge leave: tuples, paths, VPs, and the distinct larges, those
 // on an empty path included, with seeded and with colliding table hashes
 // (on a shorter stream: every colliding probe walks one chain). With one
 // owner no goroutine is started.
@@ -318,7 +335,7 @@ func TestFeederMatchesAddView(t *testing.T) {
 		want := NewShardedTupleStore(16)
 		want.shared.collide = collide
 		for _, v := range views {
-			want.AddViewLarge(v.vp, v.path, v.comms, v.large)
+			want.AddViewASPathLarge(v.vp, bgp.NewASPath(v.path...), v.comms, v.large)
 		}
 		wantDump := sortedDump(want.Stitch(1))
 		for _, owners := range []int{1, 2, 8} {
@@ -346,7 +363,7 @@ func TestFeederMatchesAddView(t *testing.T) {
 			}
 			wg.Wait()
 			load.Close()
-			equalDumps(t, sortedDump(sts.Stitch(2)), wantDump, label+" vs AddViewLarge")
+			equalDumps(t, sortedDump(sts.Stitch(2)), wantDump, label+" vs AddViewASPathLarge")
 		}
 	}
 }
@@ -368,9 +385,9 @@ func TestShardCountsRounding(t *testing.T) {
 // its sequence is the path those words spell. The naive reduction is the
 // reference, distinct-ASN lists included: a NewTupleStore and the sharded
 // store must agree with it, and with each other dump for dump, through the
-// shards, Stitch (which rebases the ASN spans) and post-stitch AddViews
-// (which append to the exactly-sized ASN arena), with every table hash
-// forced to collide as well.
+// shards and Stitch (which rebases the ASN spans), before and after later
+// views that add vantage points to known paths and new looped paths, with
+// every table hash forced to collide as well.
 func TestLoopedPathIdentity(t *testing.T) {
 	const A, B, C = 64500, 64501, 64502
 	comms := bgp.Communities{bgp.NewCommunity(100, 1)}
@@ -393,23 +410,33 @@ func TestLoopedPathIdentity(t *testing.T) {
 			label := fmt.Sprintf("collide=%v shards=%d", collide, shards)
 			plain := NewTupleStore()
 			plain.shared.collide = collide
-			sts := NewShardedTupleStore(shards)
-			sts.shared.collide = collide
+			// The views go to the plain store and, with the aggregated path
+			// unflattened, to every sharded store fed.
 			var views []refView
+			var asPaths []bgp.ASPath
+			add := func(vp uint32, p []uint32, asp bgp.ASPath) {
+				views = append(views, refView{vp: vp, path: p, comms: comms})
+				asPaths = append(asPaths, asp)
+				plain.AddView(vp, p, comms)
+			}
+			stitched := func(label string) *TupleStore {
+				sts := NewShardedTupleStore(shards)
+				sts.shared.collide = collide
+				for i, v := range views {
+					sts.AddViewASPathLarge(v.vp, asPaths[i], v.comms, nil)
+				}
+				return stitchChecked(t, label, sts, 2)
+			}
 			for i, p := range paths {
-				views = append(views, refView{vp: uint32(i), path: p, comms: comms})
-				plain.AddView(uint32(i), p, comms)
-				sts.AddView(uint32(i), p, comms)
+				add(uint32(i), p, bgp.NewASPath(p...))
 			}
-			views = append(views, refView{vp: 9, path: aggregated.Flatten(), comms: comms})
-			plain.AddView(9, aggregated.Flatten(), comms)
-			sts.AddViewASPath(9, aggregated, comms)
-			if sts.Len() != 5 {
-				t.Fatalf("%s: %d tuples in the shards, want 5", label, sts.Len())
-			}
+			add(9, aggregated.Flatten(), aggregated)
 
 			want := referenceReduce(views)
-			ts := stitchChecked(t, label, sts, 2)
+			ts := stitched(label)
+			if ts.Len() != 5 {
+				t.Fatalf("%s: %d tuples after Stitch, want 5", label, ts.Len())
+			}
 			checkReduction(t, label+" plain", plain, want)
 			checkReduction(t, label+" stitched", ts, want)
 			equalDumps(t, sortedDump(ts), sortedDump(plain), label+" stitched vs plain")
@@ -422,11 +449,10 @@ func TestLoopedPathIdentity(t *testing.T) {
 			// Known views add vantage points only; of the later paths one is
 			// known, one new and looped, one known under prepending, one new.
 			for i, p := range append(paths, later...) {
-				views = append(views, refView{vp: uint32(20 + i), path: p, comms: comms})
-				plain.AddView(uint32(20+i), p, comms)
-				ts.AddView(uint32(20+i), p, comms)
+				add(uint32(20+i), p, bgp.NewASPath(p...))
 			}
 			want = referenceReduce(views)
+			ts = stitched(label + " re-fed")
 			checkReduction(t, label+" plain re-fed", plain, want)
 			checkReduction(t, label+" stitched re-fed", ts, want)
 			equalDumps(t, sortedDump(ts), sortedDump(plain), label+" re-fed vs plain")
@@ -435,6 +461,100 @@ func TestLoopedPathIdentity(t *testing.T) {
 					t.Fatalf("%s: after the later views %d paths, %d tuples, %d stored keys; want 7, 7 and 4",
 						label, s.PathCount(), s.Len(), len(s.loops))
 				}
+			}
+		}
+	}
+}
+
+// TestStitchedStoreIsReadOnly: a stitched store takes no views — every
+// AddView*, and NoteLarge, panics with the read-only message and leaves
+// it as it was — and reads like a NewTupleStore fed the same views:
+// Observe's records, LargeCommunityCount, the (community, path) pairs
+// EachPathCommunity visits, and every Footprint row that holds data. Of
+// the rows, only the VP arena differs in bytes (a stitched store packs
+// its lists), and the load-time tables are empty.
+func TestStitchedStoreIsReadOnly(t *testing.T) {
+	views := genViews(5, 3000)
+	for i := range views {
+		if i%40 == 0 { // larges on an empty path: noted, no tuple
+			views[i].path = nil
+			views[i].large = bgp.LargeCommunities{{GlobalAdmin: 9, LocalData1: uint32(i), LocalData2: 2}}
+		}
+	}
+	for i := 1; i < 300; i += 3 { // lists of 2 to 13 vantage points
+		for k := uint32(0); k <= uint32(i%12); k++ {
+			v := views[i]
+			v.vp = 100 + k
+			views = append(views, v)
+		}
+	}
+	plain, sts := NewTupleStore(), NewShardedTupleStore(16)
+	for _, v := range views {
+		plain.AddViewLarge(v.vp, v.path, v.comms, v.large)
+		sts.AddViewASPathLarge(v.vp, bgp.NewASPath(v.path...), v.comms, v.large)
+	}
+	ts := stitchChecked(t, "read-only", sts, 2)
+
+	before := dumpStore(ts)
+	v := views[1]
+	for _, call := range []struct {
+		name string
+		fn   func()
+	}{
+		{"AddView", func() { ts.AddView(v.vp, v.path, v.comms) }},
+		{"AddViewLarge", func() { ts.AddViewLarge(v.vp, v.path, v.comms, v.large) }},
+		{"AddViewLarge, empty path", func() { ts.AddViewLarge(v.vp, nil, nil, views[0].large) }},
+		{"NoteLarge", func() { ts.NoteLarge(views[0].large) }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "read-only") {
+					t.Fatalf("%s on a stitched store: recovered %v, want the read-only panic", call.name, r)
+				}
+			}()
+			call.fn()
+		}()
+	}
+	equalDumps(t, dumpStore(ts), before, "after the refused views")
+	equalDumps(t, sortedDump(ts), sortedDump(plain), "stitched vs plain")
+
+	opts := DefaultOptions()
+	got, want := Observe(ts, opts), Observe(plain, opts)
+	if !slices.Equal(got.Stats, want.Stats) || !slices.Equal(got.Larges, want.Larges) || len(got.Larges) == 0 {
+		t.Fatalf("Observe: %d classic and %d large records stitched, %d and %d plain",
+			len(got.Stats), len(got.Larges), len(want.Stats), len(want.Larges))
+	}
+	if got, want := ts.LargeCommunityCount(), plain.LargeCommunityCount(); got != want {
+		t.Fatalf("LargeCommunityCount: %d stitched, %d plain", got, want)
+	}
+	pairs := func(ts *TupleStore) []string {
+		var out []string
+		EachPathCommunity(ts, opts, func(c bgp.Community, path []uint32) {
+			out = append(out, fmt.Sprint(c, path))
+		})
+		sortStrings(out)
+		return out
+	}
+	equalDumps(t, pairs(ts), pairs(plain), "EachPathCommunity stitched vs plain")
+
+	plainRows := make(map[string]FootprintRow)
+	for _, r := range plain.Footprint() {
+		plainRows[r.Name] = r
+	}
+	for _, r := range ts.Footprint() {
+		p := plainRows[r.Name]
+		switch r.Name {
+		case "intern_tables", "group_table", "index_tables":
+			if r.Used != 0 || r.Reserved != 0 || p.Used == 0 {
+				t.Fatalf("Footprint %s: %+v stitched, %+v plain; want empty stitched", r.Name, r, p)
+			}
+		case "vp_arena":
+			if r.Used == 0 || r.Used >= p.Used || r.Reserved != r.Used {
+				t.Fatalf("Footprint %s: %+v stitched, %+v plain; want packed", r.Name, r, p)
+			}
+		default:
+			if r.Used != p.Used {
+				t.Fatalf("Footprint %s: %d B used stitched, %d B plain", r.Name, r.Used, p.Used)
 			}
 		}
 	}

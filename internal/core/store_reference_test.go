@@ -137,6 +137,9 @@ func reduceStore(t *testing.T, label string, ts *TupleStore) refReduction {
 	for i := range ts.tuples {
 		tu := &ts.tuples[i]
 		comms, larges := tupleCommunities(ts, tu)
+		for _, lc := range larges {
+			r.larges[lc] = true
+		}
 		id := refIdentity(ts.pathKey(tu.PathID), comms, larges)
 		if r.vps[id] != nil {
 			t.Fatalf("%s: identity %s held by two tuples", label, id)
@@ -149,9 +152,7 @@ func reduceStore(t *testing.T, label string, ts *TupleStore) refReduction {
 			r.vps[id][vp] = true
 		}
 	}
-	for lc := range ts.large {
-		r.larges[lc] = true
-	}
+	ts.noted.each(func(lc bgp.LargeCommunity, _ uint64, _ *struct{}) { r.larges[lc] = true })
 	return r
 }
 
@@ -248,10 +249,10 @@ func storeViews(seed int64) []refView {
 // live window's store) and the sharded store after Stitch hold exactly
 // the same tuples, vantage-point sets, paths and distinct large
 // communities, for every combination of concurrent writers, shard count
-// and Stitch workers — and a stitched store fed the whole stream again
-// (through its lazily rebuilt tables) does not change, while one fed
-// nine new vantage points for a multi-VP tuple grows that list past a
-// power of two. The second round makes every view hash alike, in the
+// and Stitch workers — and a sharded store fed the whole stream twice
+// stitches to the same content, while one also fed nine new vantage
+// points for a multi-VP tuple grows that list past a power of two. The
+// second round makes every view hash alike, in the
 // NewTupleStore as in the shards, so each store's tables and the set
 // intern degenerate into one probe chain apiece: the results must be the
 // same, because the content comparison, not the tag, decides identity.
@@ -284,42 +285,33 @@ func TestStoreMatchesReference(t *testing.T) {
 				for _, shards := range []int{1, 7, 64} {
 					for _, workers := range []int{1, 4} {
 						label := fmt.Sprintf("seed %d collide=%v writers=%d shards=%d stitch=%d", seed, collide, writers, shards, workers)
-						sts := NewShardedTupleStore(shards)
-						sts.shared.collide = collide
-						var wg sync.WaitGroup
-						for w := 0; w < writers; w++ {
-							wg.Add(1)
-							go func(w int) {
-								defer wg.Done()
-								for i := w; i < len(views); i += writers {
-									v := views[i]
-									if i%2 == 0 {
-										sts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
-									} else {
+						// stitched feeds views into a fresh sharded store from
+						// writers goroutines, checks its intern, and stitches it.
+						stitched := func(label string, views []refView) *TupleStore {
+							sts := NewShardedTupleStore(shards)
+							sts.shared.collide = collide
+							var wg sync.WaitGroup
+							for w := 0; w < writers; w++ {
+								wg.Add(1)
+								go func(w int) {
+									defer wg.Done()
+									for i := w; i < len(views); i += writers {
+										v := views[i]
 										sts.AddViewASPathLarge(v.vp, bgp.NewASPath(v.path...), v.comms, v.larges)
 									}
-								}
-							}(w)
-						}
-						wg.Wait()
-						if sts.Len() != len(want.vps) {
-							t.Fatalf("%s: sharded Len %d, reference has %d", label, sts.Len(), len(want.vps))
-						}
-						if collide {
-							checkOneChain(t, label, &sts.shared.sets)
-						}
-						ts := stitchChecked(t, label, sts, workers)
-						checkReduction(t, label, ts, want)
-						if writers == 1 {
-							for _, v := range views {
-								ts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
+								}(w)
 							}
-							checkReduction(t, label+" refed", ts, want)
+							wg.Wait()
+							if collide {
+								checkOneChain(t, label, &sts.shared.sets)
+							}
+							return stitchChecked(t, label, sts, workers)
 						}
-						for _, v := range later {
-							ts.AddViewLarge(v.vp, v.path, v.comms, v.larges)
+						checkReduction(t, label, stitched(label, views), want)
+						if writers == 1 {
+							checkReduction(t, label+" refed", stitched(label+" refed", append(views[:len(views):len(views)], views...)), want)
 						}
-						checkReduction(t, label+" grown", ts, wantLater)
+						checkReduction(t, label+" grown", stitched(label+" grown", append(views[:len(views):len(views)], later...)), wantLater)
 					}
 				}
 			}

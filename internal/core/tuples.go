@@ -44,7 +44,8 @@ type Tuple struct {
 	// every tuple has exactly one, because an eBGP peer puts its own ASN
 	// first on the path. With it, vp is the offset of the tuple's list in
 	// the VP arena: a count word, then the sorted VPs in a capacity of
-	// nextPow2(count). A full list relocates to the arena tail with doubled
+	// nextPow2(count) (exactly count in a stitched store, which takes no
+	// views). A full list relocates to the arena tail with doubled
 	// capacity (amortized O(1), bounded dead space).
 	vp [1]uint32
 }
@@ -179,19 +180,6 @@ func sameSet(groups *listIntern, rec, canon []bgp.Community) bool {
 	return header == canon[0] && len(rest) == 0
 }
 
-// appendExpanded appends the canonical set that set record rec stands
-// for, its groups resolved through groups.
-func appendExpanded(dst []bgp.Community, groups *listIntern, rec []bgp.Community) []bgp.Community {
-	at := len(dst)
-	dst = append(dst, 0)
-	for _, ref := range rec {
-		g := groups.view(uint32(ref &^ lastGroup))
-		dst[at] += g[0]
-		dst = append(dst, g[1:]...)
-	}
-	return dst
-}
-
 // TupleStore interns AS paths and deduplicates (path, communities)
 // tuples, the §4 data reduction (the paper extracts ≈174M such tuples
 // from one week of RouteViews/RIS data).
@@ -202,6 +190,9 @@ func appendExpanded(dst []bgp.Community, groups *listIntern, rec []bgp.Community
 // lists of more than one, path ASN sequences — live in append-only
 // arenas. The hot ingest path therefore allocates only when an arena or
 // a flat slice grows, not per tuple.
+//
+// A NewTupleStore, and each shard of a ShardedTupleStore, takes views; the
+// store Stitch returns is read-only.
 type TupleStore struct {
 	// shared holds the interns of set records and of the groups they
 	// refer to. A NewTupleStore owns its own; the shards of a
@@ -227,39 +218,73 @@ type TupleStore struct {
 
 	// tupleTab and pathTab are the indexes: view identity -> tuple and
 	// path key -> path ID, candidates confirmed by content. A stitched
-	// store leaves both empty until its first AddView.
+	// store has neither, which is what makes it read-only (writable).
 	tupleTab flatTable
 	pathTab  flatTable
 
-	// large tracks the distinct large (96-bit) communities seen, for the
-	// corpus statistics. The paper records their prevalence (11,524 vs
-	// 88,982 regular in May 2023) and defers their classification; this
-	// pipeline goes further and classifies them — large communities
-	// attach to tuples (see AddViewLarge) and flow through the same
-	// observe/cluster/classify stages as classic ones.
-	large map[bgp.LargeCommunity]struct{}
+	// noted holds the large communities NoteLarge saw: those of views with
+	// an empty path attach to no tuple, so no stored group holds them.
+	noted probeTable[bgp.LargeCommunity, struct{}]
 }
 
 // NewTupleStore returns an empty store.
 func NewTupleStore() *TupleStore {
-	ts := &TupleStore{shared: newStoreInterns(), large: make(map[bgp.LargeCommunity]struct{})}
+	ts := newStore(newStoreInterns())
 	ts.shared.owner = ts
 	return ts
+}
+
+// newStore returns an empty store over the interns sh, with its index
+// tables: a NewTupleStore, or one shard of a ShardedTupleStore.
+func newStore(sh *storeInterns) *TupleStore {
+	return &TupleStore{shared: sh, tupleTab: newFlatTable(0), pathTab: newFlatTable(0)}
+}
+
+// writable panics on a stitched store, which holds no index tables.
+func (ts *TupleStore) writable() {
+	if ts.tupleTab.slots == nil {
+		panic("core: a stitched TupleStore is read-only")
+	}
 }
 
 // NoteLarge records large communities in the distinct-large statistics
 // without attaching them to a tuple — the path for observations whose
 // AS path is empty or unusable. Views with a usable path should go
-// through AddViewLarge, which both notes and classifies.
+// through AddViewLarge, which stores and classifies their larges.
 func (ts *TupleStore) NoteLarge(ls bgp.LargeCommunities) {
+	ts.writable()
+	noteLarges(&ts.noted, ls)
+}
+
+// noteLarges enters ls into a set of larges, made on first use.
+func noteLarges(set *probeTable[bgp.LargeCommunity, struct{}], ls bgp.LargeCommunities) {
+	if len(ls) > 0 && set.slots == nil {
+		*set = newProbeTable[bgp.LargeCommunity, struct{}]()
+	}
 	for _, lc := range ls {
-		ts.large[lc] = struct{}{}
+		set.at(lc, hashLargeCommunity(lc))
 	}
 }
 
 // LargeCommunityCount returns the number of distinct large communities
-// noted.
-func (ts *TupleStore) LargeCommunityCount() int { return len(ts.large) }
+// seen: those of the stored groups and those noted. The paper records
+// their prevalence (11,524 vs 88,982 regular in May 2023) and defers
+// their classification; this pipeline classifies them — large
+// communities attach to tuples (see AddViewLarge) and flow through the
+// same observe/cluster/classify stages as classic ones.
+func (ts *TupleStore) LargeCommunityCount() int {
+	seen := newProbeTable[bgp.LargeCommunity, struct{}]()
+	ts.noted.each(func(lc bgp.LargeCommunity, h uint64, _ *struct{}) { seen.at(lc, h) })
+	if ts.largeTuples {
+		ts.eachStoredGroup(func(_ bgp.Communities, ls []bgp.Community) {
+			for ; len(ls) > 0; ls = ls[3:] {
+				lc := bgp.LargeCommunity{GlobalAdmin: uint32(ls[0]), LocalData1: uint32(ls[1]), LocalData2: uint32(ls[2])}
+				seen.at(lc, hashLargeCommunity(lc))
+			}
+		})
+	}
+	return seen.n
+}
 
 // collapsePath appends path with prepending (adjacent repeats) collapsed:
 // the path key.
@@ -281,7 +306,7 @@ type addScratch struct {
 	set    []bgp.Community      // the view's canonical set (see appendSet)
 	group  []bgp.Community      // one group of it, rendered for the group intern
 	rec    []bgp.Community      // its set record (see groupSet)
-	flat   []uint32             // AS-path flattening buffer for AddViewASPath
+	flat   []uint32             // AS-path flattening buffer for AddViewASPathLarge
 }
 
 // canonicalSet canonicalizes both community lists and renders them as
@@ -358,12 +383,12 @@ func (ts *TupleStore) AddView(vp uint32, path []uint32, comms bgp.Communities) {
 // lists are canonicalized; observations differing only in VP collapse
 // into one tuple, while the large communities are part of tuple
 // identity. Paths and communities may be reused by the caller; the
-// store copies what it keeps. Large communities are also noted in the
-// distinct-large statistics, even when the path is empty and no tuple
-// results.
+// store copies what it keeps. When the path is empty no tuple results,
+// and the larges are noted (NoteLarge). It panics on a stitched store.
 func (ts *TupleStore) AddViewLarge(vp uint32, path []uint32, comms bgp.Communities, larges bgp.LargeCommunities) {
+	ts.writable()
 	if len(path) == 0 {
-		ts.NoteLarge(larges)
+		noteLarges(&ts.noted, larges)
 		return
 	}
 	sc := addScratchPool.Get().(*addScratch)
