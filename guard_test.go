@@ -45,16 +45,18 @@ const (
 	// counts are cached per Corpus.
 	guardSnapshotInfoRepeatBytes = 1024
 	// Live heap a loaded Corpus and its Result hold, per tuple. Measured
-	// 34.7 with the 12-byte tuple, 4-byte path ends and headerless set
-	// records (43.2 with the 16-byte tuple, 8-byte path spans and a
-	// header word per set record, whose ceiling was 48; 54.6 with one
-	// flat record per distinct set, whose ceiling was 60; 59.9 while each
-	// path also kept a span of organizations, whose ceiling was 66; 76.9
-	// with the 32-byte tuple record; 113.8 while the stitched store kept a
-	// key string per path, the intern hash table and the arenas' doubling
-	// slack); more means load-only state outlives Stitch again, sets are
-	// stored flat again, or the tuple, path or set record grew back.
-	guardHeldBytesPerTuple = 39
+	// 23.3 with the 8-byte tuple and paths stored as hash-consed 8-byte
+	// hops (34.7 with the 12-byte tuple, 4-byte path ends and an ASN
+	// arena, whose ceiling was 39; 43.2 with the 16-byte tuple, 8-byte
+	// path spans and a header word per set record, whose ceiling was 48;
+	// 54.6 with one flat record per distinct set, whose ceiling was 60;
+	// 59.9 while each path also kept a span of organizations, whose
+	// ceiling was 66; 76.9 with the 32-byte tuple record; 113.8 while the
+	// stitched store kept a key string per path, the intern hash table and
+	// the arenas' doubling slack); more means load-only state outlives Stitch again, sets are
+	// stored flat again, paths stop sharing their suffixes, or the tuple,
+	// hop or set record grew back.
+	guardHeldBytesPerTuple = 27
 	// How far Corpus.Footprint's reserved total may sit from the heap
 	// the Corpus is measured to hold. Measured 0.1 % under (the headers
 	// of the slices and chunk lists it does not count).
@@ -182,13 +184,14 @@ func TestAllocationGuards(t *testing.T) {
 	}
 }
 
-// TestTupleIsTwelveBytes pins the tuple record — the largest row of a
-// loaded corpus — at a path ID, a community-set reference and an inline
-// vantage point, with no count: the set reference's top bit says whether
-// the vantage point is a list in the VP arena instead.
-func TestTupleIsTwelveBytes(t *testing.T) {
-	if size := unsafe.Sizeof(core.Tuple{}); size != 12 {
-		t.Fatalf("core.Tuple is %d bytes, want 12", size)
+// TestTupleIsEightBytes pins the tuple record — the largest row of a
+// loaded corpus — at a path ID and a community-set reference, with no
+// count and no vantage point: a tuple's one vantage point is its path's
+// first ASN, read off the path's first hop, and the set reference's top
+// bit says whether the tuple has a list in the VP arena instead.
+func TestTupleIsEightBytes(t *testing.T) {
+	if size := unsafe.Sizeof(core.Tuple{}); size != 8 {
+		t.Fatalf("core.Tuple is %d bytes, want 8", size)
 	}
 }
 

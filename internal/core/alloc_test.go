@@ -156,15 +156,16 @@ func verdictZeroAlloc[K Key[K]](t *testing.T, src KindSource[K], keys []K, unobs
 	_ = sink
 }
 
-// TestPathEndIsFourBytes pins a path's record, a per-tuple row beside
-// the 12-byte tuple (TestTupleIsTwelveBytes), at one end offset into the
-// ASN arena: the runs lie back to back in ID order, so a path starts
-// where the one before it ends, and sibling organizations are resolved
-// from Options.Orgs while evidence is counted, not stored per path.
-func TestPathEndIsFourBytes(t *testing.T) {
+// TestHopIsEightBytes pins a path's storage, beside the 8-byte tuple
+// (TestTupleIsEightBytes), at its hops: an ASN and the next hop's ID, one
+// word each, in two columns. A path has no record of its own — its ID is
+// its first hop's, its end is the origin hop's sentinel — and sibling
+// organizations are resolved from Options.Orgs while evidence is counted,
+// not stored per path.
+func TestHopIsEightBytes(t *testing.T) {
 	var ts TupleStore
-	if size := unsafe.Sizeof(ts.pathEnd[0]); size != 4 {
-		t.Fatalf("a path end is %d bytes, want 4", size)
+	if size := unsafe.Sizeof(ts.hopASN[0]) + unsafe.Sizeof(ts.hopNext[0]); size != 8 {
+		t.Fatalf("a hop is %d bytes, want 8", size)
 	}
 }
 

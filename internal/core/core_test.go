@@ -27,7 +27,7 @@ func TestTupleStoreDedup(t *testing.T) {
 	if ts.Len() != 1 {
 		t.Fatalf("Len after second VP = %d, want 1", ts.Len())
 	}
-	if vps := ts.TupleVPs(&ts.Tuples()[0]); len(vps) != 2 || vps[0] != 65269 || vps[1] != 65270 {
+	if vps := ts.TupleVPs(0); len(vps) != 2 || vps[0] != 65269 || vps[1] != 65270 {
 		t.Errorf("VPs = %v", vps)
 	}
 	// Different communities: a new tuple, same interned path.

@@ -16,7 +16,7 @@ const outboxViews = 1024
 // what addView reads, with the path key and the canonical set as spans of
 // the outbox's word lists.
 type preparedView struct {
-	hp, h uint64
+	h     uint64
 	vp    uint32
 	shard uint32
 	words span // path key, in outbox.words
@@ -128,7 +128,7 @@ func (s *ShardedTupleStore) apply(b *outbox, sc *addScratch) {
 		}
 		sc.words = b.words[v.words.off : v.words.off+v.words.n]
 		sc.set = b.set[v.set.off : v.set.off+v.set.n]
-		sh.ts.addView(v.vp, v.hp, v.h, sc)
+		sh.ts.addView(v.vp, v.h, sc)
 	}
 	if sh != nil {
 		sh.mu.Unlock()
@@ -227,12 +227,12 @@ func (f *Feeder) add(vp uint32, path []uint32, comms bgp.Communities, larges bgp
 		return -1
 	}
 	sc.words = collapsePath(sc.words[:0], path)
-	route, hp, h := s.shared.prepare(sc, comms, larges)
+	route, h := s.shared.prepare(sc, comms, larges)
 	shard := uint32(route >> s.shift)
 	w := int(shard) * len(f.box) >> (64 - s.shift) // shard·W / N
 	b := f.box[w]
 	b.views = append(b.views, preparedView{
-		hp: hp, h: h, vp: vp, shard: shard,
+		h: h, vp: vp, shard: shard,
 		words: span{off: uint32(len(b.words)), n: uint32(len(sc.words))},
 		set:   span{off: uint32(len(b.set)), n: uint32(len(sc.set))},
 	})

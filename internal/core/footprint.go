@@ -83,20 +83,22 @@ func (ts *TupleStore) Footprint() Footprint {
 	sh := ts.shared
 	return Footprint{
 		sliceRow("tuples", ts.tuples),
-		sliceRow("paths", ts.pathEnd),
+		{
+			Name:     "hops",
+			Used:     4 * int64(len(ts.hopASN)+len(ts.hopNext)),
+			Reserved: 4 * int64(cap(ts.hopASN)+cap(ts.hopNext)),
+		},
 		sliceRow("vp_arena", ts.vpArena),
+		probeRow("vp_index", &ts.vpIndex),
 		arenaRow("set_arena", &sh.sets.arena),
 		arenaRow("group_arena", &sh.groups.arena),
-		sliceRow("asn_arena", ts.asnArena),
 		tableRow("intern_tables", &sh.sets),
 		tableRow("group_table", &sh.groups),
 		{
 			Name:     "index_tables",
-			Used:     8 * int64(ts.tupleTab.n+ts.pathTab.n),
-			Reserved: 8 * int64(cap(ts.tupleTab.slots)+cap(ts.pathTab.slots)),
+			Used:     8 * int64(ts.tupleTab.n+ts.hopTab.n),
+			Reserved: 8 * int64(cap(ts.tupleTab.slots)+cap(ts.hopTab.slots)),
 		},
-		sliceRow("looped_paths", ts.loops),
-		sliceRow("looped_keys", ts.loopWords),
 		probeRow("noted_larges", &ts.noted),
 	}
 }

@@ -15,18 +15,19 @@ func mixWord(h uint64, v uint32) uint64 {
 	return h ^ h>>32
 }
 
-// hashPathKey hashes a path key (its ASN words) twice in one
-// pass: route from a fixed state — shard routing is a pure function of
-// the path key, so every observation of a path meets its earlier ones in
-// one shard, and a shard holds the same paths in every run — and h from
-// seed, which tags the shard's tables.
+// hashPathKey hashes a path key (its ASN words) twice in one pass:
+// route from a fixed state over the key's last word, the origin — shard
+// routing is a pure function of the origin, so every observation of a
+// path meets its earlier ones in one shard, every path toward one origin
+// shares its suffixes in that shard, and a shard holds the same paths in
+// every run — and h from seed over every word, which tags the shard's
+// tuple table.
 func hashPathKey(key []uint32, seed uint64) (route, h uint64) {
-	route, h = fnvOffset64, seed
+	h = seed
 	for _, asn := range key {
-		route = mixWord(route, asn)
 		h = mixWord(h, asn)
 	}
-	return route, h
+	return mixWord(fnvOffset64, key[len(key)-1]), h
 }
 
 // hashSet continues h over a set record (see appendSet). Its header word

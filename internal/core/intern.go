@@ -10,9 +10,9 @@ package core
 // intern. A shard asks them for refs only when it inserts a new tuple —
 // duplicates are recognized by the shard's own table first (see
 // addView).
-// Path ASN words are not shared: paths shard by path key, so there is no
-// cross-shard duplication to dedup, and each shard appends them to its
-// own arena under the lock it already holds.
+// Hops are not shared: paths shard by origin, so every hop a path can
+// share lives in its shard, and each shard appends them to its own
+// arrays under the lock it already holds.
 //
 // Memory-model argument for the lock-free read path: an inserter, while
 // holding the intern mutex, (1) publishes any new arena chunk through
@@ -350,16 +350,24 @@ func (sh *storeInterns) setHash(set []bgp.Community) uint64 {
 	return hashSet(sh.seed, set)
 }
 
+// hopHash is the hop table's hash of hop (asn, next).
+func (sh *storeInterns) hopHash(asn, next uint32) uint64 {
+	if sh.collide {
+		return 0
+	}
+	return mixWord(mixWord(sh.seed, asn), next)
+}
+
 // prepare readies one view, whose path key is already collapsed into
 // sc.words, for addView: it renders the canonical set into sc.set and
-// hashes the view. route picks the shard, hp tags the path in the
-// shard's path table, h tags the whole identity in its tuple table.
-func (sh *storeInterns) prepare(sc *addScratch, comms bgp.Communities, larges bgp.LargeCommunities) (route, hp, h uint64) {
+// hashes the view. route picks the shard, h tags the whole identity in
+// its tuple table.
+func (sh *storeInterns) prepare(sc *addScratch, comms bgp.Communities, larges bgp.LargeCommunities) (route, h uint64) {
 	sc.canonicalSet(comms, larges)
-	route, hp = hashPathKey(sc.words, sh.seed)
+	route, hp := hashPathKey(sc.words, sh.seed)
 	h = hashSet(hp, sc.set)
 	if sh.collide {
-		hp, h = 0, 0
+		h = 0
 	}
-	return route, hp, h
+	return route, h
 }

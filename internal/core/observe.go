@@ -72,6 +72,22 @@ func (t *probeTable[K, V]) grow() {
 	})
 }
 
+// get returns the value of key k (whose hash is h), or nil when k is
+// absent. Unlike at it never writes, so readers may share the table.
+func (t *probeTable[K, V]) get(k K, h uint64) *V {
+	if t.slots == nil {
+		return nil
+	}
+	tag := uint32(h>>32) | 1
+	mask := uint32(len(t.slots) - 1)
+	for i := tag >> t.shift; t.slots[i].tag != 0; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.tag == tag && s.key == k {
+			return &s.val
+		}
+	}
+	return nil
+}
+
 // each visits every entry; h serves as the key's hash in any table's at.
 func (t *probeTable[K, V]) each(fn func(k K, h uint64, v *V)) {
 	for i := range t.slots {
@@ -120,7 +136,7 @@ type observer struct {
 	alphas probeTable[uint32, asnOrg]
 
 	pid      int32    // current path group; -1 before the first
-	pathASNs []uint32 // the current path's distinct ASNs
+	pathASNs []uint32 // the current path's distinct ASNs (worker scratch)
 	pathOrgs []string // their distinct organizations (worker scratch)
 }
 
@@ -144,11 +160,12 @@ func (o *observer) walk(order []int32, lo, hi int, done <-chan struct{}) {
 		if (i-lo)%cancelCheckStride == 0 && chClosed(done) {
 			return
 		}
-		t := &tuples[i]
+		ti := i
 		if order != nil {
-			t = &tuples[order[i]]
+			ti = int(order[i])
 		}
-		if o.opts.VPFilter != nil && !anyVP(o.ts.TupleVPs(t), o.opts.VPFilter) {
+		t := &tuples[ti]
+		if o.opts.VPFilter != nil && !anyVP(o.ts.TupleVPs(ti), o.opts.VPFilter) {
 			continue
 		}
 		if t.PathID != o.pid {
@@ -192,11 +209,12 @@ func (o *observer) onPath(alpha uint32) bool {
 	return a.hasOrg && containsOrg(o.pathOrgs, a.org)
 }
 
-// enterPath makes path id the current one: its ASNs enter the worker's
-// table and its organization list is rebuilt from theirs.
+// enterPath makes path id the current one: its distinct ASNs are read
+// off its chain once, in first-appearance order, and enter the worker's
+// table, and its organization list is rebuilt from theirs.
 func (o *observer) enterPath(id int32) {
 	o.pid = id
-	o.pathASNs = o.ts.Path(id).ASNs
+	o.pathASNs = o.ts.appendPathASNs(o.pathASNs[:0], id)
 	o.pathOrgs = o.pathOrgs[:0]
 	for _, asn := range o.pathASNs {
 		a, fresh := o.asns.at(asn, hashU32(asn))
@@ -237,17 +255,18 @@ func countOnce[K comparable](o *observer, tab *probeTable[K, evidence], k K, h u
 func EachPathCommunity(ts *TupleStore, opts Options, fn func(c bgp.Community, path []uint32)) {
 	o := newObserver(ts, &Options{VPFilter: opts.VPFilter})
 	o.visit = fn
-	o.walk(groupByPath(ts.Tuples(), ts.PathCount()), 0, ts.Len(), nil)
+	o.walk(groupByPath(ts), 0, ts.Len(), nil)
 }
 
-// groupByPath returns the order in which to visit tuples so that every
-// path's tuples are adjacent: nil when the slice already is (a stitched
-// store's tuples are non-decreasing in PathID), otherwise the tuple
-// indexes counting-sorted by PathID.
-func groupByPath(tuples []Tuple, paths int) []int32 {
+// groupByPath returns the order in which to visit ts's tuples so that
+// every path's tuples are adjacent: nil when the slice already is (a
+// stitched store's tuples are non-decreasing in PathID), otherwise the
+// tuple indexes counting-sorted by PathID, a hop ID.
+func groupByPath(ts *TupleStore) []int32 {
+	tuples := ts.tuples
 	for i := 1; i < len(tuples); i++ {
 		if tuples[i].PathID < tuples[i-1].PathID {
-			order, _ := countingSort(len(tuples), paths, func(i int) int32 { return tuples[i].PathID })
+			order, _ := countingSort(len(tuples), len(ts.hopASN), func(i int) int32 { return tuples[i].PathID })
 			return order
 		}
 	}
@@ -278,7 +297,7 @@ func countingSort(n, keys int, key func(i int) int32) (order, end []int32) {
 func observeWith(ctx context.Context, ts *TupleStore, opts Options, workers int) (*ObservationSet, error) {
 	done := ctx.Done()
 	tuples := ts.Tuples()
-	order := groupByPath(tuples, ts.PathCount())
+	order := groupByPath(ts)
 	pathAt := func(i int) int32 {
 		if order != nil {
 			i = int(order[i])

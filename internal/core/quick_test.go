@@ -205,7 +205,7 @@ func TestColumnarMatchesOracleQuick(t *testing.T) {
 				return false
 			}
 			wantVPs := oracle.tuples[key][setKey(tupleCommunities(ts, tu))]
-			gotVPs := ts.TupleVPs(tu)
+			gotVPs := ts.TupleVPs(i)
 			if len(gotVPs) != len(wantVPs) || !slices.IsSorted(gotVPs) {
 				return false
 			}

@@ -1,41 +1,41 @@
 package core
 
 import (
-	"cmp"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"bgpintent/internal/bgp"
 )
 
 // ShardedTupleStore is the parallel load's TupleStore front:
-// AddViewASPathLarge hashes the path key to one of N shards, each an
-// independent TupleStore behind its own mutex, and a parallel MRT load
-// goes through Load, which gives every shard one writing goroutine (see
-// ShardLoad). Stitch collapses the shards into a single read-only
+// AddViewASPathLarge hashes the path key's origin to one of N shards,
+// each an independent TupleStore behind its own mutex, and a parallel MRT
+// load goes through Load, which gives every shard one writing goroutine
+// (see ShardLoad). Stitch collapses the shards into a single read-only
 // TupleStore whose contents — the set of tuples, paths, VP sets and
 // larges — are the same whatever the worker count or goroutine
 // scheduling; its layout (path IDs, tuple order) follows arrival order
 // within each shard and is not.
 //
-// Because shard routing is a pure function of the path key, every
-// observation of one path lands in the same shard, so per-shard
-// deduplication is global deduplication: no cross-shard reconciliation
-// is needed at stitch time.
+// Because shard routing is a pure function of the path key's last word,
+// the origin, every observation of one path lands in the same shard, so
+// per-shard deduplication is global deduplication: no cross-shard
+// reconciliation is needed at stitch time. Every path toward one origin
+// lands there too, so every suffix paths can share — every hop — lives
+// in one shard; routed by the whole key, each shard would hold its own
+// copy of a shared hop.
 //
 // All shards' TupleStores share one storeInterns: groups and set records
 // intern into lock-free global tables, so every set ref a shard writes
 // is already valid in the stitched store and Stitch never moves
-// community payload. Path ASN
-// words stay in the shard's own asnArena, written under the shard lock;
-// Stitch copies them once into the stitched arena.
+// community payload. Hops stay in the shard's own arrays, written under
+// the shard lock; Stitch copies them once into the stitched ones.
 //
 // A view is hashed once, before its shard's writer sees it
 // (storeInterns.prepare): outside the shard lock here, on the scanning
 // goroutine's Feeder in a load. The hash leads straight to its tuple
 // (addView), so a duplicate costs one probe, a content compare and a VP
-// binary search.
+// check.
 type ShardedTupleStore struct {
 	shards []tupleShard
 	shift  uint // 64 - log2(len(shards)): the route hash's top bits pick the shard
@@ -95,10 +95,10 @@ func (s *ShardedTupleStore) AddViewASPathLarge(vp uint32, path bgp.ASPath, comms
 // before the shard lock is taken.
 func (s *ShardedTupleStore) add(vp uint32, path []uint32, comms bgp.Communities, larges bgp.LargeCommunities, sc *addScratch) {
 	sc.words = collapsePath(sc.words[:0], path)
-	route, hp, h := s.shared.prepare(sc, comms, larges)
+	route, h := s.shared.prepare(sc, comms, larges)
 	sh := &s.shards[route>>s.shift]
 	sh.mu.Lock()
-	sh.ts.addView(vp, hp, h, sc)
+	sh.ts.addView(vp, h, sc)
 	sh.mu.Unlock()
 }
 
@@ -161,39 +161,14 @@ func (t *flatTable) place(s uint64) {
 	}
 }
 
-// loopedKey locates, in the store's loopWords, the key words of one path
-// that repeats an AS.
-type loopedKey struct {
-	id  int32
-	key span
-}
-
-// pathKey returns a path's key: its ASN words with prepending
-// collapsed, which identify the path. For a loop-free path — every path
-// BGP loop prevention lets through — that is the distinct-ASN sequence
-// the path stores anyway, so the key costs nothing. Only a path that
-// repeats an AS apart (AS_SET flattening, poisoning: A B A, whose
-// distinct ASNs are those of A B) keeps its key words as well, in
-// loopWords, found through ts.loops.
-func (ts *TupleStore) pathKey(id int32) []uint32 {
-	if len(ts.loops) != 0 {
-		i, ok := slices.BinarySearchFunc(ts.loops, id, func(l loopedKey, id int32) int { return cmp.Compare(l.id, id) })
-		if ok {
-			k := ts.loops[i].key
-			return ts.loopWords[k.off : k.off+k.n]
-		}
-	}
-	return ts.pathASNs(id)
-}
-
-// addView is the write path for one prepared view:
-// hashes hp (path) and h (identity), path key in sc.words, canonical set
-// in sc.set; addView reads nothing else of sc. One probe of the
-// tuple table finds the view's tuple if it exists, confirmed by comparing
-// the path key and the set, group by group — identity is exact whatever
-// the hash does. Only a miss goes on to the path table, the global group
-// and set interns (whose refs Stitch carries over) and the appends.
-func (ts *TupleStore) addView(vp uint32, hp, h uint64, sc *addScratch) {
+// addView is the write path for one prepared view: hash h (identity),
+// path key in sc.words, canonical set in sc.set; addView reads nothing
+// else of sc. One probe of the tuple table finds the view's tuple if it
+// exists, confirmed by walking the candidate's path against the key and
+// comparing the set, group by group — identity is exact whatever the
+// hash does. Only a miss goes on to the hops, the global group and set
+// interns (whose refs Stitch carries over) and the appends.
+func (ts *TupleStore) addView(vp uint32, h uint64, sc *addScratch) {
 	tab := &ts.tupleTab
 	tag, mask := uint32(h>>32), uint32(len(tab.slots)-1)
 	for i := tag >> tab.shift; tab.slots[i] != 0; i = (i + 1) & mask {
@@ -203,42 +178,60 @@ func (ts *TupleStore) addView(vp uint32, hp, h uint64, sc *addScratch) {
 		}
 		ti := int32(uint32(s) - 1)
 		t := &ts.tuples[ti]
-		if slices.Equal(ts.pathKey(t.PathID), sc.words) && sameSet(&ts.shared.groups, ts.setRecord(t), sc.set) {
+		if ts.samePath(t.PathID, sc.words) && sameSet(&ts.shared.groups, ts.setRecord(t), sc.set) {
 			ts.addVP(ti, vp)
 			return
 		}
 	}
-	id := ts.internPath(hp, sc)
+	id := ts.internPath(sc.words)
 	sc.groupSet(&ts.shared.groups)
 	set := ts.shared.sets.intern(sc.rec)
 	if sc.set[0]>>16 != 0 { // the set's header counts its larges
 		ts.largeTuples = true
 	}
-	tab.insert(h, len(ts.tuples))
-	ts.tuples = append(ts.tuples, Tuple{PathID: id, set: set, vp: [1]uint32{vp}})
+	ti := int32(len(ts.tuples))
+	tab.insert(h, int(ti))
+	ts.tuples = append(ts.tuples, Tuple{PathID: id, set: set})
+	if vp != ts.hopASN[id] {
+		ts.newVPList(ti, vp)
+	}
 }
 
-// internPath returns the ID of the path with key sc.words and hash
-// hp, creating the entry if new: IDs are handed out in arrival order, and
-// the distinct-ASN sequence goes into the store's own ASN arena. The key
-// words go to loopWords only when they are not that same sequence.
-func (ts *TupleStore) internPath(hp uint64, sc *addScratch) int32 {
-	tab := &ts.pathTab
-	tag, mask := uint32(hp>>32), uint32(len(tab.slots)-1)
+// internPath returns the ID of the path with key words, its first hop's
+// ID: it finds or appends the key's hops origin first, each the (ASN,
+// next) pair that identifies it, and marks the first one as a path's head
+// if it was not yet. A looped key (A B A) is just its chain.
+func (ts *TupleStore) internPath(words []uint32) int32 {
+	next := uint32(originHop)
+	for i := len(words) - 1; i >= 0; i-- {
+		next = ts.internHop(words[i], next)
+	}
+	if ts.hopNext[next]&pathHead == 0 {
+		ts.hopNext[next] |= pathHead
+		ts.paths++
+	}
+	return int32(next)
+}
+
+// internHop returns the ID of hop (asn, next), appending it if new.
+func (ts *TupleStore) internHop(asn, next uint32) uint32 {
+	h := ts.shared.hopHash(asn, next)
+	tab := &ts.hopTab
+	tag, mask := uint32(h>>32), uint32(len(tab.slots)-1)
 	for i := tag >> tab.shift; tab.slots[i] != 0; i = (i + 1) & mask {
 		s := tab.slots[i]
-		if id := int32(uint32(s) - 1); uint32(s>>32) == tag && slices.Equal(ts.pathKey(id), sc.words) {
+		if id := uint32(s) - 1; uint32(s>>32) == tag && ts.hopASN[id] == asn && ts.hopNext[id]&^pathHead == next {
 			return id
 		}
 	}
-	id := int32(len(ts.pathEnd))
-	tab.insert(hp, int(id))
-	ts.appendPath(sc.words)
-	if key := len(sc.words); len(ts.pathASNs(id)) != key {
-		ts.loops = append(ts.loops, loopedKey{id: id, key: span{off: uint32(len(ts.loopWords)), n: uint32(key)}})
-		ts.loopWords = append(ts.loopWords, sc.words...)
+	id := len(ts.hopASN)
+	if id >= originHop {
+		panic("core: a store holds at most 1<<31-1 hops")
 	}
-	return id
+	tab.insert(h, id)
+	ts.hopASN = append(ts.hopASN, asn)
+	ts.hopNext = append(ts.hopNext, next)
+	return uint32(id)
 }
 
 // Stitch collapses the shards into one read-only TupleStore in O(n)
@@ -246,14 +239,15 @@ func (ts *TupleStore) internPath(hp uint64, sc *addScratch) int32 {
 // refs already address the shared set intern's arena, and group refs the
 // group intern's. Per shard, into disjoint pre-sized regions of the
 // output:
-//   - a path's global ID is the shard's offset plus its arrival ID;
-//   - the shard's ASN words are copied at the shard's offset in one
-//     exactly sized arena, and its path ends rebased onto it; its looped
-//     keys likewise, at its offset in the looped-key words;
+//   - the shard's hops are copied at the shard's offset, and their next
+//     refs rebased onto it; a path's global ID, its first hop's, is the
+//     shard's offset plus its shard-local ID;
 //   - tuples are counting-sorted by path ID, so stitched tuples are
 //     non-decreasing in PathID and Observe walks them as they lie;
-//   - VP lists of more than one are copied as their count word and their
-//     VPs.
+//   - VP lists are copied as their count word and their VPs.
+//
+// The VP index is then rebuilt for the reordered tuple indexes: the lists
+// lie in the arena in tuple order.
 //
 // The per-shard work runs on up to workers goroutines (<= 0 means
 // GOMAXPROCS); the regions are disjoint, so it needs no locks, and the
@@ -267,76 +261,70 @@ func (ts *TupleStore) internPath(hp uint64, sc *addScratch) int32 {
 // The stitched store takes ownership of the shard contents, the shared
 // storage and the noted larges; the sharded store must not be used
 // afterwards. It holds what readers read and nothing else, with no
-// growth slack: the shards' lookup tables and ASN arenas die with the
-// shards, the interns' hash tables, which only an insert probes, are
-// released, and the intern arenas' newest chunks are trimmed to their
-// fills. Without tables it takes no views (AddViewLarge panics).
+// growth slack: the shards' lookup tables die with the shards, the
+// interns' hash tables, which only an insert probes, are released, and
+// the intern arenas' newest chunks are trimmed to their fills. Without
+// tables it takes no views (AddViewLarge panics).
 func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	n := len(s.shards)
 	tupleOff := make([]int, n+1)
-	pathOff := make([]int, n+1)
+	hopOff := make([]int, n+1)
 	vpOff := make([]int, n+1)
-	loopOff := make([]int, n+1)
-	loopWordOff := make([]int, n+1)
-	asnOff := make([]int, n+1)
+	paths := 0
 	largeTuples := false
 	for i := range s.shards {
 		ts := s.shards[i].ts
 		nVPs := 0
-		for j := range ts.tuples {
-			if t := &ts.tuples[j]; t.set&multiVP != 0 {
-				nVPs += 1 + int(ts.vpArena[t.vp[0]])
-			}
-		}
+		ts.vpIndex.each(func(_ int32, _ uint64, off *uint32) { nVPs += 1 + int(ts.vpArena[*off]) })
 		largeTuples = largeTuples || ts.largeTuples
+		paths += ts.paths
 		tupleOff[i+1] = tupleOff[i] + len(ts.tuples)
-		pathOff[i+1] = pathOff[i] + len(ts.pathEnd)
+		hopOff[i+1] = hopOff[i] + len(ts.hopASN)
 		vpOff[i+1] = vpOff[i] + nVPs
-		loopOff[i+1] = loopOff[i] + len(ts.loops)
-		loopWordOff[i+1] = loopWordOff[i] + len(ts.loopWords)
-		asnOff[i+1] = asnOff[i] + len(ts.asnArena)
+	}
+	if hopOff[n] >= originHop {
+		panic("core: a store holds at most 1<<31-1 hops")
 	}
 	out := &TupleStore{
 		shared:      s.shared,
+		hopASN:      make([]uint32, hopOff[n]),
+		hopNext:     make([]uint32, hopOff[n]),
+		paths:       paths,
 		tuples:      make([]Tuple, tupleOff[n]),
-		pathEnd:     make([]uint32, pathOff[n]),
-		asnArena:    make([]uint32, asnOff[n]),
 		vpArena:     make([]uint32, vpOff[n]),
-		loops:       make([]loopedKey, loopOff[n]),
-		loopWords:   make([]uint32, loopWordOff[n]),
 		largeTuples: largeTuples,
 		noted:       s.noted,
 	}
 	ParallelFor(workers, n, func(i int) {
 		ts := s.shards[i].ts
-		idBase, asnBase, wordBase := int32(pathOff[i]), uint32(asnOff[i]), uint32(loopWordOff[i])
-		copy(out.asnArena[asnBase:], ts.asnArena)
-		for j, end := range ts.pathEnd {
-			out.pathEnd[pathOff[i]+j] = end + asnBase
+		base := uint32(hopOff[i])
+		copy(out.hopASN[base:], ts.hopASN)
+		for j, next := range ts.hopNext {
+			if next&^pathHead != originHop {
+				next += base // below pathHead, so the mark is kept
+			}
+			out.hopNext[int(base)+j] = next
 		}
-		// A shard appends a looped key as it creates the path, so its loops
-		// are already ascending by ID.
-		copy(out.loopWords[wordBase:], ts.loopWords)
-		for j, l := range ts.loops {
-			l.id += idBase
-			l.key.off += wordBase
-			out.loops[loopOff[i]+j] = l
-		}
-		order, _ := countingSort(len(ts.tuples), len(ts.pathEnd), func(j int) int32 { return ts.tuples[j].PathID })
+		order, _ := countingSort(len(ts.tuples), len(ts.hopASN), func(j int) int32 { return ts.tuples[j].PathID })
 		vpCur := uint32(vpOff[i])
 		for j, ti := range order {
 			t := ts.tuples[ti]
 			if t.set&multiVP != 0 {
-				vps := ts.TupleVPs(&t)
+				vps := ts.TupleVPs(int(ti))
 				out.vpArena[vpCur] = uint32(len(vps))
 				copy(out.vpArena[vpCur+1:], vps)
-				t.vp[0] = vpCur
 				vpCur += 1 + uint32(len(vps))
 			}
-			t.PathID += idBase
+			t.PathID += int32(base)
 			out.tuples[tupleOff[i]+j] = t
 		}
 	})
+	for i, off := 0, uint32(0); int(off) < len(out.vpArena); i++ {
+		if out.tuples[i].set&multiVP != 0 {
+			out.indexVPList(int32(i), off)
+			off += 1 + out.vpArena[off]
+		}
+	}
 	sh := s.shared
 	sh.owner = out
 	for _, li := range []*listIntern{&sh.sets, &sh.groups} {

@@ -75,7 +75,7 @@ func dumpStore(ts *TupleStore) []string {
 	for i := range ts.tuples {
 		t := &ts.tuples[i]
 		comms, larges := tupleCommunities(ts, t)
-		lines = append(lines, fmt.Sprintf("t %v %v %v %v %v", ts.pathKey(t.PathID), ts.Path(t.PathID).ASNs, comms, larges, ts.TupleVPs(t)))
+		lines = append(lines, fmt.Sprintf("t %v %v %v %v %v", ts.pathKey(t.PathID), ts.Path(t.PathID).ASNs, comms, larges, ts.TupleVPs(i)))
 	}
 	larges := make([]string, 0, len(distinct))
 	for lc := range distinct {
@@ -125,11 +125,12 @@ func equalDumps(t *testing.T, a, b []string, label string) {
 
 // stitchChecked stitches sts on the given number of workers and holds
 // the result to the stitched-store shape: PathID non-decreasing, so each
-// path's tuples are contiguous and Observe walks them as they lie; ASN,
-// looped-key and VP arenas without slack, the path ends tiling the ASN
-// arena and the multi-VP lists, count word and VPs, the VP arena; the
-// looped-path index ascending by ID; a large count that is the tuples'
-// and the noted larges; and a
+// path's tuples are contiguous and Observe walks them as they lie; every
+// PathID a hop marked as a path's head, and PathCount the marked hops;
+// every next ref the origin sentinel or an earlier hop, as a shard
+// appends a path's hops origin first; hop columns and VP arena without
+// slack, the VP lists, count word and VPs, tiling the VP arena in tuple
+// order; a large count that is the tuples' and the noted larges; and a
 // layout that depends on the shard contents alone — Stitch(1) and
 // Stitch(4) of the same shards dump alike. Stitch only reads the shards,
 // so the comparison stitches come first and the store returned is the
@@ -140,7 +141,7 @@ func stitchChecked(t *testing.T, label string, sts *ShardedTupleStore, workers i
 	equalDumps(t, dumpStore(sts.Stitch(4)), one, label+": Stitch(4) vs Stitch(1)")
 	ts := sts.Stitch(workers)
 	equalDumps(t, dumpStore(ts), one, fmt.Sprintf("%s: Stitch(%d) vs Stitch(1)", label, workers))
-	seen := make([]bool, ts.PathCount())
+	seen := make([]bool, len(ts.hopASN))
 	for i := range ts.tuples {
 		id := ts.tuples[i].PathID
 		if i > 0 && id < ts.tuples[i-1].PathID {
@@ -149,33 +150,30 @@ func stitchChecked(t *testing.T, label string, sts *ShardedTupleStore, workers i
 		if seen[id] && id != ts.tuples[i-1].PathID {
 			t.Fatalf("%s: path %d's tuples are not contiguous (tuple %d)", label, id, i)
 		}
+		if ts.hopNext[id]&pathHead == 0 {
+			t.Fatalf("%s: tuple %d's path %d is a hop that heads no path", label, i, id)
+		}
 		seen[id] = true
 	}
-	if len(ts.asnArena) != cap(ts.asnArena) || len(ts.loopWords) != cap(ts.loopWords) {
-		t.Fatalf("%s: stitched ASN arena holds %d words in %d, looped keys %d in %d",
-			label, len(ts.asnArena), cap(ts.asnArena), len(ts.loopWords), cap(ts.loopWords))
+	if len(ts.hopASN) != cap(ts.hopASN) || len(ts.hopNext) != len(ts.hopASN) || len(ts.hopNext) != cap(ts.hopNext) {
+		t.Fatalf("%s: stitched hops hold %d ASNs in %d and %d next refs in %d",
+			label, len(ts.hopASN), cap(ts.hopASN), len(ts.hopNext), cap(ts.hopNext))
 	}
-	// The path ends tile the ASN arena: every path a non-empty run, the
-	// last one ending where the arena does.
-	var prev uint32
-	for id, end := range ts.pathEnd {
-		if end <= prev {
-			t.Fatalf("%s: path %d ends at %d, the one before it at %d", label, id, end, prev)
+	for id, next := range ts.hopNext {
+		if n := next &^ pathHead; n != originHop && int(n) >= id {
+			t.Fatalf("%s: hop %d is followed by hop %d", label, id, n)
 		}
-		prev = end
 	}
-	if int(prev) != len(ts.asnArena) {
-		t.Fatalf("%s: the paths end at %d in an ASN arena of %d", label, prev, len(ts.asnArena))
-	}
-	for i := 1; i < len(ts.loops); i++ {
-		if ts.loops[i-1].id >= ts.loops[i].id {
-			t.Fatalf("%s: looped-path index out of order: %v", label, ts.loops)
-		}
+	if heads := len(pathHeads(ts)); heads != ts.PathCount() {
+		t.Fatalf("%s: %d hops head a path, PathCount %d", label, heads, ts.PathCount())
 	}
 	vpWords := 0
 	for i := range ts.tuples {
-		if tu := &ts.tuples[i]; tu.set&multiVP != 0 {
-			vpWords += 1 + len(ts.TupleVPs(tu))
+		if ts.tuples[i].set&multiVP != 0 {
+			if off := *ts.vpIndex.get(int32(i), hashU32(uint32(i))); int(off) != vpWords {
+				t.Fatalf("%s: tuple %d's VP list lies at %d, after %d words of lists", label, i, off, vpWords)
+			}
+			vpWords += 1 + len(ts.TupleVPs(i))
 		}
 	}
 	if vpWords != len(ts.vpArena) || len(ts.vpArena) != cap(ts.vpArena) {
@@ -379,13 +377,13 @@ func TestShardCountsRounding(t *testing.T) {
 }
 
 // TestLoopedPathIdentity: a path's identity is its key — the ASN
-// sequence with prepending collapsed — although a store stores that key
-// only for a path that repeats an AS apart. A B A is not A B (same
+// sequence with prepending collapsed — which its chain of hops spells,
+// although its ASNs are the key's distinct ones. A B A is not A B (same
 // distinct ASNs), A A B is (prepending), and an AS_SET flattened behind
 // its sequence is the path those words spell. The naive reduction is the
 // reference, distinct-ASN lists included: a NewTupleStore and the sharded
 // store must agree with it, and with each other dump for dump, through the
-// shards and Stitch (which rebases the ASN spans), before and after later
+// shards and Stitch (which rebases the hops' next refs), before and after later
 // views that add vantage points to known paths and new looped paths, with
 // every table hash forced to collide as well.
 func TestLoopedPathIdentity(t *testing.T) {
@@ -440,9 +438,11 @@ func TestLoopedPathIdentity(t *testing.T) {
 			checkReduction(t, label+" plain", plain, want)
 			checkReduction(t, label+" stitched", ts, want)
 			equalDumps(t, sortedDump(ts), sortedDump(plain), label+" stitched vs plain")
+			// The five keys end in 12 distinct suffixes, one hop each: A, B
+			// A, A B A, B, A B, C A, B C A, A B C A, C, B C, A B C, B A B A.
 			for _, s := range []*TupleStore{plain, ts} {
-				if len(s.loops) != 3 {
-					t.Fatalf("%s: %d paths with stored keys, want 3", label, len(s.loops))
+				if len(s.hopASN) != 12 {
+					t.Fatalf("%s: %d hops, want 12", label, len(s.hopASN))
 				}
 			}
 
@@ -457,9 +457,10 @@ func TestLoopedPathIdentity(t *testing.T) {
 			checkReduction(t, label+" stitched re-fed", ts, want)
 			equalDumps(t, sortedDump(ts), sortedDump(plain), label+" re-fed vs plain")
 			for _, s := range []*TupleStore{plain, ts} {
-				if s.PathCount() != 7 || s.Len() != 7 || len(s.loops) != 4 {
-					t.Fatalf("%s: after the later views %d paths, %d tuples, %d stored keys; want 7, 7 and 4",
-						label, s.PathCount(), s.Len(), len(s.loops))
+				// B A B and A C add one hop each; B and A B, C are known.
+				if s.PathCount() != 7 || s.Len() != 7 || len(s.hopASN) != 14 {
+					t.Fatalf("%s: after the later views %d paths, %d tuples, %d hops; want 7, 7 and 14",
+						label, s.PathCount(), s.Len(), len(s.hopASN))
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -12,19 +13,22 @@ import (
 
 // refReduction is the outcome of the §4 data reduction: every unique
 // (AS path, communities, large communities) identity with the set of
-// vantage points that saw it, the unique paths, and the distinct large
+// vantage points that saw it, the unique paths, the distinct suffixes of
+// their keys — one hop each in a store — and the distinct large
 // communities (which count even on views without a usable path).
 type refReduction struct {
-	vps    map[string]map[uint32]bool
-	paths  map[string]bool
-	larges map[bgp.LargeCommunity]bool
+	vps      map[string]map[uint32]bool
+	paths    map[string]bool
+	suffixes map[string]bool
+	larges   map[bgp.LargeCommunity]bool
 }
 
 func newRefReduction() refReduction {
 	return refReduction{
-		vps:    make(map[string]map[uint32]bool),
-		paths:  make(map[string]bool),
-		larges: make(map[bgp.LargeCommunity]bool),
+		vps:      make(map[string]map[uint32]bool),
+		paths:    make(map[string]bool),
+		suffixes: make(map[string]bool),
+		larges:   make(map[bgp.LargeCommunity]bool),
 	}
 }
 
@@ -112,8 +116,32 @@ func referenceReduce(views []refView) refReduction {
 		}
 		r.vps[id][v.vp] = true
 		r.paths[fmt.Sprint(collapsed)] = true
+		for i := range collapsed {
+			r.suffixes[fmt.Sprint(collapsed[i:])] = true
+		}
 	}
 	return r
+}
+
+// pathKey reads path id's key back off its chain: the ASN of every hop
+// from the first to the origin's.
+func (ts *TupleStore) pathKey(id int32) []uint32 {
+	var key []uint32
+	for h := uint32(id); h != originHop; h = ts.hopNext[h] &^ pathHead {
+		key = append(key, ts.hopASN[h])
+	}
+	return key
+}
+
+// pathHeads returns the IDs of a store's paths: the hops marked as heads.
+func pathHeads(ts *TupleStore) []int32 {
+	var ids []int32
+	for id, next := range ts.hopNext {
+		if next&pathHead != 0 {
+			ids = append(ids, int32(id))
+		}
+	}
+	return ids
 }
 
 // reduceStore reads a store back into the reference's shape, failing on
@@ -123,14 +151,14 @@ func referenceReduce(views []refView) refReduction {
 func reduceStore(t *testing.T, label string, ts *TupleStore) refReduction {
 	t.Helper()
 	r := newRefReduction()
-	for id := range ts.pathEnd {
-		key := ts.pathKey(int32(id))
+	for _, id := range pathHeads(ts) {
+		key := ts.pathKey(id)
 		p := fmt.Sprint(key)
 		if r.paths[p] {
 			t.Fatalf("%s: path %s interned twice", label, p)
 		}
 		r.paths[p] = true
-		if got, want := fmt.Sprint(ts.Path(int32(id)).ASNs), fmt.Sprint(refDistinct(key)); got != want {
+		if got, want := fmt.Sprint(ts.Path(id).ASNs), fmt.Sprint(refDistinct(key)); got != want {
 			t.Fatalf("%s: path %s has ASNs %s, want %s", label, p, got, want)
 		}
 	}
@@ -145,7 +173,7 @@ func reduceStore(t *testing.T, label string, ts *TupleStore) refReduction {
 			t.Fatalf("%s: identity %s held by two tuples", label, id)
 		}
 		r.vps[id] = make(map[uint32]bool)
-		for _, vp := range ts.TupleVPs(tu) {
+		for _, vp := range ts.TupleVPs(i) {
 			if r.vps[id][vp] {
 				t.Fatalf("%s: tuple %s lists vantage point %d twice", label, id, vp)
 			}
@@ -179,6 +207,21 @@ func checkReduction(t *testing.T, label string, ts *TupleStore, want refReductio
 		if !got.paths[p] {
 			t.Fatalf("%s: path %s missing", label, p)
 		}
+	}
+	var vps []uint32
+	for _, set := range want.vps {
+		for vp := range set {
+			vps = append(vps, vp)
+		}
+	}
+	if got, want := ts.VPSet(), refSortedSet(vps, func(a, b uint32) bool { return a < b }); !slices.Equal(got, want) {
+		t.Fatalf("%s: VPSet %v, reference %v", label, got, want)
+	}
+	if all := ts.AllPaths(); len(all) != len(want.paths) {
+		t.Fatalf("%s: AllPaths has %d paths, reference %d", label, len(all), len(want.paths))
+	}
+	if len(ts.hopASN) != len(want.suffixes) {
+		t.Fatalf("%s: %d hops, the paths end in %d distinct suffixes", label, len(ts.hopASN), len(want.suffixes))
 	}
 	if len(got.larges) != len(want.larges) || ts.LargeCommunityCount() != len(want.larges) {
 		t.Fatalf("%s: %d distinct large communities (count %d), reference has %d",
@@ -331,6 +374,97 @@ func checkOneChain(t *testing.T, label string, li *listIntern) {
 	for i := 0; i < len(tab.slots); i++ {
 		if filled := tab.slots[i].Load() != 0; filled != (i < live) {
 			t.Fatalf("%s: intern slot %d filled=%v with %d entries: not one chain", label, i, filled, live)
+		}
+	}
+}
+
+// TestHopStoreMatchesReference feeds the shapes a store of hops has to
+// get right through a NewTupleStore and through Stitch of 1, 7 and 64
+// shards, with seeded and with colliding hashes, and holds each store to
+// the naive reduction: its tuples and their VP sets, its paths (through
+// PathCount, AllPaths and Path, whose ASNs are the key's distinct ones in
+// first-appearance order) and its hops, one per distinct key suffix. The
+// shapes:
+//   - paths that differ only in their first ASN, which share every other
+//     hop;
+//   - a path that is another's suffix, fed after it (an inner hop comes to
+//     head a path) and before it;
+//   - a path that is a proper prefix of another with the same
+//     communities, in both orders: A B is not A B C;
+//   - a looped key and an AS_SET flattened behind its sequence;
+//   - tuples whose one VP is not their path's first ASN, and multi-VP
+//     tuples grown past a power of two, on tuples that Stitch reorders
+//     (the suffix path arrives after the path it ends).
+//
+// Each shape kills a mutant: a path compare that stops before the origin
+// takes A B for A B C (colliding round), a hop keyed without its next
+// hop merges A B C with D B E, a Stitch that keeps VP lists at their
+// shard-local tuple indexes reads a reordered tuple's VPs off another's,
+// and routing views by the whole key rather than the origin stores each
+// shared suffix once per shard it reaches (the hop count).
+func TestHopStoreMatchesReference(t *testing.T) {
+	const A, B, C, D, E, X, Y = 64500, 64501, 64502, 64503, 64504, 64505, 64506
+	c1 := bgp.Communities{bgp.NewCommunity(100, 1)}
+	c2 := bgp.Communities{bgp.NewCommunity(200, 2), bgp.NewCommunity(100, 1)}
+	l1 := bgp.LargeCommunities{{GlobalAdmin: A, LocalData1: 1, LocalData2: 2}}
+	aggregated := bgp.ASPath{Segments: []bgp.PathSegment{
+		{Type: bgp.SegmentTypeASSequence, ASNs: []uint32{E, A, B}},
+		{Type: bgp.SegmentTypeASSet, ASNs: []uint32{C, A}},
+	}}
+	views := []refView{
+		{vp: X, path: []uint32{X, A, B, C}, comms: c1}, // differ only in the first ASN
+		{vp: Y, path: []uint32{Y, A, B, C}, comms: c1},
+		{vp: A, path: []uint32{A, B, C}, comms: c1}, // a suffix of both, after them
+		{vp: 7, path: []uint32{B, C}, comms: c2},    // another, VP not the first ASN
+		{vp: D, path: []uint32{D, E}, comms: c2},    // a suffix before its path
+		{vp: C, path: []uint32{C, D, E}, comms: c2},
+		{vp: A, path: []uint32{A, B}, comms: c1},       // a prefix of A B C
+		{vp: D, path: []uint32{D, B, E}, comms: c1},    // B's hop with another next
+		{vp: A, path: []uint32{A, B, A}, comms: c1},    // looped
+		{vp: A, path: []uint32{A, A, B, A}, comms: c1}, // the same key, prepended
+		{vp: 9, path: []uint32{C, D}, comms: c1, larges: l1},
+		{vp: 9, path: []uint32{C, D, E, A}, comms: c1, larges: l1}, // C D a prefix, fed first
+	}
+	asPaths := make([]bgp.ASPath, len(views), len(views)+1)
+	for i, v := range views {
+		asPaths[i] = bgp.NewASPath(v.path...)
+	}
+	views = append(views, refView{vp: E, path: aggregated.Flatten(), comms: c2})
+	asPaths = append(asPaths, aggregated)
+	// Multi-VP tuples: more vantage points, past a power of two, for the
+	// suffix and the prefix tuples (which Stitch moves ahead of the paths
+	// they end or start) and for a tuple that has one list already.
+	for _, i := range []int{2, 3, 6} {
+		for vp := uint32(1); vp <= 5; vp++ {
+			v := views[i]
+			v.vp = vp * 1000
+			views = append(views, v)
+			asPaths = append(asPaths, asPaths[i])
+		}
+	}
+	want := referenceReduce(views)
+	if len(want.vps) != 12 || len(want.paths) != 12 {
+		t.Fatalf("the reference holds %d tuples on %d paths, want 12 on 12", len(want.vps), len(want.paths))
+	}
+
+	for _, collide := range []bool{false, true} {
+		plain := NewTupleStore()
+		plain.shared.collide = collide
+		for _, v := range views {
+			plain.AddViewLarge(v.vp, v.path, v.comms, v.larges)
+		}
+		label := fmt.Sprintf("collide=%v", collide)
+		checkReduction(t, label+" plain", plain, want)
+		for _, shards := range []int{1, 7, 64} {
+			label := fmt.Sprintf("%s shards=%d", label, shards)
+			sts := NewShardedTupleStore(shards)
+			sts.shared.collide = collide
+			for i, v := range views {
+				sts.AddViewASPathLarge(v.vp, asPaths[i], v.comms, v.larges)
+			}
+			ts := stitchChecked(t, label, sts, 2)
+			checkReduction(t, label, ts, want)
+			equalDumps(t, sortedDump(ts), sortedDump(plain), label+" stitched vs plain")
 		}
 	}
 }

@@ -20,18 +20,18 @@ type span struct {
 	off, n uint32
 }
 
-// PathInfo is one interned AS path, viewed out of the store's arenas.
-// The slice aliases shared storage and must not be mutated.
+// PathInfo is one interned AS path, read off its chain of hops.
 type PathInfo struct {
 	ASNs []uint32 // distinct ASNs on the path, in first-appearance order
 }
 
-// Tuple is one unique (AS path, communities) observation, 12 bytes.
+// Tuple is one unique (AS path, communities) observation, 8 bytes.
 // Its communities are read group by group (TupleStore.eachGroup), its
 // vantage points through TupleStore.TupleVPs.
 // Tuples are plain values in one flat slice — no per-tuple pointers,
 // no per-tuple slice headers.
 type Tuple struct {
+	// PathID is the ID of the path's first hop (see TupleStore).
 	PathID int32
 	// set is the arena offset of the tuple's set record: the refs of the
 	// per-α groups its classic and large communities (RFC 8092) fall into
@@ -40,25 +40,30 @@ type Tuple struct {
 	// distinct tuples. Its top bit is multiVP; readers mask it off
 	// (setRef).
 	set uint32
-	// Without multiVP, vp holds the tuple's one vantage point — nearly
-	// every tuple has exactly one, because an eBGP peer puts its own ASN
-	// first on the path. With it, vp is the offset of the tuple's list in
-	// the VP arena: a count word, then the sorted VPs in a capacity of
-	// nextPow2(count) (exactly count in a stitched store, which takes no
-	// views). A full list relocates to the arena tail with doubled
-	// capacity (amortized O(1), bounded dead space).
-	vp [1]uint32
 }
 
 // multiVP marks a tuple's set ref when its vantage points are a list in
-// the VP arena. Arena offsets stay below 1<<31 (internMaxChunks), so the
-// flag never aliases one.
+// the VP arena. Without it the tuple's one vantage point is its path's
+// first ASN — nearly every tuple's case, because an eBGP peer puts its
+// own ASN first on the path. With it, the store's vpIndex maps the
+// tuple's index to its list: a count word, then the sorted VPs in a
+// capacity of nextPow2(count) (exactly count in a stitched store, which
+// takes no views). A full list relocates to the arena tail with doubled
+// capacity (amortized O(1), bounded dead space). Arena offsets stay below
+// 1<<31 (internMaxChunks), so the flag never aliases one.
 const multiVP = 1 << 31
+
+// pathHead marks a hop's next word when the hop heads a stored path.
+// Hop IDs stay below originHop, so the flag never aliases one.
+const pathHead = 1 << 31
+
+// originHop is the next word of an origin hop: no hop follows it.
+const originHop = pathHead - 1
 
 // setRef returns the tuple's set record ref, multiVP masked off.
 func (t *Tuple) setRef() uint32 { return t.set &^ multiVP }
 
-// nextPow2 is the capacity of a VP list of n > 1 entries.
+// nextPow2 is the capacity of a VP list of n > 0 entries.
 func nextPow2(n uint32) uint32 { return 1 << bits.Len32(n-1) }
 
 // A record is a header word — its count of one-word items | its count of
@@ -185,11 +190,14 @@ func sameSet(groups *listIntern, rec, canon []bgp.Community) bool {
 // from one week of RouteViews/RIS data).
 //
 // Storage is columnar (struct-of-arrays): tuples are one flat []Tuple of
-// 12-byte records and paths one flat []uint32 of end offsets, and their
-// variable-length payloads — set records, the groups they refer to, VP
-// lists of more than one, path ASN sequences — live in append-only
-// arenas. The hot ingest path therefore allocates only when an arena or
-// a flat slice grows, not per tuple.
+// 8-byte records, and their variable-length payloads — set records, the
+// groups they refer to, VP lists — live in append-only arenas. A path is
+// a chain of hops: a hop is one (ASN, next hop toward the origin) pair,
+// hash-consed, so every path that ends in the same suffix shares it, and
+// a path's ID is its first hop's. The paths toward one origin form a
+// sink tree under destination-based routing: a simulated day's paths
+// spell about four key words for every hop they need. The hot ingest path
+// allocates only when an arena or a flat slice grows, not per tuple.
 //
 // A NewTupleStore, and each shard of a ShardedTupleStore, takes views; the
 // store Stitch returns is read-only.
@@ -200,27 +208,29 @@ type TupleStore struct {
 	// moves no community data.
 	shared *storeInterns
 
-	// pathEnd holds one end offset per path: path id's distinct ASNs are
-	// asnArena[pathEnd[id-1]:pathEnd[id]] (from 0 for path 0), so the
-	// arena holds the paths' ASN runs back to back in ID order.
-	pathEnd  []uint32
-	asnArena []uint32
-	// loops is the side index of the paths that repeat an AS (see
-	// pathKey), ascending by path ID; their key words lie in loopWords.
-	loops     []loopedKey
-	loopWords []uint32
+	// hopASN and hopNext are the hops, struct-of-arrays: hop i is ASN
+	// hopASN[i], followed toward the origin by hop hopNext[i]&^pathHead,
+	// or by none when that is originHop. pathHead marks the hops that
+	// head a stored path; paths counts them.
+	hopASN  []uint32
+	hopNext []uint32
+	paths   int
 
-	tuples  []Tuple
-	vpArena []uint32 // the VP lists of tuples with more than one (relocating; see Tuple)
+	tuples []Tuple
+	// vpArena holds the VP lists of the tuples flagged multiVP, and
+	// vpIndex maps such a tuple's index to its list's offset (see
+	// multiVP). Nearly every tuple has none.
+	vpArena []uint32
+	vpIndex probeTable[int32, uint32]
 	// largeTuples records whether any tuple carries large communities, so
 	// a classic-only load reports no large observations at all.
 	largeTuples bool
 
-	// tupleTab and pathTab are the indexes: view identity -> tuple and
-	// path key -> path ID, candidates confirmed by content. A stitched
+	// tupleTab and hopTab are the indexes: view identity -> tuple and
+	// (ASN, next) -> hop, candidates confirmed by content. A stitched
 	// store has neither, which is what makes it read-only (writable).
 	tupleTab flatTable
-	pathTab  flatTable
+	hopTab   flatTable
 
 	// noted holds the large communities NoteLarge saw: those of views with
 	// an empty path attach to no tuple, so no stored group holds them.
@@ -237,7 +247,7 @@ func NewTupleStore() *TupleStore {
 // newStore returns an empty store over the interns sh, with its index
 // tables: a NewTupleStore, or one shard of a ShardedTupleStore.
 func newStore(sh *storeInterns) *TupleStore {
-	return &TupleStore{shared: sh, tupleTab: newFlatTable(0), pathTab: newFlatTable(0)}
+	return &TupleStore{shared: sh, tupleTab: newFlatTable(0), hopTab: newFlatTable(0)}
 }
 
 // writable panics on a stitched store, which holds no index tables.
@@ -360,19 +370,6 @@ func canonicalLargeInto(dst, ls bgp.LargeCommunities) bgp.LargeCommunities {
 	return dst[:w]
 }
 
-// appendPath appends a new path's distinct ASNs, in first-appearance
-// order, to the store's ASN arena and records where they end (AS paths
-// are short, so the dedup scan beats a map).
-func (ts *TupleStore) appendPath(path []uint32) {
-	off := len(ts.asnArena)
-	for _, asn := range path {
-		if !containsASN(ts.asnArena[off:], asn) {
-			ts.asnArena = append(ts.asnArena, asn)
-		}
-	}
-	ts.pathEnd = append(ts.pathEnd, uint32(len(ts.asnArena)))
-}
-
 // AddView records one vantage-point observation without large
 // communities; see AddViewLarge.
 func (ts *TupleStore) AddView(vp uint32, path []uint32, comms bgp.Communities) {
@@ -393,71 +390,108 @@ func (ts *TupleStore) AddViewLarge(vp uint32, path []uint32, comms bgp.Communiti
 	}
 	sc := addScratchPool.Get().(*addScratch)
 	sc.words = collapsePath(sc.words[:0], path)
-	_, hp, h := ts.shared.prepare(sc, comms, larges)
-	ts.addView(vp, hp, h, sc)
+	_, h := ts.shared.prepare(sc, comms, larges)
+	ts.addView(vp, h, sc)
 	addScratchPool.Put(sc)
 }
 
 // addVP inserts vp into tuple ti's sorted VP list (no-op when present).
-// A second VP moves the list from the tuple into the VP arena.
+// A VP other than the path's first ASN moves the list into the VP arena.
 func (ts *TupleStore) addVP(ti int32, vp uint32) {
 	t := &ts.tuples[ti]
 	if t.set&multiVP == 0 {
-		if t.vp[0] != vp {
-			off := uint32(len(ts.vpArena))
-			ts.vpArena = append(ts.vpArena, 2, min(t.vp[0], vp), max(t.vp[0], vp))
-			t.vp[0] = off
-			t.set |= multiVP
+		if first := ts.hopASN[t.PathID]; first != vp {
+			ts.newVPList(ti, min(first, vp), max(first, vp))
 		}
 		return
 	}
-	n := ts.vpArena[t.vp[0]]
-	pos, found := slices.BinarySearch(ts.TupleVPs(t), vp)
+	off := ts.vpIndex.get(ti, hashU32(uint32(ti)))
+	n := ts.vpArena[*off]
+	pos, found := slices.BinarySearch(ts.vpArena[*off+1:*off+1+n], vp)
 	if found {
 		return
 	}
 	if n == nextPow2(n) {
-		ts.growVPs(t, n)
+		ts.growVPs(off, n)
 	}
-	vps := ts.vpArena[t.vp[0]+1 : t.vp[0]+n+2]
+	vps := ts.vpArena[*off+1 : *off+n+2]
 	copy(vps[pos+1:], vps[pos:])
 	vps[pos] = vp
-	ts.vpArena[t.vp[0]] = n + 1
+	ts.vpArena[*off] = n + 1
 }
 
-// growVPs doubles the capacity of t's full list of n VPs: in place when
-// the list sits at the arena tail, otherwise by relocating it, count word
-// and all, there. Each relocation doubles the capacity, so the dead space
-// left behind stays bounded by the live data.
-func (ts *TupleStore) growVPs(t *Tuple, n uint32) {
-	off := t.vp[0]
-	if end := off + 1 + n; int(end) != len(ts.vpArena) {
-		t.vp[0] = uint32(len(ts.vpArena))
-		ts.vpArena = append(ts.vpArena, ts.vpArena[off:end]...)
+// newVPList gives tuple ti the sorted VP list vps, exactly sized, at the
+// VP arena's tail, and flags the tuple multiVP.
+func (ts *TupleStore) newVPList(ti int32, vps ...uint32) {
+	ts.indexVPList(ti, uint32(len(ts.vpArena)))
+	ts.vpArena = append(append(ts.vpArena, uint32(len(vps))), vps...)
+	ts.tuples[ti].set |= multiVP
+}
+
+// indexVPList records that tuple ti's VP list lies at offset off.
+func (ts *TupleStore) indexVPList(ti int32, off uint32) {
+	if ts.vpIndex.slots == nil {
+		ts.vpIndex = newProbeTable[int32, uint32]()
 	}
-	need := int(t.vp[0] + 1 + 2*n)
+	v, _ := ts.vpIndex.at(ti, hashU32(uint32(ti)))
+	*v = off
+}
+
+// growVPs doubles the capacity of the full list of n VPs at *off: in
+// place when the list sits at the arena tail, otherwise by relocating it,
+// count word and all, there. Each relocation doubles the capacity, so the
+// dead space left behind stays bounded by the live data.
+func (ts *TupleStore) growVPs(off *uint32, n uint32) {
+	if end := *off + 1 + n; int(end) != len(ts.vpArena) {
+		start := *off
+		*off = uint32(len(ts.vpArena))
+		ts.vpArena = append(ts.vpArena, ts.vpArena[start:end]...)
+	}
+	need := int(*off + 1 + 2*n)
 	ts.vpArena = slices.Grow(ts.vpArena, need-len(ts.vpArena))[:need]
 }
 
 // Len returns the number of unique tuples.
 func (ts *TupleStore) Len() int { return len(ts.tuples) }
 
-// PathCount returns the number of interned unique paths.
-func (ts *TupleStore) PathCount() int { return len(ts.pathEnd) }
+// PathCount returns the number of interned unique paths: the hops that
+// head one. Path IDs are hop IDs, so they are not dense in [0,
+// PathCount()).
+func (ts *TupleStore) PathCount() int { return ts.paths }
 
-// Path returns the interned path info for a tuple's PathID. The
-// returned view aliases the ASN arena; do not mutate it.
+// Path returns the interned path info for a tuple's PathID, read off its
+// chain into a fresh slice.
 func (ts *TupleStore) Path(id int32) PathInfo {
-	return PathInfo{ASNs: ts.pathASNs(id)}
+	return PathInfo{ASNs: ts.appendPathASNs(nil, id)}
 }
 
-// pathASNs returns path id's run of distinct ASNs in the ASN arena.
-func (ts *TupleStore) pathASNs(id int32) []uint32 {
-	var start uint32
-	if id > 0 {
-		start = ts.pathEnd[id-1]
+// appendPathASNs appends path id's distinct ASNs, in first-appearance
+// order, to dst: its chain from the first hop to the origin, each ASN
+// after its first appearance skipped (AS paths are short, so the scan
+// beats a map). Only a path that repeats an AS apart (AS_SET flattening,
+// poisoning: A B A) skips one.
+func (ts *TupleStore) appendPathASNs(dst []uint32, id int32) []uint32 {
+	off := len(dst)
+	for h := uint32(id); h != originHop; h = ts.hopNext[h] &^ pathHead {
+		if asn := ts.hopASN[h]; !containsASN(dst[off:], asn) {
+			dst = append(dst, asn)
+		}
 	}
-	return ts.asnArena[start:ts.pathEnd[id]]
+	return dst
+}
+
+// samePath reports whether path id's key — its ASN words with prepending
+// collapsed, which identify the path — is words: the chain spells them
+// and reaches the origin exactly where they end, so A B is not A B C.
+func (ts *TupleStore) samePath(id int32, words []uint32) bool {
+	h := uint32(id)
+	for _, w := range words {
+		if h == originHop || ts.hopASN[h] != w {
+			return false
+		}
+		h = ts.hopNext[h] &^ pathHead
+	}
+	return h == originHop
 }
 
 // Tuples returns the flat tuple slice (shared storage; do not mutate).
@@ -482,24 +516,36 @@ func (ts *TupleStore) eachGroup(t *Tuple, fn func(comms bgp.Communities, larges 
 	}
 }
 
-// TupleVPs returns a tuple's sorted distinct vantage points (a view into
-// the tuple or the VP arena; do not mutate).
-func (ts *TupleStore) TupleVPs(t *Tuple) []uint32 {
+// TupleVPs returns the sorted distinct vantage points of the tuple at
+// index i (a view into the hops or the VP arena; do not mutate).
+func (ts *TupleStore) TupleVPs(i int) []uint32 {
+	t := &ts.tuples[i]
 	if t.set&multiVP == 0 {
-		return t.vp[:]
+		return ts.hopASN[t.PathID : t.PathID+1 : t.PathID+1]
 	}
-	off := t.vp[0]
+	off := *ts.vpIndex.get(int32(i), hashU32(uint32(i)))
 	return ts.vpArena[off+1 : off+1+ts.vpArena[off]]
 }
 
-// VPSet returns the distinct vantage points across all tuples.
-func (ts *TupleStore) VPSet() []uint32 {
-	out := make([]uint32, 0, 64)
+// distinctVPs returns the distinct vantage points across all tuples as a
+// hash set: what VPSet sorts and DistinctCounts counts.
+func (ts *TupleStore) distinctVPs() probeTable[uint32, struct{}] {
+	vps := newProbeTable[uint32, struct{}]()
 	for i := range ts.tuples {
-		out = append(out, ts.TupleVPs(&ts.tuples[i])...)
+		for _, vp := range ts.TupleVPs(i) {
+			vps.at(vp, hashU32(vp))
+		}
 	}
+	return vps
+}
+
+// VPSet returns the distinct vantage points across all tuples, sorted.
+func (ts *TupleStore) VPSet() []uint32 {
+	vps := ts.distinctVPs()
+	out := make([]uint32, 0, vps.n)
+	vps.each(func(vp uint32, _ uint64, _ *struct{}) { out = append(out, vp) })
 	slices.Sort(out)
-	return slices.Compact(out)
+	return out
 }
 
 // eachStoredGroup calls fn, as eachGroup does, with every group the
@@ -534,31 +580,30 @@ func (ts *TupleStore) Communities() []bgp.Community {
 }
 
 // DistinctCounts returns how many distinct communities and vantage
-// points the tuples carry, counted through hash sets: unlike Communities
-// and VPSet, no payload copy, no sort, O(distinct) memory.
+// points the tuples carry, counted through hash sets: unlike Communities,
+// no payload copy; unlike it and VPSet, no sort; O(distinct) memory.
 func (ts *TupleStore) DistinctCounts() (communities, vantagePoints int) {
 	comms := newProbeTable[bgp.Community, struct{}]()
-	vps := newProbeTable[uint32, struct{}]()
 	ts.eachStoredGroup(func(cs bgp.Communities, _ []bgp.Community) {
 		for _, c := range cs {
 			comms.at(c, hashU32(uint32(c)))
 		}
 	})
-	for i := range ts.tuples {
-		for _, vp := range ts.TupleVPs(&ts.tuples[i]) {
-			vps.at(vp, hashU32(vp))
-		}
-	}
-	return comms.n, vps.n
+	return comms.n, ts.distinctVPs().n
 }
 
-// AllPaths returns every interned path's distinct-ASN sequence (views
-// into shared storage; do not mutate). Suitable input for
-// AS-relationship inference.
+// AllPaths returns every interned path's distinct-ASN sequence, built off
+// the hops that head a path. Suitable input for AS-relationship
+// inference.
 func (ts *TupleStore) AllPaths() [][]uint32 {
-	out := make([][]uint32, len(ts.pathEnd))
-	for i := range out {
-		out[i] = ts.pathASNs(int32(i))
+	out := make([][]uint32, 0, ts.paths)
+	var asns []uint32
+	for id, next := range ts.hopNext {
+		if next&pathHead != 0 {
+			off := len(asns)
+			asns = ts.appendPathASNs(asns, int32(id))
+			out = append(out, asns[off:len(asns):len(asns)])
+		}
 	}
 	return out
 }

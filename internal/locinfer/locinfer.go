@@ -92,8 +92,7 @@ func Infer(ts *core.TupleStore, geo SessionGeo, cfg Config) []Inference {
 	// α's geographic footprint: cities of every (α, downstream) session
 	// on every unique path containing α, independent of communities.
 	// Every interned path carries at least one tuple.
-	for id := range ts.PathCount() {
-		asns := ts.Path(int32(id)).ASNs
+	for _, asns := range ts.AllPaths() {
 		for i := 0; i+1 < len(asns); i++ {
 			a := asns[i]
 			if a > 0xffff {
