@@ -32,10 +32,12 @@ const (
 	// Measured 1.14x; more means keying large communities into the store
 	// left the allocation-free path (per-view boxing, a map per tuple).
 	guardMixedAllocFactor = 1.5
-	// Bytes one Observe allocates, per tuple. Measured 2.54 (2.23 before
-	// the ASN table carried each ASN's organization); a buffer of
+	// Bytes one Observe allocates, per tuple. Measured 2.23 with the
+	// walk's rank index, a word per group-arena word beside the distinct
+	// keys, and 12-byte counts per rank (1.52 while each worker counted
+	// into hash tables of its own; the ceiling was 16). A buffer of
 	// (community, path) pairs costs 16 B per pair before any merge.
-	guardObserveBytesPerTuple = 16
+	guardObserveBytesPerTuple = 3
 	// Bytes two SnapshotInfo calls allocate, per distinct community or
 	// vantage point. Measured 37 (8-byte hash-set slots, doubled for the
 	// tables outgrown on the way); more means counting copies or sorts

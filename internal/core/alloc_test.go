@@ -169,14 +169,14 @@ func TestHopIsEightBytes(t *testing.T) {
 	}
 }
 
-// TestEvidenceSlotBytes pins the evidence walk's table slots at key, tag
-// and three counters: 20 bytes for a classic key, 28 for a large one.
-// α's organization is resolved once per group from a per-worker α table,
-// not carried in every community's entry (40 and 48 bytes when it was).
-func TestEvidenceSlotBytes(t *testing.T) {
-	classic := unsafe.Sizeof(probeSlot[bgp.Community, evidence]{})
-	large := unsafe.Sizeof(probeSlot[bgp.LargeCommunity, evidence]{})
-	if classic != 20 || large != 28 {
-		t.Fatalf("evidence slots are %d and %d bytes, want 20 and 28", classic, large)
+// TestRankCountBytes pins the evidence walk's per-rank record at two
+// counters and the last path counted: 12 bytes, classic and large keys
+// alike. The key lives once in the walk's index, not in every worker's
+// entry, and no hash tag is kept (20- and 28-byte probe slots while each
+// worker hashed every community slot into its own table; 40 and 48 while
+// each entry also carried α's organization).
+func TestRankCountBytes(t *testing.T) {
+	if size := unsafe.Sizeof(rankCount{}); size != 12 {
+		t.Fatalf("a rank's counts are %d bytes, want 12", size)
 	}
 }

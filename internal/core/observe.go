@@ -6,8 +6,10 @@
 // one compare against the path the community was last counted on — no
 // (community, path) pair is materialized, sorted or merged. A tuple's
 // communities arrive group by group, one α each, so on-path is decided
-// once per group, not per community. The same walk hands each unique
-// classic pair to EachPathCommunity's callers.
+// once per group, not per community. Communities are counted at dense
+// ranks numbered once per walk (evidenceIndex), so the walk probes no
+// hash table per community. The same walk hands each unique classic pair
+// to EachPathCommunity's callers.
 package core
 
 import (
@@ -104,11 +106,109 @@ func hashLargeCommunity(lc bgp.LargeCommunity) uint64 {
 	return splitmix64(uint64(lc.GlobalAdmin)<<32|uint64(lc.LocalData1)) ^ splitmix64(uint64(lc.LocalData2))
 }
 
-// evidence is one community's running unique-path counts inside one
-// worker's table.
-type evidence struct {
+// rankCount is one community's running unique-path counts inside one
+// worker, at the community's rank (evidenceIndex): 12 bytes.
+type rankCount struct {
 	on, off uint32
 	last    int32 // path the community was last counted on; -1 before the first
+}
+
+// evidenceIndex is one walk's dense numbering of the store's communities:
+// each distinct classic and large community gets its rank in key order,
+// so a worker counts into flat arrays, workers merge by adding them, and
+// the records come out already in key order. ranks mirrors the group
+// arena chunk for chunk: at a group's offset it holds the group's α, and
+// at each member's first word the member's rank. It is walk scratch —
+// O(group-arena words + distinct keys) — built once per walk; the store
+// keeps none of it.
+type evidenceIndex struct {
+	groups [][]bgp.Community // the group arena's chunks
+	ranks  [][]uint32
+	comms  []bgp.Community      // the classic communities, by rank
+	larges []bgp.LargeCommunity // the large communities, by rank
+}
+
+// newEvidenceIndex numbers the communities of every group in ts's group
+// arena, in one pass, and then remaps the first-sight numbers to ranks.
+func newEvidenceIndex(ts *TupleStore) *evidenceIndex {
+	ix := &evidenceIndex{groups: ts.shared.groups.arena.filled()}
+	ix.ranks = make([][]uint32, len(ix.groups))
+	comms := newProbeTable[bgp.Community, uint32]()
+	larges := newProbeTable[bgp.LargeCommunity, uint32]()
+	for c, chunk := range ix.groups {
+		ranks := make([]uint32, len(chunk))
+		ix.ranks[c] = ranks
+		for p := 0; p < len(chunk); {
+			g := recordAt(chunk[p:])
+			cs, ls := splitSet(g)
+			if len(cs) > 0 {
+				ranks[p] = uint32(cs[0].ASN())
+			} else if len(ls) > 0 {
+				ranks[p] = uint32(ls[0])
+			}
+			for i, cm := range cs {
+				ranks[p+1+i] = firstSight(&comms, &ix.comms, cm, hashU32(uint32(cm)))
+			}
+			for i := 0; i < len(ls); i += 3 {
+				lc := bgp.LargeCommunity{GlobalAdmin: uint32(ls[i]), LocalData1: uint32(ls[i+1]), LocalData2: uint32(ls[i+2])}
+				ranks[p+1+len(cs)+i] = firstSight(&larges, &ix.larges, lc, hashLargeCommunity(lc))
+			}
+			p += len(g)
+		}
+	}
+	classic, large := sortByRank(ix.comms), sortByRank(ix.larges)
+	for c, chunk := range ix.groups {
+		ranks := ix.ranks[c]
+		for p := 0; p < len(chunk); {
+			n, nl := int(chunk[p]&0xFFFF), int(chunk[p]>>16)
+			for i := p + 1; i < p+1+n; i++ {
+				ranks[i] = classic[ranks[i]]
+			}
+			for i := p + 1 + n; i < p+1+n+3*nl; i += 3 {
+				ranks[i] = large[ranks[i]]
+			}
+			p += 1 + n + 3*nl
+		}
+	}
+	return ix
+}
+
+// firstSight returns key k's number in keys, the order of first sight,
+// appending k when tab (whose hash of k is h) meets it first.
+func firstSight[K comparable](tab *probeTable[K, uint32], keys *[]K, k K, h uint64) uint32 {
+	id, fresh := tab.at(k, h)
+	if fresh {
+		*id = uint32(len(*keys))
+		*keys = append(*keys, k)
+	}
+	return *id
+}
+
+// sortByRank sorts keys, numbered in first-sight order, and returns each
+// first-sight number's rank in the sorted order.
+func sortByRank[K Key[K]](keys []K) []uint32 {
+	order := make([]uint32, len(keys))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return keys[a].Compare(keys[b]) })
+	rank := make([]uint32, len(keys))
+	sorted := make([]K, len(keys))
+	for r, id := range order {
+		rank[id] = uint32(r)
+		sorted[r] = keys[id]
+	}
+	copy(keys, sorted)
+	return rank
+}
+
+// newCounts returns one worker's counts for n ranks, none counted yet.
+func newCounts(n int) []rankCount {
+	counts := make([]rankCount, n)
+	for i := range counts {
+		counts[i].last = -1
+	}
+	return counts
 }
 
 // asnOrg is an ASN's organization under Options.Orgs, if it has one.
@@ -122,11 +222,11 @@ type asnOrg struct {
 // them and the per-worker counts simply add up — no merge order.
 type observer struct {
 	ts    *TupleStore
+	ix    *evidenceIndex
 	opts  *Options                             // VPFilter and Orgs
 	visit func(c bgp.Community, path []uint32) // EachPathCommunity's callback; nil for Observe
 
-	comms  probeTable[bgp.Community, evidence]
-	larges probeTable[bgp.LargeCommunity, evidence]
+	comms, larges []rankCount // indexed by rank
 	// asns holds every ASN on the paths this worker saw, with its
 	// organization resolved through opts.Orgs once, on first sight.
 	asns probeTable[uint32, asnOrg]
@@ -140,11 +240,11 @@ type observer struct {
 	pathOrgs []string // their distinct organizations (worker scratch)
 }
 
-func newObserver(ts *TupleStore, opts *Options) observer {
+func newObserver(ts *TupleStore, ix *evidenceIndex, opts *Options) observer {
 	return observer{
-		ts: ts, opts: opts,
-		comms:  newProbeTable[bgp.Community, evidence](),
-		larges: newProbeTable[bgp.LargeCommunity, evidence](),
+		ts: ts, ix: ix, opts: opts,
+		comms:  newCounts(len(ix.comms)),
+		larges: newCounts(len(ix.larges)),
 		asns:   newProbeTable[uint32, asnOrg](),
 		alphas: newProbeTable[uint32, asnOrg](),
 	}
@@ -154,7 +254,6 @@ func newObserver(ts *TupleStore, opts *Options) observer {
 // (order == nil means the tuple slice itself is grouped).
 func (o *observer) walk(order []int32, lo, hi int, done <-chan struct{}) {
 	tuples := o.ts.Tuples()
-	count := o.countGroup
 	o.pid = -1
 	for i := lo; i < hi; i++ {
 		if (i-lo)%cancelCheckStride == 0 && chClosed(done) {
@@ -171,26 +270,46 @@ func (o *observer) walk(order []int32, lo, hi int, done <-chan struct{}) {
 		if t.PathID != o.pid {
 			o.enterPath(t.PathID)
 		}
-		o.ts.eachGroup(t, count)
+		for _, ref := range o.ts.setRecord(t) {
+			o.countGroup(uint32(ref &^ lastGroup))
+		}
 	}
 }
 
-// countGroup counts one group of the current tuple on the current path.
-func (o *observer) countGroup(comms bgp.Communities, larges []bgp.Community) {
-	if len(comms) > 0 {
-		on := o.onPath(uint32(comms[0].ASN()))
-		for _, c := range comms {
-			if countOnce(o, &o.comms, c, hashU32(uint32(c)), on) && o.visit != nil {
-				o.visit(c, o.pathASNs)
+// countGroup counts the group at ref on the current path: each member
+// whose last path is not this one, on-path or off-path as α decides.
+func (o *observer) countGroup(ref uint32) {
+	c, p := ref>>internChunkShift, ref&internChunkMask
+	header := o.ix.groups[c][p]
+	ranks := o.ix.ranks[c][p:]
+	on := o.onPath(ranks[0])
+	if n := int(header & 0xFFFF); n > 0 {
+		for _, r := range ranks[1 : 1+n] {
+			if o.count(&o.comms[r], on) && o.visit != nil {
+				o.visit(o.ix.comms[r], o.pathASNs)
 			}
 		}
 		return
 	}
-	on := o.onPath(uint32(larges[0]))
-	for i := 0; i+2 < len(larges); i += 3 {
-		lc := bgp.LargeCommunity{GlobalAdmin: uint32(larges[i]), LocalData1: uint32(larges[i+1]), LocalData2: uint32(larges[i+2])}
-		countOnce(o, &o.larges, lc, hashLargeCommunity(lc), on)
+	for i, end := 1, 1+3*int(header>>16); i < end; i += 3 {
+		o.count(&o.larges[ranks[i]], on)
 	}
+}
+
+// count counts a community on the current path, on-path or off-path as
+// its group was decided, unless it already was counted there, reporting
+// whether it counted.
+func (o *observer) count(ev *rankCount, on bool) bool {
+	if ev.last == o.pid {
+		return false
+	}
+	ev.last = o.pid
+	if on {
+		ev.on++
+	} else {
+		ev.off++
+	}
+	return true
 }
 
 // onPath reports whether α or an org sibling of it is on the current
@@ -227,33 +346,13 @@ func (o *observer) enterPath(id int32) {
 	}
 }
 
-// countOnce counts key k (with hash h) on the current path, on-path or
-// off-path as its group was decided, unless it already was counted
-// there, reporting whether it counted.
-func countOnce[K comparable](o *observer, tab *probeTable[K, evidence], k K, h uint64, on bool) bool {
-	ev, fresh := tab.at(k, h)
-	if fresh {
-		ev.last = -1
-	}
-	if ev.last == o.pid {
-		return false
-	}
-	ev.last = o.pid
-	if on {
-		ev.on++
-	} else {
-		ev.off++
-	}
-	return true
-}
-
 // EachPathCommunity calls fn once per unique (classic community, AS path)
 // pair among the tuples opts.VPFilter admits — the pairs Observe counts —
 // on Observe's walk, one path's pairs after another. path is the path's
 // distinct ASNs in first-appearance order (PathInfo.ASNs); fn must not
 // keep or modify it.
 func EachPathCommunity(ts *TupleStore, opts Options, fn func(c bgp.Community, path []uint32)) {
-	o := newObserver(ts, &Options{VPFilter: opts.VPFilter})
+	o := newObserver(ts, newEvidenceIndex(ts), &Options{VPFilter: opts.VPFilter})
 	o.visit = fn
 	o.walk(groupByPath(ts), 0, ts.Len(), nil)
 }
@@ -311,16 +410,17 @@ func observeWith(ctx context.Context, ts *TupleStore, opts Options, workers int)
 		}
 		return b
 	}
+	ix := newEvidenceIndex(ts)
 	obsv := make([]observer, workers)
 	parallelRanges(workers, len(tuples), func(w, lo, hi int) {
-		obsv[w] = newObserver(ts, &opts)
+		obsv[w] = newObserver(ts, ix, &opts)
 		obsv[w].walk(order, snap(lo), snap(hi), done)
 	})
 	if chClosed(done) {
 		return nil, ctx.Err()
 	}
 
-	// Worker 0's tables absorb the others'.
+	// Worker 0's counts absorb the others'.
 	sum := &obsv[0]
 	os := &ObservationSet{orgs: opts.Orgs}
 	for w := range obsv {
@@ -332,36 +432,44 @@ func observeWith(ctx context.Context, ts *TupleStore, opts Options, workers int)
 			}
 		})
 		if w > 0 {
-			addEvidence(&sum.comms, &o.comms)
-			addEvidence(&sum.larges, &o.larges)
+			addCounts(sum.comms, o.comms)
+			addCounts(sum.larges, o.larges)
 		}
 	}
 	slices.Sort(os.seenASNs)
 	slices.Sort(os.seenOrgs)
 	os.seenASNs, os.seenOrgs = slices.Compact(os.seenASNs), slices.Compact(os.seenOrgs)
-	os.Stats = sortedStats(&sum.comms)
+	os.Stats = records(ix.comms, sum.comms)
 	if ts.largeTuples {
-		os.Larges = sortedStats(&sum.larges)
+		os.Larges = records(ix.larges, sum.larges)
 	}
 	return os, nil
 }
 
-// addEvidence sums src's counts into dst.
-func addEvidence[K comparable](dst, src *probeTable[K, evidence]) {
-	src.each(func(k K, h uint64, ev *evidence) {
-		total, _ := dst.at(k, h)
-		total.on += ev.on
-		total.off += ev.off
-	})
+// addCounts sums src's counts into dst, rank by rank.
+func addCounts(dst, src []rankCount) {
+	for r := range src {
+		dst[r].on += src[r].on
+		dst[r].off += src[r].off
+	}
 }
 
-// sortedStats renders a table as the records the classifier cuts, in key
-// order.
-func sortedStats[K Key[K]](tab *probeTable[K, evidence]) []Stats[K] {
-	out := make([]Stats[K], 0, tab.n)
-	tab.each(func(k K, _ uint64, ev *evidence) {
-		out = append(out, Stats[K]{Comm: k, OnPath: int(ev.on), OffPath: int(ev.off)})
-	})
-	slices.SortFunc(out, func(a, b Stats[K]) int { return a.Comm.Compare(b.Comm) })
+// records renders the counted ranks as the records the classifier cuts:
+// keys are in rank order, which is key order, and a rank no admitted
+// tuple counted (one a VP filter dropped, or a sibling shard's group)
+// has none.
+func records[K Key[K]](keys []K, counts []rankCount) []Stats[K] {
+	n := 0
+	for _, ev := range counts {
+		if ev.on+ev.off > 0 {
+			n++
+		}
+	}
+	out := make([]Stats[K], 0, n)
+	for r, ev := range counts {
+		if ev.on+ev.off > 0 {
+			out = append(out, Stats[K]{Comm: keys[r], OnPath: int(ev.on), OffPath: int(ev.off)})
+		}
+	}
 	return out
 }

@@ -392,6 +392,140 @@ func TestEachPathCommunityMatchesReference(t *testing.T) {
 	}
 }
 
+// denseWalkCheck observes ts under opts on 1, 2 and 8 workers, requires
+// the three sets to be identical, and checks them against the naive
+// reference over views: every record is in key order with the
+// reference's counts, and none is a rank nobody counted (0/0).
+func denseWalkCheck(t *testing.T, label string, ts *TupleStore, views []refView, opts Options) *ObservationSet {
+	t.Helper()
+	var first *ObservationSet
+	for _, workers := range []int{1, 2, 8} {
+		got, err := observeWith(context.Background(), ts, opts, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = got
+		} else if !reflect.DeepEqual(got, first) {
+			t.Fatalf("%s: %d workers observe %+v, one worker %+v", label, workers, got, first)
+		}
+	}
+	for _, r := range first.Stats {
+		if r.OnPath+r.OffPath == 0 {
+			t.Fatalf("%s: record %v counts no path", label, r.Comm)
+		}
+	}
+	for _, r := range first.Larges {
+		if r.OnPath+r.OffPath == 0 {
+			t.Fatalf("%s: large record %v counts no path", label, r.Comm)
+		}
+	}
+	want := referenceObserve(views, opts.VPFilter, opts.Orgs)
+	checkRecords(t, label, first.Stats, want.classic)
+	checkRecords(t, label+" large", first.Larges, want.large)
+	return first
+}
+
+// TestDenseWalkChunkedArena: the walk's index resolves group refs in
+// every chunk of the group arena. 7 000 distinct single-community groups
+// and 600 large ones fill four chunks, so most refs carry a chunk index
+// above 0; the store's first path is one hop, so its ID is 0, which a
+// rank's last path must not start at.
+func TestDenseWalkChunkedArena(t *testing.T) {
+	var views []refView
+	views = append(views, refView{vp: 7, path: []uint32{7}, comms: bgp.Communities{bgp.NewCommunity(7, 1)}})
+	for i := 0; i < 7000; i++ {
+		v := refView{
+			vp:    uint32(1 + i%97),
+			path:  []uint32{uint32(1 + i%97), uint32(200 + i%13), uint32(5000 + i%7)},
+			comms: bgp.Communities{bgp.NewCommunity(uint16(1+i%60), uint16(i)), bgp.NewCommunity(uint16(200+i%13), 1)},
+		}
+		if i%10 == 0 {
+			v.larges = bgp.LargeCommunities{{GlobalAdmin: uint32(5000 + i%7), LocalData1: uint32(i), LocalData2: 3}}
+		}
+		views = append(views, v)
+	}
+	views = append(views, refView{vp: 8, path: []uint32{8, 7}, comms: bgp.Communities{bgp.NewCommunity(7, 1)}})
+	plain, sts := NewTupleStore(), NewShardedTupleStore(4)
+	for _, v := range views {
+		plain.AddViewLarge(v.vp, v.path, v.comms, v.larges)
+		sts.AddViewASPathLarge(v.vp, bgp.NewASPath(v.path...), v.comms, v.larges)
+	}
+	if plain.tuples[0].PathID != 0 {
+		t.Fatalf("the plain store's first tuple is on path %d, want 0", plain.tuples[0].PathID)
+	}
+	for name, ts := range map[string]*TupleStore{"plain": plain, "stitched": stitchChecked(t, "chunked", sts, 2)} {
+		if chunks := len(ts.shared.groups.arena.filled()); chunks < 3 {
+			t.Fatalf("%s: the group arena spans %d chunks, want >= 3", name, chunks)
+		}
+		deep := 0
+		for i := range ts.tuples {
+			for _, ref := range ts.setRecord(&ts.tuples[i]) {
+				if (ref&^lastGroup)>>internChunkShift >= 2 {
+					deep++
+				}
+			}
+		}
+		if deep == 0 {
+			t.Fatalf("%s: no tuple refers to a group past the arena's second chunk", name)
+		}
+		os := denseWalkCheck(t, name, ts, views, Options{})
+		if i, ok := slices.BinarySearchFunc(os.Stats, bgp.NewCommunity(7, 1), func(r Stats[bgp.Community], c bgp.Community) int {
+			return r.Comm.Compare(c)
+		}); !ok || os.Stats[i].OnPath != 2 {
+			t.Fatalf("%s: 7:1 is not on its two paths, path 0 included: %+v", name, os.Stats[i])
+		}
+		denseWalkCheck(t, name+" vpfilter", ts, views, Options{VPFilter: map[uint32]bool{1: true, 8: true, 50: true}})
+	}
+}
+
+// TestDenseWalkUnvisitedGroups: a VP filter that leaves stored groups
+// unvisited — 20:2 and the large 20:1:1 are carried only by a view the
+// filter drops — leaves their ranks uncounted, and an uncounted rank is
+// no record.
+func TestDenseWalkUnvisitedGroups(t *testing.T) {
+	views := []refView{
+		{vp: 10, path: []uint32{10, 20}, comms: bgp.Communities{bgp.NewCommunity(20, 1)}},
+		{vp: 11, path: []uint32{11, 20}, comms: bgp.Communities{bgp.NewCommunity(20, 2), bgp.NewCommunity(30, 5)},
+			larges: bgp.LargeCommunities{{GlobalAdmin: 20, LocalData1: 1, LocalData2: 1}}},
+		{vp: 10, path: []uint32{10, 30}, comms: bgp.Communities{bgp.NewCommunity(30, 5)}},
+	}
+	for name, ts := range refStores(t, "unvisited", views) {
+		os := denseWalkCheck(t, name, ts, views, Options{VPFilter: map[uint32]bool{10: true}})
+		if len(os.Stats) != 2 || os.Larges == nil || len(os.Larges) != 0 {
+			t.Fatalf("%s: filtered walk gives %+v and larges %+v, want 20:1 and 30:5 and no large record", name, os.Stats, os.Larges)
+		}
+	}
+}
+
+// TestDenseWalkLargeOnlyAndEmptySets: tuples whose sets hold only large
+// communities, or nothing at all, count into the large ranks alone, or
+// into none; a store of empty sets observes no record of either kind.
+func TestDenseWalkLargeOnlyAndEmptySets(t *testing.T) {
+	large := func(ga, ld1, ld2 uint32) bgp.LargeCommunity {
+		return bgp.LargeCommunity{GlobalAdmin: ga, LocalData1: ld1, LocalData2: ld2}
+	}
+	largeOnly := []refView{
+		{vp: 1, path: []uint32{1, 2, 3}, larges: bgp.LargeCommunities{large(3, 0, 1), large(2, 9, 9)}},
+		{vp: 4, path: []uint32{4, 3}, larges: bgp.LargeCommunities{large(3, 0, 1)}},
+		{vp: 4, path: []uint32{4, 3}},
+		{vp: 5, path: []uint32{5, 6}, larges: bgp.LargeCommunities{large(0xFFFFFFFF, 0, 0), large(0, 0, 0)}},
+	}
+	empty := []refView{{vp: 1, path: []uint32{1, 2}}, {vp: 3, path: []uint32{3}}}
+	for name, ts := range refStores(t, "large-only", largeOnly) {
+		os := denseWalkCheck(t, "large-only "+name, ts, largeOnly, Options{})
+		if len(os.Stats) != 0 || len(os.Larges) != 4 {
+			t.Fatalf("large-only %s: %d classic and %d large records, want 0 and 4", name, len(os.Stats), len(os.Larges))
+		}
+	}
+	for name, ts := range refStores(t, "empty", empty) {
+		os := denseWalkCheck(t, "empty "+name, ts, empty, Options{})
+		if os.Stats == nil || len(os.Stats) != 0 || os.Larges != nil {
+			t.Fatalf("empty %s: records %+v and larges %+v, want none and nil", name, os.Stats, os.Larges)
+		}
+	}
+}
+
 // referenceCustomerPeer is the §5.1 customer:peer feature over raw
 // views: per community, each unique collapsed path on which α has a
 // neighbour — the next AS after α's first appearance that the path has

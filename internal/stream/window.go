@@ -60,6 +60,9 @@ type Window struct {
 type windowBucket struct {
 	start   time.Time
 	updates []Update
+	// oldest and newest bound the feed times of the bucket's updates,
+	// which a straggler can put before start; zero while it has none.
+	oldest, newest time.Time
 }
 
 // NewWindow returns an empty window.
@@ -87,6 +90,12 @@ func (w *Window) Add(u Update) {
 		w.buckets = []windowBucket{{start: u.Time}}
 	}
 	b := &w.buckets[len(w.buckets)-1]
+	if len(b.updates) == 0 || u.Time.Before(b.oldest) {
+		b.oldest = u.Time
+	}
+	if len(b.updates) == 0 || u.Time.After(b.newest) {
+		b.newest = u.Time
+	}
 	b.updates = append(b.updates, u)
 	w.apply(&u)
 }
@@ -155,7 +164,8 @@ func (w *Window) TakeDirty() map[uint16]bool { return nil }
 
 // Stats snapshots the window counters. It runs once per published
 // generation, so it counts distinct communities and vantage points
-// without copying or sorting them.
+// without copying or sorting them, and reads the feed-time bounds off the
+// buckets' own, kept by Add: O(buckets), no pass over the updates.
 func (w *Window) Stats() WindowStats {
 	st := WindowStats{
 		Evicted:          w.evicted,
@@ -167,16 +177,16 @@ func (w *Window) Stats() WindowStats {
 	st.Communities, st.VantagePoints = w.store.DistinctCounts()
 	for bi := range w.buckets {
 		b := &w.buckets[bi]
-		st.Updates += len(b.updates)
-		for i := range b.updates {
-			t := b.updates[i].Time
-			if st.Oldest.IsZero() || t.Before(st.Oldest) {
-				st.Oldest = t
-			}
-			if t.After(st.Newest) {
-				st.Newest = t
-			}
+		if len(b.updates) == 0 {
+			continue
 		}
+		if st.Updates == 0 || b.oldest.Before(st.Oldest) {
+			st.Oldest = b.oldest
+		}
+		if st.Updates == 0 || b.newest.After(st.Newest) {
+			st.Newest = b.newest
+		}
+		st.Updates += len(b.updates)
 	}
 	return st
 }

@@ -130,6 +130,45 @@ func TestWindowStragglerStays(t *testing.T) {
 	}
 }
 
+// TestWindowStragglerBounds: the window's feed-time bounds are its
+// updates' own times, not bucket starts, also when stragglers older than
+// the newest bucket's start land in it — here older than the start of
+// every bucket, then between two older updates.
+func TestWindowStragglerBounds(t *testing.T) {
+	epoch := time.Unix(1_699_999_200, 0).UTC() // on an hour boundary
+	w := NewWindow(WindowConfig{Span: 4 * time.Hour, Buckets: 4})
+	var fed []Update
+	for i, at := range []time.Duration{
+		10 * time.Minute, 70 * time.Minute, 150 * time.Minute, 125 * time.Minute, // newest bucket starts at 2h
+		-30 * time.Minute, // older than every bucket's start
+		90 * time.Minute,
+		130 * time.Minute,
+	} {
+		u := wu(uint64(i+1), epoch.Add(at), []uint32{uint32(1 + i), 9}, 9, uint32(i))
+		w.Add(u)
+		fed = append(fed, u)
+		oldest, newest := fed[0].Time, fed[0].Time
+		for _, f := range fed {
+			if f.Time.Before(oldest) {
+				oldest = f.Time
+			}
+			if f.Time.After(newest) {
+				newest = f.Time
+			}
+		}
+		st := w.Stats()
+		if st.Updates != len(fed) || st.Evicted != 0 {
+			t.Fatalf("after add %d: live=%d evicted=%d, want %d/0", i+1, st.Updates, st.Evicted, len(fed))
+		}
+		if !st.Oldest.Equal(oldest) || !st.Newest.Equal(newest) {
+			t.Fatalf("after add %d: window spans %v–%v, its updates %v–%v", i+1, st.Oldest, st.Newest, oldest, newest)
+		}
+	}
+	if st := NewWindow(WindowConfig{Span: time.Hour, Buckets: 2}).Stats(); !st.Oldest.IsZero() || !st.Newest.IsZero() {
+		t.Fatalf("an empty window spans %v–%v, want zero times", st.Oldest, st.Newest)
+	}
+}
+
 // TestWindowMatchesOracle: over random schedules with non-decreasing feed
 // times — same-instant runs, steps inside a bucket, landings exactly on
 // a bucket boundary and jumps longer than the whole span — the window
