@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"bgpintent/internal/asrel"
@@ -57,6 +58,57 @@ func TestTupleStoreAccessors(t *testing.T) {
 	if got := ts.Communities(); len(got) != 2 || got[0] != c(20, 5) || got[1] != c(30, 7) {
 		t.Errorf("Communities = %v", got)
 	}
+}
+
+// TestDistinctVPsCountWhatTuplesCarry: a tuple's vantage point is its
+// path's first ASN only while the tuple has no VP list, and a view from
+// another VP starts a list without the first ASN. So the distinct count
+// takes a path's first ASN only from a tuple that carries it, however
+// the filter in front of its probes is keyed (257 and 513 share a low
+// byte with 1, which no tuple carries until the last view), in a
+// NewTupleStore and stitched.
+func TestDistinctVPsCountWhatTuplesCarry(t *testing.T) {
+	type view struct {
+		vp    uint32
+		path  []uint32
+		comms bgp.Communities
+	}
+	views := []view{
+		{9, []uint32{1, 2, 3}, bgp.Communities{c(2, 1)}},
+		{9, []uint32{1, 2, 3}, bgp.Communities{c(2, 2)}},
+		{5, []uint32{5, 6}, bgp.Communities{c(5, 1)}},
+		{257, []uint32{257, 6}, nil},
+		{513, []uint32{513, 7}, nil},
+		{257, []uint32{257, 8}, nil},
+		{3, []uint32{1, 2, 4}, bgp.Communities{c(2, 1)}},
+	}
+	last := view{1, []uint32{1, 2, 3}, bgp.Communities{c(2, 1)}}
+	plain, sts := NewTupleStore(), NewShardedTupleStore(4)
+	for _, v := range views {
+		plain.AddView(v.vp, v.path, v.comms)
+		sts.AddViewASPathLarge(v.vp, bgp.NewASPath(v.path...), v.comms, nil)
+	}
+	want := []uint32{3, 5, 9, 257, 513}
+	check := func(label string, ts *TupleStore, want []uint32) {
+		t.Helper()
+		if got := ts.VPSet(); !slices.Equal(got, want) {
+			t.Fatalf("%s: VPSet %v, want %v", label, got, want)
+		}
+		if _, n := ts.DistinctCounts(); n != len(want) {
+			t.Fatalf("%s: DistinctCounts counts %d vantage points, want %d", label, n, len(want))
+		}
+	}
+	check("plain", plain, want)
+	check("stitched", sts.Stitch(2), want)
+	plain.AddView(last.vp, last.path, last.comms)
+	sts = NewShardedTupleStore(4)
+	for _, v := range views {
+		sts.AddViewASPathLarge(v.vp, bgp.NewASPath(v.path...), v.comms, nil)
+	}
+	sts.AddViewASPathLarge(last.vp, bgp.NewASPath(last.path...), last.comms, nil)
+	want = []uint32{1, 3, 5, 9, 257, 513}
+	check("plain, seen from 1", plain, want)
+	check("stitched, seen from 1", sts.Stitch(2), want)
 }
 
 func TestClusterIndexes(t *testing.T) {

@@ -67,18 +67,31 @@ func probeRow[K comparable, V any](name string, t *probeTable[K, V]) FootprintRo
 	return FootprintRow{Name: name, Used: int64(t.n) * size, Reserved: int64(len(t.slots)) * size}
 }
 
-// tableRow measures an intern's hash table, which Stitch releases.
-func tableRow(name string, li *listIntern) FootprintRow {
+// tableRow measures the group intern's hash table, which Stitch
+// releases.
+func tableRow(name string, li *groupIntern) FootprintRow {
 	live, slots := li.tableSize()
 	return FootprintRow{Name: name, Used: 8 * int64(live), Reserved: 8 * int64(slots)}
 }
 
-// Footprint returns the store's memory by component. The set and group
-// rows are the interns the store refers to: its own, or, for a shard, the
-// ones it shares with its siblings, which become the stitched store's. A
-// stitched store's table rows are empty. noted_larges holds the larges
-// NoteLarge saw, which a sharded store keeps apart from its shards and
-// hands to Stitch.
+// flatRow measures flat tables by their entries and slots.
+func flatRow(name string, tabs ...*flatTable) FootprintRow {
+	r := FootprintRow{Name: name}
+	for _, t := range tabs {
+		r.Used += 8 * int64(t.n)
+		r.Reserved += 8 * int64(len(t.slots))
+	}
+	return r
+}
+
+// Footprint returns the store's memory by component. The group rows are
+// the intern the store refers to: its own, or, for a shard, the one it
+// shares with its siblings, which becomes the stitched store's. The set
+// rows are the store's own: set_table is a NewTupleStore's set index,
+// set_tags a shard's record tags, which Stitch reads. A stitched store's
+// table and tag rows are empty. noted_larges holds the larges NoteLarge
+// saw, which a sharded store keeps apart from its shards and hands to
+// Stitch.
 func (ts *TupleStore) Footprint() Footprint {
 	sh := ts.shared
 	return Footprint{
@@ -90,15 +103,12 @@ func (ts *TupleStore) Footprint() Footprint {
 		},
 		sliceRow("vp_arena", ts.vpArena),
 		probeRow("vp_index", &ts.vpIndex),
-		arenaRow("set_arena", &sh.sets.arena),
+		sliceRow("set_arena", ts.sets.arena),
 		arenaRow("group_arena", &sh.groups.arena),
-		tableRow("intern_tables", &sh.sets),
+		flatRow("set_table", &ts.sets.tab),
+		sliceRow("set_tags", ts.setTags),
 		tableRow("group_table", &sh.groups),
-		{
-			Name:     "index_tables",
-			Used:     8 * int64(ts.tupleTab.n+ts.hopTab.n),
-			Reserved: 8 * int64(cap(ts.tupleTab.slots)+cap(ts.hopTab.slots)),
-		},
+		flatRow("index_tables", &ts.tupleTab, &ts.hopTab),
 		probeRow("noted_larges", &ts.noted),
 	}
 }

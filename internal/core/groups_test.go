@@ -71,10 +71,9 @@ func groupedIdentities(ids map[string]bool, views []refView) map[string]bool {
 	return ids
 }
 
-// internedRecords returns every record an intern's arena holds past the
-// seeded empty one, one word at offset 0, by ref, framed as the intern
-// frames them.
-func internedRecords(li *listIntern) map[uint32][]bgp.Community {
+// internedRecords returns every group the group intern's arena holds
+// past the seeded empty one, one word at offset 0, by ref.
+func internedRecords(li *groupIntern) map[uint32][]bgp.Community {
 	out := make(map[uint32][]bgp.Community)
 	for ci, run := range li.arena.filled() {
 		pos := 0
@@ -82,7 +81,7 @@ func internedRecords(li *listIntern) map[uint32][]bgp.Community {
 			pos = len(emptySet)
 		}
 		for pos < len(run) {
-			rec := li.frame(run[pos:])
+			rec := recordAt(run[pos:])
 			out[uint32(ci)<<internChunkShift|uint32(pos)] = rec
 			pos += len(rec)
 		}
@@ -90,10 +89,22 @@ func internedRecords(li *listIntern) map[uint32][]bgp.Community {
 	return out
 }
 
+// setRecords returns every record a set arena holds past the empty one
+// at offset 0, by ref.
+func setRecords(arena []bgp.Community) map[uint32][]bgp.Community {
+	out := make(map[uint32][]bgp.Community)
+	for pos := len(emptySet); pos < len(arena); {
+		rec := setRecordAt(arena[pos:])
+		out[uint32(pos)] = rec
+		pos += len(rec)
+	}
+	return out
+}
+
 // checkGroups holds an intern's groups to the layout: each is one α's
 // strictly ascending run of one kind of community, and no two are equal.
 // It returns their refs.
-func checkGroups(t *testing.T, label string, groups *listIntern) map[uint32]bool {
+func checkGroups(t *testing.T, label string, groups *groupIntern) map[uint32]bool {
 	t.Helper()
 	refs := make(map[uint32]bool)
 	seen := make(map[string]uint32)
@@ -179,7 +190,7 @@ func checkGroupedStore(t *testing.T, label string, ts *TupleStore, want map[stri
 		}
 	}
 	seen := make(map[string]bool)
-	for _, rec := range internedRecords(&ts.shared.sets) {
+	for _, rec := range setRecords(ts.sets.arena) {
 		if key := fmt.Sprint(rec); seen[key] {
 			t.Fatalf("%s: set record %v stored twice", label, rec)
 		} else {
@@ -224,7 +235,7 @@ func TestGroupedSetsMatchInput(t *testing.T) {
 			}
 			checkGroupedStore(t, label+" plain", plain, want)
 			if collide {
-				checkOneChain(t, label+" plain", &plain.shared.sets)
+				checkOneChain(t, label+" plain", plain.sets.tab.slots, plain.sets.tab.n)
 			}
 
 			union, refs := make(map[string]bool), make(map[uint32]bool)
@@ -261,8 +272,8 @@ func TestGroupedSetsMatchInput(t *testing.T) {
 // TestGroupedSetFootprint: on the tiny synthetic day with its large
 // communities, the set records and the groups they refer to take no more
 // bytes than one flat record per distinct set would (a header and the
-// set's words), and the group intern's hash table, a load-time
-// structure, is gone after Stitch.
+// set's words), and the load-time structures — the group intern's hash
+// table, a shard's set tags — are gone after Stitch.
 func TestGroupedSetFootprint(t *testing.T) {
 	topo, err := topology.Generate(topology.TinyConfig())
 	if err != nil {
@@ -281,12 +292,17 @@ func TestGroupedSetFootprint(t *testing.T) {
 		t.Fatalf("Footprint has no %s row", name)
 		return FootprintRow{}
 	}
-	if r := row(sts.shards[0].ts.Footprint(), "group_table"); r.Used == 0 || r.Reserved < r.Used {
-		t.Fatalf("while loading, the group table row reads %+v", r)
+	for _, name := range []string{"group_table", "set_tags"} {
+		if r := row(sts.shards[0].ts.Footprint(), name); r.Used == 0 || r.Reserved < r.Used {
+			t.Fatalf("while loading, the %s row reads %+v", name, r)
+		}
+	}
+	if r := row(sts.shards[0].ts.Footprint(), "set_table"); r.Reserved != 0 {
+		t.Fatalf("a shard, which appends its set records, has a set table: %+v", r)
 	}
 	ts := sts.Stitch(2)
 	fp := ts.Footprint()
-	for _, name := range []string{"group_table", "intern_tables"} {
+	for _, name := range []string{"group_table", "set_table", "set_tags"} {
 		if r := row(fp, name); r.Used != 0 || r.Reserved != 0 {
 			t.Fatalf("after Stitch the %s row reads %+v, want 0", name, r)
 		}

@@ -1,27 +1,30 @@
 package core
 
-// Every store's community storage, shared by all shards on the parallel
-// load path: two record interns (listIntern). The group intern stores each distinct group —
-// one α's run of a set, see groupSet — once in a chunked arena; the set
-// intern stores each distinct set record, the refs of its groups, once in
-// another. A tuple's set ref is therefore already global and Stitch moves
-// no community data. Reads are lock-free (atomic table pointer, CAS-free
-// probing of atomically published slots); inserts take one mutex per
-// intern. A shard asks them for refs only when it inserts a new tuple —
-// duplicates are recognized by the shard's own table first (see
-// addView).
-// Hops are not shared: paths shard by origin, so every hop a path can
-// share lives in its shard, and each shard appends them to its own
-// arrays under the lock it already holds.
+// Every store's community storage: per-α groups (see groupSet) and the
+// set records that list them. The group intern stores each distinct
+// group once in a chunked arena; all shards of a ShardedTupleStore share
+// it, so every group ref a shard writes is already valid in the stitched
+// store and Stitch moves no group payload. Reads are lock-free (atomic
+// table pointer, CAS-free probing of atomically published slots);
+// inserts take the intern's mutex. A shard asks it for refs only when it
+// inserts a new tuple — duplicates are recognized by the shard's own
+// table first (see addView).
 //
-// Memory-model argument for the lock-free read path: an inserter, while
-// holding the intern mutex, (1) publishes any new arena chunk through
-// an atomic pointer, (2) writes the set's words into the chunk, and
-// (3) atomically stores the packed slot last. A reader that observes
-// the slot value (atomic load) therefore observes the chunk pointer and
-// the values written before it, per the Go memory model. Readers that
-// miss (stale table or empty slot) take the mutex and resume the probe
-// (see intern).
+// Set records are not shared. A NewTupleStore deduplicates its own
+// inline (setIndex); a shard appends one record per new tuple to its own
+// arena, beside the record's tag, and Stitch deduplicates them all at
+// once (dedupSets). Hops are not shared either: paths shard by origin,
+// so every hop a path can share lives in its shard, and each shard
+// appends them to its own arrays under the lock it already holds.
+//
+// Memory-model argument for the group intern's lock-free read path: an
+// inserter, while holding the intern mutex, (1) publishes any new arena
+// chunk through an atomic pointer, (2) writes the group's words into the
+// chunk, and (3) atomically stores the packed slot last. A reader that
+// observes the slot value (atomic load) therefore observes the chunk
+// pointer and the values written before it, per the Go memory model.
+// Readers that miss (stale table or empty slot) take the mutex and
+// resume the probe (see intern).
 
 import (
 	"math/rand/v2"
@@ -34,12 +37,12 @@ import (
 
 // Arena chunks hold up to 1<<20 elements each; a 32-bit offset packs the
 // chunk index above the in-chunk position. At most 2048 chunks keep every
-// offset below 1<<31 (2G entries an arena), so the top bit of a ref is
-// free for a flag: lastGroup on a set record's group refs, multiVP on a
-// tuple's set ref. Lists never span chunks (BGP attribute lengths cap
-// lists far below a chunk). The first chunk holds arenaMinChunk elements
-// and each next one twice its predecessor, up to the full size, so a
-// small corpus does not pay for full chunks and growth never copies.
+// offset below 1<<31 (2G entries an arena), so the top bit of a group
+// ref is free for lastGroup, the flag on a set record's last ref. Lists
+// never span chunks (BGP attribute lengths cap lists far below a chunk).
+// The first chunk holds arenaMinChunk elements and each next one twice
+// its predecessor, up to the full size, so a small corpus does not pay
+// for full chunks and growth never copies.
 const (
 	internChunkShift = 20
 	internChunkSize  = 1 << internChunkShift
@@ -53,11 +56,11 @@ const (
 var _ = [1]struct{}{}[internMaxChunks<<internChunkShift-1<<31]
 
 // sharedArena is a globally addressed arena that one writer at a time
-// appends to while readers resolve offsets lock-free: its users, the
-// record interns, append under their own mutexes, and trim and filled
-// run once the writers are done. A chunk that has been succeeded is as long as its
-// fill; the newest is as long as its reservation, with fill saying how
-// much of it is used.
+// appends to while readers resolve offsets lock-free: its user, the
+// group intern, appends under its mutex, and trim and filled run once
+// the writers are done. A chunk that has been succeeded is as long as
+// its fill; the newest is as long as its reservation, with fill saying
+// how much of it is used.
 type sharedArena[T any] struct {
 	chunks atomic.Pointer[[][]T]
 	fill   int // elements used in the newest chunk (written by the one writer)
@@ -144,13 +147,13 @@ func (a *sharedArena[T]) from(off uint32) []T {
 	return c[off&internChunkMask:]
 }
 
-// internTable is one generation of a record intern's hash table:
+// internTable is one generation of the group intern's hash table:
 // open-addressed, linear probing, power-of-two sized. A slot holds
 // tag<<32 | offset — the hash's top half beside the arena offset of one
-// interned record — and zero means empty (offset 0 is the empty record,
+// interned group — and zero means empty (offset 0 is the empty record,
 // which is never entered); slots are written atomically exactly once.
 // As in flatTable, the home slot is the tag's top bits, so growth
-// re-places slots without reading a set or hashing one.
+// re-places slots without reading a group or hashing one.
 type internTable struct {
 	shift uint // 32 - log2(len(slots))
 	slots []atomic.Uint64
@@ -177,38 +180,34 @@ func (t *internTable) place(s uint64) {
 	}
 }
 
-// listIntern deduplicates records — groups (recordAt), or set records
-// (setRecordAt) — across all shards of a ShardedTupleStore, or within one
-// NewTupleStore. The returned refs are exact identities — the same record
-// always gets the same ref — and are the record's arena offset, which is
-// what a set record or a tuple carries. Ref values depend on arrival
-// order and are NOT stable across runs; everything derived from them
-// must go through the content (and does: shards compare content,
-// snapshots and TSV render content). The empty record is seeded at
-// offset 0, so it is ref 0.
+// groupIntern deduplicates groups (recordAt) across all shards of a
+// ShardedTupleStore, or within one NewTupleStore. The returned refs are
+// exact identities — the same group always gets the same ref — and are
+// the group's arena offset, which is what a set record carries. Ref
+// values depend on arrival order and are NOT stable across runs;
+// everything derived from them must go through the content (and does:
+// shards compare content, snapshots and TSV render content). The empty
+// group is seeded at offset 0, so it is ref 0.
 //
 // Only the arena outlives the load: the hash table serves intern alone,
 // so Stitch, whose output is read-only, releases it.
-type listIntern struct {
+type groupIntern struct {
 	arena sharedArena[bgp.Community]
 	table atomic.Pointer[internTable]
 	mu    sync.Mutex
-	count int                                   // live entries (guarded by mu)
-	hash  func([]bgp.Community) uint64          // of a record; fixed at construction
-	frame func([]bgp.Community) []bgp.Community // the record at the start of the words
+	count int // live entries (guarded by mu)
 }
 
-// init readies an empty intern: hash is its table hash, frame its record
-// framing, and the empty record, one zero word, is seeded at offset 0.
-func (li *listIntern) init(hash func([]bgp.Community) uint64, frame func([]bgp.Community) []bgp.Community) {
-	li.hash, li.frame = hash, frame
+// init readies an empty intern: the empty record, one zero word, is
+// seeded at offset 0.
+func (li *groupIntern) init() {
 	li.arena.append(emptySet[:])
 }
 
-// probe walks t's chain for the record with hash h and the given content
+// probe walks t's chain for the group with hash h and the given content
 // from slot i, returning its ref, or the empty slot that ends the chain.
 // Lock-free; a nil table holds nothing.
-func (li *listIntern) probe(t *internTable, i uint32, h uint64, rec []bgp.Community) (ref uint32, found bool, end uint32) {
+func (li *groupIntern) probe(t *internTable, i uint32, h uint64, rec []bgp.Community) (ref uint32, found bool, end uint32) {
 	if t == nil {
 		return 0, false, 0
 	}
@@ -223,18 +222,18 @@ func (li *listIntern) probe(t *internTable, i uint32, h uint64, rec []bgp.Commun
 	}
 }
 
-// intern returns the ref of record rec, inserting it on first sight. The
-// hit path is lock-free and allocation-free; rec may be reused by the
-// caller (the arena keeps its own copy). A miss walks its chain once:
-// slots are only ever filled, so whatever another shard entered into the
-// chain between the lock-free miss and the mutex lies at or past the slot
-// the miss ended on, and the locked probe resumes there — in the same
-// table; in one published since, from the home slot.
-func (li *listIntern) intern(rec []bgp.Community) uint32 {
-	if len(rec) == 0 || rec[0] == 0 { // the empty set record, or the empty group
+// intern returns the ref of group rec, whose table hash is h, inserting
+// it on first sight. The hit path is lock-free and allocation-free; rec
+// may be reused by the caller (the arena keeps its own copy). A miss
+// walks its chain once: slots are only ever filled, so whatever another
+// shard entered into the chain between the lock-free miss and the mutex
+// lies at or past the slot the miss ended on, and the locked probe
+// resumes there — in the same table; in one published since, from the
+// home slot.
+func (li *groupIntern) intern(rec []bgp.Community, h uint64) uint32 {
+	if rec[0] == 0 { // the empty group
 		return 0
 	}
-	h := li.hash(rec)
 	t := li.table.Load()
 	ref, ok, end := li.probe(t, t.home(h), h, rec)
 	if ok {
@@ -256,7 +255,7 @@ func (li *listIntern) intern(rec []bgp.Community) uint32 {
 // insertAt enters a ref established absent into t, the current table, at
 // end, the empty slot its chain ended on — unless the table must first
 // grow past 3/4 load. Callers hold the mutex.
-func (li *listIntern) insertAt(t *internTable, end uint32, h uint64, ref uint32) {
+func (li *groupIntern) insertAt(t *internTable, end uint32, h uint64, ref uint32) {
 	s := h>>32<<32 | uint64(ref)
 	if t == nil || (li.count+1)*4 > 3*len(t.slots) {
 		li.grow(t).place(s)
@@ -269,7 +268,7 @@ func (li *listIntern) insertAt(t *internTable, end uint32, h uint64, ref uint32)
 // release drops the hash table, which only intern reads, once no intern
 // will follow; every ref handed out stays valid, because refs address
 // the arena.
-func (li *listIntern) release() {
+func (li *groupIntern) release() {
 	li.mu.Lock()
 	li.table.Store(nil)
 	li.count = 0
@@ -277,7 +276,7 @@ func (li *listIntern) release() {
 }
 
 // tableSize returns the hash table's live entries and slots.
-func (li *listIntern) tableSize() (live, slots int) {
+func (li *groupIntern) tableSize() (live, slots int) {
 	li.mu.Lock()
 	defer li.mu.Unlock()
 	if t := li.table.Load(); t != nil {
@@ -286,10 +285,10 @@ func (li *listIntern) tableSize() (live, slots int) {
 	return li.count, slots
 }
 
-// view resolves a ref back to its record (shared storage; do not
+// view resolves a ref back to its group (shared storage; do not
 // mutate).
-func (li *listIntern) view(ref uint32) []bgp.Community {
-	return li.frame(li.arena.from(ref))
+func (li *groupIntern) view(ref uint32) []bgp.Community {
+	return recordAt(li.arena.from(ref))
 }
 
 // grow publishes a table of double the capacity (1024 slots the first
@@ -297,7 +296,7 @@ func (li *listIntern) view(ref uint32) []bgp.Community {
 // Holding the mutex keeps insertions out; lock-free readers keep probing
 // the old table (every entry they could have seen is in both) until the
 // pointer swap lands.
-func (li *listIntern) grow(old *internTable) *internTable {
+func (li *groupIntern) grow(old *internTable) *internTable {
 	size, shift := 1024, uint(32-10)
 	if old != nil {
 		size, shift = 2*len(old.slots), old.shift-1
@@ -314,16 +313,60 @@ func (li *listIntern) grow(old *internTable) *internTable {
 	return nt
 }
 
-// storeInterns bundles the interns and hash seed a TupleStore's set refs
-// resolve through: a NewTupleStore's own, or the ones a ShardedTupleStore
-// hands to all its shard TupleStores (and to the stitched output).
-type storeInterns struct {
-	// sets interns set records, groups the groups they refer to.
-	sets, groups listIntern
+// setIndex is a set arena that deduplicates its records by content, for
+// one writer and with no lock: a NewTupleStore's, inline as its tuples
+// arrive, and each of Stitch's partitions, in bulk (dedupSets). Its
+// flatTable's slots hold a record's tag beside its arena offset, the tag
+// confirmed against the arena words. A shard's set arena and a stitched
+// store's have no table: the shard appends, and Stitch has deduplicated.
+type setIndex struct {
+	arena []bgp.Community
+	tab   flatTable
+}
 
-	// owner is the one store whose tuples every record in either intern
-	// arena belongs to: the NewTupleStore that made the interns, or the
-	// store Stitch handed them to. It is nil while shards are writing.
+// intern returns the offset of the non-empty set record rec, whose tag
+// is tag, appending it on first sight.
+func (si *setIndex) intern(rec []bgp.Community, tag uint32) uint32 {
+	tab := &si.tab
+	mask := uint32(len(tab.slots) - 1)
+	for i := tag >> tab.shift; tab.slots[i] != 0; i = (i + 1) & mask {
+		s := tab.slots[i]
+		if uint32(s>>32) != tag {
+			continue
+		}
+		// Only a record's last ref is flagged lastGroup, so a stored
+		// record that starts with rec's words ends where rec does.
+		if stored := si.arena[uint32(s)-1:]; len(stored) >= len(rec) && slices.Equal(stored[:len(rec)], rec) {
+			return uint32(s) - 1
+		}
+	}
+	off := appendSetRecord(&si.arena, rec)
+	tab.insert(uint64(tag)<<32, int(off))
+	return off
+}
+
+// appendSetRecord appends rec to a set arena and returns its offset,
+// which stays below 1<<31 so that a tuple's set ref has room for
+// multiVP.
+func appendSetRecord(arena *[]bgp.Community, rec []bgp.Community) uint32 {
+	off := len(*arena)
+	if off >= multiVP {
+		panic("core: a set arena holds at most 1<<31 words")
+	}
+	*arena = append(*arena, rec...)
+	return uint32(off)
+}
+
+// storeInterns bundles the group intern and the hash seed a TupleStore's
+// set records resolve through: a NewTupleStore's own, or the one a
+// ShardedTupleStore hands to all its shard TupleStores (and to the
+// stitched output).
+type storeInterns struct {
+	groups groupIntern
+
+	// owner is the one store whose tuples every group in the arena
+	// belongs to: the NewTupleStore that made the interns, or the store
+	// Stitch handed them to. It is nil while shards are writing.
 	owner *TupleStore
 
 	// seed starts every table hash (never the routing hash), so which
@@ -337,17 +380,25 @@ type storeInterns struct {
 
 func newStoreInterns() *storeInterns {
 	sh := &storeInterns{seed: rand.Uint64()}
-	sh.sets.init(sh.setHash, setRecordAt)
-	sh.groups.init(sh.setHash, recordAt)
+	sh.groups.init()
 	return sh
 }
 
-// setHash is the record interns' table hash.
-func (sh *storeInterns) setHash(set []bgp.Community) uint64 {
+// recordHash is the table hash of a group or a set record.
+func (sh *storeInterns) recordHash(rec []bgp.Community) uint64 {
 	if sh.collide {
 		return 0
 	}
-	return hashSet(sh.seed, set)
+	return hashSet(sh.seed, rec)
+}
+
+// setTag is set record rec's tag: the top half of its table hash, low
+// bit forced, so that 0 is the empty record's alone.
+func (sh *storeInterns) setTag(rec []bgp.Community) uint32 {
+	if len(rec) == 0 {
+		return 0
+	}
+	return uint32(sh.recordHash(rec)>>32) | 1
 }
 
 // hopHash is the hop table's hash of hop (asn, next).

@@ -22,30 +22,30 @@ func setRecordOf(refs ...uint32) []bgp.Community {
 	return rec
 }
 
-// TestCommInternConcurrent hammers one intern table from many
-// goroutines with overlapping set records and verifies the exact-
-// identity contract: every interning of the same record, from any
-// goroutine at any time, yields the same ref, and the ref resolves —
-// framed by its lastGroup flag — to the record's contents. Run under
-// -race this also exercises the lock-free probe against concurrent
-// inserts and table growth.
+// TestCommInternConcurrent hammers the group intern from many
+// goroutines with overlapping groups and verifies the exact-identity
+// contract: every interning of the same group, from any goroutine at any
+// time, yields the same ref, and the ref resolves — framed by its header
+// — to the group's contents. Run under -race this also exercises the
+// lock-free probe against concurrent inserts and table growth.
 func TestCommInternConcurrent(t *testing.T) {
 	const (
 		goroutines = 8
 		lists      = 3000 // overlapping across goroutines; forces several grows
 		rounds     = 3
 	)
-	// Ten group refs a record: together the records outgrow the arena's
+	// Ten communities a group: together the groups outgrow the arena's
 	// first three chunks, so lock-free readers keep resolving refs while
 	// new chunks are published under them.
 	mk := func(i int) []bgp.Community {
-		refs := make([]uint32, 10)
-		for k := range refs {
-			refs[k] = uint32(i%500+k+1)<<16 | uint32(i>>(k%2))
+		g := []bgp.Community{10}
+		for k := 0; k < 10; k++ {
+			g = append(g, bgp.Community(uint32(i%500+k+1)<<16|uint32(i>>(k%2))))
 		}
-		return setRecordOf(refs...)
+		return g
 	}
-	ci := &newStoreInterns().sets
+	sh := newStoreInterns()
+	ci := &sh.groups
 	refs := make([][]uint32, goroutines)
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
@@ -58,11 +58,12 @@ func TestCommInternConcurrent(t *testing.T) {
 					// Each goroutine starts at its own position so inserts
 					// interleave instead of racing on the same first list.
 					j := (i + g*lists/goroutines) % lists
-					ref := ci.intern(mk(j))
+					rec := mk(j)
+					ref := ci.intern(rec, sh.recordHash(rec))
 					if r == 0 && got[j] == 0 {
 						got[j] = ref
 					} else if got[j] != ref {
-						t.Errorf("g%d list %d: ref changed %#x -> %#x", g, j, got[j], ref)
+						t.Errorf("g%d group %d: ref changed %#x -> %#x", g, j, got[j], ref)
 						return
 					}
 				}
@@ -77,13 +78,13 @@ func TestCommInternConcurrent(t *testing.T) {
 	for g := 1; g < goroutines; g++ {
 		for i := range refs[g] {
 			if refs[g][i] != refs[0][i] {
-				t.Fatalf("list %d: goroutines disagree on ref: %#x vs %#x", i, refs[0][i], refs[g][i])
+				t.Fatalf("group %d: goroutines disagree on ref: %#x vs %#x", i, refs[0][i], refs[g][i])
 			}
 		}
 	}
 	for i := 0; i < lists; i++ {
 		if got, want := ci.view(refs[0][i]), mk(i); !slices.Equal(got, want) {
-			t.Fatalf("list %d: view %v, want %v", i, got, want)
+			t.Fatalf("group %d: view %v, want %v", i, got, want)
 		}
 	}
 	if got := len(*ci.arena.chunks.Load()); got < 4 {
@@ -92,104 +93,122 @@ func TestCommInternConcurrent(t *testing.T) {
 }
 
 // TestCommInternEmptyList pins the empty-set convention: ref 0, seeded
-// at the head of the arena and never entered in the table, resolving to
-// a set record of no groups, hence no communities of either kind.
+// at the head of the group arena and of every set arena and never
+// entered in a table or appended, resolving to a set record of no
+// groups, hence no communities of either kind — in a NewTupleStore,
+// whose set index deduplicates inline, and in a shard, which notes the
+// empty set's tag, 0, for Stitch.
 func TestCommInternEmptyList(t *testing.T) {
-	sh := newStoreInterns()
-	ci := &sh.sets
+	ts := NewTupleStore()
+	sh := ts.shared
 	sc := &addScratch{set: appendSet(nil, nil, nil)}
-	sc.groupSet(&sh.groups)
-	if ref := ci.intern(sc.rec); len(sc.rec) != 0 || ref != 0 {
-		t.Fatalf("intern(%v) = %#x, want the empty record at 0", sc.rec, ref)
+	sc.groupSet(sh)
+	if ref := ts.addSet(sc.rec); len(sc.rec) != 0 || ref != 0 {
+		t.Fatalf("addSet(%v) = %#x, want the empty record at 0", sc.rec, ref)
 	}
-	if live, _ := ci.tableSize(); live != 0 {
-		t.Fatalf("the empty set entered the table: %d entries", live)
+	if ref := sh.groups.intern(emptySet[:], sh.recordHash(emptySet[:])); ref != 0 {
+		t.Fatalf("the empty group interned as %#x, want 0", ref)
 	}
-	if v := ci.view(0); len(v) != 0 {
-		t.Fatalf("view of ref 0 = %v, want the empty set record", v)
+	if live, _ := sh.groups.tableSize(); live != 0 || ts.sets.tab.n != 0 || len(ts.sets.arena) != len(emptySet) {
+		t.Fatalf("the empty set entered a table or the arena: %d groups, %d sets, %d set words", live, ts.sets.tab.n, len(ts.sets.arena))
 	}
-	ts := &TupleStore{shared: sh}
+	if v := setRecordAt(ts.sets.arena); len(v) != 0 {
+		t.Fatalf("set record at ref 0 = %v, want the empty set record", v)
+	}
 	if c, l := tupleCommunities(ts, &Tuple{}); len(c) != 0 || len(l) != 0 {
 		t.Fatalf("a tuple on ref 0 carries %v and %v", c, l)
 	}
+	shard := NewShardedTupleStore(1).shards[0].ts
+	if ref := shard.addSet(nil); ref != 0 || !slices.Equal(shard.setTags, []uint32{0}) || len(shard.sets.arena) != len(emptySet) {
+		t.Fatalf("a shard's empty set: ref %#x, tags %v, %d set words", ref, shard.setTags, len(shard.sets.arena))
+	}
 }
 
-// TestCommInternDupZeroAlloc guards the intern hot path: re-interning
-// a list already in the table — the overwhelmingly common case at
-// steady state — must not allocate.
+// TestCommInternDupZeroAlloc guards the intern hot paths: re-interning
+// a group the group intern holds, or a set record a NewTupleStore's set
+// index holds — the overwhelmingly common case at steady state — must not
+// allocate.
 func TestCommInternDupZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops items; alloc counts are noise")
 	}
-	sh := newStoreInterns()
-	ci := &sh.sets
+	ts := NewTupleStore()
+	sh := ts.shared
 	sc := &addScratch{set: appendSet(nil, bgp.Communities{bgp.NewCommunity(1299, 100), bgp.NewCommunity(1299, 2569)},
 		bgp.LargeCommunities{{GlobalAdmin: 1299, LocalData1: 1, LocalData2: 100}})}
-	sc.groupSet(&sh.groups)
-	canon := sc.rec
-	want := ci.intern(canon)
+	sc.groupSet(sh)
+	canon := slices.Clone(sc.rec)
+	want := ts.addSet(canon)
 	var ref uint32
 	if avg := testing.AllocsPerRun(200, func() {
-		ref = ci.intern(canon)
+		ref = ts.addSet(canon)
 	}); avg != 0 {
-		t.Errorf("duplicate intern allocates %.1f per run, want 0", avg)
+		t.Errorf("duplicate set record allocates %.1f per run, want 0", avg)
 	}
 	if ref != want {
-		t.Fatalf("duplicate intern returned %#x, want %#x", ref, want)
+		t.Fatalf("duplicate set record returned %#x, want %#x", ref, want)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		sc.groupSet(sh)
+	}); avg != 0 {
+		t.Errorf("re-interning known groups allocates %.1f per run, want 0", avg)
+	}
+	if !slices.Equal(sc.rec, canon) {
+		t.Fatalf("known groups re-interned as %v, were %v", sc.rec, canon)
 	}
 }
 
-// TestSetInternSeeded: the set intern hashes from its store's seed, so
-// which sets share a probe chain cannot be computed from outside the
-// process. Two stores with different seeds place the same sixteen sets
-// at (nearly) all different slots; an unseeded hash would place every
-// one of them alike. Growth re-places slots on the tags they store, never
-// rehashing a set: across three table doublings, with and without
-// colliding hashes, every set keeps its ref and the table counts each
-// distinct set once.
+// TestSetInternSeeded: a NewTupleStore's set index hashes from its
+// store's seed, so which sets share a probe chain cannot be computed from
+// outside the process. Two stores with different seeds place the same
+// sixteen sets at (nearly) all different slots; an unseeded hash would
+// place every one of them alike. Growth re-places slots on the tags they
+// store, never rehashing a set: across the table's doublings, with and
+// without colliding hashes, every set keeps its ref and the table counts
+// each distinct set once.
 func TestSetInternSeeded(t *testing.T) {
+	set := func(i int) []bgp.Community {
+		return setRecordOf(uint32(i+1), 1<<20|uint32(i))
+	}
 	for _, collide := range []bool{false, true} {
-		sh := newStoreInterns()
-		sh.collide = collide
-		set := func(i int) []bgp.Community {
-			return setRecordOf(uint32(i+1), 1<<20|uint32(i))
-		}
-		// 1024 slots double at 769, 1537 and 3073 entries; every set is
-		// interned again, as a duplicate, half way through.
+		ts := NewTupleStore()
+		ts.shared.collide = collide
+		// 64 slots double at 49 entries and every 3/4 load after, up to
+		// 8192 slots at 3073; every set is added again, as a duplicate,
+		// half way through.
 		const n = 3200
 		refs := make([]uint32, n)
 		for i := range refs {
-			refs[i] = sh.sets.intern(set(i))
-			if ref := sh.sets.intern(set(i / 2)); ref != refs[i/2] {
-				t.Fatalf("collide=%v: set %d re-interned as %#x after %d inserts, was %#x", collide, i/2, ref, i+1, refs[i/2])
+			refs[i] = ts.addSet(set(i))
+			if ref := ts.addSet(set(i / 2)); ref != refs[i/2] {
+				t.Fatalf("collide=%v: set %d re-added as %#x after %d inserts, was %#x", collide, i/2, ref, i+1, refs[i/2])
 			}
 		}
-		fill := arenaRow("", &sh.sets.arena).Used
+		fill := len(ts.sets.arena)
 		for i, ref := range refs {
-			if got := sh.sets.intern(set(i)); got != ref || !slices.Equal(sh.sets.view(ref), set(i)) {
-				t.Fatalf("collide=%v: set %d resolves to %#x (%v) after growth, was %#x", collide, i, got, sh.sets.view(got), ref)
+			if got := ts.addSet(set(i)); got != ref || !slices.Equal(setRecordAt(ts.sets.arena[ref:]), set(i)) {
+				t.Fatalf("collide=%v: set %d resolves to %#x after growth, was %#x", collide, i, got, ref)
 			}
 		}
-		if live, slots := sh.sets.tableSize(); live != n || slots != 8192 {
-			t.Fatalf("collide=%v: table holds %d entries in %d slots, want %d in 8192", collide, live, slots, n)
+		if tab := ts.sets.tab; tab.n != n || len(tab.slots) != 8192 {
+			t.Fatalf("collide=%v: table holds %d entries in %d slots, want %d in 8192", collide, tab.n, len(tab.slots), n)
 		}
-		if got := arenaRow("", &sh.sets.arena).Used; got != fill {
-			t.Fatalf("collide=%v: re-interning known sets grew the arena %d -> %d B", collide, fill, got)
+		if got := len(ts.sets.arena); got != fill {
+			t.Fatalf("collide=%v: re-adding known sets grew the arena %d -> %d words", collide, fill, got)
 		}
 		if collide {
-			checkOneChain(t, "collide", &sh.sets)
+			checkOneChain(t, "collide", ts.sets.tab.slots, ts.sets.tab.n)
 		}
 	}
 
 	slots := func(seed uint64) []int {
-		sh := newStoreInterns()
-		sh.seed = seed
+		ts := NewTupleStore()
+		ts.shared.seed = seed
 		var at []int
 		for i := 0; i < 16; i++ {
-			ref := sh.sets.intern(setRecordOf(1299<<16 | uint32(i)))
-			tab := sh.sets.table.Load()
-			for j := range tab.slots {
-				if s := tab.slots[j].Load(); s != 0 && uint32(s) == ref {
+			ref := ts.addSet(setRecordOf(1299<<16 | uint32(i)))
+			for j, s := range ts.sets.tab.slots {
+				if s != 0 && uint32(s)-1 == ref {
 					at = append(at, j)
 				}
 			}

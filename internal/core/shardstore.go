@@ -25,11 +25,13 @@ import (
 // in one shard; routed by the whole key, each shard would hold its own
 // copy of a shared hop.
 //
-// All shards' TupleStores share one storeInterns: groups and set records
-// intern into lock-free global tables, so every set ref a shard writes
-// is already valid in the stitched store and Stitch never moves
-// community payload. Hops stay in the shard's own arrays, written under
-// the shard lock; Stitch copies them once into the stitched ones.
+// All shards' TupleStores share one storeInterns: groups intern into a
+// lock-free global table, so every group ref a shard writes is already
+// valid in the stitched store and Stitch never moves a group. Set
+// records and hops stay in the shard's own arrays, written under the
+// shard lock: a shard appends each new tuple's set record with its tag,
+// and Stitch deduplicates all shards' records at once, then copies the
+// hops once into the stitched ones.
 //
 // A view is hashed once, before its shard's writer sees it
 // (storeInterns.prepare): outside the shard lock here, on the scanning
@@ -166,8 +168,9 @@ func (t *flatTable) place(s uint64) {
 // else of sc. One probe of the tuple table finds the view's tuple if it
 // exists, confirmed by walking the candidate's path against the key and
 // comparing the set, group by group — identity is exact whatever the
-// hash does. Only a miss goes on to the hops, the global group and set
-// interns (whose refs Stitch carries over) and the appends.
+// hash does. Only a miss goes on to the hops, the global group intern
+// (whose refs Stitch carries over), the set record (addSet) and the
+// appends.
 func (ts *TupleStore) addView(vp uint32, h uint64, sc *addScratch) {
 	tab := &ts.tupleTab
 	tag, mask := uint32(h>>32), uint32(len(tab.slots)-1)
@@ -184,8 +187,8 @@ func (ts *TupleStore) addView(vp uint32, h uint64, sc *addScratch) {
 		}
 	}
 	id := ts.internPath(sc.words)
-	sc.groupSet(&ts.shared.groups)
-	set := ts.shared.sets.intern(sc.rec)
+	sc.groupSet(ts.shared)
+	set := ts.addSet(sc.rec)
 	if sc.set[0]>>16 != 0 { // the set's header counts its larges
 		ts.largeTuples = true
 	}
@@ -194,6 +197,26 @@ func (ts *TupleStore) addView(vp uint32, h uint64, sc *addScratch) {
 	ts.tuples = append(ts.tuples, Tuple{PathID: id, set: set})
 	if vp != ts.hopASN[id] {
 		ts.newVPList(ti, vp)
+	}
+}
+
+// addSet returns the ref of a new tuple's set record rec: in a
+// NewTupleStore, of the one copy its set index holds; in a shard, of a
+// fresh copy, whose tag it notes for Stitch. The empty record is ref 0,
+// tag 0.
+func (ts *TupleStore) addSet(rec []bgp.Community) uint32 {
+	tag := ts.shared.setTag(rec)
+	inline := ts.sets.tab.slots != nil
+	if !inline {
+		ts.setTags = append(ts.setTags, tag)
+	}
+	switch {
+	case tag == 0:
+		return 0
+	case inline:
+		return ts.sets.intern(rec, tag)
+	default:
+		return appendSetRecord(&ts.sets.arena, rec)
 	}
 }
 
@@ -235,35 +258,40 @@ func (ts *TupleStore) internHop(asn, next uint32) uint32 {
 }
 
 // Stitch collapses the shards into one read-only TupleStore in O(n)
-// index work, no comparison sort and no community payload moved: set
-// refs already address the shared set intern's arena, and group refs the
-// group intern's. Per shard, into disjoint pre-sized regions of the
-// output:
-//   - the shard's hops are copied at the shard's offset, and their next
-//     refs rebased onto it; a path's global ID, its first hop's, is the
-//     shard's offset plus its shard-local ID;
-//   - tuples are counting-sorted by path ID, so stitched tuples are
-//     non-decreasing in PathID and Observe walks them as they lie;
-//   - VP lists are copied as their count word and their VPs.
+// index work and no comparison sort. Group refs already address the
+// shared group intern's arena, so no group moves. It first drops every
+// shard's lookup tables, which only inserts probe, so they are not live
+// beside the copy. Then:
+//   - set records are deduplicated by content, all shards' at once, in
+//     stitchParts hash partitions (dedupSets) laid end to end in one
+//     exact-size set arena;
+//   - per shard, into disjoint pre-sized regions of the output, the
+//     shard's hops are copied at the shard's offset, and their next refs
+//     rebased onto it (a path's global ID, its first hop's, is the
+//     shard's offset plus its shard-local ID); tuples are
+//     counting-sorted by path ID, so stitched tuples are non-decreasing
+//     in PathID and Observe walks them as they lie, and each takes its
+//     set's ref in the stitched arena as it is copied; VP lists are
+//     copied as their count word and their VPs.
 //
 // The VP index is then rebuilt for the reordered tuple indexes: the lists
 // lie in the arena in tuple order.
 //
-// The per-shard work runs on up to workers goroutines (<= 0 means
-// GOMAXPROCS); the regions are disjoint, so it needs no locks, and the
-// layout is a function of the shards alone — what they hold and the
-// order it arrived in — not of workers. What they hold is the same for
-// any number of writers (routing is a pure function of the path key);
-// the arrival order, hence path IDs and tuple order, is not. No output
-// depends on that order: every reader sums, counts or sorts what it
-// reads.
+// The partitions and the per-shard work run on up to workers goroutines
+// (<= 0 means GOMAXPROCS); the regions are disjoint, so they need no
+// locks, and the layout is a function of the shards alone — what they
+// hold and the order it arrived in — not of workers. What they hold is
+// the same for any number of writers (routing is a pure function of the
+// path key); the arrival order, hence path IDs, tuple order and set
+// refs, is not. No output depends on that order: every reader sums,
+// counts or sorts what it reads.
 //
 // The stitched store takes ownership of the shard contents, the shared
-// storage and the noted larges; the sharded store must not be used
+// storage and the noted larges; the sharded store takes no views
 // afterwards. It holds what readers read and nothing else, with no
-// growth slack: the shards' lookup tables die with the shards, the
-// interns' hash tables, which only an insert probes, are released, and
-// the intern arenas' newest chunks are trimmed to their fills. Without
+// growth slack: the shards' lookup tables and set tags die with the
+// shards, the group intern's hash table, which only an insert probes, is
+// released, and its arena's newest chunk is trimmed to its fill. Without
 // tables it takes no views (AddViewLarge panics).
 func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	n := len(s.shards)
@@ -274,6 +302,7 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	largeTuples := false
 	for i := range s.shards {
 		ts := s.shards[i].ts
+		ts.tupleTab, ts.hopTab = flatTable{}, flatTable{}
 		nVPs := 0
 		ts.vpIndex.each(func(_ int32, _ uint64, off *uint32) { nVPs += 1 + int(ts.vpArena[*off]) })
 		largeTuples = largeTuples || ts.largeTuples
@@ -285,8 +314,10 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	if hopOff[n] >= originHop {
 		panic("core: a store holds at most 1<<31-1 hops")
 	}
+	sets, base, local := s.dedupSets(workers, tupleOff)
 	out := &TupleStore{
 		shared:      s.shared,
+		sets:        setIndex{arena: sets},
 		hopASN:      make([]uint32, hopOff[n]),
 		hopNext:     make([]uint32, hopOff[n]),
 		paths:       paths,
@@ -297,15 +328,16 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	}
 	ParallelFor(workers, n, func(i int) {
 		ts := s.shards[i].ts
-		base := uint32(hopOff[i])
-		copy(out.hopASN[base:], ts.hopASN)
+		hops := uint32(hopOff[i])
+		copy(out.hopASN[hops:], ts.hopASN)
 		for j, next := range ts.hopNext {
 			if next&^pathHead != originHop {
-				next += base // below pathHead, so the mark is kept
+				next += hops // below pathHead, so the mark is kept
 			}
-			out.hopNext[int(base)+j] = next
+			out.hopNext[int(hops)+j] = next
 		}
 		order, _ := countingSort(len(ts.tuples), len(ts.hopASN), func(j int) int32 { return ts.tuples[j].PathID })
+		local := local[tupleOff[i]:]
 		vpCur := uint32(vpOff[i])
 		for j, ti := range order {
 			t := ts.tuples[ti]
@@ -315,7 +347,10 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 				copy(out.vpArena[vpCur+1:], vps)
 				vpCur += 1 + uint32(len(vps))
 			}
-			t.PathID += int32(base)
+			if tag := ts.setTags[ti]; tag != 0 {
+				t.set = t.set&multiVP | (base[setPart(tag)] + local[ti])
+			}
+			t.PathID += int32(hops)
 			out.tuples[tupleOff[i]+j] = t
 		}
 	})
@@ -327,9 +362,81 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	}
 	sh := s.shared
 	sh.owner = out
-	for _, li := range []*listIntern{&sh.sets, &sh.groups} {
-		li.release()
-		li.arena.trim()
-	}
+	sh.groups.release()
+	sh.groups.arena.trim()
 	return out
+}
+
+// stitchParts is how many hash partitions Stitch deduplicates set
+// records in. It is a constant, not the worker count, so the stitched
+// set arena — partition after partition, each in shard and tuple order —
+// is a function of the shards alone.
+const stitchParts = 16
+
+// setPart is the partition of a set record by its tag: bits 1 to 4.
+// Neither the forced low bit nor a partition's table, whose home slot is
+// the tag's top bits, uses them; bits that every record of a partition
+// shared would pile them onto one run of its table's slots.
+func setPart(tag uint32) int { return int(tag>>1) & (stitchParts - 1) }
+
+// dedupSets deduplicates the shards' set records by content. The
+// tuples that carry one are bucketed by partition, each bucket in shard
+// and tuple order; partition p interns its bucket's records into a
+// setIndex of its own and writes each record's partition-local offset to
+// local, at the tuple's global index (tupleOff[shard] plus its index in
+// the shard). The partitions run on up to workers goroutines, each
+// writing only its own tuples' entries. Their arenas are then laid end
+// to end after the empty record, in one exact-size arena where partition
+// p starts at base[p].
+func (s *ShardedTupleStore) dedupSets(workers int, tupleOff []int) (arena []bgp.Community, base [stitchParts]uint32, local []uint32) {
+	var start [stitchParts + 1]int
+	for i := range s.shards {
+		for _, tag := range s.shards[i].ts.setTags {
+			if tag != 0 {
+				start[setPart(tag)+1]++
+			}
+		}
+	}
+	for p := range stitchParts {
+		start[p+1] += start[p]
+	}
+	bucket := make([]uint32, start[stitchParts])
+	next := start
+	for i := range s.shards {
+		for j, tag := range s.shards[i].ts.setTags {
+			if tag != 0 {
+				p := setPart(tag)
+				bucket[next[p]] = uint32(tupleOff[i] + j)
+				next[p]++
+			}
+		}
+	}
+	local = make([]uint32, tupleOff[len(s.shards)])
+	var parts [stitchParts][]bgp.Community
+	ParallelFor(workers, stitchParts, func(p int) {
+		recs := bucket[start[p]:start[p+1]]
+		si := setIndex{arena: make([]bgp.Community, 0, len(recs)), tab: newFlatTable(len(recs))}
+		i := 0
+		for _, g := range recs {
+			for int(g) >= tupleOff[i+1] {
+				i++
+			}
+			ts, j := s.shards[i].ts, int(g)-tupleOff[i]
+			local[g] = si.intern(ts.setRecord(&ts.tuples[j]), ts.setTags[j])
+		}
+		parts[p] = si.arena
+	})
+	total := len(emptySet)
+	for p, part := range parts {
+		base[p] = uint32(total)
+		total += len(part)
+	}
+	if total > multiVP {
+		panic("core: a set arena holds at most 1<<31 words")
+	}
+	arena = make([]bgp.Community, len(emptySet), total)
+	for _, part := range parts {
+		arena = append(arena, part...)
+	}
+	return arena, base, local
 }

@@ -130,17 +130,24 @@ func equalDumps(t *testing.T, a, b []string, label string) {
 // every next ref the origin sentinel or an earlier hop, as a shard
 // appends a path's hops origin first; hop columns and VP arena without
 // slack, the VP lists, count word and VPs, tiling the VP arena in tuple
-// order; a large count that is the tuples' and the noted larges; and a
+// order; a large count that is the tuples' and the noted larges; a set
+// arena that holds each distinct record once (checkSetArena); and a
 // layout that depends on the shard contents alone — Stitch(1) and
-// Stitch(4) of the same shards dump alike. Stitch only reads the shards,
-// so the comparison stitches come first and the store returned is the
-// last one made, the one the shared storage belongs to.
+// Stitch(4) of the same shards dump alike and lay out the same set-arena
+// words. Stitch reads the shards' data and drops only their lookup
+// tables, so the comparison stitches come first and the store returned
+// is the last one made, the one the shared storage belongs to.
 func stitchChecked(t *testing.T, label string, sts *ShardedTupleStore, workers int) *TupleStore {
 	t.Helper()
-	one := dumpStore(sts.Stitch(1))
+	first := sts.Stitch(1)
+	one := dumpStore(first)
 	equalDumps(t, dumpStore(sts.Stitch(4)), one, label+": Stitch(4) vs Stitch(1)")
 	ts := sts.Stitch(workers)
 	equalDumps(t, dumpStore(ts), one, fmt.Sprintf("%s: Stitch(%d) vs Stitch(1)", label, workers))
+	if !slices.Equal(ts.sets.arena, first.sets.arena) {
+		t.Fatalf("%s: Stitch(%d) and Stitch(1) lay out different set arenas", label, workers)
+	}
+	checkSetArena(t, label, ts)
 	seen := make([]bool, len(ts.hopASN))
 	for i := range ts.tuples {
 		id := ts.tuples[i].PathID
@@ -183,6 +190,135 @@ func stitchChecked(t *testing.T, label string, sts *ShardedTupleStore, workers i
 		t.Fatalf("%s: LargeCommunityCount %d, the tuples and the noted set hold %d", label, got, want)
 	}
 	return ts
+}
+
+// checkSetArena holds a stitched store's set arena to the bulk
+// deduplication's result: exactly sized, the empty record at 0 and then
+// records no two of which are equal, every one of them some tuple's set,
+// and every tuple's ref the start of one — or 0, exactly when its set is
+// empty.
+func checkSetArena(t *testing.T, label string, ts *TupleStore) {
+	t.Helper()
+	arena := ts.sets.arena
+	if len(arena) == 0 || arena[0] != 0 || len(arena) != cap(arena) || ts.sets.tab.slots != nil || ts.setTags != nil {
+		t.Fatalf("%s: stitched set arena of %d words in %d, head %v, with a table or tags", label, len(arena), cap(arena), arena[:min(1, len(arena))])
+	}
+	recs := setRecords(arena)
+	seen := make(map[string]uint32, len(recs))
+	for ref, rec := range recs {
+		key := fmt.Sprint(rec)
+		if other, dup := seen[key]; dup {
+			t.Fatalf("%s: set record %v stored twice, at %d and %d", label, rec, other, ref)
+		}
+		seen[key] = ref
+	}
+	used := make(map[uint32]bool, len(recs))
+	for i := range ts.tuples {
+		ref := ts.tuples[i].setRef()
+		comms, larges := tupleCommunities(ts, &ts.tuples[i])
+		empty := len(comms)+len(larges) == 0
+		if ref == 0 && !empty || ref != 0 && (empty || recs[ref] == nil) {
+			t.Fatalf("%s: tuple %d refers to set record %d, which no record starts at, for %v %v", label, i, ref, comms, larges)
+		}
+		used[ref] = true
+	}
+	for ref, rec := range recs {
+		if !used[ref] {
+			t.Fatalf("%s: set record %v at %d is no tuple's", label, rec, ref)
+		}
+	}
+}
+
+// TestStitchDedupsSetRecords: shards append a set record per new tuple,
+// and Stitch deduplicates all of them at once, in hash partitions. A set
+// carried by tuples in different shards gets one ref in the stitched
+// store, whose arena — the same words at 1, 2 and 8 workers — holds the
+// same sets as a NewTupleStore fed the same views, which deduplicates
+// inline, and whose tuples read back as that store's; with seeded and
+// with colliding hashes (every record then falls in one partition and
+// one probe chain).
+func TestStitchDedupsSetRecords(t *testing.T) {
+	for _, collide := range []bool{false, true} {
+		label := fmt.Sprintf("collide=%v", collide)
+		// 40 community sets over 600 paths toward 60 origins, so every set
+		// recurs in several shards.
+		plain, sts := NewTupleStore(), NewShardedTupleStore(16)
+		plain.shared.collide, sts.shared.collide = collide, collide
+		for i := 0; i < 600; i++ {
+			path := []uint32{uint32(100 + i%7), uint32(200 + i%11), uint32(300 + i%60)}
+			var comms bgp.Communities
+			for k := 0; k <= i%40%5; k++ {
+				comms = append(comms, bgp.NewCommunity(uint16(1+(i%40+k)%13), uint16(i%40)))
+			}
+			var larges bgp.LargeCommunities
+			if i%40%3 == 0 {
+				larges = bgp.LargeCommunities{{GlobalAdmin: uint32(i % 40), LocalData1: 1, LocalData2: 2}}
+			}
+			if i%40 == 39 {
+				comms, larges = nil, nil
+			}
+			plain.AddViewLarge(path[0], path, comms, larges)
+			sts.AddViewASPathLarge(path[0], bgp.NewASPath(path...), comms, larges)
+		}
+		shardsOf := make(map[string]map[int]bool)
+		for i := range sts.shards {
+			ts := sts.shards[i].ts
+			for j := range ts.tuples {
+				key := setKey(tupleCommunities(ts, &ts.tuples[j]))
+				if shardsOf[key] == nil {
+					shardsOf[key] = make(map[int]bool)
+				}
+				shardsOf[key][i] = true
+			}
+		}
+		spread := 0
+		for _, in := range shardsOf {
+			if len(in) > 1 {
+				spread++
+			}
+		}
+		if len(shardsOf) != 40 || spread < 30 {
+			t.Fatalf("%s: %d distinct sets, %d of them in more than one shard; the test needs 40 and 30", label, len(shardsOf), spread)
+		}
+
+		var arena []bgp.Community
+		for _, workers := range []int{1, 2, 8} {
+			ts := sts.Stitch(workers)
+			checkSetArena(t, label, ts)
+			if workers == 1 {
+				arena = ts.sets.arena
+			} else if !slices.Equal(ts.sets.arena, arena) {
+				t.Fatalf("%s: Stitch(%d) lays out a set arena unlike Stitch(1)'s", label, workers)
+			}
+			refOf := make(map[string]uint32)
+			for i := range ts.tuples {
+				key := setKey(tupleCommunities(ts, &ts.tuples[i]))
+				if ref, ok := refOf[key]; ok && ref != ts.tuples[i].setRef() {
+					t.Fatalf("%s: Stitch(%d) gives set %s refs %d and %d", label, workers, key, ref, ts.tuples[i].setRef())
+				}
+				refOf[key] = ts.tuples[i].setRef()
+			}
+			stored := func(ts *TupleStore) []string {
+				var out []string
+				for _, rec := range setRecords(ts.sets.arena) {
+					var cs bgp.Communities
+					var ls []bgp.Community
+					for _, ref := range rec {
+						c, l := splitSet(ts.shared.groups.view(uint32(ref &^ lastGroup)))
+						cs, ls = append(cs, c...), append(ls, l...)
+					}
+					out = append(out, fmt.Sprint(cs, ls))
+				}
+				sortStrings(out)
+				return out
+			}
+			equalDumps(t, sortedDump(ts), sortedDump(plain), fmt.Sprintf("%s: Stitch(%d) vs NewTupleStore", label, workers))
+			equalDumps(t, stored(ts), stored(plain), fmt.Sprintf("%s: Stitch(%d) vs NewTupleStore set records", label, workers))
+			if len(ts.sets.arena) != len(plain.sets.arena) {
+				t.Fatalf("%s: Stitch(%d) holds %d set words, the NewTupleStore %d", label, workers, len(ts.sets.arena), len(plain.sets.arena))
+			}
+		}
+	}
 }
 
 // TestShardedMergeMatchesSequential: the merged sharded store holds
@@ -545,7 +681,7 @@ func TestStitchedStoreIsReadOnly(t *testing.T) {
 	for _, r := range ts.Footprint() {
 		p := plainRows[r.Name]
 		switch r.Name {
-		case "intern_tables", "group_table", "index_tables":
+		case "set_table", "group_table", "index_tables":
 			if r.Used != 0 || r.Reserved != 0 || p.Used == 0 {
 				t.Fatalf("Footprint %s: %+v stitched, %+v plain; want empty stitched", r.Name, r, p)
 			}

@@ -321,7 +321,8 @@ func TestStoreMatchesReference(t *testing.T) {
 			}
 			checkReduction(t, plainLabel+" grown", plain, wantLater)
 			if collide {
-				checkOneChain(t, plainLabel, &plain.shared.sets)
+				checkOneChain(t, plainLabel+" sets", plain.sets.tab.slots, plain.sets.tab.n)
+				checkGroupChain(t, plainLabel+" groups", &plain.shared.groups)
 			}
 
 			for _, writers := range []int{1, 2, 8} {
@@ -329,7 +330,7 @@ func TestStoreMatchesReference(t *testing.T) {
 					for _, workers := range []int{1, 4} {
 						label := fmt.Sprintf("seed %d collide=%v writers=%d shards=%d stitch=%d", seed, collide, writers, shards, workers)
 						// stitched feeds views into a fresh sharded store from
-						// writers goroutines, checks its intern, and stitches it.
+						// writers goroutines, checks its group intern, and stitches it.
 						stitched := func(label string, views []refView) *TupleStore {
 							sts := NewShardedTupleStore(shards)
 							sts.shared.collide = collide
@@ -346,7 +347,7 @@ func TestStoreMatchesReference(t *testing.T) {
 							}
 							wg.Wait()
 							if collide {
-								checkOneChain(t, label, &sts.shared.sets)
+								checkGroupChain(t, label+" groups", &sts.shared.groups)
 							}
 							return stitchChecked(t, label, sts, workers)
 						}
@@ -362,20 +363,28 @@ func TestStoreMatchesReference(t *testing.T) {
 	}
 }
 
-// checkOneChain asserts that a set intern whose hash is forced to zero
-// holds its entries as one probe chain: slots [0, live) all filled.
-func checkOneChain(t *testing.T, label string, li *listIntern) {
+// checkOneChain asserts that a table whose hash is forced to zero holds
+// its live entries as one probe chain: slots [0, live) all filled.
+func checkOneChain(t *testing.T, label string, slots []uint64, live int) {
 	t.Helper()
-	live, _ := li.tableSize()
-	tab := li.table.Load()
-	if live == 0 {
-		return
-	}
-	for i := 0; i < len(tab.slots); i++ {
-		if filled := tab.slots[i].Load() != 0; filled != (i < live) {
-			t.Fatalf("%s: intern slot %d filled=%v with %d entries: not one chain", label, i, filled, live)
+	for i := range slots {
+		if filled := slots[i] != 0; filled != (i < live) {
+			t.Fatalf("%s: table slot %d filled=%v with %d entries: not one chain", label, i, filled, live)
 		}
 	}
+}
+
+// checkGroupChain is checkOneChain over the group intern's table.
+func checkGroupChain(t *testing.T, label string, li *groupIntern) {
+	t.Helper()
+	live, _ := li.tableSize()
+	var slots []uint64
+	if tab := li.table.Load(); tab != nil {
+		for i := range tab.slots {
+			slots = append(slots, tab.slots[i].Load())
+		}
+	}
+	checkOneChain(t, label, slots, live)
 }
 
 // TestHopStoreMatchesReference feeds the shapes a store of hops has to

@@ -33,7 +33,7 @@ type PathInfo struct {
 type Tuple struct {
 	// PathID is the ID of the path's first hop (see TupleStore).
 	PathID int32
-	// set is the arena offset of the tuple's set record: the refs of the
+	// set is the set-arena offset of the tuple's set record: the refs of the
 	// per-α groups its classic and large communities (RFC 8092) fall into
 	// (see groupSet). Large communities are part of tuple identity:
 	// observations that differ only in their large communities are
@@ -49,8 +49,8 @@ type Tuple struct {
 // tuple's index to its list: a count word, then the sorted VPs in a
 // capacity of nextPow2(count) (exactly count in a stitched store, which
 // takes no views). A full list relocates to the arena tail with doubled
-// capacity (amortized O(1), bounded dead space). Arena offsets stay below
-// 1<<31 (internMaxChunks), so the flag never aliases one.
+// capacity (amortized O(1), bounded dead space). Set-arena offsets stay
+// below 1<<31 (appendSetRecord, dedupSets), so the flag never aliases one.
 const multiVP = 1 << 31
 
 // pathHead marks a hop's next word when the hop heads a stored path.
@@ -77,7 +77,8 @@ func nextPow2(n uint32) uint32 { return 1 << bits.Len32(n-1) }
 //
 // A set record, what a tuple refers to, has no header: it is the refs of
 // its set's groups, in the set's order, with lastGroup set on the last
-// (groupSet, setRecordAt). Ref 0 is the empty set.
+// (groupSet, setRecordAt). It lies in its store's set arena; ref 0 is
+// the empty set.
 //
 // Equal sets are equal words and equal groups equal refs, so each kind is
 // compared, hashed and interned as one word slice. The words are typed
@@ -88,8 +89,8 @@ func nextPow2(n uint32) uint32 { return 1 << bits.Len32(n-1) }
 const lastGroup = 1 << 31
 
 // emptySet is the record with no items, the empty canonical set; one
-// zero word also seeds each intern's arena at offset 0, where a set
-// record reads as the empty set (setRecordAt).
+// zero word also seeds the group arena and every set arena at offset 0,
+// where a set record reads as the empty set (setRecordAt).
 var emptySet = [1]bgp.Community{0}
 
 // appendSet renders a canonical community set as one record and appends
@@ -135,10 +136,10 @@ func splitSet(set []bgp.Community) (comms bgp.Communities, larges []bgp.Communit
 	return set[1:n:n], set[n:]
 }
 
-// groupSet interns each group of the canonical set sc.set into groups
-// and renders the set record of their refs into sc.rec. Both of the
-// set's lists are sorted, so every α's run is contiguous.
-func (sc *addScratch) groupSet(groups *listIntern) {
+// groupSet interns each group of the canonical set sc.set into sh's
+// group intern and renders the set record of their refs into sc.rec.
+// Both of the set's lists are sorted, so every α's run is contiguous.
+func (sc *addScratch) groupSet(sh *storeInterns) {
 	sc.rec = sc.rec[:0]
 	comms, larges := splitSet(sc.set)
 	for cs := comms; len(cs) > 0; {
@@ -147,7 +148,7 @@ func (sc *addScratch) groupSet(groups *listIntern) {
 			n++
 		}
 		sc.group = appendSet(sc.group[:0], cs[:n], nil)
-		sc.rec = append(sc.rec, bgp.Community(groups.intern(sc.group)))
+		sc.rec = append(sc.rec, bgp.Community(sh.groups.intern(sc.group, sh.recordHash(sc.group))))
 		cs = cs[n:]
 	}
 	for ls := larges; len(ls) > 0; {
@@ -157,7 +158,7 @@ func (sc *addScratch) groupSet(groups *listIntern) {
 		}
 		// The group's header counts n/3 large communities and no classic one.
 		sc.group = append(append(sc.group[:0], bgp.Community(n/3<<16)), ls[:n]...)
-		sc.rec = append(sc.rec, bgp.Community(groups.intern(sc.group)))
+		sc.rec = append(sc.rec, bgp.Community(sh.groups.intern(sc.group, sh.recordHash(sc.group))))
 		ls = ls[n:]
 	}
 	if n := len(sc.rec); n > 0 {
@@ -169,7 +170,7 @@ func (sc *addScratch) groupSet(groups *listIntern) {
 // groups, stands for the canonical set canon: one group read per group,
 // nothing expanded. Group headers sum to the set's, as each group counts
 // items of one kind only.
-func sameSet(groups *listIntern, rec, canon []bgp.Community) bool {
+func sameSet(groups *groupIntern, rec, canon []bgp.Community) bool {
 	chunks := *groups.arena.chunks.Load()
 	var header bgp.Community
 	rest := canon[1:]
@@ -202,11 +203,19 @@ func sameSet(groups *listIntern, rec, canon []bgp.Community) bool {
 // A NewTupleStore, and each shard of a ShardedTupleStore, takes views; the
 // store Stitch returns is read-only.
 type TupleStore struct {
-	// shared holds the interns of set records and of the groups they
-	// refer to. A NewTupleStore owns its own; the shards of a
-	// ShardedTupleStore share one, so set refs are global and Stitch
-	// moves no community data.
+	// shared holds the group intern. A NewTupleStore owns its own; the
+	// shards of a ShardedTupleStore share one, so group refs are global
+	// and Stitch moves no group.
 	shared *storeInterns
+
+	// sets is the set arena, its records addressed by word offset, the
+	// empty one at 0. A NewTupleStore's indexes it (sets.tab), so each
+	// distinct record is there once. A shard appends one record per new
+	// tuple and notes its tag in setTags, tuple by tuple (0 for the
+	// empty set), and Stitch deduplicates the shards' records into the
+	// stitched store's, which holds each once and has no index.
+	sets    setIndex
+	setTags []uint32
 
 	// hopASN and hopNext are the hops, struct-of-arrays: hop i is ASN
 	// hopASN[i], followed toward the origin by hop hopNext[i]&^pathHead,
@@ -241,13 +250,20 @@ type TupleStore struct {
 func NewTupleStore() *TupleStore {
 	ts := newStore(newStoreInterns())
 	ts.shared.owner = ts
+	ts.sets.tab = newFlatTable(0)
 	return ts
 }
 
 // newStore returns an empty store over the interns sh, with its index
-// tables: a NewTupleStore, or one shard of a ShardedTupleStore.
+// tables and no set index: one shard of a ShardedTupleStore, or, once
+// NewTupleStore gives it one, a standalone store.
 func newStore(sh *storeInterns) *TupleStore {
-	return &TupleStore{shared: sh, tupleTab: newFlatTable(0), hopTab: newFlatTable(0)}
+	return &TupleStore{
+		shared:   sh,
+		sets:     setIndex{arena: make([]bgp.Community, 1)},
+		tupleTab: newFlatTable(0),
+		hopTab:   newFlatTable(0),
+	}
 }
 
 // writable panics on a stitched store, which holds no index tables.
@@ -498,10 +514,10 @@ func (ts *TupleStore) samePath(id int32, words []uint32) bool {
 // Iterate by index and resolve payloads through eachGroup/TupleVPs.
 func (ts *TupleStore) Tuples() []Tuple { return ts.tuples }
 
-// setRecord returns a tuple's set record (a view into the set intern's
-// arena; do not mutate).
+// setRecord returns a tuple's set record (a view into the set arena; do
+// not mutate).
 func (ts *TupleStore) setRecord(t *Tuple) []bgp.Community {
-	return setRecordAt(ts.shared.sets.arena.from(t.setRef()))
+	return setRecordAt(ts.sets.arena[t.setRef():])
 }
 
 // eachGroup calls fn with each group of t's community set, in the set's
@@ -528,14 +544,32 @@ func (ts *TupleStore) TupleVPs(i int) []uint32 {
 }
 
 // distinctVPs returns the distinct vantage points across all tuples as a
-// hash set: what VPSet sorts and DistinctCounts counts.
+// hash set: what VPSet sorts and DistinctCounts counts. A tuple without a
+// VP list has one, its path's first ASN, and few ASNs head paths — a
+// collector's peers — so a direct-mapped filter of the last one entered
+// per low byte spares nearly every such tuple its probe. The listed VPs
+// are entered list by list.
 func (ts *TupleStore) distinctVPs() probeTable[uint32, struct{}] {
 	vps := newProbeTable[uint32, struct{}]()
+	var last [256]uint32
+	for i := range last {
+		last[i] = uint32(i) + 1 // no ASN whose low byte is i
+	}
 	for i := range ts.tuples {
-		for _, vp := range ts.TupleVPs(i) {
+		t := &ts.tuples[i]
+		if t.set&multiVP != 0 {
+			continue
+		}
+		if vp := ts.hopASN[t.PathID]; last[uint8(vp)] != vp {
+			last[uint8(vp)] = vp
 			vps.at(vp, hashU32(vp))
 		}
 	}
+	ts.vpIndex.each(func(_ int32, _ uint64, off *uint32) {
+		for _, vp := range ts.vpArena[*off+1 : *off+1+ts.vpArena[*off]] {
+			vps.at(vp, hashU32(vp))
+		}
+	})
 	return vps
 }
 
