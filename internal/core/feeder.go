@@ -23,6 +23,11 @@ type preparedView struct {
 	set   span // canonical set, in outbox.set
 }
 
+// span is an offset+length view into one of an outbox's word lists.
+type span struct {
+	off, n uint32
+}
+
 // outbox carries prepared views from a feeder to one owner, and goes
 // back to the feeder's home list once applied.
 type outbox struct {
@@ -227,7 +232,7 @@ func (f *Feeder) add(vp uint32, path []uint32, comms bgp.Communities, larges bgp
 		return -1
 	}
 	sc.words = collapsePath(sc.words[:0], path)
-	route, h := s.shared.prepare(sc, comms, larges)
+	route, h := s.hash.prepare(sc, comms, larges)
 	shard := uint32(route >> s.shift)
 	w := int(shard) * len(f.box) >> (64 - s.shift) // shard·W / N
 	b := f.box[w]

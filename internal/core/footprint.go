@@ -49,29 +49,10 @@ func sliceRow[T any](name string, s []T) FootprintRow {
 	return FootprintRow{Name: name, Used: int64(len(s)) * size, Reserved: int64(cap(s)) * size}
 }
 
-// arenaRow measures a shared arena by its chunks' fills and capacities.
-func arenaRow[T any](name string, a *sharedArena[T]) FootprintRow {
-	var zero T
-	size := int64(unsafe.Sizeof(zero))
-	r := FootprintRow{Name: name}
-	for _, c := range a.filled() {
-		r.Used += int64(len(c)) * size
-		r.Reserved += int64(cap(c)) * size
-	}
-	return r
-}
-
 // probeRow measures a probe table by its entries and slots.
 func probeRow[K comparable, V any](name string, t *probeTable[K, V]) FootprintRow {
 	size := int64(unsafe.Sizeof(probeSlot[K, V]{}))
 	return FootprintRow{Name: name, Used: int64(t.n) * size, Reserved: int64(len(t.slots)) * size}
-}
-
-// tableRow measures the group intern's hash table, which Stitch
-// releases.
-func tableRow(name string, li *groupIntern) FootprintRow {
-	live, slots := li.tableSize()
-	return FootprintRow{Name: name, Used: 8 * int64(live), Reserved: 8 * int64(slots)}
 }
 
 // flatRow measures flat tables by their entries and slots.
@@ -84,16 +65,14 @@ func flatRow(name string, tabs ...*flatTable) FootprintRow {
 	return r
 }
 
-// Footprint returns the store's memory by component. The group rows are
-// the intern the store refers to: its own, or, for a shard, the one it
-// shares with its siblings, which becomes the stitched store's. The set
-// rows are the store's own: set_table is a NewTupleStore's set index,
-// set_tags a shard's record tags, which Stitch reads. A stitched store's
-// table and tag rows are empty. noted_larges holds the larges NoteLarge
-// saw, which a sharded store keeps apart from its shards and hands to
-// Stitch.
+// Footprint returns the store's memory by component, all of it the
+// store's own. The table rows are a writable store's indexes: set_table
+// is a NewTupleStore's set index, group_table the group index every
+// writable store keeps (a shard's covers its own groups), index_tables
+// the tuple and hop tables. A stitched store has none, so they read 0.
+// noted_larges holds the larges NoteLarge saw, which a sharded store
+// keeps apart from its shards and hands to Stitch.
 func (ts *TupleStore) Footprint() Footprint {
-	sh := ts.shared
 	return Footprint{
 		sliceRow("tuples", ts.tuples),
 		{
@@ -104,10 +83,9 @@ func (ts *TupleStore) Footprint() Footprint {
 		sliceRow("vp_arena", ts.vpArena),
 		probeRow("vp_index", &ts.vpIndex),
 		sliceRow("set_arena", ts.sets.arena),
-		arenaRow("group_arena", &sh.groups.arena),
+		sliceRow("group_arena", ts.groups.arena),
 		flatRow("set_table", &ts.sets.tab),
-		sliceRow("set_tags", ts.setTags),
-		tableRow("group_table", &sh.groups),
+		flatRow("group_table", &ts.groups.tab),
 		flatRow("index_tables", &ts.tupleTab, &ts.hopTab),
 		probeRow("noted_larges", &ts.noted),
 	}

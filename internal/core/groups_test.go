@@ -71,20 +71,14 @@ func groupedIdentities(ids map[string]bool, views []refView) map[string]bool {
 	return ids
 }
 
-// internedRecords returns every group the group intern's arena holds
-// past the seeded empty one, one word at offset 0, by ref.
-func internedRecords(li *groupIntern) map[uint32][]bgp.Community {
+// groupRecords returns every group a group arena holds past the seeded
+// empty one, one word at offset 0, by ref.
+func groupRecords(arena []bgp.Community) map[uint32][]bgp.Community {
 	out := make(map[uint32][]bgp.Community)
-	for ci, run := range li.arena.filled() {
-		pos := 0
-		if ci == 0 {
-			pos = len(emptySet)
-		}
-		for pos < len(run) {
-			rec := recordAt(run[pos:])
-			out[uint32(ci)<<internChunkShift|uint32(pos)] = rec
-			pos += len(rec)
-		}
+	for pos := len(emptySet); pos < len(arena); {
+		rec := recordAt(arena[pos:])
+		out[uint32(pos)] = rec
+		pos += len(rec)
 	}
 	return out
 }
@@ -101,14 +95,14 @@ func setRecords(arena []bgp.Community) map[uint32][]bgp.Community {
 	return out
 }
 
-// checkGroups holds an intern's groups to the layout: each is one α's
+// checkGroups holds a group arena to the layout: each group is one α's
 // strictly ascending run of one kind of community, and no two are equal.
 // It returns their refs.
-func checkGroups(t *testing.T, label string, groups *groupIntern) map[uint32]bool {
+func checkGroups(t *testing.T, label string, arena []bgp.Community) map[uint32]bool {
 	t.Helper()
 	refs := make(map[uint32]bool)
 	seen := make(map[string]uint32)
-	for ref, g := range internedRecords(groups) {
+	for ref, g := range groupRecords(arena) {
 		comms, larges := splitSet(g)
 		switch {
 		case len(comms) > 0 && len(larges) == 0:
@@ -170,6 +164,21 @@ func checkGroupedTuples(t *testing.T, label string, ts *TupleStore, want map[str
 	return ids, refs
 }
 
+// checkStoredGroups holds a store's group arena to exactly the groups
+// refs, its set records' refs, name, each once.
+func checkStoredGroups(t *testing.T, label string, ts *TupleStore, refs map[uint32]bool) {
+	t.Helper()
+	stored := checkGroups(t, label, ts.groups.arena)
+	if len(stored) != len(refs) {
+		t.Fatalf("%s: the group arena holds %d groups, the set records refer to %d", label, len(stored), len(refs))
+	}
+	for ref := range stored {
+		if !refs[ref] {
+			t.Fatalf("%s: group %#x is stored but no set refers to it", label, ref)
+		}
+	}
+}
+
 // checkGroupedStore checks a whole store — a NewTupleStore, stitched or
 // stitched and fed again: its tuples are exactly want, read through
 // groups, its group arena holds exactly the groups they refer to, each
@@ -180,15 +189,7 @@ func checkGroupedStore(t *testing.T, label string, ts *TupleStore, want map[stri
 	if len(ids) != len(want) {
 		t.Fatalf("%s: the store holds %d identities, the views %d", label, len(ids), len(want))
 	}
-	stored := checkGroups(t, label, &ts.shared.groups)
-	if len(stored) != len(refs) {
-		t.Fatalf("%s: the group arena holds %d groups, the set records refer to %d", label, len(stored), len(refs))
-	}
-	for ref := range stored {
-		if !refs[ref] {
-			t.Fatalf("%s: group %#x is stored but no set refers to it", label, ref)
-		}
-	}
+	checkStoredGroups(t, label, ts, refs)
 	seen := make(map[string]bool)
 	for _, rec := range setRecords(ts.sets.arena) {
 		if key := fmt.Sprint(rec); seen[key] {
@@ -202,7 +203,8 @@ func checkGroupedStore(t *testing.T, label string, ts *TupleStore, want map[stri
 // TestGroupedSetsMatchInput: over random views — empty, large-only,
 // many-α and mixed sets — a tuple's communities, read through its groups,
 // are the canonical input, and every distinct group is stored once: in a
-// NewTupleStore, in each shard of a sharded one, and in the stitched
+// NewTupleStore, in each shard of a sharded one (once a shard: shards
+// store their own groups), and in the stitched
 // store, before and after more views arrive (in a stitched store, before
 // its Stitch), with seeded and with colliding hashes (the NewTupleStore's
 // as well as the shards').
@@ -220,10 +222,10 @@ func TestGroupedSetsMatchInput(t *testing.T) {
 			label := fmt.Sprintf("seed %d collide=%v", seed, collide)
 
 			plain := NewTupleStore()
-			plain.shared.collide = collide
+			plain.hash.collide = collide
 			sharded := func(views []refView) *ShardedTupleStore {
 				sts := NewShardedTupleStore(4)
-				sts.shared.collide = collide
+				sts.setCollide(collide)
 				for _, v := range views {
 					sts.AddViewASPathLarge(v.vp, bgp.NewASPath(v.path...), v.comms, v.larges)
 				}
@@ -238,22 +240,20 @@ func TestGroupedSetsMatchInput(t *testing.T) {
 				checkOneChain(t, label+" plain", plain.sets.tab.slots, plain.sets.tab.n)
 			}
 
-			union, refs := make(map[string]bool), make(map[uint32]bool)
+			union := make(map[string]bool)
 			for i := range sts.shards {
-				ids, rs := checkGroupedTuples(t, fmt.Sprintf("%s shard %d", label, i), sts.shards[i].ts, want)
+				shard := fmt.Sprintf("%s shard %d", label, i)
+				ids, refs := checkGroupedTuples(t, shard, sts.shards[i].ts, want)
+				checkStoredGroups(t, shard, sts.shards[i].ts, refs)
 				for id := range ids {
 					if union[id] {
 						t.Fatalf("%s: identity %s in two shards", label, id)
 					}
 					union[id] = true
 				}
-				for r := range rs {
-					refs[r] = true
-				}
 			}
-			if stored := checkGroups(t, label+" sharded", &sts.shared.groups); len(union) != len(want) || len(stored) != len(refs) {
-				t.Fatalf("%s: the shards hold %d of %d identities and refer to %d of %d stored groups",
-					label, len(union), len(want), len(refs), len(stored))
+			if len(union) != len(want) {
+				t.Fatalf("%s: the shards hold %d of %d identities", label, len(union), len(want))
 			}
 
 			ts := stitchChecked(t, label, sts, 2)
@@ -272,8 +272,8 @@ func TestGroupedSetsMatchInput(t *testing.T) {
 // TestGroupedSetFootprint: on the tiny synthetic day with its large
 // communities, the set records and the groups they refer to take no more
 // bytes than one flat record per distinct set would (a header and the
-// set's words), and the load-time structures — the group intern's hash
-// table, a shard's set tags — are gone after Stitch.
+// set's words), and the load-time tables — each shard's group index
+// among them — are gone after Stitch.
 func TestGroupedSetFootprint(t *testing.T) {
 	topo, err := topology.Generate(topology.TinyConfig())
 	if err != nil {
@@ -292,17 +292,15 @@ func TestGroupedSetFootprint(t *testing.T) {
 		t.Fatalf("Footprint has no %s row", name)
 		return FootprintRow{}
 	}
-	for _, name := range []string{"group_table", "set_tags"} {
-		if r := row(sts.shards[0].ts.Footprint(), name); r.Used == 0 || r.Reserved < r.Used {
-			t.Fatalf("while loading, the %s row reads %+v", name, r)
-		}
+	if r := row(sts.shards[0].ts.Footprint(), "group_table"); r.Used == 0 || r.Reserved < r.Used {
+		t.Fatalf("while loading, the group_table row reads %+v", r)
 	}
 	if r := row(sts.shards[0].ts.Footprint(), "set_table"); r.Reserved != 0 {
 		t.Fatalf("a shard, which appends its set records, has a set table: %+v", r)
 	}
 	ts := sts.Stitch(2)
 	fp := ts.Footprint()
-	for _, name := range []string{"group_table", "set_table", "set_tags"} {
+	for _, name := range []string{"group_table", "set_table", "index_tables"} {
 		if r := row(fp, name); r.Used != 0 || r.Reserved != 0 {
 			t.Fatalf("after Stitch the %s row reads %+v, want 0", name, r)
 		}

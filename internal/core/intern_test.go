@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"testing"
 
 	"bgpintent/internal/bgp"
@@ -22,95 +21,25 @@ func setRecordOf(refs ...uint32) []bgp.Community {
 	return rec
 }
 
-// TestCommInternConcurrent hammers the group intern from many
-// goroutines with overlapping groups and verifies the exact-identity
-// contract: every interning of the same group, from any goroutine at any
-// time, yields the same ref, and the ref resolves — framed by its header
-// — to the group's contents. Run under -race this also exercises the
-// lock-free probe against concurrent inserts and table growth.
-func TestCommInternConcurrent(t *testing.T) {
-	const (
-		goroutines = 8
-		lists      = 3000 // overlapping across goroutines; forces several grows
-		rounds     = 3
-	)
-	// Ten communities a group: together the groups outgrow the arena's
-	// first three chunks, so lock-free readers keep resolving refs while
-	// new chunks are published under them.
-	mk := func(i int) []bgp.Community {
-		g := []bgp.Community{10}
-		for k := 0; k < 10; k++ {
-			g = append(g, bgp.Community(uint32(i%500+k+1)<<16|uint32(i>>(k%2))))
-		}
-		return g
-	}
-	sh := newStoreInterns()
-	ci := &sh.groups
-	refs := make([][]uint32, goroutines)
-	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func(g int) {
-			defer wg.Done()
-			got := make([]uint32, lists)
-			for r := 0; r < rounds; r++ {
-				for i := 0; i < lists; i++ {
-					// Each goroutine starts at its own position so inserts
-					// interleave instead of racing on the same first list.
-					j := (i + g*lists/goroutines) % lists
-					rec := mk(j)
-					ref := ci.intern(rec, sh.recordHash(rec))
-					if r == 0 && got[j] == 0 {
-						got[j] = ref
-					} else if got[j] != ref {
-						t.Errorf("g%d group %d: ref changed %#x -> %#x", g, j, got[j], ref)
-						return
-					}
-				}
-			}
-			refs[g] = got
-		}(g)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	for g := 1; g < goroutines; g++ {
-		for i := range refs[g] {
-			if refs[g][i] != refs[0][i] {
-				t.Fatalf("group %d: goroutines disagree on ref: %#x vs %#x", i, refs[0][i], refs[g][i])
-			}
-		}
-	}
-	for i := 0; i < lists; i++ {
-		if got, want := ci.view(refs[0][i]), mk(i); !slices.Equal(got, want) {
-			t.Fatalf("group %d: view %v, want %v", i, got, want)
-		}
-	}
-	if got := len(*ci.arena.chunks.Load()); got < 4 {
-		t.Fatalf("the arena holds %d chunks; the test must outgrow three", got)
-	}
-}
-
 // TestCommInternEmptyList pins the empty-set convention: ref 0, seeded
 // at the head of the group arena and of every set arena and never
 // entered in a table or appended, resolving to a set record of no
 // groups, hence no communities of either kind — in a NewTupleStore,
-// whose set index deduplicates inline, and in a shard, which notes the
-// empty set's tag, 0, for Stitch.
+// whose set index deduplicates inline, and in a shard, which appends
+// its other records for Stitch.
 func TestCommInternEmptyList(t *testing.T) {
 	ts := NewTupleStore()
-	sh := ts.shared
 	sc := &addScratch{set: appendSet(nil, nil, nil)}
-	sc.groupSet(sh)
+	sc.groupSet(ts)
 	if ref := ts.addSet(sc.rec); len(sc.rec) != 0 || ref != 0 {
 		t.Fatalf("addSet(%v) = %#x, want the empty record at 0", sc.rec, ref)
 	}
-	if ref := sh.groups.intern(emptySet[:], sh.recordHash(emptySet[:])); ref != 0 {
-		t.Fatalf("the empty group interned as %#x, want 0", ref)
+	if tag := ts.hash.tag(nil); tag != 0 {
+		t.Fatalf("the empty record's tag is %#x, want 0", tag)
 	}
-	if live, _ := sh.groups.tableSize(); live != 0 || ts.sets.tab.n != 0 || len(ts.sets.arena) != len(emptySet) {
-		t.Fatalf("the empty set entered a table or the arena: %d groups, %d sets, %d set words", live, ts.sets.tab.n, len(ts.sets.arena))
+	if ts.groups.tab.n != 0 || ts.sets.tab.n != 0 || len(ts.groups.arena) != len(emptySet) || len(ts.sets.arena) != len(emptySet) {
+		t.Fatalf("the empty set entered a table or an arena: %d groups, %d sets, %d group words, %d set words",
+			ts.groups.tab.n, ts.sets.tab.n, len(ts.groups.arena), len(ts.sets.arena))
 	}
 	if v := setRecordAt(ts.sets.arena); len(v) != 0 {
 		t.Fatalf("set record at ref 0 = %v, want the empty set record", v)
@@ -119,24 +48,24 @@ func TestCommInternEmptyList(t *testing.T) {
 		t.Fatalf("a tuple on ref 0 carries %v and %v", c, l)
 	}
 	shard := NewShardedTupleStore(1).shards[0].ts
-	if ref := shard.addSet(nil); ref != 0 || !slices.Equal(shard.setTags, []uint32{0}) || len(shard.sets.arena) != len(emptySet) {
-		t.Fatalf("a shard's empty set: ref %#x, tags %v, %d set words", ref, shard.setTags, len(shard.sets.arena))
+	if ref := shard.addSet(nil); ref != 0 || len(shard.sets.arena) != len(emptySet) {
+		t.Fatalf("a shard's empty set: ref %#x, %d set words", ref, len(shard.sets.arena))
 	}
 }
 
 // TestCommInternDupZeroAlloc guards the intern hot paths: re-interning
-// a group the group intern holds, or a set record a NewTupleStore's set
-// index holds — the overwhelmingly common case at steady state — must not
+// groups a store holds — in a NewTupleStore and in a shard, each through
+// its own group index — or a set record a NewTupleStore's set index
+// holds, the overwhelmingly common case at steady state, must not
 // allocate.
 func TestCommInternDupZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops items; alloc counts are noise")
 	}
 	ts := NewTupleStore()
-	sh := ts.shared
 	sc := &addScratch{set: appendSet(nil, bgp.Communities{bgp.NewCommunity(1299, 100), bgp.NewCommunity(1299, 2569)},
 		bgp.LargeCommunities{{GlobalAdmin: 1299, LocalData1: 1, LocalData2: 100}})}
-	sc.groupSet(sh)
+	sc.groupSet(ts)
 	canon := slices.Clone(sc.rec)
 	want := ts.addSet(canon)
 	var ref uint32
@@ -148,13 +77,17 @@ func TestCommInternDupZeroAlloc(t *testing.T) {
 	if ref != want {
 		t.Fatalf("duplicate set record returned %#x, want %#x", ref, want)
 	}
-	if avg := testing.AllocsPerRun(200, func() {
-		sc.groupSet(sh)
-	}); avg != 0 {
-		t.Errorf("re-interning known groups allocates %.1f per run, want 0", avg)
-	}
-	if !slices.Equal(sc.rec, canon) {
-		t.Fatalf("known groups re-interned as %v, were %v", sc.rec, canon)
+	for name, store := range map[string]*TupleStore{"NewTupleStore": ts, "shard": NewShardedTupleStore(1).shards[0].ts} {
+		sc.groupSet(store)
+		canon := slices.Clone(sc.rec)
+		if avg := testing.AllocsPerRun(200, func() {
+			sc.groupSet(store)
+		}); avg != 0 {
+			t.Errorf("%s: re-interning known groups allocates %.1f per run, want 0", name, avg)
+		}
+		if !slices.Equal(sc.rec, canon) {
+			t.Fatalf("%s: known groups re-interned as %v, were %v", name, sc.rec, canon)
+		}
 	}
 }
 
@@ -172,7 +105,7 @@ func TestSetInternSeeded(t *testing.T) {
 	}
 	for _, collide := range []bool{false, true} {
 		ts := NewTupleStore()
-		ts.shared.collide = collide
+		ts.hash.collide = collide
 		// 64 slots double at 49 entries and every 3/4 load after, up to
 		// 8192 slots at 3073; every set is added again, as a duplicate,
 		// half way through.
@@ -203,7 +136,7 @@ func TestSetInternSeeded(t *testing.T) {
 
 	slots := func(seed uint64) []int {
 		ts := NewTupleStore()
-		ts.shared.seed = seed
+		ts.hash.seed = seed
 		var at []int
 		for i := 0; i < 16; i++ {
 			ref := ts.addSet(setRecordOf(1299<<16 | uint32(i)))
@@ -228,8 +161,8 @@ func TestSetInternSeeded(t *testing.T) {
 }
 
 // TestShardedAddViewDupZeroAlloc is the sharded-store counterpart of
-// TestAddViewDuplicateHitZeroAlloc: with the shared intern table and
-// ASN arena in the path, a duplicate observation must still be
+// TestAddViewDuplicateHitZeroAlloc: with routing and the shard lock in
+// the path, a duplicate observation must still be
 // allocation-free end to end (path-key render, canonicalization, view
 // hash, table probe, content compare, VP binary search).
 func TestShardedAddViewDupZeroAlloc(t *testing.T) {
@@ -291,111 +224,9 @@ func TestFeederDupZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSharedArenaOffsets exercises placement across chunk boundaries:
-// the first chunk holds arenaMinChunk elements and each next one twice
-// its predecessor, up to the full chunk size; a list longer than that
-// gets a chunk of its own length; a list that does not fit the newest
-// chunk's tail starts the next chunk, copying nothing; and after all of
-// it every returned offset still resolves to the exact values appended.
-func TestSharedArenaOffsets(t *testing.T) {
-	var a sharedArena[uint32]
-	type appended struct {
-		off  uint32
-		vals []uint32
-	}
-	var all []appended
-	next := uint32(0)
-	add := func(n int) {
-		vals := make([]uint32, n)
-		for i := range vals {
-			vals[i] = next
-			next++
-		}
-		all = append(all, appended{off: a.append(vals), vals: vals})
-	}
-	// A chunk's reservation is its capacity: once succeeded, its length
-	// is clipped to its fill.
-	chunkLens := func() []int {
-		var lens []int
-		for _, c := range *a.chunks.Load() {
-			lens = append(lens, cap(c))
-		}
-		return lens
-	}
-	// Small appends fill three chunks, each twice the one before.
-	for next < 3*arenaMinChunk {
-		add(3)
-	}
-	if got := chunkLens(); !slices.Equal(got, []int{arenaMinChunk, arenaMinChunk << 1, arenaMinChunk << 2}) {
-		t.Fatalf("after %d elements: chunk lengths %v, want %d doubling twice", next, got, arenaMinChunk)
-	}
-	// A list longer than twice the newest chunk gets a chunk of its length.
-	add(internChunkSize / 4)
-	if got := chunkLens(); len(got) != 4 || got[3] != internChunkSize/4 {
-		t.Fatalf("after a %d-element list: chunk lengths %v", internChunkSize/4, got)
-	}
-	// Large appends turn chunks over; sizes double up to the full chunk.
-	for round := 0; round < 5; round++ {
-		add(internChunkSize/2 + 1)
-		add(2)
-	}
-	got := chunkLens()
-	for i := 1; i < len(got); i++ {
-		if got[i] > internChunkSize || got[i] < min(2*got[i-1], internChunkSize) {
-			t.Fatalf("chunk lengths %v: chunk %d neither doubles its predecessor nor is full", got, i)
-		}
-	}
-	if got[len(got)-1] != internChunkSize {
-		t.Fatalf("chunk lengths %v never reach the full %d", got, internChunkSize)
-	}
-	check := func() {
-		t.Helper()
-		for i, ap := range all {
-			got := a.from(ap.off)[:len(ap.vals)]
-			if len(got) != len(ap.vals) {
-				t.Fatalf("append %d: view length %d, want %d", i, len(got), len(ap.vals))
-			}
-			for j := range got {
-				if got[j] != ap.vals[j] {
-					t.Fatalf("append %d: view[%d] = %d, want %d", i, j, got[j], ap.vals[j])
-				}
-			}
-		}
-		// The filled prefixes are every value appended, once, in order —
-		// no chunk's unused tail among them.
-		want := uint32(0)
-		for _, c := range a.filled() {
-			for _, v := range c {
-				if v != want {
-					t.Fatalf("filled prefixes: value %d where %d belongs", v, want)
-				}
-				want++
-			}
-		}
-		if want != next {
-			t.Fatalf("filled prefixes hold %d values, %d were appended", want, next)
-		}
-	}
-	check()
-	// Trimming leaves no slack behind the newest chunk and moves nothing
-	// else; the next append starts a chunk twice the trimmed one.
-	fill := a.fill
-	a.trim()
-	got = chunkLens()
-	if last := got[len(got)-1]; last != fill {
-		t.Fatalf("trimmed chunk reserves %d elements for a fill of %d", last, fill)
-	}
-	check()
-	add(2)
-	if after := chunkLens(); len(after) != len(got)+1 || after[len(got)] != min(2*fill, internChunkSize) {
-		t.Fatalf("chunk lengths %v after appending to a trimmed chunk of %d", after, fill)
-	}
-	check()
-}
-
 // TestStitchedStoreKnowsItsLarges: whether a store's tuples carry large
 // communities — what switches the large observation pass on — survives
-// Stitch releasing the intern table, in a store whose large tuple arrived
+// Stitch dropping the load's tables, in a store whose large tuple arrived
 // first and in one whose large tuple arrived last, and larges that attach
 // to no tuple do not set it.
 func TestStitchedStoreKnowsItsLarges(t *testing.T) {

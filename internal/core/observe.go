@@ -117,13 +117,13 @@ type rankCount struct {
 // each distinct classic and large community gets its rank in key order,
 // so a worker counts into flat arrays, workers merge by adding them, and
 // the records come out already in key order. ranks mirrors the group
-// arena chunk for chunk: at a group's offset it holds the group's α, and
+// arena word for word: at a group's offset it holds the group's α, and
 // at each member's first word the member's rank. It is walk scratch —
 // O(group-arena words + distinct keys) — built once per walk; the store
 // keeps none of it.
 type evidenceIndex struct {
-	groups [][]bgp.Community // the group arena's chunks
-	ranks  [][]uint32
+	groups []bgp.Community // the store's group arena
+	ranks  []uint32
 	comms  []bgp.Community      // the classic communities, by rank
 	larges []bgp.LargeCommunity // the large communities, by rank
 }
@@ -131,44 +131,38 @@ type evidenceIndex struct {
 // newEvidenceIndex numbers the communities of every group in ts's group
 // arena, in one pass, and then remaps the first-sight numbers to ranks.
 func newEvidenceIndex(ts *TupleStore) *evidenceIndex {
-	ix := &evidenceIndex{groups: ts.shared.groups.arena.filled()}
-	ix.ranks = make([][]uint32, len(ix.groups))
+	groups := ts.groups.arena
+	ix := &evidenceIndex{groups: groups, ranks: make([]uint32, len(groups))}
+	ranks := ix.ranks
 	comms := newProbeTable[bgp.Community, uint32]()
 	larges := newProbeTable[bgp.LargeCommunity, uint32]()
-	for c, chunk := range ix.groups {
-		ranks := make([]uint32, len(chunk))
-		ix.ranks[c] = ranks
-		for p := 0; p < len(chunk); {
-			g := recordAt(chunk[p:])
-			cs, ls := splitSet(g)
-			if len(cs) > 0 {
-				ranks[p] = uint32(cs[0].ASN())
-			} else if len(ls) > 0 {
-				ranks[p] = uint32(ls[0])
-			}
-			for i, cm := range cs {
-				ranks[p+1+i] = firstSight(&comms, &ix.comms, cm, hashU32(uint32(cm)))
-			}
-			for i := 0; i < len(ls); i += 3 {
-				lc := bgp.LargeCommunity{GlobalAdmin: uint32(ls[i]), LocalData1: uint32(ls[i+1]), LocalData2: uint32(ls[i+2])}
-				ranks[p+1+len(cs)+i] = firstSight(&larges, &ix.larges, lc, hashLargeCommunity(lc))
-			}
-			p += len(g)
+	for p := len(emptySet); p < len(groups); {
+		g := recordAt(groups[p:])
+		cs, ls := splitSet(g)
+		if len(cs) > 0 {
+			ranks[p] = uint32(cs[0].ASN())
+		} else if len(ls) > 0 {
+			ranks[p] = uint32(ls[0])
 		}
+		for i, cm := range cs {
+			ranks[p+1+i] = firstSight(&comms, &ix.comms, cm, hashU32(uint32(cm)))
+		}
+		for i := 0; i < len(ls); i += 3 {
+			lc := bgp.LargeCommunity{GlobalAdmin: uint32(ls[i]), LocalData1: uint32(ls[i+1]), LocalData2: uint32(ls[i+2])}
+			ranks[p+1+len(cs)+i] = firstSight(&larges, &ix.larges, lc, hashLargeCommunity(lc))
+		}
+		p += len(g)
 	}
 	classic, large := sortByRank(ix.comms), sortByRank(ix.larges)
-	for c, chunk := range ix.groups {
-		ranks := ix.ranks[c]
-		for p := 0; p < len(chunk); {
-			n, nl := int(chunk[p]&0xFFFF), int(chunk[p]>>16)
-			for i := p + 1; i < p+1+n; i++ {
-				ranks[i] = classic[ranks[i]]
-			}
-			for i := p + 1 + n; i < p+1+n+3*nl; i += 3 {
-				ranks[i] = large[ranks[i]]
-			}
-			p += 1 + n + 3*nl
+	for p := len(emptySet); p < len(groups); {
+		n, nl := int(groups[p]&0xFFFF), int(groups[p]>>16)
+		for i := p + 1; i < p+1+n; i++ {
+			ranks[i] = classic[ranks[i]]
 		}
+		for i := p + 1 + n; i < p+1+n+3*nl; i += 3 {
+			ranks[i] = large[ranks[i]]
+		}
+		p += 1 + n + 3*nl
 	}
 	return ix
 }
@@ -279,9 +273,8 @@ func (o *observer) walk(order []int32, lo, hi int, done <-chan struct{}) {
 // countGroup counts the group at ref on the current path: each member
 // whose last path is not this one, on-path or off-path as α decides.
 func (o *observer) countGroup(ref uint32) {
-	c, p := ref>>internChunkShift, ref&internChunkMask
-	header := o.ix.groups[c][p]
-	ranks := o.ix.ranks[c][p:]
+	header := o.ix.groups[ref]
+	ranks := o.ix.ranks[ref:]
 	on := o.onPath(ranks[0])
 	if n := int(header & 0xFFFF); n > 0 {
 		for _, r := range ranks[1 : 1+n] {

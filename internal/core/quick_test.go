@@ -221,10 +221,10 @@ func TestColumnarMatchesOracleQuick(t *testing.T) {
 		views := quickViews(seeds)
 		later := growVPs(views)
 		plain := NewTupleStore()
-		plain.shared.collide = collide
+		plain.hash.collide = collide
 		stitched := func(label string, views []refView) *TupleStore {
 			sts := NewShardedTupleStore(4)
-			sts.shared.collide = collide
+			sts.setCollide(collide)
 			for _, v := range views {
 				sts.AddViewASPathLarge(v.vp, bgp.NewASPath(v.path...), v.comms, v.larges)
 			}

@@ -256,7 +256,7 @@ func TestObserveMatchesReference(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
 			sts := NewShardedTupleStore(1 << rng.Intn(7))
-			sts.shared.collide = seed%2 == 0
+			sts.setCollide(seed%2 == 0)
 			for _, v := range append(views, later...) {
 				sts.AddViewASPathLarge(v.vp, bgp.NewASPath(v.path...), v.comms, v.larges)
 			}
@@ -426,19 +426,22 @@ func denseWalkCheck(t *testing.T, label string, ts *TupleStore, views []refView,
 	return first
 }
 
-// TestDenseWalkChunkedArena: the walk's index resolves group refs in
-// every chunk of the group arena. 7 000 distinct single-community groups
-// and 600 large ones fill four chunks, so most refs carry a chunk index
-// above 0; the store's first path is one hop, so its ID is 0, which a
-// rank's last path must not start at.
-func TestDenseWalkChunkedArena(t *testing.T) {
+// TestDenseWalkWideArena: the walk's index resolves group refs across a
+// wide flat group arena. 8 000 distinct eight-community groups and 800
+// large ones take over 1<<16 words, so many refs lie past 1<<16; the
+// store's first path is one hop, so its ID is 0, which a rank's last path
+// must not start at.
+func TestDenseWalkWideArena(t *testing.T) {
 	var views []refView
 	views = append(views, refView{vp: 7, path: []uint32{7}, comms: bgp.Communities{bgp.NewCommunity(7, 1)}})
-	for i := 0; i < 7000; i++ {
+	for i := 0; i < 8000; i++ {
 		v := refView{
 			vp:    uint32(1 + i%97),
 			path:  []uint32{uint32(1 + i%97), uint32(200 + i%13), uint32(5000 + i%7)},
-			comms: bgp.Communities{bgp.NewCommunity(uint16(1+i%60), uint16(i)), bgp.NewCommunity(uint16(200+i%13), 1)},
+			comms: bgp.Communities{bgp.NewCommunity(uint16(200+i%13), 1)},
+		}
+		for k := 0; k < 8; k++ {
+			v.comms = append(v.comms, bgp.NewCommunity(uint16(1+i%60), uint16(8*i+k)))
 		}
 		if i%10 == 0 {
 			v.larges = bgp.LargeCommunities{{GlobalAdmin: uint32(5000 + i%7), LocalData1: uint32(i), LocalData2: 3}}
@@ -454,20 +457,17 @@ func TestDenseWalkChunkedArena(t *testing.T) {
 	if plain.tuples[0].PathID != 0 {
 		t.Fatalf("the plain store's first tuple is on path %d, want 0", plain.tuples[0].PathID)
 	}
-	for name, ts := range map[string]*TupleStore{"plain": plain, "stitched": stitchChecked(t, "chunked", sts, 2)} {
-		if chunks := len(ts.shared.groups.arena.filled()); chunks < 3 {
-			t.Fatalf("%s: the group arena spans %d chunks, want >= 3", name, chunks)
-		}
+	for name, ts := range map[string]*TupleStore{"plain": plain, "stitched": stitchChecked(t, "wide", sts, 2)} {
 		deep := 0
 		for i := range ts.tuples {
 			for _, ref := range ts.setRecord(&ts.tuples[i]) {
-				if (ref&^lastGroup)>>internChunkShift >= 2 {
+				if ref&^lastGroup >= 1<<16 {
 					deep++
 				}
 			}
 		}
 		if deep == 0 {
-			t.Fatalf("%s: no tuple refers to a group past the arena's second chunk", name)
+			t.Fatalf("%s: no tuple refers to a group past word 1<<16 of a %d-word group arena", name, len(ts.groups.arena))
 		}
 		os := denseWalkCheck(t, name, ts, views, Options{})
 		if i, ok := slices.BinarySearchFunc(os.Stats, bgp.NewCommunity(7, 1), func(r Stats[bgp.Community], c bgp.Community) int {

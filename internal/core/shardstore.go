@@ -25,23 +25,21 @@ import (
 // in one shard; routed by the whole key, each shard would hold its own
 // copy of a shared hop.
 //
-// All shards' TupleStores share one storeInterns: groups intern into a
-// lock-free global table, so every group ref a shard writes is already
-// valid in the stitched store and Stitch never moves a group. Set
-// records and hops stay in the shard's own arrays, written under the
-// shard lock: a shard appends each new tuple's set record with its tag,
-// and Stitch deduplicates all shards' records at once, then copies the
-// hops once into the stitched ones.
+// Every shard owns its storage: its groups, deduplicated inline, its set
+// records, one appended per new tuple, and its hops, all written under
+// the shard lock. Stitch deduplicates the groups of all shards at once,
+// rewrites the set records to refer to the stitched groups, then
+// deduplicates the set records and copies the hops once.
 //
 // A view is hashed once, before its shard's writer sees it
-// (storeInterns.prepare): outside the shard lock here, on the scanning
+// (storeHash.prepare): outside the shard lock here, on the scanning
 // goroutine's Feeder in a load. The hash leads straight to its tuple
 // (addView), so a duplicate costs one probe, a content compare and a VP
 // check.
 type ShardedTupleStore struct {
 	shards []tupleShard
-	shift  uint // 64 - log2(len(shards)): the route hash's top bits pick the shard
-	shared *storeInterns
+	shift  uint      // 64 - log2(len(shards)): the route hash's top bits pick the shard
+	hash   storeHash // every shard's copy: records tag alike in all of them
 
 	// noted holds the larges of views with an empty path, which attach to
 	// no tuple and so to no shard; Stitch hands it to its output.
@@ -68,10 +66,10 @@ func NewShardedTupleStore(n int) *ShardedTupleStore {
 	s := &ShardedTupleStore{
 		shards: make([]tupleShard, size),
 		shift:  uint(64 - bits.TrailingZeros(uint(size))),
-		shared: newStoreInterns(),
+		hash:   newStoreHash(),
 	}
 	for i := range s.shards {
-		s.shards[i].ts = newStore(s.shared)
+		s.shards[i].ts = newStore(s.hash)
 	}
 	return s
 }
@@ -97,7 +95,7 @@ func (s *ShardedTupleStore) AddViewASPathLarge(vp uint32, path bgp.ASPath, comms
 // before the shard lock is taken.
 func (s *ShardedTupleStore) add(vp uint32, path []uint32, comms bgp.Communities, larges bgp.LargeCommunities, sc *addScratch) {
 	sc.words = collapsePath(sc.words[:0], path)
-	route, h := s.shared.prepare(sc, comms, larges)
+	route, h := s.hash.prepare(sc, comms, larges)
 	sh := &s.shards[route>>s.shift]
 	sh.mu.Lock()
 	sh.ts.addView(vp, h, sc)
@@ -168,9 +166,8 @@ func (t *flatTable) place(s uint64) {
 // else of sc. One probe of the tuple table finds the view's tuple if it
 // exists, confirmed by walking the candidate's path against the key and
 // comparing the set, group by group — identity is exact whatever the
-// hash does. Only a miss goes on to the hops, the global group intern
-// (whose refs Stitch carries over), the set record (addSet) and the
-// appends.
+// hash does. Only a miss goes on to the hops, the store's groups
+// (groupSet), the set record (addSet) and the appends.
 func (ts *TupleStore) addView(vp uint32, h uint64, sc *addScratch) {
 	tab := &ts.tupleTab
 	tag, mask := uint32(h>>32), uint32(len(tab.slots)-1)
@@ -181,13 +178,13 @@ func (ts *TupleStore) addView(vp uint32, h uint64, sc *addScratch) {
 		}
 		ti := int32(uint32(s) - 1)
 		t := &ts.tuples[ti]
-		if ts.samePath(t.PathID, sc.words) && sameSet(&ts.shared.groups, ts.setRecord(t), sc.set) {
+		if ts.samePath(t.PathID, sc.words) && sameSet(ts.groups.arena, ts.setRecord(t), sc.set) {
 			ts.addVP(ti, vp)
 			return
 		}
 	}
 	id := ts.internPath(sc.words)
-	sc.groupSet(ts.shared)
+	sc.groupSet(ts)
 	set := ts.addSet(sc.rec)
 	if sc.set[0]>>16 != 0 { // the set's header counts its larges
 		ts.largeTuples = true
@@ -202,21 +199,15 @@ func (ts *TupleStore) addView(vp uint32, h uint64, sc *addScratch) {
 
 // addSet returns the ref of a new tuple's set record rec: in a
 // NewTupleStore, of the one copy its set index holds; in a shard, of a
-// fresh copy, whose tag it notes for Stitch. The empty record is ref 0,
-// tag 0.
+// fresh copy, which Stitch deduplicates. The empty record is ref 0.
 func (ts *TupleStore) addSet(rec []bgp.Community) uint32 {
-	tag := ts.shared.setTag(rec)
-	inline := ts.sets.tab.slots != nil
-	if !inline {
-		ts.setTags = append(ts.setTags, tag)
-	}
 	switch {
-	case tag == 0:
+	case len(rec) == 0:
 		return 0
-	case inline:
-		return ts.sets.intern(rec, tag)
+	case ts.sets.tab.slots != nil:
+		return ts.sets.intern(rec, ts.hash.tag(rec))
 	default:
-		return appendSetRecord(&ts.sets.arena, rec)
+		return appendRecord(&ts.sets.arena, rec)
 	}
 }
 
@@ -238,7 +229,7 @@ func (ts *TupleStore) internPath(words []uint32) int32 {
 
 // internHop returns the ID of hop (asn, next), appending it if new.
 func (ts *TupleStore) internHop(asn, next uint32) uint32 {
-	h := ts.shared.hopHash(asn, next)
+	h := ts.hash.hopHash(asn, next)
 	tab := &ts.hopTab
 	tag, mask := uint32(h>>32), uint32(len(tab.slots)-1)
 	for i := tag >> tab.shift; tab.slots[i] != 0; i = (i + 1) & mask {
@@ -258,13 +249,16 @@ func (ts *TupleStore) internHop(asn, next uint32) uint32 {
 }
 
 // Stitch collapses the shards into one read-only TupleStore in O(n)
-// index work and no comparison sort. Group refs already address the
-// shared group intern's arena, so no group moves. It first drops every
-// shard's lookup tables, which only inserts probe, so they are not live
-// beside the copy. Then:
-//   - set records are deduplicated by content, all shards' at once, in
-//     stitchParts hash partitions (dedupSets) laid end to end in one
-//     exact-size set arena;
+// index work and no comparison sort. It first drops every shard's lookup
+// tables, which only inserts probe, so they are not live beside the copy.
+// Then:
+//   - groups are deduplicated by content, all shards' at once, and each
+//     shard's set records rewritten to refer to the stitched groups
+//     (dedupGroups); each shard's groups are dropped once its records no
+//     longer refer to them;
+//   - set records are deduplicated likewise (dedupSets), each kind in
+//     stitchParts hash partitions laid end to end in one exact-size arena
+//     (dedupRecords);
 //   - per shard, into disjoint pre-sized regions of the output, the
 //     shard's hops are copied at the shard's offset, and their next refs
 //     rebased onto it (a path's global ID, its first hop's, is the
@@ -282,27 +276,30 @@ func (ts *TupleStore) internHop(asn, next uint32) uint32 {
 // locks, and the layout is a function of the shards alone — what they
 // hold and the order it arrived in — not of workers. What they hold is
 // the same for any number of writers (routing is a pure function of the
-// path key); the arrival order, hence path IDs, tuple order and set
-// refs, is not. No output depends on that order: every reader sums,
-// counts or sorts what it reads.
+// path key); the arrival order, hence path IDs, tuple order and the
+// arenas' layout, is not. No output depends on that order: every reader
+// sums, counts or sorts what it reads.
 //
-// The stitched store takes ownership of the shard contents, the shared
-// storage and the noted larges; the sharded store takes no views
-// afterwards. It holds what readers read and nothing else, with no
-// growth slack: the shards' lookup tables and set tags die with the
-// shards, the group intern's hash table, which only an insert probes, is
-// released, and its arena's newest chunk is trimmed to its fill. Without
-// tables it takes no views (AddViewLarge panics).
+// Stitch consumes the shards: the stitched store takes their contents
+// and the noted larges, and the sharded store can be neither fed nor
+// stitched again. The stitched store holds what readers read and nothing
+// else, with no growth slack and no table; without tables it takes no
+// views (AddViewLarge panics).
 func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
+	if s.shards[0].ts.tupleTab.slots == nil {
+		panic("core: a stitched ShardedTupleStore is read-only: Stitch consumed its shards")
+	}
 	n := len(s.shards)
 	tupleOff := make([]int, n+1)
 	hopOff := make([]int, n+1)
 	vpOff := make([]int, n+1)
+	groupOff := make([]int, n+1)
 	paths := 0
 	largeTuples := false
 	for i := range s.shards {
 		ts := s.shards[i].ts
-		ts.tupleTab, ts.hopTab = flatTable{}, flatTable{}
+		groupOff[i+1] = groupOff[i] + ts.groups.tab.n
+		ts.tupleTab, ts.hopTab, ts.groups.tab = flatTable{}, flatTable{}, flatTable{}
 		nVPs := 0
 		ts.vpIndex.each(func(_ int32, _ uint64, off *uint32) { nVPs += 1 + int(ts.vpArena[*off]) })
 		largeTuples = largeTuples || ts.largeTuples
@@ -314,10 +311,12 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	if hopOff[n] >= originHop {
 		panic("core: a store holds at most 1<<31-1 hops")
 	}
-	sets, base, local := s.dedupSets(workers, tupleOff)
+	groups := s.dedupGroups(workers, groupOff)
+	sets, refs := s.dedupSets(workers, tupleOff)
 	out := &TupleStore{
-		shared:      s.shared,
-		sets:        setIndex{arena: sets},
+		hash:        s.hash,
+		groups:      recordIndex{arena: groups},
+		sets:        recordIndex{arena: sets},
 		hopASN:      make([]uint32, hopOff[n]),
 		hopNext:     make([]uint32, hopOff[n]),
 		paths:       paths,
@@ -337,7 +336,7 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 			out.hopNext[int(hops)+j] = next
 		}
 		order, _ := countingSort(len(ts.tuples), len(ts.hopASN), func(j int) int32 { return ts.tuples[j].PathID })
-		local := local[tupleOff[i]:]
+		refs := refs[tupleOff[i]:]
 		vpCur := uint32(vpOff[i])
 		for j, ti := range order {
 			t := ts.tuples[ti]
@@ -347,9 +346,7 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 				copy(out.vpArena[vpCur+1:], vps)
 				vpCur += 1 + uint32(len(vps))
 			}
-			if tag := ts.setTags[ti]; tag != 0 {
-				t.set = t.set&multiVP | (base[setPart(tag)] + local[ti])
-			}
+			t.set = t.set&multiVP | refs[ti]
 			t.PathID += int32(hops)
 			out.tuples[tupleOff[i]+j] = t
 		}
@@ -360,41 +357,99 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 			off += 1 + out.vpArena[off]
 		}
 	}
-	sh := s.shared
-	sh.owner = out
-	sh.groups.release()
-	sh.groups.arena.trim()
 	return out
 }
 
-// stitchParts is how many hash partitions Stitch deduplicates set
-// records in. It is a constant, not the worker count, so the stitched
-// set arena — partition after partition, each in shard and tuple order —
-// is a function of the shards alone.
+// dedupGroups deduplicates the shards' groups (dedupRecords): a group's
+// position is its ordinal in its shard, numbered from groupOff[shard],
+// and offs holds its offset in the shard's arena. Each group's header
+// word in its shard's arena then takes its stitched ref, which makes the
+// arena a dense old→new table per shard: the shard's set records are
+// rewritten in place through it, and the shard's groups dropped, before
+// dedupSets allocates. Positions are ordinals, not word offsets, because
+// this scratch lands on the load's high-water mark: 8 B a shard group,
+// where 4 B a word was about twice that.
+func (s *ShardedTupleStore) dedupGroups(workers int, groupOff []int) []bgp.Community {
+	keys := make([]uint32, groupOff[len(s.shards)])
+	offs := make([]uint32, len(keys))
+	ParallelFor(workers, len(s.shards), func(i int) {
+		arena, tags, at := s.shards[i].ts.groups.arena, keys[groupOff[i]:], offs[groupOff[i]:]
+		for k, off := 0, len(emptySet); off < len(arena); k++ {
+			g := recordAt(arena[off:])
+			tags[k], at[k] = s.hash.tag(g), uint32(off)
+			off += len(g)
+		}
+	})
+	arena := dedupRecords(workers, keys, groupOff, func(i, k int) []bgp.Community {
+		return recordAt(s.shards[i].ts.groups.arena[offs[groupOff[i]+k]:])
+	})
+	ParallelFor(workers, len(s.shards), func(i int) {
+		ts := s.shards[i].ts
+		groups := ts.groups.arena
+		for k, off := range offs[groupOff[i]:groupOff[i+1]] {
+			groups[off] = bgp.Community(keys[groupOff[i]+k])
+		}
+		recs := ts.sets.arena[len(emptySet):] // every word a group ref
+		for k, ref := range recs {
+			recs[k] = groups[ref&^lastGroup] | ref&lastGroup
+		}
+		ts.groups = recordIndex{}
+	})
+	return arena
+}
+
+// dedupSets deduplicates the shards' set records, by now referring to the
+// stitched groups (dedupGroups), and returns the stitched set arena and
+// each tuple's ref in it, at the tuple's global index (tupleOff[shard]
+// plus its index in the shard). The records are tagged here, over the
+// rewritten refs, into the array that then takes the refs.
+func (s *ShardedTupleStore) dedupSets(workers int, tupleOff []int) (arena []bgp.Community, refs []uint32) {
+	refs = make([]uint32, tupleOff[len(s.shards)])
+	ParallelFor(workers, len(s.shards), func(i int) {
+		ts, tags := s.shards[i].ts, refs[tupleOff[i]:]
+		for j := range ts.tuples {
+			tags[j] = s.hash.tag(ts.setRecord(&ts.tuples[j]))
+		}
+	})
+	arena = dedupRecords(workers, refs, tupleOff, func(i, j int) []bgp.Community {
+		ts := s.shards[i].ts
+		return ts.setRecord(&ts.tuples[j])
+	})
+	return arena, refs
+}
+
+// stitchParts is how many hash partitions Stitch deduplicates records
+// in. It is a constant, not the worker count, so a stitched arena —
+// partition after partition, each in shard and position order — is a
+// function of the shards alone.
 const stitchParts = 16
 
-// setPart is the partition of a set record by its tag: bits 1 to 4.
+// recordPart is the partition of a record by its tag: bits 1 to 4.
 // Neither the forced low bit nor a partition's table, whose home slot is
 // the tag's top bits, uses them; bits that every record of a partition
 // shared would pile them onto one run of its table's slots.
-func setPart(tag uint32) int { return int(tag>>1) & (stitchParts - 1) }
+func recordPart(tag uint32) int { return int(tag>>1) & (stitchParts - 1) }
 
-// dedupSets deduplicates the shards' set records by content. The
-// tuples that carry one are bucketed by partition, each bucket in shard
-// and tuple order; partition p interns its bucket's records into a
-// setIndex of its own and writes each record's partition-local offset to
-// local, at the tuple's global index (tupleOff[shard] plus its index in
-// the shard). The partitions run on up to workers goroutines, each
-// writing only its own tuples' entries. Their arenas are then laid end
-// to end after the empty record, in one exact-size arena where partition
-// p starts at base[p].
-func (s *ShardedTupleStore) dedupSets(workers int, tupleOff []int) (arena []bgp.Community, base [stitchParts]uint32, local []uint32) {
+// dedupRecords deduplicates records of one kind from every shard by
+// content. A record is named by a position — a group by its ordinal in
+// its shard, a set record by its tuple's index in its shard —
+// and shard i's positions are numbered from off[i] in keys, which holds
+// each position's record tag on entry (0 where there is none, or the
+// record is empty) and its record's offset in the returned arena on
+// return (0, the empty record, where the tag was 0). rec(i, pos) is the
+// record at shard i's position pos.
+//
+// The positions are bucketed by partition (recordPart), each bucket in
+// shard and position order; partition p interns its bucket's records
+// into a recordIndex of its own, on up to workers goroutines, each
+// writing only its own positions' keys. Their arenas are then laid end to
+// end after the empty record in one exact-size arena, and each key is
+// rebased onto its partition's start.
+func dedupRecords(workers int, keys []uint32, off []int, rec func(i, pos int) []bgp.Community) []bgp.Community {
 	var start [stitchParts + 1]int
-	for i := range s.shards {
-		for _, tag := range s.shards[i].ts.setTags {
-			if tag != 0 {
-				start[setPart(tag)+1]++
-			}
+	for _, tag := range keys {
+		if tag != 0 {
+			start[recordPart(tag)+1]++
 		}
 	}
 	for p := range stitchParts {
@@ -402,41 +457,39 @@ func (s *ShardedTupleStore) dedupSets(workers int, tupleOff []int) (arena []bgp.
 	}
 	bucket := make([]uint32, start[stitchParts])
 	next := start
-	for i := range s.shards {
-		for j, tag := range s.shards[i].ts.setTags {
-			if tag != 0 {
-				p := setPart(tag)
-				bucket[next[p]] = uint32(tupleOff[i] + j)
-				next[p]++
-			}
+	for g, tag := range keys {
+		if tag != 0 {
+			p := recordPart(tag)
+			bucket[next[p]] = uint32(g)
+			next[p]++
 		}
 	}
-	local = make([]uint32, tupleOff[len(s.shards)])
 	var parts [stitchParts][]bgp.Community
 	ParallelFor(workers, stitchParts, func(p int) {
 		recs := bucket[start[p]:start[p+1]]
-		si := setIndex{arena: make([]bgp.Community, 0, len(recs)), tab: newFlatTable(len(recs))}
+		ri := recordIndex{arena: make([]bgp.Community, 0, len(recs)), tab: newFlatTable(len(recs))}
 		i := 0
 		for _, g := range recs {
-			for int(g) >= tupleOff[i+1] {
+			for int(g) >= off[i+1] {
 				i++
 			}
-			ts, j := s.shards[i].ts, int(g)-tupleOff[i]
-			local[g] = si.intern(ts.setRecord(&ts.tuples[j]), ts.setTags[j])
+			keys[g] = ri.intern(rec(i, int(g)-off[i]), keys[g])
 		}
-		parts[p] = si.arena
+		parts[p] = ri.arena
 	})
 	total := len(emptySet)
-	for p, part := range parts {
-		base[p] = uint32(total)
+	for _, part := range parts {
 		total += len(part)
 	}
 	if total > multiVP {
-		panic("core: a set arena holds at most 1<<31 words")
+		panic("core: a record arena holds at most 1<<31 words")
 	}
-	arena = make([]bgp.Community, len(emptySet), total)
-	for _, part := range parts {
+	arena := make([]bgp.Community, len(emptySet), total)
+	for p, part := range parts {
+		for _, g := range bucket[start[p]:start[p+1]] {
+			keys[g] += uint32(len(arena))
+		}
 		arena = append(arena, part...)
 	}
-	return arena, base, local
+	return arena
 }

@@ -123,6 +123,46 @@ func equalDumps(t *testing.T, a, b []string, label string) {
 	}
 }
 
+// setCollide sets the collide hook on a sharded store and on every
+// shard's copy of its hash.
+func (s *ShardedTupleStore) setCollide(on bool) {
+	s.hash.collide = on
+	for i := range s.shards {
+		s.shards[i].ts.hash.collide = on
+	}
+}
+
+// cloneShards returns a sharded store over copies of s's shards. Stitch
+// consumes the shards it stitches (it rewrites their set records and
+// drops their groups), so stitching one set of shards more than once
+// takes a copy for all but the last.
+func cloneShards(s *ShardedTupleStore) *ShardedTupleStore {
+	c := &ShardedTupleStore{shards: make([]tupleShard, len(s.shards)), shift: s.shift, hash: s.hash, noted: s.noted}
+	for i := range s.shards {
+		ts := *s.shards[i].ts
+		ts.groups.arena = slices.Clone(ts.groups.arena)
+		ts.sets.arena = slices.Clone(ts.sets.arena)
+		c.shards[i].ts = &ts
+	}
+	return c
+}
+
+// shardTuples renders the tuples of every shard as dumpStore does, read
+// through each shard's own groups, sorted: what the views left, for a
+// stitched store's tuples to read back as.
+func shardTuples(sts *ShardedTupleStore) []string {
+	var out []string
+	for i := range sts.shards {
+		for _, line := range dumpStore(sts.shards[i].ts) {
+			if strings.HasPrefix(line, "t ") {
+				out = append(out, line)
+			}
+		}
+	}
+	sortStrings(out)
+	return out
+}
+
 // stitchChecked stitches sts on the given number of workers and holds
 // the result to the stitched-store shape: PathID non-decreasing, so each
 // path's tuples are contiguous and Observe walks them as they lie; every
@@ -130,23 +170,33 @@ func equalDumps(t *testing.T, a, b []string, label string) {
 // every next ref the origin sentinel or an earlier hop, as a shard
 // appends a path's hops origin first; hop columns and VP arena without
 // slack, the VP lists, count word and VPs, tiling the VP arena in tuple
-// order; a large count that is the tuples' and the noted larges; a set
-// arena that holds each distinct record once (checkSetArena); and a
-// layout that depends on the shard contents alone — Stitch(1) and
-// Stitch(4) of the same shards dump alike and lay out the same set-arena
-// words. Stitch reads the shards' data and drops only their lookup
-// tables, so the comparison stitches come first and the store returned
-// is the last one made, the one the shared storage belongs to.
+// order; a large count that is the tuples' and the noted larges; a group
+// arena and a set arena that hold each distinct group and record once
+// (checkGroupArena, checkSetArena); tuples that read back as the shards
+// held them; and a layout that depends on the shard contents alone —
+// Stitch(1) and Stitch(4) of the same shards dump alike and lay out the
+// same group-arena and set-arena words. Stitch consumes the shards, so
+// the comparison stitches run on copies (cloneShards), and the store
+// returned is stitched from sts itself.
 func stitchChecked(t *testing.T, label string, sts *ShardedTupleStore, workers int) *TupleStore {
 	t.Helper()
-	first := sts.Stitch(1)
+	held := shardTuples(sts)
+	first := cloneShards(sts).Stitch(1)
 	one := dumpStore(first)
-	equalDumps(t, dumpStore(sts.Stitch(4)), one, label+": Stitch(4) vs Stitch(1)")
+	equalDumps(t, dumpStore(cloneShards(sts).Stitch(4)), one, label+": Stitch(4) vs Stitch(1)")
 	ts := sts.Stitch(workers)
 	equalDumps(t, dumpStore(ts), one, fmt.Sprintf("%s: Stitch(%d) vs Stitch(1)", label, workers))
-	if !slices.Equal(ts.sets.arena, first.sets.arena) {
-		t.Fatalf("%s: Stitch(%d) and Stitch(1) lay out different set arenas", label, workers)
+	if !slices.Equal(ts.sets.arena, first.sets.arena) || !slices.Equal(ts.groups.arena, first.groups.arena) {
+		t.Fatalf("%s: Stitch(%d) and Stitch(1) lay out different set or group arenas", label, workers)
 	}
+	var tuples []string
+	for _, line := range sortedDump(ts) {
+		if strings.HasPrefix(line, "t ") {
+			tuples = append(tuples, line)
+		}
+	}
+	equalDumps(t, tuples, held, label+": stitched tuples vs the shards'")
+	checkGroupArena(t, label, ts)
 	checkSetArena(t, label, ts)
 	seen := make([]bool, len(ts.hopASN))
 	for i := range ts.tuples {
@@ -200,8 +250,8 @@ func stitchChecked(t *testing.T, label string, sts *ShardedTupleStore, workers i
 func checkSetArena(t *testing.T, label string, ts *TupleStore) {
 	t.Helper()
 	arena := ts.sets.arena
-	if len(arena) == 0 || arena[0] != 0 || len(arena) != cap(arena) || ts.sets.tab.slots != nil || ts.setTags != nil {
-		t.Fatalf("%s: stitched set arena of %d words in %d, head %v, with a table or tags", label, len(arena), cap(arena), arena[:min(1, len(arena))])
+	if len(arena) == 0 || arena[0] != 0 || len(arena) != cap(arena) || ts.sets.tab.slots != nil {
+		t.Fatalf("%s: stitched set arena of %d words in %d, head %v, with a table", label, len(arena), cap(arena), arena[:min(1, len(arena))])
 	}
 	recs := setRecords(arena)
 	seen := make(map[string]uint32, len(recs))
@@ -229,21 +279,42 @@ func checkSetArena(t *testing.T, label string, ts *TupleStore) {
 	}
 }
 
-// TestStitchDedupsSetRecords: shards append a set record per new tuple,
-// and Stitch deduplicates all of them at once, in hash partitions. A set
+// checkGroupArena holds a stitched store's group arena to the bulk
+// deduplication's result: exactly sized, the empty record at 0 and then
+// groups no two of which are equal (checkGroups), every one of them
+// referred to by some tuple's set record, with no table.
+func checkGroupArena(t *testing.T, label string, ts *TupleStore) {
+	t.Helper()
+	arena := ts.groups.arena
+	if len(arena) == 0 || arena[0] != 0 || len(arena) != cap(arena) || ts.groups.tab.slots != nil {
+		t.Fatalf("%s: stitched group arena of %d words in %d, head %v, with a table", label, len(arena), cap(arena), arena[:min(1, len(arena))])
+	}
+	refs := make(map[uint32]bool)
+	for i := range ts.tuples {
+		for _, ref := range ts.setRecord(&ts.tuples[i]) {
+			refs[uint32(ref&^lastGroup)] = true
+		}
+	}
+	checkStoredGroups(t, label, ts, refs)
+}
+
+// TestStitchDedupsSetRecords: shards store their own groups and append a
+// set record per new tuple, and Stitch deduplicates all shards' groups,
+// then all their records, at once, in hash partitions. A group or a set
 // carried by tuples in different shards gets one ref in the stitched
-// store, whose arena — the same words at 1, 2 and 8 workers — holds the
-// same sets as a NewTupleStore fed the same views, which deduplicates
-// inline, and whose tuples read back as that store's; with seeded and
-// with colliding hashes (every record then falls in one partition and
-// one probe chain).
+// store, whose arenas — the same words at 1, 2 and 8 workers — hold the
+// same groups and sets as a NewTupleStore fed the same views, which
+// deduplicates inline, and whose tuples read back as that store's; with
+// seeded and with colliding hashes (every record then falls in one
+// partition and one probe chain).
 func TestStitchDedupsSetRecords(t *testing.T) {
 	for _, collide := range []bool{false, true} {
 		label := fmt.Sprintf("collide=%v", collide)
 		// 40 community sets over 600 paths toward 60 origins, so every set
 		// recurs in several shards.
 		plain, sts := NewTupleStore(), NewShardedTupleStore(16)
-		plain.shared.collide, sts.shared.collide = collide, collide
+		plain.hash.collide = collide
+		sts.setCollide(collide)
 		for i := 0; i < 600; i++ {
 			path := []uint32{uint32(100 + i%7), uint32(200 + i%11), uint32(300 + i%60)}
 			var comms bgp.Communities
@@ -281,14 +352,15 @@ func TestStitchDedupsSetRecords(t *testing.T) {
 			t.Fatalf("%s: %d distinct sets, %d of them in more than one shard; the test needs 40 and 30", label, len(shardsOf), spread)
 		}
 
-		var arena []bgp.Community
+		var sets, groups []bgp.Community
 		for _, workers := range []int{1, 2, 8} {
-			ts := sts.Stitch(workers)
+			ts := cloneShards(sts).Stitch(workers)
+			checkGroupArena(t, label, ts)
 			checkSetArena(t, label, ts)
 			if workers == 1 {
-				arena = ts.sets.arena
-			} else if !slices.Equal(ts.sets.arena, arena) {
-				t.Fatalf("%s: Stitch(%d) lays out a set arena unlike Stitch(1)'s", label, workers)
+				sets, groups = ts.sets.arena, ts.groups.arena
+			} else if !slices.Equal(ts.sets.arena, sets) || !slices.Equal(ts.groups.arena, groups) {
+				t.Fatalf("%s: Stitch(%d) lays out a set or group arena unlike Stitch(1)'s", label, workers)
 			}
 			refOf := make(map[string]uint32)
 			for i := range ts.tuples {
@@ -304,7 +376,7 @@ func TestStitchDedupsSetRecords(t *testing.T) {
 					var cs bgp.Communities
 					var ls []bgp.Community
 					for _, ref := range rec {
-						c, l := splitSet(ts.shared.groups.view(uint32(ref &^ lastGroup)))
+						c, l := splitSet(recordAt(ts.groups.arena[ref&^lastGroup:]))
 						cs, ls = append(cs, c...), append(ls, l...)
 					}
 					out = append(out, fmt.Sprint(cs, ls))
@@ -314,6 +386,18 @@ func TestStitchDedupsSetRecords(t *testing.T) {
 			}
 			equalDumps(t, sortedDump(ts), sortedDump(plain), fmt.Sprintf("%s: Stitch(%d) vs NewTupleStore", label, workers))
 			equalDumps(t, stored(ts), stored(plain), fmt.Sprintf("%s: Stitch(%d) vs NewTupleStore set records", label, workers))
+			storedGroups := func(ts *TupleStore) []string {
+				var out []string
+				for _, g := range groupRecords(ts.groups.arena) {
+					out = append(out, fmt.Sprint(g))
+				}
+				sortStrings(out)
+				return out
+			}
+			equalDumps(t, storedGroups(ts), storedGroups(plain), fmt.Sprintf("%s: Stitch(%d) vs NewTupleStore groups", label, workers))
+			if len(ts.groups.arena) != len(plain.groups.arena) {
+				t.Fatalf("%s: Stitch(%d) holds %d group words, the NewTupleStore %d", label, workers, len(ts.groups.arena), len(plain.groups.arena))
+			}
 			if len(ts.sets.arena) != len(plain.sets.arena) {
 				t.Fatalf("%s: Stitch(%d) holds %d set words, the NewTupleStore %d", label, workers, len(ts.sets.arena), len(plain.sets.arena))
 			}
@@ -467,7 +551,7 @@ func TestFeederMatchesAddView(t *testing.T) {
 			views = views[:1500]
 		}
 		want := NewShardedTupleStore(16)
-		want.shared.collide = collide
+		want.setCollide(collide)
 		for _, v := range views {
 			want.AddViewASPathLarge(v.vp, bgp.NewASPath(v.path...), v.comms, v.large)
 		}
@@ -475,7 +559,7 @@ func TestFeederMatchesAddView(t *testing.T) {
 		for _, owners := range []int{1, 2, 8} {
 			label := fmt.Sprintf("collide=%v owners=%d", collide, owners)
 			sts := NewShardedTupleStore(16)
-			sts.shared.collide = collide
+			sts.setCollide(collide)
 			before := runtime.NumGoroutine()
 			load := sts.Load(owners, nil)
 			if started := runtime.NumGoroutine() - before; owners == 1 && started != 0 {
@@ -543,7 +627,7 @@ func TestLoopedPathIdentity(t *testing.T) {
 		for _, shards := range []int{1, 64} {
 			label := fmt.Sprintf("collide=%v shards=%d", collide, shards)
 			plain := NewTupleStore()
-			plain.shared.collide = collide
+			plain.hash.collide = collide
 			// The views go to the plain store and, with the aggregated path
 			// unflattened, to every sharded store fed.
 			var views []refView
@@ -555,7 +639,7 @@ func TestLoopedPathIdentity(t *testing.T) {
 			}
 			stitched := func(label string) *TupleStore {
 				sts := NewShardedTupleStore(shards)
-				sts.shared.collide = collide
+				sts.setCollide(collide)
 				for i, v := range views {
 					sts.AddViewASPathLarge(v.vp, asPaths[i], v.comms, nil)
 				}
@@ -605,7 +689,8 @@ func TestLoopedPathIdentity(t *testing.T) {
 
 // TestStitchedStoreIsReadOnly: a stitched store takes no views — every
 // AddView*, and NoteLarge, panics with the read-only message and leaves
-// it as it was — and reads like a NewTupleStore fed the same views:
+// it as it was, as does a second Stitch of the consumed shards — and
+// reads like a NewTupleStore fed the same views:
 // Observe's records, LargeCommunityCount, the (community, path) pairs
 // EachPathCommunity visits, and every Footprint row that holds data. Of
 // the rows, only the VP arena differs in bytes (a stitched store packs
@@ -642,6 +727,7 @@ func TestStitchedStoreIsReadOnly(t *testing.T) {
 		{"AddViewLarge", func() { ts.AddViewLarge(v.vp, v.path, v.comms, v.large) }},
 		{"AddViewLarge, empty path", func() { ts.AddViewLarge(v.vp, nil, nil, views[0].large) }},
 		{"NoteLarge", func() { ts.NoteLarge(views[0].large) }},
+		{"Stitch again", func() { sts.Stitch(1) }},
 	} {
 		func() {
 			defer func() {

@@ -241,7 +241,7 @@ func checkReduction(t *testing.T, label string, ts *TupleStore, want refReductio
 // repeats, near-twins that differ from a view in exactly one of path,
 // communities and larges, and one path under a classic-only, a
 // large-only, a mixed and an empty set. Every fourth seed also carries a
-// community list longer than the intern arena's first chunk.
+// community list of one α over 4 Ki long: one group of that many words.
 func storeViews(seed int64) []refView {
 	rng := rand.New(rand.NewSource(seed))
 	u := newRefUniverse(rng)
@@ -278,7 +278,7 @@ func storeViews(seed int64) []refView {
 	}
 	if seed%4 == 0 {
 		long := refView{vp: 1, path: u.paths[0]}
-		for i := 0; i < arenaMinChunk+300; i++ {
+		for i := 0; i < 4396; i++ {
 			long.comms = append(long.comms, bgp.Community(i))
 		}
 		long.comms = append(long.comms, long.comms[:5]...)
@@ -296,11 +296,11 @@ func storeViews(seed int64) []refView {
 // stitches to the same content, while one also fed nine new vantage
 // points for a multi-VP tuple grows that list past a power of two. The
 // second round makes every view hash alike, in the
-// NewTupleStore as in the shards, so each store's tables and the set
-// intern degenerate into one probe chain apiece: the results must be the
-// same, because the content comparison, not the tag, decides identity.
-// (Dropping the path or set compare from addView, or the content
-// compare from the intern's lookup, fails this round.)
+// NewTupleStore as in the shards, so each store's tables, its group and
+// set indexes among them, degenerate into one probe chain apiece: the
+// results must be the same, because the content comparison, not the tag,
+// decides identity. (Dropping the path or set compare from addView, or
+// the content compare from recordIndex.intern, fails this round.)
 func TestStoreMatchesReference(t *testing.T) {
 	for _, collide := range []bool{false, true} {
 		for seed := int64(1); seed <= 12; seed++ {
@@ -310,7 +310,7 @@ func TestStoreMatchesReference(t *testing.T) {
 			wantLater := referenceReduce(append(views, later...))
 
 			plain := NewTupleStore()
-			plain.shared.collide = collide
+			plain.hash.collide = collide
 			plainLabel := fmt.Sprintf("seed %d collide=%v plain", seed, collide)
 			for _, v := range views {
 				plain.AddViewLarge(v.vp, v.path, v.comms, v.larges)
@@ -322,7 +322,7 @@ func TestStoreMatchesReference(t *testing.T) {
 			checkReduction(t, plainLabel+" grown", plain, wantLater)
 			if collide {
 				checkOneChain(t, plainLabel+" sets", plain.sets.tab.slots, plain.sets.tab.n)
-				checkGroupChain(t, plainLabel+" groups", &plain.shared.groups)
+				checkOneChain(t, plainLabel+" groups", plain.groups.tab.slots, plain.groups.tab.n)
 			}
 
 			for _, writers := range []int{1, 2, 8} {
@@ -330,10 +330,10 @@ func TestStoreMatchesReference(t *testing.T) {
 					for _, workers := range []int{1, 4} {
 						label := fmt.Sprintf("seed %d collide=%v writers=%d shards=%d stitch=%d", seed, collide, writers, shards, workers)
 						// stitched feeds views into a fresh sharded store from
-						// writers goroutines, checks its group intern, and stitches it.
+						// writers goroutines, checks its shards' group tables, and stitches it.
 						stitched := func(label string, views []refView) *TupleStore {
 							sts := NewShardedTupleStore(shards)
-							sts.shared.collide = collide
+							sts.setCollide(collide)
 							var wg sync.WaitGroup
 							for w := 0; w < writers; w++ {
 								wg.Add(1)
@@ -347,7 +347,10 @@ func TestStoreMatchesReference(t *testing.T) {
 							}
 							wg.Wait()
 							if collide {
-								checkGroupChain(t, label+" groups", &sts.shared.groups)
+								for i := range sts.shards {
+									tab := &sts.shards[i].ts.groups.tab
+									checkOneChain(t, fmt.Sprintf("%s shard %d groups", label, i), tab.slots, tab.n)
+								}
 							}
 							return stitchChecked(t, label, sts, workers)
 						}
@@ -372,19 +375,6 @@ func checkOneChain(t *testing.T, label string, slots []uint64, live int) {
 			t.Fatalf("%s: table slot %d filled=%v with %d entries: not one chain", label, i, filled, live)
 		}
 	}
-}
-
-// checkGroupChain is checkOneChain over the group intern's table.
-func checkGroupChain(t *testing.T, label string, li *groupIntern) {
-	t.Helper()
-	live, _ := li.tableSize()
-	var slots []uint64
-	if tab := li.table.Load(); tab != nil {
-		for i := range tab.slots {
-			slots = append(slots, tab.slots[i].Load())
-		}
-	}
-	checkOneChain(t, label, slots, live)
 }
 
 // TestHopStoreMatchesReference feeds the shapes a store of hops has to
@@ -458,7 +448,7 @@ func TestHopStoreMatchesReference(t *testing.T) {
 
 	for _, collide := range []bool{false, true} {
 		plain := NewTupleStore()
-		plain.shared.collide = collide
+		plain.hash.collide = collide
 		for _, v := range views {
 			plain.AddViewLarge(v.vp, v.path, v.comms, v.larges)
 		}
@@ -467,7 +457,7 @@ func TestHopStoreMatchesReference(t *testing.T) {
 		for _, shards := range []int{1, 7, 64} {
 			label := fmt.Sprintf("%s shards=%d", label, shards)
 			sts := NewShardedTupleStore(shards)
-			sts.shared.collide = collide
+			sts.setCollide(collide)
 			for i, v := range views {
 				sts.AddViewASPathLarge(v.vp, asPaths[i], v.comms, v.larges)
 			}

@@ -13,13 +13,6 @@ import (
 	"bgpintent/internal/bgp"
 )
 
-// span is an offset+length view into one of the store's shared arenas.
-// Offsets are 32-bit: the paper-scale corpus (≈174M tuples) stays well
-// under 4G arena entries per store because ingestion shards first.
-type span struct {
-	off, n uint32
-}
-
 // PathInfo is one interned AS path, read off its chain of hops.
 type PathInfo struct {
 	ASNs []uint32 // distinct ASNs on the path, in first-appearance order
@@ -50,7 +43,7 @@ type Tuple struct {
 // capacity of nextPow2(count) (exactly count in a stitched store, which
 // takes no views). A full list relocates to the arena tail with doubled
 // capacity (amortized O(1), bounded dead space). Set-arena offsets stay
-// below 1<<31 (appendSetRecord, dedupSets), so the flag never aliases one.
+// below 1<<31 (appendRecord, dedupRecords), so the flag never aliases one.
 const multiVP = 1 << 31
 
 // pathHead marks a hop's next word when the hop heads a stored path.
@@ -73,7 +66,7 @@ func nextPow2(n uint32) uint32 { return 1 << bits.Len32(n-1) }
 //     large communities' words;
 //   - a group: one α's run of a canonical set — its classic communities
 //     with one ASN, or its large communities with one Global
-//     Administrator — interned once per store (storeInterns.groups).
+//     Administrator — stored once per store (TupleStore.groups).
 //
 // A set record, what a tuple refers to, has no header: it is the refs of
 // its set's groups, in the set's order, with lastGroup set on the last
@@ -85,7 +78,8 @@ func nextPow2(n uint32) uint32 { return 1 << bits.Len32(n-1) }
 // bgp.Community so that a group's classic items are its communities.
 
 // lastGroup marks the last group ref of a set record. Group refs are
-// arena offsets, below 1<<31 (internMaxChunks), so it aliases none.
+// arena offsets, below 1<<31 (appendRecord, dedupRecords), so it aliases
+// none.
 const lastGroup = 1 << 31
 
 // emptySet is the record with no items, the empty canonical set; one
@@ -136,10 +130,10 @@ func splitSet(set []bgp.Community) (comms bgp.Communities, larges []bgp.Communit
 	return set[1:n:n], set[n:]
 }
 
-// groupSet interns each group of the canonical set sc.set into sh's
-// group intern and renders the set record of their refs into sc.rec.
-// Both of the set's lists are sorted, so every α's run is contiguous.
-func (sc *addScratch) groupSet(sh *storeInterns) {
+// groupSet interns each group of the canonical set sc.set into ts's
+// groups and renders the set record of their refs into sc.rec. Both of
+// the set's lists are sorted, so every α's run is contiguous.
+func (sc *addScratch) groupSet(ts *TupleStore) {
 	sc.rec = sc.rec[:0]
 	comms, larges := splitSet(sc.set)
 	for cs := comms; len(cs) > 0; {
@@ -148,7 +142,7 @@ func (sc *addScratch) groupSet(sh *storeInterns) {
 			n++
 		}
 		sc.group = appendSet(sc.group[:0], cs[:n], nil)
-		sc.rec = append(sc.rec, bgp.Community(sh.groups.intern(sc.group, sh.recordHash(sc.group))))
+		sc.rec = append(sc.rec, bgp.Community(ts.groups.intern(sc.group, ts.hash.tag(sc.group))))
 		cs = cs[n:]
 	}
 	for ls := larges; len(ls) > 0; {
@@ -158,7 +152,7 @@ func (sc *addScratch) groupSet(sh *storeInterns) {
 		}
 		// The group's header counts n/3 large communities and no classic one.
 		sc.group = append(append(sc.group[:0], bgp.Community(n/3<<16)), ls[:n]...)
-		sc.rec = append(sc.rec, bgp.Community(sh.groups.intern(sc.group, sh.recordHash(sc.group))))
+		sc.rec = append(sc.rec, bgp.Community(ts.groups.intern(sc.group, ts.hash.tag(sc.group))))
 		ls = ls[n:]
 	}
 	if n := len(sc.rec); n > 0 {
@@ -166,17 +160,15 @@ func (sc *addScratch) groupSet(sh *storeInterns) {
 	}
 }
 
-// sameSet reports whether set record rec, its groups resolved through
-// groups, stands for the canonical set canon: one group read per group,
-// nothing expanded. Group headers sum to the set's, as each group counts
-// items of one kind only.
-func sameSet(groups *groupIntern, rec, canon []bgp.Community) bool {
-	chunks := *groups.arena.chunks.Load()
+// sameSet reports whether set record rec, its groups resolved in the
+// group arena groups, stands for the canonical set canon: one group read
+// per group, nothing expanded. Group headers sum to the set's, as each
+// group counts items of one kind only.
+func sameSet(groups, rec, canon []bgp.Community) bool {
 	var header bgp.Community
 	rest := canon[1:]
 	for _, ref := range rec {
-		ref &^= lastGroup
-		g := recordAt(chunks[ref>>internChunkShift][ref&internChunkMask:])
+		g := recordAt(groups[ref&^lastGroup:])
 		if len(g)-1 > len(rest) || !slices.Equal(g[1:], rest[:len(g)-1]) {
 			return false
 		}
@@ -203,19 +195,20 @@ func sameSet(groups *groupIntern, rec, canon []bgp.Community) bool {
 // A NewTupleStore, and each shard of a ShardedTupleStore, takes views; the
 // store Stitch returns is read-only.
 type TupleStore struct {
-	// shared holds the group intern. A NewTupleStore owns its own; the
-	// shards of a ShardedTupleStore share one, so group refs are global
-	// and Stitch moves no group.
-	shared *storeInterns
+	// hash starts the store's table hashes and record tags.
+	hash storeHash
 
+	// groups is the group arena, its groups addressed by word offset
+	// (the empty record seeded at 0), each distinct one once: a writable
+	// store indexes it (groups.tab); a stitched one holds the shards'
+	// groups as Stitch deduplicated them, with no index.
+	groups recordIndex
 	// sets is the set arena, its records addressed by word offset, the
 	// empty one at 0. A NewTupleStore's indexes it (sets.tab), so each
 	// distinct record is there once. A shard appends one record per new
-	// tuple and notes its tag in setTags, tuple by tuple (0 for the
-	// empty set), and Stitch deduplicates the shards' records into the
+	// tuple, and Stitch deduplicates the shards' records into the
 	// stitched store's, which holds each once and has no index.
-	sets    setIndex
-	setTags []uint32
+	sets recordIndex
 
 	// hopASN and hopNext are the hops, struct-of-arrays: hop i is ASN
 	// hopASN[i], followed toward the origin by hop hopNext[i]&^pathHead,
@@ -248,19 +241,19 @@ type TupleStore struct {
 
 // NewTupleStore returns an empty store.
 func NewTupleStore() *TupleStore {
-	ts := newStore(newStoreInterns())
-	ts.shared.owner = ts
+	ts := newStore(newStoreHash())
 	ts.sets.tab = newFlatTable(0)
 	return ts
 }
 
-// newStore returns an empty store over the interns sh, with its index
-// tables and no set index: one shard of a ShardedTupleStore, or, once
+// newStore returns an empty store hashing from h, with its index tables
+// and no set index: one shard of a ShardedTupleStore, or, once
 // NewTupleStore gives it one, a standalone store.
-func newStore(sh *storeInterns) *TupleStore {
+func newStore(h storeHash) *TupleStore {
 	return &TupleStore{
-		shared:   sh,
-		sets:     setIndex{arena: make([]bgp.Community, 1)},
+		hash:     h,
+		groups:   recordIndex{arena: make([]bgp.Community, len(emptySet)), tab: newFlatTable(0)},
+		sets:     recordIndex{arena: make([]bgp.Community, len(emptySet))},
 		tupleTab: newFlatTable(0),
 		hopTab:   newFlatTable(0),
 	}
@@ -330,7 +323,7 @@ type addScratch struct {
 	comms  bgp.Communities      // canonicalization buffers for the two
 	larges bgp.LargeCommunities // community lists; sc.set renders them
 	set    []bgp.Community      // the view's canonical set (see appendSet)
-	group  []bgp.Community      // one group of it, rendered for the group intern
+	group  []bgp.Community      // one group of it, rendered for the group index
 	rec    []bgp.Community      // its set record (see groupSet)
 	flat   []uint32             // AS-path flattening buffer for AddViewASPathLarge
 }
@@ -406,7 +399,7 @@ func (ts *TupleStore) AddViewLarge(vp uint32, path []uint32, comms bgp.Communiti
 	}
 	sc := addScratchPool.Get().(*addScratch)
 	sc.words = collapsePath(sc.words[:0], path)
-	_, h := ts.shared.prepare(sc, comms, larges)
+	_, h := ts.hash.prepare(sc, comms, larges)
 	ts.addView(vp, h, sc)
 	addScratchPool.Put(sc)
 }
@@ -528,7 +521,7 @@ func (ts *TupleStore) setRecord(t *Tuple) []bgp.Community {
 // keep or modify them.
 func (ts *TupleStore) eachGroup(t *Tuple, fn func(comms bgp.Communities, larges []bgp.Community)) {
 	for _, ref := range ts.setRecord(t) {
-		fn(splitSet(recordAt(ts.shared.groups.arena.from(uint32(ref &^ lastGroup)))))
+		fn(splitSet(recordAt(ts.groups.arena[ref&^lastGroup:])))
 	}
 }
 
@@ -583,23 +576,13 @@ func (ts *TupleStore) VPSet() []uint32 {
 }
 
 // eachStoredGroup calls fn, as eachGroup does, with every group the
-// tuples refer to, each at least once. The group arena of the interns'
-// owner (see storeInterns.owner) holds exactly those groups, each once; a
-// shard, whose arena holds its siblings' groups too, visits its tuples'
-// groups one by one.
+// tuples refer to, each once: the store's group arena holds exactly
+// those.
 func (ts *TupleStore) eachStoredGroup(fn func(comms bgp.Communities, larges []bgp.Community)) {
-	if ts.shared.owner != ts {
-		for i := range ts.tuples {
-			ts.eachGroup(&ts.tuples[i], fn)
-		}
-		return
-	}
-	for _, run := range ts.shared.groups.arena.filled() {
-		for len(run) > 0 {
-			g := recordAt(run)
-			fn(splitSet(g))
-			run = run[len(g):]
-		}
+	for run := ts.groups.arena[len(emptySet):]; len(run) > 0; {
+		g := recordAt(run)
+		fn(splitSet(g))
+		run = run[len(g):]
 	}
 }
 
