@@ -2,12 +2,14 @@
 // spirit of bgpdump. Without -v it prints per-type record counts; with
 // -v it prints one line per route.
 //
-// Decoding is lenient by default: undecodable records are skipped and
-// corrupt framing is resynchronized over, and after all files a
-// per-type skip summary is printed. The exit code is nonzero when any
+// Records decode through the decoders LoadMRT uses, so a file's counts
+// are the ones LoadMRT's LoadStats sums for it. Decoding is lenient by
+// default: undecodable records and RIB entries naming no known peer are
+// skipped, corrupt framing is resynchronized over, and each file's
+// summary lists its skips by reason. The exit code is nonzero when any
 // record could not be decoded. -strict restores fail-fast behavior with
-// offset-bearing errors; -stats prints full framing statistics per
-// file.
+// offset-bearing errors; -stats prints full decode and framing
+// statistics per file.
 //
 // Usage:
 //
@@ -26,7 +28,6 @@ import (
 	"os"
 	"sort"
 
-	"bgpintent/internal/bgp"
 	"bgpintent/internal/ingest"
 	"bgpintent/internal/mrt"
 )
@@ -50,7 +51,7 @@ func run(args []string, stdout io.Writer) error {
 	var opts options
 	fs.BoolVar(&opts.verbose, "v", false, "print each route")
 	fs.BoolVar(&opts.strict, "strict", false, "fail on the first malformed record")
-	fs.BoolVar(&opts.stats, "stats", false, "print framing statistics per file")
+	fs.BoolVar(&opts.stats, "stats", false, "print decode and framing statistics per file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -59,11 +60,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 	totalBad := 0
 	for _, path := range fs.Args() {
-		bad, err := dump(stdout, path, opts)
+		st, err := dump(stdout, path, opts)
 		if err != nil {
 			return err
 		}
-		totalBad += bad
+		totalBad += st.Skipped + st.Resyncs + st.Truncated
 	}
 	if totalBad > 0 {
 		return fmt.Errorf("%d undecodable records skipped", totalBad)
@@ -75,50 +76,62 @@ func run(args []string, stdout io.Writer) error {
 var stdin io.Reader = os.Stdin
 
 // dump prints one file ("-" means stdin, with gzip/bzip2 sniffed from
-// the magic bytes) and returns how many records failed to decode.
-func dump(stdout io.Writer, path string, opts options) (int, error) {
+// the magic bytes) and returns its decode statistics: for a file of one
+// kind, what LoadMRT counts for it.
+func dump(stdout io.Writer, path string, opts options) (mrt.Stats, error) {
 	var f io.Reader
 	if path == "-" {
 		r, err := ingest.OpenReader(stdin)
 		if err != nil {
-			return 0, fmt.Errorf("stdin: %w", err)
+			return mrt.Stats{}, fmt.Errorf("stdin: %w", err)
 		}
 		f, path = r, "stdin"
 	} else {
 		rc, err := ingest.Open(path)
 		if err != nil {
-			return 0, err
+			return mrt.Stats{}, err
 		}
 		defer rc.Close()
 		f = rc
 	}
 
 	var stats mrt.Stats
-	var r *mrt.Reader
-	if opts.strict {
-		r = mrt.NewReader(f)
-	} else {
-		r = mrt.NewLenientReader(f, &stats)
+	so := mrt.ScanOptions{Lenient: !opts.strict, Stats: &stats}
+	r := so.Reader(f)
+	ribs := &mrt.RIBDecoder{Lenient: !opts.strict}
+	updates := &mrt.UpdateDecoder{Lenient: !opts.strict}
+	printRIB := func(v *mrt.RIBView) {
+		if opts.verbose {
+			fmt.Fprintln(stdout, ribLine(v))
+		}
+	}
+	printUpdate := func(v *mrt.UpdateView) {
+		if opts.verbose {
+			fmt.Fprintln(stdout, updateLine(v))
+		}
 	}
 	counts := make(map[string]int)
-	skips := make(map[string]int)
-	var peers *mrt.PeerIndexTable
 	for {
 		rec, err := r.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return 0, fmt.Errorf("%s: %w", path, err)
+			return stats, fmt.Errorf("%s: %w", path, err)
 		}
-		key, derr := dumpRecord(stdout, rec, &peers, opts.verbose)
-		counts[key]++
-		if derr != nil {
-			if opts.strict {
-				return 0, fmt.Errorf("%s: record at offset %d: %w", path, rec.Offset, derr)
+		counts[mrt.RecordName(rec.Type, rec.Subtype)]++
+		if rec.Type == mrt.TypeBGP4MP || rec.Type == mrt.TypeBGP4MPET {
+			err = decode(r, rec, &stats, updates, printUpdate)
+		} else {
+			table := ribs.Table
+			err = decode(r, rec, &stats, ribs, printRIB)
+			if t := ribs.Table; t != table && opts.verbose {
+				fmt.Fprintf(stdout, "PEER_INDEX_TABLE collector=%v view=%q peers=%d\n",
+					t.CollectorBGPID, t.ViewName, len(t.Peers))
 			}
-			skips[key]++
-			r.Reject(rec) // undecodable bodies may hide misframed records
+		}
+		if err != nil {
+			return stats, fmt.Errorf("%s: %w", path, err)
 		}
 	}
 
@@ -126,71 +139,41 @@ func dump(stdout io.Writer, path string, opts options) (int, error) {
 	for _, k := range sortedKeys(counts) {
 		fmt.Fprintf(stdout, "  %-40s %d\n", k, counts[k])
 	}
-	bad := 0
-	if len(skips) > 0 {
+	if len(stats.SkipReasons) > 0 {
 		fmt.Fprintf(stdout, "  skipped undecodable records:\n")
-		for _, k := range sortedKeys(skips) {
-			fmt.Fprintf(stdout, "    %-38s %d\n", k, skips[k])
-			bad += skips[k]
+		for _, k := range sortedKeys(stats.SkipReasons) {
+			fmt.Fprintf(stdout, "    %-38s %d\n", k, stats.SkipReasons[k])
 		}
 	}
 	if opts.stats {
+		fmt.Fprintf(stdout, "  decode: %d decoded, %d skipped, %d unknown-type\n",
+			stats.Decoded, stats.Skipped, stats.UnknownCount())
 		fmt.Fprintf(stdout, "  framing: %d records, %d bytes read, %d resyncs, %d bytes skipped, %d truncated tails\n",
 			stats.Records, stats.BytesRead, stats.Resyncs, stats.BytesSkipped, stats.Truncated)
 	}
-	return bad + stats.Resyncs + stats.Truncated, nil
+	return stats, nil
 }
 
-// dumpRecord decodes (and under -v prints) one record, returning its
-// per-type counter key and any decode error.
-func dumpRecord(stdout io.Writer, rec *mrt.Record, peers **mrt.PeerIndexTable, verbose bool) (string, error) {
-	switch {
-	case rec.Type == mrt.TypeTableDumpV2 && rec.Subtype == mrt.SubtypePeerIndexTable:
-		key := "TABLE_DUMP_V2/PEER_INDEX_TABLE"
-		t, err := mrt.ParsePeerIndexTable(rec.Body)
-		if err != nil {
-			return key, err
-		}
-		*peers = t
-		if verbose {
-			fmt.Fprintf(stdout, "PEER_INDEX_TABLE collector=%v view=%q peers=%d\n",
-				t.CollectorBGPID, t.ViewName, len(t.Peers))
-		}
-		return key, nil
-	case rec.Type == mrt.TypeTableDumpV2 &&
-		(rec.Subtype == mrt.SubtypeRIBIPv4Unicast || rec.Subtype == mrt.SubtypeRIBIPv6Unicast):
-		key := "TABLE_DUMP_V2/RIB"
-		rib, err := mrt.ParseRIB(rec.Subtype, rec.Body)
-		if err != nil {
-			return key, err
-		}
-		if verbose {
-			for _, e := range rib.Entries {
-				peerASN := uint32(0)
-				if *peers != nil && int(e.PeerIndex) < len((*peers).Peers) {
-					peerASN = (*peers).Peers[e.PeerIndex].ASN
-				}
-				fmt.Fprintf(stdout, "RIB %v peer=AS%d path=[%s] comms=[%s]\n",
-					rib.Prefix, peerASN, e.Attrs.ASPath, e.Attrs.Communities)
-			}
-		}
-		return key, nil
-	case rec.Type == mrt.TypeBGP4MP || rec.Type == mrt.TypeBGP4MPET:
-		key := "BGP4MP"
-		if rec.Subtype != mrt.SubtypeBGP4MPMessageAS4 {
-			return key, nil
-		}
-		m, err := mrt.ParseBGP4MP(rec.Body)
-		if err != nil {
-			return key, err
-		}
-		if verbose {
-			fmt.Fprintf(stdout, "UPDATE t=%d peer=AS%d %s\n", rec.Timestamp, m.PeerAS, summarizeBGP(m.Message))
-		}
-		return key, nil
-	default:
-		return fmt.Sprintf("type=%d/subtype=%d", rec.Type, rec.Subtype), nil
+// decode runs one record through dec, the decoder LoadMRT uses for its
+// kind, and passes each view to fn. A record a lenient
+// decoder skips is handed back to r: undecodable bodies may hide
+// misframed records.
+func decode[V any](r *mrt.Reader, rec *mrt.Record, stats *mrt.Stats, dec mrt.Decoder[V], fn func(*V)) error {
+	skip, err := dec.Decode(rec, stats)
+	if skip != "" {
+		r.Reject(rec)
+		return nil
 	}
+	for err == nil {
+		var v *V
+		if v, err = dec.Next(stats); v != nil {
+			fn(v)
+		}
+	}
+	if err == io.EOF {
+		return nil
+	}
+	return err
 }
 
 func sortedKeys(m map[string]int) []string {
@@ -202,12 +185,15 @@ func sortedKeys(m map[string]int) []string {
 	return keys
 }
 
-func summarizeBGP(wire []byte) string {
-	upd, err := bgp.DecodeUpdate(wire)
-	if err != nil {
-		return fmt.Sprintf("(%v)", err)
-	}
-	out := ""
+// ribLine and updateLine render a view as -v prints it.
+func ribLine(v *mrt.RIBView) string {
+	return fmt.Sprintf("RIB %v peer=AS%d path=[%s] comms=[%s]",
+		v.Prefix, v.Peer.ASN, v.Entry.Attrs.ASPath, v.Entry.Attrs.Communities)
+}
+
+func updateLine(v *mrt.UpdateView) string {
+	upd := v.Update
+	out := fmt.Sprintf("UPDATE t=%d peer=AS%d ", v.Timestamp, v.PeerAS)
 	if len(upd.Withdrawn) > 0 {
 		out += fmt.Sprintf("withdraw=%v ", upd.Withdrawn)
 	}

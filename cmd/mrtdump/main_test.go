@@ -3,12 +3,17 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"bgpintent/internal/corpus"
+	"bgpintent/internal/ingest"
+	"bgpintent/internal/mrt"
 )
 
 func writeRIBFile(t *testing.T) string {
@@ -154,5 +159,49 @@ func TestRunStdin(t *testing.T) {
 		if !strings.Contains(s, "stdin:") || !strings.Contains(s, "TABLE_DUMP_V2/RIB") {
 			t.Errorf("%s via stdin: output = %q", name, s)
 		}
+	}
+}
+
+// TestRunVerboseUpdateRecords: a BGP4MP_ET MESSAGE_AS4 record, whose
+// body starts with the 4-octet microsecond field, and a 2-octet
+// BGP4MP_MESSAGE record carrying a 2-octet UPDATE both print their
+// update — peer AS 65269, path 65269 64496 — and mrtdump exits 0. A
+// truncated ET body is a skip, counted as LoadMRT counts it.
+func TestRunVerboseUpdateRecords(t *testing.T) {
+	path := writeMRT(t, etUpdate, legacyUpdate)
+	var out bytes.Buffer
+	if err := run([]string{"-v", path}, &out); err != nil {
+		t.Fatalf("mrtdump -v: %v\n%s", err, out.String())
+	}
+	var updates int
+	for _, line := range strings.Split(out.String(), "\n") {
+		if !strings.HasPrefix(line, "UPDATE ") {
+			continue
+		}
+		updates++
+		if !strings.Contains(line, "peer=AS65269 ") || !strings.Contains(line, "path=[65269 64496]") {
+			t.Errorf("update line %q, want peer=AS65269 and path=[65269 64496]", line)
+		}
+	}
+	if updates != 2 || !strings.Contains(out.String(), "BGP4MP") {
+		t.Errorf("%d update lines, want 2:\n%s", updates, out.String())
+	}
+
+	short := writeMRT(t, etShort, as4Update)
+	out.Reset()
+	err := run([]string{"-stats", short}, &out)
+	if err == nil || !strings.Contains(err.Error(), "1 undecodable") {
+		t.Errorf("truncated ET body: error %v, want 1 undecodable record", err)
+	}
+	st, _ := dump(io.Discard, short, options{})
+	var want ingest.Stats
+	if err := ingest.Scan(context.Background(), []ingest.InputFile{{Path: short, Updates: true}},
+		ingest.Options{MaxErrorRate: -1}, 1, &want, func() ingest.Sink {
+			return ingest.Sink{Update: func(*mrt.UpdateView) error { return nil }}
+		}); err != nil {
+		t.Fatal(err)
+	}
+	if st.Skipped != 1 || st.SkipReasons["bgp4mp"] != 1 || !reflect.DeepEqual(st, want.Total) {
+		t.Errorf("truncated ET body: mrtdump counts %+v, the ingest scan %+v", st, want.Total)
 	}
 }

@@ -3,15 +3,16 @@
 // instead of pinning one. Activated by Scan when there are more workers
 // than files.
 //
-// The framer runs the same fault-tolerant mrt.Reader the sequential
-// scanners use and copies record bodies into reusable FrameBatches; the
-// workers decode batches concurrently, each feeding the views into a
-// sink of its own. Statistics stay exactly equal to a
-// sequential scan: the framer owns every framing counter (records,
-// resyncs, truncation, bytes) by construction, and the decode counters
-// the workers accumulate per batch are order-independent sums. The one
+// The framer runs the same fault-tolerant mrt.Reader the sequential scan
+// uses and copies record bodies into reusable FrameBatches; the workers
+// decode batches concurrently through the same decoders
+// (mrt.RIBDecoder, mrt.UpdateDecoder), each feeding the views into a
+// sink of its own. Statistics stay exactly equal to a sequential scan:
+// the framer owns every framing counter (records, resyncs, truncation,
+// bytes) by construction, and the decode counters the workers'
+// decoders accumulate per batch are order-independent sums. The one
 // case that is genuinely order-dependent — lenient recovery from a
-// record that framed but failed to decode, where the sequential scanner
+// record that framed but failed to decode, where the sequential scan
 // rejects the record's bytes back into the stream and rescans inside
 // them — triggers a full-file fallback instead: the split attempt's
 // statistics and telemetry are discarded and the file is rescanned
@@ -24,13 +25,11 @@ package ingest
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"bgpintent/internal/bgp"
 	"bgpintent/internal/mrt"
 	"bgpintent/internal/obs"
 )
@@ -72,91 +71,38 @@ func (st *splitState) aborted() bool {
 	return st.failed.Load() || chClosed(st.done)
 }
 
-// recordDecoder is one worker's per-record decode step for one kind of
-// file: it parses rec, notes what it decoded or skipped against stats
-// and feeds the views to the kind's callback. A non-empty skip marks err
-// as rec failing to parse (skip is the reason a lenient scan notes); any
-// other error is terminal as it stands.
-type recordDecoder func(rec *mrt.Record, table *mrt.PeerIndexTable, stats *mrt.Stats) (skip string, err error)
-
-// ribDecoder decodes TABLE_DUMP_V2 RIB records against the peer table in
-// force when they were framed. Peer index tables never reach workers
-// (framing barrier); foreign types and other subtypes are skipped like
-// the sequential scanner skips them.
-func ribDecoder(strict bool, fn func(*mrt.RIBView) error) recordDecoder {
-	var (
-		rib  mrt.RIB
-		view mrt.RIBView
-	)
-	return func(rec *mrt.Record, table *mrt.PeerIndexTable, stats *mrt.Stats) (string, error) {
-		if rec.Type != mrt.TypeTableDumpV2 ||
-			(rec.Subtype != mrt.SubtypeRIBIPv4Unicast && rec.Subtype != mrt.SubtypeRIBIPv6Unicast) {
-			stats.NoteUnknown(rec.Type, rec.Subtype)
-			return "", nil
-		}
-		if err := mrt.ParseRIBInto(rec.Subtype, rec.Body, &rib); err != nil {
-			return "rib", err
-		}
-		stats.NoteDecoded()
-		for _, e := range rib.Entries {
-			if table == nil || int(e.PeerIndex) >= len(table.Peers) {
-				if strict {
-					return "", fmt.Errorf("mrt: RIB record at offset %d: entry references peer index %d outside table", rec.Offset, e.PeerIndex)
-				}
-				stats.NoteSkip("peer-index-out-of-range")
-				continue
-			}
-			view = mrt.RIBView{Peer: table.Peers[e.PeerIndex], Prefix: rib.Prefix, Entry: e}
-			if err := fn(&view); err != nil {
-				return "", err
-			}
-		}
-		return "", nil
-	}
-}
-
-// updateDecoder decodes BGP4MP records.
-func updateDecoder(fn func(*mrt.UpdateView) error) recordDecoder {
-	var (
-		upd  bgp.UpdateMessage
-		view mrt.UpdateView
-	)
-	return func(rec *mrt.Record, _ *mrt.PeerIndexTable, stats *mrt.Stats) (string, error) {
-		ok, err := mrt.DecodeUpdateRecord(rec, &upd, &view, stats)
-		if err != nil {
-			return "bgp4mp", err
-		}
-		if !ok {
-			return "", nil
-		}
-		stats.NoteDecoded()
-		return "", fn(&view)
-	}
-}
-
-// decodeBatches is one worker's loop over a file's frame jobs. All
-// reusable decode state (the record view here, the rest inside decode)
-// is worker-local; per-batch counters land in the job's result slot.
-func decodeBatches(jobs <-chan frameJob, free chan<- *mrt.FrameBatch, st *splitState, strict bool, decode recordDecoder) {
+// decodeBatches is one worker's loop over a file's frame jobs: it
+// decodes each record through dec, the same decoder the sequential scan
+// uses, into the job's result slot and feeds the views to fn. For RIB
+// files table points at dec's peer table, which each job stamps with
+// the table in force when its records were framed; it is nil for
+// updates files. All reusable decode state is worker-local.
+func decodeBatches[V any](jobs <-chan frameJob, free chan<- *mrt.FrameBatch, st *splitState, dec mrt.Decoder[V], table **mrt.PeerIndexTable, fn func(*V) error) {
 	var rec mrt.Record
 	for job := range jobs {
+		if table != nil {
+			*table = job.table
+		}
+		stats := &job.res.stats
 		for i, n := 0, job.batch.Len(); i < n && !st.aborted(); i++ {
 			job.batch.Rec(i, &rec)
-			skip, err := decode(&rec, job.table, &job.res.stats)
-			if err == nil {
-				continue
+			skip, err := dec.Decode(&rec, stats)
+			for err == nil {
+				var v *V
+				if v, err = dec.Next(stats); v != nil {
+					err = fn(v)
+				}
 			}
 			switch {
-			case skip == "":
-				job.res.err = err
-			case strict:
-				job.res.err = fmt.Errorf("mrt: record at offset %d: %w", rec.Offset, err)
-			default:
-				// The sequential scanner would Reject the record's bytes
-				// and rescan inside them; that recovery is inherently
+			case skip != "":
+				// The sequential scan would Reject the record's bytes and
+				// rescan inside them; that recovery is inherently
 				// stream-ordered, so redo the whole file sequentially.
-				job.res.stats.NoteSkip(skip)
 				st.fallback.Store(true)
+			case err == io.EOF:
+				continue
+			default:
+				job.res.err = err
 			}
 			st.failed.Store(true)
 		}
@@ -176,23 +122,9 @@ func scanFileSplit(ctx context.Context, f InputFile, opts Options, workers int, 
 	defer rc.Close()
 
 	s := beginScan(f.Path, opts)
-	fs, tr := &s.fs, opts.Tracer
-	so := scanOptions(f.Path, opts, fs)
-	r := so.Reader(rc)
+	tr := opts.Tracer
+	r := s.reader(rc)
 	st := &splitState{done: ctx.Done()}
-
-	// RIB files interleave PEER_INDEX_TABLE records with the RIB records
-	// that reference them, so table records are a framing barrier: the
-	// framer parses them in stream order and stamps each batch with the
-	// table in force when it was framed.
-	newDecoder := func(sink Sink) recordDecoder { return ribDecoder(opts.Strict, sink.RIB) }
-	barrier := func(typ, subtype uint16) bool {
-		return typ == mrt.TypeTableDumpV2 && subtype == mrt.SubtypePeerIndexTable
-	}
-	if f.Updates {
-		newDecoder = func(sink Sink) recordDecoder { return updateDecoder(sink.Update) }
-		barrier = nil
-	}
 
 	nBatches := 2 * workers
 	free := make(chan *mrt.FrameBatch, nBatches)
@@ -200,6 +132,24 @@ func scanFileSplit(ctx context.Context, f InputFile, opts Options, workers int, 
 		free <- &mrt.FrameBatch{}
 	}
 	jobs := make(chan frameJob)
+
+	// RIB files interleave PEER_INDEX_TABLE records with the RIB records
+	// that reference them, so table records are a framing barrier: the
+	// framer decodes them in stream order, through a RIB decoder of its
+	// own, and stamps each batch with the table in force when it was
+	// framed.
+	tables := &mrt.RIBDecoder{Lenient: !opts.Strict}
+	barrier := mrt.IsPeerIndexTable
+	run := func(sink Sink) {
+		dec := &mrt.RIBDecoder{Lenient: !opts.Strict}
+		decodeBatches(jobs, free, st, dec, &dec.Table, sink.RIB)
+	}
+	if f.Updates {
+		barrier = nil
+		run = func(sink Sink) {
+			decodeBatches(jobs, free, st, &mrt.UpdateDecoder{Lenient: !opts.Strict}, nil, sink.Update)
+		}
+	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -207,12 +157,11 @@ func scanFileSplit(ctx context.Context, f InputFile, opts Options, workers int, 
 			defer wg.Done()
 			sink := newSink()
 			defer sink.done()
-			decodeBatches(jobs, free, st, opts.Strict, newDecoder(sink))
+			run(sink)
 		}()
 	}
 
 	var (
-		table    *mrt.PeerIndexTable
 		ordered  []*batchResult
 		framerFn error // framer-side terminal error (budget, reader, strict table)
 	)
@@ -237,35 +186,28 @@ func scanFileSplit(ctx context.Context, f InputFile, opts Options, workers int, 
 		if batch.Len() > 0 {
 			res := &batchResult{}
 			ordered = append(ordered, res)
-			jobs <- frameJob{batch: batch, table: table, res: res}
+			jobs <- frameJob{batch: batch, table: tables.Table, res: res}
 		} else {
 			free <- batch
 		}
 		if brec != nil {
 			// Barrier record: a peer index table, governing every record
 			// after it. The batch just dispatched was framed before it.
-			t, perr := mrt.ParsePeerIndexTable(brec.Body)
-			if perr != nil {
-				if opts.Strict {
-					framerFn = fmt.Errorf("mrt: record at offset %d: %w", brec.Offset, perr)
-					break
-				}
-				fs.NoteSkip("peer-index-table")
+			if skip, err := tables.Decode(brec, &s.fs); skip != "" {
 				st.fallback.Store(true)
 				break
-			}
-			fs.NoteDecoded()
-			table = t
-		}
-		if so.Check != nil {
-			// Mid-stream budget check over the framing counters; decode
-			// skips are re-checked exactly at finish (and a lenient decode
-			// failure falls back to the sequential scan, where the budget
-			// applies per record).
-			if cerr := so.Check(fs); cerr != nil {
-				framerFn = cerr
+			} else if err != nil {
+				framerFn = err
 				break
 			}
+		}
+		// Mid-stream budget check over the framer's counters; decode
+		// skips are re-checked exactly at finish (and a lenient decode
+		// failure falls back to the sequential scan, where the budget
+		// applies per record).
+		if err := s.overBudget(budgetMinSample); err != nil {
+			framerFn = err
+			break
 		}
 	}
 	close(jobs)
@@ -288,7 +230,7 @@ func scanFileSplit(ctx context.Context, f InputFile, opts Options, workers int, 
 	// sequential scan would have stopped at.
 	werr := framerFn
 	for _, res := range ordered {
-		fs.Merge(&res.stats)
+		s.fs.Merge(&res.stats)
 		if res.err != nil {
 			werr = res.err
 			break

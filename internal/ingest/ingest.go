@@ -158,24 +158,6 @@ type wrappedCloser struct {
 // Close closes the decompressor and the underlying file.
 func (w *wrappedCloser) Close() error { return w.close() }
 
-// scanOptions builds the mrt scanner configuration for one file,
-// wiring in the mid-stream budget check.
-func scanOptions(name string, opts Options, fs *mrt.Stats) mrt.ScanOptions {
-	so := mrt.ScanOptions{Lenient: !opts.Strict, Stats: fs}
-	limit := opts.limit()
-	if !opts.Strict && limit >= 0 {
-		so.Check = func(s *mrt.Stats) error {
-			if s.Attempts() >= budgetMinSample {
-				if rate := s.ErrorRate(); rate > limit {
-					return &BudgetError{Path: name, Rate: rate, Limit: limit}
-				}
-			}
-			return nil
-		}
-	}
-	return so
-}
-
 // openTimed is Open plus an obs.StageOpen span when a tracer is
 // attached.
 func openTimed(path string, tr *obs.Tracer) (io.ReadCloser, error) {
@@ -188,30 +170,49 @@ func openTimed(path string, tr *obs.Tracer) (io.ReadCloser, error) {
 	return rc, err
 }
 
-// viewScanner is the one method a scan loop needs of
-// mrt.TableDumpScanner and mrt.UpdateScanner.
-type viewScanner[V any] interface{ Next() (V, error) }
-
-// fileScan is one file's scan in flight: its decode statistics plus the
-// telemetry both schedules (sequential drain, frame/decode split)
-// report the same way — one decode span per file, the live record
-// counter advanced by MRT records framed, the byte counter by bytes
-// read.
+// fileScan is one file's scan in flight: its decode statistics, the
+// error budget it is held to, and the telemetry both schedules
+// (sequential scan, frame/decode split) report the same way — one
+// decode span per file, the live record counter advanced by MRT records
+// framed, the byte counter by bytes read.
 type fileScan struct {
 	name    string
 	opts    Options
+	limit   float64 // the error budget; negative when none applies
 	fs      mrt.Stats
 	start   time.Time
 	counted int // fs.Records already added to the live record counter
 }
 
 func beginScan(name string, opts Options) *fileScan {
-	s := &fileScan{name: name, opts: opts}
+	s := &fileScan{name: name, opts: opts, limit: opts.limit()}
+	if opts.Strict {
+		s.limit = -1
+	}
 	if tr := opts.Tracer; tr.Active() {
 		tr.StageStartOnly(obs.StageDecode, name)
 		s.start = time.Now()
 	}
 	return s
+}
+
+// reader frames r with the file's fault tolerance, counting into its
+// stats.
+func (s *fileScan) reader(r io.Reader) *mrt.Reader {
+	so := mrt.ScanOptions{Lenient: !s.opts.Strict, Stats: &s.fs}
+	return so.Reader(r)
+}
+
+// overBudget returns a BudgetError when the file's corruption rate is
+// over the budget, once at least minSample record attempts count.
+func (s *fileScan) overBudget(minSample int) error {
+	if s.limit < 0 || s.fs.Attempts() < minSample {
+		return nil
+	}
+	if rate := s.fs.ErrorRate(); rate > s.limit {
+		return &BudgetError{Path: s.name, Rate: rate, Limit: s.limit}
+	}
+	return nil
 }
 
 // tick advances the live record counter to the records framed so far.
@@ -239,12 +240,7 @@ func (s *fileScan) end(stats *Stats, err error) error {
 		return err
 	}
 	s.opts.Tracer.FileDone()
-	if limit := s.opts.limit(); !s.opts.Strict && limit >= 0 {
-		if rate := s.fs.ErrorRate(); rate > limit {
-			return &BudgetError{Path: s.name, Rate: rate, Limit: limit}
-		}
-	}
-	return nil
+	return s.overBudget(0)
 }
 
 // fileErr labels a framing or decode error with its file; a BudgetError
@@ -256,40 +252,64 @@ func fileErr(name string, err error) error {
 	return fmt.Errorf("ingest: %s: %w", name, err)
 }
 
-// drain is the sequential scan loop for either kind of file: it streams
-// every view newScanner's scanner yields from r into fn, checking ctx
-// between views. name labels the stream in errors and statistics.
-func drain[V any, S viewScanner[V]](ctx context.Context, r io.Reader, name string, opts Options, stats *Stats,
-	newScanner func(io.Reader, mrt.ScanOptions) S, fn func(V) error) error {
+// scan is the sequential scan of one file of either kind: it frames r's
+// records, decodes each through dec, hands a lenient skip's bytes back
+// to the reader and feeds the views to fn. ctx is checked between
+// records. The error budget is checked once each record is counted and
+// again after each entry the decoder drops, so a scan stops at the
+// record or entry that breaks it, before the views that follow. name
+// labels the stream in errors and statistics.
+func scan[V any](ctx context.Context, r io.Reader, name string, opts Options, stats *Stats, dec mrt.Decoder[V], fn func(*V) error) error {
 	s := beginScan(name, opts)
-	sc := newScanner(r, scanOptions(name, opts, &s.fs))
+	rd := s.reader(r)
 	done := ctx.Done()
-	for {
-		if chClosed(done) {
-			return s.end(stats, ctx.Err())
-		}
-		v, err := sc.Next()
+	for !chClosed(done) {
+		rec, err := rd.Next()
 		s.tick()
 		if err == io.EOF {
-			return s.end(stats, nil)
+			return s.end(stats, s.overBudget(budgetMinSample))
 		}
 		if err != nil {
 			return s.end(stats, fileErr(name, err))
 		}
-		if err := fn(v); err != nil {
+		if skip, err := dec.Decode(rec, &s.fs); skip != "" {
+			rd.Reject(rec)
+		} else if err != nil {
+			return s.end(stats, fileErr(name, err))
+		}
+		if err := s.overBudget(budgetMinSample); err != nil {
 			return s.end(stats, err)
 		}
+		for {
+			v, err := dec.Next(&s.fs)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return s.end(stats, fileErr(name, err))
+			}
+			if v == nil { // an entry dropped
+				if err := s.overBudget(budgetMinSample); err != nil {
+					return s.end(stats, err)
+				}
+				continue
+			}
+			if err := fn(v); err != nil {
+				return s.end(stats, err)
+			}
+		}
 	}
+	return s.end(stats, ctx.Err())
 }
 
 // ScanRIBsFrom streams every RIBView of an already-open TABLE_DUMP_V2
 // stream into fn; name labels the stream in errors and statistics.
 func ScanRIBsFrom(r io.Reader, name string, opts Options, stats *Stats, fn func(*mrt.RIBView) error) error {
-	return drain(context.Background(), r, name, opts, stats, mrt.NewTableDumpScannerOptions, fn)
+	return scan(context.Background(), r, name, opts, stats, &mrt.RIBDecoder{Lenient: !opts.Strict}, fn)
 }
 
-// scanFile opens f and drains it into sink's callback of its kind; a
-// canceled ctx aborts the scan between views with ctx.Err().
+// scanFile opens f and scans it into sink's callback of its kind; a
+// canceled ctx aborts the scan between records with ctx.Err().
 func scanFile(ctx context.Context, f InputFile, opts Options, stats *Stats, sink Sink) error {
 	rc, err := openTimed(f.Path, opts.Tracer)
 	if err != nil {
@@ -297,9 +317,9 @@ func scanFile(ctx context.Context, f InputFile, opts Options, stats *Stats, sink
 	}
 	defer rc.Close()
 	if f.Updates {
-		return drain(ctx, rc, f.Path, opts, stats, mrt.NewUpdateScannerOptions, sink.Update)
+		return scan(ctx, rc, f.Path, opts, stats, &mrt.UpdateDecoder{Lenient: !opts.Strict}, sink.Update)
 	}
-	return drain(ctx, rc, f.Path, opts, stats, mrt.NewTableDumpScannerOptions, sink.RIB)
+	return scan(ctx, rc, f.Path, opts, stats, &mrt.RIBDecoder{Lenient: !opts.Strict}, sink.RIB)
 }
 
 // chClosed is a non-blocking closed-channel probe; nil reads as open.

@@ -157,6 +157,52 @@ func TestErrorBudget(t *testing.T) {
 		}
 	})
 
+	t.Run("abort at the record or dropped entry that breaks the budget", func(t *testing.T) {
+		// One peer, then RIB records whose first entry names a peer
+		// outside the table and whose second is good: every record costs
+		// one skip. The budget is checked once a record is counted and
+		// after each entry dropped, so at the 128th attempt (RIB record
+		// 127) a 5 % budget breaks before that record's entries, with 126
+		// skips, and a 99 % budget breaks at its dropped entry (127/128)
+		// — both before its good view. The abort is the budget's error,
+		// with the stats up to that point.
+		var buf bytes.Buffer
+		table := &mrt.PeerIndexTable{
+			CollectorBGPID: netip.MustParseAddr("10.0.0.1"),
+			Peers:          []mrt.Peer{{BGPID: netip.MustParseAddr("10.1.0.1"), Addr: netip.MustParseAddr("198.51.100.1"), ASN: 65269}},
+		}
+		tw, err := mrt.NewTableDumpWriter(&buf, 100, table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		attrs := bgp.PathAttributes{HasOrigin: true, ASPath: bgp.NewASPath(65269, 64496)}
+		for i := 0; i < 200; i++ {
+			entries := []mrt.RIBEntry{{PeerIndex: 5, Attrs: attrs}, {PeerIndex: 0, Attrs: attrs}}
+			if err := tw.WriteRIB(bgp.MustParsePrefix("192.0.2.0/24"), entries); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			limit   float64
+			skipped int
+		}{{0.05, 126}, {0.99, 127}} {
+			views, st, err := countViews(t, buf.Bytes(), Options{MaxErrorRate: tc.limit})
+			var be *BudgetError
+			if !errors.As(err, &be) || be.Rate != float64(tc.skipped)/128 {
+				t.Fatalf("limit %v: error = %v, want a *BudgetError at rate %d/128", tc.limit, err, tc.skipped)
+			}
+			fs := st.Files[0].Stats
+			if views != 126 || fs.Records != 128 || fs.Decoded != 128 || fs.Skipped != tc.skipped ||
+				fs.SkipReasons["peer-index-out-of-range"] != tc.skipped {
+				t.Errorf("limit %v: %d views, stats %+v; want 126 views and 128 records, 128 decoded, %d skipped",
+					tc.limit, views, fs, tc.skipped)
+			}
+		}
+	})
+
 	t.Run("clean stream passes the budget", func(t *testing.T) {
 		wire := buildRIBStream(t, 300)
 		views, st, err := countViews(t, wire, Options{})

@@ -55,163 +55,103 @@ type RIBView struct {
 	Entry  RIBEntry
 }
 
-// ScanOptions configure the fault tolerance of a scanner.
-type ScanOptions struct {
-	// Lenient makes the scanner skip undecodable records (and resync
-	// over corrupt framing) instead of returning a sticky error.
+// RIBDecoder is the one decoder of TABLE_DUMP_V2 records. It turns each
+// record into RIBViews against the peer table in force and counts what
+// happened to it in a Stats: decoded, skipped with a reason, or of an
+// unknown type. Every reader of RIB files decodes through it: the
+// scanners here, ingest's sequential scan and frame-split workers, and
+// mrtdump.
+type RIBDecoder struct {
+	// Lenient counts a record that does not parse, and an entry naming a
+	// peer outside the table, as skipped; a strict decoder returns an
+	// error carrying the record's offset instead.
 	Lenient bool
-	// Stats, if non-nil, receives per-stream decode statistics.
-	Stats *Stats
-	// Check, if non-nil, runs after every processed record with the
-	// current stats; a non-nil return aborts the scan with that sticky
-	// error. Ingestion uses it to enforce an error budget.
-	Check func(*Stats) error
+	// Table is the peer index table in force. Decode replaces it at each
+	// PEER_INDEX_TABLE record; the frame split stamps it on its workers.
+	Table   *PeerIndexTable
+	rib     RIB        // reusable decode target
+	entries []RIBEntry // the entries of rib Next has yet to resolve
+	off     int64      // offset of the record rib came from
+	view    RIBView    // reusable return value
 }
 
-// Reader returns the record reader a scanner with these options would
-// use: strict or lenient per o.Lenient, framing stats wired to o.Stats,
-// record reuse enabled. Decode loops built outside this package (the
-// frame/decode split pipeline in internal/ingest) use it to frame with
-// exactly the scanners' fault tolerance.
-func (o *ScanOptions) Reader(r io.Reader) *Reader { return o.reader(r) }
-
-func (o *ScanOptions) reader(r io.Reader) *Reader {
-	var rd *Reader
-	if o.Lenient {
-		rd = NewLenientReader(r, o.Stats)
-	} else {
-		rd = NewReader(r)
-		rd.stats = o.Stats
+// Decode decodes rec and counts it in stats; a RIB record's views then
+// come from Next. A non-empty skip means a lenient decoder counted rec
+// as undecodable under that reason, err saying why, and the caller may
+// Reject its bytes. Any other error is terminal and carries the record's
+// offset.
+func (d *RIBDecoder) Decode(rec *Record, stats *Stats) (skip string, err error) {
+	d.entries = nil
+	if rec.Type != TypeTableDumpV2 {
+		stats.noteUnknown(rec.Type, rec.Subtype)
+		return "", nil
 	}
-	// The scanners fully decode each record before reading the next, so
-	// the record and its body buffer can be recycled.
-	rd.ReuseRecord()
-	return rd
-}
-
-func (o *ScanOptions) check() error {
-	if o.Check == nil {
-		return nil
-	}
-	return o.Check(o.Stats)
-}
-
-// TableDumpScanner streams RIBViews out of a TABLE_DUMP_V2 file,
-// resolving peer indexes against the PEER_INDEX_TABLE. Records of other
-// types are skipped.
-type TableDumpScanner struct {
-	r       *Reader
-	opts    ScanOptions
-	table   *PeerIndexTable
-	rib     RIB // reusable decode target; current points here once filled
-	current *RIB
-	view    RIBView // reusable return value
-	curOff  int64
-	pos     int
-	err     error
-}
-
-// NewTableDumpScannerOptions wraps an MRT stream with the given fault
-// tolerance.
-func NewTableDumpScannerOptions(r io.Reader, opts ScanOptions) *TableDumpScanner {
-	if opts.Check != nil && opts.Stats == nil {
-		opts.Stats = &Stats{}
-	}
-	return &TableDumpScanner{r: opts.reader(r), opts: opts}
-}
-
-// Stats returns the scanner's statistics collector (nil unless one was
-// configured).
-func (s *TableDumpScanner) Stats() *Stats { return s.opts.Stats }
-
-// Next returns the next RIBView, or io.EOF at end of stream. The view
-// is owned by the scanner and valid only until the following Next call;
-// callers that retain it must copy what they need.
-func (s *TableDumpScanner) Next() (*RIBView, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	v, err := s.next()
-	if err != nil {
-		s.err = err
-		return nil, err
-	}
-	return v, nil
-}
-
-func (s *TableDumpScanner) next() (*RIBView, error) {
-	for {
-		if s.current != nil && s.pos < len(s.current.Entries) {
-			e := s.current.Entries[s.pos]
-			s.pos++
-			if s.table == nil || int(e.PeerIndex) >= len(s.table.Peers) {
-				if !s.opts.Lenient {
-					return nil, fmt.Errorf("mrt: RIB record at offset %d: entry references peer index %d outside table", s.curOff, e.PeerIndex)
-				}
-				s.opts.Stats.noteSkip("peer-index-out-of-range")
-				if err := s.opts.check(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			s.view = RIBView{
-				Peer:   s.table.Peers[e.PeerIndex],
-				Prefix: s.current.Prefix,
-				Entry:  e,
-			}
-			return &s.view, nil
-		}
-		rec, err := s.r.Next()
+	switch rec.Subtype {
+	case SubtypePeerIndexTable:
+		t, err := ParsePeerIndexTable(rec.Body)
 		if err != nil {
-			if err == io.EOF {
-				if cerr := s.opts.check(); cerr != nil {
-					return nil, cerr
-				}
-			}
-			return nil, err
+			return fail(d.Lenient, rec, "peer-index-table", err, stats)
 		}
-		if rec.Type != TypeTableDumpV2 {
-			s.opts.Stats.noteUnknown(rec.Type, rec.Subtype)
-		} else {
-			switch rec.Subtype {
-			case SubtypePeerIndexTable:
-				t, perr := ParsePeerIndexTable(rec.Body)
-				if perr != nil {
-					if !s.opts.Lenient {
-						return nil, fmt.Errorf("mrt: record at offset %d: %w", rec.Offset, perr)
-					}
-					s.opts.Stats.noteSkip("peer-index-table")
-					s.r.Reject(rec)
-				} else {
-					s.table = t
-					s.opts.Stats.noteDecoded()
-				}
-			case SubtypeRIBIPv4Unicast, SubtypeRIBIPv6Unicast:
-				perr := ParseRIBInto(rec.Subtype, rec.Body, &s.rib)
-				if perr != nil {
-					// A failed decode leaves the reused RIB in an
-					// unspecified state; drop any stale reference.
-					s.current = nil
-					if !s.opts.Lenient {
-						return nil, fmt.Errorf("mrt: record at offset %d: %w", rec.Offset, perr)
-					}
-					s.opts.Stats.noteSkip("rib")
-					s.r.Reject(rec)
-				} else {
-					s.current = &s.rib
-					s.curOff = rec.Offset
-					s.pos = 0
-					s.opts.Stats.noteDecoded()
-				}
-			default:
-				// Other TABLE_DUMP_V2 subtypes (multicast, generic) skipped.
-				s.opts.Stats.noteUnknown(rec.Type, rec.Subtype)
-			}
+		d.Table = t
+	case SubtypeRIBIPv4Unicast, SubtypeRIBIPv6Unicast:
+		if err := ParseRIBInto(rec.Subtype, rec.Body, &d.rib); err != nil {
+			return fail(d.Lenient, rec, "rib", err, stats)
 		}
-		if err := s.opts.check(); err != nil {
-			return nil, err
-		}
+		d.entries, d.off = d.rib.Entries, rec.Offset
+	default:
+		// Multicast, generic and ADD-PATH RIBs are counted, not decoded.
+		stats.noteUnknown(rec.Type, rec.Subtype)
+		return "", nil
 	}
+	stats.noteDecoded()
+	return "", nil
+}
+
+// Next returns the view of the next entry of the record Decode last
+// took in, or io.EOF once there is none left. The view is valid until
+// the following Next or Decode. An entry whose peer index is outside
+// the table fails a strict decoder; a lenient one counts it as skipped
+// and returns a nil view with a nil error.
+func (d *RIBDecoder) Next(stats *Stats) (*RIBView, error) {
+	if len(d.entries) == 0 {
+		return nil, io.EOF
+	}
+	e := &d.entries[0]
+	d.entries = d.entries[1:]
+	if d.Table == nil || int(e.PeerIndex) >= len(d.Table.Peers) {
+		if !d.Lenient {
+			return nil, fmt.Errorf("mrt: RIB record at offset %d: entry references peer index %d outside table", d.off, e.PeerIndex)
+		}
+		stats.noteSkip("peer-index-out-of-range")
+		return nil, nil
+	}
+	d.view = RIBView{Peer: d.Table.Peers[e.PeerIndex], Prefix: d.rib.Prefix, Entry: *e}
+	return &d.view, nil
+}
+
+// Decoder is what RIBDecoder and UpdateDecoder have in common, so a
+// scan loop over either kind of file is one loop.
+type Decoder[V any] interface {
+	Decode(rec *Record, stats *Stats) (skip string, err error)
+	Next(stats *Stats) (*V, error)
+}
+
+// IsPeerIndexTable reports whether a record header announces a
+// PEER_INDEX_TABLE, the record that changes what every later RIB record
+// of the stream means. The frame split frames it as a barrier.
+func IsPeerIndexTable(typ, subtype uint16) bool {
+	return typ == TypeTableDumpV2 && subtype == SubtypePeerIndexTable
+}
+
+// fail answers a record that framed but does not parse: a strict
+// decoder returns err with the record's offset, a lenient one counts the
+// record as skipped under reason.
+func fail(lenient bool, rec *Record, reason string, err error, stats *Stats) (string, error) {
+	if !lenient {
+		return "", fmt.Errorf("mrt: record at offset %d: %w", rec.Offset, err)
+	}
+	stats.noteSkip(reason)
+	return reason, err
 }
 
 // UpdateWriter writes BGP4MP_MESSAGE_AS4 records, the layout of
@@ -253,104 +193,33 @@ type UpdateView struct {
 	Update    *bgp.UpdateMessage
 }
 
-// UpdateScanner streams decoded updates out of a BGP4MP file. Non-UPDATE
-// BGP messages and non-BGP4MP records are skipped.
-type UpdateScanner struct {
-	r    *Reader
-	opts ScanOptions
-	upd  bgp.UpdateMessage // reusable decode target
-	view UpdateView        // reusable return value
-	err  error
+// UpdateDecoder is the one decoder of BGP4MP records: BGP4MP_MESSAGE
+// and BGP4MP_MESSAGE_AS4, with or without the extended timestamp. It
+// turns an UPDATE into an UpdateView and counts every record in a Stats,
+// as RIBDecoder does. Records that carry another BGP message (keepalive,
+// open, notification) yield nothing and are not counted.
+type UpdateDecoder struct {
+	// Lenient counts a record that does not parse as skipped; a strict
+	// decoder returns an error carrying the record's offset instead.
+	Lenient bool
+	upd     bgp.UpdateMessage // reusable decode target
+	view    UpdateView        // reusable return value
+	ready   bool              // view holds an update Next has not returned
 }
 
-// NewUpdateScannerOptions wraps an MRT stream with the given fault
-// tolerance.
-func NewUpdateScannerOptions(r io.Reader, opts ScanOptions) *UpdateScanner {
-	if opts.Check != nil && opts.Stats == nil {
-		opts.Stats = &Stats{}
-	}
-	return &UpdateScanner{r: opts.reader(r), opts: opts}
-}
-
-// Stats returns the scanner's statistics collector (nil unless one was
-// configured).
-func (s *UpdateScanner) Stats() *Stats { return s.opts.Stats }
-
-// Next returns the next decoded update, or io.EOF at end of stream. The
-// view is owned by the scanner and valid only until the following Next
-// call; callers that retain it must copy what they need.
-func (s *UpdateScanner) Next() (*UpdateView, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	v, err := s.next()
-	if err != nil {
-		s.err = err
-		return nil, err
-	}
-	return v, nil
-}
-
-func (s *UpdateScanner) next() (*UpdateView, error) {
-	for {
-		rec, err := s.r.Next()
-		if err != nil {
-			if err == io.EOF {
-				if cerr := s.opts.check(); cerr != nil {
-					return nil, cerr
-				}
-			}
-			return nil, err
-		}
-		v, perr := s.decode(rec)
-		if perr != nil {
-			if !s.opts.Lenient {
-				return nil, fmt.Errorf("mrt: record at offset %d: %w", rec.Offset, perr)
-			}
-			s.opts.Stats.noteSkip("bgp4mp")
-			s.r.Reject(rec)
-		} else if v != nil {
-			s.opts.Stats.noteDecoded()
-		}
-		if err := s.opts.check(); err != nil {
-			return nil, err
-		}
-		if v != nil && perr == nil {
-			return v, nil
-		}
-	}
-}
-
-// decode turns one record into an UpdateView. A nil view with a nil
-// error means the record is not a decodable BGP UPDATE (foreign type,
-// keepalive...) and carries no corruption signal.
-func (s *UpdateScanner) decode(rec *Record) (*UpdateView, error) {
-	ok, err := DecodeUpdateRecord(rec, &s.upd, &s.view, s.opts.Stats)
-	if err != nil || !ok {
-		return nil, err
-	}
-	return &s.view, nil
-}
-
-// DecodeUpdateRecord decodes one BGP4MP record into caller-owned
-// storage: upd receives the UPDATE message (its internal buffers are
-// reused across calls) and view is filled pointing at it. A false ok
-// with a nil error means the record is not a decodable BGP UPDATE
-// (foreign type, unknown subtype — noted against stats — or a
-// keepalive/open/notification) and carries no corruption signal. The
-// caller accounts decodes and skips; only unknown-type notes happen
-// here, mirroring UpdateScanner. This is the per-record decode step of
-// the frame/decode split pipeline; stats may be nil.
-func DecodeUpdateRecord(rec *Record, upd *bgp.UpdateMessage, view *UpdateView, stats *Stats) (ok bool, err error) {
+// Decode decodes rec and counts it in stats; an UPDATE's view then comes
+// from Next. skip and err mean what they mean for RIBDecoder.Decode.
+func (d *UpdateDecoder) Decode(rec *Record, stats *Stats) (skip string, err error) {
+	d.ready = false
 	if rec.Type != TypeBGP4MP && rec.Type != TypeBGP4MPET {
 		stats.noteUnknown(rec.Type, rec.Subtype)
-		return false, nil
+		return "", nil
 	}
 	body := rec.Body
 	if rec.Type == TypeBGP4MPET {
 		// Extended timestamp: 4 extra microsecond octets first.
 		if len(body) < 4 {
-			return false, fmt.Errorf("mrt: BGP4MP_ET: short body")
+			return fail(d.Lenient, rec, "bgp4mp", fmt.Errorf("mrt: BGP4MP_ET: short body"), stats)
 		}
 		body = body[4:]
 	}
@@ -361,23 +230,123 @@ func DecodeUpdateRecord(rec *Record, upd *bgp.UpdateMessage, view *UpdateView, s
 		asn = 2
 	default:
 		stats.noteUnknown(rec.Type, rec.Subtype)
-		return false, nil
+		return "", nil
 	}
 	var m BGP4MPMessage
 	if err := m.parse(body, asn); err != nil {
-		return false, err
+		return fail(d.Lenient, rec, "bgp4mp", err, stats)
 	}
 	if len(m.Message) >= 19 && m.Message[18] != bgp.MsgTypeUpdate {
-		return false, nil // keepalive/open/notification
+		return "", nil // keepalive/open/notification
 	}
-	if err := bgp.DecodeUpdateSizedInto(m.Message, asn, upd); err != nil {
-		return false, fmt.Errorf("mrt: BGP4MP update: %w", err)
+	if err := bgp.DecodeUpdateSizedInto(m.Message, asn, &d.upd); err != nil {
+		return fail(d.Lenient, rec, "bgp4mp", fmt.Errorf("mrt: BGP4MP update: %w", err), stats)
 	}
-	*view = UpdateView{
+	d.view = UpdateView{
 		Timestamp: rec.Timestamp,
 		PeerAS:    m.PeerAS,
 		PeerAddr:  m.PeerAddr,
-		Update:    upd,
+		Update:    &d.upd,
 	}
-	return true, nil
+	d.ready = true
+	stats.noteDecoded()
+	return "", nil
+}
+
+// Next returns the update the record Decode last took in carried, or
+// io.EOF when it carried none or it was already returned. The view is
+// valid until the following Decode.
+func (d *UpdateDecoder) Next(*Stats) (*UpdateView, error) {
+	if !d.ready {
+		return nil, io.EOF
+	}
+	d.ready = false
+	return &d.view, nil
+}
+
+// ScanOptions configure the fault tolerance of a scanner.
+type ScanOptions struct {
+	// Lenient makes the scanner skip undecodable records (and resync
+	// over corrupt framing) instead of returning a sticky error.
+	Lenient bool
+	// Stats, if non-nil, receives per-stream decode statistics.
+	Stats *Stats
+}
+
+// Reader returns the record reader a scanner with these options uses:
+// strict or lenient per o.Lenient, framing stats wired to o.Stats,
+// record reuse enabled. Every scan loop, in this package and in
+// internal/ingest, frames through it.
+func (o *ScanOptions) Reader(r io.Reader) *Reader {
+	var rd *Reader
+	if o.Lenient {
+		rd = NewLenientReader(r, o.Stats)
+	} else {
+		rd = NewReader(r)
+		rd.stats = o.Stats
+	}
+	// Scan loops fully decode each record before reading the next, so
+	// the record and its body buffer can be recycled.
+	rd.ReuseRecord()
+	return rd
+}
+
+// TableDumpScanner streams RIBViews out of a TABLE_DUMP_V2 file through
+// a RIBDecoder.
+type TableDumpScanner = scanner[RIBView]
+
+// UpdateScanner streams decoded updates out of a BGP4MP file through an
+// UpdateDecoder.
+type UpdateScanner = scanner[UpdateView]
+
+// NewTableDumpScannerOptions wraps an MRT stream with the given fault
+// tolerance.
+func NewTableDumpScannerOptions(r io.Reader, opts ScanOptions) *TableDumpScanner {
+	return &TableDumpScanner{r: opts.Reader(r), stats: opts.Stats, dec: &RIBDecoder{Lenient: opts.Lenient}}
+}
+
+// NewUpdateScannerOptions wraps an MRT stream with the given fault
+// tolerance.
+func NewUpdateScannerOptions(r io.Reader, opts ScanOptions) *UpdateScanner {
+	return &UpdateScanner{r: opts.Reader(r), stats: opts.Stats, dec: &UpdateDecoder{Lenient: opts.Lenient}}
+}
+
+// scanner pulls the views of one kind of file out of a stream, one at a
+// time: it frames records, decodes each through its decoder, and hands
+// a lenient decoder's undecodable records back to the reader.
+type scanner[V any] struct {
+	r     *Reader
+	stats *Stats
+	dec   Decoder[V]
+	err   error
+}
+
+// Next returns the next view, or io.EOF at end of stream. The view is
+// owned by the scanner and valid only until the following Next call;
+// callers that retain it must copy what they need. Errors are sticky.
+func (s *scanner[V]) Next() (*V, error) {
+	for s.err == nil {
+		v, err := s.dec.Next(s.stats)
+		if v != nil {
+			return v, nil
+		}
+		if err == nil {
+			continue // a lenient decoder dropped an entry
+		}
+		if err != io.EOF {
+			s.err = err
+			break
+		}
+		rec, err := s.r.Next()
+		if err != nil {
+			s.err = err
+			break
+		}
+		if skip, err := s.dec.Decode(rec, s.stats); skip != "" {
+			s.r.Reject(rec)
+		} else if err != nil {
+			s.err = err
+		}
+	}
+	return nil, s.err
 }

@@ -196,7 +196,7 @@ func TestLenientScannerSkipsBadRecord(t *testing.T) {
 	data, offsets := buildRIBStream(t, 10)
 	buf := append([]byte(nil), data...)
 	// Corrupt record 4's body so it frames fine but fails to parse:
-	// a bogus entry count makes ParseRIB run off the end of the body.
+	// a bogus entry count makes ParseRIBInto run off the end of the body.
 	bodyStart := offsets[4] + recordHeaderLen
 	for i := bodyStart + 9; i < bodyStart+13; i++ {
 		buf[i] = 0xff
@@ -229,27 +229,6 @@ func TestLenientScannerSkipsBadRecord(t *testing.T) {
 	}
 	if err == io.EOF || !strings.Contains(err.Error(), "offset") {
 		t.Errorf("strict scanner error = %v, want offset-bearing parse error", err)
-	}
-}
-
-func TestScanCheckAborts(t *testing.T) {
-	data, _ := buildRIBStream(t, 10)
-	wantErr := io.ErrClosedPipe
-	s := NewTableDumpScannerOptions(bytes.NewReader(data), ScanOptions{
-		Lenient: true,
-		Check: func(st *Stats) error {
-			if st.Records >= 3 {
-				return wantErr
-			}
-			return nil
-		},
-	})
-	var err error
-	for err == nil {
-		_, err = s.Next()
-	}
-	if err != wantErr {
-		t.Errorf("scan error = %v, want the check's error", err)
 	}
 }
 

@@ -37,6 +37,21 @@ const (
 	SubtypeBGP4MPMessageAS4 uint16 = 4
 )
 
+// RecordName names a record's type for per-type record counts: the
+// TABLE_DUMP_V2 peer table and RIBs, BGP4MP of any subtype, and
+// "type=T/subtype=S" for the rest.
+func RecordName(typ, subtype uint16) string {
+	switch {
+	case IsPeerIndexTable(typ, subtype):
+		return "TABLE_DUMP_V2/PEER_INDEX_TABLE"
+	case typ == TypeTableDumpV2 && (subtype == SubtypeRIBIPv4Unicast || subtype == SubtypeRIBIPv6Unicast):
+		return "TABLE_DUMP_V2/RIB"
+	case typ == TypeBGP4MP || typ == TypeBGP4MPET:
+		return "BGP4MP"
+	}
+	return fmt.Sprintf("type=%d/subtype=%d", typ, subtype)
+}
+
 // AFI values used in BGP4MP headers.
 const (
 	AFIIPv4 uint16 = 1
@@ -61,8 +76,8 @@ type Record struct {
 }
 
 // Stats counts decode outcomes over one MRT stream (or, merged, over a
-// whole corpus load). The reader fills the framing fields; the scanners
-// fill the record-decode fields. A nil *Stats is accepted everywhere
+// whole corpus load). The reader fills the framing fields; the decoders
+// (RIBDecoder, UpdateDecoder) fill the record-decode fields. A nil *Stats is accepted everywhere
 // and disables collection.
 type Stats struct {
 	Records      int   // records framed by the reader
@@ -73,7 +88,7 @@ type Stats struct {
 	BytesRead    int64 // bytes consumed from the stream
 	BytesSkipped int64 // bytes discarded while hunting for a valid header
 
-	// UnknownTypes counts records of types/subtypes the scanner does not
+	// UnknownTypes counts records of types/subtypes the decoders do not
 	// decode, keyed "type/subtype". Unknown records are normal in real
 	// archives and do not count against the error rate.
 	UnknownTypes map[string]int
@@ -113,19 +128,6 @@ func (s *Stats) noteUnknown(typ, subtype uint16) {
 	}
 	s.UnknownTypes[fmt.Sprintf("%d/%d", typ, subtype)]++
 }
-
-// NoteDecoded counts one cleanly decoded record. Exposed for decode
-// loops built outside this package (the frame/decode split pipeline in
-// internal/ingest); in-package scanners use the unexported form.
-func (s *Stats) NoteDecoded() { s.noteDecoded() }
-
-// NoteSkip counts one record (or RIB entry) dropped as undecodable,
-// under the given reason. See NoteDecoded.
-func (s *Stats) NoteSkip(reason string) { s.noteSkip(reason) }
-
-// NoteUnknown counts one record of an undecoded type/subtype. See
-// NoteDecoded.
-func (s *Stats) NoteUnknown(typ, subtype uint16) { s.noteUnknown(typ, subtype) }
 
 // Attempts returns the number of record-level framing and decode
 // attempts the error rate is measured over.
@@ -215,7 +217,7 @@ type Reader struct {
 
 // ReuseRecord makes Next return the same Record every time, with its
 // body buffer recycled between calls: a record is then valid only until
-// the following Next. The scanners enable this — they fully decode each
+// the following Next. The scan loops enable this — they fully decode each
 // record before advancing — but callers that retain records must not.
 func (r *Reader) ReuseRecord() { r.reuse = true }
 
@@ -397,8 +399,8 @@ func (r *Reader) frameLooksSound(n int) bool {
 const maxRejects = 64
 
 // Reject pushes the most recently returned record's wire bytes back
-// into the stream and re-synchronizes inside them. The lenient scanners
-// call it when a record that framed cleanly fails to parse: after
+// into the stream and re-synchronizes inside them. Lenient scan loops
+// call it when a decoder skips a record that framed cleanly: after
 // mid-record truncation the reader silently drifts out of alignment,
 // and the first misframed record typically has real records swallowed
 // inside its body — rescanning the rejected bytes recovers them and
@@ -676,17 +678,8 @@ func (rib *RIB) Encode() ([]byte, error) {
 	return out, nil
 }
 
-// ParseRIB decodes a RIB_IPV4_UNICAST or RIB_IPV6_UNICAST record body;
-// subtype selects the address family.
-func ParseRIB(subtype uint16, body []byte) (*RIB, error) {
-	var rib RIB
-	if err := ParseRIBInto(subtype, body, &rib); err != nil {
-		return nil, err
-	}
-	return &rib, nil
-}
-
-// ParseRIBInto is ParseRIB decoding into a caller-owned RIB: rib's
+// ParseRIBInto decodes a RIB_IPV4_UNICAST or RIB_IPV6_UNICAST record
+// body into a caller-owned RIB; subtype selects the address family. rib's
 // previous contents are discarded, but its entry slice and each entry's
 // attribute storage are reused, so a scan loop recycling one RIB runs
 // allocation-free at steady state. On error rib's contents are
@@ -781,15 +774,6 @@ func (m *BGP4MPMessage) Encode() []byte {
 		out = append(out, l[:]...)
 	}
 	return append(out, m.Message...)
-}
-
-// ParseBGP4MP decodes a BGP4MP_MESSAGE_AS4 record body.
-func ParseBGP4MP(body []byte) (*BGP4MPMessage, error) {
-	m := new(BGP4MPMessage)
-	if err := m.parse(body, 4); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // parse fills m from a BGP4MP_MESSAGE_AS4 (asn 4) or BGP4MP_MESSAGE

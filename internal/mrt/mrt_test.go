@@ -138,7 +138,7 @@ func TestRIBRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseRIB(SubtypeRIBIPv4Unicast, body)
+	got, err := parseRIB(SubtypeRIBIPv4Unicast, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,15 +165,15 @@ func TestParseRIBErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseRIB(99, body); err == nil {
+	if _, err := parseRIB(99, body); err == nil {
 		t.Error("bad subtype: want error")
 	}
 	for _, cut := range []int{2, 5, 8, 12, len(body) - 1} {
-		if _, err := ParseRIB(SubtypeRIBIPv4Unicast, body[:cut]); err == nil {
+		if _, err := parseRIB(SubtypeRIBIPv4Unicast, body[:cut]); err == nil {
 			t.Errorf("cut at %d: want error", cut)
 		}
 	}
-	if _, err := ParseRIB(SubtypeRIBIPv4Unicast, append(body, 0)); err == nil {
+	if _, err := parseRIB(SubtypeRIBIPv4Unicast, append(body, 0)); err == nil {
 		t.Error("trailing byte: want error")
 	}
 }
@@ -201,7 +201,7 @@ func TestBGP4MPRoundTrip(t *testing.T) {
 		LocalAddr: netip.MustParseAddr("198.51.100.254"),
 		Message:   wire,
 	}
-	got, err := ParseBGP4MP(want.Encode())
+	got, err := parseBGP4MP(want.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestBGP4MPRoundTripIPv6(t *testing.T) {
 		LocalAddr: netip.MustParseAddr("2001:db8::2"),
 		Message:   []byte{1, 2, 3},
 	}
-	got, err := ParseBGP4MP(want.Encode())
+	got, err := parseBGP4MP(want.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,12 +234,12 @@ func TestBGP4MPRoundTripIPv6(t *testing.T) {
 }
 
 func TestParseBGP4MPErrors(t *testing.T) {
-	if _, err := ParseBGP4MP([]byte{1, 2, 3}); err == nil {
+	if _, err := parseBGP4MP([]byte{1, 2, 3}); err == nil {
 		t.Error("short: want error")
 	}
 	body := (&BGP4MPMessage{PeerAddr: netip.MustParseAddr("10.0.0.1"), LocalAddr: netip.MustParseAddr("10.0.0.2")}).Encode()
 	body[10], body[11] = 0, 9 // bad AFI
-	if _, err := ParseBGP4MP(body); err == nil {
+	if _, err := parseBGP4MP(body); err == nil {
 		t.Error("bad AFI: want error")
 	}
 }
@@ -288,7 +288,7 @@ func TestTableDumpWriterScannerEndToEnd(t *testing.T) {
 	if views[2].Prefix != p2 || views[2].Peer.ASN != 4200000001 {
 		t.Errorf("view 2 = %+v", views[2])
 	}
-	if got := s.table.ViewName; got != "rc1" {
+	if got := s.dec.(*RIBDecoder).Table.ViewName; got != "rc1" {
 		t.Errorf("view name = %q", got)
 	}
 }
@@ -447,4 +447,15 @@ func TestParseBGP4MPLegacyErrors(t *testing.T) {
 	if err := new(BGP4MPMessage).parse(short, 2); err == nil {
 		t.Error("truncated addresses accepted")
 	}
+}
+
+// parseRIB and parseBGP4MP decode one record body into a fresh value.
+func parseRIB(subtype uint16, body []byte) (*RIB, error) {
+	var rib RIB
+	return &rib, ParseRIBInto(subtype, body, &rib)
+}
+
+func parseBGP4MP(body []byte) (*BGP4MPMessage, error) {
+	m := new(BGP4MPMessage)
+	return m, m.parse(body, 4)
 }
