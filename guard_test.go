@@ -50,8 +50,10 @@ const (
 	// counts are cached per Corpus.
 	guardSnapshotInfoRepeatBytes = 1024
 	// Live heap a loaded Corpus and its Result hold, per tuple. Measured
-	// 23.3 with the 8-byte tuple and paths stored as hash-consed 8-byte
-	// hops (34.7 with the 12-byte tuple, 4-byte path ends and an ASN
+	// 19.4 with set records of uvarint group ordinals (23.3 with 4-byte
+	// group refs, whose ceiling was 27; before them, with the 8-byte
+	// tuple and paths stored as hash-consed 8-byte hops; 34.7 with the
+	// 12-byte tuple, 4-byte path ends and an ASN
 	// arena, whose ceiling was 39; 43.2 with the 16-byte tuple, 8-byte
 	// path spans and a header word per set record, whose ceiling was 48;
 	// 54.6 with one flat record per distinct set, whose ceiling was 60;
@@ -61,19 +63,22 @@ const (
 	// the arenas' doubling slack); more means load-only state outlives Stitch again, sets are
 	// stored flat again, paths stop sharing their suffixes, or the tuple,
 	// hop or set record grew back.
-	guardHeldBytesPerTuple = 27
+	guardHeldBytesPerTuple = 20
 	// How far Corpus.Footprint's reserved total may sit from the heap
 	// the Corpus is measured to hold. Measured 0.1 % under (the slice
 	// headers it does not count).
 	guardFootprintTolerance = 0.05
 	// How far above the heap it starts from a load of the guard corpus
 	// may reach under GOGC 5, as a multiple of the heap the loaded Corpus
-	// holds, at Parallelism 1 and 2. Measured 3.03-3.20x (peak 68.4-72.4
-	// B per tuple, held 22.6) with shard-owned groups; 2.98-3.22x, one
-	// load of 42 at 3.38x, while the shards shared one group intern. The
-	// ceiling is 3.22x plus 12 % for the sampler's and the collector's
-	// timing; more means load-only state grew, or outlives the step that
-	// needs it.
+	// holds, at Parallelism 1 and 2. Measured 3.24-3.43x (peak 60.9-64.3
+	// B per tuple, held 18.7), also beside another test binary, with set
+	// records of uvarint group ordinals and a Stitch that collects the
+	// load's tables before it allocates; up to 3.76x beside another
+	// binary while Stitch allocated on top of the uncollected tables;
+	// 3.03-3.20x (peak 68.4-72.4, held 22.6) with 4-byte group refs; 2.98-3.22x, one load of 42 at 3.38x, while the shards shared
+	// one group intern. The ceiling was set at 3.22x plus 12 % for the
+	// sampler's and the collector's timing; more means load-only state
+	// grew, or outlives the step that needs it.
 	guardLoadPeakOverHeld = 3.6
 )
 

@@ -66,10 +66,12 @@ func flatRow(name string, tabs ...*flatTable) FootprintRow {
 }
 
 // Footprint returns the store's memory by component, all of it the
-// store's own. The table rows are a writable store's indexes: set_table
-// is a NewTupleStore's set index, group_table the group index every
-// writable store keeps (a shard's covers its own groups), index_tables
-// the tuple and hop tables. A stitched store has none, so they read 0.
+// store's own. group_index is the table of the groups' word offsets by
+// ordinal, 4 B a group. The table rows are a writable store's indexes:
+// set_table is a NewTupleStore's set index, group_table the group index
+// every writable store keeps (a shard's covers its own groups),
+// index_tables the tuple and hop tables. A stitched store has none, so
+// they read 0.
 // noted_larges holds the larges NoteLarge saw, which a sharded store
 // keeps apart from its shards and hands to Stitch.
 func (ts *TupleStore) Footprint() Footprint {
@@ -84,6 +86,7 @@ func (ts *TupleStore) Footprint() Footprint {
 		probeRow("vp_index", &ts.vpIndex),
 		sliceRow("set_arena", ts.sets.arena),
 		sliceRow("group_arena", ts.groups.arena),
+		sliceRow("group_index", ts.groups.at),
 		flatRow("set_table", &ts.sets.tab),
 		flatRow("group_table", &ts.groups.tab),
 		flatRow("index_tables", &ts.tupleTab, &ts.hopTab),

@@ -71,38 +71,59 @@ func groupedIdentities(ids map[string]bool, views []refView) map[string]bool {
 	return ids
 }
 
-// groupRecords returns every group a group arena holds past the seeded
-// empty one, one word at offset 0, by ref.
-func groupRecords(arena []bgp.Community) map[uint32][]bgp.Community {
+// groupRecords returns every group a store holds, by ordinal.
+func groupRecords(ts *TupleStore) map[uint32][]bgp.Community {
 	out := make(map[uint32][]bgp.Community)
-	for pos := len(emptySet); pos < len(arena); {
-		rec := recordAt(arena[pos:])
-		out[uint32(pos)] = rec
-		pos += len(rec)
+	for ord, off := range ts.groups.at {
+		out[uint32(ord)] = recordAt(ts.groups.arena[off:])
 	}
 	return out
 }
 
 // setRecords returns every record a set arena holds past the empty one
 // at offset 0, by ref.
-func setRecords(arena []bgp.Community) map[uint32][]bgp.Community {
-	out := make(map[uint32][]bgp.Community)
-	for pos := len(emptySet); pos < len(arena); {
-		rec := setRecordAt(arena[pos:])
-		out[uint32(pos)] = rec
-		pos += len(rec)
+func setRecords(arena []byte) map[uint32][]byte {
+	out := make(map[uint32][]byte)
+	for pos := 1; pos < len(arena); {
+		end := pos
+		for last := false; !last; {
+			_, last, end = groupRef(arena, end)
+		}
+		out[uint32(pos)] = arena[pos:end]
+		pos = end
 	}
 	return out
 }
 
-// checkGroups holds a group arena to the layout: each group is one α's
-// strictly ascending run of one kind of community, and no two are equal.
-// It returns their refs.
-func checkGroups(t *testing.T, label string, arena []bgp.Community) map[uint32]bool {
+// groupOrds returns the group ordinals of a tuple's set record.
+func groupOrds(ts *TupleStore, tu *Tuple) []uint32 {
+	var ords []uint32
+	for rec, i, last := ts.setRecord(tu), 0, tu.setRef() == 0; !last; {
+		var ord uint32
+		ord, last, i = groupRef(rec, i)
+		ords = append(ords, ord)
+	}
+	return ords
+}
+
+// checkGroups holds a store's groups to the layout: the group arena holds
+// them end to end in ordinal order, each one α's strictly ascending run
+// of one kind of community, and no two equal. It returns their ordinals.
+func checkGroups(t *testing.T, label string, ts *TupleStore) map[uint32]bool {
 	t.Helper()
+	ord := 0
+	for off := 0; off < len(ts.groups.arena); ord++ {
+		if ord >= len(ts.groups.at) || ts.groups.at[ord] != uint32(off) {
+			t.Fatalf("%s: group %d of the arena lies at word %d, which its ordinal does not name", label, ord, off)
+		}
+		off += len(recordAt(ts.groups.arena[off:]))
+	}
+	if ord != len(ts.groups.at) {
+		t.Fatalf("%s: the group arena holds %d groups, %d ordinals name one", label, ord, len(ts.groups.at))
+	}
 	refs := make(map[uint32]bool)
 	seen := make(map[string]uint32)
-	for ref, g := range groupRecords(arena) {
+	for ref, g := range groupRecords(ts) {
 		comms, larges := splitSet(g)
 		switch {
 		case len(comms) > 0 && len(larges) == 0:
@@ -133,8 +154,8 @@ func checkGroups(t *testing.T, label string, arena []bgp.Community) map[uint32]b
 // checkGroupedTuples reads every tuple's communities back through its
 // groups: each must be the canonical input of one identity in want, no
 // identity in two tuples, and the store's distinct counts must be the
-// tuples'. It returns the identities found and the group refs the set
-// records carry.
+// tuples'. It returns the identities found and the group ordinals the
+// set records carry.
 func checkGroupedTuples(t *testing.T, label string, ts *TupleStore, want map[string]bool) (ids map[string]bool, refs map[uint32]bool) {
 	t.Helper()
 	ids, refs = make(map[string]bool), make(map[uint32]bool)
@@ -150,8 +171,8 @@ func checkGroupedTuples(t *testing.T, label string, ts *TupleStore, want map[str
 			t.Fatalf("%s: identity %s held by two tuples", label, id)
 		}
 		ids[id] = true
-		for _, ref := range ts.setRecord(tu) {
-			refs[uint32(ref&^lastGroup)] = true
+		for _, ord := range groupOrds(ts, tu) {
+			refs[ord] = true
 		}
 		for _, c := range cs {
 			comms[c] = true
@@ -168,7 +189,7 @@ func checkGroupedTuples(t *testing.T, label string, ts *TupleStore, want map[str
 // refs, its set records' refs, name, each once.
 func checkStoredGroups(t *testing.T, label string, ts *TupleStore, refs map[uint32]bool) {
 	t.Helper()
-	stored := checkGroups(t, label, ts.groups.arena)
+	stored := checkGroups(t, label, ts)
 	if len(stored) != len(refs) {
 		t.Fatalf("%s: the group arena holds %d groups, the set records refer to %d", label, len(stored), len(refs))
 	}

@@ -30,9 +30,9 @@ func hashPathKey(key []uint32, seed uint64) (route, h uint64) {
 	return mixWord(fnvOffset64, key[len(key)-1]), h
 }
 
-// hashSet continues h over a set record (see appendSet). Its header word
-// carries both list lengths, so equal hashes of unequal sets stay as rare
-// as the mixing makes them.
+// hashSet continues h over a canonical set or a group (see appendSet).
+// Its header word carries both list lengths, so equal hashes of unequal
+// sets stay as rare as the mixing makes them.
 func hashSet(h uint64, set []bgp.Community) uint64 {
 	for _, w := range set {
 		h = mixWord(h, uint32(w))

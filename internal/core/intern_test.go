@@ -8,25 +8,57 @@ import (
 	"bgpintent/internal/bgp"
 )
 
-// setRecordOf renders group refs as a set record: the refs, the last
-// flagged lastGroup.
-func setRecordOf(refs ...uint32) []bgp.Community {
-	rec := make([]bgp.Community, len(refs))
-	for i, ref := range refs {
-		rec[i] = bgp.Community(ref)
-	}
-	if len(rec) > 0 {
-		rec[len(rec)-1] |= lastGroup
+// setRecordOf renders group ordinals as a set record, the last flagged.
+func setRecordOf(ords ...uint32) []byte {
+	var rec []byte
+	for i, ord := range ords {
+		rec = appendGroupRef(rec, ord, i == len(ords)-1)
 	}
 	return rec
 }
 
-// TestCommInternEmptyList pins the empty-set convention: ref 0, seeded
-// at the head of the group arena and of every set arena and never
-// entered in a table or appended, resolving to a set record of no
-// groups, hence no communities of either kind — in a NewTupleStore,
-// whose set index deduplicates inline, and in a shard, which appends
-// its other records for Stitch.
+// TestGroupRefCodec: a group ref is the uvarint ord<<1 | last, so an
+// ordinal takes one byte below 64, two below 8192, three below 1<<20 and
+// four at 1<<20; each decodes to its ordinal and flag and ends where the
+// next ref starts, and a record's refs read back in order with only the
+// last flagged.
+func TestGroupRefCodec(t *testing.T) {
+	for _, tc := range []struct {
+		ord   uint32
+		width int
+	}{{0, 1}, {63, 1}, {64, 2}, {8191, 2}, {8192, 3}, {1<<20 - 1, 3}, {1 << 20, 4}, {1<<31 - 1, 5}} {
+		for _, last := range []bool{false, true} {
+			rec := appendGroupRef([]byte{0xAA}, tc.ord, last)
+			if len(rec) != 1+tc.width {
+				t.Errorf("ordinal %d (last %v) takes %d bytes, want %d", tc.ord, last, len(rec)-1, tc.width)
+			}
+			if ord, gotLast, next := groupRef(append(rec, 0x55), 1); ord != tc.ord || gotLast != last || next != len(rec) {
+				t.Errorf("ordinal %d (last %v) reads back as %d (last %v), next ref at %d; want %d", tc.ord, last, ord, gotLast, next, len(rec))
+			}
+		}
+	}
+	ords := []uint32{0, 63, 64, 8191, 8192, 1<<20 - 1, 1 << 20}
+	rec := setRecordOf(ords...)
+	var got []uint32
+	for i, last := 0, false; !last; {
+		var ord uint32
+		ord, last, i = groupRef(rec, i)
+		got = append(got, ord)
+		if last != (i == len(rec)) {
+			t.Fatalf("ref %d of %v reads last=%v, ending at byte %d of %d", len(got)-1, ords, last, i, len(rec))
+		}
+	}
+	if !slices.Equal(got, ords) || len(rec) != 1+1+2+2+3+3+4 {
+		t.Fatalf("a record of %v (%d bytes) reads back as %v", ords, len(rec), got)
+	}
+}
+
+// TestCommInternEmptyList pins the empty-set convention: ref 0, the one
+// zero byte seeded at the head of every set arena, never entered in a
+// table or appended, resolving to a set record of no groups, hence no
+// communities of either kind — in a NewTupleStore, whose set index
+// deduplicates inline, and in a shard, which appends its other records
+// for Stitch.
 func TestCommInternEmptyList(t *testing.T) {
 	ts := NewTupleStore()
 	sc := &addScratch{set: appendSet(nil, nil, nil)}
@@ -34,22 +66,22 @@ func TestCommInternEmptyList(t *testing.T) {
 	if ref := ts.addSet(sc.rec); len(sc.rec) != 0 || ref != 0 {
 		t.Fatalf("addSet(%v) = %#x, want the empty record at 0", sc.rec, ref)
 	}
-	if tag := ts.hash.tag(nil); tag != 0 {
+	if tag := ts.hash.setTag(nil); tag != 0 {
 		t.Fatalf("the empty record's tag is %#x, want 0", tag)
 	}
-	if ts.groups.tab.n != 0 || ts.sets.tab.n != 0 || len(ts.groups.arena) != len(emptySet) || len(ts.sets.arena) != len(emptySet) {
-		t.Fatalf("the empty set entered a table or an arena: %d groups, %d sets, %d group words, %d set words",
-			ts.groups.tab.n, ts.sets.tab.n, len(ts.groups.arena), len(ts.sets.arena))
+	if ts.groups.tab.n != 0 || ts.sets.tab.n != 0 || len(ts.groups.arena) != 0 || len(ts.groups.at) != 0 || len(ts.sets.arena) != 1 {
+		t.Fatalf("the empty set entered a table or an arena: %d groups, %d sets, %d group words, %d ordinals, %d set bytes",
+			ts.groups.tab.n, ts.sets.tab.n, len(ts.groups.arena), len(ts.groups.at), len(ts.sets.arena))
 	}
-	if v := setRecordAt(ts.sets.arena); len(v) != 0 {
+	if v := ts.setRecord(&Tuple{}); len(v) != 0 {
 		t.Fatalf("set record at ref 0 = %v, want the empty set record", v)
 	}
 	if c, l := tupleCommunities(ts, &Tuple{}); len(c) != 0 || len(l) != 0 {
 		t.Fatalf("a tuple on ref 0 carries %v and %v", c, l)
 	}
 	shard := NewShardedTupleStore(1).shards[0].ts
-	if ref := shard.addSet(nil); ref != 0 || len(shard.sets.arena) != len(emptySet) {
-		t.Fatalf("a shard's empty set: ref %#x, %d set words", ref, len(shard.sets.arena))
+	if ref := shard.addSet(nil); ref != 0 || len(shard.sets.arena) != 1 {
+		t.Fatalf("a shard's empty set: ref %#x, %d set bytes", ref, len(shard.sets.arena))
 	}
 }
 
@@ -100,7 +132,7 @@ func TestCommInternDupZeroAlloc(t *testing.T) {
 // without colliding hashes, every set keeps its ref and the table counts
 // each distinct set once.
 func TestSetInternSeeded(t *testing.T) {
-	set := func(i int) []bgp.Community {
+	set := func(i int) []byte {
 		return setRecordOf(uint32(i+1), 1<<20|uint32(i))
 	}
 	for _, collide := range []bool{false, true} {
@@ -119,7 +151,7 @@ func TestSetInternSeeded(t *testing.T) {
 		}
 		fill := len(ts.sets.arena)
 		for i, ref := range refs {
-			if got := ts.addSet(set(i)); got != ref || !slices.Equal(setRecordAt(ts.sets.arena[ref:]), set(i)) {
+			if got := ts.addSet(set(i)); got != ref || !slices.Equal(ts.setRecord(&Tuple{set: ref}), set(i)) {
 				t.Fatalf("collide=%v: set %d resolves to %#x after growth, was %#x", collide, i, got, ref)
 			}
 		}
@@ -127,7 +159,7 @@ func TestSetInternSeeded(t *testing.T) {
 			t.Fatalf("collide=%v: table holds %d entries in %d slots, want %d in 8192", collide, tab.n, len(tab.slots), n)
 		}
 		if got := len(ts.sets.arena); got != fill {
-			t.Fatalf("collide=%v: re-adding known sets grew the arena %d -> %d words", collide, fill, got)
+			t.Fatalf("collide=%v: re-adding known sets grew the arena %d -> %d bytes", collide, fill, got)
 		}
 		if collide {
 			checkOneChain(t, "collide", ts.sets.tab.slots, ts.sets.tab.n)

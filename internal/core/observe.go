@@ -122,21 +122,22 @@ type rankCount struct {
 // O(group-arena words + distinct keys) — built once per walk; the store
 // keeps none of it.
 type evidenceIndex struct {
-	groups []bgp.Community // the store's group arena
-	ranks  []uint32
-	comms  []bgp.Community      // the classic communities, by rank
-	larges []bgp.LargeCommunity // the large communities, by rank
+	groups  []bgp.Community // the store's group arena
+	groupAt []uint32        // its groups' offsets, by ordinal
+	ranks   []uint32
+	comms   []bgp.Community      // the classic communities, by rank
+	larges  []bgp.LargeCommunity // the large communities, by rank
 }
 
 // newEvidenceIndex numbers the communities of every group in ts's group
 // arena, in one pass, and then remaps the first-sight numbers to ranks.
 func newEvidenceIndex(ts *TupleStore) *evidenceIndex {
 	groups := ts.groups.arena
-	ix := &evidenceIndex{groups: groups, ranks: make([]uint32, len(groups))}
+	ix := &evidenceIndex{groups: groups, groupAt: ts.groups.at, ranks: make([]uint32, len(groups))}
 	ranks := ix.ranks
 	comms := newProbeTable[bgp.Community, uint32]()
 	larges := newProbeTable[bgp.LargeCommunity, uint32]()
-	for p := len(emptySet); p < len(groups); {
+	for p := 0; p < len(groups); {
 		g := recordAt(groups[p:])
 		cs, ls := splitSet(g)
 		if len(cs) > 0 {
@@ -154,7 +155,7 @@ func newEvidenceIndex(ts *TupleStore) *evidenceIndex {
 		p += len(g)
 	}
 	classic, large := sortByRank(ix.comms), sortByRank(ix.larges)
-	for p := len(emptySet); p < len(groups); {
+	for p := 0; p < len(groups); {
 		n, nl := int(groups[p]&0xFFFF), int(groups[p]>>16)
 		for i := p + 1; i < p+1+n; i++ {
 			ranks[i] = classic[ranks[i]]
@@ -247,7 +248,7 @@ func newObserver(ts *TupleStore, ix *evidenceIndex, opts *Options) observer {
 // walk visits the tuples at positions [lo, hi) of the grouped order
 // (order == nil means the tuple slice itself is grouped).
 func (o *observer) walk(order []int32, lo, hi int, done <-chan struct{}) {
-	tuples := o.ts.Tuples()
+	tuples, sets := o.ts.Tuples(), o.ts.sets.arena
 	o.pid = -1
 	for i := lo; i < hi; i++ {
 		if (i-lo)%cancelCheckStride == 0 && chClosed(done) {
@@ -264,17 +265,20 @@ func (o *observer) walk(order []int32, lo, hi int, done <-chan struct{}) {
 		if t.PathID != o.pid {
 			o.enterPath(t.PathID)
 		}
-		for _, ref := range o.ts.setRecord(t) {
-			o.countGroup(uint32(ref &^ lastGroup))
+		for k, last := int(t.setRef()), t.setRef() == 0; !last; {
+			var ord uint32
+			ord, last, k = groupRef(sets, k)
+			o.countGroup(o.ix.groupAt[ord])
 		}
 	}
 }
 
-// countGroup counts the group at ref on the current path: each member
-// whose last path is not this one, on-path or off-path as α decides.
-func (o *observer) countGroup(ref uint32) {
-	header := o.ix.groups[ref]
-	ranks := o.ix.ranks[ref:]
+// countGroup counts the group at word offset off on the current path:
+// each member whose last path is not this one, on-path or off-path as α
+// decides.
+func (o *observer) countGroup(off uint32) {
+	header := o.ix.groups[off]
+	ranks := o.ix.ranks[off:]
 	on := o.onPath(ranks[0])
 	if n := int(header & 0xFFFF); n > 0 {
 		for _, r := range ranks[1 : 1+n] {

@@ -426,15 +426,16 @@ func denseWalkCheck(t *testing.T, label string, ts *TupleStore, views []refView,
 	return first
 }
 
-// TestDenseWalkWideArena: the walk's index resolves group refs across a
-// wide flat group arena. 8 000 distinct eight-community groups and 800
-// large ones take over 1<<16 words, so many refs lie past 1<<16; the
-// store's first path is one hop, so its ID is 0, which a rank's last path
-// must not start at.
+// TestDenseWalkWideArena: the walk resolves group ordinals of every
+// width across a wide flat group arena. 9 000 distinct eight-community
+// groups, 900 large ones and 13 two-community ones take ordinals past
+// 8192, so tuples refer to groups by one-, two- and three-byte refs, and
+// many groups lie past word 1<<16; the store's first path is one hop, so
+// its ID is 0, which a rank's last path must not start at.
 func TestDenseWalkWideArena(t *testing.T) {
 	var views []refView
 	views = append(views, refView{vp: 7, path: []uint32{7}, comms: bgp.Communities{bgp.NewCommunity(7, 1)}})
-	for i := 0; i < 8000; i++ {
+	for i := 0; i < 9000; i++ {
 		v := refView{
 			vp:    uint32(1 + i%97),
 			path:  []uint32{uint32(1 + i%97), uint32(200 + i%13), uint32(5000 + i%7)},
@@ -458,16 +459,19 @@ func TestDenseWalkWideArena(t *testing.T) {
 		t.Fatalf("the plain store's first tuple is on path %d, want 0", plain.tuples[0].PathID)
 	}
 	for name, ts := range map[string]*TupleStore{"plain": plain, "stitched": stitchChecked(t, "wide", sts, 2)} {
+		var widths [4]int // refs by byte width
 		deep := 0
 		for i := range ts.tuples {
-			for _, ref := range ts.setRecord(&ts.tuples[i]) {
-				if ref&^lastGroup >= 1<<16 {
+			for _, ord := range groupOrds(ts, &ts.tuples[i]) {
+				widths[len(appendGroupRef(nil, ord, false))]++
+				if ts.groups.at[ord] >= 1<<16 {
 					deep++
 				}
 			}
 		}
-		if deep == 0 {
-			t.Fatalf("%s: no tuple refers to a group past word 1<<16 of a %d-word group arena", name, len(ts.groups.arena))
+		if widths[1] == 0 || widths[2] == 0 || widths[3] == 0 || deep == 0 {
+			t.Fatalf("%s: over %d groups in %d words, tuples refer by %d one-, %d two- and %d three-byte refs, %d past word 1<<16",
+				name, len(ts.groups.at), len(ts.groups.arena), widths[1], widths[2], widths[3], deep)
 		}
 		os := denseWalkCheck(t, name, ts, views, Options{})
 		if i, ok := slices.BinarySearchFunc(os.Stats, bgp.NewCommunity(7, 1), func(r Stats[bgp.Community], c bgp.Community) int {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 
 	"bgpintent/internal/bgp"
@@ -28,8 +29,8 @@ import (
 // Every shard owns its storage: its groups, deduplicated inline, its set
 // records, one appended per new tuple, and its hops, all written under
 // the shard lock. Stitch deduplicates the groups of all shards at once,
-// rewrites the set records to refer to the stitched groups, then
-// deduplicates the set records and copies the hops once.
+// translates the set records to the stitched group ordinals as it
+// deduplicates them, and copies the hops once.
 //
 // A view is hashed once, before its shard's writer sees it
 // (storeHash.prepare): outside the shard lock here, on the scanning
@@ -136,6 +137,17 @@ func newFlatTable(n int) flatTable {
 	return flatTable{slots: make([]uint64, 1<<b), shift: 32 - b}
 }
 
+// reuse empties t to take n entries without growing, in the slots it
+// has when they are enough.
+func (t *flatTable) reuse(n int) {
+	if 3*len(t.slots) < 4*n || len(t.slots) == 0 {
+		*t = newFlatTable(n)
+		return
+	}
+	clear(t.slots)
+	t.n = 0
+}
+
 // insert adds an entry; the caller has established it is absent.
 func (t *flatTable) insert(h uint64, idx int) {
 	if (t.n+1)*4 > len(t.slots)*3 {
@@ -178,7 +190,7 @@ func (ts *TupleStore) addView(vp uint32, h uint64, sc *addScratch) {
 		}
 		ti := int32(uint32(s) - 1)
 		t := &ts.tuples[ti]
-		if ts.samePath(t.PathID, sc.words) && sameSet(ts.groups.arena, ts.setRecord(t), sc.set) {
+		if ts.samePath(t.PathID, sc.words) && ts.sameSet(t.setRef(), sc.set) {
 			ts.addVP(ti, vp)
 			return
 		}
@@ -200,12 +212,12 @@ func (ts *TupleStore) addView(vp uint32, h uint64, sc *addScratch) {
 // addSet returns the ref of a new tuple's set record rec: in a
 // NewTupleStore, of the one copy its set index holds; in a shard, of a
 // fresh copy, which Stitch deduplicates. The empty record is ref 0.
-func (ts *TupleStore) addSet(rec []bgp.Community) uint32 {
+func (ts *TupleStore) addSet(rec []byte) uint32 {
 	switch {
 	case len(rec) == 0:
 		return 0
 	case ts.sets.tab.slots != nil:
-		return ts.sets.intern(rec, ts.hash.tag(rec))
+		return ts.sets.intern(rec, ts.hash.setTag(rec))
 	default:
 		return appendRecord(&ts.sets.arena, rec)
 	}
@@ -250,15 +262,15 @@ func (ts *TupleStore) internHop(asn, next uint32) uint32 {
 
 // Stitch collapses the shards into one read-only TupleStore in O(n)
 // index work and no comparison sort. It first drops every shard's lookup
-// tables, which only inserts probe, so they are not live beside the copy.
+// tables, which only inserts probe, and collects them, so they are not
+// live beside the copy.
 // Then:
-//   - groups are deduplicated by content, all shards' at once, and each
-//     shard's set records rewritten to refer to the stitched groups
-//     (dedupGroups); each shard's groups are dropped once its records no
-//     longer refer to them;
-//   - set records are deduplicated likewise (dedupSets), each kind in
-//     stitchParts hash partitions laid end to end in one exact-size arena
-//     (dedupRecords);
+//   - groups are deduplicated by content, all shards' at once, which
+//     leaves each shard a table of its group ordinals' stitched ones
+//     (dedupGroups); each shard's groups are then dropped;
+//   - set records are deduplicated likewise, each translated through its
+//     shard's table (dedupSets), each kind in stitchParts hash partitions
+//     laid end to end in one exact-size arena (dedupRecords);
 //   - per shard, into disjoint pre-sized regions of the output, the
 //     shard's hops are copied at the shard's offset, and their next refs
 //     rebased onto it (a path's global ID, its first hop's, is the
@@ -298,7 +310,7 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	largeTuples := false
 	for i := range s.shards {
 		ts := s.shards[i].ts
-		groupOff[i+1] = groupOff[i] + ts.groups.tab.n
+		groupOff[i+1] = groupOff[i] + len(ts.groups.at)
 		ts.tupleTab, ts.hopTab, ts.groups.tab = flatTable{}, flatTable{}, flatTable{}
 		nVPs := 0
 		ts.vpIndex.each(func(_ int32, _ uint64, off *uint32) { nVPs += 1 + int(ts.vpArena[*off]) })
@@ -311,12 +323,18 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	if hopOff[n] >= originHop {
 		panic("core: a store holds at most 1<<31-1 hops")
 	}
-	groups := s.dedupGroups(workers, groupOff)
-	sets, refs := s.dedupSets(workers, tupleOff)
+	// Collect the dropped tables, about half of a load's heap, before
+	// allocating the dedup's scratch and the stitched store, so that these
+	// take the tables' memory. Otherwise they come on top of it until a
+	// collection their own allocation starts has swept it, and the load's
+	// peak is its heap plus what Stitch allocates meanwhile.
+	runtime.GC()
+	groups, groupAt, ords := s.dedupGroups(workers, groupOff)
+	sets, refs := s.dedupSets(workers, tupleOff, groupOff, ords)
 	out := &TupleStore{
 		hash:        s.hash,
-		groups:      recordIndex{arena: groups},
-		sets:        recordIndex{arena: sets},
+		groups:      recordIndex[bgp.Community]{arena: groups, at: groupAt, byOrdinal: true},
+		sets:        recordIndex[byte]{arena: sets},
 		hopASN:      make([]uint32, hopOff[n]),
 		hopNext:     make([]uint32, hopOff[n]),
 		paths:       paths,
@@ -360,60 +378,73 @@ func (s *ShardedTupleStore) Stitch(workers int) *TupleStore {
 	return out
 }
 
-// dedupGroups deduplicates the shards' groups (dedupRecords): a group's
-// position is its ordinal in its shard, numbered from groupOff[shard],
-// and offs holds its offset in the shard's arena. Each group's header
-// word in its shard's arena then takes its stitched ref, which makes the
-// arena a dense old→new table per shard: the shard's set records are
-// rewritten in place through it, and the shard's groups dropped, before
-// dedupSets allocates. Positions are ordinals, not word offsets, because
-// this scratch lands on the load's high-water mark: 8 B a shard group,
-// where 4 B a word was about twice that.
-func (s *ShardedTupleStore) dedupGroups(workers int, groupOff []int) []bgp.Community {
-	keys := make([]uint32, groupOff[len(s.shards)])
-	offs := make([]uint32, len(keys))
+// dedupGroups deduplicates the shards' groups (dedupRecords), a group
+// named by its ordinal in its shard, numbered from groupOff[shard], and
+// returns the stitched group arena and its ordinals' offsets. ords holds
+// each shard group's stitched ordinal at its position, a dense old → new
+// table per shard through which dedupSets translates the shard's set
+// records; the shards' groups are dropped before dedupSets allocates.
+func (s *ShardedTupleStore) dedupGroups(workers int, groupOff []int) (arena []bgp.Community, at, ords []uint32) {
+	ords = make([]uint32, groupOff[len(s.shards)])
 	ParallelFor(workers, len(s.shards), func(i int) {
-		arena, tags, at := s.shards[i].ts.groups.arena, keys[groupOff[i]:], offs[groupOff[i]:]
-		for k, off := 0, len(emptySet); off < len(arena); k++ {
-			g := recordAt(arena[off:])
-			tags[k], at[k] = s.hash.tag(g), uint32(off)
-			off += len(g)
+		g, tags := &s.shards[i].ts.groups, ords[groupOff[i]:]
+		for k, off := range g.at {
+			tags[k] = s.hash.tag(recordAt(g.arena[off:]))
 		}
 	})
-	arena := dedupRecords(workers, keys, groupOff, func(i, k int) []bgp.Community {
-		return recordAt(s.shards[i].ts.groups.arena[offs[groupOff[i]+k]:])
+	// A group is two words or more, and it recurs in shard after shard:
+	// one word a shard group is room enough for the distinct ones.
+	arena, at = dedupRecords(workers, ords, groupOff, partSizes{}, true, func(_ []bgp.Community, i, k int) []bgp.Community {
+		g := &s.shards[i].ts.groups
+		return recordAt(g.arena[g.at[k]:])
 	})
-	ParallelFor(workers, len(s.shards), func(i int) {
-		ts := s.shards[i].ts
-		groups := ts.groups.arena
-		for k, off := range offs[groupOff[i]:groupOff[i+1]] {
-			groups[off] = bgp.Community(keys[groupOff[i]+k])
-		}
-		recs := ts.sets.arena[len(emptySet):] // every word a group ref
-		for k, ref := range recs {
-			recs[k] = groups[ref&^lastGroup] | ref&lastGroup
-		}
-		ts.groups = recordIndex{}
-	})
-	return arena
+	for i := range s.shards {
+		s.shards[i].ts.groups = recordIndex[bgp.Community]{}
+	}
+	return arena, at, ords
 }
 
-// dedupSets deduplicates the shards' set records, by now referring to the
-// stitched groups (dedupGroups), and returns the stitched set arena and
-// each tuple's ref in it, at the tuple's global index (tupleOff[shard]
-// plus its index in the shard). The records are tagged here, over the
-// rewritten refs, into the array that then takes the refs.
-func (s *ShardedTupleStore) dedupSets(workers int, tupleOff []int) (arena []bgp.Community, refs []uint32) {
+// dedupSets deduplicates the shards' set records, each translated to the
+// stitched group ordinals through its shard's run of ords (dedupGroups),
+// and returns the stitched set arena and each tuple's ref in it, at the
+// tuple's global index (tupleOff[shard] plus its index in the shard).
+// Each record is tagged here, over its translated ordinals as setTag
+// tags a record, into the array that then takes the refs, and
+// translated as its partition interns it, into an arena sized for the
+// records' bytes as the shards hold them, so that it rarely grows.
+func (s *ShardedTupleStore) dedupSets(workers int, tupleOff, groupOff []int, ords []uint32) (arena []byte, refs []uint32) {
 	refs = make([]uint32, tupleOff[len(s.shards)])
+	sizes := make([]partSizes, len(s.shards))
 	ParallelFor(workers, len(s.shards), func(i int) {
-		ts, tags := s.shards[i].ts, refs[tupleOff[i]:]
+		ts, ords := s.shards[i].ts, ords[groupOff[i]:]
 		for j := range ts.tuples {
-			tags[j] = s.hash.tag(ts.setRecord(&ts.tuples[j]))
+			h, ref := s.hash.seed, ts.tuples[j].setRef()
+			k := int(ref)
+			for last := ref == 0; !last; {
+				var ord uint32
+				ord, last, k = groupRef(ts.sets.arena, k)
+				h = mixWord(h, ords[ord])
+			}
+			tag := s.hash.tagOf(h, ref == 0)
+			refs[tupleOff[i]+j] = tag
+			sizes[i][recordPart(tag)] += k - int(ref)
 		}
 	})
-	arena = dedupRecords(workers, refs, tupleOff, func(i, j int) []bgp.Community {
-		ts := s.shards[i].ts
-		return ts.setRecord(&ts.tuples[j])
+	var size partSizes // each partition's records' bytes, duplicates and all
+	for _, sz := range sizes {
+		for p, n := range sz {
+			size[p] += n
+		}
+	}
+	arena, _ = dedupRecords(workers, refs, tupleOff, size, false, func(dst []byte, i, j int) []byte {
+		ts, ords := s.shards[i].ts, ords[groupOff[i]:]
+		ref := ts.tuples[j].setRef()
+		for k, last := int(ref), ref == 0; !last; {
+			var ord uint32
+			ord, last, k = groupRef(ts.sets.arena, k)
+			dst = appendGroupRef(dst, ords[ord], last)
+		}
+		return dst
 	})
 	return arena, refs
 }
@@ -430,22 +461,29 @@ const stitchParts = 16
 // shared would pile them onto one run of its table's slots.
 func recordPart(tag uint32) int { return int(tag>>1) & (stitchParts - 1) }
 
+// partSizes counts record items by partition.
+type partSizes [stitchParts]int
+
 // dedupRecords deduplicates records of one kind from every shard by
 // content. A record is named by a position — a group by its ordinal in
-// its shard, a set record by its tuple's index in its shard —
-// and shard i's positions are numbered from off[i] in keys, which holds
-// each position's record tag on entry (0 where there is none, or the
-// record is empty) and its record's offset in the returned arena on
-// return (0, the empty record, where the tag was 0). rec(i, pos) is the
-// record at shard i's position pos.
+// its shard, a set record by its tuple's index in its shard — and shard
+// i's positions are numbered from off[i] in keys, which holds each
+// position's record tag on entry (0 where there is none, or the record is
+// empty) and its record's name in the returned arena on return: its
+// offset, 0 (the empty record, seeded at 0) where the tag was 0, or, when
+// byOrdinal, its ordinal, at holding the ordinals' offsets. rec(dst, i,
+// pos) is the record at shard i's position pos, in dst if it is rendered
+// there. A partition's arena is allocated for size[p] items, or one item
+// a record when that is more.
 //
 // The positions are bucketed by partition (recordPart), each bucket in
 // shard and position order; partition p interns its bucket's records
 // into a recordIndex of its own, on up to workers goroutines, each
-// writing only its own positions' keys. Their arenas are then laid end to
-// end after the empty record in one exact-size arena, and each key is
-// rebased onto its partition's start.
-func dedupRecords(workers int, keys []uint32, off []int, rec func(i, pos int) []bgp.Community) []bgp.Community {
+// writing only its own positions' keys. A goroutine's partitions take
+// turns in one table (flatTable.reuse). Their arenas are then laid end to
+// end in one exact-size arena, and each key is rebased onto its
+// partition's start.
+func dedupRecords[E bgp.Community | byte](workers int, keys []uint32, off []int, size partSizes, byOrdinal bool, rec func(dst []E, i, pos int) []E) (arena []E, at []uint32) {
 	var start [stitchParts + 1]int
 	for _, tag := range keys {
 		if tag != 0 {
@@ -464,32 +502,54 @@ func dedupRecords(workers int, keys []uint32, off []int, rec func(i, pos int) []
 			next[p]++
 		}
 	}
-	var parts [stitchParts][]bgp.Community
-	ParallelFor(workers, stitchParts, func(p int) {
-		recs := bucket[start[p]:start[p+1]]
-		ri := recordIndex{arena: make([]bgp.Community, 0, len(recs)), tab: newFlatTable(len(recs))}
-		i := 0
-		for _, g := range recs {
-			for int(g) >= off[i+1] {
-				i++
+	var parts [stitchParts]recordIndex[E]
+	parallelRanges(ResolveWorkers(workers), stitchParts, func(_, lo, hi int) {
+		var tab flatTable
+		var buf []E
+		for p := lo; p < hi; p++ {
+			recs := bucket[start[p]:start[p+1]]
+			tab.reuse(len(recs))
+			ri := recordIndex[E]{arena: make([]E, 0, max(size[p], len(recs))), tab: tab, byOrdinal: byOrdinal}
+			i := 0
+			for _, g := range recs {
+				for int(g) >= off[i+1] {
+					i++
+				}
+				buf = rec(buf[:0], i, int(g)-off[i])
+				keys[g] = ri.intern(buf, keys[g])
 			}
-			keys[g] = ri.intern(rec(i, int(g)-off[i]), keys[g])
+			tab, ri.tab = ri.tab, flatTable{}
+			parts[p] = ri
 		}
-		parts[p] = ri.arena
 	})
-	total := len(emptySet)
+	seed := 1 // the empty record at 0
+	if byOrdinal {
+		seed = 0 // no group is empty
+	}
+	total, ords := seed, 0
 	for _, part := range parts {
-		total += len(part)
+		total += len(part.arena)
+		ords += len(part.at)
 	}
 	if total > multiVP {
-		panic("core: a record arena holds at most 1<<31 words")
+		panic("core: a record arena holds at most 1<<31 items")
 	}
-	arena := make([]bgp.Community, len(emptySet), total)
+	arena = make([]E, seed, total)
+	if byOrdinal {
+		at = make([]uint32, 0, ords)
+	}
 	for p, part := range parts {
-		for _, g := range bucket[start[p]:start[p+1]] {
-			keys[g] += uint32(len(arena))
+		base := uint32(len(arena))
+		if byOrdinal {
+			base = uint32(len(at))
+			for _, o := range part.at {
+				at = append(at, uint32(len(arena))+o)
+			}
 		}
-		arena = append(arena, part...)
+		for _, g := range bucket[start[p]:start[p+1]] {
+			keys[g] += base
+		}
+		arena = append(arena, part.arena...)
 	}
-	return arena
+	return arena, at
 }

@@ -133,14 +133,15 @@ func (s *ShardedTupleStore) setCollide(on bool) {
 }
 
 // cloneShards returns a sharded store over copies of s's shards. Stitch
-// consumes the shards it stitches (it rewrites their set records and
-// drops their groups), so stitching one set of shards more than once
-// takes a copy for all but the last.
+// consumes the shards it stitches (it drops their tables and groups), so
+// stitching one set of shards more than once takes a copy for all but
+// the last.
 func cloneShards(s *ShardedTupleStore) *ShardedTupleStore {
 	c := &ShardedTupleStore{shards: make([]tupleShard, len(s.shards)), shift: s.shift, hash: s.hash, noted: s.noted}
 	for i := range s.shards {
 		ts := *s.shards[i].ts
 		ts.groups.arena = slices.Clone(ts.groups.arena)
+		ts.groups.at = slices.Clone(ts.groups.at)
 		ts.sets.arena = slices.Clone(ts.sets.arena)
 		c.shards[i].ts = &ts
 	}
@@ -175,7 +176,7 @@ func shardTuples(sts *ShardedTupleStore) []string {
 // (checkGroupArena, checkSetArena); tuples that read back as the shards
 // held them; and a layout that depends on the shard contents alone —
 // Stitch(1) and Stitch(4) of the same shards dump alike and lay out the
-// same group-arena and set-arena words. Stitch consumes the shards, so
+// same group arena and set-arena bytes. Stitch consumes the shards, so
 // the comparison stitches run on copies (cloneShards), and the store
 // returned is stitched from sts itself.
 func stitchChecked(t *testing.T, label string, sts *ShardedTupleStore, workers int) *TupleStore {
@@ -186,7 +187,7 @@ func stitchChecked(t *testing.T, label string, sts *ShardedTupleStore, workers i
 	equalDumps(t, dumpStore(cloneShards(sts).Stitch(4)), one, label+": Stitch(4) vs Stitch(1)")
 	ts := sts.Stitch(workers)
 	equalDumps(t, dumpStore(ts), one, fmt.Sprintf("%s: Stitch(%d) vs Stitch(1)", label, workers))
-	if !slices.Equal(ts.sets.arena, first.sets.arena) || !slices.Equal(ts.groups.arena, first.groups.arena) {
+	if !sameArenas(ts, first) {
 		t.Fatalf("%s: Stitch(%d) and Stitch(1) lay out different set or group arenas", label, workers)
 	}
 	var tuples []string
@@ -251,7 +252,7 @@ func checkSetArena(t *testing.T, label string, ts *TupleStore) {
 	t.Helper()
 	arena := ts.sets.arena
 	if len(arena) == 0 || arena[0] != 0 || len(arena) != cap(arena) || ts.sets.tab.slots != nil {
-		t.Fatalf("%s: stitched set arena of %d words in %d, head %v, with a table", label, len(arena), cap(arena), arena[:min(1, len(arena))])
+		t.Fatalf("%s: stitched set arena of %d bytes in %d, head %v, with a table", label, len(arena), cap(arena), arena[:min(1, len(arena))])
 	}
 	recs := setRecords(arena)
 	seen := make(map[string]uint32, len(recs))
@@ -279,31 +280,39 @@ func checkSetArena(t *testing.T, label string, ts *TupleStore) {
 	}
 }
 
-// checkGroupArena holds a stitched store's group arena to the bulk
-// deduplication's result: exactly sized, the empty record at 0 and then
+// checkGroupArena holds a stitched store's groups to the bulk
+// deduplication's result: an exactly sized arena and ordinal table of
 // groups no two of which are equal (checkGroups), every one of them
 // referred to by some tuple's set record, with no table.
 func checkGroupArena(t *testing.T, label string, ts *TupleStore) {
 	t.Helper()
-	arena := ts.groups.arena
-	if len(arena) == 0 || arena[0] != 0 || len(arena) != cap(arena) || ts.groups.tab.slots != nil {
-		t.Fatalf("%s: stitched group arena of %d words in %d, head %v, with a table", label, len(arena), cap(arena), arena[:min(1, len(arena))])
+	g := &ts.groups
+	if len(g.arena) != cap(g.arena) || len(g.at) != cap(g.at) || g.tab.slots != nil || !g.byOrdinal {
+		t.Fatalf("%s: stitched group arena of %d words in %d, %d ordinals in %d, table %v, by ordinal %v",
+			label, len(g.arena), cap(g.arena), len(g.at), cap(g.at), g.tab.slots != nil, g.byOrdinal)
 	}
 	refs := make(map[uint32]bool)
 	for i := range ts.tuples {
-		for _, ref := range ts.setRecord(&ts.tuples[i]) {
-			refs[uint32(ref&^lastGroup)] = true
+		for _, ord := range groupOrds(ts, &ts.tuples[i]) {
+			refs[ord] = true
 		}
 	}
 	checkStoredGroups(t, label, ts, refs)
 }
 
+// sameArenas reports whether two stores lay out the same group arena,
+// ordinals and set arena.
+func sameArenas(a, b *TupleStore) bool {
+	return slices.Equal(a.sets.arena, b.sets.arena) && slices.Equal(a.groups.arena, b.groups.arena) && slices.Equal(a.groups.at, b.groups.at)
+}
+
 // TestStitchDedupsSetRecords: shards store their own groups and append a
 // set record per new tuple, and Stitch deduplicates all shards' groups,
-// then all their records, at once, in hash partitions. A group or a set
-// carried by tuples in different shards gets one ref in the stitched
-// store, whose arenas — the same words at 1, 2 and 8 workers — hold the
-// same groups and sets as a NewTupleStore fed the same views, which
+// then all their records, each translated to the stitched ordinals, at
+// once, in hash partitions. A group or a set carried by tuples in
+// different shards gets one ref in the stitched store, whose arenas — the
+// same group words, ordinals and set bytes at 1, 2 and 8 workers — hold
+// the same groups and sets as a NewTupleStore fed the same views, which
 // deduplicates inline, and whose tuples read back as that store's; with
 // seeded and with colliding hashes (every record then falls in one
 // partition and one probe chain).
@@ -352,15 +361,15 @@ func TestStitchDedupsSetRecords(t *testing.T) {
 			t.Fatalf("%s: %d distinct sets, %d of them in more than one shard; the test needs 40 and 30", label, len(shardsOf), spread)
 		}
 
-		var sets, groups []bgp.Community
+		var first *TupleStore
 		for _, workers := range []int{1, 2, 8} {
 			ts := cloneShards(sts).Stitch(workers)
 			checkGroupArena(t, label, ts)
 			checkSetArena(t, label, ts)
 			if workers == 1 {
-				sets, groups = ts.sets.arena, ts.groups.arena
-			} else if !slices.Equal(ts.sets.arena, sets) || !slices.Equal(ts.groups.arena, groups) {
-				t.Fatalf("%s: Stitch(%d) lays out a set or group arena unlike Stitch(1)'s", label, workers)
+				first = ts
+			} else if !sameArenas(ts, first) {
+				t.Fatalf("%s: Stitch(%d) lays out a set arena, group arena or ordinals unlike Stitch(1)'s", label, workers)
 			}
 			refOf := make(map[string]uint32)
 			for i := range ts.tuples {
@@ -372,13 +381,8 @@ func TestStitchDedupsSetRecords(t *testing.T) {
 			}
 			stored := func(ts *TupleStore) []string {
 				var out []string
-				for _, rec := range setRecords(ts.sets.arena) {
-					var cs bgp.Communities
-					var ls []bgp.Community
-					for _, ref := range rec {
-						c, l := splitSet(recordAt(ts.groups.arena[ref&^lastGroup:]))
-						cs, ls = append(cs, c...), append(ls, l...)
-					}
+				for ref := range setRecords(ts.sets.arena) {
+					cs, ls := tupleCommunities(ts, &Tuple{set: ref})
 					out = append(out, fmt.Sprint(cs, ls))
 				}
 				sortStrings(out)
@@ -388,7 +392,7 @@ func TestStitchDedupsSetRecords(t *testing.T) {
 			equalDumps(t, stored(ts), stored(plain), fmt.Sprintf("%s: Stitch(%d) vs NewTupleStore set records", label, workers))
 			storedGroups := func(ts *TupleStore) []string {
 				var out []string
-				for _, g := range groupRecords(ts.groups.arena) {
+				for _, g := range groupRecords(ts) {
 					out = append(out, fmt.Sprint(g))
 				}
 				sortStrings(out)
@@ -398,8 +402,8 @@ func TestStitchDedupsSetRecords(t *testing.T) {
 			if len(ts.groups.arena) != len(plain.groups.arena) {
 				t.Fatalf("%s: Stitch(%d) holds %d group words, the NewTupleStore %d", label, workers, len(ts.groups.arena), len(plain.groups.arena))
 			}
-			if len(ts.sets.arena) != len(plain.sets.arena) {
-				t.Fatalf("%s: Stitch(%d) holds %d set words, the NewTupleStore %d", label, workers, len(ts.sets.arena), len(plain.sets.arena))
+			if n, want := len(setRecords(ts.sets.arena)), len(setRecords(plain.sets.arena)); n != want {
+				t.Fatalf("%s: Stitch(%d) holds %d set records, the NewTupleStore %d", label, workers, n, want)
 			}
 		}
 	}
@@ -774,6 +778,13 @@ func TestStitchedStoreIsReadOnly(t *testing.T) {
 		case "vp_arena":
 			if r.Used == 0 || r.Used >= p.Used || r.Reserved != r.Used {
 				t.Fatalf("Footprint %s: %+v stitched, %+v plain; want packed", r.Name, r, p)
+			}
+		case "set_arena":
+			// A ref's width follows its group's ordinal, and the two stores
+			// number their groups apart: the records are the same, not
+			// their bytes.
+			if n, want := len(setRecords(ts.sets.arena)), len(setRecords(plain.sets.arena)); r.Reserved != r.Used || n != want {
+				t.Fatalf("Footprint %s: %+v stitched holding %d records, %+v plain holding %d; want packed, as many", r.Name, r, n, p, want)
 			}
 		default:
 			if r.Used != p.Used {

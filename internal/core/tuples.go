@@ -26,12 +26,12 @@ type PathInfo struct {
 type Tuple struct {
 	// PathID is the ID of the path's first hop (see TupleStore).
 	PathID int32
-	// set is the set-arena offset of the tuple's set record: the refs of the
-	// per-α groups its classic and large communities (RFC 8092) fall into
-	// (see groupSet). Large communities are part of tuple identity:
-	// observations that differ only in their large communities are
-	// distinct tuples. Its top bit is multiVP; readers mask it off
-	// (setRef).
+	// set is the set-arena byte offset of the tuple's set record: the
+	// ordinals of the per-α groups its classic and large communities
+	// (RFC 8092) fall into (see groupSet). Large communities are part of
+	// tuple identity: observations that differ only in their large
+	// communities are distinct tuples. Its top bit is multiVP; readers
+	// mask it off (setRef).
 	set uint32
 }
 
@@ -66,26 +66,20 @@ func nextPow2(n uint32) uint32 { return 1 << bits.Len32(n-1) }
 //     large communities' words;
 //   - a group: one α's run of a canonical set — its classic communities
 //     with one ASN, or its large communities with one Global
-//     Administrator — stored once per store (TupleStore.groups).
+//     Administrator — stored once per store (TupleStore.groups), in its
+//     group arena, and named by its ordinal there: groups.at holds each
+//     group's word offset at its ordinal.
 //
-// A set record, what a tuple refers to, has no header: it is the refs of
-// its set's groups, in the set's order, with lastGroup set on the last
-// (groupSet, setRecordAt). It lies in its store's set arena; ref 0 is
-// the empty set.
-//
-// Equal sets are equal words and equal groups equal refs, so each kind is
-// compared, hashed and interned as one word slice. The words are typed
+// Equal sets are equal words, so a canonical set or a group is compared,
+// hashed and interned as one word slice. The words are typed
 // bgp.Community so that a group's classic items are its communities.
-
-// lastGroup marks the last group ref of a set record. Group refs are
-// arena offsets, below 1<<31 (appendRecord, dedupRecords), so it aliases
-// none.
-const lastGroup = 1 << 31
-
-// emptySet is the record with no items, the empty canonical set; one
-// zero word also seeds the group arena and every set arena at offset 0,
-// where a set record reads as the empty set (setRecordAt).
-var emptySet = [1]bgp.Community{0}
+//
+// A set record, what a tuple refers to, is bytes: the ordinals of its
+// set's groups, in the set's order, each the uvarint ord<<1 | last, where
+// last is 1 on the record's last ordinal alone (appendGroupRef,
+// groupRef). Equal sets are equal bytes in one store. It lies in its
+// store's set arena at a byte offset; offset 0, one zero byte no record
+// starts at, is the empty set, which has no groups.
 
 // appendSet renders a canonical community set as one record and appends
 // it to dst: the communities, then each large community as GlobalAdmin,
@@ -109,18 +103,28 @@ func recordAt(words []bgp.Community) []bgp.Community {
 	return words[:n:n]
 }
 
-// setRecordAt returns the set record at the start of words: its group
-// refs through the one flagged lastGroup. The zero word seeded at offset
-// 0, which no group ref is, reads as the empty set.
-func setRecordAt(words []bgp.Community) []bgp.Community {
-	if words[0] == 0 {
-		return words[:0:0]
+// appendGroupRef appends group ordinal ord to a set record, flagged as
+// the record's last when last is set.
+func appendGroupRef(rec []byte, ord uint32, last bool) []byte {
+	v := ord << 1
+	if last {
+		v |= 1
 	}
-	n := 1
-	for words[n-1]&lastGroup == 0 {
-		n++
+	for ; v >= 0x80; v >>= 7 {
+		rec = append(rec, byte(v)|0x80)
 	}
-	return words[:n:n]
+	return append(rec, byte(v))
+}
+
+// groupRef decodes the group ref that starts at rec[i]: its ordinal,
+// whether it is its set record's last, and where the next ref starts.
+func groupRef(rec []byte, i int) (ord uint32, last bool, next int) {
+	v := uint32(rec[i] & 0x7F)
+	for shift := 7; rec[i] >= 0x80; shift += 7 {
+		i++
+		v |= uint32(rec[i]&0x7F) << shift
+	}
+	return v >> 1, v&1 != 0, i + 1
 }
 
 // splitSet splits a canonical set or a group into its communities and
@@ -131,10 +135,11 @@ func splitSet(set []bgp.Community) (comms bgp.Communities, larges []bgp.Communit
 }
 
 // groupSet interns each group of the canonical set sc.set into ts's
-// groups and renders the set record of their refs into sc.rec. Both of
-// the set's lists are sorted, so every α's run is contiguous.
+// groups and renders the set record of their ordinals into sc.rec. Both
+// of the set's lists are sorted, so every α's run is contiguous.
 func (sc *addScratch) groupSet(ts *TupleStore) {
 	sc.rec = sc.rec[:0]
+	last := 0 // where the last ref written starts
 	comms, larges := splitSet(sc.set)
 	for cs := comms; len(cs) > 0; {
 		n := 1
@@ -142,7 +147,8 @@ func (sc *addScratch) groupSet(ts *TupleStore) {
 			n++
 		}
 		sc.group = appendSet(sc.group[:0], cs[:n], nil)
-		sc.rec = append(sc.rec, bgp.Community(ts.groups.intern(sc.group, ts.hash.tag(sc.group))))
+		last = len(sc.rec)
+		sc.rec = appendGroupRef(sc.rec, ts.groups.intern(sc.group, ts.hash.tag(sc.group)), false)
 		cs = cs[n:]
 	}
 	for ls := larges; len(ls) > 0; {
@@ -152,23 +158,25 @@ func (sc *addScratch) groupSet(ts *TupleStore) {
 		}
 		// The group's header counts n/3 large communities and no classic one.
 		sc.group = append(append(sc.group[:0], bgp.Community(n/3<<16)), ls[:n]...)
-		sc.rec = append(sc.rec, bgp.Community(ts.groups.intern(sc.group, ts.hash.tag(sc.group))))
+		last = len(sc.rec)
+		sc.rec = appendGroupRef(sc.rec, ts.groups.intern(sc.group, ts.hash.tag(sc.group)), false)
 		ls = ls[n:]
 	}
-	if n := len(sc.rec); n > 0 {
-		sc.rec[n-1] |= lastGroup
+	if len(sc.rec) > 0 {
+		sc.rec[last] |= 1 // a ref's first byte holds its low bit, the last flag
 	}
 }
 
-// sameSet reports whether set record rec, its groups resolved in the
-// group arena groups, stands for the canonical set canon: one group read
-// per group, nothing expanded. Group headers sum to the set's, as each
-// group counts items of one kind only.
-func sameSet(groups, rec, canon []bgp.Community) bool {
+// sameSet reports whether the set record at ref stands for the canonical
+// set canon: one group read per group, nothing expanded. Group headers
+// sum to the set's, as each group counts items of one kind only.
+func (ts *TupleStore) sameSet(ref uint32, canon []bgp.Community) bool {
 	var header bgp.Community
 	rest := canon[1:]
-	for _, ref := range rec {
-		g := recordAt(groups[ref&^lastGroup:])
+	for i, last := int(ref), ref == 0; !last; {
+		var ord uint32
+		ord, last, i = groupRef(ts.sets.arena, i)
+		g := recordAt(ts.groups.arena[ts.groups.at[ord]:])
 		if len(g)-1 > len(rest) || !slices.Equal(g[1:], rest[:len(g)-1]) {
 			return false
 		}
@@ -198,17 +206,17 @@ type TupleStore struct {
 	// hash starts the store's table hashes and record tags.
 	hash storeHash
 
-	// groups is the group arena, its groups addressed by word offset
-	// (the empty record seeded at 0), each distinct one once: a writable
-	// store indexes it (groups.tab); a stitched one holds the shards'
-	// groups as Stitch deduplicated them, with no index.
-	groups recordIndex
-	// sets is the set arena, its records addressed by word offset, the
+	// groups is the group arena, each distinct group once, named by its
+	// ordinal: groups.at holds its word offset. A writable store indexes
+	// it (groups.tab); a stitched one holds the shards' groups as Stitch
+	// deduplicated them, with no index.
+	groups recordIndex[bgp.Community]
+	// sets is the set arena, its records addressed by byte offset, the
 	// empty one at 0. A NewTupleStore's indexes it (sets.tab), so each
 	// distinct record is there once. A shard appends one record per new
 	// tuple, and Stitch deduplicates the shards' records into the
 	// stitched store's, which holds each once and has no index.
-	sets recordIndex
+	sets recordIndex[byte]
 
 	// hopASN and hopNext are the hops, struct-of-arrays: hop i is ASN
 	// hopASN[i], followed toward the origin by hop hopNext[i]&^pathHead,
@@ -252,8 +260,8 @@ func NewTupleStore() *TupleStore {
 func newStore(h storeHash) *TupleStore {
 	return &TupleStore{
 		hash:     h,
-		groups:   recordIndex{arena: make([]bgp.Community, len(emptySet)), tab: newFlatTable(0)},
-		sets:     recordIndex{arena: make([]bgp.Community, len(emptySet))},
+		groups:   recordIndex[bgp.Community]{byOrdinal: true, tab: newFlatTable(0)},
+		sets:     recordIndex[byte]{arena: make([]byte, 1)}, // the empty set at 0
 		tupleTab: newFlatTable(0),
 		hopTab:   newFlatTable(0),
 	}
@@ -324,7 +332,7 @@ type addScratch struct {
 	larges bgp.LargeCommunities // community lists; sc.set renders them
 	set    []bgp.Community      // the view's canonical set (see appendSet)
 	group  []bgp.Community      // one group of it, rendered for the group index
-	rec    []bgp.Community      // its set record (see groupSet)
+	rec    []byte               // its set record (see groupSet)
 	flat   []uint32             // AS-path flattening buffer for AddViewASPathLarge
 }
 
@@ -507,10 +515,16 @@ func (ts *TupleStore) samePath(id int32, words []uint32) bool {
 // Iterate by index and resolve payloads through eachGroup/TupleVPs.
 func (ts *TupleStore) Tuples() []Tuple { return ts.tuples }
 
-// setRecord returns a tuple's set record (a view into the set arena; do
+// setRecord returns a tuple's set record, its bytes through the ref
+// flagged last, empty for the empty set (a view into the set arena; do
 // not mutate).
-func (ts *TupleStore) setRecord(t *Tuple) []bgp.Community {
-	return setRecordAt(ts.sets.arena[t.setRef():])
+func (ts *TupleStore) setRecord(t *Tuple) []byte {
+	ref := t.setRef()
+	end := int(ref)
+	for last := ref == 0; !last; {
+		_, last, end = groupRef(ts.sets.arena, end)
+	}
+	return ts.sets.arena[ref:end:end]
 }
 
 // eachGroup calls fn with each group of t's community set, in the set's
@@ -520,8 +534,10 @@ func (ts *TupleStore) setRecord(t *Tuple) []bgp.Community {
 // LocalData2 each (comms empty). Both alias shared storage; fn must not
 // keep or modify them.
 func (ts *TupleStore) eachGroup(t *Tuple, fn func(comms bgp.Communities, larges []bgp.Community)) {
-	for _, ref := range ts.setRecord(t) {
-		fn(splitSet(recordAt(ts.groups.arena[ref&^lastGroup:])))
+	for i, last := int(t.setRef()), t.setRef() == 0; !last; {
+		var ord uint32
+		ord, last, i = groupRef(ts.sets.arena, i)
+		fn(splitSet(recordAt(ts.groups.arena[ts.groups.at[ord]:])))
 	}
 }
 
@@ -577,9 +593,9 @@ func (ts *TupleStore) VPSet() []uint32 {
 
 // eachStoredGroup calls fn, as eachGroup does, with every group the
 // tuples refer to, each once: the store's group arena holds exactly
-// those.
+// those, end to end.
 func (ts *TupleStore) eachStoredGroup(fn func(comms bgp.Communities, larges []bgp.Community)) {
-	for run := ts.groups.arena[len(emptySet):]; len(run) > 0; {
+	for run := ts.groups.arena; len(run) > 0; {
 		g := recordAt(run)
 		fn(splitSet(g))
 		run = run[len(g):]

@@ -10,13 +10,16 @@
 // sink of its own. Statistics stay exactly equal to a sequential scan:
 // the framer owns every framing counter (records, resyncs, truncation,
 // bytes) by construction, and the decode counters the workers'
-// decoders accumulate per batch are order-independent sums. The one
-// case that is genuinely order-dependent — lenient recovery from a
-// record that framed but failed to decode, where the sequential scan
-// rejects the record's bytes back into the stream and rescans inside
-// them — triggers a full-file fallback instead: the split attempt's
-// statistics and telemetry are discarded and the file is rescanned
-// sequentially.
+// decoders accumulate per batch are order-independent sums. A worker's
+// terminal error stops the counts where the sequential scan stops them,
+// at the record that failed (see batchResult). Two cases are genuinely
+// order-dependent — lenient recovery from a record that framed but
+// failed to decode, where the sequential scan rejects the record's bytes
+// back into the stream and rescans inside them, and, under an error
+// budget, an entry the decoder drops, after which the sequential scan
+// checks the budget at that point of the stream — and they trigger a
+// full-file fallback instead: the split attempt's statistics and
+// telemetry are discarded and the file is rescanned sequentially.
 // Re-feeding views already delivered is safe because feeding the store
 // is idempotent (tuple dedup, sorted-set VP insertion,
 // large-community set), so the fallback keeps both the corpus and the
@@ -58,12 +61,20 @@ type frameJob struct {
 type batchResult struct {
 	stats mrt.Stats
 	err   error
+	// framed is what the framer had counted when it framed the record
+	// that failed, err's: its records and bytes, and the tables it
+	// decoded. The framer fills in the counts before the batch, the
+	// worker the failing record's share.
+	framed mrt.Stats
 }
 
 // splitState is the shared control state of one split-file scan.
 type splitState struct {
 	failed   atomic.Bool // a worker hit a terminal error; stop dispatching
-	fallback atomic.Bool // lenient decode failure; rescan sequentially
+	fallback atomic.Bool // lenient decode failure or, budgeted, a dropped entry; rescan sequentially
+	// budgeted falls back on an entry the decoder drops: the scan is
+	// lenient and held to an error budget.
+	budgeted bool
 	done     <-chan struct{}
 }
 
@@ -87,22 +98,28 @@ func decodeBatches[V any](jobs <-chan frameJob, free chan<- *mrt.FrameBatch, st 
 		for i, n := 0, job.batch.Len(); i < n && !st.aborted(); i++ {
 			job.batch.Rec(i, &rec)
 			skip, err := dec.Decode(&rec, stats)
-			for err == nil {
+			for err == nil && skip == "" {
 				var v *V
-				if v, err = dec.Next(stats); v != nil {
+				switch v, err = dec.Next(stats); {
+				case v != nil:
 					err = fn(v)
+				case err == nil && st.budgeted:
+					skip = "dropped entry"
 				}
 			}
 			switch {
 			case skip != "":
 				// The sequential scan would Reject the record's bytes and
-				// rescan inside them; that recovery is inherently
-				// stream-ordered, so redo the whole file sequentially.
+				// rescan inside them, or check the budget after the entry
+				// it dropped; both are inherently stream-ordered, so redo
+				// the whole file sequentially.
 				st.fallback.Store(true)
 			case err == io.EOF:
 				continue
 			default:
 				job.res.err = err
+				job.res.framed.Records += i + 1
+				job.res.framed.BytesRead = rec.End()
 			}
 			st.failed.Store(true)
 		}
@@ -124,7 +141,7 @@ func scanFileSplit(ctx context.Context, f InputFile, opts Options, workers int, 
 	s := beginScan(f.Path, opts)
 	tr := opts.Tracer
 	r := s.reader(rc)
-	st := &splitState{done: ctx.Done()}
+	st := &splitState{budgeted: s.limit >= 0, done: ctx.Done()}
 
 	nBatches := 2 * workers
 	free := make(chan *mrt.FrameBatch, nBatches)
@@ -167,6 +184,7 @@ func scanFileSplit(ctx context.Context, f InputFile, opts Options, workers int, 
 	)
 	for !st.aborted() {
 		batch := <-free
+		framed := mrt.Stats{Records: s.fs.Records, Decoded: s.fs.Decoded}
 		var frameStart time.Time
 		if tr.Active() {
 			frameStart = time.Now()
@@ -184,7 +202,7 @@ func scanFileSplit(ctx context.Context, f InputFile, opts Options, workers int, 
 			break
 		}
 		if batch.Len() > 0 {
-			res := &batchResult{}
+			res := &batchResult{framed: framed}
 			ordered = append(ordered, res)
 			jobs <- frameJob{batch: batch, table: tables.Table, res: res}
 		} else {
@@ -201,10 +219,10 @@ func scanFileSplit(ctx context.Context, f InputFile, opts Options, workers int, 
 				break
 			}
 		}
-		// Mid-stream budget check over the framer's counters; decode
-		// skips are re-checked exactly at finish (and a lenient decode
-		// failure falls back to the sequential scan, where the budget
-		// applies per record).
+		// Mid-stream budget check over the framer's counters. A budgeted
+		// split has no decode skips to add: the first one falls back to
+		// the sequential scan, where the budget applies per record and
+		// per dropped entry.
 		if err := s.overBudget(budgetMinSample); err != nil {
 			framerFn = err
 			break
@@ -227,14 +245,21 @@ func scanFileSplit(ctx context.Context, f InputFile, opts Options, workers int, 
 	}
 	// Merge batch outcomes in frame order: the earliest batch error wins,
 	// with the stats of everything before it, matching the point a
-	// sequential scan would have stopped at.
-	werr := framerFn
-	for _, res := range ordered {
-		s.fs.Merge(&res.stats)
+	// sequential scan would have stopped at. The framer read ahead of the
+	// failing record, so its records, bytes and tables count as far as
+	// that record and no further (framing recoveries past it, lenient
+	// only, still count).
+	werr, upto := framerFn, len(ordered)
+	for k, res := range ordered {
 		if res.err != nil {
-			werr = res.err
+			werr, upto = res.err, k+1
+			s.fs.Records, s.fs.BytesRead, s.fs.Decoded = res.framed.Records, res.framed.BytesRead, res.framed.Decoded
+			s.tick()
 			break
 		}
+	}
+	for _, res := range ordered[:upto] {
+		s.fs.Merge(&res.stats)
 	}
 	if werr != nil {
 		werr = fileErr(f.Path, werr)

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"bgpintent/internal/bgp"
@@ -185,20 +186,39 @@ func TestErrorBudget(t *testing.T) {
 		if err := tw.Flush(); err != nil {
 			t.Fatal(err)
 		}
+		// The file is scanned as a stream, and through Scan at one worker
+		// (the sequential scan) and at files+1 (the frame split, which
+		// falls back to the sequential scan at the first dropped entry,
+		// before it has delivered a view, so the views count alike).
+		path := filepath.Join(t.TempDir(), "budget.rib.mrt")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 		for _, tc := range []struct {
 			limit   float64
 			skipped int
 		}{{0.05, 126}, {0.99, 127}} {
-			views, st, err := countViews(t, buf.Bytes(), Options{MaxErrorRate: tc.limit})
-			var be *BudgetError
-			if !errors.As(err, &be) || be.Rate != float64(tc.skipped)/128 {
-				t.Fatalf("limit %v: error = %v, want a *BudgetError at rate %d/128", tc.limit, err, tc.skipped)
-			}
-			fs := st.Files[0].Stats
-			if views != 126 || fs.Records != 128 || fs.Decoded != 128 || fs.Skipped != tc.skipped ||
-				fs.SkipReasons["peer-index-out-of-range"] != tc.skipped {
-				t.Errorf("limit %v: %d views, stats %+v; want 126 views and 128 records, 128 decoded, %d skipped",
-					tc.limit, views, fs, tc.skipped)
+			opts := Options{MaxErrorRate: tc.limit}
+			for _, workers := range []int{0, 1, 2} { // 0: the stream
+				views, st, err := countViews(t, buf.Bytes(), opts)
+				if workers > 0 {
+					var n atomic.Int64
+					st = &Stats{}
+					err = Scan(context.Background(), []InputFile{{Path: path}}, opts, workers, st, func() Sink {
+						return Sink{RIB: func(*mrt.RIBView) error { n.Add(1); return nil }}
+					})
+					views = int(n.Load())
+				}
+				var be *BudgetError
+				if !errors.As(err, &be) || be.Rate != float64(tc.skipped)/128 {
+					t.Fatalf("limit %v, workers %d: error = %v, want a *BudgetError at rate %d/128", tc.limit, workers, err, tc.skipped)
+				}
+				fs := st.Files[0].Stats
+				if views != 126 || fs.Records != 128 || fs.Decoded != 128 || fs.Skipped != tc.skipped ||
+					fs.SkipReasons["peer-index-out-of-range"] != tc.skipped {
+					t.Errorf("limit %v, workers %d: %d views, stats %+v; want 126 views and 128 records, 128 decoded, %d skipped",
+						tc.limit, workers, views, fs, tc.skipped)
+				}
 			}
 		}
 	})

@@ -75,6 +75,10 @@ type Record struct {
 	Body      []byte
 }
 
+// End returns the stream offset just past the record: where the reader
+// stood once it had framed it.
+func (r *Record) End() int64 { return r.Offset + recordHeaderLen + int64(len(r.Body)) }
+
 // Stats counts decode outcomes over one MRT stream (or, merged, over a
 // whole corpus load). The reader fills the framing fields; the decoders
 // (RIBDecoder, UpdateDecoder) fill the record-decode fields. A nil *Stats is accepted everywhere
