@@ -283,13 +283,6 @@ func TestDictionaryTSV(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestLoadMRTUpdatesFiles(t *testing.T) {
 	cfg := corpus.TinyConfig()
 	syn, err := corpus.Build(cfg)

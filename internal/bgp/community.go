@@ -9,7 +9,7 @@ package bgp
 import (
 	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -190,7 +190,7 @@ func (cs Communities) Clone() Communities {
 
 // Sort orders the set numerically (by α, then β), in place.
 func (cs Communities) Sort() {
-	sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
+	slices.Sort(cs)
 }
 
 // Canonical returns a sorted, de-duplicated copy of the set. Routes that
@@ -328,7 +328,7 @@ func (ls LargeCommunities) Clone() LargeCommunities {
 
 // Sort orders the set numerically, in place.
 func (ls LargeCommunities) Sort() {
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Compare(ls[j]) < 0 })
+	slices.SortFunc(ls, LargeCommunity.Compare)
 }
 
 // Canonical returns a sorted, de-duplicated copy of the set, the

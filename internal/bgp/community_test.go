@@ -1,6 +1,9 @@
 package bgp
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -191,6 +194,35 @@ func TestCommunitiesCanonicalQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCommunitiesSortMatchesReference checks Sort against a sort.Slice
+// reference on random lists dense in duplicates (α and β drawn from small
+// ranges, so equal α with different β are common too), and that it
+// allocates nothing: every simulated view goes through Canonical's sort.
+func TestCommunitiesSortMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		cs := make(Communities, rng.Intn(40))
+		for i := range cs {
+			cs[i] = NewCommunity(uint16(65530+rng.Intn(6)), uint16(rng.Intn(8)))
+		}
+		want := slices.Clone(cs)
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		cs.Sort()
+		if !slices.Equal(cs, want) {
+			t.Fatalf("trial %d: Sort = %v, want %v", trial, cs, want)
+		}
+	}
+	cs := make(Communities, 16)
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := range cs {
+			cs[i] = Community(uint32(len(cs)-i) * 0x10001)
+		}
+		cs.Sort()
+	}); allocs != 0 {
+		t.Errorf("Sort allocates %.1f times per call, want 0", allocs)
 	}
 }
 

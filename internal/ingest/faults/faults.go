@@ -155,10 +155,3 @@ func writeRecord(bw *bufio.Writer, rec *mrt.Record, length uint32, body []byte) 
 	bw.Write(hdr[:])
 	bw.Write(body)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

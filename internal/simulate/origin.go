@@ -2,6 +2,7 @@ package simulate
 
 import (
 	"math/rand"
+	"slices"
 
 	"bgpintent/internal/bgp"
 	"bgpintent/internal/dict"
@@ -89,23 +90,12 @@ func (s *Simulator) buildOriginState(idx int32) *originState {
 		}
 	}
 
-	for ixpID := range s.rsPlans {
-		member := false
-		for _, ix := range s.topo.IXPs {
-			if ix.ID != ixpID {
-				continue
-			}
-			for _, m := range ix.Members {
-				if m == a.ASN {
-					member = true
-				}
-			}
-		}
-		if !member {
+	for _, ix := range s.topo.IXPs {
+		plan := ix.Plan
+		if plan == nil || !slices.Contains(ix.Members, a.ASN) {
 			continue
 		}
-		st.ixpIDs = append(st.ixpIDs, ixpID)
-		plan := s.rsPlans[ixpID]
+		st.ixpIDs = append(st.ixpIDs, ix.ID)
 		var sup []bgp.Community
 		for _, v := range plan.Values() {
 			if d, _ := plan.Lookup(v); d.Sub == dict.SubSuppress {
@@ -122,8 +112,11 @@ func (s *Simulator) buildOriginState(idx int32) *originState {
 // providers' action communities, route-server actions, well-known
 // communities, private-range junk, and occasional leaked foreign
 // information communities. Choices are deterministic per
-// (seed, origin, prefix), with a small day-dependent jitter.
-func (s *Simulator) originRoute(op originPrefix, day int) *route {
+// (seed, origin, prefix), with a small day-dependent jitter. The route's
+// large communities are returned beside it: views share them, and no
+// hop adds any.
+func (w *worker) originRoute(op originPrefix) (*route, bgp.LargeCommunities) {
+	s, day := w.s, w.day
 	a := s.ases[op.origin]
 	st := s.originStates[op.origin]
 	pkey := prefixKey(op.prefix)
@@ -133,7 +126,7 @@ func (s *Simulator) originRoute(op originPrefix, day int) *route {
 
 	// Own information tags (α = origin): trivially on-path.
 	if len(st.ownInfo) > 0 {
-		rng := keyRand(s.cfg.Seed, pkey^uint64(a.ASN), saltOwnInfo)
+		rng := keyRand(w.rng[0], s.cfg.Seed, pkey^uint64(a.ASN), saltOwnInfo)
 		n := 1 + rng.Intn(len(st.ownInfo))
 		comms = append(comms, st.ownInfo[:n]...)
 	}
@@ -153,18 +146,18 @@ func (s *Simulator) originRoute(op originPrefix, day int) *route {
 			comms = append(comms, bgp.CommunityBlackhole)
 		}
 		r.comms = comms
-		return r
+		return r, nil
 	}
 
 	// Provider action communities: the mechanism that puts action values
 	// on provider-disjoint (off-path) routes.
 	for _, pp := range st.providers {
-		use := keyRand(s.cfg.Seed, pkey^uint64(pp.asn)^uint64(a.ASN), saltActionUse)
+		use := keyRand(w.rng[0], s.cfg.Seed, pkey^uint64(pp.asn)^uint64(a.ASN), saltActionUse)
 		if use.Float64() >= s.cfg.ActionUseProb || len(pp.actionVals) == 0 {
 			continue
 		}
-		pick := keyRand(s.cfg.Seed, pkey^uint64(pp.asn)^uint64(a.ASN), saltActionPick)
-		if jit := keyRand(s.cfg.Seed, pkey^uint64(pp.asn)^uint64(a.ASN)^uint64(day)<<40, saltActionPick); jit.Float64() < s.cfg.DayActionJitter {
+		pick := keyRand(w.rng[0], s.cfg.Seed, pkey^uint64(pp.asn)^uint64(a.ASN), saltActionPick)
+		if jit := keyRand(w.rng[1], s.cfg.Seed, pkey^uint64(pp.asn)^uint64(a.ASN)^uint64(day)<<40, saltActionPick); jit.Float64() < s.cfg.DayActionJitter {
 			pick = jit
 		}
 		n := 1 + pick.Intn(2)
@@ -192,27 +185,27 @@ func (s *Simulator) originRoute(op originPrefix, day int) *route {
 		if len(st.rsSuppress[i]) == 0 {
 			continue
 		}
-		rng := keyRand(s.cfg.Seed, pkey^uint64(st.ixpIDs[i])<<20^uint64(a.ASN), saltRS)
+		rng := keyRand(w.rng[0], s.cfg.Seed, pkey^uint64(st.ixpIDs[i])<<20^uint64(a.ASN), saltRS)
 		if rng.Float64() < s.cfg.RSActionUseProb {
 			comms = append(comms, st.rsSuppress[i][rng.Intn(len(st.rsSuppress[i]))])
 		}
 	}
 
 	// Private-range junk the method must leave unclassified.
-	junk := keyRand(s.cfg.Seed, pkey^uint64(a.ASN), saltJunk)
+	junk := keyRand(w.rng[0], s.cfg.Seed, pkey^uint64(a.ASN), saltJunk)
 	if junk.Float64() < s.cfg.PrivateJunkProb {
 		comms = append(comms, bgp.NewCommunity(uint16(64512+junk.Intn(1022)), uint16(junk.Intn(65536))))
 	}
 
 	// Cargo-cult leakage of a foreign information community: the source
 	// of small off-path counts in information clusters.
-	leak := keyRand(s.cfg.Seed, pkey^uint64(a.ASN), saltLeak)
+	leak := keyRand(w.rng[0], s.cfg.Seed, pkey^uint64(a.ASN), saltLeak)
 	if leak.Float64() < s.cfg.LeakProb && len(s.leakPool) > 0 {
 		comms = append(comms, s.leakPool[leak.Intn(len(s.leakPool))])
 	}
 
 	// NO_EXPORT confinement.
-	ne := keyRand(s.cfg.Seed, pkey^uint64(a.ASN), saltJunk^0x5a5a)
+	ne := keyRand(w.rng[0], s.cfg.Seed, pkey^uint64(a.ASN), saltJunk^0x5a5a)
 	if ne.Float64() < s.cfg.NoExportProb {
 		comms = append(comms, bgp.CommunityNoExport)
 	}
@@ -221,9 +214,10 @@ func (s *Simulator) originRoute(op originPrefix, day int) *route {
 	// RFC 8092 form (α as 32-bit ASN, function code, value). In matrix
 	// mode every origin mirrors unconditionally — the deterministic
 	// std/lrg announce/suppress matrix.
-	lm := keyRand(s.cfg.Seed, pkey^uint64(a.ASN), saltLarge)
+	var lcs bgp.LargeCommunities
+	lm := keyRand(w.rng[0], s.cfg.Seed, pkey^uint64(a.ASN), saltLarge)
 	if s.cfg.LargeMatrix || lm.Float64() < s.cfg.LargeMirrorProb {
-		lcs := make(bgp.LargeCommunities, 0, len(comms))
+		lcs = make(bgp.LargeCommunities, 0, len(comms))
 		for _, c := range comms {
 			if c.IsWellKnown() || c.IsPrivateASN() {
 				continue
@@ -235,11 +229,10 @@ func (s *Simulator) originRoute(op originPrefix, day int) *route {
 			})
 		}
 		lcs.Sort()
-		r.lcomms = lcs
 	}
 
 	r.comms = comms
-	return r
+	return r, lcs
 }
 
 // prefixKey derives a stable 64-bit key from a prefix.
@@ -248,9 +241,13 @@ func prefixKey(p bgp.Prefix) uint64 {
 	return uint64(a[0])<<32 | uint64(a[1])<<24 | uint64(a[2])<<16 | uint64(a[3])<<8 | uint64(p.Bits())
 }
 
-// keyRand derives a deterministic rng from (seed, key, salt).
-func keyRand(seed int64, key uint64, salt int64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(mix(uint64(seed)^key*0x9e3779b97f4a7c15, uint64(salt)))))
+// keyRand re-seeds r to the deterministic stream of (seed, key, salt) and
+// returns it. Seeding a rand.Rand restarts it exactly where a fresh
+// rand.NewSource of that seed would start, without allocating the
+// source's 4.9 KB state per draw site.
+func keyRand(r *rand.Rand, seed int64, key uint64, salt int64) *rand.Rand {
+	r.Seed(int64(mix(uint64(seed)^key*0x9e3779b97f4a7c15, uint64(salt))))
+	return r
 }
 
 // mix is the splitmix64 finalizer over x^salt.

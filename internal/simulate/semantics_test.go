@@ -189,6 +189,15 @@ func TestIngressTagging(t *testing.T) {
 	if !hasComm(v30.Comms, 10, 800) {
 		t.Errorf("missing relationship tag: %v", v30.Comms)
 	}
+
+	// The session's city is the sender's record of it: with AS10 placing
+	// the AS20 session in city 3 (no location value) and AS20 placing it
+	// in city 1, AS10 still tags city 1.
+	topo.ASes[10].LinkCity[20] = 3
+	day = New(topo, cfg).RunDay(0)
+	if v30 = viewOf(day, 30); v30 == nil || !hasComm(v30.Comms, 10, 500) {
+		t.Errorf("location tag not taken from the sender's session city: %v", v30)
+	}
 }
 
 func TestBlackholeAbsorbed(t *testing.T) {
@@ -256,4 +265,44 @@ func TestLocalPrefActionChangesSelection(t *testing.T) {
 
 func hasComm(comms bgp.Communities, asn, val uint16) bool {
 	return comms.Has(bgp.NewCommunity(asn, val))
+}
+
+// TestDownLinkCarriesNothing flaps one of multihomed AS20's two provider
+// links every day. The provider across the down link reaches AS20's
+// prefix only the long way round, and AS20 reaches AS30's prefix only
+// through the other provider, although the down one wins the tie.
+func TestDownLinkCarriesNothing(t *testing.T) {
+	topo := handTopo(planWith())
+	a20, a40 := topo.ASes[20], topo.ASes[40]
+	a40.Customers = append(a40.Customers, 20)
+	a20.Providers = append(a20.Providers, 40)
+	a40.LinkCity[20], a20.LinkCity[40] = 2, 2
+	other := bgp.MustParsePrefix("198.51.100.0/24")
+	topo.ASes[30].Prefixes = []bgp.Prefix{other}
+	cfg := semCfg()
+	cfg.ActionUseProb = 0
+	cfg.LinkFlapFrac = 1
+	sim := New(topo, cfg)
+	wasDown := make(map[uint32]bool)
+	for d := 0; d < 8; d++ {
+		day := sim.RunDay(d)
+		var down []uint32
+		for _, p := range []uint32{10, 40} {
+			if v := viewOf(day, p); v == nil || len(v.Path) != 2 {
+				down = append(down, p)
+			}
+		}
+		if len(down) != 1 {
+			t.Fatalf("day %d: providers without a direct route from AS20: %v, want one", d, down)
+		}
+		wasDown[down[0]] = true
+		for _, v := range day.Views {
+			if v.VP == 20 && v.Prefix == other && (len(v.Path) < 2 || v.Path[1] == down[0]) {
+				t.Errorf("day %d: AS20 reaches %v over the down link to AS%d: %v", d, other, down[0], v.Path)
+			}
+		}
+	}
+	if !wasDown[10] || !wasDown[40] {
+		t.Errorf("links down over 8 days: %v, want both providers' in turn", wasDown)
+	}
 }

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -142,24 +143,28 @@ type DayResult struct {
 
 // route is a route as held by one AS. The AS path is a parent chain —
 // each hop records who announced it and how many extra prepends were
-// applied — materialized only at vantage points.
+// applied — materialized only at vantage points. Learned routes and
+// their communities live in a worker's scratch for one prefix. Large
+// communities are only ever the origin's, so a route says whether a hop
+// dropped them rather than carrying them.
 type route struct {
 	parent    *route
-	sender    uint32 // ASN that announced this route to the holder
-	prepends  int    // extra repetitions of sender beyond the mandatory one
-	pathLen   int    // total materialized path length
 	comms     bgp.Communities
-	lcomms    bgp.LargeCommunities
+	sender    uint32 // ASN that announced this route to the holder
+	prepends  int32  // extra repetitions of sender beyond the mandatory one
+	pathLen   int32  // total materialized path length
 	lpref     uint32
 	from      int32 // dense index of the neighbor it was learned from
-	fromRel   int   // topology.Rel* the route was learned over
+	fromRel   int8  // topology.Rel* the route was learned over
 	blackhole bool
+	noExport  bool // comms carries NO_EXPORT
+	stripped  bool // a hop filtered communities, the origin's larges too
 }
 
 // appendPath materializes the AS path (nearest-first, origin last).
 func (r *route) appendPath(dst []uint32) []uint32 {
 	for cur := r; cur.parent != nil; cur = cur.parent {
-		for i := 0; i <= cur.prepends; i++ {
+		for i := int32(0); i <= cur.prepends; i++ {
 			dst = append(dst, cur.sender)
 		}
 	}
@@ -196,6 +201,7 @@ func defaultLocalPref(rel int) uint32 {
 
 // planCache precomputes per-AS lookups the hot transfer path needs.
 type planCache struct {
+	defs      defTable
 	locCity   map[int]uint16 // city -> location β
 	locRegion map[int]uint16 // region -> rollup location β
 	relDef    map[int]uint16 // relationship -> β
@@ -205,6 +211,7 @@ type planCache struct {
 
 func newPlanCache(plan *dict.Plan) *planCache {
 	c := &planCache{
+		defs:      newDefTable(plan),
 		locCity:   make(map[int]uint16),
 		locRegion: make(map[int]uint16),
 		relDef:    make(map[int]uint16),
@@ -238,6 +245,83 @@ func newPlanCache(plan *dict.Plan) *planCache {
 	return c
 }
 
+// defTable finds a plan's definitions by β in an open-addressed table;
+// Plan.Lookup's map hashing was a sixth of a simulated day's CPU.
+type defTable struct {
+	slots []defSlot
+	shift uint // 32 - log2(len(slots))
+}
+
+type defSlot struct {
+	beta uint16
+	def  *dict.Def // nil: empty
+}
+
+func newDefTable(plan *dict.Plan) defTable {
+	bits := uint(2)
+	for 1<<bits < 2*len(plan.Defs) {
+		bits++
+	}
+	t := defTable{slots: make([]defSlot, 1<<bits), shift: 32 - bits}
+	for beta, d := range plan.Defs {
+		i := t.home(beta)
+		for t.slots[i].def != nil {
+			i = (i + 1) & uint32(len(t.slots)-1)
+		}
+		t.slots[i] = defSlot{beta, d}
+	}
+	return t
+}
+
+// home is β's first probe: a Fibonacci hash, so the contiguous blocks
+// plans number their values in do not pile onto one run of slots.
+func (t *defTable) home(beta uint16) uint32 { return uint32(beta) * 0x9e3779b1 >> t.shift }
+
+func (t *defTable) lookup(beta uint16) (*dict.Def, bool) {
+	for i := t.home(beta); ; i = (i + 1) & uint32(len(t.slots)-1) {
+		if sl := &t.slots[i]; sl.def == nil || sl.beta == beta {
+			return sl.def, sl.def != nil
+		}
+	}
+}
+
+// routeServer is an IXP route server's plan (the α its communities use
+// and its definitions) and the "learned here" information community it
+// tags, if its plan defines one.
+type routeServer struct {
+	alpha  uint32
+	defs   defTable
+	tag    bgp.Community
+	hasTag bool
+}
+
+// link is one direction of a session as transfer reads it: the
+// sender-side session city and its region, and the route server on a
+// multilateral IXP session (nil on a bilateral one).
+type link struct {
+	city, region int
+	rs           *routeServer
+}
+
+// edge is one adjacency of an AS in dense form: the neighbor's index and
+// both directions of the session.
+type edge struct {
+	nbr     int32
+	out, in link // toward the neighbor, and from it
+}
+
+// adjacency holds every AS's edges in one slice: AS u's are
+// edges[at[u]:at[u+1]], so an edge's position there names it (the day's
+// down-link flags are indexed by it).
+type adjacency struct {
+	at    []int32
+	edges []edge
+}
+
+func (a *adjacency) of(u int32) (base int32, es []edge) {
+	return a.at[u], a.edges[a.at[u]:a.at[u+1]]
+}
+
 type originPrefix struct {
 	prefix    bgp.Prefix
 	origin    int32
@@ -249,14 +333,15 @@ type Simulator struct {
 	topo *topology.Topology
 	cfg  Config
 
-	vps     []uint32
-	index   map[uint32]int32 // ASN -> dense index
-	asns    []uint32         // dense index -> ASN
-	ases    []*topology.AS   // dense index -> AS
-	caches  []*planCache     // dense index -> plan cache (nil without plan)
-	ixpAdj  [][]uint32       // dense index -> sorted IXP-peer ASNs
-	rsPlans map[int]*dict.Plan
-	rsTag   map[int]bgp.Community // ixpID -> "learned here" info community
+	vps    []uint32
+	index  map[uint32]int32 // ASN -> dense index
+	asns   []uint32         // dense index -> ASN
+	ases   []*topology.AS   // dense index -> AS
+	caches []*planCache     // dense index -> plan cache (nil without plan)
+
+	// cust lists each AS's customers in topology order; peers its
+	// private peers, then its IXP peers by ascending ASN.
+	cust, peers adjacency
 
 	originStates []*originState
 	leakPool     []bgp.Community // foreign info communities origins may leak
@@ -264,21 +349,18 @@ type Simulator struct {
 	origins []originPrefix
 }
 
-// New prepares a simulator: dense indexes, vantage-point selection, plan
-// caches, and the prefix origin list.
+// New prepares a simulator: dense indexes and adjacency, vantage-point
+// selection, plan caches, and the prefix origin list.
 func New(topo *topology.Topology, cfg Config) *Simulator {
 	s := &Simulator{
-		topo:    topo,
-		cfg:     cfg,
-		index:   make(map[uint32]int32, len(topo.ASes)),
-		rsPlans: make(map[int]*dict.Plan),
-		rsTag:   make(map[int]bgp.Community),
+		topo:  topo,
+		cfg:   cfg,
+		index: make(map[uint32]int32, len(topo.ASes)),
 	}
 	n := len(topo.Order)
 	s.asns = make([]uint32, n)
 	s.ases = make([]*topology.AS, n)
 	s.caches = make([]*planCache, n)
-	s.ixpAdj = make([][]uint32, n)
 	for i, asn := range topo.Order {
 		s.index[asn] = int32(i)
 		s.asns[i] = asn
@@ -286,20 +368,22 @@ func New(topo *topology.Topology, cfg Config) *Simulator {
 		if s.ases[i].Plan != nil {
 			s.caches[i] = newPlanCache(s.ases[i].Plan)
 		}
-		s.ixpAdj[i] = sortedKeys(s.ases[i].IXPPeers)
 	}
+	servers := make(map[int]*routeServer)
 	for _, ix := range topo.IXPs {
 		if ix.Plan == nil {
 			continue
 		}
-		s.rsPlans[ix.ID] = ix.Plan
+		rs := &routeServer{alpha: ix.Plan.ASN, defs: newDefTable(ix.Plan)}
 		for _, v := range ix.Plan.Values() {
 			if d, _ := ix.Plan.Lookup(v); d.Sub == dict.SubOtherInfo {
-				s.rsTag[ix.ID] = bgp.NewCommunity(uint16(ix.RouteServerASN), v)
+				rs.tag, rs.hasTag = bgp.NewCommunity(uint16(ix.RouteServerASN), v), true
 				break
 			}
 		}
+		servers[ix.ID] = rs
 	}
+	s.buildAdjacency(servers)
 	// Leak pool: transit information communities an origin might
 	// cargo-cult onto its own announcements (or carry stale after
 	// re-homing). The rate is kept low: with full-feed vantage points a
@@ -328,6 +412,42 @@ func New(topo *topology.Topology, cfg Config) *Simulator {
 	s.selectVPs()
 	s.buildOrigins()
 	return s
+}
+
+// buildAdjacency lays out every AS's customer and peer edges with what
+// transfer needs of each direction, so propagation does no map lookup.
+func (s *Simulator) buildAdjacency(servers map[int]*routeServer) {
+	dir := func(from, to int32) link {
+		sender, recv := s.ases[from], s.ases[to]
+		city := sender.LinkCity[recv.ASN]
+		l := link{city: city, region: s.topo.Region(city)}
+		if ixpID, ok := sender.IXPPeers[recv.ASN]; ok {
+			l.rs = servers[ixpID]
+		}
+		return l
+	}
+	add := func(adj *adjacency, u int32, nbrs []uint32) {
+		for _, asn := range nbrs {
+			v := s.index[asn]
+			adj.edges = append(adj.edges, edge{nbr: v, out: dir(u, v), in: dir(v, u)})
+		}
+	}
+	n := int32(len(s.ases))
+	s.cust.at = make([]int32, 1, n+1)
+	s.peers.at = make([]int32, 1, n+1)
+	for u := int32(0); u < n; u++ {
+		a := s.ases[u]
+		add(&s.cust, u, a.Customers)
+		add(&s.peers, u, a.Peers)
+		ixp := make([]uint32, 0, len(a.IXPPeers))
+		for asn := range a.IXPPeers {
+			ixp = append(ixp, asn)
+		}
+		slices.Sort(ixp)
+		add(&s.peers, u, ixp)
+		s.cust.at = append(s.cust.at, int32(len(s.cust.edges)))
+		s.peers.at = append(s.peers.at, int32(len(s.peers.edges)))
+	}
 }
 
 // selectVPs picks the vantage-point population: every tier-1/2, then a
@@ -376,11 +496,12 @@ func (s *Simulator) buildOrigins() {
 			s.origins = append(s.origins, originPrefix{prefix: p, origin: int32(idx)})
 		}
 	}
+	r := rand.New(rand.NewSource(0))
 	for idx, a := range s.ases {
 		if a.Tier != topology.TierStub || len(a.Prefixes) == 0 {
 			continue
 		}
-		rng := keyRand(s.cfg.Seed, uint64(a.ASN), 0xb1ac)
+		rng := keyRand(r, s.cfg.Seed, uint64(a.ASN), 0xb1ac)
 		if rng.Float64() >= s.cfg.BlackholeProb {
 			continue
 		}
@@ -412,7 +533,9 @@ func (s *Simulator) Prefixes() int { return len(s.origins) }
 //
 // Prefixes are independent, so the work is sharded across GOMAXPROCS
 // workers; per-prefix determinism keeps the output identical to a
-// sequential run.
+// sequential run. Each worker propagates a prefix in scratch it resets
+// for the next one; a view holds only copies of what it reads there and
+// the large communities its origin route owns.
 func (s *Simulator) RunDay(day int) *DayResult {
 	res := &DayResult{Day: day}
 	vpIdx := make([]int32, len(s.vps))
@@ -423,15 +546,9 @@ func (s *Simulator) RunDay(day int) *DayResult {
 	}
 	down := s.dayDownLinks(day)
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(s.origins) {
-		workers = len(s.origins)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(s.origins)))
 	// Contiguous origin shards keep the output prefix-major and stable.
-	shards := make([][]View, workers)
+	shards := make([][][]View, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * len(s.origins) / workers
@@ -439,37 +556,99 @@ func (s *Simulator) RunDay(day int) *DayResult {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			shards[w] = s.runOrigins(day, s.origins[lo:hi], down, vpIdx, partial)
+			shards[w] = s.newWorker(day, down).runOrigins(s.origins[lo:hi], vpIdx, partial)
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	total := 0
-	for _, sh := range shards {
-		total += len(sh)
-	}
-	res.Views = make([]View, 0, total)
-	for _, sh := range shards {
-		res.Views = append(res.Views, sh...)
-	}
+	res.Views = slices.Concat(slices.Concat(shards...)...)
 	return res
 }
 
-// runOrigins propagates one shard of prefixes and collects its views.
-func (s *Simulator) runOrigins(day int, origins []originPrefix, down map[uint64]bool, vpIdx []int32, partial []bool) []View {
+// worker is one RunDay goroutine's propagation state. Its best-route
+// tables and slabs are reset for each prefix, so a day allocates little
+// beyond the views themselves.
+type worker struct {
+	s    *Simulator
+	day  int
+	down []bool // the day's down links, by position in s.cust
+
+	custBest, peerBest, provBest []*route
+	routes                       slab[route]
+	comms                        slab[bgp.Community]
+	// rng are re-seeded per draw site (keyRand); originRoute holds at
+	// most two streams at once.
+	rng [2]*rand.Rand
+}
+
+func (s *Simulator) newWorker(day int, down []bool) *worker {
 	n := len(s.ases)
-	custBest := make([]*route, n)
-	peerBest := make([]*route, n)
-	provBest := make([]*route, n)
-	var views []View
-	for _, op := range origins {
-		for i := range custBest {
-			custBest[i], peerBest[i], provBest[i] = nil, nil, nil
+	return &worker{
+		s: s, day: day, down: down,
+		custBest: make([]*route, n),
+		peerBest: make([]*route, n),
+		provBest: make([]*route, n),
+		rng:      [2]*rand.Rand{rand.New(rand.NewSource(0)), rand.New(rand.NewSource(0))},
+	}
+}
+
+// slabChunk is the length of a slab chunk.
+const slabChunk = 1024
+
+// slab hands out slices of T from chunks it allocates as it needs them:
+// reserve returns an empty slice with room for n in the current chunk's
+// free tail, and keep makes the first k elements of the last reservation
+// permanent, so a reservation that is not kept is reused by the next one.
+// Kept elements stay where they are until reset, which lets the next
+// reservations overwrite the chunks.
+type slab[T any] struct {
+	chunks [][]T
+	c, off int // current chunk, first free slot in it
+}
+
+func (sl *slab[T]) reserve(n int) []T {
+	if sl.c == len(sl.chunks) || sl.off+n > len(sl.chunks[sl.c]) {
+		if sl.c < len(sl.chunks) {
+			sl.c++
 		}
-		orig := s.originRoute(op, day)
-		s.propagate(op, orig, down, custBest, peerBest, provBest)
+		if sl.c == len(sl.chunks) {
+			sl.chunks = append(sl.chunks, nil)
+		}
+		if len(sl.chunks[sl.c]) < n {
+			sl.chunks[sl.c] = make([]T, max(slabChunk, n))
+		}
+		sl.off = 0
+	}
+	return sl.chunks[sl.c][sl.off : sl.off : sl.off+n]
+}
+
+func (sl *slab[T]) keep(k int) { sl.off += k }
+
+// put keeps a copy of *v and returns its address.
+func (sl *slab[T]) put(v *T) *T {
+	p := &sl.reserve(1)[:1][0]
+	*p = *v
+	sl.keep(1)
+	return p
+}
+
+func (sl *slab[T]) reset() { sl.c, sl.off = 0, 0 }
+
+// runOrigins propagates one shard of prefixes and collects its views in
+// fixed-size chunks, which RunDay copies out once.
+func (w *worker) runOrigins(origins []originPrefix, vpIdx []int32, partial []bool) [][]View {
+	s := w.s
+	var chunks [][]View
+	for _, op := range origins {
+		clear(w.custBest)
+		clear(w.peerBest)
+		clear(w.provBest)
+		w.routes.reset()
+		w.comms.reset()
+		orig, larges := w.originRoute(op)
+		w.propagate(op, orig)
 		for i, vp := range s.vps {
 			vi := vpIdx[i]
-			best := bestOf(custBest[vi], peerBest[vi], provBest[vi])
+			best := bestOf(w.custBest[vi], w.peerBest[vi], w.provBest[vi])
 			if vi == op.origin {
 				best = orig
 			}
@@ -481,15 +660,22 @@ func (s *Simulator) runOrigins(day int, origins []originPrefix, down map[uint64]
 			if partial[i] && vi != op.origin && best.fromRel != topology.RelCustomer {
 				continue
 			}
-			path := make([]uint32, 0, best.pathLen+1)
+			path := make([]uint32, 0, int(best.pathLen)+1)
 			path = append(path, vp)
 			path = best.appendPath(path)
 			comms := best.comms
-			lcomms := best.lcomms
+			lcomms := larges
+			if best.stripped {
+				lcomms = nil
+			}
 			if s.ases[vi].FiltersCommunities {
 				comms, lcomms = nil, nil
 			}
-			views = append(views, View{
+			if len(chunks) == 0 || len(chunks[len(chunks)-1]) == slabChunk {
+				chunks = append(chunks, make([]View, 0, slabChunk))
+			}
+			last := &chunks[len(chunks)-1]
+			*last = append(*last, View{
 				VP:         vp,
 				Prefix:     op.prefix,
 				Path:       path,
@@ -498,7 +684,7 @@ func (s *Simulator) runOrigins(day int, origins []originPrefix, down map[uint64]
 			})
 		}
 	}
-	return views
+	return chunks
 }
 
 // isPartialFeed reports whether a vantage point provides a peer-style
@@ -510,30 +696,35 @@ func (s *Simulator) isPartialFeed(vp uint32) bool {
 	return float64(mix(uint64(vp), 0xfeed)%1000) < s.cfg.PartialFeedFrac*1000
 }
 
-// dayDownLinks returns the (stub, provider) links down on the given day.
-func (s *Simulator) dayDownLinks(day int) map[uint64]bool {
-	down := make(map[uint64]bool)
+// dayDownLinks flags the (provider, stub) edges of s.cust that are down
+// on the given day.
+func (s *Simulator) dayDownLinks(day int) []bool {
+	down := make([]bool, len(s.cust.edges))
 	if s.cfg.LinkFlapFrac <= 0 {
 		return down
 	}
-	for _, a := range s.ases {
+	// mark flags u's customer edges to v.
+	mark := func(u, v int32) {
+		base, es := s.cust.of(u)
+		for j := range es {
+			if es[j].nbr == v {
+				down[base+int32(j)] = true
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(0))
+	for i, a := range s.ases {
 		if a.Tier != topology.TierStub || len(a.Providers) < 2 {
 			continue
 		}
-		rng := keyRand(s.cfg.Seed, uint64(a.ASN)<<16|uint64(day), 0xf1a9)
+		rng := keyRand(r, s.cfg.Seed, uint64(a.ASN)<<16|uint64(day), 0xf1a9)
 		if rng.Float64() < s.cfg.LinkFlapFrac {
-			p := a.Providers[rng.Intn(len(a.Providers))]
-			down[linkKey(a.ASN, p)] = true
+			p := s.index[a.Providers[rng.Intn(len(a.Providers))]]
+			mark(p, int32(i)) // the link is down whichever end lists it
+			mark(int32(i), p)
 		}
 	}
 	return down
-}
-
-func linkKey(a, b uint32) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(a)<<32 | uint64(b)
 }
 
 // propagate computes every AS's candidate routes for one prefix using the
@@ -542,65 +733,54 @@ func linkKey(a, b uint32) uint64 {
 // communities influence selection inside each AS; as in other valley-free
 // simulators, a route already exported upward in phase one is not
 // retracted if a later phase wins selection.
-func (s *Simulator) propagate(op originPrefix, orig *route, down map[uint64]bool, custBest, peerBest, provBest []*route) {
+func (w *worker) propagate(op originPrefix, orig *route) {
+	n := int32(len(w.s.ases))
 	// Phase 1: customer routes, customers before providers.
-	for u := int32(0); u < int32(len(s.ases)); u++ {
-		a := s.ases[u]
-		for _, cASN := range a.Customers {
-			c := s.index[cASN]
-			src := custBest[c]
-			if c == op.origin {
+	for u := int32(0); u < n; u++ {
+		base, es := w.s.cust.of(u)
+		for i := range es {
+			e := &es[i]
+			src := w.custBest[e.nbr]
+			if e.nbr == op.origin {
 				src = orig
 			}
-			if src == nil || down[linkKey(a.ASN, cASN)] {
+			if src == nil || w.down[base+int32(i)] {
 				continue
 			}
-			if r := s.transfer(c, u, topology.RelCustomer, src, op); r != nil && better(r, custBest[u]) {
-				custBest[u] = r
-			}
+			w.transfer(e.nbr, u, topology.RelCustomer, &e.in, src, op, &w.custBest[u])
 		}
 	}
 	// Phase 2: best customer (or origin) route crosses peer links.
-	for u := int32(0); u < int32(len(s.ases)); u++ {
-		a := s.ases[u]
-		src := custBest[u]
+	for u := int32(0); u < n; u++ {
+		src := w.custBest[u]
 		if u == op.origin {
 			src = orig
 		}
 		if src == nil {
 			continue
 		}
-		for _, pASN := range a.Peers {
-			v := s.index[pASN]
-			if r := s.transfer(u, v, topology.RelPeer, src, op); r != nil && better(r, peerBest[v]) {
-				peerBest[v] = r
-			}
-		}
-		for _, pASN := range s.ixpAdj[u] {
-			v := s.index[pASN]
-			if r := s.transfer(u, v, topology.RelPeer, src, op); r != nil && better(r, peerBest[v]) {
-				peerBest[v] = r
-			}
+		_, es := w.s.peers.of(u)
+		for i := range es {
+			e := &es[i]
+			w.transfer(u, e.nbr, topology.RelPeer, &e.out, src, op, &w.peerBest[e.nbr])
 		}
 	}
 	// Phase 3: overall best descends provider->customer, providers first.
-	for u := int32(len(s.ases)) - 1; u >= 0; u-- {
-		a := s.ases[u]
-		src := bestOf(custBest[u], peerBest[u], provBest[u])
+	for u := n - 1; u >= 0; u-- {
+		src := bestOf(w.custBest[u], w.peerBest[u], w.provBest[u])
 		if u == op.origin {
 			src = orig
 		}
 		if src == nil {
 			continue
 		}
-		for _, cASN := range a.Customers {
-			c := s.index[cASN]
-			if c == op.origin || down[linkKey(a.ASN, cASN)] {
+		base, es := w.s.cust.of(u)
+		for i := range es {
+			e := &es[i]
+			if e.nbr == op.origin || w.down[base+int32(i)] {
 				continue
 			}
-			if r := s.transfer(u, c, topology.RelProvider, src, op); r != nil && better(r, provBest[c]) {
-				provBest[c] = r
-			}
+			w.transfer(u, e.nbr, topology.RelProvider, &e.out, src, op, &w.provBest[e.nbr])
 		}
 	}
 }
@@ -615,37 +795,40 @@ func bestOf(routes ...*route) *route {
 	return best
 }
 
-// transfer models one announcement hop: the sender's export policy
+// transfer models one announcement hop over l: the sender's export policy
 // (including the action communities its customers set) followed by the
 // receiver's import processing (local-pref, blackhole detection,
 // information tagging). rel is the relationship of the sender from the
-// receiver's perspective. It returns nil when the route is not exported.
-func (s *Simulator) transfer(from, to int32, rel int, r *route, op originPrefix) *route {
+// receiver's perspective. When the route is exported and wins selection
+// against *best, transfer keeps it, and its communities, in the worker's
+// slabs and points *best at it; a route that loses is dropped before its
+// ingress tags, which selection does not read, are computed.
+func (w *worker) transfer(from, to int32, rel int, l *link, r *route, op originPrefix, best **route) {
+	s := w.s
 	sender, recv := s.ases[from], s.ases[to]
 	if r.blackhole {
-		return nil // blackhole routes stay within the honoring AS
+		return // blackhole routes stay within the honoring AS
 	}
 	// NO_EXPORT confines a learned route; the origin itself may announce.
-	if r.parent != nil && r.comms.Has(bgp.CommunityNoExport) {
-		return nil
+	if r.parent != nil && r.noExport {
+		return
 	}
-	linkCity := sender.LinkCity[recv.ASN]
-	linkRegion := s.topo.Region(linkCity)
+	linkCity, linkRegion := l.city, l.region
 
 	prepends := 0
-	if sender.Plan != nil {
+	if sc := s.caches[from]; sc != nil {
 		for _, c := range r.comms {
 			if uint32(c.ASN()) != sender.Alpha() {
 				continue
 			}
-			def, ok := sender.Plan.Lookup(c.Value())
+			def, ok := sc.defs.lookup(c.Value())
 			if !ok {
 				continue
 			}
 			switch def.Sub {
 			case dict.SubSuppress:
 				if actionMatches(def, recv.ASN, linkRegion) {
-					return nil
+					return
 				}
 			case dict.SubSetAttribute:
 				if def.Prepend > prepends && actionMatches(def, recv.ASN, linkRegion) {
@@ -655,50 +838,49 @@ func (s *Simulator) transfer(from, to int32, rel int, r *route, op originPrefix)
 		}
 	}
 
-	out := &route{
+	out := route{
 		parent:   r,
 		sender:   sender.ASN,
-		prepends: prepends,
-		pathLen:  r.pathLen + 1 + prepends,
+		prepends: int32(prepends),
+		pathLen:  r.pathLen + 1 + int32(prepends),
 		from:     from,
-		fromRel:  rel,
+		fromRel:  int8(rel),
+		stripped: r.stripped || sender.FiltersCommunities,
 		lpref:    defaultLocalPref(rel),
 	}
 
-	var comms bgp.Communities
+	// Room for the route-server tag and the four ingress tags.
+	comms := bgp.Communities(w.comms.reserve(len(r.comms) + 5))
 	if !sender.FiltersCommunities {
-		comms = make(bgp.Communities, len(r.comms), len(r.comms)+4)
-		copy(comms, r.comms)
-		out.lcomms = r.lcomms // immutable after origination; shared
+		comms = append(comms, r.comms...)
 	}
 
 	// IXP route-server processing on multilateral sessions: the RS honors
 	// member-set actions and adds its tag, without entering the path.
-	if ixpID, viaIXP := sender.IXPPeers[recv.ASN]; viaIXP {
-		if plan := s.rsPlans[ixpID]; plan != nil {
-			for _, c := range comms {
-				if uint32(c.ASN()) != plan.ASN {
-					continue
-				}
-				if def, ok := plan.Lookup(c.Value()); ok &&
-					def.Sub == dict.SubSuppress && actionMatches(def, recv.ASN, linkRegion) {
-					return nil
-				}
+	if rs := l.rs; rs != nil {
+		for _, c := range comms {
+			if uint32(c.ASN()) != rs.alpha {
+				continue
 			}
-			if tag, ok := s.rsTag[ixpID]; ok {
-				comms = append(comms, tag)
+			if def, ok := rs.defs.lookup(c.Value()); ok &&
+				def.Sub == dict.SubSuppress && actionMatches(def, recv.ASN, linkRegion) {
+				return
 			}
+		}
+		if rs.hasTag {
+			comms = append(comms, rs.tag)
 		}
 	}
 
 	// Receiver import: local-pref overrides and blackhole requests set by
 	// its customers.
-	if recv.Plan != nil {
+	cache := s.caches[to]
+	if cache != nil {
 		for _, c := range comms {
 			if uint32(c.ASN()) != recv.Alpha() {
 				continue
 			}
-			def, ok := recv.Plan.Lookup(c.Value())
+			def, ok := cache.defs.lookup(c.Value())
 			if !ok {
 				continue
 			}
@@ -711,12 +893,15 @@ func (s *Simulator) transfer(from, to int32, rel int, r *route, op originPrefix)
 			}
 		}
 	}
+	if !better(&out, *best) {
+		return
+	}
 	if comms.Has(bgp.CommunityBlackhole) {
 		out.blackhole = true
 	}
 
 	// Receiver ingress tagging.
-	if cache := s.caches[to]; cache != nil && !recv.FiltersCommunities {
+	if cache != nil && !recv.FiltersCommunities {
 		asn16 := uint16(recv.Alpha())
 		if recv.TagsLocation {
 			if v, ok := cache.locCity[linkCity]; ok {
@@ -751,7 +936,9 @@ func (s *Simulator) transfer(from, to int32, rel int, r *route, op originPrefix)
 		}
 	}
 	out.comms = comms
-	return out
+	out.noExport = comms.Has(bgp.CommunityNoExport)
+	w.comms.keep(len(comms))
+	*best = w.routes.put(&out)
 }
 
 // ROVState returns the Route Origin Validation state of an origin AS in
@@ -782,23 +969,4 @@ func actionMatches(def *dict.Def, nbr uint32, linkRegion int) bool {
 		return false
 	}
 	return def.TargetAS != 0 || def.TargetRegion != 0 || def.Sub == dict.SubSuppress
-}
-
-func sortedKeys(m map[uint32]int) []uint32 {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]uint32, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -36,20 +36,6 @@ func TestRunDayProducesViews(t *testing.T) {
 	_ = topo
 }
 
-func TestRunDayDeterministic(t *testing.T) {
-	_, sim := tinySim(t)
-	a := sim.RunDay(2)
-	b := sim.RunDay(2)
-	if len(a.Views) != len(b.Views) {
-		t.Fatalf("view counts differ: %d vs %d", len(a.Views), len(b.Views))
-	}
-	for i := range a.Views {
-		if !reflect.DeepEqual(a.Views[i], b.Views[i]) {
-			t.Fatalf("view %d differs", i)
-		}
-	}
-}
-
 func TestDaysDiffer(t *testing.T) {
 	_, sim := tinySim(t)
 	a := sim.RunDay(0)

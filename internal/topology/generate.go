@@ -617,10 +617,3 @@ func containsInt(s []int, v int) bool {
 	}
 	return false
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
