@@ -10,7 +10,7 @@ import (
 // raises one. Whatever a document gains, it pays for by cutting history
 // (CHANGES.md keeps that) or prose that restates the code.
 var docBudget = map[string]int64{
-	"DESIGN.md": 120001,
+	"DESIGN.md": 119998,
 	"README.md": 49595,
 }
 

@@ -76,9 +76,9 @@ func main() {
 	eng := anomaly.NewEngine(anomaly.Options{
 		BucketSpan: time.Hour,
 		History:    24,
-		Detectors: anomaly.DefaultDetectors(anomaly.Thresholds{
+		Thresholds: anomaly.Thresholds{
 			ReliableMin: 100, MissMin: 10, // scaled to the tiny corpus
-		}),
+		},
 	})
 	eng.SetSemantics(sem)
 	for _, u := range drain(newFeed(sc)) {

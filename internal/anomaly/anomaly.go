@@ -1,7 +1,7 @@
 // Package anomaly is CommunityWatch: streaming anomaly detection over
 // inferred community intent. It consumes the live update stream, keeps
 // ring-buffered per-community activity time series bucketed by feed
-// time, and runs pluggable detectors at every bucket close — MAD-based
+// time, and runs three detectors at every bucket close — MAD-based
 // spike detection on action communities (blackhole onset/withdrawal),
 // disappearance of reliably-tagged information communities on paths
 // through an AS (leak/strip events), and churn detection on flapping
@@ -29,7 +29,7 @@ const (
 	DefaultMaxFindings = 4096
 )
 
-// Options shape the engine's time series and the default detector set.
+// Options shape the engine's time series and its detectors.
 type Options struct {
 	// BucketSpan is the feed-time width of one activity bucket.
 	BucketSpan time.Duration
@@ -40,9 +40,9 @@ type Options struct {
 	// dropped when it fills.
 	MaxFindings int
 
-	// Detectors overrides the detector set; nil means
-	// DefaultDetectors(Thresholds{}).
-	Detectors []Detector
+	// Thresholds are the detection parameters; zero fields take their
+	// defaults.
+	Thresholds Thresholds
 
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
@@ -61,9 +61,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxFindings <= 0 {
 		o.MaxFindings = DefaultMaxFindings
 	}
-	if o.Detectors == nil {
-		o.Detectors = DefaultDetectors(Thresholds{})
-	}
+	o.Thresholds = o.Thresholds.withDefaults()
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
@@ -205,6 +203,10 @@ type Engine struct {
 	open      map[uint32]*asOpen // per-AS open-bucket counts
 	touched   []uint32           // ASes counted this bucket (reset list)
 
+	spike     spikeDetector
+	churn     churnDetector
+	disappear disappearDetector
+
 	updates  uint64
 	buckets  uint64
 	total    uint64 // findings ever made
@@ -226,6 +228,10 @@ func NewEngine(opt Options) *Engine {
 		series: make(map[bgp.Community]*series),
 		open:   make(map[uint32]*asOpen),
 		perDet: make(map[string]uint64),
+
+		spike:     spikeDetector{spiking: make(map[bgp.Community]bool)},
+		churn:     churnDetector{flagged: make(map[bgp.Community]bool)},
+		disappear: disappearDetector{as: make(map[uint32]*asBaseline)},
 	}
 }
 
@@ -351,49 +357,44 @@ func (e *Engine) resetSeriesLocked() {
 }
 
 // closeBucketLocked seals the open bucket: computes per-series robust
-// statistics, hands everything to the detectors, and rolls the rings.
+// statistics, runs the detectors once semantics exist, and rolls the
+// rings.
 func (e *Engine) closeBucketLocked() {
-	info := BucketInfo{
-		Start:        e.cur,
-		Span:         e.opt.BucketSpan,
-		Index:        e.buckets,
-		Generation:   e.semGen,
-		HasSemantics: e.sem != nil,
-	}
-	emit := func(f Finding) { e.emitLocked(f) }
+	th := &e.opt.Thresholds
+	judge := e.sem != nil
+	emit := e.emitLocked
 
 	for c, s := range e.series {
 		x := float64(s.cur)
 		hist := s.history(e.hist[:0])
 		med, mad := medianMAD(hist, e.devs[:0])
-		stat := SeriesStat{
-			Comm:       c,
-			Count:      int(s.cur),
-			Median:     med,
-			MAD:        mad,
-			HistoryLen: s.n,
-		}
-		if e.sem != nil {
-			stat.Category = e.sem.Category(c)
-		}
-		// A bucket "bursts" when it clears the shared robust threshold;
-		// bursting values are kept out of the baseline ring (frozen
-		// baseline) so an excursion cannot mask itself — capped, so a
-		// genuine level shift is eventually accepted as the new normal.
-		stat.Burst = s.n >= 2 && x >= burstThreshold(med, mad)
-		s.bursts = s.bursts<<1 | btoi(stat.Burst)
-		stat.BurstBits = s.bursts
-		freeze := stat.Burst && s.run < e.opt.History/2
-		if stat.Burst {
+		thr := th.burst(med, mad)
+		// A bucket "bursts" when it clears the burst level; bursting
+		// values are kept out of the baseline ring (frozen baseline) so
+		// an excursion cannot mask itself — capped, so a genuine level
+		// shift is eventually accepted as the new normal.
+		burst := s.n >= 2 && x >= thr
+		s.bursts = s.bursts<<1 | btoi(burst)
+		freeze := burst && s.run < e.opt.History/2
+		if burst {
 			s.run++
 		} else {
 			s.run = 0
 		}
 
-		for _, d := range e.opt.Detectors {
-			if sd, ok := d.(SeriesDetector); ok {
-				sd.CloseSeries(info, stat, emit)
+		if judge && s.n >= th.SpikeWarmup {
+			stat := seriesStat{
+				comm:      c,
+				count:     int(s.cur),
+				median:    med,
+				mad:       mad,
+				threshold: thr,
+				histLen:   s.n,
+				category:  e.sem.Category(c),
+				burstBits: s.bursts,
 			}
+			e.spike.close(&stat, emit)
+			e.churn.close(th, &stat, emit)
 		}
 
 		if !freeze {
@@ -408,11 +409,8 @@ func (e *Engine) closeBucketLocked() {
 
 	for _, asn := range e.touched {
 		st := e.open[asn]
-		a := ASStat{ASN: asn, Through: st.through, Tagged: st.tagged}
-		for _, d := range e.opt.Detectors {
-			if pd, ok := d.(PathDetector); ok {
-				pd.CloseAS(info, a, emit)
-			}
+		if judge {
+			e.disappear.close(th, asn, st, emit)
 		}
 		st.through, st.tagged = 0, 0
 	}
@@ -494,9 +492,7 @@ func (e *Engine) Health() HealthInfo {
 		h.LastBucket = e.cur.Add(-e.opt.BucketSpan)
 		h.Lag = time.Since(e.lastClose)
 	}
-	for _, d := range e.opt.Detectors {
-		h.Detectors = append(h.Detectors, d.Name())
-	}
+	h.Detectors = []string{spikeName, churnName, disappearName}
 	h.ByDetector = make(map[string]uint64, len(e.perDet))
 	for name, n := range e.perDet {
 		h.ByDetector[name] = n

@@ -3,6 +3,7 @@ package anomaly
 import (
 	"context"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -62,7 +63,7 @@ func testEngine(t *testing.T, th Thresholds) *Engine {
 	return NewEngine(Options{
 		BucketSpan: 10 * time.Minute,
 		History:    16,
-		Detectors:  DefaultDetectors(th),
+		Thresholds: th,
 		Logf:       t.Logf,
 	})
 }
@@ -128,31 +129,52 @@ func TestSpikeIgnoresNonActionCommunities(t *testing.T) {
 	}
 }
 
+// TestChurnOnFlappingSeries flaps an action community and expects a
+// churn finding with the peaks kept out of the baseline ring — at the
+// default thresholds, and at lower spike thresholds whose peaks sit
+// under the default burst level max(med+6·MAD, 3·med, 50), which shows
+// the burst bits and the baseline freeze follow Thresholds.
 func TestChurnOnFlappingSeries(t *testing.T) {
-	te := bgp.NewCommunity(200, 20)
-	e := testEngine(t, Thresholds{})
-	e.SetSemantics(&fakeSem{cats: map[bgp.Community]dict.Category{te: dict.CatAction}})
+	for _, tc := range []struct {
+		name string
+		th   Thresholds
+		peak int
+	}{
+		{"default", Thresholds{}, 200},
+		{"custom", Thresholds{SpikeK: 3, SpikeRatio: 1.5, SpikeMin: 20}, 30},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			te := bgp.NewCommunity(200, 20)
+			e := testEngine(t, tc.th)
+			e.SetSemantics(&fakeSem{cats: map[bgp.Community]dict.Category{te: dict.CatAction}})
 
-	path := []uint32{10, 20, 30}
-	b := 0
-	for ; b < 8; b++ { // calm baseline
-		feedBucket(e, b, 3, path, te)
-	}
-	for cycle := 0; cycle < 4; cycle++ { // 4 on/off cycles
-		feedBucket(e, b, 200, path, te)
-		b++
-		feedBucket(e, b, 3, path, te)
-		b++
-	}
-	e.CloseUpTo(epoch.Add(time.Duration(b+1) * 10 * time.Minute))
+			path := []uint32{10, 20, 30}
+			b := 0
+			for ; b < 8; b++ { // calm baseline
+				feedBucket(e, b, 3, path, te)
+			}
+			for cycle := 0; cycle < 4; cycle++ { // 4 on/off cycles
+				feedBucket(e, b, tc.peak, path, te)
+				b++
+				feedBucket(e, b, 3, path, te)
+				b++
+			}
+			e.CloseUpTo(epoch.Add(time.Duration(b+1) * 10 * time.Minute))
 
-	rep := e.Query(Query{Detector: "churn"})
-	if len(rep.Findings) == 0 {
-		t.Fatalf("flapping series produced no churn finding")
-	}
-	f := rep.Findings[0]
-	if f.Community != te || f.Category != dict.CatAction || f.Score < 5 {
-		t.Errorf("churn finding wrong: %+v", f)
+			rep := e.Query(Query{Detector: "churn"})
+			if len(rep.Findings) == 0 {
+				t.Fatalf("flapping series produced no churn finding")
+			}
+			f := rep.Findings[0]
+			if f.Community != te || f.Category != dict.CatAction || f.Score < 5 {
+				t.Errorf("churn finding wrong: %+v", f)
+			}
+			for _, v := range e.series[te].history(nil) {
+				if v > 3 {
+					t.Fatalf("peak %v entered the baseline ring", v)
+				}
+			}
+		})
 	}
 }
 
@@ -279,6 +301,9 @@ func TestEngineCountsWithoutSemantics(t *testing.T) {
 	}
 	if h.Lag <= 0 {
 		t.Errorf("lag not reported after bucket closes: %v", h.Lag)
+	}
+	if got := strings.Join(h.Detectors, ","); got != "spike,churn,disappearance" {
+		t.Errorf("health detectors %q, want spike,churn,disappearance", got)
 	}
 }
 

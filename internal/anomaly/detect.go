@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"time"
 
 	"bgpintent/internal/bgp"
 	"bgpintent/internal/dict"
@@ -15,7 +14,7 @@ import (
 // the CI smoke run at exactly these numbers.
 type Thresholds struct {
 	// SpikeWarmup is how many closed buckets a series needs before spike
-	// judgments begin (default 6).
+	// and churn judgments begin (default 6).
 	SpikeWarmup int
 	// SpikeK scales the MAD in the burst threshold (default 6).
 	SpikeK float64
@@ -80,156 +79,85 @@ func (t Thresholds) withDefaults() Thresholds {
 	return t
 }
 
-// burst* are the engine-level burst threshold parameters; they mirror
-// the spike thresholds so "burst" means the same thing to the spike and
-// churn detectors.
+// burst is the robust activity level above which a closed bucket
+// counts as bursting: median plus SpikeK MADs, at least SpikeRatio times
+// the median (level-shift guard), at least SpikeMin (cold-series guard).
+// Spike onsets, churn transitions and the baseline freeze all read this
+// one level.
+func (t *Thresholds) burst(med, mad float64) float64 {
+	return math.Max(math.Max(med+t.SpikeK*mad, t.SpikeRatio*med), t.SpikeMin)
+}
+
+// Detector names: Finding.Detector, the names Health lists, and what
+// Query.Detector matches.
 const (
-	burstK      = 6.0
-	burstRatio  = 3.0
-	burstMinAbs = 50.0
+	spikeName     = "spike"
+	churnName     = "churn"
+	disappearName = "disappearance"
 )
 
-// burstThreshold is the robust activity level above which a closed
-// bucket counts as bursting: median plus a MAD margin, at least a
-// multiple of the median (level-shift guard), at least an absolute
-// floor (cold-series guard).
-func burstThreshold(med, mad float64) float64 {
-	return math.Max(math.Max(med+burstK*mad, burstRatio*med), burstMinAbs)
-}
-
-// BucketInfo describes the bucket being closed to detectors.
-type BucketInfo struct {
-	Start        time.Time
-	Span         time.Duration
-	Index        uint64
-	Generation   uint64
-	HasSemantics bool
-}
-
-// SeriesStat is one community's closed-bucket measurement: the count,
-// the robust statistics of its retained history, its burst state, and
-// its current inferred semantics.
-type SeriesStat struct {
-	Comm       bgp.Community
-	Count      int
-	Median     float64
-	MAD        float64
-	HistoryLen int
-	Category   dict.Category
-	Burst      bool
-	// BurstBits is the trailing burst history, bit 0 = this bucket.
-	BurstBits uint64
-}
-
-// ASStat is one AS's closed-bucket path accounting.
-type ASStat struct {
-	ASN     uint32
-	Through int
-	Tagged  int
-}
-
-// Detector is the pluggable contract: a named detector implementing
-// SeriesDetector (called once per active community per closed bucket),
-// PathDetector (called once per on-path AS per closed bucket), or both.
-// Detectors own their cross-bucket state; the engine owns measurement.
-// Calls arrive from the single processing goroutine, never concurrently.
-type Detector interface {
-	Name() string
-}
-
-// SeriesDetector judges per-community activity series.
-type SeriesDetector interface {
-	Detector
-	CloseSeries(b BucketInfo, s SeriesStat, emit func(Finding))
-}
-
-// PathDetector judges per-AS path aggregates.
-type PathDetector interface {
-	Detector
-	CloseAS(b BucketInfo, a ASStat, emit func(Finding))
-}
-
-// DefaultDetectors is the standard CommunityWatch set: spike, churn,
-// and disappearance, at the given thresholds.
-func DefaultDetectors(t Thresholds) []Detector {
-	t = t.withDefaults()
-	return []Detector{
-		NewSpikeDetector(t),
-		NewChurnDetector(t),
-		NewDisappearDetector(t),
-	}
+// seriesStat is one community's closed-bucket measurement: the count,
+// the robust statistics of its retained history, the burst level they
+// give, its burst history and its current inferred semantics.
+type seriesStat struct {
+	comm      bgp.Community
+	count     int
+	median    float64
+	mad       float64
+	threshold float64
+	histLen   int
+	category  dict.Category
+	// burstBits is the trailing burst history, bit 0 = this bucket.
+	burstBits uint64
 }
 
 func fracStr(v float64) string { return fmt.Sprintf("%.0f%%", 100*v) }
 
-// SpikeDetector flags activity bursts on action communities — the
+// spikeDetector flags activity bursts on action communities — the
 // blackhole-onset signature — and their withdrawal when the series
 // falls back to baseline. Only action communities are judged: an
 // information community's activity follows route volume, an action
 // community's follows operator intervention.
-type SpikeDetector struct {
-	t       Thresholds
+type spikeDetector struct {
 	spiking map[bgp.Community]bool
 }
 
-// NewSpikeDetector builds the spike detector at the given thresholds.
-func NewSpikeDetector(t Thresholds) *SpikeDetector {
-	return &SpikeDetector{t: t.withDefaults(), spiking: make(map[bgp.Community]bool)}
-}
-
-// Name implements Detector.
-func (d *SpikeDetector) Name() string { return "spike" }
-
-// CloseSeries implements SeriesDetector.
-func (d *SpikeDetector) CloseSeries(b BucketInfo, s SeriesStat, emit func(Finding)) {
-	if !b.HasSemantics || s.HistoryLen < d.t.SpikeWarmup {
-		return
-	}
-	x := float64(s.Count)
-	thr := math.Max(math.Max(s.Median+d.t.SpikeK*s.MAD, d.t.SpikeRatio*s.Median), d.t.SpikeMin)
-	score := (x - s.Median) / math.Max(s.MAD, 1)
+func (d *spikeDetector) close(s *seriesStat, emit func(Finding)) {
+	x := float64(s.count)
+	score := (x - s.median) / math.Max(s.mad, 1)
 	switch {
-	case !d.spiking[s.Comm] && x >= thr && s.Category == dict.CatAction:
-		d.spiking[s.Comm] = true
+	case !d.spiking[s.comm] && x >= s.threshold && s.category == dict.CatAction:
+		d.spiking[s.comm] = true
 		f := Finding{
-			Detector: d.Name(), Kind: "spike-onset",
-			Community: s.Comm, HasCommunity: true, ASN: uint32(s.Comm.ASN()),
-			Category: s.Category,
-			Value:    x, Baseline: s.Median, Score: score,
+			Detector: spikeName, Kind: "spike-onset",
+			Community: s.comm, HasCommunity: true, ASN: uint32(s.comm.ASN()),
+			Category: s.category,
+			Value:    x, Baseline: s.median, Score: score,
 		}
 		f.Summary = fmt.Sprintf("spike-onset: %s community %s at %d updates/bucket (baseline %.0f, %.0fx MAD)",
-			s.Category, f.subject(), s.Count, s.Median, score)
+			s.category, f.subject(), s.count, s.median, score)
 		emit(f)
-	case d.spiking[s.Comm] && x < thr/2:
-		delete(d.spiking, s.Comm)
+	case d.spiking[s.comm] && x < s.threshold/2:
+		delete(d.spiking, s.comm)
 		f := Finding{
-			Detector: d.Name(), Kind: "spike-withdrawal",
-			Community: s.Comm, HasCommunity: true, ASN: uint32(s.Comm.ASN()),
-			Category: s.Category,
-			Value:    x, Baseline: s.Median, Score: score,
+			Detector: spikeName, Kind: "spike-withdrawal",
+			Community: s.comm, HasCommunity: true, ASN: uint32(s.comm.ASN()),
+			Category: s.category,
+			Value:    x, Baseline: s.median, Score: score,
 		}
 		f.Summary = fmt.Sprintf("spike-withdrawal: %s community %s back to %d updates/bucket (baseline %.0f)",
-			s.Category, f.subject(), s.Count, s.Median)
+			s.category, f.subject(), s.count, s.median)
 		emit(f)
 	}
 }
 
-// ChurnDetector flags series that keep flipping between bursting and
+// churnDetector flags series that keep flipping between bursting and
 // calm — the traffic-engineering flap signature. A single sustained
 // spike produces two transitions; a flap series produces two per cycle,
 // so the transition threshold separates the shapes.
-type ChurnDetector struct {
-	t       Thresholds
+type churnDetector struct {
 	flagged map[bgp.Community]bool
 }
-
-// NewChurnDetector builds the churn detector at the given thresholds.
-func NewChurnDetector(t Thresholds) *ChurnDetector {
-	return &ChurnDetector{t: t.withDefaults(), flagged: make(map[bgp.Community]bool)}
-}
-
-// Name implements Detector.
-func (d *ChurnDetector) Name() string { return "churn" }
 
 // transitions counts burst-state changes over the n newest bits.
 func transitions(bitsWord uint64, n int) int {
@@ -242,45 +170,41 @@ func transitions(bitsWord uint64, n int) int {
 	return bits.OnesCount64((bitsWord ^ (bitsWord >> 1)) & ((1 << (n - 1)) - 1))
 }
 
-// CloseSeries implements SeriesDetector.
-func (d *ChurnDetector) CloseSeries(b BucketInfo, s SeriesStat, emit func(Finding)) {
-	if !b.HasSemantics || s.HistoryLen < d.t.SpikeWarmup {
-		return
-	}
+func (d *churnDetector) close(t *Thresholds, s *seriesStat, emit func(Finding)) {
 	// History length plus the just-closed bucket, capped at the bitmap.
-	n := s.HistoryLen + 1
+	n := s.histLen + 1
 	if n > 64 {
 		n = 64
 	}
-	tr := transitions(s.BurstBits, n)
+	tr := transitions(s.burstBits, n)
 	switch {
-	case !d.flagged[s.Comm] && tr >= d.t.FlapTransitions && s.Category == dict.CatAction:
-		d.flagged[s.Comm] = true
+	case !d.flagged[s.comm] && tr >= t.FlapTransitions && s.category == dict.CatAction:
+		d.flagged[s.comm] = true
 		f := Finding{
-			Detector: d.Name(), Kind: "churn",
-			Community: s.Comm, HasCommunity: true, ASN: uint32(s.Comm.ASN()),
-			Category: s.Category,
-			Value:    float64(s.Count), Baseline: s.Median, Score: float64(tr),
+			Detector: churnName, Kind: "churn",
+			Community: s.comm, HasCommunity: true, ASN: uint32(s.comm.ASN()),
+			Category: s.category,
+			Value:    float64(s.count), Baseline: s.median, Score: float64(tr),
 		}
 		f.Summary = fmt.Sprintf("churn: %s community %s flapped %d times across the window",
-			s.Category, f.subject(), tr)
+			s.category, f.subject(), tr)
 		emit(f)
-	case d.flagged[s.Comm] && tr <= d.t.FlapTransitions/2:
+	case d.flagged[s.comm] && tr <= t.FlapTransitions/2:
 		// Re-arm quietly once the series settles.
-		delete(d.flagged, s.Comm)
+		delete(d.flagged, s.comm)
 	}
 }
 
-// asBaseline is a DisappearDetector's learned view of one AS: decayed
-// route and tag counts, accumulated from unflagged buckets only so a
-// strip event cannot erode the baseline that detects it.
+// asBaseline is the disappearance detector's learned view of one AS:
+// decayed route and tag counts, accumulated from unflagged buckets only
+// so a strip event cannot erode the baseline that detects it.
 type asBaseline struct {
 	through float64
 	tagged  float64
 	flagged bool
 }
 
-// DisappearDetector learns, per AS (full 32-bit space), how reliably
+// disappearDetector learns, per AS (full 32-bit space), how reliably
 // routes through it carry its own information communities, and flags
 // buckets where those tags go missing — the community-stripping leak
 // signature. This is the promotion of examples/anomaly's batch
@@ -288,57 +212,43 @@ type asBaseline struct {
 // bias: 4-byte ASes are counted like any other, and since a classic
 // community α is 16-bit they can never look "reliably tagged", so they
 // also can never produce a false disappearance.
-type DisappearDetector struct {
-	t  Thresholds
+type disappearDetector struct {
 	as map[uint32]*asBaseline
 }
 
-// NewDisappearDetector builds the disappearance detector at the given
-// thresholds.
-func NewDisappearDetector(t Thresholds) *DisappearDetector {
-	return &DisappearDetector{t: t.withDefaults(), as: make(map[uint32]*asBaseline)}
-}
-
-// Name implements Detector.
-func (d *DisappearDetector) Name() string { return "disappearance" }
-
-// CloseAS implements PathDetector.
-func (d *DisappearDetector) CloseAS(b BucketInfo, a ASStat, emit func(Finding)) {
-	if !b.HasSemantics {
-		return
-	}
-	bl := d.as[a.ASN]
+func (d *disappearDetector) close(t *Thresholds, asn uint32, a *asOpen, emit func(Finding)) {
+	bl := d.as[asn]
 	if bl == nil {
 		bl = &asBaseline{}
-		d.as[a.ASN] = bl
+		d.as[asn] = bl
 	}
-	reliable := bl.through >= d.t.ReliableMin &&
-		bl.tagged/bl.through >= d.t.ReliableFrac
+	reliable := bl.through >= t.ReliableMin &&
+		bl.tagged/bl.through >= t.ReliableFrac
 	missFrac := 0.0
-	if a.Through > 0 {
-		missFrac = float64(a.Through-a.Tagged) / float64(a.Through)
+	if a.through > 0 {
+		missFrac = float64(a.through-a.tagged) / float64(a.through)
 	}
-	anomalous := reliable && a.Through >= d.t.MissMin && missFrac >= d.t.MissFrac
+	anomalous := reliable && a.through >= t.MissMin && missFrac >= t.MissFrac
 
 	switch {
 	case anomalous && !bl.flagged:
 		bl.flagged = true
 		f := Finding{
-			Detector: d.Name(), Kind: "info-disappearance",
-			ASN:      a.ASN,
+			Detector: disappearName, Kind: "info-disappearance",
+			ASN:      asn,
 			Category: dict.CatInformation,
-			Value:    missFrac, Baseline: 1 - bl.tagged/bl.through, Score: missFrac / d.t.MissFrac,
+			Value:    missFrac, Baseline: 1 - bl.tagged/bl.through, Score: missFrac / t.MissFrac,
 		}
 		f.Summary = fmt.Sprintf("info-disappearance: %s of %d routes through %s lost its information tags (baseline miss %s)",
-			fracStr(missFrac), a.Through, f.subject(), fracStr(f.Baseline))
+			fracStr(missFrac), a.through, f.subject(), fracStr(f.Baseline))
 		emit(f)
-	case bl.flagged && a.Through >= d.t.MissMin && missFrac < d.t.MissFrac/2:
+	case bl.flagged && a.through >= t.MissMin && missFrac < t.MissFrac/2:
 		bl.flagged = false
 		f := Finding{
-			Detector: d.Name(), Kind: "info-recovery",
-			ASN:      a.ASN,
+			Detector: disappearName, Kind: "info-recovery",
+			ASN:      asn,
 			Category: dict.CatInformation,
-			Value:    missFrac, Baseline: 1 - bl.tagged/bl.through, Score: missFrac / d.t.MissFrac,
+			Value:    missFrac, Baseline: 1 - bl.tagged/bl.through, Score: missFrac / t.MissFrac,
 		}
 		f.Summary = fmt.Sprintf("info-recovery: routes through %s carry their information tags again (%s missing)",
 			f.subject(), fracStr(missFrac))
@@ -348,7 +258,7 @@ func (d *DisappearDetector) CloseAS(b BucketInfo, a ASStat, emit func(Finding)) 
 	// Learn from calm buckets only; the decay keeps the baseline
 	// tracking slow organic drift.
 	if !bl.flagged {
-		bl.through = bl.through*d.t.BaselineDecay + float64(a.Through)
-		bl.tagged = bl.tagged*d.t.BaselineDecay + float64(a.Tagged)
+		bl.through = bl.through*t.BaselineDecay + float64(a.through)
+		bl.tagged = bl.tagged*t.BaselineDecay + float64(a.tagged)
 	}
 }

@@ -263,7 +263,7 @@ func TestGroundTruthScriptedEvents(t *testing.T) {
 	eng := NewEngine(Options{
 		BucketSpan: gtBucket,
 		History:    24,
-		Detectors:  DefaultDetectors(gtThresholds),
+		Thresholds: gtThresholds,
 		Logf:       t.Logf,
 	})
 	eng.SetSemantics(inf)

@@ -164,6 +164,9 @@ func Generate(cfg Config) (*Topology, error) {
 	stubs := cfg.Stubs + cfg.Epoch*cfg.EpochStubGrowth
 
 	var t1s, t2s, t3s, stubASNs []uint32
+	// gen is the one generator every per-AS and per-pair draw site
+	// re-seeds; a site's stream is done before the next site seeds.
+	gen := rand.New(rand.NewSource(0))
 	newAS := func(asn uint32, tier int) *AS {
 		a := &AS{ASN: asn, Tier: tier, LinkCity: make(map[uint32]int)}
 		t.ASes[asn] = a
@@ -174,7 +177,7 @@ func Generate(cfg Config) (*Topology, error) {
 	for i := 0; i < cfg.Tier1; i++ {
 		asn := uint32(asnBaseT1 + i)
 		a := newAS(asn, TierT1)
-		rng := perASRand(cfg.Seed, asn, saltGeo)
+		rng := perASRand(gen, cfg.Seed, asn, saltGeo)
 		a.HomeRegion = 1 + i%cfg.Regions
 		for r := 1; r <= cfg.Regions; r++ {
 			a.Cities = append(a.Cities, t.CityID(r, rng.Intn(cfg.CitiesPerRegion)))
@@ -192,7 +195,7 @@ func Generate(cfg Config) (*Topology, error) {
 	for i := 0; i < cfg.Tier2; i++ {
 		asn := uint32(asnBaseT2 + i)
 		a := newAS(asn, TierT2)
-		rng := perASRand(cfg.Seed, asn, saltGeo)
+		rng := perASRand(gen, cfg.Seed, asn, saltGeo)
 		a.HomeRegion = 1 + rng.Intn(cfg.Regions)
 		regions := []int{a.HomeRegion}
 		for k := 0; k < 1+rng.Intn(2); k++ {
@@ -211,7 +214,7 @@ func Generate(cfg Config) (*Topology, error) {
 	for i := 0; i < cfg.Tier3; i++ {
 		asn := uint32(asnBaseT3 + i)
 		a := newAS(asn, TierT3)
-		rng := perASRand(cfg.Seed, asn, saltGeo)
+		rng := perASRand(gen, cfg.Seed, asn, saltGeo)
 		a.HomeRegion = 1 + rng.Intn(cfg.Regions)
 		n := 1 + rng.Intn(3)
 		for k := 0; k < n; k++ {
@@ -227,7 +230,7 @@ func Generate(cfg Config) (*Topology, error) {
 	for i := 0; i < stubs; i++ {
 		asn := uint32(asnBaseStub + i)
 		a := newAS(asn, TierStub)
-		rng := perASRand(cfg.Seed, asn, saltGeo)
+		rng := perASRand(gen, cfg.Seed, asn, saltGeo)
 		a.HomeRegion = 1 + rng.Intn(cfg.Regions)
 		a.Cities = []int{t.CityID(a.HomeRegion, rng.Intn(cfg.CitiesPerRegion))}
 		stubASNs = append(stubASNs, asn)
@@ -236,13 +239,13 @@ func Generate(cfg Config) (*Topology, error) {
 	// Tier-1 clique.
 	for i, a := range t1s {
 		for _, b := range t1s[i+1:] {
-			rng := pairRand(cfg.Seed, a, b, saltPeer)
+			rng := pairRand(gen, cfg.Seed, a, b, saltPeer)
 			addPeer(t, a, b, sessionCity(t, rng, a, b))
 		}
 	}
 	// Tier-2 customers of 1-3 tier-1s.
 	for _, asn := range t2s {
-		rng := perASRand(cfg.Seed, asn, saltEdge)
+		rng := perASRand(gen, cfg.Seed, asn, saltEdge)
 		n := 1 + rng.Intn(3)
 		for _, p := range pickDistinct(rng, t1s, n) {
 			addP2C(t, p, asn, sessionCity(t, rng, p, asn))
@@ -254,7 +257,7 @@ func Generate(cfg Config) (*Topology, error) {
 			if !regionOverlap(t, a, b) {
 				continue
 			}
-			rng := pairRand(cfg.Seed, a, b, saltPeer)
+			rng := pairRand(gen, cfg.Seed, a, b, saltPeer)
 			if rng.Float64() < cfg.T2PeerProb {
 				addPeer(t, a, b, sessionCity(t, rng, a, b))
 			}
@@ -262,7 +265,7 @@ func Generate(cfg Config) (*Topology, error) {
 	}
 	// Tier-3 customers of 1-3 tier-2s, preferring region overlap.
 	for _, asn := range t3s {
-		rng := perASRand(cfg.Seed, asn, saltEdge)
+		rng := perASRand(gen, cfg.Seed, asn, saltEdge)
 		n := 1 + rng.Intn(3)
 		cands := preferRegion(t, rng, t2s, asn)
 		for _, p := range cands[:min(n, len(cands))] {
@@ -275,7 +278,7 @@ func Generate(cfg Config) (*Topology, error) {
 			if t.ASes[a].HomeRegion != t.ASes[b].HomeRegion {
 				continue
 			}
-			rng := pairRand(cfg.Seed, a, b, saltPeer)
+			rng := pairRand(gen, cfg.Seed, a, b, saltPeer)
 			if rng.Float64() < cfg.T3PeerProb {
 				addPeer(t, a, b, sessionCity(t, rng, a, b))
 			}
@@ -283,7 +286,7 @@ func Generate(cfg Config) (*Topology, error) {
 	}
 	// Stubs: 1-3 providers from tier-2 (20%) / tier-3 (80%) in region.
 	for _, asn := range stubASNs {
-		rng := perASRand(cfg.Seed, asn, saltEdge)
+		rng := perASRand(gen, cfg.Seed, asn, saltEdge)
 		n := 1
 		r := rng.Float64()
 		switch {
@@ -319,11 +322,10 @@ func Generate(cfg Config) (*Topology, error) {
 	for i := 0; i < cfg.IXPs; i++ {
 		region := 1 + i%cfg.Regions
 		rsASN := uint32(asnBaseRS + i)
-		ixRng := perASRand(cfg.Seed, rsASN, saltIXP)
 		ix := &IXP{
 			ID:             i + 1,
 			RouteServerASN: rsASN,
-			City:           t.CityID(region, ixRng.Intn(cfg.CitiesPerRegion)),
+			City:           t.CityID(region, perASRand(gen, cfg.Seed, rsASN, saltIXP).Intn(cfg.CitiesPerRegion)),
 		}
 		for _, group := range [][]uint32{t2s, t3s, stubASNs} {
 			for _, asn := range group {
@@ -335,7 +337,7 @@ func Generate(cfg Config) (*Topology, error) {
 				if a.Tier == TierStub {
 					prob = cfg.IXPJoinProbStub
 				}
-				if perASRand(cfg.Seed, asn, saltIXP+int64(ix.ID)).Float64() < prob {
+				if perASRand(gen, cfg.Seed, asn, saltIXP+int64(ix.ID)).Float64() < prob {
 					ix.Members = append(ix.Members, asn)
 				}
 			}
@@ -389,7 +391,7 @@ func Generate(cfg Config) (*Topology, error) {
 	pidx := 0
 	for _, asn := range sortedASNs(t) {
 		a := t.ASes[asn]
-		rng := perASRand(cfg.Seed, asn, saltCount)
+		rng := perASRand(gen, cfg.Seed, asn, saltCount)
 		if rng.Float64() < cfg.FilterFrac {
 			a.FiltersCommunities = true
 		}
@@ -408,23 +410,23 @@ func Generate(cfg Config) (*Topology, error) {
 
 	// Community plans (per-AS deterministic randomness).
 	for _, asn := range t1s {
-		buildPlan(t, t.ASes[asn], cfg, planSizeLarge)
+		buildPlan(t, t.ASes[asn], cfg, planSizeLarge, gen)
 	}
 	for _, asn := range t2s {
-		buildPlan(t, t.ASes[asn], cfg, planSizeMedium)
+		buildPlan(t, t.ASes[asn], cfg, planSizeMedium, gen)
 	}
 	for _, asn := range t3s {
-		if perASRand(cfg.Seed, asn, saltMisc).Float64() < cfg.Tier3PlanFrac {
-			buildPlan(t, t.ASes[asn], cfg, planSizeSmall)
+		if perASRand(gen, cfg.Seed, asn, saltMisc).Float64() < cfg.Tier3PlanFrac {
+			buildPlan(t, t.ASes[asn], cfg, planSizeSmall, gen)
 		}
 	}
 	for _, asn := range stubASNs {
-		if perASRand(cfg.Seed, asn, saltMisc).Float64() < cfg.StubInfoPlanFrac {
-			buildPlan(t, t.ASes[asn], cfg, planSizeStub)
+		if perASRand(gen, cfg.Seed, asn, saltMisc).Float64() < cfg.StubInfoPlanFrac {
+			buildPlan(t, t.ASes[asn], cfg, planSizeStub, gen)
 		}
 	}
 	for _, ix := range t.IXPs {
-		buildIXPPlan(t, ix, cfg)
+		buildIXPPlan(t, ix, cfg, gen)
 	}
 
 	// Organization-wide plan sharing: sibling ASes without their own plan
@@ -449,7 +451,7 @@ func Generate(cfg Config) (*Topology, error) {
 			if a.Plan != nil || a == leader {
 				continue
 			}
-			if perASRand(cfg.Seed, a.ASN, saltOrg).Float64() < 0.7 {
+			if perASRand(gen, cfg.Seed, a.ASN, saltOrg).Float64() < 0.7 {
 				a.Plan = leader.Plan
 				a.TagASN = leader.ASN
 				a.TagsLocation = leader.TagsLocation
@@ -583,20 +585,26 @@ func sortedASNs(t *Topology) []uint32 {
 	return out
 }
 
-// perASRand derives a deterministic rng for one AS so plans do not
-// reshuffle when the topology grows.
-func perASRand(seed int64, asn uint32, salt int64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(mix64(uint64(seed) ^ uint64(asn)*0x9e3779b97f4a7c15 ^ uint64(salt)))))
+// perASRand re-seeds r to a deterministic stream for one AS, so plans
+// do not reshuffle when the topology grows, and returns it. Seeding a
+// rand.Rand restarts it exactly where a fresh rand.NewSource of that
+// seed would start, without allocating the source's 4.9 KB state per
+// draw site.
+func perASRand(r *rand.Rand, seed int64, asn uint32, salt int64) *rand.Rand {
+	r.Seed(int64(mix64(uint64(seed) ^ uint64(asn)*0x9e3779b97f4a7c15 ^ uint64(salt))))
+	return r
 }
 
-// pairRand derives a deterministic rng for an unordered AS pair.
-func pairRand(seed int64, a, b uint32, salt int64) *rand.Rand {
+// pairRand re-seeds r to a deterministic stream for an unordered AS
+// pair and returns it.
+func pairRand(r *rand.Rand, seed int64, a, b uint32, salt int64) *rand.Rand {
 	lo, hi := a, b
 	if lo > hi {
 		lo, hi = hi, lo
 	}
 	x := uint64(seed) ^ uint64(lo)*0x9e3779b97f4a7c15 ^ uint64(hi)*0xc2b2ae3d27d4eb4f ^ uint64(salt)
-	return rand.New(rand.NewSource(int64(mix64(x))))
+	r.Seed(int64(mix64(x)))
+	return r
 }
 
 // mix64 is the splitmix64 finalizer, for good bit diffusion.

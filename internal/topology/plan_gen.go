@@ -228,8 +228,8 @@ func (b *planBuilder) otherInfoBlock() {
 // buildPlan constructs and attaches a community plan to a. The draw
 // sequence is fixed so a given (seed, ASN) always yields the same plan,
 // and Epoch growth appends without disturbing earlier blocks.
-func buildPlan(t *Topology, a *AS, cfg Config, size int) {
-	rng := perASRand(cfg.Seed, a.ASN, saltPlan)
+func buildPlan(t *Topology, a *AS, cfg Config, size int, gen *rand.Rand) {
+	rng := perASRand(gen, cfg.Seed, a.ASN, saltPlan)
 	b := newPlanBuilder(a.ASN, rng)
 
 	regions := regionsOf(t, a.Cities)
@@ -308,8 +308,8 @@ func buildPlan(t *Topology, a *AS, cfg Config, size int) {
 // buildIXPPlan gives the route server a plan: member-targeted actions and
 // informational tags. Because the route server never appears in AS paths,
 // every observation of these is off-path.
-func buildIXPPlan(t *Topology, ix *IXP, cfg Config) {
-	rng := perASRand(cfg.Seed, ix.RouteServerASN, saltPlan)
+func buildIXPPlan(t *Topology, ix *IXP, cfg Config, gen *rand.Rand) {
+	rng := perASRand(gen, cfg.Seed, ix.RouteServerASN, saltPlan)
 	b := newPlanBuilder(ix.RouteServerASN, rng)
 	b.otherInfoBlock() // e.g. "learned at this IXP"
 	base := b.begin()

@@ -42,12 +42,10 @@ type LiveOptions struct {
 	// Anomaly enables CommunityWatch: a streaming detection engine tap
 	// on the feed, queried via Live.Anomalies. AnomalyBucket is the
 	// feed-time bucket width (default 30m), AnomalyHistory the baseline
-	// buckets kept per series (default 32), AnomalyBuffer the hand-off
-	// queue depth (default 4096).
+	// buckets kept per series (default 32).
 	Anomaly        bool
 	AnomalyBucket  time.Duration
 	AnomalyHistory int
-	AnomalyBuffer  int
 
 	// FaultRate, when positive, wraps the feed in the deterministic
 	// fault injector: each delivery fails with this probability, drawing
@@ -74,14 +72,12 @@ type LiveOptions struct {
 	// Robustness knobs, mirroring the stream package defaults:
 	// ReadTimeout (30s) bounds one read before the feed counts as
 	// stalled; StaleAfter (2m) is the staleness budget /v1/health keys
-	// on; BackoffBase/BackoffMax (100ms/30s) shape reconnect backoff;
-	// RetryBudget (8) is how many consecutive no-progress cycles are
-	// tolerated before degrading to stale-but-serving (negative: never
-	// give up).
+	// on; RetryBudget (8) is how many consecutive no-progress cycles
+	// are tolerated before degrading to stale-but-serving (negative:
+	// never give up). Reconnect backoff keeps the stream defaults
+	// (100ms doubling to 30s).
 	ReadTimeout time.Duration
 	StaleAfter  time.Duration
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	RetryBudget int
 
 	// SnapshotEvery (5000 updates) and SnapshotInterval (10s) bound how
@@ -116,34 +112,12 @@ type LiveHealth struct {
 	Snapshots  uint64
 }
 
-// LiveStats are a live feed's lifetime counters.
-type LiveStats struct {
-	Updates       uint64
-	Duplicates    uint64
-	Reordered     uint64
-	CorruptFrames uint64
-	Disconnects   uint64
-	Stalls        uint64
-	Resyncs       uint64
-	Reconnects    uint64
-	Snapshots     uint64
-
-	// WindowUpdates / WindowEvicted describe the rolling window.
-	WindowUpdates int
-	WindowEvicted uint64
-
-	// FaultsInjected counts injector-produced faults (0 when FaultRate
-	// is 0).
-	FaultsInjected uint64
-}
-
 // Live is a running live-feed ingestion: a streaming source consumed
 // through the fault-tolerant Ingestor, publishing classification
 // snapshots via OnSnapshot.
 type Live struct {
-	in     *stream.Ingestor
-	faults *stream.FaultSource // nil without injection
-	watch  *anomaly.Watcher    // nil unless Anomaly was enabled
+	in    *stream.Ingestor
+	watch *anomaly.Watcher // nil unless Anomaly was enabled
 }
 
 // StartLive builds the simulated feed and starts ingesting it. It
@@ -188,14 +162,12 @@ func StartLive(ctx context.Context, opts LiveOptions) (*Live, error) {
 		Interval: opts.Interval,
 		Script:   script,
 	})
-	var faults *stream.FaultSource
 	if opts.FaultRate > 0 {
-		faults = stream.NewFaultSource(src, stream.FaultConfig{
+		src = stream.NewFaultSource(src, stream.FaultConfig{
 			Seed:     opts.FaultSeed,
 			Rate:     opts.FaultRate,
 			StallFor: opts.FaultStall,
 		})
-		src = faults
 	}
 
 	copts := opts.Params.coreOptions()
@@ -209,7 +181,7 @@ func StartLive(ctx context.Context, opts LiveOptions) (*Live, error) {
 			History:    opts.AnomalyHistory,
 			Logf:       opts.Logf,
 		})
-		watch = anomaly.StartWatcher(ctx, eng, opts.AnomalyBuffer)
+		watch = anomaly.StartWatcher(ctx, eng, 0)
 		onUpdate = watch.Offer
 	}
 
@@ -248,8 +220,6 @@ func StartLive(ctx context.Context, opts LiveOptions) (*Live, error) {
 
 		ReadTimeout: opts.ReadTimeout,
 		StaleAfter:  opts.StaleAfter,
-		BackoffBase: opts.BackoffBase,
-		BackoffMax:  opts.BackoffMax,
 		RetryBudget: opts.RetryBudget,
 
 		SnapshotEvery:    opts.SnapshotEvery,
@@ -261,7 +231,7 @@ func StartLive(ctx context.Context, opts LiveOptions) (*Live, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Live{in: in, faults: faults, watch: watch}, nil
+	return &Live{in: in, watch: watch}, nil
 }
 
 // Anomalies returns the CommunityWatch watcher when LiveOptions.Anomaly
@@ -285,35 +255,10 @@ func (l *Live) Health() LiveHealth {
 	}
 }
 
-// Stats snapshots the feed's lifetime counters.
-func (l *Live) Stats() LiveStats {
-	st := l.in.Stats()
-	out := LiveStats{
-		Updates:       st.Updates,
-		Duplicates:    st.Duplicates,
-		Reordered:     st.Reordered,
-		CorruptFrames: st.CorruptFrames,
-		Disconnects:   st.Disconnects,
-		Stalls:        st.Stalls,
-		Resyncs:       st.Resyncs,
-		Reconnects:    st.Reconnects,
-		Snapshots:     st.Snapshots,
-		WindowUpdates: st.Window.Updates,
-		WindowEvicted: st.Window.Evicted,
-	}
-	if l.faults != nil {
-		out.FaultsInjected = l.faults.Stats.Total()
-	}
-	return out
-}
-
 // Wait blocks until ingestion stops: nil after a finite feed completed,
 // the context error after cancellation, or stream.ErrRetryBudget after
 // the feed was abandoned (the last snapshot keeps serving either way).
 func (l *Live) Wait() error { return l.in.Wait() }
-
-// Done closes when ingestion has fully stopped.
-func (l *Live) Done() <-chan struct{} { return l.in.Done() }
 
 // EmptyResult returns a classification of an empty corpus — the
 // placeholder a live-mode server serves until the first feed snapshot
